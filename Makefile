@@ -1,4 +1,4 @@
-.PHONY: check check-race check-dist chaos test build vet bench bench-micro bench-agg bench-plan bench-decomp bench-graph fuzz-agg fuzz-plan fuzz-decomp fuzz-graph
+.PHONY: check check-race check-dist chaos test build vet bench bench-smoke bench-micro bench-agg bench-plan bench-decomp bench-graph fuzz-agg fuzz-plan fuzz-decomp fuzz-graph
 
 check:
 	./scripts/check.sh
@@ -48,19 +48,31 @@ bench-agg:
 	go test -run=NONE -bench='DomainSupport|AggEncode' -benchmem \
 		./internal/agg/
 
+# The repository benchmark (BENCHMARK.json, benchmark/) is a module of its
+# own, outside `go build ./...`: an internal rename can break it unseen.
+# This vets and tests it and runs every workload once at quick size — the
+# four binaries it builds, every flag it passes and every internal name it
+# imports — in about ten seconds.
+bench-smoke:
+	go vet -C benchmark .
+	go test -C benchmark .
+	go run -C benchmark . -seed 1 -quick -trace 0
+
 # Compiled-plan engines against the canonical-check enumeration paths:
-# motif and clique counting end to end (EXPERIMENTS.md). CI runs this with
+# motif and clique counting end to end (EXPERIMENTS.md). The benchmarks pick
+# their engine through Motifs' engine argument (plan, canon); the cliques
+# canon column is the test-side Listing 2 oracle. CI runs this with
 # BENCHTIME=1x as a smoke test.
 BENCHTIME ?= 1s
 bench-plan:
-	go test -run=NONE -bench='MotifsPlan|MotifsCanon|CliquesPlan|CliquesCanon' \
+	go test -run=NONE -bench='^Benchmark(Motifs|Cliques)(Plan|Canon)$$' \
 		-benchtime=$(BENCHTIME) -benchmem ./internal/apps/
 
 # Decomposition engine against the pure plan fleet: k=4/k=5 motif counting
-# end to end, plus the auto-selecting entry point (EXPERIMENTS.md §14). CI
-# runs this with BENCHTIME=1x as a smoke test.
+# end to end through Motifs' engine argument (decomp, auto, plan;
+# EXPERIMENTS.md §14). CI runs this with BENCHTIME=1x as a smoke test.
 bench-decomp:
-	go test -run=NONE -bench='MotifsDecomp|MotifsAuto|MotifsPlan' \
+	go test -run=NONE -bench='^BenchmarkMotifs(Decomp|Auto|Plan)(K5)?$$' \
 		-benchtime=$(BENCHTIME) -benchmem ./internal/apps/
 
 # CSR + .fgr storage microbenchmarks: mmap load vs edge-list parse (with

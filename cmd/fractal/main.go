@@ -29,7 +29,9 @@
 //	                     from fractal-worker processes on addr and execute
 //	                     the app across them (motifs, cliques, triangles,
 //	                     fsm). The graph path must be readable by every
-//	                     worker process.
+//	                     worker process. What only runs in-process is
+//	                     rejected up front: -app query|keywords, -engine
+//	                     canon|decomp, -kclist, -reduce.
 //	-min-workers <n>     wait for n worker registrations before starting
 //
 // Plan flags:
@@ -39,9 +41,10 @@
 //	                      the cost model picks between enumeration and
 //	                      pattern decomposition), plan (compiled
 //	                      symmetry-broken pattern plans only), canon (the
-//	                      canonical-check enumeration path), or decomp
-//	                      (force the decomposition sweep; errors where no
-//	                      rule applies). cliques honours plan/canon.
+//	                      canonical-check enumeration path; motifs only),
+//	                      or decomp (force the decomposition sweep; errors
+//	                      where no rule applies). cliques and triangles
+//	                      have the plan engine only and accept auto|plan.
 //	-explain              print the compiled plan(s) for the selected app
 //	                      (motifs, cliques, triangles, query) and exit
 //	                      without loading a graph; under auto/decomp this
@@ -68,6 +71,7 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -113,11 +117,6 @@ func main() {
 		minWorkers = flag.Int("min-workers", 0, "wait for this many worker registrations before starting (-listen)")
 	)
 	flag.Parse()
-	switch *engine {
-	case "auto", "plan", "canon", "decomp":
-	default:
-		fatal(fmt.Errorf("unknown -engine %q (want auto, plan, canon, or decomp)", *engine))
-	}
 	// Reject silently-wrong runtime shapes up front, with flag-level messages
 	// (the library rejects them too, as ConfigError).
 	if *workers < 1 {
@@ -135,14 +134,6 @@ func main() {
 	if *minWorkers > 0 && *listenAddr == "" {
 		fatal(fmt.Errorf("-min-workers requires -listen"))
 	}
-	if *explain {
-		if *app == "" {
-			flag.Usage()
-			os.Exit(2)
-		}
-		check(explainApp(*app, *k, *queryName, *engine))
-		return
-	}
 	if *convertOut != "" {
 		if *graphPath == "" {
 			flag.Usage()
@@ -154,9 +145,14 @@ func main() {
 		fmt.Printf("converted %s -> %s: |V|=%d |E|=%d |L|=%d\n", *graphPath, *convertOut, s.V, s.E, s.L)
 		return
 	}
-	if *graphPath == "" || *app == "" {
+	if *app == "" || *graphPath == "" && !*explain {
 		flag.Usage()
 		os.Exit(2)
+	}
+	check(checkFlags(*app, *engine, *listenAddr != "", *kclist, *reduce))
+	if *explain {
+		check(explainApp(*app, *k, *queryName, *engine))
+		return
 	}
 	if *pprofAddr != "" {
 		go func() {
@@ -183,41 +179,31 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown -ws mode %q", *wsMode))
 	}
-	ctx, err := fractal.NewContextCfg(cfg)
-	if err != nil {
-		fatal(err)
-	}
-	defer ctx.Close()
+	fc, err := fractal.NewContext(fractal.WithConfig(cfg))
+	check(err)
+	defer fc.Close()
+	// Interruption (SIGINT, SIGTERM) cancels the run cleanly through the
+	// step protocol.
+	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer cancel()
 	if *listenAddr != "" {
-		last := runMaster(ctx, *app, *graphPath, *k, *support, *maxEdges, *minWorkers)
-		if last != nil && last.Report != nil {
-			lastReport.Store(last.Report)
-		}
-		if *metricsOut != "" {
-			check(writeMetrics(*metricsOut, last))
-		}
-		return
+		fmt.Printf("master listening on %s\n", fc.ListenAddr())
 	}
-	g, err := ctx.LoadGraph(*graphPath)
-	if err != nil {
-		fatal(err)
-	}
+	// A master names the graph by path — every worker loads it from its own
+	// filesystem — and loads it itself to split the workflow into steps.
+	g, err := fc.LoadGraph(*graphPath)
+	check(err)
 	s := g.Stats()
 	fmt.Printf("loaded %s: |V|=%d |E|=%d |L|=%d\n", s.Name, s.V, s.E, s.L)
+	if *minWorkers > 0 {
+		fmt.Printf("waiting for %d worker(s)...\n", *minWorkers)
+		check(fc.AwaitWorkers(ctx, *minWorkers))
+	}
 
 	var last *fractal.Result
 	switch *app {
 	case "motifs":
-		runMotifs := apps.Motifs // auto: cost-model fleet selection
-		switch *engine {
-		case "plan":
-			runMotifs = apps.MotifsPlan
-		case "canon":
-			runMotifs = apps.MotifsCanon
-		case "decomp":
-			runMotifs = apps.MotifsDecomp
-		}
-		m, res, err := runMotifs(ctx, g, *k)
+		m, res, err := apps.Motifs(ctx, fc, g, *k, *engine)
 		check(err)
 		last = res
 		fmt.Printf("%d-vertex motifs [%s engine]: %d classes, %d subgraphs, EC=%d, %s\n",
@@ -225,27 +211,21 @@ func main() {
 		for code, pc := range m {
 			fmt.Printf("  %x: %d  %v\n", code[:min(8, len(code))], pc.Count, pc.Pat)
 		}
-	case "cliques":
-		var n int64
-		var res *fractal.Result
-		switch {
-		case *kclist:
-			n, res, err = apps.CliquesKClist(ctx, g, *k)
-		case *engine == "canon":
-			n, res, err = apps.CliquesCanon(ctx, g, *k)
-		default:
-			n, res, err = apps.Cliques(ctx, g, *k)
+	case "cliques", "triangles":
+		name := fmt.Sprintf("%d-cliques", *k)
+		if *app == "triangles" {
+			name, *k = "triangles", 3
 		}
+		count := apps.Cliques
+		if *kclist {
+			count = apps.CliquesKClist
+		}
+		n, res, err := count(ctx, fc, g, *k)
 		check(err)
 		last = res
-		fmt.Printf("%d-cliques: %d (EC=%d, %s)\n", *k, n, res.TotalEC(), res.Wall)
-	case "triangles":
-		n, res, err := apps.Triangles(ctx, g)
-		check(err)
-		last = res
-		fmt.Printf("triangles: %d (EC=%d, %s)\n", n, res.TotalEC(), res.Wall)
+		fmt.Printf("%s: %d (EC=%d, %s)\n", name, n, res.TotalEC(), res.Wall)
 	case "fsm":
-		res, err := apps.FSM(ctx, g, *support, apps.FSMOptions{MaxEdges: *maxEdges, GraphReduction: *reduce})
+		res, err := apps.FSM(ctx, fc, g, *support, apps.FSMOptions{MaxEdges: *maxEdges, GraphReduction: *reduce})
 		check(err)
 		last = res.Last
 		fmt.Printf("frequent patterns (support >= %d): %d, per level %v\n",
@@ -256,43 +236,20 @@ func main() {
 	case "query":
 		p, err := patternByName(*queryName)
 		check(err)
-		var n int64
-		var res *fractal.Result
-		used := "plan"
-		switch *engine {
-		case "decomp":
-			dp, derr := fractal.CompileDecomp(p)
-			check(derr)
-			n, res, err = g.DecompCount(dp)
-			used = "decomp"
-		case "auto":
-			ch, cerr := fractal.ChooseEngine(p)
-			check(cerr)
-			_, _, uniform := g.Raw().UniformLabels()
-			if ch.UseDecomp && uniform {
-				n, res, err = g.DecompCount(ch.Decomp)
-				used = "decomp"
-			} else {
-				n, res, err = apps.Query(ctx, g, p)
-			}
-		default: // plan, canon: the compiled-plan matcher
-			n, res, err = apps.Query(ctx, g, p)
-		}
+		n, res, err := apps.Query(ctx, fc, g, p, *engine)
 		check(err)
 		last = res
-		fmt.Printf("matches of %s [%s engine]: %d (EC=%d, %s)\n", *queryName, used, n, res.TotalEC(), res.Wall)
+		fmt.Printf("matches of %s [%s engine]: %d (EC=%d, %s)\n", *queryName, *engine, n, res.TotalEC(), res.Wall)
 	case "keywords":
 		if *keywords == "" {
 			fatal(fmt.Errorf("-keywords required"))
 		}
-		res, err := apps.KeywordSearch(ctx, g, strings.Split(*keywords, ","),
+		res, err := apps.KeywordSearch(fc, g, strings.Split(*keywords, ","),
 			apps.KeywordOptions{GraphReduction: *reduce})
 		check(err)
 		last = res.Result
 		fmt.Printf("covering subgraphs: %d (graph |V|=%d |E|=%d, EC=%d, %s)\n",
 			res.Matches, res.GraphV, res.GraphE, res.EC, res.Result.Wall)
-	default:
-		fatal(fmt.Errorf("unknown -app %q", *app))
 	}
 	if last != nil && last.Report != nil {
 		lastReport.Store(last.Report)
@@ -302,47 +259,42 @@ func main() {
 	}
 }
 
-// runMaster executes the selected app across registered fractal-worker
-// processes through the spec protocol. The graph is named by path — every
-// worker loads it from its own filesystem — and interruption (SIGINT,
-// SIGTERM) cancels the run cleanly through the step protocol.
-func runMaster(fc *fractal.Context, app, graphPath string, k int, support int64, maxEdges, minWorkers int) *fractal.Result {
-	fmt.Printf("master listening on %s\n", fc.ListenAddr())
-	runCtx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
-	if minWorkers > 0 {
-		fmt.Printf("waiting for %d worker(s)...\n", minWorkers)
-		check(fc.AwaitWorkers(runCtx, minWorkers))
+// checkFlags rejects, before anything is loaded or awaited, an -app that
+// does not exist and every flag the selected app would otherwise silently
+// ignore: an -engine value the app has no such engine for, and — for a
+// -listen master, which can only ship the registered spec kernels to its
+// workers — whatever runs as in-process closures only.
+func checkFlags(app, engine string, master, kclist, reduce bool) error {
+	// The -engine values each app accepts beyond the default, auto.
+	engines, ok := map[string]string{
+		"motifs": "plan canon decomp", "query": "plan decomp", "cliques": "plan", "triangles": "plan",
+		"fsm": "", "keywords": "",
+	}[app]
+	if !ok {
+		return fmt.Errorf("unknown -app %q", app)
 	}
-	switch app {
-	case "triangles":
-		k = 3
-		fallthrough
-	case "cliques":
-		n, res, err := apps.CliquesDist(runCtx, fc, graphPath, k)
-		check(err)
-		fmt.Printf("%d-cliques: %d (EC=%d, %s)\n", k, n, res.TotalEC(), res.Wall)
-		return res
-	case "motifs":
-		m, res, err := apps.MotifsDist(runCtx, fc, graphPath, k)
-		check(err)
-		fmt.Printf("%d-vertex motifs [distributed]: %d classes, %d subgraphs, EC=%d, %s\n",
-			k, len(m), m.Total(), res.TotalEC(), res.Wall)
-		for code, pc := range m {
-			fmt.Printf("  %x: %d  %v\n", code[:min(8, len(code))], pc.Count, pc.Pat)
+	switch engine {
+	case "auto":
+	case "plan", "canon", "decomp":
+		if !slices.Contains(strings.Fields(engines), engine) {
+			return fmt.Errorf("-engine %s does not apply to -app %s (it accepts: auto %s)", engine, app, engines)
 		}
-		return res
-	case "fsm":
-		res, err := apps.FSMDist(runCtx, fc, graphPath, support, maxEdges)
-		check(err)
-		fmt.Printf("frequent patterns (support >= %d): %d, per level %v\n",
-			support, len(res.Frequent), res.PerLevel)
-		for _, ds := range res.Frequent {
-			fmt.Printf("  s=%d  %v\n", ds.Support(), ds.Pat)
-		}
-		return res.Last
+	default:
+		return fmt.Errorf("unknown -engine %q (want auto, plan, canon, or decomp)", engine)
 	}
-	fatal(fmt.Errorf("app %q has no distributed form (want motifs, cliques, triangles, or fsm)", app))
+	if !master {
+		return nil
+	}
+	switch {
+	case app == "query" || app == "keywords":
+		return fmt.Errorf("-app %s has no distributed form; -listen accepts motifs, cliques, triangles, or fsm", app)
+	case engine == "canon" || engine == "decomp":
+		return fmt.Errorf("-engine %s runs in-process only; -listen accepts auto or plan", engine)
+	case kclist:
+		return fmt.Errorf("-kclist runs in-process only; drop it or -listen")
+	case reduce:
+		return fmt.Errorf("-reduce runs in-process only (a reduced graph cannot be shipped to workers); drop it or -listen")
+	}
 	return nil
 }
 
@@ -378,24 +330,19 @@ func explainApp(app string, k int, queryName, engine string) error {
 		if err != nil {
 			return err
 		}
-		if engine == "auto" || engine == "decomp" {
-			fmt.Printf("%d-vertex motifs: %d patterns\n", k, len(pats))
-			fmt.Printf("selection: %s\n\n", apps.MotifsFleetReason(nil, k))
-			for _, p := range pats {
+		sweep := engine == "auto" || engine == "decomp"
+		fmt.Printf("%d-vertex motifs: %d patterns\n", k, len(pats))
+		if sweep {
+			fmt.Printf("selection: %s\n", apps.MotifsFleetReason(nil, k))
+		}
+		fmt.Println()
+		for _, p := range pats {
+			if sweep {
 				if dp, err := fractal.CompileDecomp(p); err == nil {
 					fmt.Println(dp.Explain())
 					continue
 				}
-				pl, err := fractal.CompileInducedPlan(p)
-				if err != nil {
-					return err
-				}
-				fmt.Println(pl.Explain())
 			}
-			return nil
-		}
-		fmt.Printf("%d-vertex motifs: %d pattern plans\n\n", k, len(pats))
-		for _, p := range pats {
 			pl, err := fractal.CompileInducedPlan(p)
 			if err != nil {
 				return err

@@ -1,0 +1,122 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+)
+
+// The command's flag surface, driven through the built binary: every app
+// in-process, every -engine value, and every combination that must be
+// refused — in particular what a -listen master cannot ship to workers,
+// which has to fail up front (exit 1, a message naming the flag) and not
+// sit waiting for registrations first.
+
+// tinyGraph is K4 on {0,1,2,3} with vertex 4 pendant on 3: 4 triangles, one
+// 4-clique, 3 open 3-paths. The keyword sidecar puts "a" and "b" on two
+// adjacent edges.
+const (
+	tinyGraph = "v 0 0\nv 1 0\nv 2 0\nv 3 0\nv 4 0\n" +
+		"e 0 1\ne 0 2\ne 0 3\ne 1 2\ne 1 3\ne 2 3\ne 3 4\n"
+	tinyKeywords = "e 0 a\ne 1 b\n"
+)
+
+func TestCLI(t *testing.T) {
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skipf("go toolchain unavailable: %v", err)
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "fractal")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	graph := filepath.Join(dir, "tiny.el")
+	for path, data := range map[string]string{graph: tinyGraph, graph + ".kw": tinyKeywords} {
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A master that gets past flag checking waits for a worker forever; the
+	// rejected rows must never get there.
+	listen := []string{"-listen", "127.0.0.1:0", "-min-workers", "1"}
+
+	rows := []struct {
+		name string
+		args []string
+		exit int
+		want string // substring of stdout (exit 0) or stderr (otherwise)
+	}{
+		{"motifs", []string{"-app", "motifs", "-k", "3"}, 0, "3-vertex motifs [auto engine]: 2 classes, 7 subgraphs"},
+		{"motifs plan", []string{"-app", "motifs", "-k", "3", "-engine", "plan"}, 0, "[plan engine]: 2 classes, 7 subgraphs"},
+		{"motifs decomp", []string{"-app", "motifs", "-k", "3", "-engine", "decomp"}, 0, "[decomp engine]: 2 classes, 7 subgraphs"},
+		{"motifs canon", []string{"-app", "motifs", "-k", "3", "-engine", "canon"}, 0, "[canon engine]: 2 classes, 7 subgraphs"},
+		{"cliques", []string{"-app", "cliques", "-k", "4"}, 0, "4-cliques: 1 ("},
+		{"cliques plan", []string{"-app", "cliques", "-k", "3", "-engine", "plan"}, 0, "3-cliques: 4 ("},
+		{"cliques kclist", []string{"-app", "cliques", "-k", "3", "-kclist"}, 0, "3-cliques: 4 ("},
+		{"triangles", []string{"-app", "triangles", "-tcp", "-workers", "2"}, 0, "triangles: 4 ("},
+		{"fsm", []string{"-app", "fsm", "-support", "1", "-maxedges", "2"}, 0, "frequent patterns (support >= 1): 2, per level [1 1]"},
+		{"fsm reduce", []string{"-app", "fsm", "-support", "1", "-maxedges", "2", "-reduce"}, 0, "frequent patterns (support >= 1): 2, per level [1 1]"},
+		{"query", []string{"-app", "query", "-pattern", "triangle"}, 0, "matches of triangle [auto engine]: 4 ("},
+		{"query plan", []string{"-app", "query", "-pattern", "square", "-engine", "plan"}, 0, "matches of square [plan engine]: 3 ("},
+		{"query decomp", []string{"-app", "query", "-pattern", "path3", "-engine", "decomp"}, 0, "matches of path3 [decomp engine]: 15 ("},
+		{"keywords", []string{"-app", "keywords", "-keywords", "a,b"}, 0, "covering subgraphs: 1 ("},
+		{"explain", []string{"-explain", "-app", "cliques", "-k", "3"}, 0, "plan: 3 levels"},
+
+		{"no app", nil, 2, "Usage"},
+		{"unknown app", []string{"-app", "nope"}, 1, `unknown -app "nope"`},
+		{"unknown engine", []string{"-app", "motifs", "-engine", "nope"}, 1, `unknown -engine "nope"`},
+		{"unknown ws", []string{"-app", "motifs", "-ws", "nope"}, 1, `unknown -ws mode "nope"`},
+		{"unknown pattern", []string{"-app", "query", "-pattern", "nope"}, 1, `unknown pattern "nope"`},
+		{"min-workers without listen", []string{"-app", "motifs", "-min-workers", "1"}, 1, "-min-workers requires -listen"},
+		{"cliques canon", []string{"-app", "cliques", "-engine", "canon"}, 1, "-engine canon does not apply to -app cliques"},
+		{"query canon", []string{"-app", "query", "-engine", "canon"}, 1, "-engine canon does not apply to -app query"},
+		{"fsm plan", []string{"-app", "fsm", "-engine", "plan"}, 1, "-engine plan does not apply to -app fsm"},
+		{"query decomp no rule", []string{"-app", "query", "-pattern", "square", "-engine", "decomp"}, 1, "decomposition"},
+
+		{"listen decomp", append([]string{"-app", "motifs", "-engine", "decomp"}, listen...), 1, "-engine decomp runs in-process only"},
+		{"listen canon", append([]string{"-app", "motifs", "-engine", "canon"}, listen...), 1, "-engine canon runs in-process only"},
+		{"listen kclist", append([]string{"-app", "cliques", "-kclist"}, listen...), 1, "-kclist runs in-process only"},
+		{"listen reduce", append([]string{"-app", "fsm", "-reduce"}, listen...), 1, "-reduce runs in-process only"},
+		{"listen query", append([]string{"-app", "query"}, listen...), 1, "-app query has no distributed form"},
+		{"listen keywords", append([]string{"-app", "keywords", "-keywords", "a"}, listen...), 1, "-app keywords has no distributed form"},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			cmd := exec.Command(bin, append([]string{"-graph", graph, "-cores", "2"}, r.args...)...)
+			var stdout, stderr bytes.Buffer
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			if err := cmd.Start(); err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan error, 1)
+			go func() { done <- cmd.Wait() }()
+			var err error
+			select {
+			case err = <-done:
+			case <-time.After(30 * time.Second):
+				cmd.Process.Kill()
+				<-done
+				t.Fatalf("still running after 30s\nstdout: %s\nstderr: %s", &stdout, &stderr)
+			}
+			exit := 0
+			var ee *exec.ExitError
+			if errors.As(err, &ee) {
+				exit = ee.ExitCode()
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			out := &stdout
+			if r.exit != 0 {
+				out = &stderr
+			}
+			if exit != r.exit || !strings.Contains(out.String(), r.want) {
+				t.Errorf("exit %d, want %d with %q\nstdout: %s\nstderr: %s", exit, r.exit, r.want, &stdout, &stderr)
+			}
+		})
+	}
+}

@@ -55,9 +55,11 @@ func (fg *Graph) DecompCountCtx(ctx context.Context, dp *DecompPlan) (int64, *Re
 // EvalDecomps evaluates several decomposition plans in ONE shared
 // local-count sweep — the fleet form behind the motifs engine, where the
 // sweep cost is paid once and every decomposable pattern's polynomial rides
-// it. Returns the non-induced count per plan, index-aligned. The synthetic
-// Result reports the sweep as one step whose EC is the number of adjacency
-// elements visited, so TotalEC remains comparable with enumeration runs.
+// it. Returns the non-induced count per plan, index-aligned; a nil plan is
+// skipped and counts zero, so a fleet passes its patterns' plans with gaps
+// where no rule matched. The synthetic Result reports the sweep as one step
+// whose EC is the number of adjacency elements visited, so TotalEC remains
+// comparable with enumeration runs.
 func (fg *Graph) EvalDecomps(ctx context.Context, plans []*DecompPlan) ([]int64, *Result, error) {
 	start := time.Now()
 	g := fg.g
@@ -71,10 +73,7 @@ func (fg *Graph) EvalDecomps(ctx context.Context, plans []*DecompPlan) ([]int64,
 	live := make([]*DecompPlan, 0, len(plans))
 	liveIdx := make([]int, 0, len(plans))
 	for i, dp := range plans {
-		if dp == nil {
-			return nil, nil, fmt.Errorf("fractal: EvalDecomps got a nil plan at %d", i)
-		}
-		if decompLabelsMatch(dp.P, gvl, gel) {
+		if dp != nil && decompLabelsMatch(dp.P, gvl, gel) {
 			live = append(live, dp)
 			liveIdx = append(liveIdx, i)
 		}

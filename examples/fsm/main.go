@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -44,7 +45,7 @@ func main() {
 	s := g.Stats()
 	fmt.Printf("graph: |V|=%d |E|=%d |L|=%d, α=%d\n", s.V, s.E, s.L, *support)
 
-	res, err := apps.FSM(ctx, g, *support,
+	res, err := apps.FSM(context.Background(), ctx, g, *support,
 		apps.FSMOptions{MaxEdges: *maxEdges, GraphReduction: *reduce})
 	if err != nil {
 		log.Fatal(err)

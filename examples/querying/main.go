@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -43,7 +44,7 @@ func main() {
 	names := []string{"q1 triangle", "q2 square", "q3 diamond", "q4 4-clique",
 		"q5 5-clique", "q6 house", "q7 prism", "q8 double-square"}
 	for i, q := range apps.SEEDQueries() {
-		n, res, err := apps.Query(ctx, g, q)
+		n, res, err := apps.Query(context.Background(), ctx, g, q, apps.EnginePlan)
 		if err != nil {
 			log.Fatal(err)
 		}

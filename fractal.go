@@ -28,7 +28,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"fractal/internal/agg"
@@ -354,9 +353,19 @@ func WithTraceCapacity(n int) Option {
 	}
 }
 
-// WithConfig replaces the whole configuration with cfg, an escape hatch for
-// callers that already hold a Config value. Options after it still apply.
-func WithConfig(cfg Config) Option { return func(c *Config) error { *c = cfg; return nil } }
+// WithConfig replaces the whole configuration with cfg, for callers that
+// already hold a Config value. Options after it still apply. A Config that
+// names no deployment at all (zero workers, cores and stealing mode) keeps
+// the default stealing mode instead of switching stealing off.
+func WithConfig(cfg Config) Option {
+	return func(c *Config) error {
+		if cfg.Workers == 0 && cfg.CoresPerWorker == 0 && cfg.WS == WSNone {
+			cfg.WS = c.WS
+		}
+		*c = cfg
+		return nil
+	}
+}
 
 // NewContext starts a runtime configured by the given options:
 //
@@ -371,20 +380,6 @@ func NewContext(opts ...Option) (*Context, error) {
 			return nil, err
 		}
 	}
-	return newContext(cfg)
-}
-
-// NewContextCfg starts a runtime from an explicit Config value (the
-// pre-options form of NewContext). A zero Config defaults to one worker,
-// one core, hierarchical work stealing.
-func NewContextCfg(cfg Config) (*Context, error) {
-	if cfg.Workers == 0 && cfg.CoresPerWorker == 0 && cfg.WS == WSNone {
-		cfg.WS = WSBoth
-	}
-	return newContext(cfg)
-}
-
-func newContext(cfg Config) (*Context, error) {
 	rt, err := sched.New(cfg)
 	if err != nil {
 		return nil, err
@@ -410,12 +405,13 @@ func (c *Context) AwaitWorkers(ctx context.Context, n int) error {
 }
 
 // RunSpec executes a serializable job spec: the registered application is
-// materialized against the spec's graph and arguments and run through the
-// step protocol. It works on every context — in-process ones build and run
-// the job locally, exactly as the fluent API would (which is what lets tests
-// compare the two paths bit for bit); WithListenAddr masters distribute the
-// spec to the registered worker processes. env carries aggregations from
-// previous jobs the workflow reads (nil for none).
+// materialized against the spec's graph file and arguments and run through
+// the step protocol. It works on every context — in-process ones build and
+// run the job locally; WithListenAddr masters distribute the spec to the
+// registered worker processes. The graph is loaded through the same
+// per-context cache as LoadGraph, so naming an already loaded file costs
+// nothing. env carries aggregations from previous jobs the workflow reads
+// (nil for none). Graph.RunSpec is the form for a graph handle.
 func (c *Context) RunSpec(ctx context.Context, spec JobSpec, env *Aggregations) (*sched.Result, error) {
 	return c.rt.RunSpec(ctx, spec, env)
 }
@@ -424,13 +420,16 @@ func (c *Context) RunSpec(ctx context.Context, spec JobSpec, env *Aggregations) 
 // chosen by extension: ".graph" adjacency list, ".el" labeled edge list, or
 // ".fgr" prebuilt binary CSR (memory-mapped instead of parsed; produce one
 // with ConvertGraph or `fractal -convert`). For the text formats a
-// "<path>.kw" keyword sidecar is applied when present.
+// "<path>.kw" keyword sidecar is applied when present. A context loads each
+// path once: later LoadGraph and RunSpec calls naming it share the graph.
+// The handle remembers the path, which is what lets a WithListenAddr master
+// ship jobs over it (Graph.RunSpec).
 func (c *Context) LoadGraph(path string) (*Graph, error) {
-	g, err := graph.LoadFile(path)
+	g, err := c.rt.LoadGraph(path)
 	if err != nil {
 		return nil, fmt.Errorf("fractal: loading %s: %w", path, err)
 	}
-	return &Graph{ctx: c, g: g}, nil
+	return &Graph{ctx: c, g: g, path: path}, nil
 }
 
 // ConvertGraph loads the graph file at inPath (any format LoadGraph
@@ -450,13 +449,6 @@ func ConvertGraph(inPath, outPath string) (*RawGraph, error) {
 	return g, nil
 }
 
-// AdjacencyList is the original name of LoadGraph, retained as an alias.
-// The method has always dispatched on the file extension, not only on
-// adjacency lists, so the name undersold it.
-//
-// Deprecated: use LoadGraph.
-func (c *Context) AdjacencyList(path string) (*Graph, error) { return c.LoadGraph(path) }
-
 // FromGraph wraps an in-memory graph as a fractal graph.
 func (c *Context) FromGraph(g *graph.Graph) *Graph { return &Graph{ctx: c, g: g} }
 
@@ -471,10 +463,27 @@ func NewBuildGraph(g *graph.Graph) *Graph { return &Graph{g: g} }
 type Graph struct {
 	ctx *Context
 	g   *graph.Graph
+	// path is the file LoadGraph read the graph from; empty for in-memory
+	// graphs (FromGraph, NewBuildGraph, VFilter/EFilter reductions).
+	path string
 }
 
 // Raw returns the underlying immutable graph.
 func (fg *Graph) Raw() *graph.Graph { return fg.g }
+
+// RunSpec runs the registered application app with the given arguments over
+// this graph — the one way the application drivers of internal/apps execute
+// a kernel. On an in-process context the app's SpecBuilder builds the job
+// against the graph in memory, so any handle works; on a WithListenAddr
+// master the spec ships to the worker processes by the path LoadGraph read,
+// and a handle without one (FromGraph, a VFilter/EFilter reduction) is a
+// *ConfigError. env carries aggregations from previous jobs the workflow
+// reads (nil for none). Like every execution method, it needs a handle that
+// has a Context (not a NewBuildGraph one).
+func (fg *Graph) RunSpec(ctx context.Context, app string, args map[string]string, env *Aggregations) (*Result, error) {
+	spec := JobSpec{App: app, Graph: fg.path, Args: args}
+	return newResult(fg.ctx.rt.RunSpecOn(ctx, spec, fg.g, env))
+}
 
 // VFractoid derives an empty vertex-induced fractoid (operator B1).
 func (fg *Graph) VFractoid() *Fractoid {
@@ -580,18 +589,4 @@ func (c *Context) MNISupport(e *Subgraph, threshold int64) *DomainSupport {
 func CliqueFilter(e *Subgraph) bool {
 	nv := e.NumVertices()
 	return e.NumEdges()*2 == nv*(nv-1)
-}
-
-// LoadGraphOrExit loads a graph file and exits the process with a message
-// on failure.
-//
-// Deprecated: library code must not call os.Exit. Use LoadGraph and handle
-// the error.
-func (c *Context) LoadGraphOrExit(path string) *Graph {
-	fg, err := c.LoadGraph(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	return fg
 }

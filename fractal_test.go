@@ -1,8 +1,11 @@
 package fractal
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -13,6 +16,7 @@ import (
 	"fractal/internal/agg"
 	"fractal/internal/graph"
 	"fractal/internal/pattern"
+	"fractal/internal/step"
 	"fractal/internal/subgraph"
 )
 
@@ -226,14 +230,14 @@ func TestMNISupportHelper(t *testing.T) {
 	}
 }
 
-func TestAdjacencyListLoading(t *testing.T) {
+func TestLoadGraphAdjacencyList(t *testing.T) {
 	ctx := testContext(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "tri.graph")
 	if err := os.WriteFile(path, []byte("0 1 1 2\n1 1 0 2\n2 1 0 1\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fg, err := ctx.AdjacencyList(path)
+	fg, err := ctx.LoadGraph(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +248,7 @@ func TestAdjacencyListLoading(t *testing.T) {
 	if n != 1 {
 		t.Errorf("triangles=%d, want 1", n)
 	}
-	if _, err := ctx.AdjacencyList(filepath.Join(dir, "missing.graph")); err == nil {
+	if _, err := ctx.LoadGraph(filepath.Join(dir, "missing.graph")); err == nil {
 		t.Error("loading a missing file succeeded")
 	}
 }
@@ -318,7 +322,7 @@ func TestCustomExtender(t *testing.T) {
 }
 
 func TestContextConfigAndDefaults(t *testing.T) {
-	ctx, err := NewContextCfg(Config{})
+	ctx, err := NewContext(WithConfig(Config{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -583,5 +587,59 @@ func TestPatternRepOf(t *testing.T) {
 	b := ctx.PatternRepOf(pattern.Cycle(3))
 	if a != b {
 		t.Error("isomorphic patterns got different representatives")
+	}
+}
+
+// TestCountIsOneAggregation pins the single counting mechanism: CountCtx
+// returns the same count with and without step retries — it no longer picks
+// between a visiting counter and an aggregation — on one and on two
+// loopback workers, and what crosses the wire is the agg.Int64Sums scalar
+// form (tag, arity 1, one varint), not a gob-encoded map.
+func TestCountIsOneAggregation(t *testing.T) {
+	raw := denseTestGraph(30)
+	var want int64
+	for _, workers := range []int{1, 2} {
+		for _, retries := range []int{0, 2} {
+			t.Run(fmt.Sprintf("%dx2-retries%d", workers, retries), func(t *testing.T) {
+				ctx, err := NewContext(WithWorkers(workers), WithCores(2), WithStepRetries(retries))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ctx.Close()
+				n, res, err := ctx.FromGraph(raw).VFractoid().Expand(3).Filter(CliqueFilter).CountCtx(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n == 0 {
+					t.Fatal("degenerate test graph: no triangles")
+				}
+				if want == 0 {
+					want = n
+				}
+				if n != want {
+					t.Errorf("count=%d, want %d as in the first configuration", n, want)
+				}
+				store, ok := res.Aggregations.Get(step.CountAgg)
+				if !ok {
+					t.Fatal("the count is not in the result's aggregations")
+				}
+				sums, ok := store.(*agg.Int64Sums)
+				if !ok {
+					t.Fatalf("count store is a %T, want *agg.Int64Sums", store)
+				}
+				wire, err := sums.Encode()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if scalar := binary.AppendVarint([]byte{2, 1}, n); !bytes.Equal(wire, scalar) {
+					t.Errorf("count wire form % x, want the one-slot scalar form % x", wire, scalar)
+				}
+				// One such payload per worker is all the step ships.
+				shipped := res.Steps[0].AggShippedBytes
+				if shipped < int64(3*workers) || shipped > int64((2+binary.MaxVarintLen64)*workers) {
+					t.Errorf("step shipped %d aggregation bytes from %d worker(s): not one scalar payload each", shipped, workers)
+				}
+			})
+		}
 	}
 }

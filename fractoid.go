@@ -3,7 +3,6 @@ package fractal
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"fractal/internal/agg"
@@ -93,8 +92,8 @@ func (f *Fractoid) Explore(n int) *Fractoid {
 // for that. Under WithStepRetries, visits are at-least-once: a step attempt
 // abandoned after a worker loss may already have streamed embeddings the
 // retry streams again (side effects cannot be unrun the way aggregation
-// partials are discarded). Use Aggregate — or CountCtx, which switches to an
-// aggregation internally — when exactly-once matters.
+// partials are discarded). Use Aggregate — or CountCtx, which is one — when
+// exactly-once matters.
 func (f *Fractoid) Visit(fn func(*Subgraph)) *Fractoid {
 	return f.derive(step.VisitP(fn))
 }
@@ -214,7 +213,12 @@ func (f *Fractoid) run(ctx context.Context) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := f.fg.ctx.rt.Run(ctx, job)
+	return newResult(f.fg.ctx.rt.Run(ctx, job))
+}
+
+// newResult adapts a runtime result to the public shape (nil-safe: a run
+// that failed before its first step has none).
+func newResult(res *sched.Result, err error) (*Result, error) {
 	if res == nil {
 		return nil, err
 	}
@@ -248,40 +252,18 @@ func (f *Fractoid) Subgraphs(visit func(*Subgraph)) (*Result, error) {
 	return f.SubgraphsCtx(context.Background(), visit)
 }
 
-// countAggName is the reserved aggregation CountCtx rides under step
-// retries; the NUL prefix keeps it out of any user namespace.
-const countAggName = "\x00fractal.count"
-
 // CountCtx executes the workflow and returns the number of embeddings that
-// reach the end of it. On cancellation the count covers the embeddings
-// processed before the cancellation took effect (a partial count, returned
-// with the error).
-//
-// The count stays exact under WithStepRetries: with retries enabled it is
-// computed as an aggregation, whose attempt-tagged partials the runtime
-// discards wholesale when a worker loss fails an attempt — a plain visiting
-// counter would keep the failed attempt's increments and double-count. The
-// price is that a failed run reports 0 rather than a partial count.
+// reach the end of it. The count is an aggregation (step.CountP): per-core
+// partial sums merged and shipped like any other, so it is exact under
+// WithStepRetries — a failed attempt's partials are discarded wholesale —
+// and a cancelled or failed run reports 0 alongside the error, never a
+// partial count.
 func (f *Fractoid) CountCtx(ctx context.Context) (int64, *Result, error) {
-	if f.err == nil && f.fg.ctx.rt.Config().StepRetries > 0 {
-		nf := Aggregate(f, countAggName,
-			func(*Subgraph) uint8 { return 0 },
-			func(*Subgraph) int64 { return 1 },
-			func(a, b int64) int64 { return a + b }, nil)
-		res, err := nf.run(ctx)
-		var n int64
-		if res != nil && err == nil {
-			if a, aerr := agg.Typed[uint8, int64](res.Aggregations, countAggName); aerr == nil {
-				for _, v := range a.Entries() {
-					n = v
-				}
-			}
-		}
-		return n, res, err
+	res, err := f.derive(step.CountP()).run(ctx)
+	if res == nil || err != nil {
+		return 0, res, err
 	}
-	var n atomic.Int64
-	res, err := f.Visit(func(*Subgraph) { n.Add(1) }).run(ctx)
-	return n.Load(), res, err
+	return step.CountOf(res.Aggregations), res, nil
 }
 
 // Count is CountCtx with context.Background(). Prefer CountCtx.

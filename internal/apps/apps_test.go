@@ -38,7 +38,7 @@ func k4Pendant() *graph.Graph {
 func TestMotifs(t *testing.T) {
 	ctx := testCtx(t)
 	g := ctx.FromGraph(workload.Relabel(k4Pendant(), "k4p-sl"))
-	m, res, err := Motifs(ctx, g, 3)
+	m, res, err := Motifs(bg, ctx, g, 3, EngineAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +81,11 @@ func TestCliquesAndKClistAgree(t *testing.T) {
 	for _, raw := range graphs {
 		g := ctx.FromGraph(raw)
 		for k := 3; k <= 5; k++ {
-			plain, _, err := Cliques(ctx, g, k)
+			plain, _, err := Cliques(bg, ctx, g, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fast, _, err := CliquesKClist(ctx, g, k)
+			fast, _, err := CliquesKClist(bg, ctx, g, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,7 +98,7 @@ func TestCliquesAndKClistAgree(t *testing.T) {
 
 func TestTrianglesKnown(t *testing.T) {
 	ctx := testCtx(t)
-	n, _, err := Triangles(ctx, ctx.FromGraph(k4Pendant()))
+	n, _, err := Triangles(bg, ctx, ctx.FromGraph(k4Pendant()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func fsmTestGraph() *graph.Graph {
 func TestFSM(t *testing.T) {
 	ctx := testCtx(t)
 	g := ctx.FromGraph(fsmTestGraph())
-	res, err := FSM(ctx, g, 3, FSMOptions{MaxEdges: 3})
+	res, err := FSM(bg, ctx, g, 3, FSMOptions{MaxEdges: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,11 +164,11 @@ func TestFSMGraphReductionPreservesResults(t *testing.T) {
 	ctx := testCtx(t)
 	raw := workload.Community("c", 6, 15, 6, 0.8, 4, 17)
 	g := ctx.FromGraph(raw)
-	plain, err := FSM(ctx, g, 8, FSMOptions{MaxEdges: 2})
+	plain, err := FSM(bg, ctx, g, 8, FSMOptions{MaxEdges: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reduced, err := FSM(ctx, g, 8, FSMOptions{MaxEdges: 2, GraphReduction: true})
+	reduced, err := FSM(bg, ctx, g, 8, FSMOptions{MaxEdges: 2, GraphReduction: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,21 +199,21 @@ func TestQuerySuite(t *testing.T) {
 	if len(q) != 8 {
 		t.Fatalf("suite has %d queries", len(q))
 	}
-	tri, _, err := Query(ctx, g, pattern.Triangle())
+	tri, _, err := Query(bg, ctx, g, pattern.Triangle(), EnginePlan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tri != 4 {
 		t.Errorf("triangle matches=%d, want 4", tri)
 	}
-	k4, _, err := Query(ctx, g, pattern.Clique(4))
+	k4, _, err := Query(bg, ctx, g, pattern.Clique(4), EnginePlan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if k4 != 1 {
 		t.Errorf("4-clique matches=%d, want 1", k4)
 	}
-	sq, _, err := Query(ctx, g, pattern.Cycle(4))
+	sq, _, err := Query(bg, ctx, g, pattern.Cycle(4), EnginePlan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestTrianglesApprox(t *testing.T) {
 	ctx := testCtx(t)
 	raw := workload.ErdosRenyi("apx", 150, 1200, 1, 77)
 	g := ctx.FromGraph(raw)
-	exact, _, err := Triangles(ctx, g)
+	exact, _, err := Triangles(bg, ctx, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +434,7 @@ func TestSignificanceProfile(t *testing.T) {
 		b.MustAddEdge(u, w)
 	}
 	g := ctx.FromGraph(b.Build())
-	prof, err := SignificanceProfile(ctx, g, 3, 6, 42)
+	prof, err := SignificanceProfile(bg, ctx, g, 3, 6, 42)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,7 +108,7 @@ func requireLossObserved(t *testing.T, script *rpc.Script, res *fractal.Result, 
 func TestChaosCliques(t *testing.T) {
 	raw := workload.ErdosRenyi("chaos-er", 60, 220, 1, 31)
 	base := chaosCtx(t, nil)
-	want, _, err := Cliques(base, base.FromGraph(raw), 4)
+	want, _, err := Cliques(bg, base, base.FromGraph(raw), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestChaosCliques(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		script, label := chaosSchedule(rng, false)
 		ctx := chaosCtx(t, script)
-		got, res, err := Cliques(ctx, ctx.FromGraph(raw), 4)
+		got, res, err := Cliques(bg, ctx, ctx.FromGraph(raw), 4)
 		if err != nil {
 			t.Fatalf("seed %d (%s): %v", seed, label, err)
 		}
@@ -130,7 +130,7 @@ func TestChaosCliques(t *testing.T) {
 func TestChaosMotifs(t *testing.T) {
 	raw := workload.ErdosRenyi("chaos-er-ml", 60, 220, 3, 32)
 	base := chaosCtx(t, nil)
-	want, _, err := Motifs(base, base.FromGraph(raw), 3)
+	want, _, err := Motifs(bg, base, base.FromGraph(raw), 3, EngineAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestChaosMotifs(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(100 + seed)))
 		script, label := chaosSchedule(rng, true)
 		ctx := chaosCtx(t, script)
-		got, res, err := Motifs(ctx, ctx.FromGraph(raw), 3)
+		got, res, err := Motifs(bg, ctx, ctx.FromGraph(raw), 3, EngineAuto)
 		if err != nil {
 			t.Fatalf("seed %d (%s): %v", seed, label, err)
 		}
@@ -150,7 +150,7 @@ func TestChaosMotifs(t *testing.T) {
 func TestChaosFSM(t *testing.T) {
 	raw := workload.Community("chaos-c", 6, 15, 6, 0.8, 4, 33)
 	base := chaosCtx(t, nil)
-	want, err := FSM(base, base.FromGraph(raw), 8, FSMOptions{MaxEdges: 2})
+	want, err := FSM(bg, base, base.FromGraph(raw), 8, FSMOptions{MaxEdges: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestChaosFSM(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(200 + seed)))
 		script, label := chaosSchedule(rng, true)
 		ctx := chaosCtx(t, script)
-		got, err := FSM(ctx, ctx.FromGraph(raw), 8, FSMOptions{MaxEdges: 2})
+		got, err := FSM(bg, ctx, ctx.FromGraph(raw), 8, FSMOptions{MaxEdges: 2})
 		if err != nil {
 			t.Fatalf("seed %d (%s): %v", seed, label, err)
 		}
@@ -195,13 +195,13 @@ func TestChaosFSM(t *testing.T) {
 func TestChaosCliquesTCP(t *testing.T) {
 	raw := workload.ErdosRenyi("chaos-er-tcp", 50, 180, 1, 34)
 	base := chaosCtx(t, nil)
-	want, _, err := Cliques(base, base.FromGraph(raw), 4)
+	want, _, err := Cliques(bg, base, base.FromGraph(raw), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	script := rpc.NewScript(rpc.SeverRule(1, rpc.Master, sched.KindStatusReport, 0, 1))
 	ctx := chaosCtx(t, script, fractal.WithTCP())
-	got, res, err := Cliques(ctx, ctx.FromGraph(raw), 4)
+	got, res, err := Cliques(bg, ctx, ctx.FromGraph(raw), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestChaosCliquesFGR(t *testing.T) {
 	t.Cleanup(func() { mapped.Close() })
 
 	base := chaosCtx(t, nil)
-	want, _, err := Cliques(base, base.FromGraph(raw), 4)
+	want, _, err := Cliques(bg, base, base.FromGraph(raw), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestChaosCliquesFGR(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(400 + seed)))
 		script, label := chaosSchedule(rng, false)
 		ctx := chaosCtx(t, script)
-		got, res, err := Cliques(ctx, ctx.FromGraph(mapped), 4)
+		got, res, err := Cliques(bg, ctx, ctx.FromGraph(mapped), 4)
 		if err != nil {
 			t.Fatalf("seed %d (%s): %v", seed, label, err)
 		}

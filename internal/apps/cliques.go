@@ -1,40 +1,60 @@
 package apps
 
 import (
+	"context"
+	"fmt"
 	"sort"
+	"strconv"
 
 	"fractal"
+	"fractal/internal/agg"
 	"fractal/internal/graph"
 	"fractal/internal/pattern"
+	"fractal/internal/sched"
+	"fractal/internal/step"
 	"fractal/internal/subgraph"
 )
 
-// Cliques counts the k-cliques of g through the compiled Clique(k) plan:
-// a single pattern-induced job whose symmetry-breaking restrictions
-// enumerate each clique exactly once (v0 < v1 < … < vk-1), with no clique
-// filter and no canonical check. A clique has no non-adjacent vertex pair,
-// so the edge-matching (non-induced) plan suffices.
-func Cliques(fc *fractal.Context, g *fractal.Graph, k int) (int64, *fractal.Result, error) {
-	plan, err := fractal.CompilePlan(pattern.Clique(k))
-	if err != nil {
-		return 0, nil, err
-	}
-	return g.PFractoidPlan(plan).Expand(k).Count()
+// cliquesBuilder is the k-clique counting kernel (Listing 2 of the paper on
+// the compiled-plan engine): a single pattern-induced job over the
+// Clique(k) plan, whose symmetry-breaking restrictions enumerate each clique
+// exactly once (v0 < v1 < … < vk-1), with no clique filter and no canonical
+// check. A clique has no non-adjacent vertex pair, so the edge-matching
+// (non-induced) plan suffices. Args: "k".
+type cliquesBuilder struct{}
+
+func (cliquesBuilder) EnvProtos(fractal.JobSpec) (map[string]agg.Store, error) {
+	return nil, nil
 }
 
-// CliquesCanon counts k-cliques with the seed path (Listing 2 of the
-// paper), retained as the differential oracle for the plan engine:
-//
-//	graph.vfractoid.
-//	  expand(1).filter(clique check).explore(k).subgraphs()
-func CliquesCanon(fc *fractal.Context, g *fractal.Graph, k int) (int64, *fractal.Result, error) {
-	return g.VFractoid().Expand(1).Filter(fractal.CliqueFilter).Explore(k).Count()
+func (cliquesBuilder) Build(spec fractal.JobSpec, g *graph.Graph, _ *agg.Registry) (sched.Job, error) {
+	k, err := specInt(spec, "k")
+	if err != nil {
+		return sched.Job{}, err
+	}
+	if k < 1 {
+		return sched.Job{}, fmt.Errorf("apps: cliques requires k >= 1, got %d", k)
+	}
+	plan, err := fractal.CompilePlan(pattern.Clique(k))
+	if err != nil {
+		return sched.Job{}, err
+	}
+	return countJob(fractal.NewBuildGraph(g).PFractoidPlan(plan).Expand(k))
+}
+
+// Cliques counts the k-cliques of g.
+func Cliques(ctx context.Context, fc *fractal.Context, g *fractal.Graph, k int) (int64, *fractal.Result, error) {
+	res, err := g.RunSpec(ctx, AppCliques, map[string]string{"k": strconv.Itoa(k)}, nil)
+	if err != nil {
+		return 0, res, err
+	}
+	return step.CountOf(res.Aggregations), res, nil
 }
 
 // Triangles counts 3-cliques (the Appendix C benchmark: the same listing
 // with k = 3).
-func Triangles(fc *fractal.Context, g *fractal.Graph) (int64, *fractal.Result, error) {
-	return Cliques(fc, g, 3)
+func Triangles(ctx context.Context, fc *fractal.Context, g *fractal.Graph) (int64, *fractal.Result, error) {
+	return Cliques(ctx, fc, g, 3)
 }
 
 // KClistEnum is the custom subgraph enumerator of Listing 6: an
@@ -109,8 +129,11 @@ func (x *KClistEnum) Popped(e *subgraph.Embedding) {
 // (Listing 7 of the paper):
 //
 //	graph.vfractoid(new KClistEnum(...)).expand(1).explore(k).subgraphs()
-func CliquesKClist(fc *fractal.Context, g *fractal.Graph, k int) (int64, *fractal.Result, error) {
-	return g.VFractoidWith(NewKClistEnum()).Expand(1).Explore(k).Count()
+//
+// The enumerator is a closure with per-core state, so this runs on
+// in-process contexts only.
+func CliquesKClist(ctx context.Context, fc *fractal.Context, g *fractal.Graph, k int) (int64, *fractal.Result, error) {
+	return g.VFractoidWith(NewKClistEnum()).Expand(1).Explore(k).CountCtx(ctx)
 }
 
 // dedupWords removes duplicates from a sorted-ish candidate list (parallel

@@ -9,8 +9,8 @@ import "testing"
 // >= 3x wall-time over the pure plan fleet at k=4 with bit-identical counts
 // (pinned functionally by TestMotifsDecompMatchesPlanAndCanon).
 
-func BenchmarkMotifsDecomp(b *testing.B) { benchMotifs(b, MotifsDecomp) }
-func BenchmarkMotifsAuto(b *testing.B)   { benchMotifs(b, Motifs) }
+func BenchmarkMotifsDecomp(b *testing.B) { benchMotifs(b, 4, EngineDecomp) }
+func BenchmarkMotifsAuto(b *testing.B)   { benchMotifs(b, 4, EngineAuto) }
 
-func BenchmarkMotifsPlanK5(b *testing.B)   { benchMotifsK(b, 5, MotifsPlan) }
-func BenchmarkMotifsDecompK5(b *testing.B) { benchMotifsK(b, 5, MotifsDecomp) }
+func BenchmarkMotifsPlanK5(b *testing.B)   { benchMotifs(b, 5, EnginePlan) }
+func BenchmarkMotifsDecompK5(b *testing.B) { benchMotifs(b, 5, EngineDecomp) }

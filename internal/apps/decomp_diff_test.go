@@ -54,17 +54,17 @@ func TestMotifsDecompMatchesPlanAndCanon(t *testing.T) {
 			if k == 5 && testing.Short() {
 				continue
 			}
-			decomp, _, err := MotifsDecomp(ctx, g, k)
+			decomp, _, err := Motifs(bg, ctx, g, k, EngineDecomp)
 			if err != nil {
 				t.Fatalf("%s k=%d decomp: %v", raw.Name(), k, err)
 			}
-			plan, _, err := MotifsPlan(ctx, g, k)
+			plan, _, err := Motifs(bg, ctx, g, k, EnginePlan)
 			if err != nil {
 				t.Fatalf("%s k=%d plan: %v", raw.Name(), k, err)
 			}
 			motifCountsEqual(t, raw.Name()+"/decomp-vs-plan", k, decomp, plan)
 			if k <= 4 {
-				canon, _, err := MotifsCanon(ctx, g, k)
+				canon, _, err := motifsOracle(ctx, g, k)
 				if err != nil {
 					t.Fatalf("%s k=%d canon: %v", raw.Name(), k, err)
 				}
@@ -79,11 +79,11 @@ func TestMotifsAutoMatchesCanon(t *testing.T) {
 	for _, raw := range decompDiffGraphs() {
 		g := ctx.FromGraph(raw)
 		for k := 3; k <= 4; k++ {
-			auto, _, err := Motifs(ctx, g, k)
+			auto, _, err := Motifs(bg, ctx, g, k, EngineAuto)
 			if err != nil {
 				t.Fatalf("%s k=%d auto: %v", raw.Name(), k, err)
 			}
-			canon, _, err := MotifsCanon(ctx, g, k)
+			canon, _, err := motifsOracle(ctx, g, k)
 			if err != nil {
 				t.Fatalf("%s k=%d canon: %v", raw.Name(), k, err)
 			}
@@ -99,17 +99,17 @@ func TestMotifsAutoLabeledFallback(t *testing.T) {
 	ctx := testCtx(t)
 	raw := workload.ErdosRenyi("ddiff-ml", 60, 220, 3, 56)
 	g := ctx.FromGraph(raw)
-	auto, _, err := Motifs(ctx, g, 3)
+	auto, _, err := Motifs(bg, ctx, g, 3, EngineAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	canon, _, err := MotifsCanon(ctx, g, 3)
+	canon, _, err := motifsOracle(ctx, g, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	motifCountsEqual(t, "ddiff-ml/auto-vs-canon", 3, auto, canon)
 
-	if _, _, err := MotifsDecomp(ctx, g, 3); err == nil {
+	if _, _, err := Motifs(bg, ctx, g, 3, EngineDecomp); err == nil {
 		t.Error("MotifsDecomp on a labeled graph: expected error")
 	}
 	if reason := MotifsFleetReason(g, 3); !strings.Contains(reason, "labels") {
@@ -122,7 +122,7 @@ func TestMotifsAutoLabeledFallback(t *testing.T) {
 func TestMotifsDecompRefusesOversizeK(t *testing.T) {
 	ctx := testCtx(t)
 	g := ctx.FromGraph(workload.ErdosRenyi("ddiff-k6", 30, 60, 1, 57))
-	if _, _, err := MotifsDecomp(ctx, g, pattern.MaxDecompVertices+1); err == nil {
+	if _, _, err := Motifs(bg, ctx, g, pattern.MaxDecompVertices+1, EngineDecomp); err == nil {
 		t.Error("k beyond the conversion bound: expected error")
 	}
 	reason := MotifsFleetReason(g, pattern.MaxDecompVertices+1)
@@ -179,7 +179,7 @@ func TestDecompCountMatchesQueryPlans(t *testing.T) {
 			if res.TotalEC() <= 0 {
 				t.Errorf("%s/%s: sweep reported EC=%d", raw.Name(), name, res.TotalEC())
 			}
-			want, _, err := Query(ctx, g, p)
+			want, _, err := Query(bg, ctx, g, p, EnginePlan)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -251,11 +251,11 @@ func TestDecompCountLabelSemantics(t *testing.T) {
 func TestMotifsDecompSweepCheaper(t *testing.T) {
 	ctx := testCtx(t)
 	g := ctx.FromGraph(workload.BarabasiAlbert("ddiff-ec", 200, 4, 1, 62))
-	md, dres, err := MotifsDecomp(ctx, g, 4)
+	md, dres, err := Motifs(bg, ctx, g, 4, EngineDecomp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mp, pres, err := MotifsPlan(ctx, g, 4)
+	mp, pres, err := Motifs(bg, ctx, g, 4, EnginePlan)
 	if err != nil {
 		t.Fatal(err)
 	}

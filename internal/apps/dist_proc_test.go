@@ -90,11 +90,11 @@ func TestDistProcesses(t *testing.T) {
 	bin := workerBin(t)
 	path := writeGraphFile(t, workload.ErdosRenyi("dist-proc", 60, 220, 3, 51))
 	oracle, load := inProcessOracle(t)
-	wantCliques, _, err := Cliques(oracle, load(path), 4)
+	wantCliques, _, err := cliquesOracle(load(path), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantMotifs, _, err := Motifs(oracle, load(path), 3)
+	wantMotifs, _, err := motifsOracle(oracle, load(path), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestDistProcesses(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, res, err := CliquesDist(context.Background(), master, path, 4)
+	got, res, err := Cliques(bg, master, loadOn(t, master, path), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestDistProcesses(t *testing.T) {
 	if res.Report.Workers != 2 {
 		t.Errorf("report should record 2 worker processes, says %d", res.Report.Workers)
 	}
-	gotMotifs, _, err := MotifsDist(context.Background(), master, path, 3)
+	gotMotifs, _, err := Motifs(bg, master, loadOn(t, master, path), 3, EngineAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +132,8 @@ func TestDistProcesses(t *testing.T) {
 func TestDistProcessSIGKILL(t *testing.T) {
 	bin := workerBin(t)
 	path := writeGraphFile(t, workload.ErdosRenyi("dist-kill", 80, 400, 1, 52))
-	oracle, load := inProcessOracle(t)
-	want, _, err := Cliques(oracle, load(path), 4)
+	_, load := inProcessOracle(t)
+	want, _, err := cliquesOracle(load(path), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestDistProcessSIGKILL(t *testing.T) {
 	if err := master.AwaitWorkers(awaitCtx, 2); err != nil {
 		t.Fatal(err)
 	}
-	healthy, res, err := CliquesDist(context.Background(), master, path, 4)
+	healthy, res, err := Cliques(bg, master, loadOn(t, master, path), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestDistProcessSIGKILL(t *testing.T) {
 	}
 	done := make(chan out, 1)
 	go func() {
-		n, r, err := CliquesDist(context.Background(), master2, path, 4)
+		n, r, err := Cliques(bg, master2, loadOn(t, master2, path), 4)
 		done <- out{n, r, err}
 	}()
 	time.Sleep(delay)
@@ -212,11 +212,11 @@ func TestDistProcessesSharedFGR(t *testing.T) {
 	}
 
 	oracle, load := inProcessOracle(t)
-	wantCliques, _, err := Cliques(oracle, load(elPath), 4)
+	wantCliques, _, err := cliquesOracle(load(elPath), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantMotifs, _, err := Motifs(oracle, load(elPath), 3)
+	wantMotifs, _, err := motifsOracle(oracle, load(elPath), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestDistProcessesSharedFGR(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, res, err := CliquesDist(context.Background(), master, fgrPath, 4)
+	got, res, err := Cliques(bg, master, loadOn(t, master, fgrPath), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestDistProcessesSharedFGR(t *testing.T) {
 	if res.Report.Workers != 2 {
 		t.Errorf("report should record 2 worker processes, says %d", res.Report.Workers)
 	}
-	gotMotifs, _, err := MotifsDist(context.Background(), master, fgrPath, 3)
+	gotMotifs, _, err := Motifs(bg, master, loadOn(t, master, fgrPath), 3, EngineAuto)
 	if err != nil {
 		t.Fatal(err)
 	}

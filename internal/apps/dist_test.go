@@ -2,6 +2,7 @@ package apps
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,17 +11,18 @@ import (
 
 	"fractal"
 	"fractal/internal/graph"
+	"fractal/internal/pattern"
 	"fractal/internal/rpc"
 	"fractal/internal/sched"
 	"fractal/internal/workload"
 )
 
-// Distributed differential suite: the spec-protocol drivers (CliquesDist,
-// MotifsDist, FSMDist) run against a master-mode context serving real
-// ServeWorker instances over TCP loopback, and their results must be
-// bit-identical to the in-process kernels on the same graph file. The same
-// drivers also run on a plain in-process context (RunSpec's local path),
-// which isolates builder determinism from the wire protocol.
+// Distributed differential suite: the application drivers (Cliques, Motifs,
+// FSM) run against a master-mode context serving real ServeWorker instances
+// over TCP loopback. Clique and motif counts must be bit-identical to the
+// test-side oracles (oracle_test.go) on the same graph file, and FSM to the
+// same driver on an in-process context — whose counts oracle_pin_test.go
+// pins.
 
 // writeGraphFile persists g as a labeled edge list; distributed specs name
 // graphs by path, so master and workers each load this file.
@@ -76,6 +78,17 @@ func startWorker(t *testing.T, masterAddr string, opts fractal.WorkerOptions) (s
 	return stop
 }
 
+// loadOn loads the graph file on fc. On a master this is what lets the
+// drivers ship jobs over it: the handle remembers its path.
+func loadOn(t *testing.T, fc *fractal.Context, path string) *fractal.Graph {
+	t.Helper()
+	g, err := fc.LoadGraph(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // inProcessOracle loads the same graph file into a plain context, so the
 // distributed runs are compared against the identical parsed graph.
 func inProcessOracle(t *testing.T) (*fractal.Context, func(path string) *fractal.Graph) {
@@ -85,61 +98,7 @@ func inProcessOracle(t *testing.T) (*fractal.Context, func(path string) *fractal
 		t.Fatal(err)
 	}
 	t.Cleanup(ctx.Close)
-	return ctx, func(path string) *fractal.Graph {
-		g, err := ctx.LoadGraph(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
-	}
-}
-
-// TestDistSpecBuildersInProcess exercises RunSpec's local path: the spec
-// builders must reproduce the fluent kernels exactly with no network
-// involved, which pins builder determinism down before the wire enters the
-// picture.
-func TestDistSpecBuildersInProcess(t *testing.T) {
-	ctx, load := inProcessOracle(t)
-	runCtx := context.Background()
-
-	t.Run("cliques", func(t *testing.T) {
-		path := writeGraphFile(t, workload.ErdosRenyi("dist-local-cl", 60, 220, 1, 41))
-		want, _, err := Cliques(ctx, load(path), 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := CliquesDist(runCtx, ctx, path, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("CliquesDist=%d, want %d", got, want)
-		}
-	})
-	t.Run("motifs", func(t *testing.T) {
-		path := writeGraphFile(t, workload.ErdosRenyi("dist-local-mo", 60, 220, 3, 42))
-		want, _, err := Motifs(ctx, load(path), 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := MotifsDist(runCtx, ctx, path, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		motifCountsEqual(t, "local spec motifs", 3, got, want)
-	})
-	t.Run("fsm", func(t *testing.T) {
-		path := writeGraphFile(t, workload.Community("dist-local-fsm", 6, 15, 6, 0.8, 4, 43))
-		want, err := FSM(ctx, load(path), 8, FSMOptions{MaxEdges: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := FSMDist(runCtx, ctx, path, 8, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fsmDistEqual(t, "local spec fsm", got, want)
-	})
+	return ctx, func(path string) *fractal.Graph { return loadOn(t, ctx, path) }
 }
 
 func fsmDistEqual(t *testing.T, label string, got, want *FSMResult) {
@@ -172,8 +131,8 @@ func fsmDistEqual(t *testing.T, label string, got, want *FSMResult) {
 // TCP loopback and compares bit for bit with the in-process kernel.
 func TestDistCliques(t *testing.T) {
 	path := writeGraphFile(t, workload.ErdosRenyi("dist-cl", 60, 220, 1, 44))
-	oracle, load := inProcessOracle(t)
-	want, _, err := Cliques(oracle, load(path), 4)
+	_, load := inProcessOracle(t)
+	want, _, err := cliquesOracle(load(path), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +143,7 @@ func TestDistCliques(t *testing.T) {
 	if err := master.AwaitWorkers(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
-	got, res, err := CliquesDist(context.Background(), master, path, 4)
+	got, res, err := Cliques(bg, master, loadOn(t, master, path), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +161,7 @@ func TestDistCliques(t *testing.T) {
 func TestDistMotifs(t *testing.T) {
 	path := writeGraphFile(t, workload.ErdosRenyi("dist-mo", 60, 220, 3, 45))
 	oracle, load := inProcessOracle(t)
-	want, _, err := Motifs(oracle, load(path), 3)
+	want, _, err := motifsOracle(oracle, load(path), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +172,7 @@ func TestDistMotifs(t *testing.T) {
 	if err := master.AwaitWorkers(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := MotifsDist(context.Background(), master, path, 3)
+	got, _, err := Motifs(bg, master, loadOn(t, master, path), 3, EngineAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +184,7 @@ func TestDistMotifs(t *testing.T) {
 func TestDistFSM(t *testing.T) {
 	path := writeGraphFile(t, workload.Community("dist-fsm", 6, 15, 6, 0.8, 4, 46))
 	oracle, load := inProcessOracle(t)
-	want, err := FSM(oracle, load(path), 8, FSMOptions{MaxEdges: 2})
+	want, err := FSM(bg, oracle, load(path), 8, FSMOptions{MaxEdges: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +195,7 @@ func TestDistFSM(t *testing.T) {
 	if err := master.AwaitWorkers(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
-	got, err := FSMDist(context.Background(), master, path, 8, 2)
+	got, err := FSM(bg, master, loadOn(t, master, path), 8, FSMOptions{MaxEdges: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,8 +208,8 @@ func TestDistFSM(t *testing.T) {
 // of the next job.
 func TestDistElasticJoin(t *testing.T) {
 	path := writeGraphFile(t, workload.ErdosRenyi("dist-el", 60, 220, 1, 47))
-	oracle, load := inProcessOracle(t)
-	want, _, err := Cliques(oracle, load(path), 4)
+	_, load := inProcessOracle(t)
+	want, _, err := cliquesOracle(load(path), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,8 +224,9 @@ func TestDistElasticJoin(t *testing.T) {
 		err error
 	}
 	first := make(chan out, 1)
+	g := loadOn(t, master, path)
 	go func() {
-		n, _, err := CliquesDist(context.Background(), master, path, 4)
+		n, _, err := Cliques(bg, master, g, 4)
 		first <- out{n, err}
 	}()
 	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{Cores: 2})
@@ -280,7 +240,7 @@ func TestDistElasticJoin(t *testing.T) {
 	if err := master.AwaitWorkers(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
-	got, res, err := CliquesDist(context.Background(), master, path, 4)
+	got, res, err := Cliques(bg, master, loadOn(t, master, path), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,8 +259,8 @@ func TestDistElasticJoin(t *testing.T) {
 // count.
 func TestDistWorkerLoss(t *testing.T) {
 	path := writeGraphFile(t, workload.ErdosRenyi("dist-loss", 60, 220, 1, 48))
-	oracle, load := inProcessOracle(t)
-	want, _, err := Cliques(oracle, load(path), 4)
+	_, load := inProcessOracle(t)
+	want, _, err := cliquesOracle(load(path), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +277,7 @@ func TestDistWorkerLoss(t *testing.T) {
 	if err := master.AwaitWorkers(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
-	got, res, err := CliquesDist(context.Background(), master, path, 4)
+	got, res, err := Cliques(bg, master, loadOn(t, master, path), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,5 +307,38 @@ func TestDistRejectsUnknownApp(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), `"no-such-app"`) {
 		t.Errorf("error should name the app: %v", err)
+	}
+}
+
+// TestDistRejectsWhatCannotShip pins the master-mode contract of the
+// drivers: a graph with no file behind it and every engine or option that
+// exists only as in-process closures fail with a typed *fractal.ConfigError
+// — before any worker is needed — instead of being silently ignored.
+func TestDistRejectsWhatCannotShip(t *testing.T) {
+	raw := workload.ErdosRenyi("dist-reject", 30, 60, 1, 49)
+	master := distMaster(t)
+	onDisk := loadOn(t, master, writeGraphFile(t, raw))
+	inMemory := master.FromGraph(raw)
+	for name, run := range map[string]func() error{
+		"in-memory graph": func() error { _, _, err := Cliques(bg, master, inMemory, 3); return err },
+		"reduced graph": func() error {
+			reduced := onDisk.VFilter(func(graph.VertexID, *graph.Graph) bool { return true })
+			_, _, err := Cliques(bg, master, reduced, 3)
+			return err
+		},
+		"motifs decomp": func() error { _, _, err := Motifs(bg, master, onDisk, 3, EngineDecomp); return err },
+		"motifs canon":  func() error { _, _, err := Motifs(bg, master, onDisk, 3, EngineCanon); return err },
+		"fsm reduction": func() error {
+			_, err := FSM(bg, master, onDisk, 2, FSMOptions{MaxEdges: 2, GraphReduction: true})
+			return err
+		},
+		"kclist": func() error { _, _, err := CliquesKClist(bg, master, onDisk, 3); return err },
+		"query":  func() error { _, _, err := Query(bg, master, onDisk, pattern.Triangle(), EnginePlan); return err },
+	} {
+		err := run()
+		var cfgErr *fractal.ConfigError
+		if !errors.As(err, &cfgErr) || cfgErr.Field != "ListenAddr" {
+			t.Errorf("%s on a master: err=%v, want a *fractal.ConfigError on ListenAddr", name, err)
+		}
 	}
 }

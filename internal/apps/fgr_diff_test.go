@@ -58,11 +58,11 @@ func TestFGRAppsDifferential(t *testing.T) {
 	for _, raw := range graphs {
 		mapped := mmapGraph(t, raw)
 		t.Run(raw.Name(), func(t *testing.T) {
-			wantCl, _, err := Cliques(ctx, ctx.FromGraph(raw), 4)
+			wantCl, _, err := Cliques(bg, ctx, ctx.FromGraph(raw), 4)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotCl, _, err := Cliques(ctx, ctx.FromGraph(mapped), 4)
+			gotCl, _, err := Cliques(bg, ctx, ctx.FromGraph(mapped), 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,21 +70,21 @@ func TestFGRAppsDifferential(t *testing.T) {
 				t.Errorf("cliques over mmap=%d, in-memory %d", gotCl, wantCl)
 			}
 
-			wantMo, _, err := Motifs(ctx, ctx.FromGraph(raw), 3)
+			wantMo, _, err := Motifs(bg, ctx, ctx.FromGraph(raw), 3, EngineAuto)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotMo, _, err := Motifs(ctx, ctx.FromGraph(mapped), 3)
+			gotMo, _, err := Motifs(bg, ctx, ctx.FromGraph(mapped), 3, EngineAuto)
 			if err != nil {
 				t.Fatal(err)
 			}
 			motifCountsEqual(t, "mmap motifs", 3, gotMo, wantMo)
 
-			want, err := FSM(ctx, ctx.FromGraph(raw), 8, FSMOptions{MaxEdges: 2})
+			want, err := FSM(bg, ctx, ctx.FromGraph(raw), 8, FSMOptions{MaxEdges: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := FSM(ctx, ctx.FromGraph(mapped), 8, FSMOptions{MaxEdges: 2})
+			got, err := FSM(bg, ctx, ctx.FromGraph(mapped), 8, FSMOptions{MaxEdges: 2})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,12 +1,15 @@
 package apps
 
 import (
+	"context"
 	"fmt"
+	"strconv"
 
 	"fractal"
 	"fractal/internal/agg"
 	"fractal/internal/graph"
 	"fractal/internal/pattern"
+	"fractal/internal/sched"
 )
 
 // FSMResult is the outcome of frequent subgraph mining.
@@ -32,80 +35,107 @@ type FSMOptions struct {
 	// GraphReduction enables the transparent Section 4.3 optimization:
 	// after the bootstrap level, the input graph is reduced to the edges
 	// whose single-edge pattern is frequent, since no infrequent edge can
-	// participate in a frequent subgraph (anti-monotonicity).
+	// participate in a frequent subgraph (anti-monotonicity). In-process
+	// contexts only.
 	GraphReduction bool
 }
 
+// fsmBuilder is one level of the frequent subgraph mining loop (Listing 3 of
+// the paper). Args: "support" (the MNI threshold) and "level" (how many
+// edges the mined patterns have). A level-L job is a from-scratch pipeline:
+// expand, filter by every earlier level's support aggregation — environment
+// entries named support1..support(L-1), threaded between jobs by FSM and
+// shipped to worker processes over the wire — expand, …, aggregate supportL.
+// Each level's support lives in its own environment entry because the
+// engine reuses — never recomputes — environment aggregations (Section 4.1).
+type fsmBuilder struct {
+	cache *pattern.CodeCache
+}
+
+func fsmSupName(level int) string { return fmt.Sprintf("support%d", level) }
+
+func (fsmBuilder) EnvProtos(spec fractal.JobSpec) (map[string]agg.Store, error) {
+	level, err := specInt(spec, "level")
+	if err != nil {
+		return nil, err
+	}
+	protos := map[string]agg.Store{}
+	for l := 1; l < level; l++ {
+		protos[fsmSupName(l)] = agg.New[string, *agg.DomainSupport](agg.ReduceDomainSupport)
+	}
+	return protos, nil
+}
+
+func (b fsmBuilder) Build(spec fractal.JobSpec, g *graph.Graph, _ *agg.Registry) (sched.Job, error) {
+	level, err := specInt(spec, "level")
+	if err != nil {
+		return sched.Job{}, err
+	}
+	support, err := specInt(spec, "support")
+	if err != nil {
+		return sched.Job{}, err
+	}
+	if level < 1 || support < 1 {
+		return sched.Job{}, fmt.Errorf("apps: fsm requires level >= 1 and support >= 1, got level=%d support=%d", level, support)
+	}
+	minSupport := int64(support)
+	f := fractal.NewBuildGraph(g).EFractoid().Expand(1)
+	for l := 1; l < level; l++ {
+		f = fractal.FilterAgg(f, fsmSupName(l),
+			func(e *fractal.Subgraph, a *agg.Aggregation[string, *agg.DomainSupport]) bool {
+				return a.Contains(b.cache.Canonical(e.Pattern()).Code)
+			})
+		f = f.Expand(1)
+	}
+	return fractal.Aggregate(f, fsmSupName(level),
+		func(e *fractal.Subgraph) string { return b.cache.Canonical(e.Pattern()).Code },
+		func(e *fractal.Subgraph) *agg.DomainSupport {
+			canon, rep := b.cache.CanonicalRep(e.Pattern())
+			return agg.ScratchDomainSupport(rep, minSupport, e.Vertices(), canon.Perm)
+		},
+		agg.ReduceDomainSupport,
+		func(k string, v *agg.DomainSupport) bool { return v.HasEnoughSupport() }).Job()
+}
+
 // FSM mines the frequent subgraph patterns of g under the minimum
-// image-based support threshold minSupport (Listing 3 of the paper). Each
-// iteration derives a new fractoid that filters embeddings by the previous
-// iteration's support aggregation, expands by one edge, and re-aggregates:
-//
-//	bootstrap = graph.efractoid.expand(1).aggregate("support", ...)
-//	while new frequent patterns exist:
-//	  fsm = fsm.filter("support", contains).expand(1).aggregate("support", ...)
-//
-// Aggregation names are suffixed with the iteration number so that each
-// level's support lives in its own environment entry (the engine reuses —
-// never recomputes — environment aggregations, Section 4.1).
-func FSM(fc *fractal.Context, g *fractal.Graph, minSupport int64, opts FSMOptions) (*FSMResult, error) {
+// image-based support threshold minSupport: one fsmBuilder job per level,
+// each level's environment (the accumulated support aggregations) threaded
+// into the next, until a level finds nothing frequent or MaxEdges is
+// reached.
+func FSM(ctx context.Context, fc *fractal.Context, g *fractal.Graph, minSupport int64, opts FSMOptions) (*FSMResult, error) {
 	if opts.MaxEdges <= 0 {
 		opts.MaxEdges = 3
 	}
-	out := &FSMResult{Frequent: map[string]*fractal.DomainSupport{}}
-
-	supName := func(i int) string { return fmt.Sprintf("support%d", i) }
-	aggregateLevel := func(f *fractal.Fractoid, level int) *fractal.Fractoid {
-		return fractal.Aggregate(f, supName(level),
-			func(e *fractal.Subgraph) string { return fc.PatternOf(e).Code },
-			func(e *fractal.Subgraph) *fractal.DomainSupport { return fc.MNISupport(e, minSupport) },
-			agg.ReduceDomainSupport,
-			func(k string, v *fractal.DomainSupport) bool { return v.HasEnoughSupport() })
-	}
-
-	// Bootstrap: frequent single edges.
-	res, err := aggregateLevel(g.EFractoid().Expand(1), 1).Run()
-	if err != nil {
-		return nil, err
-	}
-	out.Steps = append(out.Steps, res.Steps...)
-	out.Last = res
-	env := res.Aggregations
-	level1, err := agg.Typed[string, *agg.DomainSupport](env, supName(1))
-	if err != nil {
-		return nil, err
-	}
-	record(out, level1)
-
-	if opts.GraphReduction && level1.Len() > 0 {
-		g = reduceToFrequentEdges(fc, g, level1)
-	}
-
-	for level := 2; level <= opts.MaxEdges && out.PerLevel[len(out.PerLevel)-1] > 0; level++ {
-		// From-scratch pipeline: expand, filter by every earlier level's
-		// support, expand, ..., aggregate this level.
-		f := g.EFractoid().WithAggregations(env).Expand(1)
-		for l := 1; l < level; l++ {
-			name := supName(l)
-			f = fractal.FilterAgg(f, name,
-				func(e *fractal.Subgraph, a *agg.Aggregation[string, *agg.DomainSupport]) bool {
-					return a.Contains(fc.PatternOf(e).Code)
-				})
-			f = f.Expand(1)
+	if opts.GraphReduction {
+		// The reduced graph exists only in this process's memory.
+		if err := specOnly(fc, "FSM graph reduction"); err != nil {
+			return nil, err
 		}
-		f = aggregateLevel(f, level)
-		res, err := f.Run()
+	}
+	out := &FSMResult{Frequent: map[string]*fractal.DomainSupport{}}
+	var env *fractal.Aggregations
+	for level := 1; level <= opts.MaxEdges; level++ {
+		res, err := g.RunSpec(ctx, AppFSM, map[string]string{
+			"support": strconv.FormatInt(minSupport, 10),
+			"level":   strconv.Itoa(level),
+		}, env)
 		if err != nil {
 			return nil, err
 		}
 		out.Steps = append(out.Steps, res.Steps...)
 		out.Last = res
 		env = res.Aggregations
-		lvl, err := agg.Typed[string, *agg.DomainSupport](env, supName(level))
+		lvl, err := agg.Typed[string, *agg.DomainSupport](env, fsmSupName(level))
 		if err != nil {
 			return nil, err
 		}
 		record(out, lvl)
+		if lvl.Len() == 0 {
+			break
+		}
+		if level == 1 && opts.GraphReduction {
+			g = reduceToFrequentEdges(fc, g, lvl)
+		}
 	}
 	return out, nil
 }

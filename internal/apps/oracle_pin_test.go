@@ -32,7 +32,7 @@ func TestPinnedCliqueCounts(t *testing.T) {
 	g := ctx.FromGraph(pinGraph(t, "orkut"))
 	want := map[int]int64{3: 19225, 4: 8850, 5: 8808}
 	for k := 3; k <= 5; k++ {
-		n, _, err := Cliques(ctx, g, k)
+		n, _, err := Cliques(bg, ctx, g, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +45,7 @@ func TestPinnedCliqueCounts(t *testing.T) {
 func TestPinnedMotifCounts(t *testing.T) {
 	ctx := testCtx(t)
 	g := ctx.FromGraph(pinGraph(t, "mico-sl"))
-	m, _, err := Motifs(ctx, g, 3)
+	m, _, err := Motifs(bg, ctx, g, 3, EngineAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestPinnedFSMSupportsMatchMapOracle(t *testing.T) {
 	g := ctx.FromGraph(pinGraph(t, "mico-ml"))
 	const minSupport = 30
 
-	res, err := FSM(ctx, g, minSupport, FSMOptions{MaxEdges: 2})
+	res, err := FSM(bg, ctx, g, minSupport, FSMOptions{MaxEdges: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,12 +184,12 @@ func TestPinnedFSMSupportsMatchMapOracle(t *testing.T) {
 func TestPinnedFSMCounts(t *testing.T) {
 	ctx := testCtx(t)
 	g := ctx.FromGraph(pinGraph(t, "mico-ml"))
-	res, err := FSM(ctx, g, 30, FSMOptions{MaxEdges: 2})
+	res, err := FSM(bg, ctx, g, 30, FSMOptions{MaxEdges: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := len(res.Frequent); got != 386 {
-		t.Errorf("mico-ml FSM(support=30, maxEdges=2): %d frequent patterns, want 386 (seed oracle)", got)
+		t.Errorf("mico-ml FSM(bg, support=30, maxEdges=2): %d frequent patterns, want 386 (seed oracle)", got)
 	}
 	wantLevels := []int{83, 303}
 	if len(res.PerLevel) != len(wantLevels) ||

@@ -22,17 +22,13 @@ func benchCtx(b *testing.B) *fractal.Context {
 	return ctx
 }
 
-func benchMotifs(b *testing.B, run func(*fractal.Context, *fractal.Graph, int) (MotifCounts, *fractal.Result, error)) {
-	benchMotifsK(b, 4, run)
-}
-
-func benchMotifsK(b *testing.B, k int, run func(*fractal.Context, *fractal.Graph, int) (MotifCounts, *fractal.Result, error)) {
+func benchMotifs(b *testing.B, k int, engine string) {
 	ctx := benchCtx(b)
 	g := ctx.FromGraph(workload.BarabasiAlbert("bench-plan-ba", 400, 6, 1, 31))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, _, err := run(ctx, g, k)
+		m, _, err := Motifs(bg, ctx, g, k, engine)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -42,8 +38,8 @@ func benchMotifsK(b *testing.B, k int, run func(*fractal.Context, *fractal.Graph
 	}
 }
 
-func BenchmarkMotifsPlan(b *testing.B)  { benchMotifs(b, MotifsPlan) }
-func BenchmarkMotifsCanon(b *testing.B) { benchMotifs(b, MotifsCanon) }
+func BenchmarkMotifsPlan(b *testing.B)  { benchMotifs(b, 4, EnginePlan) }
+func BenchmarkMotifsCanon(b *testing.B) { benchMotifs(b, 4, EngineCanon) }
 
 func benchCliques(b *testing.B, run func(*fractal.Context, *fractal.Graph, int) (int64, *fractal.Result, error)) {
 	ctx := benchCtx(b)
@@ -61,5 +57,14 @@ func benchCliques(b *testing.B, run func(*fractal.Context, *fractal.Graph, int) 
 	}
 }
 
-func BenchmarkCliquesPlan(b *testing.B)  { benchCliques(b, Cliques) }
-func BenchmarkCliquesCanon(b *testing.B) { benchCliques(b, CliquesCanon) }
+func BenchmarkCliquesPlan(b *testing.B) {
+	benchCliques(b, func(fc *fractal.Context, g *fractal.Graph, k int) (int64, *fractal.Result, error) {
+		return Cliques(bg, fc, g, k)
+	})
+}
+
+func BenchmarkCliquesCanon(b *testing.B) {
+	benchCliques(b, func(_ *fractal.Context, g *fractal.Graph, k int) (int64, *fractal.Result, error) {
+		return cliquesOracle(g, k)
+	})
+}

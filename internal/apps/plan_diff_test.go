@@ -5,14 +5,16 @@ import (
 	"testing"
 
 	"fractal/internal/graph"
+	"fractal/internal/pattern"
 	"fractal/internal/workload"
 )
 
 // Differential suites for the compiled-plan engines: motif and clique
-// counts must be bit-identical to the retained canonical-check oracles
-// (MotifsCanon / CliquesCanon) over randomized ER/BA graphs — single- and
-// multi-label, so both the uniform-label fast path and the labeled
-// fallback are exercised — and over the end-to-end pin datasets.
+// counts of the production drivers must be bit-identical to the test-side
+// canonical-check oracles (motifsOracle / cliquesOracle, oracle_test.go)
+// over randomized ER/BA graphs — single- and multi-label, so both the
+// uniform-label fast path and the labeled fallback are exercised — and over
+// the end-to-end pin datasets.
 
 func diffGraphs() []*graph.Graph {
 	return []*graph.Graph{
@@ -50,11 +52,11 @@ func TestMotifsPlanMatchesCanonical(t *testing.T) {
 	for _, raw := range diffGraphs() {
 		g := ctx.FromGraph(raw)
 		for k := 1; k <= 4; k++ {
-			plan, _, err := MotifsPlan(ctx, g, k)
+			plan, _, err := Motifs(bg, ctx, g, k, EnginePlan)
 			if err != nil {
 				t.Fatalf("%s k=%d plan: %v", raw.Name(), k, err)
 			}
-			canon, _, err := MotifsCanon(ctx, g, k)
+			canon, _, err := motifsOracle(ctx, g, k)
 			if err != nil {
 				t.Fatalf("%s k=%d canon: %v", raw.Name(), k, err)
 			}
@@ -68,11 +70,11 @@ func TestCliquesPlanMatchesCanonical(t *testing.T) {
 	for _, raw := range diffGraphs() {
 		g := ctx.FromGraph(raw)
 		for k := 2; k <= 5; k++ {
-			plan, _, err := Cliques(ctx, g, k)
+			plan, _, err := Cliques(bg, ctx, g, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			canon, _, err := CliquesCanon(ctx, g, k)
+			canon, _, err := cliquesOracle(g, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,11 +92,11 @@ func TestPlanMatchesCanonicalOnPinDatasets(t *testing.T) {
 	ctx := testCtx(t)
 
 	g := ctx.FromGraph(pinGraph(t, "mico-sl"))
-	plan, _, err := MotifsPlan(ctx, g, 3)
+	plan, _, err := Motifs(bg, ctx, g, 3, EnginePlan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	canon, _, err := MotifsCanon(ctx, g, 3)
+	canon, _, err := motifsOracle(ctx, g, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +104,11 @@ func TestPlanMatchesCanonicalOnPinDatasets(t *testing.T) {
 
 	ork := ctx.FromGraph(pinGraph(t, "orkut"))
 	for k := 3; k <= 5; k++ {
-		pn, _, err := Cliques(ctx, ork, k)
+		pn, _, err := Cliques(bg, ctx, ork, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cn, _, err := CliquesCanon(ctx, ork, k)
+		cn, _, err := cliquesOracle(ork, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,11 +125,11 @@ func TestMotifsPlanEnumeratesLess(t *testing.T) {
 	ctx := testCtx(t)
 	g := ctx.FromGraph(workload.BarabasiAlbert("ec-ba", 200, 4, 1, 25))
 
-	mp, planRes, err := MotifsPlan(ctx, g, 4)
+	mp, planRes, err := Motifs(bg, ctx, g, 4, EnginePlan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, canonRes, err := MotifsCanon(ctx, g, 4)
+	mc, canonRes, err := motifsOracle(ctx, g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,11 +149,11 @@ func TestMotifsPlanEnumeratesLess(t *testing.T) {
 func TestCliquesPlanEnumeratesLess(t *testing.T) {
 	ctx := testCtx(t)
 	g := ctx.FromGraph(workload.BarabasiAlbert("ec-ba-c", 200, 5, 1, 26))
-	_, planRes, err := Cliques(ctx, g, 4)
+	_, planRes, err := Cliques(bg, ctx, g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, canonRes, err := CliquesCanon(ctx, g, 4)
+	_, canonRes, err := cliquesOracle(g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,11 +173,11 @@ func TestCliquesPlanEnumeratesLess(t *testing.T) {
 func TestMotifsPlanMultiLabelClasses(t *testing.T) {
 	ctx := testCtx(t)
 	g := ctx.FromGraph(workload.ErdosRenyi("ml-rich", 50, 200, 5, 27))
-	plan, _, err := MotifsPlan(ctx, g, 3)
+	plan, _, err := Motifs(bg, ctx, g, 3, EnginePlan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	canon, _, err := MotifsCanon(ctx, g, 3)
+	canon, _, err := motifsOracle(ctx, g, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,5 +201,43 @@ func TestMotifsPlanMultiLabelClasses(t *testing.T) {
 		if got := ctx.PatternCanon(canon[code].Pat).Code; got != code {
 			t.Errorf("canonical engine: representative of class %q canonicalizes to %q", code, got)
 		}
+	}
+}
+
+// TestMotifsCanonEngineMatchesOracle holds production's canonical-check
+// path to the test-side oracle: requested as EngineCanon, and as what the
+// auto engine falls back to beyond the generated pattern sets (on a path
+// graph, whose connected k-subsets are few enough to canonicalize at that
+// size).
+func TestMotifsCanonEngineMatchesOracle(t *testing.T) {
+	ctx := testCtx(t)
+	b := graph.NewBuilder("canon-path")
+	for i := 0; i < pattern.MaxGenVertices+3; i++ {
+		b.AddVertex(graph.Label(i % 2))
+		if i > 0 {
+			b.MustAddEdge(graph.VertexID(i-1), graph.VertexID(i))
+		}
+	}
+	for _, c := range []struct {
+		g      *graph.Graph
+		k      int
+		engine string
+	}{
+		{workload.ErdosRenyi("canon-er-ml", 40, 70, 2, 28), 3, EngineCanon},
+		{b.Build(), pattern.MaxGenVertices + 1, EngineAuto},
+	} {
+		g := ctx.FromGraph(c.g)
+		got, _, err := Motifs(bg, ctx, g, c.k, c.engine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := motifsOracle(ctx, g, c.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want) == 0 {
+			t.Fatalf("%s k=%d: degenerate graph, no motifs", c.g.Name(), c.k)
+		}
+		motifCountsEqual(t, c.g.Name()+"/"+c.engine, c.k, got, want)
 	}
 }

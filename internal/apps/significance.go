@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"context"
 	"math"
 
 	"fractal"
@@ -25,8 +26,8 @@ type MotifSignificance struct {
 
 // SignificanceProfile computes z-scores of all k-vertex motifs of g against
 // an ensemble of `samples` random graphs (deterministic under seed).
-func SignificanceProfile(fc *fractal.Context, g *fractal.Graph, k, samples int, seed int64) (map[string]*MotifSignificance, error) {
-	observed, _, err := Motifs(fc, g, k)
+func SignificanceProfile(ctx context.Context, fc *fractal.Context, g *fractal.Graph, k, samples int, seed int64) (map[string]*MotifSignificance, error) {
+	observed, _, err := Motifs(ctx, fc, g, k, EngineAuto)
 	if err != nil {
 		return nil, err
 	}
@@ -50,7 +51,7 @@ func SignificanceProfile(fc *fractal.Context, g *fractal.Graph, k, samples int, 
 			e := rg.EdgeByID(graph.EdgeID(id))
 			nb.MustAddEdge(e.Src, e.Dst)
 		}
-		nm, _, err := Motifs(fc, fc.FromGraph(nb.Build()), k)
+		nm, _, err := Motifs(ctx, fc, fc.FromGraph(nb.Build()), k, EngineAuto)
 		if err != nil {
 			return nil, err
 		}

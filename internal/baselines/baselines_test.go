@@ -1,6 +1,7 @@
 package baselines_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -41,7 +42,7 @@ func TestCliqueCountsAgreeEverywhere(t *testing.T) {
 	for _, g := range testGraphs() {
 		for k := 3; k <= 5; k++ {
 			st := singlethread.Cliques(g, k)
-			fr, _, err := apps.Cliques(ctx, ctx.FromGraph(g), k)
+			fr, _, err := apps.Cliques(context.Background(), ctx, ctx.FromGraph(g), k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,7 +66,7 @@ func TestTriangleCountsAgreeEverywhere(t *testing.T) {
 	ctx := fractalCtx(t)
 	for _, g := range testGraphs() {
 		st := singlethread.Triangles(g)
-		fr, _, err := apps.Triangles(ctx, ctx.FromGraph(g))
+		fr, _, err := apps.Triangles(context.Background(), ctx, ctx.FromGraph(g))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +87,7 @@ func TestMotifCountsAgreeEverywhere(t *testing.T) {
 	for _, g := range testGraphs()[:2] {
 		for k := 3; k <= 4; k++ {
 			stCounts, st := singlethread.Motifs(g, k)
-			frCounts, _, err := apps.Motifs(ctx, ctx.FromGraph(g), k)
+			frCounts, _, err := apps.Motifs(context.Background(), ctx, ctx.FromGraph(g), k, apps.EngineAuto)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,7 +138,7 @@ func TestQueryCountsAgreeEverywhere(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fr, _, err := apps.Query(ctx, ctx.FromGraph(g), p)
+			fr, _, err := apps.Query(context.Background(), ctx, ctx.FromGraph(g), p, apps.EnginePlan)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,7 +164,7 @@ func TestFSMFrequentSetsAgreeEverywhere(t *testing.T) {
 	const supp, maxEdges = 6, 2
 
 	st, _ := singlethread.FSM(g, supp, maxEdges)
-	fr, err := apps.FSM(ctx, ctx.FromGraph(g), supp, apps.FSMOptions{MaxEdges: maxEdges})
+	fr, err := apps.FSM(context.Background(), ctx, ctx.FromGraph(g), supp, apps.FSMOptions{MaxEdges: maxEdges})
 	if err != nil {
 		t.Fatal(err)
 	}

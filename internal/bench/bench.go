@@ -15,6 +15,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -150,8 +151,12 @@ func newCtx(workers, cores int, ws fractal.Config) (*fractal.Context, error) {
 	cfg := ws
 	cfg.Workers = workers
 	cfg.CoresPerWorker = cores
-	return fractal.NewContextCfg(cfg)
+	return fractal.NewContext(fractal.WithConfig(cfg))
 }
+
+// bg is the context of every experiment's runs: the harness has no caller to
+// cancel it and runs each experiment to completion.
+var bg = context.Background()
 
 // table starts an aligned writer.
 func table(w io.Writer) *tabwriter.Writer {

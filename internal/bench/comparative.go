@@ -71,7 +71,7 @@ func Fig11(o Options) error {
 		}
 		fg := ctx.FromGraph(g)
 		t0 := time.Now()
-		if _, _, err := apps.MotifsPlan(ctx, fg, c.k); err != nil {
+		if _, _, err := apps.Motifs(bg, ctx, fg, c.k, apps.EnginePlan); err != nil {
 			return err
 		}
 		frac := time.Since(t0)
@@ -128,7 +128,7 @@ func Fig12(o Options) error {
 		fg := ctx.FromGraph(g)
 		for _, k := range c.ks {
 			t0 := time.Now()
-			if _, _, err := apps.Cliques(ctx, fg, k); err != nil {
+			if _, _, err := apps.Cliques(bg, ctx, fg, k); err != nil {
 				return err
 			}
 			frac := time.Since(t0)
@@ -194,7 +194,7 @@ func Fig13(o Options) error {
 		fg := ctx.FromGraph(g)
 		for _, supp := range o.fsmSupports(ds) {
 			t0 := time.Now()
-			fres, err := apps.FSM(ctx, fg, supp, apps.FSMOptions{MaxEdges: maxEdges, GraphReduction: true})
+			fres, err := apps.FSM(bg, ctx, fg, supp, apps.FSMOptions{MaxEdges: maxEdges, GraphReduction: true})
 			if err != nil {
 				return err
 			}
@@ -247,7 +247,7 @@ func Fig15(o Options) error {
 		fg := ctx.FromGraph(g)
 		for qi, q := range queries[:qn] {
 			t0 := time.Now()
-			n, _, err := apps.Query(ctx, fg, q)
+			n, _, err := apps.Query(bg, ctx, fg, q, apps.EnginePlan)
 			if err != nil {
 				return err
 			}
@@ -293,7 +293,7 @@ func Fig20a(o Options) error {
 		}
 		fg := ctx.FromGraph(g)
 		t0 := time.Now()
-		n, _, err := apps.Triangles(ctx, fg)
+		n, _, err := apps.Triangles(bg, ctx, fg)
 		if err != nil {
 			return err
 		}

@@ -114,7 +114,7 @@ func Fig18(o Options) error {
 				return r.Wall, nil
 			},
 			fractal: func(ctx *fractal.Context) ([]fractal.StepReport, time.Duration, error) {
-				_, r, err := apps.MotifsPlan(ctx, ctx.FromGraph(micoSL), motifK)
+				_, r, err := apps.Motifs(bg, ctx, ctx.FromGraph(micoSL), motifK, apps.EnginePlan)
 				if err != nil {
 					return nil, 0, err
 				}
@@ -127,7 +127,7 @@ func Fig18(o Options) error {
 				return singlethread.Cliques(micoSL, cliqueK).Wall, nil
 			},
 			fractal: func(ctx *fractal.Context) ([]fractal.StepReport, time.Duration, error) {
-				_, r, err := apps.Cliques(ctx, ctx.FromGraph(micoSL), cliqueK)
+				_, r, err := apps.Cliques(bg, ctx, ctx.FromGraph(micoSL), cliqueK)
 				if err != nil {
 					return nil, 0, err
 				}
@@ -141,7 +141,7 @@ func Fig18(o Options) error {
 				return r.Wall, nil
 			},
 			fractal: func(ctx *fractal.Context) ([]fractal.StepReport, time.Duration, error) {
-				r, err := apps.FSM(ctx, ctx.FromGraph(patentsML), supp, apps.FSMOptions{MaxEdges: 3})
+				r, err := apps.FSM(bg, ctx, ctx.FromGraph(patentsML), supp, apps.FSMOptions{MaxEdges: 3})
 				if err != nil {
 					return nil, 0, err
 				}
@@ -159,7 +159,7 @@ func Fig18(o Options) error {
 				return r.Wall, err
 			},
 			fractal: func(ctx *fractal.Context) ([]fractal.StepReport, time.Duration, error) {
-				_, r, err := apps.Query(ctx, ctx.FromGraph(patentsSL), queries[1])
+				_, r, err := apps.Query(bg, ctx, ctx.FromGraph(patentsSL), queries[1], apps.EnginePlan)
 				if err != nil {
 					return nil, 0, err
 				}
@@ -173,7 +173,7 @@ func Fig18(o Options) error {
 				return r.Wall, err
 			},
 			fractal: func(ctx *fractal.Context) ([]fractal.StepReport, time.Duration, error) {
-				_, r, err := apps.Query(ctx, ctx.FromGraph(patentsSL), queries[2])
+				_, r, err := apps.Query(bg, ctx, ctx.FromGraph(patentsSL), queries[2], apps.EnginePlan)
 				if err != nil {
 					return nil, 0, err
 				}
@@ -214,28 +214,28 @@ func Fig19(o Options) error {
 	}
 	kernels := []kernel{
 		{"motifs(mico-sl,3)", func(ctx *fractal.Context) ([]fractal.StepReport, error) {
-			_, r, err := apps.MotifsPlan(ctx, ctx.FromGraph(micoSL), 3)
+			_, r, err := apps.Motifs(bg, ctx, ctx.FromGraph(micoSL), 3, apps.EnginePlan)
 			if err != nil {
 				return nil, err
 			}
 			return r.Steps, nil
 		}},
 		{"cliques(youtube-sl,4)", func(ctx *fractal.Context) ([]fractal.StepReport, error) {
-			_, r, err := apps.Cliques(ctx, ctx.FromGraph(youtubeSL), 4)
+			_, r, err := apps.Cliques(bg, ctx, ctx.FromGraph(youtubeSL), 4)
 			if err != nil {
 				return nil, err
 			}
 			return r.Steps, nil
 		}},
 		{"fsm(patents-ml)", func(ctx *fractal.Context) ([]fractal.StepReport, error) {
-			r, err := apps.FSM(ctx, ctx.FromGraph(patentsML), supp, apps.FSMOptions{MaxEdges: 2})
+			r, err := apps.FSM(bg, ctx, ctx.FromGraph(patentsML), supp, apps.FSMOptions{MaxEdges: 2})
 			if err != nil {
 				return nil, err
 			}
 			return r.Steps, nil
 		}},
 		{"query-q6(youtube-sl)", func(ctx *fractal.Context) ([]fractal.StepReport, error) {
-			_, r, err := apps.Query(ctx, ctx.FromGraph(youtubeSL), queries[5])
+			_, r, err := apps.Query(bg, ctx, ctx.FromGraph(youtubeSL), queries[5], apps.EnginePlan)
 			if err != nil {
 				return nil, err
 			}
@@ -294,7 +294,7 @@ func Fig20b(o Options) error {
 				return singlethread.Cliques(micoSL, cliqueK).Wall, nil
 			},
 			fractal: func(ctx *fractal.Context) ([]fractal.StepReport, time.Duration, error) {
-				_, r, err := apps.CliquesKClist(ctx, ctx.FromGraph(micoSL), cliqueK)
+				_, r, err := apps.CliquesKClist(bg, ctx, ctx.FromGraph(micoSL), cliqueK)
 				if err != nil {
 					return nil, 0, err
 				}
@@ -307,7 +307,7 @@ func Fig20b(o Options) error {
 				return singlethread.Triangles(orkut).Wall, nil
 			},
 			fractal: func(ctx *fractal.Context) ([]fractal.StepReport, time.Duration, error) {
-				_, r, err := apps.Triangles(ctx, ctx.FromGraph(orkut))
+				_, r, err := apps.Triangles(bg, ctx, ctx.FromGraph(orkut))
 				if err != nil {
 					return nil, 0, err
 				}

@@ -31,7 +31,7 @@ func Fig8(o Options) error {
 			return nil, err
 		}
 		defer ctx.Close()
-		_, res, err := apps.Cliques(ctx, ctx.FromGraph(g), 4)
+		_, res, err := apps.Cliques(bg, ctx, ctx.FromGraph(g), 4)
 		return res, err
 	}
 	res, err := run(fractal.Config{WS: fractal.WSNone})
@@ -97,7 +97,7 @@ func Table2(o Options) error {
 		for _, k := range c.ks {
 			var fres *fractal.Result
 			if c.app == "cliques" {
-				_, fres, err = apps.Cliques(ctx, fg, k)
+				_, fres, err = apps.Cliques(bg, ctx, fg, k)
 			} else {
 				if c.app == "motifs" && k == 5 && !o.Quick {
 					// Depth 5 on the multi-labeled analog is the case the
@@ -105,7 +105,7 @@ func Table2(o Options) error {
 					// the budget below and measure Fractal exactly.
 					_ = k
 				}
-				_, fres, err = apps.MotifsPlan(ctx, fg, k)
+				_, fres, err = apps.Motifs(bg, ctx, fg, k, apps.EnginePlan)
 			}
 			if err != nil {
 				return err
@@ -182,7 +182,7 @@ func Fig16(o Options) error {
 		if err != nil {
 			return err
 		}
-		res, err := apps.FSM(ctx, ctx.FromGraph(g), supp, apps.FSMOptions{MaxEdges: maxEdges})
+		res, err := apps.FSM(bg, ctx, ctx.FromGraph(g), supp, apps.FSMOptions{MaxEdges: maxEdges})
 		ctx.Close()
 		if err != nil {
 			return err
@@ -361,11 +361,11 @@ func Sec6(o Options) error {
 	if err != nil {
 		return err
 	}
-	_, r1, err := apps.Cliques(ctx, ctx.FromGraph(g1), 4)
+	_, r1, err := apps.Cliques(bg, ctx, ctx.FromGraph(g1), 4)
 	if err := run("cliques(mico-sl,4)", r1.Steps, err); err != nil {
 		return err
 	}
-	_, r2, err := apps.MotifsPlan(ctx, ctx.FromGraph(g1), 3)
+	_, r2, err := apps.Motifs(bg, ctx, ctx.FromGraph(g1), 3, apps.EnginePlan)
 	if err := run("motifs(mico-sl,3)", r2.Steps, err); err != nil {
 		return err
 	}
@@ -383,7 +383,7 @@ func Sec6(o Options) error {
 	// edges participating in at least one triangle; EC stays essentially the
 	// same because enumeration dominates (Section 6).
 	fg := ctx.FromGraph(g1)
-	_, full, err := apps.Cliques(ctx, fg, 3)
+	_, full, err := apps.Cliques(bg, ctx, fg, 3)
 	if err != nil {
 		return err
 	}
@@ -400,7 +400,7 @@ func Sec6(o Options) error {
 		return err
 	}
 	reduced := fg.VFilter(func(v graph.VertexID, gr *graph.Graph) bool { return inTriangle[int32(v)] })
-	_, redRes, err := apps.Cliques(ctx, reduced, 3)
+	_, redRes, err := apps.Cliques(bg, ctx, reduced, 3)
 	if err != nil {
 		return err
 	}

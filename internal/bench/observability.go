@@ -32,7 +32,7 @@ func Obs(o Options) error {
 		return err
 	}
 	defer ctx.Close()
-	_, res, err := apps.Cliques(ctx, ctx.FromGraph(g), 4)
+	_, res, err := apps.Cliques(bg, ctx, ctx.FromGraph(g), 4)
 	if err != nil {
 		return err
 	}

@@ -32,6 +32,7 @@ type Collector struct {
 	stealsExternal atomic.Int64
 	stealBytes     atomic.Int64
 	stealTimeNs    atomic.Int64
+	stealScanWork  atomic.Int64
 	busyTimeNs     atomic.Int64
 	idleTimeNs     atomic.Int64
 
@@ -75,9 +76,19 @@ func (c *Collector) AddExternalSteal(n int64) {
 	c.stealBytes.Add(n)
 }
 
-// AddStealTime records time spent in work-stealing code paths (victim
-// scans, steal messaging, and response waits).
-func (c *Collector) AddStealTime(d time.Duration) { c.stealTimeNs.Add(int64(d)) }
+// AddStealTime records one interval a core spent in work-stealing code paths
+// (victim scans, steal messaging, and response waits). work is how far the
+// core's own work counter (CoreWorkOf) advanced meanwhile: always zero,
+// because processing a stolen prefix is busy time, and recorded so tests
+// can hold the accounting to that by a counter, not a wall-clock ratio.
+func (c *Collector) AddStealTime(d time.Duration, work int64) {
+	c.stealTimeNs.Add(int64(d))
+	c.stealScanWork.Add(work)
+}
+
+// CoreWorkOf returns the work units (extension tests + emitted subgraphs)
+// attributed to core so far.
+func (c *Collector) CoreWorkOf(core int) int64 { return c.coreWork[core].Load() }
 
 // AddBusyTime records time a core spent processing work.
 func (c *Collector) AddBusyTime(d time.Duration) { c.busyTimeNs.Add(int64(d)) }
@@ -214,12 +225,16 @@ func (c *Collector) String() string {
 // cut) and is the unit exported by the runtime's RunReport and consumed by
 // the bench harness.
 type Snapshot struct {
-	ExtensionTests  int64   `json:"extension_tests"`
-	Subgraphs       int64   `json:"subgraphs"`
-	StealsInternal  int64   `json:"steals_internal"`
-	StealsExternal  int64   `json:"steals_external"`
-	StealBytes      int64   `json:"steal_bytes"`
-	StealTimeNs     int64   `json:"steal_time_ns"`
+	ExtensionTests int64 `json:"extension_tests"`
+	Subgraphs      int64 `json:"subgraphs"`
+	StealsInternal int64 `json:"steals_internal"`
+	StealsExternal int64 `json:"steals_external"`
+	StealBytes     int64 `json:"steal_bytes"`
+	StealTimeNs    int64 `json:"steal_time_ns"`
+	// StealScanWork is the work booked to cores while they were inside a
+	// steal-scan interval; anything but zero means stolen-work processing is
+	// being accounted as steal time.
+	StealScanWork   int64   `json:"steal_scan_work,omitempty"`
 	BusyTimeNs      int64   `json:"busy_time_ns"`
 	IdleTimeNs      int64   `json:"idle_time_ns"`
 	PeakStateBytes  int64   `json:"peak_state_bytes"`
@@ -238,6 +253,7 @@ func (c *Collector) Snapshot() Snapshot {
 		StealsExternal:  c.stealsExternal.Load(),
 		StealBytes:      c.stealBytes.Load(),
 		StealTimeNs:     c.stealTimeNs.Load(),
+		StealScanWork:   c.stealScanWork.Load(),
 		BusyTimeNs:      c.busyTimeNs.Load(),
 		IdleTimeNs:      c.idleTimeNs.Load(),
 		PeakStateBytes:  c.peakStateBytes.Load(),

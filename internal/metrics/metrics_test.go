@@ -49,7 +49,7 @@ func TestStealOverhead(t *testing.T) {
 		t.Error("overhead with no busy time should be 0")
 	}
 	c.AddBusyTime(100 * time.Millisecond)
-	c.AddStealTime(time.Millisecond)
+	c.AddStealTime(time.Millisecond, 0)
 	if ov := c.StealOverhead(); ov < 0.009 || ov > 0.011 {
 		t.Errorf("overhead=%v, want ~0.01", ov)
 	}

@@ -13,7 +13,7 @@ func TestCollectorSnapshot(t *testing.T) {
 	c.AddSubgraphs(0, 3)
 	c.AddInternalSteal()
 	c.AddExternalSteal(256)
-	c.AddStealTime(2 * time.Millisecond)
+	c.AddStealTime(2*time.Millisecond, 0)
 	c.AddBusyTime(50 * time.Millisecond)
 	c.AddIdleTime(5 * time.Millisecond)
 	c.ObserveStateBytes(4096)
@@ -66,7 +66,7 @@ func TestCollectorIdleAndStealTime(t *testing.T) {
 	c := NewCollector(1)
 	c.AddBusyTime(30 * time.Millisecond)
 	c.AddIdleTime(10 * time.Millisecond)
-	c.AddStealTime(5 * time.Millisecond)
+	c.AddStealTime(5*time.Millisecond, 0)
 	if c.BusyTime() != 30*time.Millisecond {
 		t.Errorf("busy=%v", c.BusyTime())
 	}

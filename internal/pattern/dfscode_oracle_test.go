@@ -7,9 +7,10 @@ import (
 
 // This file implements the gSpan minimum DFS code (Yan & Han, ICDM'02) —
 // the canonical labeling algorithm the paper adopts for ρ(S) (Section 2.1).
-// The package's primary canonicalization (canon.go) uses a minimum adjacency
-// code, which induces the same equivalence classes; both are provided and
-// cross-validated so either can serve as the pattern key.
+// The package's canonicalization (canon.go) uses a minimum adjacency code,
+// which induces the same equivalence classes. No production code needs a
+// second labelling, so this one lives test-side as the independent oracle
+// dfscode_test.go cross-validates canon.go against.
 //
 // A DFS code is the edge sequence of a depth-first traversal, each edge
 // written as (i, j, l_i, l_e, l_j) with i, j discovery indices. Codes are

@@ -89,7 +89,7 @@ func (c *core) run(st *stepCtx) {
 			misses := int64(0)
 			var idleTimer *time.Timer
 			for !st.halted() {
-				scanStart := time.Now()
+				scanStart, workStart := time.Now(), st.col.CoreWorkOf(c.gidx(st))
 				st.activeInc()
 				var prefix []subgraph.Word
 				var ok, external bool
@@ -110,7 +110,7 @@ func (c *core) run(st *stepCtx) {
 				// stolen prefix is real enumeration work, so it belongs to
 				// busy time, not steal overhead.
 				scan := time.Since(scanStart)
-				st.col.AddStealTime(scan)
+				st.col.AddStealTime(scan, st.col.CoreWorkOf(c.gidx(st))-workStart)
 				stealScan += scan
 				if ok {
 					c.traceSteal(st, external, true, misses)

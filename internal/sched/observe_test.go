@@ -98,12 +98,15 @@ func TestAggregationFailureSurfaces(t *testing.T) {
 // TestTimePartitionAccounting verifies the steal-accounting bugfix: busy,
 // idle-sleep, and steal-scan time are disjoint — by construction they
 // partition each core's loop lifetime, so their sum can never exceed
-// cores × step wall, and steal time covers only victim scans, not the
+// cores × step wall — and steal time covers only victim scans, not the
 // processing of stolen subtrees (which the old accounting folded in,
-// inflating StealOverhead). The lower bound is just "cores span the
-// enumeration phase": on machines with few hardware threads the step wall
-// includes a teardown tail after the cores exit, so cores × wall is not a
-// sound baseline.
+// inflating StealOverhead). The second half is held by counters, not by
+// comparing wall-clock buckets: a scan that is merely descheduled on a busy
+// host grows its interval without doing any work, while the bug books the
+// stolen subtree's work units inside the interval. The lower bound is just
+// "cores span the enumeration phase": on machines with few hardware threads
+// the step wall includes a teardown tail after the cores exit, so cores ×
+// wall is not a sound baseline.
 func TestTimePartitionAccounting(t *testing.T) {
 	g := starGraph(400)
 	rt, err := New(Config{Workers: 1, CoresPerWorker: 4, WS: WSInternal})
@@ -111,8 +114,25 @@ func TestTimePartitionAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Close()
-	var c atomic.Int64
-	res, err := rt.Run(context.Background(), countJob(g, subgraph.VertexInduced, nil, 3, &c))
+	// Every complete embedding contains the hub, so all of them sit in the
+	// subtree of the one core whose root partition holds it. That core
+	// parks on its first embedding until a second core delivers one — which
+	// it can only have stolen — so the run cannot finish without a steal,
+	// however the host schedules the cores.
+	var entered atomic.Int32
+	stolen := make(chan struct{})
+	res, err := rt.Run(context.Background(), Job{
+		Graph: g, Kind: subgraph.VertexInduced,
+		Workflow: step.Workflow{step.ExtendP(), step.ExtendP(), step.ExtendP(),
+			step.VisitP(func(*subgraph.Embedding) {
+				switch entered.Add(1) {
+				case 1:
+					<-stolen
+				case 2:
+					close(stolen)
+				}
+			})},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +155,21 @@ func TestTimePartitionAccounting(t *testing.T) {
 	if sum < s.Wall/2 {
 		t.Errorf("busy+idle+steal=%v under half the step wall %v: an interval is unaccounted", sum, s.Wall)
 	}
-	// Steal time is scans only. The star graph forces steals of large
-	// subtrees; were their processing still booked as steal time (the old
-	// bug), steal would rival busy instead of being a sliver of it.
-	if steal > busy/5 {
-		t.Errorf("steal=%v vs busy=%v: steal time includes stolen-work processing", steal, busy)
+	// Steal time is scans only: no work unit is booked inside a scan
+	// interval, and none goes missing from the cores' books either.
+	if m.StealsInternal == 0 {
+		t.Fatal("no steal happened: the accounting under test was not exercised")
+	}
+	if m.StealScanWork != 0 {
+		t.Errorf("%d work units were processed inside steal-scan intervals: steal time includes stolen-work processing", m.StealScanWork)
+	}
+	var booked int64
+	for _, w := range m.CoreWork {
+		booked += w
+	}
+	if booked != m.ExtensionTests+m.Subgraphs {
+		t.Errorf("per-core work sums to %d, want EC+subgraphs=%d: processed work is missing from the cores' books",
+			booked, m.ExtensionTests+m.Subgraphs)
 	}
 }
 

@@ -354,7 +354,7 @@ func (r *Runtime) nextJobID() (int, error) {
 // fails with a *RetryExhaustedError wrapping the last loss.
 func (r *Runtime) Run(ctx context.Context, job Job) (*Result, error) {
 	if r.reg != nil {
-		return nil, fmt.Errorf("sched: a master-mode runtime executes serializable job specs: use RunSpec")
+		return nil, NotShippable("a closure-composed workflow (use a registered app through RunSpec)")
 	}
 	if ctx == nil {
 		ctx = context.Background()

@@ -180,15 +180,28 @@ func (c *graphCache) load(path string) (*graph.Graph, error) {
 	return g, nil
 }
 
+// LoadGraph loads a graph file through the runtime's cache, so a graph the
+// caller loaded up front and the graph a later RunSpec names by the same path
+// are one object: one load per process.
+func (r *Runtime) LoadGraph(path string) (*graph.Graph, error) { return r.graphs.load(path) }
+
 // RunSpec executes a serializable job spec. It works in every deployment:
-// an in-process runtime builds the job locally and runs it exactly as Run
-// would — which is what lets tests compare the two paths bit for bit — and a
+// an in-process runtime builds the job locally and hands it to Run, and a
 // master-mode runtime distributes the spec to the registered workers, waits
 // for at least one to materialize it, and drives the step protocol across
 // processes. env carries aggregations from previous jobs the workflow reads
 // (nil for none); the result's Env contains it plus everything the job
 // computed, exactly as with Run.
 func (r *Runtime) RunSpec(ctx context.Context, spec JobSpec, env *agg.Registry) (*Result, error) {
+	return r.RunSpecOn(ctx, spec, nil, env)
+}
+
+// RunSpecOn is RunSpec against an already loaded graph. g is what spec.Graph
+// names (nil loads it through the cache), or — in-process only — any
+// in-memory graph (a reduction, a generated graph) with spec.Graph left
+// empty. A master ships graphs by path, so there a path-less graph is a
+// *ConfigError.
+func (r *Runtime) RunSpecOn(ctx context.Context, spec JobSpec, g *graph.Graph, env *agg.Registry) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -196,9 +209,13 @@ func (r *Runtime) RunSpec(ctx context.Context, spec JobSpec, env *agg.Registry) 
 	if err != nil {
 		return nil, err
 	}
-	g, err := r.graphs.load(spec.Graph)
-	if err != nil {
-		return nil, fmt.Errorf("sched: loading graph %q: %w", spec.Graph, err)
+	if r.reg != nil && spec.Graph == "" {
+		return nil, NotShippable(fmt.Sprintf("app %q over an in-memory graph (load it from a file with LoadGraph)", spec.App))
+	}
+	if g == nil {
+		if g, err = r.graphs.load(spec.Graph); err != nil {
+			return nil, fmt.Errorf("sched: loading graph %q: %w", spec.Graph, err)
+		}
 	}
 	if env == nil {
 		env = agg.NewRegistry()
@@ -228,6 +245,14 @@ func (r *Runtime) RunSpec(ctx context.Context, spec JobSpec, env *agg.Registry) 
 	}
 	defer r.reg.endJob(jobID)
 	return r.runJob(ctx, jobID, job)
+}
+
+// NotShippable is the error of a master-mode runtime (or of an application
+// driver on its behalf) asked to run something its workers cannot rebuild
+// from a spec: closures and in-memory graphs do not cross a process
+// boundary.
+func NotShippable(what string) error {
+	return &ConfigError{Field: "ListenAddr", Reason: "is set, and a master ships jobs to its workers as specs over graph files: it cannot run " + what}
 }
 
 // ServeWorkerOptions configures a worker process (ServeWorker).

@@ -125,6 +125,35 @@ func AggregateP(spec *AggSpec) Primitive { return Primitive{Kind: Aggregate, Agg
 // VisitP returns a visit primitive.
 func VisitP(f func(*subgraph.Embedding)) Primitive { return Primitive{Kind: Visit, VisitFn: f} }
 
+// CountAgg is the reserved aggregation name of CountP; the NUL prefix keeps
+// it out of any user namespace.
+const CountAgg = "\x00fractal.count"
+
+// countAgg is shared by every counting workflow: it holds no per-job state.
+var countAgg = &AggSpec{
+	Name:  CountAgg,
+	Proto: agg.NewInt64Sums(1),
+	Emit:  func(_ *subgraph.Embedding, local agg.Store) { local.(*agg.Int64Sums).Sums[0]++ },
+}
+
+// CountP returns the counting primitive: a one-slot agg.Int64Sums
+// aggregation named CountAgg that every embedding reaching it increments.
+// This is the only way the system counts: the per-core partials merge and
+// ship like any aggregation, so a count is attempt-tagged and exact under
+// step retries, and a cancelled step's partial count is discarded.
+func CountP() Primitive { return AggregateP(countAgg) }
+
+// CountOf reads the count a CountP workflow left in env; 0 when the
+// workflow did not run to completion.
+func CountOf(env *agg.Registry) int64 {
+	if env != nil {
+		if s, ok := env.Get(CountAgg); ok {
+			return s.(*agg.Int64Sums).Sums[0]
+		}
+	}
+	return 0
+}
+
 // Step is one fractal step: the primitives to execute (including all
 // ancestor primitives, per the from-scratch paradigm) plus static metadata
 // the DFS engine uses.
@@ -182,7 +211,12 @@ func (s *Step) AggSpecs() []*AggSpec {
 func Split(w Workflow, precomputed map[string]bool) ([]*Step, error) {
 	computed := map[string]bool{}
 	for n := range precomputed {
-		computed[n] = true
+		// A count is an output, never an input: a previous job's count left
+		// in the environment must not make this job's counting step
+		// effect-free.
+		if n != CountAgg {
+			computed[n] = true
+		}
 	}
 	var (
 		steps   []*Step

@@ -1,6 +1,8 @@
 #!/bin/sh
 # check.sh runs the full verification suite: static analysis, a build of
-# every package, the tests, and the seeded fault-injection smoke. The race
+# every package, the tests, the seeded fault-injection smoke, the
+# distributed suite, and a quick pass of the repository benchmark (a module
+# of its own that `go build ./...` does not see). The race
 # detector runs as its own CI job (`make check-race`) so this path stays
 # fast. CI and the Makefile `check` target both call this script.
 set -eux
@@ -16,3 +18,4 @@ go build ./...
 go test ./...
 make chaos
 make check-dist
+make bench-smoke

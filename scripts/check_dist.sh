@@ -1,10 +1,11 @@
 #!/bin/sh
 # check_dist.sh verifies the distributed deployment path end to end: it
-# builds both binaries, then runs the distributed differential suite —
-# spec builders against the fluent kernels, goroutine workers over TCP
-# loopback (registration, elastic join, scripted worker loss), and real
-# fractal-worker OS processes including the SIGKILL-mid-step case. Counts
-# must be bit-identical to the in-process engine throughout.
+# builds both binaries, then runs the distributed differential suite — the
+# application drivers on a master context against goroutine workers over
+# TCP loopback (registration, elastic join, scripted worker loss) and real
+# fractal-worker OS processes including the SIGKILL-mid-step case, plus the
+# typed rejection of what a master cannot ship. Counts must be bit-identical
+# to the test-side oracles and the in-process runs throughout.
 set -eux
 cd "$(dirname "$0")/.."
 go build ./cmd/fractal ./cmd/fractal-worker

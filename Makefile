@@ -1,4 +1,4 @@
-.PHONY: check check-race check-dist chaos test build vet bench bench-smoke bench-micro bench-agg bench-plan bench-decomp bench-graph fuzz-agg fuzz-plan fuzz-decomp fuzz-graph
+.PHONY: check check-race check-dist chaos test build vet bench bench-smoke bench-micro bench-agg bench-plan bench-decomp bench-graph fuzz-agg fuzz-wire fuzz-plan fuzz-decomp fuzz-graph
 
 check:
 	./scripts/check.sh
@@ -43,7 +43,8 @@ bench-micro:
 		./internal/subgraph/ ./internal/graph/
 
 # Aggregation-pipeline microbenchmarks: allocation-free domain supports and
-# the binary wire codec against the retained seed oracle (EXPERIMENTS.md).
+# the wire codec against the retained seed oracle (gob, test-side only;
+# EXPERIMENTS.md).
 bench-agg:
 	go test -run=NONE -bench='DomainSupport|AggEncode' -benchmem \
 		./internal/agg/
@@ -88,6 +89,15 @@ bench-graph:
 # arbitrary bytes).
 fuzz-agg:
 	go test -run=NONE -fuzz=FuzzBinaryCodec -fuzztime=10s ./internal/agg/
+
+# Short fuzz of every wire decoder, one layer each (DESIGN.md §12, "Wire
+# format"): control-message bodies, aggregation payloads, the pattern form.
+# Arbitrary bytes must fail with a *wire.Error, never panic or overallocate,
+# and whatever decodes must survive a round trip.
+fuzz-wire:
+	go test -run=NONE -fuzz=FuzzDecodeMessage -fuzztime=10s ./internal/sched/
+	go test -run=NONE -fuzz=FuzzBinaryCodec -fuzztime=10s ./internal/agg/
+	go test -run=NONE -fuzz=FuzzPatternFromBinary -fuzztime=10s ./internal/pattern/
 
 # Short fuzz of the .fgr decoder over the checked-in corruption corpus
 # (malformed graphs must yield typed errors, never panics or over-reads).

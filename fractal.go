@@ -149,6 +149,12 @@ type FaultInjector = rpc.FaultInjector
 // shipping a partially merged (wrong) or missing aggregation.
 type AggregationError = sched.AggregationError
 
+// UnsupportedShapeError re-exports the typed error returned — before step 0
+// enumerates anything — for a job that aggregates under a key or value type
+// with no wire form; match it with errors.As. The shippable shapes are
+// string keys to int64, PatternCount or *DomainSupport values.
+type UnsupportedShapeError = agg.UnsupportedShapeError
+
 // ConfigError re-exports the typed error returned when a configuration
 // option or Config field is rejected by validation; match it with errors.As.
 type ConfigError = sched.ConfigError

@@ -643,3 +643,86 @@ func TestCountIsOneAggregation(t *testing.T) {
 		}
 	}
 }
+
+// unsupportedShapeApp is a registered app whose workflow aggregates under a
+// key type with no wire form; its kernel counts how often it ran.
+type unsupportedShapeApp struct{ emitted *atomic.Int64 }
+
+func (unsupportedShapeApp) EnvProtos(JobSpec) (map[string]AggStore, error) { return nil, nil }
+
+func (a unsupportedShapeApp) Build(_ JobSpec, g *RawGraph, _ *Aggregations) (Job, error) {
+	return unsupportedShapeFractoid(NewBuildGraph(g), a.emitted).Job()
+}
+
+func unsupportedShapeFractoid(g *Graph, emitted *atomic.Int64) *Fractoid {
+	return Aggregate(g.VFractoid().Expand(2), "by-size",
+		func(e *Subgraph) uint8 { emitted.Add(1); return uint8(e.NumVertices()) },
+		func(*Subgraph) int64 { return 1 },
+		agg.SumInt64, nil)
+}
+
+// TestUnsupportedShapeFailsBeforeEnumeration: an aggregation whose K/V has no
+// wire form is refused with the typed error, naming K and V, before step 0
+// tests a single extension — through the closure path at 1×1 and 2×2,
+// through RunSpec in-process, and on a master (which has no worker yet: the
+// refusal must come before the spec is distributed, not after a wait).
+func TestUnsupportedShapeFailsBeforeEnumeration(t *testing.T) {
+	var emitted atomic.Int64
+	RegisterApp("test-unsupported-shape", unsupportedShapeApp{emitted: &emitted})
+	path := filepath.Join(t.TempDir(), "k4.el")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := graph.WriteEdgeList(f, k4Graph()); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	closure := func(ctx context.Context, g *Graph) (*Result, error) {
+		return unsupportedShapeFractoid(g, &emitted).RunCtx(ctx)
+	}
+	spec := func(ctx context.Context, g *Graph) (*Result, error) {
+		return g.RunSpec(ctx, "test-unsupported-shape", nil, nil)
+	}
+	for _, tc := range []struct {
+		name string
+		opts []Option
+		run  func(context.Context, *Graph) (*Result, error)
+	}{
+		{"closure 1x1", []Option{WithWorkers(1), WithCores(1)}, closure},
+		{"closure 2x2", []Option{WithWorkers(2), WithCores(2)}, closure},
+		{"spec 2x2", []Option{WithWorkers(2), WithCores(2)}, spec},
+		{"master", []Option{WithListenAddr("127.0.0.1:0")}, spec},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fc, err := NewContext(tc.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fc.Close()
+			g, err := fc.LoadGraph(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			res, err := tc.run(ctx, g)
+			var shape *UnsupportedShapeError
+			if !errors.As(err, &shape) {
+				t.Fatalf("err = %v, want *UnsupportedShapeError", err)
+			}
+			if shape.Key != "uint8" || shape.Value != "int64" {
+				t.Errorf("error names %s -> %s, want uint8 -> int64", shape.Key, shape.Value)
+			}
+			if res != nil && (len(res.Steps) != 0 || res.TotalEC() != 0) {
+				t.Errorf("steps attempted before the refusal: %+v", res.Steps)
+			}
+			if n := emitted.Load(); n != 0 {
+				t.Errorf("the kernel ran %d times before the refusal", n)
+			}
+		})
+	}
+}

@@ -100,8 +100,10 @@ func (f *Fractoid) Visit(fn func(*Subgraph)) *Fractoid {
 
 // Aggregate appends an aggregation primitive (operator W2): key and value
 // extract an entry from each subgraph, reduce folds values per key, and the
-// optional aggFilter (nil for none) prunes the final reduced mapping. K and
-// V must be gob-encodable for cross-worker merging.
+// optional aggFilter (nil for none) prunes the final reduced mapping.
+// Partials cross the wire at the end of every step, so K must be string and
+// V one of int64, PatternCount or *DomainSupport; any other shape fails the
+// run with an *UnsupportedShapeError before anything is enumerated.
 func Aggregate[K comparable, V any](f *Fractoid, name string,
 	key func(*Subgraph) K, value func(*Subgraph) V,
 	reduce func(V, V) V, aggFilter func(K, V) bool) *Fractoid {

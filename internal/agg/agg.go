@@ -6,8 +6,6 @@
 package agg
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
 	"sync"
@@ -21,6 +19,10 @@ type Store interface {
 	// MergeFrom folds other (which must have the same dynamic type) into
 	// the receiver.
 	MergeFrom(other Store) error
+	// Shippable returns nil when the store's contents have a wire form, and
+	// otherwise the *UnsupportedShapeError that Encode and DecodeAndMerge
+	// would return.
+	Shippable() error
 	// Encode serializes the contents for the wire.
 	Encode() ([]byte, error)
 	// DecodeAndMerge folds serialized contents into the receiver.
@@ -121,51 +123,6 @@ func (a *Aggregation[K, V]) MergeFrom(other Store) error {
 		a.Add(k, v)
 	}
 	return nil
-}
-
-// Encode implements Store. Built-in key/value shapes (see BinaryStore) emit
-// the compact binary wire form; everything else falls back to gob, for which
-// K and V must be gob-encodable. Both payloads carry a one-byte tag so
-// DecodeAndMerge is self-describing.
-func (a *Aggregation[K, V]) Encode() ([]byte, error) {
-	if data, ok, err := a.encodeBinary(); ok {
-		if err != nil {
-			return nil, err
-		}
-		return data, nil
-	}
-	var buf bytes.Buffer
-	buf.WriteByte(wireGob)
-	if err := gob.NewEncoder(&buf).Encode(a.m); err != nil {
-		return nil, fmt.Errorf("agg: encoding %T: %w (key and value types must be gob-encodable; values with interface-typed fields need gob.Register)", a.m, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeAndMerge implements Store, accepting either wire form.
-func (a *Aggregation[K, V]) DecodeAndMerge(data []byte) error {
-	if len(data) == 0 {
-		return fmt.Errorf("agg: decoding into %T: empty payload", a.m)
-	}
-	tag, payload := data[0], data[1:]
-	switch tag {
-	case wireBinary:
-		if err := a.decodeBinary(payload); err != nil {
-			return fmt.Errorf("agg: decoding binary payload into %T: %w", a.m, err)
-		}
-		return nil
-	case wireGob:
-		var m map[K]V
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&m); err != nil {
-			return fmt.Errorf("agg: decoding into %T: %w (key and value types must be gob-encodable; values with interface-typed fields need gob.Register)", a.m, err)
-		}
-		for k, v := range m {
-			a.Add(k, v)
-		}
-		return nil
-	default:
-		return fmt.Errorf("agg: decoding into %T: unknown wire tag %d", a.m, tag)
-	}
 }
 
 // NewEmpty implements Store.

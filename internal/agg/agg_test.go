@@ -206,8 +206,8 @@ func TestDomainSupportArityMismatchFaults(t *testing.T) {
 		t.Errorf("mismatched merge mutated domains: support=%d", got.Support())
 	}
 
-	// The fault is sticky across further (well-formed) merges and fails both
-	// wire paths, so a miswired aggregation cannot ship silently.
+	// The fault is sticky across further (well-formed) merges and fails the
+	// encoder, so a miswired aggregation cannot ship silently.
 	got = got.Aggregate(NewDomainSupport(p2, 1, []graph.VertexID{4, 5}, p2.Canonical().Perm))
 	if !errors.As(got.Err(), &arityErr) {
 		t.Fatalf("fault not sticky: Err()=%v", got.Err())
@@ -216,9 +216,6 @@ func TestDomainSupportArityMismatchFaults(t *testing.T) {
 	a.Add("k", got)
 	if _, err := a.Encode(); !errors.As(err, &arityErr) {
 		t.Errorf("Encode of faulted store = %v, want *DomainArityError", err)
-	}
-	if _, err := got.GobEncode(); !errors.As(err, &arityErr) {
-		t.Errorf("GobEncode of faulted support = %v, want *DomainArityError", err)
 	}
 }
 
@@ -247,7 +244,7 @@ func TestDomainSupportAntiMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestDomainSupportGobRoundTrip(t *testing.T) {
+func TestDomainSupportWireRoundTrip(t *testing.T) {
 	p := pattern.Triangle()
 	perm := p.Canonical().Perm
 	a := New[string, *DomainSupport](ReduceDomainSupport)
@@ -263,7 +260,7 @@ func TestDomainSupportGobRoundTrip(t *testing.T) {
 	}
 	ds, _ := b.Get("tri")
 	if ds.Pat == nil || ds.Pat.NumEdges() != 3 {
-		t.Error("pattern lost in gob round trip")
+		t.Error("pattern lost in the wire round trip")
 	}
 	if ds.Support() < 1 {
 		t.Errorf("support=%d after merge", ds.Support())

@@ -1,203 +1,210 @@
-// The compact aggregation wire codec. Every Aggregation.Encode payload is
-// tagged with one leading byte: wireGob marks a reflection-driven gob stream
-// (the fallback for arbitrary user key/value types), wireBinary a
-// length-prefixed varint form emitted for the built-in shapes — pattern
-// canonical codes mapped to int64 counts, PatternCount, and *DomainSupport.
-// The binary form cuts both the bytes shipped between workers and the CPU
-// burned encoding them: gob re-sends type descriptors and walks values by
-// reflection, while these entries are tight varint runs (domain supports
-// additionally delta-encode their sorted vertex sets). Entries are written
-// in ascending key order, so equal maps encode to identical bytes — the
+// The aggregation wire codec: the one form in which aggregation contents
+// cross a process boundary. The shippable shapes are a closed set — string
+// keys to int64 counts, PatternCount or *DomainSupport values (valueCodecs),
+// plus the Int64Sums vector of scalar.go — and any other K/V is refused up
+// front with an *UnsupportedShapeError (DESIGN.md, "Wire format"). A payload
+// is one tag byte, the entry count, then the entries in ascending key order
+// as tight varint runs (domain supports additionally delta-encode their
+// sorted vertex sets), so equal maps encode to identical bytes — the
 // property the merge-order-independence tests pin.
 package agg
 
 import (
-	"encoding/binary"
 	"fmt"
+	"math"
+	"reflect"
 	"slices"
 	"sort"
 
 	"fractal/internal/graph"
 	"fractal/internal/pattern"
+	"fractal/internal/wire"
 )
 
+// wireBinary tags an Aggregation payload and wireScalar an Int64Sums one. A
+// store only ever decodes payloads of its own type, so the tag spaces never
+// meet, but distinct values keep corruption loud.
 const (
-	wireGob    byte = 0 // gob-encoded map[K]V payload
-	wireBinary byte = 1 // sorted, length-prefixed varint entries
+	wireBinary byte = 1
+	wireScalar byte = 2
 )
 
-// BinaryStore is the subset of stores whose contents ship in the compact
-// binary wire form instead of gob. All stores decode both forms (payloads
-// are tagged), so the fast path is transparent to the runtime; it exists as
-// an interface so tools and tests can assert which path a store takes.
-type BinaryStore interface {
-	Store
-	// BinaryCodec reports whether Encode emits the binary form.
-	BinaryCodec() bool
+// UnsupportedShapeError is the refusal of an aggregation whose key or value
+// type has no wire form. Partials cross the wire at the end of every step —
+// between the workers and the master even in-process — so the runtime raises
+// it once per job, before step 0 enumerates anything.
+type UnsupportedShapeError struct {
+	// Key and Value name the aggregation's K and V.
+	Key, Value string
 }
 
-// BinaryCodec implements BinaryStore: true when K/V is one of the built-in
-// wire shapes.
-func (a *Aggregation[K, V]) BinaryCodec() bool {
-	switch any(a.m).(type) {
-	case map[string]int64, map[string]PatternCount, map[string]*DomainSupport:
-		return true
+func (e *UnsupportedShapeError) Error() string {
+	return fmt.Sprintf("agg: an aggregation from %s keys to %s values has no wire form: only string keys to int64, PatternCount or *DomainSupport values ship (render the key as a string)", e.Key, e.Value)
+}
+
+// valueCodec is the wire form of one value type. put appends to dst (the
+// encoder's writer stays off the heap that way); get reads from r.
+type valueCodec[V any] struct {
+	put func(dst []byte, v V) ([]byte, error)
+	get func(r *wire.Reader) V
+}
+
+// valueCodecs is the closed set of value types that ship.
+var valueCodecs = []any{
+	valueCodec[int64]{put: putCount, get: (*wire.Reader).Varint},
+	valueCodec[PatternCount]{put: putPatternCount, get: getPatternCount},
+	valueCodec[*DomainSupport]{put: putDomainSupport, get: getDomainSupport},
+}
+
+// wireForm returns the aggregation as the codec walks it — a string-keyed
+// view sharing a's map and reduction, with V's value codec — or the typed
+// refusal when K/V is outside the closed set.
+func (a *Aggregation[K, V]) wireForm() (Aggregation[string, V], valueCodec[V], error) {
+	if m, ok := any(a.m).(map[string]V); ok {
+		for _, c := range valueCodecs {
+			if vc, ok := c.(valueCodec[V]); ok {
+				return Aggregation[string, V]{m: m, reduce: a.reduce, own: a.own}, vc, nil
+			}
+		}
 	}
-	return false
+	return Aggregation[string, V]{}, valueCodec[V]{}, &UnsupportedShapeError{
+		Key: reflect.TypeFor[K]().String(), Value: reflect.TypeFor[V]().String(),
+	}
 }
 
-// sortedKeys returns the map's keys in ascending order.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
+// Shippable implements Store.
+func (a *Aggregation[K, V]) Shippable() error {
+	_, _, err := a.wireForm()
+	return err
+}
+
+// Encode implements Store.
+func (a *Aggregation[K, V]) Encode() ([]byte, error) {
+	view, vc, err := a.wireForm()
+	if err != nil {
+		return nil, err
+	}
+	keys := make([]string, 0, len(view.m))
+	for k := range view.m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	return keys
+	w := wire.Writer{B: []byte{wireBinary}}
+	w.Count(len(keys))
+	for _, k := range keys {
+		w.Str(k)
+		if w.B, err = vc.put(w.B, view.m[k]); err != nil {
+			return nil, fmt.Errorf("agg: encoding entry %q: %w", k, err)
+		}
+	}
+	return w.B, nil
 }
 
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
+// DecodeAndMerge implements Store.
+func (a *Aggregation[K, V]) DecodeAndMerge(data []byte) error {
+	view, vc, err := a.wireForm()
+	if err != nil {
+		return err
+	}
+	r := payloadReader(data, wireBinary)
+	prev := ""
+	for i, n := 0, r.Count(); i < n && r.Err() == nil; i++ {
+		k, v := r.Str(), vc.get(r)
+		// The encoder writes ascending keys; a repeated key would fold two
+		// of the payload's own values into each other.
+		if i > 0 && k <= prev {
+			r.Failf("key %q out of order", k)
+		}
+		if r.Err() == nil {
+			view.Add(k, v)
+		}
+		prev = k
+	}
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("agg: decoding into %T: %w", a.m, err)
+	}
+	return nil
 }
 
-// appendDomainSupport writes one support value: threshold, optional pattern,
+// payloadReader returns a reader positioned past the payload's tag byte,
+// already failed when the tag is not want.
+func payloadReader(data []byte, want byte) *wire.Reader {
+	r := wire.NewReader(data)
+	if tag := r.Byte(); tag != want {
+		r.Failf("wire tag %d, want %d", tag, want)
+	}
+	return r
+}
+
+// putPattern writes an optional pattern: a presence byte, then its wire form.
+func putPattern(w *wire.Writer, p *pattern.Pattern) {
+	w.Bool(p != nil)
+	if p != nil {
+		w.B = p.AppendBinary(w.B)
+	}
+}
+
+func getPattern(r *wire.Reader) *pattern.Pattern {
+	if !r.Bool() {
+		return nil
+	}
+	return pattern.ReadBinary(r)
+}
+
+func putCount(dst []byte, v int64) ([]byte, error) {
+	w := wire.Writer{B: dst}
+	w.Varint(v)
+	return w.B, nil
+}
+
+func putPatternCount(dst []byte, pc PatternCount) ([]byte, error) {
+	w := wire.Writer{B: dst}
+	putPattern(&w, pc.Pat)
+	w.Varint(pc.Count)
+	return w.B, nil
+}
+
+func getPatternCount(r *wire.Reader) PatternCount {
+	return PatternCount{Pat: getPattern(r), Count: r.Varint()}
+}
+
+// putDomainSupport writes one support value: threshold, optional pattern,
 // then each position's sorted domain as a first-value + deltas varint run.
-func appendDomainSupport(dst []byte, ds *DomainSupport) ([]byte, error) {
+// A faulted support refuses to encode, surfacing the sticky merge error.
+func putDomainSupport(dst []byte, ds *DomainSupport) ([]byte, error) {
 	if err := ds.Err(); err != nil {
 		return nil, err
 	}
 	ds.compact()
-	dst = binary.AppendVarint(dst, ds.Threshold)
-	if ds.Pat != nil {
-		dst = append(dst, 1)
-		dst = ds.Pat.AppendBinary(dst)
-	} else {
-		dst = append(dst, 0)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(ds.Domains)))
+	w := wire.Writer{B: dst}
+	w.Varint(ds.Threshold)
+	putPattern(&w, ds.Pat)
+	w.Count(len(ds.Domains))
 	for _, d := range ds.Domains {
-		dst = binary.AppendUvarint(dst, uint64(len(d)))
+		w.Count(len(d))
 		prev := graph.VertexID(0)
 		for _, v := range d {
-			dst = binary.AppendUvarint(dst, uint64(v-prev))
+			w.Uvarint(uint64(v - prev))
 			prev = v
 		}
 	}
-	return dst, nil
+	return w.B, nil
 }
 
-// binaryReader walks a binary payload, remembering the first failure so call
-// sites stay linear.
-type binaryReader struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (r *binaryReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (r *binaryReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.data[r.off:])
-	if n <= 0 {
-		r.fail("agg: binary payload truncated at offset %d", r.off)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *binaryReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.data[r.off:])
-	if n <= 0 {
-		r.fail("agg: binary payload truncated at offset %d", r.off)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *binaryReader) string() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(len(r.data)-r.off) {
-		r.fail("agg: binary string length %d exceeds payload", n)
-		return ""
-	}
-	s := string(r.data[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
-}
-
-func (r *binaryReader) byte() byte {
-	if r.err != nil {
-		return 0
-	}
-	if r.off >= len(r.data) {
-		r.fail("agg: binary payload truncated at offset %d", r.off)
-		return 0
-	}
-	b := r.data[r.off]
-	r.off++
-	return b
-}
-
-func (r *binaryReader) pattern() *pattern.Pattern {
-	if r.err != nil {
-		return nil
-	}
-	p, n, err := pattern.PatternFromBinary(r.data[r.off:])
-	if err != nil {
-		r.fail("agg: %v", err)
-		return nil
-	}
-	r.off += n
-	return p
-}
-
-func (r *binaryReader) domainSupport() *DomainSupport {
-	ds := &DomainSupport{Threshold: r.varint()}
-	if r.byte() == 1 {
-		ds.Pat = r.pattern()
-	}
-	npos := r.uvarint()
-	if r.err != nil {
-		return nil
-	}
-	if npos > uint64(len(r.data)-r.off)+1 {
-		r.fail("agg: binary domain count %d exceeds payload", npos)
-		return nil
-	}
-	ds.Domains = make([][]graph.VertexID, npos)
+func getDomainSupport(r *wire.Reader) *DomainSupport {
+	ds := &DomainSupport{Threshold: r.Varint(), Pat: getPattern(r)}
+	ds.Domains = make([][]graph.VertexID, r.Count())
 	for i := range ds.Domains {
-		n := r.uvarint()
-		if r.err != nil {
-			return nil
-		}
-		if n > uint64(len(r.data)-r.off)+1 {
-			r.fail("agg: binary domain length %d exceeds payload", n)
-			return nil
-		}
+		n := r.Count()
 		d := make([]graph.VertexID, 0, n)
 		prev := uint64(0)
-		for j := uint64(0); j < n; j++ {
-			prev += r.uvarint()
-			if prev > uint64(1<<31-1) {
-				r.fail("agg: binary vertex id %d out of range", prev)
-				return nil
+		for ; n > 0 && r.Err() == nil; n-- {
+			delta := r.Uvarint()
+			if delta > math.MaxInt32-prev {
+				r.Failf("vertex id delta %d out of range", delta)
+				break
 			}
+			prev += delta
 			d = append(d, graph.VertexID(prev))
 		}
 		// Delta decoding yields ascending values by construction; dedup
@@ -205,88 +212,5 @@ func (r *binaryReader) domainSupport() *DomainSupport {
 		// for any byte stream.
 		ds.Domains[i] = slices.Compact(d)
 	}
-	if r.err != nil {
-		return nil
-	}
 	return ds
-}
-
-// encodeBinary emits the binary payload for the built-in shapes; ok is
-// false when K/V has no binary form and the caller must fall back to gob.
-func (a *Aggregation[K, V]) encodeBinary() (data []byte, ok bool, err error) {
-	switch m := any(a.m).(type) {
-	case map[string]int64:
-		dst := binary.AppendUvarint([]byte{wireBinary}, uint64(len(m)))
-		for _, k := range sortedKeys(m) {
-			dst = appendString(dst, k)
-			dst = binary.AppendVarint(dst, m[k])
-		}
-		return dst, true, nil
-	case map[string]PatternCount:
-		dst := binary.AppendUvarint([]byte{wireBinary}, uint64(len(m)))
-		for _, k := range sortedKeys(m) {
-			pc := m[k]
-			dst = appendString(dst, k)
-			if pc.Pat != nil {
-				dst = append(dst, 1)
-				dst = pc.Pat.AppendBinary(dst)
-			} else {
-				dst = append(dst, 0)
-			}
-			dst = binary.AppendVarint(dst, pc.Count)
-		}
-		return dst, true, nil
-	case map[string]*DomainSupport:
-		dst := binary.AppendUvarint([]byte{wireBinary}, uint64(len(m)))
-		for _, k := range sortedKeys(m) {
-			dst = appendString(dst, k)
-			if dst, err = appendDomainSupport(dst, m[k]); err != nil {
-				return nil, true, fmt.Errorf("agg: encoding support %q: %w", k, err)
-			}
-		}
-		return dst, true, nil
-	}
-	return nil, false, nil
-}
-
-// decodeBinary folds a binary payload (sans tag byte) into the aggregation.
-func (a *Aggregation[K, V]) decodeBinary(payload []byte) error {
-	r := &binaryReader{data: payload}
-	n := r.uvarint()
-	add := func(k string, v any) {
-		// The payload's dynamic shape must match this aggregation's: the
-		// runtime only decodes into stores of the producing spec's type.
-		av, ok := any(v).(V)
-		if !ok {
-			r.fail("agg: binary entry type %T does not match %T values", v, a.m)
-			return
-		}
-		ak, ok := any(k).(K)
-		if !ok {
-			r.fail("agg: binary string key does not match %T keys", a.m)
-			return
-		}
-		a.Add(ak, av)
-	}
-	for i := uint64(0); i < n && r.err == nil; i++ {
-		k := r.string()
-		switch any(a.m).(type) {
-		case map[string]int64:
-			add(k, r.varint())
-		case map[string]PatternCount:
-			pc := PatternCount{}
-			if r.byte() == 1 {
-				pc.Pat = r.pattern()
-			}
-			pc.Count = r.varint()
-			add(k, pc)
-		case map[string]*DomainSupport:
-			if ds := r.domainSupport(); ds != nil {
-				add(k, ds)
-			}
-		default:
-			r.fail("agg: binary payload for %T, which has no binary form", a.m)
-		}
-	}
-	return r.err
 }

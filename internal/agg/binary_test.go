@@ -3,45 +3,68 @@ package agg
 import (
 	"bytes"
 	"encoding/gob"
+	"encoding/hex"
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
 	"fractal/internal/graph"
 	"fractal/internal/pattern"
+	"fractal/internal/wire"
 )
 
-func TestBinaryCodecSelection(t *testing.T) {
+// TestShippableShapes pins the closed set: the three string-keyed shapes and
+// Int64Sums ship; everything else is refused with the same typed error by
+// Shippable, Encode and DecodeAndMerge, naming K and V.
+func TestShippableShapes(t *testing.T) {
+	type opaque struct{ C chan int }
 	cases := []struct {
-		name   string
-		store  Store
-		binary bool
+		name       string
+		store      Store
+		key, value string // "" when the shape ships
 	}{
-		{"string-int64", New[string, int64](SumInt64), true},
-		{"pattern-count", New[string, PatternCount](ReducePatternCount), true},
-		{"domain-support", New[string, *DomainSupport](ReduceDomainSupport), true},
-		{"int64-keys", New[int64, int64](SumInt64), false},
-		{"string-float", New[string, float64](func(a, b float64) float64 { return a + b }), false},
+		{"string-int64", New[string, int64](SumInt64), "", ""},
+		{"pattern-count", New[string, PatternCount](ReducePatternCount), "", ""},
+		{"domain-support", New[string, *DomainSupport](ReduceDomainSupport), "", ""},
+		{"int64-sums", NewInt64Sums(2), "", ""},
+		{"int64-keys", New[int64, int64](SumInt64), "int64", "int64"},
+		{"uint8-keys", New[uint8, int64](SumInt64), "uint8", "int64"},
+		{"string-float", New[string, float64](func(a, b float64) float64 { return a + b }), "string", "float64"},
+		{"string-struct", New[string, opaque](func(a, b opaque) opaque { return a }), "string", "agg.opaque"},
+		{"string-any", New[string, any](func(a, b any) any { return a }), "string", "interface {}"},
+	}
+	valid, err := New[string, int64](SumInt64).Encode()
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, tc := range cases {
-		bs, ok := tc.store.(BinaryStore)
-		if !ok {
-			t.Fatalf("%s: store does not implement BinaryStore", tc.name)
+		_, encErr := tc.store.Encode()
+		errs := map[string]error{
+			"Shippable":      tc.store.Shippable(),
+			"Encode":         encErr,
+			"DecodeAndMerge": tc.store.NewEmpty().DecodeAndMerge(valid),
 		}
-		if bs.BinaryCodec() != tc.binary {
-			t.Errorf("%s: BinaryCodec()=%v, want %v", tc.name, bs.BinaryCodec(), tc.binary)
+		if tc.key == "" {
+			if errs["Shippable"] != nil || encErr != nil {
+				t.Errorf("%s: Shippable()=%v Encode()=%v, want nil", tc.name, errs["Shippable"], encErr)
+			}
+			continue
 		}
-		data, err := tc.store.Encode()
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		wantTag := wireGob
-		if tc.binary {
-			wantTag = wireBinary
-		}
-		if data[0] != wantTag {
-			t.Errorf("%s: wire tag %d, want %d", tc.name, data[0], wantTag)
+		for op, err := range errs {
+			var shape *UnsupportedShapeError
+			if !errors.As(err, &shape) {
+				t.Errorf("%s: %s = %v, want *UnsupportedShapeError", tc.name, op, err)
+				continue
+			}
+			if shape.Key != tc.key || shape.Value != tc.value {
+				t.Errorf("%s: %s names %s -> %s, want %s -> %s", tc.name, op, shape.Key, shape.Value, tc.key, tc.value)
+			}
+			if msg := err.Error(); !strings.Contains(msg, tc.key) || !strings.Contains(msg, tc.value) {
+				t.Errorf("%s: message %q does not name K and V", tc.name, msg)
+			}
 		}
 	}
 }
@@ -129,12 +152,12 @@ func vertexBytes(vs []graph.VertexID) []byte {
 }
 
 // TestBinarySmallerThanGob is the wire-size acceptance pin: on realistic
-// store contents the binary payload must be strictly smaller than the gob
-// fallback for the same map.
+// store contents the payload must be strictly smaller than the gob stream of
+// the same map (gob is kept here, test-side, as the reference).
 func TestBinarySmallerThanGob(t *testing.T) {
 	gobBytes := func(m any) int {
 		var buf bytes.Buffer
-		buf.WriteByte(wireGob)
+		buf.WriteByte(0) // the tag byte both forms carried
 		if err := gob.NewEncoder(&buf).Encode(m); err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +190,7 @@ func TestBinarySmallerThanGob(t *testing.T) {
 		gob   int
 	}{
 		"int64-counts":    {counts, gobBytes(counts.Entries())},
-		"domain-supports": {supports, gobBytes(supports.Entries())},
+		"domain-supports": {supports, gobBytes(gobSupports(supports.Entries()))},
 	} {
 		data, err := pair.store.Encode()
 		if err != nil {
@@ -196,6 +219,8 @@ func TestBinaryDecodeErrors(t *testing.T) {
 		"length bomb":  {wireBinary, 0xff, 0xff, 0xff, 0xff, 0x0f},
 		"string bomb":  {wireBinary, 1, 0xff, 0xff, 0xff, 0xff, 0x0f},
 		"bare payload": {wireBinary},
+		"repeated key": {wireBinary, 2, 1, 'k', 2, 1, 'k', 4},
+		"keys descend": {wireBinary, 2, 1, 'k', 2, 1, 'j', 4},
 	}
 	for name, data := range cases {
 		b := a.NewEmpty()
@@ -203,42 +228,99 @@ func TestBinaryDecodeErrors(t *testing.T) {
 			t.Errorf("%s: decode succeeded", name)
 		}
 	}
+}
 
-	// A binary payload arriving at a store with no binary form is rejected,
-	// not misparsed.
-	c := New[int64, int64](SumInt64)
-	if err := c.DecodeAndMerge(valid); err == nil ||
-		!strings.Contains(err.Error(), "no binary form") {
-		t.Errorf("shape mismatch error = %v", err)
+// TestHostileCountsFailBeforeAllocating is the regression test of the
+// count-bomb fix on the aggregation side: a tiny body announcing a huge
+// entry, domain or vertex count is refused by the count itself, with a
+// *wire.Error, before anything is allocated for it.
+func TestHostileCountsFailBeforeAllocating(t *testing.T) {
+	bomb := []byte{0xff, 0xff, 0xff, 0xff, 0x0f} // uvarint 2^32-1
+	cases := map[string]struct {
+		store Store
+		data  []byte
+	}{
+		"entry count":  {New[string, int64](SumInt64), append([]byte{wireBinary}, bomb...)},
+		"domain count": {New[string, *DomainSupport](ReduceDomainSupport), append([]byte{wireBinary, 1, 1, 'k', 2, 0}, bomb...)},
+		"vertex count": {New[string, *DomainSupport](ReduceDomainSupport), append([]byte{wireBinary, 1, 1, 'k', 2, 0, 1}, bomb...)},
+		"sums arity":   {NewInt64Sums(3), append([]byte{wireScalar}, bomb...)},
+	}
+	for name, tc := range cases {
+		var werr *wire.Error
+		if err := tc.store.DecodeAndMerge(tc.data); !errors.As(err, &werr) {
+			t.Errorf("%s: err = %v, want *wire.Error", name, err)
+		} else if !strings.Contains(werr.Reason, "exceeds") {
+			t.Errorf("%s: refused by %q, want the count check", name, werr.Reason)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tc.store.DecodeAndMerge(tc.data)
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
+			t.Errorf("%s: decoding a %d-byte body allocated %d bytes", name, len(tc.data), grew)
+		}
 	}
 }
 
-// TestGobFallbackErrorNamesTypes pins the wrapped gob diagnostics: encode
-// and decode failures must name the concrete map type so a miswired user
-// aggregation is attributable from the step error alone.
-func TestGobFallbackErrorNamesTypes(t *testing.T) {
-	type opaque struct{ C chan int } // channels are not gob-encodable
-	a := New[string, opaque](func(x, y opaque) opaque { return x })
-	a.Add("k", opaque{})
-	_, err := a.Encode()
-	if err == nil {
-		t.Fatal("encoding a chan-typed value succeeded")
-	}
-	for _, want := range []string{"agg.opaque", "gob-encodable"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("encode error %q does not mention %q", err, want)
+// TestWireGolden pins the payload bytes of every aggregation shape against
+// payloads generated at the commit before the codecs moved onto the shared
+// reader/writer (PR 12): the wire form did not change. Each payload also
+// decodes and re-encodes to itself.
+func TestWireGolden(t *testing.T) {
+	p := goldenPattern()
+	counts := New[string, int64](SumInt64)
+	counts.Add("a", 3)
+	counts.Add("bb", -7)
+	counts.Add("", 1<<40)
+	pcs := New[string, PatternCount](ReducePatternCount)
+	pcs.Add("k1", PatternCount{Pat: p, Count: 5})
+	pcs.Add("k0", PatternCount{Count: -2})
+	sups := New[string, *DomainSupport](ReduceDomainSupport)
+	sups.Add("s", &DomainSupport{Pat: p, Threshold: 2, Domains: [][]graph.VertexID{{1, 5, 9}, {2, 300}, {}}})
+	sups.Add("anon", &DomainSupport{Threshold: -1, Domains: [][]graph.VertexID{{7}}})
+	sums := NewInt64Sums(4)
+	copy(sums.Sums, []int64{0, 1, -1, 1 << 50})
+	for _, tc := range []struct {
+		name   string
+		store  Store
+		golden string
+	}{
+		{"counts", counts, "0103008080808080400161060262620d"},
+		{"patternCounts", pcs, "0102026b300003026b310103020405020001080102000a"},
+		{"supports", sups, "010204616e6f6e010001010701730401030204050200010801020003030104040202aa0200"},
+		{"sums", sums, "02040002018080808080808004"},
+		{"emptyCounts", New[string, int64](SumInt64), "0100"},
+	} {
+		data, err := tc.store.Encode()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := hex.EncodeToString(data); got != tc.golden {
+			t.Errorf("%s: payload %s, golden %s", tc.name, got, tc.golden)
+		}
+		back := tc.store.NewEmpty()
+		if err := back.DecodeAndMerge(data); err != nil {
+			t.Fatalf("%s: decoding the golden payload: %v", tc.name, err)
+		}
+		if again, _ := back.Encode(); !bytes.Equal(again, data) {
+			t.Errorf("%s: re-encoded %x, want %x", tc.name, again, data)
 		}
 	}
+}
 
-	b := New[string, float64](func(x, y float64) float64 { return x + y })
-	err = b.DecodeAndMerge([]byte{wireGob, 0xde, 0xad})
-	if err == nil || !strings.Contains(err.Error(), "map[string]float64") {
-		t.Errorf("decode error %v does not name the store type", err)
-	}
+// goldenPattern is the labelled pattern of the golden payloads.
+func goldenPattern() *pattern.Pattern {
+	b := pattern.NewBuilder(3)
+	b.SetVertexLabel(0, 1)
+	b.SetVertexLabel(1, 2)
+	b.SetVertexLabel(2, -3)
+	b.AddEdge(0, 1, 4)
+	b.AddEdge(1, 2, 0)
+	return b.Build()
 }
 
 // FuzzBinaryCodec drives arbitrary bytes through DecodeAndMerge for every
-// built-in shape (decoders must fail cleanly, never panic or overallocate)
+// shippable shape (decoders must fail with a *wire.Error, never panic or overallocate)
 // and checks that whatever decodes re-encodes without error.
 func FuzzBinaryCodec(f *testing.F) {
 	p := pattern.Triangle()
@@ -250,7 +332,9 @@ func FuzzBinaryCodec(f *testing.F) {
 	pcs.Add("tri", PatternCount{Pat: p, Count: 7})
 	sups := New[string, *DomainSupport](ReduceDomainSupport)
 	sups.Add("tri", NewDomainSupport(p, 2, []graph.VertexID{5, 1, 9}, perm))
-	for _, s := range []Store{counts, pcs, sups} {
+	sums := NewInt64Sums(3)
+	copy(sums.Sums, []int64{4, -5, 1 << 40})
+	for _, s := range []Store{counts, pcs, sups, sums} {
 		data, err := s.Encode()
 		if err != nil {
 			f.Fatal(err)
@@ -258,15 +342,22 @@ func FuzzBinaryCodec(f *testing.F) {
 		f.Add(data)
 	}
 	f.Add([]byte{wireBinary, 2, 1, 'a', 1, 1, 'b', 2})
+	// One key twice, with supports of different arity (found by this target).
+	f.Add([]byte("\x01\x03\x01\x0100\x00\x01\x0100\x01\x010\x01000\x01\x010"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		stores := []Store{
 			New[string, int64](SumInt64),
 			New[string, PatternCount](ReducePatternCount),
 			New[string, *DomainSupport](ReduceDomainSupport),
+			NewInt64Sums(3),
 		}
 		for _, s := range stores {
 			if err := s.DecodeAndMerge(data); err != nil {
+				var werr *wire.Error
+				if !errors.As(err, &werr) {
+					t.Errorf("%T: decode error %v is not a *wire.Error", s, err)
+				}
 				continue
 			}
 			if _, err := s.Encode(); err != nil {

@@ -290,6 +290,53 @@ func BenchmarkDomainSupport(b *testing.B) {
 	})
 }
 
+// gobPattern and gobSupport are the gob shapes patterns and supports had
+// while gob was a wire form of this package (PR 4 to PR 12). They survive
+// here only, as the size and speed reference of the codec.
+type gobPattern struct {
+	N       int
+	VLabels []graph.Label
+	Edges   []struct {
+		U, V  int
+		Label graph.Label
+	}
+}
+
+type gobSupport struct {
+	Pat       *gobPattern
+	Threshold int64
+	Domains   [][]graph.VertexID
+}
+
+func gobPatternOf(p *pattern.Pattern) *gobPattern {
+	if p == nil {
+		return nil
+	}
+	w := &gobPattern{N: p.NumVertices()}
+	for u := 0; u < w.N; u++ {
+		w.VLabels = append(w.VLabels, p.VertexLabel(u))
+		for v := u + 1; v < w.N; v++ {
+			if p.HasEdge(u, v) {
+				w.Edges = append(w.Edges, struct {
+					U, V  int
+					Label graph.Label
+				}{u, v, p.EdgeLabel(u, v)})
+			}
+		}
+	}
+	return w
+}
+
+// gobSupports converts a support map to its gob reference shape.
+func gobSupports(m map[string]*DomainSupport) map[string]gobSupport {
+	out := make(map[string]gobSupport, len(m))
+	for k, ds := range m {
+		ds.compact()
+		out[k] = gobSupport{Pat: gobPatternOf(ds.Pat), Threshold: ds.Threshold, Domains: ds.Domains}
+	}
+	return out
+}
+
 // benchStores builds equal-content stores in the seed shape (map of
 // map-of-maps supports, shipped with reflection-driven gob — the seed wire
 // path) and the kernel shape (sorted-domain supports, shipped with the
@@ -319,11 +366,22 @@ func benchStores(keys, domain int) (map[string]*seedDomainSupport, *Aggregation[
 // supports) with the compact binary codec on equal store contents.
 func BenchmarkAggEncode(b *testing.B) {
 	old, a := benchStores(64, 64)
+	// The seed shipped the pattern through its gob form; the conversion is
+	// outside the timed loop.
+	type seedGob struct {
+		Pat       *gobPattern
+		Threshold int64
+		Domains   []map[graph.VertexID]bool
+	}
+	ref := make(map[string]seedGob, len(old))
+	for k, ds := range old {
+		ref[k] = seedGob{Pat: gobPatternOf(ds.Pat), Threshold: ds.Threshold, Domains: ds.Domains}
+	}
 	b.Run("gob-oracle", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(old); err != nil {
+			if err := gob.NewEncoder(&buf).Encode(ref); err != nil {
 				b.Fatal(err)
 			}
 		}

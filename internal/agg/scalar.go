@@ -1,8 +1,9 @@
 package agg
 
 import (
-	"encoding/binary"
 	"fmt"
+
+	"fractal/internal/wire"
 )
 
 // Int64Sums is the scalar partial-sum store of the decomposition engine: a
@@ -15,11 +16,6 @@ import (
 type Int64Sums struct {
 	Sums []int64
 }
-
-// wireScalar tags the Int64Sums wire form (wireGob and wireBinary tag the
-// Aggregation forms; the tag spaces never meet — a store only ever decodes
-// payloads of its own type — but distinct values keep corruption loud).
-const wireScalar byte = 2
 
 // NewInt64Sums returns a zeroed n-ary sum store.
 func NewInt64Sums(n int) *Int64Sums { return &Int64Sums{Sums: make([]int64, n)} }
@@ -42,41 +38,32 @@ func (s *Int64Sums) MergeFrom(other Store) error {
 	return nil
 }
 
+// Shippable implements Store: the vector always has a wire form.
+func (s *Int64Sums) Shippable() error { return nil }
+
 // Encode implements Store: one tag byte, the arity, then each sum as a
 // zigzag varint.
 func (s *Int64Sums) Encode() ([]byte, error) {
-	dst := binary.AppendUvarint([]byte{wireScalar}, uint64(len(s.Sums)))
+	w := wire.Writer{B: []byte{wireScalar}}
+	w.Count(len(s.Sums))
 	for _, v := range s.Sums {
-		dst = binary.AppendVarint(dst, v)
+		w.Varint(v)
 	}
-	return dst, nil
+	return w.B, nil
 }
 
 // DecodeAndMerge implements Store, folding an encoded vector into the
 // receiver.
 func (s *Int64Sums) DecodeAndMerge(data []byte) error {
-	if len(data) == 0 || data[0] != wireScalar {
-		return fmt.Errorf("agg: Int64Sums payload has bad tag")
+	r := payloadReader(data, wireScalar)
+	if n := r.Count(); n != len(s.Sums) {
+		r.Failf("%d-ary vector for a %d-ary store", n, len(s.Sums))
 	}
-	data = data[1:]
-	n, k := binary.Uvarint(data)
-	if k <= 0 {
-		return fmt.Errorf("agg: Int64Sums payload truncated at arity")
+	for i := range s.Sums {
+		s.Sums[i] += r.Varint()
 	}
-	data = data[k:]
-	if int(n) != len(s.Sums) {
-		return fmt.Errorf("agg: decoding %d-ary Int64Sums into %d-ary", n, len(s.Sums))
-	}
-	for i := 0; i < int(n); i++ {
-		v, k := binary.Varint(data)
-		if k <= 0 {
-			return fmt.Errorf("agg: Int64Sums payload truncated at entry %d", i)
-		}
-		data = data[k:]
-		s.Sums[i] += v
-	}
-	if len(data) != 0 {
-		return fmt.Errorf("agg: Int64Sums payload has %d trailing bytes", len(data))
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("agg: decoding into %d-ary Int64Sums: %w", len(s.Sums), err)
 	}
 	return nil
 }

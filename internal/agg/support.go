@@ -1,8 +1,6 @@
 package agg
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"slices"
 	"sync"
@@ -27,7 +25,7 @@ import (
 // prefix, so inserts cost O(log n) amortized while Support, Aggregate on
 // large domains, and every encoder see fully sorted slices.
 //
-// Exported fields cross the wire (gob or the binary codec of this package).
+// Exported fields cross the wire (binary.go).
 type DomainSupport struct {
 	// Pat is a representative pattern for reporting. Contributions built
 	// through a CodeCache carry the class's shared canonical representative,
@@ -43,7 +41,7 @@ type DomainSupport struct {
 	Domains [][]graph.VertexID
 
 	// nsorted[i] is the length of Domains[i]'s sorted prefix; nil means
-	// every domain is fully sorted. Never shipped: both codecs compact
+	// every domain is fully sorted. Never shipped: the codec compacts
 	// before encoding.
 	nsorted []int32
 	// borrowed marks a pooled scratch contribution (see ScratchDomainSupport):
@@ -282,43 +280,6 @@ func (ds *DomainSupport) Aggregate(other *DomainSupport) *DomainSupport {
 	}
 	other.release()
 	return ds
-}
-
-// wireDomainSupport is the gob form (used when a DomainSupport travels
-// inside a user-typed aggregation; the built-in FSM store ships the binary
-// codec of binary.go instead).
-type wireDomainSupport struct {
-	Pat       *pattern.Pattern
-	Threshold int64
-	Domains   [][]graph.VertexID
-}
-
-// GobEncode implements gob.GobEncoder: domains are compacted to fully
-// sorted form first (so equal supports encode identically) and a faulted
-// support refuses to encode, surfacing the sticky merge error.
-func (ds *DomainSupport) GobEncode() ([]byte, error) {
-	if ds.fault != nil {
-		return nil, ds.fault
-	}
-	ds.compact()
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(wireDomainSupport{Pat: ds.Pat, Threshold: ds.Threshold, Domains: ds.Domains})
-	return buf.Bytes(), err
-}
-
-// GobDecode implements gob.GobDecoder, normalizing each domain to sorted
-// distinct form (the bytes may come from an arbitrary peer).
-func (ds *DomainSupport) GobDecode(data []byte) error {
-	var w wireDomainSupport
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return err
-	}
-	for i, d := range w.Domains {
-		slices.Sort(d)
-		w.Domains[i] = slices.Compact(d)
-	}
-	*ds = DomainSupport{Pat: w.Pat, Threshold: w.Threshold, Domains: w.Domains}
-	return nil
 }
 
 // Support returns the minimum image-based support s(P).

@@ -1,146 +1,78 @@
 package pattern
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
-	"fmt"
-
 	"fractal/internal/graph"
+	"fractal/internal/wire"
 )
 
-// wireEdge is the serialized form of one pattern edge.
-type wireEdge struct {
-	U, V  int
-	Label graph.Label
-}
-
-// wirePattern is the serialized form of a Pattern.
-type wirePattern struct {
-	N       int
-	VLabels []graph.Label
-	Edges   []wireEdge
-}
-
-// GobEncode implements gob.GobEncoder, making patterns (and values that
-// embed them, like aggregation entries) transportable between workers.
-func (p *Pattern) GobEncode() ([]byte, error) {
-	w := wirePattern{N: p.n, VLabels: p.vlabels}
-	for u := 0; u < p.n; u++ {
-		for v := u + 1; v < p.n; v++ {
-			if p.HasEdge(u, v) {
-				w.Edges = append(w.Edges, wireEdge{U: u, V: v, Label: p.EdgeLabel(u, v)})
-			}
-		}
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// GobDecode implements gob.GobDecoder.
-func (p *Pattern) GobDecode(data []byte) error {
-	var w wirePattern
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return err
-	}
-	if w.N < 0 || w.N > MaxVertices {
-		return fmt.Errorf("pattern: decoded vertex count %d out of range", w.N)
-	}
-	b := NewBuilder(w.N)
-	for v, l := range w.VLabels {
-		if v < w.N {
-			b.SetVertexLabel(v, l)
-		}
-	}
-	for _, e := range w.Edges {
-		if e.U < 0 || e.V < 0 || e.U >= w.N || e.V >= w.N || e.U == e.V {
-			return fmt.Errorf("pattern: decoded edge (%d,%d) invalid", e.U, e.V)
-		}
-		b.AddEdge(e.U, e.V, e.Label)
-	}
-	*p = *b.Build()
-	return nil
-}
-
-// AppendBinary appends a compact, self-delimiting binary encoding of p to dst
-// and returns the extended slice. The form is a fraction of the gob stream's
-// size (gob prefixes every message with a type descriptor): uvarint vertex
-// count, one zigzag-varint label per vertex, uvarint edge count, then per
-// edge (u uvarint, v uvarint, label zigzag-varint) with u < v in ascending
-// (u, v) order. The aggregation wire codec embeds patterns this way.
+// AppendBinary appends the compact, self-delimiting wire form of p to dst and
+// returns the extended slice: uvarint vertex count, one zigzag-varint label
+// per vertex, uvarint edge count, then per edge (u uvarint, v uvarint, label
+// zigzag-varint) with u < v in ascending (u, v) order. The aggregation wire
+// codec embeds patterns this way.
 func (p *Pattern) AppendBinary(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(p.n))
+	w := wire.Writer{B: dst}
+	w.Count(p.n)
 	for _, l := range p.vlabels {
-		dst = binary.AppendVarint(dst, int64(l))
+		w.Varint(int64(l))
 	}
-	dst = binary.AppendUvarint(dst, uint64(p.m))
+	w.Count(p.m)
 	for u := 0; u < p.n; u++ {
 		for v := u + 1; v < p.n; v++ {
 			if p.HasEdge(u, v) {
-				dst = binary.AppendUvarint(dst, uint64(u))
-				dst = binary.AppendUvarint(dst, uint64(v))
-				dst = binary.AppendVarint(dst, int64(p.EdgeLabel(u, v)))
+				w.Uvarint(uint64(u))
+				w.Uvarint(uint64(v))
+				w.Varint(int64(p.EdgeLabel(u, v)))
 			}
 		}
 	}
-	return dst
+	return w.B
 }
 
-// PatternFromBinary decodes a pattern written by AppendBinary from the front
-// of data, returning the pattern and the number of bytes consumed. Invalid
-// input (truncation, out-of-range counts, bad edges) yields an error, never
-// a panic: the bytes may arrive from the wire.
+// ReadBinary decodes one pattern written by AppendBinary from r. Invalid
+// input (truncation, out-of-range counts, bad edges) fails r and returns nil,
+// never panics: the bytes may arrive from the wire.
+func ReadBinary(r *wire.Reader) *Pattern {
+	n := r.Count()
+	if n > MaxVertices {
+		r.Failf("pattern: vertex count %d out of range", n)
+	}
+	if r.Err() != nil {
+		return nil
+	}
+	b := NewBuilder(n)
+	for v := 0; v < n; v++ {
+		b.SetVertexLabel(v, graph.Label(r.Varint()))
+	}
+	m := r.Count()
+	if m > n*n {
+		r.Failf("pattern: edge count %d out of range", m)
+	}
+	for i := 0; i < m && r.Err() == nil; i++ {
+		u, v, l := r.Uvarint(), r.Uvarint(), r.Varint()
+		switch {
+		case r.Err() != nil:
+		case u >= uint64(n) || v >= uint64(n) || u == v:
+			r.Failf("pattern: edge (%d,%d) invalid", u, v)
+		case b.p.adj[u]&(1<<uint(v)) != 0:
+			r.Failf("pattern: edge (%d,%d) duplicated", u, v)
+		default:
+			b.AddEdge(int(u), int(v), graph.Label(l))
+		}
+	}
+	if r.Err() != nil {
+		return nil
+	}
+	return b.Build()
+}
+
+// PatternFromBinary decodes a pattern from the front of data, returning it
+// and the number of bytes consumed.
 func PatternFromBinary(data []byte) (*Pattern, int, error) {
-	off := 0
-	uv := func() (uint64, bool) {
-		v, n := binary.Uvarint(data[off:])
-		if n <= 0 {
-			return 0, false
-		}
-		off += n
-		return v, true
+	r := wire.NewReader(data)
+	p := ReadBinary(r)
+	if err := r.Err(); err != nil {
+		return nil, 0, err
 	}
-	sv := func() (int64, bool) {
-		v, n := binary.Varint(data[off:])
-		if n <= 0 {
-			return 0, false
-		}
-		off += n
-		return v, true
-	}
-	n, ok := uv()
-	if !ok || n > MaxVertices {
-		return nil, 0, fmt.Errorf("pattern: binary vertex count invalid")
-	}
-	b := NewBuilder(int(n))
-	for v := 0; v < int(n); v++ {
-		l, ok := sv()
-		if !ok {
-			return nil, 0, fmt.Errorf("pattern: binary vertex label truncated")
-		}
-		b.SetVertexLabel(v, graph.Label(l))
-	}
-	m, ok := uv()
-	if !ok || m > n*n {
-		return nil, 0, fmt.Errorf("pattern: binary edge count invalid")
-	}
-	for i := uint64(0); i < m; i++ {
-		u, ok1 := uv()
-		v, ok2 := uv()
-		l, ok3 := sv()
-		if !ok1 || !ok2 || !ok3 {
-			return nil, 0, fmt.Errorf("pattern: binary edge truncated")
-		}
-		if u >= n || v >= n || u == v {
-			return nil, 0, fmt.Errorf("pattern: binary edge (%d,%d) invalid", u, v)
-		}
-		if b.p.adj[u]&(1<<uint(v)) != 0 {
-			return nil, 0, fmt.Errorf("pattern: binary edge (%d,%d) duplicated", u, v)
-		}
-		b.AddEdge(int(u), int(v), graph.Label(l))
-	}
-	return b.Build(), off, nil
+	return p, r.Offset(), nil
 }

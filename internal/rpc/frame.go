@@ -1,18 +1,14 @@
-// The binary wire framing of the TCP transport. Connections used to carry a
-// gob stream of Envelopes, which resends type descriptors per connection and
-// walks every value by reflection; across real processes that cost lands on
-// every control message. A frame is instead a fixed, versionless binary
-// shape:
+// The binary wire framing of the TCP transport, the outermost layer of the
+// wire format (DESIGN.md §12). A frame is a fixed, versionless binary shape:
 //
 //	uvarint  frame length (bytes after this field)
 //	varint   From (NodeID, zigzag — the master is -1)
 //	byte     Kind
 //	bytes    Body (the rest of the frame)
 //
-// Bodies are opaque here; the scheduling layer encodes them with its own
-// binary message codec (internal/sched), and aggregation payloads already
-// ship in the compact tagged form of internal/agg — gob survives only as the
-// fallback for custom user aggregation shapes.
+// Bodies are opaque here; the scheduling layer encodes them with its message
+// codec (internal/sched/messages.go), which carries aggregation payloads
+// (internal/agg) as byte fields.
 package rpc
 
 import (

@@ -51,8 +51,8 @@ func (c *core) run(st *stepCtx) {
 	var idle, stealScan time.Duration
 
 	var emb *subgraph.Embedding
-	if st.custom != nil {
-		emb = subgraph.NewCustom(st.graph, st.custom.Clone())
+	if st.customs != nil {
+		emb = subgraph.NewCustom(st.graph, st.customs[c.gidx(st)])
 	} else {
 		emb = subgraph.New(st.graph, st.kind, st.plan)
 	}

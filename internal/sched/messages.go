@@ -1,11 +1,11 @@
 package sched
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
 	"fractal/internal/subgraph"
+	"fractal/internal/wire"
 )
 
 // Message kinds carried in rpc.Envelope.Kind.
@@ -234,463 +234,270 @@ type jobEndMsg struct {
 }
 
 // ---------------------------------------------------------------------------
-// Binary codec
+// Wire form
 //
-// Control messages are encoded with the same hand-rolled varint style as the
-// aggregation wire codec (internal/agg/binary.go) rather than gob: fixed
-// field order, varint integers, length-prefixed strings and byte slices. Gob
-// resends type descriptors per stream and reflects over every value; across
-// real processes that cost would land on every status ping. The shapes here
-// are closed (this package owns both ends), so the fallback flexibility gob
-// buys is not needed — it survives only inside aggregation payloads with
-// custom user shapes.
+// A message body is a fixed field sequence over the shared leaf reader/writer
+// (internal/wire): varint integers, length-prefixed strings, byte slices and
+// sequences, no self-description — the envelope kind, not the body,
+// identifies the shape. The set is closed (this package owns both ends), and
+// every message type carries its own put/get pair, so a type without a wire
+// form does not compile as an argument of encode or decode.
 
-// wbuf accumulates an encoding.
-type wbuf struct{ b []byte }
+// message is a control-message body: put is declared on the value, get on
+// the pointer, so call sites encode either and decode into a pointer.
+type message interface{ put(w *wire.Writer) }
 
-func (w *wbuf) vint(v int)     { w.b = binary.AppendVarint(w.b, int64(v)) }
-func (w *wbuf) vint64(v int64) { w.b = binary.AppendVarint(w.b, v) }
-func (w *wbuf) u8(v uint8)     { w.b = append(w.b, v) }
-func (w *wbuf) boolean(v bool) {
-	if v {
-		w.b = append(w.b, 1)
-	} else {
-		w.b = append(w.b, 0)
-	}
-}
-func (w *wbuf) str(s string) {
-	w.b = binary.AppendUvarint(w.b, uint64(len(s)))
-	w.b = append(w.b, s...)
-}
-func (w *wbuf) bytes(p []byte) {
-	w.b = binary.AppendUvarint(w.b, uint64(len(p)))
-	w.b = append(w.b, p...)
-}
-func (w *wbuf) ints(vs []int) {
-	w.b = binary.AppendUvarint(w.b, uint64(len(vs)))
-	for _, v := range vs {
-		w.vint(v)
-	}
-}
-func (w *wbuf) words(vs []subgraph.Word) {
-	w.b = binary.AppendUvarint(w.b, uint64(len(vs)))
-	for _, v := range vs {
-		w.vint64(int64(v))
-	}
-}
-func (w *wbuf) strs(vs []string) {
-	w.b = binary.AppendUvarint(w.b, uint64(len(vs)))
-	for _, v := range vs {
-		w.str(v)
-	}
+// encode returns the wire form of a message body.
+func encode(m message) []byte {
+	var w wire.Writer
+	m.put(&w)
+	return w.B
 }
 
-// rbuf consumes an encoding; the first malformed field poisons every
-// subsequent read, so decoders check err once at the end.
-type rbuf struct {
-	b   []byte
-	err error
-}
-
-// maxWireSlice bounds decoded slice lengths: no control message legitimately
-// carries more elements than this, and a corrupt count must not drive an
-// allocation.
-const maxWireSlice = 1 << 24
-
-func (r *rbuf) fail() {
-	if r.err == nil {
-		r.err = fmt.Errorf("sched: truncated or corrupt message body")
-	}
-}
-
-func (r *rbuf) vint64() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *rbuf) vint() int { return int(r.vint64()) }
-
-func (r *rbuf) length() int {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 || v > maxWireSlice {
-		r.fail()
-		return 0
-	}
-	r.b = r.b[n:]
-	return int(v)
-}
-
-func (r *rbuf) u8() uint8 {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 1 {
-		r.fail()
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *rbuf) boolean() bool { return r.u8() != 0 }
-
-func (r *rbuf) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || len(r.b) < n {
-		r.fail()
-		return nil
-	}
-	p := r.b[:n]
-	r.b = r.b[n:]
-	return p
-}
-
-func (r *rbuf) str() string { return string(r.take(r.length())) }
-
-func (r *rbuf) bytes() []byte {
-	n := r.length()
-	p := r.take(n)
-	if p == nil {
-		return nil
-	}
-	// Copy: message bodies may alias a reused read buffer upstream.
-	return append([]byte(nil), p...)
-}
-
-func (r *rbuf) ints() []int {
-	n := r.length()
-	if n == 0 || r.err != nil {
-		return nil
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = r.vint()
-	}
-	return out
-}
-
-func (r *rbuf) words() []subgraph.Word {
-	n := r.length()
-	if n == 0 || r.err != nil {
-		return nil
-	}
-	out := make([]subgraph.Word, n)
-	for i := range out {
-		v := r.vint64()
-		if v < math.MinInt32 || v > math.MaxInt32 {
-			r.fail()
-			return nil
-		}
-		out[i] = subgraph.Word(v)
-	}
-	return out
-}
-
-func (r *rbuf) strs() []string {
-	n := r.length()
-	if n == 0 || r.err != nil {
-		return nil
-	}
-	out := make([]string, n)
-	for i := range out {
-		out[i] = r.str()
-	}
-	return out
-}
-
-func (r *rbuf) done() error {
-	if r.err != nil {
-		return r.err
-	}
-	if len(r.b) != 0 {
-		return fmt.Errorf("sched: %d trailing bytes in message body", len(r.b))
+// decode fills m, a pointer to the struct matching the envelope kind, from
+// a message body. Truncated input, a count beyond the bytes that remain, an
+// out-of-range value and trailing bytes are all errors.
+func decode(data []byte, m interface{ get(r *wire.Reader) }) error {
+	r := wire.NewReader(data)
+	m.get(r)
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("sched: corrupt %T body: %w", m, err)
 	}
 	return nil
 }
 
-// encode binary-encodes a message body. Bodies are fixed field sequences;
-// the envelope kind, not the body, identifies the shape.
-func encode(v any) []byte {
-	// Normalize values to pointers so call sites can pass either.
-	switch m := v.(type) {
-	case stepStartMsg:
-		v = &m
-	case stepEndMsg:
-		v = &m
-	case cancelMsg:
-		v = &m
-	case cancelAckMsg:
-		v = &m
-	case aggDataMsg:
-		v = &m
-	case aggDoneMsg:
-		v = &m
-	case statusPingMsg:
-		v = &m
-	case statusReportMsg:
-		v = &m
-	case stealReqMsg:
-		v = &m
-	case stealRespMsg:
-		v = &m
-	case registerMsg:
-		v = &m
-	case welcomeMsg:
-		v = &m
-	case peerJoinMsg:
-		v = &m
-	case jobSpecMsg:
-		v = &m
-	case jobSpecAckMsg:
-		v = &m
-	case jobEndMsg:
-		v = &m
+// putSeq writes a counted sequence; getSeq reads one (nil when empty). The
+// count is checked against the bytes that remain before the slice is made.
+func putSeq[T any](w *wire.Writer, vs []T, put func(*wire.Writer, T)) {
+	w.Count(len(vs))
+	for _, v := range vs {
+		put(w, v)
 	}
-	var w wbuf
-	switch m := v.(type) {
-	case *stepStartMsg:
-		w.vint(m.Job)
-		w.vint(m.Step)
-		w.vint(m.Attempt)
-		w.ints(m.Workers)
-		w.b = binary.AppendUvarint(w.b, uint64(len(m.Env)))
-		for _, e := range m.Env {
-			w.str(e.Name)
-			w.bytes(e.Data)
-		}
-	case *stepEndMsg:
-		w.vint(m.Job)
-		w.vint(m.Step)
-		w.vint(m.Attempt)
-	case *cancelMsg:
-		w.vint(m.Job)
-		w.vint(m.Step)
-		w.vint(m.Attempt)
-	case *cancelAckMsg:
-		w.vint(m.Job)
-		w.vint(m.Step)
-		w.vint(m.Attempt)
-		w.vint(m.Worker)
-	case *aggDataMsg:
-		w.vint(m.Job)
-		w.vint(m.Step)
-		w.vint(m.Attempt)
-		w.vint(m.Worker)
-		w.str(m.Name)
-		w.bytes(m.Data)
-	case *aggDoneMsg:
-		w.vint(m.Job)
-		w.vint(m.Step)
-		w.vint(m.Attempt)
-		w.vint(m.Worker)
-		w.vint(m.Sent)
-		w.strs(m.Errs)
-	case *statusPingMsg:
-		w.vint(m.Job)
-		w.vint(m.Step)
-		w.vint(m.Attempt)
-		w.vint64(m.Round)
-	case *statusReportMsg:
-		w.vint(m.Job)
-		w.vint(m.Step)
-		w.vint(m.Attempt)
-		w.vint64(m.Round)
-		w.vint(m.Worker)
-		w.boolean(m.Running)
-		w.vint64(m.Active)
-		w.vint64(m.Processed)
-		w.vint64(m.ReqSent)
-		w.vint64(m.RespRecv)
-		w.vint64(m.ReqRecv)
-		w.vint64(m.RespSent)
-	case *stealReqMsg:
-		w.vint(m.Job)
-		w.vint(m.Step)
-		w.vint(m.Attempt)
-		w.vint(m.Worker)
-		w.vint(m.Core)
-	case *stealRespMsg:
-		w.vint(m.Job)
-		w.vint(m.Step)
-		w.vint(m.Attempt)
-		w.vint(m.Core)
-		w.words(m.Prefix)
-	case *registerMsg:
-		w.str(m.Addr)
-		w.vint(m.Cores)
-	case *welcomeMsg:
-		w.vint(m.Worker)
-		w.vint(m.CoresPerWorker)
-		w.u8(m.WS)
-		w.vint64(m.IdleSleep)
-		w.vint64(m.WorkerTimeout)
-		w.b = binary.AppendUvarint(w.b, uint64(len(m.Peers)))
-		for _, p := range m.Peers {
-			w.vint(p.Worker)
-			w.str(p.Addr)
-		}
-	case *peerJoinMsg:
-		w.vint(m.Worker)
-		w.str(m.Addr)
-	case *jobSpecMsg:
-		w.vint(m.Job)
-		w.str(m.App)
-		w.str(m.Graph)
-		w.b = binary.AppendUvarint(w.b, uint64(len(m.Args)))
-		for _, kv := range m.Args {
-			w.str(kv.K)
-			w.str(kv.V)
-		}
-		w.b = binary.AppendUvarint(w.b, uint64(len(m.Env)))
-		for _, e := range m.Env {
-			w.str(e.Name)
-			w.bytes(e.Data)
-		}
-	case *jobSpecAckMsg:
-		w.vint(m.Job)
-		w.vint(m.Worker)
-		w.str(m.Err)
-	case *jobEndMsg:
-		w.vint(m.Job)
-	default:
-		panic(fmt.Sprintf("sched: encoding unknown message type %T", v))
-	}
-	return w.b
 }
 
-// decode binary-decodes a message body into v, which must be a pointer to
-// the struct matching the envelope kind.
-func decode(data []byte, v any) error {
-	r := rbuf{b: data}
-	switch m := v.(type) {
-	case *stepStartMsg:
-		m.Job = r.vint()
-		m.Step = r.vint()
-		m.Attempt = r.vint()
-		m.Workers = r.ints()
-		if n := r.length(); n > 0 && r.err == nil {
-			m.Env = make([]envEntry, n)
-			for i := range m.Env {
-				m.Env[i].Name = r.str()
-				m.Env[i].Data = r.bytes()
-			}
-		}
-	case *stepEndMsg:
-		m.Job = r.vint()
-		m.Step = r.vint()
-		m.Attempt = r.vint()
-	case *cancelMsg:
-		m.Job = r.vint()
-		m.Step = r.vint()
-		m.Attempt = r.vint()
-	case *cancelAckMsg:
-		m.Job = r.vint()
-		m.Step = r.vint()
-		m.Attempt = r.vint()
-		m.Worker = r.vint()
-	case *aggDataMsg:
-		m.Job = r.vint()
-		m.Step = r.vint()
-		m.Attempt = r.vint()
-		m.Worker = r.vint()
-		m.Name = r.str()
-		m.Data = r.bytes()
-	case *aggDoneMsg:
-		m.Job = r.vint()
-		m.Step = r.vint()
-		m.Attempt = r.vint()
-		m.Worker = r.vint()
-		m.Sent = r.vint()
-		m.Errs = r.strs()
-	case *statusPingMsg:
-		m.Job = r.vint()
-		m.Step = r.vint()
-		m.Attempt = r.vint()
-		m.Round = r.vint64()
-	case *statusReportMsg:
-		m.Job = r.vint()
-		m.Step = r.vint()
-		m.Attempt = r.vint()
-		m.Round = r.vint64()
-		m.Worker = r.vint()
-		m.Running = r.boolean()
-		m.Active = r.vint64()
-		m.Processed = r.vint64()
-		m.ReqSent = r.vint64()
-		m.RespRecv = r.vint64()
-		m.ReqRecv = r.vint64()
-		m.RespSent = r.vint64()
-	case *stealReqMsg:
-		m.Job = r.vint()
-		m.Step = r.vint()
-		m.Attempt = r.vint()
-		m.Worker = r.vint()
-		m.Core = r.vint()
-	case *stealRespMsg:
-		m.Job = r.vint()
-		m.Step = r.vint()
-		m.Attempt = r.vint()
-		m.Core = r.vint()
-		m.Prefix = r.words()
-	case *registerMsg:
-		m.Addr = r.str()
-		m.Cores = r.vint()
-	case *welcomeMsg:
-		m.Worker = r.vint()
-		m.CoresPerWorker = r.vint()
-		m.WS = r.u8()
-		m.IdleSleep = r.vint64()
-		m.WorkerTimeout = r.vint64()
-		if n := r.length(); n > 0 && r.err == nil {
-			m.Peers = make([]peerAddr, n)
-			for i := range m.Peers {
-				m.Peers[i].Worker = r.vint()
-				m.Peers[i].Addr = r.str()
-			}
-		}
-	case *peerJoinMsg:
-		m.Worker = r.vint()
-		m.Addr = r.str()
-	case *jobSpecMsg:
-		m.Job = r.vint()
-		m.App = r.str()
-		m.Graph = r.str()
-		if n := r.length(); n > 0 && r.err == nil {
-			m.Args = make([]kvPair, n)
-			for i := range m.Args {
-				m.Args[i].K = r.str()
-				m.Args[i].V = r.str()
-			}
-		}
-		if n := r.length(); n > 0 && r.err == nil {
-			m.Env = make([]envEntry, n)
-			for i := range m.Env {
-				m.Env[i].Name = r.str()
-				m.Env[i].Data = r.bytes()
-			}
-		}
-	case *jobSpecAckMsg:
-		m.Job = r.vint()
-		m.Worker = r.vint()
-		m.Err = r.str()
-	case *jobEndMsg:
-		m.Job = r.vint()
-	default:
-		return fmt.Errorf("sched: decoding unknown message type %T", v)
+func getSeq[T any](r *wire.Reader, get func(*wire.Reader) T) []T {
+	n := r.Count()
+	if n == 0 {
+		return nil
 	}
-	return r.done()
+	out := make([]T, n)
+	for i := range out {
+		out[i] = get(r)
+	}
+	return out
 }
+
+// putAttempt and getAttempt carry the (job, step, attempt) triple that
+// opens every step-scoped message.
+func putAttempt(w *wire.Writer, job, step, attempt int) {
+	w.Int(job)
+	w.Int(step)
+	w.Int(attempt)
+}
+
+func getAttempt(r *wire.Reader, job, step, attempt *int) {
+	*job, *step, *attempt = r.Int(), r.Int(), r.Int()
+}
+
+func putWord(w *wire.Writer, v subgraph.Word) { w.Varint(int64(v)) }
+
+func getWord(r *wire.Reader) subgraph.Word {
+	v := r.Varint()
+	if v < math.MinInt32 || v > math.MaxInt32 {
+		r.Failf("prefix word %d out of range", v)
+	}
+	return subgraph.Word(v)
+}
+
+func putEnvEntry(w *wire.Writer, e envEntry) {
+	w.Str(e.Name)
+	w.Bytes(e.Data)
+}
+
+func getEnvEntry(r *wire.Reader) envEntry { return envEntry{Name: r.Str(), Data: r.Bytes()} }
+
+func putPeer(w *wire.Writer, p peerAddr) {
+	w.Int(p.Worker)
+	w.Str(p.Addr)
+}
+
+func getPeer(r *wire.Reader) peerAddr { return peerAddr{Worker: r.Int(), Addr: r.Str()} }
+
+func putKV(w *wire.Writer, kv kvPair) {
+	w.Str(kv.K)
+	w.Str(kv.V)
+}
+
+func getKV(r *wire.Reader) kvPair { return kvPair{K: r.Str(), V: r.Str()} }
+
+func (m stepStartMsg) put(w *wire.Writer) {
+	putAttempt(w, m.Job, m.Step, m.Attempt)
+	putSeq(w, m.Workers, (*wire.Writer).Int)
+	putSeq(w, m.Env, putEnvEntry)
+}
+
+func (m *stepStartMsg) get(r *wire.Reader) {
+	getAttempt(r, &m.Job, &m.Step, &m.Attempt)
+	m.Workers = getSeq(r, (*wire.Reader).Int)
+	m.Env = getSeq(r, getEnvEntry)
+}
+
+func (m stepEndMsg) put(w *wire.Writer)  { putAttempt(w, m.Job, m.Step, m.Attempt) }
+func (m *stepEndMsg) get(r *wire.Reader) { getAttempt(r, &m.Job, &m.Step, &m.Attempt) }
+
+func (m cancelMsg) put(w *wire.Writer)  { putAttempt(w, m.Job, m.Step, m.Attempt) }
+func (m *cancelMsg) get(r *wire.Reader) { getAttempt(r, &m.Job, &m.Step, &m.Attempt) }
+
+func (m cancelAckMsg) put(w *wire.Writer) {
+	putAttempt(w, m.Job, m.Step, m.Attempt)
+	w.Int(m.Worker)
+}
+
+func (m *cancelAckMsg) get(r *wire.Reader) {
+	getAttempt(r, &m.Job, &m.Step, &m.Attempt)
+	m.Worker = r.Int()
+}
+
+func (m aggDataMsg) put(w *wire.Writer) {
+	putAttempt(w, m.Job, m.Step, m.Attempt)
+	w.Int(m.Worker)
+	w.Str(m.Name)
+	w.Bytes(m.Data)
+}
+
+func (m *aggDataMsg) get(r *wire.Reader) {
+	getAttempt(r, &m.Job, &m.Step, &m.Attempt)
+	m.Worker = r.Int()
+	m.Name = r.Str()
+	m.Data = r.Bytes()
+}
+
+func (m aggDoneMsg) put(w *wire.Writer) {
+	putAttempt(w, m.Job, m.Step, m.Attempt)
+	w.Int(m.Worker)
+	w.Int(m.Sent)
+	putSeq(w, m.Errs, (*wire.Writer).Str)
+}
+
+func (m *aggDoneMsg) get(r *wire.Reader) {
+	getAttempt(r, &m.Job, &m.Step, &m.Attempt)
+	m.Worker = r.Int()
+	m.Sent = r.Int()
+	m.Errs = getSeq(r, (*wire.Reader).Str)
+}
+
+func (m statusPingMsg) put(w *wire.Writer) {
+	putAttempt(w, m.Job, m.Step, m.Attempt)
+	w.Varint(m.Round)
+}
+
+func (m *statusPingMsg) get(r *wire.Reader) {
+	getAttempt(r, &m.Job, &m.Step, &m.Attempt)
+	m.Round = r.Varint()
+}
+
+func (m statusReportMsg) put(w *wire.Writer) {
+	putAttempt(w, m.Job, m.Step, m.Attempt)
+	w.Varint(m.Round)
+	w.Int(m.Worker)
+	w.Bool(m.Running)
+	for _, v := range [...]int64{m.Active, m.Processed, m.ReqSent, m.RespRecv, m.ReqRecv, m.RespSent} {
+		w.Varint(v)
+	}
+}
+
+func (m *statusReportMsg) get(r *wire.Reader) {
+	getAttempt(r, &m.Job, &m.Step, &m.Attempt)
+	m.Round = r.Varint()
+	m.Worker = r.Int()
+	m.Running = r.Bool()
+	for _, v := range [...]*int64{&m.Active, &m.Processed, &m.ReqSent, &m.RespRecv, &m.ReqRecv, &m.RespSent} {
+		*v = r.Varint()
+	}
+}
+
+func (m stealReqMsg) put(w *wire.Writer) {
+	putAttempt(w, m.Job, m.Step, m.Attempt)
+	w.Int(m.Worker)
+	w.Int(m.Core)
+}
+
+func (m *stealReqMsg) get(r *wire.Reader) {
+	getAttempt(r, &m.Job, &m.Step, &m.Attempt)
+	m.Worker = r.Int()
+	m.Core = r.Int()
+}
+
+func (m stealRespMsg) put(w *wire.Writer) {
+	putAttempt(w, m.Job, m.Step, m.Attempt)
+	w.Int(m.Core)
+	putSeq(w, m.Prefix, putWord)
+}
+
+func (m *stealRespMsg) get(r *wire.Reader) {
+	getAttempt(r, &m.Job, &m.Step, &m.Attempt)
+	m.Core = r.Int()
+	m.Prefix = getSeq(r, getWord)
+}
+
+func (m registerMsg) put(w *wire.Writer) {
+	w.Str(m.Addr)
+	w.Int(m.Cores)
+}
+
+func (m *registerMsg) get(r *wire.Reader) {
+	m.Addr = r.Str()
+	m.Cores = r.Int()
+}
+
+func (m welcomeMsg) put(w *wire.Writer) {
+	w.Int(m.Worker)
+	w.Int(m.CoresPerWorker)
+	w.Byte(m.WS)
+	w.Varint(m.IdleSleep)
+	w.Varint(m.WorkerTimeout)
+	putSeq(w, m.Peers, putPeer)
+}
+
+func (m *welcomeMsg) get(r *wire.Reader) {
+	m.Worker = r.Int()
+	m.CoresPerWorker = r.Int()
+	m.WS = r.Byte()
+	m.IdleSleep = r.Varint()
+	m.WorkerTimeout = r.Varint()
+	m.Peers = getSeq(r, getPeer)
+}
+
+func (m peerJoinMsg) put(w *wire.Writer)  { putPeer(w, peerAddr(m)) }
+func (m *peerJoinMsg) get(r *wire.Reader) { *m = peerJoinMsg(getPeer(r)) }
+
+func (m jobSpecMsg) put(w *wire.Writer) {
+	w.Int(m.Job)
+	w.Str(m.App)
+	w.Str(m.Graph)
+	putSeq(w, m.Args, putKV)
+	putSeq(w, m.Env, putEnvEntry)
+}
+
+func (m *jobSpecMsg) get(r *wire.Reader) {
+	m.Job = r.Int()
+	m.App = r.Str()
+	m.Graph = r.Str()
+	m.Args = getSeq(r, getKV)
+	m.Env = getSeq(r, getEnvEntry)
+}
+
+func (m jobSpecAckMsg) put(w *wire.Writer) {
+	w.Int(m.Job)
+	w.Int(m.Worker)
+	w.Str(m.Err)
+}
+
+func (m *jobSpecAckMsg) get(r *wire.Reader) {
+	m.Job = r.Int()
+	m.Worker = r.Int()
+	m.Err = r.Str()
+}
+
+func (m jobEndMsg) put(w *wire.Writer)  { w.Int(m.Job) }
+func (m *jobEndMsg) get(r *wire.Reader) { m.Job = r.Int() }

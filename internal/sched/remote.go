@@ -174,7 +174,7 @@ func (h *remoteHost) runFor(m stepStartMsg) *jobRun {
 		graph:      rj.job.Graph,
 		kind:       rj.job.Kind,
 		plan:       rj.job.Plan,
-		custom:     rj.job.Custom,
+		customs:    cloneCustom(rj.job.Custom, total),
 		steps:      rj.steps,
 		env:        rj.env,
 		col:        metrics.NewCollector(total),

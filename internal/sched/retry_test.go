@@ -23,9 +23,9 @@ import (
 func aggCountJob(g *graph.Graph, depth int) Job {
 	spec := &step.AggSpec{
 		Name:  "count",
-		Proto: agg.New[uint8, int64](agg.SumInt64),
+		Proto: agg.New[string, int64](agg.SumInt64),
 		Emit: func(e *subgraph.Embedding, local agg.Store) {
-			local.(*agg.Aggregation[uint8, int64]).Add(0, 1)
+			local.(*agg.Aggregation[string, int64]).Add("", 1)
 		},
 	}
 	var w step.Workflow
@@ -39,11 +39,11 @@ func aggCountJob(g *graph.Graph, depth int) Job {
 // aggCount reads the "count" aggregation from a completed run.
 func aggCount(t *testing.T, res *Result) int64 {
 	t.Helper()
-	a, err := agg.Typed[uint8, int64](res.Env, "count")
+	a, err := agg.Typed[string, int64](res.Env, "count")
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, _ := a.Get(0)
+	v, _ := a.Get("")
 	return v
 }
 

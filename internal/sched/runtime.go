@@ -94,7 +94,9 @@ type jobRun struct {
 	graph      *graph.Graph
 	kind       subgraph.Kind
 	plan       *pattern.Plan
-	custom     subgraph.CustomExtender
+	// customs holds one clone of the job's custom extender per core of the
+	// attempt, by global core index (nil without one); see cloneCustom.
+	customs    []subgraph.CustomExtender
 	steps      []*step.Step
 	env        *agg.Registry
 	col        *metrics.Collector
@@ -368,11 +370,30 @@ func (r *Runtime) Run(ctx context.Context, job Job) (*Result, error) {
 	if job.Custom != nil && job.Kind != subgraph.VertexInduced {
 		return nil, fmt.Errorf("sched: custom enumerators require a vertex-induced job")
 	}
+	if err := checkShippable(job.Workflow); err != nil {
+		return nil, err
+	}
 	jobID, err := r.nextJobID()
 	if err != nil {
 		return nil, err
 	}
 	return r.runJob(ctx, jobID, job)
+}
+
+// checkShippable refuses a workflow that aggregates into a store with no wire
+// form (*agg.UnsupportedShapeError). Every step ends by shipping its
+// partials, so such a job can only fail; refusing it here fails it before
+// step 0 enumerates anything instead of after.
+func checkShippable(wf step.Workflow) error {
+	for _, p := range wf {
+		if p.Kind != step.Aggregate {
+			continue
+		}
+		if err := p.Agg.Proto.Shippable(); err != nil {
+			return fmt.Errorf("sched: aggregation %q: %w", p.Agg.Name, err)
+		}
+	}
+	return nil
 }
 
 // runJob executes a validated job under the given ID: the step retry loop
@@ -597,13 +618,29 @@ func (r *Runtime) newAttempt(jobID, attempt int, parts []int, job Job, steps []*
 		graph:      job.Graph,
 		kind:       job.Kind,
 		plan:       job.Plan,
-		custom:     job.Custom,
+		customs:    cloneCustom(job.Custom, total),
 		steps:      steps,
 		env:        env,
 		col:        metrics.NewCollector(total),
 		tracer:     tracer,
 		stateBytes: make([]atomic.Int64, total),
 	}
+}
+
+// cloneCustom clones a job's custom extender once per core of an attempt,
+// serially and in core order, before any core starts. Clone may mutate the
+// prototype (SamplingEnum derives each clone's seed from a counter), so it
+// must not run on the cores' goroutines, and cloning in core order is what
+// gives core i the same clone on every run.
+func cloneCustom(proto subgraph.CustomExtender, cores int) []subgraph.CustomExtender {
+	if proto == nil {
+		return nil
+	}
+	clones := make([]subgraph.CustomExtender, cores)
+	for i := range clones {
+		clones[i] = proto.Clone()
+	}
+	return clones
 }
 
 // sleepCtx waits d or until ctx ends, whichever comes first.

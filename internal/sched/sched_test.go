@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -479,6 +480,69 @@ func TestUtilizationMeasured(t *testing.T) {
 		s := res.Steps[len(res.Steps)-1]
 		if s.Utilization <= 0 || s.Utilization > 1 {
 			t.Errorf("ws=%v: utilization=%f out of range", ws, s.Utilization)
+		}
+	}
+}
+
+// cloneProbe is a custom extender whose clones are numbered in the order
+// Clone handed them out (the way SamplingEnum derives per-core seeds) and
+// record the root words of the core they ended up on.
+type cloneProbe struct {
+	seq   int // 0 on the prototype, i+1 on the i-th clone
+	mu    *sync.Mutex
+	roots map[int][]subgraph.Word // by clone number
+}
+
+func (p *cloneProbe) Clone() subgraph.CustomExtender {
+	p.seq++ // unsynchronised on purpose: the race detector checks the runtime serialises Clone
+	return &cloneProbe{seq: p.seq, mu: p.mu, roots: p.roots}
+}
+func (p *cloneProbe) Reset(*graph.Graph) {}
+func (p *cloneProbe) Extensions(e *subgraph.Embedding, dst []subgraph.Word) ([]subgraph.Word, int) {
+	return e.DefaultExtensions(dst)
+}
+func (p *cloneProbe) Pushed(e *subgraph.Embedding, w subgraph.Word) {
+	if e.Len() == 1 {
+		p.mu.Lock()
+		p.roots[p.seq] = append(p.roots[p.seq], w)
+		p.mu.Unlock()
+	}
+}
+func (p *cloneProbe) Popped(*subgraph.Embedding) {}
+
+// TestCustomExtenderClonedPerCoreInOrder: the job's custom extender is
+// cloned once per core, serially and in core order, before the cores start —
+// so core i gets the i-th clone on every run (with SamplingEnum, the same
+// seed) and Clone need not be safe for concurrent use. With stealing off,
+// core i of 4 consumes exactly the roots i, i+4, ..., which identifies the
+// core each clone ran on. A 2×2 run covers clones crossing worker boundaries.
+func TestCustomExtenderClonedPerCoreInOrder(t *testing.T) {
+	g := randomGraph(40, 0.2, 1, 7)
+	for _, shape := range [][2]int{{1, 4}, {2, 2}} {
+		for run := 0; run < 3; run++ {
+			probe := &cloneProbe{mu: &sync.Mutex{}, roots: map[int][]subgraph.Word{}}
+			rt, err := New(Config{Workers: shape[0], CoresPerWorker: shape[1], WS: WSNone})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = rt.Run(context.Background(), Job{
+				Graph: g, Kind: subgraph.VertexInduced, Custom: probe,
+				Workflow: step.Workflow{step.ExtendP(), step.ExtendP(), step.CountP()},
+			})
+			rt.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if probe.seq != 4 || len(probe.roots) != 4 {
+				t.Fatalf("%dx%d run %d: %d clones made, %d used, want 4 and 4", shape[0], shape[1], run, probe.seq, len(probe.roots))
+			}
+			for seq, roots := range probe.roots {
+				for _, w := range roots {
+					if int(w)%4 != seq-1 {
+						t.Fatalf("%dx%d run %d: clone %d ran root %d, which belongs to core %d", shape[0], shape[1], run, seq, w, int(w)%4)
+					}
+				}
+			}
 		}
 	}
 }

@@ -4,8 +4,7 @@
 // application, a graph path, string arguments — so master and worker
 // processes each materialize an identical Job from it. This is the role
 // closure serialization plays for the paper's Spark implementation; here the
-// closed set of registered apps replaces arbitrary closures, and gob remains
-// only inside aggregation payloads for custom user shapes.
+// closed set of registered apps replaces arbitrary closures.
 package sched
 
 import (
@@ -227,6 +226,9 @@ func (r *Runtime) RunSpecOn(ctx context.Context, spec JobSpec, g *graph.Graph, e
 	job.Env = env
 	if r.reg == nil {
 		return r.Run(ctx, job)
+	}
+	if err := checkShippable(job.Workflow); err != nil {
+		return nil, err
 	}
 	jobID, err := r.nextJobID()
 	if err != nil {

@@ -32,7 +32,7 @@ type stepCtx struct {
 	graph      *graph.Graph
 	kind       subgraph.Kind
 	plan       *pattern.Plan
-	custom     subgraph.CustomExtender
+	customs    []subgraph.CustomExtender // per global core; nil without a custom extender
 	env        *agg.Registry
 	col        *metrics.Collector
 	totalCores int
@@ -228,7 +228,7 @@ func (w *worker) startStep(m stepStartMsg) {
 		graph:      run.graph,
 		kind:       run.kind,
 		plan:       run.plan,
-		custom:     run.custom,
+		customs:    run.customs,
 		env:        run.env,
 		col:        run.col,
 		totalCores: run.totalCores,

@@ -14,7 +14,9 @@ import "fractal/internal/graph"
 // yield each subgraph exactly once (KClist does so by extending in
 // increasing vertex order).
 type CustomExtender interface {
-	// Clone returns a fresh instance for one execution core.
+	// Clone returns a fresh instance for one execution core. The runtime
+	// calls it serially, in core order, before the cores start, so it need
+	// not be safe for concurrent use and may advance the prototype.
 	Clone() CustomExtender
 	// Reset prepares the instance for a new enumeration over g.
 	Reset(g *graph.Graph)

@@ -13,6 +13,14 @@ if [ -n "$unformatted" ]; then
     echo "$unformatted" >&2
     exit 1
 fi
+# One wire format: encoding/gob stays out of everything that ships (tests
+# keep it as a reference; benchmark/ is a frozen module of its own).
+gob=$(grep -rl --include='*.go' '"encoding/gob"' . | grep -v -e '_test\.go$' -e '^\./benchmark/' || true)
+if [ -n "$gob" ]; then
+    echo "encoding/gob imported outside tests:" >&2
+    echo "$gob" >&2
+    exit 1
+fi
 go vet ./...
 go build ./...
 go test ./...

@@ -77,12 +77,13 @@ bench-decomp:
 		-benchtime=$(BENCHTIME) -benchmem ./internal/apps/
 
 # CSR + .fgr storage microbenchmarks: mmap load vs edge-list parse (with
-# live-heap deltas), neighbor-scan throughput of the packed CSR arrays vs
-# per-vertex slices, the decode/validation pass, and the packed label-span
-# accessors (AttributeScan pins the stride-1 fast path; EXPERIMENTS.md). CI
-# runs this with BENCHTIME=1x as a smoke test.
+# live- and peak-heap deltas), Builder.Build and the edge-list writer at the
+# repository benchmark's small_jobs_el size, neighbor-scan throughput of the
+# packed CSR arrays vs per-vertex slices, the decode/validation pass, and the
+# packed label-span accessors (AttributeScan pins the stride-1 fast path;
+# EXPERIMENTS.md). CI runs this with BENCHTIME=1x as a smoke test.
 bench-graph:
-	go test -run=NONE -bench='FGRLoad|NeighborScan|FGRDecode|AttributeScan' \
+	go test -run=NONE -bench='FGRLoad|Build|WriteEdgeList|NeighborScan|FGRDecode|AttributeScan' \
 		-benchtime=$(BENCHTIME) -benchmem ./internal/graph/
 
 # Short fuzz of the aggregation wire codec (decoders must fail cleanly on
@@ -100,9 +101,12 @@ fuzz-wire:
 	go test -run=NONE -fuzz=FuzzPatternFromBinary -fuzztime=10s ./internal/pattern/
 
 # Short fuzz of the .fgr decoder over the checked-in corruption corpus
-# (malformed graphs must yield typed errors, never panics or over-reads).
+# (malformed graphs must yield typed errors, never panics or over-reads), and
+# of the text loaders against the retained seed loaders (same graph, byte
+# for byte, or a *ParseError).
 fuzz-graph:
 	go test -run=NONE -fuzz=FuzzLoadFGR -fuzztime=10s ./internal/graph/
+	go test -run=NONE -fuzz=FuzzLoadEdgeList -fuzztime=10s ./internal/graph/
 
 # Short fuzz of the pattern-plan compiler (every connected pattern must
 # compile to a total, restriction-consistent plan).

@@ -155,6 +155,13 @@ type AggregationError = sched.AggregationError
 // string keys to int64, PatternCount or *DomainSupport values.
 type UnsupportedShapeError = agg.UnsupportedShapeError
 
+// ParseError re-exports the typed error LoadGraph and ConvertGraph return
+// for a text graph (.el, .graph, .kw sidecar) they refuse: it names the
+// file, the line and the reason — a malformed record, an id at or above
+// MaxInt32, an adjacency-list edge listed from one endpoint only. Match it
+// with errors.As.
+type ParseError = graph.ParseError
+
 // ConfigError re-exports the typed error returned when a configuration
 // option or Config field is rejected by validation; match it with errors.As.
 type ConfigError = sched.ConfigError

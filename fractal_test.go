@@ -251,6 +251,16 @@ func TestLoadGraphAdjacencyList(t *testing.T) {
 	if _, err := ctx.LoadGraph(filepath.Join(dir, "missing.graph")); err == nil {
 		t.Error("loading a missing file succeeded")
 	}
+	// The same triangle with edge 0-1 listed by vertex 1 alone used to load
+	// as |E|=0 and count no triangle; it is refused, by file, line and reason.
+	path = filepath.Join(dir, "onesided.graph")
+	if err := os.WriteFile(path, []byte("0 1\n1 1 0\n2 1 0 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var pe *ParseError
+	if _, err := ctx.LoadGraph(path); !errors.As(err, &pe) || pe.File != "onesided" || pe.Line != 2 {
+		t.Errorf("one-sided adjacency list: err = %v, want a *ParseError at onesided:2", err)
+	}
 }
 
 func TestVisitStreamsAndSubgraphs(t *testing.T) {

@@ -34,6 +34,18 @@ func (d *Dictionary) Intern(name string) Label {
 	return l
 }
 
+// internBytes is Intern for a name held in a reused buffer: only a name seen
+// for the first time is copied.
+func (d *Dictionary) internBytes(name []byte) Label {
+	d.mu.RLock()
+	l, ok := d.byName[string(name)]
+	d.mu.RUnlock()
+	if ok {
+		return l
+	}
+	return d.Intern(string(name))
+}
+
 // Lookup returns the Label for name without creating it.
 func (d *Dictionary) Lookup(name string) (Label, bool) {
 	d.mu.RLock()

@@ -9,19 +9,21 @@ package graph
 // []Edge structs on the seed side.
 
 import (
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // benchBuilder populates a deterministic ER-style multigraph big enough
 // that load and scan costs dominate fixed overheads.
-func benchBuilder() *Builder {
+func benchBuilder() *ops {
 	r := rand.New(rand.NewSource(97))
 	const n, m = 5000, 40000
-	b := NewBuilder("bench-fgr")
+	b := &ops{name: "bench-fgr"}
 	for i := 0; i < n; i++ {
 		b.AddVertex(Label(r.Intn(8)))
 	}
@@ -77,10 +79,43 @@ func liveHeapDelta(load func() *Graph) float64 {
 	return float64(delta)
 }
 
+// peakHeapDelta runs one load while a second goroutine samples HeapInuse,
+// and returns the highest reading above the GC-settled level before the
+// load: what the load adds to the process's peak RSS, garbage included.
+func peakHeapDelta(load func() *Graph) float64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	base := ms.HeapInuse
+	stop, sampled := make(chan struct{}), make(chan uint64)
+	go func() {
+		var ms runtime.MemStats
+		peak := base
+		for {
+			select {
+			case <-stop:
+				sampled <- peak
+				return
+			default:
+				runtime.ReadMemStats(&ms)
+				peak = max(peak, ms.HeapInuse)
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+	}()
+	g := load()
+	runtime.ReadMemStats(&ms)
+	close(stop)
+	peak := max(<-sampled, ms.HeapInuse)
+	g.Close()
+	return float64(peak - base)
+}
+
 // BenchmarkFGRLoad times bringing the benchmark graph up from disk: the
 // mmap'd binary format against parsing the labeled edge list. The
 // live-heap-bytes metric shows what each load keeps resident on the Go heap
-// (the .fgr arrays alias the mapping, so its heap cost is near zero).
+// (the .fgr arrays alias the mapping, so its heap cost is near zero),
+// peak-heap-bytes what it needs on the way there.
 func BenchmarkFGRLoad(b *testing.B) {
 	g := benchGraph()
 	fgrPath, elPath := benchFiles(b, g)
@@ -104,6 +139,7 @@ func BenchmarkFGRLoad(b *testing.B) {
 	for _, name := range []string{"fgr", "edgelist"} {
 		b.Run(name, func(b *testing.B) {
 			live := liveHeapDelta(load[name])
+			peak := peakHeapDelta(load[name])
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				lg := load[name]()
@@ -114,7 +150,58 @@ func BenchmarkFGRLoad(b *testing.B) {
 				lg.Close()
 			}
 			b.ReportMetric(live, "live-heap-bytes")
+			b.ReportMetric(peak, "peak-heap-bytes")
 		})
+	}
+}
+
+// benchBA is a preferential-attachment graph at the size of the repository
+// benchmark's small_jobs_el input (BA(120 000, 3), one label).
+func benchBA() *Graph {
+	r := rand.New(rand.NewSource(7))
+	const n, mPer = 120_000, 3
+	b := NewBuilder("bench-ba")
+	urn := make([]VertexID, 0, 2*n*mPer)
+	for v := VertexID(0); v < n; v++ {
+		b.AddVertex(1)
+		for d := 0; d < mPer && v > 0; d++ {
+			u := VertexID(r.Intn(int(v)))
+			if len(urn) > 0 && d > 0 {
+				u = urn[r.Intn(len(urn))]
+			}
+			if u != v {
+				b.MustAddEdge(u, v)
+				urn = append(urn, u, v)
+			}
+		}
+	}
+	return b.Build()
+}
+
+// BenchmarkBuild times Builder.Build alone — label packing, the sort-free
+// CSR build, the label census — on a builder refilled outside the timer.
+func BenchmarkBuild(b *testing.B) {
+	g := benchBA()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		bld := rebuilder(g)
+		b.StartTimer()
+		if got := bld.Build(); got.NumEdges() != g.NumEdges() {
+			b.Fatalf("built |E|=%d, want %d", got.NumEdges(), g.NumEdges())
+		}
+	}
+}
+
+// BenchmarkWriteEdgeList times the text writer on the same graph.
+func BenchmarkWriteEdgeList(b *testing.B) {
+	g := benchBA()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := WriteEdgeList(io.Discard, g); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -124,7 +211,7 @@ func BenchmarkFGRLoad(b *testing.B) {
 // Both walk every incidence of every vertex once per iteration.
 func BenchmarkNeighborScan(b *testing.B) {
 	bld := benchBuilder()
-	seed := seedBuild(bld)
+	seed := seedBuild(bld.seed())
 	g := bld.Build()
 	numV := g.NumVertices()
 	incid := float64(len(g.adjV))
@@ -164,7 +251,7 @@ func BenchmarkNeighborScan(b *testing.B) {
 // labels and every edge's endpoints once.
 func BenchmarkAttributeScan(b *testing.B) {
 	bld := benchBuilder()
-	seed := seedBuild(bld)
+	seed := seedBuild(bld.seed())
 	g := bld.Build()
 	numV, numE := g.NumVertices(), g.NumEdges()
 	var sink int64

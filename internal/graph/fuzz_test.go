@@ -2,10 +2,13 @@ package graph
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
+	"unicode"
 )
 
 // Fuzz targets for the set-operation kernels and the text loaders. Seed
@@ -62,17 +65,28 @@ func FuzzGallop(f *testing.F) {
 	})
 }
 
-// fuzzInputTooLarge skips inputs whose numeric tokens would make the
-// builder allocate huge vertex tables: the loaders legitimately accept any
-// in-range id, so giant ids are an out-of-memory hazard for the fuzzer, not
-// a bug.
-func fuzzInputTooLarge(text string) bool {
+// largestNumber returns the largest magnitude among the numeric tokens of
+// text. Ids cost memory in proportion to their value (8 bytes each in the
+// production loaders, 48 and more in the retained seed loaders), so the
+// fuzz target bounds what it feeds to each.
+func largestNumber(text string) int {
+	largest := 0
 	for _, tok := range strings.Fields(text) {
-		if n, err := strconv.Atoi(tok); err == nil && n > 1<<16 {
-			return true
+		if n, err := strconv.Atoi(tok); err == nil {
+			largest = max(largest, n, -n)
+		} else if errors.Is(err, strconv.ErrRange) {
+			return math.MaxInt
 		}
 	}
-	return false
+	return largest
+}
+
+// asciiSeparated reports whether every white-space rune of text is ASCII.
+// The byte-level parsers split fields on ASCII white space only; the seed
+// loaders' strings.Fields also split on U+0085, U+00A0 and the Unicode space
+// separators, which is the one intended difference in what they accept.
+func asciiSeparated(text string) bool {
+	return strings.IndexFunc(text, func(r rune) bool { return r > unicode.MaxASCII && unicode.IsSpace(r) }) < 0
 }
 
 func FuzzLoadEdgeList(f *testing.F) {
@@ -82,14 +96,36 @@ func FuzzLoadEdgeList(f *testing.F) {
 	f.Add("v -5 x\n")
 	f.Add("e -1 2\n")
 	f.Add("0 1 1 2\n1 0 0 2\n2 1 0 1\n")
+	f.Add("0 1\n1 1 0\n2 1 0 1\n")
+	f.Add("v 70000\ne 0 2147483647\n")
+	f.Add("e 1 0 a,,b,a\r\nv 1 x,y\nv 1 z")
 	f.Fuzz(func(t *testing.T, text string) {
-		if fuzzInputTooLarge(text) {
+		largest := largestNumber(text)
+		if largest > 1<<22 {
 			t.Skip("ids too large for fuzzing")
 		}
-		// Neither loader may panic; a parse error is a valid outcome.
+		small := largest <= 1<<16 // what the seed loaders and a text round trip can afford
+		differential := small && asciiSeparated(text)
+
+		// Neither loader may panic; a *ParseError is a valid outcome, and the
+		// only one besides a graph.
 		g, err := LoadEdgeList(strings.NewReader(text), "fuzz")
+		if pe := (*ParseError)(nil); err != nil && !errors.As(err, &pe) {
+			t.Fatalf("LoadEdgeList: %v is not a *ParseError", err)
+		}
+		if differential {
+			want, wantErr := seedLoadEdgeList(strings.NewReader(text), "fuzz")
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("LoadEdgeList: %v, the seed loader says %v", err, wantErr)
+			}
+			if err == nil && !bytes.Equal(EncodeFGR(g), EncodeFGR(want)) {
+				t.Fatal("LoadEdgeList builds another graph than the seed loader")
+			}
+		}
 		if err == nil {
 			checkGraphInvariants(t, g)
+		}
+		if err == nil && small {
 			// Round-trip: writing and reloading preserves the shape.
 			var buf bytes.Buffer
 			if err := WriteEdgeList(&buf, g); err != nil {
@@ -104,8 +140,26 @@ func FuzzLoadEdgeList(f *testing.F) {
 					g.NumVertices(), g.NumEdges(), g2.NumVertices(), g2.NumEdges())
 			}
 		}
-		if g, err := LoadAdjacencyList(strings.NewReader(text), "fuzz-adj"); err == nil {
+
+		g, err = LoadAdjacencyList(strings.NewReader(text), "fuzz")
+		var pe *ParseError
+		if err != nil && !errors.As(err, &pe) {
+			t.Fatalf("LoadAdjacencyList: %v is not a *ParseError", err)
+		}
+		if err == nil {
 			checkGraphInvariants(t, g)
+		}
+		// The seed loader has no symmetry check: it keeps what the lower
+		// endpoint lists, so a one-sided file is the one input it accepts
+		// and the production loader refuses.
+		if differential && !(err != nil && strings.Contains(pe.Reason, "does not list")) {
+			want, wantErr := seedLoadAdjacencyList(strings.NewReader(text), "fuzz")
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("LoadAdjacencyList: %v, the seed loader says %v", err, wantErr)
+			}
+			if err == nil && !bytes.Equal(EncodeFGR(g), EncodeFGR(want)) {
+				t.Fatal("LoadAdjacencyList builds another graph than the seed loader")
+			}
 		}
 	})
 }

@@ -174,19 +174,29 @@ func TestDensityAndStats(t *testing.T) {
 	}
 }
 
-func TestNormLabels(t *testing.T) {
-	got := normLabels([]Label{5, 1, 5, 3, 1})
-	want := []Label{1, 3, 5}
-	if len(got) != len(want) {
-		t.Fatalf("normLabels=%v, want %v", got, want)
+func TestLabelSets(t *testing.T) {
+	var s labelSets
+	s.set(0, []Label{5, 1, 5, 3, 1})
+	s.set(2, []Label{7})
+	if s.set(5, nil); len(s.runs) != 3 {
+		t.Fatalf("an empty set past the end grew the table to %d", len(s.runs))
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("normLabels=%v, want %v", got, want)
-		}
+	off, packed := s.pack(4)
+	if want := []int32{0, 3, 3, 4, 4}; !sliceEq(off, want) {
+		t.Fatalf("off=%v, want %v", off, want)
 	}
-	if normLabels(nil) != nil {
-		t.Error("normLabels(nil) should be nil")
+	if want := []Label{1, 3, 5, 7}; !sliceEq(packed, want) {
+		t.Fatalf("packed=%v, want %v", packed, want)
+	}
+	if &packed[0] != &s.data[0] {
+		t.Error("sets written once and in order must be handed over, not copied")
+	}
+	// A replaced set leaves garbage in data and is out of order: pack copies.
+	s.set(0, []Label{9, 8})
+	s.set(2, nil)
+	off, packed = s.pack(3)
+	if !sliceEq(off, []int32{0, 2, 2, 2}) || !sliceEq(packed, []Label{8, 9}) {
+		t.Fatalf("after replacement off=%v packed=%v", off, packed)
 	}
 }
 

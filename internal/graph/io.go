@@ -2,8 +2,10 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -12,14 +14,18 @@ import (
 // This file implements the input formats supported by Fractal's
 // FractalGraph.adjacencyList loader (operator I1 in Figure 2) plus an
 // edge-list format and a keyword-attribute sidecar, and the corresponding
-// writers.
+// writers. Every loader goes from bytes to the Builder's flat arrays through
+// one reused buffer: tokens are subslices of it, integers are scanned in
+// place, and only label names reach the dictionary (DESIGN.md §13,
+// "Ingest"). Fields are separated by ASCII white space.
 //
 // Adjacency-list format (one line per vertex, Arabesque-compatible):
 //
 //	<vertexID> <vertexLabel> [<neighbor> ...]
 //
 // Each undirected edge appears on the lines of both endpoints; the loader
-// keeps one copy (the one where vertexID < neighbor).
+// takes its edge ids from the lower endpoint's line and refuses a file that
+// lists an edge from one endpoint only.
 //
 // Labeled edge-list format:
 //
@@ -31,109 +37,231 @@ import (
 //	v <vertexID> <kw>[,<kw>...]
 //	e <edgeID> <kw>[,<kw>...]
 
+// ParseError is the failure of a text loader: the graph (or sidecar) it was
+// reading, the 1-based line, and what is wrong with it.
+type ParseError struct {
+	File   string
+	Line   int
+	Reason string
+}
+
+func (e *ParseError) Error() string {
+	return fmt.Sprintf("graph: %s:%d: %s", e.File, e.Line, e.Reason)
+}
+
+// maxLine bounds one line of a text graph.
+const maxLine = 1 << 24
+
+// records yields the record lines of a text graph, field by field, through
+// the scanner's one reused buffer (Bytes, never Text: nothing is allocated
+// per line). Fields are subslices of that buffer, valid until next.
+type records struct {
+	sc   *bufio.Scanner
+	name string
+	line int    // number of the current line
+	rest []byte // what follows the fields taken from the current line
+	size int    // length of the input when r can tell, else 0
+}
+
+func newRecords(r io.Reader, name string) *records {
+	in := &records{sc: bufio.NewScanner(r), name: name}
+	in.sc.Buffer(make([]byte, 1<<16), maxLine)
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		in.size = r.Len()
+	case interface{ Stat() (os.FileInfo, error) }:
+		if fi, err := r.Stat(); err == nil {
+			in.size = int(fi.Size())
+		}
+	}
+	return in
+}
+
+// next moves to the next line that is neither blank nor a # comment and
+// returns its first field; ok is false at the end of the input.
+func (in *records) next() (first []byte, ok bool) {
+	for in.sc.Scan() {
+		in.line++
+		in.rest = in.sc.Bytes()
+		if first = in.field(); len(first) > 0 && first[0] != '#' {
+			return first, true
+		}
+	}
+	return nil, false
+}
+
+// field takes the next white-space-separated field of the current line,
+// empty at its end.
+func (in *records) field() []byte {
+	s, i := in.rest, 0
+	for i < len(s) && isSpace(s[i]) {
+		i++
+	}
+	j := i
+	for j < len(s) && !isSpace(s[j]) {
+		j++
+	}
+	in.rest = s[j:]
+	return s[i:j]
+}
+
+func isSpace(c byte) bool { return c == ' ' || '\t' <= c && c <= '\r' }
+
+// id parses tok as a vertex or edge id. Ids stop below MaxInt32 so that
+// id+1 is still a count the int32 offset arrays can hold.
+func (in *records) id(tok []byte, what string) (int, error) {
+	n, err := strconv.Atoi(string(tok)) // tok is short: the conversion stays on the stack
+	if err != nil || n < 0 || n >= math.MaxInt32 {
+		return 0, in.errorf("bad %s %q (want 0..%d)", what, tok, math.MaxInt32-1)
+	}
+	return n, nil
+}
+
+// internList appends to dst the labels of the comma-separated names in csv,
+// interning them in order; empty names are skipped.
+func internList(d *Dictionary, csv []byte, dst []Label) []Label {
+	for len(csv) > 0 {
+		name := csv
+		if i := bytes.IndexByte(csv, ','); i >= 0 {
+			name, csv = csv[:i], csv[i+1:]
+		} else {
+			csv = nil
+		}
+		if len(name) > 0 {
+			dst = append(dst, d.internBytes(name))
+		}
+	}
+	return dst
+}
+
+func (in *records) errorf(format string, args ...any) error {
+	return &ParseError{File: in.name, Line: in.line, Reason: fmt.Sprintf(format, args...)}
+}
+
+// build ends a load: the builder's graph, unless the input ended early.
+func (in *records) build(b *Builder) (*Graph, error) {
+	switch err := in.sc.Err(); err {
+	case nil:
+		return b.Build(), nil
+	case bufio.ErrTooLong:
+		in.line++
+		return nil, in.errorf("line longer than %d bytes", maxLine)
+	default:
+		return nil, fmt.Errorf("graph: reading %s: %w", in.name, err)
+	}
+}
+
 // LoadAdjacencyList parses the adjacency-list format from r into a Graph
 // named name.
 func LoadAdjacencyList(r io.Reader, name string) (*Graph, error) {
 	b := NewBuilder(name)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	type pending struct{ u, v VertexID }
-	var edges []pending
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Fields(text)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("graph: %s:%d: want at least vertex and label", name, line)
-		}
-		id, err := strconv.Atoi(fields[0])
-		if err != nil || id < 0 {
-			return nil, fmt.Errorf("graph: %s:%d: bad vertex id %q", name, line, fields[0])
-		}
-		lbl, err := strconv.Atoi(fields[1])
+	in := newRecords(r, name)
+	b.reserve(in.size / 16)
+	// Arcs listed from their higher endpoint, as (lower, higher) pairs, and
+	// the line of every vertex's record: what the symmetry check needs.
+	rsrc, rdst := make([]VertexID, 0, in.size/16), make([]VertexID, 0, in.size/16)
+	var lineOf []int32
+	for tok, ok := in.next(); ok; tok, ok = in.next() {
+		id, err := in.id(tok, "vertex id")
 		if err != nil {
-			return nil, fmt.Errorf("graph: %s:%d: bad label %q", name, line, fields[1])
+			return nil, err
+		}
+		tok = in.field()
+		lbl, err := strconv.Atoi(string(tok))
+		if err != nil || lbl != int(int32(lbl)) {
+			return nil, in.errorf("bad label %q after the vertex id", tok)
 		}
 		b.EnsureVertices(id + 1)
 		b.SetVertexLabels(VertexID(id), Label(lbl))
-		for _, f := range fields[2:] {
-			nb, err := strconv.Atoi(f)
-			if err != nil || nb < 0 {
-				return nil, fmt.Errorf("graph: %s:%d: bad neighbor %q", name, line, f)
+		for len(lineOf) <= id {
+			lineOf = append(lineOf, 0)
+		}
+		lineOf[id] = int32(in.line)
+		for tok = in.field(); len(tok) > 0; tok = in.field() {
+			nb, err := in.id(tok, "neighbor")
+			if err != nil {
+				return nil, err
 			}
-			if id < nb {
-				edges = append(edges, pending{VertexID(id), VertexID(nb)})
+			switch {
+			case nb < id:
+				rsrc, rdst = append(rsrc, VertexID(nb)), append(rdst, VertexID(id))
+			case nb > id: // a vertex listing itself is ignored
+				b.EnsureVertices(nb + 1)
+				if _, err := b.AddEdge(VertexID(id), VertexID(nb)); err != nil {
+					return nil, in.errorf("%v", err)
+				}
 			}
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("graph: reading %s: %w", name, err)
+	g, err := in.build(b)
+	if err != nil {
+		return nil, err
 	}
-	for _, e := range edges {
-		b.EnsureVertices(int(e.v) + 1)
-		if _, err := b.AddEdge(e.u, e.v); err != nil {
-			return nil, err
+	// The graph holds the arcs listed from the lower endpoint. Every run of
+	// a CSR is sorted, so an edge listed from one endpoint only is the first
+	// difference between their adjacency and that of the arcs listed from
+	// the higher endpoint.
+	roff, radj, _ := buildAdjacency(g.NumVertices(), rsrc, rdst)
+	for u := VertexID(0); int(u) < g.NumVertices(); u++ {
+		fwd, rev := g.Neighbors(u), radj[roff[u]:roff[u+1]]
+		i := 0
+		for i < len(fwd) && i < len(rev) && fwd[i] == rev[i] {
+			i++
 		}
+		if i == len(fwd) && i == len(rev) {
+			continue
+		}
+		// The edge is in the graph when the lower endpoint lists it.
+		var lists, other VertexID
+		if i < len(fwd) && (i == len(rev) || fwd[i] < rev[i]) {
+			lists, other = min(u, fwd[i]), max(u, fwd[i])
+		} else {
+			lists, other = max(u, rev[i]), min(u, rev[i])
+		}
+		return nil, &ParseError{File: name, Line: int(lineOf[lists]), Reason: fmt.Sprintf(
+			"vertex %d lists neighbor %d, but vertex %d does not list %d", lists, other, other, lists)}
 	}
-	return b.Build(), nil
+	return g, nil
 }
 
 // LoadEdgeList parses the labeled edge-list format from r into a Graph named
 // name. Labels are interned through the graph's dictionary.
 func LoadEdgeList(r io.Reader, name string) (*Graph, error) {
 	b := NewBuilder(name)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Fields(text)
-		switch fields[0] {
+	in := newRecords(r, name)
+	b.reserve(in.size / 16)
+	var labels []Label
+	for kind, ok := in.next(); ok; kind, ok = in.next() {
+		switch string(kind) {
 		case "v":
-			if len(fields) < 2 {
-				return nil, fmt.Errorf("graph: %s:%d: v needs id", name, line)
-			}
-			id, err := strconv.Atoi(fields[1])
-			if err != nil || id < 0 {
-				return nil, fmt.Errorf("graph: %s:%d: bad vertex id", name, line)
+			id, err := in.id(in.field(), "vertex id")
+			if err != nil {
+				return nil, err
 			}
 			b.EnsureVertices(id + 1)
-			if len(fields) >= 3 {
-				b.SetVertexLabels(VertexID(id), internList(b.Dict(), fields[2])...)
+			if tok := in.field(); len(tok) > 0 {
+				labels = internList(b.dict, tok, labels[:0])
+				b.SetVertexLabels(VertexID(id), labels...)
 			}
 		case "e":
-			if len(fields) < 3 {
-				return nil, fmt.Errorf("graph: %s:%d: e needs src dst", name, line)
+			u, err := in.id(in.field(), "endpoint")
+			if err != nil {
+				return nil, err
 			}
-			u, err1 := strconv.Atoi(fields[1])
-			v, err2 := strconv.Atoi(fields[2])
-			if err1 != nil || err2 != nil || u < 0 || v < 0 {
-				return nil, fmt.Errorf("graph: %s:%d: bad endpoints", name, line)
+			v, err := in.id(in.field(), "endpoint")
+			if err != nil {
+				return nil, err
 			}
 			b.EnsureVertices(max(u, v) + 1)
-			var labels []Label
-			if len(fields) >= 4 {
-				labels = internList(b.Dict(), fields[3])
-			}
+			labels = internList(b.dict, in.field(), labels[:0])
 			if _, err := b.AddEdge(VertexID(u), VertexID(v), labels...); err != nil {
-				return nil, fmt.Errorf("graph: %s:%d: %w", name, line, err)
+				return nil, in.errorf("%v", err)
 			}
 		default:
-			return nil, fmt.Errorf("graph: %s:%d: unknown record %q", name, line, fields[0])
+			return nil, in.errorf("unknown record %q", kind)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("graph: reading %s: %w", name, err)
-	}
-	return b.Build(), nil
+	return in.build(b)
 }
 
 // LoadFile loads a graph from path, choosing the format by extension:
@@ -177,89 +305,103 @@ func LoadFile(path string) (*Graph, error) {
 func ApplyKeywords(g *Graph, r io.Reader) (*Graph, error) {
 	// Rebuild through a Builder so immutability of g is preserved.
 	b := rebuilder(g)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
+	in := newRecords(r, g.name+".kw")
+	var kws []Label
+	for kind, ok := in.next(); ok; kind, ok = in.next() {
+		id, err := in.id(in.field(), "id")
+		if err != nil {
+			return nil, err
 		}
-		fields := strings.Fields(text)
-		if len(fields) < 3 {
-			return nil, fmt.Errorf("graph: keywords line %d: want kind id kws", line)
+		tok := in.field()
+		if len(tok) == 0 {
+			return nil, in.errorf("want kind id kws")
 		}
-		id, err := strconv.Atoi(fields[1])
-		if err != nil || id < 0 {
-			return nil, fmt.Errorf("graph: keywords line %d: bad id", line)
-		}
-		kws := internList(b.Dict(), fields[2])
-		switch fields[0] {
+		kws = internList(b.dict, tok, kws[:0])
+		switch string(kind) {
 		case "v":
 			if id >= b.NumVertices() {
-				return nil, fmt.Errorf("graph: keywords line %d: vertex %d out of range", line, id)
+				return nil, in.errorf("vertex %d out of range", id)
 			}
 			b.SetVertexKeywords(VertexID(id), kws...)
 		case "e":
 			if id >= b.NumEdges() {
-				return nil, fmt.Errorf("graph: keywords line %d: edge %d out of range", line, id)
+				return nil, in.errorf("edge %d out of range", id)
 			}
 			b.SetEdgeKeywords(EdgeID(id), kws...)
 		default:
-			return nil, fmt.Errorf("graph: keywords line %d: unknown record %q", line, fields[0])
+			return nil, in.errorf("unknown record %q", kind)
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
+	return in.build(b)
+}
+
+// recordWriter formats the records of the text formats straight into bw's
+// buffer; write errors stay in bw until Flush.
+type recordWriter struct {
+	bw   *bufio.Writer
+	dict *Dictionary
+}
+
+func newRecordWriter(w io.Writer, g *Graph) *recordWriter {
+	return &recordWriter{bw: bufio.NewWriterSize(w, 1<<16), dict: g.Dict()}
+}
+
+// record writes "<kind> <id>... <label>,<label>...\n"; the label field and
+// its separator are left out when there are no labels, unless pad is set.
+func (o *recordWriter) record(kind byte, labels []Label, pad bool, ids ...int64) {
+	line := append(o.bw.AvailableBuffer(), kind)
+	for _, id := range ids {
+		line = strconv.AppendInt(append(line, ' '), id, 10)
 	}
-	return b.Build(), nil
+	if len(labels) > 0 || pad {
+		line = append(line, ' ')
+	}
+	for i, l := range labels {
+		if i > 0 {
+			line = append(line, ',')
+		}
+		if n := o.dict.Name(l); n != "" {
+			line = append(line, n...)
+		} else {
+			line = strconv.AppendInt(line, int64(l), 10)
+		}
+	}
+	_, _ = o.bw.Write(append(line, '\n')) // bw keeps the first error; Flush returns it
 }
 
 // WriteEdgeList writes g in the labeled edge-list format.
 func WriteEdgeList(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
+	out := newRecordWriter(w, g)
 	for v := 0; v < g.NumVertices(); v++ {
-		if _, err := fmt.Fprintf(bw, "v %d %s\n", v, labelList(g.Dict(), g.VertexLabels(VertexID(v)))); err != nil {
-			return err
-		}
+		out.record('v', g.VertexLabels(VertexID(v)), true, int64(v))
 	}
 	for id := 0; id < g.NumEdges(); id++ {
 		e := g.EdgeByID(EdgeID(id))
-		if len(e.Labels) > 0 {
-			if _, err := fmt.Fprintf(bw, "e %d %d %s\n", e.Src, e.Dst, labelList(g.Dict(), e.Labels)); err != nil {
-				return err
-			}
-		} else if _, err := fmt.Fprintf(bw, "e %d %d\n", e.Src, e.Dst); err != nil {
-			return err
-		}
+		out.record('e', e.Labels, false, int64(e.Src), int64(e.Dst))
 	}
-	return bw.Flush()
+	return out.bw.Flush()
 }
 
 // WriteKeywords writes g's keyword attributes in the sidecar format.
 func WriteKeywords(w io.Writer, g *Graph) error {
-	bw := bufio.NewWriter(w)
+	out := newRecordWriter(w, g)
 	for v := 0; v < g.NumVertices(); v++ {
 		if ks := g.VertexKeywords(VertexID(v)); len(ks) > 0 {
-			if _, err := fmt.Fprintf(bw, "v %d %s\n", v, labelList(g.Dict(), ks)); err != nil {
-				return err
-			}
+			out.record('v', ks, false, int64(v))
 		}
 	}
 	for id := 0; id < g.NumEdges(); id++ {
 		if ks := g.EdgeKeywords(EdgeID(id)); len(ks) > 0 {
-			if _, err := fmt.Fprintf(bw, "e %d %s\n", id, labelList(g.Dict(), ks)); err != nil {
-				return err
-			}
+			out.record('e', ks, false, int64(id))
 		}
 	}
-	return bw.Flush()
+	return out.bw.Flush()
 }
 
 func rebuilder(g *Graph) *Builder {
 	b := NewBuilder(g.name)
 	b.dict = g.dict
+	b.reserve(g.NumEdges())
 	for v := 0; v < g.NumVertices(); v++ {
 		id := b.AddVertex(g.VertexLabels(VertexID(v))...)
 		if ks := g.VertexKeywords(VertexID(v)); ks != nil {
@@ -274,28 +416,4 @@ func rebuilder(g *Graph) *Builder {
 		}
 	}
 	return b
-}
-
-func internList(d *Dictionary, csv string) []Label {
-	parts := strings.Split(csv, ",")
-	out := make([]Label, 0, len(parts))
-	for _, p := range parts {
-		if p == "" {
-			continue
-		}
-		out = append(out, d.Intern(p))
-	}
-	return out
-}
-
-func labelList(d *Dictionary, ls []Label) string {
-	parts := make([]string, len(ls))
-	for i, l := range ls {
-		if n := d.Name(l); n != "" {
-			parts[i] = n
-		} else {
-			parts[i] = strconv.Itoa(int(l))
-		}
-	}
-	return strings.Join(parts, ",")
 }

@@ -1,21 +1,525 @@
 package graph
 
-// The pre-CSR graph representation — per-vertex label slices, an []Edge
-// table, and the seed Build algorithm — retained verbatim as the
-// differential oracle for the flat CSR core. seedBuild constructs it from
-// the same Builder the production Build consumes, and the tests below pin
-// the full accessor surface of the CSR graph (built in memory, decoded from
-// .fgr bytes, and loaded through the mmap path) against it over randomized
-// ER / preferential-attachment / multigraph inputs, in the style of the
-// subgraph package's oracle_test.go.
+// The pre-CSR graph representation and the whole pre-flat ingest path — the
+// pointer-rich Builder state ([]Edge, [][]Label), its Build with one
+// interface sort per vertex and a map for the label census, and the
+// Scanner/Fields/Atoi text loaders — retained verbatim as the differential
+// oracle for the flat builder, the sort-free CSR build and the byte-level
+// parsers. Randomized recipes record their builder calls as an op list
+// (ops) that is replayed into both builders; the tests below pin the full
+// accessor surface of the CSR graph (built in memory, decoded from .fgr
+// bytes, and loaded through the mmap path) against the seed representation,
+// in the style of the subgraph package's oracle_test.go, and ingest_test.go
+// pins the .fgr bytes of every ingest path against seedBuilder.Build.
 
 import (
+	"bufio"
+	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 )
+
+// builderAPI is the mutation surface shared by Builder and seedBuilder.
+type builderAPI interface {
+	AddVertex(labels ...Label) VertexID
+	SetVertexLabels(v VertexID, labels ...Label)
+	EnsureVertices(n int)
+	AddEdge(u, v VertexID, labels ...Label) (EdgeID, error)
+	SetVertexKeywords(v VertexID, kws ...Label)
+	SetEdgeKeywords(id EdgeID, kws ...Label)
+}
+
+// ops records builder calls for replay into any builderAPI. It tracks
+// vertex and edge counts so recipes get the ids a builder would return.
+type ops struct {
+	name   string
+	calls  []func(builderAPI)
+	nv, ne int
+}
+
+func (o *ops) AddVertex(labels ...Label) VertexID {
+	labels = append([]Label(nil), labels...)
+	o.calls = append(o.calls, func(b builderAPI) { b.AddVertex(labels...) })
+	o.nv++
+	return VertexID(o.nv - 1)
+}
+
+func (o *ops) SetVertexLabels(v VertexID, labels ...Label) {
+	labels = append([]Label(nil), labels...)
+	o.calls = append(o.calls, func(b builderAPI) { b.SetVertexLabels(v, labels...) })
+}
+
+func (o *ops) EnsureVertices(n int) {
+	o.calls = append(o.calls, func(b builderAPI) { b.EnsureVertices(n) })
+	o.nv = max(o.nv, n)
+}
+
+// AddEdge applies the builders' acceptance rule itself, so a rejected edge
+// consumes no id in the recording either.
+func (o *ops) AddEdge(u, v VertexID, labels ...Label) (EdgeID, error) {
+	labels = append([]Label(nil), labels...)
+	o.calls = append(o.calls, func(b builderAPI) { b.AddEdge(u, v, labels...) })
+	if u == v || u < 0 || v < 0 || int(u) >= o.nv || int(v) >= o.nv {
+		return NilEdge, fmt.Errorf("rejected edge (%d,%d)", u, v)
+	}
+	o.ne++
+	return EdgeID(o.ne - 1), nil
+}
+
+func (o *ops) MustAddEdge(u, v VertexID, labels ...Label) EdgeID {
+	id, err := o.AddEdge(u, v, labels...)
+	if err != nil {
+		panic(err)
+	}
+	return id
+}
+
+func (o *ops) SetVertexKeywords(v VertexID, kws ...Label) {
+	kws = append([]Label(nil), kws...)
+	o.calls = append(o.calls, func(b builderAPI) { b.SetVertexKeywords(v, kws...) })
+}
+
+func (o *ops) SetEdgeKeywords(id EdgeID, kws ...Label) {
+	kws = append([]Label(nil), kws...)
+	o.calls = append(o.calls, func(b builderAPI) { b.SetEdgeKeywords(id, kws...) })
+}
+
+// Build replays the recording into a fresh production Builder.
+func (o *ops) Build() *Graph {
+	b := NewBuilder(o.name)
+	for _, call := range o.calls {
+		call(b)
+	}
+	return b.Build()
+}
+
+// seed replays the recording into a fresh seedBuilder.
+func (o *ops) seed() *seedBuilder {
+	b := newSeedBuilder(o.name)
+	for _, call := range o.calls {
+		call(b)
+	}
+	return b
+}
+
+// seedBuilder is the parent commit's Builder, word for word apart from the
+// type name.
+type seedBuilder struct {
+	name      string
+	vlabels   [][]Label
+	edges     []Edge
+	dict      *Dictionary
+	vkeywords [][]Label
+	ekeywords [][]Label
+	hasKW     bool
+}
+
+func newSeedBuilder(name string) *seedBuilder {
+	return &seedBuilder{name: name, dict: NewDictionary()}
+}
+
+func (b *seedBuilder) Dict() *Dictionary { return b.dict }
+
+func (b *seedBuilder) AddVertex(labels ...Label) VertexID {
+	id := VertexID(len(b.vlabels))
+	b.vlabels = append(b.vlabels, normLabels(labels))
+	b.vkeywords = append(b.vkeywords, nil)
+	return id
+}
+
+func (b *seedBuilder) SetVertexLabels(v VertexID, labels ...Label) {
+	b.vlabels[v] = normLabels(labels)
+}
+
+func (b *seedBuilder) EnsureVertices(n int) {
+	for len(b.vlabels) < n {
+		b.AddVertex()
+	}
+}
+
+func (b *seedBuilder) AddEdge(u, v VertexID, labels ...Label) (EdgeID, error) {
+	if u == v {
+		return NilEdge, fmt.Errorf("graph: self-loop on vertex %d rejected", u)
+	}
+	if int(u) >= len(b.vlabels) || int(v) >= len(b.vlabels) || u < 0 || v < 0 {
+		return NilEdge, fmt.Errorf("graph: edge (%d,%d) references unknown vertex", u, v)
+	}
+	if u > v {
+		u, v = v, u
+	}
+	id := EdgeID(len(b.edges))
+	b.edges = append(b.edges, Edge{Src: u, Dst: v, Labels: normLabels(labels)})
+	b.ekeywords = append(b.ekeywords, nil)
+	return id, nil
+}
+
+func (b *seedBuilder) SetVertexKeywords(v VertexID, kws ...Label) {
+	b.vkeywords[v] = normLabels(kws)
+	b.hasKW = true
+}
+
+func (b *seedBuilder) SetEdgeKeywords(id EdgeID, kws ...Label) {
+	b.ekeywords[id] = normLabels(kws)
+	b.hasKW = true
+}
+
+func (b *seedBuilder) NumVertices() int { return len(b.vlabels) }
+func (b *seedBuilder) NumEdges() int    { return len(b.edges) }
+
+// Build is the parent commit's Builder.Build: per-set copies packed into
+// offset + payload arrays, scatter, then one sort.Sort per vertex.
+func (b *seedBuilder) Build() *Graph {
+	n := len(b.vlabels)
+	m := len(b.edges)
+	g := &Graph{name: b.name, dict: b.dict}
+
+	g.esrc = make([]VertexID, m)
+	g.edst = make([]VertexID, m)
+	elabs := make([][]Label, m)
+	for id, e := range b.edges {
+		g.esrc[id], g.edst[id] = e.Src, e.Dst
+		elabs[id] = e.Labels
+	}
+	g.vlabOff, g.vlab = packLabels(b.vlabels)
+	g.elabOff, g.elab = packLabels(elabs)
+
+	deg := make([]int32, n+1)
+	for id := 0; id < m; id++ {
+		deg[g.esrc[id]+1]++
+		deg[g.edst[id]+1]++
+	}
+	for i := 1; i <= n; i++ {
+		deg[i] += deg[i-1]
+	}
+	g.adjOff = deg
+	g.adjV = make([]VertexID, 2*m)
+	g.adjE = make([]EdgeID, 2*m)
+	cursor := make([]int32, n)
+	copy(cursor, g.adjOff[:n])
+	for id := 0; id < m; id++ {
+		src, dst := g.esrc[id], g.edst[id]
+		i := cursor[src]
+		g.adjV[i], g.adjE[i] = dst, EdgeID(id)
+		cursor[src]++
+		j := cursor[dst]
+		g.adjV[j], g.adjE[j] = src, EdgeID(id)
+		cursor[dst]++
+	}
+	for v := 0; v < n; v++ {
+		lo, hi := g.adjOff[v], g.adjOff[v+1]
+		run := adjRun{v: g.adjV[lo:hi], e: g.adjE[lo:hi]}
+		sort.Sort(run)
+	}
+	g.numLabel = b.countLabels()
+	if b.hasKW {
+		g.vkwOff, g.vkw = packLabels(b.vkeywords)
+		g.ekwOff, g.ekw = packLabels(b.ekeywords)
+	}
+	g.finalize()
+	return g
+}
+
+func packLabels(sets [][]Label) (off []int32, packed []Label) {
+	off = make([]int32, len(sets)+1)
+	total := 0
+	for i, s := range sets {
+		total += len(s)
+		off[i+1] = int32(total)
+	}
+	packed = make([]Label, 0, total)
+	for _, s := range sets {
+		packed = append(packed, s...)
+	}
+	return off, packed
+}
+
+func (b *seedBuilder) countLabels() int {
+	seen := map[Label]struct{}{}
+	for _, ls := range b.vlabels {
+		for _, l := range ls {
+			seen[l] = struct{}{}
+		}
+	}
+	for _, e := range b.edges {
+		for _, l := range e.Labels {
+			seen[l] = struct{}{}
+		}
+	}
+	return len(seen)
+}
+
+type adjRun struct {
+	v []VertexID
+	e []EdgeID
+}
+
+func (r adjRun) Len() int { return len(r.v) }
+func (r adjRun) Less(i, j int) bool {
+	if r.v[i] != r.v[j] {
+		return r.v[i] < r.v[j]
+	}
+	return r.e[i] < r.e[j]
+}
+func (r adjRun) Swap(i, j int) {
+	r.v[i], r.v[j] = r.v[j], r.v[i]
+	r.e[i], r.e[j] = r.e[j], r.e[i]
+}
+
+// normLabels sorts and deduplicates a label set; empty sets become nil.
+func normLabels(ls []Label) []Label {
+	if len(ls) == 0 {
+		return nil
+	}
+	out := append([]Label(nil), ls...)
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	w := 1
+	for i := 1; i < len(out); i++ {
+		if out[i] != out[w-1] {
+			out[w] = out[i]
+			w++
+		}
+	}
+	return out[:w]
+}
+
+// The parent commit's text loaders, word for word apart from the builder
+// type and the seed prefix.
+
+func seedLoadAdjacencyList(r io.Reader, name string) (*Graph, error) {
+	b := newSeedBuilder(name)
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	type pending struct{ u, v VertexID }
+	var edges []pending
+	line := 0
+	for sc.Scan() {
+		line++
+		text := strings.TrimSpace(sc.Text())
+		if text == "" || strings.HasPrefix(text, "#") {
+			continue
+		}
+		fields := strings.Fields(text)
+		if len(fields) < 2 {
+			return nil, fmt.Errorf("graph: %s:%d: want at least vertex and label", name, line)
+		}
+		id, err := strconv.Atoi(fields[0])
+		if err != nil || id < 0 {
+			return nil, fmt.Errorf("graph: %s:%d: bad vertex id %q", name, line, fields[0])
+		}
+		lbl, err := strconv.Atoi(fields[1])
+		if err != nil {
+			return nil, fmt.Errorf("graph: %s:%d: bad label %q", name, line, fields[1])
+		}
+		b.EnsureVertices(id + 1)
+		b.SetVertexLabels(VertexID(id), Label(lbl))
+		for _, f := range fields[2:] {
+			nb, err := strconv.Atoi(f)
+			if err != nil || nb < 0 {
+				return nil, fmt.Errorf("graph: %s:%d: bad neighbor %q", name, line, f)
+			}
+			if id < nb {
+				edges = append(edges, pending{VertexID(id), VertexID(nb)})
+			}
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("graph: reading %s: %w", name, err)
+	}
+	for _, e := range edges {
+		b.EnsureVertices(int(e.v) + 1)
+		if _, err := b.AddEdge(e.u, e.v); err != nil {
+			return nil, err
+		}
+	}
+	return b.Build(), nil
+}
+
+func seedLoadEdgeList(r io.Reader, name string) (*Graph, error) {
+	b := newSeedBuilder(name)
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	line := 0
+	for sc.Scan() {
+		line++
+		text := strings.TrimSpace(sc.Text())
+		if text == "" || strings.HasPrefix(text, "#") {
+			continue
+		}
+		fields := strings.Fields(text)
+		switch fields[0] {
+		case "v":
+			if len(fields) < 2 {
+				return nil, fmt.Errorf("graph: %s:%d: v needs id", name, line)
+			}
+			id, err := strconv.Atoi(fields[1])
+			if err != nil || id < 0 {
+				return nil, fmt.Errorf("graph: %s:%d: bad vertex id", name, line)
+			}
+			b.EnsureVertices(id + 1)
+			if len(fields) >= 3 {
+				b.SetVertexLabels(VertexID(id), seedInternList(b.Dict(), fields[2])...)
+			}
+		case "e":
+			if len(fields) < 3 {
+				return nil, fmt.Errorf("graph: %s:%d: e needs src dst", name, line)
+			}
+			u, err1 := strconv.Atoi(fields[1])
+			v, err2 := strconv.Atoi(fields[2])
+			if err1 != nil || err2 != nil || u < 0 || v < 0 {
+				return nil, fmt.Errorf("graph: %s:%d: bad endpoints", name, line)
+			}
+			b.EnsureVertices(max(u, v) + 1)
+			var labels []Label
+			if len(fields) >= 4 {
+				labels = seedInternList(b.Dict(), fields[3])
+			}
+			if _, err := b.AddEdge(VertexID(u), VertexID(v), labels...); err != nil {
+				return nil, fmt.Errorf("graph: %s:%d: %w", name, line, err)
+			}
+		default:
+			return nil, fmt.Errorf("graph: %s:%d: unknown record %q", name, line, fields[0])
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("graph: reading %s: %w", name, err)
+	}
+	return b.Build(), nil
+}
+
+func seedApplyKeywords(g *Graph, r io.Reader) (*Graph, error) {
+	b := seedRebuilder(g)
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	line := 0
+	for sc.Scan() {
+		line++
+		text := strings.TrimSpace(sc.Text())
+		if text == "" || strings.HasPrefix(text, "#") {
+			continue
+		}
+		fields := strings.Fields(text)
+		if len(fields) < 3 {
+			return nil, fmt.Errorf("graph: keywords line %d: want kind id kws", line)
+		}
+		id, err := strconv.Atoi(fields[1])
+		if err != nil || id < 0 {
+			return nil, fmt.Errorf("graph: keywords line %d: bad id", line)
+		}
+		kws := seedInternList(b.Dict(), fields[2])
+		switch fields[0] {
+		case "v":
+			if id >= b.NumVertices() {
+				return nil, fmt.Errorf("graph: keywords line %d: vertex %d out of range", line, id)
+			}
+			b.SetVertexKeywords(VertexID(id), kws...)
+		case "e":
+			if id >= b.NumEdges() {
+				return nil, fmt.Errorf("graph: keywords line %d: edge %d out of range", line, id)
+			}
+			b.SetEdgeKeywords(EdgeID(id), kws...)
+		default:
+			return nil, fmt.Errorf("graph: keywords line %d: unknown record %q", line, fields[0])
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	return b.Build(), nil
+}
+
+func seedRebuilder(g *Graph) *seedBuilder {
+	b := newSeedBuilder(g.name)
+	b.dict = g.dict
+	for v := 0; v < g.NumVertices(); v++ {
+		id := b.AddVertex(g.VertexLabels(VertexID(v))...)
+		if ks := g.VertexKeywords(VertexID(v)); ks != nil {
+			b.SetVertexKeywords(id, ks...)
+		}
+	}
+	for id := 0; id < g.NumEdges(); id++ {
+		e := g.EdgeByID(EdgeID(id))
+		nid, err := b.AddEdge(e.Src, e.Dst, e.Labels...)
+		if err != nil {
+			panic(err)
+		}
+		if ks := g.EdgeKeywords(EdgeID(id)); ks != nil {
+			b.SetEdgeKeywords(nid, ks...)
+		}
+	}
+	return b
+}
+
+func seedInternList(d *Dictionary, csv string) []Label {
+	parts := strings.Split(csv, ",")
+	out := make([]Label, 0, len(parts))
+	for _, p := range parts {
+		if p == "" {
+			continue
+		}
+		out = append(out, d.Intern(p))
+	}
+	return out
+}
+
+// The parent commit's writers, one fmt.Fprintf per record.
+
+func seedWriteEdgeList(w io.Writer, g *Graph) error {
+	bw := bufio.NewWriter(w)
+	for v := 0; v < g.NumVertices(); v++ {
+		if _, err := fmt.Fprintf(bw, "v %d %s\n", v, seedLabelList(g.Dict(), g.VertexLabels(VertexID(v)))); err != nil {
+			return err
+		}
+	}
+	for id := 0; id < g.NumEdges(); id++ {
+		e := g.EdgeByID(EdgeID(id))
+		if len(e.Labels) > 0 {
+			if _, err := fmt.Fprintf(bw, "e %d %d %s\n", e.Src, e.Dst, seedLabelList(g.Dict(), e.Labels)); err != nil {
+				return err
+			}
+		} else if _, err := fmt.Fprintf(bw, "e %d %d\n", e.Src, e.Dst); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
+func seedWriteKeywords(w io.Writer, g *Graph) error {
+	bw := bufio.NewWriter(w)
+	for v := 0; v < g.NumVertices(); v++ {
+		if ks := g.VertexKeywords(VertexID(v)); len(ks) > 0 {
+			if _, err := fmt.Fprintf(bw, "v %d %s\n", v, seedLabelList(g.Dict(), ks)); err != nil {
+				return err
+			}
+		}
+	}
+	for id := 0; id < g.NumEdges(); id++ {
+		if ks := g.EdgeKeywords(EdgeID(id)); len(ks) > 0 {
+			if _, err := fmt.Fprintf(bw, "e %d %s\n", id, seedLabelList(g.Dict(), ks)); err != nil {
+				return err
+			}
+		}
+	}
+	return bw.Flush()
+}
+
+func seedLabelList(d *Dictionary, ls []Label) string {
+	parts := make([]string, len(ls))
+	for i, l := range ls {
+		if n := d.Name(l); n != "" {
+			parts[i] = n
+		} else {
+			parts[i] = strconv.Itoa(int(l))
+		}
+	}
+	return strings.Join(parts, ",")
+}
 
 // seedGraph is the seed's pointer-rich Graph storage.
 type seedGraph struct {
@@ -31,7 +535,7 @@ type seedGraph struct {
 
 // seedBuild is the seed Builder.Build, word for word apart from the receiver
 // type.
-func seedBuild(b *Builder) *seedGraph {
+func seedBuild(b *seedBuilder) *seedGraph {
 	n := len(b.vlabels)
 	g := &seedGraph{
 		name:    b.name,
@@ -148,8 +652,8 @@ func randLabels(r *rand.Rand, universe int) []Label {
 }
 
 // erBuilder is an Erdős–Rényi-style recipe with labels and keywords.
-func erBuilder(r *rand.Rand) *Builder {
-	b := NewBuilder("oracle-er")
+func erBuilder(r *rand.Rand) *ops {
+	b := &ops{name: "oracle-er"}
 	n := 1 + r.Intn(60)
 	for i := 0; i < n; i++ {
 		b.AddVertex(randLabels(r, 5)...)
@@ -175,8 +679,8 @@ func erBuilder(r *rand.Rand) *Builder {
 
 // baBuilder grows a preferential-attachment graph: each new vertex attaches
 // to endpoints sampled from the incidence urn.
-func baBuilder(r *rand.Rand) *Builder {
-	b := NewBuilder("oracle-ba")
+func baBuilder(r *rand.Rand) *ops {
+	b := &ops{name: "oracle-ba"}
 	b.AddVertex(Label(0))
 	b.AddVertex(Label(1))
 	b.MustAddEdge(0, 1)
@@ -199,8 +703,8 @@ func baBuilder(r *rand.Rand) *Builder {
 }
 
 // multiBuilder deliberately lays parallel edges with distinct label sets.
-func multiBuilder(r *rand.Rand) *Builder {
-	b := NewBuilder("oracle-multi")
+func multiBuilder(r *rand.Rand) *ops {
+	b := &ops{name: "oracle-multi"}
 	n := 2 + r.Intn(20)
 	for i := 0; i < n; i++ {
 		b.AddVertex(Label(i % 3))
@@ -219,10 +723,13 @@ func multiBuilder(r *rand.Rand) *Builder {
 	return b
 }
 
-var oracleRecipes = []struct {
+// recipe is one randomized way of filling a builder.
+type recipe struct {
 	name  string
-	build func(r *rand.Rand) *Builder
-}{
+	build func(r *rand.Rand) *ops
+}
+
+var oracleRecipes = []recipe{
 	{"er", erBuilder},
 	{"ba", baBuilder},
 	{"multi", multiBuilder},
@@ -340,7 +847,7 @@ func TestCSRDifferentialOracle(t *testing.T) {
 		t.Run(rec.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 12; seed++ {
 				b := rec.build(rand.New(rand.NewSource(seed)))
-				want := seedBuild(b)
+				want := seedBuild(b.seed())
 				g := b.Build()
 				pinAgainstSeed(t, want, g)
 

@@ -21,6 +21,13 @@ if [ -n "$gob" ]; then
     echo "$gob" >&2
     exit 1
 fi
+# One ingest path: the text loaders scan bytes in place (Scanner.Bytes and
+# subslices of it). Line splitting by Scanner.Text + strings.Fields allocates
+# per line and is what PR 14 removed.
+if grep -n 'strings.Fields\|\.Text()' $(ls internal/graph/*.go | grep -v _test.go); then
+    echo "internal/graph splits lines into strings again" >&2
+    exit 1
+fi
 go vet ./...
 go build ./...
 go test ./...

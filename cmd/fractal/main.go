@@ -53,9 +53,10 @@
 //
 // Observability flags:
 //
-//	-metrics-out <path>  write the run's RunReport (per-step collector
-//	                     snapshots, quiescence rounds, transport traffic,
-//	                     trace journal when -trace is set) as JSON
+//	-metrics-out <path>  write the run's RunReport (per-step counters,
+//	                     quiescence rounds, transport traffic, trace
+//	                     journal when -trace is set) as JSON; under
+//	                     -listen it includes the workers' counters
 //	-trace               enable the structured trace journal for the run
 //	-pprof <addr>        serve net/http/pprof and expvar on addr
 //	                     (e.g. localhost:6060); /debug/vars exposes the
@@ -244,7 +245,7 @@ func main() {
 		if *keywords == "" {
 			fatal(fmt.Errorf("-keywords required"))
 		}
-		res, err := apps.KeywordSearch(fc, g, strings.Split(*keywords, ","),
+		res, err := apps.KeywordSearch(ctx, fc, g, strings.Split(*keywords, ","),
 			apps.KeywordOptions{GraphReduction: *reduce})
 		check(err)
 		last = res.Result

@@ -15,7 +15,7 @@ import (
 // counts (degrees, per-edge triangle counts, per-vertex triangle counts)
 // whose value is the pattern's non-induced subgraph count, evaluated by one
 // shared sweep over the CSR arrays instead of enumeration. Compile one with
-// CompileDecomp and run it with Graph.DecompCount; DecompPlan.Explain
+// CompileDecomp and run it with Graph.DecompCountCtx; DecompPlan.Explain
 // renders it human-readably. See DESIGN.md §14.
 type DecompPlan = pattern.DecompPlan
 
@@ -34,16 +34,11 @@ type EngineChoice = pattern.Choice
 // shared symbolic cost model — the auto-selection behind -engine=auto.
 func ChooseEngine(p *Pattern) (*EngineChoice, error) { return pattern.Choose(p) }
 
-// DecompCount evaluates a decomposition plan against the graph and returns
-// the pattern's non-induced subgraph count — the same number
-// PFractoid(p).Expand(n).Count() enumerates, computed from local counts.
-// The graph must carry uniform labels (the sweep is label-blind); a
+// DecompCountCtx evaluates a decomposition plan against the graph and
+// returns the pattern's non-induced subgraph count — the same number
+// PFractoid(p).Expand(n).CountCtx(ctx) enumerates, computed from local
+// counts. The graph must carry uniform labels (the sweep is label-blind); a
 // uniform-labeled graph whose labels contradict the pattern's yields zero.
-func (fg *Graph) DecompCount(dp *DecompPlan) (int64, *Result, error) {
-	return fg.DecompCountCtx(context.Background(), dp)
-}
-
-// DecompCountCtx is DecompCount with cancellation.
 func (fg *Graph) DecompCountCtx(ctx context.Context, dp *DecompPlan) (int64, *Result, error) {
 	counts, res, err := fg.EvalDecomps(ctx, []*DecompPlan{dp})
 	if err != nil {

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -41,7 +42,7 @@ func main() {
 	s := g.Stats()
 	fmt.Printf("graph: |V|=%d |E|=%d\n", s.V, s.E)
 
-	comms, res, err := apps.CliqueCommunities(ctx, g, *k)
+	comms, res, err := apps.CliqueCommunities(context.Background(), ctx, g, *k)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -41,11 +42,11 @@ func main() {
 	s := g.Stats()
 	fmt.Printf("graph: |V|=%d |E|=%d keywords=%d, query=%v\n", s.V, s.E, s.Keywords, keywords)
 
-	full, err := apps.KeywordSearch(ctx, g, keywords, apps.KeywordOptions{})
+	full, err := apps.KeywordSearch(context.Background(), ctx, g, keywords, apps.KeywordOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	red, err := apps.KeywordSearch(ctx, g, keywords, apps.KeywordOptions{GraphReduction: true})
+	red, err := apps.KeywordSearch(context.Background(), ctx, g, keywords, apps.KeywordOptions{GraphReduction: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -49,7 +50,7 @@ func main() {
 		},
 		agg.ReducePatternCount, nil)
 
-	motifs, res, err := fractal.AggregationMap[string, agg.PatternCount](frac, "motifs")
+	motifs, res, err := fractal.AggregationMapCtx[string, agg.PatternCount](context.Background(), frac, "motifs")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -58,7 +58,7 @@ func main() {
 		AddEdge(1, 2, pattern.NoLabel).
 		AddEdge(0, 2, pattern.NoLabel).
 		Build()
-	n, _, err := g.PFractoid(labeled).Expand(3).Count()
+	n, _, err := g.PFractoid(labeled).Expand(3).CountCtx(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -16,9 +16,9 @@
 // Execution is context-first: the canonical execution methods — RunCtx,
 // CountCtx, SubgraphsCtx, AggregationMapCtx — take a context.Context and
 // honour cancellation and deadlines end to end, through the master, the
-// workers, and every execution core's enumeration loop. The context-free
-// variants (Run, Count, Subgraphs, AggregationMap) are thin
-// context.Background() wrappers kept for convenience.
+// workers, and every execution core's enumeration loop. There is no
+// context-free form: a caller with nothing to cancel passes
+// context.Background().
 //
 // See the examples directory for the paper's application listings (motifs,
 // cliques, FSM, keyword search, subgraph querying) written against this API.
@@ -108,11 +108,18 @@ type DomainSupport = agg.DomainSupport
 // Aggregations is the environment of named aggregation results.
 type Aggregations = agg.Registry
 
+// Result re-exports the outcome of an execution, the one type every
+// execution method and application driver returns: the computed
+// Aggregations, the per-step metrics (Steps, TotalEC), the wall time, and
+// the run-level Report. A cancelled or failed run returns its partial Result
+// alongside the error.
+type Result = sched.Result
+
 // StepReport re-exports the per-step execution metrics.
 type StepReport = sched.StepReport
 
 // RunReport re-exports the run-level observability record: per-step
-// collector snapshots and quiescence rounds, transport traffic, and the
+// counters and quiescence rounds, transport traffic, and the
 // trace journal of a WithTrace-enabled run. Every execution's Result
 // carries one; WriteJSON exports it in the --metrics-out schema.
 type RunReport = sched.RunReport
@@ -120,8 +127,8 @@ type RunReport = sched.RunReport
 // QuiescenceRound re-exports one master status-polling round of a step.
 type QuiescenceRound = sched.QuiescenceRound
 
-// MetricsSnapshot re-exports the point-in-time collector snapshot embedded
-// in step reports.
+// MetricsSnapshot re-exports the counter block embedded in step reports:
+// the step's cores' counters, summed per worker and then over the workers.
 type MetricsSnapshot = metrics.Snapshot
 
 // TraceEvent re-exports one entry of the structured trace journal.
@@ -425,7 +432,7 @@ func (c *Context) AwaitWorkers(ctx context.Context, n int) error {
 // per-context cache as LoadGraph, so naming an already loaded file costs
 // nothing. env carries aggregations from previous jobs the workflow reads
 // (nil for none). Graph.RunSpec is the form for a graph handle.
-func (c *Context) RunSpec(ctx context.Context, spec JobSpec, env *Aggregations) (*sched.Result, error) {
+func (c *Context) RunSpec(ctx context.Context, spec JobSpec, env *Aggregations) (*Result, error) {
 	return c.rt.RunSpec(ctx, spec, env)
 }
 
@@ -495,7 +502,7 @@ func (fg *Graph) Raw() *graph.Graph { return fg.g }
 // has a Context (not a NewBuildGraph one).
 func (fg *Graph) RunSpec(ctx context.Context, app string, args map[string]string, env *Aggregations) (*Result, error) {
 	spec := JobSpec{App: app, Graph: fg.path, Args: args}
-	return newResult(fg.ctx.rt.RunSpecOn(ctx, spec, fg.g, env))
+	return fg.ctx.rt.RunSpecOn(ctx, spec, fg.g, env)
 }
 
 // VFractoid derives an empty vertex-induced fractoid (operator B1).

@@ -20,6 +20,8 @@ import (
 	"fractal/internal/subgraph"
 )
 
+var bg = context.Background()
+
 func testContext(t *testing.T) *Context {
 	t.Helper()
 	ctx, err := NewContext(WithCores(2), WithWS(WSBoth))
@@ -48,7 +50,7 @@ func k4Graph() *graph.Graph {
 func TestTrianglesQuickstart(t *testing.T) {
 	ctx := testContext(t)
 	g := ctx.FromGraph(k4Graph())
-	n, res, err := g.VFractoid().Expand(3).Filter(CliqueFilter).Count()
+	n, res, err := g.VFractoid().Expand(3).Filter(CliqueFilter).CountCtx(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +67,7 @@ func TestExploreCliques(t *testing.T) {
 	g := ctx.FromGraph(k4Graph())
 	// Listing 2: expand(1).filter(clique).explore(k).
 	for k, want := range map[int]int64{2: 7, 3: 4, 4: 1} {
-		n, _, err := g.VFractoid().Expand(1).Filter(CliqueFilter).Explore(k).Count()
+		n, _, err := g.VFractoid().Expand(1).Filter(CliqueFilter).Explore(k).CountCtx(bg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +79,7 @@ func TestExploreCliques(t *testing.T) {
 	if bad.Err() == nil {
 		t.Error("explore(0) accepted")
 	}
-	if _, _, err := bad.Count(); err == nil {
+	if _, _, err := bad.CountCtx(bg); err == nil {
 		t.Error("executing a broken fractoid succeeded")
 	}
 }
@@ -90,7 +92,7 @@ func TestMotifsAggregation(t *testing.T) {
 		func(e *Subgraph) string { return ctx.PatternOf(e).Code },
 		func(e *Subgraph) int64 { return 1 },
 		agg.SumInt64, nil)
-	m, res, err := AggregationMap[string, int64](frac, "motifs")
+	m, res, err := AggregationMapCtx[string, int64](bg, frac, "motifs")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +106,7 @@ func TestMotifsAggregation(t *testing.T) {
 	// 3-vertex connected induced subgraphs of k4+pendant:
 	// triangles: 4; paths: 3 (choose 2 of {0,1,2} with 3 and 4)... count
 	// directly instead:
-	want, _, err := g.VFractoid().Expand(3).Count()
+	want, _, err := g.VFractoid().Expand(3).CountCtx(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +125,7 @@ func TestMotifsAggregation(t *testing.T) {
 func TestPFractoidQuery(t *testing.T) {
 	ctx := testContext(t)
 	g := ctx.FromGraph(k4Graph())
-	n, _, err := g.PFractoid(pattern.Triangle()).Expand(3).Count()
+	n, _, err := g.PFractoid(pattern.Triangle()).Expand(3).CountCtx(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +133,7 @@ func TestPFractoidQuery(t *testing.T) {
 		t.Errorf("triangle query matched %d, want 4", n)
 	}
 	// Squares: a 4-clique contains 3 squares (4-cycles).
-	n, _, err = g.PFractoid(pattern.Cycle(4)).Expand(4).Count()
+	n, _, err = g.PFractoid(pattern.Cycle(4)).Expand(4).CountCtx(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +155,7 @@ func TestEFractoidAndFilterAgg(t *testing.T) {
 		func(e *Subgraph) string { return ctx.PatternOf(e).Code },
 		func(e *Subgraph) int64 { return 1 },
 		agg.SumInt64, nil)
-	res, err := bootstrap.Run()
+	res, err := bootstrap.RunCtx(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +166,7 @@ func TestEFractoidAndFilterAgg(t *testing.T) {
 			v, _ := a.Get(ctx.PatternOf(e).Code)
 			return v >= 3
 		}).Expand(1)
-	n, res2, err := grown.Count()
+	n, res2, err := grown.CountCtx(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +191,7 @@ func TestGraphReductionOperators(t *testing.T) {
 	if reduced.Stats().V != 4 {
 		t.Errorf("VFilter kept %d vertices, want 4", reduced.Stats().V)
 	}
-	n, _, err := reduced.VFractoid().Expand(3).Filter(CliqueFilter).Count()
+	n, _, err := reduced.VFractoid().Expand(3).Filter(CliqueFilter).CountCtx(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +215,7 @@ func TestMNISupportHelper(t *testing.T) {
 		func(e *Subgraph) *DomainSupport { return ctx.MNISupport(e, 2) },
 		agg.ReduceDomainSupport,
 		func(k string, v *DomainSupport) bool { return v.HasEnoughSupport() })
-	m, _, err := AggregationMap[string, *DomainSupport](frac, "support")
+	m, _, err := AggregationMapCtx[string, *DomainSupport](bg, frac, "support")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +243,7 @@ func TestLoadGraphAdjacencyList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, _, err := fg.VFractoid().Expand(3).Filter(CliqueFilter).Count()
+	n, _, err := fg.VFractoid().Expand(3).Filter(CliqueFilter).CountCtx(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +269,7 @@ func TestVisitStreamsAndSubgraphs(t *testing.T) {
 	ctx := testContext(t)
 	g := ctx.FromGraph(k4Graph())
 	var edges atomic.Int64
-	_, err := g.EFractoid().Expand(1).Subgraphs(func(e *Subgraph) {
+	_, err := g.EFractoid().Expand(1).SubgraphsCtx(bg, func(e *Subgraph) {
 		edges.Add(1)
 		if e.NumEdges() != 1 {
 			t.Error("single-edge embedding has wrong size")
@@ -322,7 +324,7 @@ func (x *idOrderCliques) Popped(e *Subgraph) { x.cands = x.cands[:len(x.cands)-1
 func TestCustomExtender(t *testing.T) {
 	ctx := testContext(t)
 	g := ctx.FromGraph(k4Graph())
-	n, _, err := g.VFractoidWith(&idOrderCliques{}).Expand(3).Count()
+	n, _, err := g.VFractoidWith(&idOrderCliques{}).Expand(3).CountCtx(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +398,7 @@ func TestCancellationReleasesGoroutines(t *testing.T) {
 
 	// The Context must remain usable after a cancelled job.
 	small := ctx.FromGraph(k4Graph())
-	n2, _, err := small.VFractoid().Expand(3).Filter(CliqueFilter).Count()
+	n2, _, err := small.VFractoid().Expand(3).Filter(CliqueFilter).CountCtx(bg)
 	if err != nil {
 		t.Fatalf("job after cancellation failed: %v", err)
 	}
@@ -425,8 +427,8 @@ func TestExpandZeroErrors(t *testing.T) {
 	ctx := testContext(t)
 	g := ctx.FromGraph(k4Graph())
 	for _, n := range []int{0, -1} {
-		if _, _, err := g.VFractoid().Expand(n).Count(); err == nil {
-			t.Errorf("Expand(%d).Count() succeeded, want error", n)
+		if _, _, err := g.VFractoid().Expand(n).CountCtx(bg); err == nil {
+			t.Errorf("Expand(%d).CountCtx succeeded, want error", n)
 		}
 		if err := g.VFractoid().Expand(n).Err(); err == nil {
 			t.Errorf("Expand(%d).Err() == nil, want error", n)
@@ -486,11 +488,11 @@ func TestPlanAPI(t *testing.T) {
 	// The same compiled plan runs on several graphs.
 	for _, raw := range []*graph.Graph{k4Graph(), denseTestGraph(30)} {
 		fg := ctx.FromGraph(raw)
-		n, _, err := fg.PFractoidPlan(plan).Expand(3).Count()
+		n, _, err := fg.PFractoidPlan(plan).Expand(3).CountCtx(bg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _, err := fg.VFractoid().Expand(3).Filter(CliqueFilter).Count()
+		want, _, err := fg.VFractoid().Expand(3).Filter(CliqueFilter).CountCtx(bg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -511,7 +513,7 @@ func TestPlanAPI(t *testing.T) {
 	if !ip.Induced {
 		t.Error("CompileInducedPlan lost the Induced flag")
 	}
-	got, _, err := g.PFractoidPlan(ip).Expand(3).Count()
+	got, _, err := g.PFractoidPlan(ip).Expand(3).CountCtx(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -539,7 +541,7 @@ func TestNoExpandRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := g.PFractoidPlan(plan).Count(); err == nil {
+	if _, _, err := g.PFractoidPlan(plan).CountCtx(bg); err == nil {
 		t.Error("Count without Expand accepted")
 	}
 	if _, err := g.VFractoid().Visit(func(*Subgraph) {}).RunCtx(context.Background()); err == nil {
@@ -560,11 +562,11 @@ func TestNoExpandRejected(t *testing.T) {
 func TestCombineResults(t *testing.T) {
 	ctx := testContext(t)
 	g := ctx.FromGraph(k4Graph())
-	_, r1, err := g.VFractoid().Expand(2).Count()
+	_, r1, err := g.VFractoid().Expand(2).CountCtx(bg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, r2, err := g.VFractoid().Expand(3).Count()
+	_, r2, err := g.VFractoid().Expand(3).CountCtx(bg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package fractal
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"fractal/internal/agg"
 	"fractal/internal/pattern"
@@ -133,30 +132,6 @@ func FilterAgg[K comparable, V any](f *Fractoid, name string,
 	}))
 }
 
-// Result reports the outcome of executing a fractoid.
-type Result struct {
-	// Aggregations holds every aggregation computed by the execution.
-	Aggregations *Aggregations
-	// Steps reports per-step metrics.
-	Steps []StepReport
-	// Wall is the total execution time.
-	Wall time.Duration
-	// Report is the run-level observability record (collector snapshots,
-	// quiescence rounds, transport traffic, and — under WithTrace — the
-	// trace journal). Populated on every execution, including cancelled
-	// ones; export it with Report.WriteJSON.
-	Report *RunReport
-}
-
-// TotalEC sums the extension cost over all steps.
-func (r *Result) TotalEC() int64 {
-	var t int64
-	for _, s := range r.Steps {
-		t += s.EC
-	}
-	return t
-}
-
 // CombineResults merges the results of several executions run back to back
 // on the same Context — the multi-plan motif engine runs one job per
 // compiled pattern plan — into one Result: step reports concatenate in job
@@ -204,41 +179,21 @@ func (f *Fractoid) Job() (sched.Job, error) {
 	}, nil
 }
 
-// run executes the fractoid's workflow under ctx. On cancellation it
-// returns the partial Result (last step marked Cancelled) together with the
-// error, so callers can observe how far execution got.
-func (f *Fractoid) run(ctx context.Context) (*Result, error) {
-	if f.err != nil {
-		return nil, f.err
-	}
+// RunCtx executes the workflow as-is (triggering every synchronization
+// point) and returns the computed aggregations and metrics. Cancelling ctx
+// (or exceeding its deadline, or the runtime's per-step timeout) interrupts
+// enumeration on every core within one DFS iteration, drains the step
+// cleanly, and returns the partial Result (last step marked Cancelled)
+// alongside an error wrapping context.Canceled or context.DeadlineExceeded,
+// so callers can observe how far execution got. The Context remains usable
+// for further jobs.
+func (f *Fractoid) RunCtx(ctx context.Context) (*Result, error) {
 	job, err := f.Job()
 	if err != nil {
 		return nil, err
 	}
-	return newResult(f.fg.ctx.rt.Run(ctx, job))
+	return f.fg.ctx.rt.Run(ctx, job)
 }
-
-// newResult adapts a runtime result to the public shape (nil-safe: a run
-// that failed before its first step has none).
-func newResult(res *sched.Result, err error) (*Result, error) {
-	if res == nil {
-		return nil, err
-	}
-	return &Result{Aggregations: res.Env, Steps: res.Steps, Wall: res.Wall, Report: res.Report}, err
-}
-
-// RunCtx executes the workflow as-is (triggering every synchronization
-// point) and returns the computed aggregations and metrics. This is the
-// canonical execution method: cancelling ctx (or exceeding its deadline, or
-// the runtime's per-step timeout) interrupts enumeration on every core
-// within one DFS iteration, drains the step cleanly, and returns the
-// partial Result alongside an error wrapping context.Canceled or
-// context.DeadlineExceeded. The Context remains usable for further jobs.
-func (f *Fractoid) RunCtx(ctx context.Context) (*Result, error) { return f.run(ctx) }
-
-// Run is RunCtx with context.Background(): execution that cannot be
-// interrupted. Prefer RunCtx.
-func (f *Fractoid) Run() (*Result, error) { return f.run(context.Background()) }
 
 // SubgraphsCtx executes the workflow and streams every complete embedding
 // to visit (output operator O1; the paper exposes an RDD, this
@@ -246,12 +201,7 @@ func (f *Fractoid) Run() (*Result, error) { return f.run(context.Background()) }
 // safe for that. Cancellation semantics are those of RunCtx: on early
 // cancellation, visit has seen a prefix of the embedding stream.
 func (f *Fractoid) SubgraphsCtx(ctx context.Context, visit func(*Subgraph)) (*Result, error) {
-	return f.Visit(visit).run(ctx)
-}
-
-// Subgraphs is SubgraphsCtx with context.Background(). Prefer SubgraphsCtx.
-func (f *Fractoid) Subgraphs(visit func(*Subgraph)) (*Result, error) {
-	return f.SubgraphsCtx(context.Background(), visit)
+	return f.Visit(visit).RunCtx(ctx)
 }
 
 // CountCtx executes the workflow and returns the number of embeddings that
@@ -261,16 +211,11 @@ func (f *Fractoid) Subgraphs(visit func(*Subgraph)) (*Result, error) {
 // and a cancelled or failed run reports 0 alongside the error, never a
 // partial count.
 func (f *Fractoid) CountCtx(ctx context.Context) (int64, *Result, error) {
-	res, err := f.derive(step.CountP()).run(ctx)
+	res, err := f.derive(step.CountP()).RunCtx(ctx)
 	if res == nil || err != nil {
 		return 0, res, err
 	}
 	return step.CountOf(res.Aggregations), res, nil
-}
-
-// Count is CountCtx with context.Background(). Prefer CountCtx.
-func (f *Fractoid) Count() (int64, *Result, error) {
-	return f.CountCtx(context.Background())
 }
 
 // AggregationMapCtx executes the fractoid and returns the reduced mapping
@@ -279,7 +224,7 @@ func (f *Fractoid) Count() (int64, *Result, error) {
 // that case, because a cancelled step's partial aggregations are discarded
 // rather than merged (partial reductions are not meaningful).
 func AggregationMapCtx[K comparable, V any](ctx context.Context, f *Fractoid, name string) (map[K]V, *Result, error) {
-	res, err := f.run(ctx)
+	res, err := f.RunCtx(ctx)
 	if err != nil {
 		return nil, res, err
 	}
@@ -288,10 +233,4 @@ func AggregationMapCtx[K comparable, V any](ctx context.Context, f *Fractoid, na
 		return nil, res, err
 	}
 	return a.Entries(), res, nil
-}
-
-// AggregationMap is AggregationMapCtx with context.Background(). Prefer
-// AggregationMapCtx.
-func AggregationMap[K comparable, V any](f *Fractoid, name string) (map[K]V, *Result, error) {
-	return AggregationMapCtx[K, V](context.Background(), f, name)
 }

@@ -1,6 +1,8 @@
 package apps
 
 import (
+	"context"
+	"errors"
 	"sync/atomic"
 	"testing"
 
@@ -221,7 +223,7 @@ func TestQuerySuite(t *testing.T) {
 		t.Errorf("square matches=%d, want 3", sq)
 	}
 	var streamed atomic.Int64
-	if _, err := QueryVisit(ctx, g, pattern.Triangle(), func(e *fractal.Subgraph) {
+	if _, err := QueryVisit(bg, ctx, g, pattern.Triangle(), func(e *fractal.Subgraph) {
 		streamed.Add(1)
 	}); err != nil {
 		t.Fatal(err)
@@ -257,7 +259,7 @@ func keywordTestGraph() *graph.Graph {
 func TestKeywordSearch(t *testing.T) {
 	ctx := testCtx(t)
 	g := ctx.FromGraph(keywordTestGraph())
-	res, err := KeywordSearch(ctx, g, []string{"a", "b"}, KeywordOptions{})
+	res, err := KeywordSearch(bg, ctx, g, []string{"a", "b"}, KeywordOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +275,7 @@ func TestKeywordSearch(t *testing.T) {
 	}
 
 	// With graph reduction: same matches, smaller graph, lower EC.
-	red, err := KeywordSearch(ctx, g, []string{"a", "b"}, KeywordOptions{GraphReduction: true})
+	red, err := KeywordSearch(bg, ctx, g, []string{"a", "b"}, KeywordOptions{GraphReduction: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +289,7 @@ func TestKeywordSearch(t *testing.T) {
 		t.Errorf("reduction increased EC: %d vs %d", red.EC, res.EC)
 	}
 
-	if _, err := KeywordSearch(ctx, g, []string{"missing"}, KeywordOptions{}); err == nil {
+	if _, err := KeywordSearch(bg, ctx, g, []string{"missing"}, KeywordOptions{}); err == nil {
 		t.Error("unknown keyword accepted")
 	}
 }
@@ -303,11 +305,11 @@ func TestKeywordSearchOnWikidataAnalog(t *testing.T) {
 	}
 	g := ctx.FromGraph(raw)
 	q := workload.KeywordQueries()[0]
-	full, err := KeywordSearch(ctx, g, q.Keywords, KeywordOptions{})
+	full, err := KeywordSearch(bg, ctx, g, q.Keywords, KeywordOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	red, err := KeywordSearch(ctx, g, q.Keywords, KeywordOptions{GraphReduction: true})
+	red, err := KeywordSearch(bg, ctx, g, q.Keywords, KeywordOptions{GraphReduction: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +336,7 @@ func TestTrianglesApprox(t *testing.T) {
 		t.Skip("degenerate graph")
 	}
 	// p=1 must be exact.
-	full, err := TrianglesApprox(ctx, g, 1.0, 1)
+	full, err := TrianglesApprox(bg, ctx, g, 1.0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +347,7 @@ func TestTrianglesApprox(t *testing.T) {
 	var sum float64
 	const runs = 5
 	for i := int64(0); i < runs; i++ {
-		est, err := TrianglesApprox(ctx, g, 0.7, 100+i)
+		est, err := TrianglesApprox(bg, ctx, g, 0.7, 100+i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -375,7 +377,7 @@ func TestCliqueCommunities(t *testing.T) {
 	b.MustAddEdge(3, 4) // bridge
 	g := ctx.FromGraph(b.Build())
 
-	comms, _, err := CliqueCommunities(ctx, g, 3)
+	comms, _, err := CliqueCommunities(bg, ctx, g, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +390,7 @@ func TestCliqueCommunities(t *testing.T) {
 		}
 	}
 	// At k=4 the two K4s remain separate single-clique communities.
-	comms, _, err = CliqueCommunities(ctx, g, 4)
+	comms, _, err = CliqueCommunities(bg, ctx, g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +410,7 @@ func TestCliqueCommunities(t *testing.T) {
 	b2.MustAddEdge(1, 4)
 	b2.MustAddEdge(2, 4)
 	b2.MustAddEdge(3, 4)
-	comms, _, err = CliqueCommunities(ctx, ctx.FromGraph(b2.Build()), 4)
+	comms, _, err = CliqueCommunities(bg, ctx, ctx.FromGraph(b2.Build()), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,5 +454,37 @@ func TestSignificanceProfile(t *testing.T) {
 	}
 	if !foundTriangle {
 		t.Error("triangle motif missing from profile")
+	}
+}
+
+// TestDriversHonourCancelledContext pins the contract behind the CLI's
+// "interruption cancels the run cleanly": every driver that executes a
+// closure-composed fractoid takes the caller's context and passes it to the
+// runtime, so a context that is already cancelled fails the run with an
+// error wrapping context.Canceled instead of enumerating to the end.
+func TestDriversHonourCancelledContext(t *testing.T) {
+	fc := testCtx(t)
+	kw := fc.FromGraph(keywordTestGraph())
+	g := fc.FromGraph(workload.Relabel(k4Pendant(), "k4p-sl"))
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, run := range map[string]func(ctx context.Context) error{
+		"KeywordSearch": func(ctx context.Context) error {
+			_, err := KeywordSearch(ctx, fc, kw, []string{"a", "b"}, KeywordOptions{})
+			return err
+		},
+		"CliqueCommunities": func(ctx context.Context) error { _, _, err := CliqueCommunities(ctx, fc, g, 3); return err },
+		"TrianglesApprox":   func(ctx context.Context) error { _, err := TrianglesApprox(ctx, fc, g, 1.0, 1); return err },
+		"QueryVisit": func(ctx context.Context) error {
+			_, err := QueryVisit(ctx, fc, g, pattern.Triangle(), func(*fractal.Subgraph) {})
+			return err
+		},
+	} {
+		if err := run(bg); err != nil {
+			t.Errorf("%s under a live context: %v", name, err)
+		}
+		if err := run(cancelled); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s under a cancelled context: err=%v, want one wrapping context.Canceled", name, err)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"context"
 	"sort"
 	"sync"
 
@@ -20,13 +21,13 @@ type Community []graph.VertexID
 
 // CliqueCommunities returns the k-clique percolation communities of g,
 // sorted by decreasing size (ties by first vertex).
-func CliqueCommunities(fc *fractal.Context, g *fractal.Graph, k int) ([]Community, *fractal.Result, error) {
+func CliqueCommunities(ctx context.Context, fc *fractal.Context, g *fractal.Graph, k int) ([]Community, *fractal.Result, error) {
 	var (
 		mu      sync.Mutex
 		cliques [][]graph.VertexID
 	)
 	res, err := g.VFractoidWith(NewKClistEnum()).Expand(1).Explore(k).
-		Subgraphs(func(e *fractal.Subgraph) {
+		SubgraphsCtx(ctx, func(e *fractal.Subgraph) {
 			vs := append([]graph.VertexID(nil), e.Vertices()...)
 			sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
 			mu.Lock()

@@ -149,7 +149,7 @@ func TestMotifsFleetReasonMixed(t *testing.T) {
 }
 
 // TestDecompCountMatchesQueryPlans pins the single-pattern public API:
-// DecompCount equals the plan engine's non-induced match count for every
+// DecompCountCtx equals the plan engine's non-induced match count for every
 // decomposable query shape, on simple graphs and multigraphs.
 func TestDecompCountMatchesQueryPlans(t *testing.T) {
 	ctx := testCtx(t)
@@ -172,7 +172,7 @@ func TestDecompCountMatchesQueryPlans(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			got, res, err := g.DecompCount(dp)
+			got, res, err := g.DecompCountCtx(bg, dp)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", raw.Name(), name, err)
 			}
@@ -212,7 +212,7 @@ func TestDecompCountLabelSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, _, err := g.DecompCount(dp)
+	n, _, err := g.DecompCountCtx(bg, dp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestDecompCountLabelSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, _, err = g.DecompCount(dp9)
+	n, _, err = g.DecompCountCtx(bg, dp9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestDecompCountLabelSemantics(t *testing.T) {
 
 	// Mixed-label graphs are outside the engine.
 	ml := ctx.FromGraph(workload.ErdosRenyi("ddiff-lab-ml", 30, 90, 3, 61))
-	if _, _, err := ml.DecompCount(dp); err == nil {
+	if _, _, err := ml.DecompCountCtx(bg, dp); err == nil {
 		t.Error("mixed-label graph: expected error")
 	}
 }

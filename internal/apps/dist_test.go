@@ -202,6 +202,121 @@ func TestDistFSM(t *testing.T) {
 	fsmDistEqual(t, "distributed fsm", got, want)
 }
 
+// TestDistCountersAcrossDeployments holds the run report to one meaning in
+// every deployment: the same cliques and FSM jobs over two cores — one
+// worker with two, two TCP workers with one each, a master serving two
+// one-core workers — count the same extension tests and subgraphs, book all
+// of it to the cores that did it, and report every participant's cores and
+// time. The counters reach the report inside the message that ends each
+// worker's part of the step, so the master row is the one that fails when
+// they do not travel (it reported zeros before they did).
+func TestDistCountersAcrossDeployments(t *testing.T) {
+	clPath := writeGraphFile(t, workload.ErdosRenyi("dist-ctr-cl", 60, 220, 1, 50))
+	fsmPath := writeGraphFile(t, workload.Community("dist-ctr-fsm", 6, 15, 6, 0.8, 4, 51))
+
+	inProcess := func(opts ...fractal.Option) func(*testing.T) *fractal.Context {
+		return func(t *testing.T) *fractal.Context {
+			fc, err := fractal.NewContext(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(fc.Close)
+			return fc
+		}
+	}
+	deployments := []struct {
+		name    string
+		workers int
+		context func(t *testing.T) *fractal.Context
+	}{
+		{"in-process 1x2", 1, inProcess(fractal.WithWorkers(1), fractal.WithCores(2))},
+		{"tcp 2x1", 2, inProcess(fractal.WithWorkers(2), fractal.WithCores(1), fractal.WithTCP())},
+		{"master + 2 workers", 2, func(t *testing.T) *fractal.Context {
+			master := distMaster(t, fractal.WithCores(1))
+			startWorker(t, master.ListenAddr(), fractal.WorkerOptions{Cores: 1})
+			startWorker(t, master.ListenAddr(), fractal.WorkerOptions{Cores: 1})
+			if err := master.AwaitWorkers(context.Background(), 2); err != nil {
+				t.Fatal(err)
+			}
+			return master
+		}},
+	}
+
+	type totals struct{ ec, subgraphs int64 }
+	// check verifies the per-step invariants and returns the job's totals.
+	check := func(t *testing.T, job string, workers int, steps []fractal.StepReport) totals {
+		t.Helper()
+		var tot totals
+		var peak int64
+		executed := 0
+		for _, s := range steps {
+			if s.Skipped {
+				continue
+			}
+			executed++
+			m := s.Metrics
+			if s.EC != m.ExtensionTests || s.Subgraphs != m.Subgraphs {
+				t.Errorf("%s step %d: EC/Subgraphs %d/%d disagree with the counter block's %d/%d",
+					job, s.Index, s.EC, s.Subgraphs, m.ExtensionTests, m.Subgraphs)
+			}
+			if len(m.CoreWork) != 2 {
+				t.Fatalf("%s step %d: CoreWork=%v, want one entry for each of 2 cores", job, s.Index, m.CoreWork)
+			}
+			if sum := m.CoreWork[0] + m.CoreWork[1]; sum != s.EC+s.Subgraphs {
+				t.Errorf("%s step %d: core work sums to %d, want EC+Subgraphs=%d", job, s.Index, sum, s.EC+s.Subgraphs)
+			}
+			// Cores are in rank order, so with two workers each entry is one
+			// worker's: both must have delivered work. Busy time is positive
+			// for every core that ran at all.
+			for i := 0; workers == 2 && i < 2; i++ {
+				if m.CoreWork[i] == 0 {
+					t.Errorf("%s step %d: worker %d reports no work: %v", job, s.Index, i, m.CoreWork)
+				}
+			}
+			if m.BusyTimeNs <= 0 || s.Utilization <= 0 {
+				t.Errorf("%s step %d: busy=%dns utilization=%v, want both positive", job, s.Index, m.BusyTimeNs, s.Utilization)
+			}
+			tot.ec += s.EC
+			tot.subgraphs += s.Subgraphs
+			peak += s.PeakStateBytes
+		}
+		if executed == 0 || tot.ec == 0 || tot.subgraphs == 0 || peak == 0 {
+			t.Fatalf("%s: %d executed steps, EC=%d, subgraphs=%d, peak state %d: nothing was counted",
+				job, executed, tot.ec, tot.subgraphs, peak)
+		}
+		return tot
+	}
+
+	var wantCl, wantFSM totals
+	for i, d := range deployments {
+		t.Run(d.name, func(t *testing.T) {
+			fc := d.context(t)
+			_, res, err := Cliques(bg, fc, loadOn(t, fc, clPath), 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl := check(t, "cliques", d.workers, res.Steps)
+			fsm, err := FSM(bg, fc, loadOn(t, fc, fsmPath), 8, FSMOptions{MaxEdges: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs := check(t, "fsm", d.workers, fsm.Steps)
+			var shipped int64
+			for _, s := range fsm.Steps {
+				shipped += s.AggShippedBytes
+			}
+			if shipped == 0 {
+				t.Error("fsm: no aggregation bytes reported shipped")
+			}
+			if i == 0 {
+				wantCl, wantFSM = cl, fs
+			} else if cl != wantCl || fs != wantFSM {
+				t.Errorf("cliques %+v fsm %+v, want the in-process %+v and %+v", cl, fs, wantCl, wantFSM)
+			}
+		})
+	}
+}
+
 // TestDistElasticJoin starts a job with one registered worker while a second
 // registers concurrently: whether or not the latecomer makes the first step
 // attempt, the result must be identical, and it must be a full participant

@@ -116,11 +116,11 @@ func TestFGRKeywordSearchDifferential(t *testing.T) {
 	raw := keywordTestGraph()
 	mapped := mmapGraph(t, raw)
 	kws := []string{"a", "b"}
-	want, err := KeywordSearch(ctx, ctx.FromGraph(raw), kws, KeywordOptions{})
+	want, err := KeywordSearch(bg, ctx, ctx.FromGraph(raw), kws, KeywordOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := KeywordSearch(ctx, ctx.FromGraph(mapped), kws, KeywordOptions{})
+	got, err := KeywordSearch(bg, ctx, ctx.FromGraph(mapped), kws, KeywordOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 
@@ -34,7 +35,7 @@ type KeywordResult struct {
 // len(keywords) edges whose edges cover all the query keywords, with every
 // edge contributing at least one keyword no earlier edge contributes
 // (otherwise the subgraph is non-minimal and pruned).
-func KeywordSearch(fc *fractal.Context, g *fractal.Graph, keywords []string, opts KeywordOptions) (*KeywordResult, error) {
+func KeywordSearch(ctx context.Context, fc *fractal.Context, g *fractal.Graph, keywords []string, opts KeywordOptions) (*KeywordResult, error) {
 	raw := g.Raw()
 	query := make([]graph.Label, 0, len(keywords))
 	for _, kw := range keywords {
@@ -105,7 +106,7 @@ func KeywordSearch(fc *fractal.Context, g *fractal.Graph, keywords []string, opt
 			}
 		})
 	}
-	res, err := frac.Run()
+	res, err := frac.RunCtx(ctx)
 	if err != nil {
 		return nil, err
 	}

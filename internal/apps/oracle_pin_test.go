@@ -117,7 +117,7 @@ func TestPinnedFSMSupportsMatchMapOracle(t *testing.T) {
 
 	// Level 1: every single-edge embedding.
 	level1 := map[string]*mapSupport{}
-	if _, err := g.EFractoid().Expand(1).Visit(foldInto(level1)).Run(); err != nil {
+	if _, err := g.EFractoid().Expand(1).Visit(foldInto(level1)).RunCtx(bg); err != nil {
 		t.Fatal(err)
 	}
 	frequent1 := map[string]bool{}
@@ -137,7 +137,7 @@ func TestPinnedFSMSupportsMatchMapOracle(t *testing.T) {
 			defer mu.Unlock()
 			return frequent1[ctx.PatternOf(e).Code]
 		}).
-		Expand(1).Visit(foldInto(level2)).Run()
+		Expand(1).Visit(foldInto(level2)).RunCtx(bg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ var bg = context.Background()
 // Every automorphic duplicate is enumerated and rejected by the canonical
 // check, so it shares no logic with plan compilation or symmetry breaking.
 func cliquesOracle(g *fractal.Graph, k int) (int64, *fractal.Result, error) {
-	return g.VFractoid().Expand(1).Filter(fractal.CliqueFilter).Explore(k).Count()
+	return g.VFractoid().Expand(1).Filter(fractal.CliqueFilter).Explore(k).CountCtx(bg)
 }
 
 // motifsOracle counts motifs with the seed path (Listing 1 of the paper),
@@ -45,6 +45,6 @@ func motifsOracle(fc *fractal.Context, g *fractal.Graph, k int) (MotifCounts, *f
 			return agg.PatternCount{Pat: fc.PatternRep(e), Count: 1}
 		},
 		agg.ReducePatternCount, nil)
-	m, res, err := fractal.AggregationMap[string, agg.PatternCount](frac, "motifs")
+	m, res, err := fractal.AggregationMapCtx[string, agg.PatternCount](bg, frac, "motifs")
 	return MotifCounts(m), res, err
 }

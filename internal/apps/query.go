@@ -46,9 +46,9 @@ func Query(ctx context.Context, fc *fractal.Context, g *fractal.Graph, p *fracta
 
 // QueryVisit streams every match of p to visit. visit runs concurrently on
 // all cores.
-func QueryVisit(fc *fractal.Context, g *fractal.Graph, p *fractal.Pattern,
+func QueryVisit(ctx context.Context, fc *fractal.Context, g *fractal.Graph, p *fractal.Pattern,
 	visit func(*fractal.Subgraph)) (*fractal.Result, error) {
-	return g.PFractoid(p).Expand(p.NumVertices()).Subgraphs(visit)
+	return g.PFractoid(p).Expand(p.NumVertices()).SubgraphsCtx(ctx, visit)
 }
 
 // SEEDQueries re-exports the benchmark query suite q1..q8 (Figure 14).

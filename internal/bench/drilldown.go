@@ -227,7 +227,7 @@ func Fig17(o Options) error {
 				if err != nil {
 					return err
 				}
-				res, err := apps.KeywordSearch(ctx, ctx.FromGraph(g), q.Keywords,
+				res, err := apps.KeywordSearch(bg, ctx, ctx.FromGraph(g), q.Keywords,
 					apps.KeywordOptions{GraphReduction: reduce})
 				ctx.Close()
 				if err != nil {
@@ -267,7 +267,7 @@ func Sec41(o Options) error {
 		maxExact = 3
 	}
 	for k := 2; k <= maxExact; k++ {
-		n, _, err := fg.VFractoid().Expand(k).Count()
+		n, _, err := fg.VFractoid().Expand(k).CountCtx(bg)
 		if err != nil {
 			return err
 		}
@@ -305,11 +305,11 @@ func Sec43(o Options) error {
 	tw := table(o.out())
 	fmt.Fprintln(tw, "query\tV reduction\tE reduction\tEC reduction")
 	for _, q := range workload.KeywordQueries()[:2] {
-		full, err := apps.KeywordSearch(ctx, fg, q.Keywords, apps.KeywordOptions{})
+		full, err := apps.KeywordSearch(bg, ctx, fg, q.Keywords, apps.KeywordOptions{})
 		if err != nil {
 			return err
 		}
-		red, err := apps.KeywordSearch(ctx, fg, q.Keywords, apps.KeywordOptions{GraphReduction: true})
+		red, err := apps.KeywordSearch(bg, ctx, fg, q.Keywords, apps.KeywordOptions{GraphReduction: true})
 		if err != nil {
 			return err
 		}
@@ -389,7 +389,7 @@ func Sec6(o Options) error {
 	}
 	inTriangle := map[int32]bool{}
 	var mu sync.Mutex
-	_, err = fg.VFractoid().Expand(3).Filter(fractal.CliqueFilter).Subgraphs(func(e *fractal.Subgraph) {
+	_, err = fg.VFractoid().Expand(3).Filter(fractal.CliqueFilter).SubgraphsCtx(bg, func(e *fractal.Subgraph) {
 		mu.Lock()
 		for _, v := range e.Vertices() {
 			inTriangle[int32(v)] = true

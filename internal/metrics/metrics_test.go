@@ -1,85 +1,6 @@
 package metrics
 
-import (
-	"sync"
-	"testing"
-	"time"
-)
-
-func TestCollectorCounters(t *testing.T) {
-	c := NewCollector(2)
-	c.AddExtensionTests(0, 10)
-	c.AddExtensionTests(1, 5)
-	c.AddSubgraphs(0, 3)
-	if c.ExtensionTests() != 15 {
-		t.Errorf("EC=%d, want 15", c.ExtensionTests())
-	}
-	if c.Subgraphs() != 3 {
-		t.Errorf("subgraphs=%d, want 3", c.Subgraphs())
-	}
-	cw := c.CoreWork()
-	if cw[0] != 13 || cw[1] != 5 {
-		t.Errorf("core work=%v, want [13 5]", cw)
-	}
-	// Out-of-range core must not panic and still count globally.
-	c.AddExtensionTests(-1, 1)
-	c.AddSubgraphs(99, 1)
-	if c.ExtensionTests() != 16 || c.Subgraphs() != 4 {
-		t.Error("out-of-range core dropped global counts")
-	}
-}
-
-func TestSteals(t *testing.T) {
-	c := NewCollector(1)
-	c.AddInternalSteal()
-	c.AddInternalSteal()
-	c.AddExternalSteal(128)
-	in, ex := c.Steals()
-	if in != 2 || ex != 1 {
-		t.Errorf("steals=%d/%d, want 2/1", in, ex)
-	}
-	if c.StealBytes() != 128 {
-		t.Errorf("steal bytes=%d", c.StealBytes())
-	}
-}
-
-func TestStealOverhead(t *testing.T) {
-	c := NewCollector(1)
-	if c.StealOverhead() != 0 {
-		t.Error("overhead with no busy time should be 0")
-	}
-	c.AddBusyTime(100 * time.Millisecond)
-	c.AddStealTime(time.Millisecond, 0)
-	if ov := c.StealOverhead(); ov < 0.009 || ov > 0.011 {
-		t.Errorf("overhead=%v, want ~0.01", ov)
-	}
-}
-
-func TestObserveStateBytesMonotone(t *testing.T) {
-	c := NewCollector(1)
-	c.ObserveStateBytes(100)
-	c.ObserveStateBytes(50)
-	c.ObserveStateBytes(200)
-	if c.PeakStateBytes() != 200 {
-		t.Errorf("peak=%d, want 200", c.PeakStateBytes())
-	}
-}
-
-func TestObserveStateBytesConcurrent(t *testing.T) {
-	c := NewCollector(1)
-	var wg sync.WaitGroup
-	for i := 1; i <= 64; i++ {
-		wg.Add(1)
-		go func(n int64) {
-			defer wg.Done()
-			c.ObserveStateBytes(n)
-		}(int64(i))
-	}
-	wg.Wait()
-	if c.PeakStateBytes() != 64 {
-		t.Errorf("peak=%d, want 64", c.PeakStateBytes())
-	}
-}
+import "testing"
 
 func TestBalance(t *testing.T) {
 	b := BalanceOf([]int64{10, 10, 10, 10})
@@ -105,11 +26,5 @@ func TestEmbeddingBytes(t *testing.T) {
 	}
 	if EmbeddingBytes(3, 3) != 24 {
 		t.Error("triangle should be 24 bytes")
-	}
-}
-
-func TestString(t *testing.T) {
-	if NewCollector(2).String() == "" {
-		t.Error("empty String")
 	}
 }

@@ -2,78 +2,94 @@ package metrics
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 )
 
-func TestCollectorSnapshot(t *testing.T) {
-	c := NewCollector(2)
-	c.AddExtensionTests(0, 10)
-	c.AddExtensionTests(1, 4)
-	c.AddSubgraphs(0, 3)
-	c.AddInternalSteal()
-	c.AddExternalSteal(256)
-	c.AddStealTime(2*time.Millisecond, 0)
-	c.AddBusyTime(50 * time.Millisecond)
-	c.AddIdleTime(5 * time.Millisecond)
-	c.ObserveStateBytes(4096)
-	c.AddAbandonedExts(7)
+// coreBlock is what one core hands over at the end of a step: its counters
+// and its one CoreWork entry.
+func coreBlock(ec, subgraphs int64) Snapshot {
+	s := Snapshot{ExtensionTests: ec, Subgraphs: subgraphs}
+	s.CoreWork = []int64{s.Work()}
+	return s
+}
 
-	s := c.Snapshot()
-	if s.ExtensionTests != 14 || s.Subgraphs != 3 {
-		t.Errorf("EC=%d subgraphs=%d, want 14/3", s.ExtensionTests, s.Subgraphs)
+// TestSnapshotAdd pins the one accumulation rule: every counter sums and
+// the added block's cores follow the receiver's, at both levels it is used
+// at (cores into a worker, workers into a step).
+func TestSnapshotAdd(t *testing.T) {
+	c0, c1 := coreBlock(10, 3), coreBlock(4, 0)
+	c0.StealsInternal, c0.BusyTimeNs, c0.IdleTimeNs = 1, int64(50*time.Millisecond), int64(5*time.Millisecond)
+	c1.StealsExternal, c1.StealBytes, c1.StealTimeNs, c1.AbandonedExts = 1, 256, int64(2*time.Millisecond), 7
+
+	var w0 Snapshot
+	w0.Add(c0)
+	w0.Add(c1)
+	w0.PeakStateBytes, w0.AggShippedBytes, w0.AggMergeTimeNs = 4096, 100, 9
+	want := Snapshot{
+		ExtensionTests: 14, Subgraphs: 3, StealsInternal: 1, StealsExternal: 1, StealBytes: 256,
+		StealTimeNs: int64(2 * time.Millisecond), BusyTimeNs: int64(50 * time.Millisecond), IdleTimeNs: int64(5 * time.Millisecond),
+		PeakStateBytes: 4096, AbandonedExts: 7, AggMergeTimeNs: 9, AggShippedBytes: 100,
+		CoreWork: []int64{13, 4},
 	}
-	if s.StealsInternal != 1 || s.StealsExternal != 1 || s.StealBytes != 256 {
-		t.Errorf("steals=%d/%d bytes=%d", s.StealsInternal, s.StealsExternal, s.StealBytes)
+	if !reflect.DeepEqual(w0, want) {
+		t.Errorf("worker block\n got  %+v\n want %+v", w0, want)
 	}
-	if s.StealTimeNs != int64(2*time.Millisecond) ||
-		s.BusyTimeNs != int64(50*time.Millisecond) ||
-		s.IdleTimeNs != int64(5*time.Millisecond) {
-		t.Errorf("times steal=%d busy=%d idle=%d", s.StealTimeNs, s.BusyTimeNs, s.IdleTimeNs)
-	}
-	if s.PeakStateBytes != 4096 || s.AbandonedExts != 7 {
-		t.Errorf("peak=%d abandoned=%d", s.PeakStateBytes, s.AbandonedExts)
-	}
-	// Work units: extension tests + subgraph emissions per core.
-	if len(s.CoreWork) != 2 || s.CoreWork[0] != 13 || s.CoreWork[1] != 4 {
-		t.Errorf("core work=%v, want [13 4]", s.CoreWork)
-	}
-	if b := s.Balance(); b.Total != 17 || b.Makespan != 13 {
+	if b := w0.Balance(); b.Total != 17 || b.Makespan != 13 {
 		t.Errorf("balance=%+v", b)
 	}
 
-	// The snapshot is a copy: later mutation must not show through.
-	c.AddSubgraphs(0, 100)
-	if s.Subgraphs != 3 || s.CoreWork[0] != 13 {
-		t.Error("snapshot aliased live counters")
+	// Workers into a step, in rank order; per-worker peaks sum.
+	w1 := Snapshot{ExtensionTests: 1, PeakStateBytes: 4, StealScanWork: 2, CoreWork: []int64{1, 0}}
+	var step Snapshot
+	step.Add(w0)
+	step.Add(w1)
+	if step.ExtensionTests != 15 || step.PeakStateBytes != 4100 || step.StealScanWork != 2 {
+		t.Errorf("step block %+v", step)
+	}
+	if !reflect.DeepEqual(step.CoreWork, []int64{13, 4, 1, 0}) {
+		t.Errorf("core work=%v, want the workers' cores in rank order", step.CoreWork)
 	}
 
-	// The schema is stable JSON.
+	// Add copies: a later change of the added block must not show through.
+	w1.CoreWork[0] = 99
+	w0.CoreWork[0] = 99
+	if step.CoreWork[0] != 13 || step.CoreWork[2] != 1 {
+		t.Error("Add aliased the added block's CoreWork")
+	}
+}
+
+func TestStealOverhead(t *testing.T) {
+	if (Snapshot{StealTimeNs: 5}).StealOverhead() != 0 {
+		t.Error("overhead with no busy time should be 0")
+	}
+	s := Snapshot{BusyTimeNs: int64(100 * time.Millisecond), StealTimeNs: int64(time.Millisecond)}
+	if ov := s.StealOverhead(); ov < 0.009 || ov > 0.011 {
+		t.Errorf("overhead=%v, want ~0.01", ov)
+	}
+}
+
+// TestSnapshotJSON pins the export schema's field names: RunReport readers
+// (the bench harness, fractal-bench -report) parse them.
+func TestSnapshotJSON(t *testing.T) {
+	s := Snapshot{
+		ExtensionTests: 1, Subgraphs: 2, StealsInternal: 3, StealsExternal: 4, StealBytes: 5,
+		StealTimeNs: 6, StealScanWork: 7, BusyTimeNs: 8, IdleTimeNs: 9, PeakStateBytes: 10,
+		AbandonedExts: 11, AggMergeTimeNs: 12, AggShippedBytes: 13, CoreWork: []int64{14, 15},
+	}
 	data, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := `{"extension_tests":1,"subgraphs":2,"steals_internal":3,"steals_external":4,"steal_bytes":5,` +
+		`"steal_time_ns":6,"steal_scan_work":7,"busy_time_ns":8,"idle_time_ns":9,"peak_state_bytes":10,` +
+		`"abandoned_exts":11,"agg_merge_time_ns":12,"agg_shipped_bytes":13,"core_work":[14,15]}`
+	if string(data) != want {
+		t.Errorf("schema changed:\n got  %s\n want %s", data, want)
+	}
 	var back Snapshot
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.ExtensionTests != s.ExtensionTests || back.CoreWork[1] != s.CoreWork[1] {
-		t.Errorf("JSON round trip lost data: %+v", back)
-	}
-}
-
-func TestCollectorIdleAndStealTime(t *testing.T) {
-	c := NewCollector(1)
-	c.AddBusyTime(30 * time.Millisecond)
-	c.AddIdleTime(10 * time.Millisecond)
-	c.AddStealTime(5*time.Millisecond, 0)
-	if c.BusyTime() != 30*time.Millisecond {
-		t.Errorf("busy=%v", c.BusyTime())
-	}
-	if c.IdleTime() != 10*time.Millisecond {
-		t.Errorf("idle=%v", c.IdleTime())
-	}
-	if c.StealTime() != 5*time.Millisecond {
-		t.Errorf("steal=%v", c.StealTime())
+	if err := json.Unmarshal(data, &back); err != nil || !reflect.DeepEqual(back, s) {
+		t.Errorf("JSON round trip: %+v (%v)", back, err)
 	}
 }

@@ -3,7 +3,7 @@
 // quiescence rounds, steal attempts and their outcomes, cancellation and
 // drains, worker loss. The journal is the raw material behind the paper's
 // per-step/per-steal measurements (Sections 4.3 and 6, Figures 8/16-19): the
-// terminal Collector aggregates answer "how much", the trace answers "when
+// terminal counters (Snapshot) answer "how much", the trace answers "when
 // and in what order".
 //
 // Tracing is opt-in per run. The runtime holds a *Tracer that is nil when

@@ -240,8 +240,10 @@ type StepReport struct {
 	// workers to the master at step end (the external result-shipping cost
 	// the compact wire codec cuts).
 	AggShippedBytes int64 `json:"agg_shipped_bytes"`
-	// Metrics is the full collector snapshot for the step, the canonical
-	// export schema (the scalar fields above remain for convenience).
+	// Metrics is the step's counter block — its cores' blocks summed per
+	// worker and then over the workers, in every deployment — and the
+	// canonical export schema (the scalar fields above are derived from it
+	// and remain for convenience).
 	Metrics metrics.Snapshot `json:"metrics"`
 	// Rounds records the master's quiescence polling rounds, up to
 	// maxRecordedRounds; RoundsTotal counts all of them.

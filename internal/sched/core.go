@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"sync/atomic"
 	"time"
 
 	"fractal/internal/enumerator"
@@ -20,6 +21,22 @@ type core struct {
 	stack      enumerator.Stack
 	respCh     chan stealRespMsg // external steal responses routed here
 	extScratch []subgraph.Word
+
+	// ctr is the counter block of the step attempt the core is running:
+	// plain memory this core alone writes. startStep zeroes it before the
+	// core's goroutine starts and the worker reads it after st.wg.Wait(), so
+	// counting an extension test or a subgraph touches no shared cache line.
+	ctr metrics.Snapshot
+	// progress counts the embeddings the core has processed in the attempt.
+	// It is the one counter read while the step runs (reportStatus sums the
+	// cores' for the master's quiescence rounds), hence atomic — but this
+	// core is its only writer.
+	progress atomic.Int64
+	// state is the core's latest stack estimate, already folded into
+	// st.stateTotal; statePeak is the highest worker total the core has
+	// seen. Every change of the total is made, and seen, by some core, so
+	// the worker's peak is the largest statePeak.
+	state, statePeak int64
 }
 
 func newCore(w *worker, local int) *core {
@@ -44,7 +61,7 @@ func (c *core) run(st *stepCtx) {
 	start := time.Now()
 	// idle accumulates only the sleeps between failed steal attempts;
 	// stealScan accumulates the time spent scanning victims and waiting on
-	// steal responses (mirroring what AddStealTime records). Keeping the
+	// steal responses (it becomes ctr.StealTimeNs). Keeping the
 	// two apart makes busy = total - idle - stealScan an honest "holding
 	// work" measure: booking scan time into idle would make
 	// busy+stealTime double-count the scans and skew StealOverhead().
@@ -89,13 +106,13 @@ func (c *core) run(st *stepCtx) {
 			misses := int64(0)
 			var idleTimer *time.Timer
 			for !st.halted() {
-				scanStart, workStart := time.Now(), st.col.CoreWorkOf(c.gidx(st))
+				scanStart, workStart := time.Now(), c.ctr.Work()
 				st.activeInc()
 				var prefix []subgraph.Word
 				var ok, external bool
 				if c.w.cfg.WS.internal() {
 					if prefix, ok = c.stealInternal(st); ok {
-						st.col.AddInternalSteal()
+						c.ctr.StealsInternal++
 					}
 				}
 				if !ok && c.w.cfg.WS.external() && attempt >= extBackoff {
@@ -108,10 +125,12 @@ func (c *core) run(st *stepCtx) {
 				}
 				// Steal time stops here: installing and processing the
 				// stolen prefix is real enumeration work, so it belongs to
-				// busy time, not steal overhead.
-				scan := time.Since(scanStart)
-				st.col.AddStealTime(scan, st.col.CoreWorkOf(c.gidx(st))-workStart)
-				stealScan += scan
+				// busy time, not steal overhead. StealScanWork is how far the
+				// core's own work advanced inside the scan interval: always
+				// zero, and recorded so tests can hold the accounting to that
+				// by a counter, not a wall-clock ratio.
+				stealScan += time.Since(scanStart)
+				c.ctr.StealScanWork += c.ctr.Work() - workStart
 				if ok {
 					c.traceSteal(st, external, true, misses)
 					c.install(st, emb, prefix)
@@ -163,20 +182,18 @@ func (c *core) run(st *stepCtx) {
 		c.process(st, emb, depth, w)
 	}
 
-	st.col.AddBusyTime(time.Since(start) - idle - stealScan)
-	st.col.AddIdleTime(idle)
+	c.ctr.BusyTimeNs = int64(time.Since(start) - idle - stealScan)
+	c.ctr.IdleTimeNs = int64(idle)
+	c.ctr.StealTimeNs = int64(stealScan)
+	c.ctr.CoreWork = []int64{c.ctr.Work()}
 	if st.aborted() {
 		// Drop the remaining enumeration state so thieves find nothing and
 		// memory is released promptly; record how much work was abandoned.
-		abandoned := c.stack.Abandon()
-		st.col.AddAbandonedExts(abandoned)
-		if old := st.stateBytes[c.gidx(st)].Swap(0); old != 0 {
-			st.stateTotal.Add(-old)
-		}
+		c.ctr.AbandonedExts = c.stack.Abandon()
 		if st.tracer != nil {
 			st.tracer.Emit(metrics.TraceEvent{
 				Kind: metrics.TraceDrain, Step: st.index,
-				Worker: c.w.id, Core: c.local, Value: abandoned,
+				Worker: c.w.id, Core: c.local, Value: c.ctr.AbandonedExts,
 			})
 		}
 	}
@@ -198,7 +215,7 @@ func (c *core) traceSteal(st *stepCtx, external, hit bool, misses int64) {
 // embedding extended by w (the recursive body of Algorithm 1, iterated).
 func (c *core) process(st *stepCtx, emb *subgraph.Embedding, depth int, w subgraph.Word) {
 	emb.Push(w)
-	st.processed.Add(1)
+	c.progress.Add(1)
 	prims := st.s.Primitives
 	for i := st.s.ExtIdx[depth] + 1; i < len(prims); i++ {
 		p := &prims[i]
@@ -206,7 +223,7 @@ func (c *core) process(st *stepCtx, emb *subgraph.Embedding, depth int, w subgra
 		case step.Extend:
 			exts, tested := emb.Extensions(c.extScratch[:0])
 			c.extScratch = exts
-			st.col.AddExtensionTests(c.gidx(st), int64(tested))
+			c.ctr.ExtensionTests += int64(tested)
 			if len(exts) > 0 {
 				// PushCopy copies both slices into stack-pooled storage, so
 				// the steady-state DFS loop allocates nothing per subgraph.
@@ -232,7 +249,7 @@ func (c *core) process(st *stepCtx, emb *subgraph.Embedding, depth int, w subgra
 		}
 	}
 	// Complete embedding for this step.
-	st.col.AddSubgraphs(c.gidx(st), 1)
+	c.ctr.Subgraphs++
 }
 
 // stealInternal scans sibling cores round-robin and steals the shallowest
@@ -280,7 +297,8 @@ func (c *core) stealExternal(st *stepCtx) ([]subgraph.Word, bool) {
 				}
 				wait.Stop()
 				if len(resp.Prefix) > 0 {
-					st.col.AddExternalSteal(int64(4 * len(resp.Prefix)))
+					c.ctr.StealsExternal++
+					c.ctr.StealBytes += int64(4 * len(resp.Prefix))
 					return resp.Prefix, true
 				}
 			case <-st.doneCh:
@@ -321,12 +339,13 @@ func (c *core) drainResponses() {
 // observeState records the current intermediate-state estimate: in Fractal
 // the only live state is the enumerator stacks (prefixes plus extension
 // lists), which is why memory stays flat as depth grows (Table 2). The core
-// updates its own slot and maintains the shared cross-core total by delta,
-// making the observation O(1) per extension instead of O(totalCores) —
-// re-summing every slot on each Extend made the estimate itself a
-// per-extension cost that grew with the deployment size.
+// moves the worker's running total by the change of its own stack — one
+// shared write per pushed level — and remembers the highest total it saw.
 func (c *core) observeState(st *stepCtx) {
 	nb := c.stack.StateBytes()
-	old := st.stateBytes[c.gidx(st)].Swap(nb)
-	st.col.ObserveStateBytes(st.stateTotal.Add(nb - old))
+	total := st.stateTotal.Add(nb - c.state)
+	c.state = nb
+	if total > c.statePeak {
+		c.statePeak = total
+	}
 }

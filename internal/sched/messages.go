@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"fractal/internal/metrics"
 	"fractal/internal/subgraph"
 	"fractal/internal/wire"
 )
@@ -89,12 +90,14 @@ type cancelMsg struct {
 }
 
 // cancelAckMsg confirms that a worker has drained the cancelled step: its
-// cores have stopped and their metrics (including abandoned-work counts)
-// are final. Sent even when the worker was not running the step, so the
-// master's bounded drain wait completes fast on the healthy path.
+// cores have stopped, and Counters is their summed counter block (including
+// abandoned-work counts). Sent even when the worker was not running the
+// step — Counters is then zero — so the master's bounded drain wait
+// completes fast on the healthy path.
 type cancelAckMsg struct {
 	Job, Step, Attempt int
 	Worker             int
+	Counters           metrics.Snapshot
 }
 
 // aggDataMsg carries one worker's partial aggregation for one name.
@@ -110,12 +113,16 @@ type aggDataMsg struct {
 // entry per aggregation whose partial could not be merged, encoded, or
 // shipped. A non-empty Errs fails the step with an AggregationError at the
 // master — a partial that cannot be assembled must fail loudly, never
-// silently ship a wrong or missing result.
+// silently ship a wrong or missing result. Counters is the worker's counter
+// block for the attempt: its cores' blocks summed, plus its own merge time
+// and shipped bytes. It rides the message that ends the attempt anyway, so
+// the master's report costs no message of its own.
 type aggDoneMsg struct {
 	Job, Step, Attempt int
 	Worker             int
 	Sent               int
 	Errs               []string
+	Counters           metrics.Snapshot
 }
 
 // statusPingMsg requests a quiescence status report.
@@ -309,6 +316,32 @@ func getWord(r *wire.Reader) subgraph.Word {
 	return subgraph.Word(v)
 }
 
+// counterFields lists a counter block's scalars in wire order.
+func counterFields(c *metrics.Snapshot) [13]*int64 {
+	return [...]*int64{
+		&c.ExtensionTests, &c.Subgraphs, &c.StealsInternal, &c.StealsExternal, &c.StealBytes,
+		&c.StealTimeNs, &c.StealScanWork, &c.BusyTimeNs, &c.IdleTimeNs, &c.PeakStateBytes,
+		&c.AbandonedExts, &c.AggMergeTimeNs, &c.AggShippedBytes,
+	}
+}
+
+// putCounters and getCounters carry a counter block: its scalars as
+// varints, then CoreWork as a counted sequence.
+func putCounters(w *wire.Writer, c metrics.Snapshot) {
+	for _, v := range counterFields(&c) {
+		w.Varint(*v)
+	}
+	putSeq(w, c.CoreWork, (*wire.Writer).Varint)
+}
+
+func getCounters(r *wire.Reader) (c metrics.Snapshot) {
+	for _, v := range counterFields(&c) {
+		*v = r.Varint()
+	}
+	c.CoreWork = getSeq(r, (*wire.Reader).Varint)
+	return c
+}
+
 func putEnvEntry(w *wire.Writer, e envEntry) {
 	w.Str(e.Name)
 	w.Bytes(e.Data)
@@ -351,11 +384,13 @@ func (m *cancelMsg) get(r *wire.Reader) { getAttempt(r, &m.Job, &m.Step, &m.Atte
 func (m cancelAckMsg) put(w *wire.Writer) {
 	putAttempt(w, m.Job, m.Step, m.Attempt)
 	w.Int(m.Worker)
+	putCounters(w, m.Counters)
 }
 
 func (m *cancelAckMsg) get(r *wire.Reader) {
 	getAttempt(r, &m.Job, &m.Step, &m.Attempt)
 	m.Worker = r.Int()
+	m.Counters = getCounters(r)
 }
 
 func (m aggDataMsg) put(w *wire.Writer) {
@@ -377,6 +412,7 @@ func (m aggDoneMsg) put(w *wire.Writer) {
 	w.Int(m.Worker)
 	w.Int(m.Sent)
 	putSeq(w, m.Errs, (*wire.Writer).Str)
+	putCounters(w, m.Counters)
 }
 
 func (m *aggDoneMsg) get(r *wire.Reader) {
@@ -384,6 +420,7 @@ func (m *aggDoneMsg) get(r *wire.Reader) {
 	m.Worker = r.Int()
 	m.Sent = r.Int()
 	m.Errs = getSeq(r, (*wire.Reader).Str)
+	m.Counters = getCounters(r)
 }
 
 func (m statusPingMsg) put(w *wire.Writer) {

@@ -12,11 +12,9 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"fractal/internal/agg"
-	"fractal/internal/metrics"
 	"fractal/internal/rpc"
 	"fractal/internal/step"
 )
@@ -140,9 +138,9 @@ type remoteHost struct {
 	jobs map[int]*remoteJob
 }
 
-// runFor synthesizes a fresh jobRun for the attempt — fresh collector, state
-// accounting, and abort flag, exactly as the master's newAttempt builds for
-// in-process workers — after folding the shipped environment delta in.
+// runFor synthesizes a fresh jobRun for the attempt — the job state and a
+// fresh abort flag, as the master's newAttempt builds for in-process
+// workers — after folding the shipped environment delta in.
 func (h *remoteHost) runFor(m stepStartMsg) *jobRun {
 	h.mu.Lock()
 	rj := h.jobs[m.Job]
@@ -177,8 +175,6 @@ func (h *remoteHost) runFor(m stepStartMsg) *jobRun {
 		customs:    cloneCustom(rj.job.Custom, total),
 		steps:      rj.steps,
 		env:        rj.env,
-		col:        metrics.NewCollector(total),
-		stateBytes: make([]atomic.Int64, total),
 	}
 }
 

@@ -39,7 +39,7 @@ func aggCountJob(g *graph.Graph, depth int) Job {
 // aggCount reads the "count" aggregation from a completed run.
 func aggCount(t *testing.T, res *Result) int64 {
 	t.Helper()
-	a, err := agg.Typed[string, int64](res.Env, "count")
+	a, err := agg.Typed[string, int64](res.Aggregations, "count")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,6 +229,64 @@ func TestRetriedAggregationCountsOnce(t *testing.T) {
 	}
 	if res.Report.WorkersLost != 1 {
 		t.Errorf("report workersLost = %d, want 1", res.Report.WorkersLost)
+	}
+}
+
+// TestRetryDiscardsFailedAttemptCounters holds the report to the same
+// exactly-once rule as the aggregations: worker 1's step start is dropped, so
+// attempt 0 has worker 0 enumerate its share before the step-start watchdog
+// fails the attempt, and worker 0's drain ack delivers those counters. The
+// retry's report must equal the fault-free run's — the failed attempt's
+// counters are discarded with its partials, not added to the retry's.
+func TestRetryDiscardsFailedAttemptCounters(t *testing.T) {
+	g := randomGraph(30, 0.25, 1, 104)
+	cfg := Config{
+		Workers: 2, CoresPerWorker: 2, WS: WSBoth,
+		StepRetries: 2, RetryBackoff: time.Millisecond,
+		WorkerTimeout: 150 * time.Millisecond,
+	}
+	run := func(script *rpc.Script) StepReport {
+		t.Helper()
+		c := cfg
+		if script != nil {
+			c.FaultInjector = script
+		}
+		rt, err := New(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Close()
+		res, err := rt.Run(context.Background(), aggCountJob(g, 3))
+		if err != nil {
+			t.Fatalf("run failed: %v", err)
+		}
+		return res.Steps[len(res.Steps)-1]
+	}
+	want := run(nil)
+	if want.EC == 0 || want.Subgraphs == 0 {
+		t.Fatalf("degenerate baseline: %+v", want)
+	}
+
+	script := rpc.NewScript(rpc.DropRule(rpc.Master, 1, KindStepStart, 0, 1))
+	got := run(script)
+	if script.Stats().Dropped == 0 {
+		t.Fatal("step start was never dropped; the scenario did not run")
+	}
+	if got.Attempts != 2 {
+		t.Errorf("Attempts = %d, want 2", got.Attempts)
+	}
+	if got.EC != want.EC || got.Subgraphs != want.Subgraphs {
+		t.Errorf("retried step reports EC=%d subgraphs=%d, fault-free run %d/%d",
+			got.EC, got.Subgraphs, want.EC, want.Subgraphs)
+	}
+	// The retry ran on worker 0 alone: its two cores are all the report
+	// covers, and they did all of the work.
+	var booked int64
+	for _, w := range got.Metrics.CoreWork {
+		booked += w
+	}
+	if len(got.Metrics.CoreWork) != 2 || booked != want.EC+want.Subgraphs {
+		t.Errorf("CoreWork=%v sums to %d, want 2 cores summing to %d", got.Metrics.CoreWork, booked, want.EC+want.Subgraphs)
 	}
 }
 

@@ -39,19 +39,21 @@ type Job struct {
 	Env *agg.Registry
 }
 
-// Result is the outcome of a Job.
+// Result is the outcome of a Job, and (as fractal.Result) of every public
+// execution method and application driver.
 type Result struct {
-	// Env contains every aggregation computed by the job (plus the input
-	// environment's entries).
-	Env *agg.Registry
+	// Aggregations contains every aggregation computed by the job (plus the
+	// input environment's entries).
+	Aggregations *agg.Registry
 	// Steps reports per-step execution metrics.
 	Steps []StepReport
 	// Wall is the total wall-clock time.
 	Wall time.Duration
 	// Report is the machine-readable observability record of the run:
-	// per-step collector snapshots and quiescence rounds, transport
-	// traffic, and the trace journal when tracing was enabled. It is
-	// populated on every Run return, including cancelled and failed runs.
+	// per-step counters and quiescence rounds, transport traffic, and the
+	// trace journal when tracing was enabled. It is populated on every Run
+	// return, including cancelled and failed runs; export it with
+	// Report.WriteJSON.
 	Report *RunReport
 }
 
@@ -76,9 +78,9 @@ func (r *Result) TotalSubgraphs() int64 {
 // jobRun is the shared (in-process) state of one step attempt, published by
 // the master before broadcasting step starts. In the paper this is the
 // fractoid piggybacked on the Spark job submission. Every retry of a step
-// gets a fresh jobRun — fresh collector, fresh state accounting, fresh abort
-// flag — so a core still draining a failed attempt can only ever write into
-// that attempt's discarded state, never into the retry's.
+// gets a fresh jobRun — fresh counter blocks, fresh abort flag — so what a
+// failed attempt counted is discarded with its partials, and aborting it
+// cannot abort the retry.
 type jobRun struct {
 	job int
 	// attempt numbers the executions of the current step (0 on the first
@@ -96,14 +98,16 @@ type jobRun struct {
 	plan       *pattern.Plan
 	// customs holds one clone of the job's custom extender per core of the
 	// attempt, by global core index (nil without one); see cloneCustom.
-	customs    []subgraph.CustomExtender
-	steps      []*step.Step
-	env        *agg.Registry
-	col        *metrics.Collector
-	stateBytes []atomic.Int64
-	// stateTotal is the shared sum over stateBytes, maintained by deltas so
-	// a core's peak-state observation is O(1) per extension.
-	stateTotal atomic.Int64
+	customs []subgraph.CustomExtender
+	steps   []*step.Step
+	env     *agg.Registry
+	// blocks holds the counter block each worker shipped with the message
+	// that ended its part of the attempt (aggDoneMsg, or cancelAckMsg on a
+	// drain), by worker ID; mergeTime is the master's own decode-and-merge
+	// time. Master-only, like rounds: workers count into their cores' blocks
+	// and never see these.
+	blocks    map[int]metrics.Snapshot
+	mergeTime time.Duration
 	// tracer is the run's trace journal (nil when tracing is disabled).
 	tracer *metrics.Tracer
 	// envWire is the encoded environment delta shipped with the step start
@@ -427,7 +431,7 @@ func (r *Runtime) runJob(ctx context.Context, jobID int, job Job) (*Result, erro
 		tracer = metrics.NewTracer(r.cfg.TraceCapacity)
 	}
 	preStats := r.transportStats()
-	res := &Result{Env: env}
+	res := &Result{Aggregations: env}
 	start := time.Now()
 	var retries, workersLost int
 	// The report is assembled on every exit path — cancelled and failed
@@ -547,10 +551,9 @@ func (r *Runtime) runJob(ctx context.Context, jobID int, job Job) (*Result, erro
 		if stepErr != nil {
 			// The step was abandoned: report the partial work done before
 			// the cancellation (or worker loss) took effect. executeStep
-			// has already waited (bounded) for drain acks, so on the
-			// healthy path the collector snapshot is final; if a worker
-			// never acked, its last metrics flush may be missing and the
-			// snapshot is a lower bound.
+			// has already waited (bounded) for drain acks, which carry the
+			// workers' counters; a worker that never acked contributes
+			// nothing, and the report is a lower bound.
 			rep.Cancelled = true
 			res.Steps = append(res.Steps, rep)
 			res.Wall = time.Since(start)
@@ -621,9 +624,8 @@ func (r *Runtime) newAttempt(jobID, attempt int, parts []int, job Job, steps []*
 		customs:    cloneCustom(job.Custom, total),
 		steps:      steps,
 		env:        env,
-		col:        metrics.NewCollector(total),
+		blocks:     map[int]metrics.Snapshot{},
 		tracer:     tracer,
-		stateBytes: make([]atomic.Int64, total),
 	}
 }
 
@@ -658,29 +660,49 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// fillReport copies the final attempt's collector snapshot and quiescence
-// journal into the step report (earlier attempts' collectors were discarded
-// with their partials).
-func fillReport(rep *StepReport, run *jobRun) {
-	col := run.col
-	in, ex := col.Steals()
-	rep.Balance = col.Balance()
-	if rep.Wall > 0 {
-		rep.Utilization = float64(col.BusyTime()) / (float64(rep.Wall) * float64(run.totalCores))
-		if rep.Utilization > 1 {
-			rep.Utilization = 1
-		}
+// recordCounters keeps the counter block a worker shipped for this attempt.
+// The first block wins: a worker that already ended the step with an
+// aggDoneMsg acks a later cancel of it with an empty block.
+func (run *jobRun) recordCounters(worker int, c metrics.Snapshot) {
+	if _, ok := run.blocks[worker]; !ok {
+		run.blocks[worker] = c
 	}
-	rep.EC = col.ExtensionTests()
-	rep.Subgraphs = col.Subgraphs()
-	rep.StealsInternal, rep.StealsExternal = in, ex
-	rep.StealBytes = col.StealBytes()
-	rep.StealOverhead = col.StealOverhead()
-	rep.PeakStateBytes = col.PeakStateBytes()
-	rep.AbandonedExts = col.AbandonedExts()
-	rep.AggMergeTime = col.AggMergeTime()
-	rep.AggShippedBytes = col.AggShippedBytes()
-	rep.Metrics = col.Snapshot()
+}
+
+// counters sums the attempt's counter blocks in rank order, which puts
+// CoreWork in global core order. A participant that shipped none (lost, or
+// slower than the drain wait) counts as cores that did no work.
+func (run *jobRun) counters() metrics.Snapshot {
+	sum := metrics.Snapshot{AggMergeTimeNs: int64(run.mergeTime)}
+	for _, wid := range run.parts {
+		b := run.blocks[wid]
+		if b.CoreWork == nil {
+			b.CoreWork = make([]int64, run.totalCores/len(run.parts))
+		}
+		sum.Add(b)
+	}
+	return sum
+}
+
+// fillReport fills the step report from the final attempt's summed counters
+// and quiescence journal (earlier attempts' were discarded with their
+// partials).
+func fillReport(rep *StepReport, run *jobRun) {
+	m := run.counters()
+	rep.Metrics = m
+	rep.Balance = m.Balance()
+	if rep.Wall > 0 {
+		rep.Utilization = min(1, float64(m.BusyTimeNs)/(float64(rep.Wall)*float64(run.totalCores)))
+	}
+	rep.EC = m.ExtensionTests
+	rep.Subgraphs = m.Subgraphs
+	rep.StealsInternal, rep.StealsExternal = m.StealsInternal, m.StealsExternal
+	rep.StealBytes = m.StealBytes
+	rep.StealOverhead = m.StealOverhead()
+	rep.PeakStateBytes = m.PeakStateBytes
+	rep.AbandonedExts = m.AbandonedExts
+	rep.AggMergeTime = time.Duration(m.AggMergeTimeNs)
+	rep.AggShippedBytes = m.AggShippedBytes
 	rep.Rounds = run.rounds
 	rep.RoundsTotal = run.roundsTotal
 }
@@ -773,10 +795,10 @@ const cancelDrainWait = 75 * time.Millisecond
 // broadcastCancel tells every worker to abandon the step — first through
 // the run's shared abort flag (instant), then through cancel messages that
 // serialize the drain at each router — and waits (bounded by
-// cancelDrainWait) for drain acks so the partial step report sees final
-// core metrics. Sends are best-effort: a worker that cannot be reached is
-// typically the one whose loss is being handled, and an unacked worker just
-// means its last metrics flush may be missed.
+// cancelDrainWait) for the drain acks, which carry the workers' counters
+// into the partial step report. Sends are best-effort: a worker that cannot
+// be reached is typically the one whose loss is being handled, and an
+// unacked worker is missing from the report.
 func (r *Runtime) broadcastCancel(run *jobRun, idx int) {
 	run.cancelled.Store(true)
 	if run.tracer != nil {
@@ -815,6 +837,7 @@ func (r *Runtime) broadcastCancel(run *jobRun, idx int) {
 				continue
 			}
 			acked[m.Worker] = true
+			run.recordCounters(m.Worker, m.Counters)
 		case <-deadline.C:
 			return
 		}
@@ -976,8 +999,10 @@ type aggPayload struct {
 // transport — and once every worker has reported, each payload is decoded
 // into its own store concurrently and the per-worker stores are folded with
 // the same parallel pairwise tree the workers use for their cores
-// (agg.MergeTree). Decode and merge wall time lands in the run's collector
-// alongside the workers' contributions.
+// (agg.MergeTree). Each done message also delivers its worker's counter
+// block — attempt-checked like the partials, so a failed attempt's counters
+// never reach the retry's report — and the master's own decode and merge
+// wall time joins them.
 func (r *Runtime) collectAggregations(ctx context.Context, run *jobRun, idx int, s *step.Step) error {
 	specs := s.AggSpecs()
 	protos := map[string]agg.Store{}
@@ -1025,6 +1050,7 @@ func (r *Runtime) collectAggregations(ctx context.Context, run *jobRun, idx int,
 				if decode(env.Body, &m) != nil || m.Job != run.job || m.Step != idx || m.Attempt != run.attempt {
 					continue
 				}
+				run.recordCounters(m.Worker, m.Counters)
 				if len(m.Errs) > 0 {
 					// The worker could not assemble (or ship) some of its
 					// partials: fail the step rather than commit a result
@@ -1051,7 +1077,7 @@ func (r *Runtime) collectAggregations(ctx context.Context, run *jobRun, idx int,
 		}
 	}
 	mergeStart := time.Now()
-	defer func() { run.col.AddAggMergeTime(time.Since(mergeStart)) }()
+	defer func() { run.mergeTime = time.Since(mergeStart) }()
 	stop := func() bool { return ctx.Err() != nil || run.cancelled.Load() }
 	for _, sp := range specs {
 		ps := payloads[sp.Name]

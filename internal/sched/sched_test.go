@@ -184,7 +184,7 @@ func TestAggregationAcrossWorkers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			a, err := agg.Typed[string, int64](res.Env, "motifs")
+			a, err := agg.Typed[string, int64](res.Aggregations, "motifs")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -271,7 +271,7 @@ func TestMultiStepAggregationFilter(t *testing.T) {
 		e.Pop()
 	}
 
-	a2, err := agg.Typed[string, int64](res.Env, "freq2")
+	a2, err := agg.Typed[string, int64](res.Aggregations, "freq2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestAggFilterWithPrecomputedEnv(t *testing.T) {
 
 	var passed atomic.Int64
 	res2, err := rt.Run(context.Background(), Job{
-		Graph: g, Kind: subgraph.EdgeInduced, Env: res1.Env,
+		Graph: g, Kind: subgraph.EdgeInduced, Env: res1.Aggregations,
 		Workflow: step.Workflow{
 			step.ExtendP(),
 			step.AggFilterP("support", func(e *subgraph.Embedding, s agg.Store) bool {

@@ -189,7 +189,7 @@ func (r *Runtime) LoadGraph(path string) (*graph.Graph, error) { return r.graphs
 // master-mode runtime distributes the spec to the registered workers, waits
 // for at least one to materialize it, and drives the step protocol across
 // processes. env carries aggregations from previous jobs the workflow reads
-// (nil for none); the result's Env contains it plus everything the job
+// (nil for none); the result's Aggregations hold it plus everything the job
 // computed, exactly as with Run.
 func (r *Runtime) RunSpec(ctx context.Context, spec JobSpec, env *agg.Registry) (*Result, error) {
 	return r.RunSpecOn(ctx, spec, nil, env)

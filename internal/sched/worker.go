@@ -34,19 +34,18 @@ type stepCtx struct {
 	plan       *pattern.Plan
 	customs    []subgraph.CustomExtender // per global core; nil without a custom extender
 	env        *agg.Registry
-	col        *metrics.Collector
 	totalCores int
 
-	localAggs  []map[string]agg.Store // per core, per aggregation name
-	stateBytes []atomic.Int64         // per global core
-	stateTotal *atomic.Int64          // shared sum of stateBytes, kept by deltas
+	localAggs []map[string]agg.Store // per core, per aggregation name
+	// stateTotal is the worker's running intermediate-state estimate, the sum
+	// of its cores' stack sizes, moved by deltas (core.observeState).
+	stateTotal atomic.Int64
 
 	// tracer is the run's trace journal; nil when tracing is disabled, so
 	// every event site is one pointer comparison on the fast path.
 	tracer *metrics.Tracer
 
 	active    atomic.Int64
-	processed atomic.Int64
 	stopped   atomic.Bool  // cheap per-iteration poll for the DFS loop
 	cancelled atomic.Bool  // stopped by cancellation rather than step end
 	abort     *atomic.Bool // the run's shared abort flag, set by the master
@@ -207,9 +206,9 @@ func (w *worker) startStep(m stepStartMsg) {
 	}
 	// A failed attempt may still be draining here if its cancel message was
 	// lost along with the worker it blamed: stop it before installing the
-	// new step. Its cores can only write into the failed attempt's
-	// discarded collector and aggregations, so nothing it did leaks into
-	// this attempt.
+	// new step. Its cores have stopped before this attempt's counters are
+	// zeroed below, and its aggregations are discarded with its stepCtx, so
+	// nothing it did leaks into this attempt.
 	w.mu.Lock()
 	stale := w.cur
 	w.mu.Unlock()
@@ -230,10 +229,7 @@ func (w *worker) startStep(m stepStartMsg) {
 		plan:       run.plan,
 		customs:    run.customs,
 		env:        run.env,
-		col:        run.col,
 		totalCores: run.totalCores,
-		stateBytes: run.stateBytes,
-		stateTotal: &run.stateTotal,
 		tracer:     run.tracer,
 		abort:      &run.cancelled,
 		doneCh:     make(chan struct{}),
@@ -263,8 +259,24 @@ func (w *worker) startStep(m stepStartMsg) {
 	st.active.Add(int64(len(w.cores)))
 	st.wg.Add(len(w.cores))
 	for _, c := range w.cores {
+		c.ctr, c.state, c.statePeak = metrics.Snapshot{}, 0, 0
+		c.progress.Store(0)
 		go c.run(st)
 	}
+}
+
+// counters sums the cores' counter blocks of the attempt that just stopped
+// (st.wg.Wait() has returned, so every block is final) into the worker's
+// block, CoreWork in core order. It is the one place a step attempt's
+// counters are assembled, whichever message then carries them and whichever
+// process the worker lives in.
+func (w *worker) counters() metrics.Snapshot {
+	var sum metrics.Snapshot
+	for _, c := range w.cores {
+		sum.Add(c.ctr)
+		sum.PeakStateBytes = max(sum.PeakStateBytes, c.statePeak)
+	}
+	return sum
 }
 
 // endStep stops the cores, merges the per-core aggregation partials, and
@@ -278,8 +290,8 @@ func (w *worker) startStep(m stepStartMsg) {
 // sequential c-1 fold, so the post-quiescence step tail — which for
 // aggregation-heavy workloads is where the wall time moved once enumeration
 // stopped allocating — shrinks with core count instead of growing. Merge and
-// encode wall time, and the encoded bytes shipped, are recorded in the
-// run's collector so StepReport shows where aggregation time goes.
+// encode wall time, and the encoded bytes shipped, join the cores' summed
+// counters, and the done message carries the block to the master.
 func (w *worker) endStep(m stepEndMsg) {
 	w.mu.Lock()
 	st := w.cur
@@ -293,6 +305,7 @@ func (w *worker) endStep(m stepEndMsg) {
 	w.cur = nil
 	w.mu.Unlock()
 
+	ctr := w.counters()
 	sent := 0
 	var errs []string
 	mergeStart := time.Now()
@@ -324,24 +337,29 @@ func (w *worker) endStep(m stepEndMsg) {
 			errs = append(errs, stepErr.Error())
 			continue
 		}
-		st.col.AddAggShippedBytes(int64(len(data)))
+		ctr.AggShippedBytes += int64(len(data))
 		sent++
 	}
-	st.col.AddAggMergeTime(time.Since(mergeStart))
-	done := aggDoneMsg{Job: st.job, Step: st.index, Attempt: st.attempt, Worker: w.id, Sent: sent, Errs: errs}
+	ctr.AggMergeTimeNs = int64(time.Since(mergeStart))
+	done := aggDoneMsg{Job: st.job, Step: st.index, Attempt: st.attempt, Worker: w.id, Sent: sent, Errs: errs, Counters: ctr}
 	w.tr.Send(rpc.Master, rpc.Envelope{Kind: kAggDone, Body: encode(done)})
 }
 
 // cancelStep drains a cancelled step: cores stop at their next cancellation
 // poll, partial aggregations are discarded, and nothing is reported to the
-// master but a drain ack. Because the router processes messages serially, a
+// master but a drain ack carrying the counters of the work done so far.
+// Because the router processes messages serially, a
 // subsequent kStepStart is not handled until the drain completes, so a
 // cancelled job can never leak cores into the next one.
 func (w *worker) cancelStep(m cancelMsg) {
 	w.mu.Lock()
 	st := w.cur
 	w.mu.Unlock()
-	if st != nil && st.job == m.Job && st.index == m.Step && st.attempt == m.Attempt {
+	// Ack unconditionally (also when the step was never ours or already
+	// over, with no counters then) so the master's drain wait is not held up
+	// by healthy workers.
+	ack := cancelAckMsg{Job: m.Job, Step: m.Step, Attempt: m.Attempt, Worker: w.id}
+	if stepMatches(st, m.Job, m.Step, m.Attempt) {
 		st.cancel()
 		st.wg.Wait()
 		w.mu.Lock()
@@ -349,10 +367,8 @@ func (w *worker) cancelStep(m cancelMsg) {
 			w.cur = nil
 		}
 		w.mu.Unlock()
+		ack.Counters = w.counters()
 	}
-	// Ack unconditionally (also when the step was never ours or already
-	// over) so the master's drain wait is not held up by healthy workers.
-	ack := cancelAckMsg{Job: m.Job, Step: m.Step, Attempt: m.Attempt, Worker: w.id}
 	w.tr.Send(rpc.Master, rpc.Envelope{Kind: kCancelAck, Body: encode(ack)})
 }
 
@@ -386,7 +402,9 @@ func (w *worker) reportStatus(m statusPingMsg) {
 	if st != nil && st.job == m.Job && st.index == m.Step && st.attempt == m.Attempt {
 		rep.Running = true
 		rep.Active = st.active.Load()
-		rep.Processed = st.processed.Load()
+		for _, c := range w.cores {
+			rep.Processed += c.progress.Load()
+		}
 	}
 	w.tr.Send(rpc.Master, rpc.Envelope{Kind: kStatusReport, Body: encode(rep)})
 }

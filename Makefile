@@ -1,4 +1,4 @@
-.PHONY: check check-race check-dist chaos test build vet bench bench-smoke bench-micro bench-agg bench-plan bench-decomp bench-graph fuzz-agg fuzz-wire fuzz-plan fuzz-decomp fuzz-graph
+.PHONY: check check-race check-dist chaos test build vet bench bench-smoke bench-micro bench-agg bench-plan bench-decomp bench-fsm bench-graph fuzz-agg fuzz-wire fuzz-plan fuzz-decomp fuzz-graph
 
 check:
 	./scripts/check.sh
@@ -75,6 +75,14 @@ bench-plan:
 bench-decomp:
 	go test -run=NONE -bench='^BenchmarkMotifs(Decomp|Auto|Plan)(K5)?$$' \
 		-benchtime=$(BENCHTIME) -benchmem ./internal/apps/
+
+# FSM end to end on the repository benchmark's fsm_ml analog
+# (SkewLabels(BarabasiAlbert(4500,2),37), support 50, 3 edges), in-process on
+# two cores: ns/op is one whole mining job, B/op and allocs/op what pattern
+# labelling and aggregation cost it (733 MB/job before labelling was paid per
+# class, PR 16). CI runs this with BENCHTIME=1x as a smoke test.
+bench-fsm:
+	go test -run=NONE -bench='^BenchmarkFSM$$' -benchtime=$(BENCHTIME) -benchmem ./internal/apps/
 
 # CSR + .fgr storage microbenchmarks: mmap load vs edge-list parse (with
 # live- and peak-heap deltas), Builder.Build and the edge-list writer at the

@@ -46,7 +46,7 @@ func main() {
 	frac := fractal.Aggregate(g.VFractoid().Expand(*k), "motifs",
 		func(e *fractal.Subgraph) string { return ctx.PatternOf(e).Code },
 		func(e *fractal.Subgraph) agg.PatternCount {
-			return agg.PatternCount{Pat: e.Pattern(), Count: 1}
+			return agg.PatternCount{Pat: ctx.PatternRep(e), Count: 1}
 		},
 		agg.ReducePatternCount, nil)
 

@@ -242,8 +242,7 @@ func ReadRunReport(r io.Reader) (*RunReport, error) { return sched.ReadRunReport
 // Figure 2, operator C1). It owns the runtime resources; Close releases
 // them.
 type Context struct {
-	rt    *sched.Runtime
-	cache *pattern.CodeCache
+	rt *sched.Runtime
 }
 
 // Option configures a Context. Options are applied in order over a default
@@ -404,7 +403,7 @@ func NewContext(opts ...Option) (*Context, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Context{rt: rt, cache: pattern.NewCodeCache(0)}, nil
+	return &Context{rt: rt}, nil
 }
 
 // Close shuts the runtime down.
@@ -560,36 +559,30 @@ func (fg *Graph) EFilter(f func(e graph.EdgeID, g *graph.Graph) bool) *Graph {
 // Stats returns the Table 1 summary of the graph.
 func (fg *Graph) Stats() graph.Stats { return fg.g.Stats() }
 
-// PatternOf returns the canonical pattern key of an embedding, using the
-// context-wide code cache. The returned Canon carries the code string (a
-// valid aggregation key) and the canonical position of every embedding
-// vertex.
-func (c *Context) PatternOf(e *Subgraph) pattern.Canon {
-	return c.cache.Canonical(e.Pattern())
-}
+// PatternOf returns the canonical pattern key of an embedding: the code
+// string (a valid aggregation key) and the canonical position of every
+// embedding vertex. It is the hot-path call: the embedding's per-core class
+// memo (Subgraph.Class) answers it without building a Pattern, and runs the
+// canonical-labelling search once per distinct quick pattern.
+func (c *Context) PatternOf(e *Subgraph) pattern.Canon { return e.Class().Canon }
 
-// PatternCanon canonicalizes an explicit pattern through the context-wide
-// code cache.
-func (c *Context) PatternCanon(p *Pattern) pattern.Canon {
-	return c.cache.Canonical(p)
-}
+// PatternCanon canonicalizes an explicit pattern. It runs the labelling
+// search on every call; for an embedding's own pattern use PatternOf.
+func (c *Context) PatternCanon(p *Pattern) pattern.Canon { return pattern.Classify(p).Canon }
 
 // PatternRep returns the shared canonical representative of e's pattern
-// class: every embedding of the same isomorphism class yields the identical
-// *Pattern (relabeled to canonical vertex order), which makes "first pattern
-// wins" reductions independent of embedding arrival and merge order.
-// Aggregation value functions should carry this pattern rather than the
-// embedding's own numbering.
-func (c *Context) PatternRep(e *Subgraph) *Pattern {
-	return c.cache.Representative(e.Pattern())
-}
+// class: every embedding of the same isomorphism class, on every core of the
+// process, yields the identical *Pattern (relabeled to canonical vertex
+// order), which makes "first pattern wins" reductions independent of
+// embedding arrival and merge order. Aggregation value functions should
+// carry this pattern rather than the embedding's own numbering; like
+// PatternOf it goes through the embedding's class memo.
+func (c *Context) PatternRep(e *Subgraph) *Pattern { return e.Class().Rep }
 
 // PatternRepOf returns the shared canonical representative of an explicit
 // pattern's isomorphism class (the PatternRep analog for patterns built
 // outside an embedding, e.g. from FromEmbedding or generated pattern sets).
-func (c *Context) PatternRepOf(p *Pattern) *Pattern {
-	return c.cache.Representative(p)
-}
+func (c *Context) PatternRepOf(p *Pattern) *Pattern { return pattern.Classify(p).Rep }
 
 // MNISupport builds the minimum image-based support contribution of a
 // single embedding, aligned by canonical position (the value function of
@@ -599,8 +592,8 @@ func (c *Context) PatternRepOf(p *Pattern) *Pattern {
 // function), whose first store clones it and whose reduction reclaims it —
 // the FSM hot loop allocates nothing per embedding.
 func (c *Context) MNISupport(e *Subgraph, threshold int64) *DomainSupport {
-	canon, rep := c.cache.CanonicalRep(e.Pattern())
-	return agg.ScratchDomainSupport(rep, threshold, e.Vertices(), canon.Perm)
+	cl := e.Class()
+	return agg.ScratchDomainSupport(cl.Rep, threshold, e.Vertices(), cl.Perm)
 }
 
 // CliqueFilter is the local clique check of Listing 2: the number of edges

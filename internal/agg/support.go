@@ -28,9 +28,9 @@ import (
 // Exported fields cross the wire (binary.go).
 type DomainSupport struct {
 	// Pat is a representative pattern for reporting. Contributions built
-	// through a CodeCache carry the class's shared canonical representative,
-	// which makes the "first pattern wins" reduction independent of
-	// embedding arrival and merge order.
+	// from an embedding's Class carry the class's shared canonical
+	// representative, which makes the "first pattern wins" reduction
+	// independent of embedding arrival and merge order.
 	Pat *pattern.Pattern
 	// Threshold is the minimum support α the mining run uses.
 	Threshold int64

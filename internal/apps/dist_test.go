@@ -93,12 +93,22 @@ func loadOn(t *testing.T, fc *fractal.Context, path string) *fractal.Graph {
 // distributed runs are compared against the identical parsed graph.
 func inProcessOracle(t *testing.T) (*fractal.Context, func(path string) *fractal.Graph) {
 	t.Helper()
-	ctx, err := fractal.NewContext(fractal.WithCores(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(ctx.Close)
+	ctx := inProcess(fractal.WithCores(2))(t)
 	return ctx, func(path string) *fractal.Graph { return loadOn(t, ctx, path) }
+}
+
+// inProcess returns a deployment: a constructor of an in-process context
+// with the given options, closed with the test.
+func inProcess(opts ...fractal.Option) func(*testing.T) *fractal.Context {
+	return func(t *testing.T) *fractal.Context {
+		t.Helper()
+		fc, err := fractal.NewContext(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(fc.Close)
+		return fc
+	}
 }
 
 func fsmDistEqual(t *testing.T, label string, got, want *FSMResult) {
@@ -214,16 +224,6 @@ func TestDistCountersAcrossDeployments(t *testing.T) {
 	clPath := writeGraphFile(t, workload.ErdosRenyi("dist-ctr-cl", 60, 220, 1, 50))
 	fsmPath := writeGraphFile(t, workload.Community("dist-ctr-fsm", 6, 15, 6, 0.8, 4, 51))
 
-	inProcess := func(opts ...fractal.Option) func(*testing.T) *fractal.Context {
-		return func(t *testing.T) *fractal.Context {
-			fc, err := fractal.NewContext(opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(fc.Close)
-			return fc
-		}
-	}
 	deployments := []struct {
 		name    string
 		workers int

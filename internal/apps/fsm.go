@@ -8,8 +8,8 @@ import (
 	"fractal"
 	"fractal/internal/agg"
 	"fractal/internal/graph"
-	"fractal/internal/pattern"
 	"fractal/internal/sched"
+	"fractal/internal/subgraph"
 )
 
 // FSMResult is the outcome of frequent subgraph mining.
@@ -48,9 +48,7 @@ type FSMOptions struct {
 // shipped to worker processes over the wire — expand, …, aggregate supportL.
 // Each level's support lives in its own environment entry because the
 // engine reuses — never recomputes — environment aggregations (Section 4.1).
-type fsmBuilder struct {
-	cache *pattern.CodeCache
-}
+type fsmBuilder struct{}
 
 func fsmSupName(level int) string { return fmt.Sprintf("support%d", level) }
 
@@ -66,7 +64,7 @@ func (fsmBuilder) EnvProtos(spec fractal.JobSpec) (map[string]agg.Store, error) 
 	return protos, nil
 }
 
-func (b fsmBuilder) Build(spec fractal.JobSpec, g *graph.Graph, _ *agg.Registry) (sched.Job, error) {
+func (fsmBuilder) Build(spec fractal.JobSpec, g *graph.Graph, _ *agg.Registry) (sched.Job, error) {
 	level, err := specInt(spec, "level")
 	if err != nil {
 		return sched.Job{}, err
@@ -83,15 +81,15 @@ func (b fsmBuilder) Build(spec fractal.JobSpec, g *graph.Graph, _ *agg.Registry)
 	for l := 1; l < level; l++ {
 		f = fractal.FilterAgg(f, fsmSupName(l),
 			func(e *fractal.Subgraph, a *agg.Aggregation[string, *agg.DomainSupport]) bool {
-				return a.Contains(b.cache.Canonical(e.Pattern()).Code)
+				return a.Contains(e.Class().Code)
 			})
 		f = f.Expand(1)
 	}
 	return fractal.Aggregate(f, fsmSupName(level),
-		func(e *fractal.Subgraph) string { return b.cache.Canonical(e.Pattern()).Code },
+		func(e *fractal.Subgraph) string { return e.Class().Code },
 		func(e *fractal.Subgraph) *agg.DomainSupport {
-			canon, rep := b.cache.CanonicalRep(e.Pattern())
-			return agg.ScratchDomainSupport(rep, minSupport, e.Vertices(), canon.Perm)
+			cl := e.Class()
+			return agg.ScratchDomainSupport(cl.Rep, minSupport, e.Vertices(), cl.Perm)
 		},
 		agg.ReduceDomainSupport,
 		func(k string, v *agg.DomainSupport) bool { return v.HasEnoughSupport() }).Job()
@@ -134,7 +132,7 @@ func FSM(ctx context.Context, fc *fractal.Context, g *fractal.Graph, minSupport 
 			break
 		}
 		if level == 1 && opts.GraphReduction {
-			g = reduceToFrequentEdges(fc, g, lvl)
+			g = reduceToFrequentEdges(g, lvl)
 		}
 	}
 	return out, nil
@@ -153,21 +151,16 @@ func record(out *FSMResult, lvl *agg.Aggregation[string, *agg.DomainSupport]) {
 // reduceToFrequentEdges applies the transparent FSM graph reduction: keep
 // only edges whose single-edge pattern is frequent, then drop isolated
 // vertices. By anti-monotonicity of the MNI support, no dropped edge can
-// participate in any frequent subgraph.
-func reduceToFrequentEdges(fc *fractal.Context, g *fractal.Graph,
-	level1 *agg.Aggregation[string, *agg.DomainSupport]) *fractal.Graph {
-	reduced := g.EFilter(func(id graph.EdgeID, gr *graph.Graph) bool {
-		return level1.Contains(edgePatternCode(fc, gr, id))
+// participate in any frequent subgraph. An edge's code is that of its
+// one-edge embedding, which is what the bootstrap level aggregated.
+func reduceToFrequentEdges(g *fractal.Graph, level1 *agg.Aggregation[string, *agg.DomainSupport]) *fractal.Graph {
+	emb := subgraph.New(g.Raw(), subgraph.EdgeInduced, nil)
+	reduced := g.EFilter(func(id graph.EdgeID, _ *graph.Graph) bool {
+		emb.Reset()
+		emb.Push(subgraph.Word(id))
+		return level1.Contains(emb.Class().Code)
 	})
 	return reduced.VFilter(func(v graph.VertexID, gr *graph.Graph) bool {
 		return gr.Degree(v) > 0
 	})
-}
-
-// edgePatternCode returns the canonical code of the single-edge pattern of
-// edge id, matching the codes produced by the bootstrap aggregation.
-func edgePatternCode(fc *fractal.Context, g *graph.Graph, id graph.EdgeID) string {
-	e := g.EdgeByID(id)
-	p := pattern.FromEmbedding(g, []graph.VertexID{e.Src, e.Dst}, []graph.EdgeID{id})
-	return fc.PatternCanon(p).Code
 }

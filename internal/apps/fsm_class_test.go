@@ -1,0 +1,206 @@
+package apps
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"runtime"
+	"slices"
+	"testing"
+	"time"
+
+	"fractal"
+	"fractal/internal/graph"
+	"fractal/internal/rpc"
+	"fractal/internal/sched"
+	"fractal/internal/workload"
+)
+
+// Per-class labelling suite: FSM labels embeddings through the per-core
+// class memo (subgraph.Embedding.Class), so canonical labelling is paid once
+// per distinct quick pattern. These tests hold the memo to the per-embedding
+// oracle in every deployment, hold its payloads to the bytes the parent
+// commit produced, and hold "once per class" to the run report's counters.
+
+func fsmClassBA() *graph.Graph {
+	return workload.SkewLabels(workload.BarabasiAlbert("fsm-ba", 600, 2, 1, 7), 6, 7)
+}
+
+func fsmClassCommunity() *graph.Graph {
+	return workload.Community("fsm-comm", 6, 15, 6, 0.8, 4, 46)
+}
+
+// fsmMLAnalog is the repository benchmark's fsm_ml input before renumbering:
+// 4500 vertices, 37 skewed labels, mined at support 50 up to 3 edges.
+func fsmMLAnalog() *graph.Graph {
+	return workload.SkewLabels(workload.BarabasiAlbert("ba_ml", 4500, 2, 37, 1), 37, 2)
+}
+
+// TestFSMPayloadGolden pins the bytes of every level's aggregation payload
+// to those of the commit before the class memo (PR 15, which labelled every
+// embedding through pattern.CodeCache): same keys, same representatives,
+// same domains at the same positions, same encoding.
+func TestFSMPayloadGolden(t *testing.T) {
+	for _, tc := range []struct {
+		g        *graph.Graph
+		support  int64
+		perLevel []int
+		sums     map[string]string // aggregation name -> sha256 of its Encode()
+	}{
+		{fsmClassBA(), 12, []int{12, 37, 108}, map[string]string{
+			"support1": "b99540bdfb06a64d9e53d598c509eec038200a55e5fcd586d441835ffa7053e2",
+			"support2": "63ef02856e447f3cb0c6a696a32793c0f2f4ad3f412718348dc8807a7c4cf348",
+			"support3": "ba3e9220d500b1c717785405cf35687f9fa2b5673c851568d7117f31b40649ae",
+		}},
+		{fsmClassCommunity(), 8, []int{9, 25, 66}, map[string]string{
+			"support1": "edb13efee91209b53195dc955a673d1ff68a8306f9cb186673d7602f0034c308",
+			"support2": "0870f51e54ed72c1b3033e54c348d331d3d77df5c0f4b5224678a9329841843d",
+			"support3": "1fc6aae8f025ba698f92a41494da97c50ecb207d6a1763b6c0c360cf63421a77",
+		}},
+	} {
+		ctx := testCtx(t)
+		res, err := FSM(bg, ctx, ctx.FromGraph(tc.g), tc.support, FSMOptions{MaxEdges: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res.PerLevel, tc.perLevel) {
+			t.Errorf("%s: PerLevel=%v, want %v", tc.g.Name(), res.PerLevel, tc.perLevel)
+		}
+		for name, want := range tc.sums {
+			st, ok := res.Last.Aggregations.Get(name)
+			if !ok {
+				t.Fatalf("%s: no aggregation %s", tc.g.Name(), name)
+			}
+			data, err := st.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(data)
+			if got := hex.EncodeToString(sum[:]); got != want {
+				t.Errorf("%s %s: payload sha256 %s (%d bytes), parent commit's %s", tc.g.Name(), name, got, len(data), want)
+			}
+		}
+	}
+}
+
+// TestFSMMatchesPerEmbeddingOracle runs FSM through the memo in every
+// deployment shape — cores sharing nothing but the class table, TCP workers,
+// worker OS processes, and a step retried after an injected worker loss —
+// and requires the keys of support1..3, every domain and every support to
+// equal the oracle's, which labels each embedding by Pattern().Canonical().
+func TestFSMMatchesPerEmbeddingOracle(t *testing.T) {
+	deployments := []struct {
+		name    string
+		context func(t *testing.T) *fractal.Context
+	}{
+		{"1x1", inProcess(fractal.WithWorkers(1), fractal.WithCores(1))},
+		{"1x2", inProcess(fractal.WithWorkers(1), fractal.WithCores(2))},
+		{"tcp 2x1", inProcess(fractal.WithWorkers(2), fractal.WithCores(1), fractal.WithTCP())},
+		{"master + 2 worker processes", func(t *testing.T) *fractal.Context {
+			bin := workerBin(t)
+			master := distMaster(t)
+			spawnWorkerProc(t, bin, master.ListenAddr())
+			spawnWorkerProc(t, bin, master.ListenAddr())
+			awaitCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if err := master.AwaitWorkers(awaitCtx, 2); err != nil {
+				t.Fatal(err)
+			}
+			return master
+		}},
+		{"step retried after a worker loss", func(t *testing.T) *fractal.Context {
+			// Worker 1 dies shipping its first partials: the attempt's
+			// memos and partials are dropped and the survivors start over.
+			script := rpc.NewScript(rpc.SeverRule(1, rpc.Master, sched.KindAggData, 0, 1))
+			t.Cleanup(func() {
+				if script.Stats().Fired == 0 {
+					t.Error("the fault never fired: no step was retried")
+				}
+			})
+			return chaosCtx(t, script)
+		}},
+	}
+	for _, tc := range []struct {
+		g       *graph.Graph
+		support int64
+	}{{fsmClassBA(), 12}, {fsmClassCommunity(), 8}} {
+		path := writeGraphFile(t, tc.g)
+		_, load := inProcessOracle(t)
+		want := fsmOracle(t, load(path), tc.support, 3)
+		if len(want) != 3 || len(want[2]) == 0 {
+			t.Fatalf("%s: degenerate oracle, %d levels", tc.g.Name(), len(want))
+		}
+		for _, d := range deployments {
+			t.Run(tc.g.Name()+"/"+d.name, func(t *testing.T) {
+				fc := d.context(t)
+				got, err := FSM(bg, fc, loadOn(t, fc, path), tc.support, FSMOptions{MaxEdges: 3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				fsmEqualsOracle(t, d.name, got, want)
+			})
+		}
+	}
+}
+
+// TestFSMLabellingPaidPerClass runs the benchmark's fsm_ml analog and holds
+// the run report to the claim: canonical labelling runs at most once per
+// distinct quick pattern and core, quick patterns are a few percent of the
+// embeddings, and the job allocates a tenth of what labelling every
+// embedding did (733 MB at the parent commit, 57 % of it pattern builders).
+func TestFSMLabellingPaidPerClass(t *testing.T) {
+	if testing.Short() {
+		t.Skip("one full fsm_ml-sized job")
+	}
+	ctx := testCtx(t)
+	g := ctx.FromGraph(fsmMLAnalog())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := FSM(bg, ctx, g, 50, FSMOptions{MaxEdges: 3})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var subgraphs, quick, canon int64
+	for _, s := range res.Steps {
+		subgraphs += s.Metrics.Subgraphs
+		quick += s.Metrics.QuickPatterns
+		canon += s.Metrics.CanonCalls
+	}
+	t.Logf("levels %v: %d subgraphs, %d quick patterns, %d canonical labellings, %d MB allocated",
+		res.PerLevel, subgraphs, quick, canon, (after.TotalAlloc-before.TotalAlloc)>>20)
+	if canon == 0 || canon > quick {
+		t.Errorf("%d canonical labellings for %d quick patterns: want one per memo miss, and some", canon, quick)
+	}
+	if quick*20 > subgraphs {
+		t.Errorf("%d quick patterns for %d subgraphs: want at most 5%%", quick, subgraphs)
+	}
+	if canon*10 > subgraphs {
+		t.Errorf("%d canonical labellings for %d subgraphs: want at least 10x fewer", canon, subgraphs)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; !raceEnabled && got > 733<<20/10 {
+		t.Errorf("job allocated %d MB, want at most a tenth of the parent's 733 MB", got>>20)
+	}
+}
+
+// BenchmarkFSM is `make bench-fsm`: FSM end to end on the fsm_ml analog,
+// in-process on two cores like the benchmark's workload.
+func BenchmarkFSM(b *testing.B) {
+	ctx, err := fractal.NewContext(fractal.WithCores(2))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ctx.Close()
+	g := ctx.FromGraph(fsmMLAnalog())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := FSM(bg, ctx, g, 50, FSMOptions{MaxEdges: 3})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Frequent) == 0 {
+			b.Fatal("nothing frequent")
+		}
+	}
+}

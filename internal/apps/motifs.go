@@ -35,18 +35,14 @@ func (m MotifCounts) Total() int64 {
 // non-isomorphic connected k-vertex pattern, each running a symmetry-broken
 // induced plan, so every automorphism class of embeddings is enumerated
 // exactly once. Args: "k" and "pattern", an index into the deterministic
-// pattern.ConnectedPatterns(k) sequence. The builder owns a code cache
-// (canonicalization is deterministic; the cache only memoizes it per
-// process).
-type motifsBuilder struct {
-	cache *pattern.CodeCache
-}
+// pattern.ConnectedPatterns(k) sequence.
+type motifsBuilder struct{}
 
 func (motifsBuilder) EnvProtos(fractal.JobSpec) (map[string]agg.Store, error) {
 	return nil, nil
 }
 
-func (b motifsBuilder) Build(spec fractal.JobSpec, g *graph.Graph, _ *agg.Registry) (sched.Job, error) {
+func (motifsBuilder) Build(spec fractal.JobSpec, g *graph.Graph, _ *agg.Registry) (sched.Job, error) {
 	k, err := specInt(spec, "k")
 	if err != nil {
 		return sched.Job{}, err
@@ -82,16 +78,14 @@ func (b motifsBuilder) Build(spec fractal.JobSpec, g *graph.Graph, _ *agg.Regist
 	// Mixed labels: the structure plan is label-blind (every label
 	// wildcarded), so it still enumerates each automorphism class of each
 	// k-vertex set exactly once; the embeddings of one structure class are
-	// then split into labeled motif classes by canonicalizing the induced
-	// labeled pattern — canonicalization per embedding, but only across the
-	// label dimension.
+	// then split into labeled motif classes by the class of the match with
+	// the graph's labels filled in (for an induced plan, the induced labeled
+	// pattern) — one canonicalization per distinct labeling, not per
+	// embedding.
 	return fractal.Aggregate(f, "motifs",
-		func(e *fractal.Subgraph) string {
-			return b.cache.Canonical(pattern.FromEmbedding(e.Graph(), e.Vertices(), nil)).Code
-		},
+		func(e *fractal.Subgraph) string { return e.Class().Code },
 		func(e *fractal.Subgraph) agg.PatternCount {
-			induced := pattern.FromEmbedding(e.Graph(), e.Vertices(), nil)
-			return agg.PatternCount{Pat: b.cache.Representative(induced), Count: 1}
+			return agg.PatternCount{Pat: e.Class().Rep, Count: 1}
 		},
 		agg.ReducePatternCount, nil).Job()
 }

@@ -1,12 +1,9 @@
 package apps
 
 import (
-	"slices"
 	"sort"
-	"sync"
 	"testing"
 
-	"fractal"
 	"fractal/internal/graph"
 	"fractal/internal/workload"
 )
@@ -64,121 +61,20 @@ func TestPinnedMotifCounts(t *testing.T) {
 }
 
 // TestPinnedFSMSupportsMatchMapOracle pins the FSM support values, not just
-// the frequent-pattern counts: an independent Visit-based fold into the seed
-// oracle's map-of-maps domain representation must produce bit-identical
-// code → (support, sorted domains) results to the full pipeline — the
-// allocation-free supports, the per-core partial stores, the two-layer
-// parallel tree merge, and the binary wire codec included.
+// the frequent-pattern counts: the per-embedding map-of-maps oracle
+// (fsmOracle) must produce bit-identical code → (support, sorted domains)
+// results to the full pipeline — the class memo, the allocation-free
+// supports, the per-core partial stores, the two-layer parallel tree merge,
+// and the binary wire codec included.
 func TestPinnedFSMSupportsMatchMapOracle(t *testing.T) {
 	ctx := testCtx(t)
 	g := ctx.FromGraph(pinGraph(t, "mico-ml"))
 	const minSupport = 30
-
 	res, err := FSM(bg, ctx, g, minSupport, FSMOptions{MaxEdges: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// The oracle folds every visited embedding into per-position hash sets
-	// keyed by canonical code (the seed DomainSupport shape). Visit runs on
-	// all cores, so the fold is serialized by a mutex.
-	type mapSupport struct {
-		domains []map[graph.VertexID]bool
-	}
-	var mu sync.Mutex
-	foldInto := func(m map[string]*mapSupport) func(e *fractal.Subgraph) {
-		return func(e *fractal.Subgraph) {
-			canon := ctx.PatternOf(e)
-			vs := e.Vertices()
-			mu.Lock()
-			defer mu.Unlock()
-			ms := m[canon.Code]
-			if ms == nil {
-				ms = &mapSupport{domains: make([]map[graph.VertexID]bool, len(vs))}
-				for i := range ms.domains {
-					ms.domains[i] = map[graph.VertexID]bool{}
-				}
-				m[canon.Code] = ms
-			}
-			for i, v := range vs {
-				ms.domains[canon.Perm[i]][v] = true
-			}
-		}
-	}
-	support := func(ms *mapSupport) int64 {
-		min := int64(len(ms.domains[0]))
-		for _, d := range ms.domains[1:] {
-			if n := int64(len(d)); n < min {
-				min = n
-			}
-		}
-		return min
-	}
-
-	// Level 1: every single-edge embedding.
-	level1 := map[string]*mapSupport{}
-	if _, err := g.EFractoid().Expand(1).Visit(foldInto(level1)).RunCtx(bg); err != nil {
-		t.Fatal(err)
-	}
-	frequent1 := map[string]bool{}
-	for code, ms := range level1 {
-		if support(ms) >= minSupport {
-			frequent1[code] = true
-		}
-	}
-
-	// Level 2: re-enumerate from scratch, keeping only extensions of
-	// frequent single edges — the same anti-monotone filter the pipeline's
-	// FilterAgg applies against the level-1 aggregation.
-	level2 := map[string]*mapSupport{}
-	_, err = g.EFractoid().Expand(1).
-		Filter(func(e *fractal.Subgraph) bool {
-			mu.Lock()
-			defer mu.Unlock()
-			return frequent1[ctx.PatternOf(e).Code]
-		}).
-		Expand(1).Visit(foldInto(level2)).RunCtx(bg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	want := map[string]*mapSupport{}
-	for code := range frequent1 {
-		want[code] = level1[code]
-	}
-	for code, ms := range level2 {
-		if support(ms) >= minSupport {
-			want[code] = ms
-		}
-	}
-
-	if len(res.Frequent) != len(want) {
-		t.Fatalf("pipeline found %d frequent patterns, map oracle %d", len(res.Frequent), len(want))
-	}
-	for code, ms := range want {
-		ds, ok := res.Frequent[code]
-		if !ok {
-			t.Errorf("pipeline missing frequent pattern %q", code)
-			continue
-		}
-		if ds.Support() != support(ms) {
-			t.Errorf("pattern %q support=%d, map oracle %d", code, ds.Support(), support(ms))
-		}
-		if len(ds.Domains) != len(ms.domains) {
-			t.Fatalf("pattern %q arity=%d, map oracle %d", code, len(ds.Domains), len(ms.domains))
-		}
-		for pos := range ms.domains {
-			wantDom := make([]graph.VertexID, 0, len(ms.domains[pos]))
-			for v := range ms.domains[pos] {
-				wantDom = append(wantDom, v)
-			}
-			slices.Sort(wantDom)
-			if !slices.Equal(ds.Sorted(pos), wantDom) {
-				t.Errorf("pattern %q position %d domain differs from map oracle (%d vs %d vertices)",
-					code, pos, len(ds.Sorted(pos)), len(wantDom))
-			}
-		}
-	}
+	fsmEqualsOracle(t, "mico-ml", res, fsmOracle(t, g, minSupport, 2))
 }
 
 func TestPinnedFSMCounts(t *testing.T) {

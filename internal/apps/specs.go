@@ -17,7 +17,6 @@ import (
 	"strconv"
 
 	"fractal"
-	"fractal/internal/pattern"
 	"fractal/internal/sched"
 	"fractal/internal/step"
 )
@@ -31,8 +30,8 @@ const (
 
 func init() {
 	fractal.RegisterApp(AppCliques, cliquesBuilder{})
-	fractal.RegisterApp(AppMotifs, motifsBuilder{cache: pattern.NewCodeCache(0)})
-	fractal.RegisterApp(AppFSM, fsmBuilder{cache: pattern.NewCodeCache(0)})
+	fractal.RegisterApp(AppMotifs, motifsBuilder{})
+	fractal.RegisterApp(AppFSM, fsmBuilder{})
 }
 
 // The engine argument of Motifs and Query — the values of cmd/fractal's

@@ -36,11 +36,10 @@ func Triangles(g *graph.Graph, cores int, budget int64) (*Result, error) {
 func Motifs(g *graph.Graph, k, cores int, budget int64) (map[string]int64, *Result, error) {
 	var mu sync.Mutex
 	counts := map[string]int64{}
-	cache := pattern.NewCodeCache(0)
 	res, err := RunVisit(g, subgraph.VertexInduced, nil, k,
 		Config{Cores: cores, MemoryBudget: budget},
 		func(e *subgraph.Embedding) {
-			code := cache.Canonical(e.Pattern()).Code
+			code := e.Class().Code
 			mu.Lock()
 			counts[code]++
 			mu.Unlock()
@@ -81,7 +80,6 @@ func FSM(g *graph.Graph, minSupport int64, maxEdges, cores int, budget int64) (*
 		cores = 1
 	}
 	out := &FSMResult{Frequent: map[string]*agg.DomainSupport{}}
-	cache := pattern.NewCodeCache(0)
 
 	emb := subgraph.New(g, subgraph.EdgeInduced, nil)
 	frontier := make([][]subgraph.Word, 0, g.NumEdges())
@@ -94,10 +92,9 @@ func FSM(g *graph.Graph, minSupport int64, maxEdges, cores int, budget int64) (*
 		supports := map[string]*agg.DomainSupport{}
 		for _, words := range frontier {
 			emb.Replay(words)
-			p := emb.Pattern()
-			canon := cache.Canonical(p)
-			ds := agg.NewDomainSupport(p, minSupport, emb.Vertices(), canon.Perm)
-			supports[canon.Code] = supports[canon.Code].Aggregate(ds)
+			cl := emb.Class()
+			ds := agg.NewDomainSupport(cl.Rep, minSupport, emb.Vertices(), cl.Perm)
+			supports[cl.Code] = supports[cl.Code].Aggregate(ds)
 		}
 		frequent := map[string]bool{}
 		n := 0
@@ -130,12 +127,11 @@ func FSM(g *graph.Graph, minSupport int64, maxEdges, cores int, budget int64) (*
 			go func(part [][]subgraph.Word) {
 				defer wg.Done()
 				we := subgraph.New(g, subgraph.EdgeInduced, nil)
-				lcache := pattern.NewCodeCache(0)
 				var buf []subgraph.Word
 				var local [][]subgraph.Word
 				for _, words := range part {
 					we.Replay(words)
-					if !frequent[lcache.Canonical(we.Pattern()).Code] {
+					if !frequent[we.Class().Code] {
 						continue
 					}
 					buf, _ = we.Extensions(buf[:0])

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"fractal/internal/graph"
-	"fractal/internal/pattern"
 	"fractal/internal/subgraph"
 )
 
@@ -50,7 +49,6 @@ func Mine(g *graph.Graph, minSupport int64, opts Options) *Result {
 		opts.SampleFactor = 2
 	}
 	res := &Result{Frequent: map[string]int64{}}
-	cache := pattern.NewCodeCache(0)
 
 	// Phase 1: sampling-based estimation. Random-walk subgraph samples
 	// estimate which patterns could be frequent; the candidate set is the
@@ -74,7 +72,7 @@ func Mine(g *graph.Graph, minSupport int64, opts Options) *Result {
 			}
 			emb.Push(buf[rng.Intn(len(buf))])
 		}
-		seen[cache.Canonical(emb.Pattern()).Code]++
+		seen[emb.Class().Code]++
 	}
 	res.SampledPatterns = len(seen)
 	res.Phase1 = time.Since(p1)
@@ -90,7 +88,7 @@ func Mine(g *graph.Graph, minSupport int64, opts Options) *Result {
 		supports := map[string]*cappedSupport{}
 		for _, words := range frontier {
 			emb.Replay(words)
-			canon := cache.Canonical(emb.Pattern())
+			canon := emb.Class()
 			cs := supports[canon.Code]
 			if cs == nil {
 				cs = newCappedSupport(len(emb.Vertices()), minSupport)
@@ -114,7 +112,7 @@ func Mine(g *graph.Graph, minSupport int64, opts Options) *Result {
 		var next [][]subgraph.Word
 		for _, words := range frontier {
 			emb.Replay(words)
-			if !frequent[cache.Canonical(emb.Pattern()).Code] {
+			if !frequent[emb.Class().Code] {
 				continue
 			}
 			buf, _ = emb.Extensions(buf[:0])

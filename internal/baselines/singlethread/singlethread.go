@@ -31,7 +31,7 @@ type Result struct {
 func Motifs(g *graph.Graph, k int) (map[string]int64, Result) {
 	start := time.Now()
 	counts := map[string]int64{}
-	cache := pattern.NewCodeCache(0)
+	codes := map[string]string{} // fingerprint -> canonical code
 	n := g.NumVertices()
 
 	sub := make([]graph.VertexID, 0, k)
@@ -41,7 +41,13 @@ func Motifs(g *graph.Graph, k int) (map[string]int64, Result) {
 	var classify func()
 	classify = func() {
 		p := pattern.FromEmbedding(g, sub, nil)
-		counts[cache.Canonical(p).Code]++
+		fp := p.Fingerprint()
+		code, ok := codes[fp]
+		if !ok {
+			code = p.Canonical().Code
+			codes[fp] = code
+		}
+		counts[code]++
 	}
 
 	var extend func(v graph.VertexID, ext []graph.VertexID)
@@ -296,7 +302,6 @@ func edgeOK(g *graph.Graph, u, v graph.VertexID, want graph.Label) bool {
 func FSM(g *graph.Graph, minSupport int64, maxEdges int) (map[string]*agg.DomainSupport, Result) {
 	start := time.Now()
 	frequent := map[string]*agg.DomainSupport{}
-	cache := pattern.NewCodeCache(0)
 
 	emb := subgraph.New(g, subgraph.EdgeInduced, nil)
 	var buf []subgraph.Word
@@ -309,10 +314,9 @@ func FSM(g *graph.Graph, minSupport int64, maxEdges int) (map[string]*agg.Domain
 		supports := map[string]*agg.DomainSupport{}
 		for _, words := range frontier {
 			emb.Replay(words)
-			p := emb.Pattern()
-			canon := cache.Canonical(p)
-			ds := agg.NewDomainSupport(p, minSupport, emb.Vertices(), canon.Perm)
-			supports[canon.Code] = supports[canon.Code].Aggregate(ds)
+			cl := emb.Class()
+			ds := agg.NewDomainSupport(cl.Rep, minSupport, emb.Vertices(), cl.Perm)
+			supports[cl.Code] = supports[cl.Code].Aggregate(ds)
 		}
 		levelFrequent := map[string]bool{}
 		for code, ds := range supports {
@@ -327,7 +331,7 @@ func FSM(g *graph.Graph, minSupport int64, maxEdges int) (map[string]*agg.Domain
 		var next [][]subgraph.Word
 		for _, words := range frontier {
 			emb.Replay(words)
-			if !levelFrequent[cache.Canonical(emb.Pattern()).Code] {
+			if !levelFrequent[emb.Class().Code] {
 				continue
 			}
 			buf, _ = emb.Extensions(buf[:0])

@@ -91,6 +91,12 @@ type Snapshot struct {
 	// AggShippedBytes the encoded bytes workers shipped to the master.
 	AggMergeTimeNs  int64 `json:"agg_merge_time_ns"`
 	AggShippedBytes int64 `json:"agg_shipped_bytes"`
+	// QuickPatterns counts the distinct quick patterns the cores' embedding
+	// class memos met (memo misses, summed over cores) and CanonCalls the
+	// canonical-labelling searches run for them: pattern labelling is paid
+	// per class and core, and these two against Subgraphs say so.
+	QuickPatterns int64 `json:"quick_patterns"`
+	CanonCalls    int64 `json:"canon_calls"`
 	// CoreWork holds the work units of every core the block covers, one
 	// entry per core: a core's block has one, a worker's one per core in
 	// core order, a step's one per core of the attempt in global core order.
@@ -118,6 +124,8 @@ func (s *Snapshot) Add(o Snapshot) {
 	s.AbandonedExts += o.AbandonedExts
 	s.AggMergeTimeNs += o.AggMergeTimeNs
 	s.AggShippedBytes += o.AggShippedBytes
+	s.QuickPatterns += o.QuickPatterns
+	s.CanonCalls += o.CanonCalls
 	s.CoreWork = append(s.CoreWork, o.CoreWork...)
 }
 

@@ -1,6 +1,10 @@
 package pattern
 
-import "fractal/internal/graph"
+import (
+	"slices"
+
+	"fractal/internal/graph"
+)
 
 // This file provides constructors for the pattern shapes used throughout the
 // paper's evaluation: cliques and triangles (Fig 12, 20a), paths/stars/cycles,
@@ -151,14 +155,13 @@ func twoTrianglePrism() *Pattern {
 // FromEmbedding builds the Pattern of an embedding: vertex i of the pattern
 // corresponds to vs[i], vertex labels are taken from g (first label), and an
 // edge i-j with g's edge label is added whenever es contains an edge between
-// vs[i] and vs[j]. When es is nil the pattern is vertex-induced: all edges of
-// g among vs are included.
+// vs[i] and vs[j]. Patterns are simple: of several parallel edges in es the
+// first one's label stands. When es is nil the pattern is vertex-induced: all
+// edges of g among vs are included.
 func FromEmbedding(g *graph.Graph, vs []graph.VertexID, es []graph.EdgeID) *Pattern {
 	b := NewBuilder(len(vs))
-	pos := map[graph.VertexID]int{}
 	for i, v := range vs {
 		b.SetVertexLabel(i, g.VertexLabel(v))
-		pos[v] = i
 	}
 	if es == nil {
 		for i, v := range vs {
@@ -168,24 +171,16 @@ func FromEmbedding(g *graph.Graph, vs []graph.VertexID, es []graph.EdgeID) *Patt
 				}
 			}
 		}
-	} else {
-		seen := map[[2]int]bool{}
-		for _, id := range es {
-			e := g.EdgeByID(id)
-			i, ok1 := pos[e.Src]
-			j, ok2 := pos[e.Dst]
-			if !ok1 || !ok2 {
-				continue
-			}
-			if i > j {
-				i, j = j, i
-			}
-			if seen[[2]int{i, j}] {
-				continue // patterns are simple; parallel edges collapse
-			}
-			seen[[2]int{i, j}] = true
-			b.AddEdge(i, j, g.EdgeLabel(id))
+		return b.Build()
+	}
+	for _, id := range es {
+		src, dst := g.EdgeEndpoints(id)
+		// Embeddings have at most MaxVertices vertices: a scan beats a map.
+		i, j := slices.Index(vs, src), slices.Index(vs, dst)
+		if i < 0 || j < 0 || b.p.HasEdge(i, j) {
+			continue
 		}
+		b.AddEdge(i, j, g.EdgeLabel(id))
 	}
 	return b.Build()
 }

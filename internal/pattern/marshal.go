@@ -54,7 +54,7 @@ func ReadBinary(r *wire.Reader) *Pattern {
 		case r.Err() != nil:
 		case u >= uint64(n) || v >= uint64(n) || u == v:
 			r.Failf("pattern: edge (%d,%d) invalid", u, v)
-		case b.p.adj[u]&(1<<uint(v)) != 0:
+		case b.p.HasEdge(int(u), int(v)):
 			r.Failf("pattern: edge (%d,%d) duplicated", u, v)
 		default:
 			b.AddEdge(int(u), int(v), graph.Label(l))

@@ -25,10 +25,12 @@ const NoLabel graph.Label = -1
 // numbered 0..N-1. Two subgraphs have the same pattern iff their Patterns
 // have equal canonical codes.
 type Pattern struct {
-	n       int
-	m       int
+	n int
+	m int
+	// The three slices share one backing array (a pattern is built once per
+	// quick-pattern miss; one allocation, not three).
 	vlabels []graph.Label
-	adj     []uint32      // adjacency bitmask rows
+	adj     []graph.Label // adjacency bitmask rows, read through AdjMask
 	elabels []graph.Label // n*n matrix, NoLabel where no edge/unlabeled
 }
 
@@ -44,15 +46,12 @@ func NewBuilder(n int) *PBuilder {
 	}
 	b := &PBuilder{}
 	b.p.n = n
-	b.p.vlabels = make([]graph.Label, n)
-	for i := range b.p.vlabels {
-		b.p.vlabels[i] = NoLabel
+	buf := make([]graph.Label, 2*n+n*n)
+	for i := range buf {
+		buf[i] = NoLabel
 	}
-	b.p.adj = make([]uint32, n)
-	b.p.elabels = make([]graph.Label, n*n)
-	for i := range b.p.elabels {
-		b.p.elabels[i] = NoLabel
-	}
+	b.p.vlabels, b.p.adj, b.p.elabels = buf[:n:n], buf[n:2*n:2*n], buf[2*n:]
+	clear(b.p.adj)
 	return b
 }
 
@@ -71,22 +70,20 @@ func (b *PBuilder) AddEdge(u, v int, l graph.Label) *PBuilder {
 	if u < 0 || v < 0 || u >= b.p.n || v >= b.p.n {
 		panic(fmt.Sprintf("pattern: edge (%d,%d) out of range n=%d", u, v, b.p.n))
 	}
-	if b.p.adj[u]&(1<<uint(v)) != 0 {
+	if b.p.HasEdge(u, v) {
 		panic(fmt.Sprintf("pattern: duplicate edge (%d,%d)", u, v))
 	}
-	b.p.adj[u] |= 1 << uint(v)
-	b.p.adj[v] |= 1 << uint(u)
+	b.p.adj[u] |= graph.Label(uint32(1) << uint(v))
+	b.p.adj[v] |= graph.Label(uint32(1) << uint(u))
 	b.p.elabels[u*b.p.n+v] = l
 	b.p.elabels[v*b.p.n+u] = l
 	b.p.m++
 	return b
 }
 
-// Build returns the immutable pattern.
-func (b *PBuilder) Build() *Pattern {
-	p := b.p // copy
-	return &p
-}
+// Build returns the immutable pattern. The builder must not be used again:
+// the pattern is the builder's own storage.
+func (b *PBuilder) Build() *Pattern { return &b.p }
 
 // NumVertices returns the number of pattern vertices.
 func (p *Pattern) NumVertices() int { return p.n }
@@ -98,16 +95,16 @@ func (p *Pattern) NumEdges() int { return p.m }
 func (p *Pattern) VertexLabel(v int) graph.Label { return p.vlabels[v] }
 
 // HasEdge reports whether u and v are adjacent in the pattern.
-func (p *Pattern) HasEdge(u, v int) bool { return p.adj[u]&(1<<uint(v)) != 0 }
+func (p *Pattern) HasEdge(u, v int) bool { return p.AdjMask(u)&(1<<uint(v)) != 0 }
 
 // EdgeLabel returns the label of edge u-v (NoLabel when absent or unlabeled).
 func (p *Pattern) EdgeLabel(u, v int) graph.Label { return p.elabels[u*p.n+v] }
 
 // Degree returns the degree of pattern vertex v.
-func (p *Pattern) Degree(v int) int { return bits.OnesCount32(p.adj[v]) }
+func (p *Pattern) Degree(v int) int { return bits.OnesCount32(p.AdjMask(v)) }
 
 // AdjMask returns the adjacency bitmask of v.
-func (p *Pattern) AdjMask(v int) uint32 { return p.adj[v] }
+func (p *Pattern) AdjMask(v int) uint32 { return uint32(p.adj[v]) }
 
 // Connected reports whether the pattern is connected (the empty pattern and
 // single vertices count as connected).
@@ -120,7 +117,7 @@ func (p *Pattern) Connected() bool {
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for m := p.adj[v] &^ seen; m != 0; m &= m - 1 {
+		for m := p.AdjMask(v) &^ seen; m != 0; m &= m - 1 {
 			u := bits.TrailingZeros32(m)
 			seen |= 1 << uint(u)
 			stack = append(stack, u)
@@ -131,26 +128,36 @@ func (p *Pattern) Connected() bool {
 
 // Fingerprint returns an exact structural key of the pattern in its current
 // vertex numbering: two patterns have equal fingerprints iff they are
-// identical labeled graphs on 0..n-1 (NOT merely isomorphic). Used as a
-// cache key in front of canonical labeling.
-func (p *Pattern) Fingerprint() string {
-	var sb strings.Builder
-	sb.Grow(4 + p.n*6 + p.n*p.n)
-	writeInt(&sb, p.n)
+// identical labeled graphs on 0..n-1 (NOT merely isomorphic). An embedding's
+// quick key (subgraph.Embedding.Class) is these bytes, written without
+// building the pattern.
+func (p *Pattern) Fingerprint() string { return string(p.AppendFingerprint(nil)) }
+
+// AppendFingerprint appends the Fingerprint bytes to dst: the vertex count,
+// the vertex labels, then for every pair i > j a 0, or a 1 and the edge
+// label — four big-endian bytes per number.
+func (p *Pattern) AppendFingerprint(dst []byte) []byte {
+	dst = AppendInt(dst, int32(p.n))
 	for _, l := range p.vlabels {
-		writeInt(&sb, int(l))
+		dst = AppendInt(dst, int32(l))
 	}
 	for i := 1; i < p.n; i++ {
 		for j := 0; j < i; j++ {
 			if p.HasEdge(i, j) {
-				sb.WriteByte(1)
-				writeInt(&sb, int(p.EdgeLabel(i, j)))
+				dst = AppendInt(append(dst, 1), int32(p.EdgeLabel(i, j)))
 			} else {
-				sb.WriteByte(0)
+				dst = append(dst, 0)
 			}
 		}
 	}
-	return sb.String()
+	return dst
+}
+
+// AppendInt appends v as the four big-endian bytes every pattern key — a
+// fingerprint, an embedding's quick key, a canonical code — writes a number
+// as.
+func AppendInt(dst []byte, v int32) []byte {
+	return append(dst, byte(uint32(v)>>24), byte(uint32(v)>>16), byte(uint32(v)>>8), byte(uint32(v)))
 }
 
 // Relabel returns a copy of p with vertex i renamed to perm[i].
@@ -191,11 +198,4 @@ func (p *Pattern) String() string {
 	}
 	sb.WriteString("])")
 	return sb.String()
-}
-
-func writeInt(sb *strings.Builder, v int) {
-	sb.WriteByte(byte(v >> 24))
-	sb.WriteByte(byte(v >> 16))
-	sb.WriteByte(byte(v >> 8))
-	sb.WriteByte(byte(v))
 }

@@ -291,27 +291,6 @@ func TestSymmetryConditionsBreakAllAutomorphisms(t *testing.T) {
 	}
 }
 
-func TestCodeCache(t *testing.T) {
-	c := NewCodeCache(2)
-	p := Triangle()
-	c1 := c.Canonical(p)
-	c2 := c.Canonical(p)
-	if c1.Code != c2.Code {
-		t.Fatal("cache returned different codes")
-	}
-	h, m := c.Stats()
-	if h != 1 || m != 1 {
-		t.Errorf("hits=%d misses=%d, want 1,1", h, m)
-	}
-	// Overflow the tiny cache; it must still return correct results.
-	c.Canonical(Path(3))
-	c.Canonical(Cycle(4))
-	c.Canonical(Path(4))
-	if c.Canonical(Triangle()).Code != c1.Code {
-		t.Error("cache eviction corrupted results")
-	}
-}
-
 func TestFromEmbeddingVertexInduced(t *testing.T) {
 	gb := graph.NewBuilder("g")
 	for i := 0; i < 4; i++ {

@@ -186,6 +186,7 @@ func (c *core) run(st *stepCtx) {
 	c.ctr.IdleTimeNs = int64(idle)
 	c.ctr.StealTimeNs = int64(stealScan)
 	c.ctr.CoreWork = []int64{c.ctr.Work()}
+	c.ctr.QuickPatterns, c.ctr.CanonCalls = emb.ClassStats()
 	if st.aborted() {
 		// Drop the remaining enumeration state so thieves find nothing and
 		// memory is released promptly; record how much work was abandoned.

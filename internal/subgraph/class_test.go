@@ -1,0 +1,172 @@
+package subgraph
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"fractal/internal/agg"
+	"fractal/internal/pattern"
+	"fractal/internal/workload"
+)
+
+// checkClass holds the memo to the per-embedding path at the current state
+// of e: the quick key is the fingerprint of the embedding's labeled subgraph
+// byte for byte (so two keys are equal iff the fingerprints are), and Class
+// is what canonicalising that pattern from scratch gives. Past six vertices
+// only the key is checked: the labelling search is exponential, and the keys
+// are what must stay exact at any size.
+func checkClass(t *testing.T, e *Embedding) {
+	t.Helper()
+	p := pattern.FromEmbedding(e.g, e.vertices, e.edges)
+	if e.kind != PatternInduced {
+		// For these kinds the subgraph is what Pattern() describes.
+		if q := e.Pattern(); q.Fingerprint() != p.Fingerprint() {
+			t.Fatalf("%s %s words=%v: Pattern() %v, labeled subgraph %v", e.g.Name(), e.kind, e.words, q, p)
+		}
+	}
+	if key := e.appendQuickKey(nil); string(key) != p.Fingerprint() {
+		t.Fatalf("%s %s words=%v: quick key %x, fingerprint %x", e.g.Name(), e.kind, e.words, key, p.Fingerprint())
+	}
+	if len(e.vertices) > 6 {
+		return
+	}
+	cl, want := e.Class(), p.Canonical()
+	if cl.Code != want.Code || !slices.Equal(cl.Perm, want.Perm) {
+		t.Fatalf("%s %s words=%v: Class %q %v, Canonical %q %v", e.g.Name(), e.kind, e.words, cl.Code, cl.Perm, want.Code, want.Perm)
+	}
+	if cl.Rep != pattern.Classify(p).Rep {
+		t.Fatalf("%s %s words=%v: Class hands out a representative of its own", e.g.Name(), e.kind, e.words)
+	}
+	if e.Class() != cl {
+		t.Fatal("a second Class on the same state looked the class up again")
+	}
+}
+
+// classWalks checks the memo along random descents of e's enumeration tree,
+// on the way down and again after each Pop — a stale memo shows as the class
+// of the longer embedding.
+func classWalks(t *testing.T, e *Embedding, maxDepth int, seed int64, walks int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	var exts []Word
+	for walk := 0; walk < walks; walk++ {
+		e.Reset()
+		w := Word(rng.Intn(e.InitialDomain()))
+		if !e.ValidInitial(w) {
+			continue
+		}
+		e.Push(w)
+		checkClass(t, e)
+		for e.Len() < maxDepth {
+			exts, _ = e.Extensions(exts[:0])
+			if len(exts) == 0 {
+				break
+			}
+			e.Push(exts[rng.Intn(len(exts))])
+			checkClass(t, e)
+		}
+		for e.Len() > 1 {
+			e.Pop()
+			checkClass(t, e)
+		}
+	}
+	quick, canon := e.ClassStats()
+	if canon != quick {
+		t.Errorf("%s %s: %d quick patterns, %d canonical labellings: want one labelling per quick pattern", e.g.Name(), e.kind, quick, canon)
+	}
+}
+
+// TestClassMatchesPerEmbeddingLabelling walks every kind over the oracle
+// graphs — single- and multi-label, and a multigraph whose parallel edges
+// carry different labels — to depths past 8 vertices.
+func TestClassMatchesPerEmbeddingLabelling(t *testing.T) {
+	for i, g := range oracleGraphs() {
+		classWalks(t, New(g, VertexInduced, nil), 5, int64(10+i), 150)
+		classWalks(t, New(g, EdgeInduced, nil), 4, int64(20+i), 150)
+		classWalks(t, New(g, EdgeInduced, nil), 11, int64(30+i), 10) // up to 12 vertices
+		for j, pl := range oraclePlans(t) {
+			classWalks(t, New(g, PatternInduced, pl), len(pl.Order), int64(40+10*i+j), 60)
+		}
+	}
+}
+
+// FuzzQuickKey drives the same check from fuzzed graphs and walks: a random
+// multigraph (parallel edges, independent labels) of fuzzed size and label
+// count, every kind, fuzzed depth.
+func FuzzQuickKey(f *testing.F) {
+	f.Add(int64(1), uint8(12), uint8(40), uint8(3), uint8(4))
+	f.Add(int64(2), uint8(30), uint8(90), uint8(1), uint8(10))
+	f.Add(int64(3), uint8(6), uint8(60), uint8(5), uint8(6))
+	f.Fuzz(func(t *testing.T, seed int64, n, m, labels, depth uint8) {
+		if n < 2 || m == 0 || labels == 0 {
+			return
+		}
+		g := oracleMultigraph("fuzz", int(n), int(m), int(labels), seed)
+		if g.NumEdges() == 0 {
+			return
+		}
+		d := 1 + int(depth)%12
+		classWalks(t, New(g, EdgeInduced, nil), d, seed, 8)
+		classWalks(t, New(g, VertexInduced, nil), d, seed, 8)
+	})
+}
+
+// TestClassHitAllocatesNothing: on the second visit of a quick pattern the
+// whole FSM aggregate callback — quick key, memo lookup, scratch domain
+// support, Add onto an existing key — allocates nothing, for edge-induced
+// and vertex-induced embeddings.
+func TestClassHitAllocatesNothing(t *testing.T) {
+	g := workload.BarabasiAlbert("alloc-ba", 500, 6, 3, 9)
+	for _, kind := range []Kind{EdgeInduced, VertexInduced} {
+		e := New(g, kind, nil)
+		var exts []Word
+		e.Push(0)
+		for e.Len() < 3 {
+			exts, _ = e.Extensions(exts[:0])
+			e.Push(exts[0])
+		}
+		last := e.Words()[e.Len()-1]
+		store := agg.New[string, *agg.DomainSupport](agg.ReduceDomainSupport)
+		emit := func() {
+			cl := e.Class()
+			store.Add(cl.Code, agg.ScratchDomainSupport(cl.Rep, 2, e.Vertices(), cl.Perm))
+		}
+		emit() // first visit: the miss, the key's first store
+		allocs := testing.AllocsPerRun(200, func() {
+			e.Pop()
+			e.Push(last) // a new embedding state of a known quick pattern
+			emit()
+		})
+		if allocs != 0 {
+			t.Errorf("%s: memo hit + aggregate allocates %.1f times per embedding, want 0", kind, allocs)
+		}
+		if quick, _ := e.ClassStats(); quick != 1 {
+			t.Errorf("%s: %d quick patterns, want 1", kind, quick)
+		}
+	}
+}
+
+// TestClassOfPatternInducedMatch pins what Class means for a
+// pattern-induced embedding: the match with the graph's labels filled in,
+// which for an induced plan is the induced labeled pattern — the key the
+// labeled-motifs kernel aggregates on.
+func TestClassOfPatternInducedMatch(t *testing.T) {
+	g := workload.ErdosRenyi("pi-class", 40, 160, 3, 5)
+	pl, err := pattern.NewInducedPlan(pattern.Path(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(g, PatternInduced, pl)
+	n := 0
+	enumerate(e, 3, func(e *Embedding) {
+		induced := pattern.FromEmbedding(g, e.Vertices(), nil)
+		if got, want := e.Class().Code, induced.Canonical().Code; got != want {
+			t.Fatalf("vertices %v: Class %q, induced labeled pattern %q", e.Vertices(), got, want)
+		}
+		n++
+	})
+	if n == 0 {
+		t.Fatal("no induced path matched")
+	}
+}

@@ -103,6 +103,8 @@ type Embedding struct {
 	// custom, when non-nil, overrides extension-candidate generation
 	// (Appendix B; see CustomExtender).
 	custom CustomExtender
+
+	memo classMemo
 }
 
 // New returns an empty embedding over g. plan is required iff kind is
@@ -165,6 +167,7 @@ func (e *Embedding) ValidInitial(w Word) bool {
 // Push extends the embedding by w. w must come from Extensions (or
 // ValidInitial at depth 0); Push does not re-validate.
 func (e *Embedding) Push(w Word) {
+	e.memo.cur = nil
 	switch e.kind {
 	case VertexInduced, PatternInduced:
 		e.pushVertex(graph.VertexID(w))
@@ -180,6 +183,7 @@ func (e *Embedding) Push(w Word) {
 
 // Pop reverts the most recent Push.
 func (e *Embedding) Pop() {
+	e.memo.cur = nil
 	if e.custom != nil {
 		e.custom.Popped(e)
 	}
@@ -684,7 +688,9 @@ func (e *Embedding) Complete() bool {
 
 // Pattern returns the pattern (template) of the current embedding: induced
 // edges for vertex-induced, the exact edge set for edge-induced, and the
-// plan's pattern for pattern-induced embeddings.
+// plan's pattern for pattern-induced embeddings. It builds a new Pattern on
+// every call; per-embedding code that wants the canonical code, the
+// canonical positions or a representative asks Class instead.
 func (e *Embedding) Pattern() *pattern.Pattern {
 	switch e.kind {
 	case VertexInduced:

@@ -28,6 +28,15 @@ if grep -n 'strings.Fields\|\.Text()' $(ls internal/graph/*.go | grep -v _test.g
     echo "internal/graph splits lines into strings again" >&2
     exit 1
 fi
+# Labelling is paid per class: per-embedding code asks the embedding's class
+# memo (e.Class(), Context.PatternOf/PatternRep/MNISupport). Building the
+# embedding's Pattern to canonicalize or classify it on the spot is what
+# PR 16 removed from the applications and the root package.
+if grep -nE '(Canonical|CanonicalRep|Representative|Classify|PatternCanon|PatternRepOf)\((e|emb)\.Pattern\(\)\)|(e|emb)\.Pattern\(\)\.Canonical\(\)|FromEmbedding\((e|emb)\.Graph\(\)' \
+    $(ls *.go internal/apps/*.go | grep -v _test.go); then
+    echo "per-embedding canonical labelling outside the class memo" >&2
+    exit 1
+fi
 go vet ./...
 go build ./...
 go test ./...

@@ -1,4 +1,4 @@
-.PHONY: check check-race check-dist chaos test build vet bench bench-smoke bench-micro bench-agg bench-plan bench-decomp bench-fsm bench-graph fuzz-agg fuzz-wire fuzz-plan fuzz-decomp fuzz-graph
+.PHONY: check check-race check-dist chaos test build vet bench bench-smoke bench-micro bench-agg bench-plan bench-decomp bench-fsm bench-sched prof-sched bench-graph fuzz-agg fuzz-wire fuzz-plan fuzz-decomp fuzz-graph
 
 check:
 	./scripts/check.sh
@@ -12,7 +12,10 @@ check-dist:
 
 # Full test suite under the race detector. CI runs this as a dedicated job
 # so the main check stays fast; the retry/fault-injection paths are the
-# heaviest concurrency in the tree and must stay race-clean.
+# heaviest concurrency in the tree and must stay race-clean. Enumerator
+# stacks are unsynchronized by design: sched's TestStealGrantStress (every
+# deployment shape × stealing mode × 50 hub-skewed graphs) is where a second
+# goroutine touching one would show up.
 check-race:
 	go test -race ./...
 
@@ -83,6 +86,28 @@ bench-decomp:
 # class, PR 16). CI runs this with BENCHTIME=1x as a smoke test.
 bench-fsm:
 	go test -run=NONE -bench='^BenchmarkFSM$$' -benchtime=$(BENCHTIME) -benchmem ./internal/apps/
+
+# The scheduler's own cost: plan-engine 5-motifs on the repository benchmark's
+# motifs5_sl analog (Community(45, 50, 9, 1.2), one label) on one core and on
+# two — cheap kernels, so the DFS loop, the enumerator stack and stealing show
+# — plus the stack's push/drain/pop cycle (the benchmark's enumerator.cycle_ns
+# probe). allocs/op of the motifs rows is per job and must not scale with
+# subgraphs (2.4 M/job before stacks became private, PR 17). CI runs this
+# with BENCHTIME=1x as a smoke test.
+bench-sched:
+	go test -run=NONE -bench='^BenchmarkSchedMotifs5$$' -benchtime=$(BENCHTIME) -benchmem ./internal/apps/
+	go test -run=NONE -bench='^BenchmarkStackCycle$$' -benchmem ./internal/enumerator/
+
+# Where the scheduler's CPU goes (ROADMAP item 1, "evidence first"): the same
+# benchmark under -cpuprofile, then the samples whose stacks pass through
+# internal/enumerator or internal/sched, flat top 10. The profile and the
+# test binary stay in PROF_DIR, outside the tree, for `go tool pprof`.
+PROF_DIR ?= /tmp/fractal-prof
+prof-sched:
+	mkdir -p $(PROF_DIR)
+	go test -run=NONE -bench='^BenchmarkSchedMotifs5$$' -benchtime=$(BENCHTIME) \
+		-cpuprofile $(PROF_DIR)/sched.prof -o $(PROF_DIR)/apps.test ./internal/apps/
+	go tool pprof -top -nodecount=10 -focus='enumerator\.|sched\.' $(PROF_DIR)/apps.test $(PROF_DIR)/sched.prof
 
 # CSR + .fgr storage microbenchmarks: mmap load vs edge-list parse (with
 # live- and peak-heap deltas), Builder.Build and the edge-list writer at the

@@ -1,26 +1,31 @@
 // Package enumerator implements the SubgraphEnumerator abstraction of
-// Figure 7 of the Fractal paper and the per-core enumerator stacks that the
-// hierarchical work-stealing mechanism of Section 4.2 operates on.
+// Figure 7 of the Fractal paper and the per-core enumerator stack that a
+// core's depth-first loop runs on (Section 4.1) and that the work-stealing
+// mechanism of Section 4.2 draws from.
 //
-// An Enumerator is identified by an enumeration prefix (the subgraph under
-// extension) and holds the precomputed extension candidates of that prefix.
-// Consumption of extensions is thread-safe and constitutes the only critical
-// section shared between an owning core and thieves, which keeps stealing
-// overhead low (Section 6 reports ~1%).
+// A Stack belongs to one goroutine, the core that runs the DFS loop. Nothing
+// in this package is synchronized: pushing a level, consuming an extension
+// and popping are plain loads and stores, and the words the stack pins are a
+// running count the owner adjusts as it goes, so asking for them costs a
+// field read. Work leaves a stack only through its owner: a thief asks, and
+// the owner carves the shallowest unconsumed extension off its own stack with
+// StealShallowest and hands the resulting prefix over (DESIGN.md §4, "Work
+// stealing: private stacks, granted steals"). The paper's Figure 7 makes
+// extension consumption a critical section shared with thieves; here there is
+// no second party, so there is no critical section.
 //
-// Allocation discipline. A DFS step churns through one enumerator per
-// enumerated subgraph, so the Stack pools both the Enumerator objects and
-// their word slices: PushCopy copies a prefix and extension list into pooled
-// storage, and Pop returns the retired level's storage to the pool. Retiring
-// a level marks it dead under its own mutex before its slices are reused, so
-// a thief still holding the pointer from an earlier scan observes an empty
-// enumerator instead of recycled memory.
+// Allocation discipline. A level is a value slot indexed by depth that owns
+// its prefix and extension buffers. PushCopy copies into the slot's buffers
+// and Pop merely lowers the depth, so after the first descent to a depth the
+// steady-state loop allocates nothing: depth is bounded by the number of
+// Extend primitives of the step, and the buffers grow to the largest level
+// seen at their depth. The one allocation is the prefix StealShallowest
+// returns, which the thief keeps.
 package enumerator
 
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"fractal/internal/subgraph"
 )
@@ -28,20 +33,15 @@ import (
 // Word re-exports the extension unit for convenience.
 type Word = subgraph.Word
 
-// Enumerator holds one enumeration prefix and its remaining extensions.
-// Take and StealOne may be called concurrently; everything else is owned by
-// the constructing core.
+// Enumerator is one level of a Stack: an enumeration prefix and its remaining
+// extensions. A pointer to a level is valid until the next push on its stack.
 type Enumerator struct {
-	mu     sync.Mutex
+	s      *Stack
 	prefix []Word
 	exts   []Word
 	next   int
-	// dead marks a level retired by its owning Stack: its slices may have
-	// been recycled into new levels, so every consumer must observe it as
-	// exhausted. Set and read under mu.
-	dead bool
 
-	// Depth-0 enumerators iterate an implicit strided slice of the initial
+	// The depth-0 level iterates an implicit strided slice of the initial
 	// domain instead of a materialized extension list.
 	root   bool
 	cursor int32
@@ -49,76 +49,34 @@ type Enumerator struct {
 	stride int32
 }
 
-// New returns an enumerator for the given prefix and extension candidates.
-// The enumerator takes ownership of both slices.
-func New(prefix []Word, exts []Word) *Enumerator {
-	return &Enumerator{prefix: prefix, exts: exts}
-}
-
-// NewRoot returns the depth-0 enumerator of a core: it yields the initial
-// extension words {coreID, coreID+totalCores, ...} below domain, the
-// on-the-fly partition of the input graph described in Section 4
-// ("Scheduling and execution"). domain must fit in an int32 extension word;
-// NewRoot panics instead of silently truncating it.
-func NewRoot(coreID, totalCores, domain int) *Enumerator {
-	if domain < 0 || domain > math.MaxInt32 {
-		panic(fmt.Sprintf("enumerator: initial domain %d does not fit int32 extension words", domain))
-	}
-	return &Enumerator{
-		root:   true,
-		cursor: int32(coreID),
-		limit:  int32(domain),
-		stride: int32(totalCores),
-	}
-}
-
-// Prefix returns the enumeration prefix. Owner-only: pooled levels may have
-// their prefix recycled after Pop, so only the core that pushed the level
-// (and external tests holding non-pooled enumerators) may call it.
+// Prefix returns the enumeration prefix.
 func (e *Enumerator) Prefix() []Word { return e.prefix }
 
-// Depth returns the number of words in the prefix. Owner-only, like Prefix.
+// Depth returns the number of words in the prefix.
 func (e *Enumerator) Depth() int { return len(e.prefix) }
 
-// Take consumes and returns the next extension. ok is false when the
-// enumerator is exhausted (or retired by its stack).
+// Take consumes and returns the next extension. ok is false when the level is
+// exhausted.
 func (e *Enumerator) Take() (w Word, ok bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.takeLocked()
-}
-
-func (e *Enumerator) takeLocked() (w Word, ok bool) {
-	if e.dead {
-		return 0, false
-	}
 	if e.root {
 		if e.cursor >= e.limit {
 			return 0, false
 		}
 		w = e.cursor
 		e.cursor += e.stride
-		return w, true
+	} else {
+		if e.next >= len(e.exts) {
+			return 0, false
+		}
+		w = e.exts[e.next]
+		e.next++
 	}
-	if e.next >= len(e.exts) {
-		return 0, false
-	}
-	w = e.exts[e.next]
-	e.next++
+	e.s.pending--
 	return w, true
 }
 
-// Remaining returns the (instantaneous) number of unconsumed extensions.
+// Remaining returns the number of unconsumed extensions.
 func (e *Enumerator) Remaining() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.remainingLocked()
-}
-
-func (e *Enumerator) remainingLocked() int {
-	if e.dead {
-		return 0
-	}
 	if e.root {
 		if e.cursor >= e.limit {
 			return 0
@@ -128,226 +86,129 @@ func (e *Enumerator) remainingLocked() int {
 	return len(e.exts) - e.next
 }
 
-// stateWords returns prefix length plus unconsumed extensions, the words of
-// live state this level pins (Section 4.1, Table 2).
-func (e *Enumerator) stateWords() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.dead {
-		return 0
-	}
-	return len(e.prefix) + e.remainingLocked()
-}
-
-// StealOne consumes one extension on behalf of a thief and returns the full
-// stolen prefix (this enumerator's prefix plus the taken word) as a fresh
-// slice the thief may keep. This is the extend() of Figure 7 applied by a
-// non-owner: the subgraph prefix is copied and the extension consumption is
-// the short critical section shared with the owner. The copy happens inside
-// that critical section so a concurrent Pop cannot recycle the prefix out
-// from under the thief.
-func (e *Enumerator) StealOne() (stolen []Word, ok bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	w, ok := e.takeLocked()
-	if !ok {
-		return nil, false
-	}
-	stolen = make([]Word, len(e.prefix)+1)
-	copy(stolen, e.prefix)
-	stolen[len(e.prefix)] = w
-	return stolen, true
-}
-
-// retire marks the enumerator dead and detaches its slices for reuse.
-func (e *Enumerator) retire() (prefix, exts []Word) {
-	e.mu.Lock()
-	e.dead = true
-	prefix, exts = e.prefix, e.exts
-	e.prefix, e.exts = nil, nil
-	e.mu.Unlock()
-	return prefix, exts
-}
-
-// revive prepares a pooled enumerator for a new level. The reset happens
-// under mu because a stale thief may race a StealOne against it.
-func (e *Enumerator) revive(prefix, exts []Word) {
-	e.mu.Lock()
-	e.dead = false
-	e.root = false
-	e.next = 0
-	e.cursor, e.limit, e.stride = 0, 0, 0
-	e.prefix, e.exts = prefix, exts
-	e.mu.Unlock()
-}
-
-// Pool size caps: deep enough for any realistic enumeration depth, small
-// enough that an idle core pins only a few KB.
-const (
-	maxPoolEnums = 64
-	maxPoolBufs  = 128
-)
-
-// Stack is the per-core stack of live enumerators, one per extension level
-// (the depth-first state of Algorithm 1). The owning core pushes and pops;
-// thieves scan it bottom-up to steal the shallowest available work, which
-// maximizes the size of the stolen subtree.
+// Stack is the per-core stack of live enumerator levels, one per extension
+// level (the depth-first state of Algorithm 1). The zero value is an empty
+// stack. It must not be copied once used: levels point back at it.
 type Stack struct {
-	mu     sync.Mutex
-	levels []*Enumerator
-
-	// Free lists for PushCopy/Pop recycling.
-	freeEnums []*Enumerator
-	freeBufs  [][]Word
+	levels []Enumerator // slots; levels[:depth] are live
+	depth  int
+	// prefixes and pending count the prefix words and the unconsumed
+	// extensions of the live levels: the words of state the stack pins
+	// (Section 4.1, Table 2). peak is the largest sum seen since Clear.
+	prefixes, pending, peak int64
 }
 
-// Push appends a level. The enumerator becomes stack-owned: a later Pop,
-// Clear, or Abandon retires it and recycles its slices.
-func (s *Stack) Push(e *Enumerator) {
-	s.mu.Lock()
-	s.levels = append(s.levels, e)
-	s.mu.Unlock()
-}
-
-// PushCopy appends a level holding copies of prefix and exts in pooled
-// storage — the allocation-free steady-state path of the DFS loop. The
-// caller keeps ownership of both arguments.
-func (s *Stack) PushCopy(prefix, exts []Word) *Enumerator {
-	s.mu.Lock()
-	e := s.takeEnumLocked()
-	p := append(s.takeBufLocked(), prefix...)
-	x := append(s.takeBufLocked(), exts...)
-	e.revive(p, x)
-	s.levels = append(s.levels, e)
-	s.mu.Unlock()
+// push makes the next slot live and returns it, with its buffers emptied.
+func (s *Stack) push() *Enumerator {
+	if s.depth == len(s.levels) {
+		s.levels = append(s.levels, Enumerator{})
+	}
+	e := &s.levels[s.depth]
+	s.depth++
+	*e = Enumerator{s: s, prefix: e.prefix[:0], exts: e.exts[:0]}
 	return e
 }
 
-func (s *Stack) takeEnumLocked() *Enumerator {
-	if n := len(s.freeEnums); n > 0 {
-		e := s.freeEnums[n-1]
-		s.freeEnums = s.freeEnums[:n-1]
-		return e
-	}
-	return &Enumerator{}
+// pushed books a freshly filled level.
+func (s *Stack) pushed(e *Enumerator) *Enumerator {
+	s.prefixes += int64(len(e.prefix))
+	s.pending += int64(e.Remaining())
+	s.peak = max(s.peak, s.prefixes+s.pending)
+	return e
 }
 
-func (s *Stack) takeBufLocked() []Word {
-	if n := len(s.freeBufs); n > 0 {
-		b := s.freeBufs[n-1]
-		s.freeBufs = s.freeBufs[:n-1]
-		return b[:0]
+// PushRoot pushes the depth-0 level of a core: it yields the initial
+// extension words {coreID, coreID+totalCores, ...} below domain, the
+// on-the-fly partition of the input graph described in Section 4
+// ("Scheduling and execution"). domain must fit in an int32 extension word;
+// PushRoot panics instead of silently truncating it.
+func (s *Stack) PushRoot(coreID, totalCores, domain int) *Enumerator {
+	if domain < 0 || domain > math.MaxInt32 {
+		panic(fmt.Sprintf("enumerator: initial domain %d does not fit int32 extension words", domain))
 	}
-	return nil
+	e := s.push()
+	e.root, e.cursor, e.limit, e.stride = true, int32(coreID), int32(domain), int32(totalCores)
+	return s.pushed(e)
 }
 
-// recycleLocked retires e and returns its storage to the pools.
-func (s *Stack) recycleLocked(e *Enumerator) {
-	prefix, exts := e.retire()
-	if !e.root && len(s.freeEnums) < maxPoolEnums {
-		s.freeEnums = append(s.freeEnums, e)
-	}
-	if prefix != nil && len(s.freeBufs) < maxPoolBufs {
-		s.freeBufs = append(s.freeBufs, prefix)
-	}
-	if exts != nil && len(s.freeBufs) < maxPoolBufs {
-		s.freeBufs = append(s.freeBufs, exts)
-	}
+// PushCopy pushes a level holding copies of prefix and exts in the slot's own
+// buffers. The caller keeps ownership of both arguments.
+func (s *Stack) PushCopy(prefix, exts []Word) *Enumerator {
+	e := s.push()
+	e.prefix = append(e.prefix, prefix...)
+	e.exts = append(e.exts, exts...)
+	return s.pushed(e)
 }
 
-// Pop removes and recycles the top level. Popping an empty stack is a no-op.
+// Pop removes the top level; its buffers stay with the slot. Popping an empty
+// stack is a no-op.
 func (s *Stack) Pop() {
-	s.mu.Lock()
-	if n := len(s.levels); n > 0 {
-		e := s.levels[n-1]
-		s.levels = s.levels[:n-1]
-		s.recycleLocked(e)
+	if s.depth == 0 {
+		return
 	}
-	s.mu.Unlock()
+	s.depth--
+	e := &s.levels[s.depth]
+	s.prefixes -= int64(len(e.prefix))
+	s.pending -= int64(e.Remaining())
 }
 
 // Top returns the top level, or nil when empty.
 func (s *Stack) Top() *Enumerator {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.levels) == 0 {
+	if s.depth == 0 {
 		return nil
 	}
-	return s.levels[len(s.levels)-1]
+	return &s.levels[s.depth-1]
 }
 
 // Depth returns the number of live levels.
-func (s *Stack) Depth() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.levels)
-}
+func (s *Stack) Depth() int { return s.depth }
 
-// Clear drops all levels (end of a step), recycling their storage.
+// Clear drops all levels and forgets the peak (start of a step).
 func (s *Stack) Clear() {
-	s.mu.Lock()
-	for _, e := range s.levels {
-		s.recycleLocked(e)
-	}
-	s.levels = s.levels[:0]
-	s.mu.Unlock()
+	s.depth, s.prefixes, s.pending, s.peak = 0, 0, 0, 0
 }
 
 // Abandon drops all levels and returns the number of unconsumed extensions
 // discarded with them. A cancelled step calls this instead of Clear so the
 // runtime can report how much enumeration work was left behind (a lower
-// bound: each abandoned extension rooted an unexplored subtree). Levels are
-// retired before recycling, so thieves holding a snapshot of them find no
-// work — cancelled subtrees cannot leak back in through a steal.
+// bound: each abandoned extension rooted an unexplored subtree).
 func (s *Stack) Abandon() int64 {
-	s.mu.Lock()
-	var n int64
-	for _, e := range s.levels {
-		n += int64(e.Remaining())
-		s.recycleLocked(e)
-	}
-	s.levels = nil
-	s.mu.Unlock()
+	n := s.pending
+	s.depth, s.prefixes, s.pending = 0, 0, 0
 	return n
 }
 
-// StealShallowest scans levels bottom-up and steals one extension from the
-// first enumerator that still has work, returning the stolen prefix.
+// StealShallowest is the owner's donate call: it consumes one extension of
+// the shallowest level that still has one — the largest subtree the stack
+// can give away — and returns that level's prefix plus the extension as a
+// fresh slice for the thief to keep. This is the extend() of Figure 7
+// applied on a thief's behalf.
 func (s *Stack) StealShallowest() (stolen []Word, ok bool) {
-	s.mu.Lock()
-	snapshot := append([]*Enumerator(nil), s.levels...)
-	s.mu.Unlock()
-	for _, e := range snapshot {
-		if st, ok := e.StealOne(); ok {
-			return st, true
+	if s.pending == 0 {
+		return nil, false
+	}
+	for i := range s.levels[:s.depth] {
+		e := &s.levels[i]
+		if w, ok := e.Take(); ok {
+			stolen = make([]Word, len(e.prefix)+1)
+			copy(stolen, e.prefix)
+			stolen[len(e.prefix)] = w
+			return stolen, true
 		}
 	}
 	return nil, false
 }
 
-// StateBytes estimates the live memory of the stack: 4 bytes per prefix
-// word and per unconsumed extension across all levels. This is Fractal's
-// entire per-core intermediate state (Section 4.1, Table 2).
-func (s *Stack) StateBytes() int64 {
-	s.mu.Lock()
-	snapshot := append([]*Enumerator(nil), s.levels...)
-	s.mu.Unlock()
-	var total int64
-	for _, e := range snapshot {
-		total += int64(4 * e.stateWords())
-	}
-	return total
-}
+// Pending returns the number of unconsumed extensions across all levels.
+func (s *Stack) Pending() int64 { return s.pending }
 
 // HasWork reports whether any level has unconsumed extensions.
-func (s *Stack) HasWork() bool {
-	s.mu.Lock()
-	snapshot := append([]*Enumerator(nil), s.levels...)
-	s.mu.Unlock()
-	for _, e := range snapshot {
-		if e.Remaining() > 0 {
-			return true
-		}
-	}
-	return false
-}
+func (s *Stack) HasWork() bool { return s.pending > 0 }
+
+// StateBytes is the live memory the stack pins: 4 bytes per prefix word and
+// per unconsumed extension across all levels. This is Fractal's entire
+// per-core intermediate state (Section 4.1, Table 2).
+func (s *Stack) StateBytes() int64 { return 4 * (s.prefixes + s.pending) }
+
+// PeakStateBytes is the largest StateBytes since the last Clear.
+func (s *Stack) PeakStateBytes() int64 { return 4 * s.peak }

@@ -1,38 +1,36 @@
 package enumerator
 
 import (
-	"sort"
-	"sync"
+	"math"
+	"slices"
 	"testing"
 )
 
-func TestTakeDrainsInOrder(t *testing.T) {
-	e := New([]Word{1, 2}, []Word{5, 7, 9})
-	if e.Depth() != 2 {
-		t.Errorf("Depth=%d", e.Depth())
-	}
+func drain(e *Enumerator) []Word {
 	var got []Word
 	for {
 		w, ok := e.Take()
 		if !ok {
-			break
+			return got
 		}
 		got = append(got, w)
 	}
-	want := []Word{5, 7, 9}
-	if len(got) != len(want) {
-		t.Fatalf("got %v", got)
+}
+
+func TestTakeDrainsInOrder(t *testing.T) {
+	var s Stack
+	e := s.PushCopy([]Word{1, 2}, []Word{5, 7, 9})
+	if e.Depth() != 2 || !slices.Equal(e.Prefix(), []Word{1, 2}) {
+		t.Errorf("Depth=%d Prefix=%v", e.Depth(), e.Prefix())
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
+	if got := drain(e); !slices.Equal(got, []Word{5, 7, 9}) {
+		t.Fatalf("got %v", got)
 	}
 	if _, ok := e.Take(); ok {
 		t.Error("Take after exhaustion succeeded")
 	}
-	if e.Remaining() != 0 {
-		t.Error("Remaining after exhaustion != 0")
+	if e.Remaining() != 0 || s.HasWork() {
+		t.Error("work left after exhaustion")
 	}
 }
 
@@ -40,12 +38,8 @@ func TestRootPartitionsCoverDomain(t *testing.T) {
 	const domain, cores = 23, 4
 	seen := map[Word]int{}
 	for c := 0; c < cores; c++ {
-		e := NewRoot(c, cores, domain)
-		for {
-			w, ok := e.Take()
-			if !ok {
-				break
-			}
+		var s Stack
+		for _, w := range drain(s.PushRoot(c, cores, domain)) {
 			seen[w]++
 			if int(w)%cores != c {
 				t.Errorf("core %d produced word %d", c, w)
@@ -63,209 +57,104 @@ func TestRootPartitionsCoverDomain(t *testing.T) {
 }
 
 func TestRootRemaining(t *testing.T) {
-	e := NewRoot(1, 4, 10) // words 1,5,9 -> 3 items
-	if r := e.Remaining(); r != 3 {
-		t.Errorf("Remaining=%d, want 3", r)
+	var s Stack
+	e := s.PushRoot(1, 4, 10) // words 1,5,9 -> 3 items
+	if r := e.Remaining(); r != 3 || s.StateBytes() != 12 {
+		t.Errorf("Remaining=%d StateBytes=%d, want 3 and 12", r, s.StateBytes())
 	}
 	e.Take()
-	if r := e.Remaining(); r != 2 {
-		t.Errorf("Remaining=%d, want 2", r)
+	if r := e.Remaining(); r != 2 || s.StateBytes() != 8 {
+		t.Errorf("Remaining=%d StateBytes=%d, want 2 and 8", r, s.StateBytes())
 	}
-	empty := NewRoot(3, 4, 2) // no words
-	if empty.Remaining() != 0 {
+	s.Clear()
+	if s.PushRoot(3, 4, 2).Remaining() != 0 || s.HasWork() { // no words
 		t.Error("empty root has remaining work")
 	}
 }
 
-func TestStealOne(t *testing.T) {
-	e := New([]Word{4}, []Word{8, 9})
-	st, ok := e.StealOne()
-	if !ok || len(st) != 2 || st[0] != 4 || st[1] != 8 {
-		t.Fatalf("StealOne=%v,%v", st, ok)
-	}
-	// Owner sees the remaining extension only.
-	w, ok := e.Take()
-	if !ok || w != 9 {
-		t.Fatalf("owner Take=%v,%v, want 9", w, ok)
-	}
-	if _, ok := e.StealOne(); ok {
-		t.Error("steal from exhausted enumerator succeeded")
-	}
-}
-
-func TestConcurrentTakeNoDuplicates(t *testing.T) {
-	const n = 1000
-	exts := make([]Word, n)
-	for i := range exts {
-		exts[i] = Word(i)
-	}
-	e := New(nil, exts)
-	var mu sync.Mutex
-	got := map[Word]int{}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				w, ok := e.Take()
-				if !ok {
-					return
+func TestPushRootRejectsOversizedDomain(t *testing.T) {
+	for _, domain := range []int{-1, math.MaxInt32 + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("PushRoot accepted domain %d", domain)
 				}
-				mu.Lock()
-				got[w]++
-				mu.Unlock()
-			}
+			}()
+			var s Stack
+			s.PushRoot(0, 1, domain)
 		}()
 	}
-	wg.Wait()
-	if len(got) != n {
-		t.Fatalf("consumed %d distinct words, want %d", len(got), n)
-	}
-	for w, c := range got {
-		if c != 1 {
-			t.Errorf("word %d consumed %d times", w, c)
-		}
-	}
+	var s Stack
+	s.PushRoot(0, 1, math.MaxInt32) // the largest legal domain
 }
 
-func TestStackPushPopTop(t *testing.T) {
+func TestPopEmptyStackIsNoOp(t *testing.T) {
 	var s Stack
-	if s.Top() != nil || s.Depth() != 0 {
-		t.Error("empty stack not empty")
-	}
-	e1 := New(nil, []Word{1})
-	e2 := New([]Word{1}, []Word{2})
-	s.Push(e1)
-	s.Push(e2)
-	if s.Top() != e2 || s.Depth() != 2 {
-		t.Error("Top/Depth wrong")
-	}
 	s.Pop()
-	if s.Top() != e1 {
-		t.Error("Pop wrong")
+	if s.Top() != nil || s.Depth() != 0 || s.StateBytes() != 0 {
+		t.Fatal("Pop on an empty stack changed it")
 	}
+	s.PushCopy([]Word{1}, []Word{2})
+	s.Pop()
+	s.Pop()
+	if s.Top() != nil || s.Depth() != 0 || s.StateBytes() != 0 {
+		t.Fatal("second Pop changed an empty stack")
+	}
+}
+
+func TestPushCopyDoesNotAliasArguments(t *testing.T) {
+	var s Stack
+	prefix, exts := []Word{1, 2}, []Word{7, 8}
+	e := s.PushCopy(prefix, exts)
+	prefix[0], exts[0] = 99, 99
+	if e.Prefix()[0] != 1 {
+		t.Error("level aliases the caller's prefix")
+	}
+	if w, _ := e.Take(); w != 7 {
+		t.Error("level aliases the caller's extensions")
+	}
+}
+
+// TestStealShallowest pins the donate policy: the shallowest level with an
+// unconsumed extension gives one away, in extension order, and the owner
+// keeps consuming what is left.
+func TestStealShallowest(t *testing.T) {
+	var s Stack
+	s.PushRoot(0, 2, 3) // words 0, 2
+	s.PushCopy([]Word{0}, []Word{5, 6})
+	s.PushCopy([]Word{0, 5}, []Word{8})
+	want := [][]Word{{0}, {2}, {0, 5}, {0, 6}, {0, 5, 8}}
+	for _, w := range want {
+		got, ok := s.StealShallowest()
+		if !ok || !slices.Equal(got, w) {
+			t.Fatalf("StealShallowest=%v,%v, want %v", got, ok, w)
+		}
+	}
+	if got, ok := s.StealShallowest(); ok {
+		t.Fatalf("steal from a drained stack gave %v", got)
+	}
+	if s.Depth() != 3 || s.StateBytes() != 4*3 {
+		t.Errorf("after donating everything Depth=%d StateBytes=%d, want 3 levels pinning their 3 prefix words", s.Depth(), s.StateBytes())
+	}
+	// A stolen prefix is the thief's to keep: later pushes must not reach it.
 	s.Clear()
-	if s.Depth() != 0 {
-		t.Error("Clear failed")
+	s.PushCopy([]Word{1, 2}, []Word{3})
+	stolen, _ := s.StealShallowest()
+	s.Pop()
+	s.PushCopy([]Word{9, 9}, []Word{9})
+	if !slices.Equal(stolen, []Word{1, 2, 3}) {
+		t.Errorf("stolen prefix changed to %v after the donor moved on", stolen)
 	}
 }
 
-func TestStackStealShallowest(t *testing.T) {
+func TestAbandonCountsUnconsumed(t *testing.T) {
 	var s Stack
-	s.Push(New(nil, []Word{10, 11}))        // level 0
-	s.Push(New([]Word{10}, []Word{20}))     // level 1
-	s.Push(New([]Word{10, 20}, []Word{30})) // level 2
-	st, ok := s.StealShallowest()
-	if !ok || len(st) != 1 || st[0] != 10 {
-		t.Fatalf("first steal=%v, want [10] from level 0", st)
+	s.PushRoot(0, 1, 4).Take()
+	s.PushCopy([]Word{0}, []Word{1, 2, 3}).Take()
+	if n := s.Abandon(); n != 3+2 {
+		t.Errorf("Abandon=%d, want 5", n)
 	}
-	st, ok = s.StealShallowest()
-	if !ok || len(st) != 1 || st[0] != 11 {
-		t.Fatalf("second steal=%v, want [11]", st)
-	}
-	// Level 0 drained; next steal comes from level 1.
-	st, ok = s.StealShallowest()
-	if !ok || len(st) != 2 || st[1] != 20 {
-		t.Fatalf("third steal=%v, want [10 20]", st)
-	}
-	if !s.HasWork() {
-		t.Error("level 2 still has work")
-	}
-	if _, ok := s.StealShallowest(); !ok {
-		t.Error("level 2 steal failed")
-	}
-	if s.HasWork() {
-		t.Error("drained stack reports work")
-	}
-	if _, ok := s.StealShallowest(); ok {
-		t.Error("steal from drained stack succeeded")
-	}
-}
-
-func TestConcurrentStealAndTakeDisjoint(t *testing.T) {
-	// An owner taking from the top and thieves stealing from the bottom
-	// must partition the extensions without loss or duplication.
-	const n = 500
-	exts := make([]Word, n)
-	for i := range exts {
-		exts[i] = Word(i)
-	}
-	var s Stack
-	s.Push(New(nil, exts))
-	var mu sync.Mutex
-	got := map[Word]int{}
-	record := func(w Word) {
-		mu.Lock()
-		got[w]++
-		mu.Unlock()
-	}
-	var wg sync.WaitGroup
-	wg.Add(3)
-	go func() { // owner
-		defer wg.Done()
-		top := s.Top()
-		for {
-			w, ok := top.Take()
-			if !ok {
-				return
-			}
-			record(w)
-		}
-	}()
-	for i := 0; i < 2; i++ {
-		go func() { // thieves
-			defer wg.Done()
-			for {
-				st, ok := s.StealShallowest()
-				if !ok {
-					return
-				}
-				record(st[len(st)-1])
-			}
-		}()
-	}
-	wg.Wait()
-	if len(got) != n {
-		keys := make([]int, 0)
-		for w := range got {
-			keys = append(keys, int(w))
-		}
-		sort.Ints(keys)
-		t.Fatalf("consumed %d distinct words, want %d", len(got), n)
-	}
-	for w, c := range got {
-		if c != 1 {
-			t.Errorf("word %d consumed %d times", w, c)
-		}
-	}
-}
-
-func TestStackAbandon(t *testing.T) {
-	var s Stack
-	s.Push(NewRoot(0, 1, 10))            // 10 unconsumed roots
-	s.Push(New([]Word{1}, []Word{4, 5})) // 2 unconsumed extensions
-	e := New([]Word{1, 4}, []Word{7, 8, 9})
-	if _, ok := e.Take(); !ok { // consume one: 2 left
-		t.Fatal("Take failed")
-	}
-	s.Push(e)
-
-	if got := s.Abandon(); got != 14 {
-		t.Errorf("Abandon=%d, want 14", got)
-	}
-	if s.Depth() != 0 {
-		t.Errorf("stack not empty after Abandon: depth=%d", s.Depth())
-	}
-	if _, ok := s.StealShallowest(); ok {
-		t.Error("steal succeeded on abandoned stack")
-	}
-	if got := s.Abandon(); got != 0 {
-		t.Errorf("second Abandon=%d, want 0", got)
-	}
-	// The stack must remain usable for the next step.
-	s.Push(New([]Word{2}, []Word{6}))
-	if s.Depth() != 1 || !s.HasWork() {
-		t.Error("stack unusable after Abandon")
+	if s.Depth() != 0 || s.HasWork() || s.StateBytes() != 0 || s.Abandon() != 0 {
+		t.Error("stack not empty after Abandon")
 	}
 }

@@ -69,18 +69,19 @@ type Snapshot struct {
 	StealsExternal int64 `json:"steals_external"`
 	StealBytes     int64 `json:"steal_bytes"`
 	StealTimeNs    int64 `json:"steal_time_ns"`
-	// StealScanWork is the work booked to cores while they were inside a
-	// steal-scan interval; anything but zero means stolen-work processing is
-	// being accounted as steal time.
+	// StealScanWork was the work booked to cores while they scanned victims'
+	// stacks. Thieves no longer scan — they ask and wait — so it is always
+	// zero; the field keeps its wire slot.
 	StealScanWork int64 `json:"steal_scan_work,omitempty"`
 	// BusyTimeNs, IdleTimeNs and StealTimeNs are disjoint: together they
-	// partition each core's wall-clock lifetime within a step (holding work,
-	// sleeping between failed steal attempts, scanning victims).
+	// partition each core's wall-clock lifetime within a step (holding work;
+	// blocked with nothing asked because nobody had work to give; blocked
+	// waiting for the answer to a steal request).
 	BusyTimeNs int64 `json:"busy_time_ns"`
 	IdleTimeNs int64 `json:"idle_time_ns"`
-	// PeakStateBytes is the peak intermediate-state estimate. A worker
-	// reports the peak of the total over its own cores; the blocks of
-	// several workers sum, an upper bound of the simultaneous peak.
+	// PeakStateBytes is the peak intermediate-state estimate: each core
+	// reports the peak of its own enumerator stack, and the blocks of cores
+	// and workers sum — an upper bound of the simultaneous peak, never lower.
 	PeakStateBytes int64 `json:"peak_state_bytes"`
 	// AbandonedExts counts enumerator extensions discarded by a cancelled
 	// step.

@@ -79,9 +79,11 @@ type Config struct {
 	// in the registration reply, so all participants execute under one
 	// configuration.
 	ListenAddr string
-	// IdleSleep is how long an idle core sleeps between failed steal
-	// attempts. The default of 100µs keeps idle cores from starving busy
-	// ones on machines with few hardware threads.
+	// IdleSleep is the base of the external steal back-off: a core out of
+	// work waits this long before it first asks the other workers, and twice
+	// as long (up to 64×) after every fruitless round. It is not a polling
+	// period — a core waiting for its siblings blocks until one of them
+	// grants it work or the step ends. Default 100µs.
 	IdleSleep time.Duration
 	// StatusInterval is the master's quiescence polling period (default
 	// 1ms).
@@ -230,7 +232,9 @@ type StepReport struct {
 	StealBytes int64 `json:"steal_bytes"`
 	// StealOverhead is steal-time / busy-time.
 	StealOverhead float64 `json:"steal_overhead"`
-	// PeakStateBytes is the peak enumerator-state estimate.
+	// PeakStateBytes is the peak enumerator-state estimate: the sum of the
+	// cores' own stack peaks, an upper bound of what they pinned at any one
+	// moment.
 	PeakStateBytes int64 `json:"peak_state_bytes"`
 	// AggMergeTime is the wall time spent reducing aggregation partials
 	// outside the enumeration loop: every worker's per-core tree merge plus

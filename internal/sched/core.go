@@ -13,38 +13,38 @@ import (
 
 // core is one execution core of a worker: it owns an Embedding (the mutable
 // subgraph of Algorithm 1) and a stack of subgraph enumerators, and runs the
-// depth-first step processing loop. Other cores (and the worker's message
-// router, on behalf of remote workers) steal from its enumerator stack.
+// depth-first step processing loop. The stack is private to the loop: other
+// cores, and remote workers through the router, get work from it by asking
+// (stepCtx.post), and the loop grants what it can spare (donate).
 type core struct {
 	w          *worker
 	local      int // index within the worker
 	stack      enumerator.Stack
-	respCh     chan stealRespMsg // external steal responses routed here
 	extScratch []subgraph.Word
+	backoff    *time.Timer // external steal back-off; made on first use
 
 	// ctr is the counter block of the step attempt the core is running:
 	// plain memory this core alone writes. startStep zeroes it before the
 	// core's goroutine starts and the worker reads it after st.wg.Wait(), so
 	// counting an extension test or a subgraph touches no shared cache line.
 	ctr metrics.Snapshot
-	// progress counts the embeddings the core has processed in the attempt.
-	// It is the one counter read while the step runs (reportStatus sums the
-	// cores' for the master's quiescence rounds), hence atomic — but this
-	// core is its only writer.
-	progress atomic.Int64
-	// state is the core's latest stack estimate, already folded into
-	// st.stateTotal; statePeak is the highest worker total the core has
-	// seen. Every change of the total is made, and seen, by some core, so
-	// the worker's peak is the largest statePeak.
-	state, statePeak int64
+	// processed counts the embeddings the core has processed in the attempt.
+	// progress is its published copy, the one counter read while the step
+	// runs (reportStatus sums the cores' for the master's quiescence rounds):
+	// stored every progressEvery embeddings and whenever the core runs dry,
+	// so an idle core's figure is exact and a busy core's is recent.
+	processed int64
+	progress  atomic.Int64
+	// asked and askedRemote say that a sibling request of this core is
+	// queued, or a remote one on its way, with no answer yet. They outlive an
+	// idle spell: a request the core stopped waiting for is still answered.
+	asked, askedRemote bool
 }
 
+const progressEvery = 256
+
 func newCore(w *worker, local int) *core {
-	return &core{
-		w:      w,
-		local:  local,
-		respCh: make(chan stealRespMsg, 4),
-	}
+	return &core{w: w, local: local}
 }
 
 // gidx is the core's global index for the attempt: cores are numbered by the
@@ -59,13 +59,6 @@ func (c *core) gidx(st *stepCtx) int { return st.base + c.local }
 func (c *core) run(st *stepCtx) {
 	defer st.wg.Done()
 	start := time.Now()
-	// idle accumulates only the sleeps between failed steal attempts;
-	// stealScan accumulates the time spent scanning victims and waiting on
-	// steal responses (it becomes ctr.StealTimeNs). Keeping the
-	// two apart makes busy = total - idle - stealScan an honest "holding
-	// work" measure: booking scan time into idle would make
-	// busy+stealTime double-count the scans and skew StealOverhead().
-	var idle, stealScan time.Duration
 
 	var emb *subgraph.Embedding
 	if st.customs != nil {
@@ -73,100 +66,32 @@ func (c *core) run(st *stepCtx) {
 	} else {
 		emb = subgraph.New(st.graph, st.kind, st.plan)
 	}
-	c.drainResponses()
 	c.stack.Clear()
-	// The core is already marked active: startStep incremented the counter
-	// for every core before launching the goroutines.
-	c.stack.Push(enumerator.NewRoot(c.gidx(st), st.totalCores, emb.InitialDomain()))
+	// The core already holds its unit of st.active: startStep booked one for
+	// every core before launching the goroutines.
+	c.stack.PushRoot(c.gidx(st), st.totalCores, emb.InitialDomain())
 
 	for {
-		// Cancellation is polled once per DFS iteration (one extension
-		// consumed per iteration), which bounds the reaction latency to a
-		// single embedding's processing time. Only cancellation exits the
-		// loop mid-work: an ordinary step end (finish) lets the core drain
-		// its local subtree, so a quiescence decision that raced with a
-		// just-started core loses no work. The shared abort flag is
-		// checked too because it lands well before the cancel control
-		// message when the machine is oversubscribed.
-		if st.aborted() {
-			break
+		// One word is polled per DFS iteration (one extension consumed per
+		// iteration), which bounds both the reaction to a cancellation and the
+		// wait of a thief to a single embedding's processing time. Only
+		// cancellation exits the loop mid-work: an ordinary step end (finish)
+		// lets the core drain its local subtree, so a quiescence decision
+		// that raced with a just-started core loses no work.
+		if a := st.attn.Load(); a != 0 {
+			if a&attnStop != 0 {
+				c.release(st)
+				break
+			}
+			c.donate(st)
 		}
 		e := c.stack.Top()
 		if e == nil {
-			// Out of local work. Internal steals are shared-memory scans,
-			// so they are retried at a fixed short cadence; external steals
-			// generate messages, so they back off exponentially — both to
-			// avoid flooding victims and so the master's quiescence
-			// detector can observe a window with no steal traffic in
-			// flight.
-			st.activeDec()
-			got := false
-			extBackoff := 1
-			attempt := 0
-			misses := int64(0)
-			var idleTimer *time.Timer
-			for !st.halted() {
-				scanStart, workStart := time.Now(), c.ctr.Work()
-				st.activeInc()
-				var prefix []subgraph.Word
-				var ok, external bool
-				if c.w.cfg.WS.internal() {
-					if prefix, ok = c.stealInternal(st); ok {
-						c.ctr.StealsInternal++
-					}
-				}
-				if !ok && c.w.cfg.WS.external() && attempt >= extBackoff {
-					attempt = 0
-					if extBackoff < 64 {
-						extBackoff *= 2
-					}
-					prefix, ok = c.stealExternal(st)
-					external = true
-				}
-				// Steal time stops here: installing and processing the
-				// stolen prefix is real enumeration work, so it belongs to
-				// busy time, not steal overhead. StealScanWork is how far the
-				// core's own work advanced inside the scan interval: always
-				// zero, and recorded so tests can hold the accounting to that
-				// by a counter, not a wall-clock ratio.
-				stealScan += time.Since(scanStart)
-				c.ctr.StealScanWork += c.ctr.Work() - workStart
-				if ok {
-					c.traceSteal(st, external, true, misses)
-					c.install(st, emb, prefix)
-					got = true
-					break
-				}
-				// Internal misses recur at the IdleSleep cadence; journaling
-				// each would flood the ring with identical events, so only
-				// the first miss of an idle spell (and every external
-				// attempt, which backs off exponentially) is emitted. The
-				// eventual hit event carries the spell's miss count.
-				misses++
-				if external || misses == 1 {
-					c.traceSteal(st, external, false, misses)
-				}
-				st.activeDec()
-				// The idle nap aborts the moment the step halts (step end,
-				// cancellation, shutdown): a long IdleSleep must not delay
-				// teardown by up to a full period per core.
-				sleepStart := time.Now()
-				if idleTimer == nil {
-					idleTimer = time.NewTimer(c.w.cfg.IdleSleep)
-				} else {
-					idleTimer.Reset(c.w.cfg.IdleSleep)
-				}
-				select {
-				case <-idleTimer.C:
-				case <-st.doneCh:
-					idleTimer.Stop()
-				}
-				idle += time.Since(sleepStart)
-				attempt++
-			}
-			if !got {
+			prefix, ok := c.park(st)
+			if !ok {
 				break
 			}
+			c.install(st, emb, prefix)
 			continue
 		}
 		depth := e.Depth()
@@ -182,14 +107,15 @@ func (c *core) run(st *stepCtx) {
 		c.process(st, emb, depth, w)
 	}
 
-	c.ctr.BusyTimeNs = int64(time.Since(start) - idle - stealScan)
-	c.ctr.IdleTimeNs = int64(idle)
-	c.ctr.StealTimeNs = int64(stealScan)
+	// Idle and steal time were booked by park as they passed; holding work is
+	// the rest of the loop's lifetime.
+	c.ctr.BusyTimeNs = int64(time.Since(start)) - c.ctr.IdleTimeNs - c.ctr.StealTimeNs
 	c.ctr.CoreWork = []int64{c.ctr.Work()}
 	c.ctr.QuickPatterns, c.ctr.CanonCalls = emb.ClassStats()
+	c.ctr.PeakStateBytes = c.stack.PeakStateBytes()
 	if st.aborted() {
-		// Drop the remaining enumeration state so thieves find nothing and
-		// memory is released promptly; record how much work was abandoned.
+		// Drop the remaining enumeration state so memory is released
+		// promptly; record how much work was abandoned.
 		c.ctr.AbandonedExts = c.stack.Abandon()
 		if st.tracer != nil {
 			st.tracer.Emit(metrics.TraceEvent{
@@ -198,6 +124,175 @@ func (c *core) run(st *stepCtx) {
 			})
 		}
 	}
+}
+
+// release gives up the core's unit of activity: it ran dry, or is stopping.
+// Its progress figure is published first, so a worker that reads idle reads
+// exact counts. The core that gives up the worker's last unit answers the
+// requests still queued, empty.
+func (c *core) release(st *stepCtx) {
+	c.progress.Store(c.processed)
+	for _, r := range st.retire() {
+		c.w.answer(st, r, nil)
+	}
+}
+
+// donate grants queued steal requests from the core's own stack: the
+// shallowest unconsumed extension, the largest subtree it can give away
+// (cases (a)-(c) of Figure 9; the donor thread of Figure 9(b) is the owning
+// core). It keeps the last extension for itself — giving that away would only
+// swap the roles of donor and thief — so a request it cannot serve stays
+// queued for a sibling, for its own next push, or for the empty answer when
+// the worker runs dry.
+func (c *core) donate(st *stepCtx) {
+	for c.stack.Pending() > 1 && !st.isDone() {
+		r, ok := st.takeRequest()
+		if !ok {
+			return
+		}
+		prefix, _ := c.stack.StealShallowest()
+		c.w.answer(st, r, prefix)
+	}
+}
+
+// park is where a core out of local work waits for more: it gives up its
+// unit of activity, asks its siblings once (the request stays queued until a
+// busy core grants it or the worker runs dry) and blocks on its mailbox, the
+// end of the step, and — with external stealing on — a back-off timer. Each
+// time the timer fires the core asks the attempt's other participants in
+// turn (case (b) of Figure 9), one request at a time, and doubles the
+// back-off after a fruitless round: remote requests are messages, so they
+// must not flood victims, and the master's quiescence detector needs windows
+// with no steal traffic in flight. Nothing here wakes up to look for work:
+// with internal stealing alone the core sleeps until it is granted a prefix
+// or the step ends.
+//
+// Time blocked with a request of the core's unanswered is steal time; time
+// blocked with nothing asked — nobody had anything to give — is idle time.
+// Installing the granted prefix is busy time again.
+func (c *core) park(st *stepCtx) (prefix []subgraph.Word, ok bool) {
+	c.release(st)
+	w := c.w
+	siblings := w.cfg.WS.internal() && len(w.cores) > 1
+	remote := w.cfg.WS.external() && len(st.parts) > 1
+	var timeout <-chan time.Time
+	if remote {
+		first := w.cfg.IdleSleep
+		if c.askedRemote { // still waiting for the answer to an earlier spell's request
+			first = w.cfg.WorkerTimeout
+		}
+		timeout = c.arm(first)
+		defer c.backoff.Stop()
+	}
+	backoff, victim := 1, 0
+	misses := int64(0)
+	// miss journals a request that brought no work. Journalling every one
+	// would flood the ring with identical events, so only the first of the
+	// idle spell (and every external one, which back off exponentially) is
+	// emitted. The eventual hit event carries the spell's miss count.
+	miss := func(external bool) {
+		if misses++; external || misses == 1 {
+			c.traceSteal(st, external, false, misses)
+		}
+	}
+	for {
+		if siblings && !c.asked {
+			if c.asked = st.post(stealReq{thief: c.local}); !c.asked {
+				miss(false)
+			}
+		}
+		waitStart := time.Now()
+		select {
+		case g := <-st.mail[c.local]:
+			c.bookWait(waitStart)
+			late := g.external && !c.askedRemote // answers a request the core had given up on
+			if g.external {
+				c.askedRemote = false
+			} else {
+				c.asked = false
+			}
+			if len(g.prefix) > 0 {
+				if g.external {
+					c.ctr.StealsExternal++
+					c.ctr.StealBytes += int64(4 * len(g.prefix))
+				} else {
+					c.ctr.StealsInternal++
+				}
+				c.traceSteal(st, g.external, true, misses)
+				return g.prefix, true
+			}
+			miss(g.external)
+			if !g.external || late {
+				continue
+			}
+		case <-timeout:
+			// The back-off is over, or the response to the round's last
+			// request was lost: under fault injection a message can vanish,
+			// and an unbounded wait would pin this core forever. The loss
+			// leaves the workers' request/response counters imbalanced, which
+			// is what the master's steal-balance watchdog convicts; moving on
+			// just keeps the core schedulable until the attempt is retried.
+			c.bookWait(waitStart)
+			if c.askedRemote {
+				miss(true)
+			}
+		case <-st.doneCh:
+			c.bookWait(waitStart)
+			return nil, false
+		}
+		// The round moves on to its next victim, or ends.
+		if c.askedRemote = c.askNext(st, &victim); c.askedRemote {
+			timeout = c.arm(w.cfg.WorkerTimeout)
+		} else {
+			if backoff < 64 {
+				backoff *= 2
+			}
+			timeout = c.arm(w.cfg.IdleSleep * time.Duration(backoff))
+		}
+	}
+}
+
+// bookWait books the time a parked core was blocked since t.
+func (c *core) bookWait(t time.Time) {
+	if d := int64(time.Since(t)); c.asked || c.askedRemote {
+		c.ctr.StealTimeNs += d
+	} else {
+		c.ctr.IdleTimeNs += d
+	}
+}
+
+// arm (re)starts the core's back-off timer and returns its channel.
+func (c *core) arm(d time.Duration) <-chan time.Time {
+	if c.backoff == nil {
+		c.backoff = time.NewTimer(d)
+		return c.backoff.C
+	}
+	if !c.backoff.Stop() {
+		select {
+		case <-c.backoff.C:
+		default:
+		}
+	}
+	c.backoff.Reset(d)
+	return c.backoff.C
+}
+
+// askNext sends a steal request to the next participant of the current round
+// (*victim is its rank offset; 0 between rounds) and reports whether one is
+// now on its way; false ends the round.
+func (c *core) askNext(st *stepCtx, victim *int) bool {
+	w := c.w
+	for *victim++; *victim < len(st.parts); *victim++ {
+		to := rpc.NodeID(st.parts[(st.rank+*victim)%len(st.parts)])
+		req := stealReqMsg{Job: st.job, Step: st.index, Attempt: st.attempt, Worker: w.id, Core: c.local}
+		w.reqSent.Add(1)
+		if w.tr.Send(to, rpc.Envelope{Kind: kStealReq, Body: encode(req)}) == nil {
+			return true
+		}
+		w.reqSent.Add(-1) // never left this node
+	}
+	*victim = 0
+	return false
 }
 
 // traceSteal journals one steal attempt; a no-op without a tracer.
@@ -216,7 +311,9 @@ func (c *core) traceSteal(st *stepCtx, external, hit bool, misses int64) {
 // embedding extended by w (the recursive body of Algorithm 1, iterated).
 func (c *core) process(st *stepCtx, emb *subgraph.Embedding, depth int, w subgraph.Word) {
 	emb.Push(w)
-	c.progress.Add(1)
+	if c.processed++; c.processed%progressEvery == 0 {
+		c.progress.Store(c.processed)
+	}
 	prims := st.s.Primitives
 	for i := st.s.ExtIdx[depth] + 1; i < len(prims); i++ {
 		p := &prims[i]
@@ -226,10 +323,9 @@ func (c *core) process(st *stepCtx, emb *subgraph.Embedding, depth int, w subgra
 			c.extScratch = exts
 			c.ctr.ExtensionTests += int64(tested)
 			if len(exts) > 0 {
-				// PushCopy copies both slices into stack-pooled storage, so
-				// the steady-state DFS loop allocates nothing per subgraph.
+				// PushCopy copies both slices into the level's own buffers,
+				// so the steady-state DFS loop allocates nothing per subgraph.
 				c.stack.PushCopy(emb.Words(), exts)
-				c.observeState(st)
 			}
 			return
 		case step.LocalFilter:
@@ -253,67 +349,6 @@ func (c *core) process(st *stepCtx, emb *subgraph.Embedding, depth int, w subgra
 	c.ctr.Subgraphs++
 }
 
-// stealInternal scans sibling cores round-robin and steals the shallowest
-// available prefix (case (a)/(c) of Figure 9).
-func (c *core) stealInternal(st *stepCtx) ([]subgraph.Word, bool) {
-	n := len(c.w.cores)
-	for off := 1; off < n; off++ {
-		victim := c.w.cores[(c.local+off)%n]
-		if prefix, ok := victim.stack.StealShallowest(); ok {
-			return prefix, true
-		}
-	}
-	return nil, false
-}
-
-// stealExternal sends steal requests to the attempt's other participants
-// round-robin and waits for each response (case (b) of Figure 9). The wait
-// is abandoned when the master ends the step — post-quiescence responses can
-// only be empty — and bounded by WorkerTimeout per victim: under fault
-// injection a request or its response can vanish, and an unbounded wait
-// would pin this core forever. A response lost this way leaves the worker's
-// request/response counters permanently imbalanced, which is exactly what
-// the master's steal-balance watchdog convicts — giving up here just keeps
-// the core schedulable until the attempt is failed and retried.
-func (c *core) stealExternal(st *stepCtx) ([]subgraph.Word, bool) {
-	w := c.w
-	parts := st.parts
-	if len(parts) <= 1 {
-		return nil, false
-	}
-	for off := 1; off < len(parts); off++ {
-		victim := rpc.NodeID(parts[(st.rank+off)%len(parts)])
-		req := stealReqMsg{Job: st.job, Step: st.index, Attempt: st.attempt, Worker: w.id, Core: c.local}
-		w.reqSent.Add(1)
-		if err := w.tr.Send(victim, rpc.Envelope{Kind: kStealReq, Body: encode(req)}); err != nil {
-			w.reqSent.Add(-1) // never left this node
-			continue
-		}
-		wait := time.NewTimer(w.cfg.WorkerTimeout)
-		for {
-			select {
-			case resp := <-c.respCh:
-				if resp.Job != st.job || resp.Step != st.index || resp.Attempt != st.attempt {
-					continue // stale response from an earlier step or attempt
-				}
-				wait.Stop()
-				if len(resp.Prefix) > 0 {
-					c.ctr.StealsExternal++
-					c.ctr.StealBytes += int64(4 * len(resp.Prefix))
-					return resp.Prefix, true
-				}
-			case <-st.doneCh:
-				wait.Stop()
-				return nil, false
-			case <-wait.C:
-				// Response lost; move on to the next victim.
-			}
-			break
-		}
-	}
-	return nil, false
-}
-
 // install rebuilds the embedding from a stolen prefix and processes its last
 // word exactly as the victim would have.
 func (c *core) install(st *stepCtx, emb *subgraph.Embedding, prefix []subgraph.Word) {
@@ -324,29 +359,4 @@ func (c *core) install(st *stepCtx, emb *subgraph.Embedding, prefix []subgraph.W
 		return
 	}
 	c.process(st, emb, depth, last)
-}
-
-// drainResponses discards stale steal responses left from a previous step.
-func (c *core) drainResponses() {
-	for {
-		select {
-		case <-c.respCh:
-		default:
-			return
-		}
-	}
-}
-
-// observeState records the current intermediate-state estimate: in Fractal
-// the only live state is the enumerator stacks (prefixes plus extension
-// lists), which is why memory stays flat as depth grows (Table 2). The core
-// moves the worker's running total by the change of its own stack — one
-// shared write per pushed level — and remembers the highest total it saw.
-func (c *core) observeState(st *stepCtx) {
-	nb := c.stack.StateBytes()
-	total := st.stateTotal.Add(nb - c.state)
-	c.state = nb
-	if total > c.statePeak {
-		c.statePeak = total
-	}
 }

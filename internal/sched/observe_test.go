@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -95,18 +96,16 @@ func TestAggregationFailureSurfaces(t *testing.T) {
 	}
 }
 
-// TestTimePartitionAccounting verifies the steal-accounting bugfix: busy,
-// idle-sleep, and steal-scan time are disjoint — by construction they
-// partition each core's loop lifetime, so their sum can never exceed
-// cores × step wall — and steal time covers only victim scans, not the
-// processing of stolen subtrees (which the old accounting folded in,
-// inflating StealOverhead). The second half is held by counters, not by
-// comparing wall-clock buckets: a scan that is merely descheduled on a busy
-// host grows its interval without doing any work, while the bug books the
-// stolen subtree's work units inside the interval. The lower bound is just
-// "cores span the enumeration phase": on machines with few hardware threads
-// the step wall includes a teardown tail after the cores exit, so cores ×
-// wall is not a sound baseline.
+// TestTimePartitionAccounting verifies the steal accounting: busy, idle and
+// steal time are disjoint — by construction they partition each core's loop
+// lifetime, so their sum can never exceed cores × step wall — and steal time
+// covers only a thief's wait for an answer, not the processing of the stolen
+// subtree (which the first accounting folded in, inflating StealOverhead).
+// Time blocked on the mailbox with nothing asked — the step's tail, when every
+// core is dry and waits for the master — is idle time. The lower bound is
+// just "cores span the enumeration phase": on machines with few hardware
+// threads the step wall includes a teardown tail after the cores exit, so
+// cores × wall is not a sound baseline.
 func TestTimePartitionAccounting(t *testing.T) {
 	g := starGraph(400)
 	rt, err := New(Config{Workers: 1, CoresPerWorker: 4, WS: WSInternal})
@@ -115,21 +114,24 @@ func TestTimePartitionAccounting(t *testing.T) {
 	}
 	defer rt.Close()
 	// Every complete embedding contains the hub, so all of them sit in the
-	// subtree of the one core whose root partition holds it. That core
-	// parks on its first embedding until a second core delivers one — which
-	// it can only have stolen — so the run cannot finish without a steal,
-	// however the host schedules the cores.
+	// subtree of the one core whose root partition holds it. The first
+	// embedding to arrive is held until a steal request is queued — the other
+	// cores run dry at once, and its core polls the queue on its next
+	// iteration with two full levels to give away — or until a second core
+	// delivers one, which it can only have been granted. So the run cannot
+	// finish without a steal, however the host schedules the cores. (It must
+	// not simply wait for the stolen work: stacks are private, and a core
+	// blocked in user code grants nothing.)
 	var entered atomic.Int32
-	stolen := make(chan struct{})
 	res, err := rt.Run(context.Background(), Job{
 		Graph: g, Kind: subgraph.VertexInduced,
 		Workflow: step.Workflow{step.ExtendP(), step.ExtendP(), step.ExtendP(),
 			step.VisitP(func(*subgraph.Embedding) {
-				switch entered.Add(1) {
-				case 1:
-					<-stolen
-				case 2:
-					close(stolen)
+				if entered.Add(1) > 1 {
+					return
+				}
+				for st := rt.workers[0].current(); st.attn.Load()&attnSteal == 0 && entered.Load() < 2; {
+					runtime.Gosched()
 				}
 			})},
 	})
@@ -145,7 +147,10 @@ func TestTimePartitionAccounting(t *testing.T) {
 		t.Error("no busy time recorded")
 	}
 	if idle <= 0 {
-		t.Error("no idle time recorded (quiescence requires idle polling rounds)")
+		t.Error("no idle time recorded (every core waits out the master's quiescence rounds)")
+	}
+	if steal <= 0 {
+		t.Error("no steal time recorded (three cores waited for a grant)")
 	}
 	sum := busy + idle + steal
 	budget := 4 * s.Wall
@@ -155,8 +160,9 @@ func TestTimePartitionAccounting(t *testing.T) {
 	if sum < s.Wall/2 {
 		t.Errorf("busy+idle+steal=%v under half the step wall %v: an interval is unaccounted", sum, s.Wall)
 	}
-	// Steal time is scans only: no work unit is booked inside a scan
-	// interval, and none goes missing from the cores' books either.
+	// No work unit is booked inside a steal wait (the counter is a relic of
+	// the scanning thief and stays zero), and none goes missing from the
+	// cores' books either.
 	if m.StealsInternal == 0 {
 		t.Fatal("no steal happened: the accounting under test was not exercised")
 	}

@@ -121,12 +121,13 @@ type jobRun struct {
 	// maxRecordedRounds cap.
 	rounds      []QuiescenceRound
 	roundsTotal int
-	// cancelled is the shared abort flag: the master flips it before
-	// broadcasting cancel messages, and cores poll it directly. On an
-	// oversubscribed machine compute-bound cores starve the transport
-	// goroutines, so the shared flag is what actually bounds cancellation
-	// latency; the messages then serialize the drain at each worker's
-	// router and carry the acks back.
+	// cancelled is the abort flag: the master flips it, then interrupts the
+	// in-process workers' cores directly, then broadcasts cancel messages. On
+	// an oversubscribed machine compute-bound cores starve the transport
+	// goroutines, so the interrupt is what actually bounds cancellation
+	// latency; the messages then serialize the drain at each worker's router
+	// and carry the acks back. A worker installing a step of this run reads
+	// the flag after publishing the step, so neither order loses the stop.
 	cancelled atomic.Bool
 }
 
@@ -786,21 +787,24 @@ func (r *Runtime) executeStep(ctx context.Context, run *jobRun, idx int, s *step
 
 // cancelDrainWait bounds how long the master waits for workers to
 // acknowledge a cancel before returning with the partial report. Cores stop
-// via the shared abort flag within one DFS iteration, so healthy workers
+// on the interrupt within one DFS iteration, so healthy workers
 // ack as soon as the control message makes it through; the cap only matters
 // when a worker is dead, and is kept small so cancellation latency stays
 // well under the 100ms target.
 const cancelDrainWait = 75 * time.Millisecond
 
-// broadcastCancel tells every worker to abandon the step — first through
-// the run's shared abort flag (instant), then through cancel messages that
-// serialize the drain at each router — and waits (bounded by
-// cancelDrainWait) for the drain acks, which carry the workers' counters
+// broadcastCancel tells every worker to abandon the step — first by
+// interrupting the cores of in-process workers (instant), then through
+// cancel messages that serialize the drain at each router — and waits
+// (bounded by cancelDrainWait) for the drain acks, which carry the workers' counters
 // into the partial step report. Sends are best-effort: a worker that cannot
 // be reached is typically the one whose loss is being handled, and an
 // unacked worker is missing from the report.
 func (r *Runtime) broadcastCancel(run *jobRun, idx int) {
 	run.cancelled.Store(true)
+	for _, w := range r.workers {
+		w.interrupt(run.job, idx, run.attempt)
+	}
 	if run.tracer != nil {
 		run.tracer.Emit(metrics.TraceEvent{Kind: metrics.TraceCancel, Step: idx, Worker: -1, Core: -1})
 	}

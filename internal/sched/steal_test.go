@@ -1,0 +1,509 @@
+package sched
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"slices"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"fractal/internal/graph"
+	"fractal/internal/pattern"
+	"fractal/internal/rpc"
+	"fractal/internal/step"
+	"fractal/internal/subgraph"
+	"fractal/internal/workload"
+)
+
+// stealRig is worker 0 of a two-worker attempt with its router switched
+// off, so a test plays the router and the cores itself, one protocol step at
+// a time, and reads what worker 1 is sent off the wire.
+type stealRig struct {
+	w    *worker
+	st   *stepCtx
+	peer <-chan rpc.Envelope
+}
+
+// newStealRig installs attempt 3 of step 2 of job 1 with the given number of
+// cores holding work.
+func newStealRig(t *testing.T, cores, busy int) *stealRig {
+	t.Helper()
+	nw := rpc.NewLoopbackNetwork([]rpc.NodeID{rpc.Master, 0, 1})
+	t.Cleanup(func() {
+		for _, tr := range nw {
+			tr.Close()
+		}
+	})
+	cfg := Config{CoresPerWorker: cores}.withDefaults()
+	w := newWorker(0, cfg, nil, nw[0])
+	st := &stepCtx{
+		job: 1, index: 2, attempt: 3, parts: []int{0, 1},
+		doneCh: make(chan struct{}), mail: make([]chan grant, cores),
+	}
+	for i := range st.mail {
+		st.mail[i] = make(chan grant, mailboxCap)
+	}
+	st.active.Store(int64(busy))
+	w.cur = st
+	return &stealRig{w: w, st: st, peer: nw[1].Recv()}
+}
+
+// remoteReq is a steal request from core 1 of worker 1 for the rig's attempt.
+func (r *stealRig) remoteReq() stealReqMsg {
+	return stealReqMsg{Job: 1, Step: 2, Attempt: 3, Worker: 1, Core: 1}
+}
+
+// responses drains what worker 1 has been sent so far.
+func (r *stealRig) responses(t *testing.T) []stealRespMsg {
+	t.Helper()
+	var out []stealRespMsg
+	for {
+		select {
+		case env := <-r.peer:
+			var m stealRespMsg
+			if env.Kind != kStealResp || decode(env.Body, &m) != nil {
+				t.Fatalf("worker 1 was sent kind %d, want a steal response", env.Kind)
+			}
+			out = append(out, m)
+		default:
+			return out
+		}
+	}
+}
+
+// mailbox drains a core's mailbox.
+func (r *stealRig) mailbox(core int) []grant {
+	var out []grant
+	for {
+		select {
+		case g := <-r.st.mail[core]:
+			out = append(out, g)
+		default:
+			return out
+		}
+	}
+}
+
+func (r *stealRig) booked() [2]int64 {
+	return [2]int64{r.w.reqRecv.Load(), r.w.respSent.Load()}
+}
+
+// TestEveryStealRequestAnsweredOnce pins the first protocol invariant: a
+// request gets exactly one answer, whichever way the attempt goes, and
+// reqRecv/respSent are booked once each and only for the attempt under
+// execution.
+func TestEveryStealRequestAnsweredOnce(t *testing.T) {
+	t.Run("granted by a busy core", func(t *testing.T) {
+		r := newStealRig(t, 2, 1)
+		c := r.w.cores[0]
+		c.stack.PushRoot(0, 4, 40).Take()
+		c.stack.PushCopy([]subgraph.Word{0}, []subgraph.Word{5, 6, 7})
+		r.w.serveSteal(r.remoteReq())
+		if !r.st.post(stealReq{thief: 1}) {
+			t.Fatal("a sibling request was refused with a busy core present")
+		}
+		if got := r.booked(); got != [2]int64{1, 0} || len(r.responses(t)) != 0 {
+			t.Fatalf("queued request: booked %v with a response already out, want [1 0] and none", got)
+		}
+		if r.st.attn.Load()&attnSteal == 0 {
+			t.Fatal("queued requests did not raise the attention word")
+		}
+		c.donate(r.st)
+		resp := r.responses(t)
+		if len(resp) != 1 || !slices.Equal(resp[0].Prefix, []subgraph.Word{4}) || resp[0].Core != 1 || resp[0].Attempt != 3 {
+			t.Fatalf("remote thief was sent %+v, want the shallowest extension [4] once", resp)
+		}
+		if got := r.mailbox(1); len(got) != 1 || got[0].external || !slices.Equal(got[0].prefix, []subgraph.Word{8}) {
+			t.Fatalf("sibling thief got %+v, want the next shallowest extension [8] once", got)
+		}
+		if got := r.booked(); got != [2]int64{1, 1} {
+			t.Errorf("booked %v, want one request received and one response sent", got)
+		}
+		if r.st.attn.Load() != 0 {
+			t.Error("attention word still raised with the queue empty")
+		}
+		c.donate(r.st) // nothing queued: a second call must answer nobody
+		if len(r.responses(t))+len(r.mailbox(1)) != 0 {
+			t.Error("a request was answered twice")
+		}
+	})
+
+	t.Run("last busy core runs dry", func(t *testing.T) {
+		r := newStealRig(t, 3, 2)
+		r.w.serveSteal(r.remoteReq())
+		r.st.post(stealReq{thief: 2})
+		r.w.cores[0].release(r.st) // one busy core left: the requests wait for it
+		if len(r.responses(t))+len(r.mailbox(2)) != 0 {
+			t.Fatal("requests answered while a core was still busy")
+		}
+		r.w.cores[1].release(r.st)
+		if resp := r.responses(t); len(resp) != 1 || len(resp[0].Prefix) != 0 {
+			t.Fatalf("remote thief was sent %+v, want one empty answer", resp)
+		}
+		if got := r.mailbox(2); len(got) != 1 || len(got[0].prefix) != 0 {
+			t.Fatalf("sibling thief got %+v, want one empty answer", got)
+		}
+		if got := r.booked(); got != [2]int64{1, 1} || r.st.active.Load() != 0 {
+			t.Errorf("booked %v active %d, want [1 1] and 0", got, r.st.active.Load())
+		}
+		// With nobody busy a request is refused on arrival: answered at once.
+		r.w.serveSteal(r.remoteReq())
+		if r.st.post(stealReq{thief: 2}) {
+			t.Error("a sibling request was queued with no busy core to serve it")
+		}
+		if resp := r.responses(t); len(resp) != 1 || len(resp[0].Prefix) != 0 || r.booked() != [2]int64{2, 2} {
+			t.Errorf("request to an idle worker: sent %+v, booked %v", resp, r.booked())
+		}
+	})
+
+	for _, end := range []string{"finish", "cancel"} {
+		t.Run("queued at "+end, func(t *testing.T) {
+			r := newStealRig(t, 2, 1)
+			c := r.w.cores[0]
+			c.stack.PushRoot(0, 1, 40)
+			r.w.serveSteal(r.remoteReq())
+			if end == "finish" {
+				r.st.finish()
+			} else {
+				r.st.cancel()
+			}
+			c.donate(r.st) // a stopped step hands out nothing
+			if len(r.responses(t)) != 0 || c.stack.Pending() != 40 {
+				t.Fatal("work was granted after the step stopped")
+			}
+			r.w.serveSteal(r.remoteReq()) // arrives after the stop: refused
+			if resp := r.responses(t); len(resp) != 1 || len(resp[0].Prefix) != 0 {
+				t.Fatalf("late request was sent %+v, want one empty answer", resp)
+			}
+			c.release(r.st) // the core stops: it drains the queue
+			if resp := r.responses(t); len(resp) != 1 || len(resp[0].Prefix) != 0 {
+				t.Fatalf("queued request was sent %+v, want one empty answer", resp)
+			}
+			if got := r.booked(); got != [2]int64{2, 2} {
+				t.Errorf("booked %v, want [2 2]", got)
+			}
+		})
+	}
+
+	t.Run("stale attempt", func(t *testing.T) {
+		r := newStealRig(t, 1, 1)
+		r.w.cores[0].stack.PushRoot(0, 1, 40)
+		m := r.remoteReq()
+		m.Attempt = 2
+		r.w.serveSteal(m)
+		if resp := r.responses(t); len(resp) != 1 || len(resp[0].Prefix) != 0 || resp[0].Attempt != 2 {
+			t.Fatalf("stale request was sent %+v, want one empty answer tagged with its own attempt", resp)
+		}
+		if got := r.booked(); got != [2]int64{0, 0} || len(r.st.reqs) != 0 {
+			t.Errorf("stale request booked %v, queued %d: it must touch neither", got, len(r.st.reqs))
+		}
+	})
+}
+
+// TestActiveCoversWorkInFlight pins the second invariant: the worker's
+// activity count includes a granted prefix from the moment it leaves the
+// donor's stack (or is taken off the wire) until its thief runs dry, so it
+// never reads 0 while a prefix is held or in flight.
+func TestActiveCoversWorkInFlight(t *testing.T) {
+	r := newStealRig(t, 2, 1)
+	r.st.post(stealReq{thief: 1})
+	if _, ok := r.st.takeRequest(); !ok || r.st.active.Load() != 2 {
+		t.Fatalf("sibling request taken: ok=%v active=%d, want the thief's unit booked before the hand-off", ok, r.st.active.Load())
+	}
+	// The donor runs dry with the grant still undelivered: not the last unit.
+	if left := r.st.retire(); left != nil || r.st.active.Load() != 1 {
+		t.Fatalf("active=%d after the donor ran dry, want the in-flight prefix to hold 1", r.st.active.Load())
+	}
+	// A remote request's prefix leaves the worker: no unit stays behind.
+	r.w.serveSteal(r.remoteReq())
+	if _, ok := r.st.takeRequest(); !ok || r.st.active.Load() != 1 {
+		t.Errorf("remote request taken: active=%d, want 1", r.st.active.Load())
+	}
+	// A prefix arriving from a remote donor is activity before it is receipt.
+	resp := stealRespMsg{Job: 1, Step: 2, Attempt: 3, Core: 0, Prefix: []subgraph.Word{7, 9}}
+	r.w.routeStealResp(resp)
+	if r.st.active.Load() != 2 || r.w.respRecv.Load() != 1 {
+		t.Errorf("routed grant: active=%d respRecv=%d, want 2 and 1", r.st.active.Load(), r.w.respRecv.Load())
+	}
+	if got := r.mailbox(0); len(got) != 1 || !got[0].external || !slices.Equal(got[0].prefix, resp.Prefix) {
+		t.Errorf("core 0 got %+v, want the routed prefix", got)
+	}
+	resp.Prefix = nil
+	r.w.routeStealResp(resp) // an empty answer carries no unit
+	resp.Core, resp.Prefix = 9, []subgraph.Word{1}
+	r.w.routeStealResp(resp) // nor does a prefix nobody can be handed
+	if r.st.active.Load() != 2 || r.w.respRecv.Load() != 3 {
+		t.Errorf("active=%d respRecv=%d, want 2 and 3", r.st.active.Load(), r.w.respRecv.Load())
+	}
+}
+
+// TestStaleGrantIsDropped pins the third invariant: an answer addressed to
+// an earlier step or attempt reaches no core and no counter of the current
+// one, and mailboxes are the attempt's own.
+func TestStaleGrantIsDropped(t *testing.T) {
+	r := newStealRig(t, 1, 0)
+	for _, m := range []stealRespMsg{
+		{Job: 1, Step: 2, Attempt: 2, Prefix: []subgraph.Word{1}},
+		{Job: 1, Step: 1, Attempt: 3, Prefix: []subgraph.Word{1}},
+		{Job: 0, Step: 2, Attempt: 3, Prefix: []subgraph.Word{1}},
+	} {
+		r.w.routeStealResp(m)
+	}
+	if got := r.mailbox(0); len(got) != 0 || r.st.active.Load() != 0 || r.w.respRecv.Load() != 0 {
+		t.Fatalf("stale responses delivered %+v, active=%d respRecv=%d", got, r.st.active.Load(), r.w.respRecv.Load())
+	}
+	// Whoever still answers into a stopped attempt's mailboxes — they are its
+	// own, a later attempt gets new ones — is not held up by a full one.
+	r.st.cancel()
+	for i := 0; i < 2*mailboxCap; i++ {
+		r.st.deliver(0, grant{})
+	}
+}
+
+// hubGraph is a star whose first spokes also form a clique, plus random
+// chords: nearly all work hangs under the hub's root word.
+func hubGraph(spokes, clique int, chords int, seed int64) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	b := graph.NewBuilder("hub")
+	hub := b.AddVertex()
+	for i := 0; i < spokes; i++ {
+		b.MustAddEdge(hub, b.AddVertex())
+	}
+	seen := map[[2]int]bool{}
+	add := func(u, v int) {
+		if u > v {
+			u, v = v, u
+		}
+		if u != v && !seen[[2]int{u, v}] {
+			seen[[2]int{u, v}] = true
+			b.MustAddEdge(graph.VertexID(u), graph.VertexID(v))
+		}
+	}
+	for u := 1; u <= clique; u++ {
+		for v := u + 1; v <= clique; v++ {
+			add(u, v)
+		}
+	}
+	for i := 0; i < chords; i++ {
+		add(1+rng.Intn(spokes), 1+rng.Intn(spokes))
+	}
+	return b.Build()
+}
+
+// TestStealGrantStress runs hub-skewed graphs over every deployment shape
+// and stealing mode: counts must equal the single-threaded reference, and
+// the steal books must close — every request received was answered, no more
+// answers were received than requests sent, and nothing moved between
+// workers with external stealing off. `make check-race` runs it under the
+// race detector, which is where a stack touched by two goroutines would show.
+func TestStealGrantStress(t *testing.T) {
+	const seeds = 50
+	type ref struct {
+		g    *graph.Graph
+		want int64
+	}
+	refs := make([]ref, seeds)
+	for i := range refs {
+		g := hubGraph(24, 5, 12, int64(i))
+		refs[i] = ref{g, refCount(g, subgraph.VertexInduced, nil, 3)}
+	}
+	shapes := []Config{
+		{Workers: 1, CoresPerWorker: 4},
+		{Workers: 2, CoresPerWorker: 2},
+		{Workers: 2, CoresPerWorker: 2, UseTCP: true},
+	}
+	for _, cfg := range shapes {
+		for _, ws := range []WorkStealing{WSNone, WSInternal, WSExternal, WSBoth} {
+			cfg.WS = ws
+			t.Run(fmt.Sprintf("%dx%d-tcp%v-%v", cfg.Workers, cfg.CoresPerWorker, cfg.UseTCP, ws), func(t *testing.T) {
+				rt, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer rt.Close()
+				for seed, r := range refs {
+					var got atomic.Int64
+					res, err := rt.Run(context.Background(), countJob(r.g, subgraph.VertexInduced, nil, 3, &got))
+					if err != nil {
+						t.Fatalf("seed %d: %v", seed, err)
+					}
+					if got.Load() != r.want || res.TotalSubgraphs() != r.want {
+						t.Fatalf("seed %d: counted %d (reported %d), want %d", seed, got.Load(), res.TotalSubgraphs(), r.want)
+					}
+					var reqSent, respRecv int64
+					for _, w := range rt.workers {
+						if in, out := w.reqRecv.Load(), w.respSent.Load(); in != out {
+							t.Fatalf("seed %d: worker %d received %d steal requests and answered %d", seed, w.id, in, out)
+						}
+						reqSent += w.reqSent.Load()
+						respRecv += w.respRecv.Load()
+					}
+					if respRecv > reqSent || !ws.external() && reqSent != 0 {
+						t.Fatalf("seed %d: %d requests sent, %d answers received", seed, reqSent, respRecv)
+					}
+					s := res.Steps[len(res.Steps)-1]
+					if !ws.internal() && s.StealsInternal != 0 || !ws.external() && s.StealsExternal != 0 {
+						t.Fatalf("seed %d: %d internal and %d external steals under %v", seed, s.StealsInternal, s.StealsExternal, ws)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestIdleCoreWakesWithoutTimer: with the one timer an idle core may arm
+// set to an hour, runs still finish — a core out of work is woken by a
+// grant, an empty answer or the end of the step, never by a clock. The 1×4
+// run needs steals to spread the hub's subtree; the 2×2 run ends with cores
+// parked on a back-off that cannot fire.
+func TestIdleCoreWakesWithoutTimer(t *testing.T) {
+	g := hubGraph(200, 6, 40, 1)
+	want := refCount(g, subgraph.VertexInduced, nil, 3)
+	for _, cfg := range []Config{
+		{Workers: 1, CoresPerWorker: 4, WS: WSInternal, IdleSleep: time.Hour},
+		{Workers: 2, CoresPerWorker: 2, WS: WSBoth, IdleSleep: time.Hour},
+	} {
+		rt, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		var got atomic.Int64
+		_, err = rt.Run(ctx, countJob(g, subgraph.VertexInduced, nil, 3, &got))
+		cancel()
+		rt.Close()
+		if err != nil || got.Load() != want {
+			t.Fatalf("%dx%d: counted %d, want %d (err %v)", cfg.Workers, cfg.CoresPerWorker, got.Load(), want, err)
+		}
+	}
+}
+
+// TestDFSLoopAllocatesNothing: once a first step has warmed the cores'
+// stacks, a step's allocations are a per-step constant — contexts, mailboxes,
+// embeddings, the master's few status rounds — however many subgraphs it
+// enumerates: nothing in core.run allocates per subgraph, per level or per
+// extension. StatusInterval is long so the number of rounds does not grow
+// with the step either.
+func TestDFSLoopAllocatesNothing(t *testing.T) {
+	g := workload.Community("community", 8, 50, 9, 1.2, 1, 1)
+	house, err := pattern.NewPlan(pattern.House())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := New(Config{Workers: 1, CoresPerWorker: 2, WS: WSInternal, StatusInterval: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	const perStep = 1000
+	for _, tc := range []struct {
+		name string
+		job  func(*atomic.Int64) Job
+	}{
+		{"plan-induced house", func(n *atomic.Int64) Job { return countJob(g, subgraph.PatternInduced, house, 5, n) }},
+		{"edge-induced depth 3", func(n *atomic.Int64) Job { return countJob(g, subgraph.EdgeInduced, nil, 3, n) }},
+	} {
+		var n atomic.Int64
+		if _, err := rt.Run(context.Background(), tc.job(&n)); err != nil { // warm-up
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := rt.Run(context.Background(), tc.job(&n))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mallocs, subgraphs := after.Mallocs-before.Mallocs, res.TotalSubgraphs()
+		t.Logf("%s: %d subgraphs, EC %d, %d mallocs", tc.name, subgraphs, res.TotalEC(), mallocs)
+		if subgraphs < 20*perStep {
+			t.Fatalf("%s: only %d subgraphs: too small a step to tell a per-subgraph allocation from the per-step ones", tc.name, subgraphs)
+		}
+		if mallocs > perStep {
+			t.Errorf("%s: %d mallocs in a step of %d subgraphs, want at most the per-step %d", tc.name, mallocs, subgraphs, perStep)
+		}
+	}
+}
+
+// stateProbe is a custom extender that samples the pinned state of the core
+// it runs on — from that core's own goroutine, the only one allowed to look
+// at its stack — at every extension call, and tracks the largest sum over
+// all cores' latest samples.
+type stateProbe struct {
+	rt      *Runtime
+	seq     int // 0 on the prototype, i+1 on the clone of global core i
+	samples []atomic.Int64
+	maxSum  *atomic.Int64
+}
+
+func (p *stateProbe) Clone() subgraph.CustomExtender {
+	p.seq++
+	return &stateProbe{rt: p.rt, seq: p.seq, samples: p.samples, maxSum: p.maxSum}
+}
+func (p *stateProbe) Reset(*graph.Graph)                        {}
+func (p *stateProbe) Popped(*subgraph.Embedding)                {}
+func (p *stateProbe) Pushed(*subgraph.Embedding, subgraph.Word) {}
+func (p *stateProbe) Extensions(e *subgraph.Embedding, dst []subgraph.Word) ([]subgraph.Word, int) {
+	cpw := p.rt.cfg.CoresPerWorker
+	c := p.rt.workers[(p.seq-1)/cpw].cores[(p.seq-1)%cpw]
+	p.samples[p.seq-1].Store(c.stack.StateBytes())
+	var sum int64
+	for i := range p.samples {
+		sum += p.samples[i].Load()
+	}
+	for {
+		old := p.maxSum.Load()
+		if sum <= old || p.maxSum.CompareAndSwap(old, sum) {
+			break
+		}
+	}
+	return e.DefaultExtensions(dst)
+}
+
+// TestPinnedStateIsBounded is the memory guarantee of from-scratch DFS
+// (Section 4.1, Table 2; ROADMAP 4c): what the cores pin at any moment never
+// exceeds the step's reported PeakStateBytes — the sum of the cores' own
+// peaks — and that figure is bounded by the shape of the search, cores ×
+// depth × (maxdeg + depth) words plus the root words, not by the number of
+// subgraphs. The graph is a star whose hub sees every vertex (so a level's
+// candidates never outnumber maxdeg) with a clique planted in it; stealing
+// spreads the hub's subtree over every core.
+func TestPinnedStateIsBounded(t *testing.T) {
+	const spokes, depth = 300, 3
+	g := hubGraph(spokes, 12, 0, 1)
+	for _, cfg := range []Config{
+		{Workers: 1, CoresPerWorker: 4, WS: WSInternal},
+		{Workers: 2, CoresPerWorker: 2, WS: WSBoth},
+	} {
+		rt, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cores := cfg.Workers * cfg.CoresPerWorker
+		probe := &stateProbe{rt: rt, samples: make([]atomic.Int64, cores), maxSum: new(atomic.Int64)}
+		var w step.Workflow
+		for i := 0; i < depth; i++ {
+			w = append(w, step.ExtendP())
+		}
+		res, err := rt.Run(context.Background(), Job{Graph: g, Kind: subgraph.VertexInduced, Custom: probe, Workflow: append(w, step.CountP())})
+		rt.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := res.Steps[len(res.Steps)-1]
+		if want := refCount(g, subgraph.VertexInduced, nil, depth); s.Subgraphs != want {
+			t.Fatalf("%dx%d: %d subgraphs, want %d", cfg.Workers, cfg.CoresPerWorker, s.Subgraphs, want)
+		}
+		sampled, bound := probe.maxSum.Load(), int64(4*(cores*depth*(spokes+depth)+g.NumVertices()))
+		t.Logf("%dx%d: sampled peak %d B, reported %d B, bound %d B, %d subgraphs", cfg.Workers, cfg.CoresPerWorker, sampled, s.PeakStateBytes, bound, s.Subgraphs)
+		if sampled == 0 || sampled > s.PeakStateBytes {
+			t.Errorf("%dx%d: cores pinned %d B at once, reported peak is %d B", cfg.Workers, cfg.CoresPerWorker, sampled, s.PeakStateBytes)
+		}
+		if s.PeakStateBytes > bound {
+			t.Errorf("%dx%d: PeakStateBytes=%d exceeds cores×depth×(maxdeg+depth)×4 + root words = %d", cfg.Workers, cfg.CoresPerWorker, s.PeakStateBytes, bound)
+		}
+	}
+}

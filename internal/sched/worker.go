@@ -37,40 +37,86 @@ type stepCtx struct {
 	totalCores int
 
 	localAggs []map[string]agg.Store // per core, per aggregation name
-	// stateTotal is the worker's running intermediate-state estimate, the sum
-	// of its cores' stack sizes, moved by deltas (core.observeState).
-	stateTotal atomic.Int64
 
 	// tracer is the run's trace journal; nil when tracing is disabled, so
 	// every event site is one pointer comparison on the fast path.
 	tracer *metrics.Tracer
 
-	active    atomic.Int64
-	stopped   atomic.Bool  // cheap per-iteration poll for the DFS loop
-	cancelled atomic.Bool  // stopped by cancellation rather than step end
-	abort     *atomic.Bool // the run's shared abort flag, set by the master
-	doneCh    chan struct{}
-	doneOnce  sync.Once
-	wg        sync.WaitGroup
+	// attn is the one word a busy core polls per DFS iteration: attnStop
+	// tells it to abandon its subtree, attnSteal that reqs is not empty.
+	attn atomic.Uint32
+	// active counts the units of work the worker holds: one per core that
+	// has not run dry, one per granted prefix on its way to a core's
+	// mailbox. It only changes under reqMu, so "active == 0" and "no request
+	// is queued" are decided together; reportStatus reads it unlocked.
+	active atomic.Int64
+	// reqs queues the steal requests no busy core has answered yet, oldest
+	// first. Every request gets exactly one answer: a grant from a busy core,
+	// or an empty one from post (nobody could ever serve it) or from retire
+	// (the last busy core ran dry, stopped or was cancelled).
+	reqMu sync.Mutex
+	reqs  []stealReq
+	// mail holds one mailbox per core: the answers to the requests it posted
+	// — sibling grants, routed kStealResp — arrive here and nowhere else. The
+	// mailboxes live and die with the attempt, so nothing addressed to an
+	// earlier step or attempt can reach this one's cores.
+	mail []chan grant
+
+	stopped  atomic.Bool // the step ended or was cancelled: no new work is handed out
+	doneCh   chan struct{}
+	doneOnce sync.Once
+	wg       sync.WaitGroup
 }
 
-func (st *stepCtx) activeInc() { st.active.Add(1) }
-func (st *stepCtx) activeDec() { st.active.Add(-1) }
+const (
+	attnStop  uint32 = 1 << iota // cancelled: cores stop mid-work
+	attnSteal                    // steal requests are queued
+)
+
+// stealReq is one queued steal request: from a sibling core (thief is its
+// index) or, with thief < 0, from the remote core named in remote.
+type stealReq struct {
+	thief  int
+	remote stealReqMsg
+}
+
+// grant answers a steal request in the thief's mailbox. An empty prefix
+// means no work; external marks a routed kStealResp.
+type grant struct {
+	prefix   []subgraph.Word
+	external bool
+}
+
+// mailboxCap bounds the answers in flight to one core: one to its sibling
+// request, one to its remote request, and the late answers to remote requests
+// it gave up on (one per WorkerTimeout). A sender finding it full waits for
+// the core or the end of the step.
+const mailboxCap = 8
+
+// flag sets or clears one bit of attn.
+func (st *stepCtx) flag(bit uint32, on bool) {
+	for {
+		old := st.attn.Load()
+		set := old &^ bit
+		if on {
+			set = old | bit
+		}
+		if st.attn.CompareAndSwap(old, set) {
+			return
+		}
+	}
+}
 
 func (st *stepCtx) isDone() bool { return st.stopped.Load() }
 
-// halted reports whether cores must stop acquiring new work: the step
-// ended, or the job was aborted.
-func (st *stepCtx) halted() bool { return st.stopped.Load() || st.abort.Load() }
-
 // aborted reports whether cores must stop mid-work, abandoning their local
-// subtrees: a cancel control message arrived, or the master flipped the
-// run's shared abort flag. The flag matters on oversubscribed machines,
-// where compute-bound cores starve the transport goroutines and a cancel
-// message can take tens of milliseconds to be delivered. An ordinary step
-// end (finish) is deliberately NOT an abort: cores drain their local work
-// first, so quiescence detection races lose nothing.
-func (st *stepCtx) aborted() bool { return st.cancelled.Load() || st.abort.Load() }
+// subtrees: the step was cancelled, by a cancel control message or — for
+// in-process workers, where compute-bound cores can starve the transport
+// goroutines for tens of milliseconds — by the master directly
+// (Runtime.broadcastCancel). An ordinary step end (finish) is deliberately
+// NOT an abort: cores drain their local work first, so quiescence detection
+// races lose nothing.
+func (st *stepCtx) aborted() bool { return st.attn.Load()&attnStop != 0 }
 
 func (st *stepCtx) finish() {
 	st.doneOnce.Do(func() {
@@ -83,8 +129,75 @@ func (st *stepCtx) finish() {
 // only observe once they are out of local work), cancellation is polled at
 // every DFS iteration.
 func (st *stepCtx) cancel() {
-	st.cancelled.Store(true)
+	st.flag(attnStop, true)
 	st.finish()
+}
+
+// post queues a steal request for the busy cores and reports whether it did.
+// It refuses — the caller answers empty — when no busy core is left to serve
+// it or the step has stopped handing out work.
+func (st *stepCtx) post(r stealReq) bool {
+	st.reqMu.Lock()
+	defer st.reqMu.Unlock()
+	if st.active.Load() == 0 || st.isDone() {
+		return false
+	}
+	st.reqs = append(st.reqs, r)
+	st.flag(attnSteal, true)
+	return true
+}
+
+// takeRequest pops the oldest queued request for a busy core that has work to
+// give away. A sibling thief's unit of activity is booked here, before the
+// prefix leaves the donor, so active never reads 0 while work is in flight.
+func (st *stepCtx) takeRequest() (r stealReq, ok bool) {
+	st.reqMu.Lock()
+	defer st.reqMu.Unlock()
+	if len(st.reqs) == 0 {
+		return r, false
+	}
+	r = st.reqs[0]
+	st.reqs = st.reqs[:copy(st.reqs, st.reqs[1:])]
+	if len(st.reqs) == 0 {
+		st.flag(attnSteal, false)
+	}
+	if r.thief >= 0 {
+		st.active.Add(1)
+	}
+	return r, true
+}
+
+// retire gives up one unit of activity (a core ran dry or stopped). Whoever
+// gives up the last one takes the requests still queued: nobody is left to
+// grant them, so the caller answers each empty.
+func (st *stepCtx) retire() []stealReq {
+	st.reqMu.Lock()
+	defer st.reqMu.Unlock()
+	if st.active.Add(-1) > 0 || len(st.reqs) == 0 {
+		return nil
+	}
+	left := st.reqs
+	st.reqs = nil
+	st.flag(attnSteal, false)
+	return left
+}
+
+// adopt books the unit of activity of a prefix that arrived from a remote
+// donor, before the response is counted as received.
+func (st *stepCtx) adopt() {
+	st.reqMu.Lock()
+	st.active.Add(1)
+	st.reqMu.Unlock()
+}
+
+// deliver puts an answer in a core's mailbox. It only waits when the mailbox
+// is full, and gives up when the step ends: what is dropped then is either
+// empty or part of an abandoned attempt.
+func (st *stepCtx) deliver(core int, g grant) {
+	select {
+	case st.mail[core] <- g:
+	case <-st.doneCh:
+	}
 }
 
 // runProvider resolves a step-start message to the job state the worker
@@ -188,6 +301,13 @@ func (w *worker) route() {
 	w.abortCurrent()
 }
 
+// current returns the step under execution, nil when idle.
+func (w *worker) current() *stepCtx {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.cur
+}
+
 // startStep builds the step context from the provider's run state and
 // launches the cores.
 func (w *worker) startStep(m stepStartMsg) {
@@ -209,10 +329,7 @@ func (w *worker) startStep(m stepStartMsg) {
 	// new step. Its cores have stopped before this attempt's counters are
 	// zeroed below, and its aggregations are discarded with its stepCtx, so
 	// nothing it did leaks into this attempt.
-	w.mu.Lock()
-	stale := w.cur
-	w.mu.Unlock()
-	if stale != nil {
+	if stale := w.current(); stale != nil {
 		stale.cancel()
 		stale.wg.Wait()
 	}
@@ -231,8 +348,11 @@ func (w *worker) startStep(m stepStartMsg) {
 		env:        run.env,
 		totalCores: run.totalCores,
 		tracer:     run.tracer,
-		abort:      &run.cancelled,
 		doneCh:     make(chan struct{}),
+		mail:       make([]chan grant, len(w.cores)),
+	}
+	for i := range st.mail {
+		st.mail[i] = make(chan grant, mailboxCap)
 	}
 	w.reqSent.Store(0)
 	w.respRecv.Store(0)
@@ -259,9 +379,15 @@ func (w *worker) startStep(m stepStartMsg) {
 	st.active.Add(int64(len(w.cores)))
 	st.wg.Add(len(w.cores))
 	for _, c := range w.cores {
-		c.ctr, c.state, c.statePeak = metrics.Snapshot{}, 0, 0
+		c.ctr, c.processed, c.asked, c.askedRemote = metrics.Snapshot{}, 0, false, false
 		c.progress.Store(0)
 		go c.run(st)
+	}
+	// The master flips the run's abort flag before it looks for steps to
+	// interrupt (broadcastCancel): whichever of the two comes second sees the
+	// other, so a step installed during a cancellation still stops at once.
+	if run.cancelled.Load() {
+		st.cancel()
 	}
 }
 
@@ -274,7 +400,6 @@ func (w *worker) counters() metrics.Snapshot {
 	var sum metrics.Snapshot
 	for _, c := range w.cores {
 		sum.Add(c.ctr)
-		sum.PeakStateBytes = max(sum.PeakStateBytes, c.statePeak)
 	}
 	return sum
 }
@@ -293,10 +418,8 @@ func (w *worker) counters() metrics.Snapshot {
 // encode wall time, and the encoded bytes shipped, join the cores' summed
 // counters, and the done message carries the block to the master.
 func (w *worker) endStep(m stepEndMsg) {
-	w.mu.Lock()
-	st := w.cur
-	w.mu.Unlock()
-	if st == nil || st.job != m.Job || st.index != m.Step || st.attempt != m.Attempt {
+	st := w.current()
+	if !stepMatches(st, m.Job, m.Step, m.Attempt) {
 		return
 	}
 	st.finish()
@@ -352,9 +475,7 @@ func (w *worker) endStep(m stepEndMsg) {
 // subsequent kStepStart is not handled until the drain completes, so a
 // cancelled job can never leak cores into the next one.
 func (w *worker) cancelStep(m cancelMsg) {
-	w.mu.Lock()
-	st := w.cur
-	w.mu.Unlock()
+	st := w.current()
 	// Ack unconditionally (also when the step was never ours or already
 	// over, with no counters then) so the master's drain wait is not held up
 	// by healthy workers.
@@ -389,9 +510,7 @@ func (w *worker) abortCurrent() {
 // while never having received the step start is exactly the state the
 // master's step-start watchdog exists to catch.
 func (w *worker) reportStatus(m statusPingMsg) {
-	w.mu.Lock()
-	st := w.cur
-	w.mu.Unlock()
+	st := w.current()
 	rep := statusReportMsg{
 		Job: m.Job, Step: m.Step, Attempt: m.Attempt, Round: m.Round, Worker: w.id,
 		ReqSent:  w.reqSent.Load(),
@@ -399,7 +518,7 @@ func (w *worker) reportStatus(m statusPingMsg) {
 		ReqRecv:  w.reqRecv.Load(),
 		RespSent: w.respSent.Load(),
 	}
-	if st != nil && st.job == m.Job && st.index == m.Step && st.attempt == m.Attempt {
+	if stepMatches(st, m.Job, m.Step, m.Attempt) {
 		rep.Running = true
 		rep.Active = st.active.Load()
 		for _, c := range w.cores {
@@ -409,32 +528,53 @@ func (w *worker) reportStatus(m statusPingMsg) {
 	w.tr.Send(rpc.Master, rpc.Envelope{Kind: kStatusReport, Body: encode(rep)})
 }
 
-// serveSteal donates one enumeration prefix to a remote thief, scanning the
-// local cores' stacks shallowest-first (the separate donor thread of
-// Figure 9(b) is this router goroutine).
+// interrupt cancels the cores of the named step attempt, if this worker is
+// running it, without waiting for them: the master's shortcut past a starved
+// transport (Runtime.broadcastCancel). The cancel message that follows drains
+// the step and carries the ack.
+func (w *worker) interrupt(job, index, attempt int) {
+	if st := w.current(); stepMatches(st, job, index, attempt) {
+		st.cancel()
+	}
+}
+
+// serveSteal queues a remote thief's request for the worker's busy cores:
+// stacks are private, so the core that owns the work grants it and sends the
+// kStealResp itself (core.donate), within one DFS iteration of seeing the
+// request. When no core is busy the request is answered empty here.
 func (w *worker) serveSteal(m stealReqMsg) {
-	resp := stealRespMsg{Job: m.Job, Step: m.Step, Attempt: m.Attempt, Core: m.Core}
-	w.mu.Lock()
-	st := w.cur
-	w.mu.Unlock()
+	st := w.current()
+	r := stealReq{thief: -1, remote: m}
 	// Steal counters feed the master's balance check for the attempt the
 	// counters were reset for, so only requests of the attempt under
 	// execution are counted — a stale request from an abandoned attempt
 	// still gets its (empty) response, but booking it would permanently skew
 	// the new attempt's balance and stall quiescence.
-	match := st != nil && st.job == m.Job && st.index == m.Step && st.attempt == m.Attempt
-	if match {
-		w.reqRecv.Add(1)
-		if !st.halted() {
-			for _, c := range w.cores {
-				if prefix, ok := c.stack.StealShallowest(); ok {
-					resp.Prefix = prefix
-					break
-				}
-			}
-		}
-		w.respSent.Add(1)
+	if !stepMatches(st, m.Job, m.Step, m.Attempt) {
+		w.sendStealResp(r, nil)
+		return
 	}
+	w.reqRecv.Add(1)
+	if !st.post(r) {
+		w.answer(st, r, nil)
+	}
+}
+
+// answer gives a request taken off st's queue (or refused by it) its one
+// answer: into the sibling thief's mailbox, or to the remote thief as a
+// kStealResp, booked as sent exactly once.
+func (w *worker) answer(st *stepCtx, r stealReq, prefix []subgraph.Word) {
+	if r.thief >= 0 {
+		st.deliver(r.thief, grant{prefix: prefix})
+		return
+	}
+	w.respSent.Add(1)
+	w.sendStealResp(r, prefix)
+}
+
+func (w *worker) sendStealResp(r stealReq, prefix []subgraph.Word) {
+	m := r.remote
+	resp := stealRespMsg{Job: m.Job, Step: m.Step, Attempt: m.Attempt, Core: m.Core, Prefix: prefix}
 	w.tr.Send(rpc.NodeID(m.Worker), rpc.Envelope{Kind: kStealResp, Body: encode(resp)})
 }
 
@@ -444,27 +584,23 @@ func stepMatches(st *stepCtx, job, index, attempt int) bool {
 }
 
 // routeStealResp hands a steal response to the requesting core. Receipt is
-// counted here, at the router, symmetrically with respSent at the victim's
-// router, so the master's balance check certifies that no response (and
-// hence no stolen work) is in flight.
+// counted here, at the router, symmetrically with respSent at the victim, so
+// the master's balance check certifies that no response (and hence no stolen
+// work) is in flight — and a prefix is booked as activity before it is booked
+// as received, so the worker never reads balanced and idle while holding it.
 func (w *worker) routeStealResp(m stealRespMsg) {
-	w.mu.Lock()
-	st := w.cur
-	w.mu.Unlock()
+	st := w.current()
 	// Mirror of serveSteal's gating: only responses of the attempt under
 	// execution count toward (or are routed into) it.
 	if !stepMatches(st, m.Job, m.Step, m.Attempt) {
 		return
 	}
-	w.respRecv.Add(1)
-	if m.Core < 0 || m.Core >= len(w.cores) {
-		return
+	routable := m.Core >= 0 && m.Core < len(w.cores)
+	if routable && len(m.Prefix) > 0 {
+		st.adopt()
 	}
-	select {
-	case w.cores[m.Core].respCh <- m:
-	default:
-		// The core abandoned the wait (step ended). Post-quiescence
-		// responses are always empty, so dropping is safe; leftovers in
-		// the channel are drained at the next step start.
+	w.respRecv.Add(1)
+	if routable {
+		st.deliver(m.Core, grant{prefix: m.Prefix, external: true})
 	}
 }

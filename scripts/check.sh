@@ -37,6 +37,13 @@ if grep -nE '(Canonical|CanonicalRep|Representative|Classify|PatternCanon|Patter
     echo "per-embedding canonical labelling outside the class memo" >&2
     exit 1
 fi
+# Enumerator stacks are private to the core that runs the DFS loop: no lock,
+# no pool, no level snapshot. A `sync` import or a copied level slice in
+# internal/enumerator is the shared-memory stealing PR 17 removed.
+if grep -nE '"sync(/atomic)?"|append\(\[\]\*Enumerator\(nil\)' $(ls internal/enumerator/*.go | grep -v _test.go); then
+    echo "internal/enumerator synchronizes or snapshots its levels again" >&2
+    exit 1
+fi
 go vet ./...
 go build ./...
 go test ./...

@@ -110,8 +110,10 @@ prof-sched:
 	go tool pprof -top -nodecount=10 -focus='enumerator\.|sched\.' $(PROF_DIR)/apps.test $(PROF_DIR)/sched.prof
 
 # CSR + .fgr storage microbenchmarks: mmap load vs edge-list parse (with
-# live- and peak-heap deltas), Builder.Build and the edge-list writer at the
-# repository benchmark's small_jobs_el size, neighbor-scan throughput of the
+# live- and peak-heap deltas and alloc-B/edge, the bytes a load allocates per
+# edge of the graph), Builder.Build (alloc-B/edge against held-B/edge: 16 of
+# either are the adjacency) and the edge-list writer at the repository
+# benchmark's small_jobs_el size, neighbor-scan throughput of the
 # packed CSR arrays vs per-vertex slices, the decode/validation pass, and the
 # packed label-span accessors (AttributeScan pins the stride-1 fast path;
 # EXPERIMENTS.md). CI runs this with BENCHTIME=1x as a smoke test.

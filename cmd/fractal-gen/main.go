@@ -11,8 +11,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"fractal/internal/graph"
 	"fractal/internal/workload"
@@ -25,48 +27,55 @@ func main() {
 		list = flag.Bool("list", false, "list dataset names and exit")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "fractal-gen: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
+	datasets := workload.Datasets()
 	if *list {
-		for _, d := range workload.Datasets() {
+		for _, d := range datasets {
 			fmt.Printf("%-12s %s\n", d.Name, d.Description)
 		}
 		return
 	}
+	if *name != "" {
+		datasets = slices.DeleteFunc(datasets, func(d *workload.Dataset) bool { return d.Name != *name })
+		if len(datasets) == 0 {
+			fatal(fmt.Errorf("unknown dataset %q (-list names them)", *name))
+		}
+	}
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		fatal(err)
 	}
-	for _, d := range workload.Datasets() {
-		if *name != "" && d.Name != *name {
-			continue
-		}
+	for _, d := range datasets {
 		g := d.Graph()
 		path := filepath.Join(*out, d.Name+".el")
-		if err := writeGraph(path, g); err != nil {
+		if err := writeFile(path, g, graph.WriteEdgeList); err != nil {
 			fatal(err)
+		}
+		if g.HasKeywords() {
+			if err := writeFile(path+".kw", g, graph.WriteKeywords); err != nil {
+				fatal(err)
+			}
 		}
 		s := g.Stats()
 		fmt.Printf("wrote %s (|V|=%d |E|=%d |L|=%d)\n", path, s.V, s.E, s.L)
 	}
 }
 
-func writeGraph(path string, g *graph.Graph) error {
+// writeFile writes g to path with one of the text writers.
+func writeFile(path string, g *graph.Graph, write func(io.Writer, *graph.Graph) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if err := graph.WriteEdgeList(f, g); err != nil {
+	if err := write(f, g); err != nil {
+		f.Close()
 		return err
 	}
-	if g.HasKeywords() {
-		kf, err := os.Create(path + ".kw")
-		if err != nil {
-			return err
-		}
-		defer kf.Close()
-		return graph.WriteKeywords(kf, g)
-	}
-	return nil
+	return f.Close()
 }
 
 func fatal(err error) {

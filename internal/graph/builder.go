@@ -23,10 +23,14 @@ type Builder struct {
 	hasKW      bool
 }
 
-// labelSets holds one sorted, deduplicated label set per element. Set i is
-// data[runs[i].at:][:runs[i].n]; elements at or beyond len(runs) are empty,
-// so the tables are allocated by the first non-empty set. A replaced set
-// leaves its old run behind in data; pack drops it.
+// labelSets holds one sorted, deduplicated label set per element. While runs
+// is nil the family is its payload alone: element i < len(data) has the one
+// label data[i] and every later element has none, which is what a loader or
+// generator of a one-label-each or an unlabelled family writes — 4 bytes a
+// labelled element and no table. The first set that breaks that shape
+// materializes runs: set i is then data[runs[i].at:][:runs[i].n], elements
+// at or beyond len(runs) are empty, and a replaced set leaves its old run
+// behind in data for pack to drop.
 type labelSets struct {
 	runs []run
 	data []Label
@@ -37,6 +41,19 @@ type run struct{ at, n int32 }
 // set makes ls, sorted and deduplicated in place at the tail of data, the
 // set of element i.
 func (s *labelSets) set(i int, ls []Label) {
+	if s.runs == nil {
+		switch {
+		case len(ls) == 0 && i >= len(s.data):
+			return
+		case len(ls) == 1 && i < len(s.data):
+			s.data[i] = ls[0]
+			return
+		case len(ls) == 1 && i == len(s.data):
+			s.data = append(s.data, ls[0])
+			return
+		}
+		s.materialize()
+	}
 	if i >= len(s.runs) {
 		if len(ls) == 0 {
 			return
@@ -52,25 +69,47 @@ func (s *labelSets) set(i int, ls []Label) {
 	s.runs[i] = run{int32(at), int32(len(s.data) - at)}
 }
 
-// pack returns the sets of elements [0,count) as an offsets array of length
-// count+1 and one packed payload — data itself when every set was written
-// once and in element order, which is what loaders and generators do.
+// materialize gives a payload-only family its run table.
+func (s *labelSets) materialize() {
+	s.runs = make([]run, len(s.data))
+	for i := range s.runs {
+		s.runs[i] = run{int32(i), 1}
+	}
+}
+
+// pack returns the sets of elements [0,count) in the Graph's form: one
+// packed payload — data itself when every set was written once and in
+// element order, which is what loaders and generators do — and an offsets
+// array of length count+1, nil when every element has exactly one label or
+// none has any (graph.go, "payload-only").
 func (s *labelSets) pack(count int) (off []int32, packed []Label) {
+	if s.runs == nil {
+		if len(s.data) == 0 || len(s.data) == count {
+			return nil, s.data
+		}
+		s.materialize() // a labelled prefix of an otherwise unlabelled family
+	}
 	off = make([]int32, count+1)
-	inOrder := true
+	inOrder, oneEach := true, len(s.runs) == count
 	for i, r := range s.runs {
 		inOrder = inOrder && (r.n == 0 || r.at == off[i])
+		oneEach = oneEach && r.n == 1
 		off[i+1] = off[i] + r.n
 	}
 	for i := len(s.runs); i < count; i++ {
 		off[i+1] = off[i]
 	}
-	if inOrder && int(off[count]) == len(s.data) {
-		return off, s.data
+	total := off[count]
+	if inOrder && int(total) == len(s.data) {
+		packed = s.data
+	} else {
+		packed = make([]Label, 0, total)
+		for _, r := range s.runs {
+			packed = append(packed, s.data[r.at:r.at+r.n]...)
+		}
 	}
-	packed = make([]Label, 0, off[count])
-	for _, r := range s.runs {
-		packed = append(packed, s.data[r.at:r.at+r.n]...)
+	if oneEach || total == 0 {
+		off = nil
 	}
 	return off, packed
 }
@@ -110,10 +149,11 @@ func (b *Builder) EnsureVertices(n int) {
 	b.nv = max(b.nv, n)
 }
 
-// reserve pre-sizes the edge arrays for m more edges.
+// reserve pre-sizes the edge arrays for m more edges (by make, not
+// slices.Grow: under -race the latter allocates the m elements twice).
 func (b *Builder) reserve(m int) {
-	b.esrc = slices.Grow(b.esrc, m)
-	b.edst = slices.Grow(b.edst, m)
+	b.esrc = append(make([]VertexID, 0, len(b.esrc)+m), b.esrc...)
+	b.edst = append(make([]VertexID, 0, len(b.edst)+m), b.edst...)
 }
 
 // AddEdge adds an undirected edge between u and v with the given labels and
@@ -169,29 +209,30 @@ func (b *Builder) NumVertices() int { return b.nv }
 func (b *Builder) NumEdges() int { return len(b.esrc) }
 
 // Build freezes the builder into an immutable Graph. The Graph takes
-// ownership of the builder's arrays, and the builder is left empty (same
-// name and dictionary), so nothing done to it afterwards reaches the Graph.
+// ownership of the builder's arrays — Build allocates the adjacency and
+// nothing else that grows with the graph — and the builder is left empty
+// (same name and dictionary), so nothing done to it afterwards reaches the
+// Graph.
 func (b *Builder) Build() *Graph {
-	g := &Graph{name: b.name, dict: b.dict, esrc: b.esrc, edst: b.edst}
+	g := &Graph{name: b.name, dict: b.dict, esrc: b.esrc, edst: b.edst, hasKW: b.hasKW}
 	g.vlabOff, g.vlab = b.vlab.pack(b.nv)
 	g.elabOff, g.elab = b.elab.pack(len(b.esrc))
+	g.vkwOff, g.vkw = b.vkw.pack(b.nv)
+	g.ekwOff, g.ekw = b.ekw.pack(len(b.esrc))
 	g.adjOff, g.adjV, g.adjE = buildAdjacency(b.nv, g.esrc, g.edst)
 	g.numLabel = countLabels(g.vlab, g.elab)
-	if b.hasKW {
-		g.vkwOff, g.vkw = b.vkw.pack(b.nv)
-		g.ekwOff, g.ekw = b.ekw.pack(len(b.esrc))
-	}
 	g.finalize()
 	*b = Builder{name: b.name, dict: b.dict}
 	return g
 }
 
 // buildAdjacency returns the CSR adjacency of the edges (esrc[id], edst[id])
-// over n vertices, every run ordered by (neighbor, edge id), without a
-// comparison sort: a counting-sort scatter in edge-id order leaves each
-// vertex's incident edge ids ascending, and transposing that — vertices in
-// ascending order, each writing itself into the runs of its neighbors —
-// fills every run in (neighbor, edge id) order.
+// over n vertices, every run ordered by (neighbor, edge id), allocating the
+// three arrays it returns and nothing else. A counting-sort scatter in
+// edge-id order, with off itself as the cursor, leaves the incident edge ids
+// of each vertex ascending in what becomes adjE; adjV is the other endpoint
+// of each, and a run whose neighbors do not come out ascending — ids of
+// equal neighbors already do — is ordered in place (adjacencyRun.order).
 func buildAdjacency(n int, esrc, edst []VertexID) (off []int32, adjV []VertexID, adjE []EdgeID) {
 	off = make([]int32, n+1)
 	for id := range esrc {
@@ -201,28 +242,67 @@ func buildAdjacency(n int, esrc, edst []VertexID) (off []int32, adjV []VertexID,
 	for i := 1; i <= n; i++ {
 		off[i] += off[i-1]
 	}
-	cursor := make([]int32, n)
-	copy(cursor, off)
-	incident := make([]EdgeID, 2*len(esrc))
+	adjE = make([]EdgeID, 2*len(esrc))
 	for id := range esrc {
 		s, d := esrc[id], edst[id]
-		incident[cursor[s]] = EdgeID(id)
-		cursor[s]++
-		incident[cursor[d]] = EdgeID(id)
-		cursor[d]++
+		adjE[off[s]] = EdgeID(id)
+		off[s]++
+		adjE[off[d]] = EdgeID(id)
+		off[d]++
 	}
-	copy(cursor, off)
-	adjV = make([]VertexID, 2*len(esrc))
-	adjE = make([]EdgeID, 2*len(esrc))
+	// Every cursor stopped at the start of the next run.
+	copy(off[1:], off[:n])
+	off[0] = 0
+
+	adjV = make([]VertexID, len(adjE))
+	run := new(adjacencyRun) // one for every sort.Sort call
 	for u := 0; u < n; u++ {
-		for _, id := range incident[off[u]:off[u+1]] {
-			w := esrc[id] ^ edst[id] ^ VertexID(u) // the other endpoint
-			i := cursor[w]
-			adjV[i], adjE[i] = VertexID(u), id
-			cursor[w]++
+		run.nbs, run.ids = adjV[off[u]:off[u+1]], adjE[off[u]:off[u+1]]
+		ordered := true
+		for i, id := range run.ids {
+			run.nbs[i] = esrc[id] ^ edst[id] ^ VertexID(u) // the other endpoint
+			ordered = ordered && (i == 0 || run.nbs[i-1] <= run.nbs[i])
+		}
+		if !ordered {
+			run.order()
 		}
 	}
 	return off, adjV, adjE
+}
+
+// adjacencyRun is the incidences of one vertex: neighbors and edge ids, side
+// by side.
+type adjacencyRun struct {
+	nbs []VertexID
+	ids []EdgeID
+}
+
+// order sorts r by (neighbor, edge id), in place: by insertion while the run
+// is short — a few edges out of place in id order is what generators and
+// hand-written files produce — and by sort.Sort, O(d log d) on a hub in any
+// order, beyond that.
+func (r *adjacencyRun) order() {
+	if len(r.nbs) > 24 {
+		sort.Sort(r)
+		return
+	}
+	for i := 1; i < len(r.nbs); i++ {
+		w, id := r.nbs[i], r.ids[i]
+		j := i
+		for ; j > 0 && r.nbs[j-1] > w; j-- { // stable: the ids of one neighbor stay ascending
+			r.nbs[j], r.ids[j] = r.nbs[j-1], r.ids[j-1]
+		}
+		r.nbs[j], r.ids[j] = w, id
+	}
+}
+
+func (r *adjacencyRun) Len() int { return len(r.nbs) }
+func (r *adjacencyRun) Less(i, j int) bool {
+	return r.nbs[i] < r.nbs[j] || r.nbs[i] == r.nbs[j] && r.ids[i] < r.ids[j]
+}
+func (r *adjacencyRun) Swap(i, j int) {
+	r.nbs[i], r.nbs[j] = r.nbs[j], r.nbs[i]
+	r.ids[i], r.ids[j] = r.ids[j], r.ids[i]
 }
 
 // countLabels returns the number of distinct labels in the payloads: a

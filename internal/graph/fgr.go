@@ -119,6 +119,22 @@ func appendWords[T ~int32](dst []byte, xs []T) []byte {
 	return dst
 }
 
+// appendOffsets serializes the offsets of a label family over count
+// elements: off as it is, or, for a payload-only family (nil off), the
+// offsets the format still carries — the identity when every element has one
+// value, zeros when none has any.
+func appendOffsets(off []int32, count, payload int) []byte {
+	if off != nil {
+		return appendWords(nil, off)
+	}
+	stride := min(payload, 1)
+	dst := make([]byte, 0, 4*(count+1))
+	for i := 0; i <= count; i++ {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(i*stride))
+	}
+	return dst
+}
+
 // viewWords reinterprets a validated payload as an int32-kind array. On a
 // little-endian host with 4-byte alignment (guaranteed for mapped files by
 // the 8-aligned section offsets) this is zero-copy; otherwise it decodes
@@ -192,18 +208,18 @@ func EncodeFGR(g *Graph) []byte {
 		{secAdjE, appendWords(nil, g.adjE)},
 		{secESrc, appendWords(nil, g.esrc)},
 		{secEDst, appendWords(nil, g.edst)},
-		{secVLabOff, appendWords(nil, g.vlabOff)},
+		{secVLabOff, appendOffsets(g.vlabOff, g.nv, len(g.vlab))},
 		{secVLab, appendWords(nil, g.vlab)},
-		{secELabOff, appendWords(nil, g.elabOff)},
+		{secELabOff, appendOffsets(g.elabOff, len(g.esrc), len(g.elab))},
 		{secELab, appendWords(nil, g.elab)},
 	}
 	flags := uint32(0)
-	if g.HasKeywords() {
+	if g.hasKW {
 		flags |= fgrFlagKW
 		secs = append(secs,
-			section{secVKwOff, appendWords(nil, g.vkwOff)},
+			section{secVKwOff, appendOffsets(g.vkwOff, g.nv, len(g.vkw))},
 			section{secVKw, appendWords(nil, g.vkw)},
-			section{secEKwOff, appendWords(nil, g.ekwOff)},
+			section{secEKwOff, appendOffsets(g.ekwOff, len(g.esrc), len(g.ekw))},
 			section{secEKw, appendWords(nil, g.ekw)})
 	}
 	secs = append(secs,
@@ -401,7 +417,7 @@ func DecodeFGR(data []byte) (*Graph, error) {
 		return nil, err
 	}
 	g.elab = viewWords[Label](b)
-	if flags&fgrFlagKW != 0 {
+	if g.hasKW = flags&fgrFlagKW != 0; g.hasKW {
 		if b, err = payload(secVKwOff, numV+1); err != nil {
 			return nil, err
 		}
@@ -436,9 +452,6 @@ func DecodeFGR(data []byte) (*Graph, error) {
 	}
 	g.name = string(b)
 
-	// Empty vlabOff means numV+1 == 0, impossible given the checks above;
-	// but an empty graph still needs the canonical [0] offsets array, which
-	// the exact-length payload checks already guarantee.
 	if err := validateCSR(g, numV, numE); err != nil {
 		return nil, err
 	}
@@ -451,13 +464,7 @@ func DecodeFGR(data []byte) (*Graph, error) {
 // intersection kernels, Degree arithmetic — assumes these invariants, so a
 // mapped graph is fully checked before it is published.
 func validateCSR(g *Graph, numV, numE int64) error {
-	if err := checkOffsets("adjOff", g.adjOff, int64(len(g.adjV))); err != nil {
-		return err
-	}
-	if err := checkOffsets("vlabOff", g.vlabOff, int64(len(g.vlab))); err != nil {
-		return err
-	}
-	if err := checkOffsets("elabOff", g.elabOff, int64(len(g.elab))); err != nil {
+	if _, err := checkOffsets("adjOff", g.adjOff, int64(len(g.adjV))); err != nil {
 		return err
 	}
 	for i := int64(0); i < numE; i++ {
@@ -495,55 +502,50 @@ func validateCSR(g *Graph, numV, numE int64) error {
 			return formatErr("adjE", "edge %d appears %d times in the adjacency, want 2", e, n)
 		}
 	}
-	if err := checkSortedRuns("vlab", g.vlabOff, g.vlab); err != nil {
-		return err
+	families := []struct {
+		name   string
+		off    *[]int32
+		packed []Label
+	}{{"vlab", &g.vlabOff, g.vlab}, {"elab", &g.elabOff, g.elab}, {"vkw", &g.vkwOff, g.vkw}, {"ekw", &g.ekwOff, g.ekw}}
+	if !g.hasKW {
+		families = families[:2]
 	}
-	if err := checkSortedRuns("elab", g.elabOff, g.elab); err != nil {
-		return err
-	}
-	if g.vkwOff != nil || g.ekwOff != nil {
-		if err := checkOffsets("vkwOff", g.vkwOff, int64(len(g.vkw))); err != nil {
+	for _, f := range families {
+		plain, err := checkOffsets(f.name+"Off", *f.off, int64(len(f.packed)))
+		if err != nil {
 			return err
 		}
-		if err := checkOffsets("ekwOff", g.ekwOff, int64(len(g.ekw))); err != nil {
-			return err
-		}
-		if err := checkSortedRuns("vkw", g.vkwOff, g.vkw); err != nil {
-			return err
-		}
-		if err := checkSortedRuns("ekw", g.ekwOff, g.ekw); err != nil {
+		if plain {
+			*f.off = nil // the in-memory form of such a family (graph.go)
+		} else if err := checkSortedRuns(f.name, *f.off, f.packed); err != nil {
 			return err
 		}
 	}
 	// The label census must match the header so NumLabels stays truthful.
-	distinct := map[Label]struct{}{}
-	for _, l := range g.vlab {
-		distinct[l] = struct{}{}
-	}
-	for _, l := range g.elab {
-		distinct[l] = struct{}{}
-	}
-	if len(distinct) != g.numLabel {
-		return formatErr("header", "label count %d does not match %d distinct labels", g.numLabel, len(distinct))
+	if n := countLabels(g.vlab, g.elab); n != g.numLabel {
+		return formatErr("header", "label count %d does not match %d distinct labels", g.numLabel, n)
 	}
 	return nil
 }
 
 // checkOffsets validates one offsets array: starts at zero, monotone
-// nondecreasing, ends exactly at the payload length.
-func checkOffsets(name string, off []int32, payloadLen int64) error {
+// nondecreasing, ends exactly at the payload length. plain reports offsets
+// that say nothing the payload does not: the identity, or all zero.
+func checkOffsets(name string, off []int32, payloadLen int64) (plain bool, err error) {
 	if len(off) == 0 || off[0] != 0 {
-		return formatErr(name, "offsets must start at 0")
+		return false, formatErr(name, "offsets must start at 0")
 	}
+	identity := true
 	for i := 1; i < len(off); i++ {
 		if off[i] < off[i-1] {
-			return formatErr(name, "offsets decrease at %d", i)
+			return false, formatErr(name, "offsets decrease at %d", i)
 		}
+		identity = identity && off[i] == int32(i)
 	}
 	if int64(off[len(off)-1]) != payloadLen {
-		return formatErr(name, "offsets end at %d, payload has %d entries", off[len(off)-1], payloadLen)
+		return false, formatErr(name, "offsets end at %d, payload has %d entries", off[len(off)-1], payloadLen)
 	}
-	return nil
+	return identity || payloadLen == 0, nil
 }
 
 // checkSortedRuns validates that every run of a packed label array is

@@ -115,7 +115,8 @@ func peakHeapDelta(load func() *Graph) float64 {
 // mmap'd binary format against parsing the labeled edge list. The
 // live-heap-bytes metric shows what each load keeps resident on the Go heap
 // (the .fgr arrays alias the mapping, so its heap cost is near zero),
-// peak-heap-bytes what it needs on the way there.
+// peak-heap-bytes what it needs on the way there, and alloc-B/edge everything
+// it allocates, garbage included, per edge of the graph.
 func BenchmarkFGRLoad(b *testing.B) {
 	g := benchGraph()
 	fgrPath, elPath := benchFiles(b, g)
@@ -140,6 +141,7 @@ func BenchmarkFGRLoad(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			live := liveHeapDelta(load[name])
 			peak := peakHeapDelta(load[name])
+			total := allocated(func() { load[name]().Close() })
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				lg := load[name]()
@@ -151,6 +153,7 @@ func BenchmarkFGRLoad(b *testing.B) {
 			}
 			b.ReportMetric(live, "live-heap-bytes")
 			b.ReportMetric(peak, "peak-heap-bytes")
+			b.ReportMetric(float64(total)/float64(wantE), "alloc-B/edge")
 		})
 	}
 }
@@ -178,11 +181,35 @@ func benchBA() *Graph {
 	return b.Build()
 }
 
-// BenchmarkBuild times Builder.Build alone — label packing, the sort-free
+// rebuilder returns a builder holding what g holds.
+func rebuilder(g *Graph) *Builder {
+	b := NewBuilder(g.name)
+	b.dict = g.dict
+	b.reserve(g.NumEdges())
+	for v := 0; v < g.NumVertices(); v++ {
+		id := b.AddVertex(g.VertexLabels(VertexID(v))...)
+		if ks := g.VertexKeywords(VertexID(v)); ks != nil {
+			b.SetVertexKeywords(id, ks...)
+		}
+	}
+	for id := 0; id < g.NumEdges(); id++ {
+		e := g.EdgeByID(EdgeID(id))
+		nid := b.MustAddEdge(e.Src, e.Dst, e.Labels...)
+		if ks := g.EdgeKeywords(EdgeID(id)); ks != nil {
+			b.SetEdgeKeywords(nid, ks...)
+		}
+	}
+	return b
+}
+
+// BenchmarkBuild times Builder.Build alone — label packing, the in-place
 // CSR build, the label census — on a builder refilled outside the timer.
+// alloc-B/edge is what one Build allocates per edge (16 is the adjacency),
+// held-B/edge what the graph it returns holds.
 func BenchmarkBuild(b *testing.B) {
 	g := benchBA()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		bld := rebuilder(g)
@@ -191,6 +218,11 @@ func BenchmarkBuild(b *testing.B) {
 			b.Fatalf("built |E|=%d, want %d", got.NumEdges(), g.NumEdges())
 		}
 	}
+	b.StopTimer()
+	bld := rebuilder(g)
+	total := allocated(func() { g = bld.Build() })
+	b.ReportMetric(float64(total)/float64(g.NumEdges()), "alloc-B/edge")
+	b.ReportMetric(float64(heldBytes(g))/float64(g.NumEdges()), "held-B/edge")
 }
 
 // BenchmarkWriteEdgeList times the text writer on the same graph.

@@ -30,26 +30,39 @@ func checkCSRInvariants(t *testing.T, label string, g *Graph) {
 		{"adjOff", g.adjOff, len(g.adjV), numV + 1},
 		{"vlabOff", g.vlabOff, len(g.vlab), numV + 1},
 		{"elabOff", g.elabOff, len(g.elab), numE + 1},
+		{"vkwOff", g.vkwOff, len(g.vkw), numV + 1},
+		{"ekwOff", g.ekwOff, len(g.ekw), numE + 1},
 	}
-	if g.vkwOff != nil || g.ekwOff != nil {
-		offsets = append(offsets,
-			offCheck{"vkwOff", g.vkwOff, len(g.vkw), numV + 1},
-			offCheck{"ekwOff", g.ekwOff, len(g.ekw), numE + 1})
+	if !g.hasKW && (g.vkwOff != nil || g.ekwOff != nil || len(g.vkw)+len(g.ekw) > 0) {
+		t.Fatalf("%s: keyword arrays on a graph without keywords", label)
 	}
 	for _, o := range offsets {
+		if o.off == nil && o.name != "adjOff" {
+			// Payload-only: one value per element, or none at all.
+			if o.n != 0 && o.n != o.want-1 {
+				t.Fatalf("%s: %s is nil over %d elements, payload has %d entries", label, o.name, o.want-1, o.n)
+			}
+			continue
+		}
 		if len(o.off) != o.want {
 			t.Fatalf("%s: %s has %d entries, want %d", label, o.name, len(o.off), o.want)
 		}
 		if o.off[0] != 0 {
 			t.Fatalf("%s: %s starts at %d, want 0", label, o.name, o.off[0])
 		}
+		identity := true
 		for i := 1; i < len(o.off); i++ {
 			if o.off[i] < o.off[i-1] {
 				t.Fatalf("%s: %s decreases at %d: %d -> %d", label, o.name, i, o.off[i-1], o.off[i])
 			}
+			identity = identity && o.off[i] == int32(i)
 		}
 		if int(o.off[len(o.off)-1]) != o.n {
 			t.Fatalf("%s: %s ends at %d, payload has %d entries", label, o.name, o.off[len(o.off)-1], o.n)
+		}
+		// One in-memory form: offsets that say nothing are not kept.
+		if o.name != "adjOff" && (identity || o.n == 0) {
+			t.Fatalf("%s: %s is materialized but plain (identity=%v, payload %d)", label, o.name, identity, o.n)
 		}
 	}
 	if len(g.adjV) != 2*numE || len(g.adjE) != 2*numE {

@@ -64,10 +64,19 @@ func (e Edge) Has(v VertexID) bool { return v == e.Src || v == e.Dst }
 // alias the file mapping directly — see the ownership rules in DESIGN.md §13.
 // Accessors return subslices of the packed arrays; callers must never mutate
 // them (for a mapped graph the memory may be read-only, so mutation faults).
+//
+// A label or keyword family is payload-only — its offsets array is nil —
+// when every element has exactly one value (the payload is indexed by
+// element) or none has any (the payload is empty). That is the one in-memory
+// form of such a family: Builder.Build and DecodeFGR both produce it, and
+// EncodeFGR writes the offsets the .fgr format requires from a counter. Only
+// span and the accessors below may rely on it; everything else goes through
+// them.
 type Graph struct {
 	name     string
 	dict     *Dictionary
 	numLabel int
+	nv       int // |V|
 
 	// CSR adjacency: the incidences of vertex v are rows adjOff[v] to
 	// adjOff[v+1] of adjV (neighbor endpoint) and adjE (edge id), sorted by
@@ -81,13 +90,14 @@ type Graph struct {
 	edst []VertexID
 
 	// Packed label sets, each run sorted and deduplicated.
-	vlabOff []int32 // len NumVertices+1
+	vlabOff []int32 // len NumVertices+1, or nil: payload-only
 	vlab    []Label
-	elabOff []int32 // len NumEdges+1
+	elabOff []int32 // len NumEdges+1, or nil: payload-only
 	elab    []Label
 
-	// Packed keyword sets (Wikidata-style); nil offsets when the graph
-	// carries no keywords.
+	// Packed keyword sets (Wikidata-style), in the same form; all empty
+	// unless hasKW.
+	hasKW  bool
 	vkwOff []int32
 	vkw    []Label
 	ekwOff []int32
@@ -97,44 +107,33 @@ type Graph struct {
 	// graphs loaded with LoadFGR.
 	unmap func() error
 
-	// vlabFixed/elabFixed mark stride-1 packed label arrays — every vertex
-	// (edge) carries exactly one label, the overwhelmingly common shape —
-	// letting the label accessors index the payload array directly instead
-	// of loading two offsets and building a subslice per call (the
-	// documented ~2× AttributeScan regression of the flat refactor). Both
-	// construction paths (Builder.Build, DecodeFGR) set them via finalize.
+	// vlabFixed/elabFixed mark the one-label-each families — the
+	// overwhelmingly common shape — so the label accessors test one flag
+	// and index the payload directly.
 	vlabFixed bool
 	elabFixed bool
-}
 
-// finalize precomputes the derived fast-path flags after the packed arrays
-// are in place. It must be called by every Graph construction path.
-func (g *Graph) finalize() {
-	g.vlabFixed = strideOne(g.vlabOff)
-	g.elabFixed = strideOne(g.elabOff)
-}
-
-// strideOne reports whether the offsets describe exactly one payload
-// element per entry (off[i] == i throughout).
-func strideOne(off []int32) bool {
-	for i, o := range off {
-		if o != int32(i) {
-			return false
-		}
+	// uniform is the answer of UniformLabels.
+	uniform struct {
+		vl, el Label
+		ok     bool
 	}
-	return len(off) > 0
+}
+
+// finalize derives |V|, the fast-path flags and the uniformity answer once
+// the arrays are in place. Every Graph construction path ends with it.
+func (g *Graph) finalize() {
+	g.nv = max(len(g.adjOff)-1, 0)
+	g.vlabFixed = g.vlabOff == nil && len(g.vlab) > 0
+	g.elabFixed = g.elabOff == nil && len(g.elab) > 0
+	g.uniform.vl, g.uniform.el, g.uniform.ok = g.scanUniform()
 }
 
 // Name returns the dataset name given at build time (may be empty).
 func (g *Graph) Name() string { return g.name }
 
 // NumVertices returns |V(G)|.
-func (g *Graph) NumVertices() int {
-	if len(g.vlabOff) == 0 {
-		return 0
-	}
-	return len(g.vlabOff) - 1
-}
+func (g *Graph) NumVertices() int { return g.nv }
 
 // NumEdges returns |E(G)|.
 func (g *Graph) NumEdges() int { return len(g.esrc) }
@@ -154,11 +153,18 @@ func (g *Graph) Density() float64 {
 // Dict returns the label dictionary, never nil.
 func (g *Graph) Dict() *Dictionary { return g.dict }
 
-// span returns the i-th run of a packed label array, nil when empty.
-// Unsigned indexing as in Neighbors: validated offsets are never negative,
-// so the signed lower-bound checks are dead weight.
+// span returns the i-th run of a packed label array, nil when empty; a
+// payload-only family (nil off) has stride one or is empty. Unsigned
+// indexing as in Neighbors: validated offsets are never negative, so the
+// signed lower-bound checks are dead weight.
 func span(packed []Label, off []int32, i int32) []Label {
 	j := uint(i)
+	if off == nil {
+		if len(packed) == 0 {
+			return nil
+		}
+		return packed[j : j+1 : j+1]
+	}
 	lo, hi := uint32(off[j]), uint32(off[j+1])
 	if lo == hi {
 		return nil
@@ -182,6 +188,9 @@ func (g *Graph) VertexLabel(v VertexID) Label {
 	i := uint(v)
 	if g.vlabFixed {
 		return g.vlab[i]
+	}
+	if g.vlabOff == nil {
+		return -1
 	}
 	if lo, hi := g.vlabOff[i], g.vlabOff[i+1]; lo < hi {
 		return g.vlab[uint32(lo)]
@@ -207,6 +216,9 @@ func (g *Graph) EdgeLabel(id EdgeID) Label {
 	i := uint(id)
 	if g.elabFixed {
 		return g.elab[i]
+	}
+	if g.elabOff == nil {
+		return -1
 	}
 	if lo, hi := g.elabOff[i], g.elabOff[i+1]; lo < hi {
 		return g.elab[uint32(lo)]
@@ -280,56 +292,66 @@ func (g *Graph) EdgesBetween(u, v VertexID, dst []EdgeID) []EdgeID {
 
 // VertexKeywords returns the keyword set of v (sorted), or nil.
 func (g *Graph) VertexKeywords(v VertexID) []Label {
-	if g.vkwOff == nil {
-		return nil
-	}
 	return span(g.vkw, g.vkwOff, int32(v))
 }
 
 // EdgeKeywords returns the keyword set of edge id (sorted), or nil.
 func (g *Graph) EdgeKeywords(id EdgeID) []Label {
-	if g.ekwOff == nil {
-		return nil
-	}
 	return span(g.ekw, g.ekwOff, int32(id))
 }
 
 // HasKeywords reports whether the graph carries keyword attributes.
-func (g *Graph) HasKeywords() bool { return g.vkwOff != nil || g.ekwOff != nil }
+func (g *Graph) HasKeywords() bool { return g.hasKW }
 
 // UniformLabels reports whether every vertex carries at most one label and
 // all vertices agree, and every edge label agrees; the common labels are
 // returned (NoLabel sentinels for unlabeled). Uniform graphs admit
 // label-blind engines — the motifs fast path and the decomposition sweep
-// both key off this.
+// both key off this. The answer is computed once, when the graph is built or
+// loaded.
 func (g *Graph) UniformLabels() (vl, el Label, ok bool) {
-	n := g.NumVertices()
-	if n == 0 {
+	return g.uniform.vl, g.uniform.el, g.uniform.ok
+}
+
+func (g *Graph) scanUniform() (vl, el Label, ok bool) {
+	if g.nv == 0 {
 		return 0, 0, false
 	}
-	vl = g.VertexLabel(0)
-	if !g.vlabFixed { // fixed stride: one label each; only the values can differ
-		for v := 0; v < n; v++ {
-			if len(g.VertexLabels(VertexID(v))) > 1 {
-				return 0, 0, false
-			}
-		}
+	if vl, ok = commonLabel(g.vlab, g.vlabOff, true); !ok {
+		return 0, 0, false
 	}
-	for v := 0; v < n; v++ {
-		if g.VertexLabel(VertexID(v)) != vl {
-			return 0, 0, false
-		}
-	}
-	el = -1
-	for id := 0; id < g.NumEdges(); id++ {
-		l := g.EdgeLabel(EdgeID(id))
-		if id == 0 {
-			el = l
-		} else if l != el {
-			return 0, 0, false
-		}
+	if el, ok = commonLabel(g.elab, g.elabOff, false); !ok {
+		return 0, 0, false
 	}
 	return vl, el, true
+}
+
+// commonLabel returns the first label every element of a family shares, -1
+// when none has a label; single also refuses a set of two or more.
+func commonLabel(packed []Label, off []int32, single bool) (Label, bool) {
+	if off == nil { // payload-only: one label each, or none at all
+		for _, l := range packed {
+			if l != packed[0] {
+				return 0, false
+			}
+		}
+		if len(packed) == 0 {
+			return -1, true
+		}
+		return packed[0], true
+	}
+	common := Label(-1)
+	for i := 0; i+1 < len(off); i++ {
+		l, n := Label(-1), off[i+1]-off[i]
+		if n > 0 {
+			l = packed[off[i]]
+		}
+		if single && n > 1 || i > 0 && l != common {
+			return 0, false
+		}
+		common = l
+	}
+	return common, true
 }
 
 // Mapped reports whether the graph's arrays alias a file mapping (LoadFGR).

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -138,16 +139,16 @@ func (in *records) errorf(format string, args ...any) error {
 	return &ParseError{File: in.name, Line: in.line, Reason: fmt.Sprintf(format, args...)}
 }
 
-// build ends a load: the builder's graph, unless the input ended early.
-func (in *records) build(b *Builder) (*Graph, error) {
+// err ends a load: nil, unless the input ended early.
+func (in *records) err() error {
 	switch err := in.sc.Err(); err {
 	case nil:
-		return b.Build(), nil
+		return nil
 	case bufio.ErrTooLong:
 		in.line++
-		return nil, in.errorf("line longer than %d bytes", maxLine)
+		return in.errorf("line longer than %d bytes", maxLine)
 	default:
-		return nil, fmt.Errorf("graph: reading %s: %w", in.name, err)
+		return fmt.Errorf("graph: reading %s: %w", in.name, err)
 	}
 }
 
@@ -193,10 +194,10 @@ func LoadAdjacencyList(r io.Reader, name string) (*Graph, error) {
 			}
 		}
 	}
-	g, err := in.build(b)
-	if err != nil {
+	if err := in.err(); err != nil {
 		return nil, err
 	}
+	g := b.Build()
 	// The graph holds the arcs listed from the lower endpoint. Every run of
 	// a CSR is sorted, so an edge listed from one endpoint only is the first
 	// difference between their adjacency and that of the arcs listed from
@@ -261,7 +262,10 @@ func LoadEdgeList(r io.Reader, name string) (*Graph, error) {
 			return nil, in.errorf("unknown record %q", kind)
 		}
 	}
-	return in.build(b)
+	if err := in.err(); err != nil {
+		return nil, err
+	}
+	return b.Build(), nil
 }
 
 // LoadFile loads a graph from path, choosing the format by extension:
@@ -300,11 +304,14 @@ func LoadFile(path string) (*Graph, error) {
 	return g, nil
 }
 
-// ApplyKeywords parses a keyword sidecar and returns a copy of g carrying
-// the keyword attributes (interned through g's dictionary).
+// ApplyKeywords parses a keyword sidecar and returns g carrying its keyword
+// attributes (interned through g's dictionary) on top of those g already has.
+// g is unchanged: the result shares its immutable adjacency, endpoint and
+// label arrays and owns only the keyword families — for a mapped g it is
+// valid until g is closed.
 func ApplyKeywords(g *Graph, r io.Reader) (*Graph, error) {
-	// Rebuild through a Builder so immutability of g is preserved.
-	b := rebuilder(g)
+	vkw, ekw := setsOf(g.vkwOff, g.vkw), setsOf(g.ekwOff, g.ekw)
+	hasKW := len(g.vkw)+len(g.ekw) > 0 // as in a rebuild (Reduce): the flag follows content
 	in := newRecords(r, g.name+".kw")
 	var kws []Label
 	for kind, ok := in.next(); ok; kind, ok = in.next() {
@@ -316,23 +323,45 @@ func ApplyKeywords(g *Graph, r io.Reader) (*Graph, error) {
 		if len(tok) == 0 {
 			return nil, in.errorf("want kind id kws")
 		}
-		kws = internList(b.dict, tok, kws[:0])
+		kws = internList(g.dict, tok, kws[:0])
 		switch string(kind) {
 		case "v":
-			if id >= b.NumVertices() {
+			if id >= g.NumVertices() {
 				return nil, in.errorf("vertex %d out of range", id)
 			}
-			b.SetVertexKeywords(VertexID(id), kws...)
+			vkw.set(id, kws)
 		case "e":
-			if id >= b.NumEdges() {
+			if id >= g.NumEdges() {
 				return nil, in.errorf("edge %d out of range", id)
 			}
-			b.SetEdgeKeywords(EdgeID(id), kws...)
+			ekw.set(id, kws)
 		default:
 			return nil, in.errorf("unknown record %q", kind)
 		}
+		hasKW = true
 	}
-	return in.build(b)
+	if err := in.err(); err != nil {
+		return nil, err
+	}
+	out := *g
+	out.unmap = nil
+	out.hasKW = hasKW
+	out.vkwOff, out.vkw = vkw.pack(g.nv)
+	out.ekwOff, out.ekw = ekw.pack(len(g.esrc))
+	return &out, nil
+}
+
+// setsOf returns the sets of a Graph's label family in the builder's form,
+// on a payload of its own.
+func setsOf(off []int32, packed []Label) labelSets {
+	s := labelSets{data: slices.Clone(packed)}
+	if off != nil {
+		s.runs = make([]run, len(off)-1)
+		for i := range s.runs {
+			s.runs[i] = run{off[i], off[i+1] - off[i]}
+		}
+	}
+	return s
 }
 
 // recordWriter formats the records of the text formats straight into bw's
@@ -396,24 +425,4 @@ func WriteKeywords(w io.Writer, g *Graph) error {
 		}
 	}
 	return out.bw.Flush()
-}
-
-func rebuilder(g *Graph) *Builder {
-	b := NewBuilder(g.name)
-	b.dict = g.dict
-	b.reserve(g.NumEdges())
-	for v := 0; v < g.NumVertices(); v++ {
-		id := b.AddVertex(g.VertexLabels(VertexID(v))...)
-		if ks := g.VertexKeywords(VertexID(v)); ks != nil {
-			b.SetVertexKeywords(id, ks...)
-		}
-	}
-	for id := 0; id < g.NumEdges(); id++ {
-		e := g.EdgeByID(EdgeID(id))
-		nid := b.MustAddEdge(e.Src, e.Dst, e.Labels...)
-		if ks := g.EdgeKeywords(EdgeID(id)); ks != nil {
-			b.SetEdgeKeywords(nid, ks...)
-		}
-	}
-	return b
 }

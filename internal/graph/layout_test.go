@@ -1,0 +1,304 @@
+package graph
+
+// Tests of the in-memory layout (DESIGN.md §13): what building a graph
+// allocates against what the graph holds, the in-place adjacency order
+// against the seed Build's per-vertex sort, the payload-only form of label
+// and keyword families against the offsets form, and ApplyKeywords' sharing.
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"strings"
+	"testing"
+)
+
+// heldBytes is the size of the arrays g holds.
+func heldBytes(g *Graph) uint64 {
+	words := len(g.adjOff) + len(g.adjV) + len(g.adjE) + len(g.esrc) + len(g.edst) +
+		len(g.vlabOff) + len(g.vlab) + len(g.elabOff) + len(g.elab) +
+		len(g.vkwOff) + len(g.vkw) + len(g.ekwOff) + len(g.ekw)
+	return 4 * uint64(words)
+}
+
+// allocated returns the heap bytes f allocates, garbage included.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestIngestBudget is the memory gate of the ingest path, at the size of the
+// repository benchmark's small_jobs_el input: a text load may allocate 1.35
+// times what the graph it returns holds (line buffer, growth steps of the
+// arrays it cannot size in advance; the parent allocated 1.9 times an
+// 11.5 MB graph), and Build itself allocates the adjacency and nothing else
+// that grows with the graph — no transpose buffer, no cursor array, no
+// offsets for the one-label-each vertices or the unlabelled edges.
+func TestIngestBudget(t *testing.T) {
+	src := benchBA()
+	var text bytes.Buffer
+	if err := WriteEdgeList(&text, src); err != nil {
+		t.Fatal(err)
+	}
+
+	var g *Graph
+	var err error
+	load := allocated(func() { g, err = LoadEdgeList(bytes.NewReader(text.Bytes()), "ba") })
+	if err != nil || !sliceEq(g.adjOff, src.adjOff) || !sliceEq(g.adjV, src.adjV) || !sliceEq(g.adjE, src.adjE) {
+		t.Fatalf("the loaded graph is not the one written (%v)", err)
+	}
+	t.Logf("LoadEdgeList: %d bytes allocated, graph holds %d (%.2fx)", load, heldBytes(g), float64(load)/float64(heldBytes(g)))
+	if float64(load) > 1.35*float64(heldBytes(g)) {
+		t.Errorf("LoadEdgeList allocated %d bytes for a graph of %d: more than 1.35x", load, heldBytes(g))
+	}
+
+	b := rebuilder(src)
+	build := allocated(func() { g = b.Build() })
+	adjacency := 4 * uint64(len(g.adjOff)+len(g.adjV)+len(g.adjE))
+	t.Logf("Build: %d bytes allocated, adjacency %d, graph holds %d (%.2fx)", build, adjacency, heldBytes(g), float64(build)/float64(heldBytes(g)))
+	if g.vlabOff != nil || g.elabOff != nil || heldBytes(g) != heldBytes(src) {
+		t.Errorf("one label per vertex, none per edge: offsets %d/%d words, %d bytes held, want none and %d",
+			len(g.vlabOff), len(g.elabOff), heldBytes(g), heldBytes(src))
+	}
+	if build > adjacency+1<<16 || float64(build) > 1.35*float64(heldBytes(g)) {
+		t.Errorf("Build allocated %d bytes: the adjacency is %d", build, adjacency)
+	}
+}
+
+// TestAdjacencyOrder pins both ways a run gets ordered — insertion for a
+// short run, sort.Sort for a hub — on edges added in random order with
+// parallel edges among them, against the seed Build's sort of every run.
+func TestAdjacencyOrder(t *testing.T) {
+	r := rand.New(rand.NewSource(18))
+	const n, hub, hubDegree = 3000, 1500, 12_000
+	b := &ops{name: "order"}
+	for i := 0; i < n; i++ {
+		b.AddVertex(Label(i % 3))
+	}
+	type pair struct{ u, v VertexID }
+	var edges []pair
+	for i := 0; i < hubDegree; i++ { // more incidences than neighbors: parallel edges
+		edges = append(edges, pair{hub, VertexID(r.Intn(n))})
+	}
+	for i := 0; i < 4*n; i++ {
+		u := VertexID(r.Intn(n))
+		edges = append(edges, pair{u, VertexID(r.Intn(n))}, pair{u, VertexID(r.Intn(40))})
+	}
+	for i := 0; i < 200; i++ { // short runs of nothing but parallel edges
+		edges = append(edges, pair{VertexID(i), VertexID(n - 1 - i)}, pair{VertexID(n - 1 - i), VertexID(i)})
+	}
+	r.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	for _, e := range edges {
+		b.AddEdge(e.u, e.v, Label(r.Intn(2))) // self-loops are refused by both builders
+	}
+	g := b.Build()
+	if d := g.Degree(hub); d < 10_000 {
+		t.Fatalf("hub degree %d, want at least 10^4", d)
+	}
+	checkCSRInvariants(t, "order", g)
+	if !bytes.Equal(EncodeFGR(g), EncodeFGR(b.seed().Build())) {
+		t.Fatal("adjacency differs from the seed Build's")
+	}
+}
+
+// formRecipes build graphs whose label and keyword families sit on both
+// sides of the payload-only rule. plain names the families ("vlab", "elab",
+// "vkw", "ekw") that must come out without offsets.
+var formRecipes = []struct {
+	name  string
+	plain string
+	build func(b *ops)
+}{
+	{"one-label-each", "vlab elab vkw ekw", func(b *ops) {
+		for i := 0; i < 6; i++ {
+			b.AddVertex(Label(i % 2))
+		}
+		for i := 0; i < 5; i++ {
+			b.MustAddEdge(VertexID(i), VertexID(i+1), 7)
+		}
+	}},
+	{"ensure-vertices-only", "vlab elab vkw ekw", func(b *ops) {
+		b.EnsureVertices(5)
+		b.MustAddEdge(0, 4)
+		b.MustAddEdge(1, 4)
+	}},
+	{"no-vertices", "vlab elab vkw ekw", func(b *ops) {}},
+	{"breaks-at-the-last-element", "vkw ekw", func(b *ops) {
+		for i := 0; i < 5; i++ {
+			b.AddVertex(3)
+		}
+		b.AddVertex(3, 4)
+		for i := 0; i < 4; i++ {
+			b.MustAddEdge(VertexID(i), VertexID(i+1), 1)
+		}
+		b.MustAddEdge(4, 5) // the one unlabelled edge
+	}},
+	{"label-replaced", "vlab elab vkw ekw", func(b *ops) {
+		for i := 0; i < 4; i++ {
+			b.AddVertex(1)
+		}
+		b.SetVertexLabels(2, 9)
+		b.SetVertexLabels(0, 8)
+		b.MustAddEdge(0, 3)
+	}},
+	{"replaced-by-a-pair", "elab vkw ekw", func(b *ops) {
+		for i := 0; i < 4; i++ {
+			b.AddVertex(1)
+		}
+		b.SetVertexLabels(1, 5, 2)
+		b.MustAddEdge(0, 1)
+	}},
+	{"pair-replaced-by-one", "vlab elab vkw ekw", func(b *ops) {
+		b.AddVertex(1)
+		b.AddVertex(6, 6, 2) // breaks the shape
+		b.AddVertex(1)
+		b.SetVertexLabels(1, 4, 4) // and restores it: one label each after all
+		b.MustAddEdge(0, 2)
+	}},
+	{"labelled-prefix", "elab vkw ekw", func(b *ops) {
+		b.AddVertex(1)
+		b.AddVertex(1)
+		b.EnsureVertices(5)
+		b.MustAddEdge(0, 4, 2)
+	}},
+	{"labelled-late", "elab vkw ekw", func(b *ops) {
+		b.EnsureVertices(4)
+		b.SetVertexLabels(2, 5)
+		b.MustAddEdge(0, 1)
+	}},
+	{"label-cleared", "elab vkw ekw", func(b *ops) {
+		for i := 0; i < 3; i++ {
+			b.AddVertex(2)
+		}
+		b.SetVertexLabels(1)
+		b.MustAddEdge(0, 1)
+	}},
+	{"keywords-one-each", "vlab elab vkw ekw", func(b *ops) {
+		for i := 0; i < 3; i++ {
+			b.SetVertexKeywords(b.AddVertex(0), Label(10+i))
+		}
+		b.MustAddEdge(0, 1)
+		b.MustAddEdge(1, 2)
+	}},
+	{"keywords-mixed", "vlab elab", func(b *ops) {
+		for i := 0; i < 3; i++ {
+			b.AddVertex(0)
+		}
+		b.SetVertexKeywords(1, 11, 12)
+		b.SetEdgeKeywords(b.MustAddEdge(0, 1), 13)
+		b.MustAddEdge(1, 2)
+	}},
+}
+
+// TestPayloadOnlyForms: whichever form a family takes, every accessor says
+// what the seed representation — one slice per element — says, from the
+// builder and from the decoder alike; the decoder arrives at the builder's
+// form; and the encoding is the seed Build's, whose offsets are always
+// materialized.
+func TestPayloadOnlyForms(t *testing.T) {
+	for _, rec := range formRecipes {
+		t.Run(rec.name, func(t *testing.T) {
+			b := &ops{name: rec.name}
+			rec.build(b)
+			want := seedBuild(b.seed())
+			g, offsets := b.Build(), b.seed().Build()
+			enc := EncodeFGR(g)
+			if !bytes.Equal(enc, EncodeFGR(offsets)) {
+				t.Fatal("encoding differs from the offsets form's")
+			}
+			dec, err := DecodeFGR(enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, got := range []*Graph{g, dec, offsets} {
+				pinAgainstSeed(t, want, got)
+				if vl, el, ok := got.UniformLabels(); [3]any{vl, el, ok} != seedUniform(want) {
+					t.Errorf("UniformLabels = (%d,%d,%v), the seed representation says %v", vl, el, ok, seedUniform(want))
+				}
+			}
+			for _, got := range []*Graph{g, dec} {
+				checkCSRInvariants(t, rec.name, got)
+				for name, off := range map[string][]int32{"vlab": got.vlabOff, "elab": got.elabOff, "vkw": got.vkwOff, "ekw": got.ekwOff} {
+					if plain := strings.Contains(rec.plain, name); plain != (off == nil) {
+						t.Errorf("%s: offsets %v, want payload-only = %v", name, off, plain)
+					}
+				}
+			}
+		})
+	}
+}
+
+// seedUniform is UniformLabels over the seed representation.
+func seedUniform(g *seedGraph) [3]any {
+	no := [3]any{Label(0), Label(0), false}
+	first := func(ls []Label) Label {
+		if len(ls) == 0 {
+			return -1
+		}
+		return ls[0]
+	}
+	if g.numVertices() == 0 {
+		return no
+	}
+	vl, el := first(g.vlabels[0]), Label(-1)
+	for _, ls := range g.vlabels {
+		if len(ls) > 1 || first(ls) != vl {
+			return no
+		}
+	}
+	for i, e := range g.edges {
+		if i == 0 {
+			el = first(e.Labels)
+		} else if first(e.Labels) != el {
+			return no
+		}
+	}
+	return [3]any{vl, el, true}
+}
+
+// TestApplyKeywordsShares: the result encodes as the seed ApplyKeywords'
+// rebuilt copy does, leaves its input as it was, and shares every array but
+// the keyword families with it.
+func TestApplyKeywordsShares(t *testing.T) {
+	for seed := int64(1); seed <= 30; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		src := []func(*rand.Rand) *ops{erBuilder, multiBuilder}[seed%2](r) // with keywords of its own, and without
+		g, oracle := src.Build(), src.seed().Build()
+		var sidecar strings.Builder
+		for i := r.Intn(12); i > 0 && g.NumEdges() > 0; i-- {
+			kind, n := "v", g.NumVertices()
+			if r.Intn(2) == 0 {
+				kind, n = "e", g.NumEdges()
+			}
+			fmt.Fprintf(&sidecar, "%s %d k%d,k%d\n", kind, r.Intn(n), r.Intn(4), r.Intn(4))
+		}
+		before := *g
+		out, err := ApplyKeywords(g, strings.NewReader(sidecar.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := seedApplyKeywords(oracle, strings.NewReader(sidecar.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(EncodeFGR(out), EncodeFGR(want)) {
+			t.Fatalf("seed %d: differs from the seed ApplyKeywords on:\n%s", seed, sidecar.String())
+		}
+		checkCSRInvariants(t, "keywords applied", out)
+		pinAgainstSeed(t, seedBuild(src.seed()), g) // the input still says what it said
+		if g.hasKW != before.hasKW || !sliceEq(g.vkw, before.vkw) || !sliceEq(g.ekw, before.ekw) ||
+			!sliceEq(g.vkwOff, before.vkwOff) || !sliceEq(g.ekwOff, before.ekwOff) {
+			t.Fatalf("seed %d: ApplyKeywords changed its input's keywords", seed)
+		}
+		if len(g.adjV) > 0 && (&out.adjV[0] != &g.adjV[0] || &out.adjE[0] != &g.adjE[0] || &out.esrc[0] != &g.esrc[0]) {
+			t.Errorf("seed %d: the result has its own copy of the adjacency", seed)
+		}
+		if len(g.vkw) > 0 && len(out.vkw) > 0 && &out.vkw[0] == &g.vkw[0] {
+			t.Errorf("seed %d: the result writes into its input's keyword payload", seed)
+		}
+	}
+}

@@ -218,7 +218,7 @@ func (b *seedBuilder) Build() *Graph {
 		sort.Sort(run)
 	}
 	g.numLabel = b.countLabels()
-	if b.hasKW {
+	if g.hasKW = b.hasKW; g.hasKW {
 		g.vkwOff, g.vkw = packLabels(b.vkeywords)
 		g.ekwOff, g.ekw = packLabels(b.ekeywords)
 	}

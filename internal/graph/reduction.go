@@ -34,14 +34,12 @@ func (r *Reduced) OrigEdge(e EdgeID) EdgeID { return r.origE[e] }
 // endpoints were kept. Isolated vertices that were kept remain in the view:
 // the reduction is purely a filter, as in the paper.
 func Reduce(g *Graph, vf VertexFilter, ef EdgeFilter) *Reduced {
-	keepV := make([]bool, g.NumVertices())
-	newID := make([]VertexID, g.NumVertices())
+	newID := make([]VertexID, g.NumVertices()) // NilVertex: not kept
 	b := NewBuilder(g.name + "-reduced")
 	b.dict = g.dict
 	r := &Reduced{}
 	for v := VertexID(0); int(v) < g.NumVertices(); v++ {
 		if vf == nil || vf(v, g) {
-			keepV[v] = true
 			newID[v] = b.AddVertex(g.VertexLabels(v)...)
 			if ks := g.VertexKeywords(v); ks != nil {
 				b.SetVertexKeywords(newID[v], ks...)
@@ -53,7 +51,7 @@ func Reduce(g *Graph, vf VertexFilter, ef EdgeFilter) *Reduced {
 	}
 	for id := EdgeID(0); int(id) < g.NumEdges(); id++ {
 		e := g.EdgeByID(id)
-		if !keepV[e.Src] || !keepV[e.Dst] {
+		if newID[e.Src] == NilVertex || newID[e.Dst] == NilVertex {
 			continue
 		}
 		if ef != nil && !ef(id, g) {

@@ -16,8 +16,9 @@ import (
 // workhorse being the same sorted-intersection idiom as the extension
 // kernels (intersectAdj), here counting instead of materializing. The
 // polynomial terms of a DecompPlan are folded into running sums *during*
-// the sweep, so no per-pair or per-vertex values are ever stored beyond the
-// O(|V|) degree/triangle arrays.
+// the sweep, so no per-pair or per-vertex values are ever stored beyond an
+// int32 degree per vertex and — only when a Vertex closure is there to read
+// tri(v) — one int64 triangle accumulator per vertex and core.
 //
 // Multigraph correctness: Neighbors(v) contains one entry per incidence, so
 // parallel edges appear as duplicate runs. Every loop below deduplicates
@@ -55,13 +56,14 @@ func LocalCounts(ctx context.Context, g *graph.Graph, t LocalTerms, cores int) (
 	n := g.NumVertices()
 	arity := len(t.Pair) + len(t.Vertex)
 	needPairs := len(t.Pair) > 0 || t.NeedTri
+	keepTri := t.NeedTri && len(t.Vertex) > 0 // tri(v) has a reader
 
 	// Phase 0: distinct-neighbor degrees (read by every later phase).
-	sdeg := make([]int64, n)
+	sdeg := make([]int32, n)
 	parallelBlocks(ctx, n, cores, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			nb := g.Neighbors(graph.VertexID(v))
-			var d int64
+			var d int32
 			for i := 0; i < len(nb); i++ {
 				if i == 0 || nb[i] != nb[i-1] {
 					d++
@@ -92,7 +94,7 @@ func LocalCounts(ctx context.Context, g *graph.Graph, t LocalTerms, cores int) (
 				sums := agg.NewInt64Sums(arity)
 				stores[c] = sums
 				var triAcc []int64
-				if t.NeedTri {
+				if keepTri {
 					triAcc = make([]int64, n)
 					triParts[c] = triAcc
 				}
@@ -108,7 +110,7 @@ func LocalCounts(ctx context.Context, g *graph.Graph, t LocalTerms, cores int) (
 					}
 					for u := lo; u < hi; u++ {
 						nbu := g.Neighbors(graph.VertexID(u))
-						du := sdeg[u]
+						du := int64(sdeg[u])
 						for i := 0; i < len(nbu); i++ {
 							v := nbu[i]
 							if i > 0 && v == nbu[i-1] {
@@ -122,13 +124,15 @@ func LocalCounts(ctx context.Context, g *graph.Graph, t LocalTerms, cores int) (
 								nbv := g.Neighbors(v)
 								cc = distinctCommon(nbu, nbv)
 								ops += int64(len(nbu) + len(nbv))
-								triAcc[u] += cc
-								triAcc[v] += cc
+								if keepTri {
+									triAcc[u] += cc
+									triAcc[v] += cc
+								}
 							} else {
 								ops++
 							}
 							for k, f := range t.Pair {
-								sums.Sums[k] += f(du, sdeg[v], cc)
+								sums.Sums[k] += f(du, int64(sdeg[v]), cc)
 							}
 						}
 					}
@@ -140,7 +144,7 @@ func LocalCounts(ctx context.Context, g *graph.Graph, t LocalTerms, cores int) (
 		if err = ctx.Err(); err != nil {
 			return nil, nil, 0, err
 		}
-		if t.NeedTri {
+		if keepTri {
 			tri = triParts[0]
 			parallelBlocks(ctx, n, cores, func(lo, hi int) {
 				for v := lo; v < hi; v++ {
@@ -182,7 +186,7 @@ func LocalCounts(ctx context.Context, g *graph.Graph, t LocalTerms, cores int) (
 							tv = tri[v]
 						}
 						for k, f := range t.Vertex {
-							sums.Sums[len(t.Pair)+k] += f(sdeg[v], tv)
+							sums.Sums[len(t.Pair)+k] += f(int64(sdeg[v]), tv)
 						}
 					}
 					ops += int64(hi - lo)

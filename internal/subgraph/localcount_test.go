@@ -2,6 +2,8 @@ package subgraph
 
 import (
 	"context"
+	"runtime"
+	"slices"
 	"testing"
 
 	"fractal/internal/graph"
@@ -109,6 +111,44 @@ func TestLocalCountsOracle(t *testing.T) {
 			if ops <= 0 {
 				t.Errorf("%s cores=%d: ops=%d, want positive", g.Name(), cores, ops)
 			}
+
+			// Without a Vertex closure nothing reads tri(v): the sweep keeps
+			// no triangle accumulators and the pair sums do not notice.
+			pairOnly := LocalTerms{Pair: terms.Pair, NeedTri: true}
+			gotPairs, gotVertex, _, err := LocalCounts(context.Background(), g, pairOnly, cores)
+			if err != nil || len(gotVertex) != 0 || !slices.Equal(gotPairs, pairSums) {
+				t.Errorf("%s cores=%d pair-only sweep: %v %v (%v), want %v", g.Name(), cores, gotPairs, gotVertex, err, pairSums)
+			}
+		}
+	}
+}
+
+// TestLocalCountsScratch pins what a sweep allocates per vertex: an int32
+// degree, and one int64 triangle accumulator per core only when a Vertex
+// closure exists to read tri(v) (it was 8 + 8·cores bytes whenever NeedTri
+// was set).
+func TestLocalCountsScratch(t *testing.T) {
+	const n, cores = 50_000, 2
+	g := workload.BarabasiAlbert("lc-scratch", n, 3, 1, 46)
+	pair := []func(du, dv, c int64) int64{func(du, dv, c int64) int64 { return c }}
+	vertex := []func(d, tri int64) int64{func(d, tri int64) int64 { return tri }}
+	for _, c := range []struct {
+		name      string
+		terms     LocalTerms
+		perVertex float64
+	}{
+		{"pairs", LocalTerms{Pair: pair, NeedTri: true}, 4},
+		{"degrees", LocalTerms{Pair: pair, Vertex: vertex}, 4},
+		{"triangles", LocalTerms{Pair: pair, Vertex: vertex, NeedTri: true}, 4 + 8*cores},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, _, _, err := LocalCounts(context.Background(), g, c.terms, cores); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := float64(after.TotalAlloc-before.TotalAlloc) / n; got > c.perVertex+0.5 {
+			t.Errorf("%s: %.1f bytes allocated per vertex, want %.0f", c.name, got, c.perVertex)
 		}
 	}
 }

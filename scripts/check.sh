@@ -44,6 +44,13 @@ if grep -nE '"sync(/atomic)?"|append\(\[\]\*Enumerator\(nil\)' $(ls internal/enu
     echo "internal/enumerator synchronizes or snapshots its levels again" >&2
     exit 1
 fi
+# A graph is built once, at its final size: the only 2|E| array of edge ids
+# Build allocates is adjE itself, ordered in place. A second one next to it
+# is the transient transpose buffer PR 18 removed.
+if [ "$(cat $(ls internal/graph/*.go | grep -v _test.go) | grep -c 'make(\[\]EdgeID, 2\*')" -ne 1 ]; then
+    echo "internal/graph allocates a transient 2|E| edge-id array next to adjE again" >&2
+    exit 1
+fi
 go vet ./...
 go build ./...
 go test ./...

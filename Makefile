@@ -47,10 +47,16 @@ bench-micro:
 
 # Aggregation-pipeline microbenchmarks: allocation-free domain supports and
 # the wire codec against the retained seed oracle (gob, test-side only;
-# EXPERIMENTS.md).
+# EXPERIMENTS.md), then the step tail end to end — the fsm_ml analog's level
+# 3 from "cores idle" to "support3 committed", one worker with two cores on
+# the loopback and two one-core workers over TCP: B/op and allocs/op of both
+# ends, and the frames one tail ships (8.7 and 13.8 MB/op in 1 and 2 frames
+# before the tail became an ordered fold, PR 19). CI runs this with
+# BENCHTIME=1x as a smoke test.
 bench-agg:
-	go test -run=NONE -bench='DomainSupport|AggEncode' -benchmem \
+	go test -run=NONE -bench='DomainSupport|AggEncode' -benchtime=$(BENCHTIME) -benchmem \
 		./internal/agg/
+	go test -run=NONE -bench='^BenchmarkStepTail$$' -benchtime=$(BENCHTIME) -benchmem ./internal/sched/
 
 # The repository benchmark (BENCHMARK.json, benchmark/) is a module of its
 # own, outside `go build ./...`: an internal rename can break it unseen.
@@ -122,17 +128,21 @@ bench-graph:
 		-benchtime=$(BENCHTIME) -benchmem ./internal/graph/
 
 # Short fuzz of the aggregation wire codec (decoders must fail cleanly on
-# arbitrary bytes).
+# arbitrary bytes) and of the master-side fold over frame sequences (a typed
+# error or exactly what decoding and merging every frame gives, never a key
+# folded twice).
 fuzz-agg:
 	go test -run=NONE -fuzz=FuzzBinaryCodec -fuzztime=10s ./internal/agg/
+	go test -run=NONE -fuzz=FuzzFoldFrames -fuzztime=10s ./internal/agg/
 
 # Short fuzz of every wire decoder, one layer each (DESIGN.md §12, "Wire
-# format"): control-message bodies, aggregation payloads, the pattern form.
-# Arbitrary bytes must fail with a *wire.Error, never panic or overallocate,
-# and whatever decodes must survive a round trip.
+# format"): control-message bodies, aggregation payloads and frame sequences,
+# the pattern form. Arbitrary bytes must fail with a *wire.Error, never panic
+# or overallocate, and whatever decodes must survive a round trip.
 fuzz-wire:
 	go test -run=NONE -fuzz=FuzzDecodeMessage -fuzztime=10s ./internal/sched/
 	go test -run=NONE -fuzz=FuzzBinaryCodec -fuzztime=10s ./internal/agg/
+	go test -run=NONE -fuzz=FuzzFoldFrames -fuzztime=10s ./internal/agg/
 	go test -run=NONE -fuzz=FuzzPatternFromBinary -fuzztime=10s ./internal/pattern/
 
 # Short fuzz of the .fgr decoder over the checked-in corruption corpus

@@ -58,23 +58,22 @@
 //	                     journal when -trace is set) as JSON; under
 //	                     -listen it includes the workers' counters
 //	-trace               enable the structured trace journal for the run
-//	-pprof <addr>        serve net/http/pprof and expvar on addr
-//	                     (e.g. localhost:6060); /debug/vars exposes the
-//	                     last run's report under "fractal.last_run"
+//	-pprof <prefix>      profile the run with runtime/pprof: its CPU samples
+//	                     go to <prefix>.cpu.pprof, the heap at exit to
+//	                     <prefix>.heap.pprof (read both with `go tool pprof`)
 package main
 
 import (
 	"context"
-	"expvar"
+	"errors"
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime"
+	"runtime/pprof"
 	"slices"
 	"strings"
-	"sync/atomic"
 	"syscall"
 
 	"fractal"
@@ -82,13 +81,36 @@ import (
 	"fractal/internal/pattern"
 )
 
-// lastReport holds the most recent run's report for the expvar endpoint.
-var lastReport atomic.Pointer[fractal.RunReport]
+// stopProfile ends the profiles -pprof started. fatal runs it as well as
+// main's return, because os.Exit skips deferred calls.
+var stopProfile = func() {}
 
-func init() {
-	expvar.Publish("fractal.last_run", expvar.Func(func() any {
-		return lastReport.Load()
-	}))
+// startProfile starts the CPU profile of -pprof and arms stopProfile to end
+// it and write the heap profile beside it.
+func startProfile(prefix string) error {
+	cpu, err := os.Create(prefix + ".cpu.pprof")
+	if err == nil {
+		if err = pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("-pprof: %w", err)
+	}
+	stopProfile = func() {
+		stopProfile = func() {}
+		pprof.StopCPUProfile()
+		err := cpu.Close()
+		heap, herr := os.Create(prefix + ".heap.pprof")
+		if herr == nil {
+			runtime.GC() // the heap profile is as of the last collection
+			herr = errors.Join(pprof.WriteHeapProfile(heap), heap.Close())
+		}
+		if err = errors.Join(err, herr); err != nil {
+			fmt.Fprintln(os.Stderr, "fractal: -pprof:", err)
+		}
+	}
+	return nil
 }
 
 func main() {
@@ -109,7 +131,7 @@ func main() {
 		useTCP     = flag.Bool("tcp", false, "use TCP transport between workers")
 		metricsOut = flag.String("metrics-out", "", "write the run's metrics snapshot (RunReport JSON) to this file")
 		traceOn    = flag.Bool("trace", false, "record the structured trace journal (exported via -metrics-out)")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
+		pprofOut   = flag.String("pprof", "", "write <prefix>.cpu.pprof (the whole run) and <prefix>.heap.pprof (at exit) with this prefix")
 		engine     = flag.String("engine", "auto", "motifs/query engine: auto (cost-model selection), plan (compiled pattern plans), canon (canonical checks), or decomp (forced decomposition)")
 		explain    = flag.Bool("explain", false, "print the compiled plan(s) for the selected app and exit (no graph needed)")
 		retries    = flag.Int("retries", 0, "re-execute a step up to n times after a worker loss (0: a loss fails the run)")
@@ -155,13 +177,9 @@ func main() {
 		check(explainApp(*app, *k, *queryName, *engine))
 		return
 	}
-	if *pprofAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "fractal: pprof server:", err)
-			}
-		}()
-		fmt.Printf("pprof/expvar listening on http://%s/debug/pprof\n", *pprofAddr)
+	if *pprofOut != "" {
+		check(startProfile(*pprofOut))
+		defer stopProfile()
 	}
 
 	cfg := fractal.Config{
@@ -251,9 +269,6 @@ func main() {
 		last = res.Result
 		fmt.Printf("covering subgraphs: %d (graph |V|=%d |E|=%d, EC=%d, %s)\n",
 			res.Matches, res.GraphV, res.GraphE, res.EC, res.Result.Wall)
-	}
-	if last != nil && last.Report != nil {
-		lastReport.Store(last.Report)
 	}
 	if *metricsOut != "" {
 		check(writeMetrics(*metricsOut, last))
@@ -437,5 +452,6 @@ func check(err error) {
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "fractal:", err)
+	stopProfile()
 	os.Exit(1)
 }

@@ -66,12 +66,14 @@ func TestCLI(t *testing.T) {
 		{"query decomp", []string{"-app", "query", "-pattern", "path3", "-engine", "decomp"}, 0, "matches of path3 [decomp engine]: 15 ("},
 		{"keywords", []string{"-app", "keywords", "-keywords", "a,b"}, 0, "covering subgraphs: 1 ("},
 		{"explain", []string{"-explain", "-app", "cliques", "-k", "3"}, 0, "plan: 3 levels"},
+		{"pprof", []string{"-app", "triangles", "-pprof", filepath.Join(dir, "prof")}, 0, "triangles: 4 ("},
 
 		{"no app", nil, 2, "Usage"},
 		{"unknown app", []string{"-app", "nope"}, 1, `unknown -app "nope"`},
 		{"unknown engine", []string{"-app", "motifs", "-engine", "nope"}, 1, `unknown -engine "nope"`},
 		{"unknown ws", []string{"-app", "motifs", "-ws", "nope"}, 1, `unknown -ws mode "nope"`},
 		{"unknown pattern", []string{"-app", "query", "-pattern", "nope"}, 1, `unknown pattern "nope"`},
+		{"pprof missing directory", []string{"-app", "triangles", "-pprof", filepath.Join(dir, "missing", "prof")}, 1, "-pprof: open "},
 		{"min-workers without listen", []string{"-app", "motifs", "-min-workers", "1"}, 1, "-min-workers requires -listen"},
 		{"cliques canon", []string{"-app", "cliques", "-engine", "canon"}, 1, "-engine canon does not apply to -app cliques"},
 		{"query canon", []string{"-app", "query", "-engine", "canon"}, 1, "-engine canon does not apply to -app query"},
@@ -118,5 +120,11 @@ func TestCLI(t *testing.T) {
 				t.Errorf("exit %d, want %d with %q\nstdout: %s\nstderr: %s", exit, r.exit, r.want, &stdout, &stderr)
 			}
 		})
+	}
+	// The "pprof" row left both profiles behind, written through runtime/pprof.
+	for _, name := range []string{"prof.cpu.pprof", "prof.heap.pprof"} {
+		if fi, err := os.Stat(filepath.Join(dir, name)); err != nil || fi.Size() == 0 {
+			t.Errorf("-pprof %s: %v, want a non-empty file", name, err)
+		}
 	}
 }

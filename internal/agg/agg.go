@@ -27,6 +27,18 @@ type Store interface {
 	Encode() ([]byte, error)
 	// DecodeAndMerge folds serialized contents into the receiver.
 	DecodeAndMerge(data []byte) error
+	// FoldToFrames reduces parts — per-core stores of the receiver's type,
+	// consumed — key by key in ascending key order and hands the result to
+	// emit as one or more frames (fold.go). The receiver lends its reduction
+	// and is not written to. A frame is only valid during the call of emit;
+	// stop is polled before each (nil: never) and ends the fold with
+	// ErrMergeCancelled.
+	FoldToFrames(parts []Store, stop func() bool, emit func(frame []byte) error) error
+	// FoldFrames reduces the frame sequences of any number of senders, each
+	// as its FoldToFrames emitted it, into a new store that holds only the
+	// entries the aggFilter keeps. The frames are read in place, and stop is
+	// polled at each.
+	FoldFrames(seqs [][][]byte, stop func() bool) (Store, error)
 	// NewEmpty returns an empty store of the same type and reduction.
 	NewEmpty() Store
 	// ApplyFilter drops entries rejected by the aggregation's aggFilter

@@ -5,9 +5,10 @@ import (
 	"sync"
 )
 
-// ErrMergeCancelled is returned by MergeTree when the stop predicate fired
-// before the fold completed. The runtime maps it onto the run's context
-// error, so a cancelled step never commits a partially merged aggregation.
+// ErrMergeCancelled is returned by MergeTree and by the step-tail folds
+// (fold.go) when the stop predicate fired before the fold completed. The
+// runtime maps it onto the run's context error, so a cancelled step never
+// commits a partially merged aggregation.
 var ErrMergeCancelled = errors.New("agg: merge cancelled")
 
 // MergeTree folds stores pairwise into a single store, running each level's

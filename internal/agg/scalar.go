@@ -10,9 +10,9 @@ import (
 // fixed-arity vector of int64 sums, index-aligned across cores, where entry
 // i accumulates the i-th polynomial term's local-count sum. Each execution
 // core fills its own Int64Sums during the sweep and the partials reduce
-// through the same pipeline as every other aggregation (MergeTree for the
-// per-core layer, Encode/DecodeAndMerge for the wire) — the decomposition
-// engine adds no second reduction path.
+// through the same pipeline as every other aggregation (FoldToFrames for the
+// per-core layer, FoldFrames at the master) — the decomposition engine adds
+// no second reduction path.
 type Int64Sums struct {
 	Sums []int64
 }
@@ -66,6 +66,46 @@ func (s *Int64Sums) DecodeAndMerge(data []byte) error {
 		return fmt.Errorf("agg: decoding into %d-ary Int64Sums: %w", len(s.Sums), err)
 	}
 	return nil
+}
+
+// FoldToFrames implements Store: the vector is its own key order, so the
+// fold is the elementwise sum of parts, shipped as one frame.
+func (s *Int64Sums) FoldToFrames(parts []Store, stop func() bool, emit func(frame []byte) error) error {
+	sum := NewInt64Sums(len(s.Sums))
+	for _, p := range parts {
+		if p == nil {
+			continue
+		}
+		if err := sum.MergeFrom(p); err != nil {
+			return err
+		}
+	}
+	if stop != nil && stop() {
+		return ErrMergeCancelled
+	}
+	frame, _ := sum.Encode() // a vector always encodes
+	return emit(frame)
+}
+
+// FoldFrames implements Store. A sender's vector is one frame; a second one
+// would count its sums twice.
+func (s *Int64Sums) FoldFrames(seqs [][][]byte, stop func() bool) (Store, error) {
+	sum := NewInt64Sums(len(s.Sums))
+	for _, frames := range seqs {
+		if len(frames) > 1 {
+			return nil, fmt.Errorf("agg: folding frames into %d-ary Int64Sums: %w", len(s.Sums),
+				&wire.Error{Reason: fmt.Sprintf("%d frames from one sender, want one", len(frames))})
+		}
+		for _, f := range frames {
+			if stop != nil && stop() {
+				return nil, ErrMergeCancelled
+			}
+			if err := sum.DecodeAndMerge(f); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return sum, nil
 }
 
 // NewEmpty implements Store, preserving the arity.

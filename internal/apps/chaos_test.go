@@ -1,11 +1,14 @@
 package apps
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -186,6 +189,77 @@ func TestChaosFSM(t *testing.T) {
 				break
 			}
 		}
+	}
+}
+
+// frameCounter counts the aggregation frames one worker ships to the master,
+// in front of an optional fault script.
+type frameCounter struct {
+	worker rpc.NodeID
+	script *rpc.Script
+	frames atomic.Int64
+}
+
+func (c *frameCounter) Intercept(from, to rpc.NodeID, kind uint8) rpc.Fault {
+	if from == c.worker && to == rpc.Master && kind == sched.KindAggData {
+		c.frames.Add(1)
+	}
+	if c.script == nil {
+		return rpc.Fault{}
+	}
+	return c.script.Intercept(from, to, kind)
+}
+
+// TestChaosMiddleFrameDropped loses one frame out of the middle of a
+// worker's sequence — the second of the several that carry its level-3
+// supports of the fsm_ml analog, with the frames before and after it
+// delivered. The master must not fold what it has: the count falls short of
+// the worker's Sent, the silence convicts the worker, and the retry commits
+// the fault-free result, byte for byte.
+func TestChaosMiddleFrameDropped(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two fsm_ml-sized jobs")
+	}
+	raw := fsmMLAnalog()
+	mine := func(inj *frameCounter) (*FSMResult, []byte) {
+		t.Helper()
+		ctx, err := fractal.NewContext(
+			fractal.WithWorkers(2), fractal.WithCores(1), fractal.WithFaultInjector(inj),
+			fractal.WithStepRetries(2), fractal.WithRetryBackoff(time.Millisecond),
+			fractal.WithWorkerTimeout(400*time.Millisecond))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ctx.Close()
+		res, err := FSM(bg, ctx, ctx.FromGraph(raw), 50, FSMOptions{MaxEdges: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, ok := res.Last.Aggregations.Get(fsmSupName(3))
+		if !ok {
+			t.Fatal("no level-3 supports")
+		}
+		data, err := st.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, data
+	}
+	clean := &frameCounter{worker: 1}
+	want, wantBytes := mine(clean)
+	// Levels 1 and 2 fit one frame each; level 3 must take at least three for
+	// its second to be a middle one.
+	if n := clean.frames.Load(); n < 5 {
+		t.Fatalf("worker 1 ships %d frames over the three levels, want at least 5", n)
+	}
+	script := rpc.NewScript(rpc.DropRule(1, rpc.Master, sched.KindAggData, 3, 1))
+	got, gotBytes := mine(&frameCounter{worker: 1, script: script})
+	if st := script.Stats(); st.Dropped != 1 {
+		t.Fatalf("the script dropped %d frames, want 1", st.Dropped)
+	}
+	requireLossObserved(t, script, got.Last, "middle frame dropped")
+	if !slices.Equal(got.PerLevel, want.PerLevel) || !bytes.Equal(gotBytes, wantBytes) {
+		t.Errorf("per level %v in %d bytes after the loss, %v in %d without", got.PerLevel, len(gotBytes), want.PerLevel, len(wantBytes))
 	}
 }
 

@@ -16,24 +16,33 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 )
 
-// maxFrameSize bounds a frame read from the wire, so a corrupt or hostile
-// length prefix cannot make the reader allocate unbounded memory. 1 GiB is
-// far above any real payload (aggregation partials are the largest bodies).
+// maxFrameSize bounds a frame read from the wire. Aggregation partials
+// travel as bounded frames (agg.FrameLimit), but a job's environment still
+// ships as one body per aggregation, so the bound stays far above any real
+// payload and readFrame does not trust it: see readStep.
 const maxFrameSize = 1 << 30
 
-// appendFrame appends env as one wire frame to dst.
-func appendFrame(dst []byte, env Envelope) []byte {
-	// Header: zigzag From + Kind byte. From is tiny (node IDs), so the
-	// header is 2-11 bytes.
+// readStep is how much of a frame readFrame allocates ahead of the bytes
+// that have arrived. A frame up to this size is allocated once, at its size;
+// a longer one grows as it is read, so a hostile length prefix costs its
+// sender's bytes and not the receiver's memory.
+const readStep = 256 << 10
+
+// frameHeaderMax is the longest frame header: length, From, Kind.
+const frameHeaderMax = 2*binary.MaxVarintLen64 + 1
+
+// appendFrameHeader appends everything of env's wire frame but the body.
+func appendFrameHeader(dst []byte, env Envelope) []byte {
+	// From is tiny (node IDs), so this is 3-5 bytes in practice.
 	var hdr [binary.MaxVarintLen64 + 1]byte
 	n := binary.PutVarint(hdr[:], int64(env.From))
 	hdr[n] = env.Kind
 	n++
 	dst = binary.AppendUvarint(dst, uint64(n+len(env.Body)))
-	dst = append(dst, hdr[:n]...)
-	return append(dst, env.Body...)
+	return append(dst, hdr[:n]...)
 }
 
 // readFrame reads one frame from r. The returned envelope's Body aliases a
@@ -46,9 +55,13 @@ func readFrame(r *bufio.Reader) (Envelope, error) {
 	if size < 2 || size > maxFrameSize {
 		return Envelope{}, fmt.Errorf("rpc: bad frame size %d", size)
 	}
-	buf := make([]byte, size)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return Envelope{}, err
+	buf := make([]byte, 0, min(int(size), readStep))
+	for len(buf) < int(size) {
+		n := min(int(size)-len(buf), readStep)
+		buf = slices.Grow(buf, n)[:len(buf)+n]
+		if _, err := io.ReadFull(r, buf[len(buf)-n:]); err != nil {
+			return Envelope{}, err
+		}
 	}
 	from, n := binary.Varint(buf)
 	if n <= 0 || n >= len(buf) {

@@ -49,7 +49,10 @@ const Master NodeID = -1
 const Unregistered NodeID = -2
 
 // Envelope is one message: an already-encoded body tagged with a kind
-// understood by the scheduling layer.
+// understood by the scheduling layer. Body is read-only from the moment it
+// is handed to Send: no transport copies it, the loopback delivers the very
+// slice to the receiver, and one body may go to several destinations. A
+// sender that wants its buffer back sends a copy.
 type Envelope struct {
 	From NodeID
 	Kind uint8
@@ -61,7 +64,8 @@ type Transport interface {
 	// Self returns this node's ID.
 	Self() NodeID
 	// Send delivers env to the mailbox of node to. It is safe for
-	// concurrent use.
+	// concurrent use. env.Body passes to the transport and the receiver
+	// (see Envelope): the caller must not write to it afterwards.
 	Send(to NodeID, env Envelope) error
 	// Recv returns the mailbox channel. The channel is closed by Close.
 	Recv() <-chan Envelope
@@ -290,11 +294,6 @@ func (n *loopNode) Send(to NodeID, env Envelope) error {
 		return fmt.Errorf("%w: %d", ErrUnknownPeer, to)
 	}
 	env.From = n.id
-	// Copy the body: senders commonly reuse buffers, and a real transport
-	// would have serialized by now.
-	if env.Body != nil {
-		env.Body = append([]byte(nil), env.Body...)
-	}
 	// Hold the destination's read lock while sending so Close cannot close
 	// the mailbox under an in-flight send.
 	dst.mu.RLock()
@@ -361,9 +360,14 @@ type TCPNode struct {
 }
 
 type tcpConn struct {
-	mu  sync.Mutex
-	c   net.Conn
-	buf []byte
+	mu sync.Mutex
+	c  net.Conn
+	// hdr, parts and vec are the scratch of one send: the frame header, and
+	// the header and the caller's body as one gather write. The connection
+	// never copies a body, so it holds nothing of a frame it has sent.
+	hdr   [frameHeaderMax]byte
+	parts [2][]byte
+	vec   net.Buffers
 }
 
 // send writes env as one frame onto the connection under a write deadline.
@@ -374,8 +378,10 @@ func (tc *tcpConn) send(env Envelope, timeout time.Duration) error {
 		tc.c.SetWriteDeadline(time.Now().Add(timeout))
 		defer tc.c.SetWriteDeadline(time.Time{})
 	}
-	tc.buf = appendFrame(tc.buf[:0], env)
-	_, err := tc.c.Write(tc.buf)
+	tc.parts = [2][]byte{appendFrameHeader(tc.hdr[:0], env), env.Body}
+	tc.vec = tc.parts[:]
+	_, err := tc.vec.WriteTo(tc.c)
+	tc.parts = [2][]byte{} // a failed write leaves the body referenced
 	return err
 }
 

@@ -112,18 +112,22 @@ func TestSendAfterCloseFails(t *testing.T) {
 	}
 }
 
-func TestBodyIsolation(t *testing.T) {
-	// Mutating the sender's buffer after Send must not affect the receiver.
-	nw := NewLoopbackNetwork([]NodeID{0, 1})
+// TestBodyPassesUncopied pins Send's ownership contract on the loopback: the
+// receiver gets the sender's slice itself, and one body may go to several
+// destinations. (A sender that reuses its buffer sends a copy.)
+func TestBodyPassesUncopied(t *testing.T) {
+	nw := NewLoopbackNetwork([]NodeID{0, 1, 2})
 	defer closeAll(nw)
 	buf := []byte("abc")
-	if err := nw[0].Send(1, Envelope{Body: buf}); err != nil {
-		t.Fatal(err)
+	for _, to := range []NodeID{1, 2} {
+		if err := nw[0].Send(to, Envelope{Body: buf}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	buf[0] = 'X'
-	env := recvOne(t, nw[1])
-	if string(env.Body) != "abc" {
-		t.Errorf("receiver saw mutated body %q", env.Body)
+	for _, to := range []NodeID{1, 2} {
+		if env := recvOne(t, nw[to]); string(env.Body) != "abc" || &env.Body[0] != &buf[0] {
+			t.Errorf("node %d received %q in another array, want the sender's own", to, env.Body)
+		}
 	}
 }
 

@@ -100,7 +100,12 @@ type cancelAckMsg struct {
 	Counters           metrics.Snapshot
 }
 
-// aggDataMsg carries one worker's partial aggregation for one name.
+// aggDataMsg carries one frame of one worker's partial aggregation for one
+// name (agg.Store.FoldToFrames): a complete payload of the aggregation wire
+// codec holding a run of ascending keys. A worker's frames for a name leave
+// in key order, and the transport keeps the order of one sender. Decoded,
+// Data aliases the envelope body — the master keeps frames as received until
+// it folds them.
 type aggDataMsg struct {
 	Job, Step, Attempt int
 	Worker             int
@@ -109,9 +114,9 @@ type aggDataMsg struct {
 }
 
 // aggDoneMsg signals that a worker has finished reporting its partials:
-// Sent counts the aggData messages that preceded it, and Errs carries one
-// entry per aggregation whose partial could not be merged, encoded, or
-// shipped. A non-empty Errs fails the step with an AggregationError at the
+// Sent counts the aggData messages — frames — that preceded it, and Errs
+// carries one entry per aggregation whose partial could not be folded,
+// encoded, or shipped. A non-empty Errs fails the step with an AggregationError at the
 // master — a partial that cannot be assembled must fail loudly, never
 // silently ship a wrong or missing result. Counters is the worker's counter
 // block for the attempt: its cores' blocks summed, plus its own merge time
@@ -404,7 +409,7 @@ func (m *aggDataMsg) get(r *wire.Reader) {
 	getAttempt(r, &m.Job, &m.Step, &m.Attempt)
 	m.Worker = r.Int()
 	m.Name = r.Str()
-	m.Data = r.Bytes()
+	m.Data = r.View()
 }
 
 func (m aggDoneMsg) put(w *wire.Writer) {

@@ -103,7 +103,7 @@ type jobRun struct {
 	env     *agg.Registry
 	// blocks holds the counter block each worker shipped with the message
 	// that ended its part of the attempt (aggDoneMsg, or cancelAckMsg on a
-	// drain), by worker ID; mergeTime is the master's own decode-and-merge
+	// drain), by worker ID; mergeTime is the master's own fold
 	// time. Master-only, like rounds: workers count into their cores' blocks
 	// and never see these.
 	blocks    map[int]metrics.Snapshot
@@ -988,38 +988,38 @@ func missingWorker(reports map[int]statusReportMsg, parts []int) int {
 	return -1
 }
 
-// aggPayload is one worker's encoded partial for one aggregation, buffered
-// until every worker has reported so decode and merge can run in parallel.
-type aggPayload struct {
-	worker int
-	data   []byte
-}
-
-// collectAggregations gathers every worker's partials, merges them into the
-// environment, and applies final aggregation filters.
+// collectAggregations gathers every worker's frames and folds them into the
+// environment.
 //
-// Payloads are buffered as they arrive — the receive loop does no CPU work
-// between messages, so slow decoding can no longer backpressure the
-// transport — and once every worker has reported, each payload is decoded
-// into its own store concurrently and the per-worker stores are folded with
-// the same parallel pairwise tree the workers use for their cores
-// (agg.MergeTree). Each done message also delivers its worker's counter
-// block — attempt-checked like the partials, so a failed attempt's counters
-// never reach the retry's report — and the master's own decode and merge
-// wall time joins them.
+// Frame bodies are kept as received, per aggregation and worker in arrival
+// order — the receive loop does no CPU work between messages, so a slow fold
+// cannot backpressure the transport. Once every worker has reported, one
+// ordered fold per aggregation walks the workers' frame sequences together
+// (agg.Store.FoldFrames, DESIGN §9): a key's values are decoded, reduced and
+// put to the aggFilter there and then, so the master holds the frame bytes
+// and the surviving entries and never a decoded partial. A frame lost on the
+// way leaves received short of Sent and is a lost worker; frames out of key
+// order are a corrupt partial. Each done message also delivers its worker's
+// counter block — attempt-checked like the frames, so a failed attempt's
+// counters never reach the retry's report — and the master's own fold time
+// joins them.
 func (r *Runtime) collectAggregations(ctx context.Context, run *jobRun, idx int, s *step.Step) error {
 	specs := s.AggSpecs()
-	protos := map[string]agg.Store{}
+	// frames[name][rank] is that worker's frame sequence.
+	frames := map[string][][][]byte{}
 	for _, sp := range specs {
-		protos[sp.Name] = sp.Proto
+		frames[sp.Name] = make([][][]byte, len(run.parts))
 	}
-	payloads := map[string][]aggPayload{}
+	rank := map[int]int{}
+	for i, wid := range run.parts {
+		rank[wid] = i
+	}
 	doneWorkers := 0
 	done := map[int]bool{}
 	expected := map[int]int{}
 	received := map[int]int{}
 	// lost is reset on every message: a worker is only considered lost after
-	// a silent stretch, not merely slow to send many partials.
+	// a silent stretch, not merely slow to send many frames.
 	lost := time.NewTimer(r.cfg.WorkerTimeout)
 	defer lost.Stop()
 	for doneWorkers < len(run.parts) {
@@ -1033,17 +1033,26 @@ func (r *Runtime) collectAggregations(ctx context.Context, run *jobRun, idx int,
 			case kAggData:
 				var m aggDataMsg
 				// The attempt check is what makes retries exactly-once: a
-				// partial shipped by a failed attempt (still queued when the
+				// frame shipped by a failed attempt (still queued when the
 				// master gave up on it) must never fold into the retry's
 				// result — dropping it here is safe precisely because the
 				// retry re-enumerates everything the failed attempt did.
 				if decode(env.Body, &m) != nil || m.Job != run.job || m.Step != idx || m.Attempt != run.attempt {
 					continue
 				}
-				if _, ok := protos[m.Name]; !ok {
-					continue
+				at, ok := rank[m.Worker]
+				if !ok {
+					continue // not a participant of this attempt
 				}
-				payloads[m.Name] = append(payloads[m.Name], aggPayload{worker: m.Worker, data: m.Data})
+				seqs, ok := frames[m.Name]
+				if !ok {
+					// The two ends disagree about the step: waiting for the
+					// count to add up would blame a worker that is alive.
+					return &AggregationError{Worker: m.Worker, Reasons: []string{
+						fmt.Sprintf("frame of unknown aggregation %q", m.Name),
+					}}
+				}
+				seqs[at] = append(seqs[at], m.Data)
 				received[m.Worker]++
 				if exp, ok := expected[m.Worker]; ok && received[m.Worker] == exp {
 					doneWorkers++
@@ -1084,40 +1093,17 @@ func (r *Runtime) collectAggregations(ctx context.Context, run *jobRun, idx int,
 	defer func() { run.mergeTime = time.Since(mergeStart) }()
 	stop := func() bool { return ctx.Err() != nil || run.cancelled.Load() }
 	for _, sp := range specs {
-		ps := payloads[sp.Name]
-		stores := make([]agg.Store, len(ps))
-		decErrs := make([]error, len(ps))
-		var wg sync.WaitGroup
-		for i := range ps {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				stores[i] = sp.Proto.NewEmpty()
-				decErrs[i] = stores[i].DecodeAndMerge(ps[i].data)
-			}(i)
-		}
-		wg.Wait()
-		for i, err := range decErrs {
-			if err != nil {
-				return &AggregationError{Worker: -1, Reasons: []string{
-					fmt.Sprintf("merging %q from worker %d: %v", sp.Name, ps[i].worker, err),
-				}}
-			}
-		}
-		merged, err := agg.MergeTree(stores, stop)
+		folded, err := sp.Proto.FoldFrames(frames[sp.Name], stop)
 		if err != nil {
 			if errors.Is(err, agg.ErrMergeCancelled) && ctx.Err() != nil {
 				return ctx.Err()
 			}
 			return &AggregationError{Worker: -1, Reasons: []string{
-				fmt.Sprintf("merging %q partials: %v", sp.Name, err),
+				fmt.Sprintf("folding %q partials: %v", sp.Name, err),
 			}}
 		}
-		if merged == nil {
-			merged = sp.Proto.NewEmpty()
-		}
-		merged.ApplyFilter()
-		run.env.Put(sp.Name, merged)
+		delete(frames, sp.Name) // folded: the frame bytes may go
+		run.env.Put(sp.Name, folded)
 	}
 	return nil
 }

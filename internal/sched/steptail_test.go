@@ -1,0 +1,434 @@
+package sched
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"fractal/internal/agg"
+	"fractal/internal/graph"
+	"fractal/internal/metrics"
+	"fractal/internal/rpc"
+	"fractal/internal/step"
+	"fractal/internal/subgraph"
+	"fractal/internal/workload"
+)
+
+// The step tail (DESIGN §9): what happens between "the cores are idle" and
+// "the result is committed". The tests play one side of it against the other
+// — a runtime's workers sit idle, so a test sends what a worker would and
+// calls the master's collectAggregations itself — and the benchmark times
+// both sides on the repository benchmark's heaviest tail.
+
+type supports = agg.Aggregation[string, *agg.DomainSupport]
+
+func newSupports() *supports {
+	return agg.New[string, *agg.DomainSupport](agg.ReduceDomainSupport).
+		WithFilter(func(_ string, v *agg.DomainSupport) bool { return v.HasEnoughSupport() })
+}
+
+// supportStep is a one-step workflow aggregating into spec.
+func supportStep(t testing.TB, spec *step.AggSpec) *step.Step {
+	t.Helper()
+	steps, err := step.Split(step.Workflow{step.ExtendP(), step.AggregateP(spec)}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return steps[0]
+}
+
+// tailRun is attempt 0 of step 0 of job 1 over the runtime's workers, none
+// of which has been told about it.
+func tailRun(rt *Runtime) *jobRun {
+	return &jobRun{job: 1, parts: rt.allWorkerIDs(), env: agg.NewRegistry(), blocks: map[int]metrics.Snapshot{}}
+}
+
+// sendAs sends the master a step-tail message the way worker id would.
+func sendAs(t testing.TB, rt *Runtime, id int, kind uint8, m message) {
+	t.Helper()
+	if err := rt.workers[id].tr.Send(rpc.Master, rpc.Envelope{Kind: kind, Body: encode(m)}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// supportFrames folds n one-vertex supports, all frequent, into frames: three
+// of them for n = 3000.
+func supportFrames(t testing.TB, n int) [][]byte {
+	t.Helper()
+	a := newSupports()
+	for i := 0; i < n; i++ {
+		a.Add(fmt.Sprintf("key-%04d-%s", i, strings.Repeat("x", 40)),
+			agg.NewDomainSupport(nil, 1, []graph.VertexID{graph.VertexID(i)}, []int{0}))
+	}
+	var frames [][]byte
+	err := a.FoldToFrames([]agg.Store{a}, nil, func(f []byte) error {
+		frames = append(frames, append([]byte(nil), f...))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frames
+}
+
+func tailRuntime(t testing.TB, cfg Config) *Runtime {
+	t.Helper()
+	rt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	return rt
+}
+
+// TestUnknownAggregationFailsTheStep: a frame for an aggregation the step
+// does not have means the two ends disagree about the step. It used to be
+// skipped uncounted, so received never reached Sent and the step sat out
+// WorkerTimeout to blame a worker that was alive.
+func TestUnknownAggregationFailsTheStep(t *testing.T) {
+	rt := tailRuntime(t, Config{Workers: 1, CoresPerWorker: 1, WorkerTimeout: time.Minute})
+	run, s := tailRun(rt), supportStep(t, &step.AggSpec{Name: "support", Proto: newSupports()})
+	sendAs(t, rt, 0, kAggData, aggDataMsg{Job: 1, Name: "suport", Data: supportFrames(t, 1)[0]})
+	sendAs(t, rt, 0, kAggDone, aggDoneMsg{Job: 1, Sent: 1})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	err := rt.collectAggregations(ctx, run, 0, s)
+	var aggErr *AggregationError
+	if !errors.As(err, &aggErr) || aggErr.Worker != 0 || !strings.Contains(err.Error(), `unknown aggregation "suport"`) {
+		t.Fatalf("collectAggregations = %v, want an AggregationError of worker 0 naming the aggregation", err)
+	}
+	if names := run.env.Names(); len(names) != 0 {
+		t.Errorf("committed %v", names)
+	}
+}
+
+// TestCancelledTailCommitsNothing cancels the run at the two places a tail
+// can be between two frames: while the master still waits for the second,
+// and while its fold steps from the first to the second.
+func TestCancelledTailCommitsNothing(t *testing.T) {
+	frames := supportFrames(t, 3000)
+	if len(frames) < 2 {
+		t.Fatalf("%d frames, want several", len(frames))
+	}
+	t.Run("receiving", func(t *testing.T) {
+		rt := tailRuntime(t, Config{Workers: 1, CoresPerWorker: 1, WorkerTimeout: time.Minute})
+		run, s := tailRun(rt), supportStep(t, &step.AggSpec{Name: "support", Proto: newSupports()})
+		sendAs(t, rt, 0, kAggData, aggDataMsg{Job: 1, Name: "support", Data: frames[0]})
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if err := rt.collectAggregations(ctx, run, 0, s); !errors.Is(err, context.Canceled) {
+			t.Fatalf("collectAggregations = %v, want context.Canceled", err)
+		}
+		if names := run.env.Names(); len(names) != 0 {
+			t.Errorf("committed %v", names)
+		}
+	})
+	t.Run("folding", func(t *testing.T) {
+		rt := tailRuntime(t, Config{Workers: 1, CoresPerWorker: 1, WorkerTimeout: time.Minute})
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		// The filter sees the first frame's first entry and cancels: the fold
+		// must notice at the next frame boundary at the latest.
+		seen := 0
+		proto := agg.New[string, *agg.DomainSupport](agg.ReduceDomainSupport).
+			WithFilter(func(string, *agg.DomainSupport) bool { seen++; cancel(); return true })
+		run, s := tailRun(rt), supportStep(t, &step.AggSpec{Name: "support", Proto: proto})
+		for _, f := range frames {
+			sendAs(t, rt, 0, kAggData, aggDataMsg{Job: 1, Name: "support", Data: f})
+		}
+		sendAs(t, rt, 0, kAggDone, aggDoneMsg{Job: 1, Sent: len(frames)})
+		if err := rt.collectAggregations(ctx, run, 0, s); !errors.Is(err, context.Canceled) {
+			t.Fatalf("collectAggregations = %v, want context.Canceled", err)
+		}
+		if names := run.env.Names(); len(names) != 0 {
+			t.Errorf("committed %v", names)
+		}
+		if seen == 0 || seen >= 3000 {
+			t.Errorf("the filter saw %d of 3000 entries, want the first frame's at most", seen)
+		}
+	})
+}
+
+// TestFramesOutOfOrderAreACorruptPartial: frames are folded in arrival order,
+// which the transport keeps per sender; a sequence that arrives otherwise is
+// refused whole, as a typed error, not folded in some other order.
+func TestFramesOutOfOrderAreACorruptPartial(t *testing.T) {
+	frames := supportFrames(t, 3000)
+	rt := tailRuntime(t, Config{Workers: 1, CoresPerWorker: 1, WorkerTimeout: time.Minute})
+	run, s := tailRun(rt), supportStep(t, &step.AggSpec{Name: "support", Proto: newSupports()})
+	for _, i := range []int{1, 0, 2} {
+		sendAs(t, rt, 0, kAggData, aggDataMsg{Job: 1, Name: "support", Data: frames[i]})
+	}
+	sendAs(t, rt, 0, kAggDone, aggDoneMsg{Job: 1, Sent: 3})
+	err := rt.collectAggregations(context.Background(), run, 0, s)
+	var aggErr *AggregationError
+	if !errors.As(err, &aggErr) || !strings.Contains(err.Error(), "out of order") {
+		t.Fatalf("collectAggregations = %v, want an AggregationError naming the key out of order", err)
+	}
+	if names := run.env.Names(); len(names) != 0 {
+		t.Errorf("committed %v", names)
+	}
+}
+
+// fsmLevel3 holds what the benchmark's fsm_ml job has at the end of its third
+// level, when the cores go idle: the step, and each core's partial (encoded,
+// so that every use starts from fresh stores).
+type fsmLevel3 struct {
+	step  *step.Step
+	spec  *step.AggSpec
+	cores [][]byte
+}
+
+var (
+	fsmLevel3Once sync.Once
+	fsmLevel3Data *fsmLevel3
+	fsmLevel3Err  error
+)
+
+// fsmLevel3Partials mines the fsm_ml analog (4500 vertices, 37 skewed labels,
+// support 50) the way apps.FSM does — one job per level, each filtered by the
+// levels before it — on one worker with two cores, and keeps level 3's
+// per-core partials instead of letting the tail fold them.
+func fsmLevel3Partials(t testing.TB) *fsmLevel3 {
+	t.Helper()
+	fsmLevel3Once.Do(func() { fsmLevel3Data, fsmLevel3Err = mineLevel3() })
+	if fsmLevel3Err != nil {
+		t.Fatal(fsmLevel3Err)
+	}
+	return fsmLevel3Data
+}
+
+func mineLevel3() (*fsmLevel3, error) {
+	const minSupport, levels = 50, 3
+	g := workload.SkewLabels(workload.BarabasiAlbert("ba_ml", 4500, 2, 37, 1), 37, 2)
+	rt, err := New(Config{Workers: 1, CoresPerWorker: 2})
+	if err != nil {
+		return nil, err
+	}
+	defer rt.Close()
+	name := func(level int) string { return fmt.Sprintf("support%d", level) }
+	emit := func(e *subgraph.Embedding, local agg.Store) {
+		cl := e.Class()
+		local.(*supports).Add(cl.Code, agg.ScratchDomainSupport(cl.Rep, minSupport, e.Vertices(), cl.Perm))
+	}
+	// Level 3 emits into a store of the test's, one per core: the core is
+	// told apart by the store the runtime hands it.
+	var mu sync.Mutex
+	kept := map[agg.Store]*supports{}
+	keep := func(e *subgraph.Embedding, local agg.Store) {
+		mu.Lock()
+		mine := kept[local]
+		if mine == nil {
+			mine = newSupports()
+			kept[local] = mine
+		}
+		mu.Unlock()
+		emit(e, mine)
+	}
+	env := agg.NewRegistry()
+	out := &fsmLevel3{}
+	for level := 1; level <= levels; level++ {
+		w := step.Workflow{step.ExtendP()}
+		for l := 1; l < level; l++ {
+			w = append(w, step.AggFilterP(name(l), func(e *subgraph.Embedding, s agg.Store) bool {
+				return s.(*supports).Contains(e.Class().Code)
+			}), step.ExtendP())
+		}
+		spec := &step.AggSpec{Name: name(level), Proto: newSupports(), Emit: emit}
+		if level == levels {
+			spec.Emit = keep
+			out.spec = spec
+		}
+		w = append(w, step.AggregateP(spec))
+		if _, err := rt.Run(context.Background(), Job{Graph: g, Kind: subgraph.EdgeInduced, Workflow: w, Env: env}); err != nil {
+			return nil, err
+		}
+	}
+	steps, err := step.Split(step.Workflow{step.ExtendP(), step.AggregateP(out.spec)}, nil)
+	if err != nil {
+		return nil, err
+	}
+	out.step = steps[0]
+	for _, s := range kept {
+		data, err := s.Encode()
+		if err != nil {
+			return nil, err
+		}
+		out.cores = append(out.cores, data)
+	}
+	if len(out.cores) != 2 {
+		return nil, fmt.Errorf("level 3 ran on %d cores, want 2", len(out.cores))
+	}
+	return out, nil
+}
+
+// stores decodes the per-core partials into fresh stores.
+func (f *fsmLevel3) stores(t testing.TB) []agg.Store {
+	t.Helper()
+	out := make([]agg.Store, len(f.cores))
+	for i, data := range f.cores {
+		out[i] = f.spec.Proto.NewEmpty()
+		if err := out[i].DecodeAndMerge(data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+func totalAlloc() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
+}
+
+// TestFoldKeepsSurvivorsOnly runs both folds on the fsm_ml analog's level-3
+// partials — 3 262 candidate patterns, of which 98 have enough support (the
+// benchmark's renumbering of the same graph makes that 3 257 and 99) — next
+// to the tail they replaced, which the library still has, and holds them to
+// what they are for: the master stores the survivors only, the cores are
+// empty afterwards, and neither end allocates more than it used to.
+// Measured here (go1.24, payload P = 0.55 MB in 9 frames):
+//
+//	worker  FoldToFrames  3.6 P   MergeTree + Encode            7.5 P
+//	master  FoldFrames    4.8 P   DecodeAndMerge + ApplyFilter  5.1 P
+//
+// Both multiples are the decoded form of a vertex domain — 4 bytes an id
+// against 1.1 on the wire: the worker's is the scratch of the unions of two
+// cores' domains (a one-core worker allocates its key slice and the frame
+// buffer), the master's the domains it decodes. What the fold changes
+// is how much of that is live at once — one key, not a store per sender and
+// their union — and that shows in the benchmark's peak RSS, not in this
+// counter.
+func TestFoldKeepsSurvivorsOnly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("mines three levels of the fsm_ml analog")
+	}
+	f := fsmLevel3Partials(t)
+	proto := f.spec.Proto
+
+	parts := f.stores(t)
+	var frames [][]byte
+	payload := 0
+	before := totalAlloc()
+	err := proto.FoldToFrames(parts, nil, func(frame []byte) error {
+		frames = append(frames, append([]byte(nil), frame...))
+		payload += len(frame)
+		return nil
+	})
+	worker := totalAlloc() - before - uint64(payload) // less the test's own copies
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range parts {
+		if p.Len() != 0 {
+			t.Errorf("core %d still holds %d entries after the fold", i, p.Len())
+		}
+	}
+	before = totalAlloc()
+	folded, err := proto.FoldFrames([][][]byte{frames}, nil)
+	master := totalAlloc() - before
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The tail as it was, on the same partials.
+	parts = f.stores(t)
+	before = totalAlloc()
+	merged, err := agg.MergeTree(parts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shipped, err := merged.Encode()
+	oldWorker := totalAlloc() - before
+	if err != nil {
+		t.Fatal(err)
+	}
+	candidates := merged.Len()
+	before = totalAlloc()
+	committed := proto.NewEmpty()
+	if err := committed.DecodeAndMerge(shipped); err != nil {
+		t.Fatal(err)
+	}
+	committed.ApplyFilter()
+	oldMaster := totalAlloc() - before
+
+	t.Logf("%d candidates in %d frames, %d bytes; %d survive", candidates, len(frames), payload, folded.Len())
+	t.Logf("bytes allocated: worker fold %d (MergeTree + Encode: %d), master fold %d (decode + filter: %d)",
+		worker, oldWorker, master, oldMaster)
+	want, _ := committed.Encode()
+	got, _ := folded.Encode()
+	if candidates != 3262 || folded.Len() != 98 || string(got) != string(want) {
+		t.Errorf("%d candidates, %d survivors (old tail: %d): want 3262 and 98, byte for byte", candidates, folded.Len(), committed.Len())
+	}
+	if len(frames) != (len(shipped)+agg.FrameLimit-1)/agg.FrameLimit {
+		t.Errorf("%d bytes left in %d frames, want one per %d", payload, len(frames), agg.FrameLimit)
+	}
+	if worker > oldWorker || master > oldMaster {
+		t.Errorf("the folds allocate more than the tail they replace")
+	}
+}
+
+// BenchmarkStepTail is `make bench-agg`'s end-to-end row: from "the cores of
+// the fsm_ml analog's level 3 are idle" to "support3 is committed", through
+// the workers' routers and a real transport — one worker with two cores on
+// the loopback, and two one-core workers over TCP like fsm_ml_dist. B/op and
+// allocs/op cover both ends; frames is the aggData messages of one tail.
+func BenchmarkStepTail(b *testing.B) {
+	f := fsmLevel3Partials(b)
+	for _, cfg := range []Config{
+		{Workers: 1, CoresPerWorker: 2},
+		{Workers: 2, CoresPerWorker: 1, UseTCP: true},
+	} {
+		name := fmt.Sprintf("loopback-%dx%d", cfg.Workers, cfg.CoresPerWorker)
+		if cfg.UseTCP {
+			name = fmt.Sprintf("tcp-%dx%d", cfg.Workers, cfg.CoresPerWorker)
+		}
+		b.Run(name, func(b *testing.B) {
+			rt := tailRuntime(b, cfg)
+			end := encode(stepEndMsg{Job: 1})
+			frames := int64(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				// Hand every worker its cores' partials as a step that has
+				// just gone idle.
+				parts := f.stores(b)
+				for _, w := range rt.workers {
+					st := &stepCtx{job: 1, s: f.step, doneCh: make(chan struct{})}
+					for range w.cores {
+						st.localAggs = append(st.localAggs, map[string]agg.Store{f.spec.Name: parts[0]})
+						parts = parts[1:]
+					}
+					w.mu.Lock()
+					w.cur = st
+					w.mu.Unlock()
+				}
+				run := tailRun(rt)
+				before := rt.master.Stats().MsgsRecv
+				runtime.GC()
+				b.StartTimer()
+				for _, wid := range run.parts {
+					if err := rt.master.Send(rpc.NodeID(wid), rpc.Envelope{Kind: kStepEnd, Body: end}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := rt.collectAggregations(context.Background(), run, 0, f.step); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				frames += rt.master.Stats().MsgsRecv - before - int64(len(run.parts)) // less the aggDones
+				if s, _ := run.env.Get(f.spec.Name); s == nil || s.Len() != 98 {
+					b.Fatalf("committed %v, want 98 frequent patterns", s)
+				}
+				b.StartTimer()
+			}
+			b.ReportMetric(float64(frames)/float64(b.N), "frames")
+		})
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"fractal/internal/rpc"
 	"fractal/internal/step"
 	"fractal/internal/subgraph"
+	"fractal/internal/wire"
 )
 
 // stepCtx is the per-step execution context shared by a worker's cores.
@@ -404,19 +405,19 @@ func (w *worker) counters() metrics.Snapshot {
 	return sum
 }
 
-// endStep stops the cores, merges the per-core aggregation partials, and
-// ships them to the master. A partial that cannot be merged, encoded, or
-// shipped is reported in the done message's error list — never silently
-// skipped, which would commit a wrong (partially merged) or missing
-// aggregation with no indication.
+// endStep stops the cores, folds the per-core aggregation partials into
+// frames, and ships each frame to the master as it closes. A partial that
+// cannot be folded, encoded, or shipped is reported in the done message's
+// error list — never silently skipped, which would commit a wrong (partially
+// folded) or missing aggregation with no indication.
 //
-// The per-core fold is a parallel pairwise tree (agg.MergeTree): c partials
-// reach one store in ceil(log2 c) rounds of concurrent merges instead of a
-// sequential c-1 fold, so the post-quiescence step tail — which for
-// aggregation-heavy workloads is where the wall time moved once enumeration
-// stopped allocating — shrinks with core count instead of growing. Merge and
-// encode wall time, and the encoded bytes shipped, join the cores' summed
-// counters, and the done message carries the block to the master.
+// The fold is the step tail's one primitive (agg.Store.FoldToFrames, DESIGN
+// §9): the cores' stores are walked together in key order, a key's values
+// are reduced and encoded, and the cores' entries are dropped as they go, so
+// the worker never holds a merged store or a payload-sized buffer — one
+// frame, whatever the payload. Fold wall time and the frame bytes shipped
+// join the cores' summed counters, and the done message carries the block to
+// the master.
 func (w *worker) endStep(m stepEndMsg) {
 	st := w.current()
 	if !stepMatches(st, m.Job, m.Step, m.Attempt) {
@@ -437,31 +438,24 @@ func (w *worker) endStep(m stepEndMsg) {
 		for i := range w.cores {
 			partials[i] = st.localAggs[i][sp.Name]
 		}
-		merged, stepErr := agg.MergeTree(partials, st.aborted)
-		if stepErr != nil {
-			stepErr = fmt.Errorf("merging core partials of %q: %w", sp.Name, stepErr)
-		} else if merged == nil {
-			merged = sp.Proto.NewEmpty()
-		}
-		var data []byte
-		if stepErr == nil {
-			var err error
-			if data, err = merged.Encode(); err != nil {
-				stepErr = fmt.Errorf("encoding %q: %w", sp.Name, err)
+		msg := aggDataMsg{Job: st.job, Step: st.index, Attempt: st.attempt, Worker: w.id, Name: sp.Name}
+		err := sp.Proto.FoldToFrames(partials, st.aborted, func(frame []byte) error {
+			// The frame buffer is the fold's; the message body, made at its
+			// final size, is the one copy a frame gets on its way to the
+			// socket or the mailbox.
+			msg.Data = frame
+			body := wire.Writer{B: make([]byte, 0, len(frame)+len(sp.Name)+64)}
+			msg.put(&body)
+			if err := w.tr.Send(rpc.Master, rpc.Envelope{Kind: kAggData, Body: body.B}); err != nil {
+				return fmt.Errorf("shipping a frame: %w", err)
 			}
+			ctr.AggShippedBytes += int64(len(frame))
+			sent++
+			return nil
+		})
+		if err != nil {
+			errs = append(errs, fmt.Sprintf("folding core partials of %q: %v", sp.Name, err))
 		}
-		if stepErr == nil {
-			msg := aggDataMsg{Job: st.job, Step: st.index, Attempt: st.attempt, Worker: w.id, Name: sp.Name, Data: data}
-			if err := w.tr.Send(rpc.Master, rpc.Envelope{Kind: kAggData, Body: encode(msg)}); err != nil {
-				stepErr = fmt.Errorf("shipping %q: %w", sp.Name, err)
-			}
-		}
-		if stepErr != nil {
-			errs = append(errs, stepErr.Error())
-			continue
-		}
-		ctr.AggShippedBytes += int64(len(data))
-		sent++
 	}
 	ctr.AggMergeTimeNs = int64(time.Since(mergeStart))
 	done := aggDoneMsg{Job: st.job, Step: st.index, Attempt: st.attempt, Worker: w.id, Sent: sent, Errs: errs, Counters: ctr}

@@ -62,7 +62,7 @@ type Reader struct {
 }
 
 // NewReader returns a reader over data; decoded strings and byte slices are
-// copies, so data may be reused afterwards.
+// copies, so data may be reused afterwards (View is the one exception).
 func NewReader(data []byte) *Reader { return &Reader{data: data} }
 
 // Failf records a failure at the current offset unless one is already
@@ -150,3 +150,14 @@ func (r *Reader) Str() string { return string(r.take()) }
 
 // Bytes returns a copy (nil when empty).
 func (r *Reader) Bytes() []byte { return append([]byte(nil), r.take()...) }
+
+// View is Bytes without the copy: the result aliases the reader's input
+// (capacity clipped to the field) and is valid, read-only, for as long as
+// that is.
+func (r *Reader) View() []byte {
+	p := r.take()
+	if len(p) == 0 {
+		return nil
+	}
+	return p[:len(p):len(p)]
+}

@@ -52,6 +52,29 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestViewAliasesInput: View is Bytes without the copy, and an append to the
+// result cannot write into the field behind it.
+func TestViewAliasesInput(t *testing.T) {
+	var w Writer
+	w.Bytes([]byte{7, 8, 9})
+	w.Bytes(nil)
+	w.Byte(42)
+	r := NewReader(w.B)
+	v := r.View()
+	if !bytes.Equal(v, []byte{7, 8, 9}) || &v[0] != &w.B[1] || cap(v) != 3 {
+		t.Errorf("View = %v (cap %d), want the input's own bytes 1..3, clipped", v, cap(v))
+	}
+	if e := r.View(); e != nil {
+		t.Errorf("empty View = %v, want nil", e)
+	}
+	if r.Byte() != 42 || r.Done() != nil {
+		t.Errorf("View left the reader at offset %d: %v", r.Offset(), r.Err())
+	}
+	if v := NewReader([]byte{5, 1}).View(); v != nil {
+		t.Errorf("View past the input = %v", v)
+	}
+}
+
 // TestFirstFailureIsSticky: after the first failure every read returns a
 // zero value and the error keeps the first reason and offset.
 func TestFirstFailureIsSticky(t *testing.T) {

@@ -51,6 +51,22 @@ if [ "$(cat $(ls internal/graph/*.go | grep -v _test.go) | grep -c 'make(\[\]Edg
     echo "internal/graph allocates a transient 2|E| edge-id array next to adjE again" >&2
     exit 1
 fi
+# A step's partials leave it as a stream: the worker folds its cores' stores
+# into frames and the master folds the frames (agg.Store.FoldToFrames and
+# FoldFrames). Merging partials into a store, or decoding one into a store, is
+# the tail PR 19 removed; the job environment, which is shipped whole, is the
+# one thing internal/sched still decodes (spec.go, remote.go).
+if grep -nE 'agg\.MergeTree\(|\.DecodeAndMerge\(' $(ls internal/sched/*.go | grep -v -e _test.go -e /spec.go -e /remote.go); then
+    echo "internal/sched builds a store from step partials again" >&2
+    exit 1
+fi
+# Observability is free when off: -pprof writes files through runtime/pprof.
+# net/http (with net/http/pprof and expvar behind it) was half the binary and
+# 2.6 MB of every job's resident set before main had parsed a flag.
+if go list -deps ./cmd/fractal ./cmd/fractal-worker | grep -x 'net/http'; then
+    echo "cmd/fractal or cmd/fractal-worker links net/http again" >&2
+    exit 1
+fi
 go vet ./...
 go build ./...
 go test ./...

@@ -8,7 +8,10 @@
 //	fractal-worker -master <host:port> [-listen <addr>] [-cores <n>]
 //
 // The master dictates the execution configuration (cores per worker, work
-// stealing, timeouts) in its registration reply; -cores is advisory. Job
+// stealing, timeouts) in its registration reply; -cores is advisory. It does
+// size the process's own Go runtime: GOMAXPROCS is set to -cores unless the
+// environment sets it, so several workers on one machine do not each bring a
+// runtime as wide as the machine. Job
 // specs name graphs by path, so the graph files must be readable at the
 // same paths on this machine. A ".fgr" graph (see `fractal -convert`) is
 // memory-mapped rather than parsed, so worker processes sharing a machine
@@ -21,6 +24,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 
 	"fractal"
@@ -43,6 +47,9 @@ func main() {
 	if *cores < 0 {
 		fmt.Fprintf(os.Stderr, "fractal-worker: -cores must not be negative, got %d\n", *cores)
 		os.Exit(2)
+	}
+	if *cores > 0 && os.Getenv("GOMAXPROCS") == "" {
+		runtime.GOMAXPROCS(*cores)
 	}
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()

@@ -151,6 +151,9 @@ func main() {
 	if *retries < 0 {
 		fatal(fmt.Errorf("-retries must not be negative, got %d", *retries))
 	}
+	if *maxEdges < 1 || *maxEdges > apps.MaxFSMEdges {
+		fatal(fmt.Errorf("-maxedges must be in [1, %d], got %d", apps.MaxFSMEdges, *maxEdges))
+	}
 	if *minWorkers < 0 {
 		fatal(fmt.Errorf("-min-workers must not be negative, got %d", *minWorkers))
 	}

@@ -78,6 +78,8 @@ func TestCLI(t *testing.T) {
 		{"cliques canon", []string{"-app", "cliques", "-engine", "canon"}, 1, "-engine canon does not apply to -app cliques"},
 		{"query canon", []string{"-app", "query", "-engine", "canon"}, 1, "-engine canon does not apply to -app query"},
 		{"fsm plan", []string{"-app", "fsm", "-engine", "plan"}, 1, "-engine plan does not apply to -app fsm"},
+		{"fsm negative maxedges", []string{"-app", "fsm", "-support", "1", "-maxedges", "-4"}, 1, "-maxedges must be in [1, 31], got -4"},
+		{"fsm maxedges past a pattern", []string{"-app", "fsm", "-support", "1", "-maxedges", "32"}, 1, "-maxedges must be in [1, 31], got 32"},
 		{"query decomp no rule", []string{"-app", "query", "-pattern", "square", "-engine", "decomp"}, 1, "decomposition"},
 
 		{"listen decomp", append([]string{"-app", "motifs", "-engine", "decomp"}, listen...), 1, "-engine decomp runs in-process only"},

@@ -59,6 +59,11 @@ type Subgraph = subgraph.Embedding
 // aggregation keys).
 type Pattern = pattern.Pattern
 
+// PatternClass is an isomorphism class of patterns as Subgraph.Class and the
+// class filters (FilterAggClass) hand it out: Code is the class's aggregation
+// key, Rep its one shared representative pattern.
+type PatternClass = pattern.Class
+
 // Plan is a compiled pattern-matching plan: a cost-model-selected vertex
 // order with per-level backward constraints and Grochow–Kellis
 // symmetry-breaking restrictions, so every automorphism class of embeddings
@@ -563,7 +568,9 @@ func (fg *Graph) Stats() graph.Stats { return fg.g.Stats() }
 // string (a valid aggregation key) and the canonical position of every
 // embedding vertex. It is the hot-path call: the embedding's per-core class
 // memo (Subgraph.Class) answers it without building a Pattern, and runs the
-// canonical-labelling search once per distinct quick pattern.
+// canonical-labelling search once per distinct quick pattern. Perm is the
+// memo's own storage, valid until e is extended or reverted: copy it to keep
+// it past the callback.
 func (c *Context) PatternOf(e *Subgraph) pattern.Canon { return e.Class().Canon }
 
 // PatternCanon canonicalizes an explicit pattern. It runs the labelling

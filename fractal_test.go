@@ -84,6 +84,37 @@ func TestExploreCliques(t *testing.T) {
 	}
 }
 
+// TestClassFiltersBeyondTheVerdictBits: a class filter's verdict lives in one
+// of 32 bits of a memo entry, so the 33rd filter of a workflow — composed
+// directly or by Explore — is a composition error, not a filter that passes
+// everything.
+func TestClassFiltersBeyondTheVerdictBits(t *testing.T) {
+	ctx := testContext(t)
+	g := ctx.FromGraph(k4Graph())
+	pass := func(*PatternClass, *agg.Aggregation[string, int64]) bool { return true }
+	f := Aggregate(g.EFractoid().Expand(1), "a", func(*Subgraph) string { return "" }, func(*Subgraph) int64 { return 1 }, agg.SumInt64, nil)
+	for i := 0; i < 32; i++ {
+		f = FilterAggClass(f, "a", pass)
+	}
+	if f.Err() != nil {
+		t.Fatalf("32 class filters: %v", f.Err())
+	}
+	if n, _, err := f.CountCtx(bg); err != nil || n != 7 {
+		t.Errorf("32 passing class filters over the graph's edges: %d, %v, want 7", n, err)
+	}
+	if over := FilterAggClass(f, "a", pass); over.Err() == nil {
+		t.Error("a 33rd class filter accepted")
+	} else if _, err := over.Job(); err == nil {
+		t.Error("a fractoid with 33 class filters exports a job")
+	}
+	if FilterAggClass(f.Explore(1), "a", pass).Err() == nil || FilterAggClass(g.EFractoid().Expand(1), "a", pass).Explore(33).Err() == nil {
+		t.Error("Explore composed more than 32 class filters unnoticed")
+	}
+	if FilterAggSubPatterns[int64](g.VFractoid().Expand(2), "a").Err() == nil {
+		t.Error("sub-pattern pruning accepted on a vertex-induced fractoid")
+	}
+}
+
 func TestMotifsAggregation(t *testing.T) {
 	ctx := testContext(t)
 	g := ctx.FromGraph(k4Graph())

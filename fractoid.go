@@ -29,6 +29,9 @@ type Fractoid struct {
 func (f *Fractoid) derive(extra ...step.Primitive) *Fractoid {
 	nf := *f
 	nf.wf = append(append(step.Workflow{}, f.wf...), extra...)
+	if nf.err == nil {
+		nf.err = nf.wf.CheckClassFilters()
+	}
 	return &nf
 }
 
@@ -129,6 +132,50 @@ func FilterAgg[K comparable, V any](f *Fractoid, name string,
 	return f.derive(step.AggFilterP(name, func(e *subgraph.Embedding, s agg.Store) bool {
 		a, ok := s.(*agg.Aggregation[K, V])
 		return ok && pred(e, a)
+	}))
+}
+
+// FilterAggClass is FilterAgg for a predicate that depends only on the
+// subgraph's pattern class (Subgraph.Class) and the aggregation: pred sees
+// the class's process-wide entry — Code and Rep; Perm belongs to a numbering
+// and is nil there — and runs once per class per core instead of once per
+// subgraph. The verdict is kept in the embedding's class memo, which is
+// sound because a step never writes the environment it reads (Section 4.1):
+// the aggregation pred sees is the same for every subgraph of the step. pred
+// must be a pure function of its arguments. A workflow holds at most 32
+// class filters; one more sets Err.
+func FilterAggClass[K comparable, V any](f *Fractoid, name string,
+	pred func(*PatternClass, *agg.Aggregation[K, V]) bool) *Fractoid {
+	return f.derive(step.ClassFilterP(name, func(cl *pattern.Class, s agg.Store, _ *pattern.Labeller) bool {
+		a, ok := s.(*agg.Aggregation[K, V])
+		return ok && pred(cl, a)
+	}))
+}
+
+// FilterAggSubPatterns appends the level-wise pruning filter of an
+// edge-induced fractoid mining under an anti-monotone aggregation keyed by
+// pattern code: a subgraph of L edges passes only if every connected
+// sub-pattern of its class with L-1 edges (Pattern.SubPatterns) is a key of
+// the aggregation named name, which must hold the previous level's result.
+// A class with fewer pattern edges than its subgraphs have edges — parallel
+// edges of a multigraph fold into one pattern edge — passes unasked: its
+// sub-patterns are not what the previous level aggregated. It is a class
+// filter (FilterAggClass): the sub-patterns are labelled once per class per
+// core, and the searches count as canonical-labelling calls in the report.
+func FilterAggSubPatterns[V any](f *Fractoid, name string) *Fractoid {
+	if f.kind != subgraph.EdgeInduced {
+		nf := *f
+		nf.err = fmt.Errorf("fractal: FilterAggSubPatterns requires an edge-induced fractoid, got %s", f.kind)
+		return &nf
+	}
+	edges := f.wf.NumExtensions()
+	return f.derive(step.ClassFilterP(name, func(cl *pattern.Class, s agg.Store, lab *pattern.Labeller) bool {
+		a, ok := s.(*agg.Aggregation[string, V])
+		if !ok {
+			return false
+		}
+		return cl.Rep.NumEdges() < edges ||
+			lab.EverySubClass(cl.Rep, func(sub *pattern.Class) bool { return a.Contains(sub.Code) })
 	}))
 }
 

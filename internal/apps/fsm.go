@@ -8,6 +8,7 @@ import (
 	"fractal"
 	"fractal/internal/agg"
 	"fractal/internal/graph"
+	"fractal/internal/pattern"
 	"fractal/internal/sched"
 	"fractal/internal/subgraph"
 )
@@ -26,11 +27,23 @@ type FSMResult struct {
 	Last *fractal.Result
 }
 
+// MaxFSMEdges is the largest FSMOptions.MaxEdges: an embedding of that many
+// edges can span one more vertex, a pattern's limit.
+const MaxFSMEdges = pattern.MaxVertices - 1
+
+// MaxEdgesError reports an FSMOptions.MaxEdges outside [0, MaxFSMEdges].
+type MaxEdgesError struct{ Got int }
+
+func (e *MaxEdgesError) Error() string {
+	return fmt.Sprintf("apps: fsm mines patterns of 1 to %d edges, got MaxEdges=%d", MaxFSMEdges, e.Got)
+}
+
 // FSMOptions tunes the FSM kernel.
 type FSMOptions struct {
 	// MaxEdges bounds the size of mined patterns (the paper's executions
 	// are support-bounded; a bound keeps benchmark runs finite when the
-	// support threshold is permissive).
+	// support threshold is permissive). 0 means the default, 3; a negative
+	// value or one above MaxFSMEdges fails FSM with a *MaxEdgesError.
 	MaxEdges int
 	// GraphReduction enables the transparent Section 4.3 optimization:
 	// after the bootstrap level, the input graph is reduced to the edges
@@ -42,10 +55,12 @@ type FSMOptions struct {
 
 // fsmBuilder is one level of the frequent subgraph mining loop (Listing 3 of
 // the paper). Args: "support" (the MNI threshold) and "level" (how many
-// edges the mined patterns have). A level-L job is a from-scratch pipeline:
-// expand, filter by every earlier level's support aggregation — environment
-// entries named support1..support(L-1), threaded between jobs by FSM and
-// shipped to worker processes over the wire — expand, …, aggregate supportL.
+// edges the mined patterns have). A level-L job is a from-scratch pipeline
+// (fsmCandidates): expand, filter by every earlier level's support
+// aggregation — environment entries named support1..support(L-1), threaded
+// between jobs by FSM and shipped to worker processes over the wire — expand,
+// …, refuse the classes with a sub-pattern outside support(L-1), aggregate
+// supportL.
 // Each level's support lives in its own environment entry because the
 // engine reuses — never recomputes — environment aggregations (Section 4.1).
 type fsmBuilder struct{}
@@ -77,15 +92,7 @@ func (fsmBuilder) Build(spec fractal.JobSpec, g *graph.Graph, _ *agg.Registry) (
 		return sched.Job{}, fmt.Errorf("apps: fsm requires level >= 1 and support >= 1, got level=%d support=%d", level, support)
 	}
 	minSupport := int64(support)
-	f := fractal.NewBuildGraph(g).EFractoid().Expand(1)
-	for l := 1; l < level; l++ {
-		f = fractal.FilterAgg(f, fsmSupName(l),
-			func(e *fractal.Subgraph, a *agg.Aggregation[string, *agg.DomainSupport]) bool {
-				return a.Contains(e.Class().Code)
-			})
-		f = f.Expand(1)
-	}
-	return fractal.Aggregate(f, fsmSupName(level),
+	return fractal.Aggregate(fsmCandidates(fractal.NewBuildGraph(g), level), fsmSupName(level),
 		func(e *fractal.Subgraph) string { return e.Class().Code },
 		func(e *fractal.Subgraph) *agg.DomainSupport {
 			cl := e.Class()
@@ -95,13 +102,41 @@ func (fsmBuilder) Build(spec fractal.JobSpec, g *graph.Graph, _ *agg.Registry) (
 		func(k string, v *agg.DomainSupport) bool { return v.HasEnoughSupport() }).Job()
 }
 
+// fsmCandidates is a level's workflow up to its aggregation: the embeddings
+// with level edges whose every prefix is frequent and whose class has no
+// infrequent sub-pattern. Both decisions are per class: a class filter on
+// each earlier level's supports, and the level-wise pruning filter on the
+// last one's.
+func fsmCandidates(g *fractal.Graph, level int) *fractal.Fractoid {
+	f := g.EFractoid().Expand(1)
+	for l := 1; l < level; l++ {
+		f = fractal.FilterAggClass(f, fsmSupName(l),
+			func(cl *fractal.PatternClass, a *agg.Aggregation[string, *agg.DomainSupport]) bool {
+				return a.Contains(cl.Code)
+			})
+		f = f.Expand(1)
+	}
+	if level > 1 {
+		f = fractal.FilterAggSubPatterns[*agg.DomainSupport](f, fsmSupName(level-1))
+	}
+	return f
+}
+
 // FSM mines the frequent subgraph patterns of g under the minimum
 // image-based support threshold minSupport: one fsmBuilder job per level,
 // each level's environment (the accumulated support aggregations) threaded
 // into the next, until a level finds nothing frequent or MaxEdges is
-// reached.
+// reached. A level refuses a class with an infrequent sub-pattern before it
+// aggregates any of its embeddings (FilterAggSubPatterns), so what it reports
+// is the level-wise closure of Listing 3's result: a pattern is kept iff
+// Listing 3 keeps it and every connected sub-pattern of it with one edge
+// fewer was kept — under an anti-monotone support, Listing 3's result
+// itself.
 func FSM(ctx context.Context, fc *fractal.Context, g *fractal.Graph, minSupport int64, opts FSMOptions) (*FSMResult, error) {
-	if opts.MaxEdges <= 0 {
+	if opts.MaxEdges < 0 || opts.MaxEdges > MaxFSMEdges {
+		return nil, &MaxEdgesError{Got: opts.MaxEdges}
+	}
+	if opts.MaxEdges == 0 {
 		opts.MaxEdges = 3
 	}
 	if opts.GraphReduction {

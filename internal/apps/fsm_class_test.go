@@ -10,7 +10,9 @@ import (
 	"time"
 
 	"fractal"
+	"fractal/internal/agg"
 	"fractal/internal/graph"
+	"fractal/internal/metrics"
 	"fractal/internal/rpc"
 	"fractal/internal/sched"
 	"fractal/internal/workload"
@@ -143,12 +145,31 @@ func TestFSMMatchesPerEmbeddingOracle(t *testing.T) {
 	}
 }
 
-// TestFSMLabellingPaidPerClass runs the benchmark's fsm_ml analog and holds
-// the run report to the claim: canonical labelling runs at most once per
-// distinct quick pattern and core, quick patterns are a few percent of the
-// embeddings, and the job allocates a tenth of what labelling every
-// embedding did (733 MB at the parent commit, 57 % of it pattern builders).
-func TestFSMLabellingPaidPerClass(t *testing.T) {
+// fsmLevelKeys counts the classes a level's job aggregates — the keys of its
+// partials before the support filter — given the earlier levels' supports.
+func fsmLevelKeys(tb testing.TB, g *fractal.Graph, env *fractal.Aggregations, level int) int {
+	tb.Helper()
+	name := "keys" + fsmSupName(level) // the run leaves it in env: one name per level
+	f := fractal.Aggregate(fsmCandidates(g, level).WithAggregations(env), name,
+		func(e *fractal.Subgraph) string { return e.Class().Code },
+		func(*fractal.Subgraph) int64 { return 1 }, agg.SumInt64, nil)
+	keys, _, err := fractal.AggregationMapCtx[string, int64](bg, f, name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return len(keys)
+}
+
+// TestFSMDecidedPerClass runs the benchmark's fsm_ml analog and holds the
+// run report to the claims: canonical labelling runs once per distinct quick
+// pattern and core plus at most once per edge of a class for its
+// sub-patterns, quick patterns are a few percent of the embeddings, the
+// class filters turn classes and embeddings away (level 3 aggregates 212
+// classes to keep 98; it aggregated 3 257 when only the DFS prefix was
+// tested), and the job allocates a fiftieth of what labelling every
+// embedding did (733 MB before PR 16, 35.7 MB before the memo held its
+// entries by value and labelled on its own scratch).
+func TestFSMDecidedPerClass(t *testing.T) {
 	if testing.Short() {
 		t.Skip("one full fsm_ml-sized job")
 	}
@@ -161,30 +182,34 @@ func TestFSMLabellingPaidPerClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var subgraphs, quick, canon int64
+	var m metrics.Snapshot
 	for _, s := range res.Steps {
-		subgraphs += s.Metrics.Subgraphs
-		quick += s.Metrics.QuickPatterns
-		canon += s.Metrics.CanonCalls
+		m.Add(s.Metrics)
 	}
-	t.Logf("levels %v: %d subgraphs, %d quick patterns, %d canonical labellings, %d MB allocated",
-		res.PerLevel, subgraphs, quick, canon, (after.TotalAlloc-before.TotalAlloc)>>20)
-	if canon == 0 || canon > quick {
-		t.Errorf("%d canonical labellings for %d quick patterns: want one per memo miss, and some", canon, quick)
+	t.Logf("levels %v: %d subgraphs, %d quick patterns, %d canonical labellings, %d classes and %d subgraphs pruned, %d MB allocated",
+		res.PerLevel, m.Subgraphs, m.QuickPatterns, m.CanonCalls, m.ClassesPruned, m.SubgraphsPruned, (after.TotalAlloc-before.TotalAlloc)>>20)
+	if m.CanonCalls < m.QuickPatterns || m.CanonCalls > 2*m.QuickPatterns {
+		t.Errorf("%d canonical labellings for %d quick patterns: want one per memo miss and fewer than that again for sub-patterns", m.CanonCalls, m.QuickPatterns)
 	}
-	if quick*20 > subgraphs {
-		t.Errorf("%d quick patterns for %d subgraphs: want at most 5%%", quick, subgraphs)
+	if m.QuickPatterns*20 > m.Subgraphs {
+		t.Errorf("%d quick patterns for %d subgraphs: want at most 5%%", m.QuickPatterns, m.Subgraphs)
 	}
-	if canon*10 > subgraphs {
-		t.Errorf("%d canonical labellings for %d subgraphs: want at least 10x fewer", canon, subgraphs)
+	if m.ClassesPruned == 0 || m.SubgraphsPruned < 10*m.ClassesPruned {
+		t.Errorf("%d classes and %d subgraphs pruned: want classes refused, and tens of embeddings turned away per refusal", m.ClassesPruned, m.SubgraphsPruned)
 	}
-	if got := after.TotalAlloc - before.TotalAlloc; !raceEnabled && got > 733<<20/10 {
-		t.Errorf("job allocated %d MB, want at most a tenth of the parent's 733 MB", got>>20)
+	for level, want := range map[int]int{2: 119, 3: 212} {
+		if got := fsmLevelKeys(t, g, res.Last.Aggregations, level); got != want {
+			t.Errorf("level %d aggregates %d classes, want %d", level, got, want)
+		}
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; !raceEnabled && got > 733<<20/50 {
+		t.Errorf("job allocated %d MB, want at most a fiftieth of 733 MB", got>>20)
 	}
 }
 
 // BenchmarkFSM is `make bench-fsm`: FSM end to end on the fsm_ml analog,
-// in-process on two cores like the benchmark's workload.
+// in-process on two cores like the benchmark's workload. keys/level3 is the
+// number of classes level 3 aggregates before the support filter.
 func BenchmarkFSM(b *testing.B) {
 	ctx, err := fractal.NewContext(fractal.WithCores(2))
 	if err != nil {
@@ -192,15 +217,17 @@ func BenchmarkFSM(b *testing.B) {
 	}
 	defer ctx.Close()
 	g := ctx.FromGraph(fsmMLAnalog())
+	var res *FSMResult
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := FSM(bg, ctx, g, 50, FSMOptions{MaxEdges: 3})
-		if err != nil {
+		if res, err = FSM(bg, ctx, g, 50, FSMOptions{MaxEdges: 3}); err != nil {
 			b.Fatal(err)
 		}
 		if len(res.Frequent) == 0 {
 			b.Fatal("nothing frequent")
 		}
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(fsmLevelKeys(b, g, res.Last.Aggregations, 3)), "keys/level3")
 }

@@ -9,6 +9,7 @@ import (
 	"fractal"
 	"fractal/internal/agg"
 	"fractal/internal/graph"
+	"fractal/internal/pattern"
 )
 
 // Test-side reference engines. The suites in this package compare the
@@ -64,9 +65,21 @@ type fsmOracleLevel map[string][][]graph.VertexID
 // table — and folded under a mutex into hash-set domains (the seed
 // DomainSupport shape). Level l re-enumerates from scratch, keeping only
 // extensions of the earlier levels' frequent patterns: the anti-monotone
-// filter the pipeline's FilterAgg applies. It returns one entry per level,
+// filter the pipeline's prefix filters apply. It returns one entry per level,
 // up to and including the first that finds nothing frequent.
 func fsmOracle(t *testing.T, g *fractal.Graph, minSupport int64, maxEdges int) []fsmOracleLevel {
+	t.Helper()
+	return fsmOracleLevels(t, g, minSupport, maxEdges, false)
+}
+
+// fsmOracleLevels is fsmOracle, optionally closing each level before the
+// next one reads it (the level-wise closure FSM computes): a frequent
+// pattern with as many edges as its level is dropped when one of its
+// connected sub-patterns with one edge fewer is not in the closed level
+// before — decided after the fact, one Canonical() per sub-pattern, where
+// the pipeline decides per class before it aggregates. A pattern with fewer
+// edges than its level (parallel edges folded) is never dropped.
+func fsmOracleLevels(t *testing.T, g *fractal.Graph, minSupport int64, maxEdges int, closed bool) []fsmOracleLevel {
 	t.Helper()
 	var mu sync.Mutex
 	var levels []fsmOracleLevel
@@ -80,12 +93,15 @@ func fsmOracle(t *testing.T, g *fractal.Graph, minSupport int64, maxEdges int) [
 			}).Expand(1)
 		}
 		sets := map[string][]map[graph.VertexID]bool{}
+		members := map[string]*pattern.Pattern{} // one pattern of each class met
 		_, err := f.Visit(func(e *fractal.Subgraph) {
-			canon, vs := e.Pattern().Canonical(), e.Vertices()
+			p, vs := e.Pattern(), e.Vertices()
+			canon := p.Canonical()
 			mu.Lock()
 			defer mu.Unlock()
 			doms := sets[canon.Code]
 			if doms == nil {
+				members[canon.Code] = p
 				doms = make([]map[graph.VertexID]bool, len(vs))
 				for i := range doms {
 					doms[i] = map[graph.VertexID]bool{}
@@ -112,6 +128,16 @@ func fsmOracle(t *testing.T, g *fractal.Graph, minSupport int64, maxEdges int) [
 			}
 			if support >= minSupport {
 				out[code] = sorted
+			}
+		}
+		for code := range out {
+			if p := members[code]; closed && level > 1 && p.NumEdges() == level {
+				for _, sub := range p.SubPatterns() {
+					if _, ok := levels[level-2][sub.Canonical().Code]; !ok {
+						delete(out, code)
+						break
+					}
+				}
 			}
 		}
 		levels = append(levels, out)

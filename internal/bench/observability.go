@@ -60,7 +60,7 @@ func AnalyzeRunReport(rep *fractal.RunReport, w io.Writer) error {
 		rep.Workers, rep.CoresPerWorker, rep.WS, ms(rep.Wall))
 
 	tw := table(w)
-	fmt.Fprintln(tw, "step\twf\twall\tbusy\tidle\tsteal\tutil\teff\tEC\tsubgraphs\tquick-pat\tcanon\trounds\tmean-round-wait")
+	fmt.Fprintln(tw, "step\twf\twall\tbusy\tidle\tsteal\tutil\teff\tEC\tsubgraphs\tquick-pat\tcanon\tcls-pruned\tsub-pruned\trounds\tmean-round-wait")
 	for _, s := range rep.Steps {
 		if s.Skipped {
 			fmt.Fprintf(tw, "%d\t%s\t(skipped)\n", s.Index, s.Workflow)
@@ -75,12 +75,12 @@ func AnalyzeRunReport(rep *fractal.RunReport, w io.Writer) error {
 			meanWait = total / time.Duration(len(s.Rounds))
 		}
 		m := s.Metrics
-		fmt.Fprintf(tw, "%d\t%s\t%s\t%s\t%s\t%s\t%.0f%%\t%.0f%%\t%d\t%d\t%d\t%d\t%d\t%s\n",
+		fmt.Fprintf(tw, "%d\t%s\t%s\t%s\t%s\t%s\t%.0f%%\t%.0f%%\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%s\n",
 			s.Index, s.Workflow, ms(s.Wall),
 			ms(time.Duration(m.BusyTimeNs)), ms(time.Duration(m.IdleTimeNs)),
 			ms(time.Duration(m.StealTimeNs)),
 			100*s.Utilization, 100*s.Balance.Efficiency,
-			s.EC, s.Subgraphs, m.QuickPatterns, m.CanonCalls, s.RoundsTotal, ms(meanWait))
+			s.EC, s.Subgraphs, m.QuickPatterns, m.CanonCalls, m.ClassesPruned, m.SubgraphsPruned, s.RoundsTotal, ms(meanWait))
 	}
 	if err := tw.Flush(); err != nil {
 		return err

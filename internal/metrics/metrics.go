@@ -94,10 +94,17 @@ type Snapshot struct {
 	AggShippedBytes int64 `json:"agg_shipped_bytes"`
 	// QuickPatterns counts the distinct quick patterns the cores' embedding
 	// class memos met (memo misses, summed over cores) and CanonCalls the
-	// canonical-labelling searches run for them: pattern labelling is paid
-	// per class and core, and these two against Subgraphs say so.
+	// canonical-labelling searches run: one per quick pattern plus those of
+	// class filters that label a class's sub-patterns. Pattern labelling is
+	// paid per class and core, and these two against Subgraphs say so.
 	QuickPatterns int64 `json:"quick_patterns"`
 	CanonCalls    int64 `json:"canon_calls"`
+	// ClassesPruned counts the classes a class filter refused (per core,
+	// summed) and SubgraphsPruned the embeddings those memoised verdicts
+	// turned away before they reached an aggregation. ExtensionTests is
+	// untouched by either: a class filter saves aggregation work only.
+	ClassesPruned   int64 `json:"classes_pruned"`
+	SubgraphsPruned int64 `json:"subgraphs_pruned"`
 	// CoreWork holds the work units of every core the block covers, one
 	// entry per core: a core's block has one, a worker's one per core in
 	// core order, a step's one per core of the attempt in global core order.
@@ -127,6 +134,8 @@ func (s *Snapshot) Add(o Snapshot) {
 	s.AggShippedBytes += o.AggShippedBytes
 	s.QuickPatterns += o.QuickPatterns
 	s.CanonCalls += o.CanonCalls
+	s.ClassesPruned += o.ClassesPruned
+	s.SubgraphsPruned += o.SubgraphsPruned
 	s.CoreWork = append(s.CoreWork, o.CoreWork...)
 }
 

@@ -23,6 +23,7 @@ func TestSnapshotAdd(t *testing.T) {
 	c0.StealsInternal, c0.BusyTimeNs, c0.IdleTimeNs = 1, int64(50*time.Millisecond), int64(5*time.Millisecond)
 	c1.StealsExternal, c1.StealBytes, c1.StealTimeNs, c1.AbandonedExts = 1, 256, int64(2*time.Millisecond), 7
 	c0.QuickPatterns, c0.CanonCalls, c1.QuickPatterns, c1.CanonCalls = 5, 4, 2, 2
+	c0.ClassesPruned, c0.SubgraphsPruned, c1.ClassesPruned, c1.SubgraphsPruned = 3, 40, 1, 2
 
 	var w0 Snapshot
 	w0.Add(c0)
@@ -32,7 +33,7 @@ func TestSnapshotAdd(t *testing.T) {
 		ExtensionTests: 14, Subgraphs: 3, StealsInternal: 1, StealsExternal: 1, StealBytes: 256,
 		StealTimeNs: int64(2 * time.Millisecond), BusyTimeNs: int64(50 * time.Millisecond), IdleTimeNs: int64(5 * time.Millisecond),
 		PeakStateBytes: 4096, AbandonedExts: 7, AggMergeTimeNs: 9, AggShippedBytes: 100,
-		QuickPatterns: 7, CanonCalls: 6,
+		QuickPatterns: 7, CanonCalls: 6, ClassesPruned: 4, SubgraphsPruned: 42,
 		CoreWork: []int64{13, 4},
 	}
 	if !reflect.DeepEqual(w0, want) {
@@ -79,7 +80,7 @@ func TestSnapshotJSON(t *testing.T) {
 		ExtensionTests: 1, Subgraphs: 2, StealsInternal: 3, StealsExternal: 4, StealBytes: 5,
 		StealTimeNs: 6, StealScanWork: 7, BusyTimeNs: 8, IdleTimeNs: 9, PeakStateBytes: 10,
 		AbandonedExts: 11, AggMergeTimeNs: 12, AggShippedBytes: 13, QuickPatterns: 16, CanonCalls: 17,
-		CoreWork: []int64{14, 15},
+		ClassesPruned: 18, SubgraphsPruned: 19, CoreWork: []int64{14, 15},
 	}
 	data, err := json.Marshal(s)
 	if err != nil {
@@ -87,7 +88,8 @@ func TestSnapshotJSON(t *testing.T) {
 	}
 	want := `{"extension_tests":1,"subgraphs":2,"steals_internal":3,"steals_external":4,"steal_bytes":5,` +
 		`"steal_time_ns":6,"steal_scan_work":7,"busy_time_ns":8,"idle_time_ns":9,"peak_state_bytes":10,` +
-		`"abandoned_exts":11,"agg_merge_time_ns":12,"agg_shipped_bytes":13,"quick_patterns":16,"canon_calls":17,"core_work":[14,15]}`
+		`"abandoned_exts":11,"agg_merge_time_ns":12,"agg_shipped_bytes":13,"quick_patterns":16,"canon_calls":17,` +
+		`"classes_pruned":18,"subgraphs_pruned":19,"core_work":[14,15]}`
 	if string(data) != want {
 		t.Errorf("schema changed:\n got  %s\n want %s", data, want)
 	}

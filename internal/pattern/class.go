@@ -3,14 +3,18 @@ package pattern
 import (
 	"sync"
 	"sync/atomic"
+
+	"fractal/internal/graph"
 )
 
-// Class is the isomorphism class of one pattern as one of its vertex
-// numberings sees it. Code and Rep are the class's own — one string and one
-// pattern per class in the whole process, so every numbering, core and job
-// hands out the identical Rep pointer and "first pattern wins" reductions do
-// not depend on arrival or merge order. Perm belongs to the numbering: it
-// maps each of its vertices to its position in Rep.
+// Class is an isomorphism class of patterns. Code and Rep are the class's
+// own — one Class per class in the whole process (the class table below), so
+// every numbering, core and job hands out the identical Rep pointer and
+// "first pattern wins" reductions do not depend on arrival or merge order.
+// Perm belongs to one numbering of the class: it maps each of the
+// numbering's vertices to its position in Rep. The table's shared entries
+// carry none (nil); Classify and subgraph.Embedding.Class answer with a view
+// of the shared entry that has the asked numbering's Perm filled in.
 type Class struct {
 	Canon
 	// Rep is the class pattern relabeled to canonical vertex order.
@@ -28,9 +32,10 @@ var classes = struct {
 }{m: map[string]*Class{}}
 
 // Classify canonicalizes p and resolves its class through the process-wide
-// table. It runs the canonical-labelling search on every call: per-embedding
-// callers go through subgraph.Embedding.Class, which pays it once per
-// distinct quick pattern.
+// table: the result is p's own view of the class, Perm included. It runs the
+// canonical-labelling search on every call and allocates its buffers anew:
+// per-embedding callers go through subgraph.Embedding.Class, which pays the
+// search once per distinct quick pattern on a Labeller it keeps.
 func Classify(p *Pattern) *Class {
 	cl, _ := classify(p)
 	return cl
@@ -38,15 +43,36 @@ func Classify(p *Pattern) *Class {
 
 // classify is Classify, also reporting whether the class was already known.
 func classify(p *Pattern) (cl *Class, known bool) {
-	canon := p.Canonical()
+	var l Labeller // dropped on return: its perm is the caller's to keep
+	shared, perm, known := l.classify(p)
+	return &Class{Canon: Canon{Code: shared.Code, Perm: perm}, Rep: shared.Rep}, known
+}
+
+// Classify labels p and returns its class's shared table entry together with
+// p's permutation (vertex -> position in Rep), which lives in the labeller
+// and is valid until its next search. A class the table already holds costs
+// no allocation; a new one costs its Code and its Rep.
+func (l *Labeller) Classify(p *Pattern) (shared *Class, perm []int) {
+	shared, perm, _ = l.classify(p)
+	return shared, perm
+}
+
+func (l *Labeller) classify(p *Pattern) (shared *Class, perm []int, known bool) {
+	code, perm := l.search(p)
 	classes.mu.Lock()
-	shared, known := classes.m[canon.Code]
+	shared, known = classes.m[string(code)]
 	if !known {
-		shared = &Class{Canon: Canon{Code: canon.Code}, Rep: p.Relabel(canon.Perm)}
-		classes.m[canon.Code] = shared
+		shared = &Class{Canon: Canon{Code: string(code)}, Rep: p.Relabel(perm)}
+		classes.m[shared.Code] = shared
 	}
 	classes.mu.Unlock()
-	return &Class{Canon: Canon{Code: shared.Code, Perm: canon.Perm}, Rep: shared.Rep}, known
+	return shared, perm, known
+}
+
+// ClassifyEmbedding is Classify(FromEmbedding(g, vs, es)) with the pattern
+// built on the labeller's scratch.
+func (l *Labeller) ClassifyEmbedding(g *graph.Graph, vs []graph.VertexID, es []graph.EdgeID) (shared *Class, perm []int) {
+	return l.Classify(fillFromEmbedding(&l.scratch, g, vs, es))
 }
 
 // CodeCache is the counting entry point to the class table for callers that

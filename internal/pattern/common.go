@@ -159,7 +159,12 @@ func twoTrianglePrism() *Pattern {
 // first one's label stands. When es is nil the pattern is vertex-induced: all
 // edges of g among vs are included.
 func FromEmbedding(g *graph.Graph, vs []graph.VertexID, es []graph.EdgeID) *Pattern {
-	b := NewBuilder(len(vs))
+	return fillFromEmbedding(new(PBuilder), g, vs, es)
+}
+
+// fillFromEmbedding is FromEmbedding on b's storage.
+func fillFromEmbedding(b *PBuilder, g *graph.Graph, vs []graph.VertexID, es []graph.EdgeID) *Pattern {
+	b.Reset(len(vs))
 	for i, v := range vs {
 		b.SetVertexLabel(i, g.VertexLabel(v))
 	}

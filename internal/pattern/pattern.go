@@ -40,17 +40,27 @@ type PBuilder struct {
 }
 
 // NewBuilder returns a pattern builder with n unlabeled vertices.
-func NewBuilder(n int) *PBuilder {
+func NewBuilder(n int) *PBuilder { return new(PBuilder).Reset(n) }
+
+// Reset starts a new pattern of n unlabeled vertices on the builder's own
+// storage, growing it when n is wider than anything built on it before. The
+// pattern of an earlier Build is overwritten: only a builder whose patterns
+// are read and dropped between resets (Labeller's scratch) calls it twice.
+func (b *PBuilder) Reset(n int) *PBuilder {
 	if n < 0 || n > MaxVertices {
 		panic(fmt.Sprintf("pattern: %d vertices out of range [0,%d]", n, MaxVertices))
 	}
-	b := &PBuilder{}
-	b.p.n = n
-	buf := make([]graph.Label, 2*n+n*n)
+	// vlabels keeps the capacity of the whole backing array.
+	buf := b.p.vlabels[:cap(b.p.vlabels)]
+	if size := 2*n + n*n; len(buf) < size {
+		buf = make([]graph.Label, size)
+	} else {
+		buf = buf[:size]
+	}
 	for i := range buf {
 		buf[i] = NoLabel
 	}
-	b.p.vlabels, b.p.adj, b.p.elabels = buf[:n:n], buf[n:2*n:2*n], buf[2*n:]
+	b.p = Pattern{n: n, vlabels: buf[:n], adj: buf[n : 2*n : 2*n], elabels: buf[2*n:]}
 	clear(b.p.adj)
 	return b
 }

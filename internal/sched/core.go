@@ -6,6 +6,7 @@ import (
 
 	"fractal/internal/enumerator"
 	"fractal/internal/metrics"
+	"fractal/internal/pattern"
 	"fractal/internal/rpc"
 	"fractal/internal/step"
 	"fractal/internal/subgraph"
@@ -111,7 +112,9 @@ func (c *core) run(st *stepCtx) {
 	// the rest of the loop's lifetime.
 	c.ctr.BusyTimeNs = int64(time.Since(start)) - c.ctr.IdleTimeNs - c.ctr.StealTimeNs
 	c.ctr.CoreWork = []int64{c.ctr.Work()}
-	c.ctr.QuickPatterns, c.ctr.CanonCalls = emb.ClassStats()
+	cs := emb.ClassStats()
+	c.ctr.QuickPatterns, c.ctr.CanonCalls = cs.QuickPatterns, cs.CanonCalls
+	c.ctr.ClassesPruned, c.ctr.SubgraphsPruned = cs.ClassesPruned, cs.SubgraphsPruned
 	c.ctr.PeakStateBytes = c.stack.PeakStateBytes()
 	if st.aborted() {
 		// Drop the remaining enumeration state so memory is released
@@ -334,7 +337,16 @@ func (c *core) process(st *stepCtx, emb *subgraph.Embedding, depth int, w subgra
 			}
 		case step.AggFilter:
 			store, ok := st.env.Get(p.AggName)
-			if !ok || !p.AggPred(emb, store) {
+			if !ok {
+				return
+			}
+			if p.ClassPred == nil {
+				if !p.AggPred(emb, store) {
+					return
+				}
+			} else if !emb.ClassPasses(p.ClassBit, func(cl *pattern.Class, lab *pattern.Labeller) bool {
+				return p.ClassPred(cl, store, lab)
+			}) {
 				return
 			}
 		case step.Aggregate:

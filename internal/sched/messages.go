@@ -322,11 +322,12 @@ func getWord(r *wire.Reader) subgraph.Word {
 }
 
 // counterFields lists a counter block's scalars in wire order.
-func counterFields(c *metrics.Snapshot) [15]*int64 {
+func counterFields(c *metrics.Snapshot) [17]*int64 {
 	return [...]*int64{
 		&c.ExtensionTests, &c.Subgraphs, &c.StealsInternal, &c.StealsExternal, &c.StealBytes,
 		&c.StealTimeNs, &c.StealScanWork, &c.BusyTimeNs, &c.IdleTimeNs, &c.PeakStateBytes,
 		&c.AbandonedExts, &c.AggMergeTimeNs, &c.AggShippedBytes, &c.QuickPatterns, &c.CanonCalls,
+		&c.ClassesPruned, &c.SubgraphsPruned,
 	}
 }
 

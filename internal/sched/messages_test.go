@@ -63,9 +63,10 @@ func newMessage(kind uint8) wireMessage {
 // its body in hex. The bodies were generated at the commit before the codec
 // moved onto the shared reader/writer (PR 12): the wire form did not change.
 // Since PR 15 the two messages that end a step attempt, aggDone and
-// cancelAck, close with the worker's counter block — 15 varints (13 until
-// PR 16 appended QuickPatterns and CanonCalls) and the counted CoreWork
-// sequence, 16 zero bytes when empty.
+// cancelAck, close with the worker's counter block — 17 varints (13 until
+// PR 16 appended QuickPatterns and CanonCalls, 15 until PR 20 appended
+// ClassesPruned and SubgraphsPruned) and the counted CoreWork sequence, 18
+// zero bytes when empty.
 var messageCases = []struct {
 	name   string
 	kind   uint8
@@ -79,20 +80,20 @@ var messageCases = []struct {
 	{"stepStartNoWorkers", kStepStart, &stepStartMsg{Job: 1}, "0200000000"},
 	{"stepEnd", kStepEnd, &stepEndMsg{Job: 1, Step: 2, Attempt: 3}, "020406"},
 	{"cancel", kCancel, &cancelMsg{Job: 9, Step: 0, Attempt: 1}, "120002"},
-	{"cancelAck", kCancelAck, &cancelAckMsg{Job: 1, Step: 2, Attempt: 3, Worker: 4}, "02040608" + "00000000000000000000000000000000"},
+	{"cancelAck", kCancelAck, &cancelAckMsg{Job: 1, Step: 2, Attempt: 3, Worker: 4}, "02040608" + "000000000000000000000000000000000000"},
 	{"cancelAckCounters", kCancelAck, &cancelAckMsg{Job: 1, Step: 2, Attempt: 3, Worker: 4, Counters: metrics.Snapshot{
 		ExtensionTests: 1, Subgraphs: 2, StealsInternal: 3, StealsExternal: 4, StealBytes: 5, StealTimeNs: 6, StealScanWork: 7,
 		BusyTimeNs: 8, IdleTimeNs: 9, PeakStateBytes: 10, AbandonedExts: 11, AggMergeTimeNs: 12, AggShippedBytes: 13,
-		QuickPatterns: 14, CanonCalls: 15, CoreWork: []int64{3, 0}}},
-		"02040608" + "020406080a0c0e10121416181a1c1e" + "020600"},
+		QuickPatterns: 14, CanonCalls: 15, ClassesPruned: 16, SubgraphsPruned: 17, CoreWork: []int64{3, 0}}},
+		"02040608" + "020406080a0c0e10121416181a1c1e" + "2022" + "020600"},
 	{"aggData", kAggData, &aggDataMsg{Job: 1, Step: 2, Attempt: 3, Worker: 4, Name: "support", Data: []byte{1, 2, 0, 255}},
 		"0204060807737570706f727404010200ff"},
 	{"aggDataEmpty", kAggData, &aggDataMsg{Name: ""}, "000000000000"},
 	{"aggDone", kAggDone, &aggDoneMsg{Job: 1, Step: 2, Attempt: 3, Worker: 4, Sent: 2, Errs: []string{"boom", ""}},
-		"02040608040204626f6f6d00" + "00000000000000000000000000000000"},
+		"02040608040204626f6f6d00" + "000000000000000000000000000000000000"},
 	{"aggDoneCounters", kAggDone, &aggDoneMsg{Job: 1, Step: 2, Attempt: 3, Worker: 4, Sent: 1, Counters: metrics.Snapshot{
 		ExtensionTests: 1 << 40, Subgraphs: 64, BusyTimeNs: 1_000_000, AggShippedBytes: 300, CoreWork: []int64{1<<40 + 64}}},
-		"020406080200" + "808080808040" + "8001" + "0000000000" + "80897a" + "00000000" + "d804" + "0000" + "01" + "808180808040"},
+		"020406080200" + "808080808040" + "8001" + "0000000000" + "80897a" + "00000000" + "d804" + "00000000" + "01" + "808180808040"},
 	{"statusPing", kStatusPing, &statusPingMsg{Job: 1, Step: 2, Attempt: 3, Round: 1 << 40}, "020406808080808040"},
 	{"statusReport", kStatusReport, &statusReportMsg{Job: 1, Step: 2, Attempt: 3, Round: 7, Worker: 2, Running: true,
 		Active: 3, Processed: 1 << 50, ReqSent: 5, RespRecv: 4, ReqRecv: 9, RespSent: 9},

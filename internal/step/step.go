@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"fractal/internal/agg"
+	"fractal/internal/pattern"
 	"fractal/internal/subgraph"
 )
 
@@ -74,6 +75,15 @@ type Primitive struct {
 	// AggPred is the predicate of AggFilter primitives; store is the
 	// computed aggregation named AggName.
 	AggPred func(e *subgraph.Embedding, store agg.Store) bool
+	// ClassPred, set in place of AggPred, makes the AggFilter a class
+	// filter: its verdict depends on the embedding's class and the store
+	// alone, so the runtime asks it once per class per core and keeps the
+	// answer in the embedding's class memo (subgraph.Embedding.ClassPasses)
+	// under bit ClassBit, the filter's rank among its step's class filters
+	// (assigned by Split). lab is the memo's labeller, for predicates that
+	// label patterns derived from the class.
+	ClassPred func(cl *pattern.Class, store agg.Store, lab *pattern.Labeller) bool
+	ClassBit  int
 
 	// Agg is the specification of Aggregate primitives.
 	Agg *AggSpec
@@ -106,6 +116,23 @@ func (w Workflow) NumExtensions() int {
 	return n
 }
 
+// CheckClassFilters returns an error when the workflow holds more class
+// filters than a class-memo entry has verdict bits: a filter without a bit
+// could only pass everything or run per embedding, so it is refused when the
+// workflow is composed.
+func (w Workflow) CheckClassFilters() error {
+	n := 0
+	for _, p := range w {
+		if p.ClassPred != nil {
+			n++
+		}
+	}
+	if n > subgraph.MaxClassFilters {
+		return fmt.Errorf("step: %d class filters in one workflow, at most %d", n, subgraph.MaxClassFilters)
+	}
+	return nil
+}
+
 // ExtendP returns an extension primitive.
 func ExtendP() Primitive { return Primitive{Kind: Extend} }
 
@@ -117,6 +144,12 @@ func FilterP(f func(*subgraph.Embedding) bool) Primitive {
 // AggFilterP returns an aggregation-filter primitive reading aggName.
 func AggFilterP(aggName string, pred func(*subgraph.Embedding, agg.Store) bool) Primitive {
 	return Primitive{Kind: AggFilter, AggName: aggName, AggPred: pred}
+}
+
+// ClassFilterP returns an aggregation-filter primitive reading aggName whose
+// verdict is per class.
+func ClassFilterP(aggName string, pred func(*pattern.Class, agg.Store, *pattern.Labeller) bool) Primitive {
+	return Primitive{Kind: AggFilter, AggName: aggName, ClassPred: pred}
 }
 
 // AggregateP returns an aggregation primitive.
@@ -175,9 +208,14 @@ func build(prims []Primitive, computed map[string]bool) *Step {
 	for n := range computed {
 		s.Computed[n] = true
 	}
-	for i, p := range prims {
-		if p.Kind == Extend {
+	classFilters := 0
+	for i := range prims {
+		switch p := &prims[i]; {
+		case p.Kind == Extend:
 			s.ExtIdx = append(s.ExtIdx, i)
+		case p.ClassPred != nil:
+			p.ClassBit = classFilters
+			classFilters++
 		}
 	}
 	return s
@@ -207,8 +245,12 @@ func (s *Step) AggSpecs() []*AggSpec {
 // fractoid execution, as in the FSM loop of Listing 3).
 //
 // Split returns an error when an AggFilter reads a name that no preceding
-// Aggregate primitive nor the environment provides.
+// Aggregate primitive nor the environment provides, or when the workflow
+// holds more class filters than a memo entry has verdict bits.
 func Split(w Workflow, precomputed map[string]bool) ([]*Step, error) {
+	if err := w.CheckClassFilters(); err != nil {
+		return nil, err
+	}
 	computed := map[string]bool{}
 	for n := range precomputed {
 		// A count is an output, never an input: a previous job's count left

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fractal/internal/agg"
+	"fractal/internal/pattern"
 	"fractal/internal/subgraph"
 )
 
@@ -128,6 +129,51 @@ func TestSplitValidation(t *testing.T) {
 	}
 	if _, err := Split(Workflow{{Kind: Visit}}, nil); err == nil {
 		t.Error("visit without function accepted")
+	}
+}
+
+// TestSplitNumbersClassFilters: a step's class filters get the verdict bits
+// 0, 1, … in workflow order, the same filter the same bit in every step that
+// re-runs it, and a workflow with more filters than a memo entry has bits is
+// refused, not run with a filter that has none.
+func TestSplitNumbersClassFilters(t *testing.T) {
+	pass := func(*pattern.Class, agg.Store, *pattern.Labeller) bool { return true }
+	w := Workflow{
+		ExtendP(), AggregateP(countSpec("a")),
+		ClassFilterP("a", pass), ExtendP(), AggregateP(countSpec("b")),
+		AggFilterP("a", func(*subgraph.Embedding, agg.Store) bool { return true }),
+		ClassFilterP("b", pass), ClassFilterP("a", pass), ExtendP(),
+	}
+	steps, err := Split(w, nil)
+	if err != nil || len(steps) != 3 {
+		t.Fatalf("%d steps, %v", len(steps), err)
+	}
+	for si, s := range steps {
+		bit := 0
+		for i, p := range s.Primitives {
+			if p.ClassPred != nil {
+				if p.ClassBit != bit {
+					t.Errorf("step %d primitive %d: bit %d, want %d", si, i, p.ClassBit, bit)
+				}
+				bit++
+			} else if p.ClassBit != 0 {
+				t.Errorf("step %d primitive %d is no class filter and has bit %d", si, i, p.ClassBit)
+			}
+		}
+	}
+	if w[2].ClassBit != 0 || w[6].ClassBit != 0 {
+		t.Error("Split numbered the caller's workflow, not its own copies")
+	}
+
+	wide := Workflow{ExtendP(), AggregateP(countSpec("a"))}
+	for i := 0; i < subgraph.MaxClassFilters; i++ {
+		wide = append(wide, ClassFilterP("a", pass))
+	}
+	if _, err := Split(wide, nil); err != nil {
+		t.Errorf("%d class filters: %v", subgraph.MaxClassFilters, err)
+	}
+	if _, err := Split(append(wide, ClassFilterP("a", pass)), nil); err == nil {
+		t.Errorf("%d class filters accepted: the last one has no verdict bit", subgraph.MaxClassFilters+1)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fractal/internal/agg"
+	"fractal/internal/graph"
 	"fractal/internal/pattern"
 	"fractal/internal/workload"
 )
@@ -71,9 +72,8 @@ func classWalks(t *testing.T, e *Embedding, maxDepth int, seed int64, walks int)
 			checkClass(t, e)
 		}
 	}
-	quick, canon := e.ClassStats()
-	if canon != quick {
-		t.Errorf("%s %s: %d quick patterns, %d canonical labellings: want one labelling per quick pattern", e.g.Name(), e.kind, quick, canon)
+	if cs := e.ClassStats(); cs.CanonCalls != cs.QuickPatterns {
+		t.Errorf("%s %s: %d quick patterns, %d canonical labellings: want one labelling per quick pattern", e.g.Name(), e.kind, cs.QuickPatterns, cs.CanonCalls)
 	}
 }
 
@@ -141,7 +141,7 @@ func TestClassHitAllocatesNothing(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: memo hit + aggregate allocates %.1f times per embedding, want 0", kind, allocs)
 		}
-		if quick, _ := e.ClassStats(); quick != 1 {
+		if quick := e.ClassStats().QuickPatterns; quick != 1 {
 			t.Errorf("%s: %d quick patterns, want 1", kind, quick)
 		}
 	}
@@ -168,5 +168,147 @@ func TestClassOfPatternInducedMatch(t *testing.T) {
 	})
 	if n == 0 {
 		t.Fatal("no induced path matched")
+	}
+}
+
+// TestClassFilterDecidedOncePerClass runs two counting class filters over
+// more than 10⁵ edge-induced embeddings: each predicate runs once per class,
+// every embedding gets its class's verdict, and the counters say what was
+// refused.
+func TestClassFilterDecidedOncePerClass(t *testing.T) {
+	g := workload.SkewLabels(workload.BarabasiAlbert("verdicts-ba", 900, 3, 1, 5), 5, 5)
+	e := New(g, EdgeInduced, nil)
+	var calls [2]int
+	// Filter 0 refuses classes whose code ends in an odd byte, filter 1 the
+	// ones whose representative has a vertex of degree three.
+	odd := func(cl *pattern.Class) bool { return cl.Code[len(cl.Code)-1]&1 == 0 }
+	noHub := func(cl *pattern.Class) bool {
+		for v := 0; v < cl.Rep.NumVertices(); v++ {
+			if cl.Rep.Degree(v) == 3 {
+				return false
+			}
+		}
+		return true
+	}
+	classes := map[string]bool{}
+	refusedClasses := [2]map[string]bool{{}, {}}
+	var embeddings, refused int64
+	enumerate(e, 3, func(e *Embedding) {
+		embeddings++
+		cl := e.Class()
+		classes[cl.Code] = true
+		if cl.Perm == nil || cl.Rep == nil {
+			t.Fatal("the embedding's view lost its Perm or Rep")
+		}
+		for bit, pred := range []func(*pattern.Class) bool{odd, noHub} {
+			got := e.ClassPasses(bit, func(shared *pattern.Class, _ *pattern.Labeller) bool {
+				calls[bit]++
+				if shared.Code != cl.Code || shared.Rep != cl.Rep || shared.Perm != nil {
+					t.Fatalf("filter %d sees %q, the embedding's class is %q", bit, shared.Code, cl.Code)
+				}
+				return pred(shared)
+			})
+			if got != pred(cl) {
+				t.Fatalf("filter %d on %q: verdict %v, predicate %v", bit, cl.Code, got, pred(cl))
+			}
+			if !got {
+				refused++
+				refusedClasses[bit][cl.Code] = true
+			}
+		}
+	})
+	if embeddings < 100_000 {
+		t.Fatalf("only %d embeddings", embeddings)
+	}
+	if calls[0] != len(classes) || calls[1] != len(classes) {
+		t.Errorf("predicates ran %v times over %d embeddings of %d classes: want once per class", calls, embeddings, len(classes))
+	}
+	cs := e.ClassStats()
+	if want := int64(len(refusedClasses[0]) + len(refusedClasses[1])); cs.ClassesPruned != want || cs.SubgraphsPruned != refused || want == 0 {
+		t.Errorf("stats %+v, want %d classes and %d subgraphs pruned", cs, want, refused)
+	}
+	if cs.CanonCalls != cs.QuickPatterns {
+		t.Errorf("%d labellings for %d quick patterns: these predicates label nothing", cs.CanonCalls, cs.QuickPatterns)
+	}
+}
+
+// TestClassMissAllocatesOnlyItsKey: once the process's class table knows the
+// classes, a memo miss — quick key, pattern on the labeller's scratch,
+// labelling search, table lookup, entry stored by value — allocates the
+// memo's own copy of the key and nothing else, and a verdict asked on a hit
+// allocates nothing at all.
+func TestClassMissAllocatesOnlyItsKey(t *testing.T) {
+	g := workload.SkewLabels(workload.BarabasiAlbert("miss-ba", 400, 3, 1, 6), 4, 6)
+	e := New(g, EdgeInduced, nil)
+	// One embedding of each of the first quick patterns met.
+	var states [][]Word
+	enumerate(e, 3, func(e *Embedding) {
+		if before := e.ClassStats().QuickPatterns; len(states) < 64 {
+			if e.Class(); e.ClassStats().QuickPatterns > before {
+				states = append(states, append([]Word(nil), e.Words()...))
+			}
+		}
+	})
+	if len(states) < 64 {
+		t.Fatalf("only %d quick patterns", len(states))
+	}
+	visit := func() {
+		for _, words := range states {
+			e.Replay(words)
+			if e.Class().Rep == nil {
+				t.Fatal("no class")
+			}
+			e.ClassPasses(0, func(*pattern.Class, *pattern.Labeller) bool { return true })
+		}
+	}
+	misses := testing.AllocsPerRun(20, func() {
+		// Every state misses again; buckets, entries and scratch stay.
+		clear(e.memo.m)
+		e.memo.entries = e.memo.entries[:0]
+		visit()
+	})
+	if perMiss := misses / float64(len(states)); perMiss > 1 {
+		t.Errorf("a miss allocates %.2f times, want its key and nothing else", perMiss)
+	}
+	if hits := testing.AllocsPerRun(20, visit); hits != 0 {
+		t.Errorf("%d hits with a verdict each allocate %.1f times, want 0", len(states), hits)
+	}
+}
+
+// TestPackedPermRoundTrip: every permutation of up to eight positions packs
+// into a word and comes back, and a wider embedding's permutation, kept as a
+// slice, is the labelling search's own — on the miss and on the hit.
+func TestPackedPermRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for n := 0; n <= packedPermVertices; n++ {
+		for trial := 0; trial < 200; trial++ {
+			perm := rng.Perm(n)
+			if got := unpackPerm(packPerm(perm), make([]int, n)); !slices.Equal(got, perm) {
+				t.Fatalf("n=%d: %v packed and unpacked is %v", n, perm, got)
+			}
+		}
+	}
+	// A path of twelve vertices labeled in ascending order: the labelling
+	// search's first ordering is the minimum.
+	b := graph.NewBuilder("wide-path")
+	for i := 0; i < 12; i++ {
+		b.AddVertex(graph.Label(i))
+	}
+	for i := 0; i+1 < 12; i++ {
+		b.MustAddEdge(graph.VertexID(i), graph.VertexID(i+1))
+	}
+	e := New(b.Build(), EdgeInduced, nil)
+	for id := Word(0); id < 11; id++ {
+		e.Push(id)
+		for visit := 0; visit < 2; visit++ { // the miss, then the hit
+			cl, want := e.Class(), e.Pattern().Canonical()
+			if cl.Code != want.Code || !slices.Equal(cl.Perm, want.Perm) {
+				t.Fatalf("%d vertices, visit %d: Class %v, Canonical %v", e.NumVertices(), visit, cl.Perm, want.Perm)
+			}
+			e.memo.resolved = false
+		}
+	}
+	if len(e.memo.wide) != 9+10+11+12 {
+		t.Errorf("%d positions kept as slices, want those of the 9- to 12-vertex paths", len(e.memo.wide))
 	}
 }

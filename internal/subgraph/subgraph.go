@@ -167,7 +167,7 @@ func (e *Embedding) ValidInitial(w Word) bool {
 // Push extends the embedding by w. w must come from Extensions (or
 // ValidInitial at depth 0); Push does not re-validate.
 func (e *Embedding) Push(w Word) {
-	e.memo.cur = nil
+	e.memo.resolved = false
 	switch e.kind {
 	case VertexInduced, PatternInduced:
 		e.pushVertex(graph.VertexID(w))
@@ -183,7 +183,7 @@ func (e *Embedding) Push(w Word) {
 
 // Pop reverts the most recent Push.
 func (e *Embedding) Pop() {
-	e.memo.cur = nil
+	e.memo.resolved = false
 	if e.custom != nil {
 		e.custom.Popped(e)
 	}

@@ -60,6 +60,14 @@ if grep -nE 'agg\.MergeTree\(|\.DecodeAndMerge\(' $(ls internal/sched/*.go | gre
     echo "internal/sched builds a store from step partials again" >&2
     exit 1
 fi
+# FSM decides per class: a filter that reads only the embedding's class goes
+# through FilterAggClass, whose verdict the class memo keeps. Testing the
+# class's code against an aggregation once per embedding is what PR 20
+# removed from the applications.
+if grep -n 'Contains(e\.Class()\.Code)' $(ls internal/apps/*.go | grep -v _test.go); then
+    echo "a per-embedding class test in internal/apps: use fractal.FilterAggClass" >&2
+    exit 1
+fi
 # Observability is free when off: -pprof writes files through runtime/pprof.
 # net/http (with net/http/pprof and expvar behind it) was half the binary and
 # 2.6 MB of every job's resident set before main had parsed a flag.

@@ -397,7 +397,7 @@ func denseTestGraph(n int) *graph.Graph {
 }
 
 // TestCancellationReleasesGoroutines is the public-API acceptance test for
-// the tentpole: a long clique job is cancelled shortly after starting, the
+// the tentpole: a long clique job is cancelled once it has started, the
 // error wraps context.Canceled with a partial Cancelled step report, the
 // Context remains usable for a follow-up job, and after Close no runtime
 // goroutines linger.
@@ -410,12 +410,14 @@ func TestCancellationReleasesGoroutines(t *testing.T) {
 	}
 	g := ctx.FromGraph(denseTestGraph(70))
 
+	// The job cancels itself at its first filter call, mid-step whatever
+	// the host's speed.
 	cctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(10 * time.Millisecond)
+	cancelling := func(e *Subgraph) bool {
 		cancel()
-	}()
-	n, res, err := g.VFractoid().Expand(1).Filter(CliqueFilter).Explore(4).CountCtx(cctx)
+		return CliqueFilter(e)
+	}
+	n, res, err := g.VFractoid().Expand(1).Filter(cancelling).Explore(4).CountCtx(cctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err=%v, want wrapped context.Canceled", err)
 	}

@@ -69,10 +69,6 @@ type Snapshot struct {
 	StealsExternal int64 `json:"steals_external"`
 	StealBytes     int64 `json:"steal_bytes"`
 	StealTimeNs    int64 `json:"steal_time_ns"`
-	// StealScanWork was the work booked to cores while they scanned victims'
-	// stacks. Thieves no longer scan — they ask and wait — so it is always
-	// zero; the field keeps its wire slot.
-	StealScanWork int64 `json:"steal_scan_work,omitempty"`
 	// BusyTimeNs, IdleTimeNs and StealTimeNs are disjoint: together they
 	// partition each core's wall-clock lifetime within a step (holding work;
 	// blocked with nothing asked because nobody had work to give; blocked
@@ -125,7 +121,6 @@ func (s *Snapshot) Add(o Snapshot) {
 	s.StealsExternal += o.StealsExternal
 	s.StealBytes += o.StealBytes
 	s.StealTimeNs += o.StealTimeNs
-	s.StealScanWork += o.StealScanWork
 	s.BusyTimeNs += o.BusyTimeNs
 	s.IdleTimeNs += o.IdleTimeNs
 	s.PeakStateBytes += o.PeakStateBytes

@@ -44,11 +44,11 @@ func TestSnapshotAdd(t *testing.T) {
 	}
 
 	// Workers into a step, in rank order; per-worker peaks sum.
-	w1 := Snapshot{ExtensionTests: 1, PeakStateBytes: 4, StealScanWork: 2, CoreWork: []int64{1, 0}}
+	w1 := Snapshot{ExtensionTests: 1, PeakStateBytes: 4, CoreWork: []int64{1, 0}}
 	var step Snapshot
 	step.Add(w0)
 	step.Add(w1)
-	if step.ExtensionTests != 15 || step.PeakStateBytes != 4100 || step.StealScanWork != 2 {
+	if step.ExtensionTests != 15 || step.PeakStateBytes != 4100 {
 		t.Errorf("step block %+v", step)
 	}
 	if !reflect.DeepEqual(step.CoreWork, []int64{13, 4, 1, 0}) {
@@ -78,7 +78,7 @@ func TestStealOverhead(t *testing.T) {
 func TestSnapshotJSON(t *testing.T) {
 	s := Snapshot{
 		ExtensionTests: 1, Subgraphs: 2, StealsInternal: 3, StealsExternal: 4, StealBytes: 5,
-		StealTimeNs: 6, StealScanWork: 7, BusyTimeNs: 8, IdleTimeNs: 9, PeakStateBytes: 10,
+		StealTimeNs: 6, BusyTimeNs: 8, IdleTimeNs: 9, PeakStateBytes: 10,
 		AbandonedExts: 11, AggMergeTimeNs: 12, AggShippedBytes: 13, QuickPatterns: 16, CanonCalls: 17,
 		ClassesPruned: 18, SubgraphsPruned: 19, CoreWork: []int64{14, 15},
 	}
@@ -87,7 +87,7 @@ func TestSnapshotJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := `{"extension_tests":1,"subgraphs":2,"steals_internal":3,"steals_external":4,"steal_bytes":5,` +
-		`"steal_time_ns":6,"steal_scan_work":7,"busy_time_ns":8,"idle_time_ns":9,"peak_state_bytes":10,` +
+		`"steal_time_ns":6,"busy_time_ns":8,"idle_time_ns":9,"peak_state_bytes":10,` +
 		`"abandoned_exts":11,"agg_merge_time_ns":12,"agg_shipped_bytes":13,"quick_patterns":16,"canon_calls":17,` +
 		`"classes_pruned":18,"subgraphs_pruned":19,"core_work":[14,15]}`
 	if string(data) != want {

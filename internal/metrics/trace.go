@@ -27,8 +27,9 @@ const (
 	// TraceStepEnd marks the master completing a step (quiescence reached
 	// and aggregations merged).
 	TraceStepEnd
-	// TraceQuiescenceRound marks one master status-polling round; Round is
-	// the round number and Value the total active cores it observed.
+	// TraceQuiescenceRound marks one ping wave of the master's termination
+	// detection; Round is the wave number and Value the activity its
+	// answers reported.
 	TraceQuiescenceRound
 	// TraceStealAttempt marks a work-stealing attempt by a core: External
 	// selects the level, Hit the outcome, and Value the number of

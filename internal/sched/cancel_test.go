@@ -3,10 +3,12 @@ package sched
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"fractal/internal/step"
 	"fractal/internal/subgraph"
 )
 
@@ -16,6 +18,15 @@ import (
 func longJob(seed int64, counter *atomic.Int64) Job {
 	g := randomGraph(70, 0.4, 1, seed)
 	return countJob(g, subgraph.VertexInduced, nil, 5, counter)
+}
+
+// whenStarted appends a Visit to job that closes the returned channel at the
+// step's first embedding: the step is under way.
+func whenStarted(job Job) (Job, <-chan struct{}) {
+	started := make(chan struct{})
+	var once sync.Once
+	job.Workflow = append(job.Workflow, step.VisitP(func(*subgraph.Embedding) { once.Do(func() { close(started) }) }))
+	return job, started
 }
 
 // TestCancellationTCP is the acceptance scenario: a job on a TCP-transport
@@ -37,12 +48,13 @@ func TestCancellationTCP(t *testing.T) {
 		err error
 	}
 	ch := make(chan outcome, 1)
+	job, started := whenStarted(longJob(29, &counter))
 	go func() {
-		res, err := rt.Run(ctx, longJob(29, &counter))
+		res, err := rt.Run(ctx, job)
 		ch <- outcome{res, err}
 	}()
 
-	time.Sleep(50 * time.Millisecond) // let the step get going
+	<-started
 	cancelAt := time.Now()
 	cancel()
 	var o outcome
@@ -130,8 +142,8 @@ func TestCancelBeforeRun(t *testing.T) {
 }
 
 // TestWorkerLostFailsJob kills a TCP worker's transport mid-job: the master
-// must fail the job with a typed *WorkerLostError instead of blocking in
-// quiescence polling, and the runtime must still shut down cleanly.
+// must fail the job with a typed *WorkerLostError instead of waiting for a
+// step end that never comes, and the runtime must still shut down cleanly.
 func TestWorkerLostFailsJob(t *testing.T) {
 	rt, err := New(Config{Workers: 2, CoresPerWorker: 2, WS: WSBoth, UseTCP: true,
 		WorkerTimeout: 2 * time.Second})
@@ -142,12 +154,13 @@ func TestWorkerLostFailsJob(t *testing.T) {
 
 	var counter atomic.Int64
 	errCh := make(chan error, 1)
+	job, started := whenStarted(longJob(17, &counter))
 	go func() {
-		_, err := rt.Run(context.Background(), longJob(17, &counter))
+		_, err := rt.Run(context.Background(), job)
 		errCh <- err
 	}()
-	time.Sleep(50 * time.Millisecond) // let the step get going
-	rt.workers[1].tr.Close()          // the worker is gone mid-job
+	<-started
+	rt.workers[1].tr.Close() // the worker is gone mid-job
 
 	select {
 	case err := <-errCh:

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"sync/atomic"
 	"time"
 
 	"fractal/internal/enumerator"
@@ -29,20 +28,11 @@ type core struct {
 	// core's goroutine starts and the worker reads it after st.wg.Wait(), so
 	// counting an extension test or a subgraph touches no shared cache line.
 	ctr metrics.Snapshot
-	// processed counts the embeddings the core has processed in the attempt.
-	// progress is its published copy, the one counter read while the step
-	// runs (reportStatus sums the cores' for the master's quiescence rounds):
-	// stored every progressEvery embeddings and whenever the core runs dry,
-	// so an idle core's figure is exact and a busy core's is recent.
-	processed int64
-	progress  atomic.Int64
 	// asked and askedRemote say that a sibling request of this core is
 	// queued, or a remote one on its way, with no answer yet. They outlive an
 	// idle spell: a request the core stopped waiting for is still answered.
 	asked, askedRemote bool
 }
-
-const progressEvery = 256
 
 func newCore(w *worker, local int) *core {
 	return &core{w: w, local: local}
@@ -130,13 +120,15 @@ func (c *core) run(st *stepCtx) {
 }
 
 // release gives up the core's unit of activity: it ran dry, or is stopping.
-// Its progress figure is published first, so a worker that reads idle reads
-// exact counts. The core that gives up the worker's last unit answers the
-// requests still queued, empty.
+// The core that gives up the worker's last unit answers the requests still
+// queued, empty, and tells the master the worker is idle.
 func (c *core) release(st *stepCtx) {
-	c.progress.Store(c.processed)
-	for _, r := range st.retire() {
+	left, edge := st.retire()
+	for _, r := range left {
 		c.w.answer(st, r, nil)
+	}
+	if edge != nil {
+		c.w.report(edge)
 	}
 }
 
@@ -165,8 +157,7 @@ func (c *core) donate(st *stepCtx) {
 // time the timer fires the core asks the attempt's other participants in
 // turn (case (b) of Figure 9), one request at a time, and doubles the
 // back-off after a fruitless round: remote requests are messages, so they
-// must not flood victims, and the master's quiescence detector needs windows
-// with no steal traffic in flight. Nothing here wakes up to look for work:
+// must not flood victims. Nothing here wakes up to look for work:
 // with internal stealing alone the core sleeps until it is granted a prefix
 // or the step ends.
 //
@@ -231,10 +222,10 @@ func (c *core) park(st *stepCtx) (prefix []subgraph.Word, ok bool) {
 		case <-timeout:
 			// The back-off is over, or the response to the round's last
 			// request was lost: under fault injection a message can vanish,
-			// and an unbounded wait would pin this core forever. The loss
-			// leaves the workers' request/response counters imbalanced, which
-			// is what the master's steal-balance watchdog convicts; moving on
-			// just keeps the core schedulable until the attempt is retried.
+			// and an unbounded wait would pin this core forever. A lost grant
+			// leaves the workers' grant counters imbalanced, which is what the
+			// master's steal-balance check convicts; moving on just keeps the
+			// core schedulable until the attempt is retried.
 			c.bookWait(waitStart)
 			if c.askedRemote {
 				miss(true)
@@ -288,11 +279,9 @@ func (c *core) askNext(st *stepCtx, victim *int) bool {
 	for *victim++; *victim < len(st.parts); *victim++ {
 		to := rpc.NodeID(st.parts[(st.rank+*victim)%len(st.parts)])
 		req := stealReqMsg{Job: st.job, Step: st.index, Attempt: st.attempt, Worker: w.id, Core: c.local}
-		w.reqSent.Add(1)
 		if w.tr.Send(to, rpc.Envelope{Kind: kStealReq, Body: encode(req)}) == nil {
 			return true
 		}
-		w.reqSent.Add(-1) // never left this node
 	}
 	*victim = 0
 	return false
@@ -314,9 +303,6 @@ func (c *core) traceSteal(st *stepCtx, external, hit bool, misses int64) {
 // embedding extended by w (the recursive body of Algorithm 1, iterated).
 func (c *core) process(st *stepCtx, emb *subgraph.Embedding, depth int, w subgraph.Word) {
 	emb.Push(w)
-	if c.processed++; c.processed%progressEvery == 0 {
-		c.progress.Store(c.processed)
-	}
 	prims := st.s.Primitives
 	for i := st.s.ExtIdx[depth] + 1; i < len(prims); i++ {
 		p := &prims[i]

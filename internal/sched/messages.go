@@ -130,29 +130,31 @@ type aggDoneMsg struct {
 	Counters           metrics.Snapshot
 }
 
-// statusPingMsg requests a quiescence status report.
+// statusPingMsg asks every participant for its current status: the
+// master's confirmation wave once the newest reports say the step is over,
+// and its liveness probe after WorkerTimeout of silence. Each participant
+// answers with one statusReportMsg marked Reply.
 type statusPingMsg struct {
 	Job, Step, Attempt int
-	Round              int64
 }
 
-// statusReportMsg is a worker's quiescence report: instantaneous activity
-// plus monotone progress and message-balance counters. Running reports
-// whether the worker is actually executing the pinged attempt — a worker
-// whose stepStartMsg was lost answers pings with Running=false, which keeps
-// the master from declaring quiescence while a participant never ran its
-// share of the root domain.
+// statusReportMsg is a worker's status: sent on each edge of its activity
+// count (busy→idle when its last core runs dry, idle→busy when it adopts a
+// remote grant) and as the Reply to a ping. Seq numbers the worker's edges in
+// the attempt from 1, the installed and busy state the master assumes
+// without a report, so the master keeps the newest report whatever order
+// they arrive in; a Reply with Seq 0 says the worker is not running the
+// attempt. Active is the worker's activity count; Granted and Adopted count
+// the work-carrying steal responses it sent and adopted (empty answers and
+// requests carry no work and are not counted).
 type statusReportMsg struct {
 	Job, Step, Attempt int
-	Round              int64
 	Worker             int
-	Running            bool
+	Reply              bool
+	Seq                int64
 	Active             int64
-	Processed          int64
-	ReqSent            int64
-	RespRecv           int64
-	ReqRecv            int64
-	RespSent           int64
+	Granted            int64
+	Adopted            int64
 }
 
 // stealReqMsg asks a worker to donate one enumeration prefix.
@@ -322,10 +324,10 @@ func getWord(r *wire.Reader) subgraph.Word {
 }
 
 // counterFields lists a counter block's scalars in wire order.
-func counterFields(c *metrics.Snapshot) [17]*int64 {
+func counterFields(c *metrics.Snapshot) [16]*int64 {
 	return [...]*int64{
 		&c.ExtensionTests, &c.Subgraphs, &c.StealsInternal, &c.StealsExternal, &c.StealBytes,
-		&c.StealTimeNs, &c.StealScanWork, &c.BusyTimeNs, &c.IdleTimeNs, &c.PeakStateBytes,
+		&c.StealTimeNs, &c.BusyTimeNs, &c.IdleTimeNs, &c.PeakStateBytes,
 		&c.AbandonedExts, &c.AggMergeTimeNs, &c.AggShippedBytes, &c.QuickPatterns, &c.CanonCalls,
 		&c.ClassesPruned, &c.SubgraphsPruned,
 	}
@@ -429,32 +431,23 @@ func (m *aggDoneMsg) get(r *wire.Reader) {
 	m.Counters = getCounters(r)
 }
 
-func (m statusPingMsg) put(w *wire.Writer) {
-	putAttempt(w, m.Job, m.Step, m.Attempt)
-	w.Varint(m.Round)
-}
-
-func (m *statusPingMsg) get(r *wire.Reader) {
-	getAttempt(r, &m.Job, &m.Step, &m.Attempt)
-	m.Round = r.Varint()
-}
+func (m statusPingMsg) put(w *wire.Writer)  { putAttempt(w, m.Job, m.Step, m.Attempt) }
+func (m *statusPingMsg) get(r *wire.Reader) { getAttempt(r, &m.Job, &m.Step, &m.Attempt) }
 
 func (m statusReportMsg) put(w *wire.Writer) {
 	putAttempt(w, m.Job, m.Step, m.Attempt)
-	w.Varint(m.Round)
 	w.Int(m.Worker)
-	w.Bool(m.Running)
-	for _, v := range [...]int64{m.Active, m.Processed, m.ReqSent, m.RespRecv, m.ReqRecv, m.RespSent} {
+	w.Bool(m.Reply)
+	for _, v := range [...]int64{m.Seq, m.Active, m.Granted, m.Adopted} {
 		w.Varint(v)
 	}
 }
 
 func (m *statusReportMsg) get(r *wire.Reader) {
 	getAttempt(r, &m.Job, &m.Step, &m.Attempt)
-	m.Round = r.Varint()
 	m.Worker = r.Int()
-	m.Running = r.Bool()
-	for _, v := range [...]*int64{&m.Active, &m.Processed, &m.ReqSent, &m.RespRecv, &m.ReqRecv, &m.RespSent} {
+	m.Reply = r.Bool()
+	for _, v := range [...]*int64{&m.Seq, &m.Active, &m.Granted, &m.Adopted} {
 		*v = r.Varint()
 	}
 }

@@ -63,10 +63,12 @@ func newMessage(kind uint8) wireMessage {
 // its body in hex. The bodies were generated at the commit before the codec
 // moved onto the shared reader/writer (PR 12): the wire form did not change.
 // Since PR 15 the two messages that end a step attempt, aggDone and
-// cancelAck, close with the worker's counter block — 17 varints (13 until
+// cancelAck, close with the worker's counter block — 16 varints (13 until
 // PR 16 appended QuickPatterns and CanonCalls, 15 until PR 20 appended
-// ClassesPruned and SubgraphsPruned) and the counted CoreWork sequence, 18
-// zero bytes when empty.
+// ClassesPruned and SubgraphsPruned, 17 until PR 21 dropped the steal-scan slot)
+// and the counted CoreWork sequence, 17 zero bytes when empty. PR 21 also
+// redrew the status pair: the ping lost its round number, and the report is
+// the edge-triggered one (Seq and the grant counts).
 var messageCases = []struct {
 	name   string
 	kind   uint8
@@ -80,24 +82,24 @@ var messageCases = []struct {
 	{"stepStartNoWorkers", kStepStart, &stepStartMsg{Job: 1}, "0200000000"},
 	{"stepEnd", kStepEnd, &stepEndMsg{Job: 1, Step: 2, Attempt: 3}, "020406"},
 	{"cancel", kCancel, &cancelMsg{Job: 9, Step: 0, Attempt: 1}, "120002"},
-	{"cancelAck", kCancelAck, &cancelAckMsg{Job: 1, Step: 2, Attempt: 3, Worker: 4}, "02040608" + "000000000000000000000000000000000000"},
+	{"cancelAck", kCancelAck, &cancelAckMsg{Job: 1, Step: 2, Attempt: 3, Worker: 4}, "02040608" + "0000000000000000000000000000000000"},
 	{"cancelAckCounters", kCancelAck, &cancelAckMsg{Job: 1, Step: 2, Attempt: 3, Worker: 4, Counters: metrics.Snapshot{
-		ExtensionTests: 1, Subgraphs: 2, StealsInternal: 3, StealsExternal: 4, StealBytes: 5, StealTimeNs: 6, StealScanWork: 7,
+		ExtensionTests: 1, Subgraphs: 2, StealsInternal: 3, StealsExternal: 4, StealBytes: 5, StealTimeNs: 6,
 		BusyTimeNs: 8, IdleTimeNs: 9, PeakStateBytes: 10, AbandonedExts: 11, AggMergeTimeNs: 12, AggShippedBytes: 13,
 		QuickPatterns: 14, CanonCalls: 15, ClassesPruned: 16, SubgraphsPruned: 17, CoreWork: []int64{3, 0}}},
-		"02040608" + "020406080a0c0e10121416181a1c1e" + "2022" + "020600"},
+		"02040608" + "020406080a0c10121416181a1c1e" + "2022" + "020600"},
 	{"aggData", kAggData, &aggDataMsg{Job: 1, Step: 2, Attempt: 3, Worker: 4, Name: "support", Data: []byte{1, 2, 0, 255}},
 		"0204060807737570706f727404010200ff"},
 	{"aggDataEmpty", kAggData, &aggDataMsg{Name: ""}, "000000000000"},
 	{"aggDone", kAggDone, &aggDoneMsg{Job: 1, Step: 2, Attempt: 3, Worker: 4, Sent: 2, Errs: []string{"boom", ""}},
-		"02040608040204626f6f6d00" + "000000000000000000000000000000000000"},
+		"02040608040204626f6f6d00" + "0000000000000000000000000000000000"},
 	{"aggDoneCounters", kAggDone, &aggDoneMsg{Job: 1, Step: 2, Attempt: 3, Worker: 4, Sent: 1, Counters: metrics.Snapshot{
 		ExtensionTests: 1 << 40, Subgraphs: 64, BusyTimeNs: 1_000_000, AggShippedBytes: 300, CoreWork: []int64{1<<40 + 64}}},
-		"020406080200" + "808080808040" + "8001" + "0000000000" + "80897a" + "00000000" + "d804" + "00000000" + "01" + "808180808040"},
-	{"statusPing", kStatusPing, &statusPingMsg{Job: 1, Step: 2, Attempt: 3, Round: 1 << 40}, "020406808080808040"},
-	{"statusReport", kStatusReport, &statusReportMsg{Job: 1, Step: 2, Attempt: 3, Round: 7, Worker: 2, Running: true,
-		Active: 3, Processed: 1 << 50, ReqSent: 5, RespRecv: 4, ReqRecv: 9, RespSent: 9},
-		"0204060e04010680808080808080040a081212"},
+		"020406080200" + "808080808040" + "8001" + "00000000" + "80897a" + "00000000" + "d804" + "00000000" + "01" + "808180808040"},
+	{"statusPing", kStatusPing, &statusPingMsg{Job: 1, Step: 2, Attempt: 3}, "020406"},
+	{"statusReport", kStatusReport, &statusReportMsg{Job: 1, Step: 2, Attempt: 3, Worker: 2, Reply: true,
+		Seq: 7, Active: 3, Granted: 1 << 40, Adopted: 5},
+		"020406" + "04" + "01" + "0e" + "06" + "808080808040" + "0a"},
 	{"stealReq", kStealReq, &stealReqMsg{Job: 1, Step: 2, Attempt: 3, Worker: 1, Core: 2}, "0204060204"},
 	{"stealResp", kStealResp, &stealRespMsg{Job: 1, Step: 2, Attempt: 3, Core: 2, Prefix: []subgraph.Word{0, -1, 1 << 30, 42}},
 		"02040604040001808080800854"},
@@ -189,8 +191,8 @@ func TestHostileCountsFailBeforeAllocating(t *testing.T) {
 		"stepStart env":       {&stepStartMsg{}, append([]byte{0, 0, 0, 0}, count...)},
 		"stealResp prefix":    {&stealRespMsg{}, append([]byte{0, 0, 0, 0}, count...)},
 		"aggDone errs":        {&aggDoneMsg{}, append([]byte{0, 0, 0, 0, 0}, count...)},
-		"aggDone core work":   {&aggDoneMsg{}, append(make([]byte, 6+15), count...)},
-		"cancelAck core work": {&cancelAckMsg{}, append(make([]byte, 4+15), count...)},
+		"aggDone core work":   {&aggDoneMsg{}, append(make([]byte, 6+16), count...)},
+		"cancelAck core work": {&cancelAckMsg{}, append(make([]byte, 4+16), count...)},
 		"welcome peers":       {&welcomeMsg{}, append([]byte{0, 0, 0, 0, 0}, count...)},
 		"jobSpec args":        {&jobSpecMsg{}, append([]byte{0, 0, 0}, count...)},
 		"aggData bytes":       {&aggDataMsg{}, append([]byte{0, 0, 0, 0, 0}, count...)},

@@ -160,14 +160,9 @@ func TestTimePartitionAccounting(t *testing.T) {
 	if sum < s.Wall/2 {
 		t.Errorf("busy+idle+steal=%v under half the step wall %v: an interval is unaccounted", sum, s.Wall)
 	}
-	// No work unit is booked inside a steal wait (the counter is a relic of
-	// the scanning thief and stays zero), and none goes missing from the
-	// cores' books either.
+	// No work unit goes missing from the cores' books.
 	if m.StealsInternal == 0 {
 		t.Fatal("no steal happened: the accounting under test was not exercised")
-	}
-	if m.StealScanWork != 0 {
-		t.Errorf("%d work units were processed inside steal-scan intervals: steal time includes stolen-work processing", m.StealScanWork)
 	}
 	var booked int64
 	for _, w := range m.CoreWork {
@@ -216,11 +211,11 @@ func TestTraceJournalRecordsRun(t *testing.T) {
 	if counts[metrics.TraceStepStart] != counts[metrics.TraceStepEnd] {
 		t.Errorf("step starts=%d ends=%d", counts[metrics.TraceStepStart], counts[metrics.TraceStepEnd])
 	}
-	// The per-step quiescence journal is populated: at least two rounds
-	// (quiescence requires two consecutive all-idle observations).
+	// The per-step quiescence journal is populated: at least one round (the
+	// wave that confirmed the step's end).
 	last := rep.Steps[len(rep.Steps)-1]
-	if last.RoundsTotal < 2 || len(last.Rounds) < 2 {
-		t.Errorf("rounds recorded=%d total=%d, want >= 2", len(last.Rounds), last.RoundsTotal)
+	if last.RoundsTotal < 1 || len(last.Rounds) != last.RoundsTotal {
+		t.Errorf("rounds recorded=%d total=%d, want >= 1 and equal", len(last.Rounds), last.RoundsTotal)
 	}
 	if last.Metrics.Subgraphs == 0 {
 		t.Error("step metrics snapshot empty")

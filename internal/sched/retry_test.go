@@ -3,6 +3,7 @@ package sched
 import (
 	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -290,17 +291,18 @@ func TestRetryDiscardsFailedAttemptCounters(t *testing.T) {
 	}
 }
 
-// TestStealBalanceWatchdogRetries verifies the watchdog for losses that
-// silence nobody: a dropped steal response leaves the request/response
-// counters permanently imbalanced while every worker keeps answering pings.
-// The master must convict the stagnant imbalance (Worker -1: no single
-// worker to blame or exclude), retry over the same participants, and land on
-// the exact count.
+// TestStealBalanceWatchdogRetries verifies the check for losses that
+// silence nobody: a dropped grant leaves the grant counts imbalanced for good
+// while every worker is idle and answers pings. The master must convict the
+// stuck imbalance (Worker -1: no single worker to blame or exclude), retry
+// over the same participants, and land on the exact count.
+//
+// The first steal response worker 0 sends worker 1 — the one dropped — is a
+// grant by construction: a star's work all hangs off the hub (worker 0's
+// root), worker 1 runs dry at once and asks worker 0, and worker 0's first
+// Visit holds its core until that request is queued, with the other roots
+// still on its stack to give away.
 func TestStealBalanceWatchdogRetries(t *testing.T) {
-	// A star's enumeration work all hangs off the hub (vertex 0, handled by
-	// worker 0's core), so worker 1 drains its spoke roots immediately and is
-	// guaranteed to send steal requests while worker 0 is still deep in the
-	// hub subtree.
 	g := starGraph(400)
 	want := refCount(g, subgraph.VertexInduced, nil, 3)
 	if want == 0 {
@@ -318,7 +320,18 @@ func TestStealBalanceWatchdogRetries(t *testing.T) {
 	}
 	defer rt.Close()
 
-	res, err := rt.Run(context.Background(), aggCountJob(g, 3))
+	var held atomic.Bool
+	job := aggCountJob(g, 3)
+	wait := step.VisitP(func(*subgraph.Embedding) {
+		if held.Swap(true) {
+			return
+		}
+		for st := rt.workers[0].current(); st.attn.Load()&attnSteal == 0; {
+			runtime.Gosched()
+		}
+	})
+	job.Workflow = append(job.Workflow[:3], wait, job.Workflow[3])
+	res, err := rt.Run(context.Background(), job)
 	if err != nil {
 		t.Fatalf("run failed: %v", err)
 	}

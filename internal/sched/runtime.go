@@ -116,11 +116,8 @@ type jobRun struct {
 	// reconstruct the environment the master's merge produced. In-process
 	// runs share the registry by reference and leave it nil.
 	envWire []envEntry
-	// rounds journals the master's quiescence polling for the current step
-	// (master-only, rebuilt per step); roundsTotal counts rounds past the
-	// maxRecordedRounds cap.
-	rounds      []QuiescenceRound
-	roundsTotal int
+	// rounds journals the master's ping waves for the attempt (master-only).
+	rounds []QuiescenceRound
 	// cancelled is the abort flag: the master flips it, then interrupts the
 	// in-process workers' cores directly, then broadcasts cancel messages. On
 	// an oversubscribed machine compute-bound cores starve the transport
@@ -349,7 +346,7 @@ func (r *Runtime) nextJobID() (int, error) {
 // context.Background().
 //
 // An unreachable or silent worker fails the step attempt with a
-// *WorkerLostError instead of blocking in quiescence polling. With
+// *WorkerLostError instead of blocking the step's end. With
 // Config.StepRetries at its zero default that fails the job; otherwise the
 // step is retried: steps execute from scratch (Algorithm 2), so the master
 // discards the attempt's partials, excludes the lost worker for the rest of
@@ -705,7 +702,7 @@ func fillReport(rep *StepReport, run *jobRun) {
 	rep.AggMergeTime = time.Duration(m.AggMergeTimeNs)
 	rep.AggShippedBytes = m.AggShippedBytes
 	rep.Rounds = run.rounds
-	rep.RoundsTotal = run.roundsTotal
+	rep.RoundsTotal = len(run.rounds)
 }
 
 // buildReport assembles the run-level observability record.
@@ -729,381 +726,4 @@ func (r *Runtime) buildReport(res *Result, tracer *metrics.Tracer, preStats Tran
 		rep.TraceDropped = tracer.Dropped()
 	}
 	return rep
-}
-
-// effectFree reports whether a step computes no new aggregation and visits
-// nothing, so executing it would only re-enumerate with no observable
-// output.
-func (r *Runtime) effectFree(s *step.Step) bool {
-	if len(s.AggSpecs()) > 0 {
-		return false
-	}
-	for _, p := range s.Primitives {
-		if p.Kind == step.Visit {
-			return false
-		}
-	}
-	return true
-}
-
-// executeStep drives one fractal step: broadcast start, poll for global
-// quiescence, broadcast end, and merge the workers' aggregation partials.
-// On any failure — context cancellation, deadline, or worker loss — the
-// step is abandoned: the run's abort flag is flipped and a cancel message
-// is broadcast so every reachable worker drains its cores and discards its
-// partials.
-func (r *Runtime) executeStep(ctx context.Context, run *jobRun, idx int, s *step.Step) (err error) {
-	defer func() {
-		if err != nil {
-			r.broadcastCancel(run, idx)
-		}
-	}()
-	if run.tracer != nil {
-		run.tracer.Emit(metrics.TraceEvent{Kind: metrics.TraceStepStart, Step: idx, Worker: -1, Core: -1})
-	}
-	startBody := encode(stepStartMsg{Job: run.job, Step: idx, Attempt: run.attempt, Workers: run.parts, Env: run.envWire})
-	for _, wid := range run.parts {
-		if e := r.master.Send(rpc.NodeID(wid), rpc.Envelope{Kind: kStepStart, Body: startBody}); e != nil {
-			return &WorkerLostError{Worker: wid, Step: idx, Phase: "step-start", Err: e}
-		}
-	}
-	if err := r.awaitQuiescence(ctx, run, idx); err != nil {
-		return err
-	}
-	endBody := encode(stepEndMsg{Job: run.job, Step: idx, Attempt: run.attempt})
-	for _, wid := range run.parts {
-		if e := r.master.Send(rpc.NodeID(wid), rpc.Envelope{Kind: kStepEnd, Body: endBody}); e != nil {
-			return &WorkerLostError{Worker: wid, Step: idx, Phase: "step-end", Err: e}
-		}
-	}
-	if err := r.collectAggregations(ctx, run, idx, s); err != nil {
-		return err
-	}
-	if run.tracer != nil {
-		run.tracer.Emit(metrics.TraceEvent{Kind: metrics.TraceStepEnd, Step: idx, Worker: -1, Core: -1})
-	}
-	return nil
-}
-
-// cancelDrainWait bounds how long the master waits for workers to
-// acknowledge a cancel before returning with the partial report. Cores stop
-// on the interrupt within one DFS iteration, so healthy workers
-// ack as soon as the control message makes it through; the cap only matters
-// when a worker is dead, and is kept small so cancellation latency stays
-// well under the 100ms target.
-const cancelDrainWait = 75 * time.Millisecond
-
-// broadcastCancel tells every worker to abandon the step — first by
-// interrupting the cores of in-process workers (instant), then through
-// cancel messages that serialize the drain at each router — and waits
-// (bounded by cancelDrainWait) for the drain acks, which carry the workers' counters
-// into the partial step report. Sends are best-effort: a worker that cannot
-// be reached is typically the one whose loss is being handled, and an
-// unacked worker is missing from the report.
-func (r *Runtime) broadcastCancel(run *jobRun, idx int) {
-	run.cancelled.Store(true)
-	for _, w := range r.workers {
-		w.interrupt(run.job, idx, run.attempt)
-	}
-	if run.tracer != nil {
-		run.tracer.Emit(metrics.TraceEvent{Kind: metrics.TraceCancel, Step: idx, Worker: -1, Core: -1})
-	}
-	body := encode(cancelMsg{Job: run.job, Step: idx, Attempt: run.attempt})
-	// Cancel goes to every worker, not just this attempt's participants: an
-	// excluded worker may still be draining the failed attempt that got it
-	// excluded.
-	all := r.allWorkerIDs()
-	for _, id := range all {
-		r.master.Send(rpc.NodeID(id), rpc.Envelope{Kind: kCancel, Body: body})
-	}
-	acked := map[int]bool{}
-	defer func() {
-		if run.tracer != nil {
-			run.tracer.Emit(metrics.TraceEvent{
-				Kind: metrics.TraceDrain, Step: idx,
-				Worker: -1, Core: -1, Value: int64(len(acked)),
-			})
-		}
-	}()
-	deadline := time.NewTimer(cancelDrainWait)
-	defer deadline.Stop()
-	for len(acked) < len(all) {
-		select {
-		case env, ok := <-r.inbox:
-			if !ok {
-				return
-			}
-			if env.Kind != kCancelAck {
-				continue // stale status reports, agg data, …
-			}
-			var m cancelAckMsg
-			if decode(env.Body, &m) != nil || m.Job != run.job || m.Step != idx || m.Attempt != run.attempt {
-				continue
-			}
-			acked[m.Worker] = true
-			run.recordCounters(m.Worker, m.Counters)
-		case <-deadline.C:
-			return
-		}
-	}
-}
-
-// quiescence detection: the step is complete when, over two consecutive
-// status rounds, every participant reports that it is running the attempt
-// with zero active cores, the global request/response counters balance (no
-// stolen work in flight), and the monotone processed counter has not
-// advanced. Cores follow the discipline of marking themselves active before
-// acquiring work, which makes "active == 0" imply "no core holds unprocessed
-// work".
-//
-// Beyond the silent-worker timeout, two watchdogs catch losses that silence
-// nothing: a participant whose stepStartMsg was lost keeps answering pings
-// with Running=false (without the Running requirement the master would
-// declare quiescence with that worker's share of the root domain never
-// enumerated), and lost steal traffic leaves the request/response counters
-// imbalanced for good. Either state is indistinguishable from a slow step at
-// any instant — its persistence beyond WorkerTimeout with no progress is
-// what convicts it.
-func (r *Runtime) awaitQuiescence(ctx context.Context, run *jobRun, idx int) error {
-	type snap struct {
-		ok        bool
-		processed int64
-	}
-	var prev snap
-	round := int64(0)
-	reports := make(map[int]statusReportMsg, len(run.parts))
-	ticker := time.NewTicker(r.cfg.StatusInterval)
-	defer ticker.Stop()
-	// lost bounds how long a status round may wait on a silent worker; it is
-	// re-armed every round, so a healthy run never trips it.
-	lost := time.NewTimer(r.cfg.WorkerTimeout)
-	defer lost.Stop()
-	var notRunningSince, imbalancedSince time.Time
-	var imbalancedProcessed int64
-
-	for {
-		round++
-		roundStart := time.Now()
-		ping := encode(statusPingMsg{Job: run.job, Step: idx, Attempt: run.attempt, Round: round})
-		for _, wid := range run.parts {
-			if err := r.master.Send(rpc.NodeID(wid), rpc.Envelope{Kind: kStatusPing, Body: ping}); err != nil {
-				return &WorkerLostError{Worker: wid, Step: idx, Phase: "quiescence", Err: err}
-			}
-		}
-		clear(reports)
-		lost.Reset(r.cfg.WorkerTimeout)
-		for len(reports) < len(run.parts) {
-			select {
-			case env, ok := <-r.inbox:
-				if !ok {
-					return fmt.Errorf("master transport closed")
-				}
-				if env.Kind != kStatusReport {
-					continue // stale agg data etc.
-				}
-				var m statusReportMsg
-				if decode(env.Body, &m) != nil {
-					continue
-				}
-				if m.Job != run.job || m.Step != idx || m.Attempt != run.attempt || m.Round != round {
-					continue
-				}
-				reports[m.Worker] = m
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-lost.C:
-				return &WorkerLostError{Worker: missingWorker(reports, run.parts), Step: idx, Phase: "quiescence"}
-			}
-		}
-		var cur snap
-		cur.ok = true
-		notRunning := -1
-		var active, reqSent, respRecv, reqRecv, respSent int64
-		for _, m := range reports {
-			if !m.Running {
-				cur.ok = false
-				notRunning = m.Worker
-			}
-			if m.Active != 0 {
-				cur.ok = false
-			}
-			active += m.Active
-			cur.processed += m.Processed
-			reqSent += m.ReqSent
-			respRecv += m.RespRecv
-			reqRecv += m.ReqRecv
-			respSent += m.RespSent
-		}
-		imbalanced := reqSent != respRecv || reqRecv != respSent
-		if imbalanced {
-			cur.ok = false
-		}
-		run.recordRound(idx, QuiescenceRound{
-			Round: round, Wait: time.Since(roundStart),
-			Active: active, Processed: cur.processed,
-		})
-		if cur.ok && prev.ok && cur.processed == prev.processed {
-			return nil
-		}
-		now := time.Now()
-		if notRunning >= 0 {
-			if notRunningSince.IsZero() {
-				notRunningSince = now
-			} else if now.Sub(notRunningSince) > r.cfg.WorkerTimeout {
-				// The participant is reachable but never received its step
-				// start: its partition of the root domain is not being
-				// enumerated and never will be.
-				return &WorkerLostError{Worker: notRunning, Step: idx, Phase: "step-start"}
-			}
-		} else {
-			notRunningSince = time.Time{}
-		}
-		if imbalanced && (imbalancedSince.IsZero() || cur.processed != imbalancedProcessed) {
-			imbalancedSince, imbalancedProcessed = now, cur.processed
-		} else if !imbalanced {
-			imbalancedSince = time.Time{}
-		} else if now.Sub(imbalancedSince) > r.cfg.WorkerTimeout {
-			// Counters stayed imbalanced with no progress for a full worker
-			// timeout: a steal request or response was lost in flight, and
-			// any work it carried with it. No single worker can be blamed
-			// (Worker -1), so a retry re-executes over the same set.
-			return &WorkerLostError{Worker: -1, Step: idx, Phase: "steal-balance"}
-		}
-		prev = cur
-		select {
-		case <-ticker.C:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-}
-
-// missingWorker returns the lowest-ranked participant absent from reports.
-func missingWorker(reports map[int]statusReportMsg, parts []int) int {
-	for _, wid := range parts {
-		if _, ok := reports[wid]; !ok {
-			return wid
-		}
-	}
-	return -1
-}
-
-// collectAggregations gathers every worker's frames and folds them into the
-// environment.
-//
-// Frame bodies are kept as received, per aggregation and worker in arrival
-// order — the receive loop does no CPU work between messages, so a slow fold
-// cannot backpressure the transport. Once every worker has reported, one
-// ordered fold per aggregation walks the workers' frame sequences together
-// (agg.Store.FoldFrames, DESIGN §9): a key's values are decoded, reduced and
-// put to the aggFilter there and then, so the master holds the frame bytes
-// and the surviving entries and never a decoded partial. A frame lost on the
-// way leaves received short of Sent and is a lost worker; frames out of key
-// order are a corrupt partial. Each done message also delivers its worker's
-// counter block — attempt-checked like the frames, so a failed attempt's
-// counters never reach the retry's report — and the master's own fold time
-// joins them.
-func (r *Runtime) collectAggregations(ctx context.Context, run *jobRun, idx int, s *step.Step) error {
-	specs := s.AggSpecs()
-	// frames[name][rank] is that worker's frame sequence.
-	frames := map[string][][][]byte{}
-	for _, sp := range specs {
-		frames[sp.Name] = make([][][]byte, len(run.parts))
-	}
-	rank := map[int]int{}
-	for i, wid := range run.parts {
-		rank[wid] = i
-	}
-	doneWorkers := 0
-	done := map[int]bool{}
-	expected := map[int]int{}
-	received := map[int]int{}
-	// lost is reset on every message: a worker is only considered lost after
-	// a silent stretch, not merely slow to send many frames.
-	lost := time.NewTimer(r.cfg.WorkerTimeout)
-	defer lost.Stop()
-	for doneWorkers < len(run.parts) {
-		select {
-		case env, ok := <-r.inbox:
-			if !ok {
-				return fmt.Errorf("master transport closed")
-			}
-			lost.Reset(r.cfg.WorkerTimeout)
-			switch env.Kind {
-			case kAggData:
-				var m aggDataMsg
-				// The attempt check is what makes retries exactly-once: a
-				// frame shipped by a failed attempt (still queued when the
-				// master gave up on it) must never fold into the retry's
-				// result — dropping it here is safe precisely because the
-				// retry re-enumerates everything the failed attempt did.
-				if decode(env.Body, &m) != nil || m.Job != run.job || m.Step != idx || m.Attempt != run.attempt {
-					continue
-				}
-				at, ok := rank[m.Worker]
-				if !ok {
-					continue // not a participant of this attempt
-				}
-				seqs, ok := frames[m.Name]
-				if !ok {
-					// The two ends disagree about the step: waiting for the
-					// count to add up would blame a worker that is alive.
-					return &AggregationError{Worker: m.Worker, Reasons: []string{
-						fmt.Sprintf("frame of unknown aggregation %q", m.Name),
-					}}
-				}
-				seqs[at] = append(seqs[at], m.Data)
-				received[m.Worker]++
-				if exp, ok := expected[m.Worker]; ok && received[m.Worker] == exp {
-					doneWorkers++
-					done[m.Worker] = true
-				}
-			case kAggDone:
-				var m aggDoneMsg
-				if decode(env.Body, &m) != nil || m.Job != run.job || m.Step != idx || m.Attempt != run.attempt {
-					continue
-				}
-				run.recordCounters(m.Worker, m.Counters)
-				if len(m.Errs) > 0 {
-					// The worker could not assemble (or ship) some of its
-					// partials: fail the step rather than commit a result
-					// that silently misses its contribution.
-					return &AggregationError{Worker: m.Worker, Reasons: m.Errs}
-				}
-				expected[m.Worker] = m.Sent
-				if received[m.Worker] == m.Sent {
-					doneWorkers++
-					done[m.Worker] = true
-				}
-			}
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-lost.C:
-			missing := -1
-			for _, wid := range run.parts {
-				if !done[wid] {
-					missing = wid
-					break
-				}
-			}
-			return &WorkerLostError{Worker: missing, Step: idx, Phase: "aggregation"}
-		}
-	}
-	mergeStart := time.Now()
-	defer func() { run.mergeTime = time.Since(mergeStart) }()
-	stop := func() bool { return ctx.Err() != nil || run.cancelled.Load() }
-	for _, sp := range specs {
-		folded, err := sp.Proto.FoldFrames(frames[sp.Name], stop)
-		if err != nil {
-			if errors.Is(err, agg.ErrMergeCancelled) && ctx.Err() != nil {
-				return ctx.Err()
-			}
-			return &AggregationError{Worker: -1, Reasons: []string{
-				fmt.Sprintf("folding %q partials: %v", sp.Name, err),
-			}}
-		}
-		delete(frames, sp.Name) // folded: the frame bytes may go
-		run.env.Put(sp.Name, folded)
-	}
-	return nil
 }

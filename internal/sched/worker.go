@@ -49,8 +49,14 @@ type stepCtx struct {
 	// active counts the units of work the worker holds: one per core that
 	// has not run dry, one per granted prefix on its way to a core's
 	// mailbox. It only changes under reqMu, so "active == 0" and "no request
-	// is queued" are decided together; reportStatus reads it unlocked.
-	active atomic.Int64
+	// is queued" are decided together, and so are its edges and their
+	// status reports: seq numbers those edges from 1 (installed and busy),
+	// and adopted counts the remote grants adopted, both under reqMu;
+	// granted counts the remote grants the cores sent away.
+	active  atomic.Int64
+	seq     int64
+	adopted int64
+	granted atomic.Int64
 	// reqs queues the steal requests no busy core has answered yet, oldest
 	// first. Every request gets exactly one answer: a grant from a busy core,
 	// or an empty one from post (nobody could ever serve it) or from retire
@@ -169,26 +175,43 @@ func (st *stepCtx) takeRequest() (r stealReq, ok bool) {
 }
 
 // retire gives up one unit of activity (a core ran dry or stopped). Whoever
-// gives up the last one takes the requests still queued: nobody is left to
-// grant them, so the caller answers each empty.
-func (st *stepCtx) retire() []stealReq {
+// gives up the last one takes the requests still queued — nobody is left to
+// grant them, so the caller answers each empty — and the busy→idle edge: the
+// caller sends the status report made here.
+func (st *stepCtx) retire() (left []stealReq, edge *statusReportMsg) {
 	st.reqMu.Lock()
 	defer st.reqMu.Unlock()
-	if st.active.Add(-1) > 0 || len(st.reqs) == 0 {
-		return nil
+	if st.active.Add(-1) > 0 {
+		return nil, nil
 	}
-	left := st.reqs
-	st.reqs = nil
+	left, st.reqs = st.reqs, nil
 	st.flag(attnSteal, false)
-	return left
+	st.seq++
+	return left, st.status()
 }
 
-// adopt books the unit of activity of a prefix that arrived from a remote
-// donor, before the response is counted as received.
-func (st *stepCtx) adopt() {
+// adopt books a prefix that arrived from a remote donor: its unit of
+// activity and the grant itself. On the idle→busy edge the caller sends the
+// status report made here.
+func (st *stepCtx) adopt() (edge *statusReportMsg) {
 	st.reqMu.Lock()
-	st.active.Add(1)
-	st.reqMu.Unlock()
+	defer st.reqMu.Unlock()
+	st.adopted++
+	if st.active.Add(1) > 1 {
+		return nil
+	}
+	st.seq++
+	return st.status()
+}
+
+// status is the worker's status report for the attempt; reqMu is held. While
+// active is 0 nothing in it moves without an edge: an idle worker grants
+// nothing, and adopting makes it busy.
+func (st *stepCtx) status() *statusReportMsg {
+	return &statusReportMsg{
+		Job: st.job, Step: st.index, Attempt: st.attempt,
+		Seq: st.seq, Active: st.active.Load(), Granted: st.granted.Load(), Adopted: st.adopted,
+	}
 }
 
 // deliver puts an answer in a core's mailbox. It only waits when the mailbox
@@ -230,13 +253,6 @@ type worker struct {
 	mu  sync.Mutex
 	cur *stepCtx // step under execution, nil when idle
 
-	// Quiescence counters (monotone over the lifetime of a step; reset per
-	// step).
-	reqSent  atomic.Int64
-	respRecv atomic.Int64
-	reqRecv  atomic.Int64
-	respSent atomic.Int64
-
 	wg sync.WaitGroup
 }
 
@@ -275,7 +291,7 @@ func (w *worker) route() {
 		case kStatusPing:
 			var m statusPingMsg
 			if decode(env.Body, &m) == nil {
-				w.reportStatus(m)
+				w.answerPing(m)
 			}
 		case kStealReq:
 			var m stealReqMsg
@@ -349,16 +365,13 @@ func (w *worker) startStep(m stepStartMsg) {
 		env:        run.env,
 		totalCores: run.totalCores,
 		tracer:     run.tracer,
+		seq:        1,
 		doneCh:     make(chan struct{}),
 		mail:       make([]chan grant, len(w.cores)),
 	}
 	for i := range st.mail {
 		st.mail[i] = make(chan grant, mailboxCap)
 	}
-	w.reqSent.Store(0)
-	w.respRecv.Store(0)
-	w.reqRecv.Store(0)
-	w.respSent.Store(0)
 
 	specs := st.s.AggSpecs()
 	st.localAggs = make([]map[string]agg.Store, len(w.cores))
@@ -373,15 +386,13 @@ func (w *worker) startStep(m stepStartMsg) {
 	w.cur = st
 	w.mu.Unlock()
 
-	// Mark every core active before its goroutine is even scheduled: from
-	// the first status report the master can match against this step,
-	// active is already len(cores), so a slow goroutine start (common when
-	// the machine is oversubscribed) can never read as quiescence.
+	// Mark every core active before its goroutine is even scheduled: the
+	// master assumes the installed attempt busy (Seq 1) without a report,
+	// and this is what makes it so, however slowly the goroutines start.
 	st.active.Add(int64(len(w.cores)))
 	st.wg.Add(len(w.cores))
 	for _, c := range w.cores {
-		c.ctr, c.processed, c.asked, c.askedRemote = metrics.Snapshot{}, 0, false, false
-		c.progress.Store(0)
+		c.ctr, c.asked, c.askedRemote = metrics.Snapshot{}, false, false
 		go c.run(st)
 	}
 	// The master flips the run's abort flag before it looks for steps to
@@ -499,26 +510,25 @@ func (w *worker) abortCurrent() {
 	}
 }
 
-// reportStatus answers a quiescence ping. Running tells the master whether
-// this worker is actually executing the pinged attempt — answering pings
-// while never having received the step start is exactly the state the
-// master's step-start watchdog exists to catch.
-func (w *worker) reportStatus(m statusPingMsg) {
-	st := w.current()
-	rep := statusReportMsg{
-		Job: m.Job, Step: m.Step, Attempt: m.Attempt, Round: m.Round, Worker: w.id,
-		ReqSent:  w.reqSent.Load(),
-		RespRecv: w.respRecv.Load(),
-		ReqRecv:  w.reqRecv.Load(),
-		RespSent: w.respSent.Load(),
+// answerPing answers the master's ping with the worker's current status,
+// or with Seq 0 when it is not running the pinged attempt — answering pings
+// while never having received the step start is exactly what the master's
+// step-start check exists to catch.
+func (w *worker) answerPing(m statusPingMsg) {
+	rep := &statusReportMsg{Job: m.Job, Step: m.Step, Attempt: m.Attempt}
+	if st := w.current(); stepMatches(st, m.Job, m.Step, m.Attempt) {
+		st.reqMu.Lock()
+		rep = st.status()
+		st.reqMu.Unlock()
 	}
-	if stepMatches(st, m.Job, m.Step, m.Attempt) {
-		rep.Running = true
-		rep.Active = st.active.Load()
-		for _, c := range w.cores {
-			rep.Processed += c.progress.Load()
-		}
-	}
+	rep.Reply = true
+	w.report(rep)
+}
+
+// report sends a status report to the master. A report that does not make
+// it is a loss like any other: the master's silence timeout catches it.
+func (w *worker) report(rep *statusReportMsg) {
+	rep.Worker = w.id
 	w.tr.Send(rpc.Master, rpc.Envelope{Kind: kStatusReport, Body: encode(rep)})
 }
 
@@ -539,16 +549,12 @@ func (w *worker) interrupt(job, index, attempt int) {
 func (w *worker) serveSteal(m stealReqMsg) {
 	st := w.current()
 	r := stealReq{thief: -1, remote: m}
-	// Steal counters feed the master's balance check for the attempt the
-	// counters were reset for, so only requests of the attempt under
-	// execution are counted — a stale request from an abandoned attempt
-	// still gets its (empty) response, but booking it would permanently skew
-	// the new attempt's balance and stall quiescence.
+	// Only requests of the attempt under execution are queued; a stale
+	// request from an abandoned attempt still gets its (empty) response.
 	if !stepMatches(st, m.Job, m.Step, m.Attempt) {
 		w.sendStealResp(r, nil)
 		return
 	}
-	w.reqRecv.Add(1)
 	if !st.post(r) {
 		w.answer(st, r, nil)
 	}
@@ -556,13 +562,17 @@ func (w *worker) serveSteal(m stealReqMsg) {
 
 // answer gives a request taken off st's queue (or refused by it) its one
 // answer: into the sibling thief's mailbox, or to the remote thief as a
-// kStealResp, booked as sent exactly once.
+// kStealResp. A remote grant that carries work is booked before it leaves,
+// and stays booked if the send fails: the work is lost then, and the
+// master's balance check must not miss it.
 func (w *worker) answer(st *stepCtx, r stealReq, prefix []subgraph.Word) {
 	if r.thief >= 0 {
 		st.deliver(r.thief, grant{prefix: prefix})
 		return
 	}
-	w.respSent.Add(1)
+	if len(prefix) > 0 {
+		st.granted.Add(1)
+	}
 	w.sendStealResp(r, prefix)
 }
 
@@ -577,24 +587,22 @@ func stepMatches(st *stepCtx, job, index, attempt int) bool {
 	return st != nil && st.job == job && st.index == index && st.attempt == attempt
 }
 
-// routeStealResp hands a steal response to the requesting core. Receipt is
-// counted here, at the router, symmetrically with respSent at the victim, so
-// the master's balance check certifies that no response (and hence no stolen
-// work) is in flight — and a prefix is booked as activity before it is booked
-// as received, so the worker never reads balanced and idle while holding it.
+// routeStealResp hands a steal response to the requesting core. A grant is
+// adopted here, at the router — booked as activity and as received in one
+// step, so the worker never reads balanced and idle while holding it — and
+// the idle→busy report leaves once the core has its prefix. Only responses
+// of the attempt under execution are routed into it.
 func (w *worker) routeStealResp(m stealRespMsg) {
 	st := w.current()
-	// Mirror of serveSteal's gating: only responses of the attempt under
-	// execution count toward (or are routed into) it.
-	if !stepMatches(st, m.Job, m.Step, m.Attempt) {
+	if !stepMatches(st, m.Job, m.Step, m.Attempt) || m.Core < 0 || m.Core >= len(w.cores) {
 		return
 	}
-	routable := m.Core >= 0 && m.Core < len(w.cores)
-	if routable && len(m.Prefix) > 0 {
-		st.adopt()
+	var edge *statusReportMsg
+	if len(m.Prefix) > 0 {
+		edge = st.adopt()
 	}
-	w.respRecv.Add(1)
-	if routable {
-		st.deliver(m.Core, grant{prefix: m.Prefix, external: true})
+	st.deliver(m.Core, grant{prefix: m.Prefix, external: true})
+	if edge != nil {
+		w.report(edge)
 	}
 }

@@ -31,7 +31,7 @@
 //	                     fsm). The graph path must be readable by every
 //	                     worker process. What only runs in-process is
 //	                     rejected up front: -app query|keywords, -engine
-//	                     canon|decomp, -kclist, -reduce.
+//	                     canon, -kclist, -reduce.
 //	-min-workers <n>     wait for n worker registrations before starting
 //
 // Plan flags:
@@ -307,8 +307,8 @@ func checkFlags(app, engine string, master, kclist, reduce bool) error {
 	switch {
 	case app == "query" || app == "keywords":
 		return fmt.Errorf("-app %s has no distributed form; -listen accepts motifs, cliques, triangles, or fsm", app)
-	case engine == "canon" || engine == "decomp":
-		return fmt.Errorf("-engine %s runs in-process only; -listen accepts auto or plan", engine)
+	case engine == "canon":
+		return fmt.Errorf("-engine canon runs in-process only; -listen accepts auto, plan or decomp")
 	case kclist:
 		return fmt.Errorf("-kclist runs in-process only; drop it or -listen")
 	case reduce:
@@ -319,9 +319,6 @@ func checkFlags(app, engine string, master, kclist, reduce bool) error {
 
 // writeMetrics dumps the run's RunReport as JSON to path.
 func writeMetrics(path string, res *fractal.Result) error {
-	if res == nil || res.Report == nil {
-		return fmt.Errorf("no run report available for -metrics-out")
-	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err

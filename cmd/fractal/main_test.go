@@ -6,9 +6,14 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"fractal"
 )
 
 // The command's flag surface, driven through the built binary: every app
@@ -31,8 +36,8 @@ func TestCLI(t *testing.T) {
 		t.Skipf("go toolchain unavailable: %v", err)
 	}
 	dir := t.TempDir()
-	bin := filepath.Join(dir, "fractal")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+	bin, workerBin := filepath.Join(dir, "fractal"), filepath.Join(dir, "fractal-worker")
+	if out, err := exec.Command("go", "build", "-o", dir, ".", "../fractal-worker").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	graph := filepath.Join(dir, "tiny.el")
@@ -67,6 +72,8 @@ func TestCLI(t *testing.T) {
 		{"keywords", []string{"-app", "keywords", "-keywords", "a,b"}, 0, "covering subgraphs: 1 ("},
 		{"explain", []string{"-explain", "-app", "cliques", "-k", "3"}, 0, "plan: 3 levels"},
 		{"pprof", []string{"-app", "triangles", "-pprof", filepath.Join(dir, "prof")}, 0, "triangles: 4 ("},
+		{"motifs sweep report", []string{"-app", "motifs", "-k", "3", "-metrics-out", filepath.Join(dir, "motifs.json")}, 0, "3-vertex motifs [auto engine]: 2 classes, 7 subgraphs"},
+		{"query sweep report", []string{"-app", "query", "-pattern", "star4", "-metrics-out", filepath.Join(dir, "star4.json")}, 0, "matches of star4 [auto engine]: 7 ("},
 
 		{"no app", nil, 2, "Usage"},
 		{"unknown app", []string{"-app", "nope"}, 1, `unknown -app "nope"`},
@@ -82,7 +89,7 @@ func TestCLI(t *testing.T) {
 		{"fsm maxedges past a pattern", []string{"-app", "fsm", "-support", "1", "-maxedges", "32"}, 1, "-maxedges must be in [1, 31], got 32"},
 		{"query decomp no rule", []string{"-app", "query", "-pattern", "square", "-engine", "decomp"}, 1, "decomposition"},
 
-		{"listen decomp", append([]string{"-app", "motifs", "-engine", "decomp"}, listen...), 1, "-engine decomp runs in-process only"},
+		{"listen decomp", append([]string{"-app", "motifs", "-engine", "decomp"}, listen...), 0, "[decomp engine]: 2 classes, 7 subgraphs"},
 		{"listen canon", append([]string{"-app", "motifs", "-engine", "canon"}, listen...), 1, "-engine canon runs in-process only"},
 		{"listen kclist", append([]string{"-app", "cliques", "-kclist"}, listen...), 1, "-kclist runs in-process only"},
 		{"listen reduce", append([]string{"-app", "fsm", "-reduce"}, listen...), 1, "-reduce runs in-process only"},
@@ -92,20 +99,39 @@ func TestCLI(t *testing.T) {
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
 			cmd := exec.Command(bin, append([]string{"-graph", graph, "-cores", "2"}, r.args...)...)
-			var stdout, stderr bytes.Buffer
-			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			stdout := &addrWriter{addr: make(chan string, 1)}
+			var stderr bytes.Buffer
+			cmd.Stdout, cmd.Stderr = stdout, &stderr
 			if err := cmd.Start(); err != nil {
 				t.Fatal(err)
 			}
 			done := make(chan error, 1)
 			go func() { done <- cmd.Wait() }()
+			fail := func(format string, args ...any) {
+				cmd.Process.Kill()
+				<-done
+				t.Fatalf(format+"\nstdout: %s\nstderr: %s", append(args, stdout, &stderr)...)
+			}
+			timeout := time.After(30 * time.Second)
+			// A master that is to run gets one worker; it prints its address
+			// before it waits for registrations.
+			if slices.Contains(r.args, "-listen") && r.exit == 0 {
+				select {
+				case addr := <-stdout.addr:
+					w := exec.Command(workerBin, "-master", addr, "-cores", "1")
+					if err := w.Start(); err != nil {
+						fail("starting fractal-worker: %v", err)
+					}
+					t.Cleanup(func() { w.Process.Kill(); w.Wait() })
+				case <-timeout:
+					fail("no listening address after 30s")
+				}
+			}
 			var err error
 			select {
 			case err = <-done:
-			case <-time.After(30 * time.Second):
-				cmd.Process.Kill()
-				<-done
-				t.Fatalf("still running after 30s\nstdout: %s\nstderr: %s", &stdout, &stderr)
+			case <-timeout:
+				fail("still running after 30s")
 			}
 			exit := 0
 			var ee *exec.ExitError
@@ -114,12 +140,16 @@ func TestCLI(t *testing.T) {
 			} else if err != nil {
 				t.Fatal(err)
 			}
-			out := &stdout
+			out := &stdout.buf
 			if r.exit != 0 {
 				out = &stderr
 			}
 			if exit != r.exit || !strings.Contains(out.String(), r.want) {
-				t.Errorf("exit %d, want %d with %q\nstdout: %s\nstderr: %s", exit, r.exit, r.want, &stdout, &stderr)
+				t.Errorf("exit %d, want %d with %q\nstdout: %s\nstderr: %s", exit, r.exit, r.want, stdout, &stderr)
+			}
+			// Every row writing a report here runs the decomposition sweep.
+			if i := slices.Index(r.args, "-metrics-out"); i >= 0 {
+				checkSweepReport(t, r.args[i+1], stdout.String())
 			}
 		})
 	}
@@ -128,5 +158,58 @@ func TestCLI(t *testing.T) {
 		if fi, err := os.Stat(filepath.Join(dir, name)); err != nil || fi.Size() == 0 {
 			t.Errorf("-pprof %s: %v, want a non-empty file", name, err)
 		}
+	}
+}
+
+// addrWriter is a row's stdout: it keeps everything and hands over, once,
+// the address a -listen master prints. (Embedding the buffer would promote
+// its ReadFrom, which exec's copy prefers to Write.)
+type addrWriter struct {
+	buf  bytes.Buffer
+	addr chan string
+}
+
+func (w *addrWriter) String() string { return w.buf.String() }
+
+func (w *addrWriter) Write(p []byte) (int, error) {
+	n, err := w.buf.Write(p)
+	if w.addr != nil {
+		if _, rest, ok := strings.Cut(w.buf.String(), "master listening on "); ok {
+			if addr, _, ok := strings.Cut(rest, "\n"); ok {
+				w.addr <- addr
+				w.addr = nil
+			}
+		}
+	}
+	return n, err
+}
+
+// checkSweepReport reads a -metrics-out report and checks that it holds the
+// decomposition sweep's step and that its steps' EC adds up to the EC= the
+// run printed: the sweep's kernel work is in the report, not beside it.
+func checkSweepReport(t *testing.T, path, stdout string) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rep, err := fractal.ReadRunReport(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`EC=(\d+)`).FindStringSubmatch(stdout)
+	if m == nil {
+		t.Fatalf("no EC= in the output:\n%s", stdout)
+	}
+	printed, _ := strconv.ParseInt(m[1], 10, 64)
+	var sum int64
+	sweep := false
+	for _, s := range rep.Steps {
+		sum += s.EC
+		sweep = sweep || s.Workflow == "EA" && s.EC > 0
+	}
+	if !sweep || sum != printed {
+		t.Errorf("%s: sweep step %v, steps' EC %d, printed EC=%d", path, sweep, sum, printed)
 	}
 }

@@ -3,18 +3,19 @@ package fractal
 import (
 	"context"
 	"fmt"
-	"time"
 
+	"fractal/internal/agg"
 	"fractal/internal/graph"
 	"fractal/internal/pattern"
-	"fractal/internal/sched"
+	"fractal/internal/step"
 	"fractal/internal/subgraph"
+	"fractal/internal/wire"
 )
 
 // DecompPlan is a compiled pattern decomposition: a polynomial over local
 // counts (degrees, per-edge triangle counts, per-vertex triangle counts)
 // whose value is the pattern's non-induced subgraph count, evaluated by one
-// shared sweep over the CSR arrays instead of enumeration. Compile one with
+// sweep of a per-vertex kernel instead of enumeration. Compile one with
 // CompileDecomp and run it with Graph.DecompCountCtx; DecompPlan.Explain
 // renders it human-readably. See DESIGN.md §14.
 type DecompPlan = pattern.DecompPlan
@@ -47,89 +48,154 @@ func (fg *Graph) DecompCountCtx(ctx context.Context, dp *DecompPlan) (int64, *Re
 	return counts[0], res, nil
 }
 
-// EvalDecomps evaluates several decomposition plans in ONE shared
-// local-count sweep — the fleet form behind the motifs engine, where the
-// sweep cost is paid once and every decomposable pattern's polynomial rides
-// it. Returns the non-induced count per plan, index-aligned; a nil plan is
-// skipped and counts zero, so a fleet passes its patterns' plans with gaps
-// where no rule matched. The synthetic Result reports the sweep as one step
-// whose EC is the number of adjacency elements visited, so TotalEC remains
-// comparable with enumeration runs.
+// EvalDecomps evaluates several decomposition plans in ONE shared sweep —
+// the fleet form behind the motifs engine, where the sweep is paid once and
+// every decomposable pattern's polynomial rides it. Returns the non-induced
+// count per plan, index-aligned; a nil plan, or one whose labels contradict
+// the graph's uniform labels, counts zero, so a fleet passes its patterns'
+// plans with gaps where no rule matched.
+//
+// The sweep is a fractal step like any other: the registered app
+// "decomp-sweep" runs the local-count kernel once per root vertex on the
+// runtime's cores, with work stealing, cancellation, step retries and the
+// run report, in process and on a WithListenAddr master alike. It names the
+// plans by their patterns, so every process compiles each with
+// CompileDecomp.
 func (fg *Graph) EvalDecomps(ctx context.Context, plans []*DecompPlan) ([]int64, *Result, error) {
-	start := time.Now()
-	g := fg.g
-	gvl, gel, ok := g.UniformLabels()
+	vl, el, ok := fg.g.UniformLabels()
 	if !ok {
-		return nil, nil, fmt.Errorf("fractal: decomposition requires a uniform-label graph; %s mixes labels (use the plan engine)", g.Name())
+		return nil, nil, notUniform(fg.g)
 	}
-
-	// A plan whose labels contradict the graph's uniform labels matches
-	// nothing; evaluate the rest.
-	live := make([]*DecompPlan, 0, len(plans))
-	liveIdx := make([]int, 0, len(plans))
+	var live []int
 	for i, dp := range plans {
-		if dp != nil && decompLabelsMatch(dp.P, gvl, gel) {
-			live = append(live, dp)
-			liveIdx = append(liveIdx, i)
+		if dp != nil && decompLabelsMatch(dp.P, vl, el) {
+			live = append(live, i)
 		}
 	}
-
-	var terms subgraph.LocalTerms
-	type slot struct {
-		pair bool
-		idx  int
+	var w wire.Writer
+	w.Count(len(live))
+	for _, i := range live {
+		w.B = plans[i].P.AppendBinary(w.B)
 	}
-	slots := make([][]slot, len(live))
-	for pi, dp := range live {
-		if dp.NeedTri {
-			terms.NeedTri = true
-		}
-		slots[pi] = make([]slot, len(dp.Terms))
-		for ti, t := range dp.Terms {
-			t := t
-			if t.Pair() {
-				slots[pi][ti] = slot{pair: true, idx: len(terms.Pair)}
-				terms.Pair = append(terms.Pair, t.EvalPair)
-			} else {
-				slots[pi][ti] = slot{pair: false, idx: len(terms.Vertex)}
-				terms.Vertex = append(terms.Vertex, t.EvalVertex)
-			}
-		}
-	}
-
-	cores := 1
-	if fg.ctx != nil {
-		cfg := fg.ctx.Config()
-		if n := cfg.Workers * cfg.CoresPerWorker; n > 1 {
-			cores = n
-		}
-	}
-	pairSums, vertexSums, ops, err := subgraph.LocalCounts(ctx, g, terms, cores)
-	wall := time.Since(start)
-	res := &Result{Wall: wall, Steps: []sched.StepReport{{
-		Workflow: "D", Attempts: 1, Wall: wall, EC: ops, Utilization: 1,
-	}}}
+	args := map[string]string{"patterns": string(w.B)}
+	res, err := fg.RunSpec(ctx, appSweep, args, nil)
 	if err != nil {
 		return nil, res, err
 	}
-
+	sw, err := parseSweep(args["patterns"]) // the layout every Build derived
+	if err != nil {
+		return nil, res, err
+	}
+	store, ok := res.Aggregations.Get(sweepAgg)
+	if !ok {
+		return nil, res, fmt.Errorf("fractal: the decomposition sweep left no sums")
+	}
+	sums := store.(*agg.Int64Sums).Sums
 	counts := make([]int64, len(plans))
-	for pi, dp := range live {
-		sums := make([]int64, len(dp.Terms))
-		for ti, s := range slots[pi] {
-			if s.pair {
-				sums[ti] = pairSums[s.idx]
-			} else {
-				sums[ti] = vertexSums[s.idx]
-			}
+	for i, dp := range sw.plans {
+		termSums := make([]int64, len(dp.Terms))
+		for j, s := range sw.slots[i] {
+			termSums[j] = sums[s]
 		}
-		n, err := dp.Eval(sums)
-		if err != nil {
+		if counts[live[i]], err = dp.Eval(termSums); err != nil {
 			return nil, res, fmt.Errorf("fractal: %w", err)
 		}
-		counts[liveIdx[pi]] = n
 	}
 	return counts, res, nil
+}
+
+// appSweep is the registered name of the decomposition sweep; its one
+// argument, "patterns", is a count followed by the patterns' wire forms.
+const appSweep = "decomp-sweep"
+
+// sweepAgg names the sweep's vector of term sums. The NUL prefix keeps it
+// out of any user namespace, like step.CountAgg.
+const sweepAgg = "\x00fractal.decomp"
+
+func init() { RegisterApp(appSweep, sweepBuilder{}) }
+
+// sweepBuilder builds the decomposition sweep: VFractoid().Expand(1), one
+// subgraph per root vertex, and an agg.Int64Sums aggregation whose Emit runs
+// the local-count kernel (subgraph.LocalTerms.At) for that root into the
+// core's vector, charging the adjacency elements it read to the step's EC.
+type sweepBuilder struct{}
+
+func (sweepBuilder) EnvProtos(JobSpec) (map[string]AggStore, error) { return nil, nil }
+
+func (sweepBuilder) Build(spec JobSpec, g *RawGraph, _ *Aggregations) (Job, error) {
+	sw, err := parseSweep(spec.Arg("patterns"))
+	if err != nil {
+		return Job{}, err
+	}
+	if _, _, ok := g.UniformLabels(); !ok {
+		return Job{}, notUniform(g)
+	}
+	terms := &sw.terms
+	sums := &step.AggSpec{
+		Name:  sweepAgg,
+		Proto: agg.NewInt64Sums(terms.Arity()),
+		Emit: func(e *subgraph.Embedding, local agg.Store) {
+			e.Charge(terms.At(g, e.Vertices()[0], local.(*agg.Int64Sums).Sums))
+		},
+	}
+	return NewBuildGraph(g).VFractoid().Expand(1).derive(step.AggregateP(sums)).Job()
+}
+
+// sweep is a decoded sweep spec: the decomposition of every pattern it
+// names, and their terms laid out in one vector of sums — every Pair term,
+// then every Vertex term, each group in plan and term order.
+type sweep struct {
+	plans []*DecompPlan
+	terms subgraph.LocalTerms
+	slots [][]int // slots[i][j] is the vector index of plans[i].Terms[j]
+}
+
+func parseSweep(arg string) (*sweep, error) {
+	r := wire.NewReader([]byte(arg))
+	sw := &sweep{}
+	for n := r.Count(); len(sw.plans) < n; {
+		p := pattern.ReadBinary(r)
+		if r.Err() != nil {
+			break
+		}
+		dp, err := pattern.Decompose(p)
+		if err != nil {
+			return nil, fmt.Errorf("fractal: decomposition sweep: %w", err)
+		}
+		sw.plans = append(sw.plans, dp)
+	}
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("fractal: decomposition sweep patterns: %w", err)
+	}
+	sw.slots = make([][]int, len(sw.plans))
+	for i, dp := range sw.plans {
+		sw.slots[i] = make([]int, len(dp.Terms))
+	}
+	vertexTri := false
+	for _, pair := range []bool{true, false} {
+		for i, dp := range sw.plans {
+			for j, t := range dp.Terms {
+				if t.Pair() != pair {
+					continue
+				}
+				sw.slots[i][j] = sw.terms.Arity()
+				if pair {
+					sw.terms.Pair = append(sw.terms.Pair, t.EvalPair)
+				} else {
+					sw.terms.Vertex = append(sw.terms.Vertex, t.EvalVertex)
+					vertexTri = vertexTri || t.NeedsTri()
+				}
+				sw.terms.NeedTri = sw.terms.NeedTri || t.NeedsTri()
+			}
+		}
+	}
+	sw.terms.NoVertexTri = !vertexTri
+	return sw, nil
+}
+
+// notUniform is the error of a sweep over a graph with mixed labels.
+func notUniform(g *graph.Graph) error {
+	return fmt.Errorf("fractal: decomposition requires a uniform-label graph; %s mixes labels (use the plan engine)", g.Name())
 }
 
 // decompLabelsMatch reports whether a (uniform-labeled) pattern can match

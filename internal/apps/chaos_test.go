@@ -170,6 +170,35 @@ func TestChaosMotifs(t *testing.T) {
 	}
 }
 
+// TestChaosMotifsSweep is TestChaosMotifs on a uniform-label graph, where
+// the mixed fleet's first step is the decomposition sweep: every schedule
+// strikes its first step start, status report or aggregation ship, so the
+// sweep is what loses a worker and is retried, and the counts must still be
+// the fault-free run's.
+func TestChaosMotifsSweep(t *testing.T) {
+	raw := workload.BarabasiAlbert("chaos-ba-sl", 80, 4, 1, 35)
+	base := chaosCtx(t, nil)
+	want, _, err := Motifs(bg, base, base.FromGraph(raw), 4, EngineAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := 1; seed <= chaosSeeds(t); seed++ {
+		rng := rand.New(rand.NewSource(int64(510 + seed))) // seeds 1-3 strike all three moments
+		script, label := chaosSchedule(rng, false)
+		label = fmt.Sprintf("seed %d (%s)", seed, label)
+		ctx := chaosCtx(t, script)
+		got, res, err := Motifs(bg, ctx, ctx.FromGraph(raw), 4, EngineAuto)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		motifCountsEqual(t, "chaos sweep "+label, 4, got, want)
+		requireLossObserved(t, script, res, label)
+		if sweep := res.Steps[0]; script.Stats().Fired > 0 && (sweep.Workflow != "EA" || sweep.Attempts < 2) {
+			t.Errorf("%s: first step %s ran %d attempt(s), want the sweep retried", label, sweep.Workflow, sweep.Attempts)
+		}
+	}
+}
+
 func TestChaosFSM(t *testing.T) {
 	raw := workload.Community("chaos-c", 6, 15, 6, 0.8, 4, 33)
 	base := chaosCtx(t, nil)

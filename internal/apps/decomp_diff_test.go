@@ -269,3 +269,31 @@ func TestMotifsDecompSweepCheaper(t *testing.T) {
 	}
 	t.Logf("motifs k=4 EC: mixed=%d plan=%d (%.1fx)", decompEC, planEC, float64(planEC)/float64(decompEC))
 }
+
+// TestMotifsSweepInReport: the decomposition sweep is a step of the run, so
+// a mixed fleet's report holds it and the fleet's TotalEC is the report's
+// (the sweep's work used to be added to TotalEC beside a report that did
+// not have it). The sweep's EC is its kernel's adjacency reads, not one
+// test per root vertex.
+func TestMotifsSweepInReport(t *testing.T) {
+	ctx := testCtx(t)
+	raw := workload.BarabasiAlbert("ddiff-report", 120, 3, 1, 63)
+	for k := 3; k <= 5; k++ {
+		_, res, err := Motifs(bg, ctx, ctx.FromGraph(raw), k, EngineAuto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reported int64
+		for _, s := range res.Report.Steps {
+			reported += s.EC
+		}
+		if res.TotalEC() != reported {
+			t.Errorf("k=%d: TotalEC=%d, report's steps add up to %d", k, res.TotalEC(), reported)
+		}
+		sweep := res.Report.Steps[0]
+		if sweep.Workflow != "EA" || sweep.Subgraphs != int64(raw.NumVertices()) || sweep.EC <= 2*int64(raw.NumEdges()) {
+			t.Errorf("k=%d: first step %s, %d subgraphs, EC=%d: want the sweep, one subgraph per vertex (%d), EC above the %d incidences",
+				k, sweep.Workflow, sweep.Subgraphs, sweep.EC, raw.NumVertices(), 2*raw.NumEdges())
+		}
+	}
+}

@@ -189,6 +189,43 @@ func TestDistMotifs(t *testing.T) {
 	motifCountsEqual(t, "distributed motifs", 3, got, want)
 }
 
+// TestDistMotifsSweep runs the mixed fleet on a master: on a uniform-label
+// graph file the decomposition sweep ships as a spec like the enumeration
+// jobs, and both engines that use it count exactly what the same drivers
+// count in process — with the sweep's step, run by both workers, in the
+// report.
+func TestDistMotifsSweep(t *testing.T) {
+	path := writeGraphFile(t, workload.BarabasiAlbert("dist-sweep", 80, 4, 1, 52))
+	oracle, load := inProcessOracle(t)
+
+	master := distMaster(t)
+	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{Cores: 2})
+	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{Cores: 2})
+	if err := master.AwaitWorkers(context.Background(), 2); err != nil {
+		t.Fatal(err)
+	}
+	g := loadOn(t, master, path)
+	if reason := MotifsFleetReason(g, 4); !strings.HasPrefix(reason, "mixed fleet:") {
+		t.Fatalf("fleet reason %q, want a mixed fleet", reason)
+	}
+	for _, engine := range []string{EngineAuto, EngineDecomp} {
+		want, _, err := Motifs(bg, oracle, load(path), 4, engine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, res, err := Motifs(bg, master, g, 4, engine)
+		if err != nil {
+			t.Fatalf("%s: %v", engine, err)
+		}
+		motifCountsEqual(t, "distributed motifs "+engine, 4, got, want)
+		sweep := res.Report.Steps[0]
+		if sweep.Workflow != "EA" || sweep.EC == 0 || len(sweep.Metrics.CoreWork) != 4 {
+			t.Errorf("%s: first step %s EC=%d core work %v, want the sweep on 2x2 cores",
+				engine, sweep.Workflow, sweep.EC, sweep.Metrics.CoreWork)
+		}
+	}
+}
+
 // TestDistFSM covers environment threading across processes: each level's
 // support aggregations ship to the workers with the next level's spec.
 func TestDistFSM(t *testing.T) {
@@ -441,8 +478,7 @@ func TestDistRejectsWhatCannotShip(t *testing.T) {
 			_, _, err := Cliques(bg, master, reduced, 3)
 			return err
 		},
-		"motifs decomp": func() error { _, _, err := Motifs(bg, master, onDisk, 3, EngineDecomp); return err },
-		"motifs canon":  func() error { _, _, err := Motifs(bg, master, onDisk, 3, EngineCanon); return err },
+		"motifs canon": func() error { _, _, err := Motifs(bg, master, onDisk, 3, EngineCanon); return err },
 		"fsm reduction": func() error {
 			_, err := FSM(bg, master, onDisk, 2, FSMOptions{MaxEdges: 2, GraphReduction: true})
 			return err

@@ -3,6 +3,7 @@ package apps
 import (
 	"context"
 	"fmt"
+	"math"
 	"strconv"
 
 	"fractal"
@@ -68,7 +69,7 @@ type fsmBuilder struct{}
 func fsmSupName(level int) string { return fmt.Sprintf("support%d", level) }
 
 func (fsmBuilder) EnvProtos(spec fractal.JobSpec) (map[string]agg.Store, error) {
-	level, err := specInt(spec, "level")
+	level, err := specInt(spec, "level", 1, MaxFSMEdges)
 	if err != nil {
 		return nil, err
 	}
@@ -80,16 +81,13 @@ func (fsmBuilder) EnvProtos(spec fractal.JobSpec) (map[string]agg.Store, error) 
 }
 
 func (fsmBuilder) Build(spec fractal.JobSpec, g *graph.Graph, _ *agg.Registry) (sched.Job, error) {
-	level, err := specInt(spec, "level")
+	level, err := specInt(spec, "level", 1, MaxFSMEdges)
 	if err != nil {
 		return sched.Job{}, err
 	}
-	support, err := specInt(spec, "support")
+	support, err := specInt(spec, "support", 1, math.MaxInt)
 	if err != nil {
 		return sched.Job{}, err
-	}
-	if level < 1 || support < 1 {
-		return sched.Job{}, fmt.Errorf("apps: fsm requires level >= 1 and support >= 1, got level=%d support=%d", level, support)
 	}
 	minSupport := int64(support)
 	return fractal.Aggregate(fsmCandidates(fractal.NewBuildGraph(g), level), fsmSupName(level),

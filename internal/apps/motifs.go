@@ -43,11 +43,7 @@ func (motifsBuilder) EnvProtos(fractal.JobSpec) (map[string]agg.Store, error) {
 }
 
 func (motifsBuilder) Build(spec fractal.JobSpec, g *graph.Graph, _ *agg.Registry) (sched.Job, error) {
-	k, err := specInt(spec, "k")
-	if err != nil {
-		return sched.Job{}, err
-	}
-	idx, err := specInt(spec, "pattern")
+	k, err := specInt(spec, "k", 1, pattern.MaxGenVertices)
 	if err != nil {
 		return sched.Job{}, err
 	}
@@ -55,8 +51,9 @@ func (motifsBuilder) Build(spec fractal.JobSpec, g *graph.Graph, _ *agg.Registry
 	if err != nil {
 		return sched.Job{}, err
 	}
-	if idx < 0 || idx >= len(pats) {
-		return sched.Job{}, fmt.Errorf("apps: motifs pattern index %d out of range (%d patterns for k=%d)", idx, len(pats), k)
+	idx, err := specInt(spec, "pattern", 0, len(pats)-1)
+	if err != nil {
+		return sched.Job{}, err
 	}
 	p := pats[idx]
 	vl, el, uniform := g.UniformLabels()
@@ -93,9 +90,10 @@ func (motifsBuilder) Build(spec fractal.JobSpec, g *graph.Graph, _ *agg.Registry
 // Motifs counts the frequencies of all k-vertex induced subgraph patterns.
 // Every connected k-vertex pattern is counted either by its motifsBuilder
 // job (enumeration) or by a decomposition polynomial over one shared
-// local-count sweep, whose non-induced counts convert to induced class
-// counts by back-substitution through the spanning-subgraph matrix
-// (pattern.CombineInduced; DESIGN.md §14). The engines differ only in how
+// decomposition sweep (Graph.EvalDecomps, itself a registered spec), whose
+// non-induced counts convert to induced class counts by back-substitution
+// through the spanning-subgraph matrix (pattern.CombineInduced; DESIGN.md
+// §14). The engines differ only in how
 // much they enumerate; counts are bit-identical. The returned Result
 // combines all jobs (CombineResults), so TotalEC spans the whole fleet.
 //
@@ -106,9 +104,9 @@ func (motifsBuilder) Build(spec fractal.JobSpec, g *graph.Graph, _ *agg.Registry
 // to beyond pattern.MaxGenVertices, where no pattern set is generated.
 func Motifs(ctx context.Context, fc *fractal.Context, g *fractal.Graph, k int, engine string) (MotifCounts, *fractal.Result, error) {
 	switch engine {
-	case EngineAuto, EnginePlan:
-	case EngineCanon, EngineDecomp:
-		if err := specOnly(fc, "the motifs "+engine+" engine"); err != nil {
+	case EngineAuto, EnginePlan, EngineDecomp:
+	case EngineCanon:
+		if err := specOnly(fc, "the motifs canon engine"); err != nil {
 			return nil, nil, err
 		}
 	default:
@@ -116,7 +114,7 @@ func Motifs(ctx context.Context, fc *fractal.Context, g *fractal.Graph, k int, e
 	}
 	var sweep []*pattern.DecompPlan
 	if engine == EngineAuto || engine == EngineDecomp {
-		dplans, pays, reason := motifFleet(fc, g, k)
+		dplans, pays, reason := motifFleet(g, k)
 		if engine == EngineDecomp && dplans == nil {
 			return nil, nil, fmt.Errorf("apps: the decomp engine cannot run: %s", reason)
 		}
@@ -232,7 +230,7 @@ func motifsCanon(ctx context.Context, fc *fractal.Context, g *fractal.Graph, k i
 // the motifs kernel. A nil graph skips the label check (the -explain path,
 // which loads no graph, assumes uniform labels).
 func MotifsFleetReason(g *fractal.Graph, k int) string {
-	_, _, reason := motifFleet(nil, g, k)
+	_, _, reason := motifFleet(g, k)
 	return reason
 }
 
@@ -241,14 +239,11 @@ func MotifsFleetReason(g *fractal.Graph, k int) string {
 // pattern the shared sweep can count, and dplans itself is nil where the
 // sweep cannot run at all. pays reports whether the sweep (one pass serves
 // every plan, and the triangle-needing plan dominates its cost) is cheaper
-// than the enumeration it replaces. fc and g may be nil: the checks that
-// need them are skipped.
-func motifFleet(fc *fractal.Context, g *fractal.Graph, k int) (dplans []*pattern.DecompPlan, pays bool, reason string) {
+// than the enumeration it replaces. g may be nil: the label check is
+// skipped.
+func motifFleet(g *fractal.Graph, k int) (dplans []*pattern.DecompPlan, pays bool, reason string) {
 	if k > pattern.MaxGenVertices {
 		return nil, false, fmt.Sprintf("canon: k=%d beyond the pattern generator bound %d", k, pattern.MaxGenVertices)
-	}
-	if fc != nil && fc.ListenAddr() != "" {
-		return nil, false, "enumeration fleet: the sweep has no spec form a master could ship to its workers"
 	}
 	if g != nil {
 		if _, _, ok := g.Raw().UniformLabels(); !ok {

@@ -5,11 +5,14 @@
 // every process. Each application's one driver (Cliques, Motifs, FSM)
 // submits its specs through Graph.RunSpec, which builds the job against the
 // graph in memory on an in-process context and ships the spec by graph path
-// on a WithListenAddr master: the same code runs in both deployments.
+// on a WithListenAddr master: the same code runs in both deployments. The
+// decomposition sweep the motifs and query drivers mix in is a spec too,
+// registered by the root package next to Graph.EvalDecomps, so a mixed
+// motif fleet runs on a master as it does in process.
 //
-// What has no spec form — the decomposition sweep, the canonical-check and
-// KClist enumerators, subgraph querying, graph reduction — is rejected on a
-// master context with a *fractal.ConfigError instead of being ignored.
+// What has no spec form — the canonical-check and KClist enumerators,
+// subgraph querying, graph reduction — is rejected on a master context with
+// a *fractal.ConfigError instead of being ignored.
 package apps
 
 import (
@@ -50,8 +53,10 @@ const (
 	EngineCanon = "canon"
 )
 
-// specInt parses a required integer argument of a spec.
-func specInt(spec fractal.JobSpec, key string) (int, error) {
+// specInt parses a required integer argument of a spec, which must lie in
+// [lo, hi]: arguments arrive off the wire, and a workflow or pattern sized
+// by one must not outgrow what the kernel supports.
+func specInt(spec fractal.JobSpec, key string, lo, hi int) (int, error) {
 	s := spec.Arg(key)
 	if s == "" {
 		return 0, fmt.Errorf("apps: spec %q requires argument %q", spec.App, key)
@@ -59,6 +64,9 @@ func specInt(spec fractal.JobSpec, key string) (int, error) {
 	n, err := strconv.Atoi(s)
 	if err != nil {
 		return 0, fmt.Errorf("apps: spec %q argument %q: %w", spec.App, key, err)
+	}
+	if n < lo || n > hi {
+		return 0, fmt.Errorf("apps: spec %q argument %q must be in [%d, %d], got %d", spec.App, key, lo, hi, n)
 	}
 	return n, nil
 }

@@ -13,7 +13,8 @@ import (
 // per-vertex triangle counts tri(v) — with inclusion–exclusion correction
 // terms for the collisions the algebra would otherwise overcount. The local
 // counts come from one shared sorted-intersection sweep over the CSR arrays
-// (internal/subgraph.LocalCounts); evaluating the polynomial is O(#terms).
+// (the per-root kernel internal/subgraph.LocalTerms.At, run as one fractal
+// step by fractal.Graph.EvalDecomps); evaluating the polynomial is O(#terms).
 //
 // Decompose is a *rule search*: each rule recognizes one family of patterns
 // that admits an exact cut through a vertex or an edge (stars and

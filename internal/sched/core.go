@@ -101,6 +101,7 @@ func (c *core) run(st *stepCtx) {
 	// Idle and steal time were booked by park as they passed; holding work is
 	// the rest of the loop's lifetime.
 	c.ctr.BusyTimeNs = int64(time.Since(start)) - c.ctr.IdleTimeNs - c.ctr.StealTimeNs
+	c.ctr.ExtensionTests += emb.Charged()
 	c.ctr.CoreWork = []int64{c.ctr.Work()}
 	cs := emb.ClassStats()
 	c.ctr.QuickPatterns, c.ctr.CanonCalls = cs.QuickPatterns, cs.CanonCalls

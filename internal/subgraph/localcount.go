@@ -2,23 +2,22 @@ package subgraph
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
+	"slices"
 
-	"fractal/internal/agg"
 	"fractal/internal/graph"
 )
 
-// Local-count kernels for the decomposition engine (DESIGN.md §14): one
-// parallel pass over the CSR arrays computes, per vertex, the
-// distinct-neighbor degree d(v) and triangle count tri(v), and, per distinct
-// adjacent pair (u,v), the distinct common-neighbor count c(u,v) — the
-// workhorse being the same sorted-intersection idiom as the extension
+// The local-count kernel of the decomposition engine (DESIGN.md §14): per
+// root vertex u, the distinct-neighbor degree d(u), the per-vertex triangle
+// count tri(u), and, per distinct neighbor v > u, the pair's
+// distinct-neighbor degree d(v) and distinct common-neighbor count c(u,v) —
+// the workhorse being the same sorted-intersection idiom as the extension
 // kernels (intersectAdj), here counting instead of materializing. The
-// polynomial terms of a DecompPlan are folded into running sums *during*
-// the sweep, so no per-pair or per-vertex values are ever stored beyond an
-// int32 degree per vertex and — only when a Vertex closure is there to read
-// tri(v) — one int64 triangle accumulator per vertex and core.
+// polynomial terms of a DecompPlan are folded into running sums as the
+// kernel goes, so nothing is stored per vertex or per pair. The runtime runs
+// it as one fractal step, one root vertex per subgraph (the decomposition
+// sweep of fractal.Graph.EvalDecomps); LocalCounts runs it over every vertex
+// on the caller's goroutine.
 //
 // Multigraph correctness: Neighbors(v) contains one entry per incidence, so
 // parallel edges appear as duplicate runs. Every loop below deduplicates
@@ -29,189 +28,133 @@ import (
 // LocalTerms describes one sweep's work: Pair closures are evaluated once
 // per distinct adjacent pair u<v with the endpoints' distinct-neighbor
 // degrees and (when NeedTri) their distinct common-neighbor count; Vertex
-// closures once per vertex with its degree and triangle count. NeedTri
-// forces the sorted-intersection half of the sweep even when no Pair
-// closure is present (Vertex closures reading tri(v) need it).
+// closures once per vertex with its degree and (when NeedTri, unless
+// NoVertexTri) its triangle count. NeedTri forces the sorted-intersection
+// half of the kernel even when no Pair closure is present (Vertex closures
+// reading tri(v) need it).
 type LocalTerms struct {
-	Pair    []func(du, dv, c int64) int64
-	Vertex  []func(d, tri int64) int64
+	Pair   []func(du, dv, c int64) int64
+	Vertex []func(d, tri int64) int64
+	// NeedTri makes the kernel count common neighbors.
 	NeedTri bool
+	// NoVertexTri says no Vertex closure reads tri(v) (they see 0): only the
+	// Pair closures need NeedTri's counts. tri(u) is the one local that
+	// intersects u with every neighbor, not only the larger ones, so this
+	// halves the intersections of a sweep whose triangles feed Pair terms
+	// alone.
+	NoVertexTri bool
 }
 
-// localBlock is the dynamic scheduling granule of the sweep: cores claim
-// vertex blocks off an atomic counter, so degree skew (the reason static
-// ranges underutilize on power-law graphs) self-balances.
-const localBlock = 256
+// Arity is the length of the sum vector At folds into: the Pair closures'
+// sums, then the Vertex closures'.
+func (t *LocalTerms) Arity() int { return len(t.Pair) + len(t.Vertex) }
 
-// LocalCounts runs the sweep over g with the given parallelism and returns
-// the per-closure sums (index-aligned with t.Pair and t.Vertex) plus ops,
-// the number of adjacency elements visited (the sweep's analog of the
-// enumeration engines' extension cost, reported as EC). Per-core partial
-// sums reduce through the aggregation pipeline (agg.Int64Sums under
-// agg.MergeTree). Cancellation is honoured between blocks.
-func LocalCounts(ctx context.Context, g *graph.Graph, t LocalTerms, cores int) (pairSums, vertexSums []int64, ops int64, err error) {
-	if cores < 1 {
-		cores = 1
-	}
-	n := g.NumVertices()
-	arity := len(t.Pair) + len(t.Vertex)
-	needPairs := len(t.Pair) > 0 || t.NeedTri
-	keepTri := t.NeedTri && len(t.Vertex) > 0 // tri(v) has a reader
-
-	// Phase 0: distinct-neighbor degrees (read by every later phase).
-	sdeg := make([]int32, n)
-	parallelBlocks(ctx, n, cores, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			nb := g.Neighbors(graph.VertexID(v))
-			var d int32
-			for i := 0; i < len(nb); i++ {
-				if i == 0 || nb[i] != nb[i-1] {
-					d++
+// At folds root vertex u's terms into sums (Arity long): every Pair closure
+// once per distinct neighbor v > u, every Vertex closure once. It returns the
+// adjacency elements it read — u's list for d(u), a neighbor's list for
+// d(v), both lists of an intersection — the kernel's analog of the
+// enumeration engines' extension tests.
+//
+// tri(u) needs c(u,v) for every neighbor v, so when a Vertex closure reads
+// it each adjacent pair is intersected from both ends: a per-root kernel
+// keeps no per-vertex accumulator another root could add to.
+func (t *LocalTerms) At(g *graph.Graph, u graph.VertexID, sums []int64) (ops int64) {
+	nbu := g.Neighbors(u)
+	du := distinctLen(nbu)
+	ops = int64(len(nbu))
+	wantTri := t.NeedTri && !t.NoVertexTri && len(t.Vertex) > 0
+	var tri int64
+	if len(t.Pair) > 0 || wantTri {
+		from := 0
+		if !wantTri { // only the pairs u < v, a suffix of the sorted list
+			from, _ = slices.BinarySearch(nbu, u+1)
+		}
+		for i := from; i < len(nbu); i++ {
+			v := nbu[i]
+			if i > 0 && v == nbu[i-1] {
+				continue // parallel edge
+			}
+			nbv := g.Neighbors(v)
+			pair := v > u && len(t.Pair) > 0
+			var c, dv int64
+			switch {
+			case t.NeedTri && pair:
+				c, dv = commonAndDistinct(nbu, nbv)
+				ops += int64(len(nbu) + len(nbv))
+			case t.NeedTri:
+				c = distinctCommon(nbu, nbv)
+				ops += int64(len(nbu) + len(nbv))
+			default:
+				dv = distinctLen(nbv)
+				ops += int64(len(nbv))
+			}
+			if wantTri {
+				tri += c
+			}
+			if pair {
+				for k, f := range t.Pair {
+					sums[k] += f(du, dv, c)
 				}
 			}
-			sdeg[v] = d
 		}
-	})
-	if err = ctx.Err(); err != nil {
-		return nil, nil, 0, err
 	}
+	for k, f := range t.Vertex {
+		sums[len(t.Pair)+k] += f(du, tri/2) // each triangle at u is seen from both of its other corners
+	}
+	return ops
+}
 
-	var tri []int64
-	var opsTotal atomic.Int64
-	stores := make([]agg.Store, cores)
+// localBlock is how many root vertices LocalCounts runs between
+// cancellation checks.
+const localBlock = 256
 
-	// Phase 1: pair sweep. Each core folds pair terms into its own
-	// Int64Sums and accumulates triangle contributions into a private
-	// array; c(u,v) adds to both endpoints, so tri(v) = Σ/2 after merge.
-	if needPairs {
-		triParts := make([][]int64, cores)
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for c := 0; c < cores; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				sums := agg.NewInt64Sums(arity)
-				stores[c] = sums
-				var triAcc []int64
-				if keepTri {
-					triAcc = make([]int64, n)
-					triParts[c] = triAcc
-				}
-				var ops int64
-				for {
-					lo := int(next.Add(localBlock)) - localBlock
-					if lo >= n || ctx.Err() != nil {
-						break
-					}
-					hi := lo + localBlock
-					if hi > n {
-						hi = n
-					}
-					for u := lo; u < hi; u++ {
-						nbu := g.Neighbors(graph.VertexID(u))
-						du := int64(sdeg[u])
-						for i := 0; i < len(nbu); i++ {
-							v := nbu[i]
-							if i > 0 && v == nbu[i-1] {
-								continue // parallel edge
-							}
-							if int(v) <= u {
-								continue // unordered pairs once
-							}
-							var cc int64
-							if t.NeedTri {
-								nbv := g.Neighbors(v)
-								cc = distinctCommon(nbu, nbv)
-								ops += int64(len(nbu) + len(nbv))
-								if keepTri {
-									triAcc[u] += cc
-									triAcc[v] += cc
-								}
-							} else {
-								ops++
-							}
-							for k, f := range t.Pair {
-								sums.Sums[k] += f(du, int64(sdeg[v]), cc)
-							}
-						}
-					}
-				}
-				opsTotal.Add(ops)
-			}(c)
+// LocalCounts runs the kernel over every vertex of g on the caller's
+// goroutine and returns the per-closure sums (index-aligned with t.Pair and
+// t.Vertex) plus ops, the adjacency elements read (At). Cancellation is
+// honoured every localBlock vertices. cores is ignored: the parallel sweep is
+// the runtime's step (fractal.Graph.EvalDecomps), where the same kernel runs
+// on every core with work stealing.
+func LocalCounts(ctx context.Context, g *graph.Graph, t LocalTerms, cores int) (pairSums, vertexSums []int64, ops int64, err error) {
+	sums := make([]int64, t.Arity())
+	for u := 0; u < g.NumVertices(); u++ {
+		if u%localBlock == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, nil, 0, err
+			}
 		}
-		wg.Wait()
-		if err = ctx.Err(); err != nil {
-			return nil, nil, 0, err
-		}
-		if keepTri {
-			tri = triParts[0]
-			parallelBlocks(ctx, n, cores, func(lo, hi int) {
-				for v := lo; v < hi; v++ {
-					for c := 1; c < cores; c++ {
-						tri[v] += triParts[c][v]
-					}
-					tri[v] /= 2
-				}
-			})
-		}
+		ops += t.At(g, graph.VertexID(u), sums)
 	}
+	return sums[:len(t.Pair)], sums[len(t.Pair):], ops, nil
+}
 
-	// Phase 2: vertex terms, folded into the same per-core stores.
-	if len(t.Vertex) > 0 {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for c := 0; c < cores; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				sums, _ := stores[c].(*agg.Int64Sums)
-				if sums == nil {
-					sums = agg.NewInt64Sums(arity)
-					stores[c] = sums
-				}
-				var ops int64
-				for {
-					lo := int(next.Add(localBlock)) - localBlock
-					if lo >= n || ctx.Err() != nil {
-						break
-					}
-					hi := lo + localBlock
-					if hi > n {
-						hi = n
-					}
-					for v := lo; v < hi; v++ {
-						var tv int64
-						if tri != nil {
-							tv = tri[v]
-						}
-						for k, f := range t.Vertex {
-							sums.Sums[len(t.Pair)+k] += f(int64(sdeg[v]), tv)
-						}
-					}
-					ops += int64(hi - lo)
-				}
-				opsTotal.Add(ops)
-			}(c)
+// distinctLen counts the distinct values of a sorted multiset.
+func distinctLen(a []graph.VertexID) int64 {
+	var d int64
+	for i := range a {
+		if i == 0 || a[i] != a[i-1] {
+			d++
 		}
-		wg.Wait()
 	}
-	if err = ctx.Err(); err != nil {
-		return nil, nil, 0, err
-	}
+	return d
+}
 
-	merged, err := agg.MergeTree(stores, func() bool { return ctx.Err() != nil })
-	if err != nil {
-		if ctx.Err() != nil {
-			err = ctx.Err()
+// commonAndDistinct is distinctCommon and distinctLen(b) in one merge,
+// driven by b: both lists are read once, b to its end.
+func commonAndDistinct(a, b []graph.VertexID) (common, distinctB int64) {
+	i := 0
+	for j, bv := range b {
+		if j > 0 && bv == b[j-1] {
+			continue
 		}
-		return nil, nil, 0, err
+		distinctB++
+		for i < len(a) && a[i] < bv {
+			i++
+		}
+		if i < len(a) && a[i] == bv {
+			common++
+		}
 	}
-	total := make([]int64, arity)
-	if merged != nil {
-		total = merged.(*agg.Int64Sums).Sums
-	}
-	return total[:len(t.Pair)], total[len(t.Pair):], opsTotal.Load(), nil
+	return common, distinctB
 }
 
 // distinctCommon counts the distinct values present in both sorted
@@ -236,30 +179,4 @@ func distinctCommon(a, b []graph.VertexID) int64 {
 		}
 	}
 	return c
-}
-
-// parallelBlocks runs f over [0,n) split into contiguous ranges, one per
-// core, and waits. Used for the uniform-cost phases where dynamic blocks
-// buy nothing.
-func parallelBlocks(ctx context.Context, n, cores int, f func(lo, hi int)) {
-	if ctx.Err() != nil || n == 0 {
-		return
-	}
-	if cores > n {
-		cores = n
-	}
-	var wg sync.WaitGroup
-	per := (n + cores - 1) / cores
-	for lo := 0; lo < n; lo += per {
-		hi := lo + per
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			f(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }

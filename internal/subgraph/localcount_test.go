@@ -123,32 +123,50 @@ func TestLocalCountsOracle(t *testing.T) {
 	}
 }
 
-// TestLocalCountsScratch pins what a sweep allocates per vertex: an int32
-// degree, and one int64 triangle accumulator per core only when a Vertex
-// closure exists to read tri(v) (it was 8 + 8·cores bytes whenever NeedTri
-// was set).
+// TestLocalCountsScratch pins that the kernel keeps nothing per vertex: a
+// sweep over a 50 000-vertex graph allocates its sum vector and no more (it
+// was an int32 degree per vertex, plus an int64 triangle accumulator per
+// vertex and core when tri(v) had a reader), and its sums are still the
+// bruteLocals oracle's — with NoVertexTri too, whose Vertex closure sees 0.
 func TestLocalCountsScratch(t *testing.T) {
-	const n, cores = 50_000, 2
+	const n = 50_000
 	g := workload.BarabasiAlbert("lc-scratch", n, 3, 1, 46)
+	sdeg, pairs, tri := bruteLocals(g)
+	var wantC, wantTri, wantWedges int64
+	for _, p := range pairs {
+		wantC += p[2]
+	}
+	for v := range sdeg {
+		wantTri += tri[v]
+		wantWedges += sdeg[v] * (sdeg[v] - 1) / 2
+	}
 	pair := []func(du, dv, c int64) int64{func(du, dv, c int64) int64 { return c }}
-	vertex := []func(d, tri int64) int64{func(d, tri int64) int64 { return tri }}
+	vertex := []func(d, tri int64) int64{
+		func(d, tri int64) int64 { return tri },
+		func(d, tri int64) int64 { return d * (d - 1) / 2 },
+	}
 	for _, c := range []struct {
-		name      string
-		terms     LocalTerms
-		perVertex float64
+		name  string
+		terms LocalTerms
+		want  []int64
 	}{
-		{"pairs", LocalTerms{Pair: pair, NeedTri: true}, 4},
-		{"degrees", LocalTerms{Pair: pair, Vertex: vertex}, 4},
-		{"triangles", LocalTerms{Pair: pair, Vertex: vertex, NeedTri: true}, 4 + 8*cores},
+		{"pairs", LocalTerms{Pair: pair, NeedTri: true}, []int64{wantC}},
+		{"degrees", LocalTerms{Pair: pair, Vertex: vertex}, []int64{0, 0, wantWedges}},
+		{"triangles", LocalTerms{Pair: pair, Vertex: vertex, NeedTri: true}, []int64{wantC, wantTri, wantWedges}},
+		{"pair triangles", LocalTerms{Pair: pair, Vertex: vertex, NeedTri: true, NoVertexTri: true}, []int64{wantC, 0, wantWedges}},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, _, _, err := LocalCounts(context.Background(), g, c.terms, cores); err != nil {
+		pairSums, vertexSums, _, err := LocalCounts(context.Background(), g, c.terms, 2)
+		runtime.ReadMemStats(&after)
+		if err != nil {
 			t.Fatal(err)
 		}
-		runtime.ReadMemStats(&after)
-		if got := float64(after.TotalAlloc-before.TotalAlloc) / n; got > c.perVertex+0.5 {
-			t.Errorf("%s: %.1f bytes allocated per vertex, want %.0f", c.name, got, c.perVertex)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1024 {
+			t.Errorf("%s: %d bytes allocated for %d vertices, want the sum vector alone", c.name, got, n)
+		}
+		if got := slices.Concat(pairSums, vertexSums); !slices.Equal(got, c.want) {
+			t.Errorf("%s: sums %v, want %v", c.name, got, c.want)
 		}
 	}
 }

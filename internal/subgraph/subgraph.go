@@ -105,6 +105,10 @@ type Embedding struct {
 	custom CustomExtender
 
 	memo classMemo
+
+	// charged counts the extension tests workflow primitives booked on the
+	// embedding's behalf (Charge).
+	charged int64
 }
 
 // New returns an empty embedding over g. plan is required iff kind is
@@ -115,6 +119,15 @@ func New(g *graph.Graph, kind Kind, plan *pattern.Plan) *Embedding {
 	}
 	return &Embedding{g: g, kind: kind, plan: plan}
 }
+
+// Charge books n extension tests done on the embedding's behalf by a
+// workflow primitive that reads the graph itself — the decomposition sweep's
+// per-root kernel — so the work shows in the step's EC like the extension
+// kernels' own tests.
+func (e *Embedding) Charge(n int64) { e.charged += n }
+
+// Charged returns the extension tests booked with Charge so far.
+func (e *Embedding) Charged() int64 { return e.charged }
 
 // Graph returns the input graph.
 func (e *Embedding) Graph() *graph.Graph { return e.g }

@@ -28,10 +28,10 @@
 //	-listen <addr>       run as a distributed master: serve registrations
 //	                     from fractal-worker processes on addr and execute
 //	                     the app across them (motifs, cliques, triangles,
-//	                     fsm). The graph path must be readable by every
-//	                     worker process. What only runs in-process is
-//	                     rejected up front: -app query|keywords, -engine
-//	                     canon, -kclist, -reduce.
+//	                     fsm, query). The graph path must be readable by
+//	                     every worker process. What only runs in-process is
+//	                     rejected up front: -app keywords, -engine canon,
+//	                     -kclist, -reduce.
 //	-min-workers <n>     wait for n worker registrations before starting
 //
 // Plan flags:
@@ -43,12 +43,12 @@
 //	                      symmetry-broken pattern plans only), canon (the
 //	                      canonical-check enumeration path; motifs only),
 //	                      or decomp (force the decomposition sweep; errors
-//	                      where no rule applies). cliques and triangles
+//	                      where no cut decomposes the pattern). cliques and triangles
 //	                      have the plan engine only and accept auto|plan.
 //	-explain              print the compiled plan(s) for the selected app
 //	                      (motifs, cliques, triangles, query) and exit
 //	                      without loading a graph; under auto/decomp this
-//	                      includes decomposition polynomials and the
+//	                      includes the decompositions' terms and the
 //	                      selection reason
 //
 // Observability flags:
@@ -305,8 +305,8 @@ func checkFlags(app, engine string, master, kclist, reduce bool) error {
 		return nil
 	}
 	switch {
-	case app == "query" || app == "keywords":
-		return fmt.Errorf("-app %s has no distributed form; -listen accepts motifs, cliques, triangles, or fsm", app)
+	case app == "keywords":
+		return fmt.Errorf("-app %s has no distributed form; -listen accepts motifs, cliques, triangles, fsm, or query", app)
 	case engine == "canon":
 		return fmt.Errorf("-engine canon runs in-process only; -listen accepts auto, plan or decomp")
 	case kclist:
@@ -336,7 +336,7 @@ func writeMetrics(path string, res *fractal.Result) error {
 
 // explainApp compiles the plan(s) the selected application would execute and
 // prints their Explain reports without loading a graph. Under -engine=auto
-// or -engine=decomp it also prints the decomposition polynomials and the
+// or -engine=decomp it also prints the decompositions' terms and the
 // cost model's selection reason (assuming a uniform-labeled graph — the
 // auto path re-checks labels at run time and falls back to enumeration).
 func explainApp(app string, k int, queryName, engine string) error {

@@ -69,8 +69,10 @@ func TestCLI(t *testing.T) {
 		{"query", []string{"-app", "query", "-pattern", "triangle"}, 0, "matches of triangle [auto engine]: 4 ("},
 		{"query plan", []string{"-app", "query", "-pattern", "square", "-engine", "plan"}, 0, "matches of square [plan engine]: 3 ("},
 		{"query decomp", []string{"-app", "query", "-pattern", "path3", "-engine", "decomp"}, 0, "matches of path3 [decomp engine]: 15 ("},
+		{"query decomp square", []string{"-app", "query", "-pattern", "square", "-engine", "decomp"}, 0, "matches of square [decomp engine]: 3 ("},
 		{"keywords", []string{"-app", "keywords", "-keywords", "a,b"}, 0, "covering subgraphs: 1 ("},
 		{"explain", []string{"-explain", "-app", "cliques", "-k", "3"}, 0, "plan: 3 levels"},
+		{"explain motifs 5", []string{"-explain", "-app", "motifs", "-k", "5"}, 0, "mixed fleet: 10 of 21 patterns decomposed"},
 		{"pprof", []string{"-app", "triangles", "-pprof", filepath.Join(dir, "prof")}, 0, "triangles: 4 ("},
 		{"motifs sweep report", []string{"-app", "motifs", "-k", "3", "-metrics-out", filepath.Join(dir, "motifs.json")}, 0, "3-vertex motifs [auto engine]: 2 classes, 7 subgraphs"},
 		{"query sweep report", []string{"-app", "query", "-pattern", "star4", "-metrics-out", filepath.Join(dir, "star4.json")}, 0, "matches of star4 [auto engine]: 7 ("},
@@ -87,19 +89,20 @@ func TestCLI(t *testing.T) {
 		{"fsm plan", []string{"-app", "fsm", "-engine", "plan"}, 1, "-engine plan does not apply to -app fsm"},
 		{"fsm negative maxedges", []string{"-app", "fsm", "-support", "1", "-maxedges", "-4"}, 1, "-maxedges must be in [1, 31], got -4"},
 		{"fsm maxedges past a pattern", []string{"-app", "fsm", "-support", "1", "-maxedges", "32"}, 1, "-maxedges must be in [1, 31], got 32"},
-		{"query decomp no rule", []string{"-app", "query", "-pattern", "square", "-engine", "decomp"}, 1, "decomposition"},
+		{"query decomp no rule", []string{"-app", "query", "-pattern", "clique4", "-engine", "decomp"}, 1, "no decomposition"},
 
 		{"listen decomp", append([]string{"-app", "motifs", "-engine", "decomp"}, listen...), 0, "[decomp engine]: 2 classes, 7 subgraphs"},
 		{"listen canon", append([]string{"-app", "motifs", "-engine", "canon"}, listen...), 1, "-engine canon runs in-process only"},
 		{"listen kclist", append([]string{"-app", "cliques", "-kclist"}, listen...), 1, "-kclist runs in-process only"},
 		{"listen reduce", append([]string{"-app", "fsm", "-reduce"}, listen...), 1, "-reduce runs in-process only"},
-		{"listen query", append([]string{"-app", "query"}, listen...), 1, "-app query has no distributed form"},
+		{"listen query", append([]string{"-app", "query"}, listen...), 0, "matches of triangle [auto engine]: 4 ("},
 		{"listen keywords", append([]string{"-app", "keywords", "-keywords", "a"}, listen...), 1, "-app keywords has no distributed form"},
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
 			cmd := exec.Command(bin, append([]string{"-graph", graph, "-cores", "2"}, r.args...)...)
-			stdout := &addrWriter{addr: make(chan string, 1)}
+			addr := make(chan string, 1)
+			stdout := &addrWriter{addr: addr}
 			var stderr bytes.Buffer
 			cmd.Stdout, cmd.Stderr = stdout, &stderr
 			if err := cmd.Start(); err != nil {
@@ -117,7 +120,7 @@ func TestCLI(t *testing.T) {
 			// before it waits for registrations.
 			if slices.Contains(r.args, "-listen") && r.exit == 0 {
 				select {
-				case addr := <-stdout.addr:
+				case addr := <-addr:
 					w := exec.Command(workerBin, "-master", addr, "-cores", "1")
 					if err := w.Start(); err != nil {
 						fail("starting fractal-worker: %v", err)

@@ -12,21 +12,23 @@ import (
 	"fractal/internal/wire"
 )
 
-// DecompPlan is a compiled pattern decomposition: a polynomial over local
-// counts (degrees, per-edge triangle counts, per-vertex triangle counts)
-// whose value is the pattern's non-induced subgraph count, evaluated by one
-// sweep of a per-vertex kernel instead of enumeration. Compile one with
-// CompileDecomp and run it with Graph.DecompCountCtx; DecompPlan.Explain
-// renders it human-readably. See DESIGN.md §14.
+// DecompPlan is a compiled pattern decomposition: terms over local counts
+// (degrees, common neighbors of vertex pairs, triangles through a vertex)
+// whose total, divided by the pattern's automorphism count, is its
+// non-induced subgraph count, evaluated by one sweep of a per-vertex kernel
+// instead of enumeration. Compile one with CompileDecomp and run it with
+// Graph.DecompCountCtx; DecompPlan.Explain renders it human-readably. See
+// DESIGN.md §14.
 type DecompPlan = pattern.DecompPlan
 
-// CompileDecomp searches the decomposition rules for p and compiles the
-// matching polynomial. The error reports patterns outside every rule family
-// (no valid cut), non-uniform labels, or unusable shapes — callers fall
-// back to CompilePlan enumeration (or let ChooseEngine decide).
+// CompileDecomp compiles p's decomposition: the first cut — a vertex, an
+// edge, two non-adjacent vertices — whose removal leaves only leaves. The
+// error reports patterns with no such cut, non-uniform labels, or unusable
+// shapes — callers fall back to CompilePlan enumeration (or let
+// ChooseEngine decide).
 func CompileDecomp(p *Pattern) (*DecompPlan, error) { return pattern.Decompose(p) }
 
-// EngineChoice pairs the compiled enumeration plan and (when a rule
+// EngineChoice pairs the compiled enumeration plan and (when a cut
 // matched) the decomposition for one pattern, with the cost model's pick
 // and its stable human-readable reason.
 type EngineChoice = pattern.Choice
@@ -50,10 +52,10 @@ func (fg *Graph) DecompCountCtx(ctx context.Context, dp *DecompPlan) (int64, *Re
 
 // EvalDecomps evaluates several decomposition plans in ONE shared sweep —
 // the fleet form behind the motifs engine, where the sweep is paid once and
-// every decomposable pattern's polynomial rides it. Returns the non-induced
+// every decomposable pattern's terms ride it. Returns the non-induced
 // count per plan, index-aligned; a nil plan, or one whose labels contradict
 // the graph's uniform labels, counts zero, so a fleet passes its patterns'
-// plans with gaps where no rule matched.
+// plans with gaps where no cut matched.
 //
 // The sweep is a fractal step like any other: the registered app
 // "decomp-sweep" runs the local-count kernel once per root vertex on the
@@ -135,7 +137,7 @@ func (sweepBuilder) Build(spec JobSpec, g *RawGraph, _ *Aggregations) (Job, erro
 		Name:  sweepAgg,
 		Proto: agg.NewInt64Sums(terms.Arity()),
 		Emit: func(e *subgraph.Embedding, local agg.Store) {
-			e.Charge(terms.At(g, e.Vertices()[0], local.(*agg.Int64Sums).Sums))
+			e.Charge(terms.At(e, e.Vertices()[0], local.(*agg.Int64Sums).Sums))
 		},
 	}
 	return NewBuildGraph(g).VFractoid().Expand(1).derive(step.AggregateP(sums)).Job()
@@ -143,7 +145,8 @@ func (sweepBuilder) Build(spec JobSpec, g *RawGraph, _ *Aggregations) (Job, erro
 
 // sweep is a decoded sweep spec: the decomposition of every pattern it
 // names, and their terms laid out in one vector of sums — every Pair term,
-// then every Vertex term, each group in plan and term order.
+// then every Vertex term, then every Far term, each group in plan and term
+// order.
 type sweep struct {
 	plans []*DecompPlan
 	terms subgraph.LocalTerms
@@ -171,25 +174,28 @@ func parseSweep(arg string) (*sweep, error) {
 	for i, dp := range sw.plans {
 		sw.slots[i] = make([]int, len(dp.Terms))
 	}
-	vertexTri := false
-	for _, pair := range []bool{true, false} {
+	vertexTri, farDegree := false, false
+	for pass := range 3 {
 		for i, dp := range sw.plans {
 			for j, t := range dp.Terms {
-				if t.Pair() != pair {
-					continue
-				}
-				sw.slots[i][j] = sw.terms.Arity()
-				if pair {
+				switch {
+				case pass == 0 && t.Pair():
 					sw.terms.Pair = append(sw.terms.Pair, t.EvalPair)
-				} else {
+				case pass == 1 && t.Cut == 1:
 					sw.terms.Vertex = append(sw.terms.Vertex, t.EvalVertex)
 					vertexTri = vertexTri || t.NeedsTri()
+				case pass == 2 && t.Far():
+					sw.terms.Far = append(sw.terms.Far, t.EvalFar)
+					farDegree = farDegree || t.U > 0 // U ≥ V: leaves that need degrees
+				default:
+					continue
 				}
+				sw.slots[i][j] = sw.terms.Arity() - 1
 				sw.terms.NeedTri = sw.terms.NeedTri || t.NeedsTri()
 			}
 		}
 	}
-	sw.terms.NoVertexTri = !vertexTri
+	sw.terms.NoVertexTri, sw.terms.NoFarDegree = !vertexTri, !farDegree
 	return sw, nil
 }
 

@@ -3,12 +3,13 @@ package agg
 import (
 	"fmt"
 
+	"fractal/internal/pattern"
 	"fractal/internal/wire"
 )
 
 // Int64Sums is the scalar partial-sum store of the decomposition engine: a
 // fixed-arity vector of int64 sums, index-aligned across cores, where entry
-// i accumulates the i-th polynomial term's local-count sum. Each execution
+// i accumulates the i-th decomposition term's local-count sum. Each execution
 // core fills its own Int64Sums during the sweep and the partials reduce
 // through the same pipeline as every other aggregation (FoldToFrames for the
 // per-core layer, FoldFrames at the master) — the decomposition engine adds
@@ -23,7 +24,8 @@ func NewInt64Sums(n int) *Int64Sums { return &Int64Sums{Sums: make([]int64, n)} 
 // Len implements Store: the arity of the vector (every slot is a live sum).
 func (s *Int64Sums) Len() int { return len(s.Sums) }
 
-// MergeFrom implements Store with elementwise addition.
+// MergeFrom implements Store with elementwise addition, saturating like the
+// sums themselves (pattern.AddSat).
 func (s *Int64Sums) MergeFrom(other Store) error {
 	o, ok := other.(*Int64Sums)
 	if !ok {
@@ -33,7 +35,7 @@ func (s *Int64Sums) MergeFrom(other Store) error {
 		return fmt.Errorf("agg: merging %d-ary Int64Sums into %d-ary", len(o.Sums), len(s.Sums))
 	}
 	for i, v := range o.Sums {
-		s.Sums[i] += v
+		s.Sums[i] = pattern.AddSat(s.Sums[i], v)
 	}
 	return nil
 }
@@ -60,7 +62,7 @@ func (s *Int64Sums) DecodeAndMerge(data []byte) error {
 		r.Failf("%d-ary vector for a %d-ary store", n, len(s.Sums))
 	}
 	for i := range s.Sums {
-		s.Sums[i] += r.Varint()
+		s.Sums[i] = pattern.AddSat(s.Sums[i], r.Varint())
 	}
 	if err := r.Done(); err != nil {
 		return fmt.Errorf("agg: decoding into %d-ary Int64Sums: %w", len(s.Sums), err)

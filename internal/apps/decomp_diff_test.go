@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"math/big"
 	"math/rand"
 	"strings"
 	"testing"
@@ -161,6 +162,8 @@ func TestDecompCountMatchesQueryPlans(t *testing.T) {
 		"star5":    pattern.Star(5),
 		"diamond":  pattern.ChordalSquare(),
 		"bowtie":   pattern.Bowtie(),
+		"square":   pattern.Cycle(4),
+		"path5":    pattern.Path(5),
 	}
 	for _, raw := range []*graph.Graph{
 		workload.ErdosRenyi("ddiff-q", 60, 200, 1, 59),
@@ -295,5 +298,64 @@ func TestMotifsSweepInReport(t *testing.T) {
 			t.Errorf("k=%d: first step %s, %d subgraphs, EC=%d: want the sweep, one subgraph per vertex (%d), EC above the %d incidences",
 				k, sweep.Workflow, sweep.Subgraphs, sweep.EC, raw.NumVertices(), 2*raw.NumEdges())
 		}
+	}
+}
+
+// TestDecompCountHighDegreeHubs holds the sweep to exact counts where
+// placements ordered leaf by leaf would leave int64: two hubs of degree 1 400
+// sharing their leaves give C(1 400, 6) ≈ 1.0e16 seven-vertex stars per hub
+// and as many K2,6 (1 400·1 399·…·1 395 ≈ 7.5e18 ordered placements per hub
+// or hub pair), a ten-vertex star counts too, and a count past int64 is an
+// error, not a wrapped number.
+func TestDecompCountHighDegreeHubs(t *testing.T) {
+	const leaves = 1400
+	ctx := testCtx(t)
+	b := graph.NewBuilder("ddiff-hubs")
+	b.EnsureVertices(leaves + 2)
+	for w := 2; w < leaves+2; w++ {
+		b.MustAddEdge(0, graph.VertexID(w))
+		b.MustAddEdge(1, graph.VertexID(w))
+	}
+	g := ctx.FromGraph(b.Build())
+	binom := func(n, k int64) int64 { return new(big.Int).Binomial(n, k).Int64() }
+	k2 := func(s int) *fractal.Pattern { // K2,s
+		b := pattern.NewBuilder(s + 2)
+		for w := 2; w < s+2; w++ {
+			b.AddEdge(0, w, pattern.NoLabel)
+			b.AddEdge(1, w, pattern.NoLabel)
+		}
+		return b.Build()
+	}
+	for _, c := range []struct {
+		name string
+		p    *fractal.Pattern
+		want int64 // 0: the count leaves int64
+	}{
+		// Each leaf has degree 2: it centers C(2, 1) paths of length 2.
+		{"star7", pattern.Star(7), 2 * binom(leaves, 6)},
+		{"K2,6", k2(6), binom(leaves, 6)},
+		{"star10", pattern.Star(10), 0},
+		{"K2,9", k2(9), 0},
+		{"star3", pattern.Star(3), 2*binom(leaves, 2) + leaves},
+	} {
+		for _, engine := range []string{EngineDecomp, EngineAuto} {
+			got, _, err := Query(bg, ctx, g, c.p, engine)
+			switch {
+			case c.want == 0 && (err == nil || !strings.Contains(err.Error(), "overflows int64")):
+				t.Errorf("%s %s: got %d (%v), want an int64 overflow error", c.name, engine, got, err)
+			case c.want != 0 && (err != nil || got != c.want):
+				t.Errorf("%s %s: got %d (%v), want %d", c.name, engine, got, err, c.want)
+			}
+		}
+	}
+	// A ten-vertex star below the bound: C(1 400, 9) per hub leaves int64,
+	// so the same star on the hubs' first dozen leaves.
+	small := graph.NewBuilder("ddiff-hub12")
+	small.EnsureVertices(13)
+	for w := 1; w < 13; w++ {
+		small.MustAddEdge(0, graph.VertexID(w))
+	}
+	if got, _, err := Query(bg, ctx, ctx.FromGraph(small.Build()), pattern.Star(10), EngineDecomp); err != nil || got != binom(12, 9) {
+		t.Errorf("star10 on a 12-leaf hub: got %d (%v), want %d", got, err, binom(12, 9))
 	}
 }

@@ -226,6 +226,43 @@ func TestDistMotifsSweep(t *testing.T) {
 	}
 }
 
+// TestDistQuery runs a query on a master's two workers: the square
+// decomposes (the distance-2 sweep ships as a spec), the house does not
+// (the query spec ships its plan), and both give the in-process count.
+func TestDistQuery(t *testing.T) {
+	path := writeGraphFile(t, workload.BarabasiAlbert("dist-query", 80, 4, 1, 53))
+	oracle, load := inProcessOracle(t)
+	master := distMaster(t)
+	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{Cores: 2})
+	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{Cores: 2})
+	if err := master.AwaitWorkers(context.Background(), 2); err != nil {
+		t.Fatal(err)
+	}
+	g := loadOn(t, master, path)
+	for name, c := range map[string]struct {
+		p      *fractal.Pattern
+		decomp bool
+	}{"square": {pattern.Cycle(4), true}, "house": {pattern.House(), false}} {
+		if ch, err := fractal.ChooseEngine(c.p); err != nil || ch.UseDecomp != c.decomp {
+			t.Fatalf("%s: auto picks decomposition %v (%v), want %v", name, ch.UseDecomp, err, c.decomp)
+		}
+		want, _, err := Query(bg, oracle, load(path), c.p, EngineAuto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, res, err := Query(bg, master, g, c.p, EngineAuto)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got != want || want == 0 {
+			t.Errorf("%s: distributed count %d, in-process %d", name, got, want)
+		}
+		if cw := res.Report.Steps[0].Metrics.CoreWork; len(cw) != 4 {
+			t.Errorf("%s: core work %v, want the job on 2x2 cores", name, cw)
+		}
+	}
+}
+
 // TestDistFSM covers environment threading across processes: each level's
 // support aggregations ship to the workers with the next level's spec.
 func TestDistFSM(t *testing.T) {
@@ -484,7 +521,6 @@ func TestDistRejectsWhatCannotShip(t *testing.T) {
 			return err
 		},
 		"kclist": func() error { _, _, err := CliquesKClist(bg, master, onDisk, 3); return err },
-		"query":  func() error { _, _, err := Query(bg, master, onDisk, pattern.Triangle(), EnginePlan); return err },
 	} {
 		err := run()
 		var cfgErr *fractal.ConfigError

@@ -89,7 +89,7 @@ func (motifsBuilder) Build(spec fractal.JobSpec, g *graph.Graph, _ *agg.Registry
 
 // Motifs counts the frequencies of all k-vertex induced subgraph patterns.
 // Every connected k-vertex pattern is counted either by its motifsBuilder
-// job (enumeration) or by a decomposition polynomial over one shared
+// job (enumeration) or by its decomposition's terms over one shared
 // decomposition sweep (Graph.EvalDecomps, itself a registered spec), whose
 // non-induced counts convert to induced class counts by back-substitution
 // through the spanning-subgraph matrix (pattern.CombineInduced; DESIGN.md
@@ -134,7 +134,7 @@ func Motifs(ctx context.Context, fc *fractal.Context, g *fractal.Graph, k int, e
 		return nil, fractal.CombineResults(results...), err
 	}
 
-	// Decomposed part: one shared sweep evaluating every polynomial.
+	// Decomposed part: one shared sweep evaluating every decomposition.
 	decomposed := make([]bool, len(pats))
 	nonInduced := make([]int64, len(pats))
 	if sweep != nil {
@@ -237,10 +237,9 @@ func MotifsFleetReason(g *fractal.Graph, k int) string {
 // motifFleet is the cost model's view of the k-vertex motif fleet. dplans
 // is index-aligned with pattern.ConnectedPatterns(k): a non-nil entry is a
 // pattern the shared sweep can count, and dplans itself is nil where the
-// sweep cannot run at all. pays reports whether the sweep (one pass serves
-// every plan, and the triangle-needing plan dominates its cost) is cheaper
-// than the enumeration it replaces. g may be nil: the label check is
-// skipped.
+// sweep cannot run at all. pays reports whether the sweep (priced as the
+// union of the passes its plans need, each paid once) is cheaper than the
+// enumeration it replaces. g may be nil: the label check is skipped.
 func motifFleet(g *fractal.Graph, k int) (dplans []*pattern.DecompPlan, pays bool, reason string) {
 	if k > pattern.MaxGenVertices {
 		return nil, false, fmt.Sprintf("canon: k=%d beyond the pattern generator bound %d", k, pattern.MaxGenVertices)
@@ -259,7 +258,7 @@ func motifFleet(g *fractal.Graph, k int) (dplans []*pattern.DecompPlan, pays boo
 	}
 	plans := make([]*pattern.DecompPlan, len(pats))
 	var n int
-	var enumCost, sweepCost float64
+	var enumCost float64
 	for i, p := range pats {
 		dp, err := pattern.Decompose(p)
 		if err != nil {
@@ -270,8 +269,8 @@ func motifFleet(g *fractal.Graph, k int) (dplans []*pattern.DecompPlan, pays boo
 		if pl, err := pattern.NewInducedPlan(p); err == nil {
 			enumCost += pl.EstCost
 		}
-		sweepCost = max(sweepCost, dp.EstCost)
 	}
+	sweepCost := pattern.SweepCost(plans)
 	switch {
 	case n == 0:
 		return nil, false, fmt.Sprintf("enumeration fleet: none of the %d patterns is decomposable", len(pats))

@@ -1,8 +1,8 @@
-// The kernels. Cliques, motifs and FSM each have exactly one workflow
+// The kernels. Cliques, motifs, FSM and query each have exactly one workflow
 // definition: a spec builder registered under the application's name,
 // composed against fractal.NewBuildGraph — no Context — and deterministic,
 // so the same spec and graph yield the identical workflow and step list in
-// every process. Each application's one driver (Cliques, Motifs, FSM)
+// every process. Each application's one driver (Cliques, Motifs, FSM, Query)
 // submits its specs through Graph.RunSpec, which builds the job against the
 // graph in memory on an in-process context and ships the spec by graph path
 // on a WithListenAddr master: the same code runs in both deployments. The
@@ -10,9 +10,9 @@
 // registered by the root package next to Graph.EvalDecomps, so a mixed
 // motif fleet runs on a master as it does in process.
 //
-// What has no spec form — the canonical-check and KClist enumerators,
-// subgraph querying, graph reduction — is rejected on a master context with
-// a *fractal.ConfigError instead of being ignored.
+// What has no spec form — the canonical-check and KClist enumerators, graph
+// reduction — is rejected on a master context with a *fractal.ConfigError
+// instead of being ignored.
 package apps
 
 import (
@@ -29,12 +29,14 @@ const (
 	AppCliques = "cliques"
 	AppMotifs  = "motifs"
 	AppFSM     = "fsm"
+	AppQuery   = "query"
 )
 
 func init() {
 	fractal.RegisterApp(AppCliques, cliquesBuilder{})
 	fractal.RegisterApp(AppMotifs, motifsBuilder{})
 	fractal.RegisterApp(AppFSM, fsmBuilder{})
+	fractal.RegisterApp(AppQuery, queryBuilder{})
 }
 
 // The engine argument of Motifs and Query — the values of cmd/fractal's
@@ -45,8 +47,8 @@ const (
 	EngineAuto = "auto"
 	// EnginePlan enumerates compiled symmetry-broken plans only.
 	EnginePlan = "plan"
-	// EngineDecomp forces the decomposition sweep and errors where no rule
-	// applies.
+	// EngineDecomp forces the decomposition sweep and errors where no cut
+	// decomposes a pattern.
 	EngineDecomp = "decomp"
 	// EngineCanon is the canonical-check enumeration of Listing 1 (motifs
 	// only): the one path for k beyond pattern.MaxGenVertices.

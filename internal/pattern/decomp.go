@@ -2,27 +2,40 @@ package pattern
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"strings"
 )
 
-// Pattern decomposition (the DwarvesGraph direction named in ROADMAP item 1):
-// instead of enumerating every embedding of a pattern, express its
-// subgraph count as a small polynomial over *local counts* of core
-// subpatterns — distinct-neighbor degrees d(v), per-adjacent-pair common
-// neighbor counts c(u,v) (equivalently per-edge triangle counts), and
-// per-vertex triangle counts tri(v) — with inclusion–exclusion correction
-// terms for the collisions the algebra would otherwise overcount. The local
-// counts come from one shared sorted-intersection sweep over the CSR arrays
-// (the per-root kernel internal/subgraph.LocalTerms.At, run as one fractal
-// step by fractal.Graph.EvalDecomps); evaluating the polynomial is O(#terms).
+// Pattern decomposition (DESIGN.md §14, after DwarvesGraph): instead of
+// enumerating every embedding of a pattern, count it from local counts the
+// sweep reads around each vertex — distinct-neighbor degrees d(x), distinct
+// common-neighbor counts c(x,y) of vertex pairs, and triangles through a
+// vertex T(x). The per-root kernel internal/subgraph.LocalTerms.At computes
+// them and folds the terms below into running sums, run as one fractal step
+// by fractal.Graph.EvalDecomps.
 //
-// Decompose is a *rule search*: each rule recognizes one family of patterns
-// that admits an exact cut through a vertex or an edge (stars and
-// double-stars cut at their centers; triangle-cored families cut at the
-// triangle) and compiles the polynomial. Patterns outside every family
-// (cycles C_k≥4, cliques K_k≥4, and anything with two independent cycles)
-// return an error, and callers fall back to the enumeration Plan — the
-// cost-model auto-selection in Choose and in the motifs fleet.
+// Decompose applies one rule. It tries cuts C in a fixed order — one vertex,
+// one edge, two non-adjacent vertices — and accepts the first where every
+// other pattern vertex is a leaf: all of its neighbors lie in C, so P−C has
+// no edge. A leaf is then characterised by which cut vertices it touches,
+// and leaves that touch the same ones are interchangeable: the number of
+// leaf sets around one ordered binding of C in the graph is a closed form of
+// binomials over the binding's locals (DecompTerm.EvalVertex, EvalPair,
+// EvalFar). Summed over all bindings it counts every copy of P once per
+// ordered binding of C in P itself — |Aut(P)| over the leaves' orderings —
+// so the plan divides the total once, by that number (DecompPlan.Div). One
+// pattern outside the rule is counted too: the bowtie, a vertex cut whose
+// outside is two triangle edges — pairs of triangles through x, less the
+// diamonds they overcount, whose term the rule itself provides.
+//
+// The sums stay at copy scale, so they leave int64 only where the count
+// itself nearly does. A value or sum past int64 saturates at math.MaxInt64
+// (Binom, mulSat, AddSat) and Eval refuses it rather than return a wrapped
+// count.
+// Everything else (K4, cycles C_k≥5, the house, …) returns an error and
+// callers enumerate it with a Plan — the cost-model choice in Choose and in
+// the motifs fleet.
 //
 // All counts are NON-INDUCED subgraph counts (copies, one per automorphism
 // class) over the *distinct* adjacency of the data graph — the simple-graph
@@ -32,128 +45,117 @@ import (
 
 // MaxDecompVertices bounds the patterns the *induced conversion* handles
 // (SpanningCounts enumerates 2^m edge subsets per pattern, so the motifs
-// fleet only mixes engines up to this size). Decompose itself is exact for
-// any pattern a rule matches, at any k.
+// fleet only mixes engines up to this size). Decompose itself takes patterns
+// of any size.
 const MaxDecompVertices = 5
 
-// TermKind selects the local-count shape of one polynomial term.
-type TermKind uint8
-
-const (
-	// TermVertex contributes 1 per graph vertex: Σ_v 1 = |V|.
-	TermVertex TermKind = iota
-	// TermPair contributes 1 per distinct adjacent pair: Σ_{u~v} 1.
-	TermPair
-	// TermStar contributes C(d(v), A) per vertex: closed stars around v.
-	TermStar
-	// TermTriTail contributes tri(v)·C(d(v)-2, A) per vertex: a triangle
-	// anchored at v plus A tail edges at v avoiding the triangle.
-	TermTriTail
-	// TermBook contributes C(c(u,v), A) per distinct adjacent pair: books
-	// with base edge u-v and A pages.
-	TermBook
-	// TermDoubleStar contributes, per ORDERED adjacent pair (u,v),
-	// C(c,J)·C(d(u)-1-J, A-J)·C(d(v)-1-J, B-J) — the J-th
-	// inclusion–exclusion layer of counting disjoint leaf sets of sizes A
-	// at u and B at v. The sweep evaluates both orientations of each
-	// unordered pair.
-	TermDoubleStar
-	// TermBull contributes c·(d(u)-2)·(d(v)-2) per distinct adjacent pair:
-	// a triangle over u-v plus one pendant at each of u and v (the pendant
-	// pair possibly colliding — corrected by a TermBook term).
-	TermBull
-	// TermTriPair contributes C(tri(v), A) per vertex: A-subsets of the
-	// triangles through v (pairs sharing an edge are corrected by a
-	// TermBook term).
-	TermTriPair
-)
-
-// DecompTerm is one monomial of a decomposition polynomial: Coef/Div times
-// the sum of the kind's local expression over the graph. Div is an exact
-// divisor of the summed value (an automorphism or orientation factor);
-// DecompPlan.Eval verifies the division and fails loudly otherwise.
+// DecompTerm is one term of a decomposition: Coef (±1) times the sum, over
+// every ordered binding of the term's cut in the graph, of the number of
+// leaf sets around the binding — or, for the bowtie's vertex term, of the
+// pairs of triangles through x.
 type DecompTerm struct {
-	Kind    TermKind
-	A, B, J int
-	Coef    int64
-	Div     int64
-	// Core indexes DecompPlan.Cores: the core subpattern whose local
-	// counts the term reads (K1 for vertex counts, K2 for degrees/pairs,
-	// K3 for anything touching common-neighbor or triangle counts).
-	Core int
+	// Cut is the number of cut vertices: 1 (x) or 2 (x, y). Edge says the
+	// two are adjacent in the pattern.
+	Cut  int
+	Edge bool
+	// U, V and B count the leaves adjacent to x only, to y only and to both;
+	// a vertex cut has U leaves. U ≥ V.
+	U, V, B int
+	// Tri marks the bowtie's vertex term.
+	Tri  bool
+	Coef int64
 }
 
-// Pair reports whether the term is evaluated per distinct adjacent pair
-// (as opposed to per vertex).
-func (t DecompTerm) Pair() bool {
-	switch t.Kind {
-	case TermPair, TermBook, TermDoubleStar, TermBull:
-		return true
-	}
-	return false
-}
+// Pair reports whether the term is summed over adjacent vertex pairs
+// (EvalPair), as opposed to vertices (EvalVertex) or non-adjacent pairs
+// (EvalFar).
+func (t DecompTerm) Pair() bool { return t.Cut == 2 && t.Edge }
 
-// NeedsTri reports whether evaluating the term requires common-neighbor
-// counts (the sorted-intersection part of the sweep).
-func (t DecompTerm) NeedsTri() bool {
-	switch t.Kind {
-	case TermBook, TermBull, TermTriTail, TermTriPair:
-		return true
-	case TermDoubleStar:
-		return t.J > 0
-	}
-	return false
-}
+// Far reports whether the term is summed over pairs of vertices that are
+// not adjacent in the pattern (EvalFar): the sweep's distance-2 pass.
+func (t DecompTerm) Far() bool { return t.Cut == 2 && !t.Edge }
 
-// EvalPair returns the term's raw contribution for one distinct adjacent
-// pair with distinct-neighbor degrees du, dv and c distinct common
-// neighbors (Coef/Div are applied by Eval, over the full sum).
-func (t DecompTerm) EvalPair(du, dv, c int64) int64 {
-	switch t.Kind {
-	case TermPair:
-		return 1
-	case TermBook:
-		return Binom(c, int64(t.A))
-	case TermDoubleStar:
-		a, b, j := int64(t.A), int64(t.B), int64(t.J)
-		return Binom(c, j)*Binom(du-1-j, a-j)*Binom(dv-1-j, b-j) +
-			Binom(c, j)*Binom(dv-1-j, a-j)*Binom(du-1-j, b-j)
-	case TermBull:
-		return c * (du - 2) * (dv - 2)
-	}
-	return 0
-}
+// NeedsTri reports whether evaluating the term requires the common-neighbor
+// counts of adjacent pairs (the sorted-intersection part of the sweep).
+func (t DecompTerm) NeedsTri() bool { return t.Tri || t.Pair() }
 
-// EvalVertex returns the term's raw contribution for one vertex with
-// distinct-neighbor degree d and tri triangles through it.
+// EvalVertex returns the term at one vertex with distinct-neighbor degree d
+// and tri triangles through it: the ways to choose its U leaves.
 func (t DecompTerm) EvalVertex(d, tri int64) int64 {
-	switch t.Kind {
-	case TermVertex:
-		return 1
-	case TermStar:
-		return Binom(d, int64(t.A))
-	case TermTriTail:
-		return tri * Binom(d-2, int64(t.A))
-	case TermTriPair:
-		return Binom(tri, int64(t.A))
+	if t.Tri {
+		return Binom(tri, 2)
 	}
-	return 0
+	return Binom(d, int64(t.U))
 }
 
-// DecompPlan is a compiled decomposition: the polynomial over local counts
-// whose value is the non-induced subgraph count of P in any uniform-label
-// graph. Immutable and reusable across graphs and runs, like Plan.
+// EvalPair returns the term at one distinct adjacent pair with
+// distinct-neighbor degrees du, dv and c distinct common neighbors, both
+// orientations of the binding together (Coef is applied by Eval, over the
+// full sum).
+func (t DecompTerm) EvalPair(du, dv, c int64) int64 { return t.EvalFar(du-1, dv-1, c) }
+
+// EvalFar is EvalPair for a pair whose degrees du, dv already leave out the
+// other end — the sweep's distance-2 pass passes d−[u~v], since a pattern
+// non-edge may land on a graph edge.
+func (t DecompTerm) EvalFar(du, dv, c int64) int64 {
+	return AddSat(t.place(du-c, dv-c, c), t.place(dv-c, du-c, c))
+}
+
+// place counts the leaf sets at one ordered binding (x, y) whose ends have
+// a and b exclusive neighbors and c common ones: i of x's U leaves and j of
+// y's V may sit on common neighbors too, disjoint from the B leaves there.
+func (t DecompTerm) place(a, b, c int64) int64 {
+	u, v, free := int64(t.U), int64(t.V), c-int64(t.B) // free: common neighbors left for U and V
+	var s int64
+	for i := int64(0); i <= min(u, free); i++ {
+		x := mulSat(Binom(a, u-i), Binom(c, i))
+		for j := int64(0); j <= min(v, free-i); j++ {
+			y := mulSat(Binom(b, v-j), mulSat(Binom(c-i, j), Binom(c-i-j, int64(t.B))))
+			s = AddSat(s, mulSat(x, y))
+		}
+	}
+	return s
+}
+
+// mulSat returns a·b for non-negative a and b, or math.MaxInt64 when the
+// product leaves int64.
+func mulSat(a, b int64) int64 {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	if hi != 0 || lo > math.MaxInt64 {
+		return math.MaxInt64
+	}
+	return int64(lo)
+}
+
+// AddSat returns a+b, or the int64 bound it passes: the addition of the
+// decomposition's counts, whose sums saturate at math.MaxInt64 instead of
+// wrapping (the sweep's kernel and agg.Int64Sums add with it).
+func AddSat(a, b int64) int64 {
+	s := a + b
+	switch {
+	case a > 0 && b > 0 && s < 0:
+		return math.MaxInt64
+	case a < 0 && b < 0 && s >= 0:
+		return math.MinInt64
+	}
+	return s
+}
+
+// DecompPlan is a compiled decomposition: terms over local counts whose
+// value, divided by Div, is the non-induced subgraph count of P in any
+// uniform-label graph. Immutable and reusable across graphs and runs, like
+// Plan.
 type DecompPlan struct {
 	P *Pattern
-	// Rule names the decomposition family that matched (stable, shown by
-	// Explain and -explain tooling).
-	Rule string
-	// Terms is the polynomial; Cores the referenced core subpatterns.
+	// Rule names the cut that matched (stable, shown by Explain).
+	Rule  string
 	Terms []DecompTerm
-	Cores []*Pattern
+	// Div, the one divisor of the terms' total, is the number of ordered
+	// bindings of the cut in P itself: |Aut(P)| / (U!·V!·B!), the times the
+	// sums count each copy (1 for the bowtie, counted at its center).
+	Div int64
 	// NeedTri reports whether any term requires the common-neighbor
-	// (sorted-intersection) half of the sweep; without it the sweep is a
-	// degree pass only.
+	// (sorted-intersection) half of the sweep.
 	NeedTri bool
 	// EstCost is the modeled cost of the local-count sweep, in the same
 	// symbolic work units as Plan.EstCost (estimated element visits on the
@@ -163,45 +165,171 @@ type DecompPlan struct {
 
 // Decomposition sweep cost symbols, comparable with Plan.EstCost: a degree
 // pass touches each incidence once (estVertices·estDegree); the
-// common-neighbor sweep merges both adjacency lists of every adjacent pair
-// (estVertices·estDegree/2 pairs × 2·estDegree merge steps).
+// common-neighbor pass merges both adjacency lists of every adjacent pair
+// (estVertices·estDegree/2 pairs × 2·estDegree merge steps); the distance-2
+// pass reads the list of every neighbor of every vertex.
 const (
 	degPassCost = float64(estVertices) * float64(estDegree)
 	triPassCost = float64(estVertices) * float64(estDegree) * float64(estDegree)
+	farPassCost = triPassCost
 )
 
-// Decompose searches the decomposition rules for p and compiles the
-// matching polynomial. It returns an error when p is empty, disconnected,
-// non-uniformly labeled (the local-count kernels are label-blind), or
-// outside every rule family — callers treat the error as "fall back to the
-// enumeration plan".
-func Decompose(p *Pattern) (*DecompPlan, error) {
-	n := p.NumVertices()
-	if n == 0 {
-		return nil, fmt.Errorf("pattern: cannot decompose empty pattern")
+// SweepCost is the modeled cost of one sweep evaluating every plan's terms
+// (nil plans skipped): the union of the passes they need, each paid once.
+func SweepCost(plans []*DecompPlan) float64 {
+	tri, far := sweepPasses(plans)
+	cost := degPassCost
+	if tri {
+		cost += triPassCost
 	}
-	if !p.Connected() {
-		return nil, fmt.Errorf("pattern: cannot decompose disconnected pattern %v", p)
+	if far {
+		cost += farPassCost
 	}
-	if !uniformPatternLabels(p) {
-		return nil, fmt.Errorf("pattern: decomposition is label-blind; pattern %v mixes labels", p)
-	}
-	dp := matchRule(p)
-	if dp == nil {
-		return nil, fmt.Errorf("pattern: no decomposition rule for %v (falls back to enumeration)", p)
-	}
-	dp.P = p
-	for _, t := range dp.Terms {
-		if t.NeedsTri() {
-			dp.NeedTri = true
+	return cost
+}
+
+// sweepPasses reports which passes beyond the degree pass the plans need.
+func sweepPasses(plans []*DecompPlan) (tri, far bool) {
+	for _, dp := range plans {
+		if dp == nil {
+			continue
+		}
+		for _, t := range dp.Terms {
+			tri = tri || t.NeedsTri()
+			far = far || t.Far()
 		}
 	}
-	dp.EstCost = degPassCost
-	if dp.NeedTri {
-		dp.EstCost += triPassCost
+	return tri, far
+}
+
+// Decompose compiles p's decomposition. It returns an error when p is
+// empty, disconnected, non-uniformly labeled (the local-count kernels are
+// label-blind), or has no cut that leaves only leaves — callers treat the
+// error as "fall back to the enumeration plan".
+func Decompose(p *Pattern) (*DecompPlan, error) {
+	switch {
+	case p.NumVertices() == 0:
+		return nil, fmt.Errorf("pattern: cannot decompose empty pattern")
+	case !p.Connected():
+		return nil, fmt.Errorf("pattern: cannot decompose disconnected pattern %v", p)
+	case !uniformPatternLabels(p):
+		return nil, fmt.Errorf("pattern: decomposition is label-blind; pattern %v mixes labels", p)
 	}
-	dp.Cores = coresFor(dp.Terms)
+	dp := &DecompPlan{P: p}
+	if t, div, ok := firstCut(p); ok {
+		dp.Rule, dp.Terms, dp.Div = t.cut(), []DecompTerm{t}, div
+	} else if twoTriangleEdges(p) {
+		// Pairs of triangles through the center x: those sharing a second
+		// vertex y form a diamond with chord xy, one per ordered binding of
+		// the chord.
+		diamond, _, _ := firstCut(ChordalSquare())
+		diamond.Coef = -1
+		dp.Rule, dp.Terms, dp.Div = "bowtie", []DecompTerm{{Cut: 1, Tri: true, Coef: 1}, diamond}, 1
+	} else {
+		return nil, fmt.Errorf("pattern: no decomposition of %v: no cut leaves only leaves (falls back to enumeration)", p)
+	}
+	dp.NeedTri, _ = sweepPasses([]*DecompPlan{dp})
+	dp.EstCost = SweepCost([]*DecompPlan{dp})
 	return dp, nil
+}
+
+// firstCut tries the cuts in order — every vertex, every edge, every
+// non-adjacent pair — and returns the term of the first that leaves only
+// leaves, with the number of ordered bindings of the same cut in p: the
+// vertices or ordered pairs whose leaves it puts the same way.
+func firstCut(p *Pattern) (t DecompTerm, div int64, ok bool) {
+	n := p.NumVertices()
+	for _, kind := range []struct{ pair, edge bool }{{false, false}, {true, true}, {true, false}} {
+		for x := 0; x < n; x++ {
+			for y := x; y < n; y++ {
+				if kind.pair != (y > x) || kind.pair && p.HasEdge(x, y) != kind.edge {
+					continue
+				}
+				o, good := cutAt(p, x, y)
+				if !good {
+					continue
+				}
+				if !ok {
+					t, ok = o, true
+					if t.U < t.V {
+						t.U, t.V = t.V, t.U
+					}
+				}
+				div += int64(b2i(o == t))
+				o.U, o.V = o.V, o.U // the binding (y, x)
+				div += int64(b2i(kind.pair && o == t))
+			}
+		}
+		if ok {
+			return t, div, true
+		}
+	}
+	return t, 0, false
+}
+
+// cut names the term's cut, the Rule of a plan that has no other term.
+func (t DecompTerm) cut() string {
+	switch {
+	case t.Cut == 1:
+		return "vertex cut"
+	case t.Edge:
+		return "edge cut"
+	}
+	return "vertex-pair cut"
+}
+
+// cutAt returns the term of cut {x, y} (x == y: the vertex cut {x}), U
+// counting x's own leaves and V y's, when every other vertex of p has all of
+// its neighbors in the cut.
+func cutAt(p *Pattern, x, y int) (DecompTerm, bool) {
+	t := DecompTerm{Cut: 1, Coef: 1}
+	if x != y {
+		t.Cut, t.Edge = 2, p.HasEdge(x, y)
+	}
+	for w := 0; w < p.NumVertices(); w++ {
+		if w == x || w == y {
+			continue
+		}
+		ax, ay := p.HasEdge(w, x), x != y && p.HasEdge(w, y)
+		switch {
+		case p.Degree(w) != b2i(ax)+b2i(ay):
+			return t, false
+		case ax && ay:
+			t.B++
+		case ax:
+			t.U++
+		default:
+			t.V++
+		}
+	}
+	return t, true
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// twoTriangleEdges reports whether p is a vertex cut whose outside is two
+// triangle edges (the bowtie): five vertices, one adjacent to the other
+// four, which pair off.
+func twoTriangleEdges(p *Pattern) bool {
+	if p.NumVertices() != 5 || p.NumEdges() != 6 {
+		return false
+	}
+	hubs := 0
+	for w := 0; w < 5; w++ {
+		switch p.Degree(w) {
+		case 4:
+			hubs++
+		case 2:
+		default:
+			return false
+		}
+	}
+	return hubs == 1
 }
 
 // uniformPatternLabels reports whether every vertex carries the same label
@@ -233,392 +361,82 @@ func uniformPatternLabels(p *Pattern) bool {
 	return true
 }
 
-// coresFor builds the deduplicated core-subpattern list (K1/K2/K3) and
-// rewrites each term's Core index into it.
-func coresFor(terms []DecompTerm) []*Pattern {
-	size := func(t DecompTerm) int {
-		if t.NeedsTri() {
-			return 3
-		}
-		if t.Pair() || t.Kind == TermStar {
-			return 2
-		}
-		return 1
-	}
-	var cores []*Pattern
-	idx := map[int]int{}
-	for i, t := range terms {
-		s := size(t)
-		if _, ok := idx[s]; !ok {
-			idx[s] = len(cores)
-			cores = append(cores, Clique(s))
-		}
-		terms[i].Core = idx[s]
-	}
-	return cores
-}
-
-// matchRule runs the structural recognizers in a fixed order and returns
-// the compiled terms, or nil when no family matches. Recognizers inspect
-// the unlabeled structure only (labels were checked uniform).
-func matchRule(p *Pattern) *DecompPlan {
-	n, m := p.NumVertices(), p.NumEdges()
-	switch {
-	case n == 1:
-		return &DecompPlan{Rule: "vertex",
-			Terms: []DecompTerm{{Kind: TermVertex, Coef: 1, Div: 1}}}
-	case n == 2:
-		return &DecompPlan{Rule: "edge",
-			Terms: []DecompTerm{{Kind: TermPair, Coef: 1, Div: 1}}}
-	}
-	if m == n-1 { // trees: stars and double-stars
-		if hub := starHub(p); hub >= 0 {
-			return &DecompPlan{Rule: fmt.Sprintf("star(%d)", n-1),
-				Terms: []DecompTerm{{Kind: TermStar, A: n - 1, Coef: 1, Div: 1}}}
-		}
-		if a, b, ok := doubleStar(p); ok {
-			div := int64(1)
-			if a == b {
-				div = 2 // both orientations of the ordered sweep hit each copy
-			}
-			terms := make([]DecompTerm, 0, b+1)
-			coef := int64(1)
-			for j := 0; j <= b; j++ {
-				terms = append(terms, DecompTerm{Kind: TermDoubleStar, A: a, B: b, J: j, Coef: coef, Div: div})
-				coef = -coef
-			}
-			return &DecompPlan{Rule: fmt.Sprintf("double-star(%d,%d)", a, b), Terms: terms}
-		}
-		return nil // deeper trees (P5, spiders) need path algebra: refuse
-	}
-	if t, ok := book(p); ok {
-		div := int64(1)
-		rule := fmt.Sprintf("book(%d)", t)
-		if t == 1 {
-			div = 3 // every edge of a triangle serves as the base
-			rule = "triangle"
-		}
-		return &DecompPlan{Rule: rule,
-			Terms: []DecompTerm{{Kind: TermBook, A: t, Coef: 1, Div: div}}}
-	}
-	if s, ok := tailedTriangle(p); ok {
-		rule := "tailed-triangle"
-		if s == 2 {
-			rule = "cricket"
-		} else if s > 2 {
-			rule = fmt.Sprintf("tailed-triangle(%d)", s)
-		}
-		return &DecompPlan{Rule: rule,
-			Terms: []DecompTerm{{Kind: TermTriTail, A: s, Coef: 1, Div: 1}}}
-	}
-	if isBull(p) {
-		return &DecompPlan{Rule: "bull", Terms: []DecompTerm{
-			{Kind: TermBull, Coef: 1, Div: 1},
-			// Subtract the ordered pairs of distinct common neighbors the
-			// product term counted as pendants: c·(c-1) = 2·C(c,2).
-			{Kind: TermBook, A: 2, Coef: -2, Div: 1},
-		}}
-	}
-	if isBowtie(p) {
-		return &DecompPlan{Rule: "bowtie", Terms: []DecompTerm{
-			// Pairs of triangles through v; pairs sharing an edge form a
-			// diamond and are counted at both chord endpoints.
-			{Kind: TermTriPair, A: 2, Coef: 1, Div: 1},
-			{Kind: TermBook, A: 2, Coef: -2, Div: 1},
-		}}
-	}
-	return nil
-}
-
-// starHub returns the hub of a star pattern (one vertex adjacent to all
-// others, the rest leaves), or -1.
-func starHub(p *Pattern) int {
-	n := p.NumVertices()
-	hub := -1
-	for v := 0; v < n; v++ {
-		switch p.Degree(v) {
-		case n - 1:
-			if hub >= 0 && n > 2 {
-				return -1
-			}
-			hub = v
-		case 1:
-		default:
-			return -1
-		}
-	}
-	return hub
-}
-
-// doubleStar recognizes two adjacent centers with a and b leaves
-// respectively (a ≥ b ≥ 1); P4 is the (1,1) case. Requires m == n-1
-// (checked by the caller).
-func doubleStar(p *Pattern) (a, b int, ok bool) {
-	n := p.NumVertices()
-	u, v := -1, -1
-	for w := 0; w < n; w++ {
-		if p.Degree(w) >= 2 {
-			if u < 0 {
-				u = w
-			} else if v < 0 {
-				v = w
-			} else {
-				return 0, 0, false
-			}
-		}
-	}
-	if u < 0 || v < 0 || !p.HasEdge(u, v) {
-		return 0, 0, false
-	}
-	a, b = p.Degree(u)-1, p.Degree(v)-1
-	if a < b {
-		a, b = b, a
-	}
-	return a, b, true
-}
-
-// book recognizes B(t): a base edge u-v plus t pages each adjacent to
-// exactly u and v. t=1 is the triangle, t=2 the diamond.
-func book(p *Pattern) (t int, ok bool) {
-	n, m := p.NumVertices(), p.NumEdges()
-	t = n - 2
-	if t < 1 || m != 2*t+1 {
-		return 0, false
-	}
-	u, v := -1, -1
-	for w := 0; w < n; w++ {
-		switch p.Degree(w) {
-		case n - 1:
-			if u < 0 {
-				u = w
-			} else if v < 0 {
-				v = w
-			} else if n > 3 {
-				return 0, false
-			}
-		case 2:
-		default:
-			return 0, false
-		}
-	}
-	if n == 3 { // triangle: all degrees 2, pick any edge as the base
-		return 1, true
-	}
-	if u < 0 || v < 0 || !p.HasEdge(u, v) {
-		return 0, false
-	}
-	for w := 0; w < n; w++ {
-		if w != u && w != v && (!p.HasEdge(w, u) || !p.HasEdge(w, v)) {
-			return 0, false
-		}
-	}
-	return t, true
-}
-
-// tailedTriangle recognizes a triangle with s ≥ 1 pendant edges all at one
-// triangle vertex (s=1 the paw, s=2 the cricket).
-func tailedTriangle(p *Pattern) (s int, ok bool) {
-	n, m := p.NumVertices(), p.NumEdges()
-	s = n - 3
-	if s < 1 || m != n {
-		return 0, false
-	}
-	apex := -1
-	for w := 0; w < n; w++ {
-		switch p.Degree(w) {
-		case 2 + s:
-			if apex >= 0 && s != 0 {
-				return 0, false
-			}
-			apex = w
-		case 1, 2:
-		default:
-			return 0, false
-		}
-	}
-	if apex < 0 {
-		return 0, false
-	}
-	bc := make([]int, 0, 2)
-	for w := 0; w < n; w++ {
-		if w == apex {
-			continue
-		}
-		switch p.Degree(w) {
-		case 2:
-			bc = append(bc, w)
-		case 1:
-			if !p.HasEdge(w, apex) {
-				return 0, false
-			}
-		}
-	}
-	return s, len(bc) == 2 && p.HasEdge(bc[0], bc[1]) &&
-		p.HasEdge(bc[0], apex) && p.HasEdge(bc[1], apex)
-}
-
-// isBull recognizes the bull: a triangle x-y-z with one pendant at x and
-// one at y.
-func isBull(p *Pattern) bool {
-	if p.NumVertices() != 5 || p.NumEdges() != 5 {
-		return false
-	}
-	var deg3, deg1 []int
-	z := -1
-	for w := 0; w < 5; w++ {
-		switch p.Degree(w) {
-		case 3:
-			deg3 = append(deg3, w)
-		case 2:
-			if z >= 0 {
-				return false
-			}
-			z = w
-		case 1:
-			deg1 = append(deg1, w)
-		default:
-			return false
-		}
-	}
-	if len(deg3) != 2 || len(deg1) != 2 || z < 0 {
-		return false
-	}
-	x, y := deg3[0], deg3[1]
-	if !p.HasEdge(x, y) || !p.HasEdge(x, z) || !p.HasEdge(y, z) {
-		return false
-	}
-	// Each pendant hangs on a distinct degree-3 vertex.
-	return p.HasEdge(deg1[0], x) != p.HasEdge(deg1[0], y) &&
-		p.HasEdge(deg1[1], x) != p.HasEdge(deg1[1], y) &&
-		p.HasEdge(deg1[0], x) != p.HasEdge(deg1[1], x)
-}
-
-// isBowtie recognizes two triangles sharing one vertex (the butterfly).
-func isBowtie(p *Pattern) bool {
-	if p.NumVertices() != 5 || p.NumEdges() != 6 {
-		return false
-	}
-	apex := -1
-	for w := 0; w < 5; w++ {
-		switch p.Degree(w) {
-		case 4:
-			if apex >= 0 {
-				return false
-			}
-			apex = w
-		case 2:
-		default:
-			return false
-		}
-	}
-	if apex < 0 {
-		return false
-	}
-	// Each wing vertex pairs with exactly one other wing vertex; the two
-	// non-apex edges must therefore be disjoint, closing two triangles.
-	matched := 0
-	for w := 0; w < 5; w++ {
-		if w == apex {
-			continue
-		}
-		if !p.HasEdge(w, apex) {
-			return false
-		}
-		for x := w + 1; x < 5; x++ {
-			if x != apex && p.HasEdge(w, x) {
-				matched++
-			}
-		}
-	}
-	return matched == 2
-}
-
 // Eval combines the raw term sums (aligned with Terms) into the pattern's
-// non-induced subgraph count, applying each term's Coef/Div and verifying
-// divisions are exact — an inexact division means the sweep and the algebra
-// disagree, which is a bug worth failing loudly over.
+// non-induced subgraph count: Σ Coef·sum, divided by Div. A saturated sum
+// is an error — the count does not fit in int64 — and so is an inexact
+// division: the sweep and the algebra disagree, which is a bug worth failing
+// loudly over.
 func (dp *DecompPlan) Eval(termSums []int64) (int64, error) {
 	if len(termSums) != len(dp.Terms) {
 		return 0, fmt.Errorf("pattern: decomp eval got %d sums for %d terms", len(termSums), len(dp.Terms))
 	}
 	var total int64
 	for i, t := range dp.Terms {
-		v := t.Coef * termSums[i]
-		if t.Div != 1 {
-			if v%t.Div != 0 {
-				return 0, fmt.Errorf("pattern: decomp term %d of %s: %d not divisible by %d", i, dp.Rule, v, t.Div)
-			}
-			v /= t.Div
+		if termSums[i] == math.MaxInt64 {
+			return 0, fmt.Errorf("pattern: decomp %s of %v: term %d's sum overflows int64", dp.Rule, dp.P, i)
 		}
-		total += v
+		total = AddSat(total, t.Coef*termSums[i])
 	}
-	if total < 0 {
-		return 0, fmt.Errorf("pattern: decomp %s evaluated to negative count %d", dp.Rule, total)
+	switch {
+	case total < 0:
+		return 0, fmt.Errorf("pattern: decomp %s of %v evaluated to negative total %d", dp.Rule, dp.P, total)
+	case total == math.MaxInt64:
+		return 0, fmt.Errorf("pattern: decomp %s of %v: total overflows int64", dp.Rule, dp.P)
+	case total%dp.Div != 0:
+		return 0, fmt.Errorf("pattern: decomp %s of %v: total %d not divisible by %d", dp.Rule, dp.P, total, dp.Div)
 	}
-	return total, nil
+	return total / dp.Div, nil
 }
 
 // Explain renders the decomposition for humans in the same spirit as
-// Plan.Explain: the rule, the cost estimate with its units, and each
-// polynomial term with the core subpattern it reads. Stable output, used by
-// -explain tooling and golden tests.
+// Plan.Explain: the cut, the divisor, the sweep's passes and cost estimate
+// with its units, and each term. Stable output, used by -explain tooling
+// and golden tests.
 func (dp *DecompPlan) Explain() string {
 	var sb strings.Builder
-	sweep := "degree pass"
-	if dp.NeedTri {
-		sweep = "degree + common-neighbor sweep"
+	passes := "degree"
+	tri, far := sweepPasses([]*DecompPlan{dp})
+	if tri {
+		passes += " + common-neighbor"
 	}
-	fmt.Fprintf(&sb, "decomp: rule=%s, %d terms, %s, est cost %.3g ops (modeled element visits)\n",
-		dp.Rule, len(dp.Terms), sweep, dp.EstCost)
+	if far {
+		passes += " + distance-2"
+	}
+	fmt.Fprintf(&sb, "decomp: rule=%s, %d terms / %d bindings per copy, %s sweep, est cost %.3g ops (modeled element visits)\n",
+		dp.Rule, len(dp.Terms), dp.Div, passes, dp.EstCost)
 	fmt.Fprintf(&sb, "pattern: %v\n", dp.P)
 	for _, t := range dp.Terms {
-		core := "K1"
-		if len(dp.Cores) > 0 {
-			core = fmt.Sprintf("K%d", dp.Cores[t.Core].NumVertices())
-		}
-		fmt.Fprintf(&sb, "  %s  [core %s]\n", t.String(), core)
+		fmt.Fprintf(&sb, "  %s\n", t)
 	}
-	sb.WriteString("locals: d(v)=distinct-neighbor degree, c(u,v)=distinct common neighbors per adjacent pair, tri(v)=triangles through v\n")
+	sb.WriteString("locals: d(x)=distinct-neighbor degree, c(x,y)=distinct common neighbors, T(x)=triangles through x; sums over ordered bindings\n")
+	sb.WriteString("place(U,V,B) = Σ_i,j C(a,U-i)·C(b,V-j)·C(c,i)·C(c-i,j)·C(c-i-j,B), a=d(x)-[x~y]-c, b=d(y)-[x~y]-c\n")
 	return sb.String()
 }
 
-// String renders one term, e.g. "+ 1/3 · Σ_pairs C(c,1)".
+// String renders one term, e.g. "+ 1 · Σ_x~y place(0,0,1)".
 func (t DecompTerm) String() string {
-	var sb strings.Builder
+	sign, coef := "+", t.Coef
+	if coef < 0 {
+		sign, coef = "-", -coef
+	}
+	var sum string
 	switch {
-	case t.Coef >= 0:
-		fmt.Fprintf(&sb, "+ %d", t.Coef)
+	case t.Tri:
+		sum = "Σ_x C(T(x),2)"
+	case t.Cut == 1:
+		sum = fmt.Sprintf("Σ_x C(d(x),%d)", t.U)
+	case t.Edge:
+		sum = fmt.Sprintf("Σ_x~y place(%d,%d,%d)", t.U, t.V, t.B)
 	default:
-		fmt.Fprintf(&sb, "- %d", -t.Coef)
+		sum = fmt.Sprintf("Σ_x≁y place(%d,%d,%d)", t.U, t.V, t.B)
 	}
-	if t.Div != 1 {
-		fmt.Fprintf(&sb, "/%d", t.Div)
-	}
-	sb.WriteString(" · ")
-	switch t.Kind {
-	case TermVertex:
-		sb.WriteString("Σ_v 1")
-	case TermPair:
-		sb.WriteString("Σ_pairs 1")
-	case TermStar:
-		fmt.Fprintf(&sb, "Σ_v C(d(v),%d)", t.A)
-	case TermTriTail:
-		fmt.Fprintf(&sb, "Σ_v tri(v)·C(d(v)-2,%d)", t.A)
-	case TermBook:
-		fmt.Fprintf(&sb, "Σ_pairs C(c,%d)", t.A)
-	case TermDoubleStar:
-		fmt.Fprintf(&sb, "Σ_pairs⇄ C(c,%d)·C(d(u)-1-%d,%d)·C(d(v)-1-%d,%d)", t.J, t.J, t.A-t.J, t.J, t.B-t.J)
-	case TermBull:
-		sb.WriteString("Σ_pairs c·(d(u)-2)·(d(v)-2)")
-	case TermTriPair:
-		fmt.Fprintf(&sb, "Σ_v C(tri(v),%d)", t.A)
-	}
-	return sb.String()
+	return fmt.Sprintf("%s %d · %s", sign, coef, sum)
 }
 
-// Binom returns C(n, k) exactly (0 when k < 0 or n < k). Intermediate
-// products stay exact: after i steps the accumulator is C(n-k+i, i), an
-// integer, so each division is exact.
+// Binom returns C(n, k) exactly (0 when k < 0 or n < k), or math.MaxInt64
+// when it leaves int64. After i steps the accumulator is C(n-k+i, i), an
+// integer no larger than the result, so each division is exact and the first
+// step past int64 decides.
 func Binom(n, k int64) int64 {
 	if k < 0 || n < k {
 		return 0
@@ -626,16 +444,25 @@ func Binom(n, k int64) int64 {
 	if k > n-k {
 		k = n - k
 	}
-	r := int64(1)
-	for i := int64(1); i <= k; i++ {
-		r = r * (n - k + i) / i
+	if k == 0 {
+		return 1
 	}
-	return r
+	r := uint64(n - k + 1)
+	for i := uint64(2); i <= uint64(k); i++ {
+		hi, lo := bits.Mul64(r, uint64(n-k)+i)
+		if hi >= i { // the quotient needs more than 64 bits
+			return math.MaxInt64
+		}
+		if r, _ = bits.Div64(hi, lo, i); r > math.MaxInt64 {
+			return math.MaxInt64
+		}
+	}
+	return int64(r)
 }
 
 // Choice pairs the two compiled strategies for one pattern with the cost
 // model's pick: the enumeration Plan always compiles; Decomp is nil when no
-// rule matched. Reason is a stable human-readable justification surfaced by
+// cut matched. Reason is a stable human-readable justification surfaced by
 // -explain.
 type Choice struct {
 	Plan      *Plan

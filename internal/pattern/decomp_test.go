@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -70,35 +71,69 @@ func tadpole() *Pattern {
 	return b.Build()
 }
 
+// c4Pendant returns the 4-cycle with a pendant edge.
+func c4Pendant() *Pattern {
+	b := NewBuilder(5)
+	for v := 0; v < 4; v++ {
+		b.AddEdge(v, (v+1)%4, NoLabel)
+	}
+	b.AddEdge(0, 4, NoLabel)
+	return b.Build()
+}
+
+// k23 returns the complete bipartite K2,3.
+func k23() *Pattern {
+	b := NewBuilder(5)
+	for w := 2; w < 5; w++ {
+		b.AddEdge(0, w, NoLabel)
+		b.AddEdge(1, w, NoLabel)
+	}
+	return b.Build()
+}
+
+// kite returns the diamond with a pendant on a chord endpoint.
+func kite() *Pattern {
+	b := NewBuilder(5)
+	for _, e := range [][2]int{{0, 1}, {0, 2}, {1, 2}, {0, 3}, {1, 3}, {0, 4}} {
+		b.AddEdge(e[0], e[1], NoLabel)
+	}
+	return b.Build()
+}
+
 func TestDecomposeRules(t *testing.T) {
 	cases := []struct {
 		name string
 		p    *Pattern
 		rule string // "" means Decompose must refuse
+		term string // the first term
 	}{
-		{"K1", Clique(1), "vertex"},
-		{"K2", Clique(2), "edge"},
-		{"K3", Clique(3), "triangle"},
-		{"P3", Path(3), "star(2)"},
-		{"P4", Path(4), "double-star(1,1)"},
-		{"star4", Star(4), "star(3)"},
-		{"star5", Star(5), "star(4)"},
-		{"paw", paw(), "tailed-triangle"},
-		{"diamond", ChordalSquare(), "book(2)"},
-		{"fork21", fork21(), "double-star(2,1)"},
-		{"cricket", cricket(), "cricket"},
-		{"book3", book3(), "book(3)"},
-		{"bull", bull(), "bull"},
-		{"bowtie", Bowtie(), "bowtie"},
-		// Refusals: cycles, dense cliques, deep trees, fused shapes.
-		{"C4", Cycle(4), ""},
-		{"C5", Cycle(5), ""},
-		{"K4", Clique(4), ""},
-		{"K5", Clique(5), ""},
-		{"P5", Path(5), ""},
-		{"house", House(), ""},
-		{"tadpole", tadpole(), ""},
-		{"chordal-house", ChordalHouse(), ""},
+		{"K1", Clique(1), "vertex cut", "+ 1 · Σ_x C(d(x),0)"},
+		{"K2", Clique(2), "vertex cut", "+ 1 · Σ_x C(d(x),1)"},
+		{"K3", Clique(3), "edge cut", "+ 1 · Σ_x~y place(0,0,1)"},
+		{"P3", Path(3), "vertex cut", "+ 1 · Σ_x C(d(x),2)"},
+		{"P4", Path(4), "edge cut", "+ 1 · Σ_x~y place(1,1,0)"},
+		{"star4", Star(4), "vertex cut", "+ 1 · Σ_x C(d(x),3)"},
+		{"star5", Star(5), "vertex cut", "+ 1 · Σ_x C(d(x),4)"},
+		{"paw", paw(), "edge cut", "+ 1 · Σ_x~y place(1,0,1)"},
+		{"diamond", ChordalSquare(), "edge cut", "+ 1 · Σ_x~y place(0,0,2)"},
+		{"C4", Cycle(4), "vertex-pair cut", "+ 1 · Σ_x≁y place(0,0,2)"},
+		{"fork21", fork21(), "edge cut", "+ 1 · Σ_x~y place(2,1,0)"},
+		{"cricket", cricket(), "edge cut", "+ 1 · Σ_x~y place(2,0,1)"},
+		{"book3", book3(), "edge cut", "+ 1 · Σ_x~y place(0,0,3)"},
+		{"bull", bull(), "edge cut", "+ 1 · Σ_x~y place(1,1,1)"},
+		{"kite", kite(), "edge cut", "+ 1 · Σ_x~y place(1,0,2)"},
+		{"P5", Path(5), "vertex-pair cut", "+ 1 · Σ_x≁y place(1,1,1)"},
+		{"C4+pendant", c4Pendant(), "vertex-pair cut", "+ 1 · Σ_x≁y place(1,0,2)"},
+		{"K2,3", k23(), "vertex-pair cut", "+ 1 · Σ_x≁y place(0,0,3)"},
+		{"star10", Star(10), "vertex cut", "+ 1 · Σ_x C(d(x),9)"},
+		{"bowtie", Bowtie(), "bowtie", "+ 1 · Σ_x C(T(x),2)"},
+		// Refusals: no cut leaves only leaves.
+		{"C5", Cycle(5), "", ""},
+		{"K4", Clique(4), "", ""},
+		{"K5", Clique(5), "", ""},
+		{"house", House(), "", ""},
+		{"tadpole", tadpole(), "", ""},
+		{"chordal-house", ChordalHouse(), "", ""},
 	}
 	for _, c := range cases {
 		dp, err := Decompose(c.p)
@@ -112,23 +147,12 @@ func TestDecomposeRules(t *testing.T) {
 			t.Errorf("%s: %v", c.name, err)
 			continue
 		}
-		if dp.Rule != c.rule {
-			t.Errorf("%s: rule %q, want %q", c.name, dp.Rule, c.rule)
+		if dp.Rule != c.rule || dp.Terms[0].String() != c.term {
+			t.Errorf("%s: rule %q, first term %q; want %q, %q", c.name, dp.Rule, dp.Terms[0], c.rule, c.term)
 		}
-		if len(dp.Terms) == 0 || len(dp.Cores) == 0 {
-			t.Errorf("%s: degenerate plan: %d terms, %d cores", c.name, len(dp.Terms), len(dp.Cores))
-		}
-		for _, term := range dp.Terms {
-			if term.Core < 0 || term.Core >= len(dp.Cores) {
-				t.Errorf("%s: term core index %d out of range [0,%d)", c.name, term.Core, len(dp.Cores))
-			}
-		}
-		for _, core := range dp.Cores {
-			if k := core.NumVertices(); k < 1 || k > 3 {
-				t.Errorf("%s: core size %d outside K1..K3", c.name, k)
-			}
-			if !core.Connected() {
-				t.Errorf("%s: disconnected core", c.name)
+		if c.p.NumVertices() <= MaxGenVertices && c.rule != "bowtie" {
+			if got, want := dp.Div*leafOrderings(dp.Terms[0]), int64(NumAutomorphisms(c.p)); got != want {
+				t.Errorf("%s: Div=%d, times the leaves' orderings %d, want |Aut| = %d", c.name, dp.Div, got, want)
 			}
 		}
 		if dp.EstCost <= 0 {
@@ -196,10 +220,25 @@ func TestDecomposeDeterministic(t *testing.T) {
 	}
 }
 
+// leafOrderings is U!·V!·B!, the orderings of a term's interchangeable
+// leaves.
+func leafOrderings(t DecompTerm) int64 {
+	f := int64(1)
+	for _, n := range []int{t.U, t.V, t.B} {
+		for i := 2; i <= n; i++ {
+			f *= int64(i)
+		}
+	}
+	return f
+}
+
 func TestBinom(t *testing.T) {
 	cases := []struct{ n, k, want int64 }{
 		{0, 0, 1}, {5, 0, 1}, {5, 5, 1}, {5, 1, 5}, {5, 2, 10}, {6, 3, 20},
 		{10, 4, 210}, {52, 5, 2598960}, {3, 5, 0}, {4, -1, 0}, {-1, 0, 0},
+		{1400, 6, 10346094887690100}, {62, 31, 465428353255261088}, {66, 33, 7219428434016265740},
+		// Past int64 the result saturates.
+		{67, 33, math.MaxInt64}, {2000, 7, math.MaxInt64}, {1 << 40, 2, math.MaxInt64},
 	}
 	for _, c := range cases {
 		if got := Binom(c.n, c.k); got != c.want {
@@ -320,18 +359,18 @@ func TestDecompEvalErrors(t *testing.T) {
 	if _, err := dp.Eval([]int64{1, 2}); err == nil {
 		t.Error("arity mismatch: expected error")
 	}
-	if _, err := dp.Eval([]int64{7}); err == nil {
-		t.Error("inexact division by 3: expected error")
+	if _, err := dp.Eval([]int64{9}); err == nil {
+		t.Error("inexact division by 6: expected error")
 	}
-	if n, err := dp.Eval([]int64{9}); err != nil || n != 3 {
-		t.Errorf("Eval([9])=%d,%v, want 3,nil", n, err)
+	if n, err := dp.Eval([]int64{18}); err != nil || n != 3 {
+		t.Errorf("Eval([18])=%d,%v, want 3,nil", n, err)
 	}
 	// A negative total (impossible counts) errors.
 	bw, err := Decompose(Bowtie())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := bw.Eval([]int64{0, 5}); err == nil {
+	if _, err := bw.Eval([]int64{0, 2}); err == nil {
 		t.Error("negative total: expected error")
 	}
 }
@@ -349,19 +388,28 @@ func TestChoose(t *testing.T) {
 	if !strings.HasPrefix(ch.Reason, "decomposition:") {
 		t.Errorf("star reason: %q", ch.Reason)
 	}
-	// C4 has no rule: enumeration, with the refusal in the reason.
-	ch, err = Choose(Cycle(4))
+	// K4 has no cut: enumeration, with the refusal in the reason.
+	ch, err = Choose(Clique(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ch.UseDecomp || ch.Decomp != nil {
-		t.Error("C4: decomposition should be unavailable")
+		t.Error("K4: decomposition should be unavailable")
 	}
 	if !strings.HasPrefix(ch.Reason, "enumeration:") {
-		t.Errorf("C4 reason: %q", ch.Reason)
+		t.Errorf("K4 reason: %q", ch.Reason)
 	}
 	if ch.Plan == nil {
-		t.Error("C4: enumeration plan missing")
+		t.Error("K4: enumeration plan missing")
+	}
+	// C4 is a vertex-pair cut now: its sweep is a degree and a distance-2
+	// pass, cheaper under the model than enumerating squares.
+	ch, err = Choose(Cycle(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ch.UseDecomp || ch.Decomp == nil || ch.Decomp.Rule != "vertex-pair cut" {
+		t.Errorf("C4: want the vertex-pair cut, got %q", ch.Reason)
 	}
 }
 
@@ -383,41 +431,44 @@ pattern: Pattern(n=3 labels=[-1 -1 -1] edges=[0-1 0-2 1-2])
 	}
 }
 
-// TestDecompExplainGolden pins DecompPlan.Explain for a single-term and a
-// multi-term (inclusion–exclusion) polynomial.
+// TestDecompExplainGolden pins DecompPlan.Explain for an edge cut, a
+// vertex-pair cut and the bowtie's shrinkage terms.
 func TestDecompExplainGolden(t *testing.T) {
-	dp, err := Decompose(Triangle())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := `decomp: rule=triangle, 1 terms, degree + common-neighbor sweep, est cost 1.11e+06 ops (modeled element visits)
+	const locals = `locals: d(x)=distinct-neighbor degree, c(x,y)=distinct common neighbors, T(x)=triangles through x; sums over ordered bindings
+place(U,V,B) = Σ_i,j C(a,U-i)·C(b,V-j)·C(c,i)·C(c-i,j)·C(c-i-j,B), a=d(x)-[x~y]-c, b=d(y)-[x~y]-c
+`
+	for _, c := range []struct {
+		p    *Pattern
+		want string
+	}{
+		{Triangle(), `decomp: rule=edge cut, 1 terms / 6 bindings per copy, degree + common-neighbor sweep, est cost 1.11e+06 ops (modeled element visits)
 pattern: Pattern(n=3 labels=[-1 -1 -1] edges=[0-1 0-2 1-2])
-  + 1/3 · Σ_pairs C(c,1)  [core K3]
-locals: d(v)=distinct-neighbor degree, c(u,v)=distinct common neighbors per adjacent pair, tri(v)=triangles through v
-`
-	if got := dp.Explain(); got != want {
-		t.Errorf("DecompPlan.Explain drifted:\n got: %q\nwant: %q", got, want)
-	}
-
-	dp, err = Decompose(fork21())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want = `decomp: rule=double-star(2,1), 2 terms, degree + common-neighbor sweep, est cost 1.11e+06 ops (modeled element visits)
-pattern: Pattern(n=5 labels=[-1 -1 -1 -1 -1] edges=[0-1 0-2 0-3 3-4])
-  + 1 · Σ_pairs⇄ C(c,0)·C(d(u)-1-0,2)·C(d(v)-1-0,1)  [core K2]
-  - 1 · Σ_pairs⇄ C(c,1)·C(d(u)-1-1,1)·C(d(v)-1-1,0)  [core K3]
-locals: d(v)=distinct-neighbor degree, c(u,v)=distinct common neighbors per adjacent pair, tri(v)=triangles through v
-`
-	if got := dp.Explain(); got != want {
-		t.Errorf("DecompPlan.Explain drifted:\n got: %q\nwant: %q", got, want)
+  + 1 · Σ_x~y place(0,0,1)
+`},
+		{Cycle(4), `decomp: rule=vertex-pair cut, 1 terms / 4 bindings per copy, degree + distance-2 sweep, est cost 1.11e+06 ops (modeled element visits)
+pattern: Pattern(n=4 labels=[-1 -1 -1 -1] edges=[0-1 0-3 1-2 2-3])
+  + 1 · Σ_x≁y place(0,0,2)
+`},
+		{Bowtie(), `decomp: rule=bowtie, 2 terms / 1 bindings per copy, degree + common-neighbor sweep, est cost 1.11e+06 ops (modeled element visits)
+pattern: Pattern(n=5 labels=[-1 -1 -1 -1 -1] edges=[0-1 0-2 0-3 0-4 1-2 3-4])
+  + 1 · Σ_x C(T(x),2)
+  - 1 · Σ_x~y place(0,0,2)
+`},
+	} {
+		dp, err := Decompose(c.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := dp.Explain(); got != c.want+locals {
+			t.Errorf("DecompPlan.Explain drifted:\n got: %q\nwant: %q", got, c.want+locals)
+		}
 	}
 }
 
 // TestDecomposeCoversDocumentedClasses pins the coverage the docs promise:
-// all k=3 classes, 4 of 6 at k=4, 6 of 21 at k=5.
+// all k=3 classes, 5 of 6 at k=4, 10 of 21 at k=5.
 func TestDecomposeCoversDocumentedClasses(t *testing.T) {
-	want := map[int][2]int{3: {2, 2}, 4: {4, 6}, 5: {6, 21}}
+	want := map[int][2]int{3: {2, 2}, 4: {5, 6}, 5: {10, 21}}
 	for k, w := range want {
 		pats, err := ConnectedPatterns(k)
 		if err != nil {

@@ -1,6 +1,8 @@
 package pattern
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"fractal/internal/graph"
@@ -34,17 +36,17 @@ func decodeFuzzPattern(nRaw, edges, vlabBits, elabBits uint32) *Pattern {
 	return b.Build()
 }
 
-// FuzzDecompose asserts the decomposition rule search is total (never
-// panics, always returns a plan or an error), deterministic, and that every
-// compiled plan is well-formed: terms reference generated core subpatterns
-// (connected, at most 3 vertices), the cost estimate is positive, NeedTri
-// agrees with the terms, and Explain is stable across recompilations.
-// Refusals must hold for every pattern outside the documented families:
-// non-uniform labels, disconnection, and shapes with no rule.
+// FuzzDecompose asserts the cut rule is total (never panics, always returns
+// a plan or an error) and deterministic, that every compiled plan is
+// well-formed — its divisor times the leaves' orderings is |Aut(P)|, the
+// cost estimate is positive, NeedTri agrees with the terms, Explain is
+// stable across recompilations — and that neither acceptance nor the term
+// multiset depends on how the pattern is numbered. Refusals must hold for every pattern outside the
+// rule: non-uniform labels, disconnection, and shapes with no cut.
 func FuzzDecompose(f *testing.F) {
 	f.Add(uint32(2), uint32(7), uint32(0), uint32(0))        // triangle
 	f.Add(uint32(3), uint32(63), uint32(0), uint32(0))       // K4 (refused)
-	f.Add(uint32(3), uint32(0b011011), uint32(0), uint32(0)) // square (refused)
+	f.Add(uint32(3), uint32(0b011011), uint32(0), uint32(0)) // square
 	f.Add(uint32(3), uint32(0b001011), uint32(0), uint32(0)) // star
 	f.Add(uint32(3), uint32(0b100110), uint32(0), uint32(0)) // path
 	f.Add(uint32(4), uint32(0b0000110011), uint32(0), uint32(0))
@@ -53,7 +55,12 @@ func FuzzDecompose(f *testing.F) {
 	f.Add(uint32(4), uint32(0b0000101111), uint32(0), uint32(0))       // bowtie-ish
 	f.Fuzz(func(t *testing.T, nRaw, edges, vlabBits, elabBits uint32) {
 		p := decodeFuzzPattern(nRaw, edges, vlabBits, elabBits)
+		q := renumbered(p, rand.New(rand.NewSource(int64(edges))).Perm(p.NumVertices()))
 		dp, err := Decompose(p)
+		dq, errq := Decompose(q)
+		if (err == nil) != (errq == nil) {
+			t.Fatalf("%v decomposes (%v) but its renumbering %v does not (%v)", p, err, q, errq)
+		}
 		if err != nil {
 			// Refusals must be stable too.
 			if _, err2 := Decompose(p); err2 == nil {
@@ -67,38 +74,24 @@ func FuzzDecompose(f *testing.F) {
 		if !uniformPatternLabels(p) {
 			t.Fatalf("%v: mixed-label pattern decomposed", p)
 		}
-		if dp.Rule == "" || len(dp.Terms) == 0 || len(dp.Cores) == 0 {
+		if dp.Rule == "" || len(dp.Terms) == 0 || dp.P != p {
 			t.Fatalf("%v: degenerate plan %+v", p, dp)
 		}
-		if dp.P != p {
-			t.Fatalf("%v: plan does not reference its pattern", p)
+		if dp.Rule != "bowtie" && dp.Div*leafOrderings(dp.Terms[0]) != int64(NumAutomorphisms(p)) {
+			t.Fatalf("%v: divisor %d times the leaves' orderings, |Aut| = %d", p, dp.Div, NumAutomorphisms(p))
 		}
 		needTri := false
 		for _, term := range dp.Terms {
-			if term.Core < 0 || term.Core >= len(dp.Cores) {
-				t.Fatalf("%v: term core %d outside %d cores", p, term.Core, len(dp.Cores))
+			if term.Coef == 0 || term.Cut < 1 || term.Cut > 2 || term.U < term.V {
+				t.Fatalf("%v: malformed term %+v", p, term)
 			}
-			if term.Coef == 0 || term.Div < 1 {
-				t.Fatalf("%v: term %+v has degenerate Coef/Div", p, term)
-			}
-			if term.NeedsTri() {
-				needTri = true
-				if dp.Cores[term.Core].NumVertices() != 3 {
-					t.Fatalf("%v: triangle-reading term bound to core K%d",
-						p, dp.Cores[term.Core].NumVertices())
-				}
-			}
+			needTri = needTri || term.NeedsTri()
 		}
 		if needTri != dp.NeedTri {
 			t.Fatalf("%v: NeedTri=%v, terms say %v", p, dp.NeedTri, needTri)
 		}
-		for _, core := range dp.Cores {
-			if k := core.NumVertices(); k < 1 || k > 3 {
-				t.Fatalf("%v: core size %d outside K1..K3", p, k)
-			}
-			if !core.Connected() {
-				t.Fatalf("%v: disconnected core", p)
-			}
+		if terms := termStrings(dp); dq.Rule != dp.Rule || !slices.Equal(termStrings(dq), terms) {
+			t.Fatalf("%v and its renumbering %v: %s %v vs %s %v", p, q, dp.Rule, terms, dq.Rule, termStrings(dq))
 		}
 		if dp.EstCost <= 0 {
 			t.Fatalf("%v: EstCost=%g", p, dp.EstCost)
@@ -111,16 +104,38 @@ func FuzzDecompose(f *testing.F) {
 			t.Fatalf("%v: Explain drifted across recompilations", p)
 		}
 		// The cost-model choice is also total and deterministic.
-		if p.Connected() {
-			ch, err := Choose(p)
-			if err != nil {
-				t.Fatalf("%v: Choose: %v", p, err)
-			}
-			if ch.Plan == nil || ch.Reason == "" {
-				t.Fatalf("%v: Choice missing plan or reason", p)
-			}
+		ch, err := Choose(p)
+		if err != nil {
+			t.Fatalf("%v: Choose: %v", p, err)
+		}
+		if ch.Plan == nil || ch.Reason == "" {
+			t.Fatalf("%v: Choice missing plan or reason", p)
 		}
 	})
+}
+
+// renumbered returns p with vertex v renamed perm[v].
+func renumbered(p *Pattern, perm []int) *Pattern {
+	b := NewBuilder(p.NumVertices())
+	for v := range perm {
+		b.SetVertexLabel(perm[v], p.VertexLabel(v))
+		for u := 0; u < v; u++ {
+			if p.HasEdge(u, v) {
+				b.AddEdge(perm[u], perm[v], p.EdgeLabel(u, v))
+			}
+		}
+	}
+	return b.Build()
+}
+
+// termStrings is a plan's term multiset, sorted.
+func termStrings(dp *DecompPlan) []string {
+	var s []string
+	for _, t := range dp.Terms {
+		s = append(s, t.String())
+	}
+	slices.Sort(s)
+	return s
 }
 
 // FuzzPlanCompile asserts that every compilable pattern yields a plan that

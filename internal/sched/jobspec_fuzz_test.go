@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"fractal"
-	_ "fractal/internal/apps" // registers cliques, motifs and fsm
+	_ "fractal/internal/apps" // registers cliques, motifs, fsm and query
 	"fractal/internal/graph"
 	"fractal/internal/pattern"
 	"fractal/internal/sched"
@@ -17,7 +17,7 @@ import (
 // decodes is handed to every registered builder — the message's arguments,
 // any app's name — and materialized the way a worker does, over a
 // uniform-label and a labeled graph. Arguments arrive off the wire (the
-// decomposition sweep's carry whole patterns), so whatever they hold must
+// decomposition sweep's and the query's carry whole patterns), so whatever they hold must
 // give a job or an error, never a panic or a runaway allocation.
 func FuzzJobSpec(f *testing.F) {
 	var sweep wire.Writer
@@ -29,6 +29,7 @@ func FuzzJobSpec(f *testing.F) {
 		{"k": "4", "pattern": "2"},
 		{"level": "2", "support": "3"},
 		{"patterns": string(sweep.B)},
+		{"pattern": string(pattern.Cycle(4).AppendBinary(nil))},
 		{"k": "40", "level": "-1", "patterns": "\x01"},
 	} {
 		f.Add(sched.EncodeJobSpec(fractal.JobSpec{App: "any", Graph: "any", Args: args}))

@@ -49,6 +49,38 @@ func bruteLocals(g *graph.Graph) (sdeg []int64, pairs [][3]int64, tri []int64) {
 	return sdeg, pairs, tri
 }
 
+// bruteFar lists, for every pair u < v of the simple-graph skeleton with a
+// common neighbor, what the kernel's Far closures see: each end's count of
+// distinct neighbors other than the other end, and the common neighbors.
+func bruteFar(g *graph.Graph) (pairs [][3]int64) {
+	n := g.NumVertices()
+	adj := make([]map[graph.VertexID]bool, n)
+	for v := range adj {
+		adj[v] = map[graph.VertexID]bool{}
+		for _, w := range g.Neighbors(graph.VertexID(v)) {
+			adj[v][w] = true
+		}
+	}
+	for u := 0; u < n; u++ {
+		common := map[graph.VertexID]int64{}
+		for w := range adj[u] {
+			for v := range adj[w] {
+				if int(v) > u {
+					common[v]++
+				}
+			}
+		}
+		for v, c := range common {
+			var a int64
+			if adj[u][v] {
+				a = 1
+			}
+			pairs = append(pairs, [3]int64{int64(len(adj[u])) - a, int64(len(adj[v])) - a, c})
+		}
+	}
+	return pairs
+}
+
 func localTestGraphs() []*graph.Graph {
 	small := graph.NewBuilder("lc-hand")
 	for i := 0; i < 6; i++ {
@@ -95,6 +127,15 @@ func TestLocalCountsOracle(t *testing.T) {
 			},
 			NeedTri: true,
 		}
+		var wantFarC, wantFarDeg int64
+		for _, p := range bruteFar(g) {
+			wantFarC += p[2]
+			wantFarDeg += p[0]*p[1]*p[2] + p[0] + p[1]
+		}
+		terms.Far = []func(du, dv, c int64) int64{
+			func(du, dv, c int64) int64 { return c },
+			func(du, dv, c int64) int64 { return du*dv*c + du + dv },
+		}
 		for _, cores := range []int{1, 3, 8} {
 			pairSums, vertexSums, ops, err := LocalCounts(context.Background(), g, terms, cores)
 			if err != nil {
@@ -104,9 +145,9 @@ func TestLocalCountsOracle(t *testing.T) {
 				t.Errorf("%s cores=%d pair sums: got %v, want [%d %d %d]",
 					g.Name(), cores, pairSums, wantEdges, wantWedges, wantTriBase)
 			}
-			if vertexSums[0] != wantStars || vertexSums[1] != wantTriSum {
-				t.Errorf("%s cores=%d vertex sums: got %v, want [%d %d]",
-					g.Name(), cores, vertexSums, wantStars, wantTriSum)
+			if want := []int64{wantStars, wantTriSum, wantFarC, wantFarDeg}; !slices.Equal(vertexSums, want) {
+				t.Errorf("%s cores=%d vertex and far sums: got %v, want %v",
+					g.Name(), cores, vertexSums, want)
 			}
 			if ops <= 0 {
 				t.Errorf("%s cores=%d: ops=%d, want positive", g.Name(), cores, ops)
@@ -123,18 +164,22 @@ func TestLocalCountsOracle(t *testing.T) {
 	}
 }
 
-// TestLocalCountsScratch pins that the kernel keeps nothing per vertex: a
-// sweep over a 50 000-vertex graph allocates its sum vector and no more (it
-// was an int32 degree per vertex, plus an int64 triangle accumulator per
-// vertex and core when tri(v) had a reader), and its sums are still the
-// bruteLocals oracle's — with NoVertexTri too, whose Vertex closure sees 0.
+// TestLocalCountsScratch pins what the kernel keeps per vertex: a sweep over
+// a 50 000-vertex graph allocates its sum vector and no more (it was an
+// int32 degree per vertex, plus an int64 triangle accumulator per vertex and
+// core when tri(v) had a reader) unless it carries a Far closure, whose
+// distance-2 pass counts in one uint32 stamp per vertex; and its sums are
+// still the oracles' — with NoVertexTri too, whose Vertex closure sees 0.
 func TestLocalCountsScratch(t *testing.T) {
 	const n = 50_000
 	g := workload.BarabasiAlbert("lc-scratch", n, 3, 1, 46)
 	sdeg, pairs, tri := bruteLocals(g)
-	var wantC, wantTri, wantWedges int64
+	var wantC, wantTri, wantWedges, wantFar int64
 	for _, p := range pairs {
 		wantC += p[2]
+	}
+	for _, p := range bruteFar(g) {
+		wantFar += p[2] * (p[2] - 1)
 	}
 	for v := range sdeg {
 		wantTri += tri[v]
@@ -145,15 +190,18 @@ func TestLocalCountsScratch(t *testing.T) {
 		func(d, tri int64) int64 { return tri },
 		func(d, tri int64) int64 { return d * (d - 1) / 2 },
 	}
+	far := []func(du, dv, c int64) int64{func(du, dv, c int64) int64 { return c * (c - 1) }}
 	for _, c := range []struct {
 		name  string
 		terms LocalTerms
 		want  []int64
+		perV  uint64 // bytes per vertex allowed beside the sum vector
 	}{
-		{"pairs", LocalTerms{Pair: pair, NeedTri: true}, []int64{wantC}},
-		{"degrees", LocalTerms{Pair: pair, Vertex: vertex}, []int64{0, 0, wantWedges}},
-		{"triangles", LocalTerms{Pair: pair, Vertex: vertex, NeedTri: true}, []int64{wantC, wantTri, wantWedges}},
-		{"pair triangles", LocalTerms{Pair: pair, Vertex: vertex, NeedTri: true, NoVertexTri: true}, []int64{wantC, 0, wantWedges}},
+		{"pairs", LocalTerms{Pair: pair, NeedTri: true}, []int64{wantC}, 0},
+		{"distance-2", LocalTerms{Pair: pair, Far: far, NeedTri: true, NoFarDegree: true}, []int64{wantC, wantFar}, 4},
+		{"degrees", LocalTerms{Pair: pair, Vertex: vertex}, []int64{0, 0, wantWedges}, 0},
+		{"triangles", LocalTerms{Pair: pair, Vertex: vertex, NeedTri: true}, []int64{wantC, wantTri, wantWedges}, 0},
+		{"pair triangles", LocalTerms{Pair: pair, Vertex: vertex, NeedTri: true, NoVertexTri: true}, []int64{wantC, 0, wantWedges}, 0},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -162,8 +210,12 @@ func TestLocalCountsScratch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := after.TotalAlloc - before.TotalAlloc; got > 1024 {
-			t.Errorf("%s: %d bytes allocated for %d vertices, want the sum vector alone", c.name, got, n)
+		limit := 1024 + c.perV*n
+		if c.perV > 0 {
+			limit += 8 << 10 // the heap rounds a large block up to whole pages
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+			t.Errorf("%s: %d bytes allocated for %d vertices, want the sum vector and %d B per vertex", c.name, got, n, c.perV)
 		}
 		if got := slices.Concat(pairSums, vertexSums); !slices.Equal(got, c.want) {
 			t.Errorf("%s: sums %v, want %v", c.name, got, c.want)

@@ -17,6 +17,7 @@ package subgraph
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"fractal/internal/graph"
@@ -83,7 +84,9 @@ type Embedding struct {
 	// entry in O(1), so no per-call clear and no hashing. vfirst[v] holds
 	// the first member-edge index covering vertex v (valid only while
 	// stampV[v] == gen). The arrays are sized |V(G)| / |E(G)| and allocated
-	// lazily on the first Extensions call.
+	// lazily on the first Extensions call — or, stampV alone, on the first
+	// distance-2 pass of the local-count kernel, which counts in it
+	// (countEpoch).
 	gen    uint32
 	stampV []uint32
 	stampE []uint32
@@ -391,22 +394,34 @@ func (e *Embedding) DefaultExtensions(dst []Word) ([]Word, int) {
 // stamp arrays are cleared so stale entries from 2^32 calls ago cannot read
 // as current.
 func (e *Embedding) bumpGen() uint32 {
-	e.gen++
-	if e.gen == 0 {
-		for i := range e.stampV {
-			e.stampV[i] = 0
-		}
-		for i := range e.stampE {
-			e.stampE[i] = 0
-		}
-		e.gen = 1
+	return e.countEpoch(1)
+}
+
+// countEpoch starts an epoch of n stamp values, base to base+n-1, so that a
+// stamp can carry a count up to n (the local-count kernel's distance-2
+// pass); a plain epoch is n = 1.
+func (e *Embedding) countEpoch(n int64) (base uint32) {
+	if uint64(e.gen)+uint64(n) > math.MaxUint32 {
+		clear(e.stampV)
+		clear(e.stampE)
+		e.gen = 0
 	}
-	return e.gen
+	base = e.gen + 1
+	e.gen += uint32(n)
+	return base
+}
+
+// ensureStampV allocates the vertex stamps alone, 4 bytes per vertex.
+func (e *Embedding) ensureStampV() []uint32 {
+	if len(e.stampV) < e.g.NumVertices() {
+		e.stampV = make([]uint32, e.g.NumVertices())
+	}
+	return e.stampV
 }
 
 func (e *Embedding) ensureVStamp() {
-	if len(e.stampV) < e.g.NumVertices() {
-		e.stampV = make([]uint32, e.g.NumVertices())
+	e.ensureStampV()
+	if len(e.vfirst) < e.g.NumVertices() {
 		e.vfirst = make([]int32, e.g.NumVertices())
 	}
 }

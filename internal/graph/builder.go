@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
 
 // Builder accumulates vertices and edges and produces an immutable Graph.
@@ -149,11 +148,15 @@ func (b *Builder) EnsureVertices(n int) {
 	b.nv = max(b.nv, n)
 }
 
-// reserve pre-sizes the edge arrays for m more edges (by make, not
-// slices.Grow: under -race the latter allocates the m elements twice).
+// reserve pre-sizes the edge arrays and the vertex label payload for m more
+// elements each (by make, not slices.Grow: under -race the latter allocates
+// the m elements twice). A payload left to grow by append leaves its
+// outgrown copies behind, and no later allocation of a load is small enough
+// to reuse them.
 func (b *Builder) reserve(m int) {
 	b.esrc = append(make([]VertexID, 0, len(b.esrc)+m), b.esrc...)
 	b.edst = append(make([]VertexID, 0, len(b.edst)+m), b.edst...)
+	b.vlab.data = append(make([]Label, 0, len(b.vlab.data)+m), b.vlab.data...)
 }
 
 // AddEdge adds an undirected edge between u and v with the given labels and
@@ -228,11 +231,14 @@ func (b *Builder) Build() *Graph {
 
 // buildAdjacency returns the CSR adjacency of the edges (esrc[id], edst[id])
 // over n vertices, every run ordered by (neighbor, edge id), allocating the
-// three arrays it returns and nothing else. A counting-sort scatter in
-// edge-id order, with off itself as the cursor, leaves the incident edge ids
-// of each vertex ascending in what becomes adjE; adjV is the other endpoint
-// of each, and a run whose neighbors do not come out ascending — ids of
-// equal neighbors already do — is ordered in place (adjacencyRun.order).
+// three arrays it returns and nothing else. It is a counting transpose and
+// compares nothing. Pass 1 scatters each incidence by its owner, in edge-id
+// order, into adjV as id<<1|side (side 1: the owner is edst[id]; at most
+// MaxInt32/2 edges, so it fits). Pass 2 walks adjV in order — owners
+// ascending — and drops each edge id into its other endpoint's run of adjE,
+// which therefore comes out ordered by owner, that run's neighbor, and by id
+// within one neighbor. Pass 3 writes the neighbors into adjV. off is the
+// cursor of passes 1 and 2.
 func buildAdjacency(n int, esrc, edst []VertexID) (off []int32, adjV []VertexID, adjE []EdgeID) {
 	off = make([]int32, n+1)
 	for id := range esrc {
@@ -242,67 +248,37 @@ func buildAdjacency(n int, esrc, edst []VertexID) (off []int32, adjV []VertexID,
 	for i := 1; i <= n; i++ {
 		off[i] += off[i-1]
 	}
-	adjE = make([]EdgeID, 2*len(esrc))
+
+	adjV = make([]VertexID, 2*len(esrc))
 	for id := range esrc {
 		s, d := esrc[id], edst[id]
-		adjE[off[s]] = EdgeID(id)
+		adjV[off[s]] = VertexID(id << 1)
 		off[s]++
-		adjE[off[d]] = EdgeID(id)
+		adjV[off[d]] = VertexID(id<<1 | 1)
 		off[d]++
 	}
 	// Every cursor stopped at the start of the next run.
 	copy(off[1:], off[:n])
 	off[0] = 0
 
-	adjV = make([]VertexID, len(adjE))
-	run := new(adjacencyRun) // one for every sort.Sort call
+	adjE = make([]EdgeID, len(adjV))
+	other := [2][]VertexID{edst, esrc} // by side
+	for _, x := range adjV {
+		id := x >> 1
+		w := other[x&1][id]
+		adjE[off[w]] = EdgeID(id)
+		off[w]++
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+
 	for u := 0; u < n; u++ {
-		run.nbs, run.ids = adjV[off[u]:off[u+1]], adjE[off[u]:off[u+1]]
-		ordered := true
-		for i, id := range run.ids {
-			run.nbs[i] = esrc[id] ^ edst[id] ^ VertexID(u) // the other endpoint
-			ordered = ordered && (i == 0 || run.nbs[i-1] <= run.nbs[i])
-		}
-		if !ordered {
-			run.order()
+		for i := off[u]; i < off[u+1]; i++ {
+			id := adjE[i]
+			adjV[i] = esrc[id] ^ edst[id] ^ VertexID(u)
 		}
 	}
 	return off, adjV, adjE
-}
-
-// adjacencyRun is the incidences of one vertex: neighbors and edge ids, side
-// by side.
-type adjacencyRun struct {
-	nbs []VertexID
-	ids []EdgeID
-}
-
-// order sorts r by (neighbor, edge id), in place: by insertion while the run
-// is short — a few edges out of place in id order is what generators and
-// hand-written files produce — and by sort.Sort, O(d log d) on a hub in any
-// order, beyond that.
-func (r *adjacencyRun) order() {
-	if len(r.nbs) > 24 {
-		sort.Sort(r)
-		return
-	}
-	for i := 1; i < len(r.nbs); i++ {
-		w, id := r.nbs[i], r.ids[i]
-		j := i
-		for ; j > 0 && r.nbs[j-1] > w; j-- { // stable: the ids of one neighbor stay ascending
-			r.nbs[j], r.ids[j] = r.nbs[j-1], r.ids[j-1]
-		}
-		r.nbs[j], r.ids[j] = w, id
-	}
-}
-
-func (r *adjacencyRun) Len() int { return len(r.nbs) }
-func (r *adjacencyRun) Less(i, j int) bool {
-	return r.nbs[i] < r.nbs[j] || r.nbs[i] == r.nbs[j] && r.ids[i] < r.ids[j]
-}
-func (r *adjacencyRun) Swap(i, j int) {
-	r.nbs[i], r.nbs[j] = r.nbs[j], r.nbs[i]
-	r.ids[i], r.ids[j] = r.ids[j], r.ids[i]
 }
 
 // countLabels returns the number of distinct labels in the payloads: a
@@ -338,6 +314,6 @@ func countLabels(payloads ...[]Label) int {
 
 // ContainsLabel reports whether sorted label set ls contains l.
 func ContainsLabel(ls []Label, l Label) bool {
-	i := sort.Search(len(ls), func(i int) bool { return ls[i] >= l })
-	return i < len(ls) && ls[i] == l
+	_, ok := slices.BinarySearch(ls, l)
+	return ok
 }

@@ -331,10 +331,11 @@ func textGraph(m int) (el, adj string) {
 // allocates per file — the line buffer, the builder's arrays and their
 // growth steps, the graph's arrays — and never per line, so a hundred times
 // the edges may add growth steps and nothing else: at most log1.25(100) = 21
-// for each of the two arrays that grow by append (the vertex label payload —
-// a one-label-each family has no run table — and the adjacency loader's line
-// table), against 1.7 million allocations in the Scanner/Fields loader at
-// 100k edges.
+// for each of the two arrays that grow by append (the adjacency loader's
+// line table, and its vertex label run table when records come out of
+// order; the edge loader sizes what it grows from the input's length),
+// against 1.7 million allocations in the Scanner/Fields loader at 100k
+// edges.
 func TestTextLoadAllocs(t *testing.T) {
 	el1k, adj1k := textGraph(1_000)
 	el100k, adj100k := textGraph(100_000)

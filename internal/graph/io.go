@@ -185,6 +185,9 @@ func LoadAdjacencyList(r io.Reader, name string) (*Graph, error) {
 			}
 			switch {
 			case nb < id:
+				if len(rsrc) == math.MaxInt32/2 { // AddEdge's cap, which buildAdjacency needs
+					return nil, in.errorf("more than %d edges", math.MaxInt32/2)
+				}
 				rsrc, rdst = append(rsrc, VertexID(nb)), append(rdst, VertexID(id))
 			case nb > id: // a vertex listing itself is ignored
 				b.EnsureVertices(nb + 1)

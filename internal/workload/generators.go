@@ -10,7 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"fractal/internal/graph"
 )
@@ -62,12 +62,13 @@ func BarabasiAlbertCapped(name string, n, mPer, labels, maxDeg int, seed int64) 
 	for i := 0; i < n; i++ {
 		b.AddVertex(graph.Label(rng.Intn(labels)))
 	}
-	// targets holds one entry per degree unit (the classic BA urn).
-	var urn []graph.VertexID
 	start := mPer + 1
 	if start > n {
 		start = n
 	}
+	// urn holds one entry per degree unit (the classic BA urn): the seed
+	// clique's, then at most 2·mPer per later vertex.
+	urn := make([]graph.VertexID, 0, start*(start-1)+2*mPer*(n-start))
 	// Seed clique among the first vertices.
 	for i := 0; i < start; i++ {
 		for j := i + 1; j < start; j++ {
@@ -79,38 +80,32 @@ func BarabasiAlbertCapped(name string, n, mPer, labels, maxDeg int, seed int64) 
 	for i := 0; i < start; i++ {
 		degree[i] = start - 1
 	}
+	picks := make([]graph.VertexID, 0, mPer)
 	for v := start; v < n; v++ {
-		chosen := map[graph.VertexID]bool{}
-		attempts := 0
-		for len(chosen) < mPer && attempts < 64*mPer {
-			attempts++
+		picks = picks[:0]
+		for attempts := 0; len(picks) < mPer && attempts < 64*mPer; attempts++ {
 			var u graph.VertexID
 			if len(urn) == 0 {
 				u = graph.VertexID(rng.Intn(v))
 			} else {
 				u = urn[rng.Intn(len(urn))]
 			}
-			if int(u) >= v || chosen[u] {
+			if int(u) >= v || slices.Contains(picks, u) {
 				continue
 			}
 			if maxDeg > 0 && degree[u] >= maxDeg {
 				// Redirect to a uniform random vertex below the cap.
 				u = graph.VertexID(rng.Intn(v))
-				if chosen[u] || (maxDeg > 0 && degree[u] >= maxDeg) {
+				if slices.Contains(picks, u) || degree[u] >= maxDeg {
 					continue
 				}
 			}
-			chosen[u] = true
-		}
-		// Drain chosen in sorted order: map iteration order would otherwise
-		// leak into the urn layout and make later preferential-attachment
-		// draws — and thus the whole graph — vary between runs of the same
-		// seed.
-		picks := make([]graph.VertexID, 0, len(chosen))
-		for u := range chosen {
 			picks = append(picks, u)
 		}
-		sort.Slice(picks, func(i, j int) bool { return picks[i] < picks[j] })
+		// Attach in vertex order, not draw order: the order fixes the urn
+		// layout and thus every later draw, and each seed's graph is pinned
+		// (TestGeneratorsDeterministicAcrossRuns).
+		slices.Sort(picks)
 		for _, u := range picks {
 			b.MustAddEdge(graph.VertexID(v), u)
 			urn = append(urn, graph.VertexID(v), u)

@@ -21,13 +21,6 @@ if [ -n "$gob" ]; then
     echo "$gob" >&2
     exit 1
 fi
-# One ingest path: the text loaders scan bytes in place (Scanner.Bytes and
-# subslices of it). Line splitting by Scanner.Text + strings.Fields allocates
-# per line and is what PR 14 removed.
-if grep -n 'strings.Fields\|\.Text()' $(ls internal/graph/*.go | grep -v _test.go); then
-    echo "internal/graph splits lines into strings again" >&2
-    exit 1
-fi
 # Labelling is paid per class: per-embedding code asks the embedding's class
 # memo (e.Class(), Context.PatternOf/PatternRep/MNISupport). Building the
 # embedding's Pattern to canonicalize or classify it on the spot is what
@@ -42,13 +35,6 @@ fi
 # internal/enumerator is the shared-memory stealing PR 17 removed.
 if grep -nE '"sync(/atomic)?"|append\(\[\]\*Enumerator\(nil\)' $(ls internal/enumerator/*.go | grep -v _test.go); then
     echo "internal/enumerator synchronizes or snapshots its levels again" >&2
-    exit 1
-fi
-# A graph is built once, at its final size: the only 2|E| array of edge ids
-# Build allocates is adjE itself, ordered in place. A second one next to it
-# is the transient transpose buffer PR 18 removed.
-if [ "$(cat $(ls internal/graph/*.go | grep -v _test.go) | grep -c 'make(\[\]EdgeID, 2\*')" -ne 1 ]; then
-    echo "internal/graph allocates a transient 2|E| edge-id array next to adjE again" >&2
     exit 1
 fi
 # A step's partials leave it as a stream: the worker folds its cores' stores

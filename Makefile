@@ -71,11 +71,11 @@ bench-smoke:
 # Compiled-plan engines against the canonical-check enumeration paths:
 # motif and clique counting end to end (EXPERIMENTS.md). The benchmarks pick
 # their engine through Motifs' engine argument (plan, canon); the cliques
-# canon column is the test-side Listing 2 oracle. CI runs this with
-# BENCHTIME=1x as a smoke test.
+# canon column is the test-side Listing 2 oracle, the KClist column Listing
+# 7's custom enumerator. CI runs this with BENCHTIME=1x as a smoke test.
 BENCHTIME ?= 1s
 bench-plan:
-	go test -run=NONE -bench='^Benchmark(Motifs|Cliques)(Plan|Canon)$$' \
+	go test -run=NONE -bench='^Benchmark(Motifs(Plan|Canon)|Cliques(Plan|Canon|KClist))$$' \
 		-benchtime=$(BENCHTIME) -benchmem ./internal/apps/
 
 # Decomposition engine against the pure plan fleet: k=4/k=5 motif counting
@@ -153,12 +153,16 @@ fuzz-wire:
 	go test -run=NONE -fuzz=FuzzPatternFromBinary -fuzztime=10s ./internal/pattern/
 
 # Short fuzz of the .fgr decoder over the checked-in corruption corpus
-# (malformed graphs must yield typed errors, never panics or over-reads), and
-# of the text loaders against the retained seed loaders (same graph, byte
-# for byte, or a *ParseError).
+# (malformed graphs must yield typed errors, never panics or over-reads), of
+# the text loaders against the retained seed loaders (same graph, byte for
+# byte, or a *ParseError), and of the set-operation kernels pattern
+# extension and KClist run (IntersectSorted, DiffSorted and Gallop against
+# naive references).
 fuzz-graph:
 	go test -run=NONE -fuzz=FuzzLoadFGR -fuzztime=10s ./internal/graph/
 	go test -run=NONE -fuzz=FuzzLoadEdgeList -fuzztime=10s ./internal/graph/
+	go test -run=NONE -fuzz=FuzzIntersect -fuzztime=10s ./internal/graph/
+	go test -run=NONE -fuzz=FuzzGallop -fuzztime=10s ./internal/graph/
 
 # Short fuzz of the pattern-plan compiler (every connected pattern must
 # compile to a total, restriction-consistent plan) and of the sub-pattern

@@ -8,10 +8,10 @@
 //	fractal-worker -master <host:port> [-listen <addr>] [-cores <n>]
 //
 // The master dictates the execution configuration (cores per worker, work
-// stealing, timeouts) in its registration reply; -cores is advisory. It does
-// size the process's own Go runtime: GOMAXPROCS is set to -cores unless the
-// environment sets it, so several workers on one machine do not each bring a
-// runtime as wide as the machine. Job
+// stealing, timeouts) in its registration reply, and the worker does not
+// send -cores to it. -cores sizes the process's own Go runtime: GOMAXPROCS
+// is set to -cores unless the environment sets it, so several workers on
+// one machine do not each bring a runtime as wide as the machine. Job
 // specs name graphs by path, so the graph files must be readable at the
 // same paths on this machine. A ".fgr" graph (see `fractal -convert`) is
 // memory-mapped rather than parsed, so worker processes sharing a machine
@@ -37,7 +37,7 @@ func main() {
 	var (
 		master = flag.String("master", "", "master address to register with (required)")
 		listen = flag.String("listen", "", "this worker's own listener address (default 127.0.0.1:0; use :0 to serve remote peers)")
-		cores  = flag.Int("cores", 0, "advertised execution cores (advisory; 0: decided by the master)")
+		cores  = flag.Int("cores", 0, "GOMAXPROCS of this process unless the environment sets it (0: the Go default); the master decides the execution cores")
 	)
 	flag.Parse()
 	if *master == "" {
@@ -53,7 +53,7 @@ func main() {
 	}
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
-	err := fractal.ServeWorker(ctx, *master, fractal.WorkerOptions{ListenAddr: *listen, Cores: *cores})
+	err := fractal.ServeWorker(ctx, *master, fractal.WorkerOptions{ListenAddr: *listen})
 	if err != nil && ctx.Err() == nil {
 		fmt.Fprintln(os.Stderr, "fractal-worker:", err)
 		os.Exit(1)

@@ -365,22 +365,12 @@ func WithFaultInjector(inj FaultInjector) Option {
 
 // WithTrace enables the structured trace journal: every run records step
 // start/end, quiescence rounds, steal attempts and outcomes, and
-// cancellation/drain events into a bounded ring exposed through
-// Result.Report.Trace. With tracing disabled (the default) every event
-// site costs a single nil check and no allocation.
+// cancellation/drain events into a ring of metrics.DefaultTraceCapacity
+// (16384) events exposed through Result.Report.Trace; when it fills, the
+// oldest events are overwritten and Result.Report.TraceDropped counts the
+// loss. With tracing disabled (the default) every event site costs a
+// single nil check and no allocation.
 func WithTrace() Option { return func(c *Config) error { c.Trace = true; return nil } }
-
-// WithTraceCapacity enables tracing with an explicit journal capacity in
-// events (the default is metrics.DefaultTraceCapacity, 16384); when the
-// ring fills, the oldest events are overwritten and
-// Result.Report.TraceDropped counts the loss.
-func WithTraceCapacity(n int) Option {
-	return func(c *Config) error {
-		c.Trace = true
-		c.TraceCapacity = n
-		return nil
-	}
-}
 
 // WithConfig replaces the whole configuration with cfg, for callers that
 // already hold a Config value. Options after it still apply. A Config that
@@ -557,13 +547,13 @@ func (fg *Graph) VFractoidWith(custom subgraph.CustomExtender) *Fractoid {
 // VFilter materializes the reduced graph keeping the vertices that pass f
 // (operator R1, Section 4.3).
 func (fg *Graph) VFilter(f func(v graph.VertexID, g *graph.Graph) bool) *Graph {
-	return &Graph{ctx: fg.ctx, g: graph.Reduce(fg.g, f, nil).Graph}
+	return &Graph{ctx: fg.ctx, g: graph.Reduce(fg.g, f, nil)}
 }
 
 // EFilter materializes the reduced graph keeping the edges that pass f
 // (operator R2, Section 4.3).
 func (fg *Graph) EFilter(f func(e graph.EdgeID, g *graph.Graph) bool) *Graph {
-	return &Graph{ctx: fg.ctx, g: graph.Reduce(fg.g, nil, f).Graph}
+	return &Graph{ctx: fg.ctx, g: graph.Reduce(fg.g, nil, f)}
 }
 
 // Stats returns the Table 1 summary of the graph.

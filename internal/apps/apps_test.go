@@ -9,6 +9,7 @@ import (
 	"fractal"
 	"fractal/internal/graph"
 	"fractal/internal/pattern"
+	"fractal/internal/subgraph"
 	"fractal/internal/workload"
 )
 
@@ -79,6 +80,8 @@ func TestCliquesAndKClistAgree(t *testing.T) {
 		k4Pendant(),
 		workload.ErdosRenyi("er", 60, 240, 1, 5),
 		workload.BarabasiAlbert("ba", 80, 4, 1, 6),
+		// The subgraph oracle's multigraph: parallel edges repeat neighbours.
+		decompMultigraph("oracle-mg", 60, 260, 3, 4),
 	}
 	for _, raw := range graphs {
 		g := ctx.FromGraph(raw)
@@ -95,6 +98,33 @@ func TestCliquesAndKClistAgree(t *testing.T) {
 				t.Errorf("%s %d-cliques: plain=%d kclist=%d", raw.Name(), k, plain, fast)
 			}
 		}
+	}
+}
+
+// TestKClistSteadyStateAllocs: once every level's buffer has grown, a
+// push, the extensions it yields and the pop allocate nothing.
+func TestKClistSteadyStateAllocs(t *testing.T) {
+	g := workload.BarabasiAlbert("kclist-alloc", 500, 8, 1, 9)
+	e := subgraph.NewCustom(g, NewKClistEnum())
+	var exts, next []subgraph.Word
+	walk := func() {
+		for v := subgraph.Word(0); v < 50; v++ {
+			e.Push(v)
+			exts, _ = e.Extensions(exts[:0])
+			for _, w := range exts[:min(len(exts), 3)] {
+				e.Push(w)
+				if next, _ = e.Extensions(next[:0]); len(next) > 0 {
+					e.Push(next[0])
+					e.Pop()
+				}
+				e.Pop()
+			}
+			e.Pop()
+		}
+	}
+	walk() // warm up: every level reaches its widest set
+	if allocs := testing.AllocsPerRun(20, walk); allocs != 0 {
+		t.Errorf("KClist allocates %.1f times per walk in steady state, want 0", allocs)
 	}
 }
 

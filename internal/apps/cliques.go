@@ -2,7 +2,6 @@ package apps
 
 import (
 	"context"
-	"sort"
 	"strconv"
 
 	"fractal"
@@ -65,7 +64,10 @@ func Triangles(ctx context.Context, fc *fractal.Context, g *fractal.Graph) (int6
 type KClistEnum struct {
 	g     *graph.Graph
 	cores *graph.CoreDecomposition
-	cands [][]subgraph.Word
+	// cands[i] is the candidate set after the embedding's (i+1)-th vertex,
+	// sorted by vertex id. The levels past the embedding's depth keep their
+	// buffers for reuse.
+	cands [][]graph.VertexID
 }
 
 // NewKClistEnum returns the enumerator prototype to pass to
@@ -79,49 +81,48 @@ func (x *KClistEnum) Clone() subgraph.CustomExtender { return &KClistEnum{} }
 func (x *KClistEnum) Reset(g *graph.Graph) {
 	x.g = g
 	x.cores = graph.Cores(g)
-	x.cands = x.cands[:0]
-}
-
-// after reports whether u follows v in the degeneracy order.
-func (x *KClistEnum) after(u, v graph.VertexID) bool {
-	return x.cores.Rank[u] > x.cores.Rank[v]
 }
 
 // Extensions implements subgraph.CustomExtender: the candidates were
 // precomputed when the last vertex was pushed.
 func (x *KClistEnum) Extensions(e *subgraph.Embedding, dst []subgraph.Word) ([]subgraph.Word, int) {
-	top := x.cands[len(x.cands)-1]
-	return append(dst, top...), len(top)
+	top := x.cands[e.Len()-1]
+	for _, u := range top {
+		dst = append(dst, subgraph.Word(u))
+	}
+	return dst, len(top)
 }
 
 // Pushed implements subgraph.CustomExtender: intersect the previous
-// candidate set with the out-neighborhood (degeneracy DAG) of the new
-// vertex — the per-level DAG state of Listing 6. Each clique is produced
-// exactly once, in increasing degeneracy rank.
+// candidate set with the neighbours of the new vertex and keep those later
+// in the degeneracy order — its out-neighbourhood in the degeneracy DAG,
+// the per-level state of Listing 6. Each clique is produced exactly once,
+// in increasing degeneracy rank.
 func (x *KClistEnum) Pushed(e *subgraph.Embedding, w subgraph.Word) {
-	v := graph.VertexID(w)
-	var next []subgraph.Word
-	if len(x.cands) == 0 {
-		for _, u := range x.g.Neighbors(v) {
-			if x.after(u, v) {
-				next = append(next, subgraph.Word(u))
-			}
-		}
-	} else {
-		for _, c := range x.cands[len(x.cands)-1] {
-			u := graph.VertexID(c)
-			if x.after(u, v) && x.g.HasEdge(v, u) {
-				next = append(next, c)
-			}
+	v, level := graph.VertexID(w), e.Len()-1
+	if level == len(x.cands) {
+		x.cands = append(x.cands, nil)
+	}
+	buf := x.cands[level][:0]
+	cands := x.g.Neighbors(v)
+	if level > 0 {
+		buf = graph.IntersectSorted(x.cands[level-1], cands, buf)
+		cands = buf
+	}
+	// Filtered in place; at the root, parallel edges repeat a neighbour as a
+	// run, and only its first copy is kept.
+	rank, out := x.cores.Rank, buf[:0]
+	for _, u := range cands {
+		if rank[u] > rank[v] && (len(out) == 0 || out[len(out)-1] != u) {
+			out = append(out, u)
 		}
 	}
-	x.cands = append(x.cands, dedupWords(next))
+	x.cands[level] = out
 }
 
-// Popped implements subgraph.CustomExtender.
-func (x *KClistEnum) Popped(e *subgraph.Embedding) {
-	x.cands = x.cands[:len(x.cands)-1]
-}
+// Popped implements subgraph.CustomExtender: the level's buffer stays for
+// the next push at that depth.
+func (x *KClistEnum) Popped(e *subgraph.Embedding) {}
 
 // CliquesKClist counts k-cliques with the optimized custom enumerator
 // (Listing 7 of the paper):
@@ -132,20 +133,4 @@ func (x *KClistEnum) Popped(e *subgraph.Embedding) {
 // in-process contexts only.
 func CliquesKClist(ctx context.Context, fc *fractal.Context, g *fractal.Graph, k int) (int64, *fractal.Result, error) {
 	return g.VFractoidWith(NewKClistEnum()).Expand(1).Explore(k).CountCtx(ctx)
-}
-
-// dedupWords removes duplicates from a sorted-ish candidate list (parallel
-// edges can repeat a neighbor).
-func dedupWords(ws []subgraph.Word) []subgraph.Word {
-	if len(ws) < 2 {
-		return ws
-	}
-	sort.Slice(ws, func(i, j int) bool { return ws[i] < ws[j] })
-	out := ws[:1]
-	for _, w := range ws[1:] {
-		if w != out[len(out)-1] {
-			out = append(out, w)
-		}
-	}
-	return out
 }

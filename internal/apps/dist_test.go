@@ -148,8 +148,8 @@ func TestDistCliques(t *testing.T) {
 	}
 
 	master := distMaster(t)
-	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{Cores: 2})
-	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{Cores: 2})
+	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{})
+	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{})
 	if err := master.AwaitWorkers(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +177,8 @@ func TestDistMotifs(t *testing.T) {
 	}
 
 	master := distMaster(t)
-	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{Cores: 2})
-	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{Cores: 2})
+	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{})
+	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{})
 	if err := master.AwaitWorkers(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
@@ -199,8 +199,8 @@ func TestDistMotifsSweep(t *testing.T) {
 	oracle, load := inProcessOracle(t)
 
 	master := distMaster(t)
-	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{Cores: 2})
-	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{Cores: 2})
+	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{})
+	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{})
 	if err := master.AwaitWorkers(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
@@ -233,8 +233,8 @@ func TestDistQuery(t *testing.T) {
 	path := writeGraphFile(t, workload.BarabasiAlbert("dist-query", 80, 4, 1, 53))
 	oracle, load := inProcessOracle(t)
 	master := distMaster(t)
-	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{Cores: 2})
-	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{Cores: 2})
+	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{})
+	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{})
 	if err := master.AwaitWorkers(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
@@ -274,8 +274,8 @@ func TestDistFSM(t *testing.T) {
 	}
 
 	master := distMaster(t)
-	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{Cores: 2})
-	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{Cores: 2})
+	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{})
+	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{})
 	if err := master.AwaitWorkers(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
@@ -307,8 +307,8 @@ func TestDistCountersAcrossDeployments(t *testing.T) {
 		{"tcp 2x1", 2, inProcess(fractal.WithWorkers(2), fractal.WithCores(1), fractal.WithTCP())},
 		{"master + 2 workers", 2, func(t *testing.T) *fractal.Context {
 			master := distMaster(t, fractal.WithCores(1))
-			startWorker(t, master.ListenAddr(), fractal.WorkerOptions{Cores: 1})
-			startWorker(t, master.ListenAddr(), fractal.WorkerOptions{Cores: 1})
+			startWorker(t, master.ListenAddr(), fractal.WorkerOptions{})
+			startWorker(t, master.ListenAddr(), fractal.WorkerOptions{})
 			if err := master.AwaitWorkers(context.Background(), 2); err != nil {
 				t.Fatal(err)
 			}
@@ -404,7 +404,7 @@ func TestDistElasticJoin(t *testing.T) {
 	}
 
 	master := distMaster(t)
-	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{Cores: 2})
+	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{})
 	if err := master.AwaitWorkers(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +418,7 @@ func TestDistElasticJoin(t *testing.T) {
 		n, _, err := Cliques(bg, master, g, 4)
 		first <- out{n, err}
 	}()
-	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{Cores: 2})
+	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{})
 	r := <-first
 	if r.err != nil {
 		t.Fatal(r.err)
@@ -458,11 +458,11 @@ func TestDistWorkerLoss(t *testing.T) {
 	// Worker IDs are assigned in registration order; await each registration
 	// so the scripted victim deterministically holds ID 0.
 	script := rpc.NewScript(rpc.SeverRule(0, rpc.Master, sched.KindAggData, 0, 0))
-	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{Cores: 2, FaultInjector: script})
+	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{FaultInjector: script})
 	if err := master.AwaitWorkers(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}
-	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{Cores: 2})
+	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{})
 	if err := master.AwaitWorkers(context.Background(), 2); err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +486,7 @@ func TestDistWorkerLoss(t *testing.T) {
 // materialize: a typed error naming the app, not a hang.
 func TestDistRejectsUnknownApp(t *testing.T) {
 	master := distMaster(t, fractal.WithWorkerTimeout(300*time.Millisecond))
-	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{Cores: 1})
+	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{})
 	if err := master.AwaitWorkers(context.Background(), 1); err != nil {
 		t.Fatal(err)
 	}

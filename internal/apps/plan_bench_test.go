@@ -63,6 +63,14 @@ func BenchmarkCliquesPlan(b *testing.B) {
 	})
 }
 
+// BenchmarkCliquesKClist is Listing 7's custom enumerator on the same graph:
+// allocs/op is per job and must not scale with the pushes.
+func BenchmarkCliquesKClist(b *testing.B) {
+	benchCliques(b, func(fc *fractal.Context, g *fractal.Graph, k int) (int64, *fractal.Result, error) {
+		return CliquesKClist(bg, fc, g, k)
+	})
+}
+
 func BenchmarkCliquesCanon(b *testing.B) {
 	benchCliques(b, func(_ *fractal.Context, g *fractal.Graph, k int) (int64, *fractal.Result, error) {
 		return cliquesOracle(g, k)

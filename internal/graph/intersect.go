@@ -1,11 +1,16 @@
 package graph
 
 // This file implements the set-operation kernels that the subgraph
-// enumerators run in their innermost loop. All kernels operate on ascending
-// sorted slices (CSR adjacency runs are sorted by construction), tolerate
-// duplicate elements in their inputs (a multigraph adjacency lists one entry
-// per parallel edge), and emit each distinct matching value exactly once, in
-// ascending order.
+// enumerators run in their innermost loop: pattern extension intersects its
+// anchors' adjacency lists and subtracts an induced plan's non-neighbours
+// with them, KClist intersects each level's candidates with the new
+// vertex's neighbours, and the aggregation layer unions domain supports.
+// No other production code merges or gallops two sorted lists into a
+// candidate set. All kernels operate on ascending sorted slices (CSR
+// adjacency runs are sorted by construction), tolerate duplicate elements
+// in their inputs (a multigraph adjacency lists one entry per parallel
+// edge), and emit each distinct matching value exactly once, in ascending
+// order.
 //
 // Buffer ownership: every kernel appends into a caller-provided destination
 // and returns the extended slice; kernels never allocate on their own when
@@ -23,7 +28,7 @@ package graph
 // that value here.
 
 // GallopRatio is the size ratio |big|/|small| above which IntersectSorted
-// switches from linear merging to galloping search.
+// and DiffSorted switch from linear merging to galloping search.
 const GallopRatio = 8
 
 // Gallop returns the smallest index i such that a[i] >= x, assuming a is
@@ -116,33 +121,6 @@ func intersectGallop[T ~int32](small, big, dst []T) []T {
 	return dst
 }
 
-// IntersectMulti writes the distinct values present in every list into dst
-// (reusing its full capacity: the result starts at dst[:0]) and returns the
-// result together with the scratch buffer, which callers should retain for
-// reuse. It intersects pairwise starting from the shortest list, so the
-// working set shrinks as fast as possible; with fewer than two lists it
-// returns the deduplicated copy of the single list (or an empty result).
-func IntersectMulti[T ~int32](lists [][]T, dst, scratch []T) (out, scratch2 []T) {
-	if len(lists) == 0 {
-		return dst[:0], scratch
-	}
-	smallest := 0
-	for i, l := range lists {
-		if len(l) < len(lists[smallest]) {
-			smallest = i
-		}
-	}
-	out = dedupSorted(lists[smallest], dst[:0])
-	for i, l := range lists {
-		if i == smallest || len(out) == 0 {
-			continue
-		}
-		scratch = IntersectSorted(out, l, scratch[:0])
-		out, scratch = scratch, out
-	}
-	return out, scratch
-}
-
 // UnionSorted appends the distinct values present in a or b (or both) to dst
 // and returns the extended slice. Like the other kernels it tolerates
 // duplicates within each input and emits every distinct value exactly once,
@@ -180,18 +158,28 @@ func UnionSorted[T ~int32](a, b, dst []T) []T {
 }
 
 // DiffSorted appends the distinct values of a that are absent from b to dst
-// and returns the extended slice.
+// and returns the extended slice. Like IntersectSorted it gallops into b
+// when b is at least GallopRatio times longer than a. A duplicate run of a
+// is collapsed when it is emitted — a value equal to the last one appended
+// is dropped — rather than skipped element by element: the subtraction of
+// pattern extension runs on duplicate-free candidate lists, where a run
+// check per element is pure overhead.
 func DiffSorted[T ~int32](a, b, dst []T) []T {
-	i, j := 0, 0
-	for i < len(a) {
-		x := a[i]
-		for i < len(a) && a[i] == x {
-			i++
+	start, j := len(dst), 0
+	if len(b) >= GallopRatio*len(a) {
+		for _, x := range a {
+			j += Gallop(b[j:], x)
+			if (j >= len(b) || b[j] != x) && (len(dst) == start || dst[len(dst)-1] != x) {
+				dst = append(dst, x)
+			}
 		}
+		return dst
+	}
+	for _, x := range a {
 		for j < len(b) && b[j] < x {
 			j++
 		}
-		if j >= len(b) || b[j] != x {
+		if (j >= len(b) || b[j] != x) && (len(dst) == start || dst[len(dst)-1] != x) {
 			dst = append(dst, x)
 		}
 	}

@@ -14,17 +14,10 @@ func TestReduceVertexFilter(t *testing.T) {
 	if r.NumEdges() != 3 { // 2-3,3-4,4-5
 		t.Fatalf("|E'|=%d, want 3", r.NumEdges())
 	}
-	// Mapping back to original IDs.
-	for v := 0; v < r.NumVertices(); v++ {
-		if got := r.OrigVertex(VertexID(v)); got != VertexID(v+2) {
-			t.Errorf("OrigVertex(%d)=%d, want %d", v, got, v+2)
-		}
-	}
+	// Kept vertices are renumbered densely: the view is the path 0-1-2-3.
 	for e := 0; e < r.NumEdges(); e++ {
-		oe := g.EdgeByID(r.OrigEdge(EdgeID(e)))
-		ne := r.EdgeByID(EdgeID(e))
-		if r.OrigVertex(ne.Src) != oe.Src || r.OrigVertex(ne.Dst) != oe.Dst {
-			t.Errorf("edge %d maps to wrong original: %+v vs %+v", e, ne, oe)
+		if ne := r.EdgeByID(EdgeID(e)); ne.Src != VertexID(e) || ne.Dst != VertexID(e+1) {
+			t.Errorf("edge %d is %d-%d, want %d-%d", e, ne.Src, ne.Dst, e, e+1)
 		}
 	}
 }
@@ -66,42 +59,33 @@ func TestReducePreservesLabelsAndKeywords(t *testing.T) {
 	}
 }
 
-func TestReduceToParticipants(t *testing.T) {
-	g := buildPath(5)
-	vs := map[VertexID]struct{}{1: {}, 2: {}, 3: {}}
-	es := map[EdgeID]struct{}{}
-	es[g.EdgeBetween(1, 2)] = struct{}{}
-	es[g.EdgeBetween(2, 3)] = struct{}{}
-	r := ReduceToParticipants(g, vs, es)
-	if r.NumVertices() != 3 || r.NumEdges() != 2 {
-		t.Fatalf("got |V'|=%d |E'|=%d, want 3,2", r.NumVertices(), r.NumEdges())
-	}
-}
-
-// Property: reduction with a vertex predicate keeps exactly the edges whose
-// endpoints both pass, and all original-ID mappings are consistent.
+// Property: reduction with a vertex predicate keeps exactly the vertices and
+// the edges whose endpoints both pass, renumbered densely in original order
+// with their labels.
 func TestReducePropertyConsistentMapping(t *testing.T) {
 	f := func(seed int64, threshold uint8) bool {
 		g := randomGraph(20, 0.25, seed)
 		cut := VertexID(threshold % 20)
 		vf := func(v VertexID, _ *Graph) bool { return v >= cut }
 		r := Reduce(g, vf, nil)
+		if r.NumVertices() != g.NumVertices()-int(cut) {
+			return false
+		}
 		wantE := 0
 		for id := 0; id < g.NumEdges(); id++ {
 			e := g.EdgeByID(EdgeID(id))
 			if e.Src >= cut && e.Dst >= cut {
+				if !r.HasEdge(e.Src-cut, e.Dst-cut) {
+					return false
+				}
 				wantE++
 			}
 		}
 		if r.NumEdges() != wantE {
 			return false
 		}
-		for v := 0; v < r.NumVertices(); v++ {
-			ov := r.OrigVertex(VertexID(v))
-			if ov < cut {
-				return false
-			}
-			if g.VertexLabel(ov) != r.VertexLabel(VertexID(v)) {
+		for v := VertexID(0); int(v) < r.NumVertices(); v++ {
+			if g.VertexLabel(v+cut) != r.VertexLabel(v) {
 				return false
 			}
 		}

@@ -116,8 +116,7 @@ type TraceEvent struct {
 	Value int64 `json:"value,omitempty"`
 }
 
-// DefaultTraceCapacity is the journal size used when tracing is enabled
-// without an explicit capacity.
+// DefaultTraceCapacity is the journal size of a traced run.
 const DefaultTraceCapacity = 16384
 
 // Tracer is a bounded event journal, safe for concurrent emission from all

@@ -115,14 +115,11 @@ type Config struct {
 	// implementation. Production deployments leave it nil.
 	FaultInjector rpc.FaultInjector
 	// Trace enables the structured trace journal: every run records step,
-	// quiescence, steal, and cancellation events into a bounded ring
-	// exposed through Result.Report.Trace. Disabled tracing costs one nil
-	// check per event site.
+	// quiescence, steal, and cancellation events into a ring of
+	// metrics.DefaultTraceCapacity events exposed through
+	// Result.Report.Trace; the oldest events are overwritten when it fills.
+	// Disabled tracing costs one nil check per event site.
 	Trace bool
-	// TraceCapacity is the journal size in events (default
-	// metrics.DefaultTraceCapacity); the oldest events are overwritten
-	// when it fills. Only meaningful with Trace set.
-	TraceCapacity int
 }
 
 // ConfigError reports a configuration field rejected by validation. Both the

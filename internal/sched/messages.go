@@ -173,11 +173,10 @@ type stealRespMsg struct {
 
 // registerMsg is a worker process introducing itself to the master: the
 // address its own listener is bound to (for the master's address book and
-// for peer-to-peer stealing) and how many cores it offers. It is the only
-// message sent with an Unregistered envelope From.
+// for peer-to-peer stealing). It is the only message sent with an
+// Unregistered envelope From.
 type registerMsg struct {
-	Addr  string
-	Cores int
+	Addr string
 }
 
 // welcomeMsg is the master's registration reply: the worker's assigned ID
@@ -476,15 +475,8 @@ func (m *stealRespMsg) get(r *wire.Reader) {
 	m.Prefix = getSeq(r, getWord)
 }
 
-func (m registerMsg) put(w *wire.Writer) {
-	w.Str(m.Addr)
-	w.Int(m.Cores)
-}
-
-func (m *registerMsg) get(r *wire.Reader) {
-	m.Addr = r.Str()
-	m.Cores = r.Int()
-}
+func (m registerMsg) put(w *wire.Writer)  { w.Str(m.Addr) }
+func (m *registerMsg) get(r *wire.Reader) { m.Addr = r.Str() }
 
 func (m welcomeMsg) put(w *wire.Writer) {
 	w.Int(m.Worker)

@@ -104,7 +104,7 @@ var messageCases = []struct {
 	{"stealResp", kStealResp, &stealRespMsg{Job: 1, Step: 2, Attempt: 3, Core: 2, Prefix: []subgraph.Word{0, -1, 1 << 30, 42}},
 		"02040604040001808080800854"},
 	{"stealRespEmpty", kStealResp, &stealRespMsg{Job: 1}, "0200000000"},
-	{"register", kRegister, &registerMsg{Addr: "10.0.0.7:6001", Cores: 16}, "0d31302e302e302e373a3630303120"},
+	{"register", kRegister, &registerMsg{Addr: "10.0.0.7:6001"}, "0d31302e302e302e373a36303031"},
 	{"welcome", kWelcome, &welcomeMsg{Worker: 2, CoresPerWorker: 4, WS: uint8(WSBoth), IdleSleep: 100_000, WorkerTimeout: 60_000_000_000,
 		Peers: []peerAddr{{Worker: 0, Addr: "a:1"}, {Worker: 1, Addr: "b:2"}}},
 		"040803c09a0c80e0ba84bf03020003613a310203623a32"},

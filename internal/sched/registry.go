@@ -27,12 +27,6 @@ const registerReplyTimeout = 30 * time.Second
 // WorkerTimeout to every job. Stragglers join at the next attempt anyway.
 const specAckGrace = 50 * time.Millisecond
 
-// regWorker is one registered worker process.
-type regWorker struct {
-	addr  string
-	cores int
-}
-
 // activeSpec tracks the distribution of one job's spec.
 type activeSpec struct {
 	msg    jobSpecMsg
@@ -49,12 +43,12 @@ type registry struct {
 
 	mu      sync.Mutex
 	nextID  int
-	workers map[int]regWorker
+	workers map[int]string // registered worker ID -> listener address
 	jobs    map[int]*activeSpec
 }
 
 func newRegistry(rt *Runtime, node *rpc.TCPNode) *registry {
-	return &registry{rt: rt, node: node, workers: map[int]regWorker{}, jobs: map[int]*activeSpec{}}
+	return &registry{rt: rt, node: node, workers: map[int]string{}, jobs: map[int]*activeSpec{}}
 }
 
 // handleRegister serves one registration: assign the next worker ID, admit
@@ -70,7 +64,7 @@ func (g *registry) handleRegister(env rpc.Envelope) {
 	g.mu.Lock()
 	id := g.nextID
 	g.nextID++
-	g.workers[id] = regWorker{addr: m.Addr, cores: m.Cores}
+	g.workers[id] = m.Addr
 	wel := welcomeMsg{
 		Worker:         id,
 		CoresPerWorker: cfg.CoresPerWorker,
@@ -80,9 +74,9 @@ func (g *registry) handleRegister(env rpc.Envelope) {
 	}
 	join := peerJoinMsg{Worker: id, Addr: m.Addr}
 	var peerIDs []int
-	for wid, w := range g.workers {
+	for wid, addr := range g.workers {
 		if wid != id {
-			wel.Peers = append(wel.Peers, peerAddr{Worker: wid, Addr: w.addr})
+			wel.Peers = append(wel.Peers, peerAddr{Worker: wid, Addr: addr})
 			peerIDs = append(peerIDs, wid)
 		}
 	}

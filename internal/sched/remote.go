@@ -42,11 +42,7 @@ func ServeWorker(ctx context.Context, masterAddr string, opts ServeWorkerOptions
 	tr := rpc.WithFaultInjector(node, opts.FaultInjector)
 	defer tr.Close()
 	node.AddPeer(rpc.Master, masterAddr)
-	cores := opts.Cores
-	if cores <= 0 {
-		cores = 1
-	}
-	reg := registerMsg{Addr: node.Addr(), Cores: cores}
+	reg := registerMsg{Addr: node.Addr()}
 	if err := tr.Send(rpc.Master, rpc.Envelope{Kind: kRegister, Body: encode(reg)}); err != nil {
 		return fmt.Errorf("sched: registering with master %s: %w", masterAddr, err)
 	}

@@ -426,7 +426,7 @@ func (r *Runtime) runJob(ctx context.Context, jobID int, job Job) (*Result, erro
 
 	var tracer *metrics.Tracer
 	if r.cfg.Trace {
-		tracer = metrics.NewTracer(r.cfg.TraceCapacity)
+		tracer = metrics.NewTracer(metrics.DefaultTraceCapacity)
 	}
 	preStats := r.transportStats()
 	res := &Result{Aggregations: env}

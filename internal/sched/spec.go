@@ -262,10 +262,6 @@ type ServeWorkerOptions struct {
 	// ListenAddr is the worker's own listener address for master and peer
 	// traffic (default "127.0.0.1:0"; use ":0" to serve remote peers).
 	ListenAddr string
-	// Cores advertises how many execution cores the worker offers. Advisory:
-	// the master dictates the actual CoresPerWorker in its registration
-	// reply, so every participant runs the same configuration.
-	Cores int
 	// FaultInjector, when non-nil, wraps the worker's transport exactly as
 	// Config.FaultInjector wraps in-process ones (chaos tests).
 	FaultInjector rpc.FaultInjector

@@ -12,8 +12,8 @@ import (
 // root vertex u, the distinct-neighbor degree d(u), the per-vertex triangle
 // count tri(u), per distinct neighbor v > u the pair's distinct-neighbor
 // degree d(v) and distinct common-neighbor count c(u,v) — the workhorse
-// being the same sorted-intersection idiom as the extension kernels
-// (intersectAdj), here counting instead of materializing — and, when a
+// being the same sorted-intersection idiom as graph.IntersectSorted, here
+// counting instead of materializing — and, when a
 // sweep carries terms over pattern non-edges, c(u,v) for every v > u two
 // hops away, counted in the embedding's epoch-stamped vertex scratch. The
 // terms of a sweep's DecompPlans are folded into running sums as the kernel

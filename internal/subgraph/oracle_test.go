@@ -18,7 +18,10 @@ import (
 // counts must match exactly for vertex- and edge-induced embeddings. The
 // pattern-induced tested count changed meaning with the k-way-intersection
 // rewrite (survivors of the intersection instead of all neighbors of the
-// least-degree anchor), so there the oracle checks tested_new <= tested_ref.
+// least-degree anchor), so there the oracle checks tested_new <= tested_ref
+// and TestPatternExtensionCostGolden pins the exact sums. The pattern
+// reference also checks induced plans' non-adjacency, one HasEdge per bound
+// vertex outside the anchors.
 
 // ---------------------------------------------------------------------------
 // Reference implementations (seed logic, map-based scratch kept local).
@@ -157,6 +160,18 @@ func refPatternExtensions(e *Embedding, dst []Word) ([]Word, int) {
 		if !ok {
 			continue
 		}
+		if e.plan.Induced {
+			// Induced semantics: no edge to a bound vertex outside Back[k].
+			for i, m := range e.vertices {
+				if e.plan.BackMask[k]&(1<<uint(i)) == 0 && e.g.HasEdge(u, m) {
+					ok = false
+					break
+				}
+			}
+			if !ok {
+				continue
+			}
+		}
 		if !e.plan.CheckBinding(k, u, e.vertices) {
 			continue
 		}
@@ -221,14 +236,33 @@ func labeledTriangle() *pattern.Pattern {
 		Build()
 }
 
+// oraclePlanSpecs names the oracle's plans: five edge-matched ones, the last
+// with vertex- and edge-label constraints, and three induced ones, whose
+// non-adjacency constraints run the kernels' subtraction.
+var oraclePlanSpecs = []struct {
+	name    string
+	p       *pattern.Pattern
+	induced bool
+}{
+	{"K3", pattern.Clique(3), false},
+	{"K4", pattern.Clique(4), false},
+	{"C4", pattern.Cycle(4), false},
+	{"diamond", pattern.ChordalSquare(), false},
+	{"labelled-K3", labeledTriangle(), false},
+	{"induced-C4", pattern.Cycle(4), true},
+	{"induced-P4", pattern.Path(4), true},
+	{"induced-diamond", pattern.ChordalSquare(), true},
+}
+
 func oraclePlans(t *testing.T) []*pattern.Plan {
 	t.Helper()
 	var plans []*pattern.Plan
-	for _, p := range []*pattern.Pattern{
-		pattern.Clique(3), pattern.Clique(4), pattern.Cycle(4),
-		pattern.ChordalSquare(), labeledTriangle(),
-	} {
-		pl, err := pattern.NewPlan(p)
+	for _, s := range oraclePlanSpecs {
+		compile := pattern.NewPlan
+		if s.induced {
+			compile = pattern.NewInducedPlan
+		}
+		pl, err := compile(s.p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,6 +368,87 @@ func TestDifferentialPatternExtensions(t *testing.T) {
 		t.Fatalf("only %d embeddings compared, want >= 1000", compared)
 	}
 	t.Logf("pattern-induced: %d embeddings compared", compared)
+}
+
+// patternCost enumerates e's plan from every valid root and returns the
+// tested counts of its Extensions calls, summed, and the number of complete
+// embeddings.
+func patternCost(e *Embedding) (tested, complete int64) {
+	var walk func()
+	walk = func() {
+		if e.Complete() {
+			complete++
+			return
+		}
+		exts, n := e.Extensions(nil)
+		tested += int64(n)
+		for _, w := range exts {
+			e.Push(w)
+			walk()
+			e.Pop()
+		}
+	}
+	for w := 0; w < e.InitialDomain(); w++ {
+		if e.ValidInitial(Word(w)) {
+			e.Reset()
+			e.Push(Word(w))
+			walk()
+		}
+	}
+	e.Reset()
+	return tested, complete
+}
+
+// patternCostGolden is {summed tested, complete embeddings} per oracle graph
+// and plan. The oracle above only bounds the pattern-induced tested count
+// from above, so this pins it: a kernel change that moves the extension
+// cost of any plan shows here.
+var patternCostGolden = map[string][2]int64{
+	"oracle-er/K3":                 {374, 74},
+	"oracle-er/K4":                 {375, 1},
+	"oracle-er/C4":                 {2239, 407},
+	"oracle-er/diamond":            {597, 75},
+	"oracle-er/labelled-K3":        {0, 0},
+	"oracle-er/induced-C4":         {2019, 335},
+	"oracle-er/induced-P4":         {17884, 12570},
+	"oracle-er/induced-diamond":    {591, 69},
+	"oracle-er-ml/K3":              {362, 62},
+	"oracle-er-ml/K4":              {362, 0},
+	"oracle-er-ml/C4":              {2006, 344},
+	"oracle-er-ml/diamond":         {538, 52},
+	"oracle-er-ml/labelled-K3":     {0, 0},
+	"oracle-er-ml/induced-C4":      {1830, 292},
+	"oracle-er-ml/induced-P4":      {16748, 11612},
+	"oracle-er-ml/induced-diamond": {538, 52},
+	"oracle-ba/K3":                 {881, 291},
+	"oracle-ba/K4":                 {945, 64},
+	"oracle-ba/C4":                 {5658, 2125},
+	"oracle-ba/diamond":            {2824, 1361},
+	"oracle-ba/labelled-K3":        {0, 0},
+	"oracle-ba/induced-C4":         {3907, 956},
+	"oracle-ba/induced-P4":         {64256, 48864},
+	"oracle-ba/induced-diamond":    {2440, 977},
+	"oracle-mg/K3":                 {307, 77},
+	"oracle-mg/K4":                 {310, 3},
+	"oracle-mg/C4":                 {1809, 430},
+	"oracle-mg/diamond":            {584, 123},
+	"oracle-mg/labelled-K3":        {69, 3},
+	"oracle-mg/induced-C4":         {1541, 316},
+	"oracle-mg/induced-P4":         {12331, 8405},
+	"oracle-mg/induced-diamond":    {566, 105},
+}
+
+func TestPatternExtensionCostGolden(t *testing.T) {
+	plans := oraclePlans(t)
+	for _, g := range oracleGraphs() {
+		for pi, pl := range plans {
+			key := g.Name() + "/" + oraclePlanSpecs[pi].name
+			tested, complete := patternCost(New(g, PatternInduced, pl))
+			if want, ok := patternCostGolden[key]; !ok || want != [2]int64{tested, complete} {
+				t.Errorf("%s: tested %d, complete %d; golden %v", key, tested, complete, want)
+			}
+		}
+	}
 }
 
 // ---------------------------------------------------------------------------

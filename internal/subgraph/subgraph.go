@@ -100,7 +100,7 @@ type Embedding struct {
 
 	// Pattern-induced scratch: ping-pong buffers for the k-way anchor
 	// intersection and the anchor ordering.
-	pbuf0, pbuf1 []Word
+	pbuf0, pbuf1 []graph.VertexID
 	backOrder    []pattern.BackRef
 
 	// custom, when non-nil, overrides extension-candidate generation
@@ -524,18 +524,18 @@ func (e *Embedding) edgeExtensions(dst []Word) ([]Word, int) {
 
 // patternExtensions computes the candidates of level k as a k-way
 // intersection of the backward anchors' adjacency lists, smallest anchor
-// first, with the per-anchor edge-label constraints fused into the merge.
-// The plan's symmetry-breaking conditions are pushed down into candidate
-// generation: the vertex-id window they imply (Plan.BindingBounds) clamps
-// the first anchor's adjacency range before any intersection work, so
-// symmetry breaking prunes candidate generation rather than filtering its
-// output. For induced plans the non-adjacency constraint is likewise fused:
-// the adjacency of every bound non-anchor vertex is subtracted from the
-// candidate set before it counts as tested. Candidates emerge sorted and
-// duplicate-free (parallel edges collapse as duplicate runs inside the
-// kernels), so no final sort is needed; only the cheap member and
-// vertex-label filters run over the survivors, whose count is the reported
-// extension cost.
+// first, on internal/graph's set-operation kernels. The plan's
+// symmetry-breaking conditions are pushed down into candidate generation:
+// the vertex-id window they imply (Plan.BindingBounds) clamps the first
+// anchor's adjacency range before any intersection work, so symmetry
+// breaking prunes candidate generation rather than filtering its output.
+// An anchor with an edge-label constraint filters the survivors of its
+// intersection. For induced plans the adjacency of every bound non-anchor
+// vertex is subtracted from the candidate set before it counts as tested.
+// Candidates emerge sorted and duplicate-free (parallel edges collapse as
+// duplicate runs inside the kernels), so no final sort is needed; only the
+// cheap member and vertex-label filters run over the survivors, whose count
+// is the reported extension cost.
 func (e *Embedding) patternExtensions(dst []Word) ([]Word, int) {
 	k := len(e.words)
 	if k >= len(e.plan.Order) {
@@ -564,25 +564,29 @@ func (e *Embedding) patternExtensions(dst []Word) ([]Word, int) {
 		if len(cur) == 0 {
 			break
 		}
-		nxt := e.intersectAdj(cur, e.vertices[b.Pos], b.ELabel, buf[:0])
+		v := e.vertices[b.Pos]
+		nxt := graph.IntersectSorted(cur, e.g.Neighbors(v), buf[:0])
+		if b.ELabel != pattern.NoLabel {
+			nxt = e.keepLabelled(nxt, v, b.ELabel)
+		}
 		cur, buf = nxt, cur
 	}
 	if e.plan.Induced {
 		// Non-adjacency is part of candidate generation for induced plans:
 		// each non-anchor bound vertex's adjacency is subtracted from the
-		// candidate set with the same merge/gallop kernels, so extensions
-		// that would violate induced semantics never surface as tested work.
+		// candidate set, so extensions that would violate induced semantics
+		// never surface as tested work. Non-adjacency is structural: every
+		// edge label counts.
 		nonAdj := (uint32(1)<<uint(k) - 1) &^ e.plan.BackMask[k]
 		for m := nonAdj; m != 0 && len(cur) > 0; m &= m - 1 {
-			nxt := e.subtractAdj(cur, e.vertices[bits.TrailingZeros32(m)], buf[:0])
+			nxt := graph.DiffSorted(cur, e.g.Neighbors(e.vertices[bits.TrailingZeros32(m)]), buf[:0])
 			cur, buf = nxt, cur
 		}
 	}
 	e.pbuf0, e.pbuf1 = cur, buf // retain grown buffers for reuse
 	tested := len(cur)
 	want := e.plan.VLabels[k]
-	for _, w := range cur {
-		u := graph.VertexID(w)
+	for _, u := range cur {
 		if e.isMemberVertex(u) {
 			continue
 		}
@@ -592,7 +596,7 @@ func (e *Embedding) patternExtensions(dst []Word) ([]Word, int) {
 		// Symmetry conditions are satisfied by construction (the [lo, hi]
 		// clamp implements CheckBinding exactly); the kernel relies on that
 		// rather than re-checking per candidate.
-		dst = append(dst, w)
+		dst = append(dst, Word(u))
 	}
 	return dst, tested
 }
@@ -602,13 +606,13 @@ func (e *Embedding) patternExtensions(dst []Word) ([]Word, int) {
 // any) to dst. Adjacency runs are sorted, so the scan gallops to the first
 // in-window neighbor, stops at the first beyond it, and the result is sorted
 // and duplicate-free.
-func (e *Embedding) anchorCandidates(av graph.VertexID, elabel graph.Label, lo, hi graph.VertexID, dst []Word) []Word {
+func (e *Embedding) anchorCandidates(av graph.VertexID, elabel graph.Label, lo, hi graph.VertexID, dst []graph.VertexID) []graph.VertexID {
 	nbr := e.g.Neighbors(av)
 	inc := e.g.IncidentEdges(av)
 	for j := graph.Gallop(nbr, lo); j < len(nbr) && nbr[j] <= hi; {
 		u := nbr[j]
-		if e.runMatches(nbr, inc, j, elabel) {
-			dst = append(dst, Word(u))
+		if elabel == pattern.NoLabel || e.runMatches(nbr, inc, j, elabel) {
+			dst = append(dst, u)
 		}
 		for j < len(nbr) && nbr[j] == u {
 			j++
@@ -617,88 +621,25 @@ func (e *Embedding) anchorCandidates(av graph.VertexID, elabel graph.Label, lo, 
 	return dst
 }
 
-// subtractAdj appends to dst the candidates from the sorted duplicate-free
-// list cands that are not adjacent to v under any edge label (induced
-// non-adjacency is structural, so labels are irrelevant). Galloping is used
-// when the adjacency dwarfs the candidate list.
-func (e *Embedding) subtractAdj(cands []Word, v graph.VertexID, dst []Word) []Word {
-	nbr := e.g.Neighbors(v)
-	if len(nbr) >= graph.GallopRatio*len(cands) {
-		j := 0
-		for _, w := range cands {
-			u := graph.VertexID(w)
-			j += graph.Gallop(nbr[j:], u)
-			if j < len(nbr) && nbr[j] == u {
-				continue
-			}
-			dst = append(dst, w)
-		}
-		return dst
-	}
-	j := 0
-	for _, w := range cands {
-		u := graph.VertexID(w)
-		for j < len(nbr) && nbr[j] < u {
-			j++
-		}
-		if j < len(nbr) && nbr[j] == u {
-			continue
-		}
-		dst = append(dst, w)
-	}
-	return dst
-}
-
-// intersectAdj intersects the sorted duplicate-free candidate list cands
-// with the adjacency of v, keeping candidates connected to v by an edge
-// whose label matches elabel, and appends survivors to dst. Parallel edges
-// appear as duplicate runs in the adjacency and count once. Galloping is
-// used when the adjacency dwarfs the candidate list (graph.GallopRatio).
-func (e *Embedding) intersectAdj(cands []Word, v graph.VertexID, elabel graph.Label, dst []Word) []Word {
+// keepLabelled filters cands, a sorted subset of v's neighbours, in place
+// down to those joined to v by an edge labelled elabel. Each candidate is
+// galloped to from the previous one's run.
+func (e *Embedding) keepLabelled(cands []graph.VertexID, v graph.VertexID, elabel graph.Label) []graph.VertexID {
 	nbr := e.g.Neighbors(v)
 	inc := e.g.IncidentEdges(v)
-	if len(nbr) >= graph.GallopRatio*len(cands) {
-		j := 0
-		for _, w := range cands {
-			u := graph.VertexID(w)
-			j += graph.Gallop(nbr[j:], u)
-			if j >= len(nbr) {
-				break
-			}
-			if nbr[j] == u && e.runMatches(nbr, inc, j, elabel) {
-				dst = append(dst, w)
-			}
-		}
-		return dst
-	}
-	i, j := 0, 0
-	for i < len(cands) && j < len(nbr) {
-		u := graph.VertexID(cands[i])
-		switch {
-		case nbr[j] < u:
-			j++
-		case nbr[j] > u:
-			i++
-		default:
-			if e.runMatches(nbr, inc, j, elabel) {
-				dst = append(dst, cands[i])
-			}
-			i++
-			for j < len(nbr) && nbr[j] == u {
-				j++
-			}
+	out, j := cands[:0], 0
+	for _, u := range cands {
+		j += graph.Gallop(nbr[j:], u)
+		if e.runMatches(nbr, inc, j, elabel) {
+			out = append(out, u)
 		}
 	}
-	return dst
+	return out
 }
 
 // runMatches reports whether the duplicate run of nbr starting at j (the
-// parallel edges to neighbor nbr[j]) contains an edge whose label matches
-// elabel; NoLabel matches any edge.
+// parallel edges to neighbor nbr[j]) contains an edge labelled elabel.
 func (e *Embedding) runMatches(nbr []graph.VertexID, inc []graph.EdgeID, j int, elabel graph.Label) bool {
-	if elabel == pattern.NoLabel {
-		return true
-	}
 	u := nbr[j]
 	for ; j < len(nbr) && nbr[j] == u; j++ {
 		if e.g.EdgeLabel(inc[j]) == elabel {

@@ -9,9 +9,13 @@
 //	motifs    -k <vertices>
 //	cliques   -k <vertices> [-kclist]
 //	triangles
-//	fsm       -support <min> [-maxedges <n>] [-reduce]
+//	fsm       -support <min> [-maxedges <n>]
 //	query     -pattern <triangle|square|diamond|clique4|clique5|path3|path4|star4|star5|bowtie|house|prism|doublesquare>
 //	keywords  -keywords <comma,separated> [-reduce]
+//
+// -reduce applies to keywords only: it reduces the graph to the edges that
+// carry a query keyword (Section 4.3). FSM has no such flag: every level past
+// the first always mines the graph of its frequent edges.
 //
 // Runtime flags: -workers, -cores, -ws (none|internal|external|both), -tcp.
 //
@@ -31,7 +35,7 @@
 //	                     fsm, query). The graph path must be readable by
 //	                     every worker process. What only runs in-process is
 //	                     rejected up front: -app keywords, -engine canon,
-//	                     -kclist, -reduce.
+//	                     -kclist.
 //	-min-workers <n>     wait for n worker registrations before starting
 //
 // Plan flags:
@@ -122,7 +126,7 @@ func main() {
 		kclist     = flag.Bool("kclist", false, "use the KClist custom enumerator (cliques)")
 		support    = flag.Int64("support", 100, "minimum support (fsm)")
 		maxEdges   = flag.Int("maxedges", 3, "maximum pattern edges (fsm)")
-		reduce     = flag.Bool("reduce", false, "enable graph reduction (fsm, keywords)")
+		reduce     = flag.Bool("reduce", false, "reduce the graph to the edges carrying a query keyword (keywords)")
 		queryName  = flag.String("pattern", "triangle", "query pattern (query)")
 		keywords   = flag.String("keywords", "", "comma-separated query keywords (keywords)")
 		workers    = flag.Int("workers", 1, "number of workers")
@@ -247,7 +251,7 @@ func main() {
 		last = res
 		fmt.Printf("%s: %d (EC=%d, %s)\n", name, n, res.TotalEC(), res.Wall)
 	case "fsm":
-		res, err := apps.FSM(ctx, fc, g, *support, apps.FSMOptions{MaxEdges: *maxEdges, GraphReduction: *reduce})
+		res, err := apps.FSM(ctx, fc, g, *support, apps.FSMOptions{MaxEdges: *maxEdges})
 		check(err)
 		last = res.Last
 		fmt.Printf("frequent patterns (support >= %d): %d, per level %v\n",
@@ -292,6 +296,9 @@ func checkFlags(app, engine string, master, kclist, reduce bool) error {
 	if !ok {
 		return fmt.Errorf("unknown -app %q", app)
 	}
+	if reduce && app != "keywords" {
+		return fmt.Errorf("-reduce applies to -app keywords only (fsm always mines the frequent-edge graph)")
+	}
 	switch engine {
 	case "auto":
 	case "plan", "canon", "decomp":
@@ -311,8 +318,6 @@ func checkFlags(app, engine string, master, kclist, reduce bool) error {
 		return fmt.Errorf("-engine canon runs in-process only; -listen accepts auto, plan or decomp")
 	case kclist:
 		return fmt.Errorf("-kclist runs in-process only; drop it or -listen")
-	case reduce:
-		return fmt.Errorf("-reduce runs in-process only (a reduced graph cannot be shipped to workers); drop it or -listen")
 	}
 	return nil
 }

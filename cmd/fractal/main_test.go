@@ -65,12 +65,12 @@ func TestCLI(t *testing.T) {
 		{"cliques kclist", []string{"-app", "cliques", "-k", "3", "-kclist"}, 0, "3-cliques: 4 ("},
 		{"triangles", []string{"-app", "triangles", "-tcp", "-workers", "2"}, 0, "triangles: 4 ("},
 		{"fsm", []string{"-app", "fsm", "-support", "1", "-maxedges", "2"}, 0, "frequent patterns (support >= 1): 2, per level [1 1]"},
-		{"fsm reduce", []string{"-app", "fsm", "-support", "1", "-maxedges", "2", "-reduce"}, 0, "frequent patterns (support >= 1): 2, per level [1 1]"},
 		{"query", []string{"-app", "query", "-pattern", "triangle"}, 0, "matches of triangle [auto engine]: 4 ("},
 		{"query plan", []string{"-app", "query", "-pattern", "square", "-engine", "plan"}, 0, "matches of square [plan engine]: 3 ("},
 		{"query decomp", []string{"-app", "query", "-pattern", "path3", "-engine", "decomp"}, 0, "matches of path3 [decomp engine]: 15 ("},
 		{"query decomp square", []string{"-app", "query", "-pattern", "square", "-engine", "decomp"}, 0, "matches of square [decomp engine]: 3 ("},
 		{"keywords", []string{"-app", "keywords", "-keywords", "a,b"}, 0, "covering subgraphs: 1 ("},
+		{"keywords reduce", []string{"-app", "keywords", "-keywords", "a,b", "-reduce"}, 0, "covering subgraphs: 1 ("},
 		{"explain", []string{"-explain", "-app", "cliques", "-k", "3"}, 0, "plan: 3 levels"},
 		{"explain motifs 5", []string{"-explain", "-app", "motifs", "-k", "5"}, 0, "mixed fleet: 10 of 21 patterns decomposed"},
 		{"pprof", []string{"-app", "triangles", "-pprof", filepath.Join(dir, "prof")}, 0, "triangles: 4 ("},
@@ -86,6 +86,7 @@ func TestCLI(t *testing.T) {
 		{"min-workers without listen", []string{"-app", "motifs", "-min-workers", "1"}, 1, "-min-workers requires -listen"},
 		{"cliques canon", []string{"-app", "cliques", "-engine", "canon"}, 1, "-engine canon does not apply to -app cliques"},
 		{"query canon", []string{"-app", "query", "-engine", "canon"}, 1, "-engine canon does not apply to -app query"},
+		{"fsm reduce", []string{"-app", "fsm", "-support", "1", "-reduce"}, 1, "-reduce applies to -app keywords only"},
 		{"fsm plan", []string{"-app", "fsm", "-engine", "plan"}, 1, "-engine plan does not apply to -app fsm"},
 		{"fsm negative maxedges", []string{"-app", "fsm", "-support", "1", "-maxedges", "-4"}, 1, "-maxedges must be in [1, 31], got -4"},
 		{"fsm maxedges past a pattern", []string{"-app", "fsm", "-support", "1", "-maxedges", "32"}, 1, "-maxedges must be in [1, 31], got 32"},
@@ -94,7 +95,7 @@ func TestCLI(t *testing.T) {
 		{"listen decomp", append([]string{"-app", "motifs", "-engine", "decomp"}, listen...), 0, "[decomp engine]: 2 classes, 7 subgraphs"},
 		{"listen canon", append([]string{"-app", "motifs", "-engine", "canon"}, listen...), 1, "-engine canon runs in-process only"},
 		{"listen kclist", append([]string{"-app", "cliques", "-kclist"}, listen...), 1, "-kclist runs in-process only"},
-		{"listen reduce", append([]string{"-app", "fsm", "-reduce"}, listen...), 1, "-reduce runs in-process only"},
+		{"listen reduce", append([]string{"-app", "fsm", "-reduce"}, listen...), 1, "-reduce applies to -app keywords only"},
 		{"listen query", append([]string{"-app", "query"}, listen...), 0, "matches of triangle [auto engine]: 4 ("},
 		{"listen keywords", append([]string{"-app", "keywords", "-keywords", "a"}, listen...), 1, "-app keywords has no distributed form"},
 	}

@@ -3,9 +3,10 @@
 //
 //	fsm = fsm.filter("support", contains).expand(1).aggregate("support", ...)
 //
-// until no new frequent pattern appears. The transparent graph-reduction
-// optimization of Section 4.3 (-reduce) drops edges whose 1-edge pattern is
-// infrequent before the deeper levels re-enumerate from scratch.
+// until no new frequent pattern appears. Past the first level, each level
+// mines the frequent-edge graph (Section 4.3's reduction, always on): the
+// edges whose 1-edge pattern is infrequent, unless another edge joins the
+// same endpoints, are gone before the deeper levels re-enumerate from scratch.
 package main
 
 import (
@@ -24,7 +25,6 @@ func main() {
 	graphPath := flag.String("graph", "", "optional input graph (.graph/.el)")
 	support := flag.Int64("support", 40, "minimum image-based support α")
 	maxEdges := flag.Int("maxedges", 3, "largest pattern size in edges")
-	reduce := flag.Bool("reduce", true, "apply FSM graph reduction between steps")
 	cores := flag.Int("cores", 4, "execution cores")
 	flag.Parse()
 
@@ -45,8 +45,7 @@ func main() {
 	s := g.Stats()
 	fmt.Printf("graph: |V|=%d |E|=%d |L|=%d, α=%d\n", s.V, s.E, s.L, *support)
 
-	res, err := apps.FSM(context.Background(), ctx, g, *support,
-		apps.FSMOptions{MaxEdges: *maxEdges, GraphReduction: *reduce})
+	res, err := apps.FSM(context.Background(), ctx, g, *support, apps.FSMOptions{MaxEdges: *maxEdges})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -192,31 +192,17 @@ func TestFSM(t *testing.T) {
 	}
 }
 
+// TestFSMGraphReductionPreservesResults: on a community graph whose deeper
+// levels mine the frequent-edge graph, FSM's keys, supports and domains are
+// Listing 3's on the input graph.
 func TestFSMGraphReductionPreservesResults(t *testing.T) {
 	ctx := testCtx(t)
-	raw := workload.Community("c", 6, 15, 6, 0.8, 4, 17)
-	g := ctx.FromGraph(raw)
-	plain, err := FSM(bg, ctx, g, 8, FSMOptions{MaxEdges: 2})
+	g := ctx.FromGraph(workload.Community("c", 6, 15, 6, 0.8, 4, 17))
+	got, err := FSM(bg, ctx, g, 8, FSMOptions{MaxEdges: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reduced, err := FSM(bg, ctx, g, 8, FSMOptions{MaxEdges: 2, GraphReduction: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain.Frequent) != len(reduced.Frequent) {
-		t.Fatalf("reduction changed result count: %d vs %d", len(plain.Frequent), len(reduced.Frequent))
-	}
-	for code, ds := range plain.Frequent {
-		rds, ok := reduced.Frequent[code]
-		if !ok {
-			t.Errorf("pattern %q lost under reduction", code)
-			continue
-		}
-		if ds.Support() != rds.Support() {
-			t.Errorf("pattern %q support %d vs %d under reduction", code, ds.Support(), rds.Support())
-		}
-	}
+	fsmEqualsOracle(t, "community", got, fsmOracle(t, g, 8, 2))
 }
 
 func TestQuerySuite(t *testing.T) {

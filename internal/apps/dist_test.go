@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -127,6 +128,11 @@ func fsmDistEqual(t *testing.T, label string, got, want *FSMResult) {
 		}
 		if gds.Support() != ds.Support() {
 			t.Errorf("%s: pattern %q support %d, want %d", label, code, gds.Support(), ds.Support())
+		}
+		for pos := range ds.Domains {
+			if !slices.Equal(gds.Sorted(pos), ds.Sorted(pos)) {
+				t.Errorf("%s: pattern %q position %d domain %v, want %v", label, code, pos, gds.Sorted(pos), ds.Sorted(pos))
+			}
 		}
 	}
 	for i, n := range want.PerLevel {
@@ -284,6 +290,30 @@ func TestDistFSM(t *testing.T) {
 		t.Fatal(err)
 	}
 	fsmDistEqual(t, "distributed fsm", got, want)
+}
+
+// TestDistFSMFrequentEdgeGraph: master and workers each derive a level's
+// frequent-edge graph from the graph and the support, so on a multigraph
+// whose infrequent parallel edge must stay, FSM across two TCP workers
+// equals the in-process run down to every domain.
+func TestDistFSMFrequentEdgeGraph(t *testing.T) {
+	path := writeGraphFile(t, fsmParallelGraph())
+	oracle, load := inProcessOracle(t)
+	want, err := FSM(bg, oracle, load(path), 3, FSMOptions{MaxEdges: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	master := distMaster(t)
+	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{})
+	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{})
+	if err := master.AwaitWorkers(context.Background(), 2); err != nil {
+		t.Fatal(err)
+	}
+	got, err := FSM(bg, master, loadOn(t, master, path), 3, FSMOptions{MaxEdges: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsmDistEqual(t, "distributed fsm on a multigraph", got, want)
 }
 
 // TestDistCountersAcrossDeployments holds the run report to one meaning in
@@ -516,11 +546,7 @@ func TestDistRejectsWhatCannotShip(t *testing.T) {
 			return err
 		},
 		"motifs canon": func() error { _, _, err := Motifs(bg, master, onDisk, 3, EngineCanon); return err },
-		"fsm reduction": func() error {
-			_, err := FSM(bg, master, onDisk, 2, FSMOptions{MaxEdges: 2, GraphReduction: true})
-			return err
-		},
-		"kclist": func() error { _, _, err := CliquesKClist(bg, master, onDisk, 3); return err },
+		"kclist":       func() error { _, _, err := CliquesKClist(bg, master, onDisk, 3); return err },
 	} {
 		err := run()
 		var cfgErr *fractal.ConfigError

@@ -11,7 +11,6 @@ import (
 	"fractal/internal/graph"
 	"fractal/internal/pattern"
 	"fractal/internal/sched"
-	"fractal/internal/subgraph"
 )
 
 // FSMResult is the outcome of frequent subgraph mining.
@@ -46,12 +45,6 @@ type FSMOptions struct {
 	// support threshold is permissive). 0 means the default, 3; a negative
 	// value or one above MaxFSMEdges fails FSM with a *MaxEdgesError.
 	MaxEdges int
-	// GraphReduction enables the transparent Section 4.3 optimization:
-	// after the bootstrap level, the input graph is reduced to the edges
-	// whose single-edge pattern is frequent, since no infrequent edge can
-	// participate in a frequent subgraph (anti-monotonicity). In-process
-	// contexts only.
-	GraphReduction bool
 }
 
 // fsmBuilder is one level of the frequent subgraph mining loop (Listing 3 of
@@ -61,7 +54,8 @@ type FSMOptions struct {
 // aggregation — environment entries named support1..support(L-1), threaded
 // between jobs by FSM and shipped to worker processes over the wire — expand,
 // …, refuse the classes with a sub-pattern outside support(L-1), aggregate
-// supportL.
+// supportL. Every level past the first mines frequentEdgeGraph, which master
+// and workers alike derive from the graph and the support.
 // Each level's support lives in its own environment entry because the
 // engine reuses — never recomputes — environment aggregations (Section 4.1).
 type fsmBuilder struct{}
@@ -90,7 +84,11 @@ func (fsmBuilder) Build(spec fractal.JobSpec, g *graph.Graph, _ *agg.Registry) (
 		return sched.Job{}, err
 	}
 	minSupport := int64(support)
-	return fractal.Aggregate(fsmCandidates(fractal.NewBuildGraph(g), level), fsmSupName(level),
+	fg := fractal.NewBuildGraph(g)
+	if level > 1 {
+		fg = frequentEdgeGraph(fg, minSupport)
+	}
+	return fractal.Aggregate(fsmCandidates(fg, level), fsmSupName(level),
 		func(e *fractal.Subgraph) string { return e.Class().Code },
 		func(e *fractal.Subgraph) *agg.DomainSupport {
 			cl := e.Class()
@@ -137,12 +135,6 @@ func FSM(ctx context.Context, fc *fractal.Context, g *fractal.Graph, minSupport 
 	if opts.MaxEdges == 0 {
 		opts.MaxEdges = 3
 	}
-	if opts.GraphReduction {
-		// The reduced graph exists only in this process's memory.
-		if err := specOnly(fc, "FSM graph reduction"); err != nil {
-			return nil, err
-		}
-	}
 	out := &FSMResult{Frequent: map[string]*fractal.DomainSupport{}}
 	var env *fractal.Aggregations
 	for level := 1; level <= opts.MaxEdges; level++ {
@@ -164,9 +156,6 @@ func FSM(ctx context.Context, fc *fractal.Context, g *fractal.Graph, minSupport 
 		if lvl.Len() == 0 {
 			break
 		}
-		if level == 1 && opts.GraphReduction {
-			g = reduceToFrequentEdges(g, lvl)
-		}
 	}
 	return out, nil
 }
@@ -181,19 +170,51 @@ func record(out *FSMResult, lvl *agg.Aggregation[string, *agg.DomainSupport]) {
 	out.PerLevel = append(out.PerLevel, n)
 }
 
-// reduceToFrequentEdges applies the transparent FSM graph reduction: keep
-// only edges whose single-edge pattern is frequent, then drop isolated
-// vertices. By anti-monotonicity of the MNI support, no dropped edge can
-// participate in any frequent subgraph. An edge's code is that of its
-// one-edge embedding, which is what the bootstrap level aggregated.
-func reduceToFrequentEdges(g *fractal.Graph, level1 *agg.Aggregation[string, *agg.DomainSupport]) *fractal.Graph {
-	emb := subgraph.New(g.Raw(), subgraph.EdgeInduced, nil)
-	reduced := g.EFilter(func(id graph.EdgeID, _ *graph.Graph) bool {
-		emb.Reset()
-		emb.Push(subgraph.Word(id))
-		return level1.Contains(emb.Class().Code)
-	})
-	return reduced.VFilter(func(v graph.VertexID, gr *graph.Graph) bool {
-		return gr.Degree(v) > 0
+// frequentEdgeGraph is the graph levels past the first mine (Section 4.3's
+// reduction): g without the edges no frequent pattern can hold. An edge goes
+// when no other edge joins its endpoints and its one-edge pattern's MNI
+// support is below minSupport. That support is decided once per (vertex
+// label, vertex label, edge label) triple: the fewer of the distinct
+// vertices on either side of the triple's edges, one side when the two
+// labels are equal. Such an edge's label is a pattern edge of every class
+// that holds it, with no more images on its ends than the triple has, so the
+// class is infrequent. A parallel edge may sit behind another's label —
+// a class keeps only the first — so it stays. Only edges go, in order, so
+// every surviving embedding keeps its vertices, their order and its class.
+func frequentEdgeGraph(g *fractal.Graph, minSupport int64) *fractal.Graph {
+	type ends struct {
+		last graph.VertexID // 1 + the last vertex counted
+		n    [2]int64       // distinct vertices with the triple's first, second label
+	}
+	triple := func(gr *graph.Graph, id graph.EdgeID) [3]graph.Label {
+		u, v := gr.EdgeEndpoints(id)
+		lu, lv := gr.VertexLabel(u), gr.VertexLabel(v)
+		return [3]graph.Label{min(lu, lv), max(lu, lv), gr.EdgeLabel(id)}
+	}
+	raw := g.Raw()
+	triples := map[[3]graph.Label]ends{}
+	for v := graph.VertexID(0); int(v) < raw.NumVertices(); v++ {
+		lv := raw.VertexLabel(v)
+		for _, id := range raw.IncidentEdges(v) {
+			t := triple(raw, id)
+			if c := triples[t]; c.last != v+1 {
+				c.last = v + 1
+				for side, l := range t[:2] {
+					if l == lv {
+						c.n[side]++
+					}
+				}
+				triples[t] = c
+			}
+		}
+	}
+	var parallel []graph.EdgeID
+	return g.EFilter(func(id graph.EdgeID, gr *graph.Graph) bool {
+		if c := triples[triple(gr, id)]; min(c.n[0], c.n[1]) >= minSupport {
+			return true
+		}
+		u, v := gr.EdgeEndpoints(id)
+		parallel = gr.EdgesBetween(u, v, parallel[:0])
+		return len(parallel) > 1
 	})
 }

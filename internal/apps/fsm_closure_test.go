@@ -102,32 +102,116 @@ func TestFSMEqualsLevelwiseClosure(t *testing.T) {
 	t.Logf("%d graphs (%d multigraphs), %d oracle runs: the closure is Listing 3's own result on %d", graphs, multi, runs, identity)
 }
 
-// TestFSMReductionKeepsFrequentSet: graph reduction (-reduce) rests on the
-// same anti-monotonicity as the level-wise pruning — no infrequent edge is
-// in a frequent subgraph — so mining the reduced graph finds the same
-// patterns with the same supports.
+// TestFSMReductionKeepsFrequentSet: every level past the first mines the
+// frequent-edge graph, which drops only edges that no frequent class can
+// hold, so FSM's keys, supports and domains are the level-wise closure's
+// (fsmOracleLevels) on the input graph — on simple graphs, on a multigraph,
+// and on fsmOrientationGraph, where the one-edge support that level 1
+// computes would drop an edge a frequent class holds.
 func TestFSMReductionKeepsFrequentSet(t *testing.T) {
 	ctx := testCtx(t)
-	for _, i := range []int{1, 2, 6, 7} { // BA, community, ER, multigraph BA
-		raw := closureGraph(i)
+	// BA, community, ER, multigraph BA, and the orientation case.
+	for _, raw := range []*graph.Graph{closureGraph(1), closureGraph(2), closureGraph(6), closureGraph(7), fsmOrientationGraph()} {
+		g := ctx.FromGraph(raw)
 		for _, support := range []int64{2, 4} {
-			plain, err := FSM(bg, ctx, ctx.FromGraph(raw), support, FSMOptions{MaxEdges: 3})
+			got, err := FSM(bg, ctx, g, support, FSMOptions{MaxEdges: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
-			reduced, err := FSM(bg, ctx, ctx.FromGraph(raw), support, FSMOptions{MaxEdges: 3, GraphReduction: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(plain.Frequent) == 0 || !slices.Equal(plain.PerLevel, reduced.PerLevel) {
-				t.Fatalf("%s support %d: per level %v, reduced %v", raw.Name(), support, plain.PerLevel, reduced.PerLevel)
-			}
-			for code, ds := range plain.Frequent {
-				if rds, ok := reduced.Frequent[code]; !ok || rds.Support() != ds.Support() {
-					t.Errorf("%s support %d: pattern %q has support %d, on the reduced graph %v", raw.Name(), support, code, ds.Support(), rds)
-				}
+			fsmEqualsOracle(t, fmt.Sprintf("%s support %d", raw.Name(), support), got, fsmOracleLevels(t, g, support, 3, true))
+		}
+	}
+}
+
+// fsmOrientationGraph has two parallel label-1 pairs, (0, 7) and (2, 8),
+// and label-2 edges (0, 1) and (0, 2), every vertex labelled 0. Level 1
+// files an edge between equal labels in one orientation, so the label-2
+// edge's support is 1 (vertex 0 on one side). At support 2 its MNI support
+// is 3, and at level 3 the class "pair, then a label-2 edge" is frequent:
+// its shared vertex is 0 or 2, its far end 0, 1 or 2. The class folds the
+// pair and passes the sub-pattern filter unasked, so only the supports
+// guard it.
+func fsmOrientationGraph() *graph.Graph {
+	b := graph.NewBuilder("fsm-orientation")
+	for v := 0; v < 9; v++ {
+		b.AddVertex(0)
+	}
+	for _, e := range [][3]int{{0, 7, 1}, {0, 7, 1}, {2, 8, 1}, {2, 8, 1}, {0, 1, 2}, {0, 2, 2}} {
+		b.MustAddEdge(graph.VertexID(e[0]), graph.VertexID(e[1]), graph.Label(e[2]))
+	}
+	return b.Build()
+}
+
+// fsmParallelGraph is a labelled multigraph with every kind of edge the
+// frequent-edge graph decides at support 3: frequent ones (label 1 between
+// label-0 vertices), among them three parallel pairs; an infrequent label
+// (2) parallel to a frequent one, which the level-2 class of a pair folds
+// into the frequent label; and two infrequent simple edges — an infrequent
+// label, and a frequent label between an infrequent pair of vertex labels.
+// fsmParallelKept lists, in order, the edges the frequent-edge graph keeps.
+func fsmParallelGraph() *graph.Graph {
+	b := graph.NewBuilder("fsm-parallel")
+	for v := 0; v < 8; v++ {
+		b.AddVertex(graph.Label(v / 7)) // v7 alone has label 1
+	}
+	for _, e := range fsmParallelEdges {
+		b.MustAddEdge(e.Src, e.Dst, e.Labels...)
+	}
+	return b.Build()
+}
+
+var fsmParallelEdges = []graph.Edge{
+	{Src: 0, Dst: 1, Labels: []graph.Label{1}}, // frequent parallel pairs
+	{Src: 0, Dst: 1, Labels: []graph.Label{1}},
+	{Src: 1, Dst: 2, Labels: []graph.Label{1}},
+	{Src: 2, Dst: 3, Labels: []graph.Label{1}},
+	{Src: 2, Dst: 3, Labels: []graph.Label{1}},
+	{Src: 3, Dst: 4, Labels: []graph.Label{1}},
+	{Src: 4, Dst: 5, Labels: []graph.Label{1}},
+	{Src: 4, Dst: 5, Labels: []graph.Label{2}}, // infrequent, parallel: stays
+	{Src: 5, Dst: 6, Labels: []graph.Label{3}}, // infrequent label: goes
+	{Src: 6, Dst: 7, Labels: []graph.Label{1}}, // infrequent vertex labels: goes
+}
+
+var fsmParallelKept = []int{0, 1, 2, 3, 4, 5, 6, 7}
+
+// TestFSMFrequentEdgeGraph pins the rule levels past the first mine by: the
+// level-2 job's graph has every vertex of the input and exactly the kept
+// edges, in their order. Dropping the infrequent parallel edge too — the
+// plain "one-edge class frequent" rule — leaves two of the three folded
+// pairs, and their level-2 class and its level-3 extension fall below the
+// support; keys, supports and domains must be Listing 3's.
+func TestFSMFrequentEdgeGraph(t *testing.T) {
+	ctx := testCtx(t)
+	raw := fsmParallelGraph()
+	g := ctx.FromGraph(raw)
+	job, err := fsmBuilder{}.Build(fractal.JobSpec{App: AppFSM, Args: map[string]string{"support": "3", "level": "2"}}, raw, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	red := job.Graph
+	if red.NumVertices() != raw.NumVertices() || red.NumEdges() != len(fsmParallelKept) {
+		t.Errorf("level-2 graph has %d vertices and %d edges, want %d and %d",
+			red.NumVertices(), red.NumEdges(), raw.NumVertices(), len(fsmParallelKept))
+	} else {
+		for id, i := range fsmParallelKept {
+			got, want := red.EdgeByID(graph.EdgeID(id)), fsmParallelEdges[i]
+			if got.Src != want.Src || got.Dst != want.Dst || !slices.Equal(got.Labels, want.Labels) {
+				t.Errorf("level-2 edge %d is %v, want input edge %d %v", id, got, i, want)
 			}
 		}
+	}
+
+	want := fsmOracle(t, g, 3, 3)
+	if len(want) < 2 || len(want[1]) == 0 {
+		t.Fatalf("oracle finds nothing frequent at level 2: %v", want)
+	}
+	for _, fc := range []*fractal.Context{ctx, inProcess(fractal.WithWorkers(2), fractal.WithCores(1), fractal.WithTCP())(t)} {
+		got, err := FSM(bg, fc, fc.FromGraph(raw), 3, FSMOptions{MaxEdges: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fsmEqualsOracle(t, "fsm-parallel", got, want)
 	}
 }
 

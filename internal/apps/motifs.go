@@ -106,8 +106,8 @@ func Motifs(ctx context.Context, fc *fractal.Context, g *fractal.Graph, k int, e
 	switch engine {
 	case EngineAuto, EnginePlan, EngineDecomp:
 	case EngineCanon:
-		if err := specOnly(fc, "the motifs canon engine"); err != nil {
-			return nil, nil, err
+		if fc.ListenAddr() != "" {
+			return nil, nil, sched.NotShippable("the motifs canon engine, which exists only as in-process closures")
 		}
 	default:
 		return nil, nil, fmt.Errorf("apps: unknown motifs engine %q (want auto, plan, decomp or canon)", engine)

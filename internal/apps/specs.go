@@ -10,9 +10,11 @@
 // registered by the root package next to Graph.EvalDecomps, so a mixed
 // motif fleet runs on a master as it does in process.
 //
-// What has no spec form — the canonical-check and KClist enumerators, graph
-// reduction — is rejected on a master context with a *fractal.ConfigError
-// instead of being ignored.
+// FSM's graph reduction (Section 4.3) is part of its spec: a level's builder
+// derives the frequent-edge graph from the graph and the support, in every
+// process alike. What has no spec form — the canonical-check and KClist
+// enumerators, keyword search and its reduction — is rejected on a master
+// context with a *fractal.ConfigError instead of being ignored.
 package apps
 
 import (
@@ -79,14 +81,4 @@ func countJob(f *fractal.Fractoid) (sched.Job, error) {
 	job, err := f.Job()
 	job.Workflow = append(job.Workflow, step.CountP())
 	return job, err
-}
-
-// specOnly rejects, on a master context, an engine or option that exists
-// only as in-process closures. A master cannot ship those to its workers,
-// and running them silently some other way would ignore what was asked.
-func specOnly(fc *fractal.Context, what string) error {
-	if fc.ListenAddr() == "" {
-		return nil
-	}
-	return sched.NotShippable(what + ", which exists only as in-process closures")
 }

@@ -194,7 +194,7 @@ func Fig13(o Options) error {
 		fg := ctx.FromGraph(g)
 		for _, supp := range o.fsmSupports(ds) {
 			t0 := time.Now()
-			fres, err := apps.FSM(bg, ctx, fg, supp, apps.FSMOptions{MaxEdges: maxEdges, GraphReduction: true})
+			fres, err := apps.FSM(bg, ctx, fg, supp, apps.FSMOptions{MaxEdges: maxEdges})
 			if err != nil {
 				return err
 			}

@@ -10,7 +10,10 @@
 # It then drives the built binaries themselves: a `fractal -listen` master
 # with two fractal-worker processes must write a -metrics-out report whose
 # summed extension_tests is positive and equal to the in-process run's on the
-# same file — the workers' counters reach the master's report.
+# same file — the workers' counters reach the master's report. Last, FSM on a
+# labelled multigraph with an infrequent edge parallel to a frequent one: the
+# master and its two workers each derive every level's frequent-edge graph,
+# and the patterns printed must be the in-process run's, line for line.
 set -eux
 cd "$(dirname "$0")/.."
 tmp=$(mktemp -d)
@@ -24,6 +27,24 @@ awk 'BEGIN { n = 600
 	for (i = 0; i < n; i++) { print "e", i, (i+1)%n; print "e", i, (i+2)%n; print "e", i, (i+5)%n }
 }' > "$tmp/ring.el"
 
+# start_master runs `fractal -listen` with the given flags, stdout to $1,
+# waits for its address and starts two one-core fractal-worker processes.
+start_master() {
+	out=$1
+	shift
+	"$tmp/fractal" -listen 127.0.0.1:0 -min-workers 2 -cores 1 "$@" > "$out" &
+	master=$!
+	addr=
+	for _ in $(seq 1 100); do
+		addr=$(sed -n 's/^master listening on //p' "$out")
+		[ -n "$addr" ] && break
+		sleep 0.1
+	done
+	[ -n "$addr" ]
+	"$tmp/fractal-worker" -master "$addr" -cores 1 &
+	"$tmp/fractal-worker" -master "$addr" -cores 1 &
+}
+
 # sum_ec prints the report's extension_tests summed over its steps.
 sum_ec() {
 	grep -o '"extension_tests": *[0-9]*' "$1" | awk -F: '{ s += $2 } END { print s + 0 }'
@@ -32,19 +53,8 @@ sum_ec() {
 "$tmp/fractal" -graph "$tmp/ring.el" -app cliques -k 3 -workers 1 -cores 2 \
 	-metrics-out "$tmp/local.json"
 
-"$tmp/fractal" -listen 127.0.0.1:0 -min-workers 2 -cores 1 \
-	-graph "$tmp/ring.el" -app cliques -k 3 \
-	-metrics-out "$tmp/master.json" > "$tmp/master.out" &
-master=$!
-addr=
-for _ in $(seq 1 100); do
-	addr=$(sed -n 's/^master listening on //p' "$tmp/master.out")
-	[ -n "$addr" ] && break
-	sleep 0.1
-done
-[ -n "$addr" ]
-"$tmp/fractal-worker" -master "$addr" -cores 1 &
-"$tmp/fractal-worker" -master "$addr" -cores 1 &
+start_master "$tmp/master.out" -graph "$tmp/ring.el" -app cliques -k 3 \
+	-metrics-out "$tmp/master.json"
 wait "$master"
 wait
 cat "$tmp/master.out"
@@ -53,3 +63,30 @@ local_ec=$(sum_ec "$tmp/local.json")
 master_ec=$(sum_ec "$tmp/master.json")
 [ "$local_ec" -gt 0 ]
 [ "$master_ec" -eq "$local_ec" ]
+
+# A ring of 60 label-A vertices (29 and 59 are B) with chords at +2, all
+# label x; x doubles every tenth ring edge, an infrequent y doubles three
+# more, and one z edge is infrequent and simple. At support 4 the (A, B, x)
+# edges and the z edge go; the y edges stay beside their x twins.
+awk 'BEGIN { n = 60
+	for (i = 0; i < n; i++) print "v", i, (i % 30 == 29 ? "B" : "A")
+	for (i = 0; i < n; i++) { print "e", i, (i+1)%n, "x"; print "e", i, (i+2)%n, "x" }
+	for (i = 0; i < n; i += 10) print "e", i, i+1, "x"
+	for (i = 5; i < n; i += 20) print "e", i, i+1, "y"
+	print "e", 0, 30, "z"
+}' > "$tmp/multi.el"
+
+# patterns prints a run's result lines, sorted: no master chatter.
+patterns() {
+	grep -v -e '^master listening on ' -e '^waiting for ' "$1" | sort
+}
+
+"$tmp/fractal" -graph "$tmp/multi.el" -app fsm -support 4 -maxedges 3 -cores 2 > "$tmp/fsm-local.out"
+start_master "$tmp/fsm-master.out" -graph "$tmp/multi.el" -app fsm -support 4 -maxedges 3
+wait "$master"
+wait
+cat "$tmp/fsm-master.out"
+grep -q '^frequent patterns' "$tmp/fsm-local.out"
+patterns "$tmp/fsm-local.out" > "$tmp/fsm-local.sorted"
+patterns "$tmp/fsm-master.out" > "$tmp/fsm-master.sorted"
+cmp "$tmp/fsm-local.sorted" "$tmp/fsm-master.sorted"

@@ -69,20 +69,21 @@ bench-smoke:
 	go run -C benchmark . -seed 1 -quick -trace 0
 
 # Compiled-plan engines against the canonical-check enumeration paths:
-# motif and clique counting end to end (EXPERIMENTS.md). The benchmarks pick
-# their engine through Motifs' engine argument (plan, canon); the cliques
-# canon column is the test-side Listing 2 oracle, the KClist column Listing
-# 7's custom enumerator. CI runs this with BENCHTIME=1x as a smoke test.
+# motif and clique counting end to end (EXPERIMENTS.md). The canon columns
+# are the test-side oracles (Listing 1 for motifs, Listing 2 for cliques),
+# the KClist column Listing 7's custom enumerator. CI runs this with
+# BENCHTIME=1x as a smoke test.
 BENCHTIME ?= 1s
 bench-plan:
 	go test -run=NONE -bench='^Benchmark(Motifs(Plan|Canon)|Cliques(Plan|Canon|KClist))$$' \
 		-benchtime=$(BENCHTIME) -benchmem ./internal/apps/
 
 # Decomposition engine against the pure plan fleet: k=4/k=5 motif counting
-# end to end through Motifs' engine argument (decomp, auto, plan;
-# EXPERIMENTS.md §14). CI runs this with BENCHTIME=1x as a smoke test.
+# end to end through Motifs' engine argument (auto, which sweeps every
+# decomposable pattern at k=4 and 5, and plan; EXPERIMENTS.md §14). CI runs
+# this with BENCHTIME=1x as a smoke test.
 bench-decomp:
-	go test -run=NONE -bench='^BenchmarkMotifs(Decomp|Auto|Plan)(K5)?$$' \
+	go test -run=NONE -bench='^BenchmarkMotifs(Auto|Plan)(K5)?$$' \
 		-benchtime=$(BENCHTIME) -benchmem ./internal/apps/
 
 # FSM end to end on the repository benchmark's fsm_ml analog

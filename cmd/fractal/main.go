@@ -34,26 +34,24 @@
 //	                     the app across them (motifs, cliques, triangles,
 //	                     fsm, query). The graph path must be readable by
 //	                     every worker process. What only runs in-process is
-//	                     rejected up front: -app keywords, -engine canon,
-//	                     -kclist.
+//	                     rejected up front: -app keywords, -kclist.
 //	-min-workers <n>     wait for n worker registrations before starting
 //
 // Plan flags:
 //
-//	-engine <auto|plan|canon|decomp>
-//	                      motifs/query execution engine: auto (default;
-//	                      the cost model picks between enumeration and
-//	                      pattern decomposition), plan (compiled
-//	                      symmetry-broken pattern plans only), canon (the
-//	                      canonical-check enumeration path; motifs only),
-//	                      or decomp (force the decomposition sweep; errors
-//	                      where no cut decomposes the pattern). cliques and triangles
-//	                      have the plan engine only and accept auto|plan.
-//	-explain              print the compiled plan(s) for the selected app
+//	-engine <auto|plan>   motifs/cliques/triangles/query engine: auto
+//	                      (default; the cost model picks between
+//	                      enumeration and pattern decomposition) or plan
+//	                      (compiled symmetry-broken pattern plans only, the
+//	                      reference enumeration). cliques and triangles
+//	                      always enumerate their plan.
+//	-explain              print the engine decision the run would execute
 //	                      (motifs, cliques, triangles, query) and exit
-//	                      without loading a graph; under auto/decomp this
-//	                      includes the decompositions' terms and the
-//	                      selection reason
+//	                      without loading a graph: the selection reason,
+//	                      then per pattern its decomposition's terms or
+//	                      the plan that enumerates it. It assumes a
+//	                      uniform-label graph, and refuses what the run
+//	                      refuses, with the same error.
 //
 // Observability flags:
 //
@@ -76,7 +74,6 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"slices"
 	"strings"
 	"syscall"
 
@@ -136,8 +133,8 @@ func main() {
 		metricsOut = flag.String("metrics-out", "", "write the run's metrics snapshot (RunReport JSON) to this file")
 		traceOn    = flag.Bool("trace", false, "record the structured trace journal (exported via -metrics-out)")
 		pprofOut   = flag.String("pprof", "", "write <prefix>.cpu.pprof (the whole run) and <prefix>.heap.pprof (at exit) with this prefix")
-		engine     = flag.String("engine", "auto", "motifs/query engine: auto (cost-model selection), plan (compiled pattern plans), canon (canonical checks), or decomp (forced decomposition)")
-		explain    = flag.Bool("explain", false, "print the compiled plan(s) for the selected app and exit (no graph needed)")
+		engine     = flag.String("engine", "auto", "counting engine (motifs, cliques, triangles, query): auto (cost-model selection) or plan (compiled pattern plans only)")
+		explain    = flag.Bool("explain", false, "print the selected app's engine decision and its plans, and exit (no graph needed)")
 		retries    = flag.Int("retries", 0, "re-execute a step up to n times after a worker loss (0: a loss fails the run)")
 		retryWait  = flag.Duration("retry-backoff", 0, "pause between step retry attempts (default 5ms)")
 		listenAddr = flag.String("listen", "", "run as distributed master: serve worker registrations on this address")
@@ -288,10 +285,9 @@ func main() {
 // -listen master, which can only ship the registered spec kernels to its
 // workers — whatever runs as in-process closures only.
 func checkFlags(app, engine string, master, kclist, reduce bool) error {
-	// The -engine values each app accepts beyond the default, auto.
-	engines, ok := map[string]string{
-		"motifs": "plan canon decomp", "query": "plan decomp", "cliques": "plan", "triangles": "plan",
-		"fsm": "", "keywords": "",
+	// Whether the app counts patterns, and so has engines to choose from.
+	counts, ok := map[string]bool{
+		"motifs": true, "query": true, "cliques": true, "triangles": true, "fsm": false, "keywords": false,
 	}[app]
 	if !ok {
 		return fmt.Errorf("unknown -app %q", app)
@@ -300,13 +296,13 @@ func checkFlags(app, engine string, master, kclist, reduce bool) error {
 		return fmt.Errorf("-reduce applies to -app keywords only (fsm always mines the frequent-edge graph)")
 	}
 	switch engine {
-	case "auto":
-	case "plan", "canon", "decomp":
-		if !slices.Contains(strings.Fields(engines), engine) {
-			return fmt.Errorf("-engine %s does not apply to -app %s (it accepts: auto %s)", engine, app, engines)
+	case apps.EngineAuto:
+	case apps.EnginePlan:
+		if !counts {
+			return fmt.Errorf("-engine plan does not apply to -app %s (it accepts: auto)", app)
 		}
 	default:
-		return fmt.Errorf("unknown -engine %q (want auto, plan, canon, or decomp)", engine)
+		return fmt.Errorf("unknown -engine %q (want auto or plan)", engine)
 	}
 	if !master {
 		return nil
@@ -314,8 +310,6 @@ func checkFlags(app, engine string, master, kclist, reduce bool) error {
 	switch {
 	case app == "keywords":
 		return fmt.Errorf("-app %s has no distributed form; -listen accepts motifs, cliques, triangles, fsm, or query", app)
-	case engine == "canon":
-		return fmt.Errorf("-engine canon runs in-process only; -listen accepts auto, plan or decomp")
 	case kclist:
 		return fmt.Errorf("-kclist runs in-process only; drop it or -listen")
 	}
@@ -339,82 +333,51 @@ func writeMetrics(path string, res *fractal.Result) error {
 	return nil
 }
 
-// explainApp compiles the plan(s) the selected application would execute and
-// prints their Explain reports without loading a graph. Under -engine=auto
-// or -engine=decomp it also prints the decompositions' terms and the
-// cost model's selection reason (assuming a uniform-labeled graph — the
-// auto path re-checks labels at run time and falls back to enumeration).
+// explainApp prints, without loading a graph, the decision the selected
+// application's run would execute — the one apps.Decide* makes for the run,
+// assuming a uniform-label graph — and refuses what the run would refuse,
+// with the same error: the selection reason, then per pattern its
+// decomposition or the plan that enumerates it.
 func explainApp(app string, k int, queryName, engine string) error {
+	var d *apps.Decision
+	var err error
 	switch app {
 	case "motifs":
-		pats, err := pattern.ConnectedPatterns(k)
-		if err != nil {
-			return err
+		if d, err = apps.DecideMotifs(nil, k, engine); err == nil {
+			fmt.Printf("%d-vertex motifs: %d patterns\n", k, len(d.Patterns))
 		}
-		sweep := engine == "auto" || engine == "decomp"
-		fmt.Printf("%d-vertex motifs: %d patterns\n", k, len(pats))
-		if sweep {
-			fmt.Printf("selection: %s\n", apps.MotifsFleetReason(nil, k))
-		}
-		fmt.Println()
-		for _, p := range pats {
-			if sweep {
-				if dp, err := fractal.CompileDecomp(p); err == nil {
-					fmt.Println(dp.Explain())
-					continue
-				}
-			}
-			pl, err := fractal.CompileInducedPlan(p)
-			if err != nil {
-				return err
-			}
-			fmt.Println(pl.Explain())
-		}
-		return nil
 	case "triangles":
-		k = 3
-		fallthrough
+		d, err = apps.DecideCliques(3)
 	case "cliques":
-		pl, err := fractal.CompilePlan(pattern.Clique(k))
-		if err != nil {
-			return err
-		}
-		fmt.Println(pl.Explain())
-		return nil
+		d, err = apps.DecideCliques(k)
 	case "query":
-		p, err := patternByName(queryName)
-		if err != nil {
-			return err
+		var p *fractal.Pattern
+		if p, err = patternByName(queryName); err == nil {
+			d, err = apps.DecideQuery(nil, p, engine)
 		}
-		switch engine {
-		case "decomp":
-			dp, err := fractal.CompileDecomp(p)
-			if err != nil {
-				return err
-			}
-			fmt.Println(dp.Explain())
-			return nil
-		case "auto":
-			ch, err := fractal.ChooseEngine(p)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("selection: %s\n\n", ch.Reason)
-			if ch.UseDecomp {
-				fmt.Println(ch.Decomp.Explain())
-			} else {
-				fmt.Println(ch.Plan.Explain())
-			}
-			return nil
+	default:
+		return fmt.Errorf("-explain supports motifs, cliques, triangles, and query, not %q", app)
+	}
+	if err != nil {
+		return err
+	}
+	fmt.Printf("selection: %s\n\n", d.Reason)
+	compile := fractal.CompilePlan
+	if d.Induced {
+		compile = fractal.CompileInducedPlan
+	}
+	for i, p := range d.Patterns {
+		if d.Swept(i) {
+			fmt.Println(d.Sweep[i].Explain())
+			continue
 		}
-		pl, err := fractal.CompilePlan(p)
+		pl, err := compile(p)
 		if err != nil {
 			return err
 		}
 		fmt.Println(pl.Explain())
-		return nil
 	}
-	return fmt.Errorf("-explain supports motifs, cliques, triangles, and query, not %q", app)
+	return nil
 }
 
 func patternByName(name string) (*fractal.Pattern, error) {

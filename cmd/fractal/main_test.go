@@ -50,54 +50,74 @@ func TestCLI(t *testing.T) {
 	// rejected rows must never get there.
 	listen := []string{"-listen", "127.0.0.1:0", "-min-workers", "1"}
 
-	rows := []struct {
+	type row struct {
 		name string
 		args []string
 		exit int
 		want string // substring of stdout (exit 0) or stderr (otherwise)
-	}{
-		{"motifs", []string{"-app", "motifs", "-k", "3"}, 0, "3-vertex motifs [auto engine]: 2 classes, 7 subgraphs"},
-		{"motifs plan", []string{"-app", "motifs", "-k", "3", "-engine", "plan"}, 0, "[plan engine]: 2 classes, 7 subgraphs"},
-		{"motifs decomp", []string{"-app", "motifs", "-k", "3", "-engine", "decomp"}, 0, "[decomp engine]: 2 classes, 7 subgraphs"},
-		{"motifs canon", []string{"-app", "motifs", "-k", "3", "-engine", "canon"}, 0, "[canon engine]: 2 classes, 7 subgraphs"},
-		{"cliques", []string{"-app", "cliques", "-k", "4"}, 0, "4-cliques: 1 ("},
-		{"cliques plan", []string{"-app", "cliques", "-k", "3", "-engine", "plan"}, 0, "3-cliques: 4 ("},
-		{"cliques kclist", []string{"-app", "cliques", "-k", "3", "-kclist"}, 0, "3-cliques: 4 ("},
-		{"triangles", []string{"-app", "triangles", "-tcp", "-workers", "2"}, 0, "triangles: 4 ("},
-		{"fsm", []string{"-app", "fsm", "-support", "1", "-maxedges", "2"}, 0, "frequent patterns (support >= 1): 2, per level [1 1]"},
-		{"query", []string{"-app", "query", "-pattern", "triangle"}, 0, "matches of triangle [auto engine]: 4 ("},
-		{"query plan", []string{"-app", "query", "-pattern", "square", "-engine", "plan"}, 0, "matches of square [plan engine]: 3 ("},
-		{"query decomp", []string{"-app", "query", "-pattern", "path3", "-engine", "decomp"}, 0, "matches of path3 [decomp engine]: 15 ("},
-		{"query decomp square", []string{"-app", "query", "-pattern", "square", "-engine", "decomp"}, 0, "matches of square [decomp engine]: 3 ("},
-		{"keywords", []string{"-app", "keywords", "-keywords", "a,b"}, 0, "covering subgraphs: 1 ("},
-		{"keywords reduce", []string{"-app", "keywords", "-keywords", "a,b", "-reduce"}, 0, "covering subgraphs: 1 ("},
-		{"explain", []string{"-explain", "-app", "cliques", "-k", "3"}, 0, "plan: 3 levels"},
-		{"explain motifs 5", []string{"-explain", "-app", "motifs", "-k", "5"}, 0, "mixed fleet: 10 of 21 patterns decomposed"},
-		{"pprof", []string{"-app", "triangles", "-pprof", filepath.Join(dir, "prof")}, 0, "triangles: 4 ("},
-		{"motifs sweep report", []string{"-app", "motifs", "-k", "3", "-metrics-out", filepath.Join(dir, "motifs.json")}, 0, "3-vertex motifs [auto engine]: 2 classes, 7 subgraphs"},
-		{"query sweep report", []string{"-app", "query", "-pattern", "star4", "-metrics-out", filepath.Join(dir, "star4.json")}, 0, "matches of star4 [auto engine]: 7 ("},
+		// -explain rows: the number of decomp: and plan: blocks printed.
+		blocks []int
+	}
+	rows := []row{
+		{"motifs", []string{"-app", "motifs", "-k", "3"}, 0, "3-vertex motifs [auto engine]: 2 classes, 7 subgraphs", nil},
+		{"motifs plan", []string{"-app", "motifs", "-k", "3", "-engine", "plan"}, 0, "[plan engine]: 2 classes, 7 subgraphs", nil},
+		{"cliques", []string{"-app", "cliques", "-k", "4"}, 0, "4-cliques: 1 (", nil},
+		{"cliques plan", []string{"-app", "cliques", "-k", "3", "-engine", "plan"}, 0, "3-cliques: 4 (", nil},
+		{"cliques kclist", []string{"-app", "cliques", "-k", "3", "-kclist"}, 0, "3-cliques: 4 (", nil},
+		{"triangles", []string{"-app", "triangles", "-tcp", "-workers", "2"}, 0, "triangles: 4 (", nil},
+		{"fsm", []string{"-app", "fsm", "-support", "1", "-maxedges", "2"}, 0, "frequent patterns (support >= 1): 2, per level [1 1]", nil},
+		{"query", []string{"-app", "query", "-pattern", "triangle"}, 0, "matches of triangle [auto engine]: 4 (", nil},
+		{"query plan", []string{"-app", "query", "-pattern", "square", "-engine", "plan"}, 0, "matches of square [plan engine]: 3 (", nil},
+		{"query path3", []string{"-app", "query", "-pattern", "path3"}, 0, "matches of path3 [auto engine]: 15 (", nil},
+		{"query square", []string{"-app", "query", "-pattern", "square"}, 0, "matches of square [auto engine]: 3 (", nil},
+		{"query decomp square", []string{"-app", "query", "-pattern", "square", "-engine", "decomp"}, 1, `unknown -engine "decomp"`, nil},
+		{"keywords", []string{"-app", "keywords", "-keywords", "a,b"}, 0, "covering subgraphs: 1 (", nil},
+		{"keywords reduce", []string{"-app", "keywords", "-keywords", "a,b", "-reduce"}, 0, "covering subgraphs: 1 (", nil},
+		{"explain", []string{"-explain", "-app", "cliques", "-k", "3"}, 0, "plan: 3 levels", nil},
+		{"explain motifs 5", []string{"-explain", "-app", "motifs", "-k", "5"}, 0, "mixed fleet: 10 of 21 patterns decomposed", []int{10, 11}},
+		// k=1 and k=6 enumerate every pattern (the sweep does not pay at 1,
+		// the induced conversion stops at 5), and -explain says so.
+		{"explain motifs 1", []string{"-explain", "-app", "motifs", "-k", "1"}, 0, "selection: enumeration fleet", []int{0, 1}},
+		{"explain motifs 6", []string{"-explain", "-app", "motifs", "-k", "6"}, 0, "selection: enumeration fleet", []int{0, 112}},
+		{"explain motifs 5 plan", []string{"-explain", "-app", "motifs", "-k", "5", "-engine", "plan"}, 0, "selection: plan engine", []int{0, 21}},
+		{"explain query square", []string{"-explain", "-app", "query", "-pattern", "square"}, 0, "selection: decomposition", []int{1, 0}},
+		{"explain query square plan", []string{"-explain", "-app", "query", "-pattern", "square", "-engine", "plan"}, 0, "selection: plan engine", []int{0, 1}},
+		// -explain refuses what the run refuses, with the run's error.
+		{"explain cliques 9", []string{"-explain", "-app", "cliques", "-k", "9"}, 1, `argument "k" must be in [1, 8], got 9`, nil},
+		{"cliques 9", []string{"-app", "cliques", "-k", "9"}, 1, `argument "k" must be in [1, 8], got 9`, nil},
+		{"explain motifs 9", []string{"-explain", "-app", "motifs", "-k", "9"}, 1, `argument "k" must be in [1, 8], got 9`, nil},
+		{"motifs 9", []string{"-app", "motifs", "-k", "9"}, 1, `argument "k" must be in [1, 8], got 9`, nil},
+		{"pprof", []string{"-app", "triangles", "-pprof", filepath.Join(dir, "prof")}, 0, "triangles: 4 (", nil},
+		{"motifs sweep report", []string{"-app", "motifs", "-k", "3", "-metrics-out", filepath.Join(dir, "motifs.json")}, 0, "3-vertex motifs [auto engine]: 2 classes, 7 subgraphs", nil},
+		{"query sweep report", []string{"-app", "query", "-pattern", "star4", "-metrics-out", filepath.Join(dir, "star4.json")}, 0, "matches of star4 [auto engine]: 7 (", nil},
 
-		{"no app", nil, 2, "Usage"},
-		{"unknown app", []string{"-app", "nope"}, 1, `unknown -app "nope"`},
-		{"unknown engine", []string{"-app", "motifs", "-engine", "nope"}, 1, `unknown -engine "nope"`},
-		{"unknown ws", []string{"-app", "motifs", "-ws", "nope"}, 1, `unknown -ws mode "nope"`},
-		{"unknown pattern", []string{"-app", "query", "-pattern", "nope"}, 1, `unknown pattern "nope"`},
-		{"pprof missing directory", []string{"-app", "triangles", "-pprof", filepath.Join(dir, "missing", "prof")}, 1, "-pprof: open "},
-		{"min-workers without listen", []string{"-app", "motifs", "-min-workers", "1"}, 1, "-min-workers requires -listen"},
-		{"cliques canon", []string{"-app", "cliques", "-engine", "canon"}, 1, "-engine canon does not apply to -app cliques"},
-		{"query canon", []string{"-app", "query", "-engine", "canon"}, 1, "-engine canon does not apply to -app query"},
-		{"fsm reduce", []string{"-app", "fsm", "-support", "1", "-reduce"}, 1, "-reduce applies to -app keywords only"},
-		{"fsm plan", []string{"-app", "fsm", "-engine", "plan"}, 1, "-engine plan does not apply to -app fsm"},
-		{"fsm negative maxedges", []string{"-app", "fsm", "-support", "1", "-maxedges", "-4"}, 1, "-maxedges must be in [1, 31], got -4"},
-		{"fsm maxedges past a pattern", []string{"-app", "fsm", "-support", "1", "-maxedges", "32"}, 1, "-maxedges must be in [1, 31], got 32"},
-		{"query decomp no rule", []string{"-app", "query", "-pattern", "clique4", "-engine", "decomp"}, 1, "no decomposition"},
+		{"no app", nil, 2, "Usage", nil},
+		{"unknown app", []string{"-app", "nope"}, 1, `unknown -app "nope"`, nil},
+		{"unknown engine", []string{"-app", "motifs", "-engine", "nope"}, 1, `unknown -engine "nope"`, nil},
+		{"unknown ws", []string{"-app", "motifs", "-ws", "nope"}, 1, `unknown -ws mode "nope"`, nil},
+		{"unknown pattern", []string{"-app", "query", "-pattern", "nope"}, 1, `unknown pattern "nope"`, nil},
+		{"pprof missing directory", []string{"-app", "triangles", "-pprof", filepath.Join(dir, "missing", "prof")}, 1, "-pprof: open ", nil},
+		{"min-workers without listen", []string{"-app", "motifs", "-min-workers", "1"}, 1, "-min-workers requires -listen", nil},
+		{"fsm reduce", []string{"-app", "fsm", "-support", "1", "-reduce"}, 1, "-reduce applies to -app keywords only", nil},
+		{"fsm plan", []string{"-app", "fsm", "-engine", "plan"}, 1, "-engine plan does not apply to -app fsm", nil},
+		{"fsm negative maxedges", []string{"-app", "fsm", "-support", "1", "-maxedges", "-4"}, 1, "-maxedges must be in [1, 31], got -4", nil},
+		{"fsm maxedges past a pattern", []string{"-app", "fsm", "-support", "1", "-maxedges", "32"}, 1, "-maxedges must be in [1, 31], got 32", nil},
+		{"query decomp no rule", []string{"-app", "query", "-pattern", "clique4", "-engine", "decomp"}, 1, `unknown -engine "decomp"`, nil},
 
-		{"listen decomp", append([]string{"-app", "motifs", "-engine", "decomp"}, listen...), 0, "[decomp engine]: 2 classes, 7 subgraphs"},
-		{"listen canon", append([]string{"-app", "motifs", "-engine", "canon"}, listen...), 1, "-engine canon runs in-process only"},
-		{"listen kclist", append([]string{"-app", "cliques", "-kclist"}, listen...), 1, "-kclist runs in-process only"},
-		{"listen reduce", append([]string{"-app", "fsm", "-reduce"}, listen...), 1, "-reduce applies to -app keywords only"},
-		{"listen query", append([]string{"-app", "query"}, listen...), 0, "matches of triangle [auto engine]: 4 ("},
-		{"listen keywords", append([]string{"-app", "keywords", "-keywords", "a"}, listen...), 1, "-app keywords has no distributed form"},
+		{"listen motifs", append([]string{"-app", "motifs"}, listen...), 0, "[auto engine]: 2 classes, 7 subgraphs", nil},
+		{"listen decomp", append([]string{"-app", "motifs", "-engine", "decomp"}, listen...), 1, `unknown -engine "decomp"`, nil},
+		{"listen canon", append([]string{"-app", "motifs", "-engine", "canon"}, listen...), 1, `unknown -engine "canon"`, nil},
+		{"listen kclist", append([]string{"-app", "cliques", "-kclist"}, listen...), 1, "-kclist runs in-process only", nil},
+		{"listen reduce", append([]string{"-app", "fsm", "-reduce"}, listen...), 1, "-reduce applies to -app keywords only", nil},
+		{"listen query", append([]string{"-app", "query"}, listen...), 0, "matches of triangle [auto engine]: 4 (", nil},
+		{"listen keywords", append([]string{"-app", "keywords", "-keywords", "a"}, listen...), 1, "-app keywords has no distributed form", nil},
+	}
+	// -engine accepts auto and plan only: the canonical-check path and the
+	// forced sweep are gone from every app.
+	for _, app := range []string{"motifs", "cliques", "triangles", "fsm", "query", "keywords"} {
+		for _, engine := range []string{"canon", "decomp"} {
+			rows = append(rows, row{app + " " + engine, []string{"-app", app, "-engine", engine}, 1, `unknown -engine "` + engine + `"`, nil})
+		}
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
@@ -150,6 +170,13 @@ func TestCLI(t *testing.T) {
 			}
 			if exit != r.exit || !strings.Contains(out.String(), r.want) {
 				t.Errorf("exit %d, want %d with %q\nstdout: %s\nstderr: %s", exit, r.exit, r.want, stdout, &stderr)
+			}
+			if r.blocks != nil {
+				decomps := len(regexp.MustCompile(`(?m)^decomp: `).FindAllString(stdout.String(), -1))
+				plans := len(regexp.MustCompile(`(?m)^plan: `).FindAllString(stdout.String(), -1))
+				if decomps != r.blocks[0] || plans != r.blocks[1] {
+					t.Errorf("%d decomp: and %d plan: blocks, want %d and %d", decomps, plans, r.blocks[0], r.blocks[1])
+				}
 			}
 			// Every row writing a report here runs the decomposition sweep.
 			if i := slices.Index(r.args, "-metrics-out"); i >= 0 {

@@ -3,7 +3,6 @@ package apps
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"testing"
 
 	"fractal"
@@ -238,15 +237,6 @@ func TestQuerySuite(t *testing.T) {
 	if sq != 3 {
 		t.Errorf("square matches=%d, want 3", sq)
 	}
-	var streamed atomic.Int64
-	if _, err := QueryVisit(bg, ctx, g, pattern.Triangle(), func(e *fractal.Subgraph) {
-		streamed.Add(1)
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if streamed.Load() != 4 {
-		t.Errorf("QueryVisit streamed %d, want 4", streamed.Load())
-	}
 }
 
 // keywordTestGraph builds a tiny attributed graph with known covers for
@@ -435,44 +425,6 @@ func TestCliqueCommunities(t *testing.T) {
 	}
 }
 
-func TestSignificanceProfile(t *testing.T) {
-	ctx := testCtx(t)
-	// A graph stuffed with triangles must have a positive triangle z-score
-	// against sparse ER nulls of equal size.
-	b := graph.NewBuilder("sig")
-	for i := 0; i < 30; i++ {
-		b.AddVertex()
-	}
-	for i := 0; i < 10; i++ {
-		u := graph.VertexID(3 * i)
-		v := graph.VertexID(3*i + 1)
-		w := graph.VertexID(3*i + 2)
-		b.MustAddEdge(u, v)
-		b.MustAddEdge(v, w)
-		b.MustAddEdge(u, w)
-	}
-	g := ctx.FromGraph(b.Build())
-	prof, err := SignificanceProfile(bg, ctx, g, 3, 6, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	foundTriangle := false
-	for _, sig := range prof {
-		if sig.Pat != nil && sig.Pat.NumEdges() == 3 {
-			foundTriangle = true
-			if sig.Count != 10 {
-				t.Errorf("triangle count=%d, want 10", sig.Count)
-			}
-			if sig.ZScore <= 0 {
-				t.Errorf("triangle z-score=%f, want positive", sig.ZScore)
-			}
-		}
-	}
-	if !foundTriangle {
-		t.Error("triangle motif missing from profile")
-	}
-}
-
 // TestDriversHonourCancelledContext pins the contract behind the CLI's
 // "interruption cancels the run cleanly": every driver that executes a
 // closure-composed fractoid takes the caller's context and passes it to the
@@ -491,10 +443,6 @@ func TestDriversHonourCancelledContext(t *testing.T) {
 		},
 		"CliqueCommunities": func(ctx context.Context) error { _, _, err := CliqueCommunities(ctx, fc, g, 3); return err },
 		"TrianglesApprox":   func(ctx context.Context) error { _, err := TrianglesApprox(ctx, fc, g, 1.0, 1); return err },
-		"QueryVisit": func(ctx context.Context) error {
-			_, err := QueryVisit(ctx, fc, g, pattern.Triangle(), func(*fractal.Subgraph) {})
-			return err
-		},
 	} {
 		if err := run(bg); err != nil {
 			t.Errorf("%s under a live context: %v", name, err)

@@ -2,50 +2,23 @@ package apps
 
 import (
 	"context"
-	"strconv"
 
 	"fractal"
-	"fractal/internal/agg"
 	"fractal/internal/graph"
-	"fractal/internal/pattern"
-	"fractal/internal/sched"
-	"fractal/internal/step"
 	"fractal/internal/subgraph"
 )
 
-// cliquesBuilder is the k-clique counting kernel (Listing 2 of the paper on
-// the compiled-plan engine): a single pattern-induced job over the
-// Clique(k) plan, whose symmetry-breaking restrictions enumerate each clique
-// exactly once (v0 < v1 < … < vk-1), with no clique filter and no canonical
-// check. A clique has no non-adjacent vertex pair, so the edge-matching
-// (non-induced) plan suffices. Args: "k".
-type cliquesBuilder struct{}
-
-func (cliquesBuilder) EnvProtos(fractal.JobSpec) (map[string]agg.Store, error) {
-	return nil, nil
-}
-
-func (cliquesBuilder) Build(spec fractal.JobSpec, g *graph.Graph, _ *agg.Registry) (sched.Job, error) {
-	// Compiling the Clique(k) plan takes k!-fold time (9 ms at 8, 1 s at
-	// 10), so k stops where the generated pattern sets do.
-	k, err := specInt(spec, "k", 1, pattern.MaxGenVertices)
-	if err != nil {
-		return sched.Job{}, err
-	}
-	plan, err := fractal.CompilePlan(pattern.Clique(k))
-	if err != nil {
-		return sched.Job{}, err
-	}
-	return countJob(fractal.NewBuildGraph(g).PFractoidPlan(plan).Expand(k))
-}
-
-// Cliques counts the k-cliques of g.
+// Cliques counts the k-cliques of g (Listing 2 of the paper on the
+// compiled-plan engine): the query spec with the Clique(k) plan, whose
+// symmetry-breaking restrictions enumerate each clique exactly once, with
+// no clique filter and no canonical check. A clique has no non-adjacent
+// vertex pair, so the edge-matching (non-induced) plan suffices.
 func Cliques(ctx context.Context, fc *fractal.Context, g *fractal.Graph, k int) (int64, *fractal.Result, error) {
-	res, err := g.RunSpec(ctx, AppCliques, map[string]string{"k": strconv.Itoa(k)}, nil)
+	d, err := DecideCliques(k)
 	if err != nil {
-		return 0, res, err
+		return 0, nil, err
 	}
-	return step.CountOf(res.Aggregations), res, nil
+	return countOne(ctx, g, d)
 }
 
 // Triangles counts 3-cliques (the Appendix C benchmark: the same listing

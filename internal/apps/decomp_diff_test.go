@@ -55,21 +55,24 @@ func TestMotifsDecompMatchesPlanAndCanon(t *testing.T) {
 			if k == 5 && testing.Short() {
 				continue
 			}
-			decomp, _, err := Motifs(bg, ctx, g, k, EngineDecomp)
+			if k >= 2 {
+				sweepsEveryDecomposable(t, g, k)
+			}
+			auto, _, err := Motifs(bg, ctx, g, k, EngineAuto)
 			if err != nil {
-				t.Fatalf("%s k=%d decomp: %v", raw.Name(), k, err)
+				t.Fatalf("%s k=%d auto: %v", raw.Name(), k, err)
 			}
 			plan, _, err := Motifs(bg, ctx, g, k, EnginePlan)
 			if err != nil {
 				t.Fatalf("%s k=%d plan: %v", raw.Name(), k, err)
 			}
-			motifCountsEqual(t, raw.Name()+"/decomp-vs-plan", k, decomp, plan)
+			motifCountsEqual(t, raw.Name()+"/auto-vs-plan", k, auto, plan)
 			if k <= 4 {
 				canon, _, err := motifsOracle(ctx, g, k)
 				if err != nil {
 					t.Fatalf("%s k=%d canon: %v", raw.Name(), k, err)
 				}
-				motifCountsEqual(t, raw.Name()+"/decomp-vs-canon", k, decomp, canon)
+				motifCountsEqual(t, raw.Name()+"/auto-vs-canon", k, auto, canon)
 			}
 		}
 	}
@@ -94,8 +97,7 @@ func TestMotifsAutoMatchesCanon(t *testing.T) {
 }
 
 // TestMotifsAutoLabeledFallback: on a labeled graph the auto fleet must
-// decline decomposition and still match the oracle, and the forced engine
-// must refuse.
+// decline decomposition, say why, and still match the oracle.
 func TestMotifsAutoLabeledFallback(t *testing.T) {
 	ctx := testCtx(t)
 	raw := workload.ErdosRenyi("ddiff-ml", 60, 220, 3, 56)
@@ -110,25 +112,33 @@ func TestMotifsAutoLabeledFallback(t *testing.T) {
 	}
 	motifCountsEqual(t, "ddiff-ml/auto-vs-canon", 3, auto, canon)
 
-	if _, _, err := Motifs(bg, ctx, g, 3, EngineDecomp); err == nil {
-		t.Error("MotifsDecomp on a labeled graph: expected error")
+	d, err := DecideMotifs(g, 3, EngineAuto)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if reason := MotifsFleetReason(g, 3); !strings.Contains(reason, "labels") {
-		t.Errorf("labeled-graph fleet reason %q does not mention labels", reason)
+	if d.Sweep != nil || !strings.Contains(d.Reason, "labels") {
+		t.Errorf("labeled graph: sweep %v, reason %q, want no sweep for the labels", d.Sweep != nil, d.Reason)
 	}
 }
 
 // TestMotifsDecompRefusesOversizeK: the induced conversion is bounded by
-// MaxDecompVertices; the forced engine errors, the auto engine falls back.
+// MaxDecompVertices, past which the auto engine enumerates every pattern,
+// and the pattern sets by MaxGenVertices, past which every engine refuses k.
 func TestMotifsDecompRefusesOversizeK(t *testing.T) {
 	ctx := testCtx(t)
 	g := ctx.FromGraph(workload.ErdosRenyi("ddiff-k6", 30, 60, 1, 57))
-	if _, _, err := Motifs(bg, ctx, g, pattern.MaxDecompVertices+1, EngineDecomp); err == nil {
-		t.Error("k beyond the conversion bound: expected error")
+	d, err := DecideMotifs(g, pattern.MaxDecompVertices+1, EngineAuto)
+	if err != nil {
+		t.Fatal(err)
 	}
-	reason := MotifsFleetReason(g, pattern.MaxDecompVertices+1)
-	if !strings.Contains(reason, "enumeration") && !strings.Contains(reason, "canon") {
-		t.Errorf("oversize-k fleet reason %q", reason)
+	if d.Sweep != nil || !strings.Contains(d.Reason, "induced-conversion bound") {
+		t.Errorf("k beyond the conversion bound: sweep %v, reason %q", d.Sweep != nil, d.Reason)
+	}
+	for _, engine := range []string{EngineAuto, EnginePlan} {
+		_, _, err := Motifs(bg, ctx, g, pattern.MaxGenVertices+1, engine)
+		if err == nil || !strings.Contains(err.Error(), `argument "k" must be in [1, 8]`) {
+			t.Errorf("%s: k beyond the pattern sets: err=%v, want the range error", engine, err)
+		}
 	}
 }
 
@@ -138,14 +148,15 @@ func TestMotifsFleetReasonMixed(t *testing.T) {
 	ctx := testCtx(t)
 	g := ctx.FromGraph(workload.BarabasiAlbert("ddiff-reason", 50, 3, 1, 58))
 	for k := 3; k <= 5; k++ {
-		reason := MotifsFleetReason(g, k)
-		if !strings.HasPrefix(reason, "mixed fleet:") {
-			t.Errorf("k=%d: reason %q, want mixed fleet", k, reason)
+		for _, fg := range []*fractal.Graph{g, nil} { // nil: the -explain path
+			d, err := DecideMotifs(fg, k, EngineAuto)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.HasPrefix(d.Reason, "mixed fleet:") {
+				t.Errorf("k=%d graph %v: reason %q, want mixed fleet", k, fg != nil, d.Reason)
+			}
 		}
-	}
-	// The graph-free form (the -explain path) agrees.
-	if reason := MotifsFleetReason(nil, 4); !strings.HasPrefix(reason, "mixed fleet:") {
-		t.Errorf("nil-graph reason %q, want mixed fleet", reason)
 	}
 }
 
@@ -254,7 +265,8 @@ func TestDecompCountLabelSemantics(t *testing.T) {
 func TestMotifsDecompSweepCheaper(t *testing.T) {
 	ctx := testCtx(t)
 	g := ctx.FromGraph(workload.BarabasiAlbert("ddiff-ec", 200, 4, 1, 62))
-	md, dres, err := Motifs(bg, ctx, g, 4, EngineDecomp)
+	sweepsEveryDecomposable(t, g, 4)
+	md, dres, err := Motifs(bg, ctx, g, 4, EngineAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,14 +350,13 @@ func TestDecompCountHighDegreeHubs(t *testing.T) {
 		{"K2,9", k2(9), 0},
 		{"star3", pattern.Star(3), 2*binom(leaves, 2) + leaves},
 	} {
-		for _, engine := range []string{EngineDecomp, EngineAuto} {
-			got, _, err := Query(bg, ctx, g, c.p, engine)
-			switch {
-			case c.want == 0 && (err == nil || !strings.Contains(err.Error(), "overflows int64")):
-				t.Errorf("%s %s: got %d (%v), want an int64 overflow error", c.name, engine, got, err)
-			case c.want != 0 && (err != nil || got != c.want):
-				t.Errorf("%s %s: got %d (%v), want %d", c.name, engine, got, err, c.want)
-			}
+		querySwept(t, g, c.p, c.name)
+		got, _, err := Query(bg, ctx, g, c.p, EngineAuto)
+		switch {
+		case c.want == 0 && (err == nil || !strings.Contains(err.Error(), "overflows int64")):
+			t.Errorf("%s: got %d (%v), want an int64 overflow error", c.name, got, err)
+		case c.want != 0 && (err != nil || got != c.want):
+			t.Errorf("%s: got %d (%v), want %d", c.name, got, err, c.want)
 		}
 	}
 	// A ten-vertex star below the bound: C(1 400, 9) per hub leaves int64,
@@ -355,7 +366,9 @@ func TestDecompCountHighDegreeHubs(t *testing.T) {
 	for w := 1; w < 13; w++ {
 		small.MustAddEdge(0, graph.VertexID(w))
 	}
-	if got, _, err := Query(bg, ctx, ctx.FromGraph(small.Build()), pattern.Star(10), EngineDecomp); err != nil || got != binom(12, 9) {
+	hub := ctx.FromGraph(small.Build())
+	querySwept(t, hub, pattern.Star(10), "star10")
+	if got, _, err := Query(bg, ctx, hub, pattern.Star(10), EngineAuto); err != nil || got != binom(12, 9) {
 		t.Errorf("star10 on a 12-leaf hub: got %d (%v), want %d", got, err, binom(12, 9))
 	}
 }

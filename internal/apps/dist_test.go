@@ -197,9 +197,9 @@ func TestDistMotifs(t *testing.T) {
 
 // TestDistMotifsSweep runs the mixed fleet on a master: on a uniform-label
 // graph file the decomposition sweep ships as a spec like the enumeration
-// jobs, and both engines that use it count exactly what the same drivers
-// count in process — with the sweep's step, run by both workers, in the
-// report.
+// jobs, and the auto engine, which sweeps every decomposable pattern here,
+// counts exactly what the same driver counts in process — with the sweep's
+// step, run by both workers, in the report.
 func TestDistMotifsSweep(t *testing.T) {
 	path := writeGraphFile(t, workload.BarabasiAlbert("dist-sweep", 80, 4, 1, 52))
 	oracle, load := inProcessOracle(t)
@@ -211,24 +211,20 @@ func TestDistMotifsSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := loadOn(t, master, path)
-	if reason := MotifsFleetReason(g, 4); !strings.HasPrefix(reason, "mixed fleet:") {
-		t.Fatalf("fleet reason %q, want a mixed fleet", reason)
+	sweepsEveryDecomposable(t, g, 4)
+	want, _, err := Motifs(bg, oracle, load(path), 4, EngineAuto)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, engine := range []string{EngineAuto, EngineDecomp} {
-		want, _, err := Motifs(bg, oracle, load(path), 4, engine)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, res, err := Motifs(bg, master, g, 4, engine)
-		if err != nil {
-			t.Fatalf("%s: %v", engine, err)
-		}
-		motifCountsEqual(t, "distributed motifs "+engine, 4, got, want)
-		sweep := res.Report.Steps[0]
-		if sweep.Workflow != "EA" || sweep.EC == 0 || len(sweep.Metrics.CoreWork) != 4 {
-			t.Errorf("%s: first step %s EC=%d core work %v, want the sweep on 2x2 cores",
-				engine, sweep.Workflow, sweep.EC, sweep.Metrics.CoreWork)
-		}
+	got, res, err := Motifs(bg, master, g, 4, EngineAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	motifCountsEqual(t, "distributed motifs", 4, got, want)
+	sweep := res.Report.Steps[0]
+	if sweep.Workflow != "EA" || sweep.EC == 0 || len(sweep.Metrics.CoreWork) != 4 {
+		t.Errorf("first step %s EC=%d core work %v, want the sweep on 2x2 cores",
+			sweep.Workflow, sweep.EC, sweep.Metrics.CoreWork)
 	}
 }
 
@@ -545,8 +541,7 @@ func TestDistRejectsWhatCannotShip(t *testing.T) {
 			_, _, err := Cliques(bg, master, reduced, 3)
 			return err
 		},
-		"motifs canon": func() error { _, _, err := Motifs(bg, master, onDisk, 3, EngineCanon); return err },
-		"kclist":       func() error { _, _, err := CliquesKClist(bg, master, onDisk, 3); return err },
+		"kclist": func() error { _, _, err := CliquesKClist(bg, master, onDisk, 3); return err },
 	} {
 		err := run()
 		var cfgErr *fractal.ConfigError

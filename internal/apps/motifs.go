@@ -7,7 +7,6 @@ package apps
 
 import (
 	"context"
-	"fmt"
 	"strconv"
 
 	"fractal"
@@ -88,47 +87,21 @@ func (motifsBuilder) Build(spec fractal.JobSpec, g *graph.Graph, _ *agg.Registry
 }
 
 // Motifs counts the frequencies of all k-vertex induced subgraph patterns.
-// Every connected k-vertex pattern is counted either by its motifsBuilder
-// job (enumeration) or by its decomposition's terms over one shared
-// decomposition sweep (Graph.EvalDecomps, itself a registered spec), whose
-// non-induced counts convert to induced class counts by back-substitution
-// through the spanning-subgraph matrix (pattern.CombineInduced; DESIGN.md
-// §14). The engines differ only in how
-// much they enumerate; counts are bit-identical. The returned Result
-// combines all jobs (CombineResults), so TotalEC spans the whole fleet.
-//
-// engine picks who decides: EngineAuto asks the cost model (motifFleet),
-// EnginePlan enumerates everything, EngineDecomp sweeps every decomposable
-// pattern and errors where the sweep cannot run at all, and EngineCanon is
-// the canonical-check path of Listing 1 — also what auto and plan fall back
-// to beyond pattern.MaxGenVertices, where no pattern set is generated.
+// It executes DecideMotifs' decision: every connected k-vertex pattern is
+// counted either by its motifsBuilder job (enumeration) or by its
+// decomposition's terms over one shared decomposition sweep
+// (Graph.EvalDecomps, itself a registered spec), whose non-induced counts
+// convert to induced class counts by back-substitution through the
+// spanning-subgraph matrix (pattern.CombineInduced; DESIGN.md §14). The
+// engines differ only in how much they enumerate; counts are
+// bit-identical. The returned Result combines all jobs (CombineResults),
+// so TotalEC spans the whole fleet.
 func Motifs(ctx context.Context, fc *fractal.Context, g *fractal.Graph, k int, engine string) (MotifCounts, *fractal.Result, error) {
-	switch engine {
-	case EngineAuto, EnginePlan, EngineDecomp:
-	case EngineCanon:
-		if fc.ListenAddr() != "" {
-			return nil, nil, sched.NotShippable("the motifs canon engine, which exists only as in-process closures")
-		}
-	default:
-		return nil, nil, fmt.Errorf("apps: unknown motifs engine %q (want auto, plan, decomp or canon)", engine)
-	}
-	var sweep []*pattern.DecompPlan
-	if engine == EngineAuto || engine == EngineDecomp {
-		dplans, pays, reason := motifFleet(g, k)
-		if engine == EngineDecomp && dplans == nil {
-			return nil, nil, fmt.Errorf("apps: the decomp engine cannot run: %s", reason)
-		}
-		if engine == EngineDecomp || pays {
-			sweep = dplans
-		}
-	}
-	if engine == EngineCanon || k > pattern.MaxGenVertices {
-		return motifsCanon(ctx, fc, g, k)
-	}
-	pats, err := pattern.ConnectedPatterns(k)
+	d, err := DecideMotifs(g, k, engine)
 	if err != nil {
 		return nil, nil, err
 	}
+	pats := d.Patterns
 	var results []*fractal.Result
 	fail := func(err error) (MotifCounts, *fractal.Result, error) {
 		return nil, fractal.CombineResults(results...), err
@@ -137,12 +110,12 @@ func Motifs(ctx context.Context, fc *fractal.Context, g *fractal.Graph, k int, e
 	// Decomposed part: one shared sweep evaluating every decomposition.
 	decomposed := make([]bool, len(pats))
 	nonInduced := make([]int64, len(pats))
-	if sweep != nil {
-		for i, dp := range sweep {
-			decomposed[i] = dp != nil
+	if d.Sweep != nil {
+		for i := range pats {
+			decomposed[i] = d.Swept(i)
 		}
 		var res *fractal.Result
-		nonInduced, res, err = g.EvalDecomps(ctx, sweep)
+		nonInduced, res, err = g.EvalDecomps(ctx, d.Sweep)
 		results = append(results, res)
 		if err != nil {
 			return fail(err)
@@ -180,15 +153,15 @@ func Motifs(ctx context.Context, fc *fractal.Context, g *fractal.Graph, k int, e
 		})
 	}
 
-	if sweep != nil {
+	if d.Sweep != nil {
 		if err := pattern.CombineInduced(pats, induced, nonInduced, decomposed); err != nil {
 			return fail(err)
 		}
 	}
 	if uniform {
 		// The label specialization makes the keys (canonical codes)
-		// identical to the canonical-check path's, which canonicalizes
-		// induced patterns carrying the graph's labels.
+		// identical to Listing 1's, which canonicalizes each embedding's
+		// induced pattern carrying the graph's labels.
 		for i, p := range pats {
 			if induced[i] > 0 {
 				lp := pattern.WithUniformLabels(p, vl, el)
@@ -197,86 +170,4 @@ func Motifs(ctx context.Context, fc *fractal.Context, g *fractal.Graph, k int, e
 		}
 	}
 	return counts, fractal.CombineResults(results...), nil
-}
-
-// motifsCanon counts motifs with the canonical-check path (Listing 1 of the
-// paper): expand vertex-induced subgraphs and aggregate on the canonical
-// pattern of each embedding —
-//
-//	graph.vfractoid.expand(k).
-//	  aggregate[Pattern,Long]("motifs", pattern, 1, sum).
-//	  aggregation("motifs")
-//
-// Every automorphic duplicate is enumerated and folded by canonicalization,
-// so it needs no generated pattern set and supports any k.
-func motifsCanon(ctx context.Context, fc *fractal.Context, g *fractal.Graph, k int) (MotifCounts, *fractal.Result, error) {
-	frac := fractal.Aggregate(g.VFractoid().Expand(k), "motifs",
-		func(e *fractal.Subgraph) string { return fc.PatternOf(e).Code },
-		func(e *fractal.Subgraph) agg.PatternCount {
-			// The shared class representative makes the "first pattern wins"
-			// reduction independent of embedding arrival and merge order.
-			return agg.PatternCount{Pat: fc.PatternRep(e), Count: 1}
-		},
-		agg.ReducePatternCount, nil)
-	m, res, err := fractal.AggregationMapCtx[string, agg.PatternCount](ctx, frac, "motifs")
-	if err != nil {
-		return nil, res, err
-	}
-	return MotifCounts(m), res, nil
-}
-
-// MotifsFleetReason reports, without running anything, which engine
-// Motifs' EngineAuto would use for k on g and why — the -explain surface of
-// the motifs kernel. A nil graph skips the label check (the -explain path,
-// which loads no graph, assumes uniform labels).
-func MotifsFleetReason(g *fractal.Graph, k int) string {
-	_, _, reason := motifFleet(g, k)
-	return reason
-}
-
-// motifFleet is the cost model's view of the k-vertex motif fleet. dplans
-// is index-aligned with pattern.ConnectedPatterns(k): a non-nil entry is a
-// pattern the shared sweep can count, and dplans itself is nil where the
-// sweep cannot run at all. pays reports whether the sweep (priced as the
-// union of the passes its plans need, each paid once) is cheaper than the
-// enumeration it replaces. g may be nil: the label check is skipped.
-func motifFleet(g *fractal.Graph, k int) (dplans []*pattern.DecompPlan, pays bool, reason string) {
-	if k > pattern.MaxGenVertices {
-		return nil, false, fmt.Sprintf("canon: k=%d beyond the pattern generator bound %d", k, pattern.MaxGenVertices)
-	}
-	if g != nil {
-		if _, _, ok := g.Raw().UniformLabels(); !ok {
-			return nil, false, "enumeration fleet: graph mixes labels (decomposition sweep is label-blind)"
-		}
-	}
-	if k > pattern.MaxDecompVertices {
-		return nil, false, fmt.Sprintf("enumeration fleet: k=%d beyond the induced-conversion bound %d", k, pattern.MaxDecompVertices)
-	}
-	pats, err := pattern.ConnectedPatterns(k)
-	if err != nil {
-		return nil, false, err.Error()
-	}
-	plans := make([]*pattern.DecompPlan, len(pats))
-	var n int
-	var enumCost float64
-	for i, p := range pats {
-		dp, err := pattern.Decompose(p)
-		if err != nil {
-			continue
-		}
-		plans[i] = dp
-		n++
-		if pl, err := pattern.NewInducedPlan(p); err == nil {
-			enumCost += pl.EstCost
-		}
-	}
-	sweepCost := pattern.SweepCost(plans)
-	switch {
-	case n == 0:
-		return nil, false, fmt.Sprintf("enumeration fleet: none of the %d patterns is decomposable", len(pats))
-	case enumCost > sweepCost:
-		return plans, true, fmt.Sprintf("mixed fleet: %d of %d patterns decomposed — shared sweep est %.3g ops replaces %.3g partial embeddings",
-			n, len(pats), sweepCost, enumCost)
-	}
-	return plans, false, fmt.Sprintf("enumeration fleet: sweep est %.3g ops would not pay for %.3g partial embeddings saved", sweepCost, enumCost)
 }

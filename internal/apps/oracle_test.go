@@ -40,10 +40,9 @@ func cliquesOracle(g *fractal.Graph, k int) (int64, *fractal.Result, error) {
 //
 // It enumerates every vertex-induced subgraph and canonicalizes each one —
 // Pattern().Canonical() per embedding, no class memo — sharing nothing with
-// pattern generation, plan compilation, the sweep or the memo. Production
-// keeps the same listing as Motifs' EngineCanon (its path for k beyond the
-// generated pattern sets); TestMotifsCanonEngineMatchesOracle holds the two
-// together.
+// pattern generation, plan compilation, the sweep or the memo. It is the
+// one place Listing 1 runs in this package; examples/motifs shows it as a
+// program.
 func motifsOracle(fc *fractal.Context, g *fractal.Graph, k int) (MotifCounts, *fractal.Result, error) {
 	frac := fractal.Aggregate(g.VFractoid().Expand(k), "motifs",
 		func(e *fractal.Subgraph) string { return e.Pattern().Canonical().Code },

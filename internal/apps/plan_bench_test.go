@@ -7,7 +7,8 @@ import (
 	"fractal/internal/workload"
 )
 
-// Plan-engine vs canonical-engine benchmarks (make bench-plan). The graphs
+// Plan-engine vs canonical-check benchmarks (make bench-plan); the
+// canonical-check rows run the test-side oracles of oracle_test.go. The graphs
 // are sized so a full -benchtime pass stays in the hundreds of milliseconds
 // per iteration; EXPERIMENTS.md records the measured extension-cost and
 // wall-clock gaps on the larger bench-micro and pin graphs.
@@ -23,12 +24,18 @@ func benchCtx(b *testing.B) *fractal.Context {
 }
 
 func benchMotifs(b *testing.B, k int, engine string) {
+	benchMotifsWith(b, func(fc *fractal.Context, g *fractal.Graph) (MotifCounts, *fractal.Result, error) {
+		return Motifs(bg, fc, g, k, engine)
+	})
+}
+
+func benchMotifsWith(b *testing.B, run func(*fractal.Context, *fractal.Graph) (MotifCounts, *fractal.Result, error)) {
 	ctx := benchCtx(b)
 	g := ctx.FromGraph(workload.BarabasiAlbert("bench-plan-ba", 400, 6, 1, 31))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, _, err := Motifs(bg, ctx, g, k, engine)
+		m, _, err := run(ctx, g)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -38,8 +45,13 @@ func benchMotifs(b *testing.B, k int, engine string) {
 	}
 }
 
-func BenchmarkMotifsPlan(b *testing.B)  { benchMotifs(b, 4, EnginePlan) }
-func BenchmarkMotifsCanon(b *testing.B) { benchMotifs(b, 4, EngineCanon) }
+func BenchmarkMotifsPlan(b *testing.B) { benchMotifs(b, 4, EnginePlan) }
+
+func BenchmarkMotifsCanon(b *testing.B) {
+	benchMotifsWith(b, func(fc *fractal.Context, g *fractal.Graph) (MotifCounts, *fractal.Result, error) {
+		return motifsOracle(fc, g, 4)
+	})
+}
 
 func benchCliques(b *testing.B, run func(*fractal.Context, *fractal.Graph, int) (int64, *fractal.Result, error)) {
 	ctx := benchCtx(b)

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"fractal/internal/graph"
-	"fractal/internal/pattern"
 	"fractal/internal/workload"
 )
 
@@ -201,43 +200,5 @@ func TestMotifsPlanMultiLabelClasses(t *testing.T) {
 		if got := ctx.PatternCanon(canon[code].Pat).Code; got != code {
 			t.Errorf("canonical engine: representative of class %q canonicalizes to %q", code, got)
 		}
-	}
-}
-
-// TestMotifsCanonEngineMatchesOracle holds production's canonical-check
-// path to the test-side oracle: requested as EngineCanon, and as what the
-// auto engine falls back to beyond the generated pattern sets (on a path
-// graph, whose connected k-subsets are few enough to canonicalize at that
-// size).
-func TestMotifsCanonEngineMatchesOracle(t *testing.T) {
-	ctx := testCtx(t)
-	b := graph.NewBuilder("canon-path")
-	for i := 0; i < pattern.MaxGenVertices+3; i++ {
-		b.AddVertex(graph.Label(i % 2))
-		if i > 0 {
-			b.MustAddEdge(graph.VertexID(i-1), graph.VertexID(i))
-		}
-	}
-	for _, c := range []struct {
-		g      *graph.Graph
-		k      int
-		engine string
-	}{
-		{workload.ErdosRenyi("canon-er-ml", 40, 70, 2, 28), 3, EngineCanon},
-		{b.Build(), pattern.MaxGenVertices + 1, EngineAuto},
-	} {
-		g := ctx.FromGraph(c.g)
-		got, _, err := Motifs(bg, ctx, g, c.k, c.engine)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _, err := motifsOracle(ctx, g, c.k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(want) == 0 {
-			t.Fatalf("%s k=%d: degenerate graph, no motifs", c.g.Name(), c.k)
-		}
-		motifCountsEqual(t, c.g.Name()+"/"+c.engine, c.k, got, want)
 	}
 }

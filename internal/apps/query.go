@@ -40,48 +40,34 @@ func (queryBuilder) Build(spec fractal.JobSpec, g *graph.Graph, _ *agg.Registry)
 }
 
 // Query counts the subgraphs of g isomorphic to the query pattern p
-// (Listing 5 of the paper), each subgraph instance once. EnginePlan
-// enumerates them through the plan's symmetry-breaking conditions:
+// (Listing 5 of the paper), each subgraph instance once, as DecideQuery
+// decides: either p's decomposition over the local-count sweep, or the
+// plan, which enumerates the matches through its symmetry-breaking
+// conditions:
 //
 //	results = graph.pfractoid(query).expand(query.nvertices).subgraphs()
 //
-// EngineDecomp evaluates p's decomposition over the local-count sweep
-// instead (an error where no cut decomposes p), and EngineAuto lets the cost
-// model choose, enumerating where the graph's labels rule the sweep out.
-// Both engines submit registered specs, so a query runs on a master's
-// workers as it does in process.
+// Both submit registered specs, so a query runs on a master's workers as it
+// does in process.
 func Query(ctx context.Context, fc *fractal.Context, g *fractal.Graph, p *fractal.Pattern, engine string) (int64, *fractal.Result, error) {
-	switch engine {
-	case EnginePlan:
-	case EngineDecomp:
-		dp, err := fractal.CompileDecomp(p)
-		if err != nil {
-			return 0, nil, err
-		}
-		return g.DecompCountCtx(ctx, dp)
-	case EngineAuto:
-		ch, err := fractal.ChooseEngine(p)
-		if err != nil {
-			return 0, nil, err
-		}
-		if _, _, uniform := g.Raw().UniformLabels(); ch.UseDecomp && uniform {
-			return g.DecompCountCtx(ctx, ch.Decomp)
-		}
-	default:
-		return 0, nil, fmt.Errorf("apps: unknown query engine %q (want auto, plan or decomp)", engine)
+	d, err := DecideQuery(g, p, engine)
+	if err != nil {
+		return 0, nil, err
 	}
-	res, err := g.RunSpec(ctx, AppQuery, map[string]string{"pattern": string(p.AppendBinary(nil))}, nil)
+	return countOne(ctx, g, d)
+}
+
+// countOne executes a single-pattern decision: the pattern's decomposition
+// over the sweep, or its plan through the query spec.
+func countOne(ctx context.Context, g *fractal.Graph, d *Decision) (int64, *fractal.Result, error) {
+	if d.Swept(0) {
+		return g.DecompCountCtx(ctx, d.Sweep[0])
+	}
+	res, err := g.RunSpec(ctx, AppQuery, map[string]string{"pattern": string(d.Patterns[0].AppendBinary(nil))}, nil)
 	if err != nil {
 		return 0, res, err
 	}
 	return step.CountOf(res.Aggregations), res, nil
-}
-
-// QueryVisit streams every match of p to visit. visit runs concurrently on
-// all cores.
-func QueryVisit(ctx context.Context, fc *fractal.Context, g *fractal.Graph, p *fractal.Pattern,
-	visit func(*fractal.Subgraph)) (*fractal.Result, error) {
-	return g.PFractoid(p).Expand(p.NumVertices()).SubgraphsCtx(ctx, visit)
 }
 
 // SEEDQueries re-exports the benchmark query suite q1..q8 (Figure 14).

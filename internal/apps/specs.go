@@ -1,9 +1,10 @@
-// The kernels. Cliques, motifs, FSM and query each have exactly one workflow
+// The kernels. Motifs, FSM and query each have exactly one workflow
 // definition: a spec builder registered under the application's name,
 // composed against fractal.NewBuildGraph — no Context — and deterministic,
 // so the same spec and graph yield the identical workflow and step list in
-// every process. Each application's one driver (Cliques, Motifs, FSM, Query)
-// submits its specs through Graph.RunSpec, which builds the job against the
+// every process. Each application's one driver (Motifs, FSM, Query, and
+// Cliques, which submits the query spec with Clique(k)) executes its
+// Decision (decision.go) and submits its specs through Graph.RunSpec, which builds the job against the
 // graph in memory on an in-process context and ships the spec by graph path
 // on a WithListenAddr master: the same code runs in both deployments. The
 // decomposition sweep the motifs and query drivers mix in is a spec too,
@@ -12,8 +13,8 @@
 //
 // FSM's graph reduction (Section 4.3) is part of its spec: a level's builder
 // derives the frequent-edge graph from the graph and the support, in every
-// process alike. What has no spec form — the canonical-check and KClist
-// enumerators, keyword search and its reduction — is rejected on a master
+// process alike. What has no spec form — the KClist enumerator, keyword
+// search and its reduction — is rejected on a master
 // context with a *fractal.ConfigError instead of being ignored.
 package apps
 
@@ -28,14 +29,12 @@ import (
 
 // Registered application names.
 const (
-	AppCliques = "cliques"
-	AppMotifs  = "motifs"
-	AppFSM     = "fsm"
-	AppQuery   = "query"
+	AppMotifs = "motifs"
+	AppFSM    = "fsm"
+	AppQuery  = "query"
 )
 
 func init() {
-	fractal.RegisterApp(AppCliques, cliquesBuilder{})
 	fractal.RegisterApp(AppMotifs, motifsBuilder{})
 	fractal.RegisterApp(AppFSM, fsmBuilder{})
 	fractal.RegisterApp(AppQuery, queryBuilder{})
@@ -47,14 +46,9 @@ const (
 	// EngineAuto lets the cost model choose between plan enumeration and
 	// the decomposition sweep.
 	EngineAuto = "auto"
-	// EnginePlan enumerates compiled symmetry-broken plans only.
+	// EnginePlan enumerates compiled symmetry-broken plans only: the
+	// reference enumeration.
 	EnginePlan = "plan"
-	// EngineDecomp forces the decomposition sweep and errors where no cut
-	// decomposes a pattern.
-	EngineDecomp = "decomp"
-	// EngineCanon is the canonical-check enumeration of Listing 1 (motifs
-	// only): the one path for k beyond pattern.MaxGenVertices.
-	EngineCanon = "canon"
 )
 
 // specInt parses a required integer argument of a spec, which must lie in

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"fractal"
-	_ "fractal/internal/apps" // registers cliques, motifs, fsm and query
+	_ "fractal/internal/apps" // registers motifs, fsm and query
 	"fractal/internal/graph"
 	"fractal/internal/pattern"
 	"fractal/internal/sched"

@@ -45,10 +45,19 @@ type registry struct {
 	nextID  int
 	workers map[int]string // registered worker ID -> listener address
 	jobs    map[int]*activeSpec
+	// changed is closed, and replaced, whenever a registration or a spec ack
+	// arrives: the waits in distribute and awaitWorkers block on it.
+	changed chan struct{}
 }
 
 func newRegistry(rt *Runtime, node *rpc.TCPNode) *registry {
-	return &registry{rt: rt, node: node, workers: map[int]string{}, jobs: map[int]*activeSpec{}}
+	return &registry{rt: rt, node: node, workers: map[int]string{}, jobs: map[int]*activeSpec{}, changed: make(chan struct{})}
+}
+
+// signal wakes every wait on the registry's state. g.mu must be held.
+func (g *registry) signal() {
+	close(g.changed)
+	g.changed = make(chan struct{})
 }
 
 // handleRegister serves one registration: assign the next worker ID, admit
@@ -65,6 +74,7 @@ func (g *registry) handleRegister(env rpc.Envelope) {
 	id := g.nextID
 	g.nextID++
 	g.workers[id] = m.Addr
+	g.signal()
 	wel := welcomeMsg{
 		Worker:         id,
 		CoresPerWorker: cfg.CoresPerWorker,
@@ -115,9 +125,10 @@ func (g *registry) handleAck(env rpc.Envelope) {
 	}
 	if m.Err != "" {
 		sp.failed[m.Worker] = m.Err
-		return
+	} else {
+		sp.ready[m.Worker] = true
 	}
-	sp.ready[m.Worker] = true
+	g.signal()
 }
 
 // distribute ships a job spec to every registered worker and waits until the
@@ -156,6 +167,7 @@ func (g *registry) distribute(ctx context.Context, msg jobSpecMsg) error {
 		// Registrations may have arrived since the send loop; they received
 		// the spec in their registration handshake, so count them as targets.
 		nTargets := len(g.workers)
+		changed := g.changed
 		g.mu.Unlock()
 		if nTargets < len(targets) {
 			nTargets = len(targets)
@@ -172,14 +184,22 @@ func (g *registry) distribute(ctx context.Context, msg jobSpecMsg) error {
 				deadline = g
 			}
 		}
-		if time.Now().After(deadline) {
+		wait := time.Until(deadline)
+		if wait <= 0 {
 			if nReady > 0 {
 				return nil
 			}
 			return fmt.Errorf("sched: no worker materialized job spec %q within %v (%d registered, %d failed: %s)",
 				msg.App, g.rt.cfg.WorkerTimeout, nTargets, nFailed, firstErr)
 		}
-		if err := sleepCtx(ctx, 2*time.Millisecond); err != nil {
+		t := time.NewTimer(wait)
+		select {
+		case <-changed:
+		case <-t.C:
+		case <-ctx.Done():
+		}
+		t.Stop()
+		if err := ctx.Err(); err != nil {
 			return err
 		}
 	}
@@ -231,17 +251,19 @@ func (g *registry) workerIDs() []int {
 	return out
 }
 
-// awaitWorkers polls until n workers have registered or ctx ends.
+// awaitWorkers waits until n workers have registered or ctx ends.
 func (g *registry) awaitWorkers(ctx context.Context, n int) error {
 	for {
 		g.mu.Lock()
-		have := len(g.workers)
+		have, changed := len(g.workers), g.changed
 		g.mu.Unlock()
 		if have >= n {
 			return nil
 		}
-		if err := sleepCtx(ctx, 5*time.Millisecond); err != nil {
-			return fmt.Errorf("sched: waiting for %d workers (have %d): %w", n, have, err)
+		select {
+		case <-changed:
+		case <-ctx.Done():
+			return fmt.Errorf("sched: waiting for %d workers (have %d): %w", n, have, ctx.Err())
 		}
 	}
 }

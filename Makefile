@@ -80,11 +80,12 @@ bench-plan:
 
 # Decomposition engine against the pure plan fleet: k=4/k=5 motif counting
 # end to end through Motifs' engine argument (auto, which sweeps every
-# decomposable pattern at k=4 and 5, and plan; EXPERIMENTS.md §14). CI runs
-# this with BENCHTIME=1x as a smoke test.
+# decomposable pattern at k=4 and 5, and plan; EXPERIMENTS.md §14), and the
+# induced conversion's SpanningCounts matrix at k=5 and 6. CI runs this with
+# BENCHTIME=1x as a smoke test.
 bench-decomp:
-	go test -run=NONE -bench='^BenchmarkMotifs(Auto|Plan)(K5)?$$' \
-		-benchtime=$(BENCHTIME) -benchmem ./internal/apps/
+	go test -run=NONE -bench='^(BenchmarkMotifs(Auto|Plan)(K5)?|BenchmarkSpanningCounts)$$' \
+		-benchtime=$(BENCHTIME) -benchmem ./internal/apps/ ./internal/pattern/
 
 # FSM end to end on the repository benchmark's fsm_ml analog
 # (SkewLabels(BarabasiAlbert(4500,2),37), support 50, 3 edges), in-process on

@@ -51,7 +51,8 @@
 //	                      then per pattern its decomposition's terms or
 //	                      the plan that enumerates it. It assumes a
 //	                      uniform-label graph, and refuses what the run
-//	                      refuses, with the same error.
+//	                      refuses, with the same error. It refuses
+//	                      -kclist, which runs no engine decision.
 //
 // Observability flags:
 //
@@ -176,7 +177,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	check(checkFlags(*app, *engine, *listenAddr != "", *kclist, *reduce))
+	check(checkFlags(*app, *engine, *listenAddr != "", *explain, *kclist, *reduce))
 	if *explain {
 		check(explainApp(*app, *k, *queryName, *engine))
 		return
@@ -281,10 +282,12 @@ func main() {
 
 // checkFlags rejects, before anything is loaded or awaited, an -app that
 // does not exist and every flag the selected app would otherwise silently
-// ignore: an -engine value the app has no such engine for, and — for a
-// -listen master, which can only ship the registered spec kernels to its
-// workers — whatever runs as in-process closures only.
-func checkFlags(app, engine string, master, kclist, reduce bool) error {
+// ignore: an -engine value the app has no such engine for, -kclist under
+// -explain (the KClist enumerator is no engine decision, so -explain would
+// print a plan the run does not execute), and — for a -listen master, which
+// can only ship the registered spec kernels to its workers — whatever runs
+// as in-process closures only.
+func checkFlags(app, engine string, master, explain, kclist, reduce bool) error {
 	// Whether the app counts patterns, and so has engines to choose from.
 	counts, ok := map[string]bool{
 		"motifs": true, "query": true, "cliques": true, "triangles": true, "fsm": false, "keywords": false,
@@ -303,6 +306,9 @@ func checkFlags(app, engine string, master, kclist, reduce bool) error {
 		}
 	default:
 		return fmt.Errorf("unknown -engine %q (want auto or plan)", engine)
+	}
+	if explain && kclist {
+		return fmt.Errorf("-explain prints the engine decision, which -kclist bypasses for the KClist enumerator; drop one of them")
 	}
 	if !master {
 		return nil

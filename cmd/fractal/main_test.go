@@ -75,10 +75,12 @@ func TestCLI(t *testing.T) {
 		{"keywords reduce", []string{"-app", "keywords", "-keywords", "a,b", "-reduce"}, 0, "covering subgraphs: 1 (", nil},
 		{"explain", []string{"-explain", "-app", "cliques", "-k", "3"}, 0, "plan: 3 levels", nil},
 		{"explain motifs 5", []string{"-explain", "-app", "motifs", "-k", "5"}, 0, "mixed fleet: 10 of 21 patterns decomposed", []int{10, 11}},
-		// k=1 and k=6 enumerate every pattern (the sweep does not pay at 1,
-		// the induced conversion stops at 5), and -explain says so.
+		// k=6 sweeps the 14 decomposable classes of 112 and enumerates the
+		// other 98; k=1 and k=7 enumerate every pattern (the sweep does not
+		// pay at 1, the induced conversion stops at 6), and -explain says so.
+		{"explain motifs 6", []string{"-explain", "-app", "motifs", "-k", "6"}, 0, "mixed fleet: 14 of 112 patterns decomposed", []int{14, 98}},
 		{"explain motifs 1", []string{"-explain", "-app", "motifs", "-k", "1"}, 0, "selection: enumeration fleet", []int{0, 1}},
-		{"explain motifs 6", []string{"-explain", "-app", "motifs", "-k", "6"}, 0, "selection: enumeration fleet", []int{0, 112}},
+		{"explain motifs 7", []string{"-explain", "-app", "motifs", "-k", "7"}, 0, "induced-conversion bound 6", []int{0, 853}},
 		{"explain motifs 5 plan", []string{"-explain", "-app", "motifs", "-k", "5", "-engine", "plan"}, 0, "selection: plan engine", []int{0, 21}},
 		{"explain query square", []string{"-explain", "-app", "query", "-pattern", "square"}, 0, "selection: decomposition", []int{1, 0}},
 		{"explain query square plan", []string{"-explain", "-app", "query", "-pattern", "square", "-engine", "plan"}, 0, "selection: plan engine", []int{0, 1}},
@@ -87,6 +89,12 @@ func TestCLI(t *testing.T) {
 		{"cliques 9", []string{"-app", "cliques", "-k", "9"}, 1, `argument "k" must be in [1, 8], got 9`, nil},
 		{"explain motifs 9", []string{"-explain", "-app", "motifs", "-k", "9"}, 1, `argument "k" must be in [1, 8], got 9`, nil},
 		{"motifs 9", []string{"-app", "motifs", "-k", "9"}, 1, `argument "k" must be in [1, 8], got 9`, nil},
+		// -kclist runs no engine decision, so -explain refuses it whatever
+		// k is; KClist itself takes any k >= 1.
+		{"explain kclist", []string{"-explain", "-app", "cliques", "-k", "4", "-kclist"}, 1, "-kclist bypasses", nil},
+		{"explain kclist 9", []string{"-explain", "-app", "cliques", "-k", "9", "-kclist"}, 1, "-kclist bypasses", nil},
+		{"kclist 0", []string{"-app", "cliques", "-k", "0", "-kclist"}, 1, `apps: cliques argument "k" must be at least 1, got 0`, nil},
+		{"kclist 9", []string{"-app", "cliques", "-k", "9", "-kclist"}, 0, "9-cliques: 0 (", nil},
 		{"pprof", []string{"-app", "triangles", "-pprof", filepath.Join(dir, "prof")}, 0, "triangles: 4 (", nil},
 		{"motifs sweep report", []string{"-app", "motifs", "-k", "3", "-metrics-out", filepath.Join(dir, "motifs.json")}, 0, "3-vertex motifs [auto engine]: 2 classes, 7 subgraphs", nil},
 		{"query sweep report", []string{"-app", "query", "-pattern", "star4", "-metrics-out", filepath.Join(dir, "star4.json")}, 0, "matches of star4 [auto engine]: 7 (", nil},

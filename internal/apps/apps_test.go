@@ -100,6 +100,21 @@ func TestCliquesAndKClistAgree(t *testing.T) {
 	}
 }
 
+// TestKClistArgument: KClist compiles no plan, so it counts cliques past
+// the plans' k = 8, and refuses k < 1 with the apps' *ArgError rather than
+// the root package's explore error.
+func TestKClistArgument(t *testing.T) {
+	ctx := testCtx(t)
+	g := ctx.FromGraph(k4Pendant())
+	if n, _, err := CliquesKClist(bg, ctx, g, 9); err != nil || n != 0 {
+		t.Errorf("9-cliques: %d, %v; want 0, nil", n, err)
+	}
+	var ae *ArgError
+	if _, _, err := CliquesKClist(bg, ctx, g, 0); !errors.As(err, &ae) || ae.Got != 0 {
+		t.Errorf("k=0: err=%v, want an *ArgError", err)
+	}
+}
+
 // TestKClistSteadyStateAllocs: once every level's buffer has grown, a
 // push, the extensions it yields and the pop allocate nothing.
 func TestKClistSteadyStateAllocs(t *testing.T) {

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"context"
+	"math"
 
 	"fractal"
 	"fractal/internal/graph"
@@ -103,7 +104,11 @@ func (x *KClistEnum) Popped(e *subgraph.Embedding) {}
 //	graph.vfractoid(new KClistEnum(...)).expand(1).explore(k).subgraphs()
 //
 // The enumerator is a closure with per-core state, so this runs on
-// in-process contexts only.
+// in-process contexts only. It needs no plan, so k has no upper bound; a k
+// below 1 is an *ArgError.
 func CliquesKClist(ctx context.Context, fc *fractal.Context, g *fractal.Graph, k int) (int64, *fractal.Result, error) {
+	if k < 1 {
+		return 0, nil, &ArgError{Arg: `cliques argument "k"`, Got: k, Min: 1, Max: math.MaxInt}
+	}
 	return g.VFractoidWith(NewKClistEnum()).Expand(1).Explore(k).CountCtx(ctx)
 }

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"fmt"
+	"math"
 
 	"fractal"
 	"fractal/internal/pattern"
@@ -36,9 +37,10 @@ func (d *Decision) Swept(i int) bool { return d.Sweep != nil && d.Sweep[i] != ni
 // moves to one shared sweep when the sweep (the union of the passes its
 // plans need, each paid once) costs less than the enumeration it replaces,
 // and nothing does otherwise, on a graph that mixes labels (the sweep is
-// label-blind), or beyond pattern.MaxDecompVertices (the induced
-// conversion's bound). EnginePlan enumerates everything. A nil g is
-// assumed to carry uniform labels: the -explain path loads no graph.
+// label-blind), or beyond pattern.MaxDecompVertices (at k=7 the induced
+// conversion's spanning-map matrix over 853 classes would cost seconds).
+// EnginePlan enumerates everything. A nil g is assumed to carry uniform
+// labels: the -explain path loads no graph.
 func DecideMotifs(g *fractal.Graph, k int, engine string) (*Decision, error) {
 	if err := checkEngine(engine); err != nil {
 		return nil, err
@@ -59,7 +61,8 @@ func DecideMotifs(g *fractal.Graph, k int, engine string) (*Decision, error) {
 		d.Reason = "enumeration fleet: graph mixes labels (decomposition sweep is label-blind)"
 		return d, nil
 	case k > pattern.MaxDecompVertices:
-		d.Reason = fmt.Sprintf("enumeration fleet: k=%d beyond the induced-conversion bound %d", k, pattern.MaxDecompVertices)
+		d.Reason = fmt.Sprintf("enumeration fleet: k=%d beyond the induced-conversion bound %d (its spanning-map matrix over %d classes would take seconds)",
+			k, pattern.MaxDecompVertices, len(pats))
 		return d, nil
 	}
 	plans := make([]*pattern.DecompPlan, len(pats))
@@ -144,9 +147,25 @@ func checkEngine(engine string) error {
 // past it no pattern set is generated and no plan compiles in useful time.
 func checkSize(what string, n int) error {
 	if n < 1 || n > pattern.MaxGenVertices {
-		return fmt.Errorf("apps: %s must be in [1, %d], got %d", what, pattern.MaxGenVertices, n)
+		return &ArgError{Arg: what, Got: n, Min: 1, Max: pattern.MaxGenVertices}
 	}
 	return nil
+}
+
+// ArgError reports an application argument outside the range it accepts,
+// whether it came from a caller or off the wire in a spec.
+type ArgError struct {
+	// Arg names the argument, e.g. `cliques argument "k"`.
+	Arg      string
+	Got      int
+	Min, Max int // Max math.MaxInt: no upper bound
+}
+
+func (e *ArgError) Error() string {
+	if e.Max == math.MaxInt {
+		return fmt.Sprintf("apps: %s must be at least %d, got %d", e.Arg, e.Min, e.Got)
+	}
+	return fmt.Sprintf("apps: %s must be in [%d, %d], got %d", e.Arg, e.Min, e.Max, e.Got)
 }
 
 func mixesLabels(g *fractal.Graph) bool {

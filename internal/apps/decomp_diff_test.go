@@ -51,8 +51,8 @@ func TestMotifsDecompMatchesPlanAndCanon(t *testing.T) {
 	ctx := testCtx(t)
 	for _, raw := range decompDiffGraphs() {
 		g := ctx.FromGraph(raw)
-		for k := 1; k <= 5; k++ {
-			if k == 5 && testing.Short() {
+		for k := 1; k <= pattern.MaxDecompVertices; k++ {
+			if k >= 5 && testing.Short() {
 				continue
 			}
 			if k >= 2 {
@@ -122,11 +122,11 @@ func TestMotifsAutoLabeledFallback(t *testing.T) {
 }
 
 // TestMotifsDecompRefusesOversizeK: the induced conversion is bounded by
-// MaxDecompVertices, past which the auto engine enumerates every pattern,
+// MaxDecompVertices (6), past which the auto engine enumerates every pattern,
 // and the pattern sets by MaxGenVertices, past which every engine refuses k.
 func TestMotifsDecompRefusesOversizeK(t *testing.T) {
 	ctx := testCtx(t)
-	g := ctx.FromGraph(workload.ErdosRenyi("ddiff-k6", 30, 60, 1, 57))
+	g := ctx.FromGraph(workload.ErdosRenyi("ddiff-k7", 30, 60, 1, 57))
 	d, err := DecideMotifs(g, pattern.MaxDecompVertices+1, EngineAuto)
 	if err != nil {
 		t.Fatal(err)
@@ -143,11 +143,11 @@ func TestMotifsDecompRefusesOversizeK(t *testing.T) {
 }
 
 // TestMotifsFleetReasonMixed pins the auto decision on uniform graphs at
-// k=3..5: the shared sweep replaces enough enumeration to win.
+// k=3..6: the shared sweep replaces enough enumeration to win.
 func TestMotifsFleetReasonMixed(t *testing.T) {
 	ctx := testCtx(t)
 	g := ctx.FromGraph(workload.BarabasiAlbert("ddiff-reason", 50, 3, 1, 58))
-	for k := 3; k <= 5; k++ {
+	for k := 3; k <= 6; k++ {
 		for _, fg := range []*fractal.Graph{g, nil} { // nil: the -explain path
 			d, err := DecideMotifs(fg, k, EngineAuto)
 			if err != nil {

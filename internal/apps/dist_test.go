@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -465,6 +466,38 @@ func TestDistElasticJoin(t *testing.T) {
 	if res.Report.Workers != 2 {
 		t.Errorf("second job should see 2 workers, report says %d", res.Report.Workers)
 	}
+}
+
+// TestServeWorkerReleasesGoroutines: a worker that served a job against an
+// in-process master and was then cancelled leaves no goroutine behind — not
+// its own, and not the master's for it — and closing the master releases
+// the rest. Counts settle asynchronously (readers observe closed
+// connections), so each check waits as TestCancellationReleasesGoroutines
+// does in the root package.
+func TestServeWorkerReleasesGoroutines(t *testing.T) {
+	path := writeGraphFile(t, workload.ErdosRenyi("dist-leak", 40, 120, 1, 48))
+	before := runtime.NumGoroutine()
+	master := distMaster(t)
+	idle := runtime.NumGoroutine()
+	stop := startWorker(t, master.ListenAddr(), fractal.WorkerOptions{})
+	if err := master.AwaitWorkers(context.Background(), 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Cliques(bg, master, loadOn(t, master, path), 3); err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	settles := func(what string, limit int) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > limit; time.Sleep(10 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: goroutines leaked: %d, want at most %d", what, runtime.NumGoroutine(), limit)
+			}
+		}
+	}
+	settles("worker cancelled", idle)
+	master.Close()
+	settles("master closed", before)
 }
 
 // TestDistWorkerLoss severs one worker process's transport as it ships its

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fractal"
+	"fractal/internal/graph"
 	"fractal/internal/workload"
 )
 
@@ -24,14 +25,18 @@ func benchCtx(b *testing.B) *fractal.Context {
 }
 
 func benchMotifs(b *testing.B, k int, engine string) {
-	benchMotifsWith(b, func(fc *fractal.Context, g *fractal.Graph) (MotifCounts, *fractal.Result, error) {
+	benchMotifsOn(b, workload.BarabasiAlbert("bench-plan-ba", 400, 6, 1, 31), k, engine)
+}
+
+func benchMotifsOn(b *testing.B, raw *graph.Graph, k int, engine string) {
+	benchMotifsWith(b, raw, func(fc *fractal.Context, g *fractal.Graph) (MotifCounts, *fractal.Result, error) {
 		return Motifs(bg, fc, g, k, engine)
 	})
 }
 
-func benchMotifsWith(b *testing.B, run func(*fractal.Context, *fractal.Graph) (MotifCounts, *fractal.Result, error)) {
+func benchMotifsWith(b *testing.B, raw *graph.Graph, run func(*fractal.Context, *fractal.Graph) (MotifCounts, *fractal.Result, error)) {
 	ctx := benchCtx(b)
-	g := ctx.FromGraph(workload.BarabasiAlbert("bench-plan-ba", 400, 6, 1, 31))
+	g := ctx.FromGraph(raw)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -48,7 +53,7 @@ func benchMotifsWith(b *testing.B, run func(*fractal.Context, *fractal.Graph) (M
 func BenchmarkMotifsPlan(b *testing.B) { benchMotifs(b, 4, EnginePlan) }
 
 func BenchmarkMotifsCanon(b *testing.B) {
-	benchMotifsWith(b, func(fc *fractal.Context, g *fractal.Graph) (MotifCounts, *fractal.Result, error) {
+	benchMotifsWith(b, workload.BarabasiAlbert("bench-plan-ba", 400, 6, 1, 31), func(fc *fractal.Context, g *fractal.Graph) (MotifCounts, *fractal.Result, error) {
 		return motifsOracle(fc, g, 4)
 	})
 }

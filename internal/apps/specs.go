@@ -64,7 +64,7 @@ func specInt(spec fractal.JobSpec, key string, lo, hi int) (int, error) {
 		return 0, fmt.Errorf("apps: spec %q argument %q: %w", spec.App, key, err)
 	}
 	if n < lo || n > hi {
-		return 0, fmt.Errorf("apps: spec %q argument %q must be in [%d, %d], got %d", spec.App, key, lo, hi, n)
+		return 0, &ArgError{Arg: fmt.Sprintf("spec %q argument %q", spec.App, key), Got: n, Min: lo, Max: hi}
 	}
 	return n, nil
 }

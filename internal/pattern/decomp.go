@@ -43,11 +43,12 @@ import (
 // CombineInduced converts a mixed fleet's non-induced counts into the
 // induced class counts the motifs kernel reports.
 
-// MaxDecompVertices bounds the patterns the *induced conversion* handles
-// (SpanningCounts enumerates 2^m edge subsets per pattern, so the motifs
-// fleet only mixes engines up to this size). Decompose itself takes patterns
-// of any size.
-const MaxDecompVertices = 5
+// MaxDecompVertices bounds the motifs fleets that mix engines, and so the
+// *induced conversion* (CombineInduced): its SpanningCounts matrix costs
+// ~1 ms at k=5 and ~65 ms at k=6, but ~9 s over the 853 classes of k=7, a
+// cost every k=7 run would pay however small its graph. Decompose itself
+// takes patterns of any size.
+const MaxDecompVertices = 6
 
 // DecompTerm is one term of a decomposition: Coef (±1) times the sum, over
 // every ordered binding of the term's cut in the graph, of the number of
@@ -505,43 +506,18 @@ func Choose(p *Pattern) (*Choice, error) {
 // edge-count-ascending order — c[i][j] = 0 unless m(i) < m(j) or i == j
 // (same-edge-count classes share no spanning subgraph, and c[i][i] = 1).
 //
-// Cost is Σ_j 2^m(j) canonicalizations; callers gate pattern size with
-// MaxDecompVertices (2^10·21 at k=5).
+// Each entry is maps(pats[i] → pats[j]) / |Aut(pats[i])|: a copy of pats[i]
+// spanning pats[j] is the image of |Aut(pats[i])| vertex bijections that
+// send every edge onto an edge, which the automorphism search counts
+// (GraphZero's argument). No subgraph is built or labelled: the matrix's
+// rows are all it allocates, ~1 ms at k=5 and ~65 ms at k=6.
 func SpanningCounts(pats []*Pattern) [][]int64 {
-	idx := make(map[string]int, len(pats))
-	for i, p := range pats {
-		idx[p.Canonical().Code] = i
-	}
 	c := make([][]int64, len(pats))
-	for i := range c {
+	for i, p := range pats {
 		c[i] = make([]int64, len(pats))
-	}
-	for j, h := range pats {
-		n := h.NumVertices()
-		type edge struct{ u, v int }
-		var edges []edge
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				if h.HasEdge(u, v) {
-					edges = append(edges, edge{u, v})
-				}
-			}
-		}
-		for sub := uint32(1); sub < uint32(1)<<uint(len(edges)); sub++ {
-			b := NewBuilder(n)
-			for v := 0; v < n; v++ {
-				b.SetVertexLabel(v, h.VertexLabel(v))
-			}
-			for bi, e := range edges {
-				if sub&(1<<uint(bi)) != 0 {
-					b.AddEdge(e.u, e.v, h.EdgeLabel(e.u, e.v))
-				}
-			}
-			// Disconnected subsets canonicalize to codes outside the
-			// connected class list and fall through the lookup.
-			if i, ok := idx[b.Build().Canonical().Code]; ok {
-				c[i][j]++
-			}
+		aut := int64(NumAutomorphisms(p))
+		for j, q := range pats {
+			c[i][j] = int64(maps(p, q, nil)) / aut
 		}
 	}
 	return c

@@ -1,9 +1,12 @@
 package pattern
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+
+	"fractal/internal/graph"
 )
 
 // paw returns the triangle with one pendant edge (tailed triangle, s=1).
@@ -308,6 +311,144 @@ func TestSpanningCounts(t *testing.T) {
 	}
 }
 
+// spanningReference is SpanningCounts by its definition: every edge subset
+// of every pattern, built over the pattern's vertices and labelled, looked
+// up by canonical code among the patterns (Σ 2^m labellings).
+func spanningReference(pats []*Pattern) [][]int64 {
+	idx := make(map[string]int, len(pats))
+	for i, p := range pats {
+		idx[p.Canonical().Code] = i
+	}
+	c := make([][]int64, len(pats))
+	for i := range c {
+		c[i] = make([]int64, len(pats))
+	}
+	for j, h := range pats {
+		n := h.NumVertices()
+		var edges [][2]int
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if h.HasEdge(u, v) {
+					edges = append(edges, [2]int{u, v})
+				}
+			}
+		}
+		for sub := uint32(0); sub < uint32(1)<<uint(len(edges)); sub++ {
+			b := NewBuilder(n)
+			for v := 0; v < n; v++ {
+				b.SetVertexLabel(v, h.VertexLabel(v))
+			}
+			for bi, e := range edges {
+				if sub&(1<<uint(bi)) != 0 {
+					b.AddEdge(e[0], e[1], h.EdgeLabel(e[0], e[1]))
+				}
+			}
+			// A disconnected subset has a code outside the class list.
+			if i, ok := idx[b.Build().Canonical().Code]; ok {
+				c[i][j]++
+			}
+		}
+	}
+	return c
+}
+
+// labelledFleet returns every distinct class of the connected k-vertex
+// patterns with two vertex labels and two edge labels, in ascending edge
+// count.
+func labelledFleet(t *testing.T, k int) []*Pattern {
+	t.Helper()
+	pats, err := ConnectedPatterns(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	var out []*Pattern
+	for _, p := range pats {
+		m := p.NumEdges()
+		for vl := 0; vl < 1<<k; vl++ {
+			for el := 0; el < 1<<m; el++ {
+				b := NewBuilder(k)
+				for v := 0; v < k; v++ {
+					b.SetVertexLabel(v, graph.Label(vl>>v&1))
+				}
+				e := 0
+				for u := 0; u < k; u++ {
+					for v := u + 1; v < k; v++ {
+						if p.HasEdge(u, v) {
+							b.AddEdge(u, v, graph.Label(el>>e&1))
+							e++
+						}
+					}
+				}
+				q := b.Build()
+				if code := q.Canonical().Code; !seen[code] {
+					seen[code] = true
+					out = append(out, q)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestSpanningCountsMatchReference holds the maps-over-|Aut| matrix to the
+// edge-subset definition on every connected class at k ≤ 6 (k = 6 is 12 544
+// entries over ~190 000 labellings, skipped under -short) and on labelled
+// fleets, whose classes the label checks of the search tell apart.
+func TestSpanningCountsMatchReference(t *testing.T) {
+	fleets := map[string][]*Pattern{}
+	for k := 1; k <= 6; k++ {
+		if k == 6 && testing.Short() {
+			continue
+		}
+		pats, err := ConnectedPatterns(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fleets[fmt.Sprintf("k=%d", k)] = pats
+	}
+	for k := 2; k <= 4; k++ {
+		fleets[fmt.Sprintf("labelled k=%d", k)] = labelledFleet(t, k)
+	}
+	for name, pats := range fleets {
+		got, want := SpanningCounts(pats), spanningReference(pats)
+		for i := range pats {
+			for j := range pats {
+				if got[i][j] != want[i][j] {
+					t.Errorf("%s: c[%d][%d] = %d, want %d (%v in %v)", name, i, j, got[i][j], want[i][j], pats[i], pats[j])
+				}
+			}
+		}
+	}
+}
+
+// TestSpanningCountsAllocs holds the k = 5 conversion to the matrix's own
+// rows: the search builds no pattern, group or code.
+func TestSpanningCountsAllocs(t *testing.T) {
+	pats, err := ConnectedPatterns(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(10, func() { SpanningCounts(pats) }); n > float64(len(pats)+1) {
+		t.Errorf("SpanningCounts(k=5) allocates %v times, want at most %d (its rows)", n, len(pats)+1)
+	}
+}
+
+func BenchmarkSpanningCounts(b *testing.B) {
+	for _, k := range []int{5, 6} {
+		pats, err := ConnectedPatterns(k)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				SpanningCounts(pats)
+			}
+		})
+	}
+}
+
 func TestCombineInduced(t *testing.T) {
 	pats, err := ConnectedPatterns(3)
 	if err != nil {
@@ -466,9 +607,9 @@ pattern: Pattern(n=5 labels=[-1 -1 -1 -1 -1] edges=[0-1 0-2 0-3 0-4 1-2 3-4])
 }
 
 // TestDecomposeCoversDocumentedClasses pins the coverage the docs promise:
-// all k=3 classes, 5 of 6 at k=4, 10 of 21 at k=5.
+// all k=3 classes, 5 of 6 at k=4, 10 of 21 at k=5, 14 of 112 at k=6.
 func TestDecomposeCoversDocumentedClasses(t *testing.T) {
-	want := map[int][2]int{3: {2, 2}, 4: {5, 6}, 5: {10, 21}}
+	want := map[int][2]int{3: {2, 2}, 4: {5, 6}, 5: {10, 21}, 6: {14, 112}}
 	for k, w := range want {
 		pats, err := ConnectedPatterns(k)
 		if err != nil {

@@ -13,14 +13,6 @@ if [ -n "$unformatted" ]; then
     echo "$unformatted" >&2
     exit 1
 fi
-# One wire format: encoding/gob stays out of everything that ships (tests
-# keep it as a reference; benchmark/ is a frozen module of its own).
-gob=$(grep -rl --include='*.go' '"encoding/gob"' . | grep -v -e '_test\.go$' -e '^\./benchmark/' || true)
-if [ -n "$gob" ]; then
-    echo "encoding/gob imported outside tests:" >&2
-    echo "$gob" >&2
-    exit 1
-fi
 # Labelling is paid per class: per-embedding code asks the embedding's class
 # memo (e.Class(), Context.PatternOf/PatternRep/MNISupport). Building the
 # embedding's Pattern to canonicalize or classify it on the spot is what
@@ -52,13 +44,6 @@ fi
 # removed from the applications.
 if grep -n 'Contains(e\.Class()\.Code)' $(ls internal/apps/*.go | grep -v _test.go); then
     echo "a per-embedding class test in internal/apps: use fractal.FilterAggClass" >&2
-    exit 1
-fi
-# Observability is free when off: -pprof writes files through runtime/pprof.
-# net/http (with net/http/pprof and expvar behind it) was half the binary and
-# 2.6 MB of every job's resident set before main had parsed a flag.
-if go list -deps ./cmd/fractal ./cmd/fractal-worker | grep -x 'net/http'; then
-    echo "cmd/fractal or cmd/fractal-worker links net/http again" >&2
     exit 1
 fi
 go vet ./...

@@ -48,7 +48,7 @@ func (s *labelSets) set(i int, ls []Label) {
 			s.data[i] = ls[0]
 			return
 		case len(ls) == 1 && i == len(s.data):
-			s.data = append(s.data, ls[0])
+			s.data = append(s.grow(1), ls[0])
 			return
 		}
 		s.materialize()
@@ -62,10 +62,20 @@ func (s *labelSets) set(i int, ls []Label) {
 		}
 	}
 	at := len(s.data)
-	s.data = append(s.data, ls...)
+	s.data = append(s.grow(len(ls)), ls...)
 	slices.Sort(s.data[at:])
 	s.data = s.data[:at+len(slices.Compact(s.data[at:]))]
 	s.runs[i] = run{int32(at), int32(len(s.data) - at)}
+}
+
+// grow returns data with room for n more labels. A full payload doubles, so
+// the copies it outgrows add up to less than its final capacity; append's
+// 1.25x steps would leave four times that behind.
+func (s *labelSets) grow(n int) []Label {
+	if len(s.data)+n <= cap(s.data) {
+		return s.data
+	}
+	return append(make([]Label, 0, max(2*cap(s.data), len(s.data)+n)), s.data...)
 }
 
 // materialize gives a payload-only family its run table.
@@ -148,15 +158,15 @@ func (b *Builder) EnsureVertices(n int) {
 	b.nv = max(b.nv, n)
 }
 
-// reserve pre-sizes the edge arrays and the vertex label payload for m more
-// elements each (by make, not slices.Grow: under -race the latter allocates
-// the m elements twice). A payload left to grow by append leaves its
-// outgrown copies behind, and no later allocation of a load is small enough
-// to reuse them.
+// reserve pre-sizes the edge arrays for m more edges (by make, not
+// slices.Grow: under -race the latter allocates the m elements twice). An
+// array left to grow by append leaves its outgrown copies behind, and no
+// later allocation of a load is small enough to reuse them. Label payloads
+// are not reserved: an estimate of the edges says nothing of the vertices,
+// and they double as they fill (labelSets.grow).
 func (b *Builder) reserve(m int) {
 	b.esrc = append(make([]VertexID, 0, len(b.esrc)+m), b.esrc...)
 	b.edst = append(make([]VertexID, 0, len(b.edst)+m), b.edst...)
-	b.vlab.data = append(make([]Label, 0, len(b.vlab.data)+m), b.vlab.data...)
 }
 
 // AddEdge adds an undirected edge between u and v with the given labels and
@@ -212,8 +222,9 @@ func (b *Builder) NumVertices() int { return b.nv }
 func (b *Builder) NumEdges() int { return len(b.esrc) }
 
 // Build freezes the builder into an immutable Graph. The Graph takes
-// ownership of the builder's arrays — Build allocates the adjacency and
-// nothing else that grows with the graph — and the builder is left empty
+// ownership of the builder's arrays — Build allocates the neighbor
+// adjacency and nothing else that grows with the graph; the edge-id index
+// waits for its first reader (edgeIndex) — and the builder is left empty
 // (same name and dictionary), so nothing done to it afterwards reaches the
 // Graph.
 func (b *Builder) Build() *Graph {
@@ -222,24 +233,20 @@ func (b *Builder) Build() *Graph {
 	g.elabOff, g.elab = b.elab.pack(len(b.esrc))
 	g.vkwOff, g.vkw = b.vkw.pack(b.nv)
 	g.ekwOff, g.ekw = b.ekw.pack(len(b.esrc))
-	g.adjOff, g.adjV, g.adjE = buildAdjacency(b.nv, g.esrc, g.edst)
+	g.adjOff, g.adjV = buildAdjacency(b.nv, g.esrc, g.edst)
+	g.adjE = new(edgeIndex)
 	g.numLabel = countLabels(g.vlab, g.elab)
 	g.finalize()
 	*b = Builder{name: b.name, dict: b.dict}
 	return g
 }
 
-// buildAdjacency returns the CSR adjacency of the edges (esrc[id], edst[id])
-// over n vertices, every run ordered by (neighbor, edge id), allocating the
-// three arrays it returns and nothing else. It is a counting transpose and
-// compares nothing. Pass 1 scatters each incidence by its owner, in edge-id
-// order, into adjV as id<<1|side (side 1: the owner is edst[id]; at most
-// MaxInt32/2 edges, so it fits). Pass 2 walks adjV in order — owners
-// ascending — and drops each edge id into its other endpoint's run of adjE,
-// which therefore comes out ordered by owner, that run's neighbor, and by id
-// within one neighbor. Pass 3 writes the neighbors into adjV. off is the
-// cursor of passes 1 and 2.
-func buildAdjacency(n int, esrc, edst []VertexID) (off []int32, adjV []VertexID, adjE []EdgeID) {
+// buildAdjacency returns the CSR neighbor adjacency of the edges
+// (esrc[id], edst[id]) over n vertices, every run sorted, allocating the two
+// arrays it returns and nothing else: it scatters each endpoint into its
+// owner's run, with off as the cursor, then sorts each run of plain int32s.
+// Edge ids are left to indexEdges.
+func buildAdjacency(n int, esrc, edst []VertexID) (off []int32, adjV []VertexID) {
 	off = make([]int32, n+1)
 	for id := range esrc {
 		off[esrc[id]+1]++
@@ -248,37 +255,64 @@ func buildAdjacency(n int, esrc, edst []VertexID) (off []int32, adjV []VertexID,
 	for i := 1; i <= n; i++ {
 		off[i] += off[i-1]
 	}
-
 	adjV = make([]VertexID, 2*len(esrc))
 	for id := range esrc {
 		s, d := esrc[id], edst[id]
-		adjV[off[s]] = VertexID(id << 1)
+		adjV[off[s]] = d
 		off[s]++
-		adjV[off[d]] = VertexID(id<<1 | 1)
+		adjV[off[d]] = s
 		off[d]++
 	}
 	// Every cursor stopped at the start of the next run.
 	copy(off[1:], off[:n])
 	off[0] = 0
-
-	adjE = make([]EdgeID, len(adjV))
-	other := [2][]VertexID{edst, esrc} // by side
-	for _, x := range adjV {
-		id := x >> 1
-		w := other[x&1][id]
-		adjE[off[w]] = EdgeID(id)
-		off[w]++
-	}
-	copy(off[1:], off[:n])
-	off[0] = 0
-
 	for u := 0; u < n; u++ {
-		for i := off[u]; i < off[u+1]; i++ {
-			id := adjE[i]
-			adjV[i] = esrc[id] ^ edst[id] ^ VertexID(u)
+		slices.Sort(adjV[off[u]:off[u+1]])
+	}
+	return off, adjV
+}
+
+// indexEdges returns the edge-id column of the adjacency off of the edges
+// (esrc[id], edst[id]), esrc[id] < edst[id]: every run ordered by
+// (neighbor, edge id), the order of its neighbors in adjV. It allocates the
+// 2|E| ids and one |V| cursor, at, and compares nothing. A run is a lower
+// part, the edges to smaller neighbors, then an upper part. Pass 1 stages
+// each edge id in its lower endpoint's upper part, in id order. Pass 2 walks
+// the owners ascending and moves each staged id into its higher endpoint's
+// lower part, which therefore comes out ordered by (neighbor, id); pass 3
+// walks the lower parts the same way and writes each id back into its lower
+// endpoint's upper part, ordered likewise. Each pass reads rows the one
+// before it wrote and writes only rows nothing will read again.
+func indexEdges(off []int32, esrc, edst []VertexID) []EdgeID {
+	n := len(off) - 1
+	adjE := make([]EdgeID, 2*len(esrc))
+	at := slices.Clone(off[:n])
+	for _, d := range edst {
+		at[d]++
+	}
+	// at[u] is where u's upper part starts.
+	for id, s := range esrc {
+		adjE[at[s]] = EdgeID(id)
+		at[s]++
+	}
+	copy(at, off[:n])
+	for s := range n {
+		// Every smaller owner has filled s's lower part: at[s] ends it.
+		for _, id := range adjE[at[s]:off[s+1]] {
+			d := edst[id]
+			adjE[at[d]] = id
+			at[d]++
 		}
 	}
-	return off, adjV, adjE
+	// at[u] is where u's upper part starts again.
+	for d := range n {
+		for _, id := range adjE[off[d]:at[d]] {
+			s := esrc[id]
+			adjE[at[s]] = id
+			at[s]++
+		}
+	}
+	return adjE
 }
 
 // countLabels returns the number of distinct labels in the payloads: a

@@ -196,7 +196,8 @@ func decodeDict(b []byte) (*Dictionary, error) {
 
 // EncodeFGR serializes g into the .fgr format. The encoding is canonical:
 // the same graph always yields the same bytes (the basis of the
-// build→write→load→write byte-identity property).
+// build→write→load→write byte-identity property). The format carries the
+// edge-id index, so a built graph indexes it here if nothing has yet.
 func EncodeFGR(g *Graph) []byte {
 	type section struct {
 		id      uint32
@@ -205,7 +206,7 @@ func EncodeFGR(g *Graph) []byte {
 	secs := []section{
 		{secAdjOff, appendWords(nil, g.adjOff)},
 		{secAdjV, appendWords(nil, g.adjV)},
-		{secAdjE, appendWords(nil, g.adjE)},
+		{secAdjE, appendWords(nil, g.edgeIDs())},
 		{secESrc, appendWords(nil, g.esrc)},
 		{secEDst, appendWords(nil, g.edst)},
 		{secVLabOff, appendOffsets(g.vlabOff, g.nv, len(g.vlab))},
@@ -392,7 +393,7 @@ func DecodeFGR(data []byte) (*Graph, error) {
 	if b, err = payload(secAdjE, 2*numE); err != nil {
 		return nil, err
 	}
-	g.adjE = viewWords[EdgeID](b)
+	g.adjE = indexed(viewWords[EdgeID](b))
 	if b, err = payload(secESrc, numE); err != nil {
 		return nil, err
 	}
@@ -477,14 +478,15 @@ func validateCSR(g *Graph, numV, numE int64) error {
 	// every incidence consistent with the edge's endpoints, and every edge
 	// appearing exactly twice.
 	seen := make([]uint8, numE)
+	adjE := g.adjE.ids
 	for v := int64(0); v < numV; v++ {
 		lo, hi := g.adjOff[v], g.adjOff[v+1]
 		for i := lo; i < hi; i++ {
-			w, e := g.adjV[i], g.adjE[i]
+			w, e := g.adjV[i], adjE[i]
 			if w < 0 || int64(w) >= numV || e < 0 || int64(e) >= numE {
 				return formatErr("adjV", "incidence %d of vertex %d out of range (neighbor %d, edge %d)", i-lo, v, w, e)
 			}
-			if i > lo && (g.adjV[i-1] > w || (g.adjV[i-1] == w && g.adjE[i-1] >= e)) {
+			if i > lo && (g.adjV[i-1] > w || (g.adjV[i-1] == w && adjE[i-1] >= e)) {
 				return formatErr("adjV", "adjacency run of vertex %d not sorted by (neighbor, edge)", v)
 			}
 			s, d := g.esrc[e], g.edst[e]

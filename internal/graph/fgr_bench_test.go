@@ -219,13 +219,15 @@ func renumbered(g *Graph) *Graph {
 	return b.Build()
 }
 
-// BenchmarkBuild times Builder.Build alone — label packing, the CSR
-// transpose, the label census — on a builder refilled outside the timer:
-// on the preferential-attachment graph as generated, its edges nearly
-// ordered by endpoint, and on the same edges renumbered, which is what
-// every text load of the repository benchmark reads. alloc-B/edge is what
-// one Build allocates per edge (16 is the adjacency), held-B/edge what the
-// graph it returns holds.
+// BenchmarkBuild times Builder.Build alone — label packing, the neighbor
+// scatter and per-run sort, the label census — on a builder refilled
+// outside the timer, and (/index) the first IncidentEdges call on the graph
+// it returns, which indexes the edge ids: on the preferential-attachment
+// graph as generated, its edges nearly ordered by endpoint, and on the same
+// edges renumbered, which is what every text load of the repository
+// benchmark reads. alloc-B/edge is what one Build or index allocates per
+// edge (8 is the neighbor adjacency, 8 the index), held-B/edge what the
+// built graph holds before it is indexed.
 func BenchmarkBuild(b *testing.B) {
 	ordered := benchBA()
 	for _, c := range []struct {
@@ -249,6 +251,26 @@ func BenchmarkBuild(b *testing.B) {
 			total := allocated(func() { g = bld.Build() })
 			b.ReportMetric(float64(total)/float64(g.NumEdges()), "alloc-B/edge")
 			b.ReportMetric(float64(heldBytes(g))/float64(g.NumEdges()), "held-B/edge")
+		})
+		b.Run(c.name+"/index", func(b *testing.B) {
+			g := rebuilder(c.g).Build()
+			fresh := func() *Graph { // g's arrays under an index not yet built
+				h := *g
+				h.adjE = new(edgeIndex)
+				return &h
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				h := fresh()
+				b.StartTimer()
+				h.IncidentEdges(0)
+			}
+			b.StopTimer()
+			h := fresh()
+			total := allocated(func() { h.IncidentEdges(0) })
+			b.ReportMetric(float64(total)/float64(g.NumEdges()), "alloc-B/edge")
 		})
 	}
 }

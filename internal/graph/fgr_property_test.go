@@ -65,8 +65,8 @@ func checkCSRInvariants(t *testing.T, label string, g *Graph) {
 			t.Fatalf("%s: %s is materialized but plain (identity=%v, payload %d)", label, o.name, identity, o.n)
 		}
 	}
-	if len(g.adjV) != 2*numE || len(g.adjE) != 2*numE {
-		t.Fatalf("%s: adjacency holds %d/%d incidences, want 2|E|=%d", label, len(g.adjV), len(g.adjE), 2*numE)
+	if len(g.adjV) != 2*numE {
+		t.Fatalf("%s: adjacency holds %d incidences, want 2|E|=%d", label, len(g.adjV), 2*numE)
 	}
 
 	// Degree sums: per-vertex degrees must add up to exactly 2|E|.
@@ -89,15 +89,21 @@ func checkCSRInvariants(t *testing.T, label string, g *Graph) {
 	// Adjacency runs: in-range ids, strictly sorted by (neighbor, edge) —
 	// which also means deduplicated — consistent with the edge arrays, and
 	// every edge present exactly twice.
+	// The edge ids are read through IncidentEdges, which indexes them on a
+	// built graph.
 	seen := make([]int, numE)
 	for v := 0; v < numV; v++ {
 		lo, hi := g.adjOff[v], g.adjOff[v+1]
+		ids := g.IncidentEdges(VertexID(v))
+		if len(ids) != int(hi-lo) {
+			t.Fatalf("%s: vertex %d has %d neighbors and %d incident edges", label, v, hi-lo, len(ids))
+		}
 		for i := lo; i < hi; i++ {
-			w, e := g.adjV[i], g.adjE[i]
+			w, e := g.adjV[i], ids[i-lo]
 			if w < 0 || int(w) >= numV || e < 0 || int(e) >= numE {
 				t.Fatalf("%s: vertex %d incidence (%d,%d) out of range", label, v, w, e)
 			}
-			if i > lo && (g.adjV[i-1] > w || (g.adjV[i-1] == w && g.adjE[i-1] >= e)) {
+			if i > lo && (g.adjV[i-1] > w || (g.adjV[i-1] == w && ids[i-lo-1] >= e)) {
 				t.Fatalf("%s: adjacency run of vertex %d not strictly sorted by (neighbor, edge)", label, v)
 			}
 			s, d := g.esrc[e], g.edst[e]

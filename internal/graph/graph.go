@@ -2,16 +2,18 @@
 // Section 2.1 of the Fractal paper (SIGMOD 2019): vertices and edges carry
 // label sets, edges are undirected, self-loops are forbidden. The in-memory
 // representation is a flat CSR (compressed sparse row) core — offset arrays
-// plus packed, sorted payload arrays, with adjacency indexed both by
-// neighbor vertex and by edge identifier — which the subgraph enumerators
-// consume zero-copy. The same arrays have an on-disk form (the .fgr format,
-// fgr.go) that loads via mmap so multiple worker processes share one
-// physical copy.
+// plus packed, sorted payload arrays, with adjacency indexed by neighbor
+// vertex and, once something asks for edge identifiers, by edge identifier
+// too — which the subgraph enumerators consume zero-copy. The same arrays
+// have an on-disk form (the .fgr format, fgr.go) that loads via mmap so
+// multiple worker processes share one physical copy.
 package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
+	"sync/atomic"
 )
 
 // VertexID identifies a vertex in a Graph. IDs are dense in [0, NumVertices).
@@ -79,11 +81,12 @@ type Graph struct {
 	nv       int // |V|
 
 	// CSR adjacency: the incidences of vertex v are rows adjOff[v] to
-	// adjOff[v+1] of adjV (neighbor endpoint) and adjE (edge id), sorted by
-	// (neighbor, edge id) within each run.
+	// adjOff[v+1] of adjV (neighbor endpoint) and of the edge-id index adjE,
+	// sorted by (neighbor, edge id) within each run. adjE is shared with
+	// every Graph ApplyKeywords derives from this one.
 	adjOff []int32    // len NumVertices+1
 	adjV   []VertexID // len 2*NumEdges
-	adjE   []EdgeID   // len 2*NumEdges
+	adjE   *edgeIndex
 
 	// Flat edge endpoints: edge id -> (esrc[id], edst[id]), esrc[id] < edst[id].
 	esrc []VertexID
@@ -119,6 +122,43 @@ type Graph struct {
 		ok     bool
 	}
 }
+
+// edgeIndex is the edge-id column of the adjacency, ids[i] the edge of row
+// i. A mapped graph has it from its file. A built graph indexes it on the
+// first call of an accessor that returns edge ids (IncidentEdges,
+// EdgeBetween, EdgesBetween, EncodeFGR), once, whichever goroutine gets
+// there first: counting jobs read neighbors only and never pay its 2|E|
+// words.
+type edgeIndex struct {
+	once  sync.Once
+	built atomic.Bool // ids is in place
+	ids   []EdgeID
+}
+
+// indexed returns an edgeIndex that already holds ids.
+func indexed(ids []EdgeID) *edgeIndex {
+	x := &edgeIndex{ids: ids}
+	x.built.Store(true)
+	return x
+}
+
+// edgeIDs returns the edge-id column of the adjacency, indexing it first if
+// no call has yet.
+func (g *Graph) edgeIDs() []EdgeID {
+	x := g.adjE
+	if !x.built.Load() {
+		x.once.Do(func() {
+			x.ids = indexEdges(g.adjOff, g.esrc, g.edst)
+			x.built.Store(true)
+		})
+	}
+	return x.ids
+}
+
+// EdgeIndexed reports whether g holds the edge-id index of its adjacency:
+// always for a mapped graph, and for a built one once an accessor that
+// returns edge ids has run on it or on a graph sharing its adjacency.
+func (g *Graph) EdgeIndexed() bool { return g.adjE.built.Load() }
 
 // finalize derives |V|, the fast-path flags and the uniformity answer once
 // the arrays are in place. Every Graph construction path ends with it.
@@ -242,50 +282,53 @@ func (g *Graph) Neighbors(v VertexID) []VertexID {
 }
 
 // IncidentEdges returns the edge IDs incident to v, ordered to correspond
-// with Neighbors(v). The returned slice must not be mutated.
+// with Neighbors(v). The returned slice must not be mutated. The first call
+// on a built graph indexes the edge ids of the whole adjacency.
 func (g *Graph) IncidentEdges(v VertexID) []EdgeID {
 	i := uint(v)
-	return g.adjE[uint32(g.adjOff[i]):uint32(g.adjOff[i+1])]
+	return g.edgeIDs()[uint32(g.adjOff[i]):uint32(g.adjOff[i+1])]
 }
 
-// HasEdge reports whether u and v are adjacent (by any edge).
+// NeighborRun returns the endpoint w of u and v with the smaller degree and
+// the positions [lo, hi) of the other one in Neighbors(w), one per parallel
+// edge: IncidentEdges(w)[lo:hi] are the edges between u and v, ascending.
+// lo == hi when they are not adjacent (u == v never is). It is a binary
+// search of neighbors and reads no edge id.
+func (g *Graph) NeighborRun(u, v VertexID) (w VertexID, lo, hi int) {
+	if g.Degree(u) > g.Degree(v) {
+		u, v = v, u
+	}
+	nbu := g.Neighbors(u)
+	lo, _ = slices.BinarySearch(nbu, v)
+	hi = lo
+	for hi < len(nbu) && nbu[hi] == v {
+		hi++
+	}
+	return u, lo, hi
+}
+
+// HasEdge reports whether u and v are adjacent (by any edge). It reads
+// neighbors only.
 func (g *Graph) HasEdge(u, v VertexID) bool {
-	return g.EdgeBetween(u, v) != NilEdge
+	_, lo, hi := g.NeighborRun(u, v)
+	return lo < hi
 }
 
 // EdgeBetween returns the ID of one edge between u and v, or NilEdge. When
 // parallel edges exist the one with the smallest ID among the matching run is
 // returned.
 func (g *Graph) EdgeBetween(u, v VertexID) EdgeID {
-	if u == v {
-		return NilEdge
-	}
-	// Search from the lower-degree endpoint.
-	if g.Degree(u) > g.Degree(v) {
-		u, v = v, u
-	}
-	nbu := g.Neighbors(u)
-	i := sort.Search(len(nbu), func(i int) bool { return nbu[i] >= v })
-	if i < len(nbu) && nbu[i] == v {
-		return g.IncidentEdges(u)[i]
+	if w, lo, hi := g.NeighborRun(u, v); lo < hi {
+		return g.IncidentEdges(w)[lo]
 	}
 	return NilEdge
 }
 
-// EdgesBetween appends to dst the IDs of all edges between u and v and
-// returns the extended slice (multigraph-aware).
+// EdgesBetween appends to dst the IDs of all edges between u and v, in
+// ascending order, and returns the extended slice (multigraph-aware).
 func (g *Graph) EdgesBetween(u, v VertexID, dst []EdgeID) []EdgeID {
-	if u == v {
-		return dst
-	}
-	if g.Degree(u) > g.Degree(v) {
-		u, v = v, u
-	}
-	nbu := g.Neighbors(u)
-	ide := g.IncidentEdges(u)
-	i := sort.Search(len(nbu), func(i int) bool { return nbu[i] >= v })
-	for ; i < len(nbu) && nbu[i] == v; i++ {
-		dst = append(dst, ide[i])
+	if w, lo, hi := g.NeighborRun(u, v); lo < hi {
+		dst = append(dst, g.IncidentEdges(w)[lo:hi]...)
 	}
 	return dst
 }

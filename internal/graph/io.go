@@ -205,7 +205,7 @@ func LoadAdjacencyList(r io.Reader, name string) (*Graph, error) {
 	// a CSR is sorted, so an edge listed from one endpoint only is the first
 	// difference between their adjacency and that of the arcs listed from
 	// the higher endpoint.
-	roff, radj, _ := buildAdjacency(g.NumVertices(), rsrc, rdst)
+	roff, radj := buildAdjacency(g.NumVertices(), rsrc, rdst)
 	for u := VertexID(0); int(u) < g.NumVertices(); u++ {
 		fwd, rev := g.Neighbors(u), radj[roff[u]:roff[u+1]]
 		i := 0
@@ -309,9 +309,9 @@ func LoadFile(path string) (*Graph, error) {
 
 // ApplyKeywords parses a keyword sidecar and returns g carrying its keyword
 // attributes (interned through g's dictionary) on top of those g already has.
-// g is unchanged: the result shares its immutable adjacency, endpoint and
-// label arrays and owns only the keyword families — for a mapped g it is
-// valid until g is closed.
+// g is unchanged: the result shares its immutable adjacency (the edge-id
+// index too, built or not), endpoint and label arrays and owns only the
+// keyword families — for a mapped g it is valid until g is closed.
 func ApplyKeywords(g *Graph, r io.Reader) (*Graph, error) {
 	vkw, ekw := setsOf(g.vkwOff, g.vkw), setsOf(g.ekwOff, g.ekw)
 	hasKW := len(g.vkw)+len(g.ekw) > 0 // as in a rebuild (Reduce): the flag follows content

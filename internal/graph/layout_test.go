@@ -13,14 +13,19 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// heldBytes is the size of the arrays g holds.
+// heldBytes is the size of the arrays g holds, the edge-id index once it is
+// built.
 func heldBytes(g *Graph) uint64 {
-	words := len(g.adjOff) + len(g.adjV) + len(g.adjE) + len(g.esrc) + len(g.edst) +
+	words := len(g.adjOff) + len(g.adjV) + len(g.esrc) + len(g.edst) +
 		len(g.vlabOff) + len(g.vlab) + len(g.elabOff) + len(g.elab) +
 		len(g.vkwOff) + len(g.vkw) + len(g.ekwOff) + len(g.ekw)
+	if g.EdgeIndexed() {
+		words += len(g.edgeIDs())
+	}
 	return 4 * uint64(words)
 }
 
@@ -36,11 +41,14 @@ func allocated(f func()) uint64 {
 // TestIngestBudget is the memory gate of the ingest path, at the size of the
 // repository benchmark's small_jobs_el input: a text load may allocate 1.15
 // times what the graph it returns holds (line buffer, the spare capacity of
-// arrays sized from the input's length: 1.13 measured; a vertex label
-// payload grown by append made it 1.24, a string per line far more), and
-// Build itself allocates the adjacency and nothing else that grows with the
-// graph — no transpose buffer, no cursor array, no offsets for the
-// one-label-each vertices or the unlabelled edges.
+// the edge arrays sized from the input's length, the doubling vertex label
+// payload: 1.12 measured; a vertex label payload reserved from the edge
+// estimate made it 1.19, one grown by append's 1.25x steps 1.24, a string
+// per line far more). Build allocates the neighbor adjacency and nothing
+// else that grows with the graph — no edge-id index, no transpose buffer,
+// no cursor array, no offsets for the one-label-each vertices or the
+// unlabelled edges — and the edge-id index, built on first use, allocates
+// its 2|E| ids and at most one |V| cursor.
 func TestIngestBudget(t *testing.T) {
 	src := benchBA()
 	var text bytes.Buffer
@@ -51,28 +59,42 @@ func TestIngestBudget(t *testing.T) {
 	var g *Graph
 	var err error
 	load := allocated(func() { g, err = LoadEdgeList(bytes.NewReader(text.Bytes()), "ba") })
-	if err != nil || !sliceEq(g.adjOff, src.adjOff) || !sliceEq(g.adjV, src.adjV) || !sliceEq(g.adjE, src.adjE) {
+	if err != nil || !sliceEq(g.adjOff, src.adjOff) || !sliceEq(g.adjV, src.adjV) {
 		t.Fatalf("the loaded graph is not the one written (%v)", err)
+	}
+	if g.EdgeIndexed() {
+		t.Fatal("LoadEdgeList indexed the edge ids")
 	}
 	t.Logf("LoadEdgeList: %d bytes allocated, graph holds %d (%.2fx)", load, heldBytes(g), float64(load)/float64(heldBytes(g)))
 	if float64(load) > 1.15*float64(heldBytes(g)) {
 		t.Errorf("LoadEdgeList allocated %d bytes for a graph of %d: more than 1.15x", load, heldBytes(g))
 	}
 
+	ids, cursor := 4*uint64(2*g.NumEdges()), 4*uint64(g.NumVertices())
+	index := allocated(func() { g.IncidentEdges(0) })
+	t.Logf("edge-id index: %d bytes allocated, %d ids and a cursor of %d", index, ids, cursor)
+	if index < ids || index > ids+cursor+1<<14 { // two large objects' page rounding
+		t.Errorf("the edge-id index allocated %d bytes: want its %d and at most a %d-byte cursor", index, ids, cursor)
+	}
+	if !sliceEq(g.edgeIDs(), src.edgeIDs()) {
+		t.Error("the loaded graph's edge-id index is not the one written")
+	}
+
 	b := rebuilder(src)
 	build := allocated(func() { g = b.Build() })
-	adjacency := 4 * uint64(len(g.adjOff)+len(g.adjV)+len(g.adjE))
+	adjacency := 4 * uint64(len(g.adjOff)+len(g.adjV))
 	t.Logf("Build: %d bytes allocated, adjacency %d, graph holds %d (%.2fx)", build, adjacency, heldBytes(g), float64(build)/float64(heldBytes(g)))
-	if g.vlabOff != nil || g.elabOff != nil || heldBytes(g) != heldBytes(src) {
+	if g.vlabOff != nil || g.elabOff != nil || heldBytes(g) != heldBytes(src)-ids {
 		t.Errorf("one label per vertex, none per edge: offsets %d/%d words, %d bytes held, want none and %d",
-			len(g.vlabOff), len(g.elabOff), heldBytes(g), heldBytes(src))
+			len(g.vlabOff), len(g.elabOff), heldBytes(g), heldBytes(src)-ids)
 	}
 	if build > adjacency+1<<16 || float64(build) > 1.35*float64(heldBytes(g)) {
 		t.Errorf("Build allocated %d bytes: the adjacency is %d", build, adjacency)
 	}
 }
 
-// TestAdjacencyOrder pins the counting transpose against the seed Build's
+// TestAdjacencyOrder pins the neighbor build and the lazily built edge-id
+// index (read by checkCSRInvariants and EncodeFGR) against the seed Build's
 // sort of every run, on a hub of degree 10^4 and parallel edges, added in
 // random, sorted and reverse-sorted order, with isolated vertices at both
 // ends of the id range, and on no edges at all.
@@ -120,6 +142,9 @@ func TestAdjacencyOrder(t *testing.T) {
 				b.AddEdge(e.u+c.shift, e.v+c.shift, Label(lr.Intn(2))) // self-loops are refused by both builders
 			}
 			g := b.Build()
+			if g.EdgeIndexed() {
+				t.Fatal("Build indexed the edge ids")
+			}
 			if d := g.Degree(hub + c.shift); len(c.edges) > 0 && d < 10_000 {
 				t.Fatalf("hub degree %d, want at least 10^4", d)
 			}
@@ -320,11 +345,81 @@ func TestApplyKeywordsShares(t *testing.T) {
 			!sliceEq(g.vkwOff, before.vkwOff) || !sliceEq(g.ekwOff, before.ekwOff) {
 			t.Fatalf("seed %d: ApplyKeywords changed its input's keywords", seed)
 		}
-		if len(g.adjV) > 0 && (&out.adjV[0] != &g.adjV[0] || &out.adjE[0] != &g.adjE[0] || &out.esrc[0] != &g.esrc[0]) {
+		if len(g.adjV) > 0 && (&out.adjV[0] != &g.adjV[0] || out.adjE != g.adjE || &out.esrc[0] != &g.esrc[0]) {
 			t.Errorf("seed %d: the result has its own copy of the adjacency", seed)
 		}
 		if len(g.vkw) > 0 && len(out.vkw) > 0 && &out.vkw[0] == &g.vkw[0] {
 			t.Errorf("seed %d: the result writes into its input's keyword payload", seed)
 		}
 	}
+}
+
+// TestEdgeIndexOnce has many goroutines make the first edge-id call on a
+// freshly built graph and on a keyword graph derived from it before either
+// was indexed: every one must see the one index, built once and shared by
+// both graphs, and equal to the seed Build's. Run under -race it is the
+// index's synchronisation check.
+func TestEdgeIndexOnce(t *testing.T) {
+	r := rand.New(rand.NewSource(32))
+	const n = 300
+	bld := &ops{name: "index-once"}
+	for i := 0; i < n; i++ {
+		bld.AddVertex(Label(r.Intn(3)))
+	}
+	for i := 0; i < 8*n; i++ { // parallel edges among the low ids
+		u, v := VertexID(r.Intn(n)), VertexID(r.Intn(40))
+		if u != v {
+			bld.MustAddEdge(u, v, Label(r.Intn(2)))
+		}
+	}
+	seed := seedBuild(bld.seed())
+	g := bld.Build()
+	out, err := ApplyKeywords(g, strings.NewReader("v 0 k\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.EdgeIndexed() || out.EdgeIndexed() {
+		t.Fatal("the edge ids were indexed before anything asked for them")
+	}
+	const workers = 16
+	v := VertexID(0)
+	for g.Degree(v) == 0 {
+		v++
+	}
+	w := g.Neighbors(v)[0]
+	firsts := make([]*EdgeID, workers)
+	between := make([][]EdgeID, workers)
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			h := []*Graph{g, out}[i%2]
+			if i%4 < 2 {
+				firsts[i] = &h.IncidentEdges(v)[0]
+			} else {
+				between[i] = h.EdgesBetween(v, w, nil)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if !g.EdgeIndexed() || !out.EdgeIndexed() {
+		t.Fatal("a graph does not report the index it handed out")
+	}
+	want := &g.IncidentEdges(v)[0]
+	var wantBetween []EdgeID
+	for i, x := range seed.neighbors(v) {
+		if x == w {
+			wantBetween = append(wantBetween, seed.incidentEdges(v)[i])
+		}
+	}
+	for i := 0; i < workers; i++ {
+		if i%4 < 2 && firsts[i] != want {
+			t.Errorf("goroutine %d read an index of its own", i)
+		}
+		if i%4 >= 2 && !sliceEq(between[i], wantBetween) {
+			t.Errorf("goroutine %d: EdgesBetween(%d, %d) = %v, seed says %v", i, v, w, between[i], wantBetween)
+		}
+	}
+	pinAgainstSeed(t, seed, g)
 }

@@ -200,23 +200,24 @@ func (b *seedBuilder) Build() *Graph {
 	}
 	g.adjOff = deg
 	g.adjV = make([]VertexID, 2*m)
-	g.adjE = make([]EdgeID, 2*m)
+	adjE := make([]EdgeID, 2*m)
 	cursor := make([]int32, n)
 	copy(cursor, g.adjOff[:n])
 	for id := 0; id < m; id++ {
 		src, dst := g.esrc[id], g.edst[id]
 		i := cursor[src]
-		g.adjV[i], g.adjE[i] = dst, EdgeID(id)
+		g.adjV[i], adjE[i] = dst, EdgeID(id)
 		cursor[src]++
 		j := cursor[dst]
-		g.adjV[j], g.adjE[j] = src, EdgeID(id)
+		g.adjV[j], adjE[j] = src, EdgeID(id)
 		cursor[dst]++
 	}
 	for v := 0; v < n; v++ {
 		lo, hi := g.adjOff[v], g.adjOff[v+1]
-		run := adjRun{v: g.adjV[lo:hi], e: g.adjE[lo:hi]}
+		run := adjRun{v: g.adjV[lo:hi], e: adjE[lo:hi]}
 		sort.Sort(run)
 	}
+	g.adjE = indexed(adjE)
 	g.numLabel = b.countLabels()
 	if g.hasKW = b.hasKW; g.hasKW {
 		g.vkwOff, g.vkw = packLabels(b.vkeywords)

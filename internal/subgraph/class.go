@@ -94,7 +94,7 @@ func (e *Embedding) resolve() {
 		return
 	}
 	n := len(e.vertices)
-	mm.key = e.appendQuickKey(mm.key[:0])
+	mm.key = e.appendQuickKey(mm.key[:0]) // resolves the edges ClassifyEmbedding reads
 	idx, ok := mm.m[string(mm.key)]
 	if !ok {
 		cl, perm := mm.lab.ClassifyEmbedding(e.g, e.vertices, e.edges)
@@ -194,6 +194,7 @@ func (e *Embedding) ClassStats() ClassStats {
 // appendQuickKey appends the fingerprint of the embedding's labeled subgraph
 // to dst. Steady state allocates nothing.
 func (e *Embedding) appendQuickKey(dst []byte) []byte {
+	e.resolveEdges()
 	mm := &e.memo
 	n := len(e.vertices)
 	if cap(mm.adj) < n {

@@ -19,7 +19,7 @@ import (
 // are what must stay exact at any size.
 func checkClass(t *testing.T, e *Embedding) {
 	t.Helper()
-	p := pattern.FromEmbedding(e.g, e.vertices, e.edges)
+	p := pattern.FromEmbedding(e.g, e.vertices, e.Edges())
 	if e.kind != PatternInduced {
 		// For these kinds the subgraph is what Pattern() describes.
 		if q := e.Pattern(); q.Fingerprint() != p.Fingerprint() {

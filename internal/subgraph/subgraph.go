@@ -66,14 +66,20 @@ type Embedding struct {
 
 	words    []Word
 	vertices []graph.VertexID
-	edges    []graph.EdgeID
-	// edgesAt[i] = number of edges appended by level i, for Pop.
+	// edges are the embedding's edges in discovery order, edgesAt[i] the
+	// number level i added. An edge-induced Push appends its edge and count,
+	// a vertex-induced one its count and its edges' rows, a pattern-induced
+	// one nothing. resolveEdges, which every reader of edges calls, fills in
+	// the rest, so counting never reads an edge id.
+	edges   []graph.EdgeID
 	edgesAt []int
 
 	// Vertex-induced state: memberAdj[i] = bitmask of members adjacent to
-	// member i; tailMax[i] = max word of members[i:].
+	// member i; tailMax[i] = max word of members[i:]; rows[j] is where
+	// NeighborRun found the j-th edge, whose id is IncidentEdges(w)[i].
 	memberAdj []uint32
 	tailMax   []Word
+	rows      []edgeRow
 
 	// Edge-induced state: covered vertex list (for candidate generation).
 	cover   []graph.VertexID
@@ -151,13 +157,22 @@ func (e *Embedding) Words() []Word { return e.words }
 func (e *Embedding) Vertices() []graph.VertexID { return e.vertices }
 
 // Edges returns the embedding's edges in discovery order.
-func (e *Embedding) Edges() []graph.EdgeID { return e.edges }
+func (e *Embedding) Edges() []graph.EdgeID {
+	e.resolveEdges()
+	return e.edges
+}
 
 // NumVertices returns |V(S)| of the embedding.
 func (e *Embedding) NumVertices() int { return len(e.vertices) }
 
 // NumEdges returns |E(S)| of the embedding.
-func (e *Embedding) NumEdges() int { return len(e.edges) }
+func (e *Embedding) NumEdges() int {
+	if e.kind == VertexInduced {
+		return len(e.rows)
+	}
+	e.resolveEdges()
+	return len(e.edges)
+}
 
 // InitialDomain returns the number of depth-0 extension words: |V(G)| for
 // vertex- and pattern-induced embeddings, |E(G)| for edge-induced ones.
@@ -204,9 +219,16 @@ func (e *Embedding) Pop() {
 		e.custom.Popped(e)
 	}
 	k := len(e.words) - 1
-	ne := e.edgesAt[k]
-	e.edges = e.edges[:len(e.edges)-ne]
-	e.edgesAt = e.edgesAt[:k]
+	if k < len(e.edgesAt) { // always, but for an unresolved pattern-induced level
+		ne := e.edgesAt[k]
+		e.edgesAt = e.edgesAt[:k]
+		if e.kind == VertexInduced {
+			e.rows = e.rows[:len(e.rows)-ne]
+			e.edges = e.edges[:min(len(e.edges), len(e.rows))]
+		} else {
+			e.edges = e.edges[:len(e.edges)-ne]
+		}
+	}
 	switch e.kind {
 	case VertexInduced, PatternInduced:
 		e.vertices = e.vertices[:len(e.vertices)-1]
@@ -246,39 +268,58 @@ func (e *Embedding) Replay(words []Word) {
 	}
 }
 
+// edgeRow locates one edge of a vertex-induced embedding in the adjacency:
+// it is IncidentEdges(w)[i].
+type edgeRow struct {
+	w graph.VertexID
+	i int32
+}
+
 func (e *Embedding) pushVertex(v graph.VertexID) {
 	k := len(e.words)
 	if e.kind == VertexInduced {
+		// Every edge between v and a member, members in order and parallel
+		// edges by ascending id; the neighbor search finds them without
+		// their ids.
 		var mask uint32
-		ne := 0
+		ne := len(e.rows)
 		for i, m := range e.vertices {
-			e.scratchE = e.g.EdgesBetween(v, m, e.scratchE[:0])
-			if len(e.scratchE) > 0 {
-				mask |= 1 << uint(i)
-				e.edges = append(e.edges, e.scratchE...)
-				ne += len(e.scratchE)
+			w, lo, hi := e.g.NeighborRun(v, m)
+			if lo == hi {
+				continue
 			}
-		}
-		for i := range e.memberAdj {
-			if mask&(1<<uint(i)) != 0 {
-				e.memberAdj[i] |= 1 << uint(k)
+			mask |= 1 << uint(i)
+			e.memberAdj[i] |= 1 << uint(k)
+			for j := lo; j < hi; j++ {
+				e.rows = append(e.rows, edgeRow{w, int32(j)})
 			}
 		}
 		e.memberAdj = append(e.memberAdj, mask)
-		e.edgesAt = append(e.edgesAt, ne)
-	} else {
-		// Pattern-induced: add one edge per backward reference of this level.
-		ne := 0
-		for _, b := range e.plan.Back[k] {
-			id := e.edgeMatching(v, e.vertices[b.Pos], b.ELabel)
-			if id != graph.NilEdge {
-				e.edges = append(e.edges, id)
-				ne++
-			}
-		}
-		e.edgesAt = append(e.edgesAt, ne)
+		e.edgesAt = append(e.edgesAt, len(e.rows)-ne)
 	}
 	e.vertices = append(e.vertices, v)
+}
+
+// resolveEdges appends the ids of the edges pushed since it last ran: those
+// of the rows a vertex-induced Push found, or, for the pattern-induced
+// levels, one edge per backward reference of the plan.
+func (e *Embedding) resolveEdges() {
+	switch e.kind {
+	case VertexInduced:
+		for _, r := range e.rows[len(e.edges):] {
+			e.edges = append(e.edges, e.g.IncidentEdges(r.w)[r.i])
+		}
+	case PatternInduced:
+		for k := len(e.edgesAt); k < len(e.words); k++ {
+			ne := len(e.edges)
+			for _, b := range e.plan.Back[k] {
+				if id := e.edgeMatching(e.vertices[k], e.vertices[b.Pos], b.ELabel); id != graph.NilEdge {
+					e.edges = append(e.edges, id)
+				}
+			}
+			e.edgesAt = append(e.edgesAt, len(e.edges)-ne)
+		}
+	}
 }
 
 func (e *Embedding) pushEdge(id graph.EdgeID) {
@@ -608,7 +649,10 @@ func (e *Embedding) patternExtensions(dst []Word) ([]Word, int) {
 // and duplicate-free.
 func (e *Embedding) anchorCandidates(av graph.VertexID, elabel graph.Label, lo, hi graph.VertexID, dst []graph.VertexID) []graph.VertexID {
 	nbr := e.g.Neighbors(av)
-	inc := e.g.IncidentEdges(av)
+	var inc []graph.EdgeID // edge ids only for a labelled anchor, as in keepLabelled
+	if elabel != pattern.NoLabel {
+		inc = e.g.IncidentEdges(av)
+	}
 	for j := graph.Gallop(nbr, lo); j < len(nbr) && nbr[j] <= hi; {
 		u := nbr[j]
 		if elabel == pattern.NoLabel || e.runMatches(nbr, inc, j, elabel) {
@@ -673,7 +717,7 @@ func (e *Embedding) Pattern() *pattern.Pattern {
 
 // String summarizes the embedding.
 func (e *Embedding) String() string {
-	return fmt.Sprintf("Embedding(%s V=%v E=%v)", e.kind, e.vertices, e.edges)
+	return fmt.Sprintf("Embedding(%s V=%v E=%v)", e.kind, e.vertices, e.Edges())
 }
 
 func sortWords(ws []Word) {

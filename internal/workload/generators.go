@@ -76,9 +76,13 @@ func BarabasiAlbertCapped(name string, n, mPer, labels, maxDeg int, seed int64) 
 			urn = append(urn, graph.VertexID(i), graph.VertexID(j))
 		}
 	}
-	degree := make([]int, n)
-	for i := 0; i < start; i++ {
-		degree[i] = start - 1
+	// degree is kept only under a cap, the one thing that reads it.
+	var degree []int
+	if maxDeg > 0 {
+		degree = make([]int, n)
+		for i := 0; i < start; i++ {
+			degree[i] = start - 1
+		}
 	}
 	picks := make([]graph.VertexID, 0, mPer)
 	for v := start; v < n; v++ {
@@ -109,8 +113,10 @@ func BarabasiAlbertCapped(name string, n, mPer, labels, maxDeg int, seed int64) 
 		for _, u := range picks {
 			b.MustAddEdge(graph.VertexID(v), u)
 			urn = append(urn, graph.VertexID(v), u)
-			degree[u]++
-			degree[v]++
+			if degree != nil {
+				degree[u]++
+				degree[v]++
+			}
 		}
 	}
 	return b.Build()

@@ -122,9 +122,7 @@ func init() { RegisterApp(appSweep, sweepBuilder{}) }
 // core's vector, charging the adjacency elements it read to the step's EC.
 type sweepBuilder struct{}
 
-func (sweepBuilder) EnvProtos(JobSpec) (map[string]AggStore, error) { return nil, nil }
-
-func (sweepBuilder) Build(spec JobSpec, g *RawGraph, _ *Aggregations) (Job, error) {
+func (sweepBuilder) Build(spec JobSpec, g *RawGraph) (Job, error) {
 	sw, err := parseSweep(spec.Arg("patterns"))
 	if err != nil {
 		return Job{}, err

@@ -187,7 +187,7 @@ type ConfigError = sched.ConfigError
 type JobSpec = sched.JobSpec
 
 // SpecBuilder re-exports the materializer interface behind registered
-// applications (RegisterApp). Its method signatures use RawGraph, AggStore
+// applications (RegisterApp): its one method, Build, uses JobSpec, RawGraph
 // and Job so that modules outside this one can implement it.
 type SpecBuilder = sched.SpecBuilder
 
@@ -200,10 +200,6 @@ type RawGraph = graph.Graph
 // and SpecBuilder.Build returns.
 type Job = sched.Job
 
-// AggStore re-exports the aggregation store interface whose prototypes
-// SpecBuilder.EnvProtos supplies as wire decode templates.
-type AggStore = agg.Store
-
 // WorkerOptions re-exports the configuration of a worker process
 // (ServeWorker).
 type WorkerOptions = sched.ServeWorkerOptions
@@ -212,13 +208,6 @@ type WorkerOptions = sched.ServeWorkerOptions
 // master and every worker binary must register the same apps (typically in
 // an init function of the package defining the app).
 func RegisterApp(name string, b SpecBuilder) { sched.RegisterApp(name, b) }
-
-// NewAggregation returns an empty aggregation store with the given
-// reduction: the prototype shape SpecBuilder.EnvProtos supplies as the
-// decode template for environment values arriving off the wire.
-func NewAggregation[K comparable, V any](reduce func(V, V) V) AggStore {
-	return agg.New[K, V](reduce)
-}
 
 // AggregationEntries reads the named aggregation of a result environment as
 // a plain map — the RunSpec counterpart of AggregationMapCtx. The type

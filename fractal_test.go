@@ -693,9 +693,7 @@ func TestCountIsOneAggregation(t *testing.T) {
 // key type with no wire form; its kernel counts how often it ran.
 type unsupportedShapeApp struct{ emitted *atomic.Int64 }
 
-func (unsupportedShapeApp) EnvProtos(JobSpec) (map[string]AggStore, error) { return nil, nil }
-
-func (a unsupportedShapeApp) Build(_ JobSpec, g *RawGraph, _ *Aggregations) (Job, error) {
+func (a unsupportedShapeApp) Build(_ JobSpec, g *RawGraph) (Job, error) {
 	return unsupportedShapeFractoid(NewBuildGraph(g), a.emitted).Job()
 }
 

@@ -3,10 +3,11 @@
 // keys to int64 counts, PatternCount or *DomainSupport values (valueCodecs),
 // plus the Int64Sums vector of scalar.go — and any other K/V is refused up
 // front with an *UnsupportedShapeError (DESIGN.md, "Wire format"). A payload
-// is one tag byte, the entry count, then the entries in ascending key order
-// as tight varint runs (domain supports additionally delta-encode their
-// sorted vertex sets), so equal maps encode to identical bytes — the
-// property the merge-order-independence tests pin.
+// is one tag byte naming its shape, the entry count, then the entries in
+// ascending key order as tight varint runs (domain supports additionally
+// delta-encode their sorted vertex sets), so equal maps encode to identical
+// bytes — the property the merge-order-independence tests pin. The tag alone
+// is enough to rebuild a store (Decode).
 package agg
 
 import (
@@ -21,12 +22,13 @@ import (
 	"fractal/internal/wire"
 )
 
-// wireBinary tags an Aggregation payload and wireScalar an Int64Sums one. A
-// store only ever decodes payloads of its own type, so the tag spaces never
-// meet, but distinct values keep corruption loud.
+// The payload tags: one per value codec, and wireScalar for an Int64Sums.
+// A store decodes only payloads of its own tag.
 const (
-	wireBinary byte = 1
-	wireScalar byte = 2
+	wireCount         byte = 1
+	wireScalar        byte = 2
+	wirePatternCount  byte = 3
+	wireDomainSupport byte = 4
 )
 
 // UnsupportedShapeError is the refusal of an aggregation whose key or value
@@ -42,18 +44,49 @@ func (e *UnsupportedShapeError) Error() string {
 	return fmt.Sprintf("agg: an aggregation from %s keys to %s values has no wire form: only string keys to int64, PatternCount or *DomainSupport values ship (render the key as a string)", e.Key, e.Value)
 }
 
-// valueCodec is the wire form of one value type. put appends to dst (the
-// encoder's writer stays off the heap that way); get reads from r.
+// valueCodec is the wire form of one value type: the tag of its payloads,
+// put, which appends to dst (the encoder's writer stays off the heap that
+// way), and get, which reads from r.
 type valueCodec[V any] struct {
+	tag byte
 	put func(dst []byte, v V) ([]byte, error)
 	get func(r *wire.Reader) V
 }
 
 // valueCodecs is the closed set of value types that ship.
 var valueCodecs = []any{
-	valueCodec[int64]{put: putCount, get: (*wire.Reader).Varint},
-	valueCodec[PatternCount]{put: putPatternCount, get: getPatternCount},
-	valueCodec[*DomainSupport]{put: putDomainSupport, get: getDomainSupport},
+	valueCodec[int64]{tag: wireCount, put: putCount, get: (*wire.Reader).Varint},
+	valueCodec[PatternCount]{tag: wirePatternCount, put: putPatternCount, get: getPatternCount},
+	valueCodec[*DomainSupport]{tag: wireDomainSupport, put: putDomainSupport, get: getDomainSupport},
+}
+
+// Decode rebuilds a store from a payload alone, its tag naming the shape: a
+// string-keyed aggregation with the value type's reduction (SumInt64,
+// ReducePatternCount, ReduceDomainSupport) and no aggFilter, or an
+// Int64Sums of the payload's arity. It fails as DecodeAndMerge does, with a
+// *wire.Error, on an unknown tag too.
+func Decode(data []byte) (Store, error) {
+	r := wire.NewReader(data)
+	var s Store
+	switch tag := r.Byte(); tag {
+	case wireCount:
+		s = New[string, int64](SumInt64)
+	case wirePatternCount:
+		s = New[string, PatternCount](ReducePatternCount)
+	case wireDomainSupport:
+		s = New[string, *DomainSupport](ReduceDomainSupport)
+	case wireScalar:
+		s = NewInt64Sums(r.Count())
+	default:
+		r.Failf("unknown wire tag %d", tag)
+	}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("agg: decoding a payload: %w", err)
+	}
+	if err := s.DecodeAndMerge(data); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // wireForm returns the aggregation as the codec walks it — a string-keyed
@@ -89,7 +122,7 @@ func (a *Aggregation[K, V]) Encode() ([]byte, error) {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	w := wire.Writer{B: []byte{wireBinary}}
+	w := wire.Writer{B: []byte{vc.tag}}
 	w.Count(len(keys))
 	for _, k := range keys {
 		w.Str(k)
@@ -106,7 +139,7 @@ func (a *Aggregation[K, V]) DecodeAndMerge(data []byte) error {
 	if err != nil {
 		return err
 	}
-	r := payloadReader(data, wireBinary)
+	r := payloadReader(data, vc.tag)
 	prev := ""
 	for i, n := 0, r.Count(); i < n && r.Err() == nil; i++ {
 		k, v := r.Str(), vc.get(r)

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -216,11 +217,11 @@ func TestBinaryDecodeErrors(t *testing.T) {
 		"empty":        {},
 		"unknown tag":  {9, 1, 2, 3},
 		"truncated":    valid[:len(valid)-1],
-		"length bomb":  {wireBinary, 0xff, 0xff, 0xff, 0xff, 0x0f},
-		"string bomb":  {wireBinary, 1, 0xff, 0xff, 0xff, 0xff, 0x0f},
-		"bare payload": {wireBinary},
-		"repeated key": {wireBinary, 2, 1, 'k', 2, 1, 'k', 4},
-		"keys descend": {wireBinary, 2, 1, 'k', 2, 1, 'j', 4},
+		"length bomb":  {wireCount, 0xff, 0xff, 0xff, 0xff, 0x0f},
+		"string bomb":  {wireCount, 1, 0xff, 0xff, 0xff, 0xff, 0x0f},
+		"bare payload": {wireCount},
+		"repeated key": {wireCount, 2, 1, 'k', 2, 1, 'k', 4},
+		"keys descend": {wireCount, 2, 1, 'k', 2, 1, 'j', 4},
 	}
 	for name, data := range cases {
 		b := a.NewEmpty()
@@ -240,9 +241,9 @@ func TestHostileCountsFailBeforeAllocating(t *testing.T) {
 		store Store
 		data  []byte
 	}{
-		"entry count":  {New[string, int64](SumInt64), append([]byte{wireBinary}, bomb...)},
-		"domain count": {New[string, *DomainSupport](ReduceDomainSupport), append([]byte{wireBinary, 1, 1, 'k', 2, 0}, bomb...)},
-		"vertex count": {New[string, *DomainSupport](ReduceDomainSupport), append([]byte{wireBinary, 1, 1, 'k', 2, 0, 1}, bomb...)},
+		"entry count":  {New[string, int64](SumInt64), append([]byte{wireCount}, bomb...)},
+		"domain count": {New[string, *DomainSupport](ReduceDomainSupport), append([]byte{wireDomainSupport, 1, 1, 'k', 2, 0}, bomb...)},
+		"vertex count": {New[string, *DomainSupport](ReduceDomainSupport), append([]byte{wireDomainSupport, 1, 1, 'k', 2, 0, 1}, bomb...)},
 		"sums arity":   {NewInt64Sums(3), append([]byte{wireScalar}, bomb...)},
 	}
 	for name, tc := range cases {
@@ -264,8 +265,11 @@ func TestHostileCountsFailBeforeAllocating(t *testing.T) {
 
 // TestWireGolden pins the payload bytes of every aggregation shape against
 // payloads generated at the commit before the codecs moved onto the shared
-// reader/writer (PR 12): the wire form did not change. Each payload also
-// decodes and re-encodes to itself.
+// reader/writer (PR 12): the wire form did not change, except for the tag
+// byte, one per value type since PR 33 (pattern counts 3, supports 4; it
+// was 1 for every aggregation). Each payload also decodes and re-encodes to
+// itself, through DecodeAndMerge and through Decode, which needs no
+// prototype.
 func TestWireGolden(t *testing.T) {
 	p := goldenPattern()
 	counts := New[string, int64](SumInt64)
@@ -286,8 +290,8 @@ func TestWireGolden(t *testing.T) {
 		golden string
 	}{
 		{"counts", counts, "0103008080808080400161060262620d"},
-		{"patternCounts", pcs, "0102026b300003026b310103020405020001080102000a"},
-		{"supports", sups, "010204616e6f6e010001010701730401030204050200010801020003030104040202aa0200"},
+		{"patternCounts", pcs, "0302026b300003026b310103020405020001080102000a"},
+		{"supports", sups, "040204616e6f6e010001010701730401030204050200010801020003030104040202aa0200"},
 		{"sums", sums, "02040002018080808080808004"},
 		{"emptyCounts", New[string, int64](SumInt64), "0100"},
 	} {
@@ -305,6 +309,16 @@ func TestWireGolden(t *testing.T) {
 		if again, _ := back.Encode(); !bytes.Equal(again, data) {
 			t.Errorf("%s: re-encoded %x, want %x", tc.name, again, data)
 		}
+		rebuilt, err := Decode(data)
+		if err != nil {
+			t.Fatalf("%s: Decode: %v", tc.name, err)
+		}
+		if reflect.TypeOf(rebuilt) != reflect.TypeOf(tc.store) {
+			t.Errorf("%s: Decode built a %T, want %T", tc.name, rebuilt, tc.store)
+		}
+		if again, _ := rebuilt.Encode(); !bytes.Equal(again, data) {
+			t.Errorf("%s: Decode re-encoded %x, want %x", tc.name, again, data)
+		}
 	}
 }
 
@@ -320,8 +334,11 @@ func goldenPattern() *pattern.Pattern {
 }
 
 // FuzzBinaryCodec drives arbitrary bytes through DecodeAndMerge for every
-// shippable shape (decoders must fail with a *wire.Error, never panic or overallocate)
-// and checks that whatever decodes re-encodes without error.
+// shippable shape and through Decode (decoders must fail with a *wire.Error,
+// never panic or overallocate), checks that whatever decodes re-encodes
+// without error, and that Decode agrees with DecodeAndMerge into the
+// prototype the payload's tag names: both accept it or both refuse it, and
+// they hold the same store.
 func FuzzBinaryCodec(f *testing.F) {
 	p := pattern.Triangle()
 	perm := p.Canonical().Perm
@@ -341,28 +358,45 @@ func FuzzBinaryCodec(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	f.Add([]byte{wireBinary, 2, 1, 'a', 1, 1, 'b', 2})
+	f.Add([]byte{wireCount, 2, 1, 'a', 1, 1, 'b', 2})
 	// One key twice, with supports of different arity (found by this target).
-	f.Add([]byte("\x01\x03\x01\x0100\x00\x01\x0100\x01\x010\x01000\x01\x010"))
+	f.Add([]byte("\x04\x03\x01\x0100\x00\x01\x0100\x01\x010\x01000\x01\x010"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var werr *wire.Error
+		rebuilt, decErr := Decode(data)
+		if decErr != nil && !errors.As(decErr, &werr) {
+			t.Errorf("Decode error %v is not a *wire.Error", decErr)
+		}
 		stores := []Store{
 			New[string, int64](SumInt64),
 			New[string, PatternCount](ReducePatternCount),
 			New[string, *DomainSupport](ReduceDomainSupport),
 			NewInt64Sums(3),
 		}
+		matched := false
 		for _, s := range stores {
 			if err := s.DecodeAndMerge(data); err != nil {
-				var werr *wire.Error
 				if !errors.As(err, &werr) {
 					t.Errorf("%T: decode error %v is not a *wire.Error", s, err)
 				}
 				continue
 			}
-			if _, err := s.Encode(); err != nil {
+			want, err := s.Encode()
+			if err != nil {
 				t.Errorf("decoded store fails to re-encode: %v", err)
 			}
+			matched = true
+			if decErr != nil {
+				t.Fatalf("%T decodes a payload Decode refuses: %v", s, decErr)
+			}
+			if got, _ := rebuilt.Encode(); reflect.TypeOf(rebuilt) != reflect.TypeOf(s) || !bytes.Equal(got, want) {
+				t.Fatalf("Decode built %T holding %x, DecodeAndMerge %T holding %x", rebuilt, got, s, want)
+			}
+		}
+		// Decode takes a vector of any arity; the prototype only its own.
+		if sums, ok := rebuilt.(*Int64Sums); decErr == nil && !matched && (!ok || sums.Len() == 3) {
+			t.Fatalf("Decode accepts a %T payload no prototype decodes", rebuilt)
 		}
 	})
 }

@@ -115,7 +115,7 @@ func (s *mapSource[V]) err() error { return nil }
 // failure is the frame reader's own sticky error.
 type frameSource[V any] struct {
 	frames [][]byte
-	get    func(*wire.Reader) V
+	vc     valueCodec[V]
 	stop   func() bool
 
 	r         *wire.Reader // the frame being read; nil before the first
@@ -126,8 +126,8 @@ type frameSource[V any] struct {
 	cancelled bool
 }
 
-func newFrameSource[V any](frames [][]byte, get func(*wire.Reader) V, stop func() bool) *frameSource[V] {
-	s := &frameSource[V]{frames: frames, get: get, stop: stop}
+func newFrameSource[V any](frames [][]byte, vc valueCodec[V], stop func() bool) *frameSource[V] {
+	s := &frameSource[V]{frames: frames, vc: vc, stop: stop}
 	s.advance()
 	return s
 }
@@ -147,7 +147,7 @@ func (s *frameSource[V]) advance() {
 			s.cancelled = true
 			return
 		}
-		s.r = payloadReader(s.frames[0], wireBinary)
+		s.r = payloadReader(s.frames[0], s.vc.tag)
 		s.frames = s.frames[1:]
 		s.left = s.r.Count()
 	}
@@ -165,7 +165,7 @@ func (s *frameSource[V]) advance() {
 func (s *frameSource[V]) head() (string, bool) { return s.key, s.more }
 
 func (s *frameSource[V]) pop() V {
-	v := s.get(s.r)
+	v := s.vc.get(s.r)
 	s.advance()
 	return v
 }
@@ -215,7 +215,7 @@ func (a *Aggregation[K, V]) foldToFrames(parts []Store, limit int, stop func() b
 		var count [binary.MaxVarintLen64]byte
 		n := binary.PutUvarint(count[:], uint64(entries))
 		start := frameHeaderMax - n - 1
-		w.B[start] = wireBinary
+		w.B[start] = vc.tag
 		copy(w.B[start+1:], count[:n])
 		err := emit(w.B[start:])
 		w.B, entries = w.B[:frameHeaderMax], 0
@@ -255,7 +255,7 @@ func (a *Aggregation[K, V]) FoldFrames(seqs [][][]byte, stop func() bool) (Store
 	keep, _ := any(a.filter).(func(string, V) bool)
 	srcs := make([]source[V], len(seqs))
 	for i, frames := range seqs {
-		srcs[i] = newFrameSource(frames, vc.get, stop)
+		srcs[i] = newFrameSource(frames, vc, stop)
 	}
 	err = foldOrdered(srcs, a.reduce, func(k string, v V) error {
 		if keep == nil || keep(k, v) {

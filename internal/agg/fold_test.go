@@ -174,7 +174,7 @@ func TestFoldFramesGolden(t *testing.T) {
 					var entries []byte
 					count, prev := 0, ""
 					for i, f := range frames {
-						if f[0] != wireBinary {
+						if f[0] != want[0] {
 							t.Fatalf("frame %d has tag %d", i, f[0])
 						}
 						n, body := frameEntries(t, f)
@@ -310,11 +310,11 @@ func TestFoldFramesRefusesDisorder(t *testing.T) {
 	for name, seqs := range map[string][][][]byte{
 		"repeated key across frames":  {{frame("a", 1, "b", 2), frame("b", 3)}},
 		"descending key across":       {{frame("m", 1), frame("c", 3)}},
-		"descending key within":       {{{wireBinary, 2, 1, 'b', 2, 1, 'a', 2}}},
+		"descending key within":       {{{wireCount, 2, 1, 'b', 2, 1, 'a', 2}}},
 		"truncated last frame":        {{frame("a", 1), frame("b", 2)[:3]}},
 		"trailing bytes":              {{append(frame("a", 1), 0)}},
 		"bad tag":                     {{{wireScalar, 0}}},
-		"count beyond the frame":      {{{wireBinary, 9, 1, 'a', 2}}},
+		"count beyond the frame":      {{{wireCount, 9, 1, 'a', 2}}},
 		"second sender out of order":  {{frame("a", 1)}, {frame("z", 1), frame("y", 1)}},
 		"two vectors from one sender": nil,
 	} {
@@ -412,8 +412,8 @@ func FuzzFoldFrames(f *testing.F) {
 	f.Add(counts("a", 1, "b", 2), counts("b", 3), counts())           // a repeated key across two frames
 	f.Add(counts("m", 1), counts("c", 3), counts("c", 1))             // a descending key
 	f.Add(counts("a", 1), counts("b", 2, "c", 3)[:5], counts("a", 1)) // a truncated last frame
-	f.Add(supFrame, []byte{wireBinary, 0}, supFrame)
-	f.Add(pcFrame, []byte{wireBinary, 0}, pcFrame)
+	f.Add(supFrame, []byte{wireDomainSupport, 0}, supFrame)
+	f.Add(pcFrame, []byte{wirePatternCount, 0}, pcFrame)
 	f.Add(sums, []byte{}, sums)
 
 	f.Fuzz(func(t *testing.T, a, b, c []byte) {

@@ -7,11 +7,13 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"fractal"
+	"fractal/internal/agg"
 	"fractal/internal/graph"
 	"fractal/internal/pattern"
 	"fractal/internal/rpc"
@@ -287,6 +289,69 @@ func TestDistFSM(t *testing.T) {
 		t.Fatal(err)
 	}
 	fsmDistEqual(t, "distributed fsm", got, want)
+}
+
+// TestDistFSMLevelAfterJoin: a worker that registers between two FSM
+// levels never saw level 1 run, and level 2 reads support1 all the same —
+// from the step start — so the two-worker level 2 counts what the
+// in-process one does, pattern for pattern.
+func TestDistFSMLevelAfterJoin(t *testing.T) {
+	path := writeGraphFile(t, workload.Community("dist-fsm-join", 6, 15, 6, 0.8, 4, 46))
+	args := func(level int) map[string]string {
+		return map[string]string{"support": "8", "level": strconv.Itoa(level)}
+	}
+	levels := func(fc *fractal.Context, join func()) *fractal.Result {
+		t.Helper()
+		g := loadOn(t, fc, path)
+		one, err := g.RunSpec(bg, AppFSM, args(1), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		join()
+		two, err := g.RunSpec(bg, AppFSM, args(2), one.Aggregations)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return two
+	}
+	oracle, _ := inProcessOracle(t)
+	want := levels(oracle, func() {})
+	master := distMaster(t)
+	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{})
+	if err := master.AwaitWorkers(bg, 1); err != nil {
+		t.Fatal(err)
+	}
+	got := levels(master, func() {
+		startWorker(t, master.ListenAddr(), fractal.WorkerOptions{})
+		if err := master.AwaitWorkers(bg, 2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got.Report.Workers != 2 {
+		t.Errorf("level 2 ran on %d workers, want 2", got.Report.Workers)
+	}
+	if got.TotalSubgraphs() != want.TotalSubgraphs() {
+		t.Errorf("level 2 counted %d subgraphs, in process %d", got.TotalSubgraphs(), want.TotalSubgraphs())
+	}
+	for _, name := range []string{"support1", "support2"} {
+		w, err := agg.Typed[string, *agg.DomainSupport](want.Aggregations, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := agg.Typed[string, *agg.DomainSupport](got.Aggregations, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.Len() == 0 || g.Len() != w.Len() {
+			t.Fatalf("%s: %d patterns, in process %d", name, g.Len(), w.Len())
+		}
+		w.Range(func(code string, ds *agg.DomainSupport) bool {
+			if gds, ok := g.Get(code); !ok || gds.Support() != ds.Support() {
+				t.Errorf("%s: pattern %q support differs from in process (%d)", name, code, ds.Support())
+			}
+			return true
+		})
+	}
 }
 
 // TestDistFSMFrequentEdgeGraph: master and workers each derive a level's

@@ -52,9 +52,9 @@ type FSMOptions struct {
 // edges the mined patterns have). A level-L job is a from-scratch pipeline
 // (fsmCandidates): expand, filter by every earlier level's support
 // aggregation — environment entries named support1..support(L-1), threaded
-// between jobs by FSM and shipped to worker processes over the wire — expand,
-// …, refuse the classes with a sub-pattern outside support(L-1), aggregate
-// supportL. Every level past the first mines frequentEdgeGraph, which master
+// between jobs by FSM and shipped to worker processes with the step starts
+// that read them — expand, …, refuse the classes with a sub-pattern outside
+// support(L-1), aggregate supportL. Every level past the first mines frequentEdgeGraph, which master
 // and workers alike derive from the graph and the support.
 // Each level's support lives in its own environment entry because the
 // engine reuses — never recomputes — environment aggregations (Section 4.1).
@@ -62,19 +62,7 @@ type fsmBuilder struct{}
 
 func fsmSupName(level int) string { return fmt.Sprintf("support%d", level) }
 
-func (fsmBuilder) EnvProtos(spec fractal.JobSpec) (map[string]agg.Store, error) {
-	level, err := specInt(spec, "level", 1, MaxFSMEdges)
-	if err != nil {
-		return nil, err
-	}
-	protos := map[string]agg.Store{}
-	for l := 1; l < level; l++ {
-		protos[fsmSupName(l)] = agg.New[string, *agg.DomainSupport](agg.ReduceDomainSupport)
-	}
-	return protos, nil
-}
-
-func (fsmBuilder) Build(spec fractal.JobSpec, g *graph.Graph, _ *agg.Registry) (sched.Job, error) {
+func (fsmBuilder) Build(spec fractal.JobSpec, g *graph.Graph) (sched.Job, error) {
 	level, err := specInt(spec, "level", 1, MaxFSMEdges)
 	if err != nil {
 		return sched.Job{}, err

@@ -41,7 +41,9 @@ func fsmMLAnalog() *graph.Graph {
 // TestFSMPayloadGolden pins the bytes of every level's aggregation payload
 // to those of the commit before the class memo (PR 15, which labelled every
 // embedding through pattern.CodeCache): same keys, same representatives,
-// same domains at the same positions, same encoding.
+// same domains at the same positions, same encoding. The one byte that
+// changed since is the tag: a support payload's is 4 since PR 33, and the
+// sums are of the payload with the tag every aggregation had before, 1.
 func TestFSMPayloadGolden(t *testing.T) {
 	for _, tc := range []struct {
 		g        *graph.Graph
@@ -77,7 +79,10 @@ func TestFSMPayloadGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sum := sha256.Sum256(data)
+			if data[0] != 4 {
+				t.Errorf("%s %s: payload tag %d, want the support tag 4", tc.g.Name(), name, data[0])
+			}
+			sum := sha256.Sum256(append([]byte{1}, data[1:]...))
 			if got := hex.EncodeToString(sum[:]); got != want {
 				t.Errorf("%s %s: payload sha256 %s (%d bytes), parent commit's %s", tc.g.Name(), name, got, len(data), want)
 			}

@@ -185,7 +185,7 @@ func TestFSMFrequentEdgeGraph(t *testing.T) {
 	ctx := testCtx(t)
 	raw := fsmParallelGraph()
 	g := ctx.FromGraph(raw)
-	job, err := fsmBuilder{}.Build(fractal.JobSpec{App: AppFSM, Args: map[string]string{"support": "3", "level": "2"}}, raw, nil)
+	job, err := fsmBuilder{}.Build(fractal.JobSpec{App: AppFSM, Args: map[string]string{"support": "3", "level": "2"}}, raw)
 	if err != nil {
 		t.Fatal(err)
 	}

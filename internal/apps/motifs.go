@@ -37,11 +37,7 @@ func (m MotifCounts) Total() int64 {
 // pattern.ConnectedPatterns(k) sequence.
 type motifsBuilder struct{}
 
-func (motifsBuilder) EnvProtos(fractal.JobSpec) (map[string]agg.Store, error) {
-	return nil, nil
-}
-
-func (motifsBuilder) Build(spec fractal.JobSpec, g *graph.Graph, _ *agg.Registry) (sched.Job, error) {
+func (motifsBuilder) Build(spec fractal.JobSpec, g *graph.Graph) (sched.Job, error) {
 	k, err := specInt(spec, "k", 1, pattern.MaxGenVertices)
 	if err != nil {
 		return sched.Job{}, err

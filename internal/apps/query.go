@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"fractal"
-	"fractal/internal/agg"
 	"fractal/internal/graph"
 	"fractal/internal/pattern"
 	"fractal/internal/sched"
@@ -19,11 +18,7 @@ import (
 // above pattern.MaxGenVertices vertices.
 type queryBuilder struct{}
 
-func (queryBuilder) EnvProtos(fractal.JobSpec) (map[string]agg.Store, error) {
-	return nil, nil
-}
-
-func (queryBuilder) Build(spec fractal.JobSpec, g *graph.Graph, _ *agg.Registry) (sched.Job, error) {
+func (queryBuilder) Build(spec fractal.JobSpec, g *graph.Graph) (sched.Job, error) {
 	r := wire.NewReader([]byte(spec.Arg("pattern")))
 	p := pattern.ReadBinary(r)
 	if err := r.Done(); err != nil {

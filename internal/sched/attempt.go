@@ -30,13 +30,14 @@ func (r *Runtime) effectFree(s *step.Step) bool {
 	return true
 }
 
-// executeStep drives one fractal step: broadcast start, poll for global
+// executeStep drives one fractal step: broadcast start (carrying reads, the
+// encoded aggregations the step reads, in master mode), poll for global
 // quiescence, broadcast end, and merge the workers' aggregation partials.
 // On any failure — context cancellation, deadline, or worker loss — the
 // step is abandoned: the run's abort flag is flipped and a cancel message
 // is broadcast so every reachable worker drains its cores and discards its
 // partials.
-func (r *Runtime) executeStep(ctx context.Context, run *jobRun, idx int, s *step.Step) (err error) {
+func (r *Runtime) executeStep(ctx context.Context, run *jobRun, idx int, s *step.Step, reads []envEntry) (err error) {
 	defer func() {
 		if err != nil {
 			r.broadcastCancel(run, idx)
@@ -45,7 +46,7 @@ func (r *Runtime) executeStep(ctx context.Context, run *jobRun, idx int, s *step
 	if run.tracer != nil {
 		run.tracer.Emit(metrics.TraceEvent{Kind: metrics.TraceStepStart, Step: idx, Worker: -1, Core: -1})
 	}
-	startBody := encode(stepStartMsg{Job: run.job, Step: idx, Attempt: run.attempt, Workers: run.parts, Env: run.envWire})
+	startBody := encode(stepStartMsg{Job: run.job, Step: idx, Attempt: run.attempt, Workers: run.parts, Env: reads})
 	for _, wid := range run.parts {
 		if e := r.master.Send(rpc.NodeID(wid), rpc.Envelope{Kind: kStepStart, Body: startBody}); e != nil {
 			return &WorkerLostError{Worker: wid, Step: idx, Phase: "step-start", Err: e}

@@ -63,13 +63,13 @@ const (
 // participating worker IDs for this attempt — a retry may exclude lost
 // workers, and the remaining ones re-partition the root domain among
 // len(Workers)×CoresPerWorker cores and steal only from each other. Env
-// carries the environment aggregations committed by earlier steps of the
-// same job (encoded with the aggregation wire codec): remote workers fold
-// them into their job environment before building the attempt, so
-// multi-step jobs whose later steps read earlier steps' results — and
-// workers that joined after those steps committed — see the same
-// environment the master does. In-process deployments share the registry
-// by reference and leave Env empty.
+// carries, encoded with the aggregation wire codec, every aggregation the
+// step's AggFilter primitives read, whether an earlier job or an earlier
+// step of this job computed it: a remote worker decodes them (agg.Decode)
+// into the attempt's environment, so a worker that joined mid-job reads
+// what every other one does. The master encodes them once per step; an
+// in-process deployment shares the registry by reference and leaves Env
+// empty.
 type stepStartMsg struct {
 	Job, Step, Attempt int
 	Workers            []int
@@ -207,16 +207,17 @@ type peerJoinMsg struct {
 }
 
 // jobSpecMsg names a job over the wire: the registered app, the graph it
-// loads, its arguments, and any environment aggregations (encoded with the
-// aggregation wire codec) the step closures read. Every participant
-// reconstructs the identical workflow from this spec via the app's
-// registered SpecBuilder.
+// loads, its arguments, and the names of the environment the job runs
+// against. Every participant reconstructs the identical workflow from this
+// spec via the app's registered SpecBuilder, and the names make step.Split
+// give it the master's step list; the aggregations themselves ride the step
+// starts.
 type jobSpecMsg struct {
 	Job   int
 	App   string
 	Graph string
 	Args  []kvPair
-	Env   []envEntry
+	Env   []string
 }
 
 // kvPair is one spec argument; Args are sorted by key so the encoding is
@@ -504,7 +505,7 @@ func (m jobSpecMsg) put(w *wire.Writer) {
 	w.Str(m.App)
 	w.Str(m.Graph)
 	putSeq(w, m.Args, putKV)
-	putSeq(w, m.Env, putEnvEntry)
+	putSeq(w, m.Env, (*wire.Writer).Str)
 }
 
 func (m *jobSpecMsg) get(r *wire.Reader) {
@@ -512,7 +513,7 @@ func (m *jobSpecMsg) get(r *wire.Reader) {
 	m.App = r.Str()
 	m.Graph = r.Str()
 	m.Args = getSeq(r, getKV)
-	m.Env = getSeq(r, getEnvEntry)
+	m.Env = getSeq(r, (*wire.Reader).Str)
 }
 
 func (m jobSpecAckMsg) put(w *wire.Writer) {

@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"fractal/internal/agg"
+	"fractal/internal/graph"
 	"fractal/internal/metrics"
+	"fractal/internal/pattern"
 	"fractal/internal/subgraph"
 	"fractal/internal/wire"
 )
@@ -68,7 +72,9 @@ func newMessage(kind uint8) wireMessage {
 // ClassesPruned and SubgraphsPruned, 17 until PR 21 dropped the steal-scan slot)
 // and the counted CoreWork sequence, 17 zero bytes when empty. PR 21 also
 // redrew the status pair: the ping lost its round number, and the report is
-// the edge-triggered one (Seq and the grant counts).
+// the edge-triggered one (Seq and the grant counts). Since PR 33 a job
+// spec's Env is the environment's names only; the aggregations ride the
+// step starts.
 var messageCases = []struct {
 	name   string
 	kind   uint8
@@ -112,8 +118,8 @@ var messageCases = []struct {
 	{"peerJoin", kPeerJoin, &peerJoinMsg{Worker: 3, Addr: "c:3"}, "0603633a33"},
 	{"jobSpec", kJobSpec, &jobSpecMsg{Job: 2, App: "cliques", Graph: "/tmp/g.el",
 		Args: []kvPair{{"k", "4"}, {"engine", "plan"}},
-		Env:  []envEntry{{Name: "support1", Data: []byte{9, 8, 7}}}},
-		"0407636c6971756573092f746d702f672e656c02016b013406656e67696e6504706c616e0108737570706f72743103090807"},
+		Env:  []string{"support1"}},
+		"0407636c6971756573092f746d702f672e656c02016b013406656e67696e6504706c616e0108737570706f727431"},
 	{"jobSpecBare", kJobSpec, &jobSpecMsg{Job: 0, App: "motifs", Graph: "g"}, "00066d6f7469667301670000"},
 	{"jobSpecAck", kJobSpecAck, &jobSpecAckMsg{Job: 2, Worker: 1, Err: "load failed"}, "04020b6c6f6164206661696c6564"},
 	{"jobEnd", kJobEnd, &jobEndMsg{Job: 5}, "0a"},
@@ -195,6 +201,7 @@ func TestHostileCountsFailBeforeAllocating(t *testing.T) {
 		"cancelAck core work": {&cancelAckMsg{}, append(make([]byte, 4+16), count...)},
 		"welcome peers":       {&welcomeMsg{}, append([]byte{0, 0, 0, 0, 0}, count...)},
 		"jobSpec args":        {&jobSpecMsg{}, append([]byte{0, 0, 0}, count...)},
+		"jobSpec env":         {&jobSpecMsg{}, append([]byte{0, 0, 0, 0}, count...)},
 		"aggData bytes":       {&aggDataMsg{}, append([]byte{0, 0, 0, 0, 0}, count...)},
 	}
 	for name, tc := range cases {
@@ -216,11 +223,26 @@ func TestHostileCountsFailBeforeAllocating(t *testing.T) {
 // decoder of every message struct: it never panics, fails only with a
 // *wire.Error, and whatever decodes survives a round trip through its own
 // encoding unchanged — with one trailing byte added, that encoding is
-// rejected.
+// rejected. A step start that decodes also has its Env decoded the way a
+// worker does (decodeReads): a failure is a *wire.Error, and what it
+// allocates is bounded by the body's size.
 func FuzzDecodeMessage(f *testing.F) {
 	for _, tc := range messageCases {
 		f.Add(append([]byte{tc.kind}, encode(tc.in)...))
 	}
+	counts := agg.New[string, int64](agg.SumInt64)
+	counts.Add("a", 3)
+	sup := agg.New[string, *agg.DomainSupport](agg.ReduceDomainSupport)
+	sup.Add("tri", agg.NewDomainSupport(pattern.Triangle(), 2, []graph.VertexID{5, 1, 9}, pattern.Triangle().Canonical().Perm))
+	var reads []envEntry
+	for i, s := range []agg.Store{counts, sup, agg.NewInt64Sums(2)} {
+		data, err := s.Encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		reads = append(reads, envEntry{Name: fmt.Sprint("read", i), Data: data})
+	}
+	f.Add(append([]byte{kStepStart}, encode(stepStartMsg{Job: 1, Workers: []int{0}, Env: reads})...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -229,12 +251,24 @@ func FuzzDecodeMessage(f *testing.F) {
 		if m == nil {
 			return
 		}
+		var werr *wire.Error
 		if err := decode(data[1:], m); err != nil {
-			var werr *wire.Error
 			if !errors.As(err, &werr) {
 				t.Fatalf("decode error %v is not a *wire.Error", err)
 			}
 			return
+		}
+		if start, ok := m.(*stepStartMsg); ok {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := decodeReads(start.Env)
+			runtime.ReadMemStats(&after)
+			if err != nil && !errors.As(err, &werr) {
+				t.Fatalf("environment decode error %v is not a *wire.Error", err)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16+256*uint64(len(data)) {
+				t.Fatalf("decoding a %d-byte step start's environment allocated %d bytes", len(data), grew)
+			}
 		}
 		body := encode(m)
 		back := newMessage(data[0])

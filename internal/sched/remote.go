@@ -3,9 +3,10 @@
 // workers resolve step starts against the Runtime's published run (shared
 // address space), a remote worker materializes jobs from specs received over
 // the wire — graph loaded from its path, workflow rebuilt by the registered
-// app, environment decoded from shipped entries — and synthesizes a fresh
-// jobRun per step attempt. Both paths feed the identical worker/core
-// machinery, which is what keeps distributed results bit-identical.
+// app — and synthesizes a fresh jobRun per step attempt, its environment
+// decoded from the aggregations the step start carries. Both paths feed the
+// identical worker/core machinery, which is what keeps distributed results
+// bit-identical.
 package sched
 
 import (
@@ -109,19 +110,11 @@ wait:
 	return ctx.Err()
 }
 
-// remoteJob is a job materialized from a spec: everything an attempt needs,
-// cached until the master retires the job.
+// remoteJob is a job materialized from a spec: everything an attempt needs
+// but its environment, cached until the master retires the job.
 type remoteJob struct {
 	job   Job
 	steps []*step.Step
-	// env is the job's aggregation environment. Unlike in-process workers it
-	// is NOT shared with the master: committed values arrive as encoded
-	// deltas on step starts and replace entries here.
-	env *agg.Registry
-	// protos maps every aggregation name the job can ship or receive to a
-	// decode template: the spec's environment protos plus each step's own
-	// aggregations.
-	protos map[string]agg.Store
 }
 
 // remoteHost implements runProvider for a worker process.
@@ -136,7 +129,7 @@ type remoteHost struct {
 
 // runFor synthesizes a fresh jobRun for the attempt — the job state and a
 // fresh abort flag, as the master's newAttempt builds for in-process
-// workers — after folding the shipped environment delta in.
+// workers — with an environment of the aggregations the step start carries.
 func (h *remoteHost) runFor(m stepStartMsg) *jobRun {
 	h.mu.Lock()
 	rj := h.jobs[m.Job]
@@ -144,17 +137,9 @@ func (h *remoteHost) runFor(m stepStartMsg) *jobRun {
 	if rj == nil || m.Step < 0 || m.Step >= len(rj.steps) {
 		return nil
 	}
-	for _, e := range m.Env {
-		proto, ok := rj.protos[e.Name]
-		if !ok {
-			return nil
-		}
-		store := proto.NewEmpty()
-		if store.DecodeAndMerge(e.Data) != nil {
-			return nil
-		}
-		// Replace, not merge: the delta is the master's committed value.
-		rj.env.Put(e.Name, store)
+	env, err := decodeReads(m.Env)
+	if err != nil {
+		return nil
 	}
 	total := len(m.Workers) * h.cfg.CoresPerWorker
 	if total <= 0 {
@@ -170,8 +155,21 @@ func (h *remoteHost) runFor(m stepStartMsg) *jobRun {
 		plan:       rj.job.Plan,
 		customs:    cloneCustom(rj.job.Custom, total),
 		steps:      rj.steps,
-		env:        rj.env,
+		env:        env,
 	}
+}
+
+// decodeReads rebuilds the environment a step start carries.
+func decodeReads(entries []envEntry) (*agg.Registry, error) {
+	env := agg.NewRegistry()
+	for _, e := range entries {
+		store, err := agg.Decode(e.Data)
+		if err != nil {
+			return nil, fmt.Errorf("sched: decoding environment %q: %w", e.Name, err)
+		}
+		env.Put(e.Name, store)
+	}
+	return env, nil
 }
 
 // handleControl serves the control traffic in-process workers never see:
@@ -207,9 +205,9 @@ func (h *remoteHost) handleControl(w *worker, env rpc.Envelope) {
 }
 
 // install materializes one job spec: load the graph, rebuild the workflow
-// through the registered app, decode the shipped environment, and split the
-// workflow into steps — the same deterministic pipeline the master runs, so
-// both sides hold identical step lists.
+// through the registered app, and split it into steps against the names of
+// the master's environment — the same deterministic pipeline the master
+// runs, so both sides hold identical step lists.
 func (h *remoteHost) install(m jobSpecMsg) error {
 	spec := msgToSpec(m)
 	builder, err := builderFor(spec.App)
@@ -220,38 +218,23 @@ func (h *remoteHost) install(m jobSpecMsg) error {
 	if err != nil {
 		return fmt.Errorf("loading graph %q: %w", spec.Graph, err)
 	}
-	protos, err := builder.EnvProtos(spec)
-	if err != nil {
-		return err
-	}
-	env, err := decodeEnv(m.Env, protos)
-	if err != nil {
-		return err
-	}
-	job, err := builder.Build(spec, g, env)
+	job, err := builder.Build(spec, g)
 	if err != nil {
 		return fmt.Errorf("building %q: %w", spec.App, err)
 	}
-	job.Env = env
+	if err := job.validate(); err != nil {
+		return err
+	}
 	pre := map[string]bool{}
-	for _, n := range env.Names() {
+	for _, n := range m.Env {
 		pre[n] = true
 	}
 	steps, err := step.Split(job.Workflow, pre)
 	if err != nil {
 		return err
 	}
-	all := make(map[string]agg.Store, len(protos))
-	for n, p := range protos {
-		all[n] = p
-	}
-	for _, s := range steps {
-		for _, sp := range s.AggSpecs() {
-			all[sp.Name] = sp.Proto
-		}
-	}
 	h.mu.Lock()
-	h.jobs[m.Job] = &remoteJob{job: job, steps: steps, env: env, protos: all}
+	h.jobs[m.Job] = &remoteJob{job: job, steps: steps}
 	h.mu.Unlock()
 	return nil
 }

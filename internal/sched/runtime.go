@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -110,12 +111,6 @@ type jobRun struct {
 	mergeTime time.Duration
 	// tracer is the run's trace journal (nil when tracing is disabled).
 	tracer *metrics.Tracer
-	// envWire is the encoded environment delta shipped with the step start
-	// (master mode only): every aggregation committed by earlier steps of
-	// this job, so remote workers — including ones that joined mid-job —
-	// reconstruct the environment the master's merge produced. In-process
-	// runs share the registry by reference and leave it nil.
-	envWire []envEntry
 	// rounds journals the master's ping waves for the attempt (master-only).
 	rounds []QuiescenceRound
 	// cancelled is the abort flag: the master flips it, then interrupts the
@@ -360,36 +355,29 @@ func (r *Runtime) Run(ctx context.Context, job Job) (*Result, error) {
 	if r.reg != nil {
 		return nil, NotShippable("a closure-composed workflow (use a registered app through RunSpec)")
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if job.Graph == nil {
-		return nil, fmt.Errorf("sched: job has no graph")
-	}
-	if (job.Kind == subgraph.PatternInduced) != (job.Plan != nil) {
-		return nil, fmt.Errorf("sched: plan must be set exactly for pattern-induced jobs")
-	}
-	if job.Custom != nil && job.Kind != subgraph.VertexInduced {
-		return nil, fmt.Errorf("sched: custom enumerators require a vertex-induced job")
-	}
-	if err := checkShippable(job.Workflow); err != nil {
-		return nil, err
-	}
-	jobID, err := r.nextJobID()
-	if err != nil {
-		return nil, err
-	}
-	return r.runJob(ctx, jobID, job)
+	return r.runJob(ctx, job, nil)
 }
 
-// checkShippable refuses a workflow that aggregates into a store with no wire
-// form (*agg.UnsupportedShapeError). Every step ends by shipping its
-// partials, so such a job can only fail; refusing it here fails it before
-// step 0 enumerates anything instead of after.
-func checkShippable(wf step.Workflow) error {
-	for _, p := range wf {
-		if p.Kind != step.Aggregate {
-			continue
+// validate refuses a job that cannot run: one with no graph, a plan that
+// disagrees with its kind, a custom extender on a kind other than
+// vertex-induced — any of which would panic a core — or an aggregation
+// with no wire form (*agg.UnsupportedShapeError): every step ends by
+// shipping its partials, so such a job could only fail, and refusing it
+// here fails it before step 0 enumerates anything. The master checks every
+// job before it ships, and a worker every job it installs.
+func (job Job) validate() error {
+	if job.Graph == nil {
+		return fmt.Errorf("sched: job has no graph")
+	}
+	if (job.Kind == subgraph.PatternInduced) != (job.Plan != nil) {
+		return fmt.Errorf("sched: plan must be set exactly for pattern-induced jobs")
+	}
+	if job.Custom != nil && job.Kind != subgraph.VertexInduced {
+		return fmt.Errorf("sched: custom enumerators require a vertex-induced job")
+	}
+	for _, p := range job.Workflow {
+		if p.Kind != step.Aggregate || p.Agg == nil {
+			continue // step.Split refuses an aggregate with no specification
 		}
 		if err := p.Agg.Proto.Shippable(); err != nil {
 			return fmt.Errorf("sched: aggregation %q: %w", p.Agg.Name, err)
@@ -398,10 +386,17 @@ func checkShippable(wf step.Workflow) error {
 	return nil
 }
 
-// runJob executes a validated job under the given ID: the step retry loop
-// shared by Run (in-process) and RunSpec (master mode). The caller has
-// already distributed the job to the participants in master mode.
-func (r *Runtime) runJob(ctx context.Context, jobID int, job Job) (*Result, error) {
+// runJob validates a job, splits it into steps and executes them: the one
+// path of Run and RunSpec in every deployment. spec is set exactly in master
+// mode, where the job ships to the workers as that spec — with the names of
+// its environment, so both sides split the same steps — before step 0.
+func (r *Runtime) runJob(ctx context.Context, job Job, spec *JobSpec) (*Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := job.validate(); err != nil {
+		return nil, err
+	}
 	env := job.Env
 	if env == nil {
 		env = agg.NewRegistry()
@@ -422,6 +417,16 @@ func (r *Runtime) runJob(ctx context.Context, jobID int, job Job) (*Result, erro
 			return nil, fmt.Errorf("sched: step %d (%s) has output primitives but no extension; add Expand(n) before them",
 				i, step.Workflow(s.Primitives))
 		}
+	}
+	jobID, err := r.nextJobID()
+	if err != nil {
+		return nil, err
+	}
+	if spec != nil {
+		if err := r.reg.distribute(ctx, specToMsg(jobID, *spec, env.Names())); err != nil {
+			return nil, err
+		}
+		defer r.reg.endJob(jobID)
 	}
 
 	var tracer *metrics.Tracer
@@ -444,9 +449,6 @@ func (r *Runtime) runJob(ctx context.Context, jobID int, job Job) (*Result, erro
 	// dynamic: a worker that registers (and acks the spec) mid-job enters at
 	// the next attempt boundary.
 	excluded := map[int]bool{}
-	// envWire accumulates the encoded aggregations committed by this job's
-	// completed steps (master mode only), shipped with every step start.
-	var envWire []envEntry
 	for i, s := range steps {
 		rep := StepReport{Index: i, Workflow: step.Workflow(s.Primitives).String()}
 		if r.effectFree(s) {
@@ -454,7 +456,11 @@ func (r *Runtime) runJob(ctx context.Context, jobID int, job Job) (*Result, erro
 			res.Steps = append(res.Steps, rep)
 			continue
 		}
-		if err := ctx.Err(); err != nil {
+		reads, err := r.stepReads(env, s)
+		if err == nil {
+			err = ctx.Err()
+		}
+		if err != nil {
 			res.Wall = time.Since(start)
 			return res, fmt.Errorf("sched: step %d: %w", i, err)
 		}
@@ -479,7 +485,6 @@ func (r *Runtime) runJob(ctx context.Context, jobID int, job Job) (*Result, erro
 				break
 			}
 			run = r.newAttempt(jobID, attempt, parts, job, steps, env, tracer)
-			run.envWire = envWire
 			r.mu.Lock()
 			r.run = run
 			r.mu.Unlock()
@@ -489,7 +494,7 @@ func (r *Runtime) runJob(ctx context.Context, jobID int, job Job) (*Result, erro
 			if r.cfg.StepTimeout > 0 {
 				stepCtx, cancel = context.WithTimeout(ctx, r.cfg.StepTimeout)
 			}
-			stepErr = r.executeStep(stepCtx, run, i, s)
+			stepErr = r.executeStep(stepCtx, run, i, s, reads)
 			if cancel != nil {
 				cancel()
 			}
@@ -537,15 +542,6 @@ func (r *Runtime) runJob(ctx context.Context, jobID int, job Job) (*Result, erro
 		if run != nil {
 			fillReport(&rep, run)
 		}
-		if stepErr == nil && r.reg != nil {
-			// Ship this step's committed aggregations with subsequent step
-			// starts: remote workers reconstruct the environment from these
-			// deltas (in-process workers share the registry by reference).
-			var encErr error
-			if envWire, encErr = appendEnvWire(envWire, env, s); encErr != nil {
-				stepErr = encErr
-			}
-		}
 		if stepErr != nil {
 			// The step was abandoned: report the partial work done before
 			// the cancellation (or worker loss) took effect. executeStep
@@ -580,31 +576,29 @@ func (r *Runtime) participantsFor(jobID int, excluded map[int]bool) []int {
 	return parts
 }
 
-// appendEnvWire folds the step's committed aggregations into the job's
-// encoded environment delta, replacing superseded entries in place.
-func appendEnvWire(envWire []envEntry, env *agg.Registry, s *step.Step) ([]envEntry, error) {
-	for _, sp := range s.AggSpecs() {
-		store, ok := env.Get(sp.Name)
-		if !ok {
+// stepReads encodes, once per step, the environment aggregations its
+// AggFilter primitives read — from an earlier job or an earlier step of this
+// one — for the step starts of a master's workers. In-process workers share
+// env by reference: nothing is encoded for them.
+func (r *Runtime) stepReads(env *agg.Registry, s *step.Step) ([]envEntry, error) {
+	if r.reg == nil {
+		return nil, nil
+	}
+	var reads []envEntry
+	for _, p := range s.Primitives {
+		if p.Kind != step.AggFilter || slices.ContainsFunc(reads, func(e envEntry) bool { return e.Name == p.AggName }) {
 			continue
 		}
+		// step.Split admits a filter only on a name env held before the job
+		// or an earlier step committed to it.
+		store, _ := env.Get(p.AggName)
 		data, err := store.Encode()
 		if err != nil {
-			return envWire, fmt.Errorf("encoding environment delta %q: %w", sp.Name, err)
+			return nil, fmt.Errorf("encoding environment %q: %w", p.AggName, err)
 		}
-		replaced := false
-		for j := range envWire {
-			if envWire[j].Name == sp.Name {
-				envWire[j].Data = data
-				replaced = true
-				break
-			}
-		}
-		if !replaced {
-			envWire = append(envWire, envEntry{Name: sp.Name, Data: data})
-		}
+		reads = append(reads, envEntry{Name: p.AggName, Data: data})
 	}
-	return envWire, nil
+	return reads, nil
 }
 
 // newAttempt builds the fresh shared state for one execution attempt of a

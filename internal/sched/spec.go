@@ -43,13 +43,10 @@ func (s JobSpec) Arg(key string) string { return s.Args[key] }
 // SpecBuilder materializes jobs for one registered application.
 // Implementations must be deterministic and safe for concurrent use.
 type SpecBuilder interface {
-	// EnvProtos returns a prototype store for every environment aggregation
-	// the spec's workflow may read (Job.Env entries): the decode templates
-	// for environment values arriving over the wire. Names absent from the
-	// map cannot be shipped to workers.
-	EnvProtos(spec JobSpec) (map[string]agg.Store, error)
-	// Build constructs the job against a loaded graph and environment.
-	Build(spec JobSpec, g *graph.Graph, env *agg.Registry) (Job, error)
+	// Build constructs the job against a loaded graph. The aggregations its
+	// workflow reads come from the environment the job runs against (Job.Env
+	// on the submitting side; on a worker, the step starts carry them).
+	Build(spec JobSpec, g *graph.Graph) (Job, error)
 }
 
 var (
@@ -85,8 +82,8 @@ func builderFor(name string) (SpecBuilder, error) {
 }
 
 // specToMsg encodes a spec for the wire, with canonical (sorted) argument
-// order.
-func specToMsg(jobID int, spec JobSpec, env []envEntry) jobSpecMsg {
+// order, together with the names of the environment the job runs against.
+func specToMsg(jobID int, spec JobSpec, env []string) jobSpecMsg {
 	m := jobSpecMsg{Job: jobID, App: spec.App, Graph: spec.Graph, Env: env}
 	keys := make([]string, 0, len(spec.Args))
 	for k := range spec.Args {
@@ -109,50 +106,6 @@ func msgToSpec(m jobSpecMsg) JobSpec {
 		}
 	}
 	return spec
-}
-
-// encodeEnv serializes the environment stores named by protos, the entries a
-// spec ships to workers. Every proto name present in env is included.
-func encodeEnv(env *agg.Registry, protos map[string]agg.Store) ([]envEntry, error) {
-	if env == nil || len(protos) == 0 {
-		return nil, nil
-	}
-	names := make([]string, 0, len(protos))
-	for n := range protos {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var out []envEntry
-	for _, n := range names {
-		store, ok := env.Get(n)
-		if !ok {
-			continue
-		}
-		data, err := store.Encode()
-		if err != nil {
-			return nil, fmt.Errorf("sched: encoding environment %q: %w", n, err)
-		}
-		out = append(out, envEntry{Name: n, Data: data})
-	}
-	return out, nil
-}
-
-// decodeEnv rebuilds a registry from wire entries using the protos as decode
-// templates.
-func decodeEnv(entries []envEntry, protos map[string]agg.Store) (*agg.Registry, error) {
-	env := agg.NewRegistry()
-	for _, e := range entries {
-		proto, ok := protos[e.Name]
-		if !ok {
-			return nil, fmt.Errorf("sched: environment %q has no registered prototype", e.Name)
-		}
-		store := proto.NewEmpty()
-		if err := store.DecodeAndMerge(e.Data); err != nil {
-			return nil, fmt.Errorf("sched: decoding environment %q: %w", e.Name, err)
-		}
-		env.Put(e.Name, store)
-	}
-	return env, nil
 }
 
 // graphCache loads each graph file once per process. Jobs in a sequence
@@ -185,12 +138,13 @@ func (c *graphCache) load(path string) (*graph.Graph, error) {
 func (r *Runtime) LoadGraph(path string) (*graph.Graph, error) { return r.graphs.load(path) }
 
 // RunSpec executes a serializable job spec. It works in every deployment:
-// an in-process runtime builds the job locally and hands it to Run, and a
-// master-mode runtime distributes the spec to the registered workers, waits
-// for at least one to materialize it, and drives the step protocol across
-// processes. env carries aggregations from previous jobs the workflow reads
-// (nil for none); the result's Aggregations hold it plus everything the job
-// computed, exactly as with Run.
+// an in-process runtime builds the job locally and runs it as Run does, and
+// a master-mode runtime distributes the spec to the registered workers,
+// waits for at least one to materialize it, and drives the step protocol
+// across processes, each step start carrying the environment aggregations
+// the step reads. env carries aggregations from previous jobs the workflow
+// reads (nil for none); the result's Aggregations hold it plus everything
+// the job computed, exactly as with Run.
 func (r *Runtime) RunSpec(ctx context.Context, spec JobSpec, env *agg.Registry) (*Result, error) {
 	return r.RunSpecOn(ctx, spec, nil, env)
 }
@@ -201,9 +155,6 @@ func (r *Runtime) RunSpec(ctx context.Context, spec JobSpec, env *agg.Registry) 
 // empty. A master ships graphs by path, so there a path-less graph is a
 // *ConfigError.
 func (r *Runtime) RunSpecOn(ctx context.Context, spec JobSpec, g *graph.Graph, env *agg.Registry) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	builder, err := builderFor(spec.App)
 	if err != nil {
 		return nil, err
@@ -216,37 +167,16 @@ func (r *Runtime) RunSpecOn(ctx context.Context, spec JobSpec, g *graph.Graph, e
 			return nil, fmt.Errorf("sched: loading graph %q: %w", spec.Graph, err)
 		}
 	}
-	if env == nil {
-		env = agg.NewRegistry()
-	}
-	job, err := builder.Build(spec, g, env)
+	job, err := builder.Build(spec, g)
 	if err != nil {
 		return nil, fmt.Errorf("sched: building %q: %w", spec.App, err)
 	}
 	job.Env = env
-	if r.reg == nil {
-		return r.Run(ctx, job)
+	var ship *JobSpec
+	if r.reg != nil {
+		ship = &spec
 	}
-	if err := checkShippable(job.Workflow); err != nil {
-		return nil, err
-	}
-	jobID, err := r.nextJobID()
-	if err != nil {
-		return nil, err
-	}
-	protos, err := builder.EnvProtos(spec)
-	if err != nil {
-		return nil, err
-	}
-	wireEnv, err := encodeEnv(env, protos)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.reg.distribute(ctx, specToMsg(jobID, spec, wireEnv)); err != nil {
-		return nil, err
-	}
-	defer r.reg.endJob(jobID)
-	return r.runJob(ctx, jobID, job)
+	return r.runJob(ctx, job, ship)
 }
 
 // NotShippable is the error of a master-mode runtime (or of an application

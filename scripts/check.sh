@@ -29,15 +29,6 @@ if grep -nE '"sync(/atomic)?"|append\(\[\]\*Enumerator\(nil\)' $(ls internal/enu
     echo "internal/enumerator synchronizes or snapshots its levels again" >&2
     exit 1
 fi
-# A step's partials leave it as a stream: the worker folds its cores' stores
-# into frames and the master folds the frames (agg.Store.FoldToFrames and
-# FoldFrames). Merging partials into a store, or decoding one into a store, is
-# the tail PR 19 removed; the job environment, which is shipped whole, is the
-# one thing internal/sched still decodes (spec.go, remote.go).
-if grep -nE 'agg\.MergeTree\(|\.DecodeAndMerge\(' $(ls internal/sched/*.go | grep -v -e _test.go -e /spec.go -e /remote.go); then
-    echo "internal/sched builds a store from step partials again" >&2
-    exit 1
-fi
 # FSM decides per class: a filter that reads only the embedding's class goes
 # through FilterAggClass, whose verdict the class memo keeps. Testing the
 # class's code against an aggregation once per embedding is what PR 20

@@ -158,15 +158,19 @@ func (b *Builder) EnsureVertices(n int) {
 	b.nv = max(b.nv, n)
 }
 
-// reserve pre-sizes the edge arrays for m more edges (by make, not
-// slices.Grow: under -race the latter allocates the m elements twice). An
-// array left to grow by append leaves its outgrown copies behind, and no
-// later allocation of a load is small enough to reuse them. Label payloads
-// are not reserved: an estimate of the edges says nothing of the vertices,
-// and they double as they fill (labelSets.grow).
-func (b *Builder) reserve(m int) {
+// reserve pre-sizes the edge arrays for m more edges and the vertex label
+// payload for n more labels (by make, not slices.Grow: under -race the
+// latter allocates the elements twice). An array left to grow by append
+// leaves its outgrown copies behind, and no later allocation of a load is
+// small enough to reuse them. A payload left unreserved doubles as it fills
+// (labelSets.grow); the edge label payload always is, as a count of edges
+// says nothing of their labels.
+func (b *Builder) reserve(m, n int) {
 	b.esrc = append(make([]VertexID, 0, len(b.esrc)+m), b.esrc...)
 	b.edst = append(make([]VertexID, 0, len(b.edst)+m), b.edst...)
+	if n > 0 {
+		b.vlab.data = append(make([]Label, 0, len(b.vlab.data)+n), b.vlab.data...)
+	}
 }
 
 // AddEdge adds an undirected edge between u and v with the given labels and

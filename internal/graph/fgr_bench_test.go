@@ -185,7 +185,7 @@ func benchBA() *Graph {
 func rebuilder(g *Graph) *Builder {
 	b := NewBuilder(g.name)
 	b.dict = g.dict
-	b.reserve(g.NumEdges())
+	b.reserve(g.NumEdges(), 0)
 	for v := 0; v < g.NumVertices(); v++ {
 		id := b.AddVertex(g.VertexLabels(VertexID(v))...)
 		if ks := g.VertexKeywords(VertexID(v)); ks != nil {

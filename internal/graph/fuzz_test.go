@@ -129,7 +129,7 @@ func FuzzLoadEdgeList(f *testing.F) {
 			if err := WriteEdgeList(&buf, g); err != nil {
 				t.Fatalf("WriteEdgeList: %v", err)
 			}
-			g2, err := LoadEdgeList(&buf, "fuzz-rt")
+			g2, err := LoadEdgeList(bytes.NewReader(buf.Bytes()), "fuzz-rt")
 			if err != nil {
 				t.Fatalf("round-trip reload: %v", err)
 			}

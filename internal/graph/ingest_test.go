@@ -10,6 +10,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -205,6 +206,96 @@ func TestLoadEdgeListAgainstSeed(t *testing.T) {
 	}
 }
 
+// TestCountRecords: the count pass finds the v and e records the parser
+// reads, whatever the chunk size, and leaves the reader where it found it;
+// on a well-formed edge list the builder's arrays come out exactly full.
+func TestCountRecords(t *testing.T) {
+	for seed := int64(1); seed <= 400; seed++ {
+		text := randomEdgeListText(rand.New(rand.NewSource(seed)))
+		var wantV, wantE int
+		in := newRecords(strings.NewReader(text), "txt")
+		for kind, ok := in.next(); ok; kind, ok = in.next() {
+			switch string(kind) {
+			case "v":
+				wantV++
+			case "e":
+				wantE++
+			}
+		}
+		for _, chunk := range []int{1, 3, 64 << 10} {
+			r := strings.NewReader("skipped\n" + text)
+			r.Seek(8, io.SeekStart)
+			v, e, err := countRecords(r, make([]byte, chunk))
+			if err != nil || v != wantV || e != wantE {
+				t.Fatalf("seed %d, %d-byte chunks: counted %d v and %d e records (%v), the parser reads %d and %d, in:\n%s",
+					seed, chunk, v, e, err, wantV, wantE, text)
+			}
+			if at, _ := r.Seek(0, io.SeekCurrent); at != 8 {
+				t.Fatalf("seed %d: the count left the reader at %d, not 8", seed, at)
+			}
+		}
+	}
+
+	var text bytes.Buffer
+	if err := WriteEdgeList(&text, multiBuilder(rand.New(rand.NewSource(3))).Build()); err != nil {
+		t.Fatal(err)
+	}
+	r := bytes.NewReader(append([]byte("# read past\n"), text.Bytes()...))
+	r.Seek(12, io.SeekStart)
+	g, err := LoadEdgeList(r, "exact")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(g.esrc) != g.NumEdges() || cap(g.edst) != g.NumEdges() || cap(g.vlab) != len(g.vlab) {
+		t.Errorf("arrays of %d, %d and %d for %d edges and %d vertex labels: want exactly those",
+			cap(g.esrc), cap(g.edst), cap(g.vlab), g.NumEdges(), len(g.vlab))
+	}
+}
+
+// failingReader serves text and then fails at the same offset on every
+// pass; seekErr fails every Seek instead.
+type failingReader struct {
+	*strings.Reader
+	seekErr error
+}
+
+var errDisk = errors.New("disk on fire")
+
+func (f *failingReader) Read(p []byte) (int, error) {
+	n, err := f.Reader.Read(p)
+	if err == io.EOF {
+		err = errDisk
+	}
+	return n, err
+}
+
+func (f *failingReader) Seek(off int64, whence int) (int64, error) {
+	if f.seekErr != nil {
+		return 0, f.seekErr
+	}
+	return f.Reader.Seek(off, whence)
+}
+
+// TestLoadEdgeListReadErrors: a read error ends the count pass quietly and
+// the parse reports it where it meets it — after a parse error on an
+// earlier line, which keeps its line number; a reader that cannot rewind is
+// refused before anything is parsed.
+func TestLoadEdgeListReadErrors(t *testing.T) {
+	_, err := LoadEdgeList(&failingReader{Reader: strings.NewReader("v 0 a\ne 0 1\n")}, "f")
+	if !errors.Is(err, errDisk) || err.Error() != "graph: reading f: disk on fire" {
+		t.Errorf("read error: %v", err)
+	}
+	_, err = LoadEdgeList(&failingReader{Reader: strings.NewReader("v 0 a\nq 1\ne 0 1\n")}, "f")
+	var pe *ParseError
+	if !errors.As(err, &pe) || pe.Line != 2 {
+		t.Errorf("parse error before a read error: %v, want line 2", err)
+	}
+	_, err = LoadEdgeList(&failingReader{Reader: strings.NewReader("v 0 a\n"), seekErr: errDisk}, "f")
+	if !errors.Is(err, errDisk) {
+		t.Errorf("seek error: %v", err)
+	}
+}
+
 // goldenFGR pins the SHA-256 of the .fgr each checked-in text graph converts
 // to, generated at the parent commit (PR 13) with `fractal -convert`.
 var goldenFGR = map[string]string{
@@ -333,7 +424,7 @@ func textGraph(m int) (el, adj string) {
 // the edges may add growth steps and nothing else: at most log1.25(100) = 21
 // for each of the two arrays that grow by append (the adjacency loader's
 // line table, and its vertex label run table when records come out of
-// order; the edge loader sizes what it grows from the input's length),
+// order; the edge loader sizes what it grows from a count of its records),
 // against 1.7 million allocations in the Scanner/Fields loader at 100k
 // edges.
 func TestTextLoadAllocs(t *testing.T) {

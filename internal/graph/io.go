@@ -58,6 +58,7 @@ const maxLine = 1 << 24
 // per line). Fields are subslices of that buffer, valid until next.
 type records struct {
 	sc   *bufio.Scanner
+	buf  []byte // the scanner's initial buffer
 	name string
 	line int    // number of the current line
 	rest []byte // what follows the fields taken from the current line
@@ -65,8 +66,8 @@ type records struct {
 }
 
 func newRecords(r io.Reader, name string) *records {
-	in := &records{sc: bufio.NewScanner(r), name: name}
-	in.sc.Buffer(make([]byte, 1<<16), maxLine)
+	in := &records{sc: bufio.NewScanner(r), buf: make([]byte, 1<<16), name: name}
+	in.sc.Buffer(in.buf, maxLine)
 	switch r := r.(type) {
 	case interface{ Len() int }:
 		in.size = r.Len()
@@ -152,12 +153,74 @@ func (in *records) err() error {
 	}
 }
 
+// countRecords counts the lines of r whose first field is "v" and those
+// whose first field is "e", reading through buf, and rewinds r to where it
+// stood. It looks at the first bytes of each line and lets bytes.IndexByte
+// skip the rest: counting an edge list costs about a tenth of parsing it. A read error ends the count early, and the parse that follows meets
+// it at its line.
+func countRecords(r io.ReadSeeker, buf []byte) (v, e int, err error) {
+	start, err := r.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return 0, 0, err
+	}
+	const (
+		lineStart = iota // before the line's first field
+		sawV             // the first field starts "v"
+		sawE             // the first field starts "e"
+		inLine           // past what decides the line
+	)
+	state := lineStart
+	for {
+		n, rerr := r.Read(buf)
+		for p := buf[:n]; len(p) > 0; {
+			switch state {
+			case lineStart:
+				switch c := p[0]; {
+				case c == 'v':
+					state = sawV
+				case c == 'e':
+					state = sawE
+				case !isSpace(c):
+					state = inLine
+				}
+				p = p[1:]
+			case sawV, sawE:
+				if isSpace(p[0]) { // the first field is exactly "v" or "e"
+					if state == sawV {
+						v++
+					} else {
+						e++
+					}
+				}
+				state = inLine // p[0] may be the line's end: inLine takes it
+			case inLine:
+				i := bytes.IndexByte(p, '\n')
+				if i < 0 {
+					p = nil
+					break
+				}
+				p, state = p[i+1:], lineStart
+			}
+		}
+		if rerr != nil {
+			break
+		}
+	}
+	if state == sawV {
+		v++
+	} else if state == sawE {
+		e++
+	}
+	_, err = r.Seek(start, io.SeekStart)
+	return v, e, err
+}
+
 // LoadAdjacencyList parses the adjacency-list format from r into a Graph
 // named name.
 func LoadAdjacencyList(r io.Reader, name string) (*Graph, error) {
 	b := NewBuilder(name)
 	in := newRecords(r, name)
-	b.reserve(in.size / 16)
+	b.reserve(in.size/16, 0)
 	// Arcs listed from their higher endpoint, as (lower, higher) pairs, and
 	// the line of every vertex's record: what the symmetry check needs.
 	rsrc, rdst := make([]VertexID, 0, in.size/16), make([]VertexID, 0, in.size/16)
@@ -229,11 +292,20 @@ func LoadAdjacencyList(r io.Reader, name string) (*Graph, error) {
 }
 
 // LoadEdgeList parses the labeled edge-list format from r into a Graph named
-// name. Labels are interned through the graph's dictionary.
-func LoadEdgeList(r io.Reader, name string) (*Graph, error) {
+// name. Labels are interned through the graph's dictionary. r is read twice:
+// a count of its v and e records sizes the edge arrays and the vertex label
+// payload (countRecords), then r is rewound and parsed. The counts are a
+// reservation only: a miscounted record costs an append, never a different
+// graph.
+func LoadEdgeList(r io.ReadSeeker, name string) (*Graph, error) {
 	b := NewBuilder(name)
 	in := newRecords(r, name)
-	b.reserve(in.size / 16)
+	// The scanner has not read yet: the count borrows its buffer.
+	nv, ne, err := countRecords(r, in.buf)
+	if err != nil {
+		return nil, fmt.Errorf("graph: reading %s: %w", name, err)
+	}
+	b.reserve(ne, nv)
 	var labels []Label
 	for kind, ok := in.next(); ok; kind, ok = in.next() {
 		switch string(kind) {

@@ -1,7 +1,7 @@
 // Package rpc provides the actor-style message transport that Fractal's
 // master and workers communicate over (Section 4, "Proof of concept over
 // Spark and Akka"). Two implementations are provided: an in-process loopback
-// (channel mailboxes) and a real TCP transport with binary length-prefixed
+// (mailboxes in memory) and a real TCP transport with binary length-prefixed
 // framing (frame.go), which carries master/worker traffic both on loopback
 // (the single-process cost model) and across OS processes and machines (the
 // fractal-worker deployment).
@@ -165,8 +165,6 @@ func (e *DialError) Error() string {
 
 func (e *DialError) Unwrap() error { return e.Err }
 
-const mailboxDepth = 4096
-
 // TCPOptions tunes the failure behaviour of the TCP transport.
 type TCPOptions struct {
 	// DialAttempts is the maximum number of connection attempts per dial
@@ -259,14 +257,12 @@ func dialWithBackoff(addr string, o TCPOptions, done <-chan struct{}) (net.Conn,
 // Loopback transport
 
 type loopNode struct {
-	id   NodeID
-	net  *loopNetwork
-	box  chan Envelope
-	done chan struct{}
-	ctrs counters
-
-	mu     sync.RWMutex // guards closed; held (R) while sending into box
-	closed bool
+	id    NodeID
+	net   *loopNetwork
+	box   *Mailbox // BlockWhenFull: a sender waits for the reader
+	done  chan struct{}
+	ctrs  counters
+	close sync.Once
 }
 
 type loopNetwork struct {
@@ -279,7 +275,7 @@ func NewLoopbackNetwork(ids []NodeID) map[NodeID]Transport {
 	nw := &loopNetwork{nodes: map[NodeID]*loopNode{}}
 	out := map[NodeID]Transport{}
 	for _, id := range ids {
-		n := &loopNode{id: id, net: nw, box: make(chan Envelope, mailboxDepth), done: make(chan struct{})}
+		n := &loopNode{id: id, net: nw, box: NewMailbox(BlockWhenFull), done: make(chan struct{})}
 		nw.nodes[id] = n
 		out[id] = n
 	}
@@ -294,20 +290,15 @@ func (n *loopNode) Send(to NodeID, env Envelope) error {
 		return fmt.Errorf("%w: %d", ErrUnknownPeer, to)
 	}
 	env.From = n.id
-	// Hold the destination's read lock while sending so Close cannot close
-	// the mailbox under an in-flight send.
-	dst.mu.RLock()
-	defer dst.mu.RUnlock()
-	if dst.closed {
-		return ErrClosed
+	if err := dst.box.Put(env); err != nil {
+		return err
 	}
-	dst.box <- env
 	n.ctrs.countSend(env)
 	dst.ctrs.countRecv(env)
 	return nil
 }
 
-func (n *loopNode) Recv() <-chan Envelope { return n.box }
+func (n *loopNode) Recv() <-chan Envelope { return n.box.Recv() }
 
 func (n *loopNode) Stats() Stats { return n.ctrs.stats() }
 
@@ -324,13 +315,10 @@ func (n *loopNode) Peers() []NodeID {
 }
 
 func (n *loopNode) Close() error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if !n.closed {
-		n.closed = true
+	n.close.Do(func() {
 		close(n.done)
-		close(n.box)
-	}
+		n.box.Close()
+	})
 	return nil
 }
 
@@ -345,7 +333,7 @@ type TCPNode struct {
 	self  atomic.Int64
 	ln    net.Listener
 	opts  TCPOptions
-	box   chan Envelope
+	box   *Mailbox // BlockWhenFull: a full box stops the read loops
 	done  chan struct{}
 	ctrs  counters
 	close sync.Once
@@ -396,7 +384,7 @@ func NewTCPNode(self NodeID, listenAddr string, opts TCPOptions) (*TCPNode, erro
 	n := &TCPNode{
 		ln:      ln,
 		opts:    opts.withDefaults(),
-		box:     make(chan Envelope, mailboxDepth),
+		box:     NewMailbox(BlockWhenFull),
 		done:    make(chan struct{}),
 		book:    map[NodeID]string{},
 		conns:   map[NodeID]*tcpConn{},
@@ -506,12 +494,10 @@ func (n *TCPNode) readLoop(c net.Conn) {
 		if err != nil {
 			return
 		}
-		select {
-		case <-n.done:
-			return
-		case n.box <- env:
-			n.ctrs.countRecv(env)
+		if n.box.Put(env) != nil {
+			return // closed
 		}
+		n.ctrs.countRecv(env)
 	}
 }
 
@@ -616,7 +602,7 @@ func (n *TCPNode) Send(to NodeID, env Envelope) error {
 	return fmt.Errorf("rpc: send to node %d: %w", to, lastErr)
 }
 
-func (n *TCPNode) Recv() <-chan Envelope { return n.box }
+func (n *TCPNode) Recv() <-chan Envelope { return n.box.Recv() }
 
 func (n *TCPNode) Stats() Stats { return n.ctrs.stats() }
 
@@ -648,8 +634,8 @@ func (n *TCPNode) Close() error {
 			c.Close()
 		}
 		n.mu.Unlock()
+		n.box.Close() // before the wait: it wakes a read loop blocked on a full box
 		n.wg.Wait()
-		close(n.box)
 	})
 	return nil
 }

@@ -114,7 +114,7 @@ func (r *Runtime) broadcastCancel(run *jobRun, idx int) {
 	defer deadline.Stop()
 	for len(acked) < len(all) {
 		select {
-		case env, ok := <-r.inbox:
+		case env, ok := <-r.inbox.Recv():
 			if !ok {
 				return
 			}
@@ -198,7 +198,7 @@ func (r *Runtime) awaitQuiescence(ctx context.Context, run *jobRun, idx int) err
 	}
 	for {
 		select {
-		case env, ok := <-r.inbox:
+		case env, ok := <-r.inbox.Recv():
 			if !ok {
 				return fmt.Errorf("master transport closed")
 			}
@@ -311,7 +311,7 @@ func (r *Runtime) collectAggregations(ctx context.Context, run *jobRun, idx int,
 	defer lost.Stop()
 	for doneWorkers < len(run.parts) {
 		select {
-		case env, ok := <-r.inbox:
+		case env, ok := <-r.inbox.Recv():
 			if !ok {
 				return fmt.Errorf("master transport closed")
 			}

@@ -180,7 +180,7 @@ func newQuiesceRig(t *testing.T, cfg Config, inj rpc.FaultInjector) *quiesceRig 
 	})
 	q := &quiesceRig{
 		nw: nw, run: &jobRun{job: 1, parts: []int{0, 1, 2}}, done: make(chan error, 1),
-		rt: &Runtime{cfg: cfg.withDefaults(), master: rpc.WithFaultInjector(nw[rpc.Master], inj), inbox: make(chan rpc.Envelope, 16)},
+		rt: &Runtime{cfg: cfg.withDefaults(), master: rpc.WithFaultInjector(nw[rpc.Master], inj), inbox: rpc.NewMailbox(rpc.DropWhenFull)},
 	}
 	go func() { q.done <- q.rt.awaitQuiescence(context.Background(), q.run, 0) }()
 	return q
@@ -188,7 +188,7 @@ func newQuiesceRig(t *testing.T, cfg Config, inj rpc.FaultInjector) *quiesceRig 
 
 func (q *quiesceRig) deliver(m statusReportMsg) {
 	m.Job = 1
-	q.rt.inbox <- rpc.Envelope{Kind: kStatusReport, Body: encode(m)}
+	q.rt.inbox.Put(rpc.Envelope{Kind: kStatusReport, Body: encode(m)})
 }
 
 // ended requires the master to have declared the step over.

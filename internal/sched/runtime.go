@@ -143,7 +143,8 @@ type Runtime struct {
 	// inbox receives every step-protocol envelope. The router goroutine owns
 	// master.Recv() and forwards here, peeling off registration traffic; the
 	// run loop's quiescence, aggregation, and drain waits all read the inbox.
-	inbox    chan rpc.Envelope
+	// It is DropWhenFull: see router.
+	inbox    *rpc.Mailbox
 	routerWg sync.WaitGroup
 
 	mu     sync.Mutex
@@ -159,7 +160,7 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	listen := cfg.ListenAddr
 	cfg = cfg.withDefaults()
-	rt := &Runtime{cfg: cfg, inbox: make(chan rpc.Envelope, inboxDepth)}
+	rt := &Runtime{cfg: cfg, inbox: rpc.NewMailbox(rpc.DropWhenFull)}
 	if listen != "" {
 		// Master mode: a TCP listener and a registry instead of in-process
 		// workers.
@@ -205,20 +206,17 @@ func New(cfg Config) (*Runtime, error) {
 	return rt, nil
 }
 
-// inboxDepth buffers the master's step-protocol inbox. The run loop drains it
-// continuously during a step; the buffer only absorbs between-step stragglers
-// (late acks and partials of abandoned attempts).
-const inboxDepth = 4096
-
 // router owns the master transport's receive channel: registration traffic
 // goes to the registry (it must be served even while no job is running, and
 // while the run loop is blocked in a quiescence wait), everything else to the
-// inbox the run loop reads. A full inbox drops the message — equivalent to a
-// network loss, which every consumer already tolerates through attempt
-// tagging and timeouts.
+// inbox the run loop reads. The run loop drains the inbox continuously during
+// a step; between steps it only collects stragglers (late acks and partials
+// of abandoned attempts). An inbox at rpc.MailboxCap drops the message —
+// equivalent to a network loss, which every consumer already tolerates
+// through attempt tagging and timeouts.
 func (r *Runtime) router() {
 	defer r.routerWg.Done()
-	defer close(r.inbox)
+	defer r.inbox.Close()
 	for env := range r.master.Recv() {
 		switch env.Kind {
 		case kRegister:
@@ -230,10 +228,7 @@ func (r *Runtime) router() {
 				r.reg.handleAck(env)
 			}
 		default:
-			select {
-			case r.inbox <- env:
-			default:
-			}
+			_ = r.inbox.Put(env) // ErrFull drops it; ErrClosed cannot occur before this loop ends
 		}
 	}
 }
@@ -294,6 +289,8 @@ func (r *Runtime) Close() {
 	}
 	r.master.Close()
 	r.routerWg.Wait()
+	for range r.inbox.Recv() { // stragglers nobody reads: release the inbox
+	}
 }
 
 func (r *Runtime) currentRun() *jobRun {

@@ -309,7 +309,12 @@ func (w *worker) route() {
 				w.cancelStep(m)
 			}
 		case kShutdown:
+			// Nothing reads this transport after its router: close it and
+			// drop what is still queued, so that no backlog outlives it.
 			w.abortCurrent()
+			w.tr.Close()
+			for range w.tr.Recv() {
+			}
 			return
 		default:
 			w.runs.handleControl(w, env)

@@ -1,4 +1,4 @@
-.PHONY: check check-race check-dist chaos test build vet bench bench-smoke bench-micro bench-agg bench-plan bench-decomp bench-fsm bench-sched prof-sched bench-graph fuzz-agg fuzz-wire fuzz-plan fuzz-decomp fuzz-graph
+.PHONY: check check-race check-dist chaos test build vet bench-smoke bench-agg bench-plan bench-decomp bench-fsm bench-sched prof-sched bench-graph fuzz-agg fuzz-wire fuzz-plan fuzz-decomp fuzz-graph
 
 check:
 	./scripts/check.sh
@@ -37,22 +37,14 @@ build:
 test:
 	go test ./...
 
-bench:
-	go test -bench=. -benchmem ./...
-
-# Extension-kernel and set-intersection microbenchmarks (EXPERIMENTS.md).
-bench-micro:
-	go test -run=NONE -bench='Extensions|Enumerate|Intersect' -benchmem \
-		./internal/subgraph/ ./internal/graph/
-
 # Aggregation-pipeline microbenchmarks: allocation-free domain supports and
 # the wire codec against the retained seed oracle (gob, test-side only;
 # EXPERIMENTS.md), then the step tail end to end — the fsm_ml analog's level
 # 3 from "cores idle" to "support3 committed", one worker with two cores on
 # the loopback and two one-core workers over TCP: B/op and allocs/op of both
 # ends, and the frames one tail ships (8.7 and 13.8 MB/op in 1 and 2 frames
-# before the tail became an ordered fold, PR 19). CI runs this with
-# BENCHTIME=1x as a smoke test.
+# before the tail became an ordered fold, PR 19). CI's
+# `go test -bench=. -benchtime=1x ./...` step runs each once.
 bench-agg:
 	go test -run=NONE -bench='DomainSupport|AggEncode' -benchtime=$(BENCHTIME) -benchmem \
 		./internal/agg/
@@ -71,8 +63,8 @@ bench-smoke:
 # Compiled-plan engines against the canonical-check enumeration paths:
 # motif and clique counting end to end (EXPERIMENTS.md). The canon columns
 # are the test-side oracles (Listing 1 for motifs, Listing 2 for cliques),
-# the KClist column Listing 7's custom enumerator. CI runs this with
-# BENCHTIME=1x as a smoke test.
+# the KClist column Listing 7's custom enumerator. CI's
+# `go test -bench=. -benchtime=1x ./...` step runs each once.
 BENCHTIME ?= 1s
 bench-plan:
 	go test -run=NONE -bench='^Benchmark(Motifs(Plan|Canon)|Cliques(Plan|Canon|KClist))$$' \
@@ -81,8 +73,8 @@ bench-plan:
 # Decomposition engine against the pure plan fleet: k=4/k=5 motif counting
 # end to end through Motifs' engine argument (auto, which sweeps every
 # decomposable pattern at k=4 and 5, and plan; EXPERIMENTS.md §14), and the
-# induced conversion's SpanningCounts matrix at k=5 and 6. CI runs this with
-# BENCHTIME=1x as a smoke test.
+# induced conversion's SpanningCounts matrix at k=5 and 6. CI's
+# `go test -bench=. -benchtime=1x ./...` step runs each once.
 bench-decomp:
 	go test -run=NONE -bench='^(BenchmarkMotifs(Auto|Plan)(K5)?|BenchmarkSpanningCounts)$$' \
 		-benchtime=$(BENCHTIME) -benchmem ./internal/apps/ ./internal/pattern/
@@ -95,7 +87,8 @@ bench-decomp:
 # job; at the parent of PR 20 — every embedding of a frequent prefix
 # aggregated, a Class and a Perm on the heap per quick pattern — 30.2 MB,
 # 474 k allocs and some 3 250 keys (733 MB/job before labelling was paid per
-# class, PR 16). CI runs this with BENCHTIME=1x as a smoke test.
+# class, PR 16). CI's
+# `go test -bench=. -benchtime=1x ./...` step runs each once.
 bench-fsm:
 	go test -run=NONE -bench='^BenchmarkFSM$$' -benchtime=$(BENCHTIME) -benchmem ./internal/apps/
 
@@ -104,8 +97,8 @@ bench-fsm:
 # two — cheap kernels, so the DFS loop, the enumerator stack and stealing show
 # — plus the stack's push/drain/pop cycle (the benchmark's enumerator.cycle_ns
 # probe). allocs/op of the motifs rows is per job and must not scale with
-# subgraphs (2.4 M/job before stacks became private, PR 17). CI runs this
-# with BENCHTIME=1x as a smoke test.
+# subgraphs (2.4 M/job before stacks became private, PR 17). CI's
+# `go test -bench=. -benchtime=1x ./...` step runs each once.
 bench-sched:
 	go test -run=NONE -bench='^BenchmarkSchedMotifs5$$' -benchtime=$(BENCHTIME) -benchmem ./internal/apps/
 	go test -run=NONE -bench='^BenchmarkStackCycle$$' -benchmem ./internal/enumerator/
@@ -128,7 +121,8 @@ prof-sched:
 # benchmark's small_jobs_el size, neighbor-scan throughput of the
 # packed CSR arrays vs per-vertex slices, the decode/validation pass, and the
 # packed label-span accessors (AttributeScan pins the stride-1 fast path;
-# EXPERIMENTS.md). CI runs this with BENCHTIME=1x as a smoke test.
+# EXPERIMENTS.md). CI's
+# `go test -bench=. -benchtime=1x ./...` step runs each once.
 bench-graph:
 	go test -run=NONE -bench='FGRLoad|Build|WriteEdgeList|NeighborScan|FGRDecode|AttributeScan' \
 		-benchtime=$(BENCHTIME) -benchmem ./internal/graph/

@@ -1,12 +1,16 @@
 // Command fractal-bench regenerates the tables and figures of the Fractal
-// paper's evaluation on the synthetic dataset analogs.
+// paper's evaluation on the synthetic dataset analogs, Fractal against the
+// baselines of internal/baselines.
 //
 // Usage:
 //
 //	fractal-bench [-quick] [-exp <id>] [-list]
+//	fractal-bench -report <file>
 //
-// Without -exp, every experiment runs in order. See DESIGN.md for the
-// experiment index and EXPERIMENTS.md for recorded results.
+// Without -exp, every experiment runs in order. -report prints the
+// drill-down view of a snapshot written by `fractal -metrics-out`. See
+// DESIGN.md for the experiment index and EXPERIMENTS.md for recorded
+// results.
 package main
 
 import (
@@ -22,7 +26,7 @@ func main() {
 		exp    = flag.String("exp", "", "experiment id to run (default: all)")
 		quick  = flag.Bool("quick", false, "use reduced dataset sizes and sweeps")
 		list   = flag.Bool("list", false, "list experiment ids and exit")
-		report = flag.String("report", "", "analyze a metrics snapshot written by `fractal --metrics-out` and exit")
+		report = flag.String("report", "", "analyze a metrics snapshot written by `fractal -metrics-out` and exit")
 	)
 	flag.Parse()
 

@@ -54,16 +54,25 @@ type Result struct {
 }
 
 // embeddingStore is one level's materialized embeddings (their word
-// sequences).
+// sequences) and their accounted state in bytes.
 type embeddingStore struct {
 	mu    sync.Mutex
 	words [][]subgraph.Word
+	bytes int64
 }
 
-func (s *embeddingStore) add(w []subgraph.Word) {
+// add stores w and reports whether the level's state now exceeds budget
+// (never when budget is 0). A superstep stops at the first embedding over
+// budget, the way a worker's heap runs out mid-level, rather than after
+// materializing the whole level: the verdict is the same, the memory held
+// is the budget's.
+func (s *embeddingStore) add(w []subgraph.Word, budget int64) bool {
 	s.mu.Lock()
 	s.words = append(s.words, w)
+	s.bytes += metrics.EmbeddingBytes(len(w), len(w)) // vertices+edges approx.
+	over := budget > 0 && s.bytes > budget
 	s.mu.Unlock()
+	return over
 }
 
 // Run enumerates all depth-level embeddings of kind over g, level by level.
@@ -90,17 +99,14 @@ func run(g *igraph.Graph, kind subgraph.Kind, plan *pattern.Plan, depth int, cfg
 	probe := subgraph.New(g, kind, plan)
 	cur := &embeddingStore{}
 	for w := subgraph.Word(0); int(w) < probe.InitialDomain(); w++ {
-		if probe.ValidInitial(w) {
-			cur.add([]subgraph.Word{w})
+		if probe.ValidInitial(w) && cur.add([]subgraph.Word{w}, cfg.MemoryBudget) {
+			return nil, ErrOutOfMemory
 		}
 	}
-	if keep, err := res.levelDone(cur, 1, cfg, g, kind, plan, visit, depth == 1); err != nil {
-		return nil, err
-	} else {
-		cur = keep
-	}
+	res.levelDone(cur, cfg, g, kind, plan, visit, depth == 1)
 
 	var ec atomic.Int64
+	var oom atomic.Bool
 	for level := 2; level <= depth; level++ {
 		next := &embeddingStore{}
 		var wg sync.WaitGroup
@@ -123,6 +129,9 @@ func run(g *igraph.Graph, kind subgraph.Kind, plan *pattern.Plan, depth int, cfg
 				emb := subgraph.New(g, kind, plan)
 				var buf []subgraph.Word
 				for _, words := range part {
+					if oom.Load() {
+						return
+					}
 					emb.Replay(words)
 					var tested int
 					buf, tested = emb.Extensions(buf[:0])
@@ -131,41 +140,36 @@ func run(g *igraph.Graph, kind subgraph.Kind, plan *pattern.Plan, depth int, cfg
 						nw := make([]subgraph.Word, len(words)+1)
 						copy(nw, words)
 						nw[len(words)] = w
-						next.add(nw)
+						if next.add(nw, cfg.MemoryBudget) {
+							oom.Store(true)
+							return
+						}
 					}
 				}
 			}(cur.words[lo:hi])
 		}
 		wg.Wait() // BSP barrier
-		keep, err := res.levelDone(next, level, cfg, g, kind, plan, visit, level == depth)
-		if err != nil {
-			return nil, err
+		if oom.Load() {
+			return nil, ErrOutOfMemory
 		}
-		cur = keep
+		res.levelDone(next, cfg, g, kind, plan, visit, level == depth)
+		cur = next
 	}
 	res.EC = ec.Load()
 	res.Wall = time.Since(start)
 	return res, nil
 }
 
-// levelDone filters a completed level, accounts its state, and applies the
-// visitor at the final depth. It returns the store to use as the next
-// frontier.
-func (res *Result) levelDone(s *embeddingStore, level int, cfg Config, g *igraph.Graph,
-	kind subgraph.Kind, plan *pattern.Plan, visit func(*subgraph.Embedding), final bool) (*embeddingStore, error) {
+// levelDone accounts a completed level's state, filters it in place into
+// the next frontier, and applies the visitor at the final depth.
+func (res *Result) levelDone(s *embeddingStore, cfg Config, g *igraph.Graph,
+	kind subgraph.Kind, plan *pattern.Plan, visit func(*subgraph.Embedding), final bool) {
 	// The BSP superstep materializes every extension before the filter
-	// runs, so the level's state (and the memory budget) is accounted on
-	// the unfiltered frontier — this is the intermediate-state growth that
-	// Table 2 and Section 4.1 describe.
-	var bytes int64
-	for _, words := range s.words {
-		bytes += metrics.EmbeddingBytes(len(words), len(words)) // vertices+edges approx.
-	}
-	if bytes > res.PeakStateBytes {
-		res.PeakStateBytes = bytes
-	}
-	if cfg.MemoryBudget > 0 && bytes > cfg.MemoryBudget {
-		return nil, ErrOutOfMemory
+	// runs, so add accounted the level's state (and enforced the budget)
+	// on the unfiltered frontier — this is the intermediate-state growth
+	// that Table 2 and Section 4.1 describe.
+	if s.bytes > res.PeakStateBytes {
+		res.PeakStateBytes = s.bytes
 	}
 	if cfg.Filter != nil || (final && visit != nil) {
 		emb := subgraph.New(g, kind, plan)
@@ -186,5 +190,4 @@ func (res *Result) levelDone(s *embeddingStore, level int, cfg Config, g *igraph
 	if final {
 		res.Count = int64(len(s.words))
 	}
-	return s, nil
 }

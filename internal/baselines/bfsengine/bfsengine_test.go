@@ -2,12 +2,14 @@ package bfsengine
 
 import (
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
 	"fractal/internal/graph"
 	"fractal/internal/pattern"
 	"fractal/internal/subgraph"
+	"fractal/internal/workload"
 )
 
 func k4p() *graph.Graph {
@@ -90,6 +92,25 @@ func TestBudgetEnforced(t *testing.T) {
 	_, err := Run(k4p(), subgraph.VertexInduced, nil, 3, Config{MemoryBudget: 8})
 	if !errors.Is(err, ErrOutOfMemory) {
 		t.Errorf("err=%v, want ErrOutOfMemory", err)
+	}
+}
+
+// TestBudgetStopsTheLevel: a level over budget stops as it crosses the
+// budget instead of materializing whole first. BA(2000, 8)'s 3-vertex
+// level is tens of MB of embeddings; a 1 MB budget must fail the run
+// having allocated a small multiple of that.
+func TestBudgetStopsTheLevel(t *testing.T) {
+	g := workload.BarabasiAlbert("ba-budget", 2000, 8, 1, 3)
+	const budget = 1 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Run(g, subgraph.VertexInduced, nil, 3, Config{Cores: 2, MemoryBudget: budget})
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("err=%v, want ErrOutOfMemory", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16*budget {
+		t.Errorf("allocated %d bytes under a %d-byte budget", alloc, budget)
 	}
 }
 

@@ -2,7 +2,10 @@
 // figure of the paper's evaluation (Section 5 and Appendix C) on the
 // synthetic dataset analogs of internal/workload. Each experiment prints
 // rows in the shape of the paper's artifact; EXPERIMENTS.md records the
-// paper-vs-measured comparison.
+// paper-vs-measured comparison. Motif and query kernels run on
+// apps.EngineAuto, the engine cmd/fractal runs by default. The package also
+// holds AnalyzeRunReport, the drill-down view of a `fractal -metrics-out`
+// snapshot.
 //
 // Two measurement regimes are used, as documented in DESIGN.md:
 //   - runtime comparisons between systems (Figures 11-13, 15, 20a) use wall
@@ -32,8 +35,8 @@ type Options struct {
 	// Out receives the report (defaults to io.Discard if nil).
 	Out io.Writer
 	// Quick shrinks datasets and sweep ranges so every experiment finishes
-	// in well under a second — used by the testing.B wrappers and smoke
-	// tests. Full runs use the workload registry analogs.
+	// in well under a second — used by the package's tests. Full runs use
+	// the workload registry analogs.
 	Quick bool
 }
 
@@ -70,8 +73,6 @@ func Experiments() []Experiment {
 		{"sec41", "Section 4.1: BFS intermediate-state estimate", Sec41},
 		{"sec43", "Section 4.3: reduction of V/E/EC for keyword queries", Sec43},
 		{"sec6", "Section 6: work-stealing overhead", Sec6},
-		{"obs", "Observability: trace journal + metrics snapshot drilldown", Obs},
-		{"micro", "Microbenchmarks: extension kernels and set intersection", Micro},
 	}
 }
 
@@ -168,15 +169,16 @@ func ms(d time.Duration) string {
 	return fmt.Sprintf("%.1fms", float64(d.Microseconds())/1000)
 }
 
-// ratio formats a/b as "x.xx×" handling zero.
+// ratio formats b/a, the baseline's time over Fractal's, as "x.xx×"; "-"
+// when either side has no time (a failed or out-of-memory baseline).
 func ratio(a, b time.Duration) string {
-	if a <= 0 {
+	if a <= 0 || b <= 0 {
 		return "-"
 	}
 	return fmt.Sprintf("%.2f×", float64(b)/float64(a))
 }
 
-// gb formats bytes as mebi/gibi-style units.
+// bytesHuman formats bytes as mebi/gibi-style units.
 func bytesHuman(n int64) string {
 	switch {
 	case n >= 1<<30:

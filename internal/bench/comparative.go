@@ -71,7 +71,7 @@ func Fig11(o Options) error {
 		}
 		fg := ctx.FromGraph(g)
 		t0 := time.Now()
-		if _, _, err := apps.Motifs(bg, ctx, fg, c.k, apps.EnginePlan); err != nil {
+		if _, _, err := apps.Motifs(bg, ctx, fg, c.k, apps.EngineAuto); err != nil {
 			return err
 		}
 		frac := time.Since(t0)
@@ -247,7 +247,7 @@ func Fig15(o Options) error {
 		fg := ctx.FromGraph(g)
 		for qi, q := range queries[:qn] {
 			t0 := time.Now()
-			n, _, err := apps.Query(bg, ctx, fg, q, apps.EnginePlan)
+			n, _, err := apps.Query(bg, ctx, fg, q, apps.EngineAuto)
 			if err != nil {
 				return err
 			}

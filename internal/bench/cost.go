@@ -28,7 +28,8 @@ func projected(wall time.Duration, makespan, total int64) time.Duration {
 	return time.Duration(float64(wall) * float64(makespan) / float64(total))
 }
 
-// lastBalance returns the dominant (highest-work) executed step's balance.
+// lastBalance sums the makespan and the total work of every executed step:
+// the job's balance, with the steps run one after the other.
 func lastBalance(steps []fractal.StepReport) (makespan, total int64) {
 	for _, s := range steps {
 		if s.Skipped {
@@ -114,7 +115,7 @@ func Fig18(o Options) error {
 				return r.Wall, nil
 			},
 			fractal: func(ctx *fractal.Context) ([]fractal.StepReport, time.Duration, error) {
-				_, r, err := apps.Motifs(bg, ctx, ctx.FromGraph(micoSL), motifK, apps.EnginePlan)
+				_, r, err := apps.Motifs(bg, ctx, ctx.FromGraph(micoSL), motifK, apps.EngineAuto)
 				if err != nil {
 					return nil, 0, err
 				}
@@ -159,7 +160,7 @@ func Fig18(o Options) error {
 				return r.Wall, err
 			},
 			fractal: func(ctx *fractal.Context) ([]fractal.StepReport, time.Duration, error) {
-				_, r, err := apps.Query(bg, ctx, ctx.FromGraph(patentsSL), queries[1], apps.EnginePlan)
+				_, r, err := apps.Query(bg, ctx, ctx.FromGraph(patentsSL), queries[1], apps.EngineAuto)
 				if err != nil {
 					return nil, 0, err
 				}
@@ -173,7 +174,7 @@ func Fig18(o Options) error {
 				return r.Wall, err
 			},
 			fractal: func(ctx *fractal.Context) ([]fractal.StepReport, time.Duration, error) {
-				_, r, err := apps.Query(bg, ctx, ctx.FromGraph(patentsSL), queries[2], apps.EnginePlan)
+				_, r, err := apps.Query(bg, ctx, ctx.FromGraph(patentsSL), queries[2], apps.EngineAuto)
 				if err != nil {
 					return nil, 0, err
 				}
@@ -214,7 +215,7 @@ func Fig19(o Options) error {
 	}
 	kernels := []kernel{
 		{"motifs(mico-sl,3)", func(ctx *fractal.Context) ([]fractal.StepReport, error) {
-			_, r, err := apps.Motifs(bg, ctx, ctx.FromGraph(micoSL), 3, apps.EnginePlan)
+			_, r, err := apps.Motifs(bg, ctx, ctx.FromGraph(micoSL), 3, apps.EngineAuto)
 			if err != nil {
 				return nil, err
 			}
@@ -235,7 +236,7 @@ func Fig19(o Options) error {
 			return r.Steps, nil
 		}},
 		{"query-q6(youtube-sl)", func(ctx *fractal.Context) ([]fractal.StepReport, error) {
-			_, r, err := apps.Query(bg, ctx, ctx.FromGraph(youtubeSL), queries[5], apps.EnginePlan)
+			_, r, err := apps.Query(bg, ctx, ctx.FromGraph(youtubeSL), queries[5], apps.EngineAuto)
 			if err != nil {
 				return nil, err
 			}

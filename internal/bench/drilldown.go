@@ -87,7 +87,7 @@ func Table2(o Options) error {
 		}
 	}
 	tw := table(o.out())
-	fmt.Fprintln(tw, "app/dataset\t|V|\tarabesque state\tfractal state\treduction")
+	fmt.Fprintln(tw, "app/dataset\tk\tarabesque state\tfractal state\treduction")
 	for _, c := range cases {
 		g, err := o.dataset(c.dataset)
 		if err != nil {
@@ -99,13 +99,7 @@ func Table2(o Options) error {
 			if c.app == "cliques" {
 				_, fres, err = apps.Cliques(bg, ctx, fg, k)
 			} else {
-				if c.app == "motifs" && k == 5 && !o.Quick {
-					// Depth 5 on the multi-labeled analog is the case the
-					// paper reports as a ~50x blowup; cap the BFS side with
-					// the budget below and measure Fractal exactly.
-					_ = k
-				}
-				_, fres, err = apps.Motifs(bg, ctx, fg, k, apps.EnginePlan)
+				_, fres, err = apps.Motifs(bg, ctx, fg, k, apps.EngineAuto)
 			}
 			if err != nil {
 				return err
@@ -122,13 +116,13 @@ func Table2(o Options) error {
 			var bErr error
 			if c.app == "cliques" {
 				var r *bfsengine.Result
-				r, bErr = bfsengine.Cliques(g, k, comparisonCores, 4*o.memBudget())
+				r, bErr = bfsengine.Cliques(g, k, comparisonCores, o.memBudget())
 				if bErr == nil {
 					arabState = r.PeakStateBytes
 				}
 			} else {
 				var r *bfsengine.Result
-				_, r, bErr = bfsengine.Motifs(g, k, comparisonCores, 4*o.memBudget())
+				_, r, bErr = bfsengine.Motifs(g, k, comparisonCores, o.memBudget())
 				if bErr == nil {
 					arabState = r.PeakStateBytes
 				}
@@ -137,8 +131,8 @@ func Table2(o Options) error {
 			case bErr == nil:
 				arabCell = bytesHuman(arabState)
 			case errors.Is(bErr, bfsengine.ErrOutOfMemory):
-				arabCell = "OOM(>" + bytesHuman(4*o.memBudget()) + ")"
-				arabState = 4 * o.memBudget()
+				arabCell = "OOM(>" + bytesHuman(o.memBudget()) + ")"
+				arabState = o.memBudget()
 			default:
 				return bErr
 			}
@@ -365,7 +359,7 @@ func Sec6(o Options) error {
 	if err := run("cliques(mico-sl,4)", r1.Steps, err); err != nil {
 		return err
 	}
-	_, r2, err := apps.Motifs(bg, ctx, ctx.FromGraph(g1), 3, apps.EnginePlan)
+	_, r2, err := apps.Motifs(bg, ctx, ctx.FromGraph(g1), 3, apps.EngineAuto)
 	if err := run("motifs(mico-sl,3)", r2.Steps, err); err != nil {
 		return err
 	}

@@ -74,17 +74,11 @@ type Config struct {
 	// fractal-worker processes (ServeWorker). Jobs must then be submitted as
 	// serializable specs (RunSpec); Workers and UseTCP are ignored, and the
 	// worker set is dynamic — workers may register at any time, including
-	// mid-job, and join at the next step attempt. CoresPerWorker, WS,
-	// IdleSleep, and WorkerTimeout are dictated to every registering worker
-	// in the registration reply, so all participants execute under one
+	// mid-job, and join at the next step attempt. CoresPerWorker, WS and
+	// WorkerTimeout are dictated to every registering worker in the
+	// registration reply, so all participants execute under one
 	// configuration.
 	ListenAddr string
-	// IdleSleep is the base of the external steal back-off: a core out of
-	// work waits this long before it first asks the other workers, and twice
-	// as long (up to 64×) after every fruitless round. It is not a polling
-	// period — a core waiting for its siblings blocks until one of them
-	// grants it work or the step ends. Default 100µs.
-	IdleSleep time.Duration
 	// StepTimeout bounds the wall-clock time of each fractal step. A step
 	// exceeding it is cancelled exactly as by a context deadline and Run
 	// returns an error wrapping context.DeadlineExceeded. Zero means no
@@ -120,6 +114,14 @@ type Config struct {
 	// Result.Report.Trace; the oldest events are overwritten when it fills.
 	// Disabled tracing costs one nil check per event site.
 	Trace bool
+
+	// idleSleep is the base of the external steal back-off: a core out of
+	// work waits this long before it first asks the other workers, and
+	// twice as long (up to 64×) after every fruitless round. It is not a
+	// polling period — a core waiting for its siblings blocks until one of
+	// them grants it work or the step ends. Zero means 100µs; only tests
+	// set it.
+	idleSleep time.Duration
 }
 
 // ConfigError reports a configuration field rejected by validation. Both the
@@ -168,8 +170,8 @@ func (c Config) withDefaults() Config {
 	if c.CoresPerWorker <= 0 {
 		c.CoresPerWorker = 1
 	}
-	if c.IdleSleep <= 0 {
-		c.IdleSleep = 100 * time.Microsecond
+	if c.idleSleep <= 0 {
+		c.idleSleep = 100 * time.Microsecond
 	}
 	if c.WorkerTimeout <= 0 {
 		c.WorkerTimeout = time.Minute

@@ -172,7 +172,7 @@ func (c *core) park(st *stepCtx) (prefix []subgraph.Word, ok bool) {
 	remote := w.cfg.WS.external() && len(st.parts) > 1
 	var timeout <-chan time.Time
 	if remote {
-		first := w.cfg.IdleSleep
+		first := w.cfg.idleSleep
 		if c.askedRemote { // still waiting for the answer to an earlier spell's request
 			first = w.cfg.WorkerTimeout
 		}
@@ -242,7 +242,7 @@ func (c *core) park(st *stepCtx) (prefix []subgraph.Word, ok bool) {
 			if backoff < 64 {
 				backoff *= 2
 			}
-			timeout = c.arm(w.cfg.IdleSleep * time.Duration(backoff))
+			timeout = c.arm(w.cfg.idleSleep * time.Duration(backoff))
 		}
 	}
 }

@@ -187,7 +187,6 @@ type welcomeMsg struct {
 	Worker         int
 	CoresPerWorker int
 	WS             uint8
-	IdleSleep      int64 // ns
 	WorkerTimeout  int64 // ns
 	Peers          []peerAddr
 }
@@ -483,7 +482,6 @@ func (m welcomeMsg) put(w *wire.Writer) {
 	w.Int(m.Worker)
 	w.Int(m.CoresPerWorker)
 	w.Byte(m.WS)
-	w.Varint(m.IdleSleep)
 	w.Varint(m.WorkerTimeout)
 	putSeq(w, m.Peers, putPeer)
 }
@@ -492,7 +490,6 @@ func (m *welcomeMsg) get(r *wire.Reader) {
 	m.Worker = r.Int()
 	m.CoresPerWorker = r.Int()
 	m.WS = r.Byte()
-	m.IdleSleep = r.Varint()
 	m.WorkerTimeout = r.Varint()
 	m.Peers = getSeq(r, getPeer)
 }

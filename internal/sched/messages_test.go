@@ -111,10 +111,10 @@ var messageCases = []struct {
 		"02040604040001808080800854"},
 	{"stealRespEmpty", kStealResp, &stealRespMsg{Job: 1}, "0200000000"},
 	{"register", kRegister, &registerMsg{Addr: "10.0.0.7:6001"}, "0d31302e302e302e373a36303031"},
-	{"welcome", kWelcome, &welcomeMsg{Worker: 2, CoresPerWorker: 4, WS: uint8(WSBoth), IdleSleep: 100_000, WorkerTimeout: 60_000_000_000,
+	{"welcome", kWelcome, &welcomeMsg{Worker: 2, CoresPerWorker: 4, WS: uint8(WSBoth), WorkerTimeout: 60_000_000_000,
 		Peers: []peerAddr{{Worker: 0, Addr: "a:1"}, {Worker: 1, Addr: "b:2"}}},
-		"040803c09a0c80e0ba84bf03020003613a310203623a32"},
-	{"welcomeNoPeers", kWelcome, &welcomeMsg{Worker: 0, CoresPerWorker: 1}, "000200000000"},
+		"04080380e0ba84bf03020003613a310203623a32"},
+	{"welcomeNoPeers", kWelcome, &welcomeMsg{Worker: 0, CoresPerWorker: 1}, "0002000000"},
 	{"peerJoin", kPeerJoin, &peerJoinMsg{Worker: 3, Addr: "c:3"}, "0603633a33"},
 	{"jobSpec", kJobSpec, &jobSpecMsg{Job: 2, App: "cliques", Graph: "/tmp/g.el",
 		Args: []kvPair{{"k", "4"}, {"engine", "plan"}},

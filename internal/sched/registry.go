@@ -79,7 +79,6 @@ func (g *registry) handleRegister(env rpc.Envelope) {
 		Worker:         id,
 		CoresPerWorker: cfg.CoresPerWorker,
 		WS:             uint8(cfg.WS),
-		IdleSleep:      int64(cfg.IdleSleep),
 		WorkerTimeout:  int64(cfg.WorkerTimeout),
 	}
 	join := peerJoinMsg{Worker: id, Addr: m.Addr}

@@ -82,7 +82,6 @@ wait:
 	cfg := Config{
 		CoresPerWorker: wel.CoresPerWorker,
 		WS:             WorkStealing(wel.WS),
-		IdleSleep:      time.Duration(wel.IdleSleep),
 		WorkerTimeout:  time.Duration(wel.WorkerTimeout),
 	}.withDefaults()
 	host := &remoteHost{cfg: cfg, node: node, jobs: map[int]*remoteJob{}}

@@ -437,7 +437,7 @@ func TestWSStringAndDefaults(t *testing.T) {
 		}
 	}
 	cfg := Config{}.withDefaults()
-	if cfg.Workers != 1 || cfg.CoresPerWorker != 1 || cfg.IdleSleep <= 0 || cfg.WorkerTimeout <= 0 {
+	if cfg.Workers != 1 || cfg.CoresPerWorker != 1 || cfg.idleSleep <= 0 || cfg.WorkerTimeout <= 0 {
 		t.Errorf("defaults wrong: %+v", cfg)
 	}
 	if (Config{Workers: 3, CoresPerWorker: 4}).TotalCores() != 12 {

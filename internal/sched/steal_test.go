@@ -383,8 +383,8 @@ func TestIdleCoreWakesWithoutTimer(t *testing.T) {
 	g := hubGraph(200, 6, 40, 1)
 	want := refCount(g, subgraph.VertexInduced, nil, 3)
 	for _, cfg := range []Config{
-		{Workers: 1, CoresPerWorker: 4, WS: WSInternal, IdleSleep: time.Hour},
-		{Workers: 2, CoresPerWorker: 2, WS: WSBoth, IdleSleep: time.Hour},
+		{Workers: 1, CoresPerWorker: 4, WS: WSInternal, idleSleep: time.Hour},
+		{Workers: 2, CoresPerWorker: 2, WS: WSBoth, idleSleep: time.Hour},
 	} {
 		rt, err := New(cfg)
 		if err != nil {

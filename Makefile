@@ -73,11 +73,13 @@ bench-plan:
 # Decomposition engine against the pure plan fleet: k=4/k=5 motif counting
 # end to end through Motifs' engine argument (auto, which sweeps every
 # decomposable pattern at k=4 and 5, and plan; EXPERIMENTS.md §14), and the
-# induced conversion's SpanningCounts matrix at k=5 and 6. CI's
-# `go test -bench=. -benchtime=1x ./...` step runs each once.
+# induced conversion's SpanningCounts matrix at k=5 and 6, and the distance-2
+# pass of a square sweep on BA(120000, 3) on two cores (LocalCountsFar: B/op
+# is its one-byte counters). CI's `go test -bench=. -benchtime=1x ./...` step
+# runs each once.
 bench-decomp:
-	go test -run=NONE -bench='^(BenchmarkMotifs(Auto|Plan)(K5)?|BenchmarkSpanningCounts)$$' \
-		-benchtime=$(BENCHTIME) -benchmem ./internal/apps/ ./internal/pattern/
+	go test -run=NONE -bench='^(BenchmarkMotifs(Auto|Plan)(K5)?|BenchmarkSpanningCounts|BenchmarkLocalCountsFar)$$' \
+		-benchtime=$(BENCHTIME) -benchmem ./internal/apps/ ./internal/pattern/ ./internal/subgraph/
 
 # FSM end to end on the repository benchmark's fsm_ml analog
 # (SkewLabels(BarabasiAlbert(4500,2),37), support 50, 3 edges), in-process on

@@ -564,6 +564,45 @@ func TestPlanAPI(t *testing.T) {
 	}
 }
 
+// TestDecompCountSaturatedPairs holds the square's decomposition, whose
+// distance-2 pass counts common neighbors in one byte per vertex, to the
+// plan engine's count on pairs of hubs sharing 254 to 300 neighbors, where
+// those counters saturate and the kernel recounts, with parallel spokes.
+func TestDecompCountSaturatedPairs(t *testing.T) {
+	b := graph.NewBuilder("fan")
+	for i, shared := range []int{254, 255, 256, 300} {
+		h0, h1 := b.AddVertex(), b.AddVertex()
+		if i%2 == 0 {
+			b.MustAddEdge(h0, h1)
+		}
+		for s := 0; s < shared; s++ {
+			w := b.AddVertex()
+			b.MustAddEdge(h0, w)
+			b.MustAddEdge(w, h1)
+			if s%7 == 0 {
+				b.MustAddEdge(w, h1)
+			}
+		}
+	}
+	g := testContext(t).FromGraph(b.Build())
+	dp, err := CompileDecomp(pattern.Cycle(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := g.DecompCountCtx(bg, dp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, err := g.PFractoid(pattern.Cycle(4)).Expand(4).CountCtx(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each pair of hubs sharing s spokes closes C(s, 2) squares.
+	if got != want || want != 254*253/2+255*254/2+256*255/2+300*299/2 {
+		t.Errorf("squares: decomposition %d, plan %d, want C(s,2) summed over the hub pairs", got, want)
+	}
+}
+
 // A chain with output primitives but no Expand must fail with a typed
 // error, not panic the DFS engine (regression: CountCtx on a bare
 // PFractoidPlan seeded roots into a step with no extension levels).

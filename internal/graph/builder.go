@@ -22,17 +22,22 @@ type Builder struct {
 	hasKW      bool
 }
 
-// labelSets holds one sorted, deduplicated label set per element. While runs
-// is nil the family is its payload alone: element i < len(data) has the one
-// label data[i] and every later element has none, which is what a loader or
-// generator of a one-label-each or an unlabelled family writes — 4 bytes a
-// labelled element and no table. The first set that breaks that shape
-// materializes runs: set i is then data[runs[i].at:][:runs[i].n], elements
-// at or beyond len(runs) are empty, and a replaced set leaves its old run
-// behind in data for pack to drop.
+// labelSets holds one sorted, deduplicated label set per element. While
+// shared > 0 the family is one label, data[0], on every element below
+// shared and none on the rest: what a loader or generator of a one-label
+// family writes, 4 bytes for the whole family. While runs is nil otherwise
+// the family is its payload alone: element i < len(data) has the one label
+// data[i] and every later element has none — 4 bytes a labelled element and
+// no table. The first set that breaks a form moves the family on, from the
+// shared label to the payload and from the payload to runs: set i is then
+// data[runs[i].at:][:runs[i].n], elements at or beyond len(runs) are empty,
+// and a replaced set leaves its old run behind in data for pack to drop.
 type labelSets struct {
-	runs []run
-	data []Label
+	shared int
+	runs   []run
+	data   []Label
+	// room is the capacity reserve asked data to take when it next grows.
+	room int
 }
 
 type run struct{ at, n int32 }
@@ -40,9 +45,22 @@ type run struct{ at, n int32 }
 // set makes ls, sorted and deduplicated in place at the tail of data, the
 // set of element i.
 func (s *labelSets) set(i int, ls []Label) {
+	if s.shared > 0 {
+		switch {
+		case len(ls) == 0 && i >= s.shared:
+			return
+		case len(ls) == 1 && ls[0] == s.data[0] && i <= s.shared:
+			s.shared = max(s.shared, i+1)
+			return
+		}
+		s.unshare()
+	}
 	if s.runs == nil {
 		switch {
 		case len(ls) == 0 && i >= len(s.data):
+			return
+		case len(ls) == 1 && i == 0 && len(s.data) == 0:
+			s.data, s.shared = []Label{ls[0]}, 1
 			return
 		case len(ls) == 1 && i < len(s.data):
 			s.data[i] = ls[0]
@@ -75,7 +93,18 @@ func (s *labelSets) grow(n int) []Label {
 	if len(s.data)+n <= cap(s.data) {
 		return s.data
 	}
-	return append(make([]Label, 0, max(2*cap(s.data), len(s.data)+n)), s.data...)
+	return append(make([]Label, 0, max(2*cap(s.data), len(s.data)+n, s.room)), s.data...)
+}
+
+// unshare writes the shared label out once per element, leaving a
+// payload-only family.
+func (s *labelSets) unshare() {
+	l, n := s.data[0], s.shared
+	s.data, s.shared = s.data[:0], 0
+	s.data = s.grow(n)[:n]
+	for i := range s.data {
+		s.data[i] = l
+	}
 }
 
 // materialize gives a payload-only family its run table.
@@ -90,11 +119,18 @@ func (s *labelSets) materialize() {
 // packed payload — data itself when every set was written once and in
 // element order, which is what loaders and generators do — and an offsets
 // array of length count+1, nil when every element has exactly one label or
-// none has any (graph.go, "payload-only").
+// none has any (graph.go, "payload-only"). A payload-only family whose
+// elements all carry the same label comes out as that label once.
 func (s *labelSets) pack(count int) (off []int32, packed []Label) {
+	if s.shared > 0 {
+		if s.shared == count {
+			return nil, s.data
+		}
+		s.unshare() // a labelled prefix, which the payload-only form below cannot hold either
+	}
 	if s.runs == nil {
 		if len(s.data) == 0 || len(s.data) == count {
-			return nil, s.data
+			return nil, shareOne(s.data)
 		}
 		s.materialize() // a labelled prefix of an otherwise unlabelled family
 	}
@@ -118,7 +154,7 @@ func (s *labelSets) pack(count int) (off []int32, packed []Label) {
 		}
 	}
 	if oneEach || total == 0 {
-		off = nil
+		return nil, shareOne(packed)
 	}
 	return off, packed
 }
@@ -158,19 +194,20 @@ func (b *Builder) EnsureVertices(n int) {
 	b.nv = max(b.nv, n)
 }
 
-// reserve pre-sizes the edge arrays for m more edges and the vertex label
-// payload for n more labels (by make, not slices.Grow: under -race the
-// latter allocates the elements twice). An array left to grow by append
-// leaves its outgrown copies behind, and no later allocation of a load is
-// small enough to reuse them. A payload left unreserved doubles as it fills
-// (labelSets.grow); the edge label payload always is, as a count of edges
-// says nothing of their labels.
+// reserve pre-sizes the edge arrays for m more edges (by make, not
+// slices.Grow: under -race the latter allocates the elements twice) and
+// sizes the vertex label payload for n more labels when it next grows. An
+// array left to grow by append leaves its outgrown copies behind, and no
+// later allocation of a load is small enough to reuse them. The payload
+// waits because a one-label family never has one: its label is held once
+// (labelSets), so n labels are allocated only if the family leaves that
+// form. A payload left unreserved doubles as it fills (labelSets.grow); the
+// edge label payload always is, as a count of edges says nothing of their
+// labels.
 func (b *Builder) reserve(m, n int) {
 	b.esrc = append(make([]VertexID, 0, len(b.esrc)+m), b.esrc...)
 	b.edst = append(make([]VertexID, 0, len(b.edst)+m), b.edst...)
-	if n > 0 {
-		b.vlab.data = append(make([]Label, 0, len(b.vlab.data)+n), b.vlab.data...)
-	}
+	b.vlab.room = max(len(b.vlab.data), b.vlab.shared) + n
 }
 
 // AddEdge adds an undirected edge between u and v with the given labels and

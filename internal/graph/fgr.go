@@ -135,6 +135,20 @@ func appendOffsets(off []int32, count, payload int) []byte {
 	return dst
 }
 
+// appendPayload serializes the payload of a label family over count
+// elements: packed as it is, or a payload-only family's one shared label
+// once per element.
+func appendPayload(packed []Label, off []int32, count int) []byte {
+	if off != nil || len(packed) != 1 {
+		return appendWords(nil, packed)
+	}
+	dst := make([]byte, 0, 4*count)
+	for range count {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(packed[0]))
+	}
+	return dst
+}
+
 // viewWords reinterprets a validated payload as an int32-kind array. On a
 // little-endian host with 4-byte alignment (guaranteed for mapped files by
 // the 8-aligned section offsets) this is zero-copy; otherwise it decodes
@@ -210,18 +224,18 @@ func EncodeFGR(g *Graph) []byte {
 		{secESrc, appendWords(nil, g.esrc)},
 		{secEDst, appendWords(nil, g.edst)},
 		{secVLabOff, appendOffsets(g.vlabOff, g.nv, len(g.vlab))},
-		{secVLab, appendWords(nil, g.vlab)},
+		{secVLab, appendPayload(g.vlab, g.vlabOff, g.nv)},
 		{secELabOff, appendOffsets(g.elabOff, len(g.esrc), len(g.elab))},
-		{secELab, appendWords(nil, g.elab)},
+		{secELab, appendPayload(g.elab, g.elabOff, len(g.esrc))},
 	}
 	flags := uint32(0)
 	if g.hasKW {
 		flags |= fgrFlagKW
 		secs = append(secs,
 			section{secVKwOff, appendOffsets(g.vkwOff, g.nv, len(g.vkw))},
-			section{secVKw, appendWords(nil, g.vkw)},
+			section{secVKw, appendPayload(g.vkw, g.vkwOff, g.nv)},
 			section{secEKwOff, appendOffsets(g.ekwOff, len(g.esrc), len(g.ekw))},
-			section{secEKw, appendWords(nil, g.ekw)})
+			section{secEKw, appendPayload(g.ekw, g.ekwOff, len(g.esrc))})
 	}
 	secs = append(secs,
 		section{secDict, encodeDict(g.dict)},
@@ -507,19 +521,19 @@ func validateCSR(g *Graph, numV, numE int64) error {
 	families := []struct {
 		name   string
 		off    *[]int32
-		packed []Label
-	}{{"vlab", &g.vlabOff, g.vlab}, {"elab", &g.elabOff, g.elab}, {"vkw", &g.vkwOff, g.vkw}, {"ekw", &g.ekwOff, g.ekw}}
+		packed *[]Label
+	}{{"vlab", &g.vlabOff, &g.vlab}, {"elab", &g.elabOff, &g.elab}, {"vkw", &g.vkwOff, &g.vkw}, {"ekw", &g.ekwOff, &g.ekw}}
 	if !g.hasKW {
 		families = families[:2]
 	}
 	for _, f := range families {
-		plain, err := checkOffsets(f.name+"Off", *f.off, int64(len(f.packed)))
+		plain, err := checkOffsets(f.name+"Off", *f.off, int64(len(*f.packed)))
 		if err != nil {
 			return err
 		}
-		if plain {
-			*f.off = nil // the in-memory form of such a family (graph.go)
-		} else if err := checkSortedRuns(f.name, *f.off, f.packed); err != nil {
+		if plain { // the in-memory form of such a family (graph.go)
+			*f.off, *f.packed = nil, shareOne(*f.packed)
+		} else if err := checkSortedRuns(f.name, *f.off, *f.packed); err != nil {
 			return err
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -33,14 +34,20 @@ func checkCSRInvariants(t *testing.T, label string, g *Graph) {
 		{"vkwOff", g.vkwOff, len(g.vkw), numV + 1},
 		{"ekwOff", g.ekwOff, len(g.ekw), numE + 1},
 	}
+	payloads := map[string][]Label{"vlabOff": g.vlab, "elabOff": g.elab, "vkwOff": g.vkw, "ekwOff": g.ekw}
 	if !g.hasKW && (g.vkwOff != nil || g.ekwOff != nil || len(g.vkw)+len(g.ekw) > 0) {
 		t.Fatalf("%s: keyword arrays on a graph without keywords", label)
 	}
 	for _, o := range offsets {
 		if o.off == nil && o.name != "adjOff" {
-			// Payload-only: one value per element, or none at all.
-			if o.n != 0 && o.n != o.want-1 {
+			// Payload-only: one value per element, one value all share, or
+			// none at all — and one form: a payload of one value repeated
+			// is held once.
+			if o.n > 1 && o.n != o.want-1 {
 				t.Fatalf("%s: %s is nil over %d elements, payload has %d entries", label, o.name, o.want-1, o.n)
+			}
+			if p := payloads[o.name]; o.n > 1 && slices.Max(p) == slices.Min(p) {
+				t.Fatalf("%s: %s is nil over %d elements, payload repeats label %d", label, o.name, o.n, p[0])
 			}
 			continue
 		}

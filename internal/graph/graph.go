@@ -69,11 +69,12 @@ func (e Edge) Has(v VertexID) bool { return v == e.Src || v == e.Dst }
 //
 // A label or keyword family is payload-only — its offsets array is nil —
 // when every element has exactly one value (the payload is indexed by
-// element) or none has any (the payload is empty). That is the one in-memory
-// form of such a family: Builder.Build and DecodeFGR both produce it, and
-// EncodeFGR writes the offsets the .fgr format requires from a counter. Only
-// span and the accessors below may rely on it; everything else goes through
-// them.
+// element, or holds one value when every element has the same: a one-label
+// vertex column is one label) or none has any (the payload is empty). That
+// is the one in-memory form of such a family: Builder.Build and DecodeFGR
+// both produce it, and EncodeFGR writes the offsets and the payload the .fgr
+// format requires, one value per element. Only span, the accessors below
+// and the encoder may rely on it; everything else goes through them.
 type Graph struct {
 	name     string
 	dict     *Dictionary
@@ -112,9 +113,13 @@ type Graph struct {
 
 	// vlabFixed/elabFixed mark the one-label-each families — the
 	// overwhelmingly common shape — so the label accessors test one flag
-	// and index the payload directly.
+	// and index the payload directly, at the element's index masked by
+	// vlabMask/elabMask: all ones over a label per element, zero over one
+	// label all share.
 	vlabFixed bool
 	elabFixed bool
+	vlabMask  uint
+	elabMask  uint
 
 	// uniform is the answer of UniformLabels.
 	uniform struct {
@@ -164,9 +169,32 @@ func (g *Graph) EdgeIndexed() bool { return g.adjE.built.Load() }
 // the arrays are in place. Every Graph construction path ends with it.
 func (g *Graph) finalize() {
 	g.nv = max(len(g.adjOff)-1, 0)
-	g.vlabFixed = g.vlabOff == nil && len(g.vlab) > 0
-	g.elabFixed = g.elabOff == nil && len(g.elab) > 0
+	g.vlabFixed, g.vlabMask = fixedStride(g.vlab, g.vlabOff)
+	g.elabFixed, g.elabMask = fixedStride(g.elab, g.elabOff)
 	g.uniform.vl, g.uniform.el, g.uniform.ok = g.scanUniform()
+}
+
+// fixedStride reports whether a family has one label per element and the
+// mask of an element's index into its payload.
+func fixedStride(packed []Label, off []int32) (fixed bool, mask uint) {
+	if len(packed) > 1 {
+		mask = ^uint(0)
+	}
+	return off == nil && len(packed) > 0, mask
+}
+
+// shareOne returns a payload-only family's payload in its Graph form: the
+// label once, on an array of its own, when every element has the same.
+func shareOne(packed []Label) []Label {
+	for _, l := range packed {
+		if l != packed[0] {
+			return packed
+		}
+	}
+	if len(packed) > 1 {
+		return []Label{packed[0]}
+	}
+	return packed
 }
 
 // Name returns the dataset name given at build time (may be empty).
@@ -194,14 +222,17 @@ func (g *Graph) Density() float64 {
 func (g *Graph) Dict() *Dictionary { return g.dict }
 
 // span returns the i-th run of a packed label array, nil when empty; a
-// payload-only family (nil off) has stride one or is empty. Unsigned
-// indexing as in Neighbors: validated offsets are never negative, so the
-// signed lower-bound checks are dead weight.
+// payload-only family (nil off) has stride one, one label for all, or is
+// empty. Unsigned indexing as in Neighbors: validated offsets are never
+// negative, so the signed lower-bound checks are dead weight.
 func span(packed []Label, off []int32, i int32) []Label {
 	j := uint(i)
 	if off == nil {
-		if len(packed) == 0 {
+		switch len(packed) {
+		case 0:
 			return nil
+		case 1:
+			j = 0
 		}
 		return packed[j : j+1 : j+1]
 	}
@@ -215,7 +246,7 @@ func span(packed []Label, off []int32, i int32) []Label {
 // VertexLabels returns the sorted label set of v. Callers must not mutate it.
 func (g *Graph) VertexLabels(v VertexID) []Label {
 	if g.vlabFixed {
-		i := uint(v)
+		i := uint(v) & g.vlabMask
 		return g.vlab[i : i+1 : i+1]
 	}
 	return span(g.vlab, g.vlabOff, int32(v))
@@ -227,7 +258,7 @@ func (g *Graph) VertexLabels(v VertexID) []Label {
 func (g *Graph) VertexLabel(v VertexID) Label {
 	i := uint(v)
 	if g.vlabFixed {
-		return g.vlab[i]
+		return g.vlab[i&g.vlabMask]
 	}
 	if g.vlabOff == nil {
 		return -1
@@ -255,7 +286,7 @@ func (g *Graph) EdgeEndpoints(id EdgeID) (src, dst VertexID) {
 func (g *Graph) EdgeLabel(id EdgeID) Label {
 	i := uint(id)
 	if g.elabFixed {
-		return g.elab[i]
+		return g.elab[i&g.elabMask]
 	}
 	if g.elabOff == nil {
 		return -1

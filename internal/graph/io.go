@@ -385,7 +385,7 @@ func LoadFile(path string) (*Graph, error) {
 // index too, built or not), endpoint and label arrays and owns only the
 // keyword families — for a mapped g it is valid until g is closed.
 func ApplyKeywords(g *Graph, r io.Reader) (*Graph, error) {
-	vkw, ekw := setsOf(g.vkwOff, g.vkw), setsOf(g.ekwOff, g.ekw)
+	vkw, ekw := setsOf(g.vkwOff, g.vkw, g.nv), setsOf(g.ekwOff, g.ekw, len(g.esrc))
 	hasKW := len(g.vkw)+len(g.ekw) > 0 // as in a rebuild (Reduce): the flag follows content
 	in := newRecords(r, g.name+".kw")
 	var kws []Label
@@ -426,11 +426,13 @@ func ApplyKeywords(g *Graph, r io.Reader) (*Graph, error) {
 	return &out, nil
 }
 
-// setsOf returns the sets of a Graph's label family in the builder's form,
-// on a payload of its own.
-func setsOf(off []int32, packed []Label) labelSets {
+// setsOf returns the sets of a Graph's label family over count elements in
+// the builder's form, on a payload of its own.
+func setsOf(off []int32, packed []Label, count int) labelSets {
 	s := labelSets{data: slices.Clone(packed)}
-	if off != nil {
+	if off == nil && len(packed) == 1 {
+		s.shared = count
+	} else if off != nil {
 		s.runs = make([]run, len(off)-1)
 		for i := range s.runs {
 			s.runs[i] = run{off[i], off[i+1] - off[i]}

@@ -48,41 +48,70 @@ func allocated(f func()) uint64 {
 // are sized from that count. Edge arrays sized from the input's length and a
 // doubling vertex label payload made it 1.12, a vertex label payload
 // reserved from the edge estimate 1.19, one grown by append's 1.25x steps
-// 1.24, a string per line far more). Build allocates the neighbor adjacency
+// 1.24, a string per line far more). A one-label input holds its label once
+// and allocates no |V|-sized label array; a two-label one holds and
+// allocates the reserved column. Build allocates the neighbor adjacency
 // and nothing else that grows with the graph — no edge-id index, no
 // transpose buffer, no cursor array, no offsets for the one-label-each
 // vertices or the unlabelled edges — and the edge-id index, built on first
 // use, allocates its 2|E| ids and at most one |V| cursor.
 func TestIngestBudget(t *testing.T) {
 	src := benchBA()
-	var text bytes.Buffer
-	if err := WriteEdgeList(&text, src); err != nil {
-		t.Fatal(err)
+	relabelled := NewBuilder("bench-ba-2")
+	for v := range src.NumVertices() {
+		relabelled.AddVertex(Label(v % 2))
 	}
-	path := filepath.Join(t.TempDir(), "ba.el")
-	if err := os.WriteFile(path, text.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
+	for id := range src.NumEdges() {
+		relabelled.MustAddEdge(src.EdgeEndpoints(EdgeID(id)))
 	}
 
 	var g *Graph
 	var err error
-	for _, c := range []struct {
-		name string
-		load func() (*Graph, error)
+	for _, in := range []struct {
+		name   string
+		g      *Graph
+		labels int // payload length the loaded graph must hold
 	}{
-		{"LoadEdgeList", func() (*Graph, error) { return LoadEdgeList(bytes.NewReader(text.Bytes()), "ba") }},
-		{"LoadFile", func() (*Graph, error) { return LoadFile(path) }},
+		{"one-label", src, 1},
+		{"two-label", relabelled.Build(), src.NumVertices()},
 	} {
-		load := allocated(func() { g, err = c.load() })
-		if err != nil || !sliceEq(g.adjOff, src.adjOff) || !sliceEq(g.adjV, src.adjV) {
-			t.Fatalf("%s: the loaded graph is not the one written (%v)", c.name, err)
+		var text bytes.Buffer
+		if err := WriteEdgeList(&text, in.g); err != nil {
+			t.Fatal(err)
 		}
-		if g.EdgeIndexed() {
-			t.Fatalf("%s indexed the edge ids", c.name)
+		path := filepath.Join(t.TempDir(), "ba.el")
+		if err := os.WriteFile(path, text.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		t.Logf("%s: %d bytes allocated, graph holds %d (%.3fx)", c.name, load, heldBytes(g), float64(load)/float64(heldBytes(g)))
-		if float64(load) > 1.02*float64(heldBytes(g)) {
-			t.Errorf("%s allocated %d bytes for a graph of %d: more than 1.02x", c.name, load, heldBytes(g))
+		for _, c := range []struct {
+			name string
+			load func() (*Graph, error)
+		}{
+			{"LoadEdgeList", func() (*Graph, error) { return LoadEdgeList(bytes.NewReader(text.Bytes()), "ba") }},
+			{"LoadFile", func() (*Graph, error) { return LoadFile(path) }},
+		} {
+			name := in.name + " " + c.name
+			load := allocated(func() { g, err = c.load() })
+			if err != nil || !sliceEq(g.adjOff, src.adjOff) || !sliceEq(g.adjV, src.adjV) {
+				t.Fatalf("%s: the loaded graph is not the one written (%v)", name, err)
+			}
+			var again bytes.Buffer
+			if err := WriteEdgeList(&again, g); err != nil || !bytes.Equal(again.Bytes(), text.Bytes()) {
+				t.Fatalf("%s: the loaded graph writes another text (%v)", name, err)
+			}
+			if g.EdgeIndexed() {
+				t.Fatalf("%s indexed the edge ids", name)
+			}
+			if len(g.vlab) != in.labels {
+				t.Errorf("%s: %d vertex labels held, want %d", name, len(g.vlab), in.labels)
+			}
+			t.Logf("%s: %d bytes allocated, graph holds %d (%.3fx)", name, load, heldBytes(g), float64(load)/float64(heldBytes(g)))
+			if float64(load) > 1.02*float64(heldBytes(g)) {
+				t.Errorf("%s allocated %d bytes for a graph of %d: more than 1.02x", name, load, heldBytes(g))
+			}
+			if column := 4 * uint64(g.NumVertices()); in.labels == 1 && load >= heldBytes(g)+column {
+				t.Errorf("%s allocated %d bytes beside the graph's %d: a %d-byte label column fits", name, load-heldBytes(g), heldBytes(g), column)
+			}
 		}
 	}
 
@@ -187,6 +216,14 @@ var formRecipes = []struct {
 		for i := 0; i < 5; i++ {
 			b.MustAddEdge(VertexID(i), VertexID(i+1), 7)
 		}
+	}},
+	{"one-label-then-another", "vlab elab vkw ekw", func(b *ops) {
+		for i := 0; i < 3; i++ {
+			b.AddVertex(4)
+		}
+		b.AddVertex(2)
+		b.AddVertex(4)
+		b.MustAddEdge(0, 4, 7)
 	}},
 	{"ensure-vertices-only", "vlab elab vkw ekw", func(b *ops) {
 		b.EnsureVertices(5)
@@ -296,6 +333,127 @@ func TestPayloadOnlyForms(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestOneLabelColumn: a text graph whose every vertex has the same one label
+// holds that label once, and one that leaves the form — a second label, a v
+// record out of order, a middle vertex relabelled by a later record, an
+// unlabelled tail or gap, a vertex with two labels — says through every
+// accessor, the label census and Stats what the per-vertex form of the
+// parent's loader says, decoded from its .fgr bytes too, which are the
+// parent's.
+func TestOneLabelColumn(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		text   string
+		shared bool // the graph holds one vertex label
+	}{
+		{"one-label", "v 0 a\nv 1 a\nv 2 a\nv 3 a\ne 0 3\n", true},
+		{"second-label", "v 0 a\nv 1 a\nv 2 b\nv 3 a\ne 0 3\n", false},
+		{"out-of-order", "v 0 a\nv 2 a\nv 1 a\nv 3 a\ne 1 2\n", true},
+		{"middle-relabelled", "v 0 a\nv 1 a\nv 2 a\nv 3 a\nv 1 b\ne 1 2\n", false},
+		{"middle-relabelled-back", "v 0 a\nv 1 a\nv 1 b\nv 2 a\nv 1 a\nv 3 a\n", true},
+		{"unlabelled-tail", "v 0 a\nv 1 a\ne 1 3\n", false},
+		{"unlabelled-gap", "v 0 a\nv 1 a\nv 3 a\ne 0 2\n", false},
+		{"two-labels", "v 0 a\nv 1 a\nv 2 a,b\n", false},
+		{"unlabelled", "v 0\nv 1\ne 0 1\n", false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g, err := LoadEdgeList(strings.NewReader(c.text), c.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := seedLoadEdgeList(strings.NewReader(c.text), c.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc := EncodeFGR(g)
+			if !bytes.Equal(enc, EncodeFGR(want)) {
+				t.Fatal("encoding differs from the parent loader's")
+			}
+			dec, err := DecodeFGR(enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, got := range []*Graph{g, dec} {
+				checkCSRInvariants(t, c.name, got)
+				if (len(got.vlab) == 1) != c.shared {
+					t.Errorf("%d vertex labels held over %d vertices, want one shared = %v", len(got.vlab), got.NumVertices(), c.shared)
+				}
+				for v := range VertexID(want.NumVertices()) {
+					if !sliceEq(got.VertexLabels(v), want.VertexLabels(v)) || got.VertexLabel(v) != want.VertexLabel(v) {
+						t.Errorf("vertex %d: labels %v, first %d; per-vertex form says %v, %d",
+							v, got.VertexLabels(v), got.VertexLabel(v), want.VertexLabels(v), want.VertexLabel(v))
+					}
+				}
+				if got.NumLabels() != want.NumLabels() || got.Stats() != want.Stats() {
+					t.Errorf("NumLabels %d, Stats %+v; per-vertex form says %d, %+v", got.NumLabels(), got.Stats(), want.NumLabels(), want.Stats())
+				}
+			}
+		})
+	}
+}
+
+// TestOneLabelGraphOperations runs what derives a graph from another, or
+// writes one, on a one-label graph: Reduce keeps the shared label,
+// ApplyKeywords shares it and holds a one-keyword family the same way —
+// leaving that form when a second sidecar breaks it — and WriteEdgeList and
+// EncodeFGR write what the parent's per-vertex form writes.
+func TestOneLabelGraphOperations(t *testing.T) {
+	const text = "v 0 a\nv 1 a\nv 2 a\nv 3 a\nv 4 a\ne 0 1\ne 1 2\ne 2 3\ne 3 4\ne 1 4\n"
+	g, err := LoadEdgeList(strings.NewReader(text), "one")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := seedLoadEdgeList(strings.NewReader(text), "one")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(g.vlab) != 1 {
+		t.Fatalf("%d vertex labels held, want 1", len(g.vlab))
+	}
+
+	var out, seedOut bytes.Buffer
+	if err := WriteEdgeList(&out, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := seedWriteEdgeList(&seedOut, want); err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != seedOut.String() || out.String() != text {
+		t.Errorf("WriteEdgeList wrote\n%s\nthe per-vertex form writes\n%s", out.String(), seedOut.String())
+	}
+	if !bytes.Equal(EncodeFGR(g), EncodeFGR(want)) {
+		t.Error("EncodeFGR differs from the per-vertex form's")
+	}
+
+	r := Reduce(g, func(v VertexID, _ *Graph) bool { return v != 2 }, nil)
+	checkCSRInvariants(t, "reduced", r)
+	if len(r.vlab) != 1 || r.NumVertices() != 4 || r.NumLabels() != 1 || r.VertexLabel(3) != g.VertexLabel(0) {
+		t.Errorf("reduced: %d labels held over %d vertices, %d distinct, vertex 3 labelled %d",
+			len(r.vlab), r.NumVertices(), r.NumLabels(), r.VertexLabel(3))
+	}
+
+	sidecars := []string{"v 0 k\nv 1 k\nv 2 k\nv 3 k\nv 4 k\n", "v 3 m\n"}
+	kw, seedKW := g, want
+	for i, sidecar := range sidecars {
+		if kw, err = ApplyKeywords(kw, strings.NewReader(sidecar)); err != nil {
+			t.Fatal(err)
+		}
+		if seedKW, err = seedApplyKeywords(seedKW, strings.NewReader(sidecar)); err != nil {
+			t.Fatal(err)
+		}
+		checkCSRInvariants(t, "keywords applied", kw)
+		if !bytes.Equal(EncodeFGR(kw), EncodeFGR(seedKW)) {
+			t.Fatalf("sidecar %d: differs from the seed ApplyKeywords", i)
+		}
+		if &kw.vlab[0] != &g.vlab[0] {
+			t.Errorf("sidecar %d: the result has a label column of its own", i)
+		}
+		if shared := len(kw.vkw) == 1; shared != (i == 0) {
+			t.Errorf("sidecar %d: %d keywords held over %d vertices", i, len(kw.vkw), kw.NumVertices())
+		}
 	}
 }
 

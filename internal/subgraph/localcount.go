@@ -2,6 +2,7 @@ package subgraph
 
 import (
 	"context"
+	"math"
 	"slices"
 
 	"fractal/internal/graph"
@@ -15,7 +16,7 @@ import (
 // being the same sorted-intersection idiom as graph.IntersectSorted, here
 // counting instead of materializing — and, when a
 // sweep carries terms over pattern non-edges, c(u,v) for every v > u two
-// hops away, counted in the embedding's epoch-stamped vertex scratch. The
+// hops away, counted in one byte per vertex that saturates at 255. The
 // terms of a sweep's DecompPlans are folded into running sums as the kernel
 // goes. The runtime runs it as one fractal step, one root vertex per
 // subgraph (the decomposition sweep of fractal.Graph.EvalDecomps);
@@ -63,10 +64,10 @@ func (t *LocalTerms) Arity() int { return len(t.Pair) + len(t.Vertex) + len(t.Fa
 // At folds root vertex u's terms into sums (Arity long): every Pair closure
 // once per distinct neighbor v > u, every Vertex closure once, every Far
 // closure once per v > u with a common neighbor. e supplies the graph and,
-// for Far closures only, its vertex stamps. It returns the adjacency elements
-// it read — u's list for d(u), a neighbor's list for d(v), both lists of an
-// intersection, every list of the two-hop walk — the kernel's analog of the
-// enumeration engines' extension tests.
+// for Far closures only, its distance-2 counters. It returns the adjacency
+// elements it read — u's list for d(u), a neighbor's list for d(v), both
+// lists of an intersection or a recount, every list of the two-hop walk —
+// the kernel's analog of the enumeration engines' extension tests.
 //
 // tri(u) needs c(u,v) for every neighbor v, so when a Vertex closure reads
 // it each adjacent pair is intersected from both ends: a per-root kernel
@@ -124,13 +125,15 @@ func (t *LocalTerms) At(e *Embedding, u graph.VertexID, sums []int64) (ops int64
 
 // far is At's distance-2 pass. A walk over the lists of u's neighbors
 // counts, for every v > u it reaches, the distinct common neighbors in
-// stampV: base marks the first, and every further one adds one, so the
-// counts of this root are the stamps at or above base. A second walk, u's
-// own list first so that adjacency is known, evaluates each counted v once
-// and clears its stamp.
+// e.common, which stops at 255; a second walk, u's own list first so that
+// adjacency is known, evaluates each counted v once and zeroes its counter.
+// A saturated pair is recounted exactly by a merge of the two lists.
 func (t *LocalTerms) far(e *Embedding, u graph.VertexID, nbu []graph.VertexID, du int64, sums []int64) (ops int64) {
-	g, stamp := e.g, e.ensureStampV()
-	base := e.countEpoch(du)
+	g := e.g
+	if len(e.common) < g.NumVertices() {
+		e.common = make([]uint8, g.NumVertices())
+	}
+	count := e.common
 	walk := func(visit func(v graph.VertexID)) {
 		for i, w := range nbu {
 			if i > 0 && w == nbu[i-1] {
@@ -147,18 +150,21 @@ func (t *LocalTerms) far(e *Embedding, u graph.VertexID, nbu []graph.VertexID, d
 		}
 	}
 	walk(func(v graph.VertexID) {
-		if stamp[v] < base {
-			stamp[v] = base
-		} else {
-			stamp[v]++
+		if count[v] < math.MaxUint8 {
+			count[v]++
 		}
 	})
 	eval := func(v graph.VertexID, adj int64) {
-		if stamp[v] < base {
+		c := int64(count[v])
+		if c == 0 {
 			return
 		}
-		c := int64(stamp[v]-base) + 1
-		stamp[v] = 0
+		count[v] = 0
+		if c == math.MaxUint8 {
+			nbv := g.Neighbors(v)
+			ops += int64(len(nbu) + len(nbv))
+			c = distinctCommon(nbu, nbv)
+		}
 		dv := c + adj
 		if !t.NoFarDegree {
 			nbv := g.Neighbors(v)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"fractal/internal/graph"
@@ -96,7 +97,32 @@ func localTestGraphs() []*graph.Graph {
 		workload.ErdosRenyi("lc-er", 60, 220, 1, 41),
 		workload.BarabasiAlbert("lc-ba", 80, 4, 1, 42),
 		oracleMultigraph("lc-multi", 40, 160, 1, 43),
+		fanGraph(),
 	}
+}
+
+// fanGraph is pairs of hubs sharing 254, 255, 256 and 300 neighbors, the
+// first and third pair adjacent, every fifth spoke doubled by a parallel
+// edge to each hub: the distance-2 counters saturate at 255, so all but the
+// first pair are recounted, and parallel edges must count once either way.
+func fanGraph() *graph.Graph {
+	b := graph.NewBuilder("lc-fan")
+	for i, shared := range []int{254, 255, 256, 300} {
+		h0, h1 := b.AddVertex(), b.AddVertex()
+		if i%2 == 0 {
+			b.MustAddEdge(h0, h1)
+		}
+		for s := 0; s < shared; s++ {
+			w := b.AddVertex()
+			b.MustAddEdge(h0, w)
+			b.MustAddEdge(w, h1)
+			if s%5 == 0 {
+				b.MustAddEdge(h0, w)
+				b.MustAddEdge(w, h1)
+			}
+		}
+	}
+	return b.Build()
 }
 
 func TestLocalCountsOracle(t *testing.T) {
@@ -168,8 +194,9 @@ func TestLocalCountsOracle(t *testing.T) {
 // a 50 000-vertex graph allocates its sum vector and no more (it was an
 // int32 degree per vertex, plus an int64 triangle accumulator per vertex and
 // core when tri(v) had a reader) unless it carries a Far closure, whose
-// distance-2 pass counts in one uint32 stamp per vertex; and its sums are
-// still the oracles' — with NoVertexTri too, whose Vertex closure sees 0.
+// distance-2 pass counts in one byte per vertex (a uint32 stamp before); and
+// its sums are still the oracles' — with NoVertexTri too, whose Vertex
+// closure sees 0.
 func TestLocalCountsScratch(t *testing.T) {
 	const n = 50_000
 	g := workload.BarabasiAlbert("lc-scratch", n, 3, 1, 46)
@@ -198,7 +225,7 @@ func TestLocalCountsScratch(t *testing.T) {
 		perV  uint64 // bytes per vertex allowed beside the sum vector
 	}{
 		{"pairs", LocalTerms{Pair: pair, NeedTri: true}, []int64{wantC}, 0},
-		{"distance-2", LocalTerms{Pair: pair, Far: far, NeedTri: true, NoFarDegree: true}, []int64{wantC, wantFar}, 4},
+		{"distance-2", LocalTerms{Pair: pair, Far: far, NeedTri: true, NoFarDegree: true}, []int64{wantC, wantFar}, 1},
 		{"degrees", LocalTerms{Pair: pair, Vertex: vertex}, []int64{0, 0, wantWedges}, 0},
 		{"triangles", LocalTerms{Pair: pair, Vertex: vertex, NeedTri: true}, []int64{wantC, wantTri, wantWedges}, 0},
 		{"pair triangles", LocalTerms{Pair: pair, Vertex: vertex, NeedTri: true, NoVertexTri: true}, []int64{wantC, 0, wantWedges}, 0},
@@ -220,6 +247,36 @@ func TestLocalCountsScratch(t *testing.T) {
 		if got := slices.Concat(pairSums, vertexSums); !slices.Equal(got, c.want) {
 			t.Errorf("%s: sums %v, want %v", c.name, got, c.want)
 		}
+	}
+}
+
+// BenchmarkLocalCountsFar is the distance-2 pass of a square sweep — one Far
+// term, C(c, 2), no far degrees — on BA(120 000, 3), the shape of the
+// repository benchmark's small_jobs_el graph, on two cores as the runtime
+// runs it: each core with its own embedding, so its own counters, the roots
+// dealt alternately. B/op is the cores' counters, one byte per vertex each.
+func BenchmarkLocalCountsFar(b *testing.B) {
+	g := workload.BarabasiAlbert("lc-far-bench", 120_000, 3, 1, 47)
+	terms := LocalTerms{
+		Far:         []func(du, dv, c int64) int64{func(du, dv, c int64) int64 { return c * (c - 1) / 2 }},
+		NoFarDegree: true,
+	}
+	const cores = 2
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		var wg sync.WaitGroup
+		for core := range cores {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				e, sums := Embedding{g: g}, make([]int64, terms.Arity())
+				for u := core; u < g.NumVertices(); u += cores {
+					terms.At(&e, graph.VertexID(u), sums)
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
 

@@ -17,7 +17,6 @@ package subgraph
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"fractal/internal/graph"
@@ -90,13 +89,16 @@ type Embedding struct {
 	// entry in O(1), so no per-call clear and no hashing. vfirst[v] holds
 	// the first member-edge index covering vertex v (valid only while
 	// stampV[v] == gen). The arrays are sized |V(G)| / |E(G)| and allocated
-	// lazily on the first Extensions call — or, stampV alone, on the first
-	// distance-2 pass of the local-count kernel, which counts in it
-	// (countEpoch).
+	// lazily on the first Extensions call.
 	gen    uint32
 	stampV []uint32
 	stampE []uint32
 	vfirst []int32
+
+	// common[v] counts the common neighbors of the local-count kernel's
+	// root and v in its distance-2 pass (LocalTerms.far), one byte per
+	// vertex, allocated on that pass's first call.
+	common []uint8
 
 	// Candidate scratch: candList[i] is the i-th distinct non-member
 	// candidate discovered, candFirst[i] its first adjacent member index.
@@ -435,33 +437,19 @@ func (e *Embedding) DefaultExtensions(dst []Word) ([]Word, int) {
 // stamp arrays are cleared so stale entries from 2^32 calls ago cannot read
 // as current.
 func (e *Embedding) bumpGen() uint32 {
-	return e.countEpoch(1)
-}
-
-// countEpoch starts an epoch of n stamp values, base to base+n-1, so that a
-// stamp can carry a count up to n (the local-count kernel's distance-2
-// pass); a plain epoch is n = 1.
-func (e *Embedding) countEpoch(n int64) (base uint32) {
-	if uint64(e.gen)+uint64(n) > math.MaxUint32 {
+	e.gen++
+	if e.gen == 0 {
 		clear(e.stampV)
 		clear(e.stampE)
-		e.gen = 0
+		e.gen = 1
 	}
-	base = e.gen + 1
-	e.gen += uint32(n)
-	return base
-}
-
-// ensureStampV allocates the vertex stamps alone, 4 bytes per vertex.
-func (e *Embedding) ensureStampV() []uint32 {
-	if len(e.stampV) < e.g.NumVertices() {
-		e.stampV = make([]uint32, e.g.NumVertices())
-	}
-	return e.stampV
+	return e.gen
 }
 
 func (e *Embedding) ensureVStamp() {
-	e.ensureStampV()
+	if len(e.stampV) < e.g.NumVertices() {
+		e.stampV = make([]uint32, e.g.NumVertices())
+	}
 	if len(e.vfirst) < e.g.NumVertices() {
 		e.vfirst = make([]int32, e.g.NumVertices())
 	}

@@ -1,4 +1,4 @@
-.PHONY: check check-race check-dist chaos test build vet bench-smoke bench-agg bench-plan bench-decomp bench-fsm bench-sched prof-sched bench-graph fuzz-agg fuzz-wire fuzz-plan fuzz-decomp fuzz-graph
+.PHONY: check check-race check-dist chaos test build vet bench-smoke bench-agg bench-plan bench-decomp bench-fsm bench-sched prof-sched bench-graph fuzz-agg fuzz-wire fuzz-plan fuzz-decomp fuzz-graph fuzz-embedding
 
 check:
 	./scripts/check.sh
@@ -63,11 +63,13 @@ bench-smoke:
 # Compiled-plan engines against the canonical-check enumeration paths:
 # motif and clique counting end to end (EXPERIMENTS.md). The canon columns
 # are the test-side oracles (Listing 1 for motifs, Listing 2 for cliques),
-# the KClist column Listing 7's custom enumerator. CI's
+# the KClist column Listing 7's custom enumerator. KClistVsBaseline is the
+# COST probe: KClist on one core against singlethread.Cliques, 6-cliques of
+# the mico-sl analog, x-baseline their ratio. CI's
 # `go test -bench=. -benchtime=1x ./...` step runs each once.
 BENCHTIME ?= 1s
 bench-plan:
-	go test -run=NONE -bench='^Benchmark(Motifs(Plan|Canon)|Cliques(Plan|Canon|KClist))$$' \
+	go test -run=NONE -bench='^Benchmark(Motifs(Plan|Canon)|Cliques(Plan|Canon|KClist)|KClistVsBaseline)$$' \
 		-benchtime=$(BENCHTIME) -benchmem ./internal/apps/
 
 # Decomposition engine against the pure plan fleet: k=4/k=5 motif counting
@@ -174,3 +176,10 @@ fuzz-plan:
 # term bound to a generated core subpattern).
 fuzz-decomp:
 	go test -run=NONE -fuzz=FuzzDecompose -fuzztime=10s ./internal/pattern/
+
+# Short fuzz of the embedding's own bookkeeping: random multigraphs
+# (parallel edges, independent labels), vertex- and edge-induced walks of
+# fuzzed depth; after pushes and pops the edges must be the documented list
+# for the kind and the quick key and class those of the labeled subgraph.
+fuzz-embedding:
+	go test -run=NONE -fuzz=FuzzQuickKey -fuzztime=10s ./internal/subgraph/

@@ -59,6 +59,7 @@ func TestCountingLeavesEdgeIndexUnbuilt(t *testing.T) {
 	jobs := []job{
 		{"triangles", 0, false, func(g *fractal.Graph) (string, error) { return count(Triangles(bg, ctx, g)) }},
 		{"cliques4", 0, false, func(g *fractal.Graph) (string, error) { return count(Cliques(bg, ctx, g, 4)) }},
+		{"kclist4", 0, false, func(g *fractal.Graph) (string, error) { return count(CliquesKClist(bg, ctx, g, 4)) }},
 		{"labelled-path3", 2, true, func(g *fractal.Graph) (string, error) {
 			return count(Query(bg, ctx, g, labelledPath, EngineAuto))
 		}},
@@ -109,24 +110,36 @@ func TestCountingLeavesEdgeIndexUnbuilt(t *testing.T) {
 }
 
 // TestEdgeAccessorsBuildEdgeIndex: an embedding's Edges and SaveFGR hand
-// out edge ids, so they index them; pushing vertices does not.
+// out edge ids, so they index them, and NumEdges counts them, so it does
+// too; pushing, popping, replaying and extending vertices does not.
 func TestEdgeAccessorsBuildEdgeIndex(t *testing.T) {
-	raw := built(0)
-	e := subgraph.New(raw, subgraph.VertexInduced, nil)
-	e.Push(0)
-	e.Push(subgraph.Word(raw.Neighbors(0)[0]))
-	if raw.EdgeIndexed() {
-		t.Fatal("a vertex-induced Push indexed the edge ids")
-	}
-	edges := e.Edges()
-	if !raw.EdgeIndexed() {
-		t.Error("Edges() handed out edge ids without the index")
-	}
-	if want := raw.EdgesBetween(0, raw.Neighbors(0)[0], nil); fmt.Sprint(edges) != fmt.Sprint(want) {
-		t.Errorf("Edges() = %v, want %v", edges, want)
+	for name, read := range map[string]func(*subgraph.Embedding) int{
+		"Edges":    func(e *subgraph.Embedding) int { return len(e.Edges()) },
+		"NumEdges": (*subgraph.Embedding).NumEdges,
+	} {
+		raw := built(0)
+		e := subgraph.New(raw, subgraph.VertexInduced, nil)
+		u := subgraph.Word(raw.Neighbors(0)[0])
+		e.Push(0)
+		e.Push(u)
+		if exts, _ := e.Extensions(nil); len(exts) > 0 {
+			e.Push(exts[0])
+			e.Pop()
+		}
+		e.Replay([]subgraph.Word{0, u})
+		if raw.EdgeIndexed() {
+			t.Fatal("Push, Pop, Replay or Extensions of a vertex-induced embedding indexed the edge ids")
+		}
+		n := read(e)
+		if !raw.EdgeIndexed() {
+			t.Errorf("%s read edges without the index", name)
+		}
+		if want := raw.EdgesBetween(0, graph.VertexID(u), nil); n != len(want) || fmt.Sprint(e.Edges()) != fmt.Sprint(want) {
+			t.Errorf("%s: %d edges %v, want %v", name, n, e.Edges(), want)
+		}
 	}
 
-	raw = built(0)
+	raw := built(0)
 	mmapGraph(t, raw)
 	if !raw.EdgeIndexed() {
 		t.Error("SaveFGR wrote the edge ids without the index")

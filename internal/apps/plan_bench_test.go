@@ -2,8 +2,10 @@ package apps
 
 import (
 	"testing"
+	"time"
 
 	"fractal"
+	"fractal/internal/baselines/singlethread"
 	"fractal/internal/graph"
 	"fractal/internal/workload"
 )
@@ -86,6 +88,44 @@ func BenchmarkCliquesKClist(b *testing.B) {
 	benchCliques(b, func(fc *fractal.Context, g *fractal.Graph, k int) (int64, *fractal.Result, error) {
 		return CliquesKClist(bg, fc, g, k)
 	})
+}
+
+// BenchmarkKClistVsBaseline is the COST probe of Figs 18 and 20b for
+// Listing 7: each iteration counts the 6-cliques of the mico-sl analog with
+// CliquesKClist on a one-core Context and with the hand-written
+// singlethread.Cliques, and fails if the counts differ. It reports both
+// times per iteration and the engine's multiple of the baseline's.
+func BenchmarkKClistVsBaseline(b *testing.B) {
+	const k = 6
+	raw, err := workload.ByName("mico-sl")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx, err := fractal.NewContext(fractal.WithCores(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(ctx.Close)
+	g := ctx.FromGraph(raw)
+	var engine, baseline time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		n, _, err := CliquesKClist(bg, ctx, g, k)
+		engine += time.Since(start)
+		if err != nil {
+			b.Fatal(err)
+		}
+		start = time.Now()
+		want := singlethread.Cliques(raw, k).Count
+		baseline += time.Since(start)
+		if n != want || n == 0 {
+			b.Fatalf("CliquesKClist counted %d %d-cliques, singlethread.Cliques %d", n, k, want)
+		}
+	}
+	b.ReportMetric(float64(engine.Nanoseconds())/float64(b.N), "kclist-ns/op")
+	b.ReportMetric(float64(baseline.Nanoseconds())/float64(b.N), "baseline-ns/op")
+	b.ReportMetric(float64(engine)/float64(baseline), "x-baseline")
 }
 
 func BenchmarkCliquesCanon(b *testing.B) {

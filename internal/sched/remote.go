@@ -109,8 +109,8 @@ wait:
 	return ctx.Err()
 }
 
-// remoteJob is a job materialized from a spec: everything an attempt needs
-// but its environment, cached until the master retires the job.
+// remoteJob is a job materialized from a spec: what newJobRun takes but the
+// attempt and its environment, cached until the master retires the job.
 type remoteJob struct {
 	job   Job
 	steps []*step.Step
@@ -126,36 +126,21 @@ type remoteHost struct {
 	jobs map[int]*remoteJob
 }
 
-// runFor synthesizes a fresh jobRun for the attempt — the job state and a
-// fresh abort flag, as the master's newAttempt builds for in-process
-// workers — with an environment of the aggregations the step start carries.
+// runFor builds the attempt's jobRun with newJobRun, as the master does for
+// in-process workers, with an environment of the aggregations the step
+// start carries.
 func (h *remoteHost) runFor(m stepStartMsg) *jobRun {
 	h.mu.Lock()
 	rj := h.jobs[m.Job]
 	h.mu.Unlock()
-	if rj == nil || m.Step < 0 || m.Step >= len(rj.steps) {
+	if rj == nil || m.Step < 0 || m.Step >= len(rj.steps) || len(m.Workers) == 0 {
 		return nil
 	}
 	env, err := decodeReads(m.Env)
 	if err != nil {
 		return nil
 	}
-	total := len(m.Workers) * h.cfg.CoresPerWorker
-	if total <= 0 {
-		return nil
-	}
-	return &jobRun{
-		job:        m.Job,
-		attempt:    m.Attempt,
-		parts:      m.Workers,
-		totalCores: total,
-		graph:      rj.job.Graph,
-		kind:       rj.job.Kind,
-		plan:       rj.job.Plan,
-		customs:    cloneCustom(rj.job.Custom, total),
-		steps:      rj.steps,
-		env:        env,
-	}
+	return newJobRun(m.Job, m.Attempt, m.Workers, h.cfg.CoresPerWorker, rj.job, rj.steps, env, nil)
 }
 
 // decodeReads rebuilds the environment a step start carries.

@@ -481,7 +481,7 @@ func (r *Runtime) runJob(ctx context.Context, job Job, spec *JobSpec) (*Result, 
 				stepErr = fmt.Errorf("no ready workers")
 				break
 			}
-			run = r.newAttempt(jobID, attempt, parts, job, steps, env, tracer)
+			run = newJobRun(jobID, attempt, parts, r.cfg.CoresPerWorker, job, steps, env, tracer)
 			r.mu.Lock()
 			r.run = run
 			r.mu.Unlock()
@@ -598,10 +598,14 @@ func (r *Runtime) stepReads(env *agg.Registry, s *step.Step) ([]envEntry, error)
 	return reads, nil
 }
 
-// newAttempt builds the fresh shared state for one execution attempt of a
-// step.
-func (r *Runtime) newAttempt(jobID, attempt int, parts []int, job Job, steps []*step.Step, env *agg.Registry, tracer *metrics.Tracer) *jobRun {
-	total := len(parts) * r.cfg.CoresPerWorker
+// newJobRun builds the fresh shared state of one execution attempt of a
+// step of job, split into steps, over the participants parts with
+// coresPerWorker cores each: the master's for its in-process workers (with
+// the run's tracer) and a worker process's own (with none, and env decoded
+// from the step start). Each attempt gets fresh custom-extender clones and
+// a fresh abort flag.
+func newJobRun(jobID, attempt int, parts []int, coresPerWorker int, job Job, steps []*step.Step, env *agg.Registry, tracer *metrics.Tracer) *jobRun {
+	total := len(parts) * coresPerWorker
 	return &jobRun{
 		job:        jobID,
 		attempt:    attempt,

@@ -11,15 +11,52 @@ import (
 	"fractal/internal/workload"
 )
 
-// checkClass holds the memo to the per-embedding path at the current state
-// of e: the quick key is the fingerprint of the embedding's labeled subgraph
-// byte for byte (so two keys are equal iff the fingerprints are), and Class
-// is what canonicalising that pattern from scratch gives. Past six vertices
-// only the key is checked: the labelling search is exponential, and the keys
-// are what must stay exact at any size.
+// wantEdges is the documented edge list of e's current state: per
+// vertex-induced level every edge between its vertex and each earlier member
+// in order, parallel edges ascending; the pushed words of an edge-induced
+// embedding; per pattern-induced level the first edge matching each
+// backward reference of the plan.
+func wantEdges(e *Embedding) []graph.EdgeID {
+	var want []graph.EdgeID
+	for k, w := range e.words {
+		switch e.kind {
+		case VertexInduced:
+			for _, m := range e.vertices[:k] {
+				want = e.g.EdgesBetween(graph.VertexID(w), m, want)
+			}
+		case EdgeInduced:
+			want = append(want, graph.EdgeID(w))
+		case PatternInduced:
+			for _, b := range e.plan.Back[k] {
+				for _, id := range e.g.EdgesBetween(graph.VertexID(w), e.vertices[b.Pos], nil) {
+					if b.ELabel == pattern.NoLabel || e.g.EdgeLabel(id) == b.ELabel {
+						want = append(want, id)
+						break
+					}
+				}
+			}
+		}
+	}
+	return want
+}
+
+// checkClass holds the edges and the memo to the per-embedding path at the
+// current state of e: Edges is wantEdges and NumEdges its length, the quick
+// key is the fingerprint of the embedding's labeled subgraph byte for byte
+// (so two keys are equal iff the fingerprints are), and Class is what
+// canonicalising that pattern from scratch gives. Past six vertices only the
+// key is checked: the labelling search is exponential, and the keys are
+// what must stay exact at any size.
 func checkClass(t *testing.T, e *Embedding) {
 	t.Helper()
-	p := pattern.FromEmbedding(e.g, e.vertices, e.Edges())
+	edges := e.Edges()
+	if want := wantEdges(e); !slices.Equal(edges, want) {
+		t.Fatalf("%s %s words=%v: Edges() %v, want %v", e.g.Name(), e.kind, e.words, edges, want)
+	}
+	if n := e.NumEdges(); n != len(edges) {
+		t.Fatalf("%s %s words=%v: NumEdges() %d, %d edges", e.g.Name(), e.kind, e.words, n, len(edges))
+	}
+	p := pattern.FromEmbedding(e.g, e.vertices, edges)
 	if e.kind != PatternInduced {
 		// For these kinds the subgraph is what Pattern() describes.
 		if q := e.Pattern(); q.Fingerprint() != p.Fingerprint() {
@@ -44,12 +81,20 @@ func checkClass(t *testing.T, e *Embedding) {
 	}
 }
 
-// classWalks checks the memo along random descents of e's enumeration tree,
-// on the way down and again after each Pop — a stale memo shows as the class
-// of the longer embedding.
+// classWalks checks the edges and the memo along random descents of e's
+// enumeration tree, on the way down and again after each Pop — a stale memo
+// shows as the class of the longer embedding. Each state is checked with
+// probability 2/3 and the last one always, so edges are read at random
+// depths: levels stay unresolved across pushes, and pops go below the
+// resolved depth before the walk pushes again.
 func classWalks(t *testing.T, e *Embedding, maxDepth int, seed int64, walks int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
+	maybeCheck := func() {
+		if rng.Intn(3) > 0 {
+			checkClass(t, e)
+		}
+	}
 	var exts []Word
 	for walk := 0; walk < walks; walk++ {
 		e.Reset()
@@ -58,19 +103,20 @@ func classWalks(t *testing.T, e *Embedding, maxDepth int, seed int64, walks int)
 			continue
 		}
 		e.Push(w)
-		checkClass(t, e)
+		maybeCheck()
 		for e.Len() < maxDepth {
 			exts, _ = e.Extensions(exts[:0])
 			if len(exts) == 0 {
 				break
 			}
 			e.Push(exts[rng.Intn(len(exts))])
-			checkClass(t, e)
+			maybeCheck()
 		}
 		for e.Len() > 1 {
 			e.Pop()
-			checkClass(t, e)
+			maybeCheck()
 		}
+		checkClass(t, e)
 	}
 	if cs := e.ClassStats(); cs.CanonCalls != cs.QuickPatterns {
 		t.Errorf("%s %s: %d quick patterns, %d canonical labellings: want one labelling per quick pattern", e.g.Name(), e.kind, cs.QuickPatterns, cs.CanonCalls)

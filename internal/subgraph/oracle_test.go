@@ -35,7 +35,7 @@ func refVertexExtensions(e *Embedding, dst []Word) ([]Word, int) {
 			if _, ok := candFirst[w]; ok {
 				continue
 			}
-			if e.isMemberVertex(u) {
+			if e.hasVertex(u) {
 				candFirst[w] = -1 // member sentinel
 				continue
 			}
@@ -81,7 +81,7 @@ func refFirstAdjacentMember(e *Embedding, id graph.EdgeID) int {
 func refEdgeExtensions(e *Embedding, dst []Word) ([]Word, int) {
 	candFirst := map[Word]int{}
 	var candList []Word
-	for _, v := range e.cover {
+	for _, v := range e.vertices {
 		for _, id := range e.g.IncidentEdges(v) {
 			x := Word(id)
 			if _, ok := candFirst[x]; ok {
@@ -136,7 +136,7 @@ func refPatternExtensions(e *Embedding, dst []Word) ([]Word, int) {
 	av := e.vertices[anchor.Pos]
 	for j, u := range e.g.Neighbors(av) {
 		tested++
-		if e.isMemberVertex(u) {
+		if e.hasVertex(u) {
 			continue
 		}
 		if anchor.ELabel != pattern.NoLabel && e.g.EdgeLabel(e.g.IncidentEdges(av)[j]) != anchor.ELabel {

@@ -67,22 +67,16 @@ type Embedding struct {
 	vertices []graph.VertexID
 	// edges are the embedding's edges in discovery order, edgesAt[i] the
 	// number level i added. An edge-induced Push appends its edge and count,
-	// a vertex-induced one its count and its edges' rows, a pattern-induced
-	// one nothing. resolveEdges, which every reader of edges calls, fills in
-	// the rest, so counting never reads an edge id.
+	// a vertex- or pattern-induced one nothing. resolveEdges, which every
+	// reader of edges calls, fills in the rest, so counting never reads an
+	// edge id.
 	edges   []graph.EdgeID
 	edgesAt []int
 
-	// Vertex-induced state: memberAdj[i] = bitmask of members adjacent to
-	// member i; tailMax[i] = max word of members[i:]; rows[j] is where
-	// NeighborRun found the j-th edge, whose id is IncidentEdges(w)[i].
-	memberAdj []uint32
-	tailMax   []Word
-	rows      []edgeRow
-
-	// Edge-induced state: covered vertex list (for candidate generation).
-	cover   []graph.VertexID
-	coverAt []int // cover growth per level
+	// tailMax[i] is the max word of words[i:] (vertex- and edge-induced).
+	tailMax []Word
+	// newAt[i] is the number of vertices edge-induced level i added.
+	newAt []int
 
 	// Epoch-stamped scratch for Extensions. An entry of stampV/stampE is
 	// "seen this call" iff it equals gen; bumping gen invalidates every
@@ -167,11 +161,9 @@ func (e *Embedding) Edges() []graph.EdgeID {
 // NumVertices returns |V(S)| of the embedding.
 func (e *Embedding) NumVertices() int { return len(e.vertices) }
 
-// NumEdges returns |E(S)| of the embedding.
+// NumEdges returns |E(S)| of the embedding. Like Edges, it resolves the
+// edge ids of a vertex- or pattern-induced embedding.
 func (e *Embedding) NumEdges() int {
-	if e.kind == VertexInduced {
-		return len(e.rows)
-	}
 	e.resolveEdges()
 	return len(e.edges)
 }
@@ -201,11 +193,10 @@ func (e *Embedding) ValidInitial(w Word) bool {
 // ValidInitial at depth 0); Push does not re-validate.
 func (e *Embedding) Push(w Word) {
 	e.memo.resolved = false
-	switch e.kind {
-	case VertexInduced, PatternInduced:
-		e.pushVertex(graph.VertexID(w))
-	case EdgeInduced:
+	if e.kind == EdgeInduced {
 		e.pushEdge(graph.EdgeID(w))
+	} else {
+		e.vertices = append(e.vertices, graph.VertexID(w))
 	}
 	e.words = append(e.words, w)
 	e.updateTails()
@@ -221,31 +212,15 @@ func (e *Embedding) Pop() {
 		e.custom.Popped(e)
 	}
 	k := len(e.words) - 1
-	if k < len(e.edgesAt) { // always, but for an unresolved pattern-induced level
-		ne := e.edgesAt[k]
+	if k < len(e.edgesAt) { // the level's edges are resolved
+		e.edges = e.edges[:len(e.edges)-e.edgesAt[k]]
 		e.edgesAt = e.edgesAt[:k]
-		if e.kind == VertexInduced {
-			e.rows = e.rows[:len(e.rows)-ne]
-			e.edges = e.edges[:min(len(e.edges), len(e.rows))]
-		} else {
-			e.edges = e.edges[:len(e.edges)-ne]
-		}
 	}
-	switch e.kind {
-	case VertexInduced, PatternInduced:
-		e.vertices = e.vertices[:len(e.vertices)-1]
-		if e.kind == VertexInduced {
-			e.memberAdj = e.memberAdj[:k]
-			for i := range e.memberAdj {
-				e.memberAdj[i] &^= 1 << uint(k)
-			}
-		}
-	case EdgeInduced:
-		nc := e.coverAt[k]
-		e.cover = e.cover[:len(e.cover)-nc]
-		e.coverAt = e.coverAt[:k]
-		dropVertices := nc
-		e.vertices = e.vertices[:len(e.vertices)-dropVertices]
+	if e.kind == EdgeInduced {
+		e.vertices = e.vertices[:len(e.vertices)-e.newAt[k]]
+		e.newAt = e.newAt[:k]
+	} else {
+		e.vertices = e.vertices[:k]
 	}
 	e.words = e.words[:k]
 	e.updateTails()
@@ -270,57 +245,26 @@ func (e *Embedding) Replay(words []Word) {
 	}
 }
 
-// edgeRow locates one edge of a vertex-induced embedding in the adjacency:
-// it is IncidentEdges(w)[i].
-type edgeRow struct {
-	w graph.VertexID
-	i int32
-}
-
-func (e *Embedding) pushVertex(v graph.VertexID) {
-	k := len(e.words)
-	if e.kind == VertexInduced {
-		// Every edge between v and a member, members in order and parallel
-		// edges by ascending id; the neighbor search finds them without
-		// their ids.
-		var mask uint32
-		ne := len(e.rows)
-		for i, m := range e.vertices {
-			w, lo, hi := e.g.NeighborRun(v, m)
-			if lo == hi {
-				continue
-			}
-			mask |= 1 << uint(i)
-			e.memberAdj[i] |= 1 << uint(k)
-			for j := lo; j < hi; j++ {
-				e.rows = append(e.rows, edgeRow{w, int32(j)})
-			}
-		}
-		e.memberAdj = append(e.memberAdj, mask)
-		e.edgesAt = append(e.edgesAt, len(e.rows)-ne)
-	}
-	e.vertices = append(e.vertices, v)
-}
-
-// resolveEdges appends the ids of the edges pushed since it last ran: those
-// of the rows a vertex-induced Push found, or, for the pattern-induced
-// levels, one edge per backward reference of the plan.
+// resolveEdges appends the edge ids of the vertex levels pushed since it
+// last ran. A vertex-induced level adds every edge between its vertex and
+// an earlier member, members in order and parallel edges by ascending id; a
+// pattern-induced one adds one matching edge per backward reference of the
+// plan. Edge-induced levels are resolved as they are pushed.
 func (e *Embedding) resolveEdges() {
-	switch e.kind {
-	case VertexInduced:
-		for _, r := range e.rows[len(e.edges):] {
-			e.edges = append(e.edges, e.g.IncidentEdges(r.w)[r.i])
-		}
-	case PatternInduced:
-		for k := len(e.edgesAt); k < len(e.words); k++ {
-			ne := len(e.edges)
+	for k := len(e.edgesAt); k < len(e.words); k++ {
+		ne, v := len(e.edges), e.vertices[k]
+		if e.kind == VertexInduced {
+			for _, m := range e.vertices[:k] {
+				e.edges = e.g.EdgesBetween(v, m, e.edges)
+			}
+		} else {
 			for _, b := range e.plan.Back[k] {
-				if id := e.edgeMatching(e.vertices[k], e.vertices[b.Pos], b.ELabel); id != graph.NilEdge {
+				if id := e.edgeMatching(v, e.vertices[b.Pos], b.ELabel); id != graph.NilEdge {
 					e.edges = append(e.edges, id)
 				}
 			}
-			e.edgesAt = append(e.edgesAt, len(e.edges)-ne)
 		}
+		e.edgesAt = append(e.edgesAt, len(e.edges)-ne)
 	}
 }
 
@@ -328,18 +272,14 @@ func (e *Embedding) pushEdge(id graph.EdgeID) {
 	src, dst := e.g.EdgeEndpoints(id)
 	e.edges = append(e.edges, id)
 	e.edgesAt = append(e.edgesAt, 1)
-	nc := 0
+	nv := len(e.vertices)
 	if !e.hasVertex(src) {
-		e.cover = append(e.cover, src)
 		e.vertices = append(e.vertices, src)
-		nc++
 	}
 	if !e.hasVertex(dst) {
-		e.cover = append(e.cover, dst)
 		e.vertices = append(e.vertices, dst)
-		nc++
 	}
-	e.coverAt = append(e.coverAt, nc)
+	e.newAt = append(e.newAt, len(e.vertices)-nv)
 }
 
 func (e *Embedding) hasVertex(v graph.VertexID) bool {
@@ -491,15 +431,6 @@ func (e *Embedding) vertexExtensions(dst []Word) ([]Word, int) {
 	return dst, tested
 }
 
-func (e *Embedding) isMemberVertex(v graph.VertexID) bool {
-	for _, m := range e.vertices {
-		if m == v {
-			return true
-		}
-	}
-	return false
-}
-
 func (e *Embedding) edgeExtensions(dst []Word) ([]Word, int) {
 	e.ensureVStamp()
 	e.ensureEStamp()
@@ -523,7 +454,7 @@ func (e *Embedding) edgeExtensions(dst []Word) ([]Word, int) {
 	e.candList = e.candList[:0]
 	e.candFirst = e.candFirst[:0]
 	// Candidates: edges incident to covered vertices.
-	for _, v := range e.cover {
+	for _, v := range e.vertices {
 		for _, id := range e.g.IncidentEdges(v) {
 			if e.stampE[id] == gen {
 				continue
@@ -616,7 +547,7 @@ func (e *Embedding) patternExtensions(dst []Word) ([]Word, int) {
 	tested := len(cur)
 	want := e.plan.VLabels[k]
 	for _, u := range cur {
-		if e.isMemberVertex(u) {
+		if e.hasVertex(u) {
 			continue
 		}
 		if want != pattern.NoLabel && !graph.ContainsLabel(e.g.VertexLabels(u), want) {

@@ -2,6 +2,7 @@ package subgraph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -360,24 +361,29 @@ func TestPatternInducedEdgeLabels(t *testing.T) {
 
 func TestPushPopRestoresState(t *testing.T) {
 	g := randomGraph(10, 0.4, 2, 7)
-	for _, kind := range []Kind{VertexInduced, EdgeInduced} {
-		e := New(g, kind, nil)
-		e.Push(0)
-		exts, _ := e.Extensions(nil)
-		if len(exts) == 0 {
-			continue
-		}
-		before := append([]Word(nil), exts...)
-		e.Push(exts[0])
-		e.Pop()
-		after, _ := e.Extensions(nil)
-		if len(after) != len(before) {
-			t.Fatalf("%v: extensions changed after push/pop: %v vs %v", kind, before, after)
-		}
-		for i := range after {
-			if after[i] != before[i] {
-				t.Fatalf("%v: extensions changed after push/pop", kind)
+	pl, err := pattern.NewPlan(pattern.Path(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []*Embedding{New(g, VertexInduced, nil), New(g, EdgeInduced, nil), New(g, PatternInduced, pl)} {
+		kind := e.Kind()
+		var exts []Word
+		for w := Word(0); len(exts) == 0; w++ {
+			if int(w) == e.InitialDomain() {
+				t.Fatalf("%v: no word extends", kind)
 			}
+			e.Replay([]Word{w})
+			exts, _ = e.Extensions(nil)
+		}
+		edges := slices.Clone(e.Edges())
+		e.Push(exts[0])
+		e.Edges() // the popped level is resolved
+		e.Pop()
+		if after, _ := e.Extensions(nil); !slices.Equal(after, exts) {
+			t.Fatalf("%v: extensions changed after push/pop: %v vs %v", kind, exts, after)
+		}
+		if after := e.Edges(); !slices.Equal(after, edges) {
+			t.Fatalf("%v: edges changed after push/pop: %v vs %v", kind, edges, after)
 		}
 		e.Reset()
 		if e.Len() != 0 || e.NumVertices() != 0 || e.NumEdges() != 0 {

@@ -1,12 +1,13 @@
-.PHONY: check check-race check-dist chaos test build vet bench-smoke bench-agg bench-plan bench-decomp bench-fsm bench-sched prof-sched bench-graph fuzz-agg fuzz-wire fuzz-plan fuzz-decomp fuzz-graph fuzz-embedding
+.PHONY: check check-race check-dist chaos test build vet bench-smoke bench-agg bench-plan bench-decomp bench-fsm bench-sched prof-sched bench-graph fuzz-agg fuzz-wire fuzz-plan fuzz-decomp fuzz-graph fuzz-embedding fuzz-engines
 
 check:
 	./scripts/check.sh
 
 # Distributed-deployment verification: builds the fractal and fractal-worker
-# binaries and runs the distributed differential suite (TCP loopback
-# workers, real worker OS processes, SIGKILL-mid-step recovery; results must
-# match the in-process engine bit for bit).
+# binaries and runs the distributed differential suite (goroutine workers of
+# a master over TCP loopback, real worker OS processes, SIGKILL-mid-step
+# recovery, FuzzEngines' seeds; results must match the in-process engine
+# bit for bit).
 check-dist:
 	./scripts/check_dist.sh
 
@@ -41,9 +42,9 @@ test:
 # the wire codec against the retained seed oracle (gob, test-side only;
 # EXPERIMENTS.md), then the step tail end to end — the fsm_ml analog's level
 # 3 from "cores idle" to "support3 committed", one worker with two cores on
-# the loopback and two one-core workers over TCP: B/op and allocs/op of both
-# ends, and the frames one tail ships (8.7 and 13.8 MB/op in 1 and 2 frames
-# before the tail became an ordered fold, PR 19). CI's
+# the loopback and two one-core workers joined to a master over TCP: B/op
+# and allocs/op of both ends, and the frames one tail ships (8.7 and 13.8
+# MB/op in 1 and 2 frames before the tail became an ordered fold, PR 19). CI's
 # `go test -bench=. -benchtime=1x ./...` step runs each once.
 bench-agg:
 	go test -run=NONE -bench='DomainSupport|AggEncode' -benchtime=$(BENCHTIME) -benchmem \
@@ -183,3 +184,13 @@ fuzz-decomp:
 # for the kind and the quick key and class those of the labeled subgraph.
 fuzz-embedding:
 	go test -run=NONE -fuzz=FuzzQuickKey -fuzztime=10s ./internal/subgraph/
+
+# Cross-engine counts: FuzzEngines decodes a graph (ER, BA, sparse ER, dense
+# BA, a multigraph or a pinned dataset analog; one label or several; a
+# renumbering), an app (motifs, cliques, a query), an engine legal for it
+# (auto, plan, decomp, canon), a deployment (in-process 1-2 workers x 1-2
+# cores, or a master with two ServeWorkers over TCP) and a storage form
+# (built, .el, mapped .fgr); every count must be the canonical-check
+# oracle's on the graph as built.
+fuzz-engines:
+	go test -run=NONE -fuzz=FuzzEngines -fuzztime=30s ./internal/apps/

@@ -17,7 +17,7 @@
 // carry a query keyword (Section 4.3). FSM has no such flag: every level past
 // the first always mines the graph of its frequent edges.
 //
-// Runtime flags: -workers, -cores, -ws (none|internal|external|both), -tcp.
+// Runtime flags: -workers, -cores, -ws (none|internal|external|both).
 //
 // Conversion:
 //
@@ -130,14 +130,12 @@ func main() {
 		workers    = flag.Int("workers", 1, "number of workers")
 		cores      = flag.Int("cores", 4, "cores per worker")
 		wsMode     = flag.String("ws", "both", "work stealing: none|internal|external|both")
-		useTCP     = flag.Bool("tcp", false, "use TCP transport between workers")
 		metricsOut = flag.String("metrics-out", "", "write the run's metrics snapshot (RunReport JSON) to this file")
 		traceOn    = flag.Bool("trace", false, "record the structured trace journal (exported via -metrics-out)")
 		pprofOut   = flag.String("pprof", "", "write <prefix>.cpu.pprof (the whole run) and <prefix>.heap.pprof (at exit) with this prefix")
 		engine     = flag.String("engine", "auto", "counting engine (motifs, cliques, triangles, query): auto (cost-model selection) or plan (compiled pattern plans only)")
 		explain    = flag.Bool("explain", false, "print the selected app's engine decision and its plans, and exit (no graph needed)")
 		retries    = flag.Int("retries", 0, "re-execute a step up to n times after a worker loss (0: a loss fails the run)")
-		retryWait  = flag.Duration("retry-backoff", 0, "pause between step retry attempts (default 5ms)")
 		listenAddr = flag.String("listen", "", "run as distributed master: serve worker registrations on this address")
 		minWorkers = flag.Int("min-workers", 0, "wait for this many worker registrations before starting (-listen)")
 	)
@@ -188,8 +186,8 @@ func main() {
 	}
 
 	cfg := fractal.Config{
-		Workers: *workers, CoresPerWorker: *cores, UseTCP: *useTCP, Trace: *traceOn,
-		StepRetries: *retries, RetryBackoff: *retryWait, ListenAddr: *listenAddr,
+		Workers: *workers, CoresPerWorker: *cores, Trace: *traceOn,
+		StepRetries: *retries, ListenAddr: *listenAddr,
 	}
 	switch *wsMode {
 	case "none":

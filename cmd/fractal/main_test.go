@@ -64,7 +64,7 @@ func TestCLI(t *testing.T) {
 		{"cliques", []string{"-app", "cliques", "-k", "4"}, 0, "4-cliques: 1 (", nil},
 		{"cliques plan", []string{"-app", "cliques", "-k", "3", "-engine", "plan"}, 0, "3-cliques: 4 (", nil},
 		{"cliques kclist", []string{"-app", "cliques", "-k", "3", "-kclist"}, 0, "3-cliques: 4 (", nil},
-		{"triangles", []string{"-app", "triangles", "-tcp", "-workers", "2"}, 0, "triangles: 4 (", nil},
+		{"triangles", []string{"-app", "triangles", "-workers", "2"}, 0, "triangles: 4 (", nil},
 		{"fsm", []string{"-app", "fsm", "-support", "1", "-maxedges", "2"}, 0, "frequent patterns (support >= 1): 2, per level [1 1]", nil},
 		{"query", []string{"-app", "query", "-pattern", "triangle"}, 0, "matches of triangle [auto engine]: 4 (", nil},
 		{"query plan", []string{"-app", "query", "-pattern", "square", "-engine", "plan"}, 0, "matches of square [plan engine]: 3 (", nil},
@@ -100,6 +100,8 @@ func TestCLI(t *testing.T) {
 		{"query sweep report", []string{"-app", "query", "-pattern", "star4", "-metrics-out", filepath.Join(dir, "star4.json")}, 0, "matches of star4 [auto engine]: 7 (", nil},
 
 		{"no app", nil, 2, "Usage", nil},
+		{"tcp is gone", []string{"-app", "triangles", "-tcp"}, 2, "flag provided but not defined: -tcp", nil},
+		{"retry-backoff is gone", []string{"-app", "triangles", "-retry-backoff", "1ms"}, 2, "flag provided but not defined: -retry-backoff", nil},
 		{"unknown app", []string{"-app", "nope"}, 1, `unknown -app "nope"`, nil},
 		{"unknown engine", []string{"-app", "motifs", "-engine", "nope"}, 1, `unknown -engine "nope"`, nil},
 		{"unknown ws", []string{"-app", "motifs", "-ws", "nope"}, 1, `unknown -ws mode "nope"`, nil},

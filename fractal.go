@@ -283,10 +283,6 @@ func WithWS(ws sched.WorkStealing) Option {
 	}
 }
 
-// WithTCP runs master/worker communication over real TCP sockets on
-// 127.0.0.1 instead of in-process mailboxes.
-func WithTCP() Option { return func(c *Config) error { c.UseTCP = true; return nil } }
-
 // WithListenAddr switches the context into distributed master mode: no
 // in-process workers; instead the master binds a TCP listener at addr (e.g.
 // ":7001", or "127.0.0.1:0" for tests — read the bound address back with
@@ -323,7 +319,7 @@ func WithWorkerTimeout(d time.Duration) Option {
 // WithStepRetries makes runs survive worker loss: on a WorkerLostError the
 // master discards the failed attempt's partials, excludes the lost worker
 // for the rest of the job, and re-executes the step from scratch over the
-// survivors, up to n retries per step. Results are bit-identical to
+// survivors 5 ms later, up to n retries per step. Results are bit-identical to
 // fault-free runs — exactly one attempt's aggregations are ever committed.
 // When the budget runs out the job fails with a *RetryExhaustedError. Note
 // that Visit callbacks are at-least-once under retries (a failed attempt's
@@ -336,12 +332,6 @@ func WithStepRetries(n int) Option {
 		c.StepRetries = n
 		return nil
 	}
-}
-
-// WithRetryBackoff sets the pause between a worker-loss failure and the next
-// attempt of the step (default 5ms). Only meaningful with WithStepRetries.
-func WithRetryBackoff(d time.Duration) Option {
-	return func(c *Config) error { c.RetryBackoff = d; return nil }
 }
 
 // WithFaultInjector installs a transport fault injector (drop, delay, or
@@ -378,7 +368,7 @@ func WithConfig(cfg Config) Option {
 // NewContext starts a runtime configured by the given options:
 //
 //	fractal.NewContext(fractal.WithWorkers(4), fractal.WithCores(8),
-//		fractal.WithTCP(), fractal.WithStepTimeout(30*time.Second))
+//		fractal.WithStepTimeout(30*time.Second))
 //
 // With no options: one worker, one core, hierarchical work stealing.
 func NewContext(opts ...Option) (*Context, error) {

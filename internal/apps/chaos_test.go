@@ -2,10 +2,10 @@ package apps
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"slices"
 	"strconv"
 	"strings"
@@ -95,8 +95,7 @@ func chaosCtx(t *testing.T, script *rpc.Script, extra ...fractal.Option) *fracta
 	t.Helper()
 	opts := []fractal.Option{
 		fractal.WithWorkers(chaosWorkers), fractal.WithCores(2),
-		fractal.WithStepRetries(3), fractal.WithRetryBackoff(time.Millisecond),
-		fractal.WithWorkerTimeout(400 * time.Millisecond),
+		fractal.WithStepRetries(3), fractal.WithWorkerTimeout(400 * time.Millisecond),
 	}
 	if script != nil {
 		opts = append(opts, fractal.WithFaultInjector(script))
@@ -130,16 +129,23 @@ func requireLossObserved(t *testing.T, script *rpc.Script, res *fractal.Result, 
 
 func TestChaosCliques(t *testing.T) {
 	raw := workload.ErdosRenyi("chaos-er", 60, 220, 1, 31)
+	chaosCliques(t, raw, raw, 0)
+}
+
+// chaosCliques counts the 4-cliques of g — raw, or a copy of it in another
+// storage form — under seeded fault schedules from seedBase on: each count
+// must be the fault-free count of raw.
+func chaosCliques(t *testing.T, raw, g *graph.Graph, seedBase int64) {
 	base := chaosCtx(t, nil)
 	want, _, err := Cliques(bg, base, base.FromGraph(raw), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for seed := 1; seed <= chaosSeeds(t); seed++ {
-		rng := rand.New(rand.NewSource(int64(seed)))
+		rng := rand.New(rand.NewSource(seedBase + int64(seed)))
 		script, label := chaosSchedule(rng, false)
 		ctx := chaosCtx(t, script)
-		got, res, err := Cliques(bg, ctx, ctx.FromGraph(raw), 4)
+		got, res, err := Cliques(bg, ctx, ctx.FromGraph(g), 4)
 		if err != nil {
 			t.Fatalf("seed %d (%s): %v", seed, label, err)
 		}
@@ -289,8 +295,7 @@ func TestChaosMiddleFrameDropped(t *testing.T) {
 		t.Helper()
 		ctx, err := fractal.NewContext(
 			fractal.WithWorkers(2), fractal.WithCores(1), fractal.WithFaultInjector(inj),
-			fractal.WithStepRetries(2), fractal.WithRetryBackoff(time.Millisecond),
-			fractal.WithWorkerTimeout(timeout))
+			fractal.WithStepRetries(2), fractal.WithWorkerTimeout(timeout))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -328,9 +333,9 @@ func TestChaosMiddleFrameDropped(t *testing.T) {
 	}
 }
 
-// TestChaosCliquesTCP repeats one sever schedule over the TCP transport: the
-// injector sits in front of the real sockets, so retry must recover there
-// exactly as over loopback mailboxes.
+// TestChaosCliquesTCP repeats one sever schedule on a master's two
+// ServeWorkers: the injector sits in front of the real sockets, so retry
+// must recover there exactly as over loopback mailboxes.
 func TestChaosCliquesTCP(t *testing.T) {
 	raw := workload.ErdosRenyi("chaos-er-tcp", 50, 180, 1, 34)
 	base := chaosCtx(t, nil)
@@ -339,8 +344,16 @@ func TestChaosCliquesTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	script := rpc.NewScript(rpc.SeverRule(1, rpc.Master, sched.KindStatusReport, 0, 1))
-	ctx := chaosCtx(t, script, fractal.WithTCP())
-	got, res, err := Cliques(bg, ctx, ctx.FromGraph(raw), 4)
+	master := distMaster(t, fractal.WithWorkerTimeout(400*time.Millisecond))
+	// Worker IDs follow registration order: both send through the script,
+	// whose rule severs the second.
+	for n := 1; n <= 2; n++ {
+		startWorker(t, master.ListenAddr(), fractal.WorkerOptions{FaultInjector: script})
+		if err := master.AwaitWorkers(context.Background(), n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, res, err := Cliques(bg, master, loadOn(t, master, writeGraphFile(t, raw)), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,35 +369,5 @@ func TestChaosCliquesTCP(t *testing.T) {
 // while every enumeration reads straight out of the mapping.
 func TestChaosCliquesFGR(t *testing.T) {
 	raw := workload.ErdosRenyi("chaos-fgr", 60, 220, 2, 33)
-	path := filepath.Join(t.TempDir(), "chaos-fgr.fgr")
-	if err := graph.SaveFGR(path, raw); err != nil {
-		t.Fatal(err)
-	}
-	mapped, err := graph.LoadFGR(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !mapped.Mapped() {
-		t.Fatal("LoadFGR graph does not report Mapped")
-	}
-	t.Cleanup(func() { mapped.Close() })
-
-	base := chaosCtx(t, nil)
-	want, _, err := Cliques(bg, base, base.FromGraph(raw), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seed := 1; seed <= chaosSeeds(t); seed++ {
-		rng := rand.New(rand.NewSource(int64(400 + seed)))
-		script, label := chaosSchedule(rng, false)
-		ctx := chaosCtx(t, script)
-		got, res, err := Cliques(bg, ctx, ctx.FromGraph(mapped), 4)
-		if err != nil {
-			t.Fatalf("seed %d (%s): %v", seed, label, err)
-		}
-		if got != want {
-			t.Errorf("seed %d (%s): cliques over mmap=%d, want %d", seed, label, got, want)
-		}
-		requireLossObserved(t, script, res, fmt.Sprintf("seed %d (%s)", seed, label))
-	}
+	chaosCliques(t, raw, mmapGraph(t, raw), 400)
 }

@@ -15,8 +15,12 @@ import (
 // Differential suites for the decomposition engine (DESIGN.md §14): the
 // mixed fleet's motif counts must be bit-identical to both the pure plan
 // fleet and the canonical-check oracle over randomized ER/BA/multigraph
-// seeds, the auto selection must fall back cleanly on labeled graphs, and
-// single-pattern decomposition counts must match plan enumeration.
+// seeds, and single-pattern decomposition counts must match plan
+// enumeration (FuzzEngines crosses the same oracles with every deployment
+// and storage form). Beyond counts: the auto selection falls back cleanly on
+// labeled graphs and refuses what it cannot convert, label semantics, the
+// sweep's cost and report, and exact counts past the degrees enumeration
+// reaches.
 
 // decompMultigraph samples edges with replacement so parallel edges occur;
 // with labels=1 every label is 0, keeping the graph uniform for the sweep.

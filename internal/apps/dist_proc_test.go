@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"fractal"
-	"fractal/internal/graph"
 	"fractal/internal/workload"
 )
 
@@ -84,45 +83,57 @@ func spawnWorkerProc(t *testing.T, bin, masterAddr string) *workerProc {
 	return p
 }
 
+// procPair starts a master and two fractal-worker processes and waits for
+// both to register; first is the first to start.
+func procPair(t *testing.T, bin string) (master *fractal.Context, first *workerProc) {
+	t.Helper()
+	master = distMaster(t)
+	first = spawnWorkerProc(t, bin, master.ListenAddr())
+	spawnWorkerProc(t, bin, master.ListenAddr())
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := master.AwaitWorkers(ctx, 2); err != nil {
+		t.Fatal(err)
+	}
+	return master, first
+}
+
 // TestDistProcesses runs one master and two fractal-worker OS processes and
 // requires counts bit-identical to the in-process kernels.
 func TestDistProcesses(t *testing.T) {
-	bin := workerBin(t)
 	path := writeGraphFile(t, workload.ErdosRenyi("dist-proc", 60, 220, 3, 51))
+	procCountsMatch(t, path, path)
+}
+
+// procCountsMatch counts the cliques and motifs of the graph file run on a
+// master with two fractal-worker processes: they must be the oracles'
+// counts of the graph file at oraclePath.
+func procCountsMatch(t *testing.T, oraclePath, run string) {
 	oracle, load := inProcessOracle(t)
-	wantCliques, _, err := cliquesOracle(load(path), 4)
+	wantCliques, _, err := cliquesOracle(load(oraclePath), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantMotifs, _, err := motifsOracle(oracle, load(path), 3)
+	wantMotifs, _, err := motifsOracle(oracle, load(oraclePath), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	master := distMaster(t)
-	spawnWorkerProc(t, bin, master.ListenAddr())
-	spawnWorkerProc(t, bin, master.ListenAddr())
-	awaitCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := master.AwaitWorkers(awaitCtx, 2); err != nil {
-		t.Fatal(err)
-	}
-
-	got, res, err := Cliques(bg, master, loadOn(t, master, path), 4)
+	master, _ := procPair(t, workerBin(t))
+	got, res, err := Cliques(bg, master, loadOn(t, master, run), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != wantCliques {
-		t.Errorf("cross-process cliques=%d, want %d", got, wantCliques)
+		t.Errorf("cross-process cliques over %s=%d, want %d", filepath.Base(run), got, wantCliques)
 	}
 	if res.Report.Workers != 2 {
 		t.Errorf("report should record 2 worker processes, says %d", res.Report.Workers)
 	}
-	gotMotifs, _, err := Motifs(bg, master, loadOn(t, master, path), 3, EngineAuto)
+	gotMotifs, _, err := Motifs(bg, master, loadOn(t, master, run), 3, EngineAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	motifCountsEqual(t, "cross-process motifs", 3, gotMotifs, wantMotifs)
+	motifCountsEqual(t, "cross-process motifs over "+filepath.Base(run), 3, gotMotifs, wantMotifs)
 }
 
 // TestDistProcessSIGKILL kills one of two worker processes mid-step with
@@ -140,14 +151,7 @@ func TestDistProcessSIGKILL(t *testing.T) {
 
 	// Healthy pass, doubling as the wall-clock measurement the kill timing
 	// is derived from.
-	master := distMaster(t)
-	spawnWorkerProc(t, bin, master.ListenAddr())
-	spawnWorkerProc(t, bin, master.ListenAddr())
-	awaitCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := master.AwaitWorkers(awaitCtx, 2); err != nil {
-		t.Fatal(err)
-	}
+	master, _ := procPair(t, bin)
 	healthy, res, err := Cliques(bg, master, loadOn(t, master, path), 4)
 	if err != nil {
 		t.Fatal(err)
@@ -158,14 +162,7 @@ func TestDistProcessSIGKILL(t *testing.T) {
 
 	// Killed pass: fresh master and workers, SIGKILL the first worker a
 	// third of the healthy wall into the run.
-	master2 := distMaster(t)
-	victim := spawnWorkerProc(t, bin, master2.ListenAddr())
-	spawnWorkerProc(t, bin, master2.ListenAddr())
-	awaitCtx2, cancel2 := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel2()
-	if err := master2.AwaitWorkers(awaitCtx2, 2); err != nil {
-		t.Fatal(err)
-	}
+	master2, victim := procPair(t, bin)
 	delay := res.Wall / 3
 	if delay < 5*time.Millisecond {
 		delay = 5 * time.Millisecond
@@ -203,46 +200,9 @@ func TestDistProcessSIGKILL(t *testing.T) {
 // the same file (sharing one physical copy of the CSR arrays) and the counts
 // must be bit-identical to the same run over the parsed edge-list file.
 func TestDistProcessesSharedFGR(t *testing.T) {
-	bin := workerBin(t)
 	raw := workload.ErdosRenyi("dist-fgr", 60, 220, 3, 53)
 	elPath := writeGraphFile(t, raw)
 	fgrPath := filepath.Join(filepath.Dir(elPath), "dist-fgr.fgr")
-	if err := graph.SaveFGR(fgrPath, raw); err != nil {
-		t.Fatal(err)
-	}
-
-	oracle, load := inProcessOracle(t)
-	wantCliques, _, err := cliquesOracle(load(elPath), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantMotifs, _, err := motifsOracle(oracle, load(elPath), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	master := distMaster(t)
-	spawnWorkerProc(t, bin, master.ListenAddr())
-	spawnWorkerProc(t, bin, master.ListenAddr())
-	awaitCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := master.AwaitWorkers(awaitCtx, 2); err != nil {
-		t.Fatal(err)
-	}
-
-	got, res, err := Cliques(bg, master, loadOn(t, master, fgrPath), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != wantCliques {
-		t.Errorf("cross-process cliques over .fgr=%d, edge-list run says %d", got, wantCliques)
-	}
-	if res.Report.Workers != 2 {
-		t.Errorf("report should record 2 worker processes, says %d", res.Report.Workers)
-	}
-	gotMotifs, _, err := Motifs(bg, master, loadOn(t, master, fgrPath), 3, EngineAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	motifCountsEqual(t, "cross-process motifs over .fgr", 3, gotMotifs, wantMotifs)
+	saveGraph(t, fgrPath, raw)
+	procCountsMatch(t, elPath, fgrPath)
 }

@@ -21,18 +21,30 @@ import (
 	"fractal/internal/workload"
 )
 
-// Distributed differential suite: the application drivers (Cliques, Motifs,
-// FSM) run against a master-mode context serving real ServeWorker instances
-// over TCP loopback. Clique and motif counts must be bit-identical to the
-// test-side oracles (oracle_test.go) on the same graph file, and FSM to the
-// same driver on an in-process context — whose counts oracle_pin_test.go
-// pins.
+// Distributed suite: the application drivers run against a master-mode
+// context serving real ServeWorker instances over TCP loopback. FSM must be
+// bit-identical to the same driver on an in-process context — whose counts
+// oracle_pin_test.go pins — and the reports must account both workers;
+// FuzzEngines holds the counting apps on a master to the oracles.
 
 // writeGraphFile persists g as a labeled edge list; distributed specs name
 // graphs by path, so master and workers each load this file.
 func writeGraphFile(t *testing.T, g *graph.Graph) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), g.Name()+".el")
+	saveGraph(t, path, g)
+	return path
+}
+
+// saveGraph writes g to path, as .fgr or as an edge list by its extension.
+func saveGraph(t testing.TB, path string, g *graph.Graph) {
+	t.Helper()
+	if filepath.Ext(path) == ".fgr" {
+		if err := graph.SaveFGR(path, g); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -44,17 +56,15 @@ func writeGraphFile(t *testing.T, g *graph.Graph) string {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return path
 }
 
 // distMaster builds a master-mode context with the retry budget and short
 // loss-detection timeout the loss tests rely on.
-func distMaster(t *testing.T, extra ...fractal.Option) *fractal.Context {
+func distMaster(t testing.TB, extra ...fractal.Option) *fractal.Context {
 	t.Helper()
 	opts := []fractal.Option{
 		fractal.WithListenAddr("127.0.0.1:0"), fractal.WithCores(2),
-		fractal.WithStepRetries(3), fractal.WithRetryBackoff(time.Millisecond),
-		fractal.WithWorkerTimeout(600 * time.Millisecond),
+		fractal.WithStepRetries(3), fractal.WithWorkerTimeout(600 * time.Millisecond),
 	}
 	ctx, err := fractal.NewContext(append(opts, extra...)...)
 	if err != nil {
@@ -64,9 +74,21 @@ func distMaster(t *testing.T, extra ...fractal.Option) *fractal.Context {
 	return ctx
 }
 
+// distPair is distMaster with two in-goroutine workers registered.
+func distPair(t testing.TB, extra ...fractal.Option) *fractal.Context {
+	t.Helper()
+	master := distMaster(t, extra...)
+	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{})
+	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{})
+	if err := master.AwaitWorkers(context.Background(), 2); err != nil {
+		t.Fatal(err)
+	}
+	return master
+}
+
 // startWorker serves one in-goroutine worker against the master address and
 // returns its stop function (idempotent, also registered as cleanup).
-func startWorker(t *testing.T, masterAddr string, opts fractal.WorkerOptions) (stop func()) {
+func startWorker(t testing.TB, masterAddr string, opts fractal.WorkerOptions) (stop func()) {
 	t.Helper()
 	wctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
@@ -84,7 +106,7 @@ func startWorker(t *testing.T, masterAddr string, opts fractal.WorkerOptions) (s
 
 // loadOn loads the graph file on fc. On a master this is what lets the
 // drivers ship jobs over it: the handle remembers its path.
-func loadOn(t *testing.T, fc *fractal.Context, path string) *fractal.Graph {
+func loadOn(t testing.TB, fc *fractal.Context, path string) *fractal.Graph {
 	t.Helper()
 	g, err := fc.LoadGraph(path)
 	if err != nil {
@@ -147,27 +169,14 @@ func fsmDistEqual(t *testing.T, label string, got, want *FSMResult) {
 }
 
 // TestDistCliques runs the clique kernel across two worker instances over
-// TCP loopback and compares bit for bit with the in-process kernel.
+// TCP loopback: the report records both registered workers. FuzzEngines
+// holds the counts of every app on a master to the oracles.
 func TestDistCliques(t *testing.T) {
 	path := writeGraphFile(t, workload.ErdosRenyi("dist-cl", 60, 220, 1, 44))
-	_, load := inProcessOracle(t)
-	want, _, err := cliquesOracle(load(path), 4)
+	master := distPair(t)
+	_, res, err := Cliques(bg, master, loadOn(t, master, path), 4)
 	if err != nil {
 		t.Fatal(err)
-	}
-
-	master := distMaster(t)
-	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{})
-	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{})
-	if err := master.AwaitWorkers(context.Background(), 2); err != nil {
-		t.Fatal(err)
-	}
-	got, res, err := Cliques(bg, master, loadOn(t, master, path), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("distributed cliques=%d, want %d", got, want)
 	}
 	if res == nil || res.Report == nil || res.Report.Workers != 2 {
 		t.Errorf("report should record 2 registered workers, got %+v", res.Report)
@@ -176,54 +185,39 @@ func TestDistCliques(t *testing.T) {
 
 // TestDistMotifs covers the multi-job driver (one spec per generated
 // pattern) on a labeled graph, exercising repeated spec distribution and
-// retirement on the same worker set.
+// retirement on the same worker set: every pattern's job runs on both
+// workers' cores.
 func TestDistMotifs(t *testing.T) {
 	path := writeGraphFile(t, workload.ErdosRenyi("dist-mo", 60, 220, 3, 45))
-	oracle, load := inProcessOracle(t)
-	want, _, err := motifsOracle(oracle, load(path), 3)
+	master := distPair(t)
+	_, res, err := Motifs(bg, master, loadOn(t, master, path), 3, EngineAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	master := distMaster(t)
-	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{})
-	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{})
-	if err := master.AwaitWorkers(context.Background(), 2); err != nil {
-		t.Fatal(err)
+	pats, _ := pattern.ConnectedPatterns(3)
+	if len(res.Steps) != len(pats) {
+		t.Fatalf("%d steps, want one job of one step per pattern (%d)", len(res.Steps), len(pats))
 	}
-	got, _, err := Motifs(bg, master, loadOn(t, master, path), 3, EngineAuto)
-	if err != nil {
-		t.Fatal(err)
+	for _, s := range res.Steps {
+		if len(s.Metrics.CoreWork) != 4 {
+			t.Errorf("step %s: core work %v, want the job on 2x2 cores", s.Workflow, s.Metrics.CoreWork)
+		}
 	}
-	motifCountsEqual(t, "distributed motifs", 3, got, want)
 }
 
 // TestDistMotifsSweep runs the mixed fleet on a master: on a uniform-label
 // graph file the decomposition sweep ships as a spec like the enumeration
-// jobs, and the auto engine, which sweeps every decomposable pattern here,
-// counts exactly what the same driver counts in process — with the sweep's
-// step, run by both workers, in the report.
+// jobs, and the auto engine sweeps every decomposable pattern here — with
+// the sweep's step, run by both workers, in the report.
 func TestDistMotifsSweep(t *testing.T) {
 	path := writeGraphFile(t, workload.BarabasiAlbert("dist-sweep", 80, 4, 1, 52))
-	oracle, load := inProcessOracle(t)
-
-	master := distMaster(t)
-	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{})
-	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{})
-	if err := master.AwaitWorkers(context.Background(), 2); err != nil {
-		t.Fatal(err)
-	}
+	master := distPair(t)
 	g := loadOn(t, master, path)
 	sweepsEveryDecomposable(t, g, 4)
-	want, _, err := Motifs(bg, oracle, load(path), 4, EngineAuto)
+	_, res, err := Motifs(bg, master, g, 4, EngineAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, res, err := Motifs(bg, master, g, 4, EngineAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	motifCountsEqual(t, "distributed motifs", 4, got, want)
 	sweep := res.Report.Steps[0]
 	if sweep.Workflow != "EA" || sweep.EC == 0 || len(sweep.Metrics.CoreWork) != 4 {
 		t.Errorf("first step %s EC=%d core work %v, want the sweep on 2x2 cores",
@@ -233,16 +227,10 @@ func TestDistMotifsSweep(t *testing.T) {
 
 // TestDistQuery runs a query on a master's two workers: the square
 // decomposes (the distance-2 sweep ships as a spec), the house does not
-// (the query spec ships its plan), and both give the in-process count.
+// (the query spec ships its plan), and both run on every core.
 func TestDistQuery(t *testing.T) {
 	path := writeGraphFile(t, workload.BarabasiAlbert("dist-query", 80, 4, 1, 53))
-	oracle, load := inProcessOracle(t)
-	master := distMaster(t)
-	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{})
-	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{})
-	if err := master.AwaitWorkers(context.Background(), 2); err != nil {
-		t.Fatal(err)
-	}
+	master := distPair(t)
 	g := loadOn(t, master, path)
 	for name, c := range map[string]struct {
 		p      *fractal.Pattern
@@ -251,16 +239,9 @@ func TestDistQuery(t *testing.T) {
 		if ch, err := fractal.ChooseEngine(c.p); err != nil || ch.UseDecomp != c.decomp {
 			t.Fatalf("%s: auto picks decomposition %v (%v), want %v", name, ch.UseDecomp, err, c.decomp)
 		}
-		want, _, err := Query(bg, oracle, load(path), c.p, EngineAuto)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, res, err := Query(bg, master, g, c.p, EngineAuto)
+		_, res, err := Query(bg, master, g, c.p, EngineAuto)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
-		}
-		if got != want || want == 0 {
-			t.Errorf("%s: distributed count %d, in-process %d", name, got, want)
 		}
 		if cw := res.Report.Steps[0].Metrics.CoreWork; len(cw) != 4 {
 			t.Errorf("%s: core work %v, want the job on 2x2 cores", name, cw)
@@ -271,24 +252,25 @@ func TestDistQuery(t *testing.T) {
 // TestDistFSM covers environment threading across processes: each level's
 // support aggregations ship to the workers with the next level's spec.
 func TestDistFSM(t *testing.T) {
-	path := writeGraphFile(t, workload.Community("dist-fsm", 6, 15, 6, 0.8, 4, 46))
-	oracle, load := inProcessOracle(t)
-	want, err := FSM(bg, oracle, load(path), 8, FSMOptions{MaxEdges: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	distFSMMatches(t, workload.Community("dist-fsm", 6, 15, 6, 0.8, 4, 46), 8, 2)
+}
 
-	master := distMaster(t)
-	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{})
-	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{})
-	if err := master.AwaitWorkers(context.Background(), 2); err != nil {
-		t.Fatal(err)
-	}
-	got, err := FSM(bg, master, loadOn(t, master, path), 8, FSMOptions{MaxEdges: 2})
+// distFSMMatches mines g on a master's two workers and in process: every
+// pattern, support and domain must agree.
+func distFSMMatches(t *testing.T, g *graph.Graph, support int64, maxEdges int) {
+	t.Helper()
+	path := writeGraphFile(t, g)
+	oracle, load := inProcessOracle(t)
+	want, err := FSM(bg, oracle, load(path), support, FSMOptions{MaxEdges: maxEdges})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fsmDistEqual(t, "distributed fsm", got, want)
+	master := distPair(t)
+	got, err := FSM(bg, master, loadOn(t, master, path), support, FSMOptions{MaxEdges: maxEdges})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsmDistEqual(t, "distributed fsm on "+g.Name(), got, want)
 }
 
 // TestDistFSMLevelAfterJoin: a worker that registers between two FSM
@@ -359,31 +341,14 @@ func TestDistFSMLevelAfterJoin(t *testing.T) {
 // whose infrequent parallel edge must stay, FSM across two TCP workers
 // equals the in-process run down to every domain.
 func TestDistFSMFrequentEdgeGraph(t *testing.T) {
-	path := writeGraphFile(t, fsmParallelGraph())
-	oracle, load := inProcessOracle(t)
-	want, err := FSM(bg, oracle, load(path), 3, FSMOptions{MaxEdges: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	master := distMaster(t)
-	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{})
-	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{})
-	if err := master.AwaitWorkers(context.Background(), 2); err != nil {
-		t.Fatal(err)
-	}
-	got, err := FSM(bg, master, loadOn(t, master, path), 3, FSMOptions{MaxEdges: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fsmDistEqual(t, "distributed fsm on a multigraph", got, want)
+	distFSMMatches(t, fsmParallelGraph(), 3, 3)
 }
 
 // TestDistCountersAcrossDeployments holds the run report to one meaning in
 // every deployment: the same cliques and FSM jobs over two cores — one
-// worker with two, two TCP workers with one each, a master serving two
-// one-core workers — count the same extension tests and subgraphs, book all
-// of it to the cores that did it, and report every participant's cores and
-// time. The counters reach the report inside the message that ends each
+// worker with two, a master serving two one-core workers over TCP — count
+// the same extension tests and subgraphs, book all of it to the cores that
+// did it, and report every participant's cores and time. The counters reach the report inside the message that ends each
 // worker's part of the step, so the master row is the one that fails when
 // they do not travel (it reported zeros before they did).
 func TestDistCountersAcrossDeployments(t *testing.T) {
@@ -396,16 +361,7 @@ func TestDistCountersAcrossDeployments(t *testing.T) {
 		context func(t *testing.T) *fractal.Context
 	}{
 		{"in-process 1x2", 1, inProcess(fractal.WithWorkers(1), fractal.WithCores(2))},
-		{"tcp 2x1", 2, inProcess(fractal.WithWorkers(2), fractal.WithCores(1), fractal.WithTCP())},
-		{"master + 2 workers", 2, func(t *testing.T) *fractal.Context {
-			master := distMaster(t, fractal.WithCores(1))
-			startWorker(t, master.ListenAddr(), fractal.WorkerOptions{})
-			startWorker(t, master.ListenAddr(), fractal.WorkerOptions{})
-			if err := master.AwaitWorkers(context.Background(), 2); err != nil {
-				t.Fatal(err)
-			}
-			return master
-		}},
+		{"master + 2 workers", 2, func(t *testing.T) *fractal.Context { return distPair(t, fractal.WithCores(1)) }},
 	}
 
 	type totals struct{ ec, subgraphs int64 }

@@ -41,7 +41,7 @@ func built(edgeLabels int) *graph.Graph {
 // TestCountingLeavesEdgeIndexUnbuilt runs each job on a fresh built graph
 // and the same job on the graph's .fgr copy.
 func TestCountingLeavesEdgeIndexUnbuilt(t *testing.T) {
-	ctx := fgrCtx(t)
+	ctx := inProcess(fractal.WithWorkers(2), fractal.WithCores(2))(t)
 	if _, _, ok := built(0).UniformLabels(); !ok {
 		t.Fatal("the test graph is not uniform")
 	}

@@ -1,14 +1,13 @@
 package apps
 
-// End-to-end differential pins for the .fgr storage path: clique, motif, and
-// FSM results must be bit-identical whether the application kernels consume
-// the graph built in memory or memory-mapped from a converted .fgr file.
-// Together with the accessor pins in internal/graph and the trace pins in
-// internal/subgraph this closes the correctness wall around the mmap
-// storage layer.
+// End-to-end differential pins for the .fgr storage path: FSM and keyword
+// results must be bit-identical whether the application kernels consume the
+// graph built in memory or memory-mapped from a converted .fgr file (counts
+// of the other apps are FuzzEngines' storage axis). Together with the
+// accessor pins in internal/graph and the trace pins in internal/subgraph
+// this closes the correctness wall around the mmap storage layer.
 
 import (
-	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -22,9 +21,7 @@ import (
 func mmapGraph(t *testing.T, raw *graph.Graph) *graph.Graph {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), raw.Name()+".fgr")
-	if err := graph.SaveFGR(path, raw); err != nil {
-		t.Fatal(err)
-	}
+	saveGraph(t, path, raw)
 	mapped, err := graph.LoadFGR(path)
 	if err != nil {
 		t.Fatal(err)
@@ -36,20 +33,10 @@ func mmapGraph(t *testing.T, raw *graph.Graph) *graph.Graph {
 	return mapped
 }
 
-func fgrCtx(t *testing.T) *fractal.Context {
-	t.Helper()
-	ctx, err := fractal.NewContext(fractal.WithWorkers(2), fractal.WithCores(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(ctx.Close)
-	return ctx
-}
-
-// TestFGRAppsDifferential pins clique, motif, and FSM results over the
-// randomized workload graphs against the same run on the mmap'd .fgr copy.
+// TestFGRAppsDifferential pins FSM results over the randomized workload
+// graphs against the same run on the mmap'd .fgr copy.
 func TestFGRAppsDifferential(t *testing.T) {
-	ctx := fgrCtx(t)
+	ctx := inProcess(fractal.WithWorkers(2), fractal.WithCores(2))(t)
 	graphs := []*graph.Graph{
 		workload.ErdosRenyi("fgr-er", 60, 220, 1, 61),
 		workload.ErdosRenyi("fgr-er-ml", 60, 220, 3, 62),
@@ -58,28 +45,6 @@ func TestFGRAppsDifferential(t *testing.T) {
 	for _, raw := range graphs {
 		mapped := mmapGraph(t, raw)
 		t.Run(raw.Name(), func(t *testing.T) {
-			wantCl, _, err := Cliques(bg, ctx, ctx.FromGraph(raw), 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotCl, _, err := Cliques(bg, ctx, ctx.FromGraph(mapped), 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gotCl != wantCl {
-				t.Errorf("cliques over mmap=%d, in-memory %d", gotCl, wantCl)
-			}
-
-			wantMo, _, err := Motifs(bg, ctx, ctx.FromGraph(raw), 3, EngineAuto)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotMo, _, err := Motifs(bg, ctx, ctx.FromGraph(mapped), 3, EngineAuto)
-			if err != nil {
-				t.Fatal(err)
-			}
-			motifCountsEqual(t, "mmap motifs", 3, gotMo, wantMo)
-
 			want, err := FSM(bg, ctx, ctx.FromGraph(raw), 8, FSMOptions{MaxEdges: 2})
 			if err != nil {
 				t.Fatal(err)
@@ -88,23 +53,7 @@ func TestFGRAppsDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got.Frequent) != len(want.Frequent) {
-				t.Errorf("mmap FSM found %d frequent patterns, in-memory %d",
-					len(got.Frequent), len(want.Frequent))
-			}
-			for code, ds := range want.Frequent {
-				gds, ok := got.Frequent[code]
-				if !ok {
-					t.Errorf("mmap FSM lost pattern %q", code)
-					continue
-				}
-				if gds.Support() != ds.Support() {
-					t.Errorf("mmap FSM pattern %q support=%d, in-memory %d", code, gds.Support(), ds.Support())
-				}
-			}
-			if fmt.Sprint(got.PerLevel) != fmt.Sprint(want.PerLevel) {
-				t.Errorf("mmap FSM PerLevel=%v, in-memory %v", got.PerLevel, want.PerLevel)
-			}
+			fsmDistEqual(t, "mmap FSM", got, want)
 		})
 	}
 }
@@ -112,7 +61,7 @@ func TestFGRAppsDifferential(t *testing.T) {
 // TestFGRKeywordSearchDifferential pins the keyword kernel — the one path
 // exercising in-format keyword sections — over the mmap'd copy.
 func TestFGRKeywordSearchDifferential(t *testing.T) {
-	ctx := fgrCtx(t)
+	ctx := inProcess(fractal.WithWorkers(2), fractal.WithCores(2))(t)
 	raw := keywordTestGraph()
 	mapped := mmapGraph(t, raw)
 	kws := []string{"a", "b"}

@@ -1,13 +1,11 @@
 package apps
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"runtime"
 	"slices"
 	"testing"
-	"time"
 
 	"fractal"
 	"fractal/internal/agg"
@@ -102,17 +100,9 @@ func TestFSMMatchesPerEmbeddingOracle(t *testing.T) {
 	}{
 		{"1x1", inProcess(fractal.WithWorkers(1), fractal.WithCores(1))},
 		{"1x2", inProcess(fractal.WithWorkers(1), fractal.WithCores(2))},
-		{"tcp 2x1", inProcess(fractal.WithWorkers(2), fractal.WithCores(1), fractal.WithTCP())},
+		{"tcp 2x1", func(t *testing.T) *fractal.Context { return distPair(t, fractal.WithCores(1)) }},
 		{"master + 2 worker processes", func(t *testing.T) *fractal.Context {
-			bin := workerBin(t)
-			master := distMaster(t)
-			spawnWorkerProc(t, bin, master.ListenAddr())
-			spawnWorkerProc(t, bin, master.ListenAddr())
-			awaitCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			if err := master.AwaitWorkers(awaitCtx, 2); err != nil {
-				t.Fatal(err)
-			}
+			master, _ := procPair(t, workerBin(t))
 			return master
 		}},
 		{"step retried after a worker loss", func(t *testing.T) *fractal.Context {

@@ -53,8 +53,9 @@ func closureGraph(i int) *graph.Graph {
 // level closed before the next reads it. Keys, supports and every domain
 // must agree on seeded random graphs (one label to eight, simple and
 // multigraph), three supports each, three or four edge levels, on one core,
-// on two, and on two one-core workers over TCP. Where the closure drops
-// nothing the oracle is Listing 3 itself; the suite says how often that is.
+// on two, and on two one-core workers, whose partials and domains the
+// master merges. Where the closure drops nothing the oracle is Listing 3
+// itself; the suite says how often that is.
 func TestFSMEqualsLevelwiseClosure(t *testing.T) {
 	graphs := 42
 	if testing.Short() || raceEnabled { // `make check-race` runs the short form
@@ -66,7 +67,7 @@ func TestFSMEqualsLevelwiseClosure(t *testing.T) {
 	}{
 		{"1x1", inProcess(fractal.WithCores(1))(t)},
 		{"1x2", inProcess(fractal.WithCores(2))(t)},
-		{"tcp 2x1", inProcess(fractal.WithWorkers(2), fractal.WithCores(1), fractal.WithTCP())(t)},
+		{"2x1", inProcess(fractal.WithWorkers(2), fractal.WithCores(1))(t)},
 	}
 	oracleCtx := deployments[1].fc
 	runs, identity, multi := 0, 0, 0
@@ -206,7 +207,7 @@ func TestFSMFrequentEdgeGraph(t *testing.T) {
 	if len(want) < 2 || len(want[1]) == 0 {
 		t.Fatalf("oracle finds nothing frequent at level 2: %v", want)
 	}
-	for _, fc := range []*fractal.Context{ctx, inProcess(fractal.WithWorkers(2), fractal.WithCores(1), fractal.WithTCP())(t)} {
+	for _, fc := range []*fractal.Context{ctx, inProcess(fractal.WithWorkers(2), fractal.WithCores(1))(t)} {
 		got, err := FSM(bg, fc, fc.FromGraph(raw), 3, FSMOptions{MaxEdges: 3})
 		if err != nil {
 			t.Fatal(err)

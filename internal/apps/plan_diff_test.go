@@ -13,7 +13,10 @@ import (
 // canonical-check oracles (motifsOracle / cliquesOracle, oracle_test.go)
 // over randomized ER/BA graphs — single- and multi-label, so both the
 // uniform-label fast path and the labeled fallback are exercised — and over
-// the end-to-end pin datasets.
+// the end-to-end pin datasets; FuzzEngines crosses the same oracles with
+// every engine, deployment and storage form. Beyond counts: the plans
+// enumerate less than the canonical path, and the labeled fallback splits
+// classes as the canonical path does.
 
 func diffGraphs() []*graph.Graph {
 	return []*graph.Graph{

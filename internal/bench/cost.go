@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"fractal"
@@ -48,11 +49,33 @@ type costKernel struct {
 	fractal  func(ctx *fractal.Context) ([]fractal.StepReport, time.Duration, error)
 }
 
+// costRuns is how many timed runs make a COST cell, after one warm-up: a
+// cell is their median, so one slow run of a job of a few milliseconds
+// cannot move the COST.
+const costRuns = 5
+
+// median runs f once to warm up and costRuns times more, and returns the
+// median of what the timed runs return.
+func median(f func() (time.Duration, error)) (time.Duration, error) {
+	var ds []time.Duration
+	for i := 0; i <= costRuns; i++ {
+		d, err := f()
+		if err != nil {
+			return 0, err
+		}
+		if i > 0 {
+			ds = append(ds, d)
+		}
+	}
+	slices.Sort(ds)
+	return ds[len(ds)/2], nil
+}
+
 func runCOST(o Options, kernels []costKernel, maxCores int) error {
 	tw := table(o.out())
 	fmt.Fprintln(tw, "kernel\tbaseline\tfractal t=1 (proj)\tprojected by cores\tCOST")
 	for _, k := range kernels {
-		base, err := k.baseline()
+		base, err := median(k.baseline)
 		if err != nil {
 			return err
 		}
@@ -63,13 +86,15 @@ func runCOST(o Options, kernels []costKernel, maxCores int) error {
 			if err != nil {
 				return err
 			}
-			steps, wall, err := k.fractal(ctx)
+			proj, err := median(func() (time.Duration, error) {
+				steps, wall, err := k.fractal(ctx)
+				mk, total := lastBalance(steps)
+				return projected(wall, mk, total), err
+			})
 			ctx.Close()
 			if err != nil {
 				return err
 			}
-			mk, total := lastBalance(steps)
-			proj := projected(wall, mk, total)
 			projs = append(projs, fmt.Sprintf("t%d:%s", t, ms(proj)))
 			if cost < 0 && proj < base {
 				cost = t

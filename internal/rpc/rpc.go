@@ -1,9 +1,9 @@
 // Package rpc provides the actor-style message transport that Fractal's
 // master and workers communicate over (Section 4, "Proof of concept over
 // Spark and Akka"). Two implementations are provided: an in-process loopback
-// (mailboxes in memory) and a real TCP transport with binary length-prefixed
-// framing (frame.go), which carries master/worker traffic both on loopback
-// (the single-process cost model) and across OS processes and machines (the
+// (mailboxes in memory) for in-process workers, and a real TCP transport with
+// binary length-prefixed framing (frame.go), which carries the traffic of a
+// -listen master and its workers across OS processes and machines (the
 // fractal-worker deployment).
 //
 // Address discovery is dynamic: a TCP node binds one configurable listener
@@ -11,8 +11,8 @@
 // scheduling layer's registration handshake (a worker dials the master's
 // address, registers, and receives its node ID plus the current address
 // book) replaces the former bind-everything-up-front address book. The
-// pre-bound 127.0.0.1 network (NewTCPNetwork) remains as a convenience built
-// on the same primitives.
+// pre-bound 127.0.0.1 network (NewTCPNetwork), built on the same primitives,
+// serves the transport tests and the benchmark's round-trip probe.
 //
 // The TCP transport is hardened for partial failure: dials retry with
 // exponential backoff plus jitter (aborting promptly when the transport
@@ -428,14 +428,9 @@ func (n *TCPNode) SetSelf(id NodeID) { n.self.Store(int64(id)) }
 // book, and returns the transports with the default failure tuning.
 // Connections are established lazily.
 func NewTCPNetwork(ids []NodeID) (map[NodeID]Transport, error) {
-	return NewTCPNetworkWith(ids, DefaultTCPOptions())
-}
-
-// NewTCPNetworkWith is NewTCPNetwork with explicit failure tuning.
-func NewTCPNetworkWith(ids []NodeID, opts TCPOptions) (map[NodeID]Transport, error) {
 	nodes := map[NodeID]*TCPNode{}
 	for _, id := range ids {
-		n, err := NewTCPNode(id, "127.0.0.1:0", opts)
+		n, err := NewTCPNode(id, "127.0.0.1:0", DefaultTCPOptions())
 		if err != nil {
 			for _, m := range nodes {
 				m.Close()

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"fractal/internal/graph"
 	"fractal/internal/step"
 	"fractal/internal/subgraph"
 )
@@ -20,25 +21,23 @@ func longJob(seed int64, counter *atomic.Int64) Job {
 	return countJob(g, subgraph.VertexInduced, nil, 5, counter)
 }
 
-// whenStarted appends a Visit to job that closes the returned channel at the
-// step's first embedding: the step is under way.
-func whenStarted(job Job) (Job, <-chan struct{}) {
-	started := make(chan struct{})
+// whenStarted returns mark, which appends a Visit to a job, and a channel
+// the first such Visit to see an embedding closes: the step is under way.
+func whenStarted() (mark func(Job) Job, started <-chan struct{}) {
+	ch := make(chan struct{})
 	var once sync.Once
-	job.Workflow = append(job.Workflow, step.VisitP(func(*subgraph.Embedding) { once.Do(func() { close(started) }) }))
-	return job, started
+	return func(job Job) Job {
+		job.Workflow = append(job.Workflow, step.VisitP(func(*subgraph.Embedding) { once.Do(func() { close(ch) }) }))
+		return job
+	}, ch
 }
 
-// TestCancellationTCP is the acceptance scenario: a job on a TCP-transport
-// runtime with two workers is cancelled via context, Run returns within
+// TestCancellationTCP is the acceptance scenario: a job on a master with two
+// ServeWorkers over TCP is cancelled via context, RunSpec returns within
 // 100ms wrapping context.Canceled with the partial step marked Cancelled,
 // and the runtime remains usable for a subsequent successful job.
 func TestCancellationTCP(t *testing.T) {
-	rt, err := New(Config{Workers: 2, CoresPerWorker: 2, WS: WSBoth, UseTCP: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
+	rt := listenRuntime(t, Config{CoresPerWorker: 2, WS: WSBoth}, nil)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -48,9 +47,12 @@ func TestCancellationTCP(t *testing.T) {
 		err error
 	}
 	ch := make(chan outcome, 1)
-	job, started := whenStarted(longJob(29, &counter))
+	mark, started := whenStarted()
+	spec := testSpec(t, randomGraph(70, 0.4, 1, 29), func(g *graph.Graph) Job {
+		return mark(countJob(g, subgraph.VertexInduced, nil, 5, &counter))
+	})
 	go func() {
-		res, err := rt.Run(ctx, job)
+		res, err := rt.RunSpec(ctx, spec, nil)
 		ch <- outcome{res, err}
 	}()
 
@@ -84,11 +86,14 @@ func TestCancellationTCP(t *testing.T) {
 	small := randomGraph(15, 0.3, 1, 31)
 	want := refCount(small, subgraph.VertexInduced, nil, 2)
 	var c2 atomic.Int64
-	if _, err := rt.Run(context.Background(), countJob(small, subgraph.VertexInduced, nil, 2, &c2)); err != nil {
+	res, err := rt.RunSpec(context.Background(), testSpec(t, small, func(g *graph.Graph) Job {
+		return countJob(g, subgraph.VertexInduced, nil, 2, &c2)
+	}), nil)
+	if err != nil {
 		t.Fatalf("job after cancellation failed: %v", err)
 	}
-	if c2.Load() != want {
-		t.Errorf("post-cancellation count=%d, want %d", c2.Load(), want)
+	if c2.Load() != want || res.TotalSubgraphs() != want {
+		t.Errorf("post-cancellation count=%d (reported %d), want %d", c2.Load(), res.TotalSubgraphs(), want)
 	}
 }
 
@@ -141,12 +146,11 @@ func TestCancelBeforeRun(t *testing.T) {
 	}
 }
 
-// TestWorkerLostFailsJob kills a TCP worker's transport mid-job: the master
+// TestWorkerLostFailsJob kills a worker's transport mid-job: the master
 // must fail the job with a typed *WorkerLostError instead of waiting for a
 // step end that never comes, and the runtime must still shut down cleanly.
 func TestWorkerLostFailsJob(t *testing.T) {
-	rt, err := New(Config{Workers: 2, CoresPerWorker: 2, WS: WSBoth, UseTCP: true,
-		WorkerTimeout: 2 * time.Second})
+	rt, err := New(Config{Workers: 2, CoresPerWorker: 2, WS: WSBoth, WorkerTimeout: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +158,8 @@ func TestWorkerLostFailsJob(t *testing.T) {
 
 	var counter atomic.Int64
 	errCh := make(chan error, 1)
-	job, started := whenStarted(longJob(17, &counter))
+	mark, started := whenStarted()
+	job := mark(longJob(17, &counter))
 	go func() {
 		_, err := rt.Run(context.Background(), job)
 		errCh <- err

@@ -65,14 +65,11 @@ type Config struct {
 	CoresPerWorker int
 	// WS selects the work-stealing configuration (default WSBoth).
 	WS WorkStealing
-	// UseTCP runs master/worker communication over real TCP sockets on
-	// 127.0.0.1 instead of in-process mailboxes.
-	UseTCP bool
 	// ListenAddr switches the runtime into master mode: instead of spawning
 	// in-process workers, the master binds a TCP listener at this address
 	// (e.g. ":7001", "127.0.0.1:0") and serves registrations from
 	// fractal-worker processes (ServeWorker). Jobs must then be submitted as
-	// serializable specs (RunSpec); Workers and UseTCP are ignored, and the
+	// serializable specs (RunSpec); Workers is ignored, and the
 	// worker set is dynamic — workers may register at any time, including
 	// mid-job, and join at the next step attempt. CoresPerWorker, WS and
 	// WorkerTimeout are dictated to every registering worker in the
@@ -99,10 +96,6 @@ type Config struct {
 	// fails the job with the WorkerLostError itself; with retries enabled an
 	// exhausted budget fails it with a RetryExhaustedError.
 	StepRetries int
-	// RetryBackoff is the pause between a worker-loss failure and the next
-	// attempt of the step (default 5ms when StepRetries > 0). The wait is
-	// context-aware: cancellation during backoff returns promptly.
-	RetryBackoff time.Duration
 	// FaultInjector, when non-nil, wraps every transport (master and
 	// workers) so each message send consults it first — the fault-injection
 	// harness behind the chaos tests. See rpc.Script for the scripted
@@ -122,6 +115,10 @@ type Config struct {
 	// them grants it work or the step ends. Zero means 100µs; only tests
 	// set it.
 	idleSleep time.Duration
+	// retryBackoff is the pause between a worker-loss failure and the next
+	// attempt of the step; cancellation during it returns promptly. Zero
+	// means 5ms; only tests set it.
+	retryBackoff time.Duration
 }
 
 // ConfigError reports a configuration field rejected by validation. Both the
@@ -157,9 +154,6 @@ func (c Config) Validate() error {
 	if c.WS > WSBoth {
 		return &ConfigError{Field: "WS", Reason: fmt.Sprintf("unknown work-stealing mode %d", c.WS)}
 	}
-	if c.ListenAddr != "" && c.UseTCP {
-		return &ConfigError{Field: "ListenAddr", Reason: "is exclusive with UseTCP: master mode always listens on TCP"}
-	}
 	return nil
 }
 
@@ -176,8 +170,8 @@ func (c Config) withDefaults() Config {
 	if c.WorkerTimeout <= 0 {
 		c.WorkerTimeout = time.Minute
 	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 5 * time.Millisecond
+	if c.retryBackoff <= 0 {
+		c.retryBackoff = 5 * time.Millisecond
 	}
 	return c
 }

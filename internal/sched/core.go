@@ -51,16 +51,17 @@ func (c *core) run(st *stepCtx) {
 	defer st.wg.Done()
 	start := time.Now()
 
+	run := st.run
 	var emb *subgraph.Embedding
-	if st.customs != nil {
-		emb = subgraph.NewCustom(st.graph, st.customs[c.gidx(st)])
+	if run.customs != nil {
+		emb = subgraph.NewCustom(run.graph, run.customs[c.gidx(st)])
 	} else {
-		emb = subgraph.New(st.graph, st.kind, st.plan)
+		emb = subgraph.New(run.graph, run.kind, run.plan)
 	}
 	c.stack.Clear()
 	// The core already holds its unit of st.active: startStep booked one for
 	// every core before launching the goroutines.
-	c.stack.PushRoot(c.gidx(st), st.totalCores, emb.InitialDomain())
+	c.stack.PushRoot(c.gidx(st), run.totalCores, emb.InitialDomain())
 
 	for {
 		// One word is polled per DFS iteration (one extension consumed per
@@ -111,8 +112,8 @@ func (c *core) run(st *stepCtx) {
 		// Drop the remaining enumeration state so memory is released
 		// promptly; record how much work was abandoned.
 		c.ctr.AbandonedExts = c.stack.Abandon()
-		if st.tracer != nil {
-			st.tracer.Emit(metrics.TraceEvent{
+		if st.run.tracer != nil {
+			st.run.tracer.Emit(metrics.TraceEvent{
 				Kind: metrics.TraceDrain, Step: st.index,
 				Worker: c.w.id, Core: c.local, Value: c.ctr.AbandonedExts,
 			})
@@ -290,10 +291,10 @@ func (c *core) askNext(st *stepCtx, victim *int) bool {
 
 // traceSteal journals one steal attempt; a no-op without a tracer.
 func (c *core) traceSteal(st *stepCtx, external, hit bool, misses int64) {
-	if st.tracer == nil {
+	if st.run.tracer == nil {
 		return
 	}
-	st.tracer.Emit(metrics.TraceEvent{
+	st.run.tracer.Emit(metrics.TraceEvent{
 		Kind: metrics.TraceStealAttempt, Step: st.index,
 		Worker: c.w.id, Core: c.local,
 		External: external, Hit: hit, Value: misses,
@@ -304,8 +305,9 @@ func (c *core) traceSteal(st *stepCtx, external, hit bool, misses int64) {
 // embedding extended by w (the recursive body of Algorithm 1, iterated).
 func (c *core) process(st *stepCtx, emb *subgraph.Embedding, depth int, w subgraph.Word) {
 	emb.Push(w)
-	prims := st.s.Primitives
-	for i := st.s.ExtIdx[depth] + 1; i < len(prims); i++ {
+	s := st.step()
+	prims := s.Primitives
+	for i := s.ExtIdx[depth] + 1; i < len(prims); i++ {
 		p := &prims[i]
 		switch p.Kind {
 		case step.Extend:
@@ -323,7 +325,7 @@ func (c *core) process(st *stepCtx, emb *subgraph.Embedding, depth int, w subgra
 				return
 			}
 		case step.AggFilter:
-			store, ok := st.env.Get(p.AggName)
+			store, ok := st.run.env.Get(p.AggName)
 			if !ok {
 				return
 			}
@@ -337,7 +339,7 @@ func (c *core) process(st *stepCtx, emb *subgraph.Embedding, depth int, w subgra
 				return
 			}
 		case step.Aggregate:
-			if !st.s.Computed[p.Agg.Name] {
+			if !s.Computed[p.Agg.Name] {
 				p.Agg.Emit(emb, st.localAggs[c.local][p.Agg.Name])
 			}
 		case step.Visit:

@@ -29,8 +29,36 @@ func ServeWorker(ctx context.Context, masterAddr string, opts ServeWorkerOptions
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	w, err := joinMaster(ctx, masterAddr, opts)
+	if err != nil {
+		return err
+	}
+	defer w.tr.Close()
+	stop := make(chan struct{})
+	var watcher sync.WaitGroup
+	watcher.Add(1)
+	go func() {
+		defer watcher.Done()
+		select {
+		case <-ctx.Done():
+			// Closing the transport ends the worker's receive loop; its
+			// current step (if any) is aborted and drained on the way out.
+			w.tr.Close()
+		case <-stop:
+		}
+	}()
+	w.stop()
+	close(stop)
+	watcher.Wait()
+	return ctx.Err()
+}
+
+// joinMaster binds the worker's listener, registers with the master at
+// masterAddr and starts a worker under the configuration the master's reply
+// dictates. The caller owns the worker: it closes w.tr to shut it down.
+func joinMaster(ctx context.Context, masterAddr string, opts ServeWorkerOptions) (_ *worker, err error) {
 	if masterAddr == "" {
-		return fmt.Errorf("sched: ServeWorker requires a master address")
+		return nil, fmt.Errorf("sched: ServeWorker requires a master address")
 	}
 	listen := opts.ListenAddr
 	if listen == "" {
@@ -38,14 +66,18 @@ func ServeWorker(ctx context.Context, masterAddr string, opts ServeWorkerOptions
 	}
 	node, err := rpc.NewTCPNode(rpc.Unregistered, listen, rpc.DefaultTCPOptions())
 	if err != nil {
-		return err
+		return nil, err
 	}
 	tr := rpc.WithFaultInjector(node, opts.FaultInjector)
-	defer tr.Close()
+	defer func() {
+		if err != nil {
+			tr.Close()
+		}
+	}()
 	node.AddPeer(rpc.Master, masterAddr)
 	reg := registerMsg{Addr: node.Addr()}
 	if err := tr.Send(rpc.Master, rpc.Envelope{Kind: kRegister, Body: encode(reg)}); err != nil {
-		return fmt.Errorf("sched: registering with master %s: %w", masterAddr, err)
+		return nil, fmt.Errorf("sched: registering with master %s: %w", masterAddr, err)
 	}
 	var wel welcomeMsg
 	welTimer := time.NewTimer(registerReplyTimeout)
@@ -59,20 +91,20 @@ wait:
 		select {
 		case env, ok := <-tr.Recv():
 			if !ok {
-				return fmt.Errorf("sched: transport closed before registration completed")
+				return nil, fmt.Errorf("sched: transport closed before registration completed")
 			}
 			if env.Kind != kWelcome {
 				pending = append(pending, env)
 				continue
 			}
 			if err := decode(env.Body, &wel); err != nil {
-				return fmt.Errorf("sched: malformed registration reply: %w", err)
+				return nil, fmt.Errorf("sched: malformed registration reply: %w", err)
 			}
 			break wait
 		case <-ctx.Done():
-			return ctx.Err()
+			return nil, ctx.Err()
 		case <-welTimer.C:
-			return fmt.Errorf("sched: no registration reply from master %s within %v", masterAddr, registerReplyTimeout)
+			return nil, fmt.Errorf("sched: no registration reply from master %s within %v", masterAddr, registerReplyTimeout)
 		}
 	}
 	node.SetSelf(rpc.NodeID(wel.Worker))
@@ -90,23 +122,7 @@ wait:
 		w.runs.handleControl(w, env)
 	}
 	w.start()
-	stop := make(chan struct{})
-	var watcher sync.WaitGroup
-	watcher.Add(1)
-	go func() {
-		defer watcher.Done()
-		select {
-		case <-ctx.Done():
-			// Closing the transport ends the worker's receive loop; its
-			// current step (if any) is aborted and drained on the way out.
-			tr.Close()
-		case <-stop:
-		}
-	}()
-	w.stop()
-	close(stop)
-	watcher.Wait()
-	return ctx.Err()
+	return w, nil
 }
 
 // remoteJob is a job materialized from a spec: what newJobRun takes but the

@@ -62,7 +62,7 @@ func TestRetryRecoversLostWorker(t *testing.T) {
 	script := rpc.NewScript(rpc.SeverRule(1, rpc.Master, KindStatusReport, 0, 1))
 	rt, err := New(Config{
 		Workers: 2, CoresPerWorker: 2, WS: WSBoth,
-		StepRetries: 2, RetryBackoff: time.Millisecond,
+		StepRetries: 2, retryBackoff: time.Millisecond,
 		WorkerTimeout: 300 * time.Millisecond,
 		FaultInjector: script,
 	})
@@ -102,7 +102,7 @@ func TestRetryExhausted(t *testing.T) {
 	script.Sever(0) // the only worker is dead before the job starts
 	rt, err := New(Config{
 		Workers: 1, CoresPerWorker: 1,
-		StepRetries: 2, RetryBackoff: time.Millisecond,
+		StepRetries: 2, retryBackoff: time.Millisecond,
 		FaultInjector: script,
 	})
 	if err != nil {
@@ -154,7 +154,7 @@ func TestCancelDuringRetryBackoff(t *testing.T) {
 	script.Sever(0)
 	rt, err := New(Config{
 		Workers: 1, CoresPerWorker: 1,
-		StepRetries: 5, RetryBackoff: 2 * time.Second,
+		StepRetries: 5, retryBackoff: 2 * time.Second,
 		FaultInjector: script,
 	})
 	if err != nil {
@@ -205,7 +205,7 @@ func TestRetriedAggregationCountsOnce(t *testing.T) {
 	)
 	rt, err := New(Config{
 		Workers: 2, CoresPerWorker: 2, WS: WSBoth,
-		StepRetries: 1, RetryBackoff: time.Millisecond,
+		StepRetries: 1, retryBackoff: time.Millisecond,
 		WorkerTimeout: 150 * time.Millisecond,
 		FaultInjector: script,
 	})
@@ -243,7 +243,7 @@ func TestRetryDiscardsFailedAttemptCounters(t *testing.T) {
 	g := randomGraph(30, 0.25, 1, 104)
 	cfg := Config{
 		Workers: 2, CoresPerWorker: 2, WS: WSBoth,
-		StepRetries: 2, RetryBackoff: time.Millisecond,
+		StepRetries: 2, retryBackoff: time.Millisecond,
 		WorkerTimeout: 150 * time.Millisecond,
 	}
 	run := func(script *rpc.Script) StepReport {
@@ -311,7 +311,7 @@ func TestStealBalanceWatchdogRetries(t *testing.T) {
 	script := rpc.NewScript(rpc.DropRule(0, 1, KindStealResp, 0, 1))
 	rt, err := New(Config{
 		Workers: 2, CoresPerWorker: 1, WS: WSExternal,
-		StepRetries: 1, RetryBackoff: time.Millisecond,
+		StepRetries: 1, retryBackoff: time.Millisecond,
 		WorkerTimeout: 200 * time.Millisecond,
 		FaultInjector: script,
 	})

@@ -178,18 +178,7 @@ func New(cfg Config) (*Runtime, error) {
 	for i := 0; i < cfg.Workers; i++ {
 		ids = append(ids, rpc.NodeID(i))
 	}
-	var (
-		nw  map[rpc.NodeID]rpc.Transport
-		err error
-	)
-	if cfg.UseTCP {
-		nw, err = rpc.NewTCPNetwork(ids)
-		if err != nil {
-			return nil, fmt.Errorf("sched: building TCP network: %w", err)
-		}
-	} else {
-		nw = rpc.NewLoopbackNetwork(ids)
-	}
+	nw := rpc.NewLoopbackNetwork(ids)
 	if cfg.FaultInjector != nil {
 		for id, tr := range nw {
 			nw[id] = rpc.WithFaultInjector(tr, cfg.FaultInjector)
@@ -521,7 +510,7 @@ func (r *Runtime) runJob(ctx context.Context, job Job, spec *JobSpec) (*Result, 
 				}
 				break
 			}
-			if err := sleepCtx(ctx, r.cfg.RetryBackoff); err != nil {
+			if err := sleepCtx(ctx, r.cfg.retryBackoff); err != nil {
 				stepErr = err
 				break
 			}

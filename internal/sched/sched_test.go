@@ -92,24 +92,24 @@ func TestCountsMatchReferenceAcrossConfigs(t *testing.T) {
 	if want == 0 {
 		t.Fatal("degenerate test graph")
 	}
-	configs := []Config{
-		{Workers: 1, CoresPerWorker: 1, WS: WSNone},
-		{Workers: 1, CoresPerWorker: 4, WS: WSNone},
-		{Workers: 1, CoresPerWorker: 4, WS: WSInternal},
-		{Workers: 3, CoresPerWorker: 2, WS: WSExternal},
-		{Workers: 3, CoresPerWorker: 2, WS: WSBoth},
-		{Workers: 2, CoresPerWorker: 2, WS: WSBoth, UseTCP: true},
+	configs := []struct {
+		Config
+		tcp bool
+	}{
+		{Config{Workers: 1, CoresPerWorker: 1, WS: WSNone}, false},
+		{Config{Workers: 1, CoresPerWorker: 4, WS: WSNone}, false},
+		{Config{Workers: 1, CoresPerWorker: 4, WS: WSInternal}, false},
+		{Config{Workers: 3, CoresPerWorker: 2, WS: WSExternal}, false},
+		{Config{Workers: 3, CoresPerWorker: 2, WS: WSBoth}, false},
+		{Config{Workers: 2, CoresPerWorker: 2, WS: WSBoth}, true},
 	}
 	for _, cfg := range configs {
-		name := fmt.Sprintf("w%dc%d-%v-tcp%v", cfg.Workers, cfg.CoresPerWorker, cfg.WS, cfg.UseTCP)
+		name := fmt.Sprintf("w%dc%d-%v-tcp%v", cfg.Workers, cfg.CoresPerWorker, cfg.WS, cfg.tcp)
 		t.Run(name, func(t *testing.T) {
-			rt, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rt.Close()
 			var counter atomic.Int64
-			res, err := rt.Run(context.Background(), countJob(g, subgraph.VertexInduced, nil, 3, &counter))
+			res, err := runIn(t, cfg.Config, cfg.tcp, g, func(g *graph.Graph) Job {
+				return countJob(g, subgraph.VertexInduced, nil, 3, &counter)
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -175,12 +175,11 @@ func TestAggregationAcrossWorkers(t *testing.T) {
 	}
 	for _, tcp := range []bool{false, true} {
 		t.Run(fmt.Sprintf("tcp=%v", tcp), func(t *testing.T) {
-			rt, err := New(Config{Workers: 3, CoresPerWorker: 2, WS: WSBoth, UseTCP: tcp})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rt.Close()
-			res, err := rt.Run(context.Background(), job)
+			res, err := runIn(t, Config{Workers: 3, CoresPerWorker: 2, WS: WSBoth}, tcp, g, func(g *graph.Graph) Job {
+				j := job
+				j.Graph = g
+				return j
+			})
 			if err != nil {
 				t.Fatal(err)
 			}

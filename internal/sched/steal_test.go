@@ -321,9 +321,10 @@ func hubGraph(spokes, clique int, chords int, seed int64) *graph.Graph {
 // TestStealGrantStress runs hub-skewed graphs over every deployment shape
 // and stealing mode: counts must equal the single-threaded reference, every
 // worker must answer each steal request sent to it exactly once, and nothing
-// moves between workers with external stealing off. `make check-race` runs
-// it under the race detector, which is where a stack touched by two
-// goroutines would show.
+// moves between workers with external stealing off. The tcp rows run on a
+// master with two ServeWorkers, whose steal traffic crosses real sockets.
+// `make check-race` runs it under the race detector, which is where a stack
+// touched by two goroutines would show.
 func TestStealGrantStress(t *testing.T) {
 	const seeds = 50
 	type ref struct {
@@ -335,25 +336,37 @@ func TestStealGrantStress(t *testing.T) {
 		g := hubGraph(24, 5, 12, int64(i))
 		refs[i] = ref{g, refCount(g, subgraph.VertexInduced, nil, 3)}
 	}
-	shapes := []Config{
-		{Workers: 1, CoresPerWorker: 4},
-		{Workers: 2, CoresPerWorker: 2},
-		{Workers: 2, CoresPerWorker: 2, UseTCP: true},
-	}
-	for _, cfg := range shapes {
+	shapes := []struct {
+		workers, cores int
+		tcp            bool
+	}{{1, 4, false}, {2, 2, false}, {2, 2, true}}
+	for _, shape := range shapes {
 		for _, ws := range []WorkStealing{WSNone, WSInternal, WSExternal, WSBoth} {
-			cfg.WS = ws
-			t.Run(fmt.Sprintf("%dx%d-tcp%v-%v", cfg.Workers, cfg.CoresPerWorker, cfg.UseTCP, ws), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%dx%d-tcp%v-%v", shape.workers, shape.cores, shape.tcp, ws), func(t *testing.T) {
 				sent := &kindCounter{answered: make(chan struct{}, 1)}
-				cfg.FaultInjector = sent
-				rt, err := New(cfg)
-				if err != nil {
-					t.Fatal(err)
+				cfg := Config{Workers: shape.workers, CoresPerWorker: shape.cores, WS: ws}
+				var rt *Runtime
+				if shape.tcp {
+					rt = listenRuntime(t, cfg, sent)
+				} else {
+					cfg.FaultInjector = sent
+					var err error
+					if rt, err = New(cfg); err != nil {
+						t.Fatal(err)
+					}
+					defer rt.Close()
 				}
-				defer rt.Close()
+				var got atomic.Int64
+				job := func(g *graph.Graph) Job { return countJob(g, subgraph.VertexInduced, nil, 3, &got) }
 				for seed, r := range refs {
-					var got atomic.Int64
-					res, err := rt.Run(context.Background(), countJob(r.g, subgraph.VertexInduced, nil, 3, &got))
+					got.Store(0)
+					var res *Result
+					var err error
+					if shape.tcp {
+						res, err = rt.RunSpec(context.Background(), testSpec(t, r.g, job), nil)
+					} else {
+						res, err = rt.Run(context.Background(), job(r.g))
+					}
 					if err != nil {
 						t.Fatalf("seed %d: %v", seed, err)
 					}

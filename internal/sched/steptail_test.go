@@ -376,20 +376,25 @@ func TestFoldKeepsSurvivorsOnly(t *testing.T) {
 // BenchmarkStepTail is `make bench-agg`'s end-to-end row: from "the cores of
 // the fsm_ml analog's level 3 are idle" to "support3 is committed", through
 // the workers' routers and a real transport — one worker with two cores on
-// the loopback, and two one-core workers over TCP like fsm_ml_dist. B/op and
-// allocs/op cover both ends; frames is the aggData messages of one tail.
+// the loopback, and two one-core workers joined to a master over TCP like
+// fsm_ml_dist. B/op and allocs/op cover both ends; frames is the aggData
+// messages of one tail.
 func BenchmarkStepTail(b *testing.B) {
 	f := fsmLevel3Partials(b)
-	for _, cfg := range []Config{
-		{Workers: 1, CoresPerWorker: 2},
-		{Workers: 2, CoresPerWorker: 1, UseTCP: true},
-	} {
-		name := fmt.Sprintf("loopback-%dx%d", cfg.Workers, cfg.CoresPerWorker)
-		if cfg.UseTCP {
-			name = fmt.Sprintf("tcp-%dx%d", cfg.Workers, cfg.CoresPerWorker)
+	for _, tcp := range []bool{false, true} {
+		name := "loopback-1x2"
+		if tcp {
+			name = "tcp-2x1"
 		}
 		b.Run(name, func(b *testing.B) {
-			rt := tailRuntime(b, cfg)
+			var rt *Runtime
+			var workers []*worker
+			if tcp {
+				rt, workers = joinedRuntime(b, Config{CoresPerWorker: 1})
+			} else {
+				rt = tailRuntime(b, Config{Workers: 1, CoresPerWorker: 2})
+				workers = rt.workers
+			}
 			end := encode(stepEndMsg{Job: 1})
 			frames := int64(0)
 			b.ReportAllocs()
@@ -399,8 +404,8 @@ func BenchmarkStepTail(b *testing.B) {
 				// Hand every worker its cores' partials as a step that has
 				// just gone idle.
 				parts := f.stores(b)
-				for _, w := range rt.workers {
-					st := &stepCtx{job: 1, s: f.step, doneCh: make(chan struct{})}
+				for _, w := range workers {
+					st := &stepCtx{job: 1, run: &jobRun{steps: []*step.Step{f.step}}, doneCh: make(chan struct{})}
 					for range w.cores {
 						st.localAggs = append(st.localAggs, map[string]agg.Store{f.spec.Name: parts[0]})
 						parts = parts[1:]

@@ -7,9 +7,7 @@ import (
 	"time"
 
 	"fractal/internal/agg"
-	"fractal/internal/graph"
 	"fractal/internal/metrics"
-	"fractal/internal/pattern"
 	"fractal/internal/rpc"
 	"fractal/internal/step"
 	"fractal/internal/subgraph"
@@ -29,19 +27,13 @@ type stepCtx struct {
 	// domain is re-partitioned over base..base+cores-1 of totalCores.
 	parts      []int
 	rank, base int
-	s          *step.Step
-	graph      *graph.Graph
-	kind       subgraph.Kind
-	plan       *pattern.Plan
-	customs    []subgraph.CustomExtender // per global core; nil without a custom extender
-	env        *agg.Registry
-	totalCores int
+	// run is the attempt's shared state: the step list, graph, kind, plan,
+	// custom-extender clones, environment, core count and tracer (nil when
+	// tracing is disabled, so every event site is one pointer comparison).
+	// Each attempt has its own, and none of these change during it.
+	run *jobRun
 
 	localAggs []map[string]agg.Store // per core, per aggregation name
-
-	// tracer is the run's trace journal; nil when tracing is disabled, so
-	// every event site is one pointer comparison on the fast path.
-	tracer *metrics.Tracer
 
 	// attn is the one word a busy core polls per DFS iteration: attnStop
 	// tells it to abandon its subtree, attnSteal that reqs is not empty.
@@ -115,6 +107,9 @@ func (st *stepCtx) flag(bit uint32, on bool) {
 }
 
 func (st *stepCtx) isDone() bool { return st.stopped.Load() }
+
+// step is the step under execution.
+func (st *stepCtx) step() *step.Step { return st.run.steps[st.index] }
 
 // aborted reports whether cores must stop mid-work, abandoning their local
 // subtrees: the step was cancelled, by a cancel control message or — for
@@ -356,29 +351,22 @@ func (w *worker) startStep(m stepStartMsg) {
 		stale.wg.Wait()
 	}
 	st := &stepCtx{
-		job:        m.Job,
-		index:      m.Step,
-		attempt:    m.Attempt,
-		parts:      m.Workers,
-		rank:       rank,
-		base:       rank * w.cfg.CoresPerWorker,
-		s:          run.steps[m.Step],
-		graph:      run.graph,
-		kind:       run.kind,
-		plan:       run.plan,
-		customs:    run.customs,
-		env:        run.env,
-		totalCores: run.totalCores,
-		tracer:     run.tracer,
-		seq:        1,
-		doneCh:     make(chan struct{}),
-		mail:       make([]chan grant, len(w.cores)),
+		job:     m.Job,
+		index:   m.Step,
+		attempt: m.Attempt,
+		parts:   m.Workers,
+		rank:    rank,
+		base:    rank * w.cfg.CoresPerWorker,
+		run:     run,
+		seq:     1,
+		doneCh:  make(chan struct{}),
+		mail:    make([]chan grant, len(w.cores)),
 	}
 	for i := range st.mail {
 		st.mail[i] = make(chan grant, mailboxCap)
 	}
 
-	specs := st.s.AggSpecs()
+	specs := st.step().AggSpecs()
 	st.localAggs = make([]map[string]agg.Store, len(w.cores))
 	for i := range w.cores {
 		st.localAggs[i] = map[string]agg.Store{}
@@ -449,7 +437,7 @@ func (w *worker) endStep(m stepEndMsg) {
 	sent := 0
 	var errs []string
 	mergeStart := time.Now()
-	for _, sp := range st.s.AggSpecs() {
+	for _, sp := range st.step().AggSpecs() {
 		partials := make([]agg.Store, len(w.cores))
 		for i := range w.cores {
 			partials[i] = st.localAggs[i][sp.Name]

@@ -161,7 +161,8 @@ func FuzzQuickKey(f *testing.F) {
 // TestClassHitAllocatesNothing: on the second visit of a quick pattern the
 // whole FSM aggregate callback — quick key, memo lookup, scratch domain
 // support, Add onto an existing key — allocates nothing, for edge-induced
-// and vertex-induced embeddings.
+// and vertex-induced embeddings. Under the race detector, whose sync.Pool
+// drops items, only the quick-pattern count is checked.
 func TestClassHitAllocatesNothing(t *testing.T) {
 	g := workload.BarabasiAlbert("alloc-ba", 500, 6, 3, 9)
 	for _, kind := range []Kind{EdgeInduced, VertexInduced} {
@@ -184,7 +185,7 @@ func TestClassHitAllocatesNothing(t *testing.T) {
 			e.Push(last) // a new embedding state of a known quick pattern
 			emit()
 		})
-		if allocs != 0 {
+		if allocs != 0 && !raceEnabled {
 			t.Errorf("%s: memo hit + aggregate allocates %.1f times per embedding, want 0", kind, allocs)
 		}
 		if quick := e.ClassStats().QuickPatterns; quick != 1 {

@@ -4,8 +4,9 @@
 # application drivers on a master context against goroutine workers over
 # TCP loopback (registration, elastic join, scripted worker loss) and real
 # fractal-worker OS processes including the SIGKILL-mid-step case, plus the
-# typed rejection of what a master cannot ship. Counts must be bit-identical
-# to the test-side oracles and the in-process runs throughout.
+# typed rejection of what a master cannot ship — and FuzzEngines' seeds,
+# whose master rows count on goroutine workers too. Counts must be
+# bit-identical to the test-side oracles and the in-process runs throughout.
 #
 # It then drives the built binaries themselves: a `fractal -listen` master
 # with two fractal-worker processes must write a -metrics-out report whose
@@ -19,7 +20,7 @@ cd "$(dirname "$0")/.."
 tmp=$(mktemp -d)
 trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$tmp"' EXIT
 go build -o "$tmp/" ./cmd/fractal ./cmd/fractal-worker
-go test -run 'TestDist' -count=1 ./internal/apps/
+go test -run 'TestDist|FuzzEngines' -count=1 ./internal/apps/
 
 # A ring of 600 vertices with chords at +2 and +5: triangles on every vertex.
 awk 'BEGIN { n = 600

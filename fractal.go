@@ -577,10 +577,8 @@ func (c *Context) MNISupport(e *Subgraph, threshold int64) *DomainSupport {
 	return agg.ScratchDomainSupport(cl.Rep, threshold, e.Vertices(), cl.Perm)
 }
 
-// CliqueFilter is the local clique check of Listing 2: the number of edges
-// added by the last expansion must equal the number of vertices minus one,
-// i.e. every vertex is adjacent to every other.
-func CliqueFilter(e *Subgraph) bool {
-	nv := e.NumVertices()
-	return e.NumEdges()*2 == nv*(nv-1)
-}
+// CliqueFilter is the local clique check of Listing 2: every vertex of the
+// subgraph is adjacent to every other. On a multigraph parallel edges count
+// once, and the check reads neighbor lists only, so it builds no edge-id
+// index.
+func CliqueFilter(e *Subgraph) bool { return subgraph.IsClique(e) }

@@ -60,6 +60,9 @@ func TestCountingLeavesEdgeIndexUnbuilt(t *testing.T) {
 		{"triangles", 0, false, func(g *fractal.Graph) (string, error) { return count(Triangles(bg, ctx, g)) }},
 		{"cliques4", 0, false, func(g *fractal.Graph) (string, error) { return count(Cliques(bg, ctx, g, 4)) }},
 		{"kclist4", 0, false, func(g *fractal.Graph) (string, error) { return count(CliquesKClist(bg, ctx, g, 4)) }},
+		{"listing2", 0, false, func(g *fractal.Graph) (string, error) {
+			return count(g.VFractoid().Expand(1).Filter(fractal.CliqueFilter).Explore(3).CountCtx(bg))
+		}},
 		{"labelled-path3", 2, true, func(g *fractal.Graph) (string, error) {
 			return count(Query(bg, ctx, g, labelledPath, EngineAuto))
 		}},

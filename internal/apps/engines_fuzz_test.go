@@ -77,25 +77,22 @@ func FuzzEngines(f *testing.F) {
 // input, the oracle included, stays under half a second: motifs reach k = 6,
 // the decomposition's induced-conversion bound, on the sparse graph only,
 // and queries stop at 5 (queryFromMotifs tries 2^15 edge subsets of a
-// 6-clique class). multi marks
-// parallel edges, which Listing 2's clique check counts: there the cliques
-// oracle is the complete motif class instead.
+// 6-clique class).
 type engineFixture struct {
 	name  string
 	build func(labels int) *graph.Graph
 	maxK  [3]int // by engineApps
-	multi bool
 }
 
 var (
 	engineFixtures = []engineFixture{
-		{"er", func(l int) *graph.Graph { return workload.ErdosRenyi("fz-er", 70, 260, l, 21) }, [3]int{4, 5, 4}, false},
-		{"ba", func(l int) *graph.Graph { return workload.BarabasiAlbert("fz-ba", 90, 3, l, 23) }, [3]int{4, 5, 4}, false},
-		{"er-sparse", func(l int) *graph.Graph { return workload.ErdosRenyi("fz-er-sparse", 90, 120, l, 52) }, [3]int{6, 5, 5}, false},
-		{"ba-dense", func(l int) *graph.Graph { return workload.BarabasiAlbert("fz-ba-dense", 60, 6, l, 54) }, [3]int{4, 5, 4}, false},
-		{"multigraph", func(l int) *graph.Graph { return decompMultigraph("fz-mg", 50, 220, l, 55) }, [3]int{4, 4, 4}, true},
-		{"mico-sl", pinnedFixture("mico-sl"), [3]int{3, 4, 3}, false},
-		{"orkut", pinnedFixture("orkut"), [3]int{2, 3, 2}, false},
+		{"er", func(l int) *graph.Graph { return workload.ErdosRenyi("fz-er", 70, 260, l, 21) }, [3]int{4, 5, 4}},
+		{"ba", func(l int) *graph.Graph { return workload.BarabasiAlbert("fz-ba", 90, 3, l, 23) }, [3]int{4, 5, 4}},
+		{"er-sparse", func(l int) *graph.Graph { return workload.ErdosRenyi("fz-er-sparse", 90, 120, l, 52) }, [3]int{6, 5, 5}},
+		{"ba-dense", func(l int) *graph.Graph { return workload.BarabasiAlbert("fz-ba-dense", 60, 6, l, 54) }, [3]int{4, 5, 4}},
+		{"multigraph", func(l int) *graph.Graph { return decompMultigraph("fz-mg", 50, 220, l, 55) }, [3]int{4, 4, 4}},
+		{"mico-sl", pinnedFixture("mico-sl"), [3]int{3, 4, 3}},
+		{"orkut", pinnedFixture("orkut"), [3]int{2, 3, 2}},
 	}
 	// engineDeployments are the in-process workers × cores; the master is
 	// the index past them.
@@ -168,9 +165,9 @@ func (c engineCase) String() string {
 		c.fixture.name, c.labels, c.renumber, c.storage, what, c.engine, where)
 }
 
-// cliqueOracle tells whether Listing 2 holds the case; queries, and cliques
-// on a multigraph, convert motif counts (queryFromMotifs).
-func (c engineCase) cliqueOracle() bool { return c.app == "cliques" && !c.fixture.multi }
+// cliqueOracle tells whether Listing 2 holds the case; queries convert motif
+// counts (queryFromMotifs).
+func (c engineCase) cliqueOracle() bool { return c.app == "cliques" }
 
 func (c engineCase) oracle(t *testing.T, fc *fractal.Context, g *fractal.Graph) (want any) {
 	var err error
@@ -228,13 +225,12 @@ func (c engineCase) counted() *fractal.Pattern {
 }
 
 // legalEngines lists the engines that can count the case on g: canon runs
-// closures, which no master ships, and counts cliques only where its check
-// holds; decomp needs a decomposition of the pattern and one graph label.
-// Motifs has no decomp of its own: its auto fleet sweeps the decomposable
-// classes where it can.
+// closures, which no master ships; decomp needs a decomposition of the
+// pattern and one graph label. Motifs has no decomp of its own: its auto
+// fleet sweeps the decomposable classes where it can.
 func (c engineCase) legalEngines(g *fractal.Graph, onMaster bool) []string {
 	engines := []string{EngineAuto, EnginePlan}
-	if !onMaster && (c.app != "cliques" || c.cliqueOracle()) {
+	if !onMaster {
 		engines = append(engines, "canon")
 	}
 	if c.app == AppMotifs {

@@ -50,7 +50,7 @@ func TestRunPerLevelCounts(t *testing.T) {
 }
 
 func TestRunWithFilter(t *testing.T) {
-	res, err := Run(k4p(), subgraph.VertexInduced, nil, 3, Config{Cores: 2, Filter: cliqueFilter})
+	res, err := Run(k4p(), subgraph.VertexInduced, nil, 3, Config{Cores: 2, Filter: subgraph.IsClique})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,16 +14,10 @@ import (
 // benchmark harness compares Fractal against: motifs, cliques, triangles,
 // subgraph querying, and FSM — all BFS-materialized.
 
-// cliqueFilter mirrors fractal.CliqueFilter.
-func cliqueFilter(e *subgraph.Embedding) bool {
-	nv := e.NumVertices()
-	return e.NumEdges()*2 == nv*(nv-1)
-}
-
 // Cliques counts k-cliques (BFS-materialized).
 func Cliques(g *graph.Graph, k, cores int, budget int64) (*Result, error) {
 	return Run(g, subgraph.VertexInduced, nil, k,
-		Config{Cores: cores, MemoryBudget: budget, Filter: cliqueFilter})
+		Config{Cores: cores, MemoryBudget: budget, Filter: subgraph.IsClique})
 }
 
 // Triangles counts 3-cliques.

@@ -37,35 +37,35 @@ func (r *Runtime) effectFree(s *step.Step) bool {
 // step is abandoned: the run's abort flag is flipped and a cancel message
 // is broadcast so every reachable worker drains its cores and discards its
 // partials.
-func (r *Runtime) executeStep(ctx context.Context, run *jobRun, idx int, s *step.Step, reads []envEntry) (err error) {
+func (r *Runtime) executeStep(ctx context.Context, run *jobRun, reads []envEntry) (err error) {
 	defer func() {
 		if err != nil {
-			r.broadcastCancel(run, idx)
+			r.broadcastCancel(run)
 		}
 	}()
 	if run.tracer != nil {
-		run.tracer.Emit(metrics.TraceEvent{Kind: metrics.TraceStepStart, Step: idx, Worker: -1, Core: -1})
+		run.tracer.Emit(metrics.TraceEvent{Kind: metrics.TraceStepStart, Step: run.key.Step, Worker: -1, Core: -1})
 	}
-	startBody := encode(stepStartMsg{Job: run.job, Step: idx, Attempt: run.attempt, Workers: run.parts, Env: reads})
+	startBody := encode(stepStartMsg{attemptKey: run.key, Workers: run.parts, Env: reads})
 	for _, wid := range run.parts {
 		if e := r.master.Send(rpc.NodeID(wid), rpc.Envelope{Kind: kStepStart, Body: startBody}); e != nil {
-			return &WorkerLostError{Worker: wid, Step: idx, Phase: "step-start", Err: e}
+			return &WorkerLostError{Worker: wid, Step: run.key.Step, Phase: "step-start", Err: e}
 		}
 	}
-	if err := r.awaitQuiescence(ctx, run, idx); err != nil {
+	if err := r.awaitQuiescence(ctx, run); err != nil {
 		return err
 	}
-	endBody := encode(stepEndMsg{Job: run.job, Step: idx, Attempt: run.attempt})
+	endBody := encode(run.key)
 	for _, wid := range run.parts {
 		if e := r.master.Send(rpc.NodeID(wid), rpc.Envelope{Kind: kStepEnd, Body: endBody}); e != nil {
-			return &WorkerLostError{Worker: wid, Step: idx, Phase: "step-end", Err: e}
+			return &WorkerLostError{Worker: wid, Step: run.key.Step, Phase: "step-end", Err: e}
 		}
 	}
-	if err := r.collectAggregations(ctx, run, idx, s); err != nil {
+	if err := r.collectAggregations(ctx, run); err != nil {
 		return err
 	}
 	if run.tracer != nil {
-		run.tracer.Emit(metrics.TraceEvent{Kind: metrics.TraceStepEnd, Step: idx, Worker: -1, Core: -1})
+		run.tracer.Emit(metrics.TraceEvent{Kind: metrics.TraceStepEnd, Step: run.key.Step, Worker: -1, Core: -1})
 	}
 	return nil
 }
@@ -85,15 +85,15 @@ const cancelDrainWait = 75 * time.Millisecond
 // into the partial step report. Sends are best-effort: a worker that cannot
 // be reached is typically the one whose loss is being handled, and an
 // unacked worker is missing from the report.
-func (r *Runtime) broadcastCancel(run *jobRun, idx int) {
+func (r *Runtime) broadcastCancel(run *jobRun) {
 	run.cancelled.Store(true)
 	for _, w := range r.workers {
-		w.interrupt(run.job, idx, run.attempt)
+		w.interrupt(run.key)
 	}
 	if run.tracer != nil {
-		run.tracer.Emit(metrics.TraceEvent{Kind: metrics.TraceCancel, Step: idx, Worker: -1, Core: -1})
+		run.tracer.Emit(metrics.TraceEvent{Kind: metrics.TraceCancel, Step: run.key.Step, Worker: -1, Core: -1})
 	}
-	body := encode(cancelMsg{Job: run.job, Step: idx, Attempt: run.attempt})
+	body := encode(run.key)
 	// Cancel goes to every worker, not just this attempt's participants: an
 	// excluded worker may still be draining the failed attempt that got it
 	// excluded.
@@ -105,7 +105,7 @@ func (r *Runtime) broadcastCancel(run *jobRun, idx int) {
 	defer func() {
 		if run.tracer != nil {
 			run.tracer.Emit(metrics.TraceEvent{
-				Kind: metrics.TraceDrain, Step: idx,
+				Kind: metrics.TraceDrain, Step: run.key.Step,
 				Worker: -1, Core: -1, Value: int64(len(acked)),
 			})
 		}
@@ -122,7 +122,7 @@ func (r *Runtime) broadcastCancel(run *jobRun, idx int) {
 				continue // stale status reports, agg data, …
 			}
 			var m cancelAckMsg
-			if decode(env.Body, &m) != nil || m.Job != run.job || m.Step != idx || m.Attempt != run.attempt {
+			if decode(env.Body, &m) != nil || m.attemptKey != run.key {
 				continue
 			}
 			acked[m.Worker] = true
@@ -156,7 +156,7 @@ func (r *Runtime) broadcastCancel(run *jobRun, idx int) {
 // lost a grant in flight — no single worker to blame (Worker -1), so a retry
 // re-executes over the same set ("steal-balance"). DESIGN §11 prices what
 // this costs when a worker dies busy.
-func (r *Runtime) awaitQuiescence(ctx context.Context, run *jobRun, idx int) error {
+func (r *Runtime) awaitQuiescence(ctx context.Context, run *jobRun) error {
 	last := make(map[int]statusReportMsg, len(run.parts))
 	for _, wid := range run.parts {
 		last[wid] = statusReportMsg{Seq: 1, Active: 1}
@@ -181,7 +181,7 @@ func (r *Runtime) awaitQuiescence(ctx context.Context, run *jobRun, idx int) err
 		}
 		return idle, granted == adopted
 	}
-	ping := rpc.Envelope{Kind: kStatusPing, Body: encode(statusPingMsg{Job: run.job, Step: idx, Attempt: run.attempt})}
+	ping := rpc.Envelope{Kind: kStatusPing, Body: encode(run.key)}
 	silence := time.NewTimer(r.cfg.WorkerTimeout)
 	defer silence.Stop()
 	// A wave's answers get a full WorkerTimeout once it is out.
@@ -190,7 +190,7 @@ func (r *Runtime) awaitQuiescence(ctx context.Context, run *jobRun, idx int) err
 		for _, wid := range run.parts {
 			wave[wid] = last[wid].Seq
 			if err := r.master.Send(rpc.NodeID(wid), ping); err != nil {
-				return &WorkerLostError{Worker: wid, Step: idx, Phase: "quiescence", Err: err}
+				return &WorkerLostError{Worker: wid, Step: run.key.Step, Phase: "quiescence", Err: err}
 			}
 		}
 		rearm(silence, r.cfg.WorkerTimeout)
@@ -203,7 +203,7 @@ func (r *Runtime) awaitQuiescence(ctx context.Context, run *jobRun, idx int) err
 				return fmt.Errorf("master transport closed")
 			}
 			var m statusReportMsg
-			if env.Kind != kStatusReport || decode(env.Body, &m) != nil || m.Job != run.job || m.Step != idx || m.Attempt != run.attempt {
+			if env.Kind != kStatusReport || decode(env.Body, &m) != nil || m.attemptKey != run.key {
 				continue // stale reports, agg data of abandoned attempts, …
 			}
 			prev, ok := last[m.Worker]
@@ -215,7 +215,7 @@ func (r *Runtime) awaitQuiescence(ctx context.Context, run *jobRun, idx int) err
 				// The participant is reachable but never received its step
 				// start: its partition of the root domain is not being
 				// enumerated and never will be.
-				return &WorkerLostError{Worker: m.Worker, Step: idx, Phase: "step-start"}
+				return &WorkerLostError{Worker: m.Worker, Step: run.key.Step, Phase: "step-start"}
 			}
 			if m.Seq > prev.Seq {
 				last[m.Worker] = m
@@ -228,7 +228,7 @@ func (r *Runtime) awaitQuiescence(ctx context.Context, run *jobRun, idx int) err
 					continue
 				}
 				wave = nil
-				run.recordRound(idx, QuiescenceRound{Round: int64(len(run.rounds) + 1), Wait: time.Since(waveStart), Active: waveActive})
+				run.recordRound(QuiescenceRound{Round: int64(len(run.rounds) + 1), Wait: time.Since(waveStart), Active: waveActive})
 				if confirming {
 					return nil
 				}
@@ -242,13 +242,13 @@ func (r *Runtime) awaitQuiescence(ctx context.Context, run *jobRun, idx int) err
 			if wave != nil {
 				for _, wid := range run.parts {
 					if _, missing := wave[wid]; missing {
-						return &WorkerLostError{Worker: wid, Step: idx, Phase: "quiescence"}
+						return &WorkerLostError{Worker: wid, Step: run.key.Step, Phase: "quiescence"}
 					}
 				}
 			}
 			if idle, balanced := quiet(); idle && !balanced {
 				if stuck {
-					return &WorkerLostError{Worker: -1, Step: idx, Phase: "steal-balance"}
+					return &WorkerLostError{Worker: -1, Step: run.key.Step, Phase: "steal-balance"}
 				}
 				stuck = true
 			}
@@ -290,8 +290,8 @@ func rearm(t *time.Timer, d time.Duration) {
 // counter block — attempt-checked like the frames, so a failed attempt's
 // counters never reach the retry's report — and the master's own fold time
 // joins them.
-func (r *Runtime) collectAggregations(ctx context.Context, run *jobRun, idx int, s *step.Step) error {
-	specs := s.AggSpecs()
+func (r *Runtime) collectAggregations(ctx context.Context, run *jobRun) error {
+	specs := run.step.AggSpecs()
 	// frames[name][rank] is that worker's frame sequence.
 	frames := map[string][][][]byte{}
 	for _, sp := range specs {
@@ -324,7 +324,7 @@ func (r *Runtime) collectAggregations(ctx context.Context, run *jobRun, idx int,
 				// master gave up on it) must never fold into the retry's
 				// result — dropping it here is safe precisely because the
 				// retry re-enumerates everything the failed attempt did.
-				if decode(env.Body, &m) != nil || m.Job != run.job || m.Step != idx || m.Attempt != run.attempt {
+				if decode(env.Body, &m) != nil || m.attemptKey != run.key {
 					continue
 				}
 				at, ok := rank[m.Worker]
@@ -347,7 +347,7 @@ func (r *Runtime) collectAggregations(ctx context.Context, run *jobRun, idx int,
 				}
 			case kAggDone:
 				var m aggDoneMsg
-				if decode(env.Body, &m) != nil || m.Job != run.job || m.Step != idx || m.Attempt != run.attempt {
+				if decode(env.Body, &m) != nil || m.attemptKey != run.key {
 					continue
 				}
 				run.recordCounters(m.Worker, m.Counters)
@@ -373,7 +373,7 @@ func (r *Runtime) collectAggregations(ctx context.Context, run *jobRun, idx int,
 					break
 				}
 			}
-			return &WorkerLostError{Worker: missing, Step: idx, Phase: "aggregation"}
+			return &WorkerLostError{Worker: missing, Step: run.key.Step, Phase: "aggregation"}
 		}
 	}
 	mergeStart := time.Now()

@@ -114,7 +114,7 @@ func (c *core) run(st *stepCtx) {
 		c.ctr.AbandonedExts = c.stack.Abandon()
 		if st.run.tracer != nil {
 			st.run.tracer.Emit(metrics.TraceEvent{
-				Kind: metrics.TraceDrain, Step: st.index,
+				Kind: metrics.TraceDrain, Step: st.run.key.Step,
 				Worker: c.w.id, Core: c.local, Value: c.ctr.AbandonedExts,
 			})
 		}
@@ -170,7 +170,7 @@ func (c *core) park(st *stepCtx) (prefix []subgraph.Word, ok bool) {
 	c.release(st)
 	w := c.w
 	siblings := w.cfg.WS.internal() && len(w.cores) > 1
-	remote := w.cfg.WS.external() && len(st.parts) > 1
+	remote := w.cfg.WS.external() && len(st.run.parts) > 1
 	var timeout <-chan time.Time
 	if remote {
 		first := w.cfg.idleSleep
@@ -278,9 +278,9 @@ func (c *core) arm(d time.Duration) <-chan time.Time {
 // now on its way; false ends the round.
 func (c *core) askNext(st *stepCtx, victim *int) bool {
 	w := c.w
-	for *victim++; *victim < len(st.parts); *victim++ {
-		to := rpc.NodeID(st.parts[(st.rank+*victim)%len(st.parts)])
-		req := stealReqMsg{Job: st.job, Step: st.index, Attempt: st.attempt, Worker: w.id, Core: c.local}
+	for *victim++; *victim < len(st.run.parts); *victim++ {
+		to := rpc.NodeID(st.run.parts[(st.rank+*victim)%len(st.run.parts)])
+		req := stealReqMsg{attemptKey: st.run.key, Worker: w.id, Core: c.local}
 		if w.tr.Send(to, rpc.Envelope{Kind: kStealReq, Body: encode(req)}) == nil {
 			return true
 		}
@@ -295,7 +295,7 @@ func (c *core) traceSteal(st *stepCtx, external, hit bool, misses int64) {
 		return
 	}
 	st.run.tracer.Emit(metrics.TraceEvent{
-		Kind: metrics.TraceStealAttempt, Step: st.index,
+		Kind: metrics.TraceStealAttempt, Step: st.run.key.Step,
 		Worker: c.w.id, Core: c.local,
 		External: external, Hit: hit, Value: misses,
 	})
@@ -305,7 +305,7 @@ func (c *core) traceSteal(st *stepCtx, external, hit bool, misses int64) {
 // embedding extended by w (the recursive body of Algorithm 1, iterated).
 func (c *core) process(st *stepCtx, emb *subgraph.Embedding, depth int, w subgraph.Word) {
 	emb.Push(w)
-	s := st.step()
+	s := st.run.step
 	prims := s.Primitives
 	for i := s.ExtIdx[depth] + 1; i < len(prims); i++ {
 		p := &prims[i]

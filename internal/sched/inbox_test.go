@@ -20,7 +20,7 @@ func (s scriptedMaster) Recv() <-chan rpc.Envelope { return s.recv }
 func TestInboxDropsPastCap(t *testing.T) {
 	master := scriptedMaster{recv: make(chan rpc.Envelope, rpc.MailboxCap+1)}
 	for i := 0; i <= rpc.MailboxCap; i++ {
-		master.recv <- rpc.Envelope{Kind: kStatusReport, Body: encode(statusReportMsg{Job: i})}
+		master.recv <- rpc.Envelope{Kind: kStatusReport, Body: encode(statusReportMsg{attemptKey: attemptKey{Job: i}})}
 	}
 	close(master.recv)
 	rt := &Runtime{master: master, inbox: rpc.NewMailbox(rpc.DropWhenFull)}

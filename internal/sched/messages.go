@@ -9,7 +9,9 @@ import (
 	"fractal/internal/wire"
 )
 
-// Message kinds carried in rpc.Envelope.Kind.
+// Message kinds carried in rpc.Envelope.Kind. Sixteen of them carry a body,
+// of 14 Go types: kStepEnd, kCancel and kStatusPing carry an attemptKey and
+// nothing else; kShutdown carries none.
 const (
 	kStepStart uint8 = iota + 1
 	kStepEnd
@@ -52,12 +54,26 @@ const (
 	KindJobEnd       = kJobEnd
 )
 
-// Every step-scoped message carries the master's Attempt counter alongside
-// Job and Step. A retried step re-executes from scratch under a new attempt
-// number, and both sides discard messages from other attempts — this is what
-// guarantees a stale partial from a failed attempt (still queued in a
-// mailbox, or shipped by a worker the master already gave up on) can never
-// leak into the retried step's aggregations or steal traffic.
+// attemptKey names one execution attempt of one step of one job. Every
+// step-scoped message opens with it: a retried step re-executes from scratch
+// under a new Attempt, and both sides discard messages whose key is not the
+// attempt they run — which is what guarantees a stale partial from a failed
+// attempt (still queued in a mailbox, or shipped by a worker the master
+// already gave up on) can never leak into the retried step's aggregations or
+// steal traffic. The step end (kStepEnd), the cancel (kCancel) and the status
+// ping (kStatusPing) hold nothing else: their body is the key.
+//
+// A step end tells a worker the step is globally quiescent: stop cores and
+// report aggregation partials. A cancel tells it the master has abandoned the
+// attempt (context cancellation, deadline, or worker loss): stop cores
+// immediately, discard partial aggregations, and report nothing but a
+// cancelAckMsg. A status ping asks every participant for its current status:
+// the master's confirmation wave once the newest reports say the step is
+// over, and its liveness probe after WorkerTimeout of silence; each
+// participant answers with one statusReportMsg marked Reply.
+type attemptKey struct {
+	Job, Step, Attempt int
+}
 
 // stepStartMsg tells a worker to start executing a step. Workers lists the
 // participating worker IDs for this attempt — a retry may exclude lost
@@ -71,22 +87,9 @@ const (
 // in-process deployment shares the registry by reference and leaves Env
 // empty.
 type stepStartMsg struct {
-	Job, Step, Attempt int
-	Workers            []int
-	Env                []envEntry
-}
-
-// stepEndMsg tells a worker the step is globally quiescent: stop cores and
-// report aggregation partials.
-type stepEndMsg struct {
-	Job, Step, Attempt int
-}
-
-// cancelMsg tells a worker the master has abandoned the step attempt
-// (context cancellation, deadline, or worker loss): stop cores immediately,
-// discard partial aggregations, and report nothing but a cancelAckMsg.
-type cancelMsg struct {
-	Job, Step, Attempt int
+	attemptKey
+	Workers []int
+	Env     []envEntry
 }
 
 // cancelAckMsg confirms that a worker has drained the cancelled step: its
@@ -95,9 +98,9 @@ type cancelMsg struct {
 // step — Counters is then zero — so the master's bounded drain wait
 // completes fast on the healthy path.
 type cancelAckMsg struct {
-	Job, Step, Attempt int
-	Worker             int
-	Counters           metrics.Snapshot
+	attemptKey
+	Worker   int
+	Counters metrics.Snapshot
 }
 
 // aggDataMsg carries one frame of one worker's partial aggregation for one
@@ -107,10 +110,10 @@ type cancelAckMsg struct {
 // Data aliases the envelope body — the master keeps frames as received until
 // it folds them.
 type aggDataMsg struct {
-	Job, Step, Attempt int
-	Worker             int
-	Name               string
-	Data               []byte
+	attemptKey
+	Worker int
+	Name   string
+	Data   []byte
 }
 
 // aggDoneMsg signals that a worker has finished reporting its partials:
@@ -123,19 +126,11 @@ type aggDataMsg struct {
 // and shipped bytes. It rides the message that ends the attempt anyway, so
 // the master's report costs no message of its own.
 type aggDoneMsg struct {
-	Job, Step, Attempt int
-	Worker             int
-	Sent               int
-	Errs               []string
-	Counters           metrics.Snapshot
-}
-
-// statusPingMsg asks every participant for its current status: the
-// master's confirmation wave once the newest reports say the step is over,
-// and its liveness probe after WorkerTimeout of silence. Each participant
-// answers with one statusReportMsg marked Reply.
-type statusPingMsg struct {
-	Job, Step, Attempt int
+	attemptKey
+	Worker   int
+	Sent     int
+	Errs     []string
+	Counters metrics.Snapshot
 }
 
 // statusReportMsg is a worker's status: sent on each edge of its activity
@@ -148,27 +143,27 @@ type statusPingMsg struct {
 // the work-carrying steal responses it sent and adopted (empty answers and
 // requests carry no work and are not counted).
 type statusReportMsg struct {
-	Job, Step, Attempt int
-	Worker             int
-	Reply              bool
-	Seq                int64
-	Active             int64
-	Granted            int64
-	Adopted            int64
+	attemptKey
+	Worker  int
+	Reply   bool
+	Seq     int64
+	Active  int64
+	Granted int64
+	Adopted int64
 }
 
 // stealReqMsg asks a worker to donate one enumeration prefix.
 type stealReqMsg struct {
-	Job, Step, Attempt int
-	Worker             int // requesting worker
-	Core               int // requesting core (worker-local index)
+	attemptKey
+	Worker int // requesting worker
+	Core   int // requesting core (worker-local index)
 }
 
 // stealRespMsg answers a stealReqMsg. An empty Prefix means no work.
 type stealRespMsg struct {
-	Job, Step, Attempt int
-	Core               int // destination core (worker-local index)
-	Prefix             []subgraph.Word
+	attemptKey
+	Core   int // destination core (worker-local index)
+	Prefix []subgraph.Word
 }
 
 // registerMsg is a worker process introducing itself to the master: the
@@ -254,7 +249,9 @@ type jobEndMsg struct {
 // sequences, no self-description — the envelope kind, not the body,
 // identifies the shape. The set is closed (this package owns both ends), and
 // every message type carries its own put/get pair, so a type without a wire
-// form does not compile as an argument of encode or decode.
+// form does not compile as an argument of encode or decode. A step-scoped
+// message embeds attemptKey, whose pair it shadows with its own; the golden
+// table (messageCases) is what catches one that forgets to.
 
 // message is a control-message body: put is declared on the value, get on
 // the pointer, so call sites encode either and decode into a pointer.
@@ -300,17 +297,14 @@ func getSeq[T any](r *wire.Reader, get func(*wire.Reader) T) []T {
 	return out
 }
 
-// putAttempt and getAttempt carry the (job, step, attempt) triple that
-// opens every step-scoped message.
-func putAttempt(w *wire.Writer, job, step, attempt int) {
-	w.Int(job)
-	w.Int(step)
-	w.Int(attempt)
+// put and get carry the key that opens every step-scoped message.
+func (k attemptKey) put(w *wire.Writer) {
+	w.Int(k.Job)
+	w.Int(k.Step)
+	w.Int(k.Attempt)
 }
 
-func getAttempt(r *wire.Reader, job, step, attempt *int) {
-	*job, *step, *attempt = r.Int(), r.Int(), r.Int()
-}
+func (k *attemptKey) get(r *wire.Reader) { k.Job, k.Step, k.Attempt = r.Int(), r.Int(), r.Int() }
 
 func putWord(w *wire.Writer, v subgraph.Word) { w.Varint(int64(v)) }
 
@@ -371,51 +365,45 @@ func putKV(w *wire.Writer, kv kvPair) {
 func getKV(r *wire.Reader) kvPair { return kvPair{K: r.Str(), V: r.Str()} }
 
 func (m stepStartMsg) put(w *wire.Writer) {
-	putAttempt(w, m.Job, m.Step, m.Attempt)
+	m.attemptKey.put(w)
 	putSeq(w, m.Workers, (*wire.Writer).Int)
 	putSeq(w, m.Env, putEnvEntry)
 }
 
 func (m *stepStartMsg) get(r *wire.Reader) {
-	getAttempt(r, &m.Job, &m.Step, &m.Attempt)
+	m.attemptKey.get(r)
 	m.Workers = getSeq(r, (*wire.Reader).Int)
 	m.Env = getSeq(r, getEnvEntry)
 }
 
-func (m stepEndMsg) put(w *wire.Writer)  { putAttempt(w, m.Job, m.Step, m.Attempt) }
-func (m *stepEndMsg) get(r *wire.Reader) { getAttempt(r, &m.Job, &m.Step, &m.Attempt) }
-
-func (m cancelMsg) put(w *wire.Writer)  { putAttempt(w, m.Job, m.Step, m.Attempt) }
-func (m *cancelMsg) get(r *wire.Reader) { getAttempt(r, &m.Job, &m.Step, &m.Attempt) }
-
 func (m cancelAckMsg) put(w *wire.Writer) {
-	putAttempt(w, m.Job, m.Step, m.Attempt)
+	m.attemptKey.put(w)
 	w.Int(m.Worker)
 	putCounters(w, m.Counters)
 }
 
 func (m *cancelAckMsg) get(r *wire.Reader) {
-	getAttempt(r, &m.Job, &m.Step, &m.Attempt)
+	m.attemptKey.get(r)
 	m.Worker = r.Int()
 	m.Counters = getCounters(r)
 }
 
 func (m aggDataMsg) put(w *wire.Writer) {
-	putAttempt(w, m.Job, m.Step, m.Attempt)
+	m.attemptKey.put(w)
 	w.Int(m.Worker)
 	w.Str(m.Name)
 	w.Bytes(m.Data)
 }
 
 func (m *aggDataMsg) get(r *wire.Reader) {
-	getAttempt(r, &m.Job, &m.Step, &m.Attempt)
+	m.attemptKey.get(r)
 	m.Worker = r.Int()
 	m.Name = r.Str()
 	m.Data = r.View()
 }
 
 func (m aggDoneMsg) put(w *wire.Writer) {
-	putAttempt(w, m.Job, m.Step, m.Attempt)
+	m.attemptKey.put(w)
 	w.Int(m.Worker)
 	w.Int(m.Sent)
 	putSeq(w, m.Errs, (*wire.Writer).Str)
@@ -423,18 +411,15 @@ func (m aggDoneMsg) put(w *wire.Writer) {
 }
 
 func (m *aggDoneMsg) get(r *wire.Reader) {
-	getAttempt(r, &m.Job, &m.Step, &m.Attempt)
+	m.attemptKey.get(r)
 	m.Worker = r.Int()
 	m.Sent = r.Int()
 	m.Errs = getSeq(r, (*wire.Reader).Str)
 	m.Counters = getCounters(r)
 }
 
-func (m statusPingMsg) put(w *wire.Writer)  { putAttempt(w, m.Job, m.Step, m.Attempt) }
-func (m *statusPingMsg) get(r *wire.Reader) { getAttempt(r, &m.Job, &m.Step, &m.Attempt) }
-
 func (m statusReportMsg) put(w *wire.Writer) {
-	putAttempt(w, m.Job, m.Step, m.Attempt)
+	m.attemptKey.put(w)
 	w.Int(m.Worker)
 	w.Bool(m.Reply)
 	for _, v := range [...]int64{m.Seq, m.Active, m.Granted, m.Adopted} {
@@ -443,7 +428,7 @@ func (m statusReportMsg) put(w *wire.Writer) {
 }
 
 func (m *statusReportMsg) get(r *wire.Reader) {
-	getAttempt(r, &m.Job, &m.Step, &m.Attempt)
+	m.attemptKey.get(r)
 	m.Worker = r.Int()
 	m.Reply = r.Bool()
 	for _, v := range [...]*int64{&m.Seq, &m.Active, &m.Granted, &m.Adopted} {
@@ -452,25 +437,25 @@ func (m *statusReportMsg) get(r *wire.Reader) {
 }
 
 func (m stealReqMsg) put(w *wire.Writer) {
-	putAttempt(w, m.Job, m.Step, m.Attempt)
+	m.attemptKey.put(w)
 	w.Int(m.Worker)
 	w.Int(m.Core)
 }
 
 func (m *stealReqMsg) get(r *wire.Reader) {
-	getAttempt(r, &m.Job, &m.Step, &m.Attempt)
+	m.attemptKey.get(r)
 	m.Worker = r.Int()
 	m.Core = r.Int()
 }
 
 func (m stealRespMsg) put(w *wire.Writer) {
-	putAttempt(w, m.Job, m.Step, m.Attempt)
+	m.attemptKey.put(w)
 	w.Int(m.Core)
 	putSeq(w, m.Prefix, putWord)
 }
 
 func (m *stealRespMsg) get(r *wire.Reader) {
-	getAttempt(r, &m.Job, &m.Step, &m.Attempt)
+	m.attemptKey.get(r)
 	m.Core = r.Int()
 	m.Prefix = getSeq(r, getWord)
 }

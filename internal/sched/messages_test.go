@@ -29,22 +29,18 @@ func newMessage(kind uint8) wireMessage {
 	switch kind {
 	case kStepStart:
 		return &stepStartMsg{}
-	case kStepEnd:
-		return &stepEndMsg{}
+	case kStepEnd, kStatusPing, kCancel:
+		return &attemptKey{}
 	case kAggData:
 		return &aggDataMsg{}
 	case kAggDone:
 		return &aggDoneMsg{}
-	case kStatusPing:
-		return &statusPingMsg{}
 	case kStatusReport:
 		return &statusReportMsg{}
 	case kStealReq:
 		return &stealReqMsg{}
 	case kStealResp:
 		return &stealRespMsg{}
-	case kCancel:
-		return &cancelMsg{}
 	case kCancelAck:
 		return &cancelAckMsg{}
 	case kRegister:
@@ -63,9 +59,11 @@ func newMessage(kind uint8) wireMessage {
 	return nil
 }
 
-// messageCases holds at least one message of each of the 16 structs with
-// its body in hex. The bodies were generated at the commit before the codec
-// moved onto the shared reader/writer (PR 12): the wire form did not change.
+// messageCases holds at least one message of each of the 16 kinds that carry
+// a body (14 Go types: the step end, cancel and status ping are each an
+// attemptKey) with its body in hex. The bodies were generated at the commit
+// before the codec moved onto the shared reader/writer, and the wire form
+// did not change.
 // Since PR 15 the two messages that end a step attempt, aggDone and
 // cancelAck, close with the worker's counter block — 16 varints (13 until
 // PR 16 appended QuickPatterns and CanonCalls, 15 until PR 20 appended
@@ -74,42 +72,42 @@ func newMessage(kind uint8) wireMessage {
 // redrew the status pair: the ping lost its round number, and the report is
 // the edge-triggered one (Seq and the grant counts). Since PR 33 a job
 // spec's Env is the environment's names only; the aggregations ride the
-// step starts.
+// step starts. Spelling the key as an embedded attemptKey changed no body.
 var messageCases = []struct {
 	name   string
 	kind   uint8
 	in     wireMessage
 	golden string
 }{
-	{"stepStart", kStepStart, &stepStartMsg{Job: 3, Step: 2, Attempt: 5, Workers: []int{0, 2, 7}}, "06040a0300040e00"},
-	{"stepStartEnv", kStepStart, &stepStartMsg{Job: 3, Step: 1, Attempt: 0, Workers: []int{0, 1},
+	{"stepStart", kStepStart, &stepStartMsg{attemptKey: attemptKey{3, 2, 5}, Workers: []int{0, 2, 7}}, "06040a0300040e00"},
+	{"stepStartEnv", kStepStart, &stepStartMsg{attemptKey: attemptKey{3, 1, 0}, Workers: []int{0, 1},
 		Env: []envEntry{{Name: "support1", Data: []byte{4, 5}}, {Name: "support2", Data: nil}}},
 		"0602000200020208737570706f72743102040508737570706f72743200"},
-	{"stepStartNoWorkers", kStepStart, &stepStartMsg{Job: 1}, "0200000000"},
-	{"stepEnd", kStepEnd, &stepEndMsg{Job: 1, Step: 2, Attempt: 3}, "020406"},
-	{"cancel", kCancel, &cancelMsg{Job: 9, Step: 0, Attempt: 1}, "120002"},
-	{"cancelAck", kCancelAck, &cancelAckMsg{Job: 1, Step: 2, Attempt: 3, Worker: 4}, "02040608" + "0000000000000000000000000000000000"},
-	{"cancelAckCounters", kCancelAck, &cancelAckMsg{Job: 1, Step: 2, Attempt: 3, Worker: 4, Counters: metrics.Snapshot{
+	{"stepStartNoWorkers", kStepStart, &stepStartMsg{attemptKey: attemptKey{Job: 1}}, "0200000000"},
+	{"stepEnd", kStepEnd, &attemptKey{1, 2, 3}, "020406"},
+	{"cancel", kCancel, &attemptKey{9, 0, 1}, "120002"},
+	{"cancelAck", kCancelAck, &cancelAckMsg{attemptKey: attemptKey{1, 2, 3}, Worker: 4}, "02040608" + "0000000000000000000000000000000000"},
+	{"cancelAckCounters", kCancelAck, &cancelAckMsg{attemptKey: attemptKey{1, 2, 3}, Worker: 4, Counters: metrics.Snapshot{
 		ExtensionTests: 1, Subgraphs: 2, StealsInternal: 3, StealsExternal: 4, StealBytes: 5, StealTimeNs: 6,
 		BusyTimeNs: 8, IdleTimeNs: 9, PeakStateBytes: 10, AbandonedExts: 11, AggMergeTimeNs: 12, AggShippedBytes: 13,
 		QuickPatterns: 14, CanonCalls: 15, ClassesPruned: 16, SubgraphsPruned: 17, CoreWork: []int64{3, 0}}},
 		"02040608" + "020406080a0c10121416181a1c1e" + "2022" + "020600"},
-	{"aggData", kAggData, &aggDataMsg{Job: 1, Step: 2, Attempt: 3, Worker: 4, Name: "support", Data: []byte{1, 2, 0, 255}},
+	{"aggData", kAggData, &aggDataMsg{attemptKey: attemptKey{1, 2, 3}, Worker: 4, Name: "support", Data: []byte{1, 2, 0, 255}},
 		"0204060807737570706f727404010200ff"},
 	{"aggDataEmpty", kAggData, &aggDataMsg{Name: ""}, "000000000000"},
-	{"aggDone", kAggDone, &aggDoneMsg{Job: 1, Step: 2, Attempt: 3, Worker: 4, Sent: 2, Errs: []string{"boom", ""}},
+	{"aggDone", kAggDone, &aggDoneMsg{attemptKey: attemptKey{1, 2, 3}, Worker: 4, Sent: 2, Errs: []string{"boom", ""}},
 		"02040608040204626f6f6d00" + "0000000000000000000000000000000000"},
-	{"aggDoneCounters", kAggDone, &aggDoneMsg{Job: 1, Step: 2, Attempt: 3, Worker: 4, Sent: 1, Counters: metrics.Snapshot{
+	{"aggDoneCounters", kAggDone, &aggDoneMsg{attemptKey: attemptKey{1, 2, 3}, Worker: 4, Sent: 1, Counters: metrics.Snapshot{
 		ExtensionTests: 1 << 40, Subgraphs: 64, BusyTimeNs: 1_000_000, AggShippedBytes: 300, CoreWork: []int64{1<<40 + 64}}},
 		"020406080200" + "808080808040" + "8001" + "00000000" + "80897a" + "00000000" + "d804" + "00000000" + "01" + "808180808040"},
-	{"statusPing", kStatusPing, &statusPingMsg{Job: 1, Step: 2, Attempt: 3}, "020406"},
-	{"statusReport", kStatusReport, &statusReportMsg{Job: 1, Step: 2, Attempt: 3, Worker: 2, Reply: true,
+	{"statusPing", kStatusPing, &attemptKey{1, 2, 3}, "020406"},
+	{"statusReport", kStatusReport, &statusReportMsg{attemptKey: attemptKey{1, 2, 3}, Worker: 2, Reply: true,
 		Seq: 7, Active: 3, Granted: 1 << 40, Adopted: 5},
 		"020406" + "04" + "01" + "0e" + "06" + "808080808040" + "0a"},
-	{"stealReq", kStealReq, &stealReqMsg{Job: 1, Step: 2, Attempt: 3, Worker: 1, Core: 2}, "0204060204"},
-	{"stealResp", kStealResp, &stealRespMsg{Job: 1, Step: 2, Attempt: 3, Core: 2, Prefix: []subgraph.Word{0, -1, 1 << 30, 42}},
+	{"stealReq", kStealReq, &stealReqMsg{attemptKey: attemptKey{1, 2, 3}, Worker: 1, Core: 2}, "0204060204"},
+	{"stealResp", kStealResp, &stealRespMsg{attemptKey: attemptKey{1, 2, 3}, Core: 2, Prefix: []subgraph.Word{0, -1, 1 << 30, 42}},
 		"02040604040001808080800854"},
-	{"stealRespEmpty", kStealResp, &stealRespMsg{Job: 1}, "0200000000"},
+	{"stealRespEmpty", kStealResp, &stealRespMsg{attemptKey: attemptKey{Job: 1}}, "0200000000"},
 	{"register", kRegister, &registerMsg{Addr: "10.0.0.7:6001"}, "0d31302e302e302e373a36303031"},
 	{"welcome", kWelcome, &welcomeMsg{Worker: 2, CoresPerWorker: 4, WS: uint8(WSBoth), WorkerTimeout: 60_000_000_000,
 		Peers: []peerAddr{{Worker: 0, Addr: "a:1"}, {Worker: 1, Addr: "b:2"}}},
@@ -130,9 +128,7 @@ var messageCases = []struct {
 // field-for-field equality. The wire format is fixed field order with no
 // self-description, so this is the guard that both sides agree.
 func TestMessageCodecRoundTrip(t *testing.T) {
-	kinds := map[uint8]bool{}
 	for _, tc := range messageCases {
-		kinds[tc.kind] = true
 		t.Run(tc.name, func(t *testing.T) {
 			body := encode(tc.in)
 			if got := hex.EncodeToString(body); got != tc.golden {
@@ -147,15 +143,60 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 			}
 		})
 	}
-	if len(kinds) != 16 {
-		t.Errorf("the table covers %d message structs, want all 16", len(kinds))
+}
+
+// keyOf returns the attempt key a message body opens with: the message
+// itself, or the attemptKey it embeds as its first field.
+func keyOf(m wireMessage) (attemptKey, bool) {
+	v := reflect.ValueOf(m).Elem()
+	if k, ok := v.Interface().(attemptKey); ok {
+		return k, true
+	}
+	if f := v.Field(0); v.Type().Field(0).Anonymous && f.Type() == reflect.TypeOf(attemptKey{}) {
+		return attemptKey{int(f.Field(0).Int()), int(f.Field(1).Int()), int(f.Field(2).Int())}, true
+	}
+	return attemptKey{}, false
+}
+
+// TestEveryKindHasAGoldenBody: every kind but kShutdown, which carries no
+// body, has a golden case; exactly the step-scoped kinds carry an
+// attemptKey, and each of their golden bodies opens with the case's key as
+// three varints — the bytes both sides' attempt checks read.
+func TestEveryKindHasAGoldenBody(t *testing.T) {
+	stepScoped := map[uint8]bool{
+		kStepStart: true, kStepEnd: true, kAggData: true, kAggDone: true, kStatusPing: true,
+		kStatusReport: true, kStealReq: true, kStealResp: true, kCancel: true, kCancelAck: true,
+	}
+	covered := map[uint8]bool{}
+	for _, tc := range messageCases {
+		covered[tc.kind] = true
+		key, keyed := keyOf(tc.in)
+		if keyed != stepScoped[tc.kind] {
+			t.Errorf("%s: carries an attempt key: %v, step-scoped: %v", tc.name, keyed, stepScoped[tc.kind])
+		}
+		if !keyed {
+			continue
+		}
+		body, err := hex.DecodeString(tc.golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := wire.NewReader(body)
+		if got := (attemptKey{r.Int(), r.Int(), r.Int()}); got != key || r.Err() != nil {
+			t.Errorf("%s: the golden body opens with %+v (%v), want the key %+v", tc.name, got, r.Err(), key)
+		}
+	}
+	for kind := kStepStart; kind <= kJobEnd; kind++ {
+		if kind != kShutdown && !covered[kind] {
+			t.Errorf("kind %d has no golden body in messageCases", kind)
+		}
 	}
 }
 
 // TestMessageCodecValueAndPointerAgree guards the call-site convenience of
 // encoding either form.
 func TestMessageCodecValueAndPointerAgree(t *testing.T) {
-	m := stepStartMsg{Job: 1, Step: 2, Attempt: 3, Workers: []int{1, 2}}
+	m := stepStartMsg{attemptKey: attemptKey{1, 2, 3}, Workers: []int{1, 2}}
 	a, b := encode(m), encode(&m)
 	if string(a) != string(b) {
 		t.Errorf("value and pointer encodings differ: %x vs %x", a, b)
@@ -165,7 +206,7 @@ func TestMessageCodecValueAndPointerAgree(t *testing.T) {
 // TestMessageCodecRejectsCorrupt feeds truncated and trailing-garbage bodies
 // to decode; every case must error rather than yield a half-filled struct.
 func TestMessageCodecRejectsCorrupt(t *testing.T) {
-	body := encode(&aggDataMsg{Job: 1, Step: 2, Attempt: 3, Worker: 4, Name: "n", Data: []byte{1, 2, 3}})
+	body := encode(&aggDataMsg{attemptKey: attemptKey{1, 2, 3}, Worker: 4, Name: "n", Data: []byte{1, 2, 3}})
 	for cut := 0; cut < len(body); cut++ {
 		if err := decode(body[:cut], &aggDataMsg{}); err == nil {
 			t.Fatalf("truncation at %d/%d decoded cleanly", cut, len(body))
@@ -242,7 +283,7 @@ func FuzzDecodeMessage(f *testing.F) {
 		}
 		reads = append(reads, envEntry{Name: fmt.Sprint("read", i), Data: data})
 	}
-	f.Add(append([]byte{kStepStart}, encode(stepStartMsg{Job: 1, Workers: []int{0}, Env: reads})...))
+	f.Add(append([]byte{kStepStart}, encode(stepStartMsg{attemptKey: attemptKey{Job: 1}, Workers: []int{0}, Env: reads})...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

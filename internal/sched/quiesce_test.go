@@ -179,10 +179,10 @@ func newQuiesceRig(t *testing.T, cfg Config, inj rpc.FaultInjector) *quiesceRig 
 		}
 	})
 	q := &quiesceRig{
-		nw: nw, run: &jobRun{job: 1, parts: []int{0, 1, 2}}, done: make(chan error, 1),
+		nw: nw, run: &jobRun{key: attemptKey{Job: 1}, parts: []int{0, 1, 2}}, done: make(chan error, 1),
 		rt: &Runtime{cfg: cfg.withDefaults(), master: rpc.WithFaultInjector(nw[rpc.Master], inj), inbox: rpc.NewMailbox(rpc.DropWhenFull)},
 	}
-	go func() { q.done <- q.rt.awaitQuiescence(context.Background(), q.run, 0) }()
+	go func() { q.done <- q.rt.awaitQuiescence(context.Background(), q.run) }()
 	return q
 }
 

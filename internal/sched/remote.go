@@ -125,8 +125,8 @@ wait:
 	return w, nil
 }
 
-// remoteJob is a job materialized from a spec: what newJobRun takes but the
-// attempt and its environment, cached until the master retires the job.
+// remoteJob is a job materialized from a spec and split into steps: what
+// each step start's jobRun is built from, cached until the master retires it.
 type remoteJob struct {
 	job   Job
 	steps []*step.Step
@@ -156,7 +156,7 @@ func (h *remoteHost) runFor(m stepStartMsg) *jobRun {
 	if err != nil {
 		return nil
 	}
-	return newJobRun(m.Job, m.Attempt, m.Workers, h.cfg.CoresPerWorker, rj.job, rj.steps, env, nil)
+	return newJobRun(m.attemptKey, m.Workers, h.cfg.CoresPerWorker, rj.job, rj.steps[m.Step], env, nil)
 }
 
 // decodeReads rebuilds the environment a step start carries.

@@ -83,11 +83,11 @@ func (r *Result) TotalSubgraphs() int64 {
 // failed attempt counted is discarded with its partials, and aborting it
 // cannot abort the retry.
 type jobRun struct {
-	job int
-	// attempt numbers the executions of the current step (0 on the first
-	// try); step-scoped messages carry it so both sides can discard
-	// leftovers of abandoned attempts.
-	attempt int
+	// key names the attempt (its Attempt is 0 on the first try); every
+	// step-scoped message carries it, so both sides can discard leftovers of
+	// abandoned attempts.
+	key  attemptKey
+	step *step.Step
 	// parts lists the participating worker IDs, in rank order: a retry
 	// excludes workers lost earlier in the job, and the survivors
 	// re-partition the root domain among totalCores = len(parts) ×
@@ -100,7 +100,6 @@ type jobRun struct {
 	// customs holds one clone of the job's custom extender per core of the
 	// attempt, by global core index (nil without one); see cloneCustom.
 	customs []subgraph.CustomExtender
-	steps   []*step.Step
 	env     *agg.Registry
 	// blocks holds the counter block each worker shipped with the message
 	// that ended its part of the attempt (aggDoneMsg, or cancelAckMsg on a
@@ -289,13 +288,12 @@ func (r *Runtime) currentRun() *jobRun {
 }
 
 // runFor implements runProvider for in-process workers: the published run,
-// when the message matches it.
+// when the message names it.
 func (r *Runtime) runFor(m stepStartMsg) *jobRun {
-	run := r.currentRun()
-	if run == nil || run.job != m.Job || run.attempt != m.Attempt || m.Step >= len(run.steps) {
-		return nil
+	if run := r.currentRun(); run != nil && run.key == m.attemptKey {
+		return run
 	}
-	return run
+	return nil
 }
 
 // handleControl implements runProvider: in-process workers receive no
@@ -470,7 +468,7 @@ func (r *Runtime) runJob(ctx context.Context, job Job, spec *JobSpec) (*Result, 
 				stepErr = fmt.Errorf("no ready workers")
 				break
 			}
-			run = newJobRun(jobID, attempt, parts, r.cfg.CoresPerWorker, job, steps, env, tracer)
+			run = newJobRun(attemptKey{jobID, i, attempt}, parts, r.cfg.CoresPerWorker, job, s, env, tracer)
 			r.mu.Lock()
 			r.run = run
 			r.mu.Unlock()
@@ -480,7 +478,7 @@ func (r *Runtime) runJob(ctx context.Context, job Job, spec *JobSpec) (*Result, 
 			if r.cfg.StepTimeout > 0 {
 				stepCtx, cancel = context.WithTimeout(ctx, r.cfg.StepTimeout)
 			}
-			stepErr = r.executeStep(stepCtx, run, i, s, reads)
+			stepErr = r.executeStep(stepCtx, run, reads)
 			if cancel != nil {
 				cancel()
 			}
@@ -587,24 +585,22 @@ func (r *Runtime) stepReads(env *agg.Registry, s *step.Step) ([]envEntry, error)
 	return reads, nil
 }
 
-// newJobRun builds the fresh shared state of one execution attempt of a
-// step of job, split into steps, over the participants parts with
-// coresPerWorker cores each: the master's for its in-process workers (with
-// the run's tracer) and a worker process's own (with none, and env decoded
-// from the step start). Each attempt gets fresh custom-extender clones and
-// a fresh abort flag.
-func newJobRun(jobID, attempt int, parts []int, coresPerWorker int, job Job, steps []*step.Step, env *agg.Registry, tracer *metrics.Tracer) *jobRun {
+// newJobRun builds the fresh shared state of attempt key, executing step s
+// of job over the participants parts with coresPerWorker cores each: the
+// master's for its in-process workers (with the run's tracer) and a worker
+// process's own (with none, and env decoded from the step start). Each
+// attempt gets fresh custom-extender clones and a fresh abort flag.
+func newJobRun(key attemptKey, parts []int, coresPerWorker int, job Job, s *step.Step, env *agg.Registry, tracer *metrics.Tracer) *jobRun {
 	total := len(parts) * coresPerWorker
 	return &jobRun{
-		job:        jobID,
-		attempt:    attempt,
+		key:        key,
+		step:       s,
 		parts:      parts,
 		totalCores: total,
 		graph:      job.Graph,
 		kind:       job.Kind,
 		plan:       job.Plan,
 		customs:    cloneCustom(job.Custom, total),
-		steps:      steps,
 		env:        env,
 		blocks:     map[int]metrics.Snapshot{},
 		tracer:     tracer,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"sync/atomic"
@@ -11,10 +12,12 @@ import (
 	"time"
 
 	"fractal/internal/graph"
+	"fractal/internal/metrics"
 	"fractal/internal/pattern"
 	"fractal/internal/rpc"
 	"fractal/internal/step"
 	"fractal/internal/subgraph"
+	"fractal/internal/wire"
 	"fractal/internal/workload"
 )
 
@@ -24,11 +27,12 @@ import (
 type stealRig struct {
 	w            *worker
 	st           *stepCtx
+	net          map[rpc.NodeID]rpc.Transport
 	peer, master <-chan rpc.Envelope
 }
 
-// newStealRig installs attempt 3 of step 2 of job 1 with the given number of
-// cores holding work.
+// newStealRig installs attempt 3 of step 2 of job 1, a step that aggregates
+// nothing, with the given number of cores holding work.
 func newStealRig(t *testing.T, cores, busy int) *stealRig {
 	t.Helper()
 	nw := rpc.NewLoopbackNetwork([]rpc.NodeID{rpc.Master, 0, 1})
@@ -40,7 +44,7 @@ func newStealRig(t *testing.T, cores, busy int) *stealRig {
 	cfg := Config{CoresPerWorker: cores}.withDefaults()
 	w := newWorker(0, cfg, nil, nw[0])
 	st := &stepCtx{
-		job: 1, index: 2, attempt: 3, parts: []int{0, 1}, seq: 1,
+		run: &jobRun{key: attemptKey{1, 2, 3}, step: &step.Step{}, parts: []int{0, 1}}, seq: 1,
 		doneCh: make(chan struct{}), mail: make([]chan grant, cores),
 	}
 	for i := range st.mail {
@@ -48,12 +52,12 @@ func newStealRig(t *testing.T, cores, busy int) *stealRig {
 	}
 	st.active.Store(int64(busy))
 	w.cur = st
-	return &stealRig{w: w, st: st, peer: nw[1].Recv(), master: nw[rpc.Master].Recv()}
+	return &stealRig{w: w, st: st, net: nw, peer: nw[1].Recv(), master: nw[rpc.Master].Recv()}
 }
 
 // remoteReq is a steal request from core 1 of worker 1 for the rig's attempt.
 func (r *stealRig) remoteReq() stealReqMsg {
-	return stealReqMsg{Job: 1, Step: 2, Attempt: 3, Worker: 1, Core: 1}
+	return stealReqMsg{attemptKey: attemptKey{1, 2, 3}, Worker: 1, Core: 1}
 }
 
 // responses drains what worker 1 has been sent so far.
@@ -241,7 +245,7 @@ func TestActiveCoversWorkInFlight(t *testing.T) {
 		t.Errorf("remote request taken: active=%d, want 1", r.st.active.Load())
 	}
 	// A prefix arriving from a remote donor is activity before it is receipt.
-	resp := stealRespMsg{Job: 1, Step: 2, Attempt: 3, Core: 0, Prefix: []subgraph.Word{7, 9}}
+	resp := stealRespMsg{attemptKey: attemptKey{1, 2, 3}, Core: 0, Prefix: []subgraph.Word{7, 9}}
 	r.w.routeStealResp(resp)
 	if r.st.active.Load() != 2 || r.st.adopted != 1 {
 		t.Errorf("routed grant: active=%d adopted=%d, want 2 and 1", r.st.active.Load(), r.st.adopted)
@@ -258,7 +262,7 @@ func TestActiveCoversWorkInFlight(t *testing.T) {
 	}
 
 	idle := newStealRig(t, 1, 0)
-	idle.w.routeStealResp(stealRespMsg{Job: 1, Step: 2, Attempt: 3, Core: 0, Prefix: []subgraph.Word{7}})
+	idle.w.routeStealResp(stealRespMsg{attemptKey: attemptKey{1, 2, 3}, Core: 0, Prefix: []subgraph.Word{7}})
 	rep := idle.reports(t)
 	if len(rep) != 1 || rep[0].Seq != 2 || rep[0].Active != 1 || rep[0].Adopted != 1 || len(idle.mailbox(0)) != 1 {
 		t.Errorf("grant to an idle worker: the master was sent %+v, want one idle→busy report, Seq 2, adopting it", rep)
@@ -271,9 +275,9 @@ func TestActiveCoversWorkInFlight(t *testing.T) {
 func TestStaleGrantIsDropped(t *testing.T) {
 	r := newStealRig(t, 1, 0)
 	for _, m := range []stealRespMsg{
-		{Job: 1, Step: 2, Attempt: 2, Prefix: []subgraph.Word{1}},
-		{Job: 1, Step: 1, Attempt: 3, Prefix: []subgraph.Word{1}},
-		{Job: 0, Step: 2, Attempt: 3, Prefix: []subgraph.Word{1}},
+		{attemptKey: attemptKey{1, 2, 2}, Prefix: []subgraph.Word{1}},
+		{attemptKey: attemptKey{1, 1, 3}, Prefix: []subgraph.Word{1}},
+		{attemptKey: attemptKey{0, 2, 3}, Prefix: []subgraph.Word{1}},
 	} {
 		r.w.routeStealResp(m)
 	}
@@ -285,6 +289,119 @@ func TestStaleGrantIsDropped(t *testing.T) {
 	r.st.cancel()
 	for i := 0; i < 2*mailboxCap; i++ {
 		r.st.deliver(0, grant{})
+	}
+}
+
+// TestStaleKeyIsIgnored sends each message a worker receives for a step
+// attempt through its router, keyed to an attempt that differs from the
+// running one in the Job, the Step or the Attempt alone, and expects the
+// answer the protocol gives a stale message: a step end is ignored, a ping
+// is answered with Seq 0, a steal request with an empty response, a steal
+// response reaches no core, and a cancel is acked with no counters and stops
+// nothing. The running attempt's own key gets another answer each time, so
+// every check tells the two apart.
+func TestStaleKeyIsIgnored(t *testing.T) {
+	running := attemptKey{1, 2, 3}
+	stale := map[string]attemptKey{"job": {0, 2, 3}, "step": {1, 1, 3}, "attempt": {1, 2, 2}}
+	// The router answers this ping after the message under test, so what it
+	// sent before the answer is all the message made it send.
+	barrier := attemptKey{9, 9, 9}
+	decodeOne := func(envs []rpc.Envelope, kind uint8, m interface{ get(r *wire.Reader) }) bool {
+		return len(envs) == 1 && envs[0].Kind == kind && decode(envs[0].Body, m) == nil
+	}
+	type staleCase struct {
+		name string
+		kind uint8
+		msg  func(k attemptKey) message
+		// ignored says how the worker's handling of a message keyed k
+		// differs from the stale answer, "" when it does not; master and
+		// peer are what the master and worker 1 were sent.
+		ignored func(r *stealRig, k attemptKey, master, peer []rpc.Envelope) string
+	}
+	kinds := []staleCase{
+		{"step end", kStepEnd, func(k attemptKey) message { return k },
+			func(r *stealRig, _ attemptKey, master, _ []rpc.Envelope) string {
+				if r.st.isDone() || len(master) > 0 {
+					return fmt.Sprintf("the step stopped: %v, the master was sent %d messages", r.st.isDone(), len(master))
+				}
+				return ""
+			}},
+		{"status ping", kStatusPing, func(k attemptKey) message { return k },
+			func(_ *stealRig, k attemptKey, master, _ []rpc.Envelope) string {
+				var m statusReportMsg
+				if !decodeOne(master, kStatusReport, &m) || m.attemptKey != k || !m.Reply || m.Seq != 0 {
+					return fmt.Sprintf("the master was sent %+v", m)
+				}
+				return ""
+			}},
+		{"steal request", kStealReq, func(k attemptKey) message { return stealReqMsg{attemptKey: k, Worker: 1, Core: 1} },
+			func(r *stealRig, k attemptKey, _, peer []rpc.Envelope) string {
+				var m stealRespMsg
+				if !decodeOne(peer, kStealResp, &m) || m.attemptKey != k || m.Core != 1 || len(m.Prefix) > 0 || len(r.st.reqs) > 0 {
+					return fmt.Sprintf("the thief was sent %+v, %d requests queued", m, len(r.st.reqs))
+				}
+				return ""
+			}},
+		{"steal response", kStealResp, func(k attemptKey) message {
+			return stealRespMsg{attemptKey: k, Core: 0, Prefix: []subgraph.Word{7}}
+		}, func(r *stealRig, _ attemptKey, master, _ []rpc.Envelope) string {
+			if got := r.mailbox(0); len(got) > 0 || r.st.adopted > 0 || r.st.active.Load() != 1 || len(master) > 0 {
+				return fmt.Sprintf("core 0 got %+v, adopted=%d active=%d", got, r.st.adopted, r.st.active.Load())
+			}
+			return ""
+		}},
+		{"cancel", kCancel, func(k attemptKey) message { return k },
+			func(r *stealRig, k attemptKey, master, _ []rpc.Envelope) string {
+				var m cancelAckMsg
+				if !decodeOne(master, kCancelAck, &m) || m.attemptKey != k || m.Worker != 0 ||
+					!reflect.DeepEqual(m.Counters, metrics.Snapshot{}) || r.st.aborted() {
+					return fmt.Sprintf("the master was sent %+v, the step aborted: %v", m, r.st.aborted())
+				}
+				return ""
+			}},
+	}
+	// handle sends a message keyed k through a fresh rig's router and returns
+	// how its answer differs from the stale one.
+	handle := func(t *testing.T, kc staleCase, k attemptKey) string {
+		r := newStealRig(t, 1, 1)
+		r.w.start()
+		t.Cleanup(func() { r.w.tr.Close(); r.w.stop() })
+		for _, env := range []rpc.Envelope{{Kind: kc.kind, Body: encode(kc.msg(k))}, {Kind: kStatusPing, Body: encode(barrier)}} {
+			if err := r.net[rpc.Master].Send(0, env); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var master []rpc.Envelope
+		for {
+			var env rpc.Envelope
+			select {
+			case env = <-r.master:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the barrier ping was not answered")
+			}
+			var m statusReportMsg
+			if env.Kind == kStatusReport && decode(env.Body, &m) == nil && m.attemptKey == barrier {
+				break
+			}
+			master = append(master, env)
+		}
+		var peer []rpc.Envelope
+		for len(r.peer) > 0 {
+			peer = append(peer, <-r.peer)
+		}
+		return kc.ignored(r, k, master, peer)
+	}
+	for _, kc := range kinds {
+		t.Run(kc.name, func(t *testing.T) {
+			for field, k := range stale {
+				if diff := handle(t, kc, k); diff != "" {
+					t.Errorf("a key stale in its %s: %s", field, diff)
+				}
+			}
+			if handle(t, kc, running) == "" {
+				t.Error("the running attempt's own key got the stale answer too")
+			}
+		})
 	}
 }
 

@@ -42,10 +42,10 @@ func supportStep(t testing.TB, spec *step.AggSpec) *step.Step {
 	return steps[0]
 }
 
-// tailRun is attempt 0 of step 0 of job 1 over the runtime's workers, none
-// of which has been told about it.
-func tailRun(rt *Runtime) *jobRun {
-	return &jobRun{job: 1, parts: rt.allWorkerIDs(), env: agg.NewRegistry(), blocks: map[int]metrics.Snapshot{}}
+// tailRun is attempt 0 of step 0 of job 1, executing s over the runtime's
+// workers, none of which has been told about it.
+func tailRun(rt *Runtime, s *step.Step) *jobRun {
+	return &jobRun{key: attemptKey{Job: 1}, step: s, parts: rt.allWorkerIDs(), env: agg.NewRegistry(), blocks: map[int]metrics.Snapshot{}}
 }
 
 // sendAs sends the master a step-tail message the way worker id would.
@@ -92,12 +92,12 @@ func tailRuntime(t testing.TB, cfg Config) *Runtime {
 // WorkerTimeout to blame a worker that was alive.
 func TestUnknownAggregationFailsTheStep(t *testing.T) {
 	rt := tailRuntime(t, Config{Workers: 1, CoresPerWorker: 1, WorkerTimeout: time.Minute})
-	run, s := tailRun(rt), supportStep(t, &step.AggSpec{Name: "support", Proto: newSupports()})
-	sendAs(t, rt, 0, kAggData, aggDataMsg{Job: 1, Name: "suport", Data: supportFrames(t, 1)[0]})
-	sendAs(t, rt, 0, kAggDone, aggDoneMsg{Job: 1, Sent: 1})
+	run := tailRun(rt, supportStep(t, &step.AggSpec{Name: "support", Proto: newSupports()}))
+	sendAs(t, rt, 0, kAggData, aggDataMsg{attemptKey: attemptKey{Job: 1}, Name: "suport", Data: supportFrames(t, 1)[0]})
+	sendAs(t, rt, 0, kAggDone, aggDoneMsg{attemptKey: attemptKey{Job: 1}, Sent: 1})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	err := rt.collectAggregations(ctx, run, 0, s)
+	err := rt.collectAggregations(ctx, run)
 	var aggErr *AggregationError
 	if !errors.As(err, &aggErr) || aggErr.Worker != 0 || !strings.Contains(err.Error(), `unknown aggregation "suport"`) {
 		t.Fatalf("collectAggregations = %v, want an AggregationError of worker 0 naming the aggregation", err)
@@ -117,11 +117,11 @@ func TestCancelledTailCommitsNothing(t *testing.T) {
 	}
 	t.Run("receiving", func(t *testing.T) {
 		rt := tailRuntime(t, Config{Workers: 1, CoresPerWorker: 1, WorkerTimeout: time.Minute})
-		run, s := tailRun(rt), supportStep(t, &step.AggSpec{Name: "support", Proto: newSupports()})
-		sendAs(t, rt, 0, kAggData, aggDataMsg{Job: 1, Name: "support", Data: frames[0]})
+		run := tailRun(rt, supportStep(t, &step.AggSpec{Name: "support", Proto: newSupports()}))
+		sendAs(t, rt, 0, kAggData, aggDataMsg{attemptKey: attemptKey{Job: 1}, Name: "support", Data: frames[0]})
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if err := rt.collectAggregations(ctx, run, 0, s); !errors.Is(err, context.Canceled) {
+		if err := rt.collectAggregations(ctx, run); !errors.Is(err, context.Canceled) {
 			t.Fatalf("collectAggregations = %v, want context.Canceled", err)
 		}
 		if names := run.env.Names(); len(names) != 0 {
@@ -137,12 +137,12 @@ func TestCancelledTailCommitsNothing(t *testing.T) {
 		seen := 0
 		proto := agg.New[string, *agg.DomainSupport](agg.ReduceDomainSupport).
 			WithFilter(func(string, *agg.DomainSupport) bool { seen++; cancel(); return true })
-		run, s := tailRun(rt), supportStep(t, &step.AggSpec{Name: "support", Proto: proto})
+		run := tailRun(rt, supportStep(t, &step.AggSpec{Name: "support", Proto: proto}))
 		for _, f := range frames {
-			sendAs(t, rt, 0, kAggData, aggDataMsg{Job: 1, Name: "support", Data: f})
+			sendAs(t, rt, 0, kAggData, aggDataMsg{attemptKey: attemptKey{Job: 1}, Name: "support", Data: f})
 		}
-		sendAs(t, rt, 0, kAggDone, aggDoneMsg{Job: 1, Sent: len(frames)})
-		if err := rt.collectAggregations(ctx, run, 0, s); !errors.Is(err, context.Canceled) {
+		sendAs(t, rt, 0, kAggDone, aggDoneMsg{attemptKey: attemptKey{Job: 1}, Sent: len(frames)})
+		if err := rt.collectAggregations(ctx, run); !errors.Is(err, context.Canceled) {
 			t.Fatalf("collectAggregations = %v, want context.Canceled", err)
 		}
 		if names := run.env.Names(); len(names) != 0 {
@@ -160,12 +160,12 @@ func TestCancelledTailCommitsNothing(t *testing.T) {
 func TestFramesOutOfOrderAreACorruptPartial(t *testing.T) {
 	frames := supportFrames(t, 3000)
 	rt := tailRuntime(t, Config{Workers: 1, CoresPerWorker: 1, WorkerTimeout: time.Minute})
-	run, s := tailRun(rt), supportStep(t, &step.AggSpec{Name: "support", Proto: newSupports()})
+	run := tailRun(rt, supportStep(t, &step.AggSpec{Name: "support", Proto: newSupports()}))
 	for _, i := range []int{1, 0, 2} {
-		sendAs(t, rt, 0, kAggData, aggDataMsg{Job: 1, Name: "support", Data: frames[i]})
+		sendAs(t, rt, 0, kAggData, aggDataMsg{attemptKey: attemptKey{Job: 1}, Name: "support", Data: frames[i]})
 	}
-	sendAs(t, rt, 0, kAggDone, aggDoneMsg{Job: 1, Sent: 3})
-	err := rt.collectAggregations(context.Background(), run, 0, s)
+	sendAs(t, rt, 0, kAggDone, aggDoneMsg{attemptKey: attemptKey{Job: 1}, Sent: 3})
+	err := rt.collectAggregations(context.Background(), run)
 	var aggErr *AggregationError
 	if !errors.As(err, &aggErr) || !strings.Contains(err.Error(), "out of order") {
 		t.Fatalf("collectAggregations = %v, want an AggregationError naming the key out of order", err)
@@ -395,7 +395,7 @@ func BenchmarkStepTail(b *testing.B) {
 				rt = tailRuntime(b, Config{Workers: 1, CoresPerWorker: 2})
 				workers = rt.workers
 			}
-			end := encode(stepEndMsg{Job: 1})
+			end := encode(attemptKey{Job: 1})
 			frames := int64(0)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -405,7 +405,7 @@ func BenchmarkStepTail(b *testing.B) {
 				// just gone idle.
 				parts := f.stores(b)
 				for _, w := range workers {
-					st := &stepCtx{job: 1, run: &jobRun{steps: []*step.Step{f.step}}, doneCh: make(chan struct{})}
+					st := &stepCtx{run: &jobRun{key: attemptKey{Job: 1}, step: f.step}, doneCh: make(chan struct{})}
 					for range w.cores {
 						st.localAggs = append(st.localAggs, map[string]agg.Store{f.spec.Name: parts[0]})
 						parts = parts[1:]
@@ -414,7 +414,7 @@ func BenchmarkStepTail(b *testing.B) {
 					w.cur = st
 					w.mu.Unlock()
 				}
-				run := tailRun(rt)
+				run := tailRun(rt, f.step)
 				before := rt.master.Stats().MsgsRecv
 				runtime.GC()
 				b.StartTimer()
@@ -423,7 +423,7 @@ func BenchmarkStepTail(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				if err := rt.collectAggregations(context.Background(), run, 0, f.step); err != nil {
+				if err := rt.collectAggregations(context.Background(), run); err != nil {
 					b.Fatal(err)
 				}
 				b.StopTimer()

@@ -9,29 +9,24 @@ import (
 	"fractal/internal/agg"
 	"fractal/internal/metrics"
 	"fractal/internal/rpc"
-	"fractal/internal/step"
 	"fractal/internal/subgraph"
 	"fractal/internal/wire"
 )
 
 // stepCtx is the per-step execution context shared by a worker's cores.
 type stepCtx struct {
-	job, index int
-	// attempt is the master's execution attempt of this step; messages from
-	// other attempts are discarded.
-	attempt int
-	// parts lists the attempt's participating workers in rank order; rank is
-	// this worker's position in it and base = rank×CoresPerWorker is its
-	// first global core index. Core indices are attempt-scoped — a retry
-	// that excludes a lost worker re-ranks the survivors, and the root
-	// domain is re-partitioned over base..base+cores-1 of totalCores.
-	parts      []int
-	rank, base int
-	// run is the attempt's shared state: the step list, graph, kind, plan,
-	// custom-extender clones, environment, core count and tracer (nil when
-	// tracing is disabled, so every event site is one pointer comparison).
-	// Each attempt has its own, and none of these change during it.
+	// run is the attempt's shared state: its key, step, participants, graph,
+	// kind, plan, custom-extender clones, environment, core count and tracer
+	// (nil when tracing is disabled, so every event site is one pointer
+	// comparison). Each attempt has its own, and none of these change during
+	// it; messages keyed to other attempts are discarded.
 	run *jobRun
+	// rank is this worker's position in run.parts and base =
+	// rank×CoresPerWorker its first global core index. Core indices are
+	// attempt-scoped — a retry that excludes a lost worker re-ranks the
+	// survivors, and the root domain is re-partitioned over
+	// base..base+cores-1 of totalCores.
+	rank, base int
 
 	localAggs []map[string]agg.Store // per core, per aggregation name
 
@@ -107,9 +102,6 @@ func (st *stepCtx) flag(bit uint32, on bool) {
 }
 
 func (st *stepCtx) isDone() bool { return st.stopped.Load() }
-
-// step is the step under execution.
-func (st *stepCtx) step() *step.Step { return st.run.steps[st.index] }
 
 // aborted reports whether cores must stop mid-work, abandoning their local
 // subtrees: the step was cancelled, by a cancel control message or — for
@@ -204,8 +196,8 @@ func (st *stepCtx) adopt() (edge *statusReportMsg) {
 // nothing, and adopting makes it busy.
 func (st *stepCtx) status() *statusReportMsg {
 	return &statusReportMsg{
-		Job: st.job, Step: st.index, Attempt: st.attempt,
-		Seq: st.seq, Active: st.active.Load(), Granted: st.granted.Load(), Adopted: st.adopted,
+		attemptKey: st.run.key, Seq: st.seq,
+		Active: st.active.Load(), Granted: st.granted.Load(), Adopted: st.adopted,
 	}
 }
 
@@ -279,12 +271,12 @@ func (w *worker) route() {
 				w.startStep(m)
 			}
 		case kStepEnd:
-			var m stepEndMsg
+			var m attemptKey
 			if decode(env.Body, &m) == nil {
 				w.endStep(m)
 			}
 		case kStatusPing:
-			var m statusPingMsg
+			var m attemptKey
 			if decode(env.Body, &m) == nil {
 				w.answerPing(m)
 			}
@@ -299,7 +291,7 @@ func (w *worker) route() {
 				w.routeStealResp(m)
 			}
 		case kCancel:
-			var m cancelMsg
+			var m attemptKey
 			if decode(env.Body, &m) == nil {
 				w.cancelStep(m)
 			}
@@ -351,22 +343,18 @@ func (w *worker) startStep(m stepStartMsg) {
 		stale.wg.Wait()
 	}
 	st := &stepCtx{
-		job:     m.Job,
-		index:   m.Step,
-		attempt: m.Attempt,
-		parts:   m.Workers,
-		rank:    rank,
-		base:    rank * w.cfg.CoresPerWorker,
-		run:     run,
-		seq:     1,
-		doneCh:  make(chan struct{}),
-		mail:    make([]chan grant, len(w.cores)),
+		run:    run,
+		rank:   rank,
+		base:   rank * w.cfg.CoresPerWorker,
+		seq:    1,
+		doneCh: make(chan struct{}),
+		mail:   make([]chan grant, len(w.cores)),
 	}
 	for i := range st.mail {
 		st.mail[i] = make(chan grant, mailboxCap)
 	}
 
-	specs := st.step().AggSpecs()
+	specs := run.step.AggSpecs()
 	st.localAggs = make([]map[string]agg.Store, len(w.cores))
 	for i := range w.cores {
 		st.localAggs[i] = map[string]agg.Store{}
@@ -422,9 +410,9 @@ func (w *worker) counters() metrics.Snapshot {
 // frame, whatever the payload. Fold wall time and the frame bytes shipped
 // join the cores' summed counters, and the done message carries the block to
 // the master.
-func (w *worker) endStep(m stepEndMsg) {
+func (w *worker) endStep(key attemptKey) {
 	st := w.current()
-	if !stepMatches(st, m.Job, m.Step, m.Attempt) {
+	if !stepMatches(st, key) {
 		return
 	}
 	st.finish()
@@ -437,12 +425,12 @@ func (w *worker) endStep(m stepEndMsg) {
 	sent := 0
 	var errs []string
 	mergeStart := time.Now()
-	for _, sp := range st.step().AggSpecs() {
+	for _, sp := range st.run.step.AggSpecs() {
 		partials := make([]agg.Store, len(w.cores))
 		for i := range w.cores {
 			partials[i] = st.localAggs[i][sp.Name]
 		}
-		msg := aggDataMsg{Job: st.job, Step: st.index, Attempt: st.attempt, Worker: w.id, Name: sp.Name}
+		msg := aggDataMsg{attemptKey: key, Worker: w.id, Name: sp.Name}
 		err := sp.Proto.FoldToFrames(partials, st.aborted, func(frame []byte) error {
 			// The frame buffer is the fold's; the message body, made at its
 			// final size, is the one copy a frame gets on its way to the
@@ -462,7 +450,7 @@ func (w *worker) endStep(m stepEndMsg) {
 		}
 	}
 	ctr.AggMergeTimeNs = int64(time.Since(mergeStart))
-	done := aggDoneMsg{Job: st.job, Step: st.index, Attempt: st.attempt, Worker: w.id, Sent: sent, Errs: errs, Counters: ctr}
+	done := aggDoneMsg{attemptKey: key, Worker: w.id, Sent: sent, Errs: errs, Counters: ctr}
 	w.tr.Send(rpc.Master, rpc.Envelope{Kind: kAggDone, Body: encode(done)})
 }
 
@@ -472,13 +460,13 @@ func (w *worker) endStep(m stepEndMsg) {
 // Because the router processes messages serially, a
 // subsequent kStepStart is not handled until the drain completes, so a
 // cancelled job can never leak cores into the next one.
-func (w *worker) cancelStep(m cancelMsg) {
+func (w *worker) cancelStep(key attemptKey) {
 	st := w.current()
 	// Ack unconditionally (also when the step was never ours or already
 	// over, with no counters then) so the master's drain wait is not held up
 	// by healthy workers.
-	ack := cancelAckMsg{Job: m.Job, Step: m.Step, Attempt: m.Attempt, Worker: w.id}
-	if stepMatches(st, m.Job, m.Step, m.Attempt) {
+	ack := cancelAckMsg{attemptKey: key, Worker: w.id}
+	if stepMatches(st, key) {
 		st.cancel()
 		st.wg.Wait()
 		w.mu.Lock()
@@ -507,9 +495,9 @@ func (w *worker) abortCurrent() {
 // or with Seq 0 when it is not running the pinged attempt — answering pings
 // while never having received the step start is exactly what the master's
 // step-start check exists to catch.
-func (w *worker) answerPing(m statusPingMsg) {
-	rep := &statusReportMsg{Job: m.Job, Step: m.Step, Attempt: m.Attempt}
-	if st := w.current(); stepMatches(st, m.Job, m.Step, m.Attempt) {
+func (w *worker) answerPing(key attemptKey) {
+	rep := &statusReportMsg{attemptKey: key}
+	if st := w.current(); stepMatches(st, key) {
 		st.reqMu.Lock()
 		rep = st.status()
 		st.reqMu.Unlock()
@@ -529,8 +517,8 @@ func (w *worker) report(rep *statusReportMsg) {
 // running it, without waiting for them: the master's shortcut past a starved
 // transport (Runtime.broadcastCancel). The cancel message that follows drains
 // the step and carries the ack.
-func (w *worker) interrupt(job, index, attempt int) {
-	if st := w.current(); stepMatches(st, job, index, attempt) {
+func (w *worker) interrupt(key attemptKey) {
+	if st := w.current(); stepMatches(st, key) {
 		st.cancel()
 	}
 }
@@ -544,7 +532,7 @@ func (w *worker) serveSteal(m stealReqMsg) {
 	r := stealReq{thief: -1, remote: m}
 	// Only requests of the attempt under execution are queued; a stale
 	// request from an abandoned attempt still gets its (empty) response.
-	if !stepMatches(st, m.Job, m.Step, m.Attempt) {
+	if !stepMatches(st, m.attemptKey) {
 		w.sendStealResp(r, nil)
 		return
 	}
@@ -571,14 +559,12 @@ func (w *worker) answer(st *stepCtx, r stealReq, prefix []subgraph.Word) {
 
 func (w *worker) sendStealResp(r stealReq, prefix []subgraph.Word) {
 	m := r.remote
-	resp := stealRespMsg{Job: m.Job, Step: m.Step, Attempt: m.Attempt, Core: m.Core, Prefix: prefix}
+	resp := stealRespMsg{attemptKey: m.attemptKey, Core: m.Core, Prefix: prefix}
 	w.tr.Send(rpc.NodeID(m.Worker), rpc.Envelope{Kind: kStealResp, Body: encode(resp)})
 }
 
-// stepMatches reports whether st is the step attempt the message refers to.
-func stepMatches(st *stepCtx, job, index, attempt int) bool {
-	return st != nil && st.job == job && st.index == index && st.attempt == attempt
-}
+// stepMatches reports whether st is the step attempt key names.
+func stepMatches(st *stepCtx, key attemptKey) bool { return st != nil && st.run.key == key }
 
 // routeStealResp hands a steal response to the requesting core. A grant is
 // adopted here, at the router — booked as activity and as received in one
@@ -587,7 +573,7 @@ func stepMatches(st *stepCtx, job, index, attempt int) bool {
 // of the attempt under execution are routed into it.
 func (w *worker) routeStealResp(m stealRespMsg) {
 	st := w.current()
-	if !stepMatches(st, m.Job, m.Step, m.Attempt) || m.Core < 0 || m.Core >= len(w.cores) {
+	if !stepMatches(st, m.attemptKey) || m.Core < 0 || m.Core >= len(w.cores) {
 		return
 	}
 	var edge *statusReportMsg

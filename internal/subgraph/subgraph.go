@@ -168,6 +168,23 @@ func (e *Embedding) NumEdges() int {
 	return len(e.edges)
 }
 
+// IsClique reports whether every two of the embedding's vertices are
+// adjacent in its graph: the clique check of Listing 2 (fractal.CliqueFilter).
+// Parallel edges count once, and only neighbors are read. The newest vertex
+// is tested first: under Expand(1).Filter(...) it is the only one the last
+// check has not covered.
+func IsClique(e *Embedding) bool {
+	vs := e.vertices
+	for j := len(vs) - 1; j > 0; j-- {
+		for _, u := range vs[:j] {
+			if !e.g.HasEdge(u, vs[j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // InitialDomain returns the number of depth-0 extension words: |V(G)| for
 // vertex- and pattern-induced embeddings, |E(G)| for edge-induced ones.
 func (e *Embedding) InitialDomain() int {

@@ -191,6 +191,11 @@ fuzz-embedding:
 # (auto, plan, decomp, canon), a deployment (in-process 1-2 workers x 1-2
 # cores, or a master with two ServeWorkers over TCP) and a storage form
 # (built, .el, mapped .fgr); every count must be the canonical-check
-# oracle's on the graph as built.
+# oracle's on the graph as built. Each run keeps its generated corpus in a
+# directory of its own, removed when it ends: with the Go cache's corpus
+# (several hundred inputs after a few runs) the 30 s went to replaying it
+# before a single new input was tried. The checked-in seeds
+# (testdata/fuzz/FuzzEngines) are replayed every time.
 fuzz-engines:
-	go test -run=NONE -fuzz=FuzzEngines -fuzztime=30s ./internal/apps/
+	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+		go test -run=NONE -fuzz=FuzzEngines -fuzztime=30s ./internal/apps/ -args -test.fuzzcachedir="$$dir"

@@ -5,7 +5,10 @@
 //
 // Usage:
 //
-//	fractal-worker -master <host:port> [-listen <addr>] [-cores <n>]
+//	fractal-worker -master <ip:port> [-listen <ip:port>] [-cores <n>]
+//
+// Addresses are IP literals ("10.0.0.5:7001", "[fd00::5]:7001"), localhost
+// or an empty host (":0"); the transport resolves no other names.
 //
 // The master dictates the execution configuration (cores per worker, work
 // stealing, timeouts) in its registration reply, and the worker does not
@@ -35,7 +38,7 @@ import (
 
 func main() {
 	var (
-		master = flag.String("master", "", "master address to register with (required)")
+		master = flag.String("master", "", "master address to register with, ip:port (required)")
 		listen = flag.String("listen", "", "this worker's own listener address (default 127.0.0.1:0; use :0 to serve remote peers)")
 		cores  = flag.Int("cores", 0, "GOMAXPROCS of this process unless the environment sets it (0: the Go default); the master decides the execution cores")
 	)

@@ -6,6 +6,12 @@
 // -listen master and its workers across OS processes and machines (the
 // fractal-worker deployment).
 //
+// The package does not import net. On Linux it opens its sockets through
+// syscall and hands them to the runtime poller as *os.File (sock_linux.go),
+// so a job binary links no cgo and loads no C library; other platforms keep
+// a thin net adapter (sock_other.go). Neither resolves names: a host is an
+// IP literal, localhost or empty, and any other name is an *AddrError.
+//
 // Address discovery is dynamic: a TCP node binds one configurable listener
 // (NewTCPNode) and learns peers incrementally through AddPeer — the
 // scheduling layer's registration handshake (a worker dials the master's
@@ -29,8 +35,8 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -213,11 +219,28 @@ func (o TCPOptions) withDefaults() TCPOptions {
 	return o
 }
 
+// listener is the transport's view of a TCP listener: sock_linux.go opens
+// it through syscall, sock_other.go through net.
+type listener interface {
+	Accept() (conn, error)
+	Close() error
+	// Addr is the bound address as "ip:port" ("[ip]:port" for IPv6).
+	Addr() string
+}
+
+// conn is one TCP connection: a socket *os.File on Linux, a net.Conn
+// elsewhere (and net.Pipe in tests).
+type conn interface {
+	io.ReadWriteCloser
+	SetWriteDeadline(time.Time) error
+}
+
 // dialWithBackoff dials addr, retrying with exponential backoff and jitter.
 // The backoff waits abort when done closes (the transport is shutting down),
 // so a cancelled run never blocks out a full retry schedule against a dead
-// peer before noticing.
-func dialWithBackoff(addr string, o TCPOptions, done <-chan struct{}) (net.Conn, error) {
+// peer before noticing. An address the transport refuses (*AddrError) is not
+// retried. A dial that fails is a *DialError without its Node.
+func dialWithBackoff(addr string, o TCPOptions, done <-chan struct{}) (conn, error) {
 	backoff := o.DialBackoff
 	var lastErr error
 	timer := time.NewTimer(0)
@@ -225,7 +248,8 @@ func dialWithBackoff(addr string, o TCPOptions, done <-chan struct{}) (net.Conn,
 		<-timer.C
 	}
 	defer timer.Stop()
-	for attempt := 0; attempt < o.DialAttempts; attempt++ {
+	attempt := 0
+	for attempt < o.DialAttempts {
 		if attempt > 0 {
 			jitter := time.Duration(rand.Int63n(int64(backoff)/2 + 1))
 			timer.Reset(backoff + jitter)
@@ -244,13 +268,18 @@ func dialWithBackoff(addr string, o TCPOptions, done <-chan struct{}) (net.Conn,
 			return nil, ErrClosed
 		default:
 		}
-		c, err := net.DialTimeout("tcp", addr, o.DialTimeout)
+		c, err := dial(addr, o.DialTimeout)
 		if err == nil {
 			return c, nil
 		}
+		attempt++
 		lastErr = err
+		var ae *AddrError
+		if errors.As(err, &ae) {
+			break
+		}
 	}
-	return nil, fmt.Errorf("rpc: dial %s failed after %d attempts: %w", addr, o.DialAttempts, lastErr)
+	return nil, &DialError{Addr: addr, Attempts: attempt, Err: lastErr}
 }
 
 // ---------------------------------------------------------------------------
@@ -331,7 +360,7 @@ func (n *loopNode) Close() error {
 // scheduling layer's registration handshake is built from.
 type TCPNode struct {
 	self  atomic.Int64
-	ln    net.Listener
+	ln    listener
 	opts  TCPOptions
 	box   *Mailbox // BlockWhenFull: a full box stops the read loops
 	done  chan struct{}
@@ -343,19 +372,18 @@ type TCPNode struct {
 
 	mu      sync.Mutex
 	conns   map[NodeID]*tcpConn
-	inbound map[net.Conn]struct{}
+	inbound map[conn]struct{}
 	wg      sync.WaitGroup
 }
 
 type tcpConn struct {
 	mu sync.Mutex
-	c  net.Conn
-	// hdr, parts and vec are the scratch of one send: the frame header, and
-	// the header and the caller's body as one gather write. The connection
-	// never copies a body, so it holds nothing of a frame it has sent.
-	hdr   [frameHeaderMax]byte
-	parts [2][]byte
-	vec   net.Buffers
+	c  conn
+	// hdr and w are the scratch of one send: the frame header, and the
+	// header and the caller's body as one gather write. The connection never
+	// copies a body, so it holds nothing of a frame it has sent.
+	hdr [frameHeaderMax]byte
+	w   frameWriter
 }
 
 // send writes env as one frame onto the connection under a write deadline.
@@ -366,18 +394,17 @@ func (tc *tcpConn) send(env Envelope, timeout time.Duration) error {
 		tc.c.SetWriteDeadline(time.Now().Add(timeout))
 		defer tc.c.SetWriteDeadline(time.Time{})
 	}
-	tc.parts = [2][]byte{appendFrameHeader(tc.hdr[:0], env), env.Body}
-	tc.vec = tc.parts[:]
-	_, err := tc.vec.WriteTo(tc.c)
-	tc.parts = [2][]byte{} // a failed write leaves the body referenced
-	return err
+	return tc.w.send(tc.c, appendFrameHeader(tc.hdr[:0], env), env.Body)
 }
 
 // NewTCPNode binds one listener at listenAddr (e.g. "127.0.0.1:0",
 // ":7001") and returns a transport for node self with an empty address
-// book. Peers are added with AddPeer and dialed lazily on first send.
+// book. Peers are added with AddPeer and dialed lazily on first send. Hosts,
+// here and in AddPeer, are IP literals ("[::1]:7001" for IPv6), localhost
+// or empty (listen: every interface; dial: this machine); a name is an
+// *AddrError, and nothing is looked up.
 func NewTCPNode(self NodeID, listenAddr string, opts TCPOptions) (*TCPNode, error) {
-	ln, err := net.Listen("tcp", listenAddr)
+	ln, err := listen(listenAddr)
 	if err != nil {
 		return nil, fmt.Errorf("rpc: listen %s: %w", listenAddr, err)
 	}
@@ -388,7 +415,7 @@ func NewTCPNode(self NodeID, listenAddr string, opts TCPOptions) (*TCPNode, erro
 		done:    make(chan struct{}),
 		book:    map[NodeID]string{},
 		conns:   map[NodeID]*tcpConn{},
-		inbound: map[net.Conn]struct{}{},
+		inbound: map[conn]struct{}{},
 	}
 	n.self.Store(int64(self))
 	n.wg.Add(1)
@@ -398,7 +425,7 @@ func NewTCPNode(self NodeID, listenAddr string, opts TCPOptions) (*TCPNode, erro
 
 // Addr returns the listener's bound address, suitable for other nodes'
 // AddPeer.
-func (n *TCPNode) Addr() string { return n.ln.Addr().String() }
+func (n *TCPNode) Addr() string { return n.ln.Addr() }
 
 // AddPeer installs (or updates) the address of a peer. An existing cached
 // connection to the peer is dropped when the address changed, so subsequent
@@ -475,7 +502,7 @@ func (n *TCPNode) acceptLoop() {
 	}
 }
 
-func (n *TCPNode) readLoop(c net.Conn) {
+func (n *TCPNode) readLoop(c conn) {
 	defer n.wg.Done()
 	defer func() {
 		c.Close()
@@ -509,10 +536,11 @@ func (n *TCPNode) conn(to NodeID, addr string) (tc *tcpConn, fresh bool, err err
 	}
 	c, err := dialWithBackoff(addr, n.opts, n.done)
 	if err != nil {
-		if errors.Is(err, ErrClosed) {
-			return nil, false, ErrClosed
+		var de *DialError
+		if errors.As(err, &de) {
+			de.Node = to
 		}
-		return nil, false, &DialError{Node: to, Addr: addr, Attempts: n.opts.DialAttempts, Err: errors.Unwrap(err)}
+		return nil, false, err
 	}
 	n.mu.Lock()
 	select {

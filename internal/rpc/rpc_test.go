@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -378,6 +379,9 @@ func TestSendToDeadPeerReturnsDialError(t *testing.T) {
 	}
 	if de.Node != 1 || de.Addr != deadAddr || de.Attempts != 2 {
 		t.Errorf("DialError fields: %+v", de)
+	}
+	if !errors.Is(err, syscall.ECONNREFUSED) {
+		t.Errorf("err=%v, want it to wrap ECONNREFUSED", err)
 	}
 }
 

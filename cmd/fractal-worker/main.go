@@ -8,7 +8,9 @@
 //	fractal-worker -master <ip:port> [-listen <ip:port>] [-cores <n>]
 //
 // Addresses are IP literals ("10.0.0.5:7001", "[fd00::5]:7001"), localhost
-// or an empty host (":0"); the transport resolves no other names.
+// or an empty host (":0"); the transport resolves no other names. A worker
+// on a wildcard host (":0") registers the IP it reaches the master from, so
+// a worker that reaches its master over loopback registers loopback.
 //
 // The master dictates the execution configuration (cores per worker, work
 // stealing, timeouts) in its registration reply, and the worker does not
@@ -39,7 +41,7 @@ import (
 func main() {
 	var (
 		master = flag.String("master", "", "master address to register with, ip:port (required)")
-		listen = flag.String("listen", "", "this worker's own listener address (default 127.0.0.1:0; use :0 to serve remote peers)")
+		listen = flag.String("listen", "", "this worker's own listener address (default 127.0.0.1:0; use :0 to serve remote peers: the worker then registers the IP it reaches the master from)")
 		cores  = flag.Int("cores", 0, "GOMAXPROCS of this process unless the environment sets it (0: the Go default); the master decides the execution cores")
 	)
 	flag.Parse()

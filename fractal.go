@@ -237,6 +237,10 @@ func ReadRunReport(r io.Reader) (*RunReport, error) { return sched.ReadRunReport
 // Context is the entry point of a Fractal application (the FractalContext of
 // Figure 2, operator C1). It owns the runtime resources; Close releases
 // them.
+//
+// A Context runs one job at a time: concurrent jobs queue, and one whose
+// ctx ends while queued returns a nil Result and an error wrapping
+// ctx.Err(). A Visit must not submit a job to its own Context.
 type Context struct {
 	rt *sched.Runtime
 }
@@ -409,7 +413,8 @@ func (c *Context) AwaitWorkers(ctx context.Context, n int) error {
 // registered worker processes. The graph is loaded through the same
 // per-context cache as LoadGraph, so naming an already loaded file costs
 // nothing. env carries aggregations from previous jobs the workflow reads
-// (nil for none). Graph.RunSpec is the form for a graph handle.
+// (nil for none). Graph.RunSpec is the form for a graph handle. It queues
+// behind a running job.
 func (c *Context) RunSpec(ctx context.Context, spec JobSpec, env *Aggregations) (*Result, error) {
 	return c.rt.RunSpec(ctx, spec, env)
 }

@@ -233,7 +233,7 @@ func (f *Fractoid) Job() (sched.Job, error) {
 // cleanly, and returns the partial Result (last step marked Cancelled)
 // alongside an error wrapping context.Canceled or context.DeadlineExceeded,
 // so callers can observe how far execution got. The Context remains usable
-// for further jobs.
+// for further jobs. A job queues behind a running one (see Context).
 func (f *Fractoid) RunCtx(ctx context.Context) (*Result, error) {
 	job, err := f.Job()
 	if err != nil {

@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -171,53 +172,19 @@ func (e *DialError) Error() string {
 
 func (e *DialError) Unwrap() error { return e.Err }
 
-// TCPOptions tunes the failure behaviour of the TCP transport.
-type TCPOptions struct {
-	// DialAttempts is the maximum number of connection attempts per dial
-	// (default 4).
-	DialAttempts int
-	// DialBackoff is the delay before the second attempt; it doubles per
-	// attempt up to DialMaxBackoff, with up to 50% random jitter added to
-	// decorrelate concurrent redials (defaults 10ms, 500ms).
-	DialBackoff    time.Duration
-	DialMaxBackoff time.Duration
-	// DialTimeout bounds each individual connection attempt (default 2s).
-	DialTimeout time.Duration
-	// SendTimeout is the per-message write deadline (default 10s). A peer
-	// that does not drain its socket within it is treated as unreachable.
-	SendTimeout time.Duration
+// tcpOptions tunes the failure behaviour of the TCP transport. A dial makes
+// up to dialAttempts attempts of at most dialTimeout each; the wait before
+// the second is dialBackoff, doubling per attempt up to dialMaxBackoff, plus
+// up to 50% random jitter to decorrelate concurrent redials. A peer that
+// does not drain its socket within sendTimeout of a write is unreachable.
+type tcpOptions struct {
+	dialAttempts                                          int
+	dialBackoff, dialMaxBackoff, dialTimeout, sendTimeout time.Duration
 }
 
-// DefaultTCPOptions returns the default failure tuning.
-func DefaultTCPOptions() TCPOptions {
-	return TCPOptions{
-		DialAttempts:   4,
-		DialBackoff:    10 * time.Millisecond,
-		DialMaxBackoff: 500 * time.Millisecond,
-		DialTimeout:    2 * time.Second,
-		SendTimeout:    10 * time.Second,
-	}
-}
-
-func (o TCPOptions) withDefaults() TCPOptions {
-	d := DefaultTCPOptions()
-	if o.DialAttempts <= 0 {
-		o.DialAttempts = d.DialAttempts
-	}
-	if o.DialBackoff <= 0 {
-		o.DialBackoff = d.DialBackoff
-	}
-	if o.DialMaxBackoff <= 0 {
-		o.DialMaxBackoff = d.DialMaxBackoff
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = d.DialTimeout
-	}
-	if o.SendTimeout <= 0 {
-		o.SendTimeout = d.SendTimeout
-	}
-	return o
-}
+// defaultTCPOptions is the tuning of every node NewTCPNode makes; the
+// transport's own tests shorten it through newTCPNode.
+var defaultTCPOptions = tcpOptions{4, 10 * time.Millisecond, 500 * time.Millisecond, 2 * time.Second, 10 * time.Second}
 
 // listener is the transport's view of a TCP listener: sock_linux.go opens
 // it through syscall, sock_other.go through net.
@@ -240,8 +207,8 @@ type conn interface {
 // so a cancelled run never blocks out a full retry schedule against a dead
 // peer before noticing. An address the transport refuses (*AddrError) is not
 // retried. A dial that fails is a *DialError without its Node.
-func dialWithBackoff(addr string, o TCPOptions, done <-chan struct{}) (conn, error) {
-	backoff := o.DialBackoff
+func dialWithBackoff(addr string, o tcpOptions, done <-chan struct{}) (conn, error) {
+	backoff := o.dialBackoff
 	var lastErr error
 	timer := time.NewTimer(0)
 	if !timer.Stop() {
@@ -249,7 +216,7 @@ func dialWithBackoff(addr string, o TCPOptions, done <-chan struct{}) (conn, err
 	}
 	defer timer.Stop()
 	attempt := 0
-	for attempt < o.DialAttempts {
+	for attempt < o.dialAttempts {
 		if attempt > 0 {
 			jitter := time.Duration(rand.Int63n(int64(backoff)/2 + 1))
 			timer.Reset(backoff + jitter)
@@ -259,8 +226,8 @@ func dialWithBackoff(addr string, o TCPOptions, done <-chan struct{}) (conn, err
 				return nil, ErrClosed
 			}
 			backoff *= 2
-			if backoff > o.DialMaxBackoff {
-				backoff = o.DialMaxBackoff
+			if backoff > o.dialMaxBackoff {
+				backoff = o.dialMaxBackoff
 			}
 		}
 		select {
@@ -268,7 +235,7 @@ func dialWithBackoff(addr string, o TCPOptions, done <-chan struct{}) (conn, err
 			return nil, ErrClosed
 		default:
 		}
-		c, err := dial(addr, o.DialTimeout)
+		c, err := dial(addr, o.dialTimeout)
 		if err == nil {
 			return c, nil
 		}
@@ -361,7 +328,7 @@ func (n *loopNode) Close() error {
 type TCPNode struct {
 	self  atomic.Int64
 	ln    listener
-	opts  TCPOptions
+	opts  tcpOptions
 	box   *Mailbox // BlockWhenFull: a full box stops the read loops
 	done  chan struct{}
 	ctrs  counters
@@ -403,14 +370,18 @@ func (tc *tcpConn) send(env Envelope, timeout time.Duration) error {
 // here and in AddPeer, are IP literals ("[::1]:7001" for IPv6), localhost
 // or empty (listen: every interface; dial: this machine); a name is an
 // *AddrError, and nothing is looked up.
-func NewTCPNode(self NodeID, listenAddr string, opts TCPOptions) (*TCPNode, error) {
+func NewTCPNode(self NodeID, listenAddr string) (*TCPNode, error) {
+	return newTCPNode(self, listenAddr, defaultTCPOptions)
+}
+
+func newTCPNode(self NodeID, listenAddr string, opts tcpOptions) (*TCPNode, error) {
 	ln, err := listen(listenAddr)
 	if err != nil {
 		return nil, fmt.Errorf("rpc: listen %s: %w", listenAddr, err)
 	}
 	n := &TCPNode{
 		ln:      ln,
-		opts:    opts.withDefaults(),
+		opts:    opts,
 		box:     NewMailbox(BlockWhenFull),
 		done:    make(chan struct{}),
 		book:    map[NodeID]string{},
@@ -423,9 +394,31 @@ func NewTCPNode(self NodeID, listenAddr string, opts TCPOptions) (*TCPNode, erro
 	return n, nil
 }
 
-// Addr returns the listener's bound address, suitable for other nodes'
-// AddPeer.
+// Addr returns the listener's bound address. Unless its host is a wildcard
+// ("[::]" or "0.0.0.0"), it is what other nodes' AddPeer takes; see
+// AdvertiseAddr.
 func (n *TCPNode) Addr() string { return n.ln.Addr() }
+
+// AdvertiseAddr returns the address other nodes dial to reach this one: Addr,
+// or, when the listener is bound to a wildcard host, the local IP of this
+// node's connection to peer via (dialed now if there is none) with the
+// listener's port. That IP is the interface traffic to via leaves by, so a
+// node that reaches via over loopback advertises loopback.
+func (n *TCPNode) AdvertiseAddr(via NodeID) (string, error) {
+	ip, port, err := resolve(n.Addr())
+	if err != nil || (ip.IsValid() && !ip.IsUnspecified()) {
+		return n.Addr(), err
+	}
+	tc, _, err := n.conn(via)
+	if err != nil {
+		return "", err
+	}
+	local, err := localAddr(tc.c)
+	if err != nil {
+		return "", err
+	}
+	return netip.AddrPortFrom(local.Addr().Unmap(), port).String(), nil
+}
 
 // AddPeer installs (or updates) the address of a peer. An existing cached
 // connection to the peer is dropped when the address changed, so subsequent
@@ -452,12 +445,12 @@ func (n *TCPNode) AddPeer(id NodeID, addr string) {
 func (n *TCPNode) SetSelf(id NodeID) { n.self.Store(int64(id)) }
 
 // NewTCPNetwork binds one 127.0.0.1 listener per node ID, shares the address
-// book, and returns the transports with the default failure tuning.
+// book, and returns the transports.
 // Connections are established lazily.
 func NewTCPNetwork(ids []NodeID) (map[NodeID]Transport, error) {
 	nodes := map[NodeID]*TCPNode{}
 	for _, id := range ids {
-		n, err := NewTCPNode(id, "127.0.0.1:0", DefaultTCPOptions())
+		n, err := NewTCPNode(id, "127.0.0.1:0")
 		if err != nil {
 			for _, m := range nodes {
 				m.Close()
@@ -523,16 +516,22 @@ func (n *TCPNode) readLoop(c conn) {
 	}
 }
 
-// conn returns the cached connection to a peer, dialing (with retry and
-// backoff) when none exists. The dial happens outside the node lock so a
-// dead peer's backoff never stalls sends to healthy peers. fresh reports
-// whether the returned connection was newly established by this call.
-func (n *TCPNode) conn(to NodeID, addr string) (tc *tcpConn, fresh bool, err error) {
+// conn returns the cached connection to a peer, dialing its address-book
+// address (with retry and backoff) when none exists. The dial happens outside
+// the node lock so a dead peer's backoff never stalls sends to healthy peers.
+// fresh reports whether the returned connection was newly established here.
+func (n *TCPNode) conn(to NodeID) (tc *tcpConn, fresh bool, err error) {
 	n.mu.Lock()
 	tc, ok := n.conns[to]
 	n.mu.Unlock()
 	if ok {
 		return tc, false, nil
+	}
+	n.bookMu.RLock()
+	addr, ok := n.book[to]
+	n.bookMu.RUnlock()
+	if !ok {
+		return nil, false, fmt.Errorf("%w: %d", ErrUnknownPeer, to)
 	}
 	c, err := dialWithBackoff(addr, n.opts, n.done)
 	if err != nil {
@@ -578,12 +577,6 @@ func (n *TCPNode) Send(to NodeID, env Envelope) error {
 		return ErrClosed
 	default:
 	}
-	n.bookMu.RLock()
-	addr, ok := n.book[to]
-	n.bookMu.RUnlock()
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownPeer, to)
-	}
 	env.From = n.Self()
 	// A write failure on a cached connection usually means the peer reset it
 	// (or it idled out); drop it and retry once on a fresh dial. The frame
@@ -601,7 +594,7 @@ func (n *TCPNode) Send(to NodeID, env Envelope) error {
 	var lastErr error
 	lastFresh := false
 	for attempt := 0; attempt < 2; attempt++ {
-		tc, fresh, err := n.conn(to, addr)
+		tc, fresh, err := n.conn(to)
 		if err != nil {
 			if lastErr != nil && !errors.Is(err, ErrClosed) {
 				// A cached-connection write failed and then the redial
@@ -610,7 +603,7 @@ func (n *TCPNode) Send(to NodeID, env Envelope) error {
 			}
 			return err
 		}
-		if err := tc.send(env, n.opts.SendTimeout); err != nil {
+		if err := tc.send(env, n.opts.sendTimeout); err != nil {
 			n.dropConn(to, tc)
 			lastErr = err
 			lastFresh = fresh

@@ -239,7 +239,8 @@ func TestDialRetrySucceedsOnceListenerAppears(t *testing.T) {
 		close(accepted)
 	}()
 
-	opts := TCPOptions{DialAttempts: 10, DialBackoff: 10 * time.Millisecond, DialMaxBackoff: 50 * time.Millisecond}.withDefaults()
+	opts := defaultTCPOptions
+	opts.dialAttempts, opts.dialBackoff, opts.dialMaxBackoff = 10, 10*time.Millisecond, 50*time.Millisecond
 	start := time.Now()
 	c, err := dialWithBackoff(addr, opts, nil)
 	if err != nil {
@@ -262,7 +263,8 @@ func TestDialRetryGivesUp(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 
-	opts := TCPOptions{DialAttempts: 3, DialBackoff: 20 * time.Millisecond}.withDefaults()
+	opts := defaultTCPOptions
+	opts.dialAttempts, opts.dialBackoff = 3, 20*time.Millisecond
 	start := time.Now()
 	_, err = dialWithBackoff(addr, opts, nil)
 	if err == nil {
@@ -337,7 +339,8 @@ func TestDialBackoffAbortsOnDone(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close() // connections refused from here on
 
-	opts := TCPOptions{DialAttempts: 50, DialBackoff: 200 * time.Millisecond, DialMaxBackoff: 5 * time.Second}.withDefaults()
+	opts := defaultTCPOptions
+	opts.dialAttempts, opts.dialBackoff, opts.dialMaxBackoff = 50, 200*time.Millisecond, 5*time.Second
 	done := make(chan struct{})
 	go func() {
 		time.Sleep(20 * time.Millisecond)
@@ -366,7 +369,9 @@ func TestSendToDeadPeerReturnsDialError(t *testing.T) {
 	deadAddr := ln.Addr().String()
 	ln.Close()
 
-	n, err := NewTCPNode(0, "127.0.0.1:0", TCPOptions{DialAttempts: 2, DialBackoff: time.Millisecond})
+	opts := defaultTCPOptions
+	opts.dialAttempts, opts.dialBackoff = 2, time.Millisecond
+	n, err := newTCPNode(0, "127.0.0.1:0", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,12 +395,12 @@ func TestSendToDeadPeerReturnsDialError(t *testing.T) {
 // address, the master learns the sender's address from the body, adds the
 // peer, replies, and the worker adopts its assigned ID.
 func TestDynamicNodeRegistrationFlow(t *testing.T) {
-	master, err := NewTCPNode(Master, "127.0.0.1:0", TCPOptions{})
+	master, err := NewTCPNode(Master, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer master.Close()
-	wk, err := NewTCPNode(Unregistered, "127.0.0.1:0", TCPOptions{})
+	wk, err := NewTCPNode(Unregistered, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,12 +438,12 @@ func TestDynamicNodeRegistrationFlow(t *testing.T) {
 // verifies the next send reaches the new listener, not the cached old
 // connection.
 func TestAddPeerRebindDropsStaleConn(t *testing.T) {
-	a, err := NewTCPNode(0, "127.0.0.1:0", TCPOptions{})
+	a, err := NewTCPNode(0, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	b1, err := NewTCPNode(1, "127.0.0.1:0", TCPOptions{})
+	b1, err := NewTCPNode(1, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +454,7 @@ func TestAddPeerRebindDropsStaleConn(t *testing.T) {
 	recvOne(t, b1)
 	b1.Close()
 
-	b2, err := NewTCPNode(1, "127.0.0.1:0", TCPOptions{})
+	b2, err := NewTCPNode(1, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@
 package rpc
 
 import (
+	"fmt"
 	"net/netip"
 	"os"
 	"sync/atomic"
@@ -149,6 +150,27 @@ func dial(addr string, timeout time.Duration) (conn, error) {
 		return nil, err
 	}
 	return f, nil
+}
+
+// localAddr is the address c's socket is bound to (getsockname).
+func localAddr(c conn) (netip.AddrPort, error) {
+	f, ok := c.(*os.File)
+	if !ok {
+		return netip.AddrPort{}, fmt.Errorf("rpc: a %T has no socket address", c)
+	}
+	rc, err := f.SyscallConn()
+	if err != nil {
+		return netip.AddrPort{}, err
+	}
+	var sa syscall.Sockaddr
+	var serr error
+	if err := rc.Control(func(fd uintptr) { sa, serr = syscall.Getsockname(int(fd)) }); err != nil {
+		return netip.AddrPort{}, err
+	}
+	if serr != nil {
+		return netip.AddrPort{}, os.NewSyscallError("getsockname", serr)
+	}
+	return addrPort(sa), nil
 }
 
 // connect connects f's socket to sa. The wait decides "connected" inside the

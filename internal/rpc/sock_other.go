@@ -7,6 +7,7 @@
 package rpc
 
 import (
+	"fmt"
 	"net"
 	"net/netip"
 	"strconv"
@@ -49,6 +50,16 @@ func dial(addr string, timeout time.Duration) (conn, error) {
 		return nil, err
 	}
 	return c, nil
+}
+
+// localAddr is the address c's socket is bound to.
+func localAddr(c conn) (netip.AddrPort, error) {
+	if nc, ok := c.(net.Conn); ok {
+		if a, ok := nc.LocalAddr().(*net.TCPAddr); ok {
+			return a.AddrPort(), nil
+		}
+	}
+	return netip.AddrPort{}, fmt.Errorf("rpc: a %T has no TCP address", c)
 }
 
 // literal returns addr with its host resolved, in a form net parses without

@@ -127,6 +127,51 @@ func TestListenAddrIsDialable(t *testing.T) {
 	}
 }
 
+// TestAdvertiseAddr: a node listening on a bound host advertises its Addr; a
+// wildcard listener advertises the IP its connection to the named peer
+// leaves from — 127.0.0.1 for a peer on loopback — with its own port, and a
+// third node reaches it there.
+func TestAdvertiseAddr(t *testing.T) {
+	peer, err := NewTCPNode(0, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	for _, listenAddr := range []string{"127.0.0.1:0", ":0", "0.0.0.0:0"} {
+		t.Run(listenAddr, func(t *testing.T) {
+			n, err := NewTCPNode(1, listenAddr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer n.Close()
+			if _, err := n.AdvertiseAddr(0); listenAddr != "127.0.0.1:0" && !errors.Is(err, ErrUnknownPeer) {
+				t.Fatalf("AdvertiseAddr via an unknown peer: %v, want ErrUnknownPeer", err)
+			}
+			n.AddPeer(0, peer.Addr())
+			addr, err := n.AdvertiseAddr(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, port, _ := resolve(n.Addr())
+			if want := netip.AddrPortFrom(netip.AddrFrom4([4]byte{127, 0, 0, 1}), port).String(); addr != want {
+				t.Fatalf("AdvertiseAddr = %q (listening on %q), want %q", addr, n.Addr(), want)
+			}
+			third, err := NewTCPNode(2, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer third.Close()
+			third.AddPeer(1, addr)
+			if err := third.Send(1, Envelope{Kind: 5}); err != nil {
+				t.Fatal(err)
+			}
+			if env := recvOne(t, n); env.From != 2 || env.Kind != 5 {
+				t.Fatalf("received %+v, want kind 5 from node 2", env)
+			}
+		})
+	}
+}
+
 // TestListenerCloseUnblocksAccept: Close wakes an Accept blocked on an idle
 // listener, with an error (os.ErrClosed on Linux).
 func TestListenerCloseUnblocksAccept(t *testing.T) {
@@ -192,10 +237,12 @@ func TestResolve(t *testing.T) {
 func TestNamesAreRefused(t *testing.T) {
 	const name = "example.invalid:1"
 	var ae *AddrError
-	if _, err := NewTCPNode(0, name, TCPOptions{}); !errors.As(err, &ae) {
+	if _, err := NewTCPNode(0, name); !errors.As(err, &ae) {
 		t.Fatalf("listen on %s: %v, want *AddrError", name, err)
 	}
-	n, err := NewTCPNode(0, "127.0.0.1:0", TCPOptions{DialAttempts: 4, DialBackoff: time.Second})
+	opts := defaultTCPOptions
+	opts.dialBackoff = time.Second
+	n, err := newTCPNode(0, "127.0.0.1:0", opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func InstallSpec(body []byte, app string, g *graph.Graph) (decodeErr, err error)
 		return err, nil
 	}
 	m.App, m.Graph = app, g.Name()
-	h := &remoteHost{jobs: map[int]*remoteJob{}}
+	h := &remoteHost{}
 	h.graphs.m = map[string]*graph.Graph{g.Name(): g}
 	return nil, h.install(m)
 }

@@ -3,12 +3,16 @@ package sched
 import (
 	"context"
 	"fmt"
+	"net/netip"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"fractal/internal/graph"
 	"fractal/internal/rpc"
+	"fractal/internal/subgraph"
 )
 
 // The distributed deployment inside one test process: a -listen master and
@@ -126,4 +130,129 @@ func joinedRuntime(t testing.TB, cfg Config) (*Runtime, []*worker) {
 		t.Fatal(err)
 	}
 	return rt, workers
+}
+
+// TestWildcardWorkerRegistersReachableAddr: a ServeWorker listening on ":0"
+// registers with a 127.0.0.1 master at the IP it reaches the master from,
+// not at its wildcard listener address, and a second worker that registers
+// after it reaches it there: a steal request sent to the address in the
+// second worker's welcome is answered.
+func TestWildcardWorkerRegistersReachableAddr(t *testing.T) {
+	rt, err := New(Config{ListenAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	ctx, cancel := context.WithCancel(context.Background())
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		ServeWorker(ctx, rt.ListenAddr(), ServeWorkerOptions{ListenAddr: ":0"})
+	}()
+	t.Cleanup(func() {
+		cancel()
+		<-served
+	})
+	if err := rt.AwaitWorkers(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	// The second worker registers by hand, as joinMaster does, and reads
+	// the first one's address from its welcome.
+	peer, err := rpc.NewTCPNode(rpc.Unregistered, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	peer.AddPeer(rpc.Master, rt.ListenAddr())
+	if err := peer.Send(rpc.Master, rpc.Envelope{Kind: kRegister, Body: encode(registerMsg{Addr: peer.Addr()})}); err != nil {
+		t.Fatal(err)
+	}
+	recv := func(kind uint8) (rpc.Envelope, bool) {
+		timeout := time.After(100 * time.Millisecond)
+		for {
+			select {
+			case env := <-peer.Recv():
+				if env.Kind == kind {
+					return env, true
+				}
+			case <-timeout:
+				return rpc.Envelope{}, false
+			}
+		}
+	}
+	var wel welcomeMsg
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		if env, ok := recv(kWelcome); ok {
+			if err := decode(env.Body, &wel); err != nil {
+				t.Fatal(err)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no welcome within 10s")
+		}
+	}
+	if len(wel.Peers) != 1 {
+		t.Fatalf("welcome lists peers %+v, want the first worker", wel.Peers)
+	}
+	first := wel.Peers[0]
+	ap, err := netip.ParseAddrPort(first.Addr)
+	if err != nil || ap.Addr() != netip.AddrFrom4([4]byte{127, 0, 0, 1}) {
+		t.Fatalf("the worker listening on :0 registered %q (%v), want 127.0.0.1 and its port", first.Addr, err)
+	}
+	peer.SetSelf(rpc.NodeID(wel.Worker))
+	peer.AddPeer(rpc.NodeID(first.Worker), first.Addr)
+
+	// The first worker answers a steal request of no running attempt with
+	// an empty grant, once the master's peer-join has told it where this
+	// worker is: ask until it has.
+	req := encode(stealReqMsg{Worker: wel.Worker})
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		if err := peer.Send(rpc.NodeID(first.Worker), rpc.Envelope{Kind: kStealReq, Body: req}); err != nil {
+			t.Fatalf("sending to %s: %v", first.Addr, err)
+		}
+		if _, ok := recv(kStealResp); ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no steal response from the worker at %s within 10s", first.Addr)
+		}
+	}
+}
+
+// TestWorkerHoldsOneJob: a worker process holds the job of the newest spec
+// it received. A spec for an older job — the welcome's push and the next
+// job's distribution can reach a newcomer in either order — is ignored and
+// not acked, and a step start for any job but the current one finds no run.
+func TestWorkerHoldsOneJob(t *testing.T) {
+	var visits atomic.Int64
+	spec := testSpec(t, randomGraph(20, 0.2, 1, 7), func(g *graph.Graph) Job {
+		return countJob(g, subgraph.VertexInduced, nil, 2, &visits)
+	})
+	nw := rpc.NewLoopbackNetwork([]rpc.NodeID{rpc.Master, 0})
+	defer nw[rpc.Master].Close()
+	defer nw[0].Close()
+	h := &remoteHost{cfg: Config{CoresPerWorker: 1}.withDefaults()}
+	w := newWorker(0, h.cfg, h, nw[0])
+	for _, job := range []int{2, 1} {
+		h.handleControl(w, rpc.Envelope{Kind: kJobSpec, Body: encode(specToMsg(job, spec, nil))})
+	}
+	if h.job == nil || h.job.id != 2 {
+		t.Fatalf("current job %+v, want job 2", h.job)
+	}
+	var ack jobSpecAckMsg
+	if err := decode((<-nw[rpc.Master].Recv()).Body, &ack); err != nil || ack.Job != 2 || ack.Err != "" {
+		t.Fatalf("ack %+v (%v), want job 2 acked ok", ack, err)
+	}
+	select {
+	case env := <-nw[rpc.Master].Recv():
+		t.Fatalf("the stale spec was acked: %+v", env)
+	default:
+	}
+	for job, want := range map[int]bool{1: false, 2: true, 3: false} {
+		if got := h.runFor(stepStartMsg{attemptKey: attemptKey{Job: job}, Workers: []int{0}}) != nil; got != want {
+			t.Errorf("step start of job %d finds a run: %v, want %v", job, got, want)
+		}
+	}
 }

@@ -9,8 +9,8 @@ import (
 	"fractal/internal/wire"
 )
 
-// Message kinds carried in rpc.Envelope.Kind. Sixteen of them carry a body,
-// of 14 Go types: kStepEnd, kCancel and kStatusPing carry an attemptKey and
+// Message kinds carried in rpc.Envelope.Kind. Fifteen of them carry a body,
+// of 13 Go types: kStepEnd, kCancel and kStatusPing carry an attemptKey and
 // nothing else; kShutdown carries none.
 const (
 	kStepStart uint8 = iota + 1
@@ -29,29 +29,17 @@ const (
 	kPeerJoin
 	kJobSpec
 	kJobSpecAck
-	kJobEnd
 )
 
-// Exported kind aliases, so fault-injection schedules (rpc.FaultRule.Kind)
-// can target specific protocol messages — "sever worker 1 when it ships its
-// first aggregation partial" — without this package leaking its message
-// structs.
+// Exported aliases of the kinds fault-injection schedules (rpc.FaultRule.Kind)
+// target — "sever worker 1 when it ships its first aggregation partial" —
+// without this package leaking its message structs.
 const (
 	KindStepStart    = kStepStart
-	KindStepEnd      = kStepEnd
 	KindAggData      = kAggData
-	KindAggDone      = kAggDone
 	KindStatusPing   = kStatusPing
 	KindStatusReport = kStatusReport
-	KindStealReq     = kStealReq
 	KindStealResp    = kStealResp
-	KindCancel       = kCancel
-	KindCancelAck    = kCancelAck
-	KindRegister     = kRegister
-	KindWelcome      = kWelcome
-	KindJobSpec      = kJobSpec
-	KindJobSpecAck   = kJobSpecAck
-	KindJobEnd       = kJobEnd
 )
 
 // attemptKey names one execution attempt of one step of one job. Every
@@ -233,12 +221,6 @@ type jobSpecAckMsg struct {
 	Job    int
 	Worker int
 	Err    string
-}
-
-// jobEndMsg tells workers a job is complete and its cached state can be
-// dropped.
-type jobEndMsg struct {
-	Job int
 }
 
 // ---------------------------------------------------------------------------
@@ -509,6 +491,3 @@ func (m *jobSpecAckMsg) get(r *wire.Reader) {
 	m.Worker = r.Int()
 	m.Err = r.Str()
 }
-
-func (m jobEndMsg) put(w *wire.Writer)  { w.Int(m.Job) }
-func (m *jobEndMsg) get(r *wire.Reader) { m.Job = r.Int() }

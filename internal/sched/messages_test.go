@@ -53,14 +53,12 @@ func newMessage(kind uint8) wireMessage {
 		return &jobSpecMsg{}
 	case kJobSpecAck:
 		return &jobSpecAckMsg{}
-	case kJobEnd:
-		return &jobEndMsg{}
 	}
 	return nil
 }
 
-// messageCases holds at least one message of each of the 16 kinds that carry
-// a body (14 Go types: the step end, cancel and status ping are each an
+// messageCases holds at least one message of each of the 15 kinds that carry
+// a body (13 Go types: the step end, cancel and status ping are each an
 // attemptKey) with its body in hex. The bodies were generated at the commit
 // before the codec moved onto the shared reader/writer, and the wire form
 // did not change.
@@ -120,7 +118,6 @@ var messageCases = []struct {
 		"0407636c6971756573092f746d702f672e656c02016b013406656e67696e6504706c616e0108737570706f727431"},
 	{"jobSpecBare", kJobSpec, &jobSpecMsg{Job: 0, App: "motifs", Graph: "g"}, "00066d6f7469667301670000"},
 	{"jobSpecAck", kJobSpecAck, &jobSpecAckMsg{Job: 2, Worker: 1, Err: "load failed"}, "04020b6c6f6164206661696c6564"},
-	{"jobEnd", kJobEnd, &jobEndMsg{Job: 5}, "0a"},
 }
 
 // TestMessageCodecRoundTrip encodes every control-message shape, compares
@@ -186,7 +183,7 @@ func TestEveryKindHasAGoldenBody(t *testing.T) {
 			t.Errorf("%s: the golden body opens with %+v (%v), want the key %+v", tc.name, got, r.Err(), key)
 		}
 	}
-	for kind := kStepStart; kind <= kJobEnd; kind++ {
+	for kind := kStepStart; kind <= kJobSpecAck; kind++ {
 		if kind != kShutdown && !covered[kind] {
 			t.Errorf("kind %d has no golden body in messageCases", kind)
 		}
@@ -284,6 +281,10 @@ func FuzzDecodeMessage(f *testing.F) {
 		reads = append(reads, envEntry{Name: fmt.Sprint("read", i), Data: data})
 	}
 	f.Add(append([]byte{kStepStart}, encode(stepStartMsg{attemptKey: attemptKey{Job: 1}, Workers: []int{0}, Env: reads})...))
+	// An environment whose store is cut short: the message decodes, the
+	// store does not.
+	cut := envEntry{Name: "cut", Data: reads[1].Data[:len(reads[1].Data)/2]}
+	f.Add(append([]byte{kStepStart}, encode(stepStartMsg{attemptKey: attemptKey{Job: 1}, Workers: []int{0}, Env: []envEntry{cut}})...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

@@ -1,7 +1,7 @@
 // The master-side worker registry: registration handshakes, peer discovery,
 // and job-spec distribution for distributed (master-mode) deployments. The
 // registry is what makes the worker set elastic — participants of each step
-// attempt are drawn from its per-job ready lists, re-queried on every
+// attempt are drawn from the running job's ready list, re-queried on every
 // attempt, so a fractal-worker process that registers mid-job is folded in
 // at the next attempt boundary (and one that dies is excluded by the retry
 // loop's worker-loss machinery, exactly as in-process).
@@ -27,7 +27,7 @@ const registerReplyTimeout = 30 * time.Second
 // WorkerTimeout to every job. Stragglers join at the next attempt anyway.
 const specAckGrace = 50 * time.Millisecond
 
-// activeSpec tracks the distribution of one job's spec.
+// activeSpec tracks the distribution of the running job's spec.
 type activeSpec struct {
 	msg    jobSpecMsg
 	ready  map[int]bool   // acked ok: eligible participants
@@ -36,7 +36,7 @@ type activeSpec struct {
 
 // registry serves registrations and feeds participant lists; it lives on the
 // master runtime and is driven by the router goroutine (handleRegister,
-// handleAck) and the run loop (readyWorkers, distribute, endJob).
+// handleAck) and the run loop (readyWorkers, distribute, done).
 type registry struct {
 	rt   *Runtime
 	node *rpc.TCPNode // the unwrapped master node, for its address book
@@ -44,14 +44,14 @@ type registry struct {
 	mu      sync.Mutex
 	nextID  int
 	workers map[int]string // registered worker ID -> listener address
-	jobs    map[int]*activeSpec
+	job     *activeSpec    // the running job's spec, nil between jobs
 	// changed is closed, and replaced, whenever a registration or a spec ack
 	// arrives: the waits in distribute and awaitWorkers block on it.
 	changed chan struct{}
 }
 
 func newRegistry(rt *Runtime, node *rpc.TCPNode) *registry {
-	return &registry{rt: rt, node: node, workers: map[int]string{}, jobs: map[int]*activeSpec{}, changed: make(chan struct{})}
+	return &registry{rt: rt, node: node, workers: map[int]string{}, changed: make(chan struct{})}
 }
 
 // signal wakes every wait on the registry's state. g.mu must be held.
@@ -62,8 +62,8 @@ func (g *registry) signal() {
 
 // handleRegister serves one registration: assign the next worker ID, admit
 // the address, reply with the execution configuration and address book,
-// announce the newcomer to its peers, and hand it every active job spec so
-// it can join jobs already in flight.
+// announce the newcomer to its peers, and hand it the running job's spec so
+// it can join that job at its next step attempt.
 func (g *registry) handleRegister(env rpc.Envelope) {
 	var m registerMsg
 	if decode(env.Body, &m) != nil || m.Addr == "" {
@@ -81,36 +81,27 @@ func (g *registry) handleRegister(env rpc.Envelope) {
 		WS:             uint8(cfg.WS),
 		WorkerTimeout:  int64(cfg.WorkerTimeout),
 	}
-	join := peerJoinMsg{Worker: id, Addr: m.Addr}
-	var peerIDs []int
-	for wid, addr := range g.workers {
-		if wid != id {
-			wel.Peers = append(wel.Peers, peerAddr{Worker: wid, Addr: addr})
-			peerIDs = append(peerIDs, wid)
-		}
+	peerIDs := sortedIDs(g.workers, map[int]bool{id: true})
+	for _, wid := range peerIDs {
+		wel.Peers = append(wel.Peers, peerAddr{Worker: wid, Addr: g.workers[wid]})
 	}
-	sort.Slice(wel.Peers, func(i, j int) bool { return wel.Peers[i].Worker < wel.Peers[j].Worker })
-	specs := make([]jobSpecMsg, 0, len(g.jobs))
-	for _, sp := range g.jobs {
-		specs = append(specs, sp.msg)
-	}
-	sort.Slice(specs, func(i, j int) bool { return specs[i].Job < specs[j].Job })
+	sp := g.job
 	g.mu.Unlock()
 
 	g.node.AddPeer(rpc.NodeID(id), m.Addr)
-	// The welcome must precede the specs (same ordered connection): the
+	// The welcome must precede the spec (same ordered connection): the
 	// worker adopts its ID from it before acking anything.
 	g.rt.master.Send(rpc.NodeID(id), rpc.Envelope{Kind: kWelcome, Body: encode(wel)})
-	for _, sp := range specs {
-		g.rt.master.Send(rpc.NodeID(id), rpc.Envelope{Kind: kJobSpec, Body: encode(sp)})
+	if sp != nil {
+		g.rt.master.Send(rpc.NodeID(id), rpc.Envelope{Kind: kJobSpec, Body: encode(sp.msg)})
 	}
-	joinBody := encode(join)
+	joinBody := encode(peerJoinMsg{Worker: id, Addr: m.Addr})
 	for _, wid := range peerIDs {
 		g.rt.master.Send(rpc.NodeID(wid), rpc.Envelope{Kind: kPeerJoin, Body: joinBody})
 	}
 }
 
-// handleAck records a worker's verdict on a distributed job spec.
+// handleAck records a worker's verdict on the running job's spec.
 func (g *registry) handleAck(env rpc.Envelope) {
 	var m jobSpecAckMsg
 	if decode(env.Body, &m) != nil {
@@ -118,8 +109,8 @@ func (g *registry) handleAck(env rpc.Envelope) {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	sp, ok := g.jobs[m.Job]
-	if !ok {
+	sp := g.job
+	if sp == nil || sp.msg.Job != m.Job {
 		return
 	}
 	if m.Err != "" {
@@ -140,13 +131,9 @@ func (g *registry) handleAck(env rpc.Envelope) {
 func (g *registry) distribute(ctx context.Context, msg jobSpecMsg) error {
 	g.mu.Lock()
 	sp := &activeSpec{msg: msg, ready: map[int]bool{}, failed: map[int]string{}}
-	g.jobs[msg.Job] = sp
-	targets := make([]int, 0, len(g.workers))
-	for wid := range g.workers {
-		targets = append(targets, wid)
-	}
+	g.job = sp
+	targets := sortedIDs(g.workers, nil)
 	g.mu.Unlock()
-	sort.Ints(targets)
 	body := encode(msg)
 	for _, wid := range targets {
 		// Best effort: an unreachable worker is discovered (and excluded)
@@ -204,47 +191,38 @@ func (g *registry) distribute(ctx context.Context, msg jobSpecMsg) error {
 	}
 }
 
-// endJob retires a completed job: workers drop their cached state.
-func (g *registry) endJob(jobID int) {
+// done forgets the finished job's spec, so no newcomer is handed it.
+func (g *registry) done() {
 	g.mu.Lock()
-	delete(g.jobs, jobID)
-	targets := make([]int, 0, len(g.workers))
-	for wid := range g.workers {
-		targets = append(targets, wid)
-	}
+	g.job = nil
 	g.mu.Unlock()
-	body := encode(jobEndMsg{Job: jobID})
-	for _, wid := range targets {
-		g.rt.master.Send(rpc.NodeID(wid), rpc.Envelope{Kind: kJobEnd, Body: body})
-	}
 }
 
-// readyWorkers returns the job's spec-ready workers minus the excluded set,
-// in rank (ascending ID) order.
-func (g *registry) readyWorkers(jobID int, excluded map[int]bool) []int {
+// readyWorkers returns the running job's spec-ready workers minus the
+// excluded set, in rank (ascending ID) order.
+func (g *registry) readyWorkers(excluded map[int]bool) []int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	sp, ok := g.jobs[jobID]
-	if !ok {
+	if g.job == nil {
 		return nil
 	}
-	out := make([]int, 0, len(sp.ready))
-	for wid := range sp.ready {
-		if !excluded[wid] {
-			out = append(out, wid)
-		}
-	}
-	sort.Ints(out)
-	return out
+	return sortedIDs(g.job.ready, excluded)
 }
 
 // workerIDs lists every registered worker, ascending.
 func (g *registry) workerIDs() []int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	out := make([]int, 0, len(g.workers))
-	for wid := range g.workers {
-		out = append(out, wid)
+	return sortedIDs(g.workers, nil)
+}
+
+// sortedIDs lists m's worker IDs minus the excluded ones, ascending.
+func sortedIDs[V any](m map[int]V, excluded map[int]bool) []int {
+	out := make([]int, 0, len(m))
+	for wid := range m {
+		if !excluded[wid] {
+			out = append(out, wid)
+		}
 	}
 	sort.Ints(out)
 	return out

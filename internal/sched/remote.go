@@ -1,10 +1,10 @@
 // The worker-process half of distributed deployments: ServeWorker connects
 // to a master, registers, and serves steps until shut down. Where in-process
 // workers resolve step starts against the Runtime's published run (shared
-// address space), a remote worker materializes jobs from specs received over
-// the wire — graph loaded from its path, workflow rebuilt by the registered
-// app — and synthesizes a fresh jobRun per step attempt, its environment
-// decoded from the aggregations the step start carries. Both paths feed the
+// address space), a remote worker materializes its one job from the spec
+// received over the wire — graph loaded from its path, workflow rebuilt by
+// the registered app — and synthesizes a fresh jobRun per step attempt, its
+// environment decoded from the aggregations the step start carries. Both paths feed the
 // identical worker/core machinery, which is what keeps distributed results
 // bit-identical.
 package sched
@@ -12,7 +12,6 @@ package sched
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"fractal/internal/agg"
@@ -34,22 +33,11 @@ func ServeWorker(ctx context.Context, masterAddr string, opts ServeWorkerOptions
 		return err
 	}
 	defer w.tr.Close()
-	stop := make(chan struct{})
-	var watcher sync.WaitGroup
-	watcher.Add(1)
-	go func() {
-		defer watcher.Done()
-		select {
-		case <-ctx.Done():
-			// Closing the transport ends the worker's receive loop; its
-			// current step (if any) is aborted and drained on the way out.
-			w.tr.Close()
-		case <-stop:
-		}
-	}()
+	// Closing the transport ends the worker's receive loop; its current step
+	// (if any) is aborted and drained on the way out.
+	stop := context.AfterFunc(ctx, func() { w.tr.Close() })
 	w.stop()
-	close(stop)
-	watcher.Wait()
+	stop()
 	return ctx.Err()
 }
 
@@ -64,7 +52,7 @@ func joinMaster(ctx context.Context, masterAddr string, opts ServeWorkerOptions)
 	if listen == "" {
 		listen = "127.0.0.1:0"
 	}
-	node, err := rpc.NewTCPNode(rpc.Unregistered, listen, rpc.DefaultTCPOptions())
+	node, err := rpc.NewTCPNode(rpc.Unregistered, listen)
 	if err != nil {
 		return nil, err
 	}
@@ -75,16 +63,19 @@ func joinMaster(ctx context.Context, masterAddr string, opts ServeWorkerOptions)
 		}
 	}()
 	node.AddPeer(rpc.Master, masterAddr)
-	reg := registerMsg{Addr: node.Addr()}
-	if err := tr.Send(rpc.Master, rpc.Envelope{Kind: kRegister, Body: encode(reg)}); err != nil {
+	addr, err := node.AdvertiseAddr(rpc.Master) // dialable by peers, unlike a wildcard
+	if err == nil {
+		err = tr.Send(rpc.Master, rpc.Envelope{Kind: kRegister, Body: encode(registerMsg{Addr: addr})})
+	}
+	if err != nil {
 		return nil, fmt.Errorf("sched: registering with master %s: %w", masterAddr, err)
 	}
 	var wel welcomeMsg
 	welTimer := time.NewTimer(registerReplyTimeout)
 	defer welTimer.Stop()
 	// Buffer everything that arrives before (or alongside) the welcome: the
-	// master pushes active job specs immediately after it, and they must not
-	// be lost to the handshake.
+	// master pushes the running job's spec right after it, and it must not be
+	// lost to the handshake.
 	var pending []rpc.Envelope
 wait:
 	for {
@@ -116,7 +107,7 @@ wait:
 		WS:             WorkStealing(wel.WS),
 		WorkerTimeout:  time.Duration(wel.WorkerTimeout),
 	}.withDefaults()
-	host := &remoteHost{cfg: cfg, node: node, jobs: map[int]*remoteJob{}}
+	host := &remoteHost{cfg: cfg, node: node}
 	w := newWorker(wel.Worker, cfg, host, tr)
 	for _, env := range pending {
 		w.runs.handleControl(w, env)
@@ -126,30 +117,30 @@ wait:
 }
 
 // remoteJob is a job materialized from a spec and split into steps: what
-// each step start's jobRun is built from, cached until the master retires it.
+// each step start's jobRun is built from.
 type remoteJob struct {
+	id    int
 	job   Job
 	steps []*step.Step
 }
 
-// remoteHost implements runProvider for a worker process.
+// remoteHost implements runProvider for a worker process. It is only used on
+// the worker's router goroutine (or before it starts), so it has no lock.
 type remoteHost struct {
 	cfg    Config
 	node   *rpc.TCPNode
 	graphs graphCache
 
-	mu   sync.Mutex
-	jobs map[int]*remoteJob
+	newest int        // the newest spec's job id
+	job    *remoteJob // that spec's job; nil when it failed to install
 }
 
 // runFor builds the attempt's jobRun with newJobRun, as the master does for
 // in-process workers, with an environment of the aggregations the step
-// start carries.
+// start carries. A step start of any job but the current one is ignored.
 func (h *remoteHost) runFor(m stepStartMsg) *jobRun {
-	h.mu.Lock()
-	rj := h.jobs[m.Job]
-	h.mu.Unlock()
-	if rj == nil || m.Step < 0 || m.Step >= len(rj.steps) || len(m.Workers) == 0 {
+	rj := h.job
+	if rj == nil || rj.id != m.Job || m.Step < 0 || m.Step >= len(rj.steps) || len(m.Workers) == 0 {
 		return nil
 	}
 	env, err := decodeReads(m.Env)
@@ -173,28 +164,25 @@ func decodeReads(entries []envEntry) (*agg.Registry, error) {
 }
 
 // handleControl serves the control traffic in-process workers never see:
-// job-spec installation, job retirement, and peer discovery.
+// job-spec installation and peer discovery.
 func (h *remoteHost) handleControl(w *worker, env rpc.Envelope) {
 	switch env.Kind {
 	case kJobSpec:
 		var m jobSpecMsg
-		if decode(env.Body, &m) != nil {
+		// The welcome's spec and the next job's can reach a newcomer in
+		// either order: an older one is stale.
+		if decode(env.Body, &m) != nil || m.Job < h.newest {
 			return
 		}
+		// One job at a time: the current job goes before the new one is
+		// built, so two FSM levels' graphs are never held at once.
+		h.newest, h.job = m.Job, nil
 		errStr := ""
 		if err := h.install(m); err != nil {
 			errStr = err.Error()
 		}
 		ack := jobSpecAckMsg{Job: m.Job, Worker: w.id, Err: errStr}
 		w.tr.Send(rpc.Master, rpc.Envelope{Kind: kJobSpecAck, Body: encode(ack)})
-	case kJobEnd:
-		var m jobEndMsg
-		if decode(env.Body, &m) != nil {
-			return
-		}
-		h.mu.Lock()
-		delete(h.jobs, m.Job)
-		h.mu.Unlock()
 	case kPeerJoin:
 		var m peerJoinMsg
 		if decode(env.Body, &m) != nil || m.Addr == "" {
@@ -204,10 +192,10 @@ func (h *remoteHost) handleControl(w *worker, env rpc.Envelope) {
 	}
 }
 
-// install materializes one job spec: load the graph, rebuild the workflow
-// through the registered app, and split it into steps against the names of
-// the master's environment — the same deterministic pipeline the master
-// runs, so both sides hold identical step lists.
+// install materializes one job spec as the current job: load the graph,
+// rebuild the workflow through the registered app, and split it into steps
+// against the names of the master's environment — the same deterministic
+// pipeline the master runs, so both sides hold identical step lists.
 func (h *remoteHost) install(m jobSpecMsg) error {
 	spec := msgToSpec(m)
 	builder, err := builderFor(spec.App)
@@ -233,8 +221,6 @@ func (h *remoteHost) install(m jobSpecMsg) error {
 	if err != nil {
 		return err
 	}
-	h.mu.Lock()
-	h.jobs[m.Job] = &remoteJob{job: job, steps: steps}
-	h.mu.Unlock()
+	h.job = &remoteJob{id: m.Job, job: job, steps: steps}
 	return nil
 }

@@ -126,6 +126,9 @@ type jobRun struct {
 // of jobs with Run (in-process deployments) or RunSpec (any deployment),
 // and release with Close.
 //
+// A runtime runs one job at a time (runJob queues the others), so a job's
+// callbacks (a Visit) must not submit a job to it: it would wait forever.
+//
 // With Config.ListenAddr set the runtime is a distributed master: it spawns
 // no in-process workers and instead serves registrations from fractal-worker
 // processes (ServeWorker) on its TCP listener. The worker set is dynamic —
@@ -145,6 +148,7 @@ type Runtime struct {
 	// It is DropWhenFull: see router.
 	inbox    *rpc.Mailbox
 	routerWg sync.WaitGroup
+	turn     chan struct{} // held by the running job (runJob)
 
 	mu     sync.Mutex
 	run    *jobRun
@@ -159,11 +163,11 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	listen := cfg.ListenAddr
 	cfg = cfg.withDefaults()
-	rt := &Runtime{cfg: cfg, inbox: rpc.NewMailbox(rpc.DropWhenFull)}
+	rt := &Runtime{cfg: cfg, inbox: rpc.NewMailbox(rpc.DropWhenFull), turn: make(chan struct{}, 1)}
 	if listen != "" {
 		// Master mode: a TCP listener and a registry instead of in-process
 		// workers.
-		node, err := rpc.NewTCPNode(rpc.Master, listen, rpc.DefaultTCPOptions())
+		node, err := rpc.NewTCPNode(rpc.Master, listen)
 		if err != nil {
 			return nil, fmt.Errorf("sched: master listener: %w", err)
 		}
@@ -324,6 +328,9 @@ func (r *Runtime) nextJobID() (int, error) {
 // context.DeadlineExceeded for a step timeout). A nil ctx is treated as
 // context.Background().
 //
+// Run first waits for a running job to return; if ctx ends during that wait
+// it returns a nil Result and an error wrapping ctx.Err().
+//
 // An unreachable or silent worker fails the step attempt with a
 // *WorkerLostError instead of blocking the step's end. With
 // Config.StepRetries at its zero default that fails the job; otherwise the
@@ -370,10 +377,11 @@ func (job Job) validate() error {
 	return nil
 }
 
-// runJob validates a job, splits it into steps and executes them: the one
-// path of Run and RunSpec in every deployment. spec is set exactly in master
-// mode, where the job ships to the workers as that spec — with the names of
-// its environment, so both sides split the same steps — before step 0.
+// runJob validates a job, splits it into steps, waits for the running job to
+// return and executes the steps: the one path of Run and RunSpec in every
+// deployment. spec is set exactly in master mode, where the job ships to the
+// workers as that spec — with the names of its environment, so both sides
+// split the same steps — before step 0.
 func (r *Runtime) runJob(ctx context.Context, job Job, spec *JobSpec) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -402,15 +410,27 @@ func (r *Runtime) runJob(ctx context.Context, job Job, spec *JobSpec) (*Result, 
 				i, step.Workflow(s.Primitives))
 		}
 	}
+	// An uncontended job takes its turn whatever its ctx, so one whose ctx
+	// has ended still returns a partial Result from step 0.
+	select {
+	case r.turn <- struct{}{}:
+	default:
+		select {
+		case r.turn <- struct{}{}:
+		case <-ctx.Done():
+			return nil, fmt.Errorf("sched: waiting for the running job: %w", ctx.Err())
+		}
+	}
+	defer func() { <-r.turn }()
 	jobID, err := r.nextJobID()
 	if err != nil {
 		return nil, err
 	}
 	if spec != nil {
+		defer r.reg.done()
 		if err := r.reg.distribute(ctx, specToMsg(jobID, *spec, env.Names())); err != nil {
 			return nil, err
 		}
-		defer r.reg.endJob(jobID)
 	}
 
 	var tracer *metrics.Tracer
@@ -453,13 +473,13 @@ func (r *Runtime) runJob(ctx context.Context, job Job, spec *JobSpec) (*Result, 
 		var stepErr error
 		attempt := 0
 		for {
-			parts := r.participantsFor(jobID, excluded)
+			parts := r.participantsFor(excluded)
 			if len(parts) == 0 {
 				// Every worker has been lost at some point. Readmit them
 				// all: the remaining budget is better spent probing for a
 				// recovered transport than failing outright.
 				clear(excluded)
-				parts = r.participantsFor(jobID, excluded)
+				parts = r.participantsFor(excluded)
 			}
 			if len(parts) == 0 {
 				// Master mode with no spec-ready worker left at all: nothing
@@ -547,9 +567,9 @@ func (r *Runtime) runJob(ctx context.Context, job Job, spec *JobSpec) (*Result, 
 // attempt, in rank order: the static worker set in-process, the job's
 // spec-ready registered workers in master mode — re-queried on every attempt,
 // which is what lets a worker that joined mid-job enter the next one.
-func (r *Runtime) participantsFor(jobID int, excluded map[int]bool) []int {
+func (r *Runtime) participantsFor(excluded map[int]bool) []int {
 	if r.reg != nil {
-		return r.reg.readyWorkers(jobID, excluded)
+		return r.reg.readyWorkers(excluded)
 	}
 	parts := make([]int, 0, r.cfg.Workers)
 	for i := 0; i < r.cfg.Workers; i++ {

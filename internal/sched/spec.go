@@ -144,7 +144,8 @@ func (r *Runtime) LoadGraph(path string) (*graph.Graph, error) { return r.graphs
 // across processes, each step start carrying the environment aggregations
 // the step reads. env carries aggregations from previous jobs the workflow
 // reads (nil for none); the result's Aggregations hold it plus everything
-// the job computed, exactly as with Run.
+// the job computed, exactly as with Run, and it waits for a running job as
+// Run does.
 func (r *Runtime) RunSpec(ctx context.Context, spec JobSpec, env *agg.Registry) (*Result, error) {
 	return r.RunSpecOn(ctx, spec, nil, env)
 }
@@ -190,7 +191,8 @@ func NotShippable(what string) error {
 // ServeWorkerOptions configures a worker process (ServeWorker).
 type ServeWorkerOptions struct {
 	// ListenAddr is the worker's own listener address for master and peer
-	// traffic (default "127.0.0.1:0"; use ":0" to serve remote peers).
+	// traffic (default "127.0.0.1:0"; use ":0" to serve remote peers: a
+	// wildcard host registers the IP the worker reaches the master from).
 	ListenAddr string
 	// FaultInjector, when non-nil, wraps the worker's transport exactly as
 	// Config.FaultInjector wraps in-process ones (chaos tests).

@@ -30,6 +30,9 @@ awk 'BEGIN { n = 600
 
 # start_master runs `fractal -listen` with the given flags, stdout to $1,
 # waits for its address and starts two one-core fractal-worker processes.
+# The second listens on the wildcard :0, so it registers the IP it reaches
+# the master from, and its peer's steals and the master's steps reach it
+# there.
 start_master() {
 	out=$1
 	shift
@@ -43,7 +46,7 @@ start_master() {
 	done
 	[ -n "$addr" ]
 	"$tmp/fractal-worker" -master "$addr" -cores 1 &
-	"$tmp/fractal-worker" -master "$addr" -cores 1 &
+	"$tmp/fractal-worker" -master "$addr" -listen :0 -cores 1 &
 }
 
 # sum_ec prints the report's extension_tests summed over its steps.

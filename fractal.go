@@ -576,7 +576,9 @@ func (c *Context) PatternRepOf(p *Pattern) *Pattern { return pattern.Classify(p)
 // scratch storage and carries the class's shared representative pattern; it
 // is meant to flow directly into an aggregation (Aggregate's value
 // function), whose first store clones it and whose reduction reclaims it —
-// the FSM hot loop allocates nothing per embedding.
+// the FSM hot loop allocates nothing per embedding. It is borrowed, and so is
+// the result of its Aggregate: a support kept outside an aggregation is
+// accumulated from a nil *DomainSupport, whose Aggregate makes an owned copy.
 func (c *Context) MNISupport(e *Subgraph, threshold int64) *DomainSupport {
 	cl := e.Class()
 	return agg.ScratchDomainSupport(cl.Rep, threshold, e.Vertices(), cl.Perm)

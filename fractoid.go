@@ -106,6 +106,15 @@ func (f *Fractoid) Visit(fn func(*Subgraph)) *Fractoid {
 // Partials cross the wire at the end of every step, so K must be string and
 // V one of int64, PatternCount or *DomainSupport; any other shape fails the
 // run with an *UnsupportedShapeError before anything is enumerated.
+//
+// reduce's and aggFilter's arguments are borrowed: valid for the call only,
+// never to be retained. A *DomainSupport handed to either may be pooled
+// storage that is reused once the call returns (reduce's second argument is
+// consumed, and its result is the one value that lives on); aggFilter's key
+// may alias the frame it arrived in. Both read a *DomainSupport's pattern
+// through its Pattern method: Pat is nil there while the pattern is still in
+// wire form, and is set for the entries kept. Only what the aggregation
+// keeps — the map AggregationMapCtx returns — is owned.
 func Aggregate[K comparable, V any](f *Fractoid, name string,
 	key func(*Subgraph) K, value func(*Subgraph) V,
 	reduce func(V, V) V, aggFilter func(K, V) bool) *Fractoid {

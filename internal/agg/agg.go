@@ -53,39 +53,47 @@ type Aggregation[K comparable, V any] struct {
 	m      map[K]V
 	reduce func(V, V) V
 	filter func(K, V) bool // optional aggFilter
-	// own converts a value into a storable one before its first store;
-	// non-nil only for value types with borrowed (pooled) contributions,
-	// today *DomainSupport. Values folded into an existing entry are owned
-	// by the reduction itself.
-	own func(V) V
+	life   *lifecycle[V]   // non-nil for a value type with borrowed values: *DomainSupport
+}
+
+// lifecycle is the rule for a value type with borrowed values: a value is
+// borrowed until a store keeps it, and keeping it is the one copy.
+type lifecycle[V any] struct {
+	own     func(V) V // a storable copy of a borrowed value, which it releases; identity on others
+	lend    func(V) V // a borrowed value to reduce into: v itself, or a pooled copy of a stored one
+	release func(V)   // returns a borrowed value's storage; a no-op on a stored one
+}
+
+var supportLife = &lifecycle[*DomainSupport]{
+	own: (*DomainSupport).owned, lend: (*DomainSupport).lent, release: (*DomainSupport).release,
 }
 
 // New returns an empty aggregation with the given reduction function.
 func New[K comparable, V any](reduce func(V, V) V) *Aggregation[K, V] {
 	a := &Aggregation[K, V]{m: map[K]V{}, reduce: reduce}
-	var zero V
-	if _, ok := any(zero).(*DomainSupport); ok {
-		a.own = func(v V) V { return any(any(v).(*DomainSupport).owned()).(V) }
-	}
+	a.life, _ = any(supportLife).(*lifecycle[V])
 	return a
 }
 
 // WithFilter sets the aggFilter applied after the final global merge and
-// returns the aggregation.
+// returns the aggregation. On the master the filter is handed each key's
+// reduced value before anything is kept: its arguments are borrowed, valid
+// for the call only (a *DomainSupport's storage is reused for the next key,
+// and the key may alias the frame it arrived in), so it must not retain them.
 func (a *Aggregation[K, V]) WithFilter(keep func(K, V) bool) *Aggregation[K, V] {
 	a.filter = keep
 	return a
 }
 
 // Add folds value v into key k. v may be a borrowed (scratch) contribution:
-// the first store of a key clones it into owned storage, and the reduction
-// reclaims it otherwise.
+// the first store of a key copies it into owned storage, and the reduction
+// consumes it otherwise.
 func (a *Aggregation[K, V]) Add(k K, v V) {
 	if old, ok := a.m[k]; ok {
 		a.m[k] = a.reduce(old, v)
 	} else {
-		if a.own != nil {
-			v = a.own(v)
+		if a.life != nil {
+			v = a.life.own(v)
 		}
 		a.m[k] = v
 	}
@@ -139,7 +147,7 @@ func (a *Aggregation[K, V]) MergeFrom(other Store) error {
 
 // NewEmpty implements Store.
 func (a *Aggregation[K, V]) NewEmpty() Store {
-	return &Aggregation[K, V]{m: map[K]V{}, reduce: a.reduce, filter: a.filter, own: a.own}
+	return &Aggregation[K, V]{m: map[K]V{}, reduce: a.reduce, filter: a.filter, life: a.life}
 }
 
 // ApplyFilter implements Store.

@@ -2,6 +2,7 @@ package agg
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -186,6 +187,41 @@ func TestDomainSupportNilHandling(t *testing.T) {
 	}
 	if got := ds.Aggregate(nil); got != ds {
 		t.Error("x.Aggregate(nil) != x")
+	}
+}
+
+// TestDomainSupportBorrowedAccumulator: a borrowed value used as a
+// long-lived accumulator, one embedding at a time, gets the insert path
+// once its domain is large (a union per call would make the loop quadratic),
+// and a nil start accumulates into an owned value.
+func TestDomainSupportBorrowedAccumulator(t *testing.T) {
+	p := pattern.Path(2)
+	perm := p.Canonical().Perm
+	const n = 3000
+	acc := ScratchDomainSupport(p, 1, []graph.VertexID{0, 1}, perm)
+	var owned *DomainSupport
+	for v := graph.VertexID(1); v < n; v++ {
+		if v > 1 {
+			acc = acc.Aggregate(ScratchDomainSupport(p, 1, []graph.VertexID{0, v}, perm))
+		}
+		owned = owned.Aggregate(ScratchDomainSupport(p, 1, []graph.VertexID{0, v}, perm))
+	}
+	if acc.nsorted == nil {
+		t.Error("the borrowed accumulator's large domain was unioned per call, not inserted into")
+	}
+	if owned.borrowed {
+		t.Error("nil.Aggregate(borrowed) is borrowed, want an owned copy")
+	}
+	for _, ds := range []*DomainSupport{acc, owned} {
+		lens := []int{len(ds.Sorted(0)), len(ds.Sorted(1))}
+		if min(lens[0], lens[1]) != 1 || max(lens[0], lens[1]) != n-1 || ds.Pat != p {
+			t.Errorf("domain sizes %v, pattern %v: want 1 and %d, %v", lens, ds.Pat, n-1, p)
+		}
+	}
+	for pos := range acc.Domains {
+		if !slices.IsSorted(acc.Domains[pos]) {
+			t.Errorf("position %d is not sorted after Sorted", pos)
+		}
 	}
 }
 

@@ -96,7 +96,7 @@ func (a *Aggregation[K, V]) wireForm() (Aggregation[string, V], valueCodec[V], e
 	if m, ok := any(a.m).(map[string]V); ok {
 		for _, c := range valueCodecs {
 			if vc, ok := c.(valueCodec[V]); ok {
-				return Aggregation[string, V]{m: m, reduce: a.reduce, own: a.own}, vc, nil
+				return Aggregation[string, V]{m: m, reduce: a.reduce, life: a.life}, vc, nil
 			}
 		}
 	}
@@ -177,13 +177,6 @@ func putPattern(w *wire.Writer, p *pattern.Pattern) {
 	}
 }
 
-func getPattern(r *wire.Reader) *pattern.Pattern {
-	if !r.Bool() {
-		return nil
-	}
-	return pattern.ReadBinary(r)
-}
-
 func putCount(dst []byte, v int64) ([]byte, error) {
 	w := wire.Writer{B: dst}
 	w.Varint(v)
@@ -197,8 +190,12 @@ func putPatternCount(dst []byte, pc PatternCount) ([]byte, error) {
 	return w.B, nil
 }
 
-func getPatternCount(r *wire.Reader) PatternCount {
-	return PatternCount{Pat: getPattern(r), Count: r.Varint()}
+func getPatternCount(r *wire.Reader) (pc PatternCount) {
+	if r.Bool() {
+		pc.Pat = pattern.ReadBinary(r)
+	}
+	pc.Count = r.Varint()
+	return pc
 }
 
 // putDomainSupport writes one support value: threshold, optional pattern,
@@ -224,14 +221,19 @@ func putDomainSupport(dst []byte, ds *DomainSupport) ([]byte, error) {
 	return w.B, nil
 }
 
+// getDomainSupport decodes one support value into borrowed storage, its
+// pattern left in wire form (checked, not built) until the value is kept.
 func getDomainSupport(r *wire.Reader) *DomainSupport {
-	ds := &DomainSupport{Threshold: r.Varint(), Pat: getPattern(r)}
-	ds.Domains = make([][]graph.VertexID, r.Count())
-	for i := range ds.Domains {
-		n := r.Count()
-		d := make([]graph.VertexID, 0, n)
+	threshold := r.Varint()
+	var patWire []byte
+	if r.Bool() {
+		patWire = pattern.SkipBinary(r)
+	}
+	ds := scratch(r.Count())
+	ds.Threshold, ds.patWire = threshold, patWire
+	for i, d := range ds.Domains {
 		prev := uint64(0)
-		for ; n > 0 && r.Err() == nil; n-- {
+		for n := r.Count(); n > 0 && r.Err() == nil; n-- {
 			delta := r.Uvarint()
 			if delta > math.MaxInt32-prev {
 				r.Failf("vertex id delta %d out of range", delta)

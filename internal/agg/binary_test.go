@@ -400,3 +400,27 @@ func FuzzBinaryCodec(f *testing.F) {
 		}
 	})
 }
+
+// TestDecodeIntoStoredValueTakesItsPattern: a stored support without a
+// pattern that absorbs a decoded one takes the decoded pattern, as "first
+// pattern wins" has it — built, not a view of the payload it came in.
+func TestDecodeIntoStoredValueTakesItsPattern(t *testing.T) {
+	p := pattern.Triangle()
+	perm := p.Canonical().Perm
+	withPat := New[string, *DomainSupport](ReduceDomainSupport)
+	withPat.Add("k", NewDomainSupport(p, 1, []graph.VertexID{1, 2, 3}, perm))
+	data, err := withPat.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := New[string, *DomainSupport](ReduceDomainSupport)
+	b.Add("k", NewDomainSupport(nil, 1, []graph.VertexID{4, 5, 6}, perm))
+	if err := b.DecodeAndMerge(data); err != nil {
+		t.Fatal(err)
+	}
+	clear(data)
+	got, _ := b.Get("k")
+	if got.Pat == nil || got.Pat.Canonical().Code != p.Canonical().Code || got.Support() != 2 {
+		t.Fatalf("merged %v with pattern %v, want the decoded triangle and support 2", got, got.Pat)
+	}
+}

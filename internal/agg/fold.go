@@ -13,10 +13,19 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
+	"sync"
+	"unsafe"
 
 	"fractal/internal/wire"
 )
+
+// frameBufs holds FoldToFrames' frame buffer between folds: a frame is valid
+// during its emit only, so a worker's folds — one per aggregation and step —
+// share one buffer instead of each growing its own to the frame size.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // FrameLimit is the number of entry bytes at which FoldToFrames closes a
 // frame. A frame ends with the entry that reaches it, so a frame is larger
@@ -43,8 +52,10 @@ type source[V any] interface {
 // foldOrdered hands sink every key of srcs once, in ascending order, with
 // the values the sources hold for it reduced in source order. Sources are
 // few (a worker's cores, a master's workers), so the smallest head is found
-// by scanning them.
-func foldOrdered[V any](srcs []source[V], reduce func(V, V) V, sink func(key string, v V) error) error {
+// by scanning them. A key held by several sources is reduced into a borrowed
+// accumulator (lifecycle.lend), so the sink may be handed a borrowed value:
+// it keeps the value (own) or releases it.
+func (a *Aggregation[K, V]) foldOrdered(srcs []source[V], sink func(key string, v V) error) error {
 	for {
 		min, found := "", false
 		for _, s := range srcs {
@@ -66,8 +77,10 @@ func foldOrdered[V any](srcs []source[V], reduce func(V, V) V, sink func(key str
 			}
 			if v := s.pop(); first {
 				acc, first = v, false
+			} else if a.life != nil {
+				acc = a.reduce(a.life.lend(acc), v)
 			} else {
-				acc = reduce(acc, v)
+				acc = a.reduce(acc, v)
 			}
 		}
 		if err := sink(min, acc); err != nil {
@@ -112,7 +125,8 @@ func (s *mapSource[V]) err() error { return nil }
 // frameSource walks the entries of one sender's frames. It checks what the
 // sender promises: each frame is a well-formed payload, and keys ascend
 // strictly within and across frames, so no key can be folded twice. A
-// failure is the frame reader's own sticky error.
+// failure is the frame reader's own sticky error. Keys are views of the
+// frames, which nothing writes to; a key that is kept is copied.
 type frameSource[V any] struct {
 	frames [][]byte
 	vc     valueCodec[V]
@@ -151,7 +165,8 @@ func (s *frameSource[V]) advance() {
 		s.frames = s.frames[1:]
 		s.left = s.r.Count()
 	}
-	k := s.r.Str()
+	view := s.r.View()
+	k := unsafe.String(unsafe.SliceData(view), len(view))
 	if s.seen && k <= s.key {
 		s.r.Failf("key %q out of order", k)
 	}
@@ -187,7 +202,7 @@ func (a *Aggregation[K, V]) FoldToFrames(parts []Store, stop func() bool, emit f
 }
 
 func (a *Aggregation[K, V]) foldToFrames(parts []Store, limit int, stop func() bool, emit func(frame []byte) error) error {
-	_, vc, err := a.wireForm()
+	view, vc, err := a.wireForm()
 	if err != nil {
 		return err
 	}
@@ -202,9 +217,11 @@ func (a *Aggregation[K, V]) foldToFrames(parts []Store, limit int, stop func() b
 		}
 		srcs = append(srcs, newMapSource(any(o.m).(map[string]V)))
 	}
-	// The buffer grows to the frame size on its own: most aggregations are a
-	// handful of counts and never come near the limit.
-	w := wire.Writer{B: make([]byte, frameHeaderMax, 512)}
+	// The buffer grows to the frame size on its own, once per process: most
+	// aggregations are a handful of counts and never come near the limit.
+	buf := frameBufs.Get().(*[]byte)
+	w := wire.Writer{B: slices.Grow((*buf)[:0], 512)[:frameHeaderMax]}
+	defer func() { *buf = w.B[:0]; frameBufs.Put(buf) }()
 	entries, frames := 0, 0
 	// flush closes the frame: the header is written right-aligned in the room
 	// in front of the entries, so the frame leaves without being moved.
@@ -222,10 +239,14 @@ func (a *Aggregation[K, V]) foldToFrames(parts []Store, limit int, stop func() b
 		frames++
 		return err
 	}
-	err = foldOrdered(srcs, a.reduce, func(k string, v V) error {
+	err = view.foldOrdered(srcs, func(k string, v V) error {
 		w.Str(k)
 		var err error
-		if w.B, err = vc.put(w.B, v); err != nil {
+		w.B, err = vc.put(w.B, v)
+		if view.life != nil {
+			view.life.release(v)
+		}
+		if err != nil {
 			return fmt.Errorf("agg: encoding entry %q: %w", k, err)
 		}
 		if entries++; len(w.B)-frameHeaderMax >= limit {
@@ -243,10 +264,11 @@ func (a *Aggregation[K, V]) foldToFrames(parts []Store, limit int, stop func() b
 }
 
 // FoldFrames implements Store: the ordered fold over the workers' frame
-// sequences. A key's values are decoded, reduced and put to the aggFilter
-// there and then; only survivors are stored.
+// sequences. A key's values are decoded into borrowed storage, reduced and
+// put to the aggFilter there and then; only survivors are kept — their key,
+// domains and pattern copied out of the frames — and the rest is released.
 func (a *Aggregation[K, V]) FoldFrames(seqs [][][]byte, stop func() bool) (Store, error) {
-	_, vc, err := a.wireForm()
+	view, vc, err := a.wireForm()
 	if err != nil {
 		return nil, err
 	}
@@ -257,9 +279,15 @@ func (a *Aggregation[K, V]) FoldFrames(seqs [][][]byte, stop func() bool) (Store
 	for i, frames := range seqs {
 		srcs[i] = newFrameSource(frames, vc, stop)
 	}
-	err = foldOrdered(srcs, a.reduce, func(k string, v V) error {
-		if keep == nil || keep(k, v) {
-			m[k] = v
+	err = view.foldOrdered(srcs, func(k string, v V) error {
+		switch {
+		case keep == nil || keep(k, v):
+			if view.life != nil {
+				v = view.life.own(v)
+			}
+			m[strings.Clone(k)] = v
+		case view.life != nil:
+			view.life.release(v)
 		}
 		return nil
 	})

@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -463,5 +465,133 @@ func FuzzFoldFrames(f *testing.F) {
 				t.Fatalf("%T: fold and decode+merge disagree (%v / %v)", proto, gotErr, wantErr)
 			}
 		}
+	})
+}
+
+// TestFoldSurvivorsOwnTheirBytes: a master fold's survivors share nothing
+// with the frames they were read from or with the pooled storage the next
+// fold reuses — their keys, domains and patterns are copies.
+func TestFoldSurvivorsOwnTheirBytes(t *testing.T) {
+	proto := New[string, *DomainSupport](ReduceDomainSupport).
+		WithFilter(func(_ string, v *DomainSupport) bool { return v.Support() >= 4 })
+	seqsOf := func(seed int64) [][][]byte {
+		stream := baEmbeddings(400, 4000, seed)
+		half := len(stream) / 2
+		return [][][]byte{
+			collectFrames(t, foldShapes[2].mk(2, stream[:half]), 1<<10),
+			collectFrames(t, foldShapes[2].mk(2, stream[half:]), 1<<10),
+		}
+	}
+	seqs := seqsOf(11)
+	candidates := decodeMergeFilter(t, New[string, *DomainSupport](ReduceDomainSupport), seqs).Len()
+	a, err := proto.FoldFrames(seqs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Len() == 0 || a.Len() == candidates {
+		t.Fatalf("%d of %d candidates survive: the case tests nothing", a.Len(), candidates)
+	}
+	want := encodeOf(t, a)
+	for _, frames := range seqs {
+		for _, f := range frames {
+			for i := range f {
+				f[i] = 0xff
+			}
+		}
+	}
+	if b, err := proto.FoldFrames(seqsOf(12), nil); err != nil || b.Len() == 0 {
+		t.Fatalf("second fold: %v, %v", b, err)
+	}
+	if got := encodeOf(t, a); !bytes.Equal(got, want) {
+		t.Fatal("the first fold's survivors changed with its frames or with the second fold")
+	}
+}
+
+// TestFoldFramesRejectedKeysDoNotAllocate: what the master's fold allocates
+// grows with the survivors, not with the candidates it rejects — a rejected
+// key's values are decoded into pooled storage, reduced there and released,
+// and its key is never copied out of the frame. A pool is emptied by a GC,
+// so the test compares two sizes instead of asserting zero.
+func TestFoldFramesRejectedKeysDoNotAllocate(t *testing.T) {
+	p := pattern.Triangle()
+	perm := p.Canonical().Perm
+	proto := New[string, *DomainSupport](ReduceDomainSupport).
+		WithFilter(func(_ string, v *DomainSupport) bool { return v.HasEnoughSupport() })
+	const survivors = 100
+	seqs := func(rejected int) [][][]byte {
+		senders := []Store{proto.NewEmpty(), proto.NewEmpty()}
+		add := func(sender int, key string, vs ...graph.VertexID) {
+			senders[sender].(*Aggregation[string, *DomainSupport]).Add(key, ScratchDomainSupport(p, 3, vs, perm))
+		}
+		for i := 0; i < survivors; i++ {
+			for j := graph.VertexID(0); j < 3; j++ {
+				add(int(j%2), fmt.Sprintf("kept-%03d", i), 3*j, 3*j+1, 3*j+2)
+			}
+		}
+		// Both senders hold every rejected key, so the master reduces it.
+		for i := 0; i < rejected; i++ {
+			add(0, fmt.Sprintf("rejected-%06d", i), 1, 2, 3)
+			add(1, fmt.Sprintf("rejected-%06d", i), 1, 2, 4)
+		}
+		return [][][]byte{collectFrames(t, senders[:1], FrameLimit), collectFrames(t, senders[1:], FrameLimit)}
+	}
+	allocated := func(seqs [][][]byte) uint64 {
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			got, err := proto.FoldFrames(seqs, nil)
+			runtime.ReadMemStats(&after)
+			if err != nil || got.Len() != survivors {
+				t.Fatalf("fold: %v; want %d survivors", err, survivors)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		return least
+	}
+	one, ten := allocated(seqs(2000)), allocated(seqs(20000))
+	t.Logf("master fold of %d survivors: %d B with 2 000 rejected keys, %d B with 20 000", survivors, one, ten)
+	if ten > one+32<<10 && !raceEnabled {
+		t.Errorf("18 000 more rejected keys cost %d more bytes, want them free", ten-one)
+	}
+}
+
+// TestFoldFilterAndReduceReadThePattern: on the master a value's pattern is
+// still in wire form when the aggFilter and the reduction see it (Pat is
+// nil there), and Pattern decodes it. A filter that selects by pattern and a
+// hand-written reduction that reads both sides' patterns keep what the
+// decode-everything tail keeps, byte for byte.
+func TestFoldFilterAndReduceReadThePattern(t *testing.T) {
+	stream := baEmbeddings(400, 4000, 13)
+	reduce := func(a, b *DomainSupport) *DomainSupport {
+		if a.Pattern() == nil || b.Pattern() == nil {
+			t.Error("a reduction's argument has no pattern")
+		}
+		return a.Aggregate(b)
+	}
+	proto := New[string, *DomainSupport](reduce).WithFilter(func(_ string, v *DomainSupport) bool {
+		return v.Support() >= 2 && v.Pattern().NumVertices() == 3
+	})
+	var seqs [][][]byte
+	for w := 0; w < 2; w++ {
+		var part []oracleEmbedding
+		for i := w; i < len(stream); i += 2 {
+			part = append(part, stream[i])
+		}
+		seqs = append(seqs, collectFrames(t, foldShapes[2].mk(2, part), 1<<10))
+	}
+	want := decodeMergeFilter(t, proto, seqs)
+	got, err := proto.FoldFrames(seqs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() == 0 || got.Len() != want.Len() || !bytes.Equal(encodeOf(t, got), encodeOf(t, want)) {
+		t.Fatalf("fold keeps %d entries, decode+MergeTree+ApplyFilter %d, or their bytes differ", got.Len(), want.Len())
+	}
+	got.(*Aggregation[string, *DomainSupport]).Range(func(k string, v *DomainSupport) bool {
+		if v.Pat == nil || v.Pat.NumVertices() != 3 {
+			t.Errorf("survivor %q: pattern %v, want a 3-vertex one", k, v.Pat)
+		}
+		return true
 	})
 }

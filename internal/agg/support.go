@@ -7,6 +7,7 @@ import (
 
 	"fractal/internal/graph"
 	"fractal/internal/pattern"
+	"fractal/internal/wire"
 )
 
 // DomainSupport implements the minimum image-based support of Bringmann &
@@ -30,7 +31,10 @@ type DomainSupport struct {
 	// Pat is a representative pattern for reporting. Contributions built
 	// from an embedding's Class carry the class's shared canonical
 	// representative, which makes the "first pattern wins" reduction
-	// independent of embedding arrival and merge order.
+	// independent of embedding arrival and merge order. A borrowed value
+	// decoded from the wire — what the master's aggFilter and reduction see —
+	// holds its pattern in wire form, and Pat is nil until the value is kept
+	// or Pattern is called: a filter or reduction reads it through Pattern.
 	Pat *pattern.Pattern
 	// Threshold is the minimum support α the mining run uses.
 	Threshold int64
@@ -44,11 +48,16 @@ type DomainSupport struct {
 	// every domain is fully sorted. Never shipped: the codec compacts
 	// before encoding.
 	nsorted []int32
-	// borrowed marks a pooled scratch contribution (see ScratchDomainSupport):
-	// it must be folded into an owned value or cloned, never stored.
+	// borrowed marks pooled storage (ScratchDomainSupport, the codec's
+	// decode, a fold's accumulator), valid until it is released: a store
+	// keeps it by copying it (owned), never as it is.
 	borrowed bool
-	// backing is the reusable vertex arena of a scratch instance.
-	backing []graph.VertexID
+	// patWire is a borrowed value's pattern in wire form, aliasing the frame
+	// it was decoded from; owned decodes it.
+	patWire []byte
+	// spare is a borrowed value's union buffer: a union is written into it
+	// and takes the old domain's place, which becomes the next spare.
+	spare []graph.VertexID
 	// fault is the sticky merge error (see DomainArityError); encoding a
 	// faulted support fails, which routes the error through the runtime's
 	// step-failure path.
@@ -91,56 +100,57 @@ func NewDomainSupport(p *pattern.Pattern, threshold int64, vertices []graph.Vert
 	return ds
 }
 
-// scratchPool recycles single-embedding contributions: the aggregation hot
-// loop builds one DomainSupport per embedding only to fold it into the
-// accumulated entry immediately, so the builder's storage is reused instead
-// of allocated (the aggregation-side analog of the extension scratch of the
-// enumeration kernels). Pool affinity is per-P, which on the runtime's
-// pinned cores behaves as a per-core arena.
+// scratchPool recycles borrowed values: the aggregation hot loop builds one
+// DomainSupport per embedding only to fold it into the accumulated entry
+// immediately, and the step tail decodes and reduces every candidate only to
+// keep a few, so their storage is reused instead of allocated (the
+// aggregation-side analog of the extension scratch of the enumeration
+// kernels). Pool affinity is per-P, which on the runtime's pinned cores
+// behaves as a per-core arena.
 var scratchPool = sync.Pool{New: func() any { return &DomainSupport{borrowed: true} }}
 
-// ScratchDomainSupport is NewDomainSupport on pooled storage: the returned
-// value is borrowed and is reclaimed automatically when folded through
-// ReduceDomainSupport / Aggregate (or first stored by an Aggregation, which
-// clones it). Callers that keep a contribution must use NewDomainSupport.
-func ScratchDomainSupport(p *pattern.Pattern, threshold int64, vertices []graph.VertexID, perm []int) *DomainSupport {
+// scratch returns a borrowed value of n empty positions, each keeping the
+// capacity it had in earlier uses.
+func scratch(n int) *DomainSupport {
 	ds := scratchPool.Get().(*DomainSupport)
-	n := len(vertices)
-	if cap(ds.Domains) < n {
-		ds.Domains = make([][]graph.VertexID, n)
-	} else {
-		ds.Domains = ds.Domains[:n]
+	ds.Domains = slices.Grow(ds.Domains[:0], n)[:n]
+	for i := range ds.Domains {
+		ds.Domains[i] = ds.Domains[i][:0]
 	}
-	if cap(ds.backing) < n {
-		ds.backing = make([]graph.VertexID, n)
-	} else {
-		ds.backing = ds.backing[:n]
-	}
-	for i, v := range vertices {
-		pos := perm[i]
-		ds.backing[pos] = v
-		ds.Domains[pos] = ds.backing[pos : pos+1 : pos+1]
-	}
-	ds.Pat, ds.Threshold = p, threshold
-	ds.nsorted, ds.fault = nil, nil
 	return ds
 }
 
-// release returns a borrowed contribution to the pool.
+// ScratchDomainSupport is NewDomainSupport on pooled storage. The returned
+// value is borrowed: it is valid until it is folded through
+// ReduceDomainSupport / Aggregate, which consumes it, or first stored by an
+// Aggregation, which keeps a copy. Callers that keep a contribution must use
+// NewDomainSupport.
+func ScratchDomainSupport(p *pattern.Pattern, threshold int64, vertices []graph.VertexID, perm []int) *DomainSupport {
+	ds := scratch(len(vertices))
+	for i, v := range vertices {
+		ds.Domains[perm[i]] = append(ds.Domains[perm[i]], v)
+	}
+	ds.Pat, ds.Threshold = p, threshold
+	return ds
+}
+
+// release returns a borrowed value to the pool.
 func (ds *DomainSupport) release() {
 	if ds == nil || !ds.borrowed {
 		return
 	}
-	ds.Pat, ds.fault = nil, nil
+	ds.Pat, ds.patWire, ds.nsorted, ds.fault = nil, nil, nil, nil
 	scratchPool.Put(ds)
 }
 
 // owned returns ds if it is an ordinary value, or a compact owned copy when
-// ds is a borrowed scratch contribution (which is then released).
+// ds is borrowed (which is then released): the one copy a kept value gets.
 func (ds *DomainSupport) owned() *DomainSupport {
 	if ds == nil || !ds.borrowed {
 		return ds
 	}
+	ds.compact()
+	ds.Pattern()
 	out := &DomainSupport{Pat: ds.Pat, Threshold: ds.Threshold, fault: ds.fault}
 	total := 0
 	for _, d := range ds.Domains {
@@ -154,6 +164,31 @@ func (ds *DomainSupport) owned() *DomainSupport {
 		out.Domains[i] = backing[start:len(backing):len(backing)]
 	}
 	ds.release()
+	return out
+}
+
+// Pattern returns Pat, decoding it first if the value still holds it in
+// wire form, as a value decoded from the wire does until it is kept. It was
+// checked when it was read (pattern.SkipBinary), so it decodes.
+func (ds *DomainSupport) Pattern() *pattern.Pattern {
+	if ds.Pat == nil && ds.patWire != nil {
+		ds.Pat, ds.patWire = pattern.ReadBinary(wire.NewReader(ds.patWire)), nil
+	}
+	return ds.Pat
+}
+
+// lent returns ds if it is borrowed, or else a borrowed copy of it: what a
+// fold reduces into, so that reducing grows no stored value's domains.
+func (ds *DomainSupport) lent() *DomainSupport {
+	if ds == nil || ds.borrowed {
+		return ds
+	}
+	ds.compact()
+	out := scratch(len(ds.Domains))
+	for i, d := range ds.Domains {
+		out.Domains[i] = append(out.Domains[i], d...)
+	}
+	out.Pat, out.Threshold, out.fault = ds.Pat, ds.Threshold, ds.fault
 	return out
 }
 
@@ -227,18 +262,24 @@ func (ds *DomainSupport) Err() error { return ds.fault }
 // union of both sides. Merging supports of different arities records a
 // sticky *DomainArityError on the result instead of silently dropping
 // evidence; the error fails the step when its aggregation is encoded.
-// A borrowed (scratch) other is reclaimed; a borrowed receiver is first
-// converted to an owned value, so the returned support is always storable.
+//
+// other is consumed: a borrowed other is released, so only the result may be
+// used after the call. A borrowed ds absorbs other in place and stays
+// borrowed — an Aggregation's first store of the result is its one copy —
+// and an owned ds stays owned. An accumulator kept outside an Aggregation
+// starts from a nil *DomainSupport: nil.Aggregate(v) is an owned copy of v.
 func (ds *DomainSupport) Aggregate(other *DomainSupport) *DomainSupport {
 	if ds == nil {
 		return other.owned()
 	}
-	ds = ds.owned()
 	if other == nil {
 		return ds
 	}
-	if ds.Pat == nil {
-		ds.Pat = other.Pat
+	if ds.Pat == nil && ds.patWire == nil {
+		ds.Pat, ds.patWire = other.Pat, other.patWire
+		if !ds.borrowed {
+			ds.Pattern() // a stored value holds no view of a frame
+		}
 	}
 	if other.fault != nil && ds.fault == nil {
 		ds.fault = other.fault
@@ -250,30 +291,29 @@ func (ds *DomainSupport) Aggregate(other *DomainSupport) *DomainSupport {
 		other.release()
 		return ds
 	}
+	other.compact()
 	for pos, od := range other.Domains {
-		ons := len(od)
-		if other.nsorted != nil {
-			ons = int(other.nsorted[pos])
-		}
-		if len(od) <= 4 || ons < len(od) {
-			// Small or tailed contributions (the per-embedding case is a
-			// single vertex per position) go through the insert path.
+		if len(od) <= 4 && (!ds.borrowed || len(ds.Domains[pos]) > 64) {
+			// A small contribution (the per-embedding case is a single vertex
+			// per position) goes through the insert path, unless a union into
+			// a borrowed value's small domain is as cheap and allocates nothing.
 			for _, v := range od {
 				ds.insert(pos, v)
 			}
 			continue
 		}
-		// Both sides large and sorted: one pass of the union kernel.
+		// One pass of the union kernel: into a fresh array for a stored
+		// value, through the spare buffer for a borrowed one, which then
+		// allocates only while its buffers grow.
 		d := ds.Domains[pos]
-		ns := len(d)
-		if ds.nsorted != nil {
-			ns = int(ds.nsorted[pos])
-		}
-		if ns < len(d) {
+		if ds.nsorted != nil && int(ds.nsorted[pos]) < len(d) {
 			slices.Sort(d)
-			ds.nsorted[pos] = int32(len(d))
 		}
-		ds.Domains[pos] = graph.UnionSorted(d, od, make([]graph.VertexID, 0, len(d)+len(od)))
+		var buf []graph.VertexID
+		if ds.borrowed {
+			buf, ds.spare = ds.spare[:0], d[:0]
+		}
+		ds.Domains[pos] = graph.UnionSorted(d, od, slices.Grow(buf, len(d)+len(od)))
 		if ds.nsorted != nil {
 			ds.nsorted[pos] = int32(len(ds.Domains[pos]))
 		}
@@ -306,7 +346,9 @@ func (ds *DomainSupport) String() string {
 }
 
 // ReduceDomainSupport is the reduction function for DomainSupport
-// aggregations.
+// aggregations: a.Aggregate(b), so b is consumed and a borrowed a stays
+// borrowed. Like every reduction's, its arguments are valid for the call
+// only.
 func ReduceDomainSupport(a, b *DomainSupport) *DomainSupport { return a.Aggregate(b) }
 
 // PatternCount is the value of pattern-frequency aggregations (motifs): a

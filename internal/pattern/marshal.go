@@ -32,7 +32,19 @@ func (p *Pattern) AppendBinary(dst []byte) []byte {
 // ReadBinary decodes one pattern written by AppendBinary from r. Invalid
 // input (truncation, out-of-range counts, bad edges) fails r and returns nil,
 // never panics: the bytes may arrive from the wire.
-func ReadBinary(r *wire.Reader) *Pattern {
+func ReadBinary(r *wire.Reader) *Pattern { return readBinary(r, true) }
+
+// SkipBinary reads past one pattern written by AppendBinary, refusing what
+// ReadBinary refuses, without building it: it returns the pattern's bytes,
+// aliasing r's input, for a ReadBinary later (nil once r has failed).
+func SkipBinary(r *wire.Reader) []byte {
+	start := r.Offset()
+	readBinary(r, false)
+	return r.Since(start)
+}
+
+// readBinary checks one pattern's form and, when build is set, builds it.
+func readBinary(r *wire.Reader, build bool) *Pattern {
 	n := r.Count()
 	if n > MaxVertices {
 		r.Failf("pattern: vertex count %d out of range", n)
@@ -40,27 +52,36 @@ func ReadBinary(r *wire.Reader) *Pattern {
 	if r.Err() != nil {
 		return nil
 	}
-	b := NewBuilder(n)
+	var b *PBuilder
+	if build {
+		b = NewBuilder(n)
+	}
 	for v := 0; v < n; v++ {
-		b.SetVertexLabel(v, graph.Label(r.Varint()))
+		if l := graph.Label(r.Varint()); build {
+			b.SetVertexLabel(v, l)
+		}
 	}
 	m := r.Count()
 	if m > n*n {
 		r.Failf("pattern: edge count %d out of range", m)
 	}
+	var adj [MaxVertices]uint32
 	for i := 0; i < m && r.Err() == nil; i++ {
 		u, v, l := r.Uvarint(), r.Uvarint(), r.Varint()
 		switch {
 		case r.Err() != nil:
 		case u >= uint64(n) || v >= uint64(n) || u == v:
 			r.Failf("pattern: edge (%d,%d) invalid", u, v)
-		case b.p.HasEdge(int(u), int(v)):
+		case adj[u]&(1<<v) != 0:
 			r.Failf("pattern: edge (%d,%d) duplicated", u, v)
 		default:
-			b.AddEdge(int(u), int(v), graph.Label(l))
+			adj[u], adj[v] = adj[u]|1<<v, adj[v]|1<<u
+			if build {
+				b.AddEdge(int(u), int(v), graph.Label(l))
+			}
 		}
 	}
-	if r.Err() != nil {
+	if r.Err() != nil || !build {
 		return nil
 	}
 	return b.Build()

@@ -79,11 +79,35 @@ func TestPatternFromBinaryRejects(t *testing.T) {
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
 			t.Errorf("%s: decoding %d bytes allocated %d bytes", name, len(data), grew)
 		}
+		skipAgrees(t, data)
+	}
+}
+
+// skipAgrees holds SkipBinary to ReadBinary on data: the same failure, or
+// the same bytes read, which it returns without building a pattern.
+func skipAgrees(t *testing.T, data []byte) {
+	t.Helper()
+	read, skip := wire.NewReader(data), wire.NewReader(data)
+	ReadBinary(read)
+	span := SkipBinary(skip)
+	if fmt.Sprint(read.Err()) != fmt.Sprint(skip.Err()) || read.Offset() != skip.Offset() {
+		t.Fatalf("%x: ReadBinary stops at %d with %v, SkipBinary at %d with %v", data, read.Offset(), read.Err(), skip.Offset(), skip.Err())
+	}
+	if read.Err() == nil && !bytes.Equal(span, data[:read.Offset()]) {
+		t.Fatalf("%x: SkipBinary returned %x, want the %d bytes read", data, span, read.Offset())
+	}
+}
+
+// TestSkipBinaryAllocatesNothing: checking a pattern's form builds nothing.
+func TestSkipBinaryAllocatesNothing(t *testing.T) {
+	data := wireLabelled().AppendBinary(nil)
+	if n := testing.AllocsPerRun(10, func() { SkipBinary(wire.NewReader(data)) }); n != 0 {
+		t.Errorf("SkipBinary allocates %v times per pattern", n)
 	}
 }
 
 // FuzzPatternFromBinary: arbitrary bytes never panic and fail only with a
-// *wire.Error; whatever decodes survives a round trip through its own
+// *wire.Error, SkipBinary's verdict is ReadBinary's; whatever decodes survives a round trip through its own
 // encoding unchanged. (Accepted input need not be canonical — edges in any
 // order, padded varints — so the bytes themselves may differ.)
 func FuzzPatternFromBinary(f *testing.F) {
@@ -93,6 +117,7 @@ func FuzzPatternFromBinary(f *testing.F) {
 	f.Add([]byte{0, 0})
 	f.Add([]byte{2, 0, 0, 2, 0, 1, 0, 0, 1, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		skipAgrees(t, data)
 		p, n, err := PatternFromBinary(data)
 		if err != nil {
 			var werr *wire.Error

@@ -62,7 +62,8 @@ type Reader struct {
 }
 
 // NewReader returns a reader over data; decoded strings and byte slices are
-// copies, so data may be reused afterwards (View is the one exception).
+// copies, so data may be reused afterwards (View and Since are the
+// exceptions).
 func NewReader(data []byte) *Reader { return &Reader{data: data} }
 
 // Failf records a failure at the current offset unless one is already
@@ -160,4 +161,13 @@ func (r *Reader) View() []byte {
 		return nil
 	}
 	return p[:len(p):len(p)]
+}
+
+// Since returns the bytes read from offset off (an earlier Offset) on,
+// aliasing the reader's input as View does; nil once the reader has failed.
+func (r *Reader) Since(off int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	return r.data[off:r.off:r.off]
 }

@@ -274,9 +274,10 @@ func distFSMMatches(t *testing.T, g *graph.Graph, support int64, maxEdges int) {
 }
 
 // TestDistFSMLevelAfterJoin: a worker that registers between two FSM
-// levels never saw level 1 run, and level 2 reads support1 all the same —
+// levels never saw level 1 run, and level 2 reads frequent1 all the same —
 // from the step start — so the two-worker level 2 counts what the
-// in-process one does, pattern for pattern.
+// in-process one does, pattern for pattern. The levels run as specs, so
+// the test derives frequent1 from support1 as FSM does.
 func TestDistFSMLevelAfterJoin(t *testing.T) {
 	path := writeGraphFile(t, workload.Community("dist-fsm-join", 6, 15, 6, 0.8, 4, 46))
 	args := func(level int) map[string]string {
@@ -289,6 +290,11 @@ func TestDistFSMLevelAfterJoin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		sup, err := agg.Typed[string, *agg.DomainSupport](one.Aggregations, fsmSupName(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		one.Aggregations.Put(fsmFreqName(1), record(&FSMResult{Frequent: map[string]*fractal.DomainSupport{}}, sup))
 		join()
 		two, err := g.RunSpec(bg, AppFSM, args(2), one.Aggregations)
 		if err != nil {

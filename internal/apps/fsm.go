@@ -50,17 +50,21 @@ type FSMOptions struct {
 // fsmBuilder is one level of the frequent subgraph mining loop (Listing 3 of
 // the paper). Args: "support" (the MNI threshold) and "level" (how many
 // edges the mined patterns have). A level-L job is a from-scratch pipeline
-// (fsmCandidates): expand, filter by every earlier level's support
-// aggregation — environment entries named support1..support(L-1), threaded
-// between jobs by FSM and shipped to worker processes with the step starts
-// that read them — expand, …, refuse the classes with a sub-pattern outside
-// support(L-1), aggregate supportL. Every level past the first mines frequentEdgeGraph, which master
-// and workers alike derive from the graph and the support.
-// Each level's support lives in its own environment entry because the
-// engine reuses — never recomputes — environment aggregations (Section 4.1).
+// (fsmCandidates): expand, keep the classes frequent1 holds, expand, …,
+// refuse the classes with a sub-pattern outside frequent(L-1), aggregate
+// supportL. It reads frequent1..frequent(L-1) from its environment, each
+// one level's frequent pattern codes and their MNI supports: FSM derives
+// them from the support aggregations and threads them between jobs, and a
+// master ships them with the step starts that read them. Every level past
+// the first enumerates frequentEdgeGraph, the job's Reduce: an in-process
+// runtime and each worker process derive it once per job from the loaded
+// graph and the support; a master, which enumerates nothing, never does.
+// Each level's entries are its own because the engine reuses — never
+// recomputes — environment aggregations (Section 4.1).
 type fsmBuilder struct{}
 
-func fsmSupName(level int) string { return fmt.Sprintf("support%d", level) }
+func fsmSupName(level int) string  { return fmt.Sprintf("support%d", level) }
+func fsmFreqName(level int) string { return fmt.Sprintf("frequent%d", level) }
 
 func (fsmBuilder) Build(spec fractal.JobSpec, g *graph.Graph) (sched.Job, error) {
 	level, err := specInt(spec, "level", 1, MaxFSMEdges)
@@ -72,11 +76,7 @@ func (fsmBuilder) Build(spec fractal.JobSpec, g *graph.Graph) (sched.Job, error)
 		return sched.Job{}, err
 	}
 	minSupport := int64(support)
-	fg := fractal.NewBuildGraph(g)
-	if level > 1 {
-		fg = frequentEdgeGraph(fg, minSupport)
-	}
-	return fractal.Aggregate(fsmCandidates(fg, level), fsmSupName(level),
+	job, err := fractal.Aggregate(fsmCandidates(fractal.NewBuildGraph(g), level), fsmSupName(level),
 		func(e *fractal.Subgraph) string { return e.Class().Code },
 		func(e *fractal.Subgraph) *agg.DomainSupport {
 			cl := e.Class()
@@ -84,38 +84,42 @@ func (fsmBuilder) Build(spec fractal.JobSpec, g *graph.Graph) (sched.Job, error)
 		},
 		agg.ReduceDomainSupport,
 		func(k string, v *agg.DomainSupport) bool { return v.HasEnoughSupport() }).Job()
+	if err == nil && level > 1 {
+		job.Reduce = func(g *graph.Graph) *graph.Graph { return frequentEdgeGraph(g, minSupport) }
+	}
+	return job, err
 }
 
 // fsmCandidates is a level's workflow up to its aggregation: the embeddings
 // with level edges whose every prefix is frequent and whose class has no
 // infrequent sub-pattern. Both decisions are per class: a class filter on
-// each earlier level's supports, and the level-wise pruning filter on the
-// last one's.
+// each earlier level's frequent codes, and the level-wise pruning filter on
+// the last one's.
 func fsmCandidates(g *fractal.Graph, level int) *fractal.Fractoid {
 	f := g.EFractoid().Expand(1)
 	for l := 1; l < level; l++ {
-		f = fractal.FilterAggClass(f, fsmSupName(l),
-			func(cl *fractal.PatternClass, a *agg.Aggregation[string, *agg.DomainSupport]) bool {
+		f = fractal.FilterAggClass(f, fsmFreqName(l),
+			func(cl *fractal.PatternClass, a *agg.Aggregation[string, int64]) bool {
 				return a.Contains(cl.Code)
 			})
 		f = f.Expand(1)
 	}
 	if level > 1 {
-		f = fractal.FilterAggSubPatterns[*agg.DomainSupport](f, fsmSupName(level-1))
+		f = fractal.FilterAggSubPatterns[int64](f, fsmFreqName(level-1))
 	}
 	return f
 }
 
 // FSM mines the frequent subgraph patterns of g under the minimum
 // image-based support threshold minSupport: one fsmBuilder job per level,
-// each level's environment (the accumulated support aggregations) threaded
-// into the next, until a level finds nothing frequent or MaxEdges is
-// reached. A level refuses a class with an infrequent sub-pattern before it
-// aggregates any of its embeddings (FilterAggSubPatterns), so what it reports
-// is the level-wise closure of Listing 3's result: a pattern is kept iff
-// Listing 3 keeps it and every connected sub-pattern of it with one edge
-// fewer was kept — under an anti-monotone support, Listing 3's result
-// itself.
+// each level's environment (the accumulated support aggregations and the
+// frequent codes derived from them) threaded into the next, until a level
+// finds nothing frequent or MaxEdges is reached. A level refuses a class
+// with an infrequent sub-pattern before it aggregates any of its embeddings
+// (FilterAggSubPatterns), so what it reports is the level-wise closure of
+// Listing 3's result: a pattern is kept iff Listing 3 keeps it and every
+// connected sub-pattern of it with one edge fewer was kept — under an
+// anti-monotone support, Listing 3's result itself.
 func FSM(ctx context.Context, fc *fractal.Context, g *fractal.Graph, minSupport int64, opts FSMOptions) (*FSMResult, error) {
 	if opts.MaxEdges < 0 || opts.MaxEdges > MaxFSMEdges {
 		return nil, &MaxEdgesError{Got: opts.MaxEdges}
@@ -140,7 +144,7 @@ func FSM(ctx context.Context, fc *fractal.Context, g *fractal.Graph, minSupport 
 		if err != nil {
 			return nil, err
 		}
-		record(out, lvl)
+		env.Put(fsmFreqName(level), record(out, lvl))
 		if lvl.Len() == 0 {
 			break
 		}
@@ -148,14 +152,17 @@ func FSM(ctx context.Context, fc *fractal.Context, g *fractal.Graph, minSupport 
 	return out, nil
 }
 
-func record(out *FSMResult, lvl *agg.Aggregation[string, *agg.DomainSupport]) {
-	n := 0
+// record adds a level's frequent patterns to out and returns what later
+// levels read of them: each code and its MNI support.
+func record(out *FSMResult, lvl *agg.Aggregation[string, *agg.DomainSupport]) *agg.Aggregation[string, int64] {
+	freq := agg.New[string, int64](agg.MaxInt64)
 	lvl.Range(func(k string, v *agg.DomainSupport) bool {
 		out.Frequent[k] = v
-		n++
+		freq.Add(k, v.Support())
 		return true
 	})
-	out.PerLevel = append(out.PerLevel, n)
+	out.PerLevel = append(out.PerLevel, freq.Len())
+	return freq
 }
 
 // frequentEdgeGraph is the graph levels past the first mine (Section 4.3's
@@ -169,7 +176,7 @@ func record(out *FSMResult, lvl *agg.Aggregation[string, *agg.DomainSupport]) {
 // class is infrequent. A parallel edge may sit behind another's label —
 // a class keeps only the first — so it stays. Only edges go, in order, so
 // every surviving embedding keeps its vertices, their order and its class.
-func frequentEdgeGraph(g *fractal.Graph, minSupport int64) *fractal.Graph {
+func frequentEdgeGraph(raw *graph.Graph, minSupport int64) *graph.Graph {
 	type ends struct {
 		last graph.VertexID // 1 + the last vertex counted
 		n    [2]int64       // distinct vertices with the triple's first, second label
@@ -179,7 +186,6 @@ func frequentEdgeGraph(g *fractal.Graph, minSupport int64) *fractal.Graph {
 		lu, lv := gr.VertexLabel(u), gr.VertexLabel(v)
 		return [3]graph.Label{min(lu, lv), max(lu, lv), gr.EdgeLabel(id)}
 	}
-	raw := g.Raw()
 	triples := map[[3]graph.Label]ends{}
 	for v := graph.VertexID(0); int(v) < raw.NumVertices(); v++ {
 		lv := raw.VertexLabel(v)
@@ -197,7 +203,7 @@ func frequentEdgeGraph(g *fractal.Graph, minSupport int64) *fractal.Graph {
 		}
 	}
 	var parallel []graph.EdgeID
-	return g.EFilter(func(id graph.EdgeID, gr *graph.Graph) bool {
+	return graph.Reduce(raw, nil, func(id graph.EdgeID, gr *graph.Graph) bool {
 		if c := triples[triple(gr, id)]; min(c.n[0], c.n[1]) >= minSupport {
 			return true
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"runtime"
 	"slices"
+	"strconv"
 	"testing"
 
 	"fractal"
@@ -13,6 +14,7 @@ import (
 	"fractal/internal/metrics"
 	"fractal/internal/rpc"
 	"fractal/internal/sched"
+	"fractal/internal/step"
 	"fractal/internal/workload"
 )
 
@@ -225,4 +227,62 @@ func BenchmarkFSM(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(fsmLevelKeys(b, g, res.Last.Aggregations, 3)), "keys/level3")
+}
+
+// TestFSMLevelsReadFrequentCodes: what a level reads of the levels before it
+// is their frequent codes. After FSM every level's frequentL holds exactly
+// supportL's codes, each with its MNI support, and the steps of every level
+// read no environment entry but frequent1..frequent(L-1) — so a master's
+// step starts carry codes and supports, never domains.
+func TestFSMLevelsReadFrequentCodes(t *testing.T) {
+	g := fsmClassCommunity()
+	ctx := testCtx(t)
+	res, err := FSM(bg, ctx, ctx.FromGraph(g), 8, FSMOptions{MaxEdges: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.PerLevel) != 3 {
+		t.Fatalf("PerLevel=%v, want three levels", res.PerLevel)
+	}
+	env := res.Last.Aggregations
+	for level := 1; level <= len(res.PerLevel); level++ {
+		sup, err := agg.Typed[string, *agg.DomainSupport](env, fsmSupName(level))
+		if err != nil {
+			t.Fatal(err)
+		}
+		freq, err := agg.Typed[string, int64](env, fsmFreqName(level))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if freq.Len() != sup.Len() || freq.Len() != res.PerLevel[level-1] {
+			t.Errorf("level %d: %d frequent codes, %d supports, PerLevel %d", level, freq.Len(), sup.Len(), res.PerLevel[level-1])
+		}
+		sup.Range(func(code string, ds *agg.DomainSupport) bool {
+			if s, ok := freq.Get(code); !ok || s != ds.Support() {
+				t.Errorf("level %d: %s maps %q to %d (%t), want its support %d", level, fsmFreqName(level), code, s, ok, ds.Support())
+			}
+			return true
+		})
+
+		job, err := fsmBuilder{}.Build(fractal.JobSpec{App: AppFSM, Args: map[string]string{
+			"support": "8", "level": strconv.Itoa(level)}}, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reads := map[string]bool{}
+		for _, p := range job.Workflow {
+			if p.Kind == step.AggFilter {
+				reads[p.AggName] = true
+			}
+		}
+		for l := 1; l < level; l++ {
+			if !reads[fsmFreqName(l)] {
+				t.Errorf("level %d reads no %s", level, fsmFreqName(l))
+			}
+			delete(reads, fsmFreqName(l))
+		}
+		if len(reads) > 0 {
+			t.Errorf("level %d also reads %v", level, reads)
+		}
+	}
 }

@@ -177,8 +177,9 @@ var fsmParallelEdges = []graph.Edge{
 var fsmParallelKept = []int{0, 1, 2, 3, 4, 5, 6, 7}
 
 // TestFSMFrequentEdgeGraph pins the rule levels past the first mine by: the
-// level-2 job's graph has every vertex of the input and exactly the kept
-// edges, in their order. Dropping the infrequent parallel edge too — the
+// level-2 job carries the loaded graph itself — a master ships it as a spec
+// and enumerates nothing — and its Reduce derives a graph with every vertex
+// of the input and exactly the kept edges, in their order. Dropping the infrequent parallel edge too — the
 // plain "one-edge class frequent" rule — leaves two of the three folded
 // pairs, and their level-2 class and its level-3 extension fall below the
 // support; keys, supports and domains must be Listing 3's.
@@ -190,7 +191,10 @@ func TestFSMFrequentEdgeGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	red := job.Graph
+	if job.Graph != raw || job.Reduce == nil {
+		t.Fatalf("level-2 job has graph %p and Reduce %t, want the loaded graph %p and a reduction", job.Graph, job.Reduce != nil, raw)
+	}
+	red := job.Reduce(job.Graph)
 	if red.NumVertices() != raw.NumVertices() || red.NumEdges() != len(fsmParallelKept) {
 		t.Errorf("level-2 graph has %d vertices and %d edges, want %d and %d",
 			red.NumVertices(), red.NumEdges(), raw.NumVertices(), len(fsmParallelKept))

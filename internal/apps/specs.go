@@ -12,10 +12,12 @@
 // motif fleet runs on a master as it does in process.
 //
 // FSM's graph reduction (Section 4.3) is part of its spec: a level's builder
-// derives the frequent-edge graph from the graph and the support, in every
-// process alike. What has no spec form — the KClist enumerator, keyword
-// search and its reduction — is rejected on a master
-// context with a *fractal.ConfigError instead of being ignored.
+// sets the job's Reduce to the frequent-edge graph of the loaded graph and
+// the support, which every process that enumerates the job derives once —
+// an in-process runtime and each worker process — and a master never does.
+// What has no spec form — the KClist enumerator, keyword search and its
+// reduction — is rejected on a master context with a *fractal.ConfigError
+// instead of being ignored.
 package apps
 
 import (

@@ -274,12 +274,20 @@ func (b *Builder) Build() *Graph {
 	g.elabOff, g.elab = b.elab.pack(len(b.esrc))
 	g.vkwOff, g.vkw = b.vkw.pack(b.nv)
 	g.ekwOff, g.ekw = b.ekw.pack(len(b.esrc))
-	g.adjOff, g.adjV = buildAdjacency(b.nv, g.esrc, g.edst)
+	g.index(b.nv)
+	*b = Builder{name: b.name, dict: b.dict}
+	return g
+}
+
+// index completes a graph whose endpoint and label arrays are in place, over
+// nv vertices: the neighbor adjacency, an edge-id index that waits for its
+// first reader, the label count, and what finalize derives. Build and Reduce
+// end with it.
+func (g *Graph) index(nv int) {
+	g.adjOff, g.adjV = buildAdjacency(nv, g.esrc, g.edst)
 	g.adjE = new(edgeIndex)
 	g.numLabel = countLabels(g.vlab, g.elab)
 	g.finalize()
-	*b = Builder{name: b.name, dict: b.dict}
-	return g
 }
 
 // buildAdjacency returns the CSR neighbor adjacency of the edges

@@ -195,7 +195,9 @@ func (h *remoteHost) handleControl(w *worker, env rpc.Envelope) {
 // install materializes one job spec as the current job: load the graph,
 // rebuild the workflow through the registered app, and split it into steps
 // against the names of the master's environment — the same deterministic
-// pipeline the master runs, so both sides hold identical step lists.
+// pipeline the master runs, so both sides hold identical step lists. Then
+// it applies the job's reduction (Job.Reduce), which the master does not:
+// this worker's cores enumerate the reduced graph in every step.
 func (h *remoteHost) install(m jobSpecMsg) error {
 	spec := msgToSpec(m)
 	builder, err := builderFor(spec.App)
@@ -220,6 +222,9 @@ func (h *remoteHost) install(m jobSpecMsg) error {
 	steps, err := step.Split(job.Workflow, pre)
 	if err != nil {
 		return err
+	}
+	if job.Reduce != nil {
+		job.Graph = job.Reduce(job.Graph)
 	}
 	h.job = &remoteJob{id: m.Job, job: job, steps: steps}
 	return nil

@@ -24,6 +24,13 @@ import (
 type Job struct {
 	// Graph is the input graph (or a reduced view of it, Section 4.3).
 	Graph *graph.Graph
+	// Reduce, when set, is the Section 4.3 reduction of Graph that the cores
+	// enumerate. It is applied once per job, before step 0, where the job is
+	// enumerated: by runJob on an in-process runtime and by a worker process
+	// when it installs the job's spec — never per step attempt, and never on
+	// a master, whose cores read no graph. It must be deterministic, so that
+	// every worker enumerates the same reduced graph.
+	Reduce func(*graph.Graph) *graph.Graph
 	// Kind selects the extension strategy.
 	Kind subgraph.Kind
 	// Plan is required iff Kind is PatternInduced.
@@ -381,7 +388,8 @@ func (job Job) validate() error {
 // return and executes the steps: the one path of Run and RunSpec in every
 // deployment. spec is set exactly in master mode, where the job ships to the
 // workers as that spec — with the names of its environment, so both sides
-// split the same steps — before step 0.
+// split the same steps — before step 0. In process the job's reduction
+// (Job.Reduce) is applied here, once, when the job has its turn.
 func (r *Runtime) runJob(ctx context.Context, job Job, spec *JobSpec) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -425,6 +433,9 @@ func (r *Runtime) runJob(ctx context.Context, job Job, spec *JobSpec) (*Result, 
 	jobID, err := r.nextJobID()
 	if err != nil {
 		return nil, err
+	}
+	if r.reg == nil && job.Reduce != nil {
+		job.Graph = job.Reduce(job.Graph)
 	}
 	if spec != nil {
 		defer r.reg.done()

@@ -12,9 +12,12 @@
 # with two fractal-worker processes must write a -metrics-out report whose
 # summed extension_tests is positive and equal to the in-process run's on the
 # same file — the workers' counters reach the master's report. Last, FSM on a
-# labelled multigraph with an infrequent edge parallel to a frequent one: the
-# master and its two workers each derive every level's frequent-edge graph,
-# and the patterns printed must be the in-process run's, line for line.
+# labelled multigraph with an infrequent edge parallel to a frequent one, to
+# 3 and to 4 edges: the master ships each level as a spec and enumerates
+# nothing, its two workers each derive every level's frequent-edge graph, the
+# step starts carry the earlier levels' frequent codes (three entries on
+# level 4), and the patterns printed must be the in-process run's, line for
+# line.
 set -eux
 cd "$(dirname "$0")/.."
 tmp=$(mktemp -d)
@@ -85,12 +88,15 @@ patterns() {
 	grep -v -e '^master listening on ' -e '^waiting for ' "$1" | sort
 }
 
-"$tmp/fractal" -graph "$tmp/multi.el" -app fsm -support 4 -maxedges 3 -cores 2 > "$tmp/fsm-local.out"
-start_master "$tmp/fsm-master.out" -graph "$tmp/multi.el" -app fsm -support 4 -maxedges 3
-wait "$master"
-wait
-cat "$tmp/fsm-master.out"
-grep -q '^frequent patterns' "$tmp/fsm-local.out"
-patterns "$tmp/fsm-local.out" > "$tmp/fsm-local.sorted"
-patterns "$tmp/fsm-master.out" > "$tmp/fsm-master.sorted"
-cmp "$tmp/fsm-local.sorted" "$tmp/fsm-master.sorted"
+for maxedges in 3 4; do
+	"$tmp/fractal" -graph "$tmp/multi.el" -app fsm -support 4 -maxedges $maxedges -cores 2 > "$tmp/fsm-local.out"
+	start_master "$tmp/fsm-master.out" -graph "$tmp/multi.el" -app fsm -support 4 -maxedges $maxedges
+	wait "$master"
+	wait
+	cat "$tmp/fsm-master.out"
+	# maxedges levels, and the last finds something
+	grep -q "^frequent patterns .*, per level \[\([0-9]* \)\{$((maxedges - 1))\}[1-9][0-9]*\]\$" "$tmp/fsm-local.out"
+	patterns "$tmp/fsm-local.out" > "$tmp/fsm-local.sorted"
+	patterns "$tmp/fsm-master.out" > "$tmp/fsm-master.sorted"
+	cmp "$tmp/fsm-local.sorted" "$tmp/fsm-master.sorted"
+done

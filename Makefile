@@ -146,9 +146,9 @@ fuzz-agg:
 # Short fuzz of every wire decoder, one layer each (DESIGN.md §12, "Wire
 # format"): control-message bodies, aggregation payloads and frame sequences,
 # the pattern form. Arbitrary bytes must fail with a *wire.Error, never panic
-# or overallocate, and whatever decodes must survive a round trip. A job spec
-# that decodes is then built by every registered app (FuzzJobSpec): a job or
-# an error, never a panic.
+# or overallocate, and whatever decodes must survive a round trip. The job
+# spec of a step start that decodes is then installed with every registered
+# app (FuzzJobSpec): a job or an error, never a panic.
 fuzz-wire:
 	go test -run=NONE -fuzz=FuzzDecodeMessage -fuzztime=10s ./internal/sched/
 	go test -run=NONE -fuzz=FuzzJobSpec -fuzztime=10s ./internal/sched/

@@ -24,11 +24,11 @@ import (
 func main() {
 	graphPath := flag.String("graph", "", "optional input graph (.graph/.el)")
 	cores := flag.Int("cores", 4, "execution cores")
-	timeout := flag.Duration("timeout", 0, "optional overall deadline, e.g. 5s")
+	timeout := flag.Duration("timeout", 10*time.Minute, "deadline of the whole run, e.g. 5s; 0 for none")
 	flag.Parse()
 
 	// Ctrl-C cancels the running query instead of leaving the runtime
-	// wedged; -timeout additionally bounds the whole run.
+	// wedged; -timeout bounds the whole run.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	if *timeout > 0 {
@@ -37,10 +37,7 @@ func main() {
 		defer cancel()
 	}
 
-	fctx, err := fractal.NewContext(
-		fractal.WithCores(*cores),
-		fractal.WithStepTimeout(10*time.Minute),
-	)
+	fctx, err := fractal.NewContext(fractal.WithCores(*cores))
 	if err != nil {
 		log.Fatal(err)
 	}

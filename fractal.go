@@ -304,13 +304,6 @@ func WithListenAddr(addr string) Option {
 	}
 }
 
-// WithStepTimeout bounds the wall-clock time of each fractal step; a step
-// exceeding it is cancelled and execution returns an error wrapping
-// context.DeadlineExceeded.
-func WithStepTimeout(d time.Duration) Option {
-	return func(c *Config) error { c.StepTimeout = d; return nil }
-}
-
 // WithWorkerTimeout sets how long the master waits on silence from all
 // participants before it probes the workers, and how long a probe may go
 // unanswered before the step attempt fails with a *sched.WorkerLostError.
@@ -325,7 +318,9 @@ func WithWorkerTimeout(d time.Duration) Option {
 // for the rest of the job, and re-executes the step from scratch over the
 // survivors 5 ms later, up to n retries per step. Results are bit-identical to
 // fault-free runs — exactly one attempt's aggregations are ever committed.
-// When the budget runs out the job fails with a *RetryExhaustedError. Note
+// When the budget runs out the job fails with a *RetryExhaustedError. On a
+// master, a worker it can no longer send to costs no retry: it is forgotten,
+// and the step re-executes over the other workers. Note
 // that Visit callbacks are at-least-once under retries (a failed attempt's
 // visits cannot be unrun); counting and aggregation stay exact.
 func WithStepRetries(n int) Option {
@@ -371,8 +366,7 @@ func WithConfig(cfg Config) Option {
 
 // NewContext starts a runtime configured by the given options:
 //
-//	fractal.NewContext(fractal.WithWorkers(4), fractal.WithCores(8),
-//		fractal.WithStepTimeout(30*time.Second))
+//	fractal.NewContext(fractal.WithWorkers(4), fractal.WithCores(8))
 //
 // With no options: one worker, one core, hierarchical work stealing.
 func NewContext(opts ...Option) (*Context, error) {
@@ -409,11 +403,11 @@ func (c *Context) AwaitWorkers(ctx context.Context, n int) error {
 // RunSpec executes a serializable job spec: the registered application is
 // materialized against the spec's graph file and arguments and run through
 // the step protocol. It works on every context — in-process ones build and
-// run the job locally; WithListenAddr masters distribute the spec to the
-// registered worker processes. The graph is loaded through the same
-// per-context cache as LoadGraph, so naming an already loaded file costs
-// nothing. env carries aggregations from previous jobs the workflow reads
-// (nil for none). Graph.RunSpec is the form for a graph handle. It queues
+// run the job locally; WithListenAddr masters ship the spec to the
+// registered worker processes inside every step start. The graph is loaded
+// through the same per-context cache as LoadGraph, so naming an already
+// loaded file costs nothing. env carries aggregations from previous jobs
+// the workflow reads (nil for none). Graph.RunSpec is the form for a graph handle. It queues
 // behind a running job.
 func (c *Context) RunSpec(ctx context.Context, spec JobSpec, env *Aggregations) (*Result, error) {
 	return c.rt.RunSpec(ctx, spec, env)

@@ -167,10 +167,11 @@ func FilterAggClass[K comparable, V any](f *Fractoid, name string,
 // sub-pattern of its class with L-1 edges (Pattern.SubPatterns) is a key of
 // the aggregation named name, which must hold the previous level's result.
 // A class with fewer pattern edges than its subgraphs have edges — parallel
-// edges of a multigraph fold into one pattern edge — passes unasked: its
-// sub-patterns are not what the previous level aggregated. It is a class
-// filter (FilterAggClass): the sub-patterns are labelled once per class per
-// core, and the searches count as canonical-labelling calls in the report.
+// edges of a multigraph fold into one pattern edge — never passes: a level
+// mines simple patterns of exactly L edges, and the folded class is a
+// pattern of an earlier level. It is a class filter (FilterAggClass): the
+// sub-patterns are labelled once per class per core, and the searches count
+// as canonical-labelling calls in the report.
 func FilterAggSubPatterns[V any](f *Fractoid, name string) *Fractoid {
 	if f.kind != subgraph.EdgeInduced {
 		nf := *f
@@ -183,7 +184,7 @@ func FilterAggSubPatterns[V any](f *Fractoid, name string) *Fractoid {
 		if !ok {
 			return false
 		}
-		return cl.Rep.NumEdges() < edges ||
+		return cl.Rep.NumEdges() == edges &&
 			lab.EverySubClass(cl.Rep, func(sub *pattern.Class) bool { return a.Contains(sub.Code) })
 	}))
 }

@@ -495,6 +495,41 @@ func TestDistElasticJoin(t *testing.T) {
 	}
 }
 
+// TestDistWorkerGoneBetweenJobs: a registered worker that stops between jobs
+// is forgotten, not blamed. At StepRetries 0 every later job — here two,
+// back to back — runs on the survivor and counts exactly: the first re-runs
+// its step once, uncharged, when it finds it cannot send to the stopped
+// worker, and the second never names it.
+func TestDistWorkerGoneBetweenJobs(t *testing.T) {
+	path := writeGraphFile(t, workload.ErdosRenyi("dist-gone", 60, 220, 1, 54))
+	_, load := inProcessOracle(t)
+	want, _, err := cliquesOracle(load(path), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	master := distMaster(t, fractal.WithStepRetries(0))
+	startWorker(t, master.ListenAddr(), fractal.WorkerOptions{})
+	stop := startWorker(t, master.ListenAddr(), fractal.WorkerOptions{})
+	if err := master.AwaitWorkers(context.Background(), 2); err != nil {
+		t.Fatal(err)
+	}
+	g := loadOn(t, master, path)
+	stop()
+	for job := 0; job < 2; job++ {
+		got, res, err := Cliques(bg, master, g, 4)
+		if err != nil {
+			t.Fatalf("job %d after a worker stopped: %v", job, err)
+		}
+		if got != want {
+			t.Errorf("job %d: cliques=%d, want %d", job, got, want)
+		}
+		if res.Report.Workers != 1 || res.Report.Retries != 1-job || res.Report.WorkersLost != 1-job {
+			t.Errorf("job %d: report says %d workers, %d retries, %d lost; want 1, %d, %d",
+				job, res.Report.Workers, res.Report.Retries, res.Report.WorkersLost, 1-job, 1-job)
+		}
+	}
+}
+
 // TestServeWorkerReleasesGoroutines: a worker that served a job against an
 // in-process master and was then cancelled leaves no goroutine behind — not
 // its own, and not the master's for it — and closing the master releases
@@ -582,6 +617,34 @@ func TestDistRejectsUnknownApp(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), `"no-such-app"`) {
 		t.Errorf("error should name the app: %v", err)
+	}
+}
+
+// TestDistWorkerCannotInstall: a worker that cannot install the job — here
+// the graph file is gone after the master loaded it, so no worker can load
+// it — answers its first step start at once as a worker not running the
+// attempt, and the master convicts it of a step-start loss: at StepRetries
+// 0 the job fails with that *WorkerLostError, not with a timeout. The
+// generous WorkerTimeout and the ctx are hang guards only.
+func TestDistWorkerCannotInstall(t *testing.T) {
+	path := writeGraphFile(t, workload.ErdosRenyi("dist-noinstall", 30, 60, 1, 50))
+	master := distPair(t, fractal.WithStepRetries(0), fractal.WithWorkerTimeout(time.Minute))
+	g := loadOn(t, master, path)
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(bg, 20*time.Second)
+	defer cancel()
+	_, _, err := Cliques(ctx, master, g, 3)
+	var lost *fractal.WorkerLostError
+	if !errors.As(err, &lost) || lost.Phase != "step-start" || lost.Worker < 0 || lost.Worker > 1 {
+		t.Fatalf("err = %v, want a step-start *WorkerLostError naming worker 0 or 1", err)
+	}
+	if strings.Contains(err.Error(), "no report within worker timeout") {
+		t.Errorf("a refused install reads as silence: %v", err)
+	}
+	if !strings.Contains(err.Error(), filepath.Base(path)) {
+		t.Errorf("the error should name the graph file the worker could not load: %v", err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"fractal"
@@ -107,8 +108,7 @@ func TestFSMEqualsLevelwiseClosure(t *testing.T) {
 // frequent-edge graph, which drops only edges that no frequent class can
 // hold, so FSM's keys, supports and domains are the level-wise closure's
 // (fsmOracleLevels) on the input graph — on simple graphs, on a multigraph,
-// and on fsmOrientationGraph, where the one-edge support that level 1
-// computes would drop an edge a frequent class holds.
+// and on fsmOrientationGraph, whose one frequent folded class both refuse.
 func TestFSMReductionKeepsFrequentSet(t *testing.T) {
 	ctx := testCtx(t)
 	// BA, community, ER, multigraph BA, and the orientation case.
@@ -127,11 +127,11 @@ func TestFSMReductionKeepsFrequentSet(t *testing.T) {
 // fsmOrientationGraph has two parallel label-1 pairs, (0, 7) and (2, 8),
 // and label-2 edges (0, 1) and (0, 2), every vertex labelled 0. Level 1
 // files an edge between equal labels in one orientation, so the label-2
-// edge's support is 1 (vertex 0 on one side). At support 2 its MNI support
-// is 3, and at level 3 the class "pair, then a label-2 edge" is frequent:
-// its shared vertex is 0 or 2, its far end 0, 1 or 2. The class folds the
-// pair and passes the sub-pattern filter unasked, so only the supports
-// guard it.
+// edge's support is 1 (vertex 0 on one side), though its MNI support is 3
+// and the frequent-edge graph keeps it at support 2. At level 3 the class
+// "pair, then a label-2 edge" would be frequent — its shared vertex is 0 or
+// 2, its far end 0, 1 or 2 — but it folds the pair into two pattern edges,
+// and FSM mines simple patterns: the level refuses it.
 func fsmOrientationGraph() *graph.Graph {
 	b := graph.NewBuilder("fsm-orientation")
 	for v := 0; v < 9; v++ {
@@ -179,10 +179,9 @@ var fsmParallelKept = []int{0, 1, 2, 3, 4, 5, 6, 7}
 // TestFSMFrequentEdgeGraph pins the rule levels past the first mine by: the
 // level-2 job carries the loaded graph itself — a master ships it as a spec
 // and enumerates nothing — and its Reduce derives a graph with every vertex
-// of the input and exactly the kept edges, in their order. Dropping the infrequent parallel edge too — the
-// plain "one-edge class frequent" rule — leaves two of the three folded
-// pairs, and their level-2 class and its level-3 extension fall below the
-// support; keys, supports and domains must be Listing 3's.
+// of the input and exactly the kept edges, in their order, the infrequent
+// parallel edge among them; keys, supports and domains must be Listing 3's
+// over simple patterns (fsmOracle), the classes that fold a pair refused.
 func TestFSMFrequentEdgeGraph(t *testing.T) {
 	ctx := testCtx(t)
 	raw := fsmParallelGraph()
@@ -217,6 +216,75 @@ func TestFSMFrequentEdgeGraph(t *testing.T) {
 			t.Fatal(err)
 		}
 		fsmEqualsOracle(t, "fsm-parallel", got, want)
+	}
+}
+
+// fsmRingMultigraph is scripts/check_dist.sh's multi.el: a ring of 60
+// label-A vertices (29 and 59 are B) with chords at +2, all label x; x
+// doubles every tenth ring edge, an infrequent y doubles three more, and one
+// z edge is infrequent and simple.
+func fsmRingMultigraph(t *testing.T) *graph.Graph {
+	t.Helper()
+	var b strings.Builder
+	const n = 60
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "v %d %s\n", i, map[bool]string{false: "A", true: "B"}[i%30 == 29])
+	}
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&b, "e %d %d x\ne %d %d x\n", i, (i+1)%n, i, (i+2)%n)
+	}
+	for i := 0; i < n; i += 10 {
+		fmt.Fprintf(&b, "e %d %d x\n", i, i+1)
+	}
+	for i := 5; i < n; i += 20 {
+		fmt.Fprintf(&b, "e %d %d y\n", i, i+1)
+	}
+	b.WriteString("e 0 30 z\n")
+	g, err := graph.LoadEdgeList(strings.NewReader(b.String()), "multi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestFSMMultigraphLevelsExact: on a multigraph a level's embeddings whose
+// parallel edges fold into fewer pattern edges belong to no pattern of the
+// level, so every level reports patterns of its own edge count only. Each
+// Frequent entry has its level's edge count, the entries add up to PerLevel,
+// and a pattern's support is the same whatever MaxEdges runs past its level
+// (the one-edge pattern's 57 and the triangle's 54 at support 4, which the
+// later levels used to overwrite with 9 and 16).
+func TestFSMMultigraphLevelsExact(t *testing.T) {
+	ctx := testCtx(t)
+	g := ctx.FromGraph(fsmRingMultigraph(t))
+	supports := map[string]int64{} // code -> support at the first MaxEdges that found it
+	for maxEdges := 1; maxEdges <= 4; maxEdges++ {
+		res, err := FSM(bg, ctx, g, 4, FSMOptions{MaxEdges: maxEdges})
+		if err != nil {
+			t.Fatal(err)
+		}
+		levels := 0
+		for _, n := range res.PerLevel {
+			levels += n
+		}
+		if len(res.Frequent) != levels || len(res.PerLevel) != maxEdges || res.PerLevel[maxEdges-1] == 0 {
+			t.Errorf("maxedges %d: %d patterns, per level %v", maxEdges, len(res.Frequent), res.PerLevel)
+		}
+		perEdges := make([]int, maxEdges)
+		for code, ds := range res.Frequent {
+			e := ds.Pattern().NumEdges()
+			if e < 1 || e > maxEdges {
+				t.Fatalf("maxedges %d: pattern %q has %d edges", maxEdges, code, e)
+			}
+			perEdges[e-1]++
+			if was, ok := supports[code]; ok && was != ds.Support() {
+				t.Errorf("maxedges %d: pattern %q has support %d, %d at a lower MaxEdges", maxEdges, code, ds.Support(), was)
+			}
+			supports[code] = ds.Support()
+		}
+		if !slices.Equal(perEdges, res.PerLevel) {
+			t.Errorf("maxedges %d: patterns by edge count %v, per level %v", maxEdges, perEdges, res.PerLevel)
+		}
 	}
 }
 

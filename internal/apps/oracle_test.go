@@ -92,8 +92,10 @@ type fsmOracleLevel map[string][][]graph.VertexID
 // table — and folded under a mutex into hash-set domains (the seed
 // DomainSupport shape). Level l re-enumerates from scratch, keeping only
 // extensions of the earlier levels' frequent patterns: the anti-monotone
-// filter the pipeline's prefix filters apply. It returns one entry per level,
-// up to and including the first that finds nothing frequent.
+// filter the pipeline's prefix filters apply. FSM mines simple patterns: an
+// embedding whose parallel edges fold into fewer pattern edges than its
+// level has no pattern of that level and is skipped. It returns one entry
+// per level, up to and including the first that finds nothing frequent.
 func fsmOracle(t *testing.T, g *fractal.Graph, minSupport int64, maxEdges int) []fsmOracleLevel {
 	t.Helper()
 	return fsmOracleLevels(t, g, minSupport, maxEdges, false)
@@ -104,8 +106,7 @@ func fsmOracle(t *testing.T, g *fractal.Graph, minSupport int64, maxEdges int) [
 // pattern with as many edges as its level is dropped when one of its
 // connected sub-patterns with one edge fewer is not in the closed level
 // before — decided after the fact, one Canonical() per sub-pattern, where
-// the pipeline decides per class before it aggregates. A pattern with fewer
-// edges than its level (parallel edges folded) is never dropped.
+// the pipeline decides per class before it aggregates.
 func fsmOracleLevels(t *testing.T, g *fractal.Graph, minSupport int64, maxEdges int, closed bool) []fsmOracleLevel {
 	t.Helper()
 	var mu sync.Mutex
@@ -123,6 +124,9 @@ func fsmOracleLevels(t *testing.T, g *fractal.Graph, minSupport int64, maxEdges 
 		members := map[string]*pattern.Pattern{} // one pattern of each class met
 		_, err := f.Visit(func(e *fractal.Subgraph) {
 			p, vs := e.Pattern(), e.Vertices()
+			if p.NumEdges() < level {
+				return
+			}
 			canon := p.Canonical()
 			mu.Lock()
 			defer mu.Unlock()
@@ -158,8 +162,8 @@ func fsmOracleLevels(t *testing.T, g *fractal.Graph, minSupport int64, maxEdges 
 			}
 		}
 		for code := range out {
-			if p := members[code]; closed && level > 1 && p.NumEdges() == level {
-				for _, sub := range p.SubPatterns() {
+			if closed && level > 1 {
+				for _, sub := range members[code].SubPatterns() {
 					if _, ok := levels[level-2][sub.Canonical().Code]; !ok {
 						delete(out, code)
 						break

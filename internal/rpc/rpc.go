@@ -516,6 +516,22 @@ func (n *TCPNode) readLoop(c conn) {
 	}
 }
 
+// watch reads the connection to a peer, which the peer never writes to,
+// until it ends: the peer closed it (it exited) or this node did. The peer's
+// close drops the cached connection, because the first write into a
+// connection the peer has closed succeeds without reaching anyone; the next
+// send redials instead, and fails at once if the peer is gone.
+func (n *TCPNode) watch(to NodeID, tc *tcpConn) {
+	defer n.wg.Done()
+	var b [1]byte
+	for {
+		if _, err := tc.c.Read(b[:]); err != nil {
+			break
+		}
+	}
+	n.dropConn(to, tc)
+}
+
 // conn returns the cached connection to a peer, dialing its address-book
 // address (with retry and backoff) when none exists. The dial happens outside
 // the node lock so a dead peer's backoff never stalls sends to healthy peers.
@@ -557,7 +573,9 @@ func (n *TCPNode) conn(to NodeID) (tc *tcpConn, fresh bool, err error) {
 	}
 	tc = &tcpConn{c: c}
 	n.conns[to] = tc
+	n.wg.Add(1)
 	n.mu.Unlock()
+	go n.watch(to, tc)
 	return tc, true, nil
 }
 

@@ -328,6 +328,39 @@ func TestSendRecoversAcrossBrokenConnection(t *testing.T) {
 	}
 }
 
+// TestPeerExitFailsTheNextSend: when a peer exits, a node drops its cached
+// connection to it, so its next send fails with the refused dial instead of
+// vanishing into the closed socket.
+func TestPeerExitFailsTheNextSend(t *testing.T) {
+	nw, err := NewTCPNetwork([]NodeID{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeAll(nw)
+	n0 := nw[0].(*TCPNode)
+	n0.opts.dialAttempts = 1
+	if err := n0.Send(1, Envelope{Kind: 1}); err != nil {
+		t.Fatal(err)
+	}
+	recvOne(t, nw[1])
+	nw[1].Close()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		n0.mu.Lock()
+		_, cached := n0.conns[1]
+		n0.mu.Unlock()
+		if !cached {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the connection to the exited peer is still cached")
+		}
+	}
+	var de *DialError
+	if err := n0.Send(1, Envelope{Kind: 2}); !errors.As(err, &de) {
+		t.Fatalf("send to the exited peer: err=%v, want a *DialError", err)
+	}
+}
+
 // TestDialBackoffAbortsOnDone verifies the satellite-1 fix: a dial in its
 // backoff wait must return promptly (with ErrClosed) when the done channel
 // closes, instead of sleeping out the remaining schedule.

@@ -30,23 +30,30 @@ func (r *Runtime) effectFree(s *step.Step) bool {
 	return true
 }
 
-// executeStep drives one fractal step: broadcast start (carrying reads, the
-// encoded aggregations the step reads, in master mode), poll for global
-// quiescence, broadcast end, and merge the workers' aggregation partials.
+// executeStep drives one fractal step: broadcast start (start with the
+// attempt's key and participants; in master mode it carries the job's spec
+// and the encoded aggregations the step reads), poll for global quiescence,
+// broadcast end, and merge the workers' aggregation partials.
 // On any failure — context cancellation, deadline, or worker loss — the
 // step is abandoned: the run's abort flag is flipped and a cancel message
 // is broadcast so every reachable worker drains its cores and discards its
-// partials.
-func (r *Runtime) executeStep(ctx context.Context, run *jobRun, reads []envEntry) (err error) {
+// partials. A master first forgets a lost worker it could not send to, so
+// the cancel neither dials it nor waits for its ack.
+func (r *Runtime) executeStep(ctx context.Context, run *jobRun, start stepStartMsg) (err error) {
 	defer func() {
 		if err != nil {
+			var lost *WorkerLostError
+			if errors.As(err, &lost) && r.unreachable(lost) {
+				r.reg.drop(lost.Worker)
+			}
 			r.broadcastCancel(run)
 		}
 	}()
 	if run.tracer != nil {
 		run.tracer.Emit(metrics.TraceEvent{Kind: metrics.TraceStepStart, Step: run.key.Step, Worker: -1, Core: -1})
 	}
-	startBody := encode(stepStartMsg{attemptKey: run.key, Workers: run.parts, Env: reads})
+	start.attemptKey, start.Workers = run.key, run.parts
+	startBody := encode(start)
 	for _, wid := range run.parts {
 		if e := r.master.Send(rpc.NodeID(wid), rpc.Envelope{Kind: kStepStart, Body: startBody}); e != nil {
 			return &WorkerLostError{Worker: wid, Step: run.key.Step, Phase: "step-start", Err: e}
@@ -68,6 +75,13 @@ func (r *Runtime) executeStep(ctx context.Context, run *jobRun, reads []envEntry
 		run.tracer.Emit(metrics.TraceEvent{Kind: metrics.TraceStepEnd, Step: run.key.Step, Worker: -1, Core: -1})
 	}
 	return nil
+}
+
+// unreachable reports whether lost is a worker a master could not send to:
+// it is gone, and the registry forgets it (executeStep), so the attempt it
+// failed re-runs without charging StepRetries (runJob).
+func (r *Runtime) unreachable(lost *WorkerLostError) bool {
+	return r.reg != nil && lost.Worker >= 0 && lost.Err != nil && !errors.Is(lost.Err, errNotRunning)
 }
 
 // cancelDrainWait bounds how long the master waits for workers to
@@ -97,7 +111,7 @@ func (r *Runtime) broadcastCancel(run *jobRun) {
 	// Cancel goes to every worker, not just this attempt's participants: an
 	// excluded worker may still be draining the failed attempt that got it
 	// excluded.
-	all := r.allWorkerIDs()
+	all := r.participantsFor(nil)
 	for _, id := range all {
 		r.master.Send(rpc.NodeID(id), rpc.Envelope{Kind: kCancel, Body: body})
 	}
@@ -151,7 +165,8 @@ func (r *Runtime) broadcastCancel(run *jobRun) {
 // been silent for WorkerTimeout the master probes with the same ping wave: a
 // participant that cannot be sent to, or leaves the probe unanswered through
 // the next WorkerTimeout of silence, is lost ("quiescence"); one that answers
-// that it is not running the attempt lost its step start ("step-start"); and
+// that it is not running the attempt lost its step start or could not
+// install the job ("step-start"); and
 // idle participants whose grant counts stay imbalanced across two silences
 // lost a grant in flight — no single worker to blame (Worker -1), so a retry
 // re-executes over the same set ("steal-balance"). DESIGN §11 prices what
@@ -212,10 +227,11 @@ func (r *Runtime) awaitQuiescence(ctx context.Context, run *jobRun) error {
 			}
 			rearm(silence, r.cfg.WorkerTimeout)
 			if m.Reply && m.Seq == 0 {
-				// The participant is reachable but never received its step
-				// start: its partition of the root domain is not being
+				// The participant is reachable but not running the attempt:
+				// it never received its step start, or could not install the
+				// job. Its partition of the root domain is not being
 				// enumerated and never will be.
-				return &WorkerLostError{Worker: m.Worker, Step: run.key.Step, Phase: "step-start"}
+				return &WorkerLostError{Worker: m.Worker, Step: run.key.Step, Phase: "step-start", Err: notRunning(m.Err)}
 			}
 			if m.Seq > prev.Seq {
 				last[m.Worker] = m

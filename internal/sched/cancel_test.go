@@ -97,28 +97,6 @@ func TestCancellationTCP(t *testing.T) {
 	}
 }
 
-// TestStepTimeoutCancelsStep verifies Config.StepTimeout: the step is
-// abandoned with context.DeadlineExceeded without any caller-side context.
-func TestStepTimeoutCancelsStep(t *testing.T) {
-	rt, err := New(Config{Workers: 1, CoresPerWorker: 2, WS: WSInternal, StepTimeout: 50 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	var counter atomic.Int64
-	start := time.Now()
-	res, err := rt.Run(context.Background(), longJob(23, &counter))
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err=%v, want wrapped context.DeadlineExceeded", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Errorf("step timeout took %v to take effect", elapsed)
-	}
-	if res == nil || len(res.Steps) == 0 || !res.Steps[len(res.Steps)-1].Cancelled {
-		t.Errorf("partial result missing or last step not Cancelled: %+v", res)
-	}
-}
-
 // TestCancelBeforeRun verifies an already-cancelled context fails fast
 // without starting any step.
 func TestCancelBeforeRun(t *testing.T) {

@@ -76,17 +76,14 @@ type Config struct {
 	// registration reply, so all participants execute under one
 	// configuration.
 	ListenAddr string
-	// StepTimeout bounds the wall-clock time of each fractal step. A step
-	// exceeding it is cancelled exactly as by a context deadline and Run
-	// returns an error wrapping context.DeadlineExceeded. Zero means no
-	// per-step bound (the job context still applies).
-	StepTimeout time.Duration
 	// WorkerTimeout is how long the master waits on silence — no status
 	// report from any participant during a step, no aggregation data at
 	// its end — before it probes the workers and, when a ping stays
 	// unanswered through as long a silence again, declares a worker lost
 	// and fails the attempt with a WorkerLostError (default 1 minute). It
-	// is the master's only timer during a step (DESIGN §11 prices that).
+	// is the master's only timer during a step (DESIGN §11 prices that),
+	// and it bounds a master's wait for a registered worker before a job's
+	// step 0.
 	WorkerTimeout time.Duration
 	// StepRetries is how many times the master re-executes a step after a
 	// worker loss before giving up. Steps execute from scratch, so a retry
@@ -94,7 +91,10 @@ type Config struct {
 	// the rest of the job (unless that would leave no workers), and replays
 	// the step from its input fractoid. At the zero default a worker loss
 	// fails the job with the WorkerLostError itself; with retries enabled an
-	// exhausted budget fails it with a RetryExhaustedError.
+	// exhausted budget fails it with a RetryExhaustedError. A master does not
+	// charge the budget for a worker it cannot send to: it forgets that
+	// worker (a restarted process registers anew) and re-executes the step
+	// over the others.
 	StepRetries int
 	// FaultInjector, when non-nil, wraps every transport (master and
 	// workers) so each message send consults it first — the fault-injection

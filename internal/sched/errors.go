@@ -1,16 +1,20 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 )
 
 // WorkerLostError reports that the master gave up on a worker mid-job: a
-// control message could not be delivered to it, or it stopped answering
+// control message could not be delivered to it, it said it is not running
+// the step attempt it was sent (errNotRunning), or it stopped answering
 // status pings / shipping aggregation partials within Config.WorkerTimeout.
 // With Config.StepRetries at its zero default the job fails with this error
 // instead of blocking in quiescence polling; with retries enabled the master
 // discards the attempt, excludes the lost worker, and re-executes the step.
+// A master that could not send to a registered worker re-executes without
+// charging the retry budget, and forgets the worker.
 // The runtime itself stays usable for subsequent jobs as long as the lost
 // worker's transport recovers (in-process workers only disappear at
 // shutdown, so in practice this surfaces TCP transport failures and injected
@@ -25,9 +29,24 @@ type WorkerLostError struct {
 	// Phase names the master activity that detected the loss
 	// ("step-start", "quiescence", "steal-balance", "aggregation").
 	Phase string
-	// Err is the underlying transport error, nil when the worker simply
-	// went silent.
+	// Err is the underlying transport error, one wrapping errNotRunning
+	// when the worker answered that it is not running the attempt, and nil
+	// when it simply went silent.
 	Err error
+}
+
+// errNotRunning is what the Err of a worker that answered that it is not
+// running the attempt it was named in wraps: its step start was lost, or it
+// could not install the job (a graph file it cannot read, an app its binary
+// lacks), and then Err says why.
+var errNotRunning = errors.New("the worker is not running the attempt")
+
+// notRunning is the Err of a worker's Seq-0 reply; reason is the reply's.
+func notRunning(reason string) error {
+	if reason == "" {
+		return fmt.Errorf("%w: its step start was lost", errNotRunning)
+	}
+	return fmt.Errorf("%w: it could not install the job: %s", errNotRunning, reason)
 }
 
 func (e *WorkerLostError) Error() string {
@@ -45,7 +64,8 @@ func (e *WorkerLostError) Unwrap() error { return e.Err }
 
 // RetryExhaustedError reports that a step kept losing workers until the
 // retry budget (Config.StepRetries) ran out. Attempts counts the executions
-// of the step, so Attempts == StepRetries+1; Last is the worker loss that
+// of the step, so Attempts == StepRetries+1, plus on a master one per worker
+// it could not send to (those cost no retry); Last is the worker loss that
 // ended the final attempt, reachable through errors.As/Is via Unwrap. It is
 // only produced when retries are enabled — at the zero default the first
 // WorkerLostError surfaces directly.

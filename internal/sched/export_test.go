@@ -8,8 +8,11 @@ import (
 
 // What the external tests of this package (FuzzJobSpec) reach inside it.
 
-// EncodeJobSpec is the body of the job-spec message RunSpec sends for spec.
-func EncodeJobSpec(spec JobSpec) []byte { return encode(specToMsg(0, spec, nil)) }
+// EncodeStepStart is the body of the step start a master sends a worker
+// for step 0 of spec's job.
+func EncodeStepStart(spec JobSpec) []byte {
+	return encode(stepStartMsg{attemptKey: attemptKey{Job: 1}, Workers: []int{0}, Spec: specToWire(spec, nil)})
+}
 
 // RegisteredApps returns the names RegisterApp installed, sorted.
 func RegisteredApps() []string {
@@ -23,17 +26,17 @@ func RegisteredApps() []string {
 	return names
 }
 
-// InstallSpec is a worker's side of RunSpec: it decodes body as a job-spec
-// message (decodeErr is then the decoder's error) and installs it with app
-// in place of the message's own app, over g whatever graph path the message
-// names.
+// InstallSpec is a worker's side of RunSpec: it decodes body as a step
+// start (decodeErr is then the decoder's error) and installs the job it
+// carries with app in place of the spec's own app, over g whatever graph
+// path the spec names.
 func InstallSpec(body []byte, app string, g *graph.Graph) (decodeErr, err error) {
-	var m jobSpecMsg
+	var m stepStartMsg
 	if err := decode(body, &m); err != nil {
 		return err, nil
 	}
-	m.App, m.Graph = app, g.Name()
+	m.Spec.App, m.Spec.Graph = app, g.Name()
 	h := &remoteHost{}
 	h.graphs.m = map[string]*graph.Graph{g.Name(): g}
-	return nil, h.install(m)
+	return nil, h.install(m.Spec)
 }

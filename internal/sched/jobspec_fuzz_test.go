@@ -13,9 +13,9 @@ import (
 	"fractal/internal/workload"
 )
 
-// FuzzJobSpec is FuzzDecodeMessage's next layer: a job-spec message that
-// decodes is handed to every registered builder — the message's arguments,
-// any app's name — and materialized the way a worker does, over a
+// FuzzJobSpec is FuzzDecodeMessage's next layer: the job spec of a step
+// start that decodes is handed to every registered builder — the spec's
+// arguments, any app's name — and installed the way a worker does, over a
 // uniform-label and a labeled graph. Arguments arrive off the wire (the
 // decomposition sweep's and the query's carry whole patterns), so whatever they hold must
 // give a job or an error, never a panic or a runaway allocation.
@@ -32,7 +32,7 @@ func FuzzJobSpec(f *testing.F) {
 		{"pattern": string(pattern.Cycle(4).AppendBinary(nil))},
 		{"k": "40", "level": "-1", "patterns": "\x01"},
 	} {
-		f.Add(sched.EncodeJobSpec(fractal.JobSpec{App: "any", Graph: "any", Args: args}))
+		f.Add(sched.EncodeStepStart(fractal.JobSpec{App: "any", Graph: "any", Args: args}))
 	}
 	graphs := []*graph.Graph{
 		workload.ErdosRenyi("fuzz-spec-sl", 12, 24, 1, 1),

@@ -10,8 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"fractal/internal/agg"
 	"fractal/internal/graph"
 	"fractal/internal/rpc"
+	"fractal/internal/step"
 	"fractal/internal/subgraph"
 )
 
@@ -221,38 +223,87 @@ func TestWildcardWorkerRegistersReachableAddr(t *testing.T) {
 	}
 }
 
-// TestWorkerHoldsOneJob: a worker process holds the job of the newest spec
-// it received. A spec for an older job — the welcome's push and the next
-// job's distribution can reach a newcomer in either order — is ignored and
-// not acked, and a step start for any job but the current one finds no run.
+// TestWorkerHoldsOneJob: a worker process holds the newest job a step start
+// named. The first step start of a newer job installs it in place of the
+// current one; a later step of the current job installs nothing; a step
+// start of an older job is ignored, unanswered. A job that fails to install
+// is answered at once, and on every later step start, with the reply of a
+// worker not running the attempt — and is not installed again.
 func TestWorkerHoldsOneJob(t *testing.T) {
-	var visits atomic.Int64
-	spec := testSpec(t, randomGraph(20, 0.2, 1, 7), func(g *graph.Graph) Job {
-		return countJob(g, subgraph.VertexInduced, nil, 2, &visits)
+	var installs atomic.Int64
+	spec := testSpec(t, randomGraph(20, 0.2, 2, 7), func(g *graph.Graph) Job {
+		installs.Add(1)
+		freq := &step.AggSpec{Name: "freq", Proto: agg.New[string, int64](agg.SumInt64),
+			Emit: func(e *subgraph.Embedding, local agg.Store) {
+				local.(*agg.Aggregation[string, int64]).Add(e.Pattern().Canonical().Code, 1)
+			}}
+		return Job{Graph: g, Kind: subgraph.EdgeInduced, Workflow: step.Workflow{
+			step.ExtendP(), step.AggregateP(freq),
+			step.AggFilterP("freq", func(*subgraph.Embedding, agg.Store) bool { return true }),
+			step.ExtendP(), step.VisitP(func(*subgraph.Embedding) {}),
+		}}
+	})
+	broken := testSpec(t, randomGraph(5, 0.5, 1, 7), func(*graph.Graph) Job {
+		installs.Add(1)
+		return Job{} // no graph: validate refuses it
 	})
 	nw := rpc.NewLoopbackNetwork([]rpc.NodeID{rpc.Master, 0})
 	defer nw[rpc.Master].Close()
 	defer nw[0].Close()
 	h := &remoteHost{cfg: Config{CoresPerWorker: 1}.withDefaults()}
 	w := newWorker(0, h.cfg, h, nw[0])
-	for _, job := range []int{2, 1} {
-		h.handleControl(w, rpc.Envelope{Kind: kJobSpec, Body: encode(specToMsg(job, spec, nil))})
+	start := func(job, step int, spec JobSpec) stepStartMsg {
+		return stepStartMsg{attemptKey: attemptKey{Job: job, Step: step}, Workers: []int{0}, Spec: specToWire(spec, nil)}
 	}
-	if h.job == nil || h.job.id != 2 {
-		t.Fatalf("current job %+v, want job 2", h.job)
-	}
-	var ack jobSpecAckMsg
-	if err := decode((<-nw[rpc.Master].Recv()).Body, &ack); err != nil || ack.Job != 2 || ack.Err != "" {
-		t.Fatalf("ack %+v (%v), want job 2 acked ok", ack, err)
-	}
-	select {
-	case env := <-nw[rpc.Master].Recv():
-		t.Fatalf("the stale spec was acked: %+v", env)
-	default:
-	}
-	for job, want := range map[int]bool{1: false, 2: true, 3: false} {
-		if got := h.runFor(stepStartMsg{attemptKey: attemptKey{Job: job}, Workers: []int{0}}) != nil; got != want {
-			t.Errorf("step start of job %d finds a run: %v, want %v", job, got, want)
+	for _, c := range []struct {
+		job, step int
+		installs  int64
+		runs      bool
+		holds     int
+	}{
+		{2, 0, 1, true, 2},  // a newer job installs
+		{1, 0, 1, false, 2}, // an older one is ignored
+		{2, 1, 1, true, 2},  // the current job's next step installs nothing
+		{3, 1, 2, true, 3},  // a newer job replaces it
+		{2, 0, 2, false, 3}, // and the old job's steps are stale
+	} {
+		run, err := h.runFor(start(c.job, c.step, spec))
+		if err != nil || (run != nil) != c.runs || installs.Load() != c.installs {
+			t.Fatalf("step start of job %d step %d: run %v (%v) after %d installs, want a run: %v after %d",
+				c.job, c.step, run != nil, err, installs.Load(), c.runs, c.installs)
 		}
+		if h.job == nil || h.newest != c.holds {
+			t.Fatalf("after job %d step %d the worker holds %+v (newest %d)", c.job, c.step, h.job, h.newest)
+		}
+	}
+
+	// Through the router's handler, whose loopback sends are in the
+	// master's mailbox when it returns: the stale start goes unanswered, and
+	// the job that cannot install is refused at once, twice, built once.
+	reply := func() (statusReportMsg, bool) {
+		select {
+		case env := <-nw[rpc.Master].Recv():
+			var m statusReportMsg
+			if env.Kind != kStatusReport || decode(env.Body, &m) != nil {
+				t.Fatalf("worker sent kind %d, want a status report", env.Kind)
+			}
+			return m, true
+		default:
+			return statusReportMsg{}, false
+		}
+	}
+	w.startStep(start(1, 0, spec))
+	if m, ok := reply(); ok {
+		t.Fatalf("a step start of an older job was answered: %+v", m)
+	}
+	for step := range 2 {
+		w.startStep(start(4, step, broken))
+		m, ok := reply()
+		if !ok || !m.Reply || m.Seq != 0 || m.attemptKey != (attemptKey{Job: 4, Step: step}) || m.Worker != 0 || m.Err == "" {
+			t.Fatalf("step %d of a job that cannot install: answered %v with %+v, want a Reply with Seq 0 and why", step, ok, m)
+		}
+	}
+	if h.job != nil || h.newest != 4 || installs.Load() != 3 {
+		t.Errorf("after a failed install the worker holds %+v (newest %d, %d installs)", h.job, h.newest, installs.Load())
 	}
 }

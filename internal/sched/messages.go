@@ -9,8 +9,8 @@ import (
 	"fractal/internal/wire"
 )
 
-// Message kinds carried in rpc.Envelope.Kind. Fifteen of them carry a body,
-// of 13 Go types: kStepEnd, kCancel and kStatusPing carry an attemptKey and
+// Message kinds carried in rpc.Envelope.Kind. Thirteen of them carry a body,
+// of 11 Go types: kStepEnd, kCancel and kStatusPing carry an attemptKey and
 // nothing else; kShutdown carries none.
 const (
 	kStepStart uint8 = iota + 1
@@ -27,8 +27,6 @@ const (
 	kRegister
 	kWelcome
 	kPeerJoin
-	kJobSpec
-	kJobSpecAck
 )
 
 // Exported aliases of the kinds fault-injection schedules (rpc.FaultRule.Kind)
@@ -71,13 +69,16 @@ type attemptKey struct {
 // step's AggFilter primitives read, whether an earlier job or an earlier
 // step of this job computed it: a remote worker decodes them (agg.Decode)
 // into the attempt's environment, so a worker that joined mid-job reads
-// what every other one does. The master encodes them once per step; an
-// in-process deployment shares the registry by reference and leaves Env
-// empty.
+// what every other one does. The master encodes them once per step. Spec
+// is the job the step belongs to, which a worker process installs the first
+// time a step start names a job newer than the one it holds. An in-process
+// deployment shares the job and the registry by reference and leaves Env
+// and Spec empty.
 type stepStartMsg struct {
 	attemptKey
 	Workers []int
 	Env     []envEntry
+	Spec    wireSpec
 }
 
 // cancelAckMsg confirms that a worker has drained the cancelled step: its
@@ -127,8 +128,10 @@ type aggDoneMsg struct {
 // the attempt from 1, the installed and busy state the master assumes
 // without a report, so the master keeps the newest report whatever order
 // they arrive in; a Reply with Seq 0 says the worker is not running the
-// attempt. Active is the worker's activity count; Granted and Adopted count
-// the work-carrying steal responses it sent and adopted (empty answers and
+// attempt, and only that reply carries Err: why, when the worker could not
+// install the job ("" when it merely never received its step start). Active
+// is the worker's activity count; Granted and Adopted count the
+// work-carrying steal responses it sent and adopted (empty answers and
 // requests carry no work and are not counted).
 type statusReportMsg struct {
 	attemptKey
@@ -138,6 +141,7 @@ type statusReportMsg struct {
 	Active  int64
 	Granted int64
 	Adopted int64
+	Err     string
 }
 
 // stealReqMsg asks a worker to donate one enumeration prefix.
@@ -164,8 +168,9 @@ type registerMsg struct {
 
 // welcomeMsg is the master's registration reply: the worker's assigned ID
 // plus the execution configuration every participant must agree on and the
-// current address book. Receipt completes the handshake — the worker adopts
-// the ID and becomes eligible for the next step's participant list.
+// current address book. The worker adopts the ID from it; the master names
+// the worker in step starts only once the welcome and the peer joins that
+// announce it have been sent, so on every connection they arrive first.
 type welcomeMsg struct {
 	Worker         int
 	CoresPerWorker int
@@ -188,14 +193,13 @@ type peerJoinMsg struct {
 	Addr   string
 }
 
-// jobSpecMsg names a job over the wire: the registered app, the graph it
-// loads, its arguments, and the names of the environment the job runs
-// against. Every participant reconstructs the identical workflow from this
-// spec via the app's registered SpecBuilder, and the names make step.Split
-// give it the master's step list; the aggregations themselves ride the step
-// starts.
-type jobSpecMsg struct {
-	Job   int
+// wireSpec names a job over the wire, inside its step starts: the
+// registered app, the graph it loads, its arguments, and the names of the
+// environment the job runs against. Every participant reconstructs the
+// identical workflow from it via the app's registered SpecBuilder, and the
+// names make step.Split give it the master's step list; the aggregations
+// themselves ride the step starts' Env. The job's id is the attemptKey's.
+type wireSpec struct {
 	App   string
 	Graph string
 	Args  []kvPair
@@ -212,15 +216,6 @@ type kvPair struct {
 type envEntry struct {
 	Name string
 	Data []byte
-}
-
-// jobSpecAckMsg confirms a worker has materialized a job spec (loaded the
-// graph, built the workflow) or failed to. Only spec-ready workers are
-// admitted to a job's participant lists.
-type jobSpecAckMsg struct {
-	Job    int
-	Worker int
-	Err    string
 }
 
 // ---------------------------------------------------------------------------
@@ -350,12 +345,20 @@ func (m stepStartMsg) put(w *wire.Writer) {
 	m.attemptKey.put(w)
 	putSeq(w, m.Workers, (*wire.Writer).Int)
 	putSeq(w, m.Env, putEnvEntry)
+	w.Str(m.Spec.App)
+	w.Str(m.Spec.Graph)
+	putSeq(w, m.Spec.Args, putKV)
+	putSeq(w, m.Spec.Env, (*wire.Writer).Str)
 }
 
 func (m *stepStartMsg) get(r *wire.Reader) {
 	m.attemptKey.get(r)
 	m.Workers = getSeq(r, (*wire.Reader).Int)
 	m.Env = getSeq(r, getEnvEntry)
+	m.Spec.App = r.Str()
+	m.Spec.Graph = r.Str()
+	m.Spec.Args = getSeq(r, getKV)
+	m.Spec.Env = getSeq(r, (*wire.Reader).Str)
 }
 
 func (m cancelAckMsg) put(w *wire.Writer) {
@@ -407,6 +410,9 @@ func (m statusReportMsg) put(w *wire.Writer) {
 	for _, v := range [...]int64{m.Seq, m.Active, m.Granted, m.Adopted} {
 		w.Varint(v)
 	}
+	if m.Reply && m.Seq == 0 {
+		w.Str(m.Err)
+	}
 }
 
 func (m *statusReportMsg) get(r *wire.Reader) {
@@ -415,6 +421,9 @@ func (m *statusReportMsg) get(r *wire.Reader) {
 	m.Reply = r.Bool()
 	for _, v := range [...]*int64{&m.Seq, &m.Active, &m.Granted, &m.Adopted} {
 		*v = r.Varint()
+	}
+	if m.Reply && m.Seq == 0 {
+		m.Err = r.Str()
 	}
 }
 
@@ -463,31 +472,3 @@ func (m *welcomeMsg) get(r *wire.Reader) {
 
 func (m peerJoinMsg) put(w *wire.Writer)  { putPeer(w, peerAddr(m)) }
 func (m *peerJoinMsg) get(r *wire.Reader) { *m = peerJoinMsg(getPeer(r)) }
-
-func (m jobSpecMsg) put(w *wire.Writer) {
-	w.Int(m.Job)
-	w.Str(m.App)
-	w.Str(m.Graph)
-	putSeq(w, m.Args, putKV)
-	putSeq(w, m.Env, (*wire.Writer).Str)
-}
-
-func (m *jobSpecMsg) get(r *wire.Reader) {
-	m.Job = r.Int()
-	m.App = r.Str()
-	m.Graph = r.Str()
-	m.Args = getSeq(r, getKV)
-	m.Env = getSeq(r, (*wire.Reader).Str)
-}
-
-func (m jobSpecAckMsg) put(w *wire.Writer) {
-	w.Int(m.Job)
-	w.Int(m.Worker)
-	w.Str(m.Err)
-}
-
-func (m *jobSpecAckMsg) get(r *wire.Reader) {
-	m.Job = r.Int()
-	m.Worker = r.Int()
-	m.Err = r.Str()
-}

@@ -49,16 +49,12 @@ func newMessage(kind uint8) wireMessage {
 		return &welcomeMsg{}
 	case kPeerJoin:
 		return &peerJoinMsg{}
-	case kJobSpec:
-		return &jobSpecMsg{}
-	case kJobSpecAck:
-		return &jobSpecAckMsg{}
 	}
 	return nil
 }
 
-// messageCases holds at least one message of each of the 15 kinds that carry
-// a body (13 Go types: the step end, cancel and status ping are each an
+// messageCases holds at least one message of each of the 13 kinds that carry
+// a body (11 Go types: the step end, cancel and status ping are each an
 // attemptKey) with its body in hex. The bodies were generated at the commit
 // before the codec moved onto the shared reader/writer, and the wire form
 // did not change.
@@ -71,17 +67,29 @@ func newMessage(kind uint8) wireMessage {
 // the edge-triggered one (Seq and the grant counts). Since PR 33 a job
 // spec's Env is the environment's names only; the aggregations ride the
 // step starts. Spelling the key as an embedded attemptKey changed no body.
+// The step start now carries the job spec — the former job-spec message's
+// body less its job id, which the key holds, four zero bytes when empty: the
+// jobSpec cases are step starts — and that message and its ack are gone. A
+// status reply with Seq 0 ends with its Err; no other report changed.
 var messageCases = []struct {
 	name   string
 	kind   uint8
 	in     wireMessage
 	golden string
 }{
-	{"stepStart", kStepStart, &stepStartMsg{attemptKey: attemptKey{3, 2, 5}, Workers: []int{0, 2, 7}}, "06040a0300040e00"},
+	{"stepStart", kStepStart, &stepStartMsg{attemptKey: attemptKey{3, 2, 5}, Workers: []int{0, 2, 7}}, "06040a0300040e00" + "00000000"},
 	{"stepStartEnv", kStepStart, &stepStartMsg{attemptKey: attemptKey{3, 1, 0}, Workers: []int{0, 1},
 		Env: []envEntry{{Name: "support1", Data: []byte{4, 5}}, {Name: "support2", Data: nil}}},
-		"0602000200020208737570706f72743102040508737570706f72743200"},
-	{"stepStartNoWorkers", kStepStart, &stepStartMsg{attemptKey: attemptKey{Job: 1}}, "0200000000"},
+		"0602000200020208737570706f72743102040508737570706f72743200" + "00000000"},
+	{"stepStartNoWorkers", kStepStart, &stepStartMsg{attemptKey: attemptKey{Job: 1}}, "0200000000" + "00000000"},
+	{"jobSpec", kStepStart, &stepStartMsg{attemptKey: attemptKey{Job: 2}, Workers: []int{1},
+		Spec: wireSpec{App: "cliques", Graph: "/tmp/g.el", Args: []kvPair{{"k", "4"}, {"engine", "plan"}}, Env: []string{"support1"}}},
+		"040000" + "0102" + "00" + "07636c6971756573092f746d702f672e656c02016b013406656e67696e6504706c616e0108737570706f727431"},
+	{"stepStartEnvSpec", kStepStart, &stepStartMsg{attemptKey: attemptKey{3, 1, 0}, Workers: []int{0, 1},
+		Env:  []envEntry{{Name: "support1", Data: []byte{4, 5}}},
+		Spec: wireSpec{App: "fsm", Graph: "g.fgr", Args: []kvPair{{"level", "2"}, {"support", "8"}}, Env: []string{"frequent1"}}},
+		"0602000200020108737570706f7274310204050366736d05672e66677202056c6576656c013207737570706f7274013801096672657175656e7431"},
+	{"jobSpecBare", kStepStart, &stepStartMsg{Spec: wireSpec{App: "motifs", Graph: "g"}}, "000000" + "00" + "00" + "066d6f7469667301670000"},
 	{"stepEnd", kStepEnd, &attemptKey{1, 2, 3}, "020406"},
 	{"cancel", kCancel, &attemptKey{9, 0, 1}, "120002"},
 	{"cancelAck", kCancelAck, &cancelAckMsg{attemptKey: attemptKey{1, 2, 3}, Worker: 4}, "02040608" + "0000000000000000000000000000000000"},
@@ -102,6 +110,8 @@ var messageCases = []struct {
 	{"statusReport", kStatusReport, &statusReportMsg{attemptKey: attemptKey{1, 2, 3}, Worker: 2, Reply: true,
 		Seq: 7, Active: 3, Granted: 1 << 40, Adopted: 5},
 		"020406" + "04" + "01" + "0e" + "06" + "808080808040" + "0a"},
+	{"statusReportNotRunning", kStatusReport, &statusReportMsg{attemptKey: attemptKey{1, 2, 3}, Worker: 2, Reply: true, Err: "boom"},
+		"020406" + "04" + "01" + "00000000" + "04626f6f6d"},
 	{"stealReq", kStealReq, &stealReqMsg{attemptKey: attemptKey{1, 2, 3}, Worker: 1, Core: 2}, "0204060204"},
 	{"stealResp", kStealResp, &stealRespMsg{attemptKey: attemptKey{1, 2, 3}, Core: 2, Prefix: []subgraph.Word{0, -1, 1 << 30, 42}},
 		"02040604040001808080800854"},
@@ -112,12 +122,6 @@ var messageCases = []struct {
 		"04080380e0ba84bf03020003613a310203623a32"},
 	{"welcomeNoPeers", kWelcome, &welcomeMsg{Worker: 0, CoresPerWorker: 1}, "0002000000"},
 	{"peerJoin", kPeerJoin, &peerJoinMsg{Worker: 3, Addr: "c:3"}, "0603633a33"},
-	{"jobSpec", kJobSpec, &jobSpecMsg{Job: 2, App: "cliques", Graph: "/tmp/g.el",
-		Args: []kvPair{{"k", "4"}, {"engine", "plan"}},
-		Env:  []string{"support1"}},
-		"0407636c6971756573092f746d702f672e656c02016b013406656e67696e6504706c616e0108737570706f727431"},
-	{"jobSpecBare", kJobSpec, &jobSpecMsg{Job: 0, App: "motifs", Graph: "g"}, "00066d6f7469667301670000"},
-	{"jobSpecAck", kJobSpecAck, &jobSpecAckMsg{Job: 2, Worker: 1, Err: "load failed"}, "04020b6c6f6164206661696c6564"},
 }
 
 // TestMessageCodecRoundTrip encodes every control-message shape, compares
@@ -183,7 +187,7 @@ func TestEveryKindHasAGoldenBody(t *testing.T) {
 			t.Errorf("%s: the golden body opens with %+v (%v), want the key %+v", tc.name, got, r.Err(), key)
 		}
 	}
-	for kind := kStepStart; kind <= kJobSpecAck; kind++ {
+	for kind := kStepStart; kind <= kPeerJoin; kind++ {
 		if kind != kShutdown && !covered[kind] {
 			t.Errorf("kind %d has no golden body in messageCases", kind)
 		}
@@ -238,8 +242,8 @@ func TestHostileCountsFailBeforeAllocating(t *testing.T) {
 		"aggDone core work":   {&aggDoneMsg{}, append(make([]byte, 6+16), count...)},
 		"cancelAck core work": {&cancelAckMsg{}, append(make([]byte, 4+16), count...)},
 		"welcome peers":       {&welcomeMsg{}, append([]byte{0, 0, 0, 0, 0}, count...)},
-		"jobSpec args":        {&jobSpecMsg{}, append([]byte{0, 0, 0}, count...)},
-		"jobSpec env":         {&jobSpecMsg{}, append([]byte{0, 0, 0, 0}, count...)},
+		"stepStart spec args": {&stepStartMsg{}, append(make([]byte, 7), count...)},
+		"stepStart spec env":  {&stepStartMsg{}, append(make([]byte, 8), count...)},
 		"aggData bytes":       {&aggDataMsg{}, append([]byte{0, 0, 0, 0, 0}, count...)},
 	}
 	for name, tc := range cases {

@@ -247,16 +247,15 @@ func TestTraceDisabledByDefault(t *testing.T) {
 // TestTraceRecordsCancellation verifies cancel and drain events reach the
 // journal when a step is abandoned.
 func TestTraceRecordsCancellation(t *testing.T) {
-	rt, err := New(Config{
-		Workers: 1, CoresPerWorker: 2, WS: WSInternal,
-		StepTimeout: 50 * time.Millisecond, Trace: true,
-	})
+	rt, err := New(Config{Workers: 1, CoresPerWorker: 2, WS: WSInternal, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
 	var counter atomic.Int64
-	res, err := rt.Run(context.Background(), longJob(41, &counter))
+	res, err := rt.Run(ctx, longJob(41, &counter))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err=%v, want wrapped context.DeadlineExceeded", err)
 	}

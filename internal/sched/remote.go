@@ -1,12 +1,12 @@
 // The worker-process half of distributed deployments: ServeWorker connects
 // to a master, registers, and serves steps until shut down. Where in-process
 // workers resolve step starts against the Runtime's published run (shared
-// address space), a remote worker materializes its one job from the spec
-// received over the wire — graph loaded from its path, workflow rebuilt by
-// the registered app — and synthesizes a fresh jobRun per step attempt, its
-// environment decoded from the aggregations the step start carries. Both paths feed the
-// identical worker/core machinery, which is what keeps distributed results
-// bit-identical.
+// address space), a remote worker installs its one job from the spec the
+// step starts carry — graph loaded from its path, workflow rebuilt by the
+// registered app — and synthesizes a fresh jobRun per step attempt, its
+// environment decoded from the aggregations the step start carries. Both
+// paths feed the identical worker/core machinery, which is what keeps
+// distributed results bit-identical.
 package sched
 
 import (
@@ -73,10 +73,6 @@ func joinMaster(ctx context.Context, masterAddr string, opts ServeWorkerOptions)
 	var wel welcomeMsg
 	welTimer := time.NewTimer(registerReplyTimeout)
 	defer welTimer.Stop()
-	// Buffer everything that arrives before (or alongside) the welcome: the
-	// master pushes the running job's spec right after it, and it must not be
-	// lost to the handshake.
-	var pending []rpc.Envelope
 wait:
 	for {
 		select {
@@ -85,7 +81,8 @@ wait:
 				return nil, fmt.Errorf("sched: transport closed before registration completed")
 			}
 			if env.Kind != kWelcome {
-				pending = append(pending, env)
+				// The master sends nothing before the welcome; a peer knows
+				// the worker only from a later peer join.
 				continue
 			}
 			if err := decode(env.Body, &wel); err != nil {
@@ -107,19 +104,14 @@ wait:
 		WS:             WorkStealing(wel.WS),
 		WorkerTimeout:  time.Duration(wel.WorkerTimeout),
 	}.withDefaults()
-	host := &remoteHost{cfg: cfg, node: node}
-	w := newWorker(wel.Worker, cfg, host, tr)
-	for _, env := range pending {
-		w.runs.handleControl(w, env)
-	}
+	w := newWorker(wel.Worker, cfg, &remoteHost{cfg: cfg, node: node}, tr)
 	w.start()
 	return w, nil
 }
 
-// remoteJob is a job materialized from a spec and split into steps: what
-// each step start's jobRun is built from.
+// remoteJob is a job installed from a spec and split into steps: what each
+// step start's jobRun is built from.
 type remoteJob struct {
-	id    int
 	job   Job
 	steps []*step.Step
 }
@@ -131,23 +123,37 @@ type remoteHost struct {
 	node   *rpc.TCPNode
 	graphs graphCache
 
-	newest int        // the newest spec's job id
-	job    *remoteJob // that spec's job; nil when it failed to install
+	newest int        // the newest job id a step start named
+	job    *remoteJob // that job; nil when it failed to install
+	failed error      // why it failed to install
 }
 
 // runFor builds the attempt's jobRun with newJobRun, as the master does for
 // in-process workers, with an environment of the aggregations the step
-// start carries. A step start of any job but the current one is ignored.
-func (h *remoteHost) runFor(m stepStartMsg) *jobRun {
+// start carries. The first step start of a job newer than the current one
+// installs it; a step start of an older job is ignored.
+func (h *remoteHost) runFor(m stepStartMsg) (*jobRun, error) {
+	if m.Job < h.newest {
+		return nil, nil
+	}
+	if m.Job > h.newest {
+		// One job at a time: the current job goes before the new one is
+		// built, so two FSM levels' graphs are never held at once.
+		h.newest, h.job = m.Job, nil
+		h.failed = h.install(m.Spec)
+	}
 	rj := h.job
-	if rj == nil || rj.id != m.Job || m.Step < 0 || m.Step >= len(rj.steps) || len(m.Workers) == 0 {
-		return nil
+	if rj == nil {
+		return nil, h.failed
+	}
+	if m.Step < 0 || m.Step >= len(rj.steps) {
+		return nil, fmt.Errorf("sched: job %d has no step %d", m.Job, m.Step)
 	}
 	env, err := decodeReads(m.Env)
 	if err != nil {
-		return nil
+		return nil, err
 	}
-	return newJobRun(m.attemptKey, m.Workers, h.cfg.CoresPerWorker, rj.job, rj.steps[m.Step], env, nil)
+	return newJobRun(m.attemptKey, m.Workers, h.cfg.CoresPerWorker, rj.job, rj.steps[m.Step], env, nil), nil
 }
 
 // decodeReads rebuilds the environment a step start carries.
@@ -164,42 +170,23 @@ func decodeReads(entries []envEntry) (*agg.Registry, error) {
 }
 
 // handleControl serves the control traffic in-process workers never see:
-// job-spec installation and peer discovery.
+// peer discovery.
 func (h *remoteHost) handleControl(w *worker, env rpc.Envelope) {
-	switch env.Kind {
-	case kJobSpec:
-		var m jobSpecMsg
-		// The welcome's spec and the next job's can reach a newcomer in
-		// either order: an older one is stale.
-		if decode(env.Body, &m) != nil || m.Job < h.newest {
-			return
-		}
-		// One job at a time: the current job goes before the new one is
-		// built, so two FSM levels' graphs are never held at once.
-		h.newest, h.job = m.Job, nil
-		errStr := ""
-		if err := h.install(m); err != nil {
-			errStr = err.Error()
-		}
-		ack := jobSpecAckMsg{Job: m.Job, Worker: w.id, Err: errStr}
-		w.tr.Send(rpc.Master, rpc.Envelope{Kind: kJobSpecAck, Body: encode(ack)})
-	case kPeerJoin:
-		var m peerJoinMsg
-		if decode(env.Body, &m) != nil || m.Addr == "" {
-			return
-		}
-		h.node.AddPeer(rpc.NodeID(m.Worker), m.Addr)
+	var m peerJoinMsg
+	if env.Kind != kPeerJoin || decode(env.Body, &m) != nil || m.Addr == "" {
+		return
 	}
+	h.node.AddPeer(rpc.NodeID(m.Worker), m.Addr)
 }
 
-// install materializes one job spec as the current job: load the graph,
-// rebuild the workflow through the registered app, and split it into steps
-// against the names of the master's environment — the same deterministic
-// pipeline the master runs, so both sides hold identical step lists. Then
-// it applies the job's reduction (Job.Reduce), which the master does not:
-// this worker's cores enumerate the reduced graph in every step.
-func (h *remoteHost) install(m jobSpecMsg) error {
-	spec := msgToSpec(m)
+// install materializes a job from its spec as the current job: load the
+// graph, rebuild the workflow through the registered app, and split it into
+// steps against the names of the master's environment — the same
+// deterministic pipeline the master runs, so both sides hold identical step
+// lists. Then it applies the job's reduction (Job.Reduce), which the master
+// does not: this worker's cores enumerate the reduced graph in every step.
+func (h *remoteHost) install(m wireSpec) error {
+	spec := wireToSpec(m)
 	builder, err := builderFor(spec.App)
 	if err != nil {
 		return err
@@ -226,6 +213,6 @@ func (h *remoteHost) install(m jobSpecMsg) error {
 	if job.Reduce != nil {
 		job.Graph = job.Reduce(job.Graph)
 	}
-	h.job = &remoteJob{id: m.Job, job: job, steps: steps}
+	h.job = &remoteJob{job: job, steps: steps}
 	return nil
 }

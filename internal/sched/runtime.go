@@ -27,8 +27,8 @@ type Job struct {
 	// Reduce, when set, is the Section 4.3 reduction of Graph that the cores
 	// enumerate. It is applied once per job, before step 0, where the job is
 	// enumerated: by runJob on an in-process runtime and by a worker process
-	// when it installs the job's spec — never per step attempt, and never on
-	// a master, whose cores read no graph. It must be deterministic, so that
+	// when it installs the job — never per step attempt, and never on a
+	// master, whose cores read no graph. It must be deterministic, so that
 	// every worker enumerates the same reduced graph.
 	Reduce func(*graph.Graph) *graph.Graph
 	// Kind selects the extension strategy.
@@ -140,7 +140,8 @@ type jobRun struct {
 // no in-process workers and instead serves registrations from fractal-worker
 // processes (ServeWorker) on its TCP listener. The worker set is dynamic —
 // the registry feeds each step attempt's participant list, so a worker that
-// registers mid-job joins at the next attempt boundary.
+// registers mid-job joins at the next attempt boundary, installing the job
+// from the step start that names it.
 type Runtime struct {
 	cfg     Config
 	master  rpc.Transport
@@ -222,10 +223,6 @@ func (r *Runtime) router() {
 			if r.reg != nil {
 				r.reg.handleRegister(env)
 			}
-		case kJobSpecAck:
-			if r.reg != nil {
-				r.reg.handleAck(env)
-			}
 		default:
 			_ = r.inbox.Put(env) // ErrFull drops it; ErrClosed cannot occur before this loop ends
 		}
@@ -246,25 +243,12 @@ func (r *Runtime) ListenAddr() string {
 }
 
 // AwaitWorkers blocks until at least n workers have registered (master mode),
-// or ctx ends. It does not wait for job-spec readiness — that is per job.
+// or ctx ends.
 func (r *Runtime) AwaitWorkers(ctx context.Context, n int) error {
 	if r.reg == nil {
 		return fmt.Errorf("sched: AwaitWorkers requires master mode (Config.ListenAddr)")
 	}
 	return r.reg.awaitWorkers(ctx, n)
-}
-
-// allWorkerIDs lists every worker the master can address: the static set in
-// in-process deployments, the registered set in master mode.
-func (r *Runtime) allWorkerIDs() []int {
-	if r.reg != nil {
-		return r.reg.workerIDs()
-	}
-	ids := make([]int, len(r.workers))
-	for i := range ids {
-		ids[i] = i
-	}
-	return ids
 }
 
 // Close shuts the runtime down. It must not be called concurrently with Run.
@@ -276,7 +260,7 @@ func (r *Runtime) Close() {
 	}
 	r.closed = true
 	r.mu.Unlock()
-	for _, id := range r.allWorkerIDs() {
+	for _, id := range r.participantsFor(nil) {
 		r.master.Send(rpc.NodeID(id), rpc.Envelope{Kind: kShutdown})
 	}
 	for _, w := range r.workers {
@@ -299,16 +283,16 @@ func (r *Runtime) currentRun() *jobRun {
 }
 
 // runFor implements runProvider for in-process workers: the published run,
-// when the message names it.
-func (r *Runtime) runFor(m stepStartMsg) *jobRun {
+// when the message names it; any other step start is stale.
+func (r *Runtime) runFor(m stepStartMsg) (*jobRun, error) {
 	if run := r.currentRun(); run != nil && run.key == m.attemptKey {
-		return run
+		return run, nil
 	}
-	return nil
+	return nil, nil
 }
 
 // handleControl implements runProvider: in-process workers receive no
-// registration or job-spec traffic.
+// registration or peer-discovery traffic.
 func (r *Runtime) handleControl(w *worker, env rpc.Envelope) {}
 
 // nextJobID reserves a job sequence number, or reports the runtime closed.
@@ -326,14 +310,12 @@ func (r *Runtime) nextJobID() (int, error) {
 // synchronization points (Algorithm 2) and each effectful step is executed
 // from scratch across all workers.
 //
-// Run honours ctx end to end: cancellation (or a deadline, or the per-step
-// Config.StepTimeout) is propagated to every worker, execution cores
-// observe it at their next DFS iteration, and the step drains cleanly — no
-// goroutines outlive it and the runtime stays usable for subsequent jobs.
-// A cancelled Run returns a non-nil partial Result whose last StepReport is
-// marked Cancelled, together with an error wrapping ctx.Err() (or
-// context.DeadlineExceeded for a step timeout). A nil ctx is treated as
-// context.Background().
+// Run honours ctx end to end: cancellation (or a deadline) is propagated to
+// every worker, execution cores observe it at their next DFS iteration, and
+// the step drains cleanly — no goroutines outlive it and the runtime stays
+// usable for subsequent jobs. A cancelled Run returns a non-nil partial
+// Result whose last StepReport is marked Cancelled, together with an error
+// wrapping ctx.Err(). A nil ctx is treated as context.Background().
 //
 // Run first waits for a running job to return; if ctx ends during that wait
 // it returns a nil Result and an error wrapping ctx.Err().
@@ -387,9 +369,11 @@ func (job Job) validate() error {
 // runJob validates a job, splits it into steps, waits for the running job to
 // return and executes the steps: the one path of Run and RunSpec in every
 // deployment. spec is set exactly in master mode, where the job ships to the
-// workers as that spec — with the names of its environment, so both sides
-// split the same steps — before step 0. In process the job's reduction
-// (Job.Reduce) is applied here, once, when the job has its turn.
+// workers as that spec inside every step start — with the names of its
+// environment, so both sides split the same steps — and a step attempt
+// with no registered worker waits, at most WorkerTimeout, for one. In
+// process the job's
+// reduction (Job.Reduce) is applied here, once, when the job has its turn.
 func (r *Runtime) runJob(ctx context.Context, job Job, spec *JobSpec) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -437,11 +421,11 @@ func (r *Runtime) runJob(ctx context.Context, job Job, spec *JobSpec) (*Result, 
 	if r.reg == nil && job.Reduce != nil {
 		job.Graph = job.Reduce(job.Graph)
 	}
+	// ship is what the job's step starts carry besides their key and
+	// participants: nothing in process.
+	var ship stepStartMsg
 	if spec != nil {
-		defer r.reg.done()
-		if err := r.reg.distribute(ctx, specToMsg(jobID, *spec, env.Names())); err != nil {
-			return nil, err
-		}
+		ship.Spec = specToWire(*spec, env.Names())
 	}
 
 	var tracer *metrics.Tracer
@@ -460,9 +444,9 @@ func (r *Runtime) runJob(ctx context.Context, job Job, spec *JobSpec) (*Result, 
 	// Workers lost during this job are excluded from subsequent attempts
 	// (and steps): a worker that timed out once is more likely dead than
 	// slow, and readmitting it would spend the whole retry budget
-	// rediscovering that. In master mode the ready set underneath is
-	// dynamic: a worker that registers (and acks the spec) mid-job enters at
-	// the next attempt boundary.
+	// rediscovering that. In master mode the registered set underneath is
+	// dynamic: a worker that registers mid-job enters at the next attempt
+	// boundary, and one the master could not send to leaves it for good.
 	excluded := map[int]bool{}
 	for i, s := range steps {
 		rep := StepReport{Index: i, Workflow: step.Workflow(s.Primitives).String()}
@@ -471,7 +455,7 @@ func (r *Runtime) runJob(ctx context.Context, job Job, spec *JobSpec) (*Result, 
 			res.Steps = append(res.Steps, rep)
 			continue
 		}
-		reads, err := r.stepReads(env, s)
+		ship.Env, err = r.stepReads(env, s)
 		if err == nil {
 			err = ctx.Err()
 		}
@@ -482,7 +466,9 @@ func (r *Runtime) runJob(ctx context.Context, job Job, spec *JobSpec) (*Result, 
 		stepStart := time.Now()
 		var run *jobRun
 		var stepErr error
-		attempt := 0
+		// attempt numbers the step's executions; charged counts those
+		// re-run against StepRetries.
+		attempt, charged := 0, 0
 		for {
 			parts := r.participantsFor(excluded)
 			if len(parts) == 0 {
@@ -493,26 +479,21 @@ func (r *Runtime) runJob(ctx context.Context, job Job, spec *JobSpec) (*Result, 
 				parts = r.participantsFor(excluded)
 			}
 			if len(parts) == 0 {
-				// Master mode with no spec-ready worker left at all: nothing
-				// can execute the step, and declaring quiescence over an
-				// empty participant set would silently commit empty results.
-				stepErr = fmt.Errorf("no ready workers")
-				break
+				// A master with no registered worker (before step 0, or
+				// after dropping the last one): nothing can execute the
+				// step, and declaring quiescence over an empty participant
+				// set would silently commit empty results. Wait for one.
+				if stepErr = r.awaitRegistrant(ctx); stepErr != nil {
+					break
+				}
+				parts = r.participantsFor(excluded)
 			}
 			run = newJobRun(attemptKey{jobID, i, attempt}, parts, r.cfg.CoresPerWorker, job, s, env, tracer)
 			r.mu.Lock()
 			r.run = run
 			r.mu.Unlock()
 
-			stepCtx := ctx
-			var cancel context.CancelFunc
-			if r.cfg.StepTimeout > 0 {
-				stepCtx, cancel = context.WithTimeout(ctx, r.cfg.StepTimeout)
-			}
-			stepErr = r.executeStep(stepCtx, run, reads)
-			if cancel != nil {
-				cancel()
-			}
+			stepErr = r.executeStep(ctx, run, ship)
 			r.mu.Lock()
 			r.run = nil
 			r.mu.Unlock()
@@ -533,11 +514,18 @@ func (r *Runtime) runJob(ctx context.Context, job Job, spec *JobSpec) (*Result, 
 			if lost.Worker >= 0 {
 				excluded[lost.Worker] = true
 			}
-			if attempt >= r.cfg.StepRetries {
-				if r.cfg.StepRetries > 0 {
-					stepErr = &RetryExhaustedError{Step: i, Attempts: attempt + 1, Last: lost}
+			// A worker the master could not send to is gone, maybe since
+			// before the job, and executeStep has forgotten it: re-run over
+			// the rest without charging StepRetries. Each such re-run drops
+			// a registered worker, so there are boundedly many.
+			if !r.unreachable(lost) {
+				if charged == r.cfg.StepRetries {
+					if r.cfg.StepRetries > 0 {
+						stepErr = &RetryExhaustedError{Step: i, Attempts: attempt + 1, Last: lost}
+					}
+					break
 				}
-				break
+				charged++
 			}
 			if err := sleepCtx(ctx, r.cfg.retryBackoff); err != nil {
 				stepErr = err
@@ -574,13 +562,28 @@ func (r *Runtime) runJob(ctx context.Context, job Job, spec *JobSpec) (*Result, 
 	return res, nil
 }
 
+// awaitRegistrant waits, at most WorkerTimeout, for a worker to register
+// with a master that has none.
+func (r *Runtime) awaitRegistrant(ctx context.Context) error {
+	wctx, cancel := context.WithTimeout(ctx, r.cfg.WorkerTimeout)
+	defer cancel()
+	if err := r.reg.awaitWorkers(wctx, 1); err != nil {
+		if ctx.Err() != nil {
+			return err
+		}
+		return fmt.Errorf("sched: no worker registered within %v", r.cfg.WorkerTimeout)
+	}
+	return nil
+}
+
 // participantsFor returns the worker IDs taking part in the job's next step
-// attempt, in rank order: the static worker set in-process, the job's
-// spec-ready registered workers in master mode — re-queried on every attempt,
-// which is what lets a worker that joined mid-job enter the next one.
+// attempt, in rank order: the static worker set in-process, the registered
+// workers in master mode — re-queried on every attempt, which is what lets
+// a worker that joined mid-job enter the next one. Both less the excluded;
+// with none excluded, every worker the master can address.
 func (r *Runtime) participantsFor(excluded map[int]bool) []int {
 	if r.reg != nil {
-		return r.reg.readyWorkers(excluded)
+		return r.reg.workerIDs(excluded)
 	}
 	parts := make([]int, 0, r.cfg.Workers)
 	for i := 0; i < r.cfg.Workers; i++ {
@@ -720,7 +723,7 @@ func fillReport(rep *StepReport, run *jobRun) {
 func (r *Runtime) buildReport(res *Result, tracer *metrics.Tracer, preStats TransportStats, retries, workersLost int) *RunReport {
 	workers := r.cfg.Workers
 	if r.reg != nil {
-		workers = len(r.reg.workerIDs())
+		workers = len(r.reg.workerIDs(nil))
 	}
 	rep := &RunReport{
 		Workers:        workers,

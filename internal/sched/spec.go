@@ -81,10 +81,10 @@ func builderFor(name string) (SpecBuilder, error) {
 	return b, nil
 }
 
-// specToMsg encodes a spec for the wire, with canonical (sorted) argument
+// specToWire encodes a spec for the wire, with canonical (sorted) argument
 // order, together with the names of the environment the job runs against.
-func specToMsg(jobID int, spec JobSpec, env []string) jobSpecMsg {
-	m := jobSpecMsg{Job: jobID, App: spec.App, Graph: spec.Graph, Env: env}
+func specToWire(spec JobSpec, env []string) wireSpec {
+	m := wireSpec{App: spec.App, Graph: spec.Graph, Env: env}
 	keys := make([]string, 0, len(spec.Args))
 	for k := range spec.Args {
 		keys = append(keys, k)
@@ -96,8 +96,8 @@ func specToMsg(jobID int, spec JobSpec, env []string) jobSpecMsg {
 	return m
 }
 
-// msgToSpec is the wire inverse of specToMsg.
-func msgToSpec(m jobSpecMsg) JobSpec {
+// wireToSpec is the wire inverse of specToWire.
+func wireToSpec(m wireSpec) JobSpec {
 	spec := JobSpec{App: m.App, Graph: m.Graph}
 	if len(m.Args) > 0 {
 		spec.Args = make(map[string]string, len(m.Args))
@@ -139,13 +139,13 @@ func (r *Runtime) LoadGraph(path string) (*graph.Graph, error) { return r.graphs
 
 // RunSpec executes a serializable job spec. It works in every deployment:
 // an in-process runtime builds the job locally and runs it as Run does, and
-// a master-mode runtime distributes the spec to the registered workers,
-// waits for at least one to materialize it, and drives the step protocol
-// across processes, each step start carrying the environment aggregations
-// the step reads. env carries aggregations from previous jobs the workflow
-// reads (nil for none); the result's Aggregations hold it plus everything
-// the job computed, exactly as with Run, and it waits for a running job as
-// Run does.
+// a master-mode runtime waits for a registered worker and drives the step
+// protocol across processes, each step start carrying the spec — which a
+// worker installs from the first step start of the job it receives — and
+// the environment aggregations the step reads. env carries aggregations
+// from previous jobs the workflow reads (nil for none); the result's
+// Aggregations hold it plus everything the job computed, exactly as with
+// Run, and it waits for a running job as Run does.
 func (r *Runtime) RunSpec(ctx context.Context, spec JobSpec, env *agg.Registry) (*Result, error) {
 	return r.RunSpecOn(ctx, spec, nil, env)
 }

@@ -45,7 +45,7 @@ func supportStep(t testing.TB, spec *step.AggSpec) *step.Step {
 // tailRun is attempt 0 of step 0 of job 1, executing s over the runtime's
 // workers, none of which has been told about it.
 func tailRun(rt *Runtime, s *step.Step) *jobRun {
-	return &jobRun{key: attemptKey{Job: 1}, step: s, parts: rt.allWorkerIDs(), env: agg.NewRegistry(), blocks: map[int]metrics.Snapshot{}}
+	return &jobRun{key: attemptKey{Job: 1}, step: s, parts: rt.participantsFor(nil), env: agg.NewRegistry(), blocks: map[int]metrics.Snapshot{}}
 }
 
 // sendAs sends the master a step-tail message the way worker id would.

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -215,16 +216,16 @@ func (st *stepCtx) deliver(core int, g grant) {
 // should execute against, and handles the control messages the worker's
 // router does not know. In-process workers resolve against the Runtime's
 // published run (shared address space); remote worker processes resolve
-// against state they materialized from job specs received over the wire.
+// against the job they installed from the spec the step starts carry.
 type runProvider interface {
-	// runFor returns the jobRun matching the step-start message, or nil when
-	// the message refers to an unknown job, a stale attempt, or an
-	// out-of-range step — the worker then ignores the message, exactly as a
-	// worker whose step start was lost.
-	runFor(m stepStartMsg) *jobRun
+	// runFor returns the jobRun matching the step-start message. It returns
+	// nil and no error for a stale message — an older job, an abandoned
+	// attempt — which the worker ignores, exactly as a worker whose step
+	// start was lost; and an error when the worker cannot run the attempt
+	// (a job it could not install, a step or environment it cannot read).
+	runFor(m stepStartMsg) (*jobRun, error)
 	// handleControl is offered every envelope the router has no case for
-	// (registration, job-spec, and peer-discovery traffic in remote
-	// deployments).
+	// (peer-discovery traffic in remote deployments).
 	handleControl(w *worker, env rpc.Envelope)
 }
 
@@ -318,20 +319,21 @@ func (w *worker) current() *stepCtx {
 }
 
 // startStep builds the step context from the provider's run state and
-// launches the cores.
+// launches the cores. A worker named in an attempt it cannot run says so at
+// once, and why, with the reply a ping gets from a worker not running the
+// attempt: the master convicts it of a step-start loss.
 func (w *worker) startStep(m stepStartMsg) {
-	run := w.runs.runFor(m)
-	if run == nil {
-		return
-	}
-	rank := -1
-	for i, id := range m.Workers {
-		if id == w.id {
-			rank = i
-		}
-	}
+	rank := slices.Index(m.Workers, w.id)
 	if rank < 0 {
 		return // excluded from this attempt
+	}
+	run, err := w.runs.runFor(m)
+	if err != nil {
+		w.report(&statusReportMsg{attemptKey: m.attemptKey, Reply: true, Err: err.Error()})
+		return
+	}
+	if run == nil {
+		return
 	}
 	// A failed attempt may still be draining here if its cancel message was
 	// lost along with the worker it blamed: stop it before installing the

@@ -13,11 +13,12 @@
 # summed extension_tests is positive and equal to the in-process run's on the
 # same file — the workers' counters reach the master's report. Last, FSM on a
 # labelled multigraph with an infrequent edge parallel to a frequent one, to
-# 3 and to 4 edges: the master ships each level as a spec and enumerates
-# nothing, its two workers each derive every level's frequent-edge graph, the
-# step starts carry the earlier levels' frequent codes (three entries on
-# level 4), and the patterns printed must be the in-process run's, line for
-# line.
+# 3 and to 4 edges: the master ships each level's spec in its step starts
+# and enumerates nothing, its two workers each install every level and
+# derive its frequent-edge graph, the step starts carry the earlier levels'
+# frequent codes (three entries on level 4), the printed total must be the
+# sum of the per-level counts on both sides, and the patterns printed must
+# be the in-process run's, line for line.
 set -eux
 cd "$(dirname "$0")/.."
 tmp=$(mktemp -d)
@@ -96,6 +97,13 @@ for maxedges in 3 4; do
 	cat "$tmp/fsm-master.out"
 	# maxedges levels, and the last finds something
 	grep -q "^frequent patterns .*, per level \[\([0-9]* \)\{$((maxedges - 1))\}[1-9][0-9]*\]\$" "$tmp/fsm-local.out"
+	# the total is the per-level counts' sum: no level overwrites another's
+	# pattern (parallel edges folding into fewer pattern edges)
+	for out in "$tmp/fsm-local.out" "$tmp/fsm-master.out"; do
+		sed -n 's/^frequent patterns .*: \([0-9]*\), per level \[\(.*\)\]$/\1 \2/p' "$out" |
+			awk '{ s = 0; for (i = 2; i <= NF; i++) s += $i; if (NF < 2 || s != $1) exit 1 }'
+		grep -q '^frequent patterns ' "$out"
+	done
 	patterns "$tmp/fsm-local.out" > "$tmp/fsm-local.sorted"
 	patterns "$tmp/fsm-master.out" > "$tmp/fsm-master.sorted"
 	cmp "$tmp/fsm-local.sorted" "$tmp/fsm-master.sorted"

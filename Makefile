@@ -143,6 +143,14 @@ fuzz-agg:
 	go test -run=NONE -fuzz=FuzzBinaryCodec -fuzztime=10s ./internal/agg/
 	go test -run=NONE -fuzz=FuzzFoldFrames -fuzztime=10s ./internal/agg/
 
+# fresh-fuzz runs fuzz target $(1) of package $(2) for $(3) with a generated
+# corpus in a directory of its own, removed when it ends: a corpus the Go
+# cache kept from earlier runs is replayed first, and a few slow inputs in it
+# (a motifs spec at k = 8 installs in seconds) can take the whole run. The
+# checked-in seeds (testdata/fuzz/<target>) are replayed every time.
+fresh-fuzz = dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	go test -run=NONE -fuzz=$(1) -fuzztime=$(3) $(2) -args -test.fuzzcachedir="$$dir"
+
 # Short fuzz of every wire decoder, one layer each (DESIGN.md §12, "Wire
 # format"): control-message bodies, aggregation payloads and frame sequences,
 # the pattern form. Arbitrary bytes must fail with a *wire.Error, never panic
@@ -150,11 +158,11 @@ fuzz-agg:
 # spec of a step start that decodes is then installed with every registered
 # app (FuzzJobSpec): a job or an error, never a panic.
 fuzz-wire:
-	go test -run=NONE -fuzz=FuzzDecodeMessage -fuzztime=10s ./internal/sched/
-	go test -run=NONE -fuzz=FuzzJobSpec -fuzztime=10s ./internal/sched/
-	go test -run=NONE -fuzz=FuzzBinaryCodec -fuzztime=10s ./internal/agg/
-	go test -run=NONE -fuzz=FuzzFoldFrames -fuzztime=10s ./internal/agg/
-	go test -run=NONE -fuzz=FuzzPatternFromBinary -fuzztime=10s ./internal/pattern/
+	$(call fresh-fuzz,FuzzDecodeMessage,./internal/sched/,10s)
+	$(call fresh-fuzz,FuzzJobSpec,./internal/sched/,10s)
+	$(call fresh-fuzz,FuzzBinaryCodec,./internal/agg/,10s)
+	$(call fresh-fuzz,FuzzFoldFrames,./internal/agg/,10s)
+	$(call fresh-fuzz,FuzzPatternFromBinary,./internal/pattern/,10s)
 
 # Short fuzz of the .fgr decoder over the checked-in corruption corpus
 # (malformed graphs must yield typed errors, never panics or over-reads), of
@@ -194,11 +202,9 @@ fuzz-embedding:
 # (auto, plan, decomp, canon), a deployment (in-process 1-2 workers x 1-2
 # cores, or a master with two ServeWorkers over TCP) and a storage form
 # (built, .el, mapped .fgr); every count must be the canonical-check
-# oracle's on the graph as built. Each run keeps its generated corpus in a
-# directory of its own, removed when it ends: with the Go cache's corpus
-# (several hundred inputs after a few runs) the 30 s went to replaying it
-# before a single new input was tried. The checked-in seeds
-# (testdata/fuzz/FuzzEngines) are replayed every time.
+# oracle's on the graph as built. The run keeps its generated corpus to
+# itself (fresh-fuzz): with the Go cache's corpus (several hundred inputs
+# after a few runs) the 30 s went to replaying it before a single new input
+# was tried.
 fuzz-engines:
-	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
-		go test -run=NONE -fuzz=FuzzEngines -fuzztime=30s ./internal/apps/ -args -test.fuzzcachedir="$$dir"
+	$(call fresh-fuzz,FuzzEngines,./internal/apps/,30s)

@@ -167,15 +167,14 @@ func record(out *FSMResult, lvl *agg.Aggregation[string, *agg.DomainSupport]) *a
 
 // frequentEdgeGraph is the graph levels past the first mine (Section 4.3's
 // reduction): g without the edges no frequent pattern can hold. An edge goes
-// when no other edge joins its endpoints and its one-edge pattern's MNI
-// support is below minSupport. That support is decided once per (vertex
+// when its one-edge pattern's MNI support is below minSupport. That support is decided once per (vertex
 // label, vertex label, edge label) triple: the fewer of the distinct
 // vertices on either side of the triple's edges, one side when the two
 // labels are equal. Such an edge's label is a pattern edge of every class
 // that holds it, with no more images on its ends than the triple has, so the
-// class is infrequent. A parallel edge may sit behind another's label —
-// a class keeps only the first — so it stays. Only edges go, in order, so
-// every surviving embedding keeps its vertices, their order and its class.
+// class is infrequent; one that folds the edge into a parallel twin is
+// refused by every level past the first. Only edges go, in order, so every
+// surviving embedding keeps its vertices, their order and its class.
 func frequentEdgeGraph(raw *graph.Graph, minSupport int64) *graph.Graph {
 	type ends struct {
 		last graph.VertexID // 1 + the last vertex counted
@@ -202,13 +201,8 @@ func frequentEdgeGraph(raw *graph.Graph, minSupport int64) *graph.Graph {
 			}
 		}
 	}
-	var parallel []graph.EdgeID
 	return graph.Reduce(raw, nil, func(id graph.EdgeID, gr *graph.Graph) bool {
-		if c := triples[triple(gr, id)]; min(c.n[0], c.n[1]) >= minSupport {
-			return true
-		}
-		u, v := gr.EdgeEndpoints(id)
-		parallel = gr.EdgesBetween(u, v, parallel[:0])
-		return len(parallel) > 1
+		c := triples[triple(gr, id)]
+		return min(c.n[0], c.n[1]) >= minSupport
 	})
 }

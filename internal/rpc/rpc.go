@@ -13,10 +13,11 @@
 // IP literal, localhost or empty, and any other name is an *AddrError.
 //
 // Address discovery is dynamic: a TCP node binds one configurable listener
-// (NewTCPNode) and learns peers incrementally through AddPeer — the
-// scheduling layer's registration handshake (a worker dials the master's
-// address, registers, and receives its node ID plus the current address
-// book) replaces the former bind-everything-up-front address book. The
+// (NewTCPNode) and learns peers incrementally through AddPeer — in the
+// scheduling layer a worker dials the master's address, registers and
+// receives its node ID, and each step start names the step's participants
+// with their addresses; this replaced a bind-everything-up-front address
+// book. The
 // pre-bound 127.0.0.1 network (NewTCPNetwork), built on the same primitives,
 // serves the transport tests and the benchmark's round-trip probe.
 //
@@ -76,8 +77,6 @@ type Transport interface {
 	Send(to NodeID, env Envelope) error
 	// Recv returns the mailbox channel. The channel is closed by Close.
 	Recv() <-chan Envelope
-	// Peers returns the IDs of all other known nodes.
-	Peers() []NodeID
 	// Stats returns this node's cumulative message/byte counters.
 	Stats() Stats
 	// Done returns a channel closed when the transport closes. Waits that
@@ -299,16 +298,6 @@ func (n *loopNode) Recv() <-chan Envelope { return n.box.Recv() }
 func (n *loopNode) Stats() Stats { return n.ctrs.stats() }
 
 func (n *loopNode) Done() <-chan struct{} { return n.done }
-
-func (n *loopNode) Peers() []NodeID {
-	out := make([]NodeID, 0, len(n.net.nodes)-1)
-	for id := range n.net.nodes {
-		if id != n.id {
-			out = append(out, id)
-		}
-	}
-	return out
-}
 
 func (n *loopNode) Close() error {
 	n.close.Do(func() {
@@ -641,19 +630,6 @@ func (n *TCPNode) Recv() <-chan Envelope { return n.box.Recv() }
 func (n *TCPNode) Stats() Stats { return n.ctrs.stats() }
 
 func (n *TCPNode) Done() <-chan struct{} { return n.done }
-
-func (n *TCPNode) Peers() []NodeID {
-	n.bookMu.RLock()
-	defer n.bookMu.RUnlock()
-	self := n.Self()
-	out := make([]NodeID, 0, len(n.book))
-	for id := range n.book {
-		if id != self {
-			out = append(out, id)
-		}
-	}
-	return out
-}
 
 func (n *TCPNode) Close() error {
 	n.close.Do(func() {

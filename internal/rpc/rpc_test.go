@@ -75,27 +75,6 @@ func TestUnknownPeer(t *testing.T) {
 	}
 }
 
-func TestPeers(t *testing.T) {
-	for name, mk := range networks(t) {
-		t.Run(name, func(t *testing.T) {
-			nw := mk([]NodeID{Master, 0, 1, 2})
-			defer closeAll(nw)
-			peers := nw[1].Peers()
-			if len(peers) != 3 {
-				t.Errorf("peers=%v", peers)
-			}
-			for _, p := range peers {
-				if p == 1 {
-					t.Error("self listed as peer")
-				}
-			}
-			if nw[1].Self() != 1 {
-				t.Error("Self wrong")
-			}
-		})
-	}
-}
-
 func TestSendAfterCloseFails(t *testing.T) {
 	for name, mk := range networks(t) {
 		t.Run(name, func(t *testing.T) {

@@ -31,9 +31,10 @@ func (r *Runtime) effectFree(s *step.Step) bool {
 }
 
 // executeStep drives one fractal step: broadcast start (start with the
-// attempt's key and participants; in master mode it carries the job's spec
-// and the encoded aggregations the step reads), poll for global quiescence,
-// broadcast end, and merge the workers' aggregation partials.
+// attempt's key and participants; in master mode it carries their
+// addresses, the job's spec and the encoded aggregations the step reads),
+// poll for global quiescence, broadcast end, and merge the workers'
+// aggregation partials.
 // On any failure — context cancellation, deadline, or worker loss — the
 // step is abandoned: the run's abort flag is flipped and a cancel message
 // is broadcast so every reachable worker drains its cores and discards its
@@ -52,7 +53,7 @@ func (r *Runtime) executeStep(ctx context.Context, run *jobRun, start stepStartM
 	if run.tracer != nil {
 		run.tracer.Emit(metrics.TraceEvent{Kind: metrics.TraceStepStart, Step: run.key.Step, Worker: -1, Core: -1})
 	}
-	start.attemptKey, start.Workers = run.key, run.parts
+	start.attemptKey, start.Workers = run.key, r.named(run.parts)
 	startBody := encode(start)
 	for _, wid := range run.parts {
 		if e := r.master.Send(rpc.NodeID(wid), rpc.Envelope{Kind: kStepStart, Body: startBody}); e != nil {

@@ -63,7 +63,8 @@ type Config struct {
 	// CoresPerWorker is the number of execution cores per worker
 	// (default 1).
 	CoresPerWorker int
-	// WS selects the work-stealing configuration (default WSBoth).
+	// WS selects the work-stealing configuration. Its zero value is WSNone,
+	// which New keeps; fractal.NewContext starts from WSBoth.
 	WS WorkStealing
 	// ListenAddr switches the runtime into master mode: instead of spawning
 	// in-process workers, the master binds a TCP listener at this address

@@ -11,7 +11,7 @@ import (
 // EncodeStepStart is the body of the step start a master sends a worker
 // for step 0 of spec's job.
 func EncodeStepStart(spec JobSpec) []byte {
-	return encode(stepStartMsg{attemptKey: attemptKey{Job: 1}, Workers: []int{0}, Spec: specToWire(spec, nil)})
+	return encode(stepStartMsg{attemptKey: attemptKey{Job: 1}, Workers: []peerAddr{{Worker: 0}}, Spec: specToWire(spec, nil)})
 }
 
 // RegisteredApps returns the names RegisterApp installed, sorted.

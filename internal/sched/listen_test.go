@@ -15,6 +15,7 @@ import (
 	"fractal/internal/rpc"
 	"fractal/internal/step"
 	"fractal/internal/subgraph"
+	"fractal/internal/wire"
 )
 
 // The distributed deployment inside one test process: a -listen master and
@@ -134,11 +135,44 @@ func joinedRuntime(t testing.TB, cfg Config) (*Runtime, []*worker) {
 	return rt, workers
 }
 
+// TestRegistrationSendsOnlyTheWelcome: registration is two messages, the
+// worker's register and the master's welcome, however many workers are
+// registered already — nobody else hears of the newcomer before a step
+// start names it.
+func TestRegistrationSendsOnlyTheWelcome(t *testing.T) {
+	rt, err := New(Config{ListenAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var workers []*worker
+	t.Cleanup(func() {
+		rt.Close()
+		for _, w := range workers {
+			w.tr.Close()
+			w.stop()
+		}
+	})
+	for n := 1; n <= 3; n++ {
+		before := rt.master.Stats().MsgsSent
+		w, err := joinMaster(context.Background(), rt.ListenAddr(), ServeWorkerOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		workers = append(workers, w)
+		if err := rt.AwaitWorkers(context.Background(), n); err != nil {
+			t.Fatal(err)
+		}
+		if sent := rt.master.Stats().MsgsSent - before; sent != 1 {
+			t.Errorf("admitting a worker beside %d others sent %d messages, want the welcome alone", n-1, sent)
+		}
+	}
+}
+
 // TestWildcardWorkerRegistersReachableAddr: a ServeWorker listening on ":0"
 // registers with a 127.0.0.1 master at the IP it reaches the master from,
 // not at its wildcard listener address, and a second worker that registers
-// after it reaches it there: a steal request sent to the address in the
-// second worker's welcome is answered.
+// after it reaches it there: the first step start that names them both
+// carries that address, and a steal request sent to it is answered.
 func TestWildcardWorkerRegistersReachableAddr(t *testing.T) {
 	rt, err := New(Config{ListenAddr: "127.0.0.1:0"})
 	if err != nil {
@@ -159,8 +193,7 @@ func TestWildcardWorkerRegistersReachableAddr(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The second worker registers by hand, as joinMaster does, and reads
-	// the first one's address from its welcome.
+	// The second worker registers by hand, as joinMaster does.
 	peer, err := rpc.NewTCPNode(rpc.Unregistered, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -170,51 +203,68 @@ func TestWildcardWorkerRegistersReachableAddr(t *testing.T) {
 	if err := peer.Send(rpc.Master, rpc.Envelope{Kind: kRegister, Body: encode(registerMsg{Addr: peer.Addr()})}); err != nil {
 		t.Fatal(err)
 	}
-	recv := func(kind uint8) (rpc.Envelope, bool) {
-		timeout := time.After(100 * time.Millisecond)
+	recv := func(kind uint8, m interface{ get(r *wire.Reader) }, within time.Duration) bool {
+		timeout := time.After(within)
 		for {
 			select {
 			case env := <-peer.Recv():
 				if env.Kind == kind {
-					return env, true
+					if err := decode(env.Body, m); err != nil {
+						t.Fatal(err)
+					}
+					return true
 				}
 			case <-timeout:
-				return rpc.Envelope{}, false
+				return false
 			}
 		}
 	}
 	var wel welcomeMsg
-	for deadline := time.Now().Add(10 * time.Second); ; {
-		if env, ok := recv(kWelcome); ok {
-			if err := decode(env.Body, &wel); err != nil {
-				t.Fatal(err)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no welcome within 10s")
-		}
+	if !recv(kWelcome, &wel, 10*time.Second) {
+		t.Fatal("no welcome within 10s")
 	}
-	if len(wel.Peers) != 1 {
-		t.Fatalf("welcome lists peers %+v, want the first worker", wel.Peers)
+	peer.SetSelf(rpc.NodeID(wel.Worker))
+	if err := rt.AwaitWorkers(ctx, 2); err != nil {
+		t.Fatal(err)
 	}
-	first := wel.Peers[0]
+
+	// A job's first step start names both workers with their addresses.
+	// This worker never runs it: the job is cancelled once the address is
+	// checked.
+	spec := testSpec(t, randomGraph(12, 0.3, 1, 3), func(g *graph.Graph) Job { return aggCountJob(g, 2) })
+	runCtx, stopRun := context.WithCancel(context.Background())
+	ran := make(chan struct{})
+	go func() {
+		defer close(ran)
+		rt.RunSpec(runCtx, spec, nil)
+	}()
+	t.Cleanup(func() {
+		stopRun()
+		<-ran
+	})
+	var start stepStartMsg
+	if !recv(kStepStart, &start, 10*time.Second) {
+		t.Fatal("no step start within 10s")
+	}
+	if len(start.Workers) != 2 || start.Workers[1] != (peerAddr{wel.Worker, peer.Addr()}) {
+		t.Fatalf("the step start names %+v, want the first worker and then this one at %s", start.Workers, peer.Addr())
+	}
+	first := start.Workers[0]
 	ap, err := netip.ParseAddrPort(first.Addr)
 	if err != nil || ap.Addr() != netip.AddrFrom4([4]byte{127, 0, 0, 1}) {
 		t.Fatalf("the worker listening on :0 registered %q (%v), want 127.0.0.1 and its port", first.Addr, err)
 	}
-	peer.SetSelf(rpc.NodeID(wel.Worker))
 	peer.AddPeer(rpc.NodeID(first.Worker), first.Addr)
 
 	// The first worker answers a steal request of no running attempt with
-	// an empty grant, once the master's peer-join has told it where this
+	// an empty grant, once its own step start has told it where this
 	// worker is: ask until it has.
 	req := encode(stealReqMsg{Worker: wel.Worker})
 	for deadline := time.Now().Add(10 * time.Second); ; {
 		if err := peer.Send(rpc.NodeID(first.Worker), rpc.Envelope{Kind: kStealReq, Body: req}); err != nil {
 			t.Fatalf("sending to %s: %v", first.Addr, err)
 		}
-		if _, ok := recv(kStealResp); ok {
+		if recv(kStealResp, &stealRespMsg{}, 100*time.Millisecond) {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -251,9 +301,9 @@ func TestWorkerHoldsOneJob(t *testing.T) {
 	defer nw[rpc.Master].Close()
 	defer nw[0].Close()
 	h := &remoteHost{cfg: Config{CoresPerWorker: 1}.withDefaults()}
-	w := newWorker(0, h.cfg, h, nw[0])
+	w := newWorker(0, h.cfg, h.runFor, nw[0])
 	start := func(job, step int, spec JobSpec) stepStartMsg {
-		return stepStartMsg{attemptKey: attemptKey{Job: job, Step: step}, Workers: []int{0}, Spec: specToWire(spec, nil)}
+		return stepStartMsg{attemptKey: attemptKey{Job: job, Step: step}, Workers: []peerAddr{{Worker: 0}}, Spec: specToWire(spec, nil)}
 	}
 	for _, c := range []struct {
 		job, step int

@@ -9,8 +9,8 @@ import (
 	"fractal/internal/wire"
 )
 
-// Message kinds carried in rpc.Envelope.Kind. Thirteen of them carry a body,
-// of 11 Go types: kStepEnd, kCancel and kStatusPing carry an attemptKey and
+// Message kinds carried in rpc.Envelope.Kind. Twelve of them carry a body,
+// of 10 Go types: kStepEnd, kCancel and kStatusPing carry an attemptKey and
 // nothing else; kShutdown carries none.
 const (
 	kStepStart uint8 = iota + 1
@@ -26,7 +26,6 @@ const (
 	kCancelAck
 	kRegister
 	kWelcome
-	kPeerJoin
 )
 
 // Exported aliases of the kinds fault-injection schedules (rpc.FaultRule.Kind)
@@ -62,9 +61,12 @@ type attemptKey struct {
 }
 
 // stepStartMsg tells a worker to start executing a step. Workers lists the
-// participating worker IDs for this attempt — a retry may exclude lost
-// workers, and the remaining ones re-partition the root domain among
-// len(Workers)×CoresPerWorker cores and steal only from each other. Env
+// attempt's participants in rank order, each with the listener address it
+// registered (empty in process): a retry may exclude lost workers, and the
+// remaining ones re-partition the root domain among
+// len(Workers)×CoresPerWorker cores and steal only from each other, at
+// those addresses — the step start is how a worker process learns where
+// its peers listen. Env
 // carries, encoded with the aggregation wire codec, every aggregation the
 // step's AggFilter primitives read, whether an earlier job or an earlier
 // step of this job computed it: a remote worker decodes them (agg.Decode)
@@ -76,7 +78,7 @@ type attemptKey struct {
 // and Spec empty.
 type stepStartMsg struct {
 	attemptKey
-	Workers []int
+	Workers []peerAddr
 	Env     []envEntry
 	Spec    wireSpec
 }
@@ -167,28 +169,20 @@ type registerMsg struct {
 }
 
 // welcomeMsg is the master's registration reply: the worker's assigned ID
-// plus the execution configuration every participant must agree on and the
-// current address book. The worker adopts the ID from it; the master names
-// the worker in step starts only once the welcome and the peer joins that
-// announce it have been sent, so on every connection they arrive first.
+// plus the execution configuration every participant must agree on. The
+// worker adopts the ID from it; the master names the worker in step starts
+// only once the welcome has been sent, so on its connection it arrives
+// first.
 type welcomeMsg struct {
 	Worker         int
 	CoresPerWorker int
 	WS             uint8
 	WorkerTimeout  int64 // ns
-	Peers          []peerAddr
 }
 
-// peerAddr is one address-book entry.
+// peerAddr is one participant of a step start: its worker ID and the
+// address its listener registered.
 type peerAddr struct {
-	Worker int
-	Addr   string
-}
-
-// peerJoinMsg tells already-registered workers about a newly joined peer so
-// they can extend their own address books (external steals are
-// worker-to-worker).
-type peerJoinMsg struct {
 	Worker int
 	Addr   string
 }
@@ -343,7 +337,7 @@ func getKV(r *wire.Reader) kvPair { return kvPair{K: r.Str(), V: r.Str()} }
 
 func (m stepStartMsg) put(w *wire.Writer) {
 	m.attemptKey.put(w)
-	putSeq(w, m.Workers, (*wire.Writer).Int)
+	putSeq(w, m.Workers, putPeer)
 	putSeq(w, m.Env, putEnvEntry)
 	w.Str(m.Spec.App)
 	w.Str(m.Spec.Graph)
@@ -353,7 +347,7 @@ func (m stepStartMsg) put(w *wire.Writer) {
 
 func (m *stepStartMsg) get(r *wire.Reader) {
 	m.attemptKey.get(r)
-	m.Workers = getSeq(r, (*wire.Reader).Int)
+	m.Workers = getSeq(r, getPeer)
 	m.Env = getSeq(r, getEnvEntry)
 	m.Spec.App = r.Str()
 	m.Spec.Graph = r.Str()
@@ -459,7 +453,6 @@ func (m welcomeMsg) put(w *wire.Writer) {
 	w.Int(m.CoresPerWorker)
 	w.Byte(m.WS)
 	w.Varint(m.WorkerTimeout)
-	putSeq(w, m.Peers, putPeer)
 }
 
 func (m *welcomeMsg) get(r *wire.Reader) {
@@ -467,8 +460,4 @@ func (m *welcomeMsg) get(r *wire.Reader) {
 	m.CoresPerWorker = r.Int()
 	m.WS = r.Byte()
 	m.WorkerTimeout = r.Varint()
-	m.Peers = getSeq(r, getPeer)
 }
-
-func (m peerJoinMsg) put(w *wire.Writer)  { putPeer(w, peerAddr(m)) }
-func (m *peerJoinMsg) get(r *wire.Reader) { *m = peerJoinMsg(getPeer(r)) }

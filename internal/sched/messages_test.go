@@ -47,14 +47,12 @@ func newMessage(kind uint8) wireMessage {
 		return &registerMsg{}
 	case kWelcome:
 		return &welcomeMsg{}
-	case kPeerJoin:
-		return &peerJoinMsg{}
 	}
 	return nil
 }
 
-// messageCases holds at least one message of each of the 13 kinds that carry
-// a body (11 Go types: the step end, cancel and status ping are each an
+// messageCases holds at least one message of each of the 12 kinds that carry
+// a body (10 Go types: the step end, cancel and status ping are each an
 // attemptKey) with its body in hex. The bodies were generated at the commit
 // before the codec moved onto the shared reader/writer, and the wire form
 // did not change.
@@ -71,24 +69,32 @@ func newMessage(kind uint8) wireMessage {
 // body less its job id, which the key holds, four zero bytes when empty: the
 // jobSpec cases are step starts — and that message and its ack are gone. A
 // status reply with Seq 0 ends with its Err; no other report changed.
+// A step start names each participant with the address it registered (empty
+// in process), so the welcome lost its address book and the peer join is
+// gone; no other body changed. An in-process step start costs one byte per
+// participant for its empty address (stepStartInProcess).
 var messageCases = []struct {
 	name   string
 	kind   uint8
 	in     wireMessage
 	golden string
 }{
-	{"stepStart", kStepStart, &stepStartMsg{attemptKey: attemptKey{3, 2, 5}, Workers: []int{0, 2, 7}}, "06040a0300040e00" + "00000000"},
-	{"stepStartEnv", kStepStart, &stepStartMsg{attemptKey: attemptKey{3, 1, 0}, Workers: []int{0, 1},
+	{"stepStart", kStepStart, &stepStartMsg{attemptKey: attemptKey{3, 2, 5},
+		Workers: []peerAddr{{0, "a:1"}, {2, ""}, {7, "c:3"}}},
+		"06040a" + "03" + "0003613a31" + "0400" + "0e03633a33" + "00" + "00000000"},
+	{"stepStartEnv", kStepStart, &stepStartMsg{attemptKey: attemptKey{3, 1, 0}, Workers: []peerAddr{{0, "a:1"}, {1, "b:2"}},
 		Env: []envEntry{{Name: "support1", Data: []byte{4, 5}}, {Name: "support2", Data: nil}}},
-		"0602000200020208737570706f72743102040508737570706f72743200" + "00000000"},
+		"060200" + "02" + "0003613a31" + "0203623a32" + "0208737570706f72743102040508737570706f72743200" + "00000000"},
 	{"stepStartNoWorkers", kStepStart, &stepStartMsg{attemptKey: attemptKey{Job: 1}}, "0200000000" + "00000000"},
-	{"jobSpec", kStepStart, &stepStartMsg{attemptKey: attemptKey{Job: 2}, Workers: []int{1},
+	{"stepStartInProcess", kStepStart, &stepStartMsg{attemptKey: attemptKey{Job: 1}, Workers: []peerAddr{{Worker: 0}, {Worker: 1}}},
+		"020000" + "02" + "0000" + "0200" + "00" + "00000000"},
+	{"jobSpec", kStepStart, &stepStartMsg{attemptKey: attemptKey{Job: 2}, Workers: []peerAddr{{Worker: 1}},
 		Spec: wireSpec{App: "cliques", Graph: "/tmp/g.el", Args: []kvPair{{"k", "4"}, {"engine", "plan"}}, Env: []string{"support1"}}},
-		"040000" + "0102" + "00" + "07636c6971756573092f746d702f672e656c02016b013406656e67696e6504706c616e0108737570706f727431"},
-	{"stepStartEnvSpec", kStepStart, &stepStartMsg{attemptKey: attemptKey{3, 1, 0}, Workers: []int{0, 1},
+		"040000" + "010200" + "00" + "07636c6971756573092f746d702f672e656c02016b013406656e67696e6504706c616e0108737570706f727431"},
+	{"stepStartEnvSpec", kStepStart, &stepStartMsg{attemptKey: attemptKey{3, 1, 0}, Workers: []peerAddr{{0, "a:1"}, {1, "b:2"}},
 		Env:  []envEntry{{Name: "support1", Data: []byte{4, 5}}},
 		Spec: wireSpec{App: "fsm", Graph: "g.fgr", Args: []kvPair{{"level", "2"}, {"support", "8"}}, Env: []string{"frequent1"}}},
-		"0602000200020108737570706f7274310204050366736d05672e66677202056c6576656c013207737570706f7274013801096672657175656e7431"},
+		"060200" + "02" + "0003613a31" + "0203623a32" + "0108737570706f7274310204050366736d05672e66677202056c6576656c013207737570706f7274013801096672657175656e7431"},
 	{"jobSpecBare", kStepStart, &stepStartMsg{Spec: wireSpec{App: "motifs", Graph: "g"}}, "000000" + "00" + "00" + "066d6f7469667301670000"},
 	{"stepEnd", kStepEnd, &attemptKey{1, 2, 3}, "020406"},
 	{"cancel", kCancel, &attemptKey{9, 0, 1}, "120002"},
@@ -117,11 +123,9 @@ var messageCases = []struct {
 		"02040604040001808080800854"},
 	{"stealRespEmpty", kStealResp, &stealRespMsg{attemptKey: attemptKey{Job: 1}}, "0200000000"},
 	{"register", kRegister, &registerMsg{Addr: "10.0.0.7:6001"}, "0d31302e302e302e373a36303031"},
-	{"welcome", kWelcome, &welcomeMsg{Worker: 2, CoresPerWorker: 4, WS: uint8(WSBoth), WorkerTimeout: 60_000_000_000,
-		Peers: []peerAddr{{Worker: 0, Addr: "a:1"}, {Worker: 1, Addr: "b:2"}}},
-		"04080380e0ba84bf03020003613a310203623a32"},
-	{"welcomeNoPeers", kWelcome, &welcomeMsg{Worker: 0, CoresPerWorker: 1}, "0002000000"},
-	{"peerJoin", kPeerJoin, &peerJoinMsg{Worker: 3, Addr: "c:3"}, "0603633a33"},
+	{"welcome", kWelcome, &welcomeMsg{Worker: 2, CoresPerWorker: 4, WS: uint8(WSBoth), WorkerTimeout: 60_000_000_000},
+		"04080380e0ba84bf03"},
+	{"welcomeNoPeers", kWelcome, &welcomeMsg{Worker: 0, CoresPerWorker: 1}, "00020000"},
 }
 
 // TestMessageCodecRoundTrip encodes every control-message shape, compares
@@ -187,7 +191,7 @@ func TestEveryKindHasAGoldenBody(t *testing.T) {
 			t.Errorf("%s: the golden body opens with %+v (%v), want the key %+v", tc.name, got, r.Err(), key)
 		}
 	}
-	for kind := kStepStart; kind <= kPeerJoin; kind++ {
+	for kind := kStepStart; kind <= kWelcome; kind++ {
 		if kind != kShutdown && !covered[kind] {
 			t.Errorf("kind %d has no golden body in messageCases", kind)
 		}
@@ -197,7 +201,7 @@ func TestEveryKindHasAGoldenBody(t *testing.T) {
 // TestMessageCodecValueAndPointerAgree guards the call-site convenience of
 // encoding either form.
 func TestMessageCodecValueAndPointerAgree(t *testing.T) {
-	m := stepStartMsg{attemptKey: attemptKey{1, 2, 3}, Workers: []int{1, 2}}
+	m := stepStartMsg{attemptKey: attemptKey{1, 2, 3}, Workers: []peerAddr{{1, "a:1"}, {2, "b:2"}}}
 	a, b := encode(m), encode(&m)
 	if string(a) != string(b) {
 		t.Errorf("value and pointer encodings differ: %x vs %x", a, b)
@@ -236,12 +240,12 @@ func TestHostileCountsFailBeforeAllocating(t *testing.T) {
 		body []byte
 	}{
 		"stepStart workers":   {&stepStartMsg{}, append([]byte{0, 0, 0}, count...)},
+		"stepStart addr":      {&stepStartMsg{}, append([]byte{0, 0, 0, 1, 0}, count...)},
 		"stepStart env":       {&stepStartMsg{}, append([]byte{0, 0, 0, 0}, count...)},
 		"stealResp prefix":    {&stealRespMsg{}, append([]byte{0, 0, 0, 0}, count...)},
 		"aggDone errs":        {&aggDoneMsg{}, append([]byte{0, 0, 0, 0, 0}, count...)},
 		"aggDone core work":   {&aggDoneMsg{}, append(make([]byte, 6+16), count...)},
 		"cancelAck core work": {&cancelAckMsg{}, append(make([]byte, 4+16), count...)},
-		"welcome peers":       {&welcomeMsg{}, append([]byte{0, 0, 0, 0, 0}, count...)},
 		"stepStart spec args": {&stepStartMsg{}, append(make([]byte, 7), count...)},
 		"stepStart spec env":  {&stepStartMsg{}, append(make([]byte, 8), count...)},
 		"aggData bytes":       {&aggDataMsg{}, append([]byte{0, 0, 0, 0, 0}, count...)},
@@ -284,11 +288,11 @@ func FuzzDecodeMessage(f *testing.F) {
 		}
 		reads = append(reads, envEntry{Name: fmt.Sprint("read", i), Data: data})
 	}
-	f.Add(append([]byte{kStepStart}, encode(stepStartMsg{attemptKey: attemptKey{Job: 1}, Workers: []int{0}, Env: reads})...))
+	f.Add(append([]byte{kStepStart}, encode(stepStartMsg{attemptKey: attemptKey{Job: 1}, Workers: []peerAddr{{0, "127.0.0.1:7001"}}, Env: reads})...))
 	// An environment whose store is cut short: the message decodes, the
 	// store does not.
 	cut := envEntry{Name: "cut", Data: reads[1].Data[:len(reads[1].Data)/2]}
-	f.Add(append([]byte{kStepStart}, encode(stepStartMsg{attemptKey: attemptKey{Job: 1}, Workers: []int{0}, Env: []envEntry{cut}})...))
+	f.Add(append([]byte{kStepStart}, encode(stepStartMsg{attemptKey: attemptKey{Job: 1}, Workers: []peerAddr{{Worker: 0}}, Env: []envEntry{cut}})...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

@@ -1,12 +1,14 @@
-// The master-side worker registry: registration handshakes and peer
-// discovery for distributed (master-mode) deployments. The registry is what
-// makes the worker set elastic — participants of each step attempt are the
-// registered workers minus the job's excluded set, re-queried on every
-// attempt, so a fractal-worker process that registers mid-job is folded in
-// at the next attempt boundary (it installs the job from that step start),
-// and one that dies or cannot install the job is excluded by the retry
-// loop's worker-loss machinery, exactly as in-process. One the master can no
-// longer send to is forgotten (drop), so it fails no later job.
+// The master-side worker registry of distributed (master-mode) deployments:
+// registration is two messages, the worker's register and the master's
+// welcome, and the registry keeps each welcomed worker's listener address.
+// It is what makes the worker set elastic — participants of each step
+// attempt are the registered workers minus the job's excluded set,
+// re-queried on every attempt, so a fractal-worker process that registers
+// mid-job is folded in at the next attempt boundary (it installs the job,
+// and learns where its peers listen, from that step start), and one that
+// dies or cannot install the job is excluded by the retry loop's
+// worker-loss machinery, exactly as in-process. One the master can no longer
+// send to is forgotten (drop), so it fails no later job.
 package sched
 
 import (
@@ -25,13 +27,13 @@ const registerReplyTimeout = 30 * time.Second
 
 // registry serves registrations and feeds participant lists; it lives on the
 // master runtime and is driven by the router goroutine (handleRegister) and
-// the run loop (workerIDs, awaitWorkers).
+// the run loop (workerIDs, address, awaitWorkers).
 type registry struct {
-	rt   *Runtime
-	node *rpc.TCPNode // the unwrapped master node, for its address book
+	rt     *Runtime
+	node   *rpc.TCPNode // the unwrapped master node, for its address book
+	nextID int          // the router's alone
 
 	mu      sync.Mutex
-	nextID  int
 	workers map[int]string // welcomed worker ID -> listener address
 	// changed is closed, and replaced, whenever a worker is admitted: the
 	// wait in awaitWorkers blocks on it.
@@ -43,36 +45,24 @@ func newRegistry(rt *Runtime, node *rpc.TCPNode) *registry {
 }
 
 // handleRegister serves one registration: assign the next worker ID, reply
-// with the execution configuration and address book, announce the newcomer
-// to its peers, and only then admit it, so that the step start that first
-// names it follows its welcome on its connection and the peer join on each
-// of its peers'.
+// with the execution configuration, and only then admit the worker, so that
+// the step start that first names it follows its welcome on its connection.
 func (g *registry) handleRegister(env rpc.Envelope) {
 	var m registerMsg
 	if decode(env.Body, &m) != nil || m.Addr == "" {
 		return
 	}
-	cfg := g.rt.cfg
-	g.mu.Lock()
 	id := g.nextID
 	g.nextID++
+	cfg := g.rt.cfg
 	wel := welcomeMsg{
 		Worker:         id,
 		CoresPerWorker: cfg.CoresPerWorker,
 		WS:             uint8(cfg.WS),
 		WorkerTimeout:  int64(cfg.WorkerTimeout),
 	}
-	for _, wid := range sortedIDs(g.workers, nil) {
-		wel.Peers = append(wel.Peers, peerAddr{Worker: wid, Addr: g.workers[wid]})
-	}
-	g.mu.Unlock()
-
 	g.node.AddPeer(rpc.NodeID(id), m.Addr)
 	g.rt.master.Send(rpc.NodeID(id), rpc.Envelope{Kind: kWelcome, Body: encode(wel)})
-	joinBody := encode(peerJoinMsg{Worker: id, Addr: m.Addr})
-	for _, p := range wel.Peers {
-		g.rt.master.Send(rpc.NodeID(p.Worker), rpc.Envelope{Kind: kPeerJoin, Body: joinBody})
-	}
 	g.mu.Lock()
 	g.workers[id] = m.Addr
 	close(g.changed)
@@ -85,19 +75,24 @@ func (g *registry) handleRegister(env rpc.Envelope) {
 func (g *registry) workerIDs(excluded map[int]bool) []int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return sortedIDs(g.workers, excluded)
-}
-
-// sortedIDs lists m's worker IDs minus the excluded ones, ascending.
-func sortedIDs(m map[int]string, excluded map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for wid := range m {
+	out := make([]int, 0, len(g.workers))
+	for wid := range g.workers {
 		if !excluded[wid] {
 			out = append(out, wid)
 		}
 	}
 	sort.Ints(out)
 	return out
+}
+
+// address fills in the address each of a step start's participants
+// registered; one dropped since keeps none.
+func (g *registry) address(ps []peerAddr) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for i := range ps {
+		ps[i].Addr = g.workers[ps[i].Worker]
+	}
 }
 
 // awaitWorkers waits until n workers have been admitted, or ctx ends.
@@ -118,8 +113,7 @@ func (g *registry) awaitWorkers(ctx context.Context, n int) error {
 }
 
 // drop forgets a worker the master could not send to: no later attempt
-// names it, and no newcomer's welcome lists it. A restarted worker process
-// registers again, under a new ID.
+// names it. A restarted worker process registers again, under a new ID.
 func (g *registry) drop(wid int) {
 	g.mu.Lock()
 	delete(g.workers, wid)

@@ -81,9 +81,7 @@ wait:
 				return nil, fmt.Errorf("sched: transport closed before registration completed")
 			}
 			if env.Kind != kWelcome {
-				// The master sends nothing before the welcome; a peer knows
-				// the worker only from a later peer join.
-				continue
+				continue // the master sends nothing before the welcome
 			}
 			if err := decode(env.Body, &wel); err != nil {
 				return nil, fmt.Errorf("sched: malformed registration reply: %w", err)
@@ -96,15 +94,12 @@ wait:
 		}
 	}
 	node.SetSelf(rpc.NodeID(wel.Worker))
-	for _, p := range wel.Peers {
-		node.AddPeer(rpc.NodeID(p.Worker), p.Addr)
-	}
 	cfg := Config{
 		CoresPerWorker: wel.CoresPerWorker,
 		WS:             WorkStealing(wel.WS),
 		WorkerTimeout:  time.Duration(wel.WorkerTimeout),
 	}.withDefaults()
-	w := newWorker(wel.Worker, cfg, &remoteHost{cfg: cfg, node: node}, tr)
+	w := newWorker(wel.Worker, cfg, (&remoteHost{cfg: cfg, node: node}).runFor, tr)
 	w.start()
 	return w, nil
 }
@@ -116,8 +111,9 @@ type remoteJob struct {
 	steps []*step.Step
 }
 
-// remoteHost implements runProvider for a worker process. It is only used on
-// the worker's router goroutine (or before it starts), so it has no lock.
+// remoteHost resolves a worker process's step starts (its runFor is the
+// worker's). It is only used on the worker's router goroutine (or before it
+// starts), so it has no lock.
 type remoteHost struct {
 	cfg    Config
 	node   *rpc.TCPNode
@@ -131,7 +127,10 @@ type remoteHost struct {
 // runFor builds the attempt's jobRun with newJobRun, as the master does for
 // in-process workers, with an environment of the aggregations the step
 // start carries. The first step start of a job newer than the current one
-// installs it; a step start of an older job is ignored.
+// installs it; a step start of an older job is ignored. Every participant
+// the step start names enters the node's address book before the cores
+// start, so a peer that registered since the last step start is reachable
+// by the time this worker's cores steal from it or answer it.
 func (h *remoteHost) runFor(m stepStartMsg) (*jobRun, error) {
 	if m.Job < h.newest {
 		return nil, nil
@@ -153,7 +152,14 @@ func (h *remoteHost) runFor(m stepStartMsg) (*jobRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newJobRun(m.attemptKey, m.Workers, h.cfg.CoresPerWorker, rj.job, rj.steps[m.Step], env, nil), nil
+	parts := make([]int, len(m.Workers))
+	for i, p := range m.Workers {
+		parts[i] = p.Worker
+		if p.Addr != "" {
+			h.node.AddPeer(rpc.NodeID(p.Worker), p.Addr)
+		}
+	}
+	return newJobRun(m.attemptKey, parts, h.cfg.CoresPerWorker, rj.job, rj.steps[m.Step], env, nil), nil
 }
 
 // decodeReads rebuilds the environment a step start carries.
@@ -167,16 +173,6 @@ func decodeReads(entries []envEntry) (*agg.Registry, error) {
 		env.Put(e.Name, store)
 	}
 	return env, nil
-}
-
-// handleControl serves the control traffic in-process workers never see:
-// peer discovery.
-func (h *remoteHost) handleControl(w *worker, env rpc.Envelope) {
-	var m peerJoinMsg
-	if env.Kind != kPeerJoin || decode(env.Body, &m) != nil || m.Addr == "" {
-		return
-	}
-	h.node.AddPeer(rpc.NodeID(m.Worker), m.Addr)
 }
 
 // install materializes a job from its spec as the current job: load the

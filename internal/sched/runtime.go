@@ -197,7 +197,7 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	rt.master = nw[rpc.Master]
 	for i := 0; i < cfg.Workers; i++ {
-		w := newWorker(i, cfg, rt, nw[rpc.NodeID(i)])
+		w := newWorker(i, cfg, rt.runFor, nw[rpc.NodeID(i)])
 		rt.workers = append(rt.workers, w)
 		w.start()
 	}
@@ -282,7 +282,7 @@ func (r *Runtime) currentRun() *jobRun {
 	return r.run
 }
 
-// runFor implements runProvider for in-process workers: the published run,
+// runFor resolves an in-process worker's step start: the published run,
 // when the message names it; any other step start is stale.
 func (r *Runtime) runFor(m stepStartMsg) (*jobRun, error) {
 	if run := r.currentRun(); run != nil && run.key == m.attemptKey {
@@ -290,10 +290,6 @@ func (r *Runtime) runFor(m stepStartMsg) (*jobRun, error) {
 	}
 	return nil, nil
 }
-
-// handleControl implements runProvider: in-process workers receive no
-// registration or peer-discovery traffic.
-func (r *Runtime) handleControl(w *worker, env rpc.Envelope) {}
 
 // nextJobID reserves a job sequence number, or reports the runtime closed.
 func (r *Runtime) nextJobID() (int, error) {
@@ -592,6 +588,19 @@ func (r *Runtime) participantsFor(excluded map[int]bool) []int {
 		}
 	}
 	return parts
+}
+
+// named lists an attempt's participants as its step start names them: in
+// master mode with the addresses they registered, in process with none.
+func (r *Runtime) named(parts []int) []peerAddr {
+	out := make([]peerAddr, len(parts))
+	for i, wid := range parts {
+		out[i].Worker = wid
+	}
+	if r.reg != nil {
+		r.reg.address(out)
+	}
+	return out
 }
 
 // stepReads encodes, once per step, the environment aggregations its

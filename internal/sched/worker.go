@@ -212,31 +212,22 @@ func (st *stepCtx) deliver(core int, g grant) {
 	}
 }
 
-// runProvider resolves a step-start message to the job state the worker
-// should execute against, and handles the control messages the worker's
-// router does not know. In-process workers resolve against the Runtime's
-// published run (shared address space); remote worker processes resolve
-// against the job they installed from the spec the step starts carry.
-type runProvider interface {
-	// runFor returns the jobRun matching the step-start message. It returns
-	// nil and no error for a stale message — an older job, an abandoned
-	// attempt — which the worker ignores, exactly as a worker whose step
-	// start was lost; and an error when the worker cannot run the attempt
-	// (a job it could not install, a step or environment it cannot read).
-	runFor(m stepStartMsg) (*jobRun, error)
-	// handleControl is offered every envelope the router has no case for
-	// (peer-discovery traffic in remote deployments).
-	handleControl(w *worker, env rpc.Envelope)
-}
-
 // worker is one worker node: it owns cores and a message router serving
 // step control, status pings, and external steal requests.
 type worker struct {
-	id    int
-	cfg   Config
-	runs  runProvider
-	tr    rpc.Transport
-	cores []*core
+	id  int
+	cfg Config
+	// runFor resolves a step start to the job state the worker executes
+	// against: the Runtime's published run for in-process workers (shared
+	// address space), the job installed from the step starts' spec in a
+	// worker process. It returns nil and no error for a stale message — an
+	// older job, an abandoned attempt — which the worker ignores, exactly as
+	// a worker whose step start was lost; and an error when the worker
+	// cannot run the attempt (a job it could not install, a step or
+	// environment it cannot read).
+	runFor func(m stepStartMsg) (*jobRun, error)
+	tr     rpc.Transport
+	cores  []*core
 
 	mu  sync.Mutex
 	cur *stepCtx // step under execution, nil when idle
@@ -244,8 +235,8 @@ type worker struct {
 	wg sync.WaitGroup
 }
 
-func newWorker(id int, cfg Config, runs runProvider, tr rpc.Transport) *worker {
-	w := &worker{id: id, cfg: cfg, runs: runs, tr: tr}
+func newWorker(id int, cfg Config, runFor func(stepStartMsg) (*jobRun, error), tr rpc.Transport) *worker {
+	w := &worker{id: id, cfg: cfg, runFor: runFor, tr: tr}
 	for i := 0; i < cfg.CoresPerWorker; i++ {
 		w.cores = append(w.cores, newCore(w, i))
 	}
@@ -304,8 +295,6 @@ func (w *worker) route() {
 			for range w.tr.Recv() {
 			}
 			return
-		default:
-			w.runs.handleControl(w, env)
 		}
 	}
 	w.abortCurrent()
@@ -323,11 +312,11 @@ func (w *worker) current() *stepCtx {
 // once, and why, with the reply a ping gets from a worker not running the
 // attempt: the master convicts it of a step-start loss.
 func (w *worker) startStep(m stepStartMsg) {
-	rank := slices.Index(m.Workers, w.id)
+	rank := slices.IndexFunc(m.Workers, func(p peerAddr) bool { return p.Worker == w.id })
 	if rank < 0 {
 		return // excluded from this attempt
 	}
-	run, err := w.runs.runFor(m)
+	run, err := w.runFor(m)
 	if err != nil {
 		w.report(&statusReportMsg{attemptKey: m.attemptKey, Reply: true, Err: err.Error()})
 		return

@@ -75,7 +75,7 @@ master_ec=$(sum_ec "$tmp/master.json")
 # A ring of 60 label-A vertices (29 and 59 are B) with chords at +2, all
 # label x; x doubles every tenth ring edge, an infrequent y doubles three
 # more, and one z edge is infrequent and simple. At support 4 the (A, B, x)
-# edges and the z edge go; the y edges stay beside their x twins.
+# edges, the y edges and the z edge go.
 awk 'BEGIN { n = 60
 	for (i = 0; i < n; i++) print "v", i, (i % 30 == 29 ? "B" : "A")
 	for (i = 0; i < n; i++) { print "e", i, (i+1)%n, "x"; print "e", i, (i+2)%n, "x" }

@@ -1,4 +1,4 @@
-.PHONY: check check-race check-dist chaos test build vet bench-smoke bench-agg bench-plan bench-decomp bench-fsm bench-sched prof-sched bench-graph fuzz-agg fuzz-wire fuzz-plan fuzz-decomp fuzz-graph fuzz-embedding fuzz-engines
+.PHONY: check check-race check-dist chaos test build vet bench-smoke bench-pair bench-pair-self bench-agg bench-plan bench-decomp bench-fsm bench-sched prof-sched bench-graph fuzz-agg fuzz-wire fuzz-plan fuzz-decomp fuzz-graph fuzz-embedding fuzz-engines
 
 check:
 	./scripts/check.sh
@@ -63,6 +63,25 @@ bench-smoke:
 	go vet -C benchmark .
 	go test -C benchmark .
 	go run -C benchmark . -seed 1 -quick -trace 0
+
+# A measured claim: the repository benchmark of HEAD against BASE, each
+# revision built from a git worktree of its own and running its own
+# benchmark/, in N alternating pairs of WORKLOAD (default: every workload) on
+# SEED, then one traced run a side. Writes BENCH_<label>.json at the root
+# (internal/bench/pair.go); a run of 10 pairs on one workload takes about
+# 12 minutes. bench-pair-self is the runner's own gate: HEAD against HEAD
+# must report identical digests and exact counters ("identical": true).
+BASE ?= HEAD~1
+N ?= 10
+SEED ?= 1
+WORKLOAD ?=
+bench-pair:
+	go run ./cmd/fractal-bench -pair -base $(BASE) -n $(N) -seed $(SEED) -workload "$(WORKLOAD)"
+
+bench-pair-self:
+	go run ./cmd/fractal-bench -pair -base HEAD -n 2 -seed 1 -workload small_jobs_el -label self_small_jobs_el
+	grep -q '"identical": true' BENCH_self_small_jobs_el.json
+	rm BENCH_self_small_jobs_el.json
 
 # Compiled-plan engines against the canonical-check enumeration paths:
 # motif and clique counting end to end (EXPERIMENTS.md). The canon columns

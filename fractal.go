@@ -566,13 +566,13 @@ func (c *Context) PatternRepOf(p *Pattern) *Pattern { return pattern.Classify(p)
 
 // MNISupport builds the minimum image-based support contribution of a
 // single embedding, aligned by canonical position (the value function of
-// the paper's FSM listing). The contribution is built on pooled per-core
-// scratch storage and carries the class's shared representative pattern; it
-// is meant to flow directly into an aggregation (Aggregate's value
-// function), whose first store clones it and whose reduction reclaims it —
-// the FSM hot loop allocates nothing per embedding. It is borrowed, and so is
-// the result of its Aggregate: a support kept outside an aggregation is
-// accumulated from a nil *DomainSupport, whose Aggregate makes an owned copy.
+// the paper's FSM listing). The contribution is a pooled value that carries
+// the class's shared representative pattern; it is meant to flow directly
+// into an aggregation (Aggregate's value function), whose first store keeps
+// it and whose reduction reclaims it — the FSM hot loop allocates nothing
+// per embedding. Handed to an aggregation or to another support's Aggregate,
+// it belongs to that: a support kept outside an aggregation is accumulated
+// from a nil *DomainSupport, whose Aggregate returns the first contribution.
 func (c *Context) MNISupport(e *Subgraph, threshold int64) *DomainSupport {
 	cl := e.Class()
 	return agg.ScratchDomainSupport(cl.Rep, threshold, e.Vertices(), cl.Perm)

@@ -53,20 +53,18 @@ type Aggregation[K comparable, V any] struct {
 	m      map[K]V
 	reduce func(V, V) V
 	filter func(K, V) bool // optional aggFilter
-	life   *lifecycle[V]   // non-nil for a value type with borrowed values: *DomainSupport
+	life   *lifecycle[V]   // non-nil for a value type with pooled storage: *DomainSupport
 }
 
-// lifecycle is the rule for a value type with borrowed values: a value is
-// borrowed until a store keeps it, and keeping it is the one copy.
+// lifecycle is the rule for a value type with pooled storage: a store keeps
+// a value as it is, and the value's storage goes back to the pool when the
+// step-tail fold has encoded or rejected it.
 type lifecycle[V any] struct {
-	own     func(V) V // a storable copy of a borrowed value, which it releases; identity on others
-	lend    func(V) V // a borrowed value to reduce into: v itself, or a pooled copy of a stored one
-	release func(V)   // returns a borrowed value's storage; a no-op on a stored one
+	own     func(V) V // v made fit to keep: nothing of it aliases a frame
+	release func(V)   // returns a consumed value's storage to the pool
 }
 
-var supportLife = &lifecycle[*DomainSupport]{
-	own: (*DomainSupport).owned, lend: (*DomainSupport).lent, release: (*DomainSupport).release,
-}
+var supportLife = &lifecycle[*DomainSupport]{own: (*DomainSupport).owned, release: (*DomainSupport).release}
 
 // New returns an empty aggregation with the given reduction function.
 func New[K comparable, V any](reduce func(V, V) V) *Aggregation[K, V] {
@@ -85,9 +83,8 @@ func (a *Aggregation[K, V]) WithFilter(keep func(K, V) bool) *Aggregation[K, V] 
 	return a
 }
 
-// Add folds value v into key k. v may be a borrowed (scratch) contribution:
-// the first store of a key copies it into owned storage, and the reduction
-// consumes it otherwise.
+// Add folds value v into key k: the first store of a key keeps v, and the
+// reduction consumes it otherwise. Either way v belongs to the aggregation.
 func (a *Aggregation[K, V]) Add(k K, v V) {
 	if old, ok := a.m[k]; ok {
 		a.m[k] = a.reduce(old, v)

@@ -221,7 +221,7 @@ func putDomainSupport(dst []byte, ds *DomainSupport) ([]byte, error) {
 	return w.B, nil
 }
 
-// getDomainSupport decodes one support value into borrowed storage, its
+// getDomainSupport decodes one support value into pooled storage, its
 // pattern left in wire form (checked, not built) until the value is kept.
 func getDomainSupport(r *wire.Reader) *DomainSupport {
 	threshold := r.Varint()
@@ -231,9 +231,10 @@ func getDomainSupport(r *wire.Reader) *DomainSupport {
 	}
 	ds := scratch(r.Count())
 	ds.Threshold, ds.patWire = threshold, patWire
-	for i, d := range ds.Domains {
-		prev := uint64(0)
-		for n := r.Count(); n > 0 && r.Err() == nil; n-- {
+	for i := range ds.Domains {
+		n := r.Count()
+		d, prev := getDomain(n), uint64(0)
+		for ; n > 0 && r.Err() == nil; n-- {
 			delta := r.Uvarint()
 			if delta > math.MaxInt32-prev {
 				r.Failf("vertex id delta %d out of range", delta)

@@ -52,9 +52,9 @@ type source[V any] interface {
 // foldOrdered hands sink every key of srcs once, in ascending order, with
 // the values the sources hold for it reduced in source order. Sources are
 // few (a worker's cores, a master's workers), so the smallest head is found
-// by scanning them. A key held by several sources is reduced into a borrowed
-// accumulator (lifecycle.lend), so the sink may be handed a borrowed value:
-// it keeps the value (own) or releases it.
+// by scanning them. A key held by several sources is reduced into the value
+// popped first, which no source holds any more: the sink keeps the result
+// (own) or releases it.
 func (a *Aggregation[K, V]) foldOrdered(srcs []source[V], sink func(key string, v V) error) error {
 	for {
 		min, found := "", false
@@ -77,8 +77,6 @@ func (a *Aggregation[K, V]) foldOrdered(srcs []source[V], sink func(key string, 
 			}
 			if v := s.pop(); first {
 				acc, first = v, false
-			} else if a.life != nil {
-				acc = a.reduce(a.life.lend(acc), v)
 			} else {
 				acc = a.reduce(acc, v)
 			}
@@ -90,7 +88,7 @@ func (a *Aggregation[K, V]) foldOrdered(srcs []source[V], sink func(key string, 
 }
 
 // mapSource walks a store in key order and empties it as it goes, so a
-// value is garbage as soon as its key has been folded.
+// value is the fold's as soon as its key has been popped.
 type mapSource[V any] struct {
 	m    map[string]V
 	keys []string
@@ -264,9 +262,10 @@ func (a *Aggregation[K, V]) foldToFrames(parts []Store, limit int, stop func() b
 }
 
 // FoldFrames implements Store: the ordered fold over the workers' frame
-// sequences. A key's values are decoded into borrowed storage, reduced and
-// put to the aggFilter there and then; only survivors are kept — their key,
-// domains and pattern copied out of the frames — and the rest is released.
+// sequences. A key's values are decoded into pooled storage, reduced and
+// put to the aggFilter there and then; only survivors are kept — their key
+// and pattern copied out of the frames, their decoded domains as they are —
+// and the rest is released.
 func (a *Aggregation[K, V]) FoldFrames(seqs [][][]byte, stop func() bool) (Store, error) {
 	view, vc, err := a.wireForm()
 	if err != nil {

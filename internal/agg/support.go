@@ -31,8 +31,8 @@ type DomainSupport struct {
 	// Pat is a representative pattern for reporting. Contributions built
 	// from an embedding's Class carry the class's shared canonical
 	// representative, which makes the "first pattern wins" reduction
-	// independent of embedding arrival and merge order. A borrowed value
-	// decoded from the wire — what the master's aggFilter and reduction see —
+	// independent of embedding arrival and merge order. A value decoded
+	// from the wire — what the master's aggFilter and reduction see —
 	// holds its pattern in wire form, and Pat is nil until the value is kept
 	// or Pattern is called: a filter or reduction reads it through Pattern.
 	Pat *pattern.Pattern
@@ -41,23 +41,23 @@ type DomainSupport struct {
 	// Domains[i] holds the distinct graph vertices bound to canonical
 	// position i. Sorted ascending except for a bounded in-progress insert
 	// tail; call Sorted (or Support, which compacts) before reading order-
-	// sensitive data.
+	// sensitive data. Each position's array is its own: once the value is
+	// consumed (Aggregate's other, a value the step tail has folded) its
+	// arrays go back to the domain pool.
 	Domains [][]graph.VertexID
 
-	// nsorted[i] is the length of Domains[i]'s sorted prefix; nil means
-	// every domain is fully sorted. Never shipped: the codec compacts
-	// before encoding.
+	// nsorted[i] is the length of Domains[i]'s sorted prefix; empty means
+	// every domain is fully sorted. Never shipped: the codec compacts before
+	// encoding.
 	nsorted []int32
-	// borrowed marks pooled storage (ScratchDomainSupport, the codec's
-	// decode, a fold's accumulator), valid until it is released: a store
-	// keeps it by copying it (owned), never as it is.
-	borrowed bool
-	// patWire is a borrowed value's pattern in wire form, aliasing the frame
-	// it was decoded from; owned decodes it.
+	// patWire is a decoded value's pattern in wire form, aliasing the frame
+	// it was read from, until the value is kept (owned) or Pattern is called.
 	patWire []byte
-	// spare is a borrowed value's union buffer: a union is written into it
-	// and takes the old domain's place, which becomes the next spare.
-	spare []graph.VertexID
+	// one is a contribution's slab: its one vertex per position, which
+	// Domains holds as pieces of capacity 1 until a position grows into a
+	// pooled array. The value keeps it across scratchPool uses, so building
+	// a contribution takes nothing from the domain pool.
+	one []graph.VertexID
 	// fault is the sticky merge error (see DomainArityError); encoding a
 	// faulted support fails, which routes the error through the runtime's
 	// step-failure path.
@@ -84,87 +84,65 @@ func (e *DomainArityError) Error() string {
 // NewDomainSupport returns the support contribution of a single embedding:
 // vertices[i] is the graph vertex at embedding position i and perm[i] its
 // canonical pattern position (from pattern.Canon.Perm), so that domains from
-// different embeddings of the same pattern align.
+// different embeddings of the same pattern align. The value is consumed by
+// the Aggregate it is folded through, or kept as it is by the first store of
+// its key, and then grows through the domain pool (pool.go).
 func NewDomainSupport(p *pattern.Pattern, threshold int64, vertices []graph.VertexID, perm []int) *DomainSupport {
-	ds := &DomainSupport{
-		Pat:       p,
-		Threshold: threshold,
-		Domains:   make([][]graph.VertexID, len(vertices)),
+	ds := scratch(len(vertices))
+	if cap(ds.one) < len(vertices) {
+		ds.one = make([]graph.VertexID, len(vertices))
 	}
-	backing := make([]graph.VertexID, len(vertices))
+	ds.one = ds.one[:len(vertices)]
 	for i, v := range vertices {
 		pos := perm[i]
-		backing[pos] = v
-		ds.Domains[pos] = backing[pos : pos+1 : pos+1]
-	}
-	return ds
-}
-
-// scratchPool recycles borrowed values: the aggregation hot loop builds one
-// DomainSupport per embedding only to fold it into the accumulated entry
-// immediately, and the step tail decodes and reduces every candidate only to
-// keep a few, so their storage is reused instead of allocated (the
-// aggregation-side analog of the extension scratch of the enumeration
-// kernels). Pool affinity is per-P, which on the runtime's pinned cores
-// behaves as a per-core arena.
-var scratchPool = sync.Pool{New: func() any { return &DomainSupport{borrowed: true} }}
-
-// scratch returns a borrowed value of n empty positions, each keeping the
-// capacity it had in earlier uses.
-func scratch(n int) *DomainSupport {
-	ds := scratchPool.Get().(*DomainSupport)
-	ds.Domains = slices.Grow(ds.Domains[:0], n)[:n]
-	for i := range ds.Domains {
-		ds.Domains[i] = ds.Domains[i][:0]
-	}
-	return ds
-}
-
-// ScratchDomainSupport is NewDomainSupport on pooled storage. The returned
-// value is borrowed: it is valid until it is folded through
-// ReduceDomainSupport / Aggregate, which consumes it, or first stored by an
-// Aggregation, which keeps a copy. Callers that keep a contribution must use
-// NewDomainSupport.
-func ScratchDomainSupport(p *pattern.Pattern, threshold int64, vertices []graph.VertexID, perm []int) *DomainSupport {
-	ds := scratch(len(vertices))
-	for i, v := range vertices {
-		ds.Domains[perm[i]] = append(ds.Domains[perm[i]], v)
+		ds.one[pos] = v
+		ds.Domains[pos] = ds.one[pos : pos+1 : pos+1]
 	}
 	ds.Pat, ds.Threshold = p, threshold
 	return ds
 }
 
-// release returns a borrowed value to the pool.
+// ScratchDomainSupport is NewDomainSupport, under the name its callers have
+// used since contributions were drawn from a pool of their own.
+func ScratchDomainSupport(p *pattern.Pattern, threshold int64, vertices []graph.VertexID, perm []int) *DomainSupport {
+	return NewDomainSupport(p, threshold, vertices, perm)
+}
+
+// scratchPool recycles the values themselves: the aggregation hot loop
+// builds one DomainSupport per embedding only to fold it into the
+// accumulated entry immediately, and the step tail decodes and reduces every
+// candidate only to keep a few. A pooled value keeps the capacity of its
+// position, sorted-prefix and slab slices; its other arrays are the domain
+// pool's.
+var scratchPool = sync.Pool{New: func() any { return new(DomainSupport) }}
+
+// scratch returns a value of n positions that hold no array yet.
+func scratch(n int) *DomainSupport {
+	ds := scratchPool.Get().(*DomainSupport)
+	ds.Domains = slices.Grow(ds.Domains[:0], n)[:n]
+	return ds
+}
+
+// release is the end of a consumed value: its arrays go back to the domain
+// pool and the value to scratchPool. Nothing may read it afterwards.
 func (ds *DomainSupport) release() {
-	if ds == nil || !ds.borrowed {
+	if ds == nil {
 		return
 	}
-	ds.Pat, ds.patWire, ds.nsorted, ds.fault = nil, nil, nil, nil
+	putDomains(ds.Domains...)
+	clear(ds.Domains)
+	ds.Domains, ds.nsorted, ds.one = ds.Domains[:0], ds.nsorted[:0], ds.one[:0]
+	ds.Pat, ds.patWire, ds.fault = nil, nil, nil
 	scratchPool.Put(ds)
 }
 
-// owned returns ds if it is an ordinary value, or a compact owned copy when
-// ds is borrowed (which is then released): the one copy a kept value gets.
+// owned makes ds fit to be kept by a store, which keeps it as it is, arrays
+// and all: its pattern is decoded, so that it holds no view of a frame.
 func (ds *DomainSupport) owned() *DomainSupport {
-	if ds == nil || !ds.borrowed {
-		return ds
+	if ds != nil {
+		ds.Pattern()
 	}
-	ds.compact()
-	ds.Pattern()
-	out := &DomainSupport{Pat: ds.Pat, Threshold: ds.Threshold, fault: ds.fault}
-	total := 0
-	for _, d := range ds.Domains {
-		total += len(d)
-	}
-	backing := make([]graph.VertexID, 0, total)
-	out.Domains = make([][]graph.VertexID, len(ds.Domains))
-	for i, d := range ds.Domains {
-		start := len(backing)
-		backing = append(backing, d...)
-		out.Domains[i] = backing[start:len(backing):len(backing)]
-	}
-	ds.release()
-	return out
+	return ds
 }
 
 // Pattern returns Pat, decoding it first if the value still holds it in
@@ -177,28 +155,13 @@ func (ds *DomainSupport) Pattern() *pattern.Pattern {
 	return ds.Pat
 }
 
-// lent returns ds if it is borrowed, or else a borrowed copy of it: what a
-// fold reduces into, so that reducing grows no stored value's domains.
-func (ds *DomainSupport) lent() *DomainSupport {
-	if ds == nil || ds.borrowed {
-		return ds
-	}
-	ds.compact()
-	out := scratch(len(ds.Domains))
-	for i, d := range ds.Domains {
-		out.Domains[i] = append(out.Domains[i], d...)
-	}
-	out.Pat, out.Threshold, out.fault = ds.Pat, ds.Threshold, ds.fault
-	return out
-}
-
 // insert adds v to position pos, keeping elements distinct. The sorted
 // prefix is searched by galloping, the bounded tail linearly; a full tail is
 // compacted into the prefix.
 func (ds *DomainSupport) insert(pos int, v graph.VertexID) {
 	d := ds.Domains[pos]
 	ns := len(d)
-	if ds.nsorted != nil {
+	if len(ds.nsorted) != 0 {
 		ns = int(ds.nsorted[pos])
 	}
 	if i := graph.Gallop(d[:ns], v); i < ns && d[i] == v {
@@ -209,9 +172,9 @@ func (ds *DomainSupport) insert(pos int, v graph.VertexID) {
 			return
 		}
 	}
-	ds.Domains[pos] = append(d, v)
-	if ds.nsorted == nil {
-		ds.nsorted = make([]int32, len(ds.Domains))
+	ds.Domains[pos] = append(grown(d, len(d)+1), v)
+	if len(ds.nsorted) == 0 {
+		ds.nsorted = slices.Grow(ds.nsorted, len(ds.Domains))[:len(ds.Domains)]
 		for i, di := range ds.Domains {
 			ds.nsorted[i] = int32(len(di))
 		}
@@ -226,14 +189,14 @@ func (ds *DomainSupport) insert(pos int, v graph.VertexID) {
 // distinct by the insert invariant, so a sort suffices.
 func (ds *DomainSupport) compactPos(pos int) {
 	slices.Sort(ds.Domains[pos])
-	if ds.nsorted != nil {
+	if len(ds.nsorted) != 0 {
 		ds.nsorted[pos] = int32(len(ds.Domains[pos]))
 	}
 }
 
 // compact folds every tail in, restoring the fully-sorted invariant.
 func (ds *DomainSupport) compact() {
-	if ds == nil || ds.nsorted == nil {
+	if ds == nil || len(ds.nsorted) == 0 {
 		return
 	}
 	for pos := range ds.Domains {
@@ -241,7 +204,7 @@ func (ds *DomainSupport) compact() {
 			slices.Sort(ds.Domains[pos])
 		}
 	}
-	ds.nsorted = nil
+	ds.nsorted = ds.nsorted[:0]
 }
 
 // Sorted returns the fully sorted, distinct domain of canonical position
@@ -263,23 +226,20 @@ func (ds *DomainSupport) Err() error { return ds.fault }
 // sticky *DomainArityError on the result instead of silently dropping
 // evidence; the error fails the step when its aggregation is encoded.
 //
-// other is consumed: a borrowed other is released, so only the result may be
-// used after the call. A borrowed ds absorbs other in place and stays
-// borrowed — an Aggregation's first store of the result is its one copy —
-// and an owned ds stays owned. An accumulator kept outside an Aggregation
-// starts from a nil *DomainSupport: nil.Aggregate(v) is an owned copy of v.
+// other is consumed: its arrays go back to the domain pool, so only the
+// result may be used after the call. ds absorbs other in place, its domains
+// growing through the pool. An accumulator kept outside an Aggregation
+// starts from a nil *DomainSupport: nil.Aggregate(v) is v.
 func (ds *DomainSupport) Aggregate(other *DomainSupport) *DomainSupport {
 	if ds == nil {
 		return other.owned()
 	}
-	if other == nil {
+	if other == nil || other == ds {
 		return ds
 	}
 	if ds.Pat == nil && ds.patWire == nil {
 		ds.Pat, ds.patWire = other.Pat, other.patWire
-		if !ds.borrowed {
-			ds.Pattern() // a stored value holds no view of a frame
-		}
+		ds.Pattern() // other's frame may be gone before ds is
 	}
 	if other.fault != nil && ds.fault == nil {
 		ds.fault = other.fault
@@ -293,28 +253,23 @@ func (ds *DomainSupport) Aggregate(other *DomainSupport) *DomainSupport {
 	}
 	other.compact()
 	for pos, od := range other.Domains {
-		if len(od) <= 4 && (!ds.borrowed || len(ds.Domains[pos]) > 64) {
+		if len(od) <= 4 {
 			// A small contribution (the per-embedding case is a single vertex
-			// per position) goes through the insert path, unless a union into
-			// a borrowed value's small domain is as cheap and allocates nothing.
+			// per position) goes through the insert path.
 			for _, v := range od {
 				ds.insert(pos, v)
 			}
 			continue
 		}
-		// One pass of the union kernel: into a fresh array for a stored
-		// value, through the spare buffer for a borrowed one, which then
-		// allocates only while its buffers grow.
+		// One pass of the union kernel into a pooled array, which takes the
+		// old domain's place while the old one goes back.
 		d := ds.Domains[pos]
-		if ds.nsorted != nil && int(ds.nsorted[pos]) < len(d) {
+		if len(ds.nsorted) != 0 && int(ds.nsorted[pos]) < len(d) {
 			slices.Sort(d)
 		}
-		var buf []graph.VertexID
-		if ds.borrowed {
-			buf, ds.spare = ds.spare[:0], d[:0]
-		}
-		ds.Domains[pos] = graph.UnionSorted(d, od, slices.Grow(buf, len(d)+len(od)))
-		if ds.nsorted != nil {
+		ds.Domains[pos] = graph.UnionSorted(d, od, getDomain(len(d)+len(od)))
+		putDomains(d)
+		if len(ds.nsorted) != 0 {
 			ds.nsorted[pos] = int32(len(ds.Domains[pos]))
 		}
 	}
@@ -346,9 +301,8 @@ func (ds *DomainSupport) String() string {
 }
 
 // ReduceDomainSupport is the reduction function for DomainSupport
-// aggregations: a.Aggregate(b), so b is consumed and a borrowed a stays
-// borrowed. Like every reduction's, its arguments are valid for the call
-// only.
+// aggregations: a.Aggregate(b), so b is consumed. Like every reduction's,
+// its arguments are valid for the call only.
 func ReduceDomainSupport(a, b *DomainSupport) *DomainSupport { return a.Aggregate(b) }
 
 // PatternCount is the value of pattern-frequency aggregations (motifs): a

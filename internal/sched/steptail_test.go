@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"fractal/internal/agg"
 	"fractal/internal/graph"
 	"fractal/internal/metrics"
+	"fractal/internal/pattern"
 	"fractal/internal/rpc"
 	"fractal/internal/step"
 	"fractal/internal/subgraph"
@@ -176,12 +178,18 @@ func TestFramesOutOfOrderAreACorruptPartial(t *testing.T) {
 }
 
 // fsmLevel3 holds what the benchmark's fsm_ml job has at the end of its third
-// level, when the cores go idle: the step, and each core's partial (encoded,
-// so that every use starts from fresh stores).
+// level, when the cores go idle: the step, each core's partial (encoded, so
+// that every use starts from fresh stores), and the contributions the cores
+// emitted to build them, in the order they emitted them: contribution i is
+// of class classes[emitted[i]], and its vertices are the next
+// len(classes[emitted[i]].Perm) of vertices.
 type fsmLevel3 struct {
-	step  *step.Step
-	spec  *step.AggSpec
-	cores [][]byte
+	step     *step.Step
+	spec     *step.AggSpec
+	cores    [][]byte
+	emitted  []int32
+	vertices []graph.VertexID
+	classes  []*pattern.Class
 }
 
 var (
@@ -220,18 +228,29 @@ func mineLevel3() (*fsmLevel3, error) {
 	// told apart by the store the runtime hands it.
 	var mu sync.Mutex
 	kept := map[agg.Store]*supports{}
+	out := &fsmLevel3{}
+	class := map[string]int32{}
 	keep := func(e *subgraph.Embedding, local agg.Store) {
+		cl := e.Class()
 		mu.Lock()
 		mine := kept[local]
 		if mine == nil {
 			mine = newSupports()
 			kept[local] = mine
 		}
+		i, ok := class[cl.Code]
+		if !ok {
+			c := *cl
+			c.Perm = slices.Clone(cl.Perm)
+			i, class[cl.Code] = int32(len(out.classes)), int32(len(out.classes))
+			out.classes = append(out.classes, &c)
+		}
+		out.emitted = append(out.emitted, i)
+		out.vertices = append(out.vertices, e.Vertices()...)
 		mu.Unlock()
 		emit(e, mine)
 	}
 	env := agg.NewRegistry()
-	out := &fsmLevel3{}
 	for level := 1; level <= levels; level++ {
 		w := step.Workflow{step.ExtendP()}
 		for l := 1; l < level; l++ {
@@ -292,19 +311,25 @@ func totalAlloc() uint64 {
 // to the tail they replaced, which the library still has, and holds them to
 // what they are for: the master keeps the survivors only, the cores are
 // empty afterwards, and each end allocates for what it keeps, not for what
-// passes through it. Measured here (go1.24, payload P = 0.55 MB in 9 frames):
+// passes through it. Measured here (go1.24, 2 vCPUs, payload P = 0.55 MB in
+// 9 frames):
 //
-//	worker  FoldToFrames  0.9 P   MergeTree + Encode            7.5 P
-//	master  FoldFrames    0.7 P   DecodeAndMerge + ApplyFilter  5.3 P
+//	worker  FoldToFrames  2.4 P, then 0.5 P   MergeTree + Encode            5.5 P
+//	master  FoldFrames    0.06 P              DecodeAndMerge + ApplyFilter  4.1 P
 //
-// A value is borrowed until a store keeps it (DESIGN §9): the worker reduces
-// a key's cores into a pooled accumulator, the master decodes every
-// candidate into pooled storage and reads keys and patterns in place, so
-// what the master allocates is its 98 survivors' copies. The worker's fold
-// allocated 2 018 390 B, 3.7 P, while it unioned two cores' domains into
-// fresh arrays, and the master's 4.8 P while it decoded every candidate.
-// Neither fold may allocate more than the tail it replaced, in every mode;
-// the tighter bounds rest on the pools and are not held under -race.
+// A store keeps a value as it is and the fold returns every value's arrays
+// to the domain pool once it is encoded (DESIGN §9): the worker's first fold
+// in a process fills the pool's free lists and unions two cores' domains into
+// classes the pool does not hold yet, and a second fold of the same partials
+// grows into what the first returned. The master decodes every candidate
+// into pooled storage and reads keys and patterns in place, so what it
+// allocates is its 98 survivors' keys and patterns. The worker's fold
+// allocated 2 018 390 B while it unioned two cores' domains into fresh
+// arrays; decode + filter allocated 2.93–2.97 MB while DecodeAndMerge copied
+// every value it kept out of pooled storage, and 2.25–2.27 MB since it keeps
+// the decoded arrays. Neither fold may allocate more than the tail it
+// replaced, in every mode; the tighter bounds rest on the pools and are not
+// held under -race.
 func TestFoldKeepsSurvivorsOnly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mines three levels of the fsm_ml analog")
@@ -329,6 +354,13 @@ func TestFoldKeepsSurvivorsOnly(t *testing.T) {
 		if p.Len() != 0 {
 			t.Errorf("core %d still holds %d entries after the fold", i, p.Len())
 		}
+	}
+	parts = f.stores(t)
+	before = totalAlloc()
+	err = proto.FoldToFrames(parts, nil, func([]byte) error { return nil })
+	again := totalAlloc() - before
+	if err != nil {
+		t.Fatal(err)
 	}
 	before = totalAlloc()
 	folded, err := proto.FoldFrames([][][]byte{frames}, nil)
@@ -359,8 +391,8 @@ func TestFoldKeepsSurvivorsOnly(t *testing.T) {
 	oldMaster := totalAlloc() - before
 
 	t.Logf("%d candidates in %d frames, %d bytes; %d survive", candidates, len(frames), payload, folded.Len())
-	t.Logf("bytes allocated: worker fold %d (MergeTree + Encode: %d), master fold %d (decode + filter: %d)",
-		worker, oldWorker, master, oldMaster)
+	t.Logf("bytes allocated: worker fold %d, then %d (MergeTree + Encode: %d), master fold %d (decode + filter: %d)",
+		worker, again, oldWorker, master, oldMaster)
 	want, _ := committed.Encode()
 	got, _ := folded.Encode()
 	if candidates != 3262 || folded.Len() != 98 || string(got) != string(want) {
@@ -380,6 +412,61 @@ func TestFoldKeepsSurvivorsOnly(t *testing.T) {
 	}
 	if master > oldMaster/4 {
 		t.Errorf("the master fold allocates %d B, more than a quarter of decode + filter's %d B", master, oldMaster)
+	}
+	if again > worker {
+		t.Errorf("the worker's second fold allocates %d B, more than its first (%d B)", again, worker)
+	}
+	if oldMaster > 2840000 {
+		t.Errorf("decode + filter allocates %d B, more than the 2.84 MB it took before kept values were copied twice", oldMaster)
+	}
+}
+
+// TestFoldReturnsWhatTheNextLevelGrowsInto replays the fsm_ml analog's level
+// 3 — every contribution its two cores emitted, in their order — into one
+// core's store and folds it into frames, twice over the same store. The
+// first pass grows each stored domain from its contribution's slab through
+// the domain pool, and the fold returns every array once the value is
+// encoded; the second pass grows into what the first returned. Measured
+// here (go1.24, 2 vCPUs): the first pass allocates 3 161 064–3 709 464 B
+// (less when TestFoldKeepsSurvivorsOnly ran first) and the second
+// 289 600–628 848 B. Before the domain pool, when
+// a domain grew by append, a stored value was a compact copy of its
+// contribution and the fold returned nothing, the first pass allocated
+// 5 305 392–5 306 088 B and the second 4 966 208–5 305 928 B. The values
+// themselves come back through a sync.Pool, which drops at random under
+// -race, so the bounds are not held there.
+func TestFoldReturnsWhatTheNextLevelGrowsInto(t *testing.T) {
+	if testing.Short() {
+		t.Skip("mines three levels of the fsm_ml analog")
+	}
+	f := fsmLevel3Partials(t)
+	core := f.spec.Proto.NewEmpty()
+	pass := func() uint64 {
+		before := totalAlloc()
+		vs := f.vertices
+		for _, i := range f.emitted {
+			cl := f.classes[i]
+			core.(*supports).Add(cl.Code, agg.ScratchDomainSupport(cl.Rep, 50, vs[:len(cl.Perm)], cl.Perm))
+			vs = vs[len(cl.Perm):]
+		}
+		keys := core.Len()
+		err := f.spec.Proto.FoldToFrames([]agg.Store{core}, nil, func([]byte) error { return nil })
+		allocated := totalAlloc() - before
+		if err != nil || keys != 3262 || core.Len() != 0 {
+			t.Fatalf("fold: %v; %d keys, %d left after it: want 3262, then none", err, keys, core.Len())
+		}
+		return allocated
+	}
+	first, second := pass(), pass()
+	t.Logf("%d contributions: the first pass allocates %d B, the second %d B", len(f.emitted), first, second)
+	if raceEnabled {
+		return
+	}
+	if second > first/4 {
+		t.Errorf("the second pass allocates %d B, more than a quarter of the first's %d B", second, first)
+	}
+	if first >= 5305392 {
+		t.Errorf("the first pass allocates %d B, no less than before the domain pool (5 305 392 B)", first)
 	}
 }
 

@@ -129,9 +129,9 @@ type StepReport = sched.StepReport
 // carries one; WriteJSON exports it in the --metrics-out schema.
 type RunReport = sched.RunReport
 
-// QuiescenceRound re-exports one ping wave of the master's termination
-// detection: the wave that confirms a step's end (or fails to), or a
-// liveness probe after WorkerTimeout of silence. Wait is its round trip.
+// QuiescenceRound re-exports one liveness probe of the master's termination
+// detection: a ping wave after WorkerTimeout of silence, none on a healthy
+// run, whose step ends when its credit comes home. Wait is its round trip.
 type QuiescenceRound = sched.QuiescenceRound
 
 // MetricsSnapshot re-exports the counter block embedded in step reports:

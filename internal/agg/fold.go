@@ -16,16 +16,20 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"fractal/internal/wire"
 )
 
-// frameBufs holds FoldToFrames' frame buffer between folds: a frame is valid
-// during its emit only, so a worker's folds — one per aggregation and step —
-// share one buffer instead of each growing its own to the frame size.
-var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+// frameBuf holds FoldToFrames' frame buffer between folds: a frame is valid
+// during its emit only, so a process's folds — one per aggregation and step —
+// share one buffer instead of each growing its own to the frame size. A fold
+// takes it by swap and puts it back by store, so a second fold running at
+// the same time finds the slot empty and allocates its own. (A sync.Pool
+// lost the buffer to its per-P slots and at every GC, and a fold then
+// regrew it from 512 B.)
+var frameBuf atomic.Pointer[[]byte]
 
 // FrameLimit is the number of entry bytes at which FoldToFrames closes a
 // frame. A frame ends with the entry that reaches it, so a frame is larger
@@ -217,9 +221,12 @@ func (a *Aggregation[K, V]) foldToFrames(parts []Store, limit int, stop func() b
 	}
 	// The buffer grows to the frame size on its own, once per process: most
 	// aggregations are a handful of counts and never come near the limit.
-	buf := frameBufs.Get().(*[]byte)
+	buf := frameBuf.Swap(nil)
+	if buf == nil {
+		buf = new([]byte)
+	}
 	w := wire.Writer{B: slices.Grow((*buf)[:0], 512)[:frameHeaderMax]}
-	defer func() { *buf = w.B[:0]; frameBufs.Put(buf) }()
+	defer func() { *buf = w.B[:0]; frameBuf.Store(buf) }()
 	entries, frames := 0, 0
 	// flush closes the frame: the header is written right-aligned in the room
 	// in front of the entries, so the frame leaves without being moved.

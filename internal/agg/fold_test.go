@@ -595,3 +595,33 @@ func TestFoldFilterAndReduceReadThePattern(t *testing.T) {
 		return true
 	})
 }
+
+// TestFrameBufferOutlivesGC: the fold's frame buffer waits for the next fold
+// in one process-wide slot, which a collection does not clear, so a fold
+// after two GCs writes its frames into the buffer an earlier fold grew
+// instead of regrowing one from 512 B to twice the frame size.
+func TestFrameBufferOutlivesGC(t *testing.T) {
+	fold := func() (grew uint64) {
+		a := New[string, int64](SumInt64)
+		for i := 0; i < 80; i++ { // 80 KiB of entries: the first frame reaches FrameLimit
+			a.Add(fmt.Sprintf("%02d%s", i, bytes.Repeat([]byte{'k'}, 1<<10)), int64(i))
+		}
+		frames := 0
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := a.NewEmpty().FoldToFrames([]Store{a}, nil, func([]byte) error { frames++; return nil })
+		runtime.ReadMemStats(&after)
+		if err != nil || frames != 2 {
+			t.Fatalf("fold: %d frames, %v; want 2 frames", frames, err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	first := fold()
+	runtime.GC()
+	runtime.GC()
+	grew := fold()
+	t.Logf("the first fold allocated %d B, one after two GCs %d B", first, grew)
+	if grew >= FrameLimit {
+		t.Errorf("a fold after two GCs allocated %d B (the first %d B), want under the %d B frame size", grew, first, FrameLimit)
+	}
+}

@@ -52,6 +52,10 @@ const (
 	// TraceStepRetry marks the master re-executing a step after a worker
 	// loss; Worker is the lost worker and Value the new attempt number.
 	TraceStepRetry
+	// TraceStealDecline marks a donor core answering a remote steal request
+	// empty although it had work to give: its worker's credit has reached
+	// the scheduler's exponent bound, and a grant could not carry a share.
+	TraceStealDecline
 )
 
 var traceKindNames = map[TraceEventKind]string{
@@ -63,6 +67,7 @@ var traceKindNames = map[TraceEventKind]string{
 	TraceDrain:           "drain",
 	TraceWorkerLost:      "worker-lost",
 	TraceStepRetry:       "step-retry",
+	TraceStealDecline:    "steal-decline",
 }
 
 // String implements fmt.Stringer.

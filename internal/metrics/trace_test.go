@@ -10,7 +10,7 @@ func TestTraceKindStringAndJSONRoundTrip(t *testing.T) {
 	kinds := []TraceEventKind{
 		TraceStepStart, TraceStepEnd, TraceQuiescenceRound,
 		TraceStealAttempt, TraceCancel, TraceDrain, TraceWorkerLost,
-		TraceStepRetry,
+		TraceStepRetry, TraceStealDecline,
 	}
 	for _, k := range kinds {
 		if k.String() == "" {

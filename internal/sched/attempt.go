@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"fractal/internal/agg"
@@ -33,8 +34,8 @@ func (r *Runtime) effectFree(s *step.Step) bool {
 // executeStep drives one fractal step: broadcast start (start with the
 // attempt's key and participants; in master mode it carries their
 // addresses, the job's spec and the encoded aggregations the step reads),
-// poll for global quiescence, broadcast end, and merge the workers'
-// aggregation partials.
+// await the return of the credit it hands out, broadcast end, and merge the
+// workers' aggregation partials.
 // On any failure — context cancellation, deadline, or worker loss — the
 // step is abandoned: the run's abort flag is flipped and a cancel message
 // is broadcast so every reachable worker drains its cores and discards its
@@ -53,14 +54,16 @@ func (r *Runtime) executeStep(ctx context.Context, run *jobRun, start stepStartM
 	if run.tracer != nil {
 		run.tracer.Emit(metrics.TraceEvent{Kind: metrics.TraceStepStart, Step: run.key.Step, Worker: -1, Core: -1})
 	}
+	var home credit
 	start.attemptKey, start.Workers = run.key, r.named(run.parts)
+	start.Share, home = splitUnit(len(run.parts))
 	startBody := encode(start)
 	for _, wid := range run.parts {
 		if e := r.master.Send(rpc.NodeID(wid), rpc.Envelope{Kind: kStepStart, Body: startBody}); e != nil {
 			return &WorkerLostError{Worker: wid, Step: run.key.Step, Phase: "step-start", Err: e}
 		}
 	}
-	if err := r.awaitQuiescence(ctx, run); err != nil {
+	if err := r.awaitQuiescence(ctx, run, home); err != nil {
 		return err
 	}
 	endBody := encode(run.key)
@@ -148,70 +151,34 @@ func (r *Runtime) broadcastCancel(run *jobRun) {
 	}
 }
 
-// awaitQuiescence is the master's termination detection: it returns once
-// every participant is idle and no work is in flight between them, or fails
-// the attempt. Workers report only the edges of their activity count, each
-// report numbered (Seq) and carrying the worker's counts of work-carrying
-// steal grants sent and adopted; the master starts every participant as busy
-// at Seq 1 and keeps each one's newest report. It decides in two stages
-// (DESIGN §6): a candidate — every newest report idle, and the grants sent
-// summing to the grants adopted — and one ping wave confirming it, every
-// participant answering with the Seq the candidate holds for it. The wave is
-// what makes the decision sound: out-of-order reports can balance falsely,
-// one worker's stale idle report hiding a grant another's fresh report
-// counts as adopted.
-//
-// WorkerTimeout is the only timer: one clock for all participants, re-armed
-// by any participant's report and by every wave sent. When all of them have
-// been silent for WorkerTimeout the master probes with the same ping wave: a
-// participant that cannot be sent to, or leaves the probe unanswered through
-// the next WorkerTimeout of silence, is lost ("quiescence"); one that answers
-// that it is not running the attempt lost its step start or could not
-// install the job ("step-start"); and
-// idle participants whose grant counts stay imbalanced across two silences
-// lost a grant in flight — no single worker to blame (Worker -1), so a retry
-// re-executes over the same set ("steal-balance"). DESIGN §11 prices what
-// this costs when a worker dies busy.
-func (r *Runtime) awaitQuiescence(ctx context.Context, run *jobRun) error {
-	last := make(map[int]statusReportMsg, len(run.parts))
+// awaitQuiescence is the master's termination detection, by credit recovery
+// (DESIGN §6): the attempt's step is over once home, the part of the unit no
+// participant was given, and the largest returned total each participant
+// has reported sum to the unit. WorkerTimeout of silence from every
+// participant sends a liveness probe, and its answers convict: a participant
+// that cannot be sent to or stays silent ("quiescence"), one not running the
+// attempt ("step-start"), or, when every one answers idle with credit still
+// missing and none came home while the probe was out, the grant lost in
+// flight ("steal-balance", Worker -1: a retry re-executes over the same
+// set). A donor that grants during the probe returns credit before it can
+// answer idle, so answers taken at different moments cannot convict it.
+// DESIGN §11 prices a worker dying busy.
+func (r *Runtime) awaitQuiescence(ctx context.Context, run *jobRun, home credit) error {
+	returned := make(map[int]credit, len(run.parts))
 	for _, wid := range run.parts {
-		last[wid] = statusReportMsg{Seq: 1, Active: 1}
+		returned[wid] = nil
 	}
-	// wave maps the participants yet to answer the outstanding ping wave to
-	// the Seq it asks them to confirm (nil: no wave out); confirming holds
-	// while the wave tests a candidate and every answer has confirmed.
-	var (
-		wave       map[int]int64
-		confirming bool
-		waveStart  time.Time
-		waveActive int64
-		stuck      bool
-	)
-	quiet := func() (idle, balanced bool) {
-		var granted, adopted int64
-		idle = true
-		for _, m := range last {
-			idle = idle && m.Active == 0
-			granted += m.Granted
-			adopted += m.Adopted
-		}
-		return idle, granted == adopted
-	}
+	// probe holds the participants yet to answer the probe out (nil: none),
+	// round what its answers reported, and moved whether credit came home
+	// since it was sent; it is journalled once every answer is in or the
+	// step ends.
+	var probe map[int]bool
+	var moved bool
+	var round QuiescenceRound
+	var sent time.Time
 	ping := rpc.Envelope{Kind: kStatusPing, Body: encode(run.key)}
 	silence := time.NewTimer(r.cfg.WorkerTimeout)
 	defer silence.Stop()
-	// A wave's answers get a full WorkerTimeout once it is out.
-	sendWave := func(candidate bool) error {
-		wave, confirming, waveStart, waveActive = make(map[int]int64, len(run.parts)), candidate, time.Now(), 0
-		for _, wid := range run.parts {
-			wave[wid] = last[wid].Seq
-			if err := r.master.Send(rpc.NodeID(wid), ping); err != nil {
-				return &WorkerLostError{Worker: wid, Step: run.key.Step, Phase: "quiescence", Err: err}
-			}
-		}
-		rearm(silence, r.cfg.WorkerTimeout)
-		return nil
-	}
 	for {
 		select {
 		case env, ok := <-r.inbox.Recv():
@@ -222,56 +189,50 @@ func (r *Runtime) awaitQuiescence(ctx context.Context, run *jobRun) error {
 			if env.Kind != kStatusReport || decode(env.Body, &m) != nil || m.attemptKey != run.key {
 				continue // stale reports, agg data of abandoned attempts, …
 			}
-			prev, ok := last[m.Worker]
+			prev, ok := returned[m.Worker]
 			if !ok {
 				continue
 			}
 			rearm(silence, r.cfg.WorkerTimeout)
-			if m.Reply && m.Seq == 0 {
-				// The participant is reachable but not running the attempt:
-				// it never received its step start, or could not install the
-				// job. Its partition of the root domain is not being
-				// enumerated and never will be.
+			if !m.Running { // its part of the root domain will never be enumerated
 				return &WorkerLostError{Worker: m.Worker, Step: run.key.Step, Phase: "step-start", Err: notRunning(m.Err)}
 			}
-			if m.Seq > prev.Seq {
-				last[m.Worker] = m
-				stuck = false
+			if slices.Compare(prev, m.Returned) < 0 {
+				returned[m.Worker], moved = m.Returned, true
 			}
-			if want, asked := wave[m.Worker]; asked && m.Reply {
-				confirming = confirming && m.Seq == want
-				waveActive += m.Active
-				if delete(wave, m.Worker); len(wave) > 0 {
-					continue
-				}
-				wave = nil
-				run.recordRound(QuiescenceRound{Round: int64(len(run.rounds) + 1), Wait: time.Since(waveStart), Active: waveActive})
-				if confirming {
-					return nil
-				}
+			if m.Reply && probe[m.Worker] {
+				round.Active += m.Active
+				delete(probe, m.Worker)
 			}
-			if idle, balanced := quiet(); wave == nil && idle && balanced {
-				if err := sendWave(true); err != nil {
-					return err
-				}
+			sum := home
+			for _, c := range returned {
+				sum.add(c)
 			}
-		case <-silence.C:
-			if wave != nil {
-				for _, wid := range run.parts {
-					if _, missing := wave[wid]; missing {
-						return &WorkerLostError{Worker: wid, Step: run.key.Step, Phase: "quiescence"}
-					}
-				}
-			}
-			if idle, balanced := quiet(); idle && !balanced {
-				if stuck {
+			over := slices.Equal(sum, unit)
+			if probe != nil && (len(probe) == 0 || over) {
+				round.Round, round.Wait, probe = int64(len(run.rounds)+1), time.Since(sent), nil
+				run.recordRound(round)
+				if !over && round.Active == 0 && !moved {
 					return &WorkerLostError{Worker: -1, Step: run.key.Step, Phase: "steal-balance"}
 				}
-				stuck = true
 			}
-			if err := sendWave(false); err != nil {
-				return err
+			if over {
+				return nil
 			}
+		case <-silence.C:
+			for _, wid := range run.parts {
+				if probe[wid] {
+					return &WorkerLostError{Worker: wid, Step: run.key.Step, Phase: "quiescence"}
+				}
+			}
+			probe, round, sent, moved = make(map[int]bool, len(run.parts)), QuiescenceRound{}, time.Now(), false
+			for _, wid := range run.parts {
+				probe[wid] = true
+				if err := r.master.Send(rpc.NodeID(wid), ping); err != nil {
+					return &WorkerLostError{Worker: wid, Step: run.key.Step, Phase: "quiescence", Err: err}
+				}
+			}
+			rearm(silence, r.cfg.WorkerTimeout)
 		case <-ctx.Done():
 			return ctx.Err()
 		}

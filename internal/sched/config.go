@@ -240,10 +240,9 @@ type StepReport struct {
 	// canonical export schema (the scalar fields above are derived from it
 	// and remain for convenience).
 	Metrics metrics.Snapshot `json:"metrics"`
-	// Rounds records the master's ping waves of the final attempt — the
-	// confirmation waves that test a candidate end of the step, and the
-	// liveness probes sent after WorkerTimeout of silence. RoundsTotal is
-	// their number: waves are per transition, so the journal needs no cap.
+	// Rounds records the liveness probes of the final attempt, sent after
+	// WorkerTimeout of silence: 0 on a healthy run. RoundsTotal is their
+	// number.
 	Rounds      []QuiescenceRound `json:"rounds,omitempty"`
 	RoundsTotal int               `json:"rounds_total"`
 }

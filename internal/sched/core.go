@@ -123,14 +123,14 @@ func (c *core) run(st *stepCtx) {
 
 // release gives up the core's unit of activity: it ran dry, or is stopping.
 // The core that gives up the worker's last unit answers the requests still
-// queued, empty, and tells the master the worker is idle.
+// queued, empty, and returns the worker's credit to the master.
 func (c *core) release(st *stepCtx) {
-	left, edge := st.retire()
+	left, rep := st.retire()
 	for _, r := range left {
 		c.w.answer(st, r, nil)
 	}
-	if edge != nil {
-		c.w.report(edge)
+	if rep != nil {
+		c.w.report(rep)
 	}
 }
 
@@ -140,14 +140,20 @@ func (c *core) release(st *stepCtx) {
 // core). It keeps the last extension for itself — giving that away would only
 // swap the roles of donor and thief — so a request it cannot serve stays
 // queued for a sibling, for its own next push, or for the empty answer when
-// the worker runs dry.
+// the worker runs dry. A remote request whose share could not be split off
+// is declined: answered empty at once, and traced.
 func (c *core) donate(st *stepCtx) {
 	for c.stack.Pending() > 1 && !st.isDone() {
 		r, ok := st.takeRequest()
 		if !ok {
 			return
 		}
-		prefix, _ := c.stack.StealShallowest()
+		var prefix []subgraph.Word
+		if r.thief >= 0 || len(r.share) > 0 {
+			prefix, _ = c.stack.StealShallowest()
+		} else if st.run.tracer != nil {
+			st.run.tracer.Emit(metrics.TraceEvent{Kind: metrics.TraceStealDecline, Step: st.run.key.Step, Worker: c.w.id, Core: c.local})
+		}
 		c.w.answer(st, r, prefix)
 	}
 }
@@ -223,11 +229,8 @@ func (c *core) park(st *stepCtx) (prefix []subgraph.Word, ok bool) {
 			}
 		case <-timeout:
 			// The back-off is over, or the response to the round's last
-			// request was lost: under fault injection a message can vanish,
-			// and an unbounded wait would pin this core forever. A lost grant
-			// leaves the workers' grant counters imbalanced, which is what the
-			// master's steal-balance check convicts; moving on just keeps the
-			// core schedulable until the attempt is retried.
+			// request was lost (a lost grant takes its credit with it, which
+			// the master convicts): moving on keeps the core schedulable.
 			c.bookWait(waitStart)
 			if c.askedRemote {
 				miss(true)

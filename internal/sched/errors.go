@@ -21,8 +21,7 @@ import (
 // faults).
 type WorkerLostError struct {
 	// Worker is the lost worker's ID. -1 means no single worker could be
-	// blamed (lost cross-worker steal traffic detected by the balance
-	// watchdog).
+	// blamed (a grant lost in flight with its credit).
 	Worker int
 	// Step is the index of the step whose attempt the loss aborted.
 	Step int
@@ -41,7 +40,7 @@ type WorkerLostError struct {
 // lacks), and then Err says why.
 var errNotRunning = errors.New("the worker is not running the attempt")
 
-// notRunning is the Err of a worker's Seq-0 reply; reason is the reply's.
+// notRunning is the Err of a worker's not-running reply; reason is its Err.
 func notRunning(reason string) error {
 	if reason == "" {
 		return fmt.Errorf("%w: its step start was lost", errNotRunning)

@@ -349,8 +349,8 @@ func TestWorkerHoldsOneJob(t *testing.T) {
 	for step := range 2 {
 		w.startStep(start(4, step, broken))
 		m, ok := reply()
-		if !ok || !m.Reply || m.Seq != 0 || m.attemptKey != (attemptKey{Job: 4, Step: step}) || m.Worker != 0 || m.Err == "" {
-			t.Fatalf("step %d of a job that cannot install: answered %v with %+v, want a Reply with Seq 0 and why", step, ok, m)
+		if !ok || !m.Reply || m.Running || m.attemptKey != (attemptKey{Job: 4, Step: step}) || m.Worker != 0 || m.Err == "" {
+			t.Fatalf("step %d of a job that cannot install: answered %v with %+v, want a Reply not running it, and why", step, ok, m)
 		}
 	}
 	if h.job != nil || h.newest != 4 || installs.Load() != 3 {

@@ -52,10 +52,9 @@ const (
 // report aggregation partials. A cancel tells it the master has abandoned the
 // attempt (context cancellation, deadline, or worker loss): stop cores
 // immediately, discard partial aggregations, and report nothing but a
-// cancelAckMsg. A status ping asks every participant for its current status:
-// the master's confirmation wave once the newest reports say the step is
-// over, and its liveness probe after WorkerTimeout of silence; each
-// participant answers with one statusReportMsg marked Reply.
+// cancelAckMsg. A status ping is the master's liveness probe after
+// WorkerTimeout of silence; each participant answers with one
+// statusReportMsg marked Reply.
 type attemptKey struct {
 	Job, Step, Attempt int
 }
@@ -75,12 +74,14 @@ type attemptKey struct {
 // is the job the step belongs to, which a worker process installs the first
 // time a step start names a job newer than the one it holds. An in-process
 // deployment shares the job and the registry by reference and leaves Env
-// and Spec empty.
+// and Spec empty. Share is each participant's equal share of the unit of
+// credit (DESIGN §6).
 type stepStartMsg struct {
 	attemptKey
 	Workers []peerAddr
 	Env     []envEntry
 	Spec    wireSpec
+	Share   credit
 }
 
 // cancelAckMsg confirms that a worker has drained the cancelled step: its
@@ -124,26 +125,21 @@ type aggDoneMsg struct {
 	Counters metrics.Snapshot
 }
 
-// statusReportMsg is a worker's status: sent on each edge of its activity
-// count (busy→idle when its last core runs dry, idle→busy when it adopts a
-// remote grant) and as the Reply to a ping. Seq numbers the worker's edges in
-// the attempt from 1, the installed and busy state the master assumes
-// without a report, so the master keeps the newest report whatever order
-// they arrive in; a Reply with Seq 0 says the worker is not running the
-// attempt, and only that reply carries Err: why, when the worker could not
-// install the job ("" when it merely never received its step start). Active
-// is the worker's activity count; Granted and Adopted count the
-// work-carrying steal responses it sent and adopted (empty answers and
-// requests carry no work and are not counted).
+// statusReportMsg is a worker's status: sent when its activity count falls
+// to 0 (its last core ran dry) and as the Reply to a ping. Returned is the
+// credit the worker has handed back in the attempt so far; it only grows,
+// so the master keeps the largest one it has seen, whatever order reports
+// arrive in. A report from a worker not Running the attempt carries Err
+// instead of Active and Returned: why, when it could not install the job
+// ("" when it merely never received its step start).
 type statusReportMsg struct {
 	attemptKey
-	Worker  int
-	Reply   bool
-	Seq     int64
-	Active  int64
-	Granted int64
-	Adopted int64
-	Err     string
+	Worker   int
+	Reply    bool
+	Running  bool
+	Active   int64
+	Returned credit
+	Err      string
 }
 
 // stealReqMsg asks a worker to donate one enumeration prefix.
@@ -153,11 +149,13 @@ type stealReqMsg struct {
 	Core   int // requesting core (worker-local index)
 }
 
-// stealRespMsg answers a stealReqMsg. An empty Prefix means no work.
+// stealRespMsg answers a stealReqMsg. An empty Prefix means no work; a
+// prefix carries Credit, half its donor's, and nothing else does.
 type stealRespMsg struct {
 	attemptKey
 	Core   int // destination core (worker-local index)
 	Prefix []subgraph.Word
+	Credit credit
 }
 
 // registerMsg is a worker process introducing itself to the master: the
@@ -343,6 +341,7 @@ func (m stepStartMsg) put(w *wire.Writer) {
 	w.Str(m.Spec.Graph)
 	putSeq(w, m.Spec.Args, putKV)
 	putSeq(w, m.Spec.Env, (*wire.Writer).Str)
+	putCredit(w, m.Share)
 }
 
 func (m *stepStartMsg) get(r *wire.Reader) {
@@ -353,6 +352,7 @@ func (m *stepStartMsg) get(r *wire.Reader) {
 	m.Spec.Graph = r.Str()
 	m.Spec.Args = getSeq(r, getKV)
 	m.Spec.Env = getSeq(r, (*wire.Reader).Str)
+	m.Share = getCredit(r)
 }
 
 func (m cancelAckMsg) put(w *wire.Writer) {
@@ -401,10 +401,11 @@ func (m statusReportMsg) put(w *wire.Writer) {
 	m.attemptKey.put(w)
 	w.Int(m.Worker)
 	w.Bool(m.Reply)
-	for _, v := range [...]int64{m.Seq, m.Active, m.Granted, m.Adopted} {
-		w.Varint(v)
-	}
-	if m.Reply && m.Seq == 0 {
+	w.Bool(m.Running)
+	if m.Running {
+		w.Varint(m.Active)
+		putCredit(w, m.Returned)
+	} else {
 		w.Str(m.Err)
 	}
 }
@@ -413,10 +414,11 @@ func (m *statusReportMsg) get(r *wire.Reader) {
 	m.attemptKey.get(r)
 	m.Worker = r.Int()
 	m.Reply = r.Bool()
-	for _, v := range [...]*int64{&m.Seq, &m.Active, &m.Granted, &m.Adopted} {
-		*v = r.Varint()
-	}
-	if m.Reply && m.Seq == 0 {
+	m.Running = r.Bool()
+	if m.Running {
+		m.Active = r.Varint()
+		m.Returned = getCredit(r)
+	} else {
 		m.Err = r.Str()
 	}
 }
@@ -437,12 +439,20 @@ func (m stealRespMsg) put(w *wire.Writer) {
 	m.attemptKey.put(w)
 	w.Int(m.Core)
 	putSeq(w, m.Prefix, putWord)
+	if len(m.Prefix) > 0 {
+		putCredit(w, m.Credit)
+	}
 }
 
 func (m *stealRespMsg) get(r *wire.Reader) {
 	m.attemptKey.get(r)
 	m.Core = r.Int()
 	m.Prefix = getSeq(r, getWord)
+	if len(m.Prefix) > 0 {
+		if m.Credit = getCredit(r); len(m.Credit) == 0 {
+			r.Failf("a granted prefix without credit")
+		}
+	}
 }
 
 func (m registerMsg) put(w *wire.Writer)  { w.Str(m.Addr) }

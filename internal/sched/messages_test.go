@@ -2,6 +2,7 @@ package sched
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -73,6 +74,12 @@ func newMessage(kind uint8) wireMessage {
 // in process), so the welcome lost its address book and the peer join is
 // gone; no other body changed. An in-process step start costs one byte per
 // participant for its empty address (stepStartInProcess).
+// A step ends when its credit comes home (DESIGN §6): the step start closes
+// with each participant's share and a granted prefix with the credit it
+// carries, both as a counted ascending list of exponents, and the status
+// report is redrawn — running flag, then the activity count and the credit
+// returned so far, or the not-running reply's Err. An empty steal response
+// and every other kind keep their bytes.
 var messageCases = []struct {
 	name   string
 	kind   uint8
@@ -80,22 +87,22 @@ var messageCases = []struct {
 	golden string
 }{
 	{"stepStart", kStepStart, &stepStartMsg{attemptKey: attemptKey{3, 2, 5},
-		Workers: []peerAddr{{0, "a:1"}, {2, ""}, {7, "c:3"}}},
-		"06040a" + "03" + "0003613a31" + "0400" + "0e03633a33" + "00" + "00000000"},
+		Workers: []peerAddr{{0, "a:1"}, {2, ""}, {7, "c:3"}}, Share: piece(2)},
+		"06040a" + "03" + "0003613a31" + "0400" + "0e03633a33" + "00" + "00000000" + "0102"},
 	{"stepStartEnv", kStepStart, &stepStartMsg{attemptKey: attemptKey{3, 1, 0}, Workers: []peerAddr{{0, "a:1"}, {1, "b:2"}},
-		Env: []envEntry{{Name: "support1", Data: []byte{4, 5}}, {Name: "support2", Data: nil}}},
-		"060200" + "02" + "0003613a31" + "0203623a32" + "0208737570706f72743102040508737570706f72743200" + "00000000"},
-	{"stepStartNoWorkers", kStepStart, &stepStartMsg{attemptKey: attemptKey{Job: 1}}, "0200000000" + "00000000"},
-	{"stepStartInProcess", kStepStart, &stepStartMsg{attemptKey: attemptKey{Job: 1}, Workers: []peerAddr{{Worker: 0}, {Worker: 1}}},
-		"020000" + "02" + "0000" + "0200" + "00" + "00000000"},
-	{"jobSpec", kStepStart, &stepStartMsg{attemptKey: attemptKey{Job: 2}, Workers: []peerAddr{{Worker: 1}},
+		Env: []envEntry{{Name: "support1", Data: []byte{4, 5}}, {Name: "support2", Data: nil}}, Share: piece(1)},
+		"060200" + "02" + "0003613a31" + "0203623a32" + "0208737570706f72743102040508737570706f72743200" + "00000000" + "0101"},
+	{"stepStartNoWorkers", kStepStart, &stepStartMsg{attemptKey: attemptKey{Job: 1}}, "0200000000" + "00000000" + "00"},
+	{"stepStartInProcess", kStepStart, &stepStartMsg{attemptKey: attemptKey{Job: 1}, Workers: []peerAddr{{Worker: 0}, {Worker: 1}}, Share: piece(1)},
+		"020000" + "02" + "0000" + "0200" + "00" + "00000000" + "0101"},
+	{"jobSpec", kStepStart, &stepStartMsg{attemptKey: attemptKey{Job: 2}, Workers: []peerAddr{{Worker: 1}}, Share: unit,
 		Spec: wireSpec{App: "cliques", Graph: "/tmp/g.el", Args: []kvPair{{"k", "4"}, {"engine", "plan"}}, Env: []string{"support1"}}},
-		"040000" + "010200" + "00" + "07636c6971756573092f746d702f672e656c02016b013406656e67696e6504706c616e0108737570706f727431"},
-	{"stepStartEnvSpec", kStepStart, &stepStartMsg{attemptKey: attemptKey{3, 1, 0}, Workers: []peerAddr{{0, "a:1"}, {1, "b:2"}},
+		"040000" + "010200" + "00" + "07636c6971756573092f746d702f672e656c02016b013406656e67696e6504706c616e0108737570706f727431" + "0100"},
+	{"stepStartEnvSpec", kStepStart, &stepStartMsg{attemptKey: attemptKey{3, 1, 0}, Workers: []peerAddr{{0, "a:1"}, {1, "b:2"}}, Share: piece(1),
 		Env:  []envEntry{{Name: "support1", Data: []byte{4, 5}}},
 		Spec: wireSpec{App: "fsm", Graph: "g.fgr", Args: []kvPair{{"level", "2"}, {"support", "8"}}, Env: []string{"frequent1"}}},
-		"060200" + "02" + "0003613a31" + "0203623a32" + "0108737570706f7274310204050366736d05672e66677202056c6576656c013207737570706f7274013801096672657175656e7431"},
-	{"jobSpecBare", kStepStart, &stepStartMsg{Spec: wireSpec{App: "motifs", Graph: "g"}}, "000000" + "00" + "00" + "066d6f7469667301670000"},
+		"060200" + "02" + "0003613a31" + "0203623a32" + "0108737570706f7274310204050366736d05672e66677202056c6576656c013207737570706f7274013801096672657175656e7431" + "0101"},
+	{"jobSpecBare", kStepStart, &stepStartMsg{Spec: wireSpec{App: "motifs", Graph: "g"}}, "000000" + "00" + "00" + "066d6f7469667301670000" + "00"},
 	{"stepEnd", kStepEnd, &attemptKey{1, 2, 3}, "020406"},
 	{"cancel", kCancel, &attemptKey{9, 0, 1}, "120002"},
 	{"cancelAck", kCancelAck, &cancelAckMsg{attemptKey: attemptKey{1, 2, 3}, Worker: 4}, "02040608" + "0000000000000000000000000000000000"},
@@ -113,14 +120,17 @@ var messageCases = []struct {
 		ExtensionTests: 1 << 40, Subgraphs: 64, BusyTimeNs: 1_000_000, AggShippedBytes: 300, CoreWork: []int64{1<<40 + 64}}},
 		"020406080200" + "808080808040" + "8001" + "00000000" + "80897a" + "00000000" + "d804" + "00000000" + "01" + "808180808040"},
 	{"statusPing", kStatusPing, &attemptKey{1, 2, 3}, "020406"},
-	{"statusReport", kStatusReport, &statusReportMsg{attemptKey: attemptKey{1, 2, 3}, Worker: 2, Reply: true,
-		Seq: 7, Active: 3, Granted: 1 << 40, Adopted: 5},
-		"020406" + "04" + "01" + "0e" + "06" + "808080808040" + "0a"},
+	{"statusReport", kStatusReport, &statusReportMsg{attemptKey: attemptKey{1, 2, 3}, Worker: 2, Reply: true, Running: true,
+		Active: 3, Returned: sumOf(piece(2), piece(5))},
+		"020406" + "04" + "01" + "01" + "06" + "020205"},
+	{"statusReportReturnsAll", kStatusReport, &statusReportMsg{attemptKey: attemptKey{1, 2, 3}, Worker: 2, Running: true, Returned: unit},
+		"020406" + "04" + "00" + "01" + "00" + "0100"},
 	{"statusReportNotRunning", kStatusReport, &statusReportMsg{attemptKey: attemptKey{1, 2, 3}, Worker: 2, Reply: true, Err: "boom"},
-		"020406" + "04" + "01" + "00000000" + "04626f6f6d"},
+		"020406" + "04" + "01" + "00" + "04626f6f6d"},
 	{"stealReq", kStealReq, &stealReqMsg{attemptKey: attemptKey{1, 2, 3}, Worker: 1, Core: 2}, "0204060204"},
-	{"stealResp", kStealResp, &stealRespMsg{attemptKey: attemptKey{1, 2, 3}, Core: 2, Prefix: []subgraph.Word{0, -1, 1 << 30, 42}},
-		"02040604040001808080800854"},
+	{"stealResp", kStealResp, &stealRespMsg{attemptKey: attemptKey{1, 2, 3}, Core: 2, Prefix: []subgraph.Word{0, -1, 1 << 30, 42},
+		Credit: sumOf(piece(1), piece(3), piece(creditBound))},
+		"02040604040001808080800854" + "03" + "01" + "03" + "ffff3f"},
 	{"stealRespEmpty", kStealResp, &stealRespMsg{attemptKey: attemptKey{Job: 1}}, "0200000000"},
 	{"register", kRegister, &registerMsg{Addr: "10.0.0.7:6001"}, "0d31302e302e302e373a36303031"},
 	{"welcome", kWelcome, &welcomeMsg{Worker: 2, CoresPerWorker: 4, WS: uint8(WSBoth), WorkerTimeout: 60_000_000_000},
@@ -232,23 +242,33 @@ func TestMessageCodecRejectsCorrupt(t *testing.T) {
 // count-bomb fix: a five-byte body whose slice count is far larger than the
 // bytes behind it used to make ints(), words() and strs() allocate up to
 // 128 MB (any count up to 1<<24 passed) before the first element failed to
-// decode. The count itself is now the error.
+// decode. The count itself is now the error. A credit is a fixed-size
+// value: an exponent beyond creditBound, or more exponents than it has
+// pieces, fails with nothing allocated for it.
 func TestHostileCountsFailBeforeAllocating(t *testing.T) {
 	count := []byte{0xff, 0xff, 0xff, 0x07} // uvarint 1<<24 - 1, under the old cap
+	beyond := binary.AppendUvarint(nil, creditBound+1)
+	pieces := append(binary.AppendUvarint(nil, creditBound+2), make([]byte, creditBound+1)...)
 	cases := map[string]struct {
 		m    wireMessage
 		body []byte
 	}{
-		"stepStart workers":   {&stepStartMsg{}, append([]byte{0, 0, 0}, count...)},
-		"stepStart addr":      {&stepStartMsg{}, append([]byte{0, 0, 0, 1, 0}, count...)},
-		"stepStart env":       {&stepStartMsg{}, append([]byte{0, 0, 0, 0}, count...)},
-		"stealResp prefix":    {&stealRespMsg{}, append([]byte{0, 0, 0, 0}, count...)},
-		"aggDone errs":        {&aggDoneMsg{}, append([]byte{0, 0, 0, 0, 0}, count...)},
-		"aggDone core work":   {&aggDoneMsg{}, append(make([]byte, 6+16), count...)},
-		"cancelAck core work": {&cancelAckMsg{}, append(make([]byte, 4+16), count...)},
-		"stepStart spec args": {&stepStartMsg{}, append(make([]byte, 7), count...)},
-		"stepStart spec env":  {&stepStartMsg{}, append(make([]byte, 8), count...)},
-		"aggData bytes":       {&aggDataMsg{}, append([]byte{0, 0, 0, 0, 0}, count...)},
+		"stepStart workers":           {&stepStartMsg{}, append([]byte{0, 0, 0}, count...)},
+		"stepStart addr":              {&stepStartMsg{}, append([]byte{0, 0, 0, 1, 0}, count...)},
+		"stepStart env":               {&stepStartMsg{}, append([]byte{0, 0, 0, 0}, count...)},
+		"stealResp prefix":            {&stealRespMsg{}, append([]byte{0, 0, 0, 0}, count...)},
+		"aggDone errs":                {&aggDoneMsg{}, append([]byte{0, 0, 0, 0, 0}, count...)},
+		"aggDone core work":           {&aggDoneMsg{}, append(make([]byte, 6+16), count...)},
+		"cancelAck core work":         {&cancelAckMsg{}, append(make([]byte, 4+16), count...)},
+		"stepStart spec args":         {&stepStartMsg{}, append(make([]byte, 7), count...)},
+		"stepStart spec env":          {&stepStartMsg{}, append(make([]byte, 8), count...)},
+		"aggData bytes":               {&aggDataMsg{}, append([]byte{0, 0, 0, 0, 0}, count...)},
+		"stepStart share exponent":    {&stepStartMsg{}, append(make([]byte, 9), append([]byte{1}, beyond...)...)},
+		"stepStart share count":       {&stepStartMsg{}, append(make([]byte, 9), count...)},
+		"stealResp credit exponent":   {&stealRespMsg{}, append([]byte{0, 0, 0, 0, 1, 0, 1}, beyond...)},
+		"statusReport credit count":   {&statusReportMsg{}, append([]byte{0, 0, 0, 0, 0, 1, 0}, pieces...)},
+		"statusReport credit order":   {&statusReportMsg{}, []byte{0, 0, 0, 0, 0, 1, 0, 2, 3, 3}},
+		"statusReport credit exceeds": {&statusReportMsg{}, append([]byte{0, 0, 0, 0, 0, 1, 0, 2, 0}, beyond...)},
 	}
 	for name, tc := range cases {
 		var before, after runtime.MemStats
@@ -293,6 +313,17 @@ func FuzzDecodeMessage(f *testing.F) {
 	// store does not.
 	cut := envEntry{Name: "cut", Data: reads[1].Data[:len(reads[1].Data)/2]}
 	f.Add(append([]byte{kStepStart}, encode(stepStartMsg{attemptKey: attemptKey{Job: 1}, Workers: []peerAddr{{Worker: 0}}, Env: []envEntry{cut}})...))
+	// Credit at its extremes: a share of one piece at the bound, a grant
+	// carrying the pieces 2^-1 to 2^-1023 and the one at the bound, a
+	// report returning as much.
+	var deep credit
+	for e := 1; e < 1024; e++ {
+		deep.add(piece(e))
+	}
+	deep.add(piece(creditBound))
+	f.Add(append([]byte{kStepStart}, encode(stepStartMsg{attemptKey: attemptKey{Job: 1}, Workers: []peerAddr{{Worker: 0}}, Share: piece(creditBound)})...))
+	f.Add(append([]byte{kStealResp}, encode(stealRespMsg{attemptKey: attemptKey{Job: 1}, Prefix: []subgraph.Word{3}, Credit: deep})...))
+	f.Add(append([]byte{kStatusReport}, encode(statusReportMsg{attemptKey: attemptKey{Job: 1}, Running: true, Returned: deep})...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return

@@ -3,10 +3,13 @@ package sched
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"fractal/internal/graph"
+	"fractal/internal/metrics"
 	"fractal/internal/rpc"
 	"fractal/internal/step"
 	"fractal/internal/subgraph"
@@ -67,12 +70,12 @@ func (k *kindCounter) awaitAnswered(t *testing.T, what string) {
 // End to end, every status report of worker 1 is held back by 30 ms while
 // steals move work between the workers: counts must equal the reference on
 // every seed, and no embedding may be processed after any worker was told
-// the step is over. The counterexample itself needs worker 1 to grant work
-// while its idle→busy report is held, and a DelayRule holds the router that
-// sends that report, so the schedule alone does not produce it; the
-// "counterexample" run replays it against the master's termination check
-// report by report (DESIGN §6). A checker that ends the step on the newest
-// reports alone, without the confirmation wave, fails there.
+// the step is over. The "counterexample" run replays, report by report,
+// the schedule that defeats a check of the newest reports alone (DESIGN
+// §6): every report says idle while a worker that adopted a grant, and
+// whose adoption no report shows, still holds work. Its credit is missing,
+// so the master waits; a master that ends on idle reports, or that keeps a
+// worker's last report instead of its largest, fails there.
 func TestDelayedStatusCannotEndStep(t *testing.T) {
 	const seeds = 20
 	for _, shape := range []Config{{Workers: 2, CoresPerWorker: 2}, {Workers: 3, CoresPerWorker: 1}} {
@@ -86,27 +89,7 @@ func TestDelayedStatusCannotEndStep(t *testing.T) {
 			}
 			defer rt.Close()
 			for seed := 0; seed < seeds; seed++ {
-				g := hubGraph(24, 5, 12, int64(seed))
-				want := refCount(g, subgraph.VertexInduced, nil, 3)
-				var got, late atomic.Int64
-				job := countJob(g, subgraph.VertexInduced, nil, 3, &got)
-				job.Workflow = append(job.Workflow, step.VisitP(func(*subgraph.Embedding) {
-					for _, w := range rt.workers {
-						if st := w.current(); st != nil && st.isDone() {
-							late.Add(1)
-						}
-					}
-				}))
-				res, err := rt.Run(context.Background(), job)
-				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-				if late.Load() != 0 {
-					t.Fatalf("seed %d: %d embeddings processed after the step was declared over", seed, late.Load())
-				}
-				if got.Load() != want || res.TotalSubgraphs() != want {
-					t.Fatalf("seed %d: counted %d (reported %d), want %d", seed, got.Load(), res.TotalSubgraphs(), want)
-				}
+				countWithoutLateWork(t, rt, hubGraph(24, 5, 12, int64(seed)), nil)
 			}
 			if script.Stats().Delayed == 0 {
 				t.Fatal("no status report was delayed; the scenario did not run")
@@ -116,49 +99,166 @@ func TestDelayedStatusCannotEndStep(t *testing.T) {
 
 	t.Run("counterexample", func(t *testing.T) {
 		q := newQuiesceRig(t, Config{}, nil)
-		deliver := q.deliver
-		// wave waits for one ping at every worker; the step must not end
-		// before it.
-		wave := func(what string) {
-			t.Helper()
-			for id := rpc.NodeID(0); id < 3; id++ {
-				select {
-				case env := <-q.nw[id].Recv():
-					if env.Kind != kStatusPing {
-						t.Fatalf("%s: worker %d was sent kind %d, want a ping", what, id, env.Kind)
-					}
-				case err := <-q.done:
-					t.Fatalf("%s: the master ended the step (%v) without confirming it", what, err)
-				case <-time.After(10 * time.Second):
-					t.Fatalf("%s: no ping wave", what)
-				}
-			}
-		}
+		// Three participants hold 2^-2 each; the master holds the rest.
 		// Workers 1 and 2 run dry at once; worker 0 holds the work.
-		deliver(statusReportMsg{Worker: 1, Seq: 2})
-		deliver(statusReportMsg{Worker: 2, Seq: 2})
-		// Worker 0 grants to 1, which adopts (its busy report, Seq 3, is
-		// late) and grants to 2, which adopts, runs dry and reports. Worker
-		// 0 runs dry. The newest reports say idle, and 1 grant sent equals
-		// 1 adopted: 1's stale report hides both its adoption and its grant.
-		deliver(statusReportMsg{Worker: 2, Seq: 4, Adopted: 1})
-		deliver(statusReportMsg{Worker: 0, Seq: 2, Granted: 1})
-		wave("a falsely balanced candidate")
-		deliver(statusReportMsg{Worker: 0, Reply: true, Seq: 2, Granted: 1})
-		deliver(statusReportMsg{Worker: 2, Reply: true, Seq: 4, Adopted: 1})
-		deliver(statusReportMsg{Worker: 1, Reply: true, Seq: 3, Active: 1, Granted: 1, Adopted: 1})
-		deliver(statusReportMsg{Worker: 1, Seq: 3, Active: 1, Adopted: 1}) // the late busy report
+		q.deliver(statusReportMsg{Worker: 1, Returned: piece(2)})
+		q.deliver(statusReportMsg{Worker: 2, Returned: piece(2)})
+		// Worker 0 grants to 1 (2^-3 goes, 2^-3 stays), 1 grants to 2 (2^-4
+		// and 2^-4); 2 runs dry and returns what it adopted, and 0 runs dry.
+		// Every newest report says idle, a late copy of 2's first report
+		// arrives last, and worker 1 is busy with 2^-4.
+		q.deliver(statusReportMsg{Worker: 2, Returned: sumOf(piece(2), piece(4))})
+		q.deliver(statusReportMsg{Worker: 0, Returned: piece(3)})
+		q.deliver(statusReportMsg{Worker: 2, Returned: piece(2)})
+		select {
+		case err := <-q.done:
+			t.Fatalf("the master ended the step (%v) with worker 1's 2^-4 out", err)
+		case <-time.After(100 * time.Millisecond):
+		}
 		// Worker 1 runs dry: now the step is over.
-		deliver(statusReportMsg{Worker: 1, Seq: 4, Granted: 1, Adopted: 1})
-		wave("the true end")
-		deliver(statusReportMsg{Worker: 0, Reply: true, Seq: 2, Granted: 1})
-		deliver(statusReportMsg{Worker: 1, Reply: true, Seq: 4, Granted: 1, Adopted: 1})
-		deliver(statusReportMsg{Worker: 2, Reply: true, Seq: 4, Adopted: 1})
+		q.deliver(statusReportMsg{Worker: 1, Returned: sumOf(piece(2), piece(4))})
 		q.ended(t)
-		if rounds := q.run.rounds; len(rounds) != 2 || rounds[0].Active != 1 || rounds[1].Active != 0 {
-			t.Errorf("rounds %+v, want the failed wave (one busy) and the confirming one", rounds)
+		if len(q.run.rounds) != 0 {
+			t.Errorf("rounds %+v, want no probe", q.run.rounds)
 		}
 	})
+}
+
+// countWithoutLateWork runs a 3-vertex count on g, with the custom
+// extender when it is not nil, and requires the reference count, with no
+// embedding processed after any worker was told the step is over.
+func countWithoutLateWork(t *testing.T, rt *Runtime, g *graph.Graph, custom subgraph.CustomExtender) {
+	t.Helper()
+	want := refCount(g, subgraph.VertexInduced, nil, 3)
+	var got, late atomic.Int64
+	job := countJob(g, subgraph.VertexInduced, nil, 3, &got)
+	job.Custom = custom
+	job.Workflow = append(job.Workflow, step.VisitP(func(*subgraph.Embedding) {
+		for _, w := range rt.workers {
+			if st := w.current(); st != nil && st.isDone() {
+				late.Add(1)
+			}
+		}
+	}))
+	res, err := rt.Run(context.Background(), job)
+	if err != nil {
+		t.Fatalf("%s: %v", g.Name(), err)
+	}
+	if late.Load() != 0 {
+		t.Fatalf("%s: %d embeddings processed after the step was declared over", g.Name(), late.Load())
+	}
+	if got.Load() != want || res.TotalSubgraphs() != want {
+		t.Fatalf("%s: counted %d (reported %d), want %d", g.Name(), got.Load(), res.TotalSubgraphs(), want)
+	}
+}
+
+// twoHubs is two hubs, 0 and 2, each adjacent to every vertex from 3 on,
+// plus the edge 0-1 and random chords among the spokes. On two one-core
+// workers worker 0 holds the roots 0 and 2 and worker 1 roots with nothing
+// under them, so worker 1 runs dry at once and its first steal is root 2.
+func twoHubs(n, chords int, seed int64) *graph.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	b := graph.NewBuilder(fmt.Sprintf("twoHubs-%d", seed))
+	for i := 0; i < n; i++ {
+		b.AddVertex()
+	}
+	b.MustAddEdge(0, 1)
+	for v := 3; v < n; v++ {
+		b.MustAddEdge(0, graph.VertexID(v))
+		b.MustAddEdge(2, graph.VertexID(v))
+	}
+	seen := map[[2]int]bool{}
+	for i := 0; i < chords; i++ {
+		u, v := 3+rng.Intn(n-3), 3+rng.Intn(n-3)
+		if u > v {
+			u, v = v, u
+		}
+		if u != v && !seen[[2]int{u, v}] {
+			seen[[2]int{u, v}] = true
+			b.MustAddEdge(graph.VertexID(u), graph.VertexID(v))
+		}
+	}
+	return b.Build()
+}
+
+// slowHubs is a custom extender that spends d in every extension call under
+// root 2 and d/10 under root 0: root 2's subtree outlasts everything else.
+type slowHubs struct{ d time.Duration }
+
+func (p *slowHubs) Clone() subgraph.CustomExtender            { return p }
+func (p *slowHubs) Reset(*graph.Graph)                        {}
+func (p *slowHubs) Popped(*subgraph.Embedding)                {}
+func (p *slowHubs) Pushed(*subgraph.Embedding, subgraph.Word) {}
+func (p *slowHubs) Extensions(e *subgraph.Embedding, dst []subgraph.Word) ([]subgraph.Word, int) {
+	d := map[subgraph.Word]time.Duration{0: p.d / 10, 2: p.d}[e.Words()[0]]
+	for start := time.Now(); time.Since(start) < d; {
+	}
+	return e.DefaultExtensions(dst)
+}
+
+// TestCreditGrantInFlightHoldsStepEnd is the schedule a check of the newest
+// reports alone gets wrong, run end to end. Worker 1 runs dry, steals root
+// 2 from worker 0 and works on it slowly; worker 0 runs dry, steals back
+// from worker 1 and runs dry again. The fault layer loses worker 1's second
+// status report, so the master's newest word from it is older than the
+// reports worker 0 sends after it, and holds each answer worker 1 sends
+// worker 0 for 2 ms, so a work-carrying grant is in flight for that long —
+// far less than WorkerTimeout. Every report the master holds then says idle
+// while worker 1 is busy. The master must never end a step while worker 1's
+// work or a grant is out: counts equal the reference and no embedding is
+// processed after a worker was told the step is over.
+func TestCreditGrantInFlightHoldsStepEnd(t *testing.T) {
+	var held int64
+	for seed := 0; seed < 16; seed++ {
+		script := rpc.NewScript(
+			rpc.DropRule(1, rpc.Master, KindStatusReport, 1, 1),
+			rpc.DelayRule(1, 0, KindStealResp, 0, 0, 2*time.Millisecond),
+		)
+		rt, err := New(Config{Workers: 2, CoresPerWorker: 1, WS: WSExternal, WorkerTimeout: 150 * time.Millisecond, FaultInjector: script})
+		if err != nil {
+			t.Fatal(err)
+		}
+		countWithoutLateWork(t, rt, twoHubs(200, 40, int64(seed)), &slowHubs{d: 200 * time.Microsecond})
+		rt.Close()
+		if st := script.Stats(); st.Dropped != 1 {
+			t.Fatalf("seed %d: faults %+v, want worker 1's second report dropped", seed, st)
+		}
+		held += script.Stats().Delayed
+	}
+	if held == 0 {
+		t.Fatal("worker 1 never answered worker 0: no grant was held in flight")
+	}
+}
+
+// TestCreditLostReportHealedByProbe: the only status report worker 1 sends,
+// its return of all its credit, is lost. The silence probe's answer carries
+// the same returned total, so the step ends in its first attempt, after one
+// probe — journalled in the report and the trace — with the exact count.
+func TestCreditLostReportHealedByProbe(t *testing.T) {
+	g := randomGraph(30, 0.25, 1, 101)
+	script := rpc.NewScript(rpc.DropRule(1, rpc.Master, KindStatusReport, 0, 1))
+	rt, err := New(Config{Workers: 2, CoresPerWorker: 2, WS: WSInternal, WorkerTimeout: 100 * time.Millisecond, FaultInjector: script, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	res, err := rt.Run(context.Background(), aggCountJob(g, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := aggCount(t, res), refCount(g, subgraph.VertexInduced, nil, 3); got != want {
+		t.Errorf("count %d, want %d", got, want)
+	}
+	last, traced := res.Steps[len(res.Steps)-1], 0
+	for _, ev := range res.Report.Trace {
+		if ev.Kind == metrics.TraceQuiescenceRound {
+			traced++
+		}
+	}
+	if script.Stats().Dropped != 1 || last.Attempts != 1 || last.RoundsTotal != 1 || traced != 1 || res.Report.Retries != 0 {
+		t.Errorf("dropped %d, attempts %d, probes %d (%d traced), retries %d: want 1, 1, 1 (1), 0",
+			script.Stats().Dropped, last.Attempts, last.RoundsTotal, traced, res.Report.Retries)
+	}
 }
 
 // quiesceRig runs the master's termination check alone, for a job 1 step 0
@@ -182,12 +282,14 @@ func newQuiesceRig(t *testing.T, cfg Config, inj rpc.FaultInjector) *quiesceRig 
 		nw: nw, run: &jobRun{key: attemptKey{Job: 1}, parts: []int{0, 1, 2}}, done: make(chan error, 1),
 		rt: &Runtime{cfg: cfg.withDefaults(), master: rpc.WithFaultInjector(nw[rpc.Master], inj), inbox: rpc.NewMailbox(rpc.DropWhenFull)},
 	}
-	go func() { q.done <- q.rt.awaitQuiescence(context.Background(), q.run) }()
+	_, home := splitUnit(3)
+	go func() { q.done <- q.rt.awaitQuiescence(context.Background(), q.run, home) }()
 	return q
 }
 
+// deliver hands the master a report of a worker running the attempt.
 func (q *quiesceRig) deliver(m statusReportMsg) {
-	m.Job = 1
+	m.Job, m.Running = 1, true
 	q.rt.inbox.Put(rpc.Envelope{Kind: kStatusReport, Body: encode(m)})
 }
 
@@ -200,38 +302,65 @@ func (q *quiesceRig) ended(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("a confirmed end of the step was not taken")
+		t.Fatal("the step did not end when its credit came home")
 	}
 }
 
-// TestStaleSilenceTickConvictsNobody: the silence timer fires while the
-// master is still sending its confirmation wave — the first ping is held up
-// past WorkerTimeout — with every answer already queued behind it. The tick
-// must not outlive the wave: the answers get a full WorkerTimeout and end
-// the step. A plain Timer.Reset keeps a fired tick under go.mod's go 1.22,
-// and the select then convicts a worker of "quiescence" with odds 7 in 8 a
-// round.
+// TestStaleSilenceTickConvictsNobody: worker 0's report is lost, and after
+// WorkerTimeout of silence the master probes; the probe's first ping is held
+// up past WorkerTimeout, with every answer queued behind it. No tick may
+// outlive the probe: the answers get a full WorkerTimeout, and worker 0's
+// brings its credit home and ends the step. A clock armed before the pings
+// went out would convict worker 0 of "quiescence" with its answer queued.
 func TestStaleSilenceTickConvictsNobody(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		script := rpc.NewScript(rpc.DelayRule(rpc.Master, 0, KindStatusPing, 0, 1, 100*time.Millisecond))
 		q := newQuiesceRig(t, Config{WorkerTimeout: 50 * time.Millisecond}, script)
-		for w := 0; w < 3; w++ {
-			q.deliver(statusReportMsg{Worker: w, Seq: 2})
+		for w := 1; w < 3; w++ {
+			q.deliver(statusReportMsg{Worker: w, Returned: piece(2)})
+		}
+		for script.Stats().Delayed == 0 {
+			time.Sleep(time.Millisecond)
 		}
 		for w := 0; w < 3; w++ {
-			q.deliver(statusReportMsg{Worker: w, Reply: true, Seq: 2})
+			q.deliver(statusReportMsg{Worker: w, Reply: true, Returned: piece(2)})
 		}
 		q.ended(t)
-		if script.Stats().Delayed != 1 {
-			t.Fatal("the wave's first ping was not held up")
+		if len(q.run.rounds) != 1 {
+			t.Fatalf("%d probes, want the one", len(q.run.rounds))
 		}
+	}
+}
+
+// TestStealBalanceSparesAGrantDuringTheProbe: a probe's answers are taken at
+// different moments. Worker 1 answers idle; then worker 0, busy through the
+// silence, takes worker 1's queued request, grants it 2^-3, runs dry and
+// answers idle with the 2^-3 it kept. Every answer reads idle while the
+// grant's credit is in flight, but credit came home during the probe, so
+// nobody is convicted: the step ends on worker 1's later return. A master
+// that convicts on an all-idle probe alone returns "steal-balance" here.
+func TestStealBalanceSparesAGrantDuringTheProbe(t *testing.T) {
+	sent := &kindCounter{}
+	q := newQuiesceRig(t, Config{WorkerTimeout: 50 * time.Millisecond}, sent)
+	q.deliver(statusReportMsg{Worker: 1, Returned: piece(2)})
+	q.deliver(statusReportMsg{Worker: 2, Returned: piece(2)})
+	for sent.n[kStatusPing].Load() < 3 {
+		time.Sleep(time.Millisecond)
+	}
+	q.deliver(statusReportMsg{Worker: 1, Reply: true, Returned: piece(2)})
+	q.deliver(statusReportMsg{Worker: 2, Reply: true, Returned: piece(2)})
+	q.deliver(statusReportMsg{Worker: 0, Reply: true, Returned: piece(3)})
+	q.deliver(statusReportMsg{Worker: 1, Returned: sumOf(piece(2), piece(3))})
+	q.ended(t)
+	if len(q.run.rounds) != 1 || q.run.rounds[0].Active != 0 {
+		t.Errorf("rounds %+v, want the one probe, answered all idle", q.run.rounds)
 	}
 }
 
 // TestStatusTrafficIsPerTransition: the master's termination traffic is
 // per transition, not per unit of wall time. A step whose first Visit spins
 // 10 ms and one whose first Visit spins 100 ms send the same status traffic:
-// one busy→idle report per worker, one confirmation wave and its answers.
+// one report per worker, returning its credit, and no ping.
 func TestStatusTrafficIsPerTransition(t *testing.T) {
 	g := randomGraph(20, 0.3, 1, 7)
 	traffic := func(spin time.Duration) (pings, reports int64) {
@@ -260,10 +389,7 @@ func TestStatusTrafficIsPerTransition(t *testing.T) {
 	}
 	p10, r10 := traffic(10 * time.Millisecond)
 	p100, r100 := traffic(100 * time.Millisecond)
-	if p10 != p100 || r10 != r100 {
-		t.Errorf("10 ms step: %d pings, %d reports; 100 ms step: %d pings, %d reports — want the same", p10, r10, p100, r100)
-	}
-	if p10 != 2 || r10 != 4 {
-		t.Errorf("%d pings and %d reports, want one wave to 2 workers: 2 pings, 2 idle reports and 2 answers", p10, r10)
+	if p10 != 0 || p100 != 0 || r10 != 2 || r100 != 2 {
+		t.Errorf("10 ms step: %d pings, %d reports; 100 ms step: %d pings, %d reports — want 0 pings and one report per worker, 2", p10, r10, p100, r100)
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"fractal/internal/agg"
 	"fractal/internal/graph"
+	"fractal/internal/metrics"
 	"fractal/internal/rpc"
 	"fractal/internal/step"
 	"fractal/internal/subgraph"
@@ -292,10 +293,11 @@ func TestRetryDiscardsFailedAttemptCounters(t *testing.T) {
 }
 
 // TestStealBalanceWatchdogRetries verifies the check for losses that
-// silence nobody: a dropped grant leaves the grant counts imbalanced for good
-// while every worker is idle and answers pings. The master must convict the
-// stuck imbalance (Worker -1: no single worker to blame or exclude), retry
-// over the same participants, and land on the exact count.
+// silence nobody: a dropped grant takes its credit with it for good while
+// every worker is idle and answers pings. The master must convict the
+// missing credit at its first silence probe (Worker -1: no single worker to
+// blame or exclude), retry over the same participants, and land on the
+// exact count.
 //
 // The first steal response worker 0 sends worker 1 — the one dropped — is a
 // grant by construction: a star's work all hangs off the hub (worker 0's
@@ -313,7 +315,7 @@ func TestStealBalanceWatchdogRetries(t *testing.T) {
 		Workers: 2, CoresPerWorker: 1, WS: WSExternal,
 		StepRetries: 1, retryBackoff: time.Millisecond,
 		WorkerTimeout: 200 * time.Millisecond,
-		FaultInjector: script,
+		FaultInjector: script, Trace: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -348,6 +350,18 @@ func TestStealBalanceWatchdogRetries(t *testing.T) {
 	if res.Report.Retries != 1 || res.Report.WorkersLost != 1 {
 		t.Errorf("report retries=%d workersLost=%d, want 1/1",
 			res.Report.Retries, res.Report.WorkersLost)
+	}
+	// A probe that finds a core still busy (a slow run) convicts nobody; the
+	// first that every participant answers idle, with no credit coming home
+	// while it is out, convicts.
+	idle := 0
+	for _, ev := range res.Report.Trace {
+		if ev.Kind == metrics.TraceQuiescenceRound && ev.Value == 0 {
+			idle++
+		}
+	}
+	if idle != 1 {
+		t.Errorf("%d liveness probes answered all idle, want the one that convicted the lost grant", idle)
 	}
 }
 

@@ -117,7 +117,8 @@ type jobRun struct {
 	mergeTime time.Duration
 	// tracer is the run's trace journal (nil when tracing is disabled).
 	tracer *metrics.Tracer
-	// rounds journals the master's ping waves for the attempt (master-only).
+	// rounds journals the master's liveness probes for the attempt
+	// (master-only).
 	rounds []QuiescenceRound
 	// cancelled is the abort flag: the master flips it, then interrupts the
 	// in-process workers' cores directly, then broadcasts cancel messages. On

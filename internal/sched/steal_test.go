@@ -32,7 +32,8 @@ type stealRig struct {
 }
 
 // newStealRig installs attempt 3 of step 2 of job 1, a step that aggregates
-// nothing, with the given number of cores holding work.
+// nothing, with the given number of cores holding work and the share of one
+// of two participants, 2^-1.
 func newStealRig(t *testing.T, cores, busy int) *stealRig {
 	t.Helper()
 	nw := rpc.NewLoopbackNetwork([]rpc.NodeID{rpc.Master, 0, 1})
@@ -44,7 +45,7 @@ func newStealRig(t *testing.T, cores, busy int) *stealRig {
 	cfg := Config{CoresPerWorker: cores}.withDefaults()
 	w := newWorker(0, cfg, nil, nw[0])
 	st := &stepCtx{
-		run: &jobRun{key: attemptKey{1, 2, 3}, step: &step.Step{}, parts: []int{0, 1}}, seq: 1,
+		run: &jobRun{key: attemptKey{1, 2, 3}, step: &step.Step{}, parts: []int{0, 1}}, held: piece(1),
 		doneCh: make(chan struct{}), mail: make([]chan grant, cores),
 	}
 	for i := range st.mail {
@@ -111,7 +112,8 @@ func (r *stealRig) reports(t *testing.T) []statusReportMsg {
 
 // TestEveryStealRequestAnsweredOnce pins the first protocol invariant: a
 // request gets exactly one answer, whichever way the attempt goes, and only
-// an answer that carries work to a remote thief is booked as a grant.
+// an answer that carries work to a remote thief carries credit: half the
+// donor's.
 func TestEveryStealRequestAnsweredOnce(t *testing.T) {
 	t.Run("granted by a busy core", func(t *testing.T) {
 		r := newStealRig(t, 2, 1)
@@ -122,22 +124,22 @@ func TestEveryStealRequestAnsweredOnce(t *testing.T) {
 		if !r.st.post(stealReq{thief: 1}) {
 			t.Fatal("a sibling request was refused with a busy core present")
 		}
-		if got := r.st.granted.Load(); got != 0 || len(r.responses(t)) != 0 {
-			t.Fatalf("queued request: %d grants booked with a response already out, want none", got)
+		if !slices.Equal(r.st.held, piece(1)) || len(r.responses(t)) != 0 {
+			t.Fatal("queued request: credit split off or a response already out")
 		}
 		if r.st.attn.Load()&attnSteal == 0 {
 			t.Fatal("queued requests did not raise the attention word")
 		}
 		c.donate(r.st)
 		resp := r.responses(t)
-		if len(resp) != 1 || !slices.Equal(resp[0].Prefix, []subgraph.Word{4}) || resp[0].Core != 1 || resp[0].Attempt != 3 {
-			t.Fatalf("remote thief was sent %+v, want the shallowest extension [4] once", resp)
+		if len(resp) != 1 || !slices.Equal(resp[0].Prefix, []subgraph.Word{4}) || resp[0].Core != 1 || resp[0].Attempt != 3 || !slices.Equal(resp[0].Credit, piece(2)) {
+			t.Fatalf("remote thief was sent %+v, want the shallowest extension [4] once, carrying 2^-2", resp)
 		}
 		if got := r.mailbox(1); len(got) != 1 || got[0].external || !slices.Equal(got[0].prefix, []subgraph.Word{8}) {
 			t.Fatalf("sibling thief got %+v, want the next shallowest extension [8] once", got)
 		}
-		if got := r.st.granted.Load(); got != 1 {
-			t.Errorf("%d grants booked, want the remote one only", got)
+		if !slices.Equal(r.st.held, piece(2)) {
+			t.Error("the donor does not hold the half it kept: a sibling grant moved credit, or the remote one did not")
 		}
 		if r.st.attn.Load() != 0 {
 			t.Error("attention word still raised with the queue empty")
@@ -157,25 +159,25 @@ func TestEveryStealRequestAnsweredOnce(t *testing.T) {
 			t.Fatal("requests answered, or the worker reported, while a core was still busy")
 		}
 		r.w.cores[1].release(r.st)
-		if rep := r.reports(t); len(rep) != 1 || rep[0].Seq != 2 || rep[0].Active != 0 || rep[0].Reply || rep[0].Attempt != 3 {
-			t.Fatalf("the master was sent %+v, want one busy→idle report, Seq 2", rep)
+		if rep := r.reports(t); len(rep) != 1 || !rep[0].Running || rep[0].Active != 0 || rep[0].Reply || rep[0].Attempt != 3 || !slices.Equal(rep[0].Returned, piece(1)) {
+			t.Fatalf("the master was sent %+v, want one report returning the share, 2^-1", rep)
 		}
-		if resp := r.responses(t); len(resp) != 1 || len(resp[0].Prefix) != 0 {
+		if resp := r.responses(t); len(resp) != 1 || len(resp[0].Prefix) != 0 || len(resp[0].Credit) != 0 {
 			t.Fatalf("remote thief was sent %+v, want one empty answer", resp)
 		}
 		if got := r.mailbox(2); len(got) != 1 || len(got[0].prefix) != 0 {
 			t.Fatalf("sibling thief got %+v, want one empty answer", got)
 		}
-		if got := r.st.granted.Load(); got != 0 || r.st.active.Load() != 0 {
-			t.Errorf("%d grants booked for empty answers, active %d, want 0 and 0", got, r.st.active.Load())
+		if len(r.st.held) != 0 || r.st.active.Load() != 0 {
+			t.Errorf("credit held after the worker ran dry, active %d, want none and 0", r.st.active.Load())
 		}
 		// With nobody busy a request is refused on arrival: answered at once.
 		r.w.serveSteal(r.remoteReq())
 		if r.st.post(stealReq{thief: 2}) {
 			t.Error("a sibling request was queued with no busy core to serve it")
 		}
-		if resp := r.responses(t); len(resp) != 1 || len(resp[0].Prefix) != 0 || r.st.granted.Load() != 0 || len(r.reports(t)) != 0 {
-			t.Errorf("request to an idle worker: sent %+v, %d grants booked", resp, r.st.granted.Load())
+		if resp := r.responses(t); len(resp) != 1 || len(resp[0].Prefix) != 0 || !slices.Equal(r.st.returned, piece(1)) || len(r.reports(t)) != 0 {
+			t.Errorf("request to an idle worker: sent %+v, returned %x", resp, r.st.returned)
 		}
 	})
 
@@ -202,8 +204,8 @@ func TestEveryStealRequestAnsweredOnce(t *testing.T) {
 			if resp := r.responses(t); len(resp) != 1 || len(resp[0].Prefix) != 0 {
 				t.Fatalf("queued request was sent %+v, want one empty answer", resp)
 			}
-			if got := r.st.granted.Load(); got != 0 {
-				t.Errorf("%d grants booked for empty answers", got)
+			if len(r.st.held) != 0 || !slices.Equal(r.st.returned, piece(1)) {
+				t.Error("the stopped worker did not return its whole share")
 			}
 		})
 	}
@@ -226,9 +228,9 @@ func TestEveryStealRequestAnsweredOnce(t *testing.T) {
 // TestActiveCoversWorkInFlight pins the second invariant: the worker's
 // activity count includes a granted prefix from the moment it leaves the
 // donor's stack (or is taken off the wire) until its thief runs dry, so it
-// never reads 0 while a prefix is held or in flight — and the master hears of
-// the count's edges only: a grant adopted by an idle worker is one busy
-// report, counting the grant.
+// never reads 0 while a prefix is held or in flight — and a grant taken off
+// the wire adds its credit to the worker's in the same step, with no report:
+// the master hears only of the count's falls to 0.
 func TestActiveCoversWorkInFlight(t *testing.T) {
 	r := newStealRig(t, 2, 1)
 	r.st.post(stealReq{thief: 1})
@@ -245,10 +247,11 @@ func TestActiveCoversWorkInFlight(t *testing.T) {
 		t.Errorf("remote request taken: active=%d, want 1", r.st.active.Load())
 	}
 	// A prefix arriving from a remote donor is activity before it is receipt.
-	resp := stealRespMsg{attemptKey: attemptKey{1, 2, 3}, Core: 0, Prefix: []subgraph.Word{7, 9}}
+	resp := stealRespMsg{attemptKey: attemptKey{1, 2, 3}, Core: 0, Prefix: []subgraph.Word{7, 9}, Credit: piece(3)}
 	r.w.routeStealResp(resp)
-	if r.st.active.Load() != 2 || r.st.adopted != 1 {
-		t.Errorf("routed grant: active=%d adopted=%d, want 2 and 1", r.st.active.Load(), r.st.adopted)
+	held := sumOf(piece(2), piece(3))
+	if r.st.active.Load() != 2 || !slices.Equal(r.st.held, held) {
+		t.Errorf("routed grant: active=%d held %x, want 2 and 2^-2 + 2^-3", r.st.active.Load(), r.st.held)
 	}
 	if got := r.mailbox(0); len(got) != 1 || !got[0].external || !slices.Equal(got[0].prefix, resp.Prefix) {
 		t.Errorf("core 0 got %+v, want the routed prefix", got)
@@ -257,15 +260,15 @@ func TestActiveCoversWorkInFlight(t *testing.T) {
 	r.w.routeStealResp(resp) // an empty answer carries no unit
 	resp.Core, resp.Prefix = 9, []subgraph.Word{1}
 	r.w.routeStealResp(resp) // nor does a prefix nobody can be handed
-	if r.st.active.Load() != 2 || r.st.adopted != 1 || len(r.reports(t)) != 0 {
-		t.Errorf("active=%d adopted=%d, want 2 and 1 and no report", r.st.active.Load(), r.st.adopted)
+	if r.st.active.Load() != 2 || !slices.Equal(r.st.held, held) || len(r.reports(t)) != 0 {
+		t.Errorf("active=%d held %x, want 2 and 2^-2 + 2^-3 and no report", r.st.active.Load(), r.st.held)
 	}
 
 	idle := newStealRig(t, 1, 0)
-	idle.w.routeStealResp(stealRespMsg{attemptKey: attemptKey{1, 2, 3}, Core: 0, Prefix: []subgraph.Word{7}})
-	rep := idle.reports(t)
-	if len(rep) != 1 || rep[0].Seq != 2 || rep[0].Active != 1 || rep[0].Adopted != 1 || len(idle.mailbox(0)) != 1 {
-		t.Errorf("grant to an idle worker: the master was sent %+v, want one idle→busy report, Seq 2, adopting it", rep)
+	idle.st.held = nil
+	idle.w.routeStealResp(stealRespMsg{attemptKey: attemptKey{1, 2, 3}, Core: 0, Prefix: []subgraph.Word{7}, Credit: piece(4)})
+	if rep := idle.reports(t); len(rep) != 0 || !slices.Equal(idle.st.held, piece(4)) || idle.st.active.Load() != 1 || len(idle.mailbox(0)) != 1 {
+		t.Errorf("grant to an idle worker: the master was sent %+v, held %x, want no report and the grant's 2^-4", rep, idle.st.held)
 	}
 }
 
@@ -275,14 +278,14 @@ func TestActiveCoversWorkInFlight(t *testing.T) {
 func TestStaleGrantIsDropped(t *testing.T) {
 	r := newStealRig(t, 1, 0)
 	for _, m := range []stealRespMsg{
-		{attemptKey: attemptKey{1, 2, 2}, Prefix: []subgraph.Word{1}},
-		{attemptKey: attemptKey{1, 1, 3}, Prefix: []subgraph.Word{1}},
-		{attemptKey: attemptKey{0, 2, 3}, Prefix: []subgraph.Word{1}},
+		{attemptKey: attemptKey{1, 2, 2}, Prefix: []subgraph.Word{1}, Credit: piece(2)},
+		{attemptKey: attemptKey{1, 1, 3}, Prefix: []subgraph.Word{1}, Credit: piece(2)},
+		{attemptKey: attemptKey{0, 2, 3}, Prefix: []subgraph.Word{1}, Credit: piece(2)},
 	} {
 		r.w.routeStealResp(m)
 	}
-	if got := r.mailbox(0); len(got) != 0 || r.st.active.Load() != 0 || r.st.adopted != 0 || len(r.reports(t)) != 0 {
-		t.Fatalf("stale responses delivered %+v, active=%d adopted=%d", got, r.st.active.Load(), r.st.adopted)
+	if got := r.mailbox(0); len(got) != 0 || r.st.active.Load() != 0 || !slices.Equal(r.st.held, piece(1)) || len(r.reports(t)) != 0 {
+		t.Fatalf("stale responses delivered %+v, active=%d held %x", got, r.st.active.Load(), r.st.held)
 	}
 	// Whoever still answers into a stopped attempt's mailboxes — they are its
 	// own, a later attempt gets new ones — is not held up by a full one.
@@ -296,7 +299,7 @@ func TestStaleGrantIsDropped(t *testing.T) {
 // attempt through its router, keyed to an attempt that differs from the
 // running one in the Job, the Step or the Attempt alone, and expects the
 // answer the protocol gives a stale message: a step end is ignored, a ping
-// is answered with Seq 0, a steal request with an empty response, a steal
+// is answered as not running it, a steal request with an empty response, a steal
 // response reaches no core, and a cancel is acked with no counters and stops
 // nothing. The running attempt's own key gets another answer each time, so
 // every check tells the two apart.
@@ -329,7 +332,7 @@ func TestStaleKeyIsIgnored(t *testing.T) {
 		{"status ping", kStatusPing, func(k attemptKey) message { return k },
 			func(_ *stealRig, k attemptKey, master, _ []rpc.Envelope) string {
 				var m statusReportMsg
-				if !decodeOne(master, kStatusReport, &m) || m.attemptKey != k || !m.Reply || m.Seq != 0 {
+				if !decodeOne(master, kStatusReport, &m) || m.attemptKey != k || !m.Reply || m.Running {
 					return fmt.Sprintf("the master was sent %+v", m)
 				}
 				return ""
@@ -343,10 +346,10 @@ func TestStaleKeyIsIgnored(t *testing.T) {
 				return ""
 			}},
 		{"steal response", kStealResp, func(k attemptKey) message {
-			return stealRespMsg{attemptKey: k, Core: 0, Prefix: []subgraph.Word{7}}
+			return stealRespMsg{attemptKey: k, Core: 0, Prefix: []subgraph.Word{7}, Credit: piece(2)}
 		}, func(r *stealRig, _ attemptKey, master, _ []rpc.Envelope) string {
-			if got := r.mailbox(0); len(got) > 0 || r.st.adopted > 0 || r.st.active.Load() != 1 || len(master) > 0 {
-				return fmt.Sprintf("core 0 got %+v, adopted=%d active=%d", got, r.st.adopted, r.st.active.Load())
+			if got := r.mailbox(0); len(got) > 0 || !slices.Equal(r.st.held, piece(1)) || r.st.active.Load() != 1 || len(master) > 0 {
+				return fmt.Sprintf("core 0 got %+v, held %x active=%d", got, r.st.held, r.st.active.Load())
 			}
 			return ""
 		}},

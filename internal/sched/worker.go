@@ -37,14 +37,13 @@ type stepCtx struct {
 	// active counts the units of work the worker holds: one per core that
 	// has not run dry, one per granted prefix on its way to a core's
 	// mailbox. It only changes under reqMu, so "active == 0" and "no request
-	// is queued" are decided together, and so are its edges and their
-	// status reports: seq numbers those edges from 1 (installed and busy),
-	// and adopted counts the remote grants adopted, both under reqMu;
-	// granted counts the remote grants the cores sent away.
-	active  atomic.Int64
-	seq     int64
-	adopted int64
-	granted atomic.Int64
+	// is queued" are decided together, and so is what happens to the
+	// worker's credit (DESIGN §6), also under reqMu: held is what it holds —
+	// its share, less what its grants carried away, plus what the grants it
+	// adopted brought — and returned what it has handed back to the master.
+	active   atomic.Int64
+	held     credit
+	returned credit
 	// reqs queues the steal requests no busy core has answered yet, oldest
 	// first. Every request gets exactly one answer: a grant from a busy core,
 	// or an empty one from post (nobody could ever serve it) or from retire
@@ -69,10 +68,13 @@ const (
 )
 
 // stealReq is one queued steal request: from a sibling core (thief is its
-// index) or, with thief < 0, from the remote core named in remote.
+// index) or, with thief < 0, from the remote core named in remote. share is
+// the credit a remote grant carries, split off when a core takes the
+// request; zero means the donor declines.
 type stealReq struct {
 	thief  int
 	remote stealReqMsg
+	share  credit
 }
 
 // grant answers a steal request in the thief's mailbox. An empty prefix
@@ -144,7 +146,9 @@ func (st *stepCtx) post(r stealReq) bool {
 
 // takeRequest pops the oldest queued request for a busy core that has work to
 // give away. A sibling thief's unit of activity is booked here, before the
-// prefix leaves the donor, so active never reads 0 while work is in flight.
+// prefix leaves the donor, so active never reads 0 while work is in flight;
+// a remote thief's share is half the worker's credit, split off here, unless
+// that credit has a piece at the bound.
 func (st *stepCtx) takeRequest() (r stealReq, ok bool) {
 	st.reqMu.Lock()
 	defer st.reqMu.Unlock()
@@ -158,15 +162,17 @@ func (st *stepCtx) takeRequest() (r stealReq, ok bool) {
 	}
 	if r.thief >= 0 {
 		st.active.Add(1)
+	} else {
+		r.share, _ = st.held.halve()
 	}
 	return r, true
 }
 
 // retire gives up one unit of activity (a core ran dry or stopped). Whoever
 // gives up the last one takes the requests still queued — nobody is left to
-// grant them, so the caller answers each empty — and the busy→idle edge: the
-// caller sends the status report made here.
-func (st *stepCtx) retire() (left []stealReq, edge *statusReportMsg) {
+// grant them, so the caller answers each empty — and returns all the credit
+// the worker holds: the caller sends the status report made here.
+func (st *stepCtx) retire() (left []stealReq, rep *statusReportMsg) {
 	st.reqMu.Lock()
 	defer st.reqMu.Unlock()
 	if st.active.Add(-1) > 0 {
@@ -174,32 +180,9 @@ func (st *stepCtx) retire() (left []stealReq, edge *statusReportMsg) {
 	}
 	left, st.reqs = st.reqs, nil
 	st.flag(attnSteal, false)
-	st.seq++
-	return left, st.status()
-}
-
-// adopt books a prefix that arrived from a remote donor: its unit of
-// activity and the grant itself. On the idle→busy edge the caller sends the
-// status report made here.
-func (st *stepCtx) adopt() (edge *statusReportMsg) {
-	st.reqMu.Lock()
-	defer st.reqMu.Unlock()
-	st.adopted++
-	if st.active.Add(1) > 1 {
-		return nil
-	}
-	st.seq++
-	return st.status()
-}
-
-// status is the worker's status report for the attempt; reqMu is held. While
-// active is 0 nothing in it moves without an edge: an idle worker grants
-// nothing, and adopting makes it busy.
-func (st *stepCtx) status() *statusReportMsg {
-	return &statusReportMsg{
-		attemptKey: st.run.key, Seq: st.seq,
-		Active: st.active.Load(), Granted: st.granted.Load(), Adopted: st.adopted,
-	}
+	st.returned.add(st.held)
+	st.held = nil
+	return left, &statusReportMsg{attemptKey: st.run.key, Running: true, Returned: st.returned}
 }
 
 // deliver puts an answer in a core's mailbox. It only waits when the mailbox
@@ -337,7 +320,7 @@ func (w *worker) startStep(m stepStartMsg) {
 		run:    run,
 		rank:   rank,
 		base:   rank * w.cfg.CoresPerWorker,
-		seq:    1,
+		held:   m.Share,
 		doneCh: make(chan struct{}),
 		mail:   make([]chan grant, len(w.cores)),
 	}
@@ -358,9 +341,9 @@ func (w *worker) startStep(m stepStartMsg) {
 	w.cur = st
 	w.mu.Unlock()
 
-	// Mark every core active before its goroutine is even scheduled: the
-	// master assumes the installed attempt busy (Seq 1) without a report,
-	// and this is what makes it so, however slowly the goroutines start.
+	// Mark every core active before its goroutine is even scheduled, so the
+	// worker holds its share until its last core has run dry, however
+	// slowly the goroutines start.
 	st.active.Add(int64(len(w.cores)))
 	st.wg.Add(len(w.cores))
 	for _, c := range w.cores {
@@ -483,17 +466,16 @@ func (w *worker) abortCurrent() {
 }
 
 // answerPing answers the master's ping with the worker's current status,
-// or with Seq 0 when it is not running the pinged attempt — answering pings
-// while never having received the step start is exactly what the master's
-// step-start check exists to catch.
+// or as not Running when it is not running the pinged attempt — answering
+// pings while never having received the step start is exactly what the
+// master's step-start check exists to catch.
 func (w *worker) answerPing(key attemptKey) {
-	rep := &statusReportMsg{attemptKey: key}
+	rep := &statusReportMsg{attemptKey: key, Reply: true}
 	if st := w.current(); stepMatches(st, key) {
 		st.reqMu.Lock()
-		rep = st.status()
+		rep.Running, rep.Active, rep.Returned = true, st.active.Load(), st.returned
 		st.reqMu.Unlock()
 	}
-	rep.Reply = true
 	w.report(rep)
 }
 
@@ -523,56 +505,42 @@ func (w *worker) serveSteal(m stealReqMsg) {
 	r := stealReq{thief: -1, remote: m}
 	// Only requests of the attempt under execution are queued; a stale
 	// request from an abandoned attempt still gets its (empty) response.
-	if !stepMatches(st, m.attemptKey) {
-		w.sendStealResp(r, nil)
-		return
-	}
-	if !st.post(r) {
+	if !stepMatches(st, m.attemptKey) || !st.post(r) {
 		w.answer(st, r, nil)
 	}
 }
 
 // answer gives a request taken off st's queue (or refused by it) its one
 // answer: into the sibling thief's mailbox, or to the remote thief as a
-// kStealResp. A remote grant that carries work is booked before it leaves,
-// and stays booked if the send fails: the work is lost then, and the
-// master's balance check must not miss it.
+// kStealResp, whose prefix carries the request's share. If the send fails
+// the work is lost and so is its credit, which the master then never sees
+// come home.
 func (w *worker) answer(st *stepCtx, r stealReq, prefix []subgraph.Word) {
-	if r.thief >= 0 {
-		st.deliver(r.thief, grant{prefix: prefix})
+	if m := r.remote; r.thief < 0 {
+		resp := stealRespMsg{attemptKey: m.attemptKey, Core: m.Core, Prefix: prefix, Credit: r.share}
+		w.tr.Send(rpc.NodeID(m.Worker), rpc.Envelope{Kind: kStealResp, Body: encode(resp)})
 		return
 	}
-	if len(prefix) > 0 {
-		st.granted.Add(1)
-	}
-	w.sendStealResp(r, prefix)
-}
-
-func (w *worker) sendStealResp(r stealReq, prefix []subgraph.Word) {
-	m := r.remote
-	resp := stealRespMsg{attemptKey: m.attemptKey, Core: m.Core, Prefix: prefix}
-	w.tr.Send(rpc.NodeID(m.Worker), rpc.Envelope{Kind: kStealResp, Body: encode(resp)})
+	st.deliver(r.thief, grant{prefix: prefix})
 }
 
 // stepMatches reports whether st is the step attempt key names.
 func stepMatches(st *stepCtx, key attemptKey) bool { return st != nil && st.run.key == key }
 
 // routeStealResp hands a steal response to the requesting core. A grant is
-// adopted here, at the router — booked as activity and as received in one
-// step, so the worker never reads balanced and idle while holding it — and
-// the idle→busy report leaves once the core has its prefix. Only responses
-// of the attempt under execution are routed into it.
+// adopted here, at the router — its unit of activity and its credit booked
+// together, so the worker never returns its credit while holding the
+// prefix. Only responses of the attempt under execution are routed into it.
 func (w *worker) routeStealResp(m stealRespMsg) {
 	st := w.current()
 	if !stepMatches(st, m.attemptKey) || m.Core < 0 || m.Core >= len(w.cores) {
 		return
 	}
-	var edge *statusReportMsg
 	if len(m.Prefix) > 0 {
-		edge = st.adopt()
+		st.reqMu.Lock()
+		st.active.Add(1)
+		st.held.add(m.Credit)
+		st.reqMu.Unlock()
 	}
 	st.deliver(m.Core, grant{prefix: m.Prefix, external: true})
-	if edge != nil {
-		w.report(edge)
-	}
 }

@@ -41,7 +41,7 @@ import (
 func main() {
 	var (
 		master = flag.String("master", "", "master address to register with, ip:port (required)")
-		listen = flag.String("listen", "", "this worker's own listener address (default 127.0.0.1:0; use :0 to serve remote peers: the worker then registers the IP it reaches the master from)")
+		listen = flag.String("listen", "", "this worker's own listener address, for the peers that steal from it and the master's redial after a reset (default 127.0.0.1:0; use :0 to serve remote peers: the worker then registers the IP it reaches the master from)")
 		cores  = flag.Int("cores", 0, "GOMAXPROCS of this process unless the environment sets it (0: the Go default); the master decides the execution cores")
 	)
 	flag.Parse()

@@ -12,24 +12,27 @@
 // a thin net adapter (sock_other.go). Neither resolves names: a host is an
 // IP literal, localhost or empty, and any other name is an *AddrError.
 //
-// Address discovery is dynamic: a TCP node binds one configurable listener
-// (NewTCPNode) and learns peers incrementally through AddPeer — in the
-// scheduling layer a worker dials the master's address, registers and
-// receives its node ID, and each step start names the step's participants
-// with their addresses; this replaced a bind-everything-up-front address
-// book. The
-// pre-bound 127.0.0.1 network (NewTCPNetwork), built on the same primitives,
-// serves the transport tests and the benchmark's round-trip probe.
+// A TCP node binds one listener (NewTCPNode) and keeps one connection per
+// peer, used in both directions: a connection it dialed is bound to the
+// peer it dialed, one it accepted to the From of its first frame, and all
+// its frames to that peer go over it, so an answer travels back on the
+// connection its request came on. A node dials only a peer it holds no
+// connection to, at the address AddPeer gave it: in the scheduling layer a
+// worker dials the master and registers, the master answers over that
+// connection, and each step start names the step's participants with their
+// addresses. The pre-bound 127.0.0.1 network (NewTCPNetwork), built on the
+// same primitives, serves the transport tests and the benchmark's
+// round-trip probe.
 //
 // The TCP transport is hardened for partial failure: dials retry with
 // exponential backoff plus jitter (aborting promptly when the transport
 // closes), every message write carries a deadline, and a send that fails on
-// a cached connection drops it and redials once before reporting the peer
+// a connection drops it and redials once before reporting the peer
 // unreachable. Callers therefore see a Send error only when the peer is
 // genuinely gone (or persistently wedged past the write deadline), and the
 // error distinguishes an unreachable peer (*DialError) from a write that
-// failed on a freshly established connection — which the scheduling layer
-// converts into worker-loss handling instead of blocking forever.
+// failed — which the scheduling layer converts into worker-loss handling
+// instead of blocking forever.
 package rpc
 
 import (
@@ -50,10 +53,10 @@ type NodeID int
 // Master is the NodeID of the application master.
 const Master NodeID = -1
 
-// Unregistered is the provisional NodeID of a worker that has not completed
-// the registration handshake: it can dial and send (the master learns its
-// real identity from the registration body, not the envelope), and adopts
-// its assigned ID via SetSelf when the welcome arrives.
+// Unregistered is the NodeID of a worker that has not completed the
+// registration handshake: it can dial and send, the node it reaches delivers
+// its frames from a provisional ID below Unregistered (TCPNode.Rename), and
+// it adopts its assigned ID via SetSelf when the welcome arrives.
 const Unregistered NodeID = -2
 
 // Envelope is one message: an already-encoded body tagged with a kind
@@ -310,10 +313,11 @@ func (n *loopNode) Close() error {
 // ---------------------------------------------------------------------------
 // TCP transport
 
-// TCPNode is the TCP transport implementation: one listener plus lazily
-// dialed peer connections, with a dynamic address book. It implements
-// Transport; the extra methods (Addr, AddPeer, SetSelf) are the hooks the
-// scheduling layer's registration handshake is built from.
+// TCPNode is the TCP transport implementation: one listener plus one
+// connection per peer, dialed lazily or accepted, with a dynamic address
+// book. It implements Transport; the extra methods (Addr, AddPeer, Rename,
+// SetSelf) are the hooks the scheduling layer's registration handshake is
+// built from.
 type TCPNode struct {
 	self  atomic.Int64
 	ln    listener
@@ -323,18 +327,18 @@ type TCPNode struct {
 	ctrs  counters
 	close sync.Once
 
-	bookMu sync.RWMutex
-	book   map[NodeID]string // peer -> address
-
-	mu      sync.Mutex
-	conns   map[NodeID]*tcpConn
-	inbound map[conn]struct{}
-	wg      sync.WaitGroup
+	mu    sync.Mutex
+	book  map[NodeID]string     // peer -> address
+	peers map[NodeID]*tcpConn   // peer -> the connection bound to it
+	conns map[*tcpConn]struct{} // every open connection, bound or not
+	prov  NodeID                // the provisional ID handed out last
+	wg    sync.WaitGroup
 }
 
 type tcpConn struct {
-	mu sync.Mutex
-	c  conn
+	mu   sync.Mutex
+	c    conn
+	peer NodeID // bound to it if n.peers says so; guarded by the node's mu
 	// hdr and w are the scratch of one send: the frame header, and the
 	// header and the caller's body as one gather write. The connection never
 	// copies a body, so it holds nothing of a frame it has sent.
@@ -369,13 +373,14 @@ func newTCPNode(self NodeID, listenAddr string, opts tcpOptions) (*TCPNode, erro
 		return nil, fmt.Errorf("rpc: listen %s: %w", listenAddr, err)
 	}
 	n := &TCPNode{
-		ln:      ln,
-		opts:    opts,
-		box:     NewMailbox(BlockWhenFull),
-		done:    make(chan struct{}),
-		book:    map[NodeID]string{},
-		conns:   map[NodeID]*tcpConn{},
-		inbound: map[conn]struct{}{},
+		ln:    ln,
+		opts:  opts,
+		box:   NewMailbox(BlockWhenFull),
+		done:  make(chan struct{}),
+		book:  map[NodeID]string{},
+		peers: map[NodeID]*tcpConn{},
+		conns: map[*tcpConn]struct{}{},
+		prov:  Unregistered,
 	}
 	n.self.Store(int64(self))
 	n.wg.Add(1)
@@ -398,7 +403,7 @@ func (n *TCPNode) AdvertiseAddr(via NodeID) (string, error) {
 	if err != nil || (ip.IsValid() && !ip.IsUnspecified()) {
 		return n.Addr(), err
 	}
-	tc, _, err := n.conn(via)
+	tc, err := n.conn(via)
 	if err != nil {
 		return "", err
 	}
@@ -409,22 +414,24 @@ func (n *TCPNode) AdvertiseAddr(via NodeID) (string, error) {
 	return netip.AddrPortFrom(local.Addr().Unmap(), port).String(), nil
 }
 
-// AddPeer installs (or updates) the address of a peer. An existing cached
-// connection to the peer is dropped when the address changed, so subsequent
-// sends dial the new address. Safe for concurrent use.
+// AddPeer installs (or updates) the address a send to peer id dials when
+// the node holds no connection to it. Safe for concurrent use.
 func (n *TCPNode) AddPeer(id NodeID, addr string) {
-	n.bookMu.Lock()
-	old, had := n.book[id]
+	n.mu.Lock()
 	n.book[id] = addr
-	n.bookMu.Unlock()
-	if had && old != addr {
-		n.mu.Lock()
-		tc := n.conns[id]
-		delete(n.conns, id)
-		n.mu.Unlock()
-		if tc != nil {
-			tc.c.Close()
-		}
+	n.mu.Unlock()
+}
+
+// Rename binds the connection bound to from, a provisional ID (bind), to id
+// instead, unless id has one: a registrant's reply, addressed to the ID it
+// is assigned, goes back over the connection its registration came on.
+func (n *TCPNode) Rename(from, id NodeID) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if tc, ok := n.peers[from]; ok && n.peers[id] == nil {
+		delete(n.peers, from)
+		n.peers[id] = tc
+		tc.peer = id
 	}
 }
 
@@ -434,8 +441,7 @@ func (n *TCPNode) AddPeer(id NodeID, addr string) {
 func (n *TCPNode) SetSelf(id NodeID) { n.self.Store(int64(id)) }
 
 // NewTCPNetwork binds one 127.0.0.1 listener per node ID, shares the address
-// book, and returns the transports.
-// Connections are established lazily.
+// book, and returns the transports. Connections are established lazily.
 func NewTCPNetwork(ids []NodeID) (map[NodeID]Transport, error) {
 	nodes := map[NodeID]*TCPNode{}
 	for _, id := range ids {
@@ -469,34 +475,55 @@ func (n *TCPNode) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		n.mu.Lock()
-		select {
-		case <-n.done:
-			n.mu.Unlock()
-			c.Close()
+		if _, err := n.open(c, 0, false); err != nil {
 			return
-		default:
 		}
-		n.inbound[c] = struct{}{}
-		n.mu.Unlock()
-		n.wg.Add(1)
-		go n.readLoop(c)
 	}
 }
 
-func (n *TCPNode) readLoop(c conn) {
-	defer n.wg.Done()
-	defer func() {
+// open tracks a new connection and starts its read loop. A dialed one is
+// bound to to, unless to has a connection by now (a concurrent send won the
+// dial race, or the peer's own connection was bound meanwhile): then c,
+// unsent on, is closed, and open returns the connection to use.
+func (n *TCPNode) open(c conn, to NodeID, dialed bool) (*tcpConn, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	select {
+	case <-n.done:
 		c.Close()
-		n.mu.Lock()
-		delete(n.inbound, c)
-		n.mu.Unlock()
-	}()
-	r := bufio.NewReader(c)
+		return nil, ErrClosed
+	default:
+	}
+	if tc, ok := n.peers[to]; ok && dialed {
+		c.Close()
+		return tc, nil
+	}
+	tc := &tcpConn{c: c}
+	if dialed {
+		tc.peer, n.peers[to] = to, tc
+	}
+	n.conns[tc] = struct{}{}
+	n.wg.Add(1)
+	go n.readLoop(tc, !dialed)
+	return tc, nil
+}
+
+// readLoop delivers the frames of one connection until it ends — the peer
+// closed it (it exited) or this node did — and then drops it, so that the
+// next send redials, and fails at once if the peer is gone, instead of
+// writing into a closed socket. An accepted connection is bound (bind)
+// before its first frame is delivered, so the answer goes back on it.
+func (n *TCPNode) readLoop(tc *tcpConn, accepted bool) {
+	defer n.wg.Done()
+	defer n.dropConn(tc)
+	r := bufio.NewReader(tc.c)
 	for {
 		env, err := readFrame(r)
 		if err != nil {
 			return
+		}
+		if accepted {
+			env.From, accepted = n.bind(tc, env.From), false
 		}
 		if n.box.Put(env) != nil {
 			return // closed
@@ -505,38 +532,41 @@ func (n *TCPNode) readLoop(c conn) {
 	}
 }
 
-// watch reads the connection to a peer, which the peer never writes to,
-// until it ends: the peer closed it (it exited) or this node did. The peer's
-// close drops the cached connection, because the first write into a
-// connection the peer has closed succeeds without reaching anyone; the next
-// send redials instead, and fails at once if the peer is gone.
-func (n *TCPNode) watch(to NodeID, tc *tcpConn) {
-	defer n.wg.Done()
-	var b [1]byte
-	for {
-		if _, err := tc.c.Read(b[:]); err != nil {
-			break
+// bind binds an accepted connection to from, the sender of its first frame,
+// unless from has a connection already: both nodes dialed each other at
+// once, and this one is read until it closes and never sent on. It returns
+// the ID the frame is delivered as: from, or for an Unregistered sender a
+// provisional ID of its own, below Unregistered and never AnyNode, so that
+// concurrent registrants never share a binding.
+func (n *TCPNode) bind(tc *tcpConn, from NodeID) NodeID {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if from == Unregistered {
+		if n.prov--; n.prov == AnyNode {
+			n.prov--
 		}
+		from = n.prov
 	}
-	n.dropConn(to, tc)
+	if _, ok := n.peers[from]; !ok {
+		tc.peer, n.peers[from] = from, tc
+	}
+	return from
 }
 
-// conn returns the cached connection to a peer, dialing its address-book
-// address (with retry and backoff) when none exists. The dial happens outside
-// the node lock so a dead peer's backoff never stalls sends to healthy peers.
-// fresh reports whether the returned connection was newly established here.
-func (n *TCPNode) conn(to NodeID) (tc *tcpConn, fresh bool, err error) {
+// conn returns the connection bound to a peer, dialing its address-book
+// address (with retry and backoff) when there is none. The dial happens
+// outside the node lock so a dead peer's backoff never stalls sends to
+// healthy peers.
+func (n *TCPNode) conn(to NodeID) (*tcpConn, error) {
 	n.mu.Lock()
-	tc, ok := n.conns[to]
+	tc, ok := n.peers[to]
+	addr, known := n.book[to]
 	n.mu.Unlock()
 	if ok {
-		return tc, false, nil
+		return tc, nil
 	}
-	n.bookMu.RLock()
-	addr, ok := n.book[to]
-	n.bookMu.RUnlock()
-	if !ok {
-		return nil, false, fmt.Errorf("%w: %d", ErrUnknownPeer, to)
+	if !known {
+		return nil, fmt.Errorf("%w: %d", ErrUnknownPeer, to)
 	}
 	c, err := dialWithBackoff(addr, n.opts, n.done)
 	if err != nil {
@@ -544,36 +574,19 @@ func (n *TCPNode) conn(to NodeID) (tc *tcpConn, fresh bool, err error) {
 		if errors.As(err, &de) {
 			de.Node = to
 		}
-		return nil, false, err
+		return nil, err
 	}
-	n.mu.Lock()
-	select {
-	case <-n.done:
-		n.mu.Unlock()
-		c.Close()
-		return nil, false, ErrClosed
-	default:
-	}
-	if existing, ok := n.conns[to]; ok {
-		// A concurrent send won the dial race; use its connection.
-		n.mu.Unlock()
-		c.Close()
-		return existing, false, nil
-	}
-	tc = &tcpConn{c: c}
-	n.conns[to] = tc
-	n.wg.Add(1)
-	n.mu.Unlock()
-	go n.watch(to, tc)
-	return tc, true, nil
+	return n.open(c, to, true)
 }
 
-// dropConn discards a broken connection so the next send redials.
-func (n *TCPNode) dropConn(to NodeID, tc *tcpConn) {
+// dropConn closes a connection and forgets it, so the next send to its peer
+// redials.
+func (n *TCPNode) dropConn(tc *tcpConn) {
 	n.mu.Lock()
-	if n.conns[to] == tc {
-		delete(n.conns, to)
+	if n.peers[tc.peer] == tc {
+		delete(n.peers, tc.peer)
 	}
+	delete(n.conns, tc)
 	n.mu.Unlock()
 	tc.c.Close()
 }
@@ -585,44 +598,30 @@ func (n *TCPNode) Send(to NodeID, env Envelope) error {
 	default:
 	}
 	env.From = n.Self()
-	// A write failure on a cached connection usually means the peer reset it
-	// (or it idled out); drop it and retry once on a fresh dial. The frame
-	// writer reports an error whenever any underlying write failed, so a
-	// retried message is duplicated only if the first write flushed
-	// completely yet still errored — which cannot happen — while a partially
-	// written frame is discarded by the receiver's length-prefixed decoder
-	// when the old connection dies.
-	//
-	// The two failure shapes stay distinct in the returned error: a peer
-	// that cannot be dialed at all surfaces as *DialError (its listener is
-	// gone), while writes that keep failing — including on a connection this
-	// very send freshly established — surface as a write failure naming
-	// that, so worker-loss diagnostics report the real cause.
-	var lastErr error
-	lastFresh := false
-	for attempt := 0; attempt < 2; attempt++ {
-		tc, fresh, err := n.conn(to)
+	// A write failure usually means the peer reset the connection; drop it
+	// and retry once on a fresh dial. The frame writer fails whenever any
+	// underlying write did, so a retried message is never duplicated, and a
+	// partly written frame dies with the old connection. A peer that cannot
+	// be dialed surfaces as *DialError (its listener is gone), writes that
+	// keep failing as a write failure.
+	var werr error
+	for range 2 {
+		tc, err := n.conn(to)
 		if err != nil {
-			if lastErr != nil && !errors.Is(err, ErrClosed) {
-				// A cached-connection write failed and then the redial
-				// failed too: the dial failure is the operative cause.
-				return fmt.Errorf("rpc: send to node %d: write failed (%v), then redial failed: %w", to, lastErr, err)
+			if werr != nil && !errors.Is(err, ErrClosed) {
+				// A write failed and then the redial failed too: the dial
+				// failure is the operative cause.
+				return fmt.Errorf("rpc: send to node %d: write failed (%v), then redial failed: %w", to, werr, err)
 			}
 			return err
 		}
-		if err := tc.send(env, n.opts.sendTimeout); err != nil {
-			n.dropConn(to, tc)
-			lastErr = err
-			lastFresh = fresh
-			continue
+		if werr = tc.send(env, n.opts.sendTimeout); werr == nil {
+			n.ctrs.countSend(env)
+			return nil
 		}
-		n.ctrs.countSend(env)
-		return nil
+		n.dropConn(tc)
 	}
-	if lastFresh {
-		return fmt.Errorf("rpc: send to node %d: write failed on freshly dialed connection: %w", to, lastErr)
-	}
-	return fmt.Errorf("rpc: send to node %d: %w", to, lastErr)
+	return fmt.Errorf("rpc: send to node %d: write failed: %w", to, werr)
 }
 
 func (n *TCPNode) Recv() <-chan Envelope { return n.box.Recv() }
@@ -636,12 +635,8 @@ func (n *TCPNode) Close() error {
 		close(n.done)
 		n.ln.Close()
 		n.mu.Lock()
-		for _, tc := range n.conns {
+		for tc := range n.conns {
 			tc.c.Close()
-		}
-		n.conns = map[NodeID]*tcpConn{}
-		for c := range n.inbound {
-			c.Close()
 		}
 		n.mu.Unlock()
 		n.box.Close() // before the wait: it wakes a read loop blocked on a full box

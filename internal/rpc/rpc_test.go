@@ -276,67 +276,163 @@ func TestSendWriteDeadline(t *testing.T) {
 	}
 }
 
-// TestSendRecoversAcrossBrokenConnection kills the cached connection under a
-// sender and verifies the next Send transparently redials.
-func TestSendRecoversAcrossBrokenConnection(t *testing.T) {
-	nw, err := NewTCPNetwork([]NodeID{0, 1})
-	if err != nil {
+// exchange has from send to to, and to receive it: from's connection to to is
+// one it dialed, to's one it accepted and bound to from.
+func exchange(t *testing.T, nw map[NodeID]Transport, from, to NodeID) {
+	t.Helper()
+	if err := nw[from].Send(to, Envelope{Kind: 1}); err != nil {
 		t.Fatal(err)
 	}
-	defer closeAll(nw)
-	if err := nw[0].Send(1, Envelope{Kind: 1, Body: []byte("first")}); err != nil {
-		t.Fatal(err)
-	}
-	if string(recvOne(t, nw[1]).Body) != "first" {
-		t.Fatal("first message corrupted")
-	}
-	// Sever the cached connection out from under the sender.
-	n0 := nw[0].(*TCPNode)
-	n0.mu.Lock()
-	for _, tc := range n0.conns {
-		tc.c.Close()
-	}
-	n0.mu.Unlock()
-	// The write may fail on the first or second Send depending on buffering;
-	// both must be absorbed by the redial-and-retry path.
-	if err := nw[0].Send(1, Envelope{Kind: 2, Body: []byte("second")}); err != nil {
-		t.Fatalf("send after broken connection: %v", err)
-	}
-	if string(recvOne(t, nw[1]).Body) != "second" {
-		t.Fatal("second message corrupted")
+	if env := recvOne(t, nw[to]); env.From != from {
+		t.Fatalf("node %d received From=%d, want %d", to, env.From, from)
 	}
 }
 
-// TestPeerExitFailsTheNextSend: when a peer exits, a node drops its cached
-// connection to it, so its next send fails with the refused dial instead of
-// vanishing into the closed socket.
+// bound returns the connection n has bound to peer, nil if none.
+func bound(n *TCPNode, peer NodeID) *tcpConn {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.peers[peer]
+}
+
+// awaitUnbound waits until n holds no connection to peer.
+func awaitUnbound(t *testing.T, n *TCPNode, peer NodeID) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); bound(n, peer) != nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("node %d still holds a connection to %d", n.Self(), peer)
+		}
+	}
+}
+
+// TestSendRecoversAcrossBrokenConnection kills node 0's connection to node
+// 1 under it, one node 0 dialed or one it accepted, and verifies the next
+// Send transparently redials.
+func TestSendRecoversAcrossBrokenConnection(t *testing.T) {
+	for _, side := range []string{"dialing", "accepting"} {
+		t.Run(side, func(t *testing.T) {
+			nw, err := NewTCPNetwork([]NodeID{0, 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer closeAll(nw)
+			if side == "dialing" {
+				exchange(t, nw, 0, 1)
+			} else {
+				exchange(t, nw, 1, 0)
+			}
+			// Sever the connection out from under the sender.
+			n0 := nw[0].(*TCPNode)
+			bound(n0, 1).c.Close()
+			// The write may fail on the first or second Send depending on
+			// buffering; both must be absorbed by the redial-and-retry path.
+			if err := nw[0].Send(1, Envelope{Kind: 2, Body: []byte("second")}); err != nil {
+				t.Fatalf("send after broken connection: %v", err)
+			}
+			if string(recvOne(t, nw[1]).Body) != "second" {
+				t.Fatal("second message corrupted")
+			}
+		})
+	}
+}
+
+// TestPeerExitFailsTheNextSend: when a peer exits, a node drops its
+// connection to it, dialed or accepted, so its next send fails with the
+// refused dial instead of vanishing into the closed socket.
 func TestPeerExitFailsTheNextSend(t *testing.T) {
+	for _, side := range []string{"dialing", "accepting"} {
+		t.Run(side, func(t *testing.T) {
+			nw, err := NewTCPNetwork([]NodeID{0, 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer closeAll(nw)
+			n0 := nw[0].(*TCPNode)
+			n0.opts.dialAttempts = 1
+			if side == "dialing" {
+				exchange(t, nw, 0, 1)
+			} else {
+				exchange(t, nw, 1, 0)
+			}
+			nw[1].Close()
+			awaitUnbound(t, n0, 1)
+			var de *DialError
+			if err := n0.Send(1, Envelope{Kind: 2}); !errors.As(err, &de) {
+				t.Fatalf("send to the exited peer: err=%v, want a *DialError", err)
+			}
+		})
+	}
+}
+
+// TestOneConnectionPerPair: four nodes, every ordered pair sends, and each
+// pair shares one connection both ways: every node holds three, each bound
+// to its peer, so six in all (each connection has two ends).
+func TestOneConnectionPerPair(t *testing.T) {
+	ids := []NodeID{Master, 0, 1, 2}
+	nw, err := NewTCPNetwork(ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeAll(nw)
+	for _, from := range ids {
+		for _, to := range ids {
+			if from != to {
+				exchange(t, nw, from, to)
+			}
+		}
+	}
+	ends := 0
+	for _, id := range ids {
+		n := nw[id].(*TCPNode)
+		n.mu.Lock()
+		if len(n.peers) != len(ids)-1 || len(n.conns) != len(ids)-1 {
+			t.Errorf("node %d holds %d connections, %d of them bound; want %d, all bound", id, len(n.conns), len(n.peers), len(ids)-1)
+		}
+		for peer, tc := range n.peers {
+			if tc.peer != peer {
+				t.Errorf("node %d: the connection bound to %d names %d", id, peer, tc.peer)
+			}
+		}
+		ends += len(n.conns)
+		n.mu.Unlock()
+	}
+	if ends != 2*6 {
+		t.Errorf("%d connection ends among 4 nodes, want 12: 6 connections", ends)
+	}
+}
+
+// TestSimultaneousDial: two nodes dial each other before either has sent a
+// frame, so the pair has two connections. Each node sends on the one it
+// dialed; the one it accepted is never bound, and its read loop still
+// delivers the peer's frames.
+func TestSimultaneousDial(t *testing.T) {
 	nw, err := NewTCPNetwork([]NodeID{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer closeAll(nw)
-	n0 := nw[0].(*TCPNode)
-	n0.opts.dialAttempts = 1
-	if err := n0.Send(1, Envelope{Kind: 1}); err != nil {
+	a, b := nw[0].(*TCPNode), nw[1].(*TCPNode)
+	ta, err := a.conn(1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	recvOne(t, nw[1])
-	nw[1].Close()
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		n0.mu.Lock()
-		_, cached := n0.conns[1]
-		n0.mu.Unlock()
-		if !cached {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the connection to the exited peer is still cached")
+	tb, err := b.conn(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 3 {
+		exchange(t, nw, 0, 1)
+		exchange(t, nw, 1, 0)
+		if bound(a, 1) != ta || bound(b, 0) != tb {
+			t.Fatalf("round %d: a node sends on a connection it did not dial", i)
 		}
 	}
-	var de *DialError
-	if err := n0.Send(1, Envelope{Kind: 2}); !errors.As(err, &de) {
-		t.Fatalf("send to the exited peer: err=%v, want a *DialError", err)
+	for _, n := range []*TCPNode{a, b} {
+		n.mu.Lock()
+		if len(n.conns) != 2 || len(n.peers) != 1 {
+			t.Errorf("node %d holds %d connections, %d bound; want the race connection unbound beside its own", n.Self(), len(n.conns), len(n.peers))
+		}
+		n.mu.Unlock()
 	}
 }
 
@@ -403,52 +499,81 @@ func TestSendToDeadPeerReturnsDialError(t *testing.T) {
 }
 
 // TestDynamicNodeRegistrationFlow exercises the primitives the registration
-// handshake is built from: an Unregistered node dials a known master
-// address, the master learns the sender's address from the body, adds the
-// peer, replies, and the worker adopts its assigned ID.
+// handshake is built from, with two registrants at once: each Unregistered
+// node dials a known master address and sends the address it registers (a
+// port nobody listens on), the master receives each from a provisional ID
+// of its own, renames it to the ID it assigns and replies over the
+// connection the registration came on — dialing nothing — and each worker
+// adopts its ID.
 func TestDynamicNodeRegistrationFlow(t *testing.T) {
 	master, err := NewTCPNode(Master, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer master.Close()
-	wk, err := NewTCPNode(Unregistered, "127.0.0.1:0")
+	dead, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer wk.Close()
+	deadAddr := dead.Addr().String()
+	dead.Close()
 
-	wk.AddPeer(Master, master.Addr())
-	if err := wk.Send(Master, Envelope{Kind: 1, Body: []byte(wk.Addr())}); err != nil {
-		t.Fatal(err)
+	wks := make([]*TCPNode, 2)
+	var wg sync.WaitGroup
+	for i := range wks {
+		wk, err := NewTCPNode(Unregistered, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer wk.Close()
+		wk.AddPeer(Master, master.Addr())
+		wks[i] = wk
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := wk.Send(Master, Envelope{Kind: 1, Body: []byte{byte(i)}}); err != nil {
+				t.Error(err)
+			}
+		}()
 	}
-	reg := recvOne(t, master)
-	if reg.From != Unregistered {
-		t.Fatalf("registration From=%d, want Unregistered", reg.From)
+	wg.Wait()
+	seen := map[NodeID]bool{}
+	for range wks {
+		reg := recvOne(t, master)
+		if reg.From >= Unregistered || reg.From == AnyNode || seen[reg.From] {
+			t.Fatalf("registration From=%d, want a provisional ID below Unregistered of its own", reg.From)
+		}
+		seen[reg.From] = true
+		id := NodeID(3 + reg.Body[0])
+		master.Rename(reg.From, id)
+		master.AddPeer(id, deadAddr)
+		if err := master.Send(id, Envelope{Kind: 2, Body: []byte{byte(id)}}); err != nil {
+			t.Fatalf("welcome to %d: %v", id, err)
+		}
 	}
-	master.AddPeer(3, string(reg.Body))
-	if err := master.Send(3, Envelope{Kind: 2, Body: []byte{3}}); err != nil {
-		t.Fatal(err)
+	for i, wk := range wks {
+		welcome := recvOne(t, wk)
+		if welcome.From != Master || welcome.Body[0] != byte(3+i) {
+			t.Fatalf("worker %d got welcome %+v", i, welcome)
+		}
+		wk.SetSelf(NodeID(welcome.Body[0]))
+		if err := wk.Send(Master, Envelope{Kind: 4}); err != nil {
+			t.Fatal(err)
+		}
+		if env := recvOne(t, master); env.From != wk.Self() {
+			t.Fatalf("post-welcome From=%d, want %d", env.From, wk.Self())
+		}
 	}
-	welcome := recvOne(t, wk)
-	if welcome.From != Master || welcome.Body[0] != 3 {
-		t.Fatalf("welcome %+v", welcome)
-	}
-	wk.SetSelf(NodeID(welcome.Body[0]))
-	if wk.Self() != 3 {
-		t.Fatalf("Self=%d after SetSelf", wk.Self())
-	}
-	if err := wk.Send(Master, Envelope{Kind: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if env := recvOne(t, master); env.From != 3 {
-		t.Fatalf("post-welcome From=%d, want 3", env.From)
+	master.mu.Lock()
+	defer master.mu.Unlock()
+	if len(master.conns) != 2 || master.peers[3] == nil || master.peers[4] == nil {
+		t.Errorf("the master holds %d connections, bound to %v; want the two it accepted, bound to 3 and 4", len(master.conns), master.peers)
 	}
 }
 
-// TestAddPeerRebindDropsStaleConn re-points a peer at a new address and
-// verifies the next send reaches the new listener, not the cached old
-// connection.
+// TestAddPeerRebindDropsStaleConn re-points a peer whose process closed at
+// a new address and verifies the next send reaches the new listener: the
+// closed connection's read loop unbinds it, so the send dials.
 func TestAddPeerRebindDropsStaleConn(t *testing.T) {
 	a, err := NewTCPNode(0, "127.0.0.1:0")
 	if err != nil {
@@ -472,6 +597,7 @@ func TestAddPeerRebindDropsStaleConn(t *testing.T) {
 	}
 	defer b2.Close()
 	a.AddPeer(1, b2.Addr())
+	awaitUnbound(t, a, 1)
 	if err := a.Send(1, Envelope{Kind: 2}); err != nil {
 		t.Fatal(err)
 	}

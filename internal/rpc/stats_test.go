@@ -1,6 +1,9 @@
 package rpc
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
 func TestStatsBothTransports(t *testing.T) {
 	for name, mk := range networks(t) {
@@ -17,7 +20,15 @@ func TestStatsBothTransports(t *testing.T) {
 			}
 			recvOne(t, nw[Master])
 
-			m, w := nw[Master].Stats(), nw[0].Stats()
+			// A TCP read loop counts a message just after it delivers it:
+			// wait until both nodes have counted what they received.
+			var m, w Stats
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+				m, w = nw[Master].Stats(), nw[0].Stats()
+				if m.MsgsRecv == 1 && w.MsgsRecv == 1 || time.Now().After(deadline) {
+					break
+				}
+			}
 			if m.MsgsSent != 1 || m.BytesSent != 5 {
 				t.Errorf("master sent %d msgs / %d bytes, want 1/5", m.MsgsSent, m.BytesSent)
 			}

@@ -12,6 +12,7 @@ import (
 
 	"fractal/internal/agg"
 	"fractal/internal/graph"
+	"fractal/internal/pattern"
 	"fractal/internal/rpc"
 	"fractal/internal/step"
 	"fractal/internal/subgraph"
@@ -168,6 +169,39 @@ func TestRegistrationSendsOnlyTheWelcome(t *testing.T) {
 	}
 }
 
+// recvKind reads tr's mailbox until a message of the given kind arrives,
+// which it decodes into m, and reports whether one did within the bound.
+func recvKind(tr rpc.Transport, kind uint8, m interface{ get(r *wire.Reader) }, within time.Duration) bool {
+	timeout := time.After(within)
+	for {
+		select {
+		case env := <-tr.Recv():
+			if env.Kind == kind {
+				return decode(env.Body, m) == nil
+			}
+		case <-timeout:
+			return false
+		}
+	}
+}
+
+// register registers node, still Unregistered, with the master at
+// masterAddr under the address addr, as joinMaster does, and adopts the ID
+// the welcome assigns; the test fails without a welcome within 10 s.
+func register(t *testing.T, node *rpc.TCPNode, masterAddr, addr string) welcomeMsg {
+	t.Helper()
+	node.AddPeer(rpc.Master, masterAddr)
+	if err := node.Send(rpc.Master, rpc.Envelope{Kind: kRegister, Body: encode(registerMsg{Addr: addr})}); err != nil {
+		t.Fatal(err)
+	}
+	var wel welcomeMsg
+	if !recvKind(node, kWelcome, &wel, 10*time.Second) {
+		t.Fatalf("no welcome within 10s for a worker registered at %s", addr)
+	}
+	node.SetSelf(rpc.NodeID(wel.Worker))
+	return wel
+}
+
 // TestWildcardWorkerRegistersReachableAddr: a ServeWorker listening on ":0"
 // registers with a 127.0.0.1 master at the IP it reaches the master from,
 // not at its wildcard listener address, and a second worker that registers
@@ -199,31 +233,7 @@ func TestWildcardWorkerRegistersReachableAddr(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer peer.Close()
-	peer.AddPeer(rpc.Master, rt.ListenAddr())
-	if err := peer.Send(rpc.Master, rpc.Envelope{Kind: kRegister, Body: encode(registerMsg{Addr: peer.Addr()})}); err != nil {
-		t.Fatal(err)
-	}
-	recv := func(kind uint8, m interface{ get(r *wire.Reader) }, within time.Duration) bool {
-		timeout := time.After(within)
-		for {
-			select {
-			case env := <-peer.Recv():
-				if env.Kind == kind {
-					if err := decode(env.Body, m); err != nil {
-						t.Fatal(err)
-					}
-					return true
-				}
-			case <-timeout:
-				return false
-			}
-		}
-	}
-	var wel welcomeMsg
-	if !recv(kWelcome, &wel, 10*time.Second) {
-		t.Fatal("no welcome within 10s")
-	}
-	peer.SetSelf(rpc.NodeID(wel.Worker))
+	wel := register(t, peer, rt.ListenAddr(), peer.Addr())
 	if err := rt.AwaitWorkers(ctx, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +253,7 @@ func TestWildcardWorkerRegistersReachableAddr(t *testing.T) {
 		<-ran
 	})
 	var start stepStartMsg
-	if !recv(kStepStart, &start, 10*time.Second) {
+	if !recvKind(peer, kStepStart, &start, 10*time.Second) {
 		t.Fatal("no step start within 10s")
 	}
 	if len(start.Workers) != 2 || start.Workers[1] != (peerAddr{wel.Worker, peer.Addr()}) {
@@ -257,19 +267,14 @@ func TestWildcardWorkerRegistersReachableAddr(t *testing.T) {
 	peer.AddPeer(rpc.NodeID(first.Worker), first.Addr)
 
 	// The first worker answers a steal request of no running attempt with
-	// an empty grant, once its own step start has told it where this
-	// worker is: ask until it has.
+	// an empty grant, over the connection the request came on, whether or
+	// not its own step start has named this worker yet.
 	req := encode(stealReqMsg{Worker: wel.Worker})
-	for deadline := time.Now().Add(10 * time.Second); ; {
-		if err := peer.Send(rpc.NodeID(first.Worker), rpc.Envelope{Kind: kStealReq, Body: req}); err != nil {
-			t.Fatalf("sending to %s: %v", first.Addr, err)
-		}
-		if recv(kStealResp, &stealRespMsg{}, 100*time.Millisecond) {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no steal response from the worker at %s within 10s", first.Addr)
-		}
+	if err := peer.Send(rpc.NodeID(first.Worker), rpc.Envelope{Kind: kStealReq, Body: req}); err != nil {
+		t.Fatalf("sending to %s: %v", first.Addr, err)
+	}
+	if !recvKind(peer, kStealResp, &stealRespMsg{}, 10*time.Second) {
+		t.Fatalf("no steal response from the worker at %s within 10s", first.Addr)
 	}
 }
 
@@ -355,5 +360,106 @@ func TestWorkerHoldsOneJob(t *testing.T) {
 	}
 	if h.job != nil || h.newest != 4 || installs.Load() != 3 {
 		t.Errorf("after a failed install the worker holds %+v (newest %d, %d installs)", h.job, h.newest, installs.Load())
+	}
+}
+
+// TestWelcomeNeedsNoDial: a worker that registered an address nobody
+// listens on, where a dial fails with a *DialError, is welcomed over the
+// connection its registration came on, and its steps reach it the same
+// way: it runs a 4-clique count exactly.
+func TestWelcomeNeedsNoDial(t *testing.T) {
+	rt, err := New(Config{ListenAddr: "127.0.0.1:0", CoresPerWorker: 2, WS: WSBoth})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	gone, err := rpc.NewTCPNode(rpc.Unregistered, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone.Close()
+	node, err := rpc.NewTCPNode(rpc.Unregistered, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wel := register(t, node, rt.ListenAddr(), gone.Addr())
+	cfg := Config{CoresPerWorker: wel.CoresPerWorker, WS: WorkStealing(wel.WS), WorkerTimeout: time.Duration(wel.WorkerTimeout)}.withDefaults()
+	w := newWorker(wel.Worker, cfg, (&remoteHost{cfg: cfg, node: node}).runFor, node)
+	w.start()
+	t.Cleanup(func() {
+		node.Close()
+		w.stop()
+	})
+
+	plan, err := pattern.NewPlan(pattern.Clique(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := randomGraph(30, 0.4, 1, 5)
+	want := refCount(g, subgraph.PatternInduced, plan, 4)
+	if want == 0 {
+		t.Fatal("degenerate test graph")
+	}
+	var got atomic.Int64
+	spec := testSpec(t, g, func(g *graph.Graph) Job { return countJob(g, subgraph.PatternInduced, plan, 4, &got) })
+	if _, err := rt.RunSpec(context.Background(), spec, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got.Load() != want {
+		t.Errorf("counted %d 4-cliques, want %d", got.Load(), want)
+	}
+}
+
+// overtake holds the master's first step start to the victim until the
+// thief has sent the victim two steal requests. The thief's one core asks
+// again only once its first request is answered (its WorkerTimeout is a
+// minute), so the victim must answer a thief no step start has named to it
+// yet. held records whether the hold ended on its 10 s bound instead.
+type overtake struct {
+	thief, victim rpc.NodeID
+	asked         atomic.Int64
+	second        chan struct{}
+	hold          sync.Once
+	held          atomic.Bool
+}
+
+func (o *overtake) Intercept(from, to rpc.NodeID, kind uint8) rpc.Fault {
+	switch {
+	case from == o.thief && to == o.victim && kind == kStealReq:
+		if o.asked.Add(1) == 2 {
+			close(o.second)
+		}
+	case from == rpc.Master && to == o.victim && kind == kStepStart:
+		o.hold.Do(func() {
+			select {
+			case <-o.second:
+			case <-time.After(10 * time.Second):
+				o.held.Store(true)
+			}
+		})
+	}
+	return rpc.Fault{}
+}
+
+// TestStealAnswerOvertakesStepStart: a steal request that reaches its
+// victim before the step start naming its thief is answered, over the
+// connection it came on. The master sends its step starts in rank order,
+// so worker 0 starts, runs dry and asks worker 1, whose step start is held
+// until worker 0 asks a second time — which its core does only after the
+// answer to its first request. The count is exact.
+func TestStealAnswerOvertakesStepStart(t *testing.T) {
+	o := &overtake{thief: 0, victim: 1, second: make(chan struct{})}
+	rt := listenRuntime(t, Config{CoresPerWorker: 1, WS: WSExternal, FaultInjector: o}, o)
+	g := randomGraph(30, 0.25, 1, 3)
+	want := refCount(g, subgraph.VertexInduced, nil, 3)
+	res, err := rt.RunSpec(context.Background(), testSpec(t, g, func(g *graph.Graph) Job { return aggCountJob(g, 3) }), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := aggCount(t, res); got != want {
+		t.Errorf("counted %d, want %d", got, want)
+	}
+	if o.held.Load() || o.asked.Load() < 2 {
+		t.Errorf("worker 0 sent %d steal requests before worker 1 started: the answer to its first never reached its core", o.asked.Load())
 	}
 }

@@ -46,7 +46,9 @@ func newRegistry(rt *Runtime, node *rpc.TCPNode) *registry {
 
 // handleRegister serves one registration: assign the next worker ID, reply
 // with the execution configuration, and only then admit the worker, so that
-// the step start that first names it follows its welcome on its connection.
+// the step start that first names it follows its welcome on the connection
+// the registration came on, bound to the worker's ID in place of its
+// provisional one (rpc.TCPNode.Rename).
 func (g *registry) handleRegister(env rpc.Envelope) {
 	var m registerMsg
 	if decode(env.Body, &m) != nil || m.Addr == "" {
@@ -61,6 +63,7 @@ func (g *registry) handleRegister(env rpc.Envelope) {
 		WS:             uint8(cfg.WS),
 		WorkerTimeout:  int64(cfg.WorkerTimeout),
 	}
+	g.node.Rename(env.From, rpc.NodeID(id))
 	g.node.AddPeer(rpc.NodeID(id), m.Addr)
 	g.rt.master.Send(rpc.NodeID(id), rpc.Envelope{Kind: kWelcome, Body: encode(wel)})
 	g.mu.Lock()

@@ -130,7 +130,7 @@ type remoteHost struct {
 // installs it; a step start of an older job is ignored. Every participant
 // the step start names enters the node's address book before the cores
 // start, so a peer that registered since the last step start is reachable
-// by the time this worker's cores steal from it or answer it.
+// by the time this worker's cores steal from it.
 func (h *remoteHost) runFor(m stepStartMsg) (*jobRun, error) {
 	if m.Job < h.newest {
 		return nil, nil

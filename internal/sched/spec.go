@@ -190,9 +190,10 @@ func NotShippable(what string) error {
 
 // ServeWorkerOptions configures a worker process (ServeWorker).
 type ServeWorkerOptions struct {
-	// ListenAddr is the worker's own listener address for master and peer
-	// traffic (default "127.0.0.1:0"; use ":0" to serve remote peers: a
-	// wildcard host registers the IP the worker reaches the master from).
+	// ListenAddr is the worker's own listener address, for its peers and the
+	// master's redial after a reset (default "127.0.0.1:0"; use ":0" to serve
+	// remote peers: a wildcard host registers the IP the worker reaches the
+	// master from).
 	ListenAddr string
 	// FaultInjector, when non-nil, wraps the worker's transport exactly as
 	// Config.FaultInjector wraps in-process ones (chaos tests).

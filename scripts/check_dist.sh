@@ -18,7 +18,9 @@
 # derive its frequent-edge graph, the step starts carry the earlier levels'
 # frequent codes (three entries on level 4), the printed total must be the
 # sum of the per-level counts on both sides, and the patterns printed must
-# be the in-process run's, line for line.
+# be the in-process run's, line for line. Level 4 runs on three workers, so
+# steal requests and their answers cross between pairs of three worker
+# processes, each pair over one connection.
 set -eux
 cd "$(dirname "$0")/.."
 tmp=$(mktemp -d)
@@ -32,15 +34,15 @@ awk 'BEGIN { n = 600
 	for (i = 0; i < n; i++) { print "e", i, (i+1)%n; print "e", i, (i+2)%n; print "e", i, (i+5)%n }
 }' > "$tmp/ring.el"
 
-# start_master runs `fractal -listen` with the given flags, stdout to $1,
-# waits for its address and starts two one-core fractal-worker processes.
+# start_master runs `fractal -listen` with the given flags, stdout to $2,
+# waits for its address and starts $1 one-core fractal-worker processes.
 # The second listens on the wildcard :0, so it registers the IP it reaches
-# the master from, and its peer's steals and the master's steps reach it
-# there.
+# the master from, and its peers' first steals reach it there.
 start_master() {
-	out=$1
-	shift
-	"$tmp/fractal" -listen 127.0.0.1:0 -min-workers 2 -cores 1 "$@" > "$out" &
+	workers=$1
+	out=$2
+	shift 2
+	"$tmp/fractal" -listen 127.0.0.1:0 -min-workers "$workers" -cores 1 "$@" > "$out" &
 	master=$!
 	addr=
 	for _ in $(seq 1 100); do
@@ -51,6 +53,9 @@ start_master() {
 	[ -n "$addr" ]
 	"$tmp/fractal-worker" -master "$addr" -cores 1 &
 	"$tmp/fractal-worker" -master "$addr" -listen :0 -cores 1 &
+	for _ in $(seq 3 "$workers"); do
+		"$tmp/fractal-worker" -master "$addr" -cores 1 &
+	done
 }
 
 # sum_ec prints the report's extension_tests summed over its steps.
@@ -61,7 +66,7 @@ sum_ec() {
 "$tmp/fractal" -graph "$tmp/ring.el" -app cliques -k 3 -workers 1 -cores 2 \
 	-metrics-out "$tmp/local.json"
 
-start_master "$tmp/master.out" -graph "$tmp/ring.el" -app cliques -k 3 \
+start_master 2 "$tmp/master.out" -graph "$tmp/ring.el" -app cliques -k 3 \
 	-metrics-out "$tmp/master.json"
 wait "$master"
 wait
@@ -91,7 +96,7 @@ patterns() {
 
 for maxedges in 3 4; do
 	"$tmp/fractal" -graph "$tmp/multi.el" -app fsm -support 4 -maxedges $maxedges -cores 2 > "$tmp/fsm-local.out"
-	start_master "$tmp/fsm-master.out" -graph "$tmp/multi.el" -app fsm -support 4 -maxedges $maxedges
+	start_master $((maxedges - 1)) "$tmp/fsm-master.out" -graph "$tmp/multi.el" -app fsm -support 4 -maxedges $maxedges
 	wait "$master"
 	wait
 	cat "$tmp/fsm-master.out"

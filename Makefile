@@ -25,13 +25,14 @@ check-race:
 # match the fault-free baselines bit for bit) over a larger seed pool than
 # the default `go test` run, then the termination tests — credit arithmetic,
 # reports lost, held and reordered, grants held in flight or dropped, the
-# silence probe — three times under the race detector. Runtime stays
+# silence probe — and the stop tests — cancels, stale keys, a cancelled tail,
+# the traced cancel — three times under the race detector. Runtime stays
 # bounded: each seed is one small application run with sub-second
 # loss-detection timeouts.
 CHAOS_SEEDS ?= 6
 chaos:
 	FRACTAL_CHAOS_SEEDS=$(CHAOS_SEEDS) go test -run 'TestChaos' -count=1 ./internal/apps/
-	go test -race -count=3 -run 'TestCredit|TestDelayedStatus|TestStealBalance|TestStaleSilence|TestStatusTraffic' ./internal/sched
+	go test -race -count=3 -run 'TestCredit|TestDelayedStatus|TestStealBalance|TestStaleSilence|TestStatusTraffic|TestCancel|TestSequentialCancellations|TestCancelledTail|TestStaleKeyIsIgnored|TestTraceRecordsCancellation' ./internal/sched
 
 vet:
 	go vet ./...

@@ -42,9 +42,10 @@ const (
 	// TraceCancel marks the master abandoning a step (context cancellation,
 	// deadline, or worker loss).
 	TraceCancel
-	// TraceDrain marks a drain completion: for cores, Value is the number
-	// of abandoned extensions; for the master, Value is the number of
-	// workers that acknowledged the cancel.
+	// TraceDrain marks a drain completion: for a core that abandoned work
+	// when its step was stopped, Value is the number of abandoned
+	// extensions; for the master, Value is the number of workers that
+	// answered the cancel.
 	TraceDrain
 	// TraceWorkerLost marks the master declaring a worker lost; Worker is
 	// the lost worker's ID (-1 when no single worker could be blamed).

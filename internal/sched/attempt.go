@@ -38,9 +38,9 @@ func (r *Runtime) effectFree(s *step.Step) bool {
 // workers' aggregation partials.
 // On any failure — context cancellation, deadline, or worker loss — the
 // step is abandoned: the run's abort flag is flipped and a cancel message
-// is broadcast so every reachable worker drains its cores and discards its
+// is broadcast so every reachable worker stops its cores and discards its
 // partials. A master first forgets a lost worker it could not send to, so
-// the cancel neither dials it nor waits for its ack.
+// the cancel neither dials it nor waits for its answer.
 func (r *Runtime) executeStep(ctx context.Context, run *jobRun, start stepStartMsg) (err error) {
 	defer func() {
 		if err != nil {
@@ -88,21 +88,22 @@ func (r *Runtime) unreachable(lost *WorkerLostError) bool {
 	return r.reg != nil && lost.Worker >= 0 && lost.Err != nil && !errors.Is(lost.Err, errNotRunning)
 }
 
-// cancelDrainWait bounds how long the master waits for workers to
-// acknowledge a cancel before returning with the partial report. Cores stop
-// on the interrupt within one DFS iteration, so healthy workers
-// ack as soon as the control message makes it through; the cap only matters
-// when a worker is dead, and is kept small so cancellation latency stays
-// well under the 100ms target.
+// cancelDrainWait bounds how long the master waits for workers to answer a
+// cancel before returning with the partial report. Cores stop on the
+// interrupt within one DFS iteration, so healthy workers answer as soon as
+// the control message makes it through; the cap only matters when a worker
+// is dead, and is kept small so cancellation latency stays well under the
+// 100ms target.
 const cancelDrainWait = 75 * time.Millisecond
 
 // broadcastCancel tells every worker to abandon the step — first by
 // interrupting the cores of in-process workers (instant), then through
-// cancel messages that serialize the drain at each router — and waits
-// (bounded by cancelDrainWait) for the drain acks, which carry the workers' counters
-// into the partial step report. Sends are best-effort: a worker that cannot
-// be reached is typically the one whose loss is being handled, and an
-// unacked worker is missing from the report.
+// cancel messages that serialize the stop at each router — and waits
+// (bounded by cancelDrainWait) for the done messages that answer them,
+// which carry the workers' counters into the partial step report. Sends are
+// best-effort: a worker that cannot be reached is typically the one whose
+// loss is being handled, and a worker that does not answer is missing from
+// the report.
 func (r *Runtime) broadcastCancel(run *jobRun) {
 	run.cancelled.Store(true)
 	for _, w := range r.workers {
@@ -136,10 +137,10 @@ func (r *Runtime) broadcastCancel(run *jobRun) {
 			if !ok {
 				return
 			}
-			if env.Kind != kCancelAck {
+			if env.Kind != kAggDone {
 				continue // stale status reports, agg data, …
 			}
-			var m cancelAckMsg
+			var m aggDoneMsg
 			if decode(env.Body, &m) != nil || m.attemptKey != run.key {
 				continue
 			}

@@ -65,11 +65,8 @@ func (c *core) run(st *stepCtx) {
 
 	for {
 		// One word is polled per DFS iteration (one extension consumed per
-		// iteration), which bounds both the reaction to a cancellation and the
-		// wait of a thief to a single embedding's processing time. Only
-		// cancellation exits the loop mid-work: an ordinary step end (finish)
-		// lets the core drain its local subtree, so a quiescence decision
-		// that raced with a just-started core loses no work.
+		// iteration), which bounds both the reaction to a stop and the wait
+		// of a thief to a single embedding's processing time.
 		if a := st.attn.Load(); a != 0 {
 			if a&attnStop != 0 {
 				c.release(st)
@@ -108,16 +105,13 @@ func (c *core) run(st *stepCtx) {
 	c.ctr.QuickPatterns, c.ctr.CanonCalls = cs.QuickPatterns, cs.CanonCalls
 	c.ctr.ClassesPruned, c.ctr.SubgraphsPruned = cs.ClassesPruned, cs.SubgraphsPruned
 	c.ctr.PeakStateBytes = c.stack.PeakStateBytes()
-	if st.aborted() {
-		// Drop the remaining enumeration state so memory is released
-		// promptly; record how much work was abandoned.
-		c.ctr.AbandonedExts = c.stack.Abandon()
-		if st.run.tracer != nil {
-			st.run.tracer.Emit(metrics.TraceEvent{
-				Kind: metrics.TraceDrain, Step: st.run.key.Step,
-				Worker: c.w.id, Core: c.local, Value: c.ctr.AbandonedExts,
-			})
-		}
+	// A core stopped mid-work drops what its stack still holds, so memory
+	// is released promptly, and records how much work it abandoned.
+	if c.ctr.AbandonedExts = c.stack.Abandon(); c.ctr.AbandonedExts > 0 && st.run.tracer != nil {
+		st.run.tracer.Emit(metrics.TraceEvent{
+			Kind: metrics.TraceDrain, Step: st.run.key.Step,
+			Worker: c.w.id, Core: c.local, Value: c.ctr.AbandonedExts,
+		})
 	}
 }
 
@@ -143,7 +137,7 @@ func (c *core) release(st *stepCtx) {
 // the worker runs dry. A remote request whose share could not be split off
 // is declined: answered empty at once, and traced.
 func (c *core) donate(st *stepCtx) {
-	for c.stack.Pending() > 1 && !st.isDone() {
+	for c.stack.Pending() > 1 && !st.stopping() {
 		r, ok := st.takeRequest()
 		if !ok {
 			return

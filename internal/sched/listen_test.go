@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/netip"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -407,6 +408,56 @@ func TestWelcomeNeedsNoDial(t *testing.T) {
 	}
 	if got.Load() != want {
 		t.Errorf("counted %d 4-cliques, want %d", got.Load(), want)
+	}
+}
+
+// TestFailedWelcomeAdmitsNobody: a registrant whose welcome the master
+// cannot send is not admitted, so no step start names a worker that never
+// learned its ID; the next registrant is admitted as the only worker.
+func TestFailedWelcomeAdmitsNobody(t *testing.T) {
+	script := rpc.NewScript(rpc.SeverRule(rpc.Master, 0, kWelcome, 0, 0))
+	rt, err := New(Config{ListenAddr: "127.0.0.1:0", FaultInjector: script})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	ctx, cancel := context.WithCancel(context.Background())
+	unwelcome := make(chan struct{})
+	go func() {
+		defer close(unwelcome)
+		if w, err := joinMaster(ctx, rt.ListenAddr(), ServeWorkerOptions{}); err == nil {
+			w.tr.Close()
+			w.stop()
+		}
+	}()
+	t.Cleanup(func() {
+		cancel()
+		<-unwelcome
+	})
+	for deadline := time.Now().Add(10 * time.Second); script.Stats().Severed == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the first registrant's welcome was never sent")
+		}
+	}
+	short, stop := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer stop()
+	if err := rt.AwaitWorkers(short, 1); err == nil {
+		t.Fatalf("a registrant whose welcome failed was admitted: workers %v", rt.reg.workerIDs(nil))
+	}
+
+	w, err := joinMaster(context.Background(), rt.ListenAddr(), ServeWorkerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		w.tr.Close()
+		w.stop()
+	})
+	if err := rt.AwaitWorkers(context.Background(), 1); err != nil {
+		t.Fatal(err)
+	}
+	if ids := rt.reg.workerIDs(nil); !slices.Equal(ids, []int{1}) {
+		t.Errorf("workers %v, want the second registrant alone, [1]", ids)
 	}
 }
 

@@ -9,9 +9,10 @@ import (
 	"fractal/internal/wire"
 )
 
-// Message kinds carried in rpc.Envelope.Kind. Twelve of them carry a body,
-// of 10 Go types: kStepEnd, kCancel and kStatusPing carry an attemptKey and
-// nothing else; kShutdown carries none.
+// Message kinds carried in rpc.Envelope.Kind. Eleven of them carry a body,
+// of 9 Go types: kStepEnd, kCancel and kStatusPing carry an attemptKey and
+// nothing else; kShutdown carries none. A cancel is answered by the kAggDone
+// a step end gets, shipping nothing.
 const (
 	kStepStart uint8 = iota + 1
 	kStepEnd
@@ -23,7 +24,6 @@ const (
 	kStealResp
 	kShutdown
 	kCancel
-	kCancelAck
 	kRegister
 	kWelcome
 )
@@ -49,11 +49,11 @@ const (
 // ping (kStatusPing) hold nothing else: their body is the key.
 //
 // A step end tells a worker the step is globally quiescent: stop cores and
-// report aggregation partials. A cancel tells it the master has abandoned the
-// attempt (context cancellation, deadline, or worker loss): stop cores
-// immediately, discard partial aggregations, and report nothing but a
-// cancelAckMsg. A status ping is the master's liveness probe after
-// WorkerTimeout of silence; each participant answers with one
+// ship aggregation partials. A cancel tells it the master has abandoned the
+// attempt (context cancellation, deadline, or worker loss): stop cores,
+// discard partial aggregations, and ship none. Both are answered by one
+// aggDoneMsg (worker.stopStep). A status ping is the master's liveness probe
+// after WorkerTimeout of silence; each participant answers with one
 // statusReportMsg marked Reply.
 type attemptKey struct {
 	Job, Step, Attempt int
@@ -84,17 +84,6 @@ type stepStartMsg struct {
 	Share   credit
 }
 
-// cancelAckMsg confirms that a worker has drained the cancelled step: its
-// cores have stopped, and Counters is their summed counter block (including
-// abandoned-work counts). Sent even when the worker was not running the
-// step — Counters is then zero — so the master's bounded drain wait
-// completes fast on the healthy path.
-type cancelAckMsg struct {
-	attemptKey
-	Worker   int
-	Counters metrics.Snapshot
-}
-
 // aggDataMsg carries one frame of one worker's partial aggregation for one
 // name (agg.Store.FoldToFrames): a complete payload of the aggregation wire
 // codec holding a run of ascending keys. A worker's frames for a name leave
@@ -108,15 +97,17 @@ type aggDataMsg struct {
 	Data   []byte
 }
 
-// aggDoneMsg signals that a worker has finished reporting its partials:
-// Sent counts the aggData messages — frames — that preceded it, and Errs
-// carries one entry per aggregation whose partial could not be folded,
-// encoded, or shipped. A non-empty Errs fails the step with an AggregationError at the
-// master — a partial that cannot be assembled must fail loudly, never
-// silently ship a wrong or missing result. Counters is the worker's counter
-// block for the attempt: its cores' blocks summed, plus its own merge time
-// and shipped bytes. It rides the message that ends the attempt anyway, so
-// the master's report costs no message of its own.
+// aggDoneMsg ends a worker's part of an attempt, at a step end or a cancel:
+// its cores have stopped. Sent counts the aggData messages — frames — that
+// preceded it (0 for a cancel), and Errs carries one entry per aggregation
+// whose partial could not be folded, encoded, or shipped, and one for work a
+// core still held at a step end. A non-empty Errs fails the step with an
+// AggregationError at the master — a partial that cannot be assembled must
+// fail loudly, never silently ship a wrong or missing result. Counters is
+// the worker's counter block for the attempt: its cores' blocks summed,
+// plus its own merge time and shipped bytes (zero when a cancel finds the
+// worker not running the attempt). It rides the message that ends the
+// attempt anyway, so the master's report costs no message of its own.
 type aggDoneMsg struct {
 	attemptKey
 	Worker   int
@@ -353,18 +344,6 @@ func (m *stepStartMsg) get(r *wire.Reader) {
 	m.Spec.Args = getSeq(r, getKV)
 	m.Spec.Env = getSeq(r, (*wire.Reader).Str)
 	m.Share = getCredit(r)
-}
-
-func (m cancelAckMsg) put(w *wire.Writer) {
-	m.attemptKey.put(w)
-	w.Int(m.Worker)
-	putCounters(w, m.Counters)
-}
-
-func (m *cancelAckMsg) get(r *wire.Reader) {
-	m.attemptKey.get(r)
-	m.Worker = r.Int()
-	m.Counters = getCounters(r)
 }
 
 func (m aggDataMsg) put(w *wire.Writer) {

@@ -42,8 +42,6 @@ func newMessage(kind uint8) wireMessage {
 		return &stealReqMsg{}
 	case kStealResp:
 		return &stealRespMsg{}
-	case kCancelAck:
-		return &cancelAckMsg{}
 	case kRegister:
 		return &registerMsg{}
 	case kWelcome:
@@ -52,13 +50,13 @@ func newMessage(kind uint8) wireMessage {
 	return nil
 }
 
-// messageCases holds at least one message of each of the 12 kinds that carry
-// a body (10 Go types: the step end, cancel and status ping are each an
+// messageCases holds at least one message of each of the 11 kinds that carry
+// a body (9 Go types: the step end, cancel and status ping are each an
 // attemptKey) with its body in hex. The bodies were generated at the commit
 // before the codec moved onto the shared reader/writer, and the wire form
 // did not change.
-// Since PR 15 the two messages that end a step attempt, aggDone and
-// cancelAck, close with the worker's counter block — 16 varints (13 until
+// The message that ends a step attempt, aggDone, closes with the worker's
+// counter block — 16 varints (13 until
 // PR 16 appended QuickPatterns and CanonCalls, 15 until PR 20 appended
 // ClassesPruned and SubgraphsPruned, 17 until PR 21 dropped the steal-scan slot)
 // and the counted CoreWork sequence, 17 zero bytes when empty. PR 21 also
@@ -80,6 +78,11 @@ func newMessage(kind uint8) wireMessage {
 // report is redrawn — running flag, then the activity count and the credit
 // returned so far, or the not-running reply's Err. An empty steal response
 // and every other kind keep their bytes.
+// A cancel is answered by the done message a step end gets, with nothing
+// sent and no errors: its body is the former cancel ack's with those two
+// zero bytes after the worker (aggDoneCancel: not running the attempt,
+// aggDoneCancelCounters: every counter slot in order). The ack kind is gone,
+// and register and welcome moved down one kind number; no body changed.
 var messageCases = []struct {
 	name   string
 	kind   uint8
@@ -105,12 +108,6 @@ var messageCases = []struct {
 	{"jobSpecBare", kStepStart, &stepStartMsg{Spec: wireSpec{App: "motifs", Graph: "g"}}, "000000" + "00" + "00" + "066d6f7469667301670000" + "00"},
 	{"stepEnd", kStepEnd, &attemptKey{1, 2, 3}, "020406"},
 	{"cancel", kCancel, &attemptKey{9, 0, 1}, "120002"},
-	{"cancelAck", kCancelAck, &cancelAckMsg{attemptKey: attemptKey{1, 2, 3}, Worker: 4}, "02040608" + "0000000000000000000000000000000000"},
-	{"cancelAckCounters", kCancelAck, &cancelAckMsg{attemptKey: attemptKey{1, 2, 3}, Worker: 4, Counters: metrics.Snapshot{
-		ExtensionTests: 1, Subgraphs: 2, StealsInternal: 3, StealsExternal: 4, StealBytes: 5, StealTimeNs: 6,
-		BusyTimeNs: 8, IdleTimeNs: 9, PeakStateBytes: 10, AbandonedExts: 11, AggMergeTimeNs: 12, AggShippedBytes: 13,
-		QuickPatterns: 14, CanonCalls: 15, ClassesPruned: 16, SubgraphsPruned: 17, CoreWork: []int64{3, 0}}},
-		"02040608" + "020406080a0c10121416181a1c1e" + "2022" + "020600"},
 	{"aggData", kAggData, &aggDataMsg{attemptKey: attemptKey{1, 2, 3}, Worker: 4, Name: "support", Data: []byte{1, 2, 0, 255}},
 		"0204060807737570706f727404010200ff"},
 	{"aggDataEmpty", kAggData, &aggDataMsg{Name: ""}, "000000000000"},
@@ -119,6 +116,12 @@ var messageCases = []struct {
 	{"aggDoneCounters", kAggDone, &aggDoneMsg{attemptKey: attemptKey{1, 2, 3}, Worker: 4, Sent: 1, Counters: metrics.Snapshot{
 		ExtensionTests: 1 << 40, Subgraphs: 64, BusyTimeNs: 1_000_000, AggShippedBytes: 300, CoreWork: []int64{1<<40 + 64}}},
 		"020406080200" + "808080808040" + "8001" + "00000000" + "80897a" + "00000000" + "d804" + "00000000" + "01" + "808180808040"},
+	{"aggDoneCancel", kAggDone, &aggDoneMsg{attemptKey: attemptKey{1, 2, 3}, Worker: 4}, "02040608" + "0000" + "0000000000000000000000000000000000"},
+	{"aggDoneCancelCounters", kAggDone, &aggDoneMsg{attemptKey: attemptKey{1, 2, 3}, Worker: 4, Counters: metrics.Snapshot{
+		ExtensionTests: 1, Subgraphs: 2, StealsInternal: 3, StealsExternal: 4, StealBytes: 5, StealTimeNs: 6,
+		BusyTimeNs: 8, IdleTimeNs: 9, PeakStateBytes: 10, AbandonedExts: 11, AggMergeTimeNs: 12, AggShippedBytes: 13,
+		QuickPatterns: 14, CanonCalls: 15, ClassesPruned: 16, SubgraphsPruned: 17, CoreWork: []int64{3, 0}}},
+		"02040608" + "0000" + "020406080a0c10121416181a1c1e" + "2022" + "020600"},
 	{"statusPing", kStatusPing, &attemptKey{1, 2, 3}, "020406"},
 	{"statusReport", kStatusReport, &statusReportMsg{attemptKey: attemptKey{1, 2, 3}, Worker: 2, Reply: true, Running: true,
 		Active: 3, Returned: sumOf(piece(2), piece(5))},
@@ -180,7 +183,7 @@ func keyOf(m wireMessage) (attemptKey, bool) {
 func TestEveryKindHasAGoldenBody(t *testing.T) {
 	stepScoped := map[uint8]bool{
 		kStepStart: true, kStepEnd: true, kAggData: true, kAggDone: true, kStatusPing: true,
-		kStatusReport: true, kStealReq: true, kStealResp: true, kCancel: true, kCancelAck: true,
+		kStatusReport: true, kStealReq: true, kStealResp: true, kCancel: true,
 	}
 	covered := map[uint8]bool{}
 	for _, tc := range messageCases {
@@ -259,7 +262,6 @@ func TestHostileCountsFailBeforeAllocating(t *testing.T) {
 		"stealResp prefix":            {&stealRespMsg{}, append([]byte{0, 0, 0, 0}, count...)},
 		"aggDone errs":                {&aggDoneMsg{}, append([]byte{0, 0, 0, 0, 0}, count...)},
 		"aggDone core work":           {&aggDoneMsg{}, append(make([]byte, 6+16), count...)},
-		"cancelAck core work":         {&cancelAckMsg{}, append(make([]byte, 4+16), count...)},
 		"stepStart spec args":         {&stepStartMsg{}, append(make([]byte, 7), count...)},
 		"stepStart spec env":          {&stepStartMsg{}, append(make([]byte, 8), count...)},
 		"aggData bytes":               {&aggDataMsg{}, append([]byte{0, 0, 0, 0, 0}, count...)},

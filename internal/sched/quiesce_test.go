@@ -135,7 +135,7 @@ func countWithoutLateWork(t *testing.T, rt *Runtime, g *graph.Graph, custom subg
 	job.Custom = custom
 	job.Workflow = append(job.Workflow, step.VisitP(func(*subgraph.Embedding) {
 		for _, w := range rt.workers {
-			if st := w.current(); st != nil && st.isDone() {
+			if st := w.current(); st != nil && st.stopping() {
 				late.Add(1)
 			}
 		}

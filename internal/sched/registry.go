@@ -45,10 +45,12 @@ func newRegistry(rt *Runtime, node *rpc.TCPNode) *registry {
 }
 
 // handleRegister serves one registration: assign the next worker ID, reply
-// with the execution configuration, and only then admit the worker, so that
-// the step start that first names it follows its welcome on the connection
-// the registration came on, bound to the worker's ID in place of its
-// provisional one (rpc.TCPNode.Rename).
+// with the execution configuration, and only once the welcome is sent admit
+// the worker, so that the step start that first names it follows its
+// welcome on the connection the registration came on, bound to the worker's
+// ID in place of its provisional one (rpc.TCPNode.Rename). A registrant
+// whose welcome cannot be sent is never admitted: it gives up waiting for
+// the welcome, and no step start names it.
 func (g *registry) handleRegister(env rpc.Envelope) {
 	var m registerMsg
 	if decode(env.Body, &m) != nil || m.Addr == "" {
@@ -65,7 +67,9 @@ func (g *registry) handleRegister(env rpc.Envelope) {
 	}
 	g.node.Rename(env.From, rpc.NodeID(id))
 	g.node.AddPeer(rpc.NodeID(id), m.Addr)
-	g.rt.master.Send(rpc.NodeID(id), rpc.Envelope{Kind: kWelcome, Body: encode(wel)})
+	if g.rt.master.Send(rpc.NodeID(id), rpc.Envelope{Kind: kWelcome, Body: encode(wel)}) != nil {
+		return
+	}
 	g.mu.Lock()
 	g.workers[id] = m.Addr
 	close(g.changed)

@@ -109,8 +109,8 @@ type jobRun struct {
 	customs []subgraph.CustomExtender
 	env     *agg.Registry
 	// blocks holds the counter block each worker shipped with the message
-	// that ended its part of the attempt (aggDoneMsg, or cancelAckMsg on a
-	// drain), by worker ID; mergeTime is the master's own fold
+	// that ended its part of the attempt (aggDoneMsg, at a step end or a
+	// cancel), by worker ID; mergeTime is the master's own fold
 	// time. Master-only, like rounds: workers count into their cores' blocks
 	// and never see these.
 	blocks    map[int]metrics.Snapshot
@@ -124,8 +124,8 @@ type jobRun struct {
 	// in-process workers' cores directly, then broadcasts cancel messages. On
 	// an oversubscribed machine compute-bound cores starve the transport
 	// goroutines, so the interrupt is what actually bounds cancellation
-	// latency; the messages then serialize the drain at each worker's router
-	// and carry the acks back. A worker installing a step of this run reads
+	// latency; the messages then serialize the stop at each worker's router
+	// and carry the answers back. A worker installing a step of this run reads
 	// the flag after publishing the step, so neither order loses the stop.
 	cancelled atomic.Bool
 }
@@ -683,8 +683,8 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 }
 
 // recordCounters keeps the counter block a worker shipped for this attempt.
-// The first block wins: a worker that already ended the step with an
-// aggDoneMsg acks a later cancel of it with an empty block.
+// The first block wins: a worker that already ended the step answers a
+// later cancel of it with an empty block.
 func (run *jobRun) recordCounters(worker int, c metrics.Snapshot) {
 	if _, ok := run.blocks[worker]; !ok {
 		run.blocks[worker] = c

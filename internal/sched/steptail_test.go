@@ -177,6 +177,55 @@ func TestFramesOutOfOrderAreACorruptPartial(t *testing.T) {
 	}
 }
 
+// TestStepEndWithWorkLeftFailsTheStep: a step ends once all of its credit
+// came home, which proves every stack empty; a step end that still finds a
+// core holding work must fail the step, naming what was left, never commit
+// a result without it. Worker 0's one core is held in its first Visit,
+// with the rest of the root domain on its stack, while the master ends the
+// step.
+func TestStepEndWithWorkLeftFailsTheStep(t *testing.T) {
+	rt := tailRuntime(t, Config{Workers: 1, CoresPerWorker: 1, WorkerTimeout: time.Minute})
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	steps, err := step.Split(step.Workflow{step.ExtendP(), step.VisitP(func(*subgraph.Embedding) {
+		once.Do(func() {
+			close(entered)
+			<-release
+		})
+	})}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := tailRun(rt, steps[0])
+	run.graph, run.kind, run.totalCores = randomGraph(12, 0.5, 1, 1), subgraph.VertexInduced, 1
+	rt.mu.Lock()
+	rt.run = run
+	rt.mu.Unlock()
+	toWorker := func(kind uint8, m message) {
+		if err := rt.master.Send(0, rpc.Envelope{Kind: kind, Body: encode(m)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	toWorker(kStepStart, stepStartMsg{attemptKey: run.key, Workers: []peerAddr{{Worker: 0}}, Share: unit})
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the core never reached its Visit")
+	}
+	toWorker(kStepEnd, run.key)
+	for st := rt.workers[0].current(); !st.stopping(); st = rt.workers[0].current() {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	err = rt.collectAggregations(ctx, run)
+	var aggErr *AggregationError
+	if !errors.As(err, &aggErr) || aggErr.Worker != 0 || !strings.Contains(err.Error(), "11 unexplored extensions") {
+		t.Fatalf("collectAggregations = %v, want an AggregationError of worker 0 naming the 11 roots left", err)
+	}
+}
+
 // fsmLevel3 holds what the benchmark's fsm_ml job has at the end of its third
 // level, when the cores go idle: the step, each core's partial (encoded, so
 // that every use starts from fresh stores), and the contributions the cores

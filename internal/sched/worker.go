@@ -47,7 +47,7 @@ type stepCtx struct {
 	// reqs queues the steal requests no busy core has answered yet, oldest
 	// first. Every request gets exactly one answer: a grant from a busy core,
 	// or an empty one from post (nobody could ever serve it) or from retire
-	// (the last busy core ran dry, stopped or was cancelled).
+	// (the last busy core ran dry or stopped).
 	reqMu sync.Mutex
 	reqs  []stealReq
 	// mail holds one mailbox per core: the answers to the requests it posted
@@ -56,14 +56,13 @@ type stepCtx struct {
 	// earlier step or attempt can reach this one's cores.
 	mail []chan grant
 
-	stopped  atomic.Bool // the step ended or was cancelled: no new work is handed out
-	doneCh   chan struct{}
+	doneCh   chan struct{} // closed by stop, with attnStop set
 	doneOnce sync.Once
 	wg       sync.WaitGroup
 }
 
 const (
-	attnStop  uint32 = 1 << iota // cancelled: cores stop mid-work
+	attnStop  uint32 = 1 << iota // the step ended or was cancelled: cores stop
 	attnSteal                    // steal requests are queued
 )
 
@@ -104,30 +103,22 @@ func (st *stepCtx) flag(bit uint32, on bool) {
 	}
 }
 
-func (st *stepCtx) isDone() bool { return st.stopped.Load() }
+// stopping reports whether the attempt was stopped: cores leave their DFS
+// loop, post refuses requests and donate grants none.
+func (st *stepCtx) stopping() bool { return st.attn.Load()&attnStop != 0 }
 
-// aborted reports whether cores must stop mid-work, abandoning their local
-// subtrees: the step was cancelled, by a cancel control message or — for
-// in-process workers, where compute-bound cores can starve the transport
-// goroutines for tens of milliseconds — by the master directly
-// (Runtime.broadcastCancel). An ordinary step end (finish) is deliberately
-// NOT an abort: cores drain their local work first, so quiescence detection
-// races lose nothing.
-func (st *stepCtx) aborted() bool { return st.attn.Load()&attnStop != 0 }
-
-func (st *stepCtx) finish() {
+// stop stops the attempt, however it ends — a step end, a cancel, or the
+// master's interrupt (Runtime.broadcastCancel) for in-process workers,
+// where compute-bound cores can starve the transport goroutines for tens
+// of milliseconds. A busy core sees attnStop at its next DFS iteration and
+// a parked one the closed doneCh. At a step end every stack is empty, since
+// all of the step's credit came home (DESIGN §6), so a core that still
+// holds work abandons it, and stopStep says so.
+func (st *stepCtx) stop() {
 	st.doneOnce.Do(func() {
-		st.stopped.Store(true)
+		st.flag(attnStop, true)
 		close(st.doneCh)
 	})
-}
-
-// cancel stops the step's cores mid-enumeration: unlike finish (which cores
-// only observe once they are out of local work), cancellation is polled at
-// every DFS iteration.
-func (st *stepCtx) cancel() {
-	st.flag(attnStop, true)
-	st.finish()
 }
 
 // post queues a steal request for the busy cores and reports whether it did.
@@ -136,7 +127,7 @@ func (st *stepCtx) cancel() {
 func (st *stepCtx) post(r stealReq) bool {
 	st.reqMu.Lock()
 	defer st.reqMu.Unlock()
-	if st.active.Load() == 0 || st.isDone() {
+	if st.active.Load() == 0 || st.stopping() {
 		return false
 	}
 	st.reqs = append(st.reqs, r)
@@ -245,10 +236,10 @@ func (w *worker) route() {
 			if decode(env.Body, &m) == nil {
 				w.startStep(m)
 			}
-		case kStepEnd:
+		case kStepEnd, kCancel:
 			var m attemptKey
 			if decode(env.Body, &m) == nil {
-				w.endStep(m)
+				w.stopStep(m, env.Kind == kStepEnd)
 			}
 		case kStatusPing:
 			var m attemptKey
@@ -265,22 +256,17 @@ func (w *worker) route() {
 			if decode(env.Body, &m) == nil {
 				w.routeStealResp(m)
 			}
-		case kCancel:
-			var m attemptKey
-			if decode(env.Body, &m) == nil {
-				w.cancelStep(m)
-			}
 		case kShutdown:
 			// Nothing reads this transport after its router: close it and
 			// drop what is still queued, so that no backlog outlives it.
-			w.abortCurrent()
+			w.stopCurrent()
 			w.tr.Close()
 			for range w.tr.Recv() {
 			}
 			return
 		}
 	}
-	w.abortCurrent()
+	w.stopCurrent()
 }
 
 // current returns the step under execution, nil when idle.
@@ -307,15 +293,12 @@ func (w *worker) startStep(m stepStartMsg) {
 	if run == nil {
 		return
 	}
-	// A failed attempt may still be draining here if its cancel message was
+	// A failed attempt may still be running here if its cancel message was
 	// lost along with the worker it blamed: stop it before installing the
 	// new step. Its cores have stopped before this attempt's counters are
 	// zeroed below, and its aggregations are discarded with its stepCtx, so
 	// nothing it did leaks into this attempt.
-	if stale := w.current(); stale != nil {
-		stale.cancel()
-		stale.wg.Wait()
-	}
+	w.stopCurrent()
 	st := &stepCtx{
 		run:    run,
 		rank:   rank,
@@ -354,7 +337,7 @@ func (w *worker) startStep(m stepStartMsg) {
 	// interrupt (broadcastCancel): whichever of the two comes second sees the
 	// other, so a step installed during a cancellation still stops at once.
 	if run.cancelled.Load() {
-		st.cancel()
+		st.stop()
 	}
 }
 
@@ -371,41 +354,50 @@ func (w *worker) counters() metrics.Snapshot {
 	return sum
 }
 
-// endStep stops the cores, folds the per-core aggregation partials into
-// frames, and ships each frame to the master as it closes. A partial that
-// cannot be folded, encoded, or shipped is reported in the done message's
-// error list — never silently skipped, which would commit a wrong (partially
-// folded) or missing aggregation with no indication.
-//
-// The fold is the step tail's one primitive (agg.Store.FoldToFrames, DESIGN
-// §9): the cores' stores are walked together in key order, a key's values
-// are reduced and encoded, and the cores' entries are dropped as they go, so
-// the worker never holds a merged store or a payload-sized buffer — one
-// frame, whatever the payload. Fold wall time and the frame bytes shipped
-// join the cores' summed counters, and the done message carries the block to
-// the master.
-func (w *worker) endStep(key attemptKey) {
-	st := w.current()
-	if !stepMatches(st, key) {
+// stopStep ends the worker's part of the attempt key names, at a step end
+// (ship) or a cancel: it stops the cores, waits for them, and sends the
+// master the done message with their counters. A step end first ships the
+// aggregation partials; a cancel discards them, Sent 0. A cancel is always
+// answered — with no counters when the worker is not running the attempt,
+// so the master's drain wait is not held up — but a step end for another
+// attempt is not: answering it would commit a result missing this worker's
+// share. The router handles one message at a time, so a later kStepStart
+// waits until the cores have stopped and no step leaks cores into the next.
+func (w *worker) stopStep(key attemptKey, ship bool) {
+	done := aggDoneMsg{attemptKey: key, Worker: w.id}
+	if st := w.current(); stepMatches(st, key) {
+		w.stopCurrent()
+		done.Counters = w.counters()
+		if ship {
+			w.ship(st, &done)
+		}
+	} else if ship {
 		return
 	}
-	st.finish()
-	st.wg.Wait()
-	w.mu.Lock()
-	w.cur = nil
-	w.mu.Unlock()
+	w.tr.Send(rpc.Master, rpc.Envelope{Kind: kAggDone, Body: encode(done)})
+}
 
-	ctr := w.counters()
-	sent := 0
-	var errs []string
+// ship folds the stopped attempt's per-core partials into frames and sends
+// each to the master as it closes, booking the frames, the errors and the
+// fold's counters in done. A partial that cannot be folded, encoded or
+// shipped, and work a core still held at the step end, is an error there —
+// never silently skipped, which would commit a wrong or missing aggregation.
+// The fold is the step tail's one primitive (agg.Store.FoldToFrames, DESIGN
+// §9): the cores' stores are walked together in key order, a key's values
+// reduced and encoded and the cores' entries dropped as they go, so the
+// worker never holds a merged store or a payload-sized buffer.
+func (w *worker) ship(st *stepCtx, done *aggDoneMsg) {
+	if n := done.Counters.AbandonedExts; n > 0 {
+		done.Errs = append(done.Errs, fmt.Sprintf("the step ended with %d unexplored extensions on the cores' stacks", n))
+	}
 	mergeStart := time.Now()
 	for _, sp := range st.run.step.AggSpecs() {
 		partials := make([]agg.Store, len(w.cores))
 		for i := range w.cores {
 			partials[i] = st.localAggs[i][sp.Name]
 		}
-		msg := aggDataMsg{attemptKey: key, Worker: w.id, Name: sp.Name}
-		err := sp.Proto.FoldToFrames(partials, st.aborted, func(frame []byte) error {
+		msg := aggDataMsg{attemptKey: done.attemptKey, Worker: w.id, Name: sp.Name}
+		err := sp.Proto.FoldToFrames(partials, nil, func(frame []byte) error {
 			// The frame buffer is the fold's; the message body, made at its
 			// final size, is the one copy a frame gets on its way to the
 			// socket or the mailbox.
@@ -415,53 +407,27 @@ func (w *worker) endStep(key attemptKey) {
 			if err := w.tr.Send(rpc.Master, rpc.Envelope{Kind: kAggData, Body: body.B}); err != nil {
 				return fmt.Errorf("shipping a frame: %w", err)
 			}
-			ctr.AggShippedBytes += int64(len(frame))
-			sent++
+			done.Counters.AggShippedBytes += int64(len(frame))
+			done.Sent++
 			return nil
 		})
 		if err != nil {
-			errs = append(errs, fmt.Sprintf("folding core partials of %q: %v", sp.Name, err))
+			done.Errs = append(done.Errs, fmt.Sprintf("folding core partials of %q: %v", sp.Name, err))
 		}
 	}
-	ctr.AggMergeTimeNs = int64(time.Since(mergeStart))
-	done := aggDoneMsg{attemptKey: key, Worker: w.id, Sent: sent, Errs: errs, Counters: ctr}
-	w.tr.Send(rpc.Master, rpc.Envelope{Kind: kAggDone, Body: encode(done)})
+	done.Counters.AggMergeTimeNs = int64(time.Since(mergeStart))
 }
 
-// cancelStep drains a cancelled step: cores stop at their next cancellation
-// poll, partial aggregations are discarded, and nothing is reported to the
-// master but a drain ack carrying the counters of the work done so far.
-// Because the router processes messages serially, a
-// subsequent kStepStart is not handled until the drain completes, so a
-// cancelled job can never leak cores into the next one.
-func (w *worker) cancelStep(key attemptKey) {
-	st := w.current()
-	// Ack unconditionally (also when the step was never ours or already
-	// over, with no counters then) so the master's drain wait is not held up
-	// by healthy workers.
-	ack := cancelAckMsg{attemptKey: key, Worker: w.id}
-	if stepMatches(st, key) {
-		st.cancel()
+// stopCurrent stops the step under execution, if any, waits for its cores
+// and only then forgets it. Only the router calls it, as it does everything
+// that sets w.cur.
+func (w *worker) stopCurrent() {
+	if st := w.current(); st != nil {
+		st.stop()
 		st.wg.Wait()
 		w.mu.Lock()
-		if w.cur == st {
-			w.cur = nil
-		}
+		w.cur = nil
 		w.mu.Unlock()
-		ack.Counters = w.counters()
-	}
-	w.tr.Send(rpc.Master, rpc.Envelope{Kind: kCancelAck, Body: encode(ack)})
-}
-
-// abortCurrent releases cores when the worker shuts down mid-step.
-func (w *worker) abortCurrent() {
-	w.mu.Lock()
-	st := w.cur
-	w.cur = nil
-	w.mu.Unlock()
-	if st != nil {
-		st.cancel()
-		st.wg.Wait()
 	}
 }
 
@@ -486,13 +452,13 @@ func (w *worker) report(rep *statusReportMsg) {
 	w.tr.Send(rpc.Master, rpc.Envelope{Kind: kStatusReport, Body: encode(rep)})
 }
 
-// interrupt cancels the cores of the named step attempt, if this worker is
+// interrupt stops the cores of the named step attempt, if this worker is
 // running it, without waiting for them: the master's shortcut past a starved
-// transport (Runtime.broadcastCancel). The cancel message that follows drains
-// the step and carries the ack.
+// transport (Runtime.broadcastCancel). The cancel message that follows waits
+// for them and carries the answer.
 func (w *worker) interrupt(key attemptKey) {
 	if st := w.current(); stepMatches(st, key) {
-		st.cancel()
+		st.stop()
 	}
 }
 
